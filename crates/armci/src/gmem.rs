@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use scioto_det::sync::Mutex;
+use scioto_det::sync::{CachePadded, Mutex};
 
 use scioto_sim::{Ctx, RemoteOpKind, TraceEvent, VLock};
 
@@ -13,8 +13,10 @@ use crate::world::Armci;
 pub(crate) struct Segment {
     /// Per-rank backing store. The mutex serializes raw accesses (an
     /// accumulate must be atomic with respect to other accumulates, as in
-    /// ARMCI); in virtual-time mode it is never contended.
-    pub(crate) data: Vec<Mutex<Vec<u8>>>,
+    /// ARMCI); in virtual-time mode it is never contended. Padded so a
+    /// rank working on its own store never shares a cache line with the
+    /// lock word or buffer header of its neighbour's.
+    pub(crate) data: Vec<CachePadded<Mutex<Vec<u8>>>>,
     /// Per-word RMW service queues: the target adapter processes atomic
     /// RMWs on one location serially (`LatencyModel::rmw_service` each),
     /// so a hot word — a shared counter — has bounded throughput.
@@ -67,25 +69,21 @@ impl Armci {
     pub fn malloc(&self, ctx: &Ctx, bytes: usize) -> Gmem {
         let n = self.nranks;
         let handle = ctx.collective(|| {
-            let seg = Arc::new(Segment {
-                data: (0..n).map(|_| Mutex::new(vec![0u8; bytes])).collect(),
+            let id = self.segments.push(Segment {
+                data: (0..n)
+                    .map(|_| CachePadded(Mutex::new(vec![0u8; bytes])))
+                    .collect(),
                 hot_words: Mutex::new(HashMap::new()),
             });
-            let mut segs = self.segments.write();
-            segs.push(seg);
-            Gmem {
-                id: segs.len() - 1,
-                len: bytes,
-            }
+            Gmem { id, len: bytes }
         });
         *handle
     }
 
-    pub(crate) fn segment(&self, g: Gmem) -> Arc<Segment> {
-        let segs = self.segments.read();
-        segs.get(g.id)
+    pub(crate) fn segment(&self, g: Gmem) -> &Segment {
+        self.segments
+            .get(g.id)
             .unwrap_or_else(|| panic!("invalid Gmem handle {}", g.id))
-            .clone()
     }
 
     fn check_bounds(&self, g: Gmem, rank: usize, offset: usize, len: usize) {
@@ -235,28 +233,56 @@ impl Armci {
     }
 
     /// Run `f` with mutable access to this rank's own portion of the
-    /// segment. Charges only local software overhead; intended for
-    /// owner-private initialization (setup that happens before any
-    /// concurrency, so it emits no access record — shared-protocol
-    /// accesses must go through [`Armci::with_local_range_mut`]).
+    /// segment, in one lock scope. Charges only local software overhead
+    /// and emits no access record: fine for owner-private initialization
+    /// (setup that happens before any concurrency); a shared-protocol
+    /// access must be recorded, either by going through
+    /// [`Armci::with_local_range_mut`] or by pairing each access made
+    /// inside `f` with [`Armci::record_local_access`].
     pub fn with_local_mut<R>(&self, ctx: &Ctx, g: Gmem, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let seg = self.segment(g);
-        let mut data = seg.data[ctx.rank()].lock();
-        f(&mut data)
+        f(&mut self.segment(g).data[ctx.rank()].lock())
     }
 
     /// Run `f` with read access to this rank's own portion of the segment.
     pub fn with_local<R>(&self, ctx: &Ctx, g: Gmem, f: impl FnOnce(&[u8]) -> R) -> R {
-        let seg = self.segment(g);
-        let data = seg.data[ctx.rank()].lock();
-        f(&data)
+        f(&self.segment(g).data[ctx.rank()].lock())
+    }
+
+    /// Bounds-check and record one owner-side access to
+    /// `[offset, offset + len)` of this rank's own portion as a
+    /// `LocalAccess`, so the race checker can pair owner accesses against
+    /// remote thieves — without touching the memory. `atomic` marks
+    /// single-word protocol accesses (lock-free index reads and publishes)
+    /// the queue discipline declares safe against concurrent atomic
+    /// accessors. [`Armci::with_local_range`] and
+    /// [`Armci::with_local_range_mut`] record and access in one call; an
+    /// owner that performs several protocol accesses inside one
+    /// [`Armci::with_local_mut`] scope records each of them through this.
+    pub fn record_local_access(
+        &self,
+        ctx: &Ctx,
+        g: Gmem,
+        offset: usize,
+        len: usize,
+        write: bool,
+        atomic: bool,
+    ) {
+        self.check_bounds(g, ctx.rank(), offset, len);
+        // Order-only instant: the race checker needs the access's position
+        // in the rank's timeline, never a duration from its stamp — so the
+        // hot per-word protocol path skips the wall-clock query.
+        ctx.trace_instant(|| TraceEvent::LocalAccess {
+            seg: g.id as u32,
+            offset: offset as u64,
+            bytes: len as u32,
+            write,
+            atomic,
+        });
     }
 
     /// Owner-side read of `[offset, offset + len)` of this rank's own
-    /// portion, recorded in the trace as a `LocalAccess` so the race
-    /// checker can pair owner accesses against remote thieves. `atomic`
-    /// marks single-word protocol accesses (lock-free index reads) the
-    /// queue discipline declares safe against concurrent atomic writers.
+    /// portion, recorded in the trace (see
+    /// [`Armci::record_local_access`]).
     pub fn with_local_range<R>(
         &self,
         ctx: &Ctx,
@@ -266,25 +292,13 @@ impl Armci {
         atomic: bool,
         f: impl FnOnce(&[u8]) -> R,
     ) -> R {
-        self.check_bounds(g, ctx.rank(), offset, len);
-        // Order-only instant: the race checker needs the access's position
-        // in the rank's timeline, never a duration from its stamp — so the
-        // hot per-word protocol path skips the wall-clock query.
-        ctx.trace_instant(|| TraceEvent::LocalAccess {
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: len as u32,
-            write: false,
-            atomic,
-        });
-        let seg = self.segment(g);
-        let data = seg.data[ctx.rank()].lock();
-        f(&data[offset..offset + len])
+        self.record_local_access(ctx, g, offset, len, false, atomic);
+        self.with_local(ctx, g, |data| f(&data[offset..offset + len]))
     }
 
     /// Owner-side write access to `[offset, offset + len)` of this rank's
-    /// own portion, recorded as a `LocalAccess` write (see
-    /// [`Armci::with_local_range`]).
+    /// own portion, recorded in the trace (see
+    /// [`Armci::record_local_access`]).
     pub fn with_local_range_mut<R>(
         &self,
         ctx: &Ctx,
@@ -294,20 +308,8 @@ impl Armci {
         atomic: bool,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> R {
-        self.check_bounds(g, ctx.rank(), offset, len);
-        // Order-only instant: the race checker needs the access's position
-        // in the rank's timeline, never a duration from its stamp — so the
-        // hot per-word protocol path skips the wall-clock query.
-        ctx.trace_instant(|| TraceEvent::LocalAccess {
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: len as u32,
-            write: true,
-            atomic,
-        });
-        let seg = self.segment(g);
-        let mut data = seg.data[ctx.rank()].lock();
-        f(&mut data[offset..offset + len])
+        self.record_local_access(ctx, g, offset, len, true, atomic);
+        self.with_local_mut(ctx, g, |data| f(&mut data[offset..offset + len]))
     }
 }
 
@@ -412,6 +414,16 @@ mod tests {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 8);
             armci.put(ctx, g, 0, 4, &[0u8; 8]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid Gmem handle 7")]
+    fn unknown_gmem_handle_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            armci.malloc(ctx, 8);
+            armci.put(ctx, Gmem { id: 7, len: 8 }, 0, 0, &[0u8; 8]);
         });
     }
 

@@ -5,8 +5,6 @@
 //! critical sections genuinely delay concurrent accessors — the contention
 //! effect the Scioto split queues are designed to minimize.
 
-use std::sync::Arc;
-
 use scioto_sim::{Ctx, TraceEvent, VLock};
 
 use crate::world::Armci;
@@ -37,25 +35,24 @@ impl Armci {
     pub fn create_mutexes(&self, ctx: &Ctx, count: usize) -> MutexSet {
         let n = self.nranks;
         let handle = ctx.collective(|| {
-            let storage = Arc::new(MutexStorage {
+            let id = self.mutex_sets.push(MutexStorage {
                 locks: (0..n)
                     .map(|_| (0..count).map(|_| VLock::new()).collect())
                     .collect(),
             });
-            let mut sets = self.mutex_sets.write();
-            sets.push(storage);
-            MutexSet {
-                id: sets.len() - 1,
-                count,
-            }
+            MutexSet { id, count }
         });
         *handle
     }
 
-    fn mutex(&self, set: MutexSet, idx: usize, rank: usize) -> Arc<MutexStorage> {
+    fn mutex(&self, set: MutexSet, idx: usize, rank: usize) -> &VLock {
         assert!(idx < set.count, "mutex index {idx} out of range");
         assert!(rank < self.nranks, "rank {rank} out of range");
-        self.mutex_sets.read()[set.id].clone()
+        let storage = self
+            .mutex_sets
+            .get(set.id)
+            .unwrap_or_else(|| panic!("invalid MutexSet handle {}", set.id));
+        &storage.locks[rank][idx]
     }
 
     fn lock_cost(&self, ctx: &Ctx, rank: usize) -> u64 {
@@ -68,10 +65,11 @@ impl Armci {
 
     /// Acquire mutex `idx` on `rank`, blocking in virtual time while held.
     pub fn lock(&self, ctx: &Ctx, set: MutexSet, idx: usize, rank: usize) {
-        let storage = self.mutex(set, idx, rank);
         let traced = ctx.trace_enabled();
         let t0 = if traced { ctx.now() } else { 0 };
-        let seq = storage.locks[rank][idx].acquire(ctx, self.lock_cost(ctx, rank));
+        let seq = self
+            .mutex(set, idx, rank)
+            .acquire(ctx, self.lock_cost(ctx, rank));
         if traced {
             // One completion-time clock read stamps both events. LockAcq
             // is emitted at completion so acquisition events appear in
@@ -98,8 +96,10 @@ impl Armci {
 
     /// Try to acquire mutex `idx` on `rank` without blocking.
     pub fn try_lock(&self, ctx: &Ctx, set: MutexSet, idx: usize, rank: usize) -> bool {
-        let storage = self.mutex(set, idx, rank);
-        match storage.locks[rank][idx].try_acquire(ctx, self.lock_cost(ctx, rank)) {
+        match self
+            .mutex(set, idx, rank)
+            .try_acquire(ctx, self.lock_cost(ctx, rank))
+        {
             Some(seq) => {
                 ctx.trace(|| TraceEvent::LockAcq {
                     target: rank as u32,
@@ -115,8 +115,9 @@ impl Armci {
 
     /// Release mutex `idx` on `rank`.
     pub fn unlock(&self, ctx: &Ctx, set: MutexSet, idx: usize, rank: usize) {
-        let storage = self.mutex(set, idx, rank);
-        let seq = storage.locks[rank][idx].release(ctx, self.lock_cost(ctx, rank));
+        let seq = self
+            .mutex(set, idx, rank)
+            .release(ctx, self.lock_cost(ctx, rank));
         ctx.trace(|| TraceEvent::LockRel {
             target: rank as u32,
             set: set.id as u32,
@@ -154,6 +155,15 @@ mod tests {
         for v in out.results {
             assert_eq!(v, 20);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MutexSet handle 3")]
+    fn unknown_mutex_set_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            armci.lock(ctx, MutexSet { id: 3, count: 1 }, 0, 0);
+        });
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use std::sync::Arc;
 
-use scioto_det::sync::RwLock;
-
+use scioto_det::AppendTable;
 use scioto_sim::Ctx;
 
 use crate::gmem::Segment;
@@ -13,10 +12,14 @@ use crate::locks::MutexStorage;
 ///
 /// Created collectively by [`Armci::init`]; all operations are methods on
 /// this object and take the calling rank's [`Ctx`].
+///
+/// Segments and mutex sets are created collectively and never freed, so
+/// both tables are append-only: resolving a [`crate::Gmem`] or
+/// [`crate::MutexSet`] handle on the operation path is a lock-free borrow.
 pub struct Armci {
     pub(crate) nranks: usize,
-    pub(crate) segments: RwLock<Vec<Arc<Segment>>>,
-    pub(crate) mutex_sets: RwLock<Vec<Arc<MutexStorage>>>,
+    pub(crate) segments: AppendTable<Segment>,
+    pub(crate) mutex_sets: AppendTable<MutexStorage>,
 }
 
 impl Armci {
@@ -32,8 +35,8 @@ impl Armci {
         let n = ctx.nranks();
         ctx.collective(|| Armci {
             nranks: n,
-            segments: RwLock::new(Vec::new()),
-            mutex_sets: RwLock::new(Vec::new()),
+            segments: AppendTable::new(),
+            mutex_sets: AppendTable::new(),
         })
     }
 

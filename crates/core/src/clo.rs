@@ -11,41 +11,35 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use scioto_det::sync::RwLock;
+use scioto_det::AppendTable;
 
 /// Portable handle to a collectively registered common local object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CloHandle(pub u32);
 
 pub(crate) struct CloRegistry {
-    tables: Vec<RwLock<Vec<Arc<dyn Any + Send + Sync>>>>,
+    tables: Vec<AppendTable<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl CloRegistry {
     pub(crate) fn new(nranks: usize) -> Self {
         CloRegistry {
-            tables: (0..nranks).map(|_| RwLock::new(Vec::new())).collect(),
+            tables: (0..nranks).map(|_| AppendTable::new()).collect(),
         }
     }
 
     pub(crate) fn register(&self, rank: usize, obj: Arc<dyn Any + Send + Sync>) -> CloHandle {
-        let mut table = self.tables[rank].write();
-        table.push(obj);
-        CloHandle(table.len() as u32 - 1)
+        CloHandle(self.tables[rank].push(obj) as u32)
     }
 
-    pub(crate) fn lookup(&self, rank: usize, h: CloHandle) -> Arc<dyn Any + Send + Sync> {
-        let table = self.tables[rank].read();
-        table
-            .get(h.0 as usize)
-            .unwrap_or_else(|| {
-                panic!(
-                    "common local object {} not registered on rank {rank} \
-                     (CLOs must be registered collectively)",
-                    h.0
-                )
-            })
-            .clone()
+    pub(crate) fn lookup(&self, rank: usize, h: CloHandle) -> &Arc<dyn Any + Send + Sync> {
+        self.tables[rank].get(h.0 as usize).unwrap_or_else(|| {
+            panic!(
+                "common local object {} not registered on rank {rank} \
+                 (CLOs must be registered collectively)",
+                h.0
+            )
+        })
     }
 }
 
@@ -59,8 +53,8 @@ mod tests {
         let h0 = r.register(0, Arc::new(10u64));
         let h1 = r.register(1, Arc::new(20u64));
         assert_eq!(h0, h1, "collective registration gives the same handle");
-        let v0 = r.lookup(0, h0).downcast::<u64>().unwrap();
-        let v1 = r.lookup(1, h1).downcast::<u64>().unwrap();
+        let v0 = r.lookup(0, h0).downcast_ref::<u64>().unwrap();
+        let v1 = r.lookup(1, h1).downcast_ref::<u64>().unwrap();
         assert_eq!((*v0, *v1), (10, 20));
     }
 

@@ -5,6 +5,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use scioto_armci::Armci;
+use scioto_det::CachePadded;
 use scioto_sim::{Ctx, StartupMode, TraceEvent};
 
 use crate::clo::{CloHandle, CloRegistry};
@@ -31,7 +32,7 @@ pub struct TaskCollection {
     detector: WaveDetector,
     registry: Registry,
     clos: CloRegistry,
-    counters: Vec<RankCounters>,
+    counters: Vec<CachePadded<RankCounters>>,
 }
 
 /// Execution context handed to every task callback: the simulated process
@@ -94,7 +95,7 @@ impl TaskCollection {
                 detector,
                 registry: Registry::new(n),
                 clos: CloRegistry::new(n),
-                counters: (0..n).map(|_| RankCounters::default()).collect(),
+                counters: (0..n).map(|_| CachePadded::default()).collect(),
             });
             tc.queue.reset_local(ctx, &tc.armci);
             tc.detector.reset_local(ctx, &tc.armci);
@@ -134,7 +135,9 @@ impl TaskCollection {
     /// Panics if the handle was not registered on this rank or the type
     /// does not match the registration.
     pub fn clo<T: Send + Sync + 'static>(&self, ctx: &Ctx, h: CloHandle) -> Arc<T> {
-        let any: Arc<dyn Any + Send + Sync> = self.clos.lookup(ctx.rank(), h);
+        // The one clone is the `Arc<T>` this signature hands out — of the
+        // rank's own instance, so no other rank touches its count.
+        let any: Arc<dyn Any + Send + Sync> = Arc::clone(self.clos.lookup(ctx.rank(), h));
         any.downcast::<T>()
             .expect("common local object type mismatch")
     }

@@ -38,6 +38,15 @@ const SPLIT: usize = 8;
 const TAIL: usize = 16;
 const META_BYTES: usize = 24;
 
+fn word(meta: &[u8], off: usize) -> i64 {
+    i64::from_le_bytes(meta[off..off + 8].try_into().expect("8 bytes"))
+}
+
+/// `(head, split, tail)` out of a queue's metadata block.
+fn decode_indices(meta: &[u8]) -> (i64, i64, i64) {
+    (word(meta, HEAD), word(meta, SPLIT), word(meta, TAIL))
+}
+
 pub(crate) struct PatchQueue {
     kind: QueueKind,
     cap: i64,
@@ -116,18 +125,47 @@ impl PatchQueue {
         armci.with_local_mut(ctx, self.meta, |b| b.fill(0));
     }
 
+    /// Record the owner's read of its three index words — exactly the two
+    /// accesses the protocol declares: `(head, split)` as one plain read
+    /// and `tail`, which thieves publish lock-free, as an atomic one.
+    fn record_indices_read(&self, ctx: &Ctx, armci: &Armci) {
+        armci.record_local_access(ctx, self.meta, HEAD, 16, false, false);
+        armci.record_local_access(ctx, self.meta, TAIL, 8, false, true);
+    }
+
     /// `(head, split, tail)` of the owner's queue.
     pub(crate) fn indices_local(&self, ctx: &Ctx, armci: &Armci) -> (i64, i64, i64) {
-        let (head, split) = armci.with_local_range(ctx, self.meta, HEAD, 16, false, |b| {
-            (
-                i64::from_le_bytes(b[0..8].try_into().expect("8")),
-                i64::from_le_bytes(b[8..16].try_into().expect("8")),
-            )
-        });
-        let tail = armci.with_local_range(ctx, self.meta, TAIL, 8, true, |b| {
-            i64::from_le_bytes(b[0..8].try_into().expect("8"))
-        });
-        (head, split, tail)
+        self.record_indices_read(ctx, armci);
+        armci.with_local(ctx, self.meta, decode_indices)
+    }
+
+    /// One split-queue owner operation in a single lock scope on the
+    /// owner's metadata block: read `(head, split, tail)`, let `op` move a
+    /// slot and say where `head` goes (`None`: nothing to do), publish
+    /// it. Returns the indices as they stand afterwards — `split` and
+    /// `tail` as read, which is all the release pre-check needs: only the
+    /// owner writes `split`, and a stale `tail` is what that check is
+    /// specified against. No queue lock is involved (§5: "the owner pushes
+    /// and pops at `head` without any lock"); the scope is the host mutex
+    /// that makes a rank's bytes safe to share between real threads.
+    fn owner_op(
+        &self,
+        ctx: &Ctx,
+        armci: &Armci,
+        op: impl FnOnce(i64, i64, i64) -> Option<i64>,
+    ) -> (i64, i64, i64) {
+        armci.with_local_mut(ctx, self.meta, |meta| {
+            self.record_indices_read(ctx, armci);
+            let (head, split, tail) = decode_indices(meta);
+            let Some(new_head) = op(head, split, tail) else {
+                return (head, split, tail);
+            };
+            // protocol: single-word `head` publish (see the atomicity
+            // notes above); thieves read it in `insert_tail`'s composite get.
+            armci.record_local_access(ctx, self.meta, HEAD, 8, true, true);
+            meta[HEAD..HEAD + 8].copy_from_slice(&new_head.to_le_bytes());
+            (new_head, split, tail)
+        })
     }
 
     /// True when the owner's queue holds no tasks.
@@ -154,12 +192,13 @@ impl PatchQueue {
         }
         match self.kind {
             QueueKind::Split => {
-                let (head, _, tail) = self.indices_local(ctx, armci);
-                self.check_capacity(head, tail);
-                self.write_slot_local(ctx, armci, head, rec);
-                self.write_meta_local(ctx, armci, HEAD, head + 1);
+                let (head, split, tail) = self.owner_op(ctx, armci, |head, _, tail| {
+                    self.check_capacity(head, tail);
+                    self.write_slot_local(ctx, armci, head, rec);
+                    Some(head + 1)
+                });
                 ctx.charge_cpu(ctx.latency().local_insert);
-                self.maybe_release(ctx, armci, counters);
+                self.maybe_release(ctx, armci, counters, head, split, tail);
             }
             QueueKind::Locked => {
                 armci.lock(ctx, self.locks, 0, ctx.rank());
@@ -185,18 +224,20 @@ impl PatchQueue {
     ) -> Option<TaskRecord> {
         match self.kind {
             QueueKind::Split => {
-                let (head, split, _) = self.indices_local(ctx, armci);
-                if head <= split {
-                    return None;
-                }
-                let h = head - 1;
-                let rec = self.read_slot_local(ctx, armci, h);
-                self.write_meta_local(ctx, armci, HEAD, h);
+                let mut popped = None;
+                let (head, split, tail) = self.owner_op(ctx, armci, |head, split, _| {
+                    if head <= split {
+                        return None;
+                    }
+                    popped = Some(self.read_slot_local(ctx, armci, head - 1));
+                    Some(head - 1)
+                });
+                let rec = popped?;
                 ctx.charge_cpu(ctx.latency().local_get);
                 // Keep work available for thieves while draining a deep
                 // private portion (the owner "moves tasks between the shared
                 // and local portions as the computation progresses", §5).
-                self.maybe_release(ctx, armci, counters);
+                self.maybe_release(ctx, armci, counters, head, split, tail);
                 Some(rec)
             }
             QueueKind::Locked => {
@@ -253,10 +294,21 @@ impl PatchQueue {
         true
     }
 
-    /// After a push, release private work to the shared portion when
-    /// thieves have drained it below the threshold.
-    fn maybe_release(&self, ctx: &Ctx, armci: &Armci, counters: &RankCounters) {
-        let (head, split, tail) = self.indices_local(ctx, armci);
+    /// After a push or pop, release private work to the shared portion
+    /// when thieves have drained it below the threshold. `(head, split,
+    /// tail)` are the indices the operation's own scope just read and
+    /// published; the lock-free pre-check is still an access of the
+    /// protocol's and is recorded as one.
+    fn maybe_release(
+        &self,
+        ctx: &Ctx,
+        armci: &Armci,
+        counters: &RankCounters,
+        head: i64,
+        split: i64,
+        tail: i64,
+    ) {
+        self.record_indices_read(ctx, armci);
         let shared = split - tail;
         let private = head - split;
         if shared >= self.release_threshold || private < 2 {
@@ -422,9 +474,13 @@ mod tests {
                     }
                 }
             }
-            got
+            let s = c.snapshot();
+            (got, s.splits_released, s.splits_reclaimed)
         });
-        assert_eq!(out.results[0], vec![4, 3, 2, 1, 0]);
+        // The split-pointer traffic is part of the fixture: the second
+        // push releases task 0, which keeps the shared portion at the
+        // threshold from then on, and one reclaim brings it back last.
+        assert_eq!(out.results[0], (vec![4, 3, 2, 1, 0], 1, 1));
     }
 
     #[test]
@@ -492,6 +548,137 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, (0..60).collect::<Vec<u32>>(), "kind={kind:?}");
         }
+    }
+
+    /// The same never-lose-never-duplicate property on eight real
+    /// threads: seven thieves steal *while* the owner pushes and pops, so
+    /// head publication, release, reclaim and steal genuinely interleave.
+    /// The seed varies the owner's push/pop bursts.
+    #[test]
+    fn owner_and_thieves_never_lose_or_duplicate_tasks_on_real_threads() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const TASKS: u32 = 2000;
+        for kind in [QueueKind::Split, QueueKind::Locked] {
+            for seed in 0..6 {
+                let drained = Arc::new(AtomicBool::new(false));
+                let out = Machine::run(MachineConfig::concurrent(8).with_seed(seed), {
+                    let drained = Arc::clone(&drained);
+                    move |ctx| {
+                        // A deep shared portion keeps the thieves fed.
+                        let cfg = TcConfig {
+                            release_threshold: 8,
+                            ..TcConfig::new(16, 3, TASKS as usize)
+                        };
+                        let (armci, q) = setup(ctx, cfg.with_queue(kind));
+                        let c = RankCounters::default();
+                        let mut seen = Vec::new();
+                        // Every thread leaves this barrier together.
+                        armci.barrier(ctx);
+                        if ctx.rank() == 0 {
+                            let mut next = 0;
+                            while next < TASKS {
+                                let burst = ctx.rng().gen_range(1..8u32).min(TASKS - next);
+                                for _ in 0..burst {
+                                    q.push_local(ctx, &armci, &rec(next, 1), &c);
+                                    next += 1;
+                                }
+                                let pops = ctx.rng().gen_range(0..burst + 1);
+                                for _ in 0..pops {
+                                    if let Some(r) = q.pop_local(ctx, &armci, &c) {
+                                        seen.push(r.header.callback);
+                                    }
+                                }
+                            }
+                            loop {
+                                match q.pop_local(ctx, &armci, &c) {
+                                    Some(r) => seen.push(r.header.callback),
+                                    None => {
+                                        if !q.reclaim(ctx, &armci, &c) {
+                                            break;
+                                        }
+                                    }
+                                }
+                            }
+                            assert!(q.is_empty_local(ctx, &armci));
+                            // Release: pairs with the thieves' Acquire load.
+                            drained.store(true, Ordering::Release);
+                        } else {
+                            loop {
+                                // Read the flag first: a steal that starts
+                                // after the queue was drained finds nothing.
+                                let last = drained.load(Ordering::Acquire);
+                                for r in q.steal(ctx, &armci, 0) {
+                                    seen.push(r.header.callback);
+                                }
+                                if last {
+                                    break;
+                                }
+                            }
+                        }
+                        armci.barrier(ctx);
+                        seen
+                    }
+                });
+                let stolen: usize = out.results[1..].iter().map(Vec::len).sum();
+                let mut all: Vec<u32> = out.results.into_iter().flatten().collect();
+                all.sort_unstable();
+                assert_eq!(
+                    all,
+                    (0..TASKS).collect::<Vec<u32>>(),
+                    "kind={kind:?} seed={seed} ({stolen} stolen)"
+                );
+            }
+        }
+    }
+
+    /// Pins the access records of the split queue's owner path: the race
+    /// and atomicity checkers pair thieves' one-sided operations against
+    /// exactly these `LocalAccess` events, so an edit that drops, reorders
+    /// or re-flags one must fail here, not silently blind a checker.
+    #[test]
+    fn split_owner_path_emits_the_pinned_access_records() {
+        use scioto_sim::TraceConfig;
+        let cfg = MachineConfig::virtual_time(1).with_trace(TraceConfig::enabled());
+        let out = Machine::run(cfg, |ctx| {
+            let (armci, q) = setup(ctx, TcConfig::new(16, 2, 32));
+            let c = RankCounters::default();
+            q.push_local(ctx, &armci, &rec(0, 1), &c);
+            // Second push: two private tasks and an empty shared portion,
+            // so the release path runs as well.
+            q.push_local(ctx, &armci, &rec(1, 1), &c);
+            assert_eq!(c.snapshot().splits_released, 1);
+            assert_eq!(q.pop_local(ctx, &armci, &c).map(|r| r.header.callback), Some(1));
+            q.slot_sz() as u32
+        });
+        let slot = out.results[0];
+        let trace = out.report.trace.expect("traced run");
+        let got: Vec<(u32, u64, u32, bool, bool)> = trace
+            .events_for(0)
+            .iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::LocalAccess { seg, offset, bytes, write, atomic } => {
+                    Some((seg, offset, bytes, write, atomic))
+                }
+                _ => None,
+            })
+            .collect();
+        // Segment 0 is the metadata block (first malloc), 1 the slots.
+        // (seg, offset, bytes, write, atomic)
+        let head_split = (0, HEAD as u64, 16, false, false);
+        let tail = (0, TAIL as u64, 8, false, true);
+        let publish_head = (0, HEAD as u64, 8, true, true);
+        let publish_split = (0, SPLIT as u64, 8, true, true);
+        let want = vec![
+            // push 0: indices, slot 0, head; release pre-check.
+            head_split, tail, (1, 0, slot, true, false), publish_head, head_split, tail,
+            // push 1: the same on slot 1, then the release under the queue
+            // lock: indices again, split.
+            head_split, tail, (1, slot as u64, slot, true, false), publish_head, head_split, tail,
+            head_split, tail, publish_split,
+            // pop of slot 1: indices, slot, head; release pre-check.
+            head_split, tail, (1, slot as u64, slot, false, false), publish_head, head_split, tail,
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -562,9 +749,13 @@ mod tests {
                     }
                 }
             }
-            popped.len()
+            let s = c.snapshot();
+            (popped, s.splits_released, s.splits_reclaimed)
         });
-        assert_eq!(out.results[0], 20);
+        // Each round releases task 2r to the shared portion, pops 2r+1
+        // from the private one and reclaims 2r.
+        let order: Vec<u32> = (0..10).flat_map(|r| [2 * r + 1, 2 * r]).collect();
+        assert_eq!(out.results[0], (order, 10, 10));
     }
 
     #[test]

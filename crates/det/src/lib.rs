@@ -9,7 +9,7 @@
 //! * [`rng`] — a SplitMix64-seeded xoshiro256** generator with the small
 //!   surface the codebase actually uses (`gen_range`, `gen_f64`,
 //!   `shuffle`, per-stream derivation), replacing `rand`;
-//! * [`sync`] — thin `Mutex` / `RwLock` / `Condvar` wrappers over
+//! * [`sync`] — thin `Mutex` / `Condvar` wrappers over
 //!   `std::sync` with the poison-free, guard-returning API the code was
 //!   written against, replacing `parking_lot`.
 //!
@@ -23,10 +23,18 @@
 //! the concurrent (real-thread) execution mode needs real timestamps,
 //! and [`clock::MonoClock`] is the single sanctioned wall-clock source —
 //! see the `wallclock` lint in `scioto-race`.
+//!
+//! Two layout primitives keep the host access path free of contention:
+//! [`table::AppendTable`], the append-only handle table whose reads take
+//! no lock, and [`sync::CachePadded`], which gives each rank's slot of a
+//! shared array its own cache line.
 
 pub mod clock;
 pub mod rng;
 pub mod sync;
+pub mod table;
 
 pub use clock::MonoClock;
 pub use rng::{Rng, SplitMix64};
+pub use sync::CachePadded;
+pub use table::AppendTable;

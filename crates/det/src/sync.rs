@@ -5,7 +5,7 @@
 //! can unwind), and the surviving ranks still need to take the scheduler
 //! lock on their way out. `std`'s lock poisoning would turn that orderly
 //! teardown into a second panic, so these wrappers strip `PoisonError`
-//! and expose the guard-returning API (`lock()`, `read()`, `write()`,
+//! and expose the guard-returning API (`lock()`,
 //! `Condvar::wait(&mut guard)`) the codebase was written against.
 
 use std::sync::PoisonError;
@@ -131,82 +131,26 @@ impl Default for Condvar {
     }
 }
 
-/// A reader-writer lock with the guard-returning, poison-free API.
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
+/// Pads and aligns `T` to 128 bytes so that per-rank slots of an array
+/// never share a cache line: a rank hammering its own slot (a clock
+/// stamp, a counter block, the lock word of its memory segment) must not
+/// invalidate the line its neighbour is working on. 128 rather than 64
+/// because x86-64 prefetches lines in adjacent pairs and several aarch64
+/// cores have 128-byte lines.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
 
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Block until shared access is acquired.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Block until exclusive access is acquired.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
+impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        &self.0
     }
 }
 
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
+impl<T> std::ops::DerefMut for CachePadded<T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        &mut self.0
     }
 }
 
@@ -214,6 +158,15 @@ impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn cache_padded_slots_are_128_bytes_apart() {
+        let v: Vec<CachePadded<u8>> = (0..3).map(CachePadded).collect();
+        assert_eq!(std::mem::size_of::<CachePadded<u8>>(), 128);
+        assert_eq!(&*v[1] as *const u8 as usize - &*v[0] as *const u8 as usize, 128);
+        assert_eq!(&*v[0] as *const u8 as usize % 128, 0);
+        assert_eq!(*v[2], 2);
+    }
 
     #[test]
     fn mutex_roundtrip() {
@@ -230,18 +183,6 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_many_readers_one_writer() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1, *r2);
-        }
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use scioto_det::sync::RwLock;
+use scioto_det::AppendTable;
 
 use scioto_armci::{Armci, Gmem, Strided};
 use scioto_sim::Ctx;
@@ -23,7 +23,7 @@ pub(crate) struct ArrayMeta {
 /// The Global Arrays runtime for one machine.
 pub struct Ga {
     pub(crate) armci: Arc<Armci>,
-    pub(crate) arrays: RwLock<Vec<Arc<ArrayMeta>>>,
+    pub(crate) arrays: AppendTable<ArrayMeta>,
 }
 
 impl Ga {
@@ -33,7 +33,7 @@ impl Ga {
         let armci = Armci::init(ctx);
         ctx.collective(|| Ga {
             armci,
-            arrays: RwLock::new(Vec::new()),
+            arrays: AppendTable::new(),
         })
     }
 
@@ -53,23 +53,19 @@ impl Ga {
         let dist = BlockDist::new(rows, cols, n);
         let gmem = self.armci.malloc(ctx, dist.max_owned() * 8);
         let handle = ctx.collective(|| {
-            let mut arrays = self.arrays.write();
-            arrays.push(Arc::new(ArrayMeta {
+            GaHandle(self.arrays.push(ArrayMeta {
                 name: name.to_string(),
                 dist,
                 gmem,
-            }));
-            GaHandle(arrays.len() as i64 - 1)
+            }) as i64)
         });
         *handle
     }
 
-    pub(crate) fn meta(&self, h: GaHandle) -> Arc<ArrayMeta> {
-        let arrays = self.arrays.read();
-        arrays
+    pub(crate) fn meta(&self, h: GaHandle) -> &ArrayMeta {
+        self.arrays
             .get(h.0 as usize)
             .unwrap_or_else(|| panic!("invalid GA handle {}", h.0))
-            .clone()
     }
 
     /// Name the array was created with.

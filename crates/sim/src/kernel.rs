@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use scioto_det::clock::MonoClock;
-use scioto_det::sync::{Condvar, Mutex};
+use scioto_det::sync::{CachePadded, Condvar, Mutex};
 
 use crate::config::{ExecMode, SpeedModel};
 use crate::fiber;
@@ -66,12 +66,6 @@ struct Sched {
     done: usize,
 }
 
-/// One cache line per slot: the per-rank stamp caches are written on
-/// every concurrent-mode clock read, and unpadded neighbours would
-/// false-share under free-running threads.
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
 /// The shared scheduling kernel of one simulated machine.
 pub(crate) struct Kernel {
     n: usize,
@@ -91,7 +85,7 @@ pub(crate) struct Kernel {
     /// instant events ([`Kernel::emit_instant`]). Written and read only
     /// by the owning rank's thread; padded so neighbouring ranks never
     /// share a cache line. Stays zero in virtual-time mode.
-    stamp_cache: Vec<PaddedU64>,
+    stamp_cache: Vec<CachePadded<AtomicU64>>,
     speed: Vec<f64>,
     start: MonoClock,
     poisoned: AtomicBool,
@@ -137,7 +131,7 @@ impl Kernel {
             cvs: (0..n).map(|_| Condvar::new()).collect(),
             clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             final_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            stamp_cache: (0..n).map(|_| PaddedU64(AtomicU64::new(0))).collect(),
+            stamp_cache: (0..n).map(|_| CachePadded(AtomicU64::new(0))).collect(),
             speed: (0..n).map(|r| speed.factor(r)).collect(),
             start: MonoClock::new(),
             poisoned: AtomicBool::new(false),
@@ -190,7 +184,7 @@ impl Kernel {
             let t = match self.mode {
                 ExecMode::VirtualTime => self.clocks[rank].load(Ordering::Relaxed),
                 ExecMode::Concurrent => {
-                    let c = self.stamp_cache[rank].0.load(Ordering::Relaxed);
+                    let c = self.stamp_cache[rank].load(Ordering::Relaxed);
                     if c == 0 {
                         // No read yet on this rank: pay one real query.
                         self.now(rank)
@@ -232,7 +226,7 @@ impl Kernel {
                 let t = self.start.now_ns();
                 // Refresh the rank's instant-event stamp cache: every real
                 // read keeps subsequent `emit_instant` stamps current.
-                self.stamp_cache[rank].0.store(t, Ordering::Relaxed);
+                self.stamp_cache[rank].store(t, Ordering::Relaxed);
                 t
             }
         }

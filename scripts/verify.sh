@@ -41,6 +41,16 @@ echo "== cargo test -q --offline --workspace (tier-1) =="
 # --workspace only the root cross-crate suite runs.
 cargo test -q --offline --workspace
 
+echo "== perf harness: the out-of-workspace benchmark's own tests =="
+# `perf/` is a package of its own (the acceptance driver's benchmark), so
+# the workspace build and tests above never compile it: a root-crate API
+# change that breaks it would otherwise surface only at the driver. Its
+# suite includes the `--quick` smoke of all five workloads.
+perf_t0=$(date +%s)
+cargo test -q --offline --manifest-path perf/Cargo.toml
+perf_t1=$(date +%s)
+echo "ok: perf harness tests finished in $((perf_t1 - perf_t0))s"
+
 echo "== scioto-lint: source invariant scan (hard gate) =="
 cargo run --release --offline -q -p scioto-race --bin scioto-lint
 
@@ -286,24 +296,32 @@ fi
 echo "== concurrent backend: wall-clock observability lane (hard gate) =="
 # Real free-running threads, two workloads: the seeded UTS small tree
 # (steal-heavy, gmem-access dominated) and the fig5-style SCF task pool
-# (compute-heavy). Each run measures the tracing overhead (printed and
-# asserted within the band by the binary — 2.0x, tightened from the
-# pre-batching 3.0x now that staged ring publication and order-only
-# instants hold the measured ratio around 1.4x) and race/predict/
-# deadlock-checks its own trace; the UTS run additionally exports and
-# cross-checks the whole observability surface — wall-stamped JSONL +
-# Chrome traces and blame decomposition exact per thread span.
+# (compute-heavy). Each run measures the tracing overhead and asserts
+# what tracing controls: the wall time it added per event recorded,
+# (traced_min - untraced_min) / events. The traced/untraced ratio is
+# printed but not gated — it rises whenever the untraced run gets
+# faster (PR 12 halved the untraced UTS run and took the ratio 1.4x ->
+# 2.1x with the per-event cost unchanged). Budgets: UTS measures 26-32
+# ns/event over ~820k events, budget 75; SCF records only ~35k events, so
+# +-2 ms of wall noise is +-60 ns/event and its budget is 150. Each run
+# also race/predict/deadlock-checks its own trace; the UTS run
+# additionally exports and cross-checks the whole observability surface —
+# wall-stamped JSONL + Chrome traces and blame decomposition exact per
+# thread span. The ring holds the whole run (~820k events) on
+# ONE rank: how the tree spreads over free-running threads is up to the
+# host's scheduler, and since the owner path got fast one thread can run
+# most of it before a thief lands a steal (rings grow on demand).
 conc_t0=$(date +%s)
 cargo run --release --offline -q -p scioto-bench --bin concurrent_obs -- \
-    --ranks 4 --reps 5 --max-overhead 2.0 --seed 42 --tree small \
-    --trace-ring 262144 \
+    --ranks 4 --reps 5 --max-event-ns 75 --seed 42 --tree small \
+    --trace-ring 1048576 \
     --trace-out "$work/conc.jsonl" \
     --chrome-out "$work/conc_chrome.json" \
     --analysis-out "$work/conc_analysis.json" \
     --trace-summary "$work/conc_summary.txt" \
     --race-check --predict --deadlock
 cargo run --release --offline -q -p scioto-bench --bin concurrent_obs -- \
-    --ranks 4 --reps 3 --max-overhead 2.0 --seed 42 --app scf \
+    --ranks 4 --reps 3 --max-event-ns 150 --seed 42 --app scf \
     --race-check --predict --deadlock
 # Both exports validate; the JSONL classifies as wall-clock (valid,
 # analyzable, not replayable by design — exit 0, not an error cascade).
