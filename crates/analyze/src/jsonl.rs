@@ -12,14 +12,17 @@ use std::collections::BTreeMap;
 
 use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, VtHistogram, WaveDir};
 
-/// One parsed flat-JSON value.
+/// One parsed flat-JSON value; strings borrow from the line.
 #[derive(Clone, Debug, PartialEq)]
-enum Val {
+enum Val<'a> {
     Num(u64),
-    Str(String),
+    Str(&'a str),
     Bool(bool),
     Arr(Vec<u64>),
 }
+
+/// One line's `(key, value)` pairs in document order, borrowed from it.
+type Fields<'a> = [(&'a str, Val<'a>)];
 
 /// Parse `body` (the full JSONL text) into a [`Trace`].
 pub fn parse(body: &str) -> Result<Trace, String> {
@@ -27,19 +30,22 @@ pub fn parse(body: &str) -> Result<Trace, String> {
     let (_, first) = lines
         .next()
         .ok_or_else(|| "empty trace file".to_string())?;
-    let meta = parse_flat(first).map_err(|e| format!("line 1: {e}"))?;
-    if get_str(&meta, "meta") != Some("scioto-trace") {
+    // One field buffer for the whole file: every line borrows from `body`.
+    let mut fields = Vec::new();
+    parse_flat(first, &mut fields).map_err(|e| format!("line 1: {e}"))?;
+    let meta = &fields;
+    if get_str(meta, "meta") != Some("scioto-trace") {
         return Err("line 1: missing scioto-trace meta header".into());
     }
-    let ranks = get_num(&meta, "ranks").ok_or("line 1: meta lacks \"ranks\"")? as usize;
+    let ranks = get_num(meta, "ranks").ok_or("line 1: meta lacks \"ranks\"")? as usize;
     if ranks == 0 {
         return Err("line 1: meta declares 0 ranks".into());
     }
-    let dropped = get_arr(&meta, "dropped").unwrap_or_else(|| vec![0; ranks]);
-    let final_clock_ns = get_arr(&meta, "final_clock_ns").unwrap_or_default();
+    let dropped = get_arr(meta, "dropped").unwrap_or_else(|| vec![0; ranks]);
+    let final_clock_ns = get_arr(meta, "final_clock_ns").unwrap_or_default();
     // Wall-clock (concurrent-mode) traces are marked `"clock":"wall"`;
     // any other value (or absence) means virtual time.
-    let wall_clock = match get_str(&meta, "clock") {
+    let wall_clock = match get_str(meta, "clock") {
         None => false,
         Some("wall") => true,
         Some(other) => {
@@ -61,7 +67,7 @@ pub fn parse(body: &str) -> Result<Trace, String> {
     let mut gauges: Vec<BTreeMap<String, Gauge>> = (0..ranks).map(|_| BTreeMap::new()).collect();
     for (i, line) in lines {
         let lineno = i + 1;
-        let fields = parse_flat(line).map_err(|e| format!("line {lineno}: {e}"))?;
+        parse_flat(line, &mut fields).map_err(|e| format!("line {lineno}: {e}"))?;
         let rank = get_num(&fields, "rank")
             .ok_or_else(|| format!("line {lineno}: missing \"rank\""))? as usize;
         if rank >= ranks {
@@ -98,7 +104,7 @@ pub fn parse(body: &str) -> Result<Trace, String> {
     })
 }
 
-fn hist_from(f: &[(String, Val)]) -> Option<VtHistogram> {
+fn hist_from(f: &Fields) -> Option<VtHistogram> {
     VtHistogram::from_parts(
         &get_arr(f, "buckets")?,
         get_num(f, "count")?,
@@ -108,7 +114,7 @@ fn hist_from(f: &[(String, Val)]) -> Option<VtHistogram> {
     )
 }
 
-fn gauge_from(f: &[(String, Val)]) -> Option<Gauge> {
+fn gauge_from(f: &Fields) -> Option<Gauge> {
     Some(Gauge {
         samples: get_num(f, "samples")?,
         sum: get_num(f, "sum")?,
@@ -117,7 +123,7 @@ fn gauge_from(f: &[(String, Val)]) -> Option<Gauge> {
     })
 }
 
-fn event_from(name: &str, f: &[(String, Val)]) -> Option<TraceEvent> {
+fn event_from(name: &str, f: &Fields) -> Option<TraceEvent> {
     let num = |k: &str| get_num(f, k);
     let n32 = |k: &str| num(k).map(|v| v as u32);
     Some(match name {
@@ -192,43 +198,43 @@ fn event_from(name: &str, f: &[(String, Val)]) -> Option<TraceEvent> {
     })
 }
 
-fn get_num(f: &[(String, Val)], k: &str) -> Option<u64> {
-    f.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
+fn get_num(f: &Fields, k: &str) -> Option<u64> {
+    f.iter().find(|(key, _)| *key == k).and_then(|(_, v)| match v {
         Val::Num(n) => Some(*n),
         _ => None,
     })
 }
 
-fn get_str<'a>(f: &'a [(String, Val)], k: &str) -> Option<&'a str> {
-    f.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
-        Val::Str(s) => Some(s.as_str()),
+fn get_str<'a>(f: &Fields<'a>, k: &str) -> Option<&'a str> {
+    f.iter().find(|(key, _)| *key == k).and_then(|(_, v)| match v {
+        Val::Str(s) => Some(*s),
         _ => None,
     })
 }
 
-fn get_bool(f: &[(String, Val)], k: &str) -> Option<bool> {
-    f.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
+fn get_bool(f: &Fields, k: &str) -> Option<bool> {
+    f.iter().find(|(key, _)| *key == k).and_then(|(_, v)| match v {
         Val::Bool(b) => Some(*b),
         _ => None,
     })
 }
 
-fn get_arr(f: &[(String, Val)], k: &str) -> Option<Vec<u64>> {
-    f.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
+fn get_arr(f: &Fields, k: &str) -> Option<Vec<u64>> {
+    f.iter().find(|(key, _)| *key == k).and_then(|(_, v)| match v {
         Val::Arr(a) => Some(a.clone()),
         _ => None,
     })
 }
 
 /// Parse one flat JSON object (`{"k":v,...}` with u64/string/bool/
-/// u64-array values). Returns keys in document order.
-fn parse_flat(line: &str) -> Result<Vec<(String, Val)>, String> {
+/// u64-array values) into `out` (cleared first), keys in document order.
+fn parse_flat<'a>(line: &'a str, out: &mut Vec<(&'a str, Val<'a>)>) -> Result<(), String> {
+    out.clear();
     let mut p = Scanner { b: line.trim().as_bytes(), i: 0 };
     p.expect(b'{')?;
-    let mut out = Vec::new();
     if p.peek() == Some(b'}') {
         p.i += 1;
-        return p.finish(out);
+        return p.finish();
     }
     loop {
         let key = p.string()?;
@@ -237,7 +243,7 @@ fn parse_flat(line: &str) -> Result<Vec<(String, Val)>, String> {
         out.push((key, val));
         match p.next_byte()? {
             b',' => continue,
-            b'}' => return p.finish(out),
+            b'}' => return p.finish(),
             c => return Err(format!("unexpected byte {:?} at {}", c as char, p.i)),
         }
     }
@@ -248,7 +254,7 @@ struct Scanner<'a> {
     i: usize,
 }
 
-impl Scanner<'_> {
+impl<'a> Scanner<'a> {
     fn peek(&self) -> Option<u8> {
         self.b.get(self.i).copied()
     }
@@ -266,22 +272,21 @@ impl Scanner<'_> {
         }
     }
 
-    fn finish(&self, out: Vec<(String, Val)>) -> Result<Vec<(String, Val)>, String> {
+    fn finish(&self) -> Result<(), String> {
         if self.i == self.b.len() {
-            Ok(out)
+            Ok(())
         } else {
             Err(format!("trailing bytes at {}", self.i))
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<&'a str, String> {
         self.expect(b'"')?;
         let start = self.i;
         while let Some(c) = self.peek() {
             if c == b'"' {
                 let s = std::str::from_utf8(&self.b[start..self.i])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?
-                    .to_string();
+                    .map_err(|_| "invalid utf-8 in string".to_string())?;
                 self.i += 1;
                 return Ok(s);
             }
@@ -307,7 +312,7 @@ impl Scanner<'_> {
             .map_err(|e| format!("bad number: {e}"))
     }
 
-    fn value(&mut self) -> Result<Val, String> {
+    fn value(&mut self) -> Result<Val<'a>, String> {
         match self.peek().ok_or("unexpected end of line")? {
             b'"' => Ok(Val::Str(self.string()?)),
             b't' => self.literal("true").map(|_| Val::Bool(true)),

@@ -3,33 +3,91 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use scioto_det::sync::{CachePadded, Mutex};
+use scioto_det::sync::{CachePadded, Mutex, MutexGuard};
 
 use scioto_sim::{Ctx, RemoteOpKind, TraceEvent, VLock};
 
 use crate::world::Armci;
 
-/// One collectively allocated region: `bytes` bytes on *every* rank.
+/// One collectively allocated region: `len` bytes on *every* rank.
 pub(crate) struct Segment {
-    /// Per-rank backing store. The mutex serializes raw accesses (an
-    /// accumulate must be atomic with respect to other accumulates, as in
-    /// ARMCI); in virtual-time mode it is never contended. Padded so a
-    /// rank working on its own store never shares a cache line with the
-    /// lock word or buffer header of its neighbour's.
-    pub(crate) data: Vec<CachePadded<Mutex<Vec<u8>>>>,
+    /// Logical bytes per rank (the `Gmem::len` handed out by `malloc`).
+    len: usize,
+    /// Per-rank backing store: a zero-extended prefix of the rank's `len`
+    /// logical bytes. Bytes at or beyond `Vec::len` have never been
+    /// touched and read as zero; [`Segment::lock`] is the only code that
+    /// reaches a store, and it materialises what its caller is about to
+    /// touch. The mutex serializes raw accesses (an accumulate must be
+    /// atomic with respect to other accumulates, as in ARMCI) and growth;
+    /// in virtual-time mode it is never contended. Padded so a rank
+    /// working on its own store never shares a cache line with the lock
+    /// word or buffer header of its neighbour's.
+    data: Vec<CachePadded<Mutex<Vec<u8>>>>,
     /// Per-word RMW service queues: the target adapter processes atomic
     /// RMWs on one location serially (`LatencyModel::rmw_service` each),
     /// so a hot word — a shared counter — has bounded throughput.
-    pub(crate) hot_words: Mutex<HashMap<(usize, usize), Arc<VLock>>>,
+    hot_words: Mutex<HashMap<(usize, usize), Arc<VLock>>>,
 }
 
 impl Segment {
+    fn new(nranks: usize, len: usize) -> Segment {
+        Segment {
+            len,
+            data: (0..nranks)
+                .map(|_| CachePadded(Mutex::new(Vec::new())))
+                .collect(),
+            hot_words: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Lock `rank`'s store with `[0, end)` materialised. Growth doubles
+    /// the store (capped at the segment length) and zero-fills, under the
+    /// same mutex every access takes, so no accessor can observe a store
+    /// mid-growth and `malloc`'s "zero-initialized" contract holds for
+    /// bytes nobody has written. Callers bounds-check first; the assert
+    /// is what keeps a bad `end` from turning into an allocation (an `end`
+    /// inside the store is inside the segment, so only growth needs it).
+    pub(crate) fn lock(&self, rank: usize, end: usize) -> MutexGuard<'_, Vec<u8>> {
+        let mut store = self.data[rank].lock();
+        if store.len() < end {
+            assert!(
+                end <= self.len,
+                "materialising {end} bytes of a {}-byte segment",
+                self.len
+            );
+            let grown = end.max(store.len() * 2).min(self.len);
+            store.resize(grown, 0);
+        }
+        store
+    }
+
+    /// Bytes of each rank's store that are backed by host memory. `None`
+    /// for a store that is locked right now (`Debug` may be called from
+    /// inside a `with_local` scope, and must not deadlock on it).
+    fn materialised(&self) -> Vec<Option<usize>> {
+        self.data
+            .iter()
+            .map(|store| store.try_lock().map(|bytes| bytes.len()))
+            .collect()
+    }
+
     pub(crate) fn hot_word(&self, rank: usize, offset: usize) -> Arc<VLock> {
         self.hot_words
             .lock()
             .entry((rank, offset))
             .or_insert_with(|| Arc::new(VLock::new()))
             .clone()
+    }
+}
+
+/// What a segment costs the host, not what it holds: the logical length
+/// and how much of each rank's store is materialised.
+impl std::fmt::Debug for Segment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Segment")
+            .field("len", &self.len)
+            .field("materialised", &self.materialised())
+            .finish()
     }
 }
 
@@ -66,15 +124,13 @@ impl Armci {
     /// valid the moment a rank receives it (the backing store is built
     /// before publication). Batch several allocations under one
     /// [`Ctx::collective_epoch`] to pay a single commit barrier.
+    ///
+    /// Host memory is committed on first touch: each rank's store holds
+    /// the prefix up to the highest byte any operation has reached, and
+    /// everything beyond it reads as the zeros it would hold anyway.
     pub fn malloc(&self, ctx: &Ctx, bytes: usize) -> Gmem {
-        let n = self.nranks;
         let handle = ctx.collective(|| {
-            let id = self.segments.push(Segment {
-                data: (0..n)
-                    .map(|_| CachePadded(Mutex::new(vec![0u8; bytes])))
-                    .collect(),
-                hot_words: Mutex::new(HashMap::new()),
-            });
+            let id = self.segments.push(Segment::new(self.nranks, bytes));
             Gmem { id, len: bytes }
         });
         *handle
@@ -86,7 +142,10 @@ impl Armci {
             .unwrap_or_else(|| panic!("invalid Gmem handle {}", g.id))
     }
 
-    fn check_bounds(&self, g: Gmem, rank: usize, offset: usize, len: usize) {
+    /// The one validation every one-sided entry point runs before it
+    /// reaches [`Segment::lock`]: rank in range, `offset + len` neither
+    /// overflowing nor past the segment.
+    pub(crate) fn check_bounds(&self, g: Gmem, rank: usize, offset: usize, len: usize) {
         assert!(
             rank < self.nranks,
             "rank {rank} out of range (nranks = {})",
@@ -132,8 +191,8 @@ impl Armci {
             bytes: src.len() as u32,
             atomic,
         });
-        let seg = self.segment(g);
-        seg.data[rank].lock()[offset..offset + src.len()].copy_from_slice(src);
+        let end = offset + src.len();
+        self.segment(g).lock(rank, end)[offset..end].copy_from_slice(src);
         ctx.charge_net(self.xfer_cost(ctx, rank, src.len()));
     }
 
@@ -160,8 +219,8 @@ impl Armci {
             bytes: dst.len() as u32,
             atomic,
         });
-        let seg = self.segment(g);
-        dst.copy_from_slice(&seg.data[rank].lock()[offset..offset + dst.len()]);
+        let end = offset + dst.len();
+        dst.copy_from_slice(&self.segment(g).lock(rank, end)[offset..end]);
         ctx.charge_net(self.xfer_cost(ctx, rank, dst.len()));
     }
 
@@ -188,8 +247,7 @@ impl Armci {
             bytes: len as u32,
             atomic: true,
         });
-        let seg = self.segment(g);
-        let mut data = seg.data[rank].lock();
+        let mut data = self.segment(g).lock(rank, offset + len);
         for (i, v) in src.iter().enumerate() {
             let o = offset + i * 8;
             let cur = f64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"));
@@ -221,8 +279,7 @@ impl Armci {
             bytes: len as u32,
             atomic: true,
         });
-        let seg = self.segment(g);
-        let mut data = seg.data[rank].lock();
+        let mut data = self.segment(g).lock(rank, offset + len);
         for (i, v) in src.iter().enumerate() {
             let o = offset + i * 8;
             let cur = i64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"));
@@ -240,12 +297,12 @@ impl Armci {
     /// [`Armci::with_local_range_mut`] or by pairing each access made
     /// inside `f` with [`Armci::record_local_access`].
     pub fn with_local_mut<R>(&self, ctx: &Ctx, g: Gmem, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.segment(g).data[ctx.rank()].lock())
+        f(&mut self.segment(g).lock(ctx.rank(), g.len))
     }
 
     /// Run `f` with read access to this rank's own portion of the segment.
     pub fn with_local<R>(&self, ctx: &Ctx, g: Gmem, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.segment(g).data[ctx.rank()].lock())
+        f(&self.segment(g).lock(ctx.rank(), g.len))
     }
 
     /// Bounds-check and record one owner-side access to
@@ -293,7 +350,8 @@ impl Armci {
         f: impl FnOnce(&[u8]) -> R,
     ) -> R {
         self.record_local_access(ctx, g, offset, len, false, atomic);
-        self.with_local(ctx, g, |data| f(&data[offset..offset + len]))
+        let end = offset + len;
+        f(&self.segment(g).lock(ctx.rank(), end)[offset..end])
     }
 
     /// Owner-side write access to `[offset, offset + len)` of this rank's
@@ -309,7 +367,8 @@ impl Armci {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> R {
         self.record_local_access(ctx, g, offset, len, true, atomic);
-        self.with_local_mut(ctx, g, |data| f(&mut data[offset..offset + len]))
+        let end = offset + len;
+        f(&mut self.segment(g).lock(ctx.rank(), end)[offset..end])
     }
 }
 
@@ -424,6 +483,172 @@ mod tests {
             let armci = Armci::init(ctx);
             armci.malloc(ctx, 8);
             armci.put(ctx, Gmem { id: 7, len: 8 }, 0, 0, &[0u8; 8]);
+        });
+    }
+
+    /// Bytes of `g` backed by host memory on each rank.
+    fn materialised(armci: &Armci, g: Gmem) -> Vec<usize> {
+        let per_rank = armci.segment(g).materialised();
+        per_rank.into_iter().map(|m| m.expect("unlocked")).collect()
+    }
+
+    #[test]
+    fn malloc_materialises_nothing() {
+        let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 1 << 20);
+            armci.barrier(ctx);
+            (g.len(), materialised(&armci, g))
+        });
+        for (len, mat) in out.results {
+            assert_eq!(len, 1 << 20);
+            assert_eq!(mat, vec![0; 4]);
+        }
+    }
+
+    #[test]
+    fn never_written_ranges_read_as_zeros() {
+        use crate::Strided;
+        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 1 << 20);
+            let other = 1 - ctx.rank();
+            // Poisoned buffers: every byte must be overwritten with a zero.
+            let mut a = [0xAAu8; 64];
+            armci.get(ctx, g, other, 4096, &mut a);
+            let mut b = [0xBBu8; 64];
+            let h = armci.nb_get(ctx, g, other, 70_000, &mut b);
+            armci.wait(ctx, h);
+            let mut c = [0xCCu8; 32];
+            let s = Strided { offset: 200_000, stride: 1024, seg_len: 8, count: 4 };
+            armci.get_strided(ctx, g, other, s, &mut c);
+            let word = armci.read_i64(ctx, g, other, (1 << 20) - 8);
+            a.iter().chain(&b).chain(&c).all(|&x| x == 0) && word == 0
+        });
+        assert_eq!(out.results, vec![true, true]);
+    }
+
+    #[test]
+    fn high_put_leaves_zeros_below_and_growth_keeps_values() {
+        let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 1 << 20);
+            armci.put(ctx, g, 0, 16, &[7u8; 16]);
+            let small = materialised(&armci, g)[0];
+            // A put far above the materialised prefix: the gap reads zero
+            // and the low bytes written before the growth are intact.
+            armci.put(ctx, g, 0, 500_000, &[9u8; 8]);
+            let mut gap = [1u8; 256];
+            armci.get(ctx, g, 0, 250_000, &mut gap);
+            let mut low = [0u8; 48];
+            armci.get(ctx, g, 0, 0, &mut low);
+            let mut high = [0u8; 8];
+            armci.get(ctx, g, 0, 500_000, &mut high);
+            (small, materialised(&armci, g)[0], gap == [0u8; 256], low, high)
+        });
+        let (small, grown, gap_zero, low, high) = out.results[0];
+        assert_eq!(small, 32, "first touch materialises exactly what it reached");
+        assert!((500_008..=1 << 20).contains(&grown), "grown to {grown}");
+        assert!(gap_zero);
+        assert_eq!(low[..16], [0u8; 16]);
+        assert_eq!(low[16..32], [7u8; 16]);
+        assert_eq!(low[32..], [0u8; 16]);
+        assert_eq!(high, [9u8; 8]);
+    }
+
+    #[test]
+    fn growth_is_geometric_and_capped_at_the_segment_length() {
+        let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 1000);
+            let mut sizes = Vec::new();
+            // One more byte each time: the store at least doubles, so 1000
+            // single-byte extensions grow it O(log n) times, never past 1000.
+            for off in 0..1000 {
+                armci.put(ctx, g, 0, off, &[off as u8]);
+                let m = materialised(&armci, g)[0];
+                if sizes.last() != Some(&m) {
+                    sizes.push(m);
+                }
+            }
+            let mut all = vec![0u8; 1000];
+            armci.get(ctx, g, 0, 0, &mut all);
+            (sizes, all)
+        });
+        let (sizes, all) = &out.results[0];
+        assert_eq!(sizes, &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]);
+        assert!(all.iter().enumerate().all(|(i, &b)| b == i as u8));
+    }
+
+    #[test]
+    fn whole_segment_with_local_sees_exactly_len_bytes() {
+        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 5000);
+            armci.put(ctx, g, ctx.rank(), 10, &[3u8; 4]);
+            let seen = armci.with_local(ctx, g, |b| (b.len(), b[10], b[4999]));
+            let seen_mut = armci.with_local_mut(ctx, g, |b| b.len());
+            // A ranged owner access on a fresh segment touches its range only.
+            let h = armci.malloc(ctx, 5000);
+            armci.with_local_range_mut(ctx, h, 100, 8, false, |b| b.fill(1));
+            let ranged = armci.with_local_range(ctx, h, 96, 16, false, |b| b.to_vec());
+            (seen, seen_mut, materialised(&armci, h)[ctx.rank()], ranged)
+        });
+        for (seen, seen_mut, ranged_mat, ranged) in out.results {
+            assert_eq!(seen, (5000, 3, 0));
+            assert_eq!(seen_mut, 5000);
+            assert!((112..5000).contains(&ranged_mat), "materialised {ranged_mat}");
+            assert_eq!(ranged, [[0u8; 4], [1u8; 4], [1u8; 4], [0u8; 4]].concat());
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_see_exact_values_while_the_store_grows() {
+        const ROUNDS: usize = 400;
+        const STRIDE: usize = 1024;
+        let out = Machine::run(MachineConfig::concurrent(4), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, (ROUNDS + 1) * STRIDE);
+            armci.barrier(ctx);
+            let me = ctx.rank();
+            if me > 0 {
+                for i in 0..ROUNDS {
+                    // Each writer walks upward, so every few operations one
+                    // of the three is the one that grows rank 0's store
+                    // while the other two are mid-flight on it.
+                    let base = i * STRIDE;
+                    // Disjoint: 8 private bytes per writer per round.
+                    armci.put(ctx, g, 0, base + me * 8, &[(i as u8) ^ (me as u8); 8]);
+                    // Overlapping: all three accumulate into the same words.
+                    armci.acc_i64(ctx, g, 0, base + 64, 1, &[me as i64, 1]);
+                    armci.acc_f64(ctx, g, 0, base + 128, 0.5, &[2.0]);
+                }
+            }
+            armci.barrier(ctx);
+            if me != 0 {
+                return true;
+            }
+            (0..ROUNDS).all(|i| {
+                let base = i * STRIDE;
+                let mut b = [0u8; 32];
+                armci.get(ctx, g, 0, base, &mut b);
+                let disjoint = b[..8] == [0u8; 8]
+                    && (1..4).all(|w| b[w * 8..w * 8 + 8] == [(i as u8) ^ (w as u8); 8]);
+                let sums = armci.get_i64s(ctx, g, 0, base + 64, 2);
+                let f = armci.get_f64s(ctx, g, 0, base + 128, 1);
+                disjoint && sums == [6, 3] && f == [3.0]
+            })
+        });
+        assert_eq!(out.results, vec![true; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5 out of range (nranks = 2)")]
+    fn bad_rank_panics_before_touching_a_store() {
+        Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 8);
+            armci.get(ctx, g, 5, 0, &mut [0u8; 8]);
         });
     }
 

@@ -52,14 +52,10 @@ impl Armci {
         offset: usize,
         src: &[u8],
     ) -> NbHandle {
+        self.check_bounds(g, rank, offset, src.len());
         ctx.yield_point();
-        let seg = self.segment(g);
-        assert!(
-            offset + src.len() <= g.len(),
-            "nb_put out of bounds: [{offset}, {})",
-            offset + src.len()
-        );
-        seg.data[rank].lock()[offset..offset + src.len()].copy_from_slice(src);
+        let end = offset + src.len();
+        self.segment(g).lock(rank, end)[offset..end].copy_from_slice(src);
         ctx.trace(|| TraceEvent::RemoteOp {
             kind: RemoteOpKind::Put,
             target: rank as u32,
@@ -85,14 +81,10 @@ impl Armci {
         offset: usize,
         dst: &mut [u8],
     ) -> NbHandle {
+        self.check_bounds(g, rank, offset, dst.len());
         ctx.yield_point();
-        let seg = self.segment(g);
-        assert!(
-            offset + dst.len() <= g.len(),
-            "nb_get out of bounds: [{offset}, {})",
-            offset + dst.len()
-        );
-        dst.copy_from_slice(&seg.data[rank].lock()[offset..offset + dst.len()]);
+        let end = offset + dst.len();
+        dst.copy_from_slice(&self.segment(g).lock(rank, end)[offset..end]);
         ctx.trace(|| TraceEvent::RemoteOp {
             kind: RemoteOpKind::Get,
             target: rank as u32,
@@ -218,5 +210,39 @@ mod tests {
             },
         );
         assert_eq!(out.results[0], (false, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 out of range (nranks = 2)")]
+    fn nb_put_to_bad_rank_panics() {
+        Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 64);
+            armci.nb_put(ctx, g, 2, 0, &[0u8; 8]);
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "access [18446744073709551612, 18446744073709551612+8) out of bounds for segment of 64 bytes"
+    )]
+    fn nb_get_with_overflowing_offset_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 64);
+            // `offset + len` wraps to 4: an unchecked add would pass the
+            // bounds test and hand the store a wild range.
+            armci.nb_get(ctx, g, 0, usize::MAX - 3, &mut [0u8; 8]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "access [60, 60+8) out of bounds for segment of 64 bytes")]
+    fn nb_put_past_the_end_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 64);
+            armci.nb_put(ctx, g, 0, 60, &[0u8; 8]);
+        });
     }
 }

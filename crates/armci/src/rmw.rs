@@ -23,10 +23,10 @@ impl Armci {
         offset: usize,
         f: impl FnOnce(i64) -> (i64, R),
     ) -> R {
+        self.check_bounds(g, rank, offset, 8);
         assert!(
-            offset.is_multiple_of(8) && offset + 8 <= g.len(),
-            "rmw offset {offset} invalid for segment of {} bytes",
-            g.len()
+            offset.is_multiple_of(8),
+            "rmw offset {offset} must be 8-byte aligned"
         );
         let seg = self.segment(g);
         // Target-side serialization: the adapter services RMWs on one word
@@ -44,7 +44,7 @@ impl Armci {
         let word = seg.hot_word(rank, offset);
         let _ = word.acquire(ctx, 0);
         ctx.charge_net(service);
-        let mut data = seg.data[rank].lock();
+        let mut data = seg.lock(rank, offset + 8);
         let cur = i64::from_le_bytes(data[offset..offset + 8].try_into().expect("8 bytes"));
         let (new, ret) = f(cur);
         data[offset..offset + 8].copy_from_slice(&new.to_le_bytes());
@@ -164,6 +164,29 @@ mod tests {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 16);
             armci.read_i64(ctx, g, 0, 3);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 3 out of range (nranks = 1)")]
+    fn rmw_on_bad_rank_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 16);
+            armci.fetch_add_i64(ctx, g, 3, 0, 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "access [18446744073709551608, 18446744073709551608+8) out of bounds for segment of 16 bytes"
+    )]
+    fn rmw_with_overflowing_offset_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 16);
+            // 8-aligned, and `offset + 8` wraps to 0.
+            armci.read_i64(ctx, g, 0, usize::MAX - 7);
         });
     }
 }

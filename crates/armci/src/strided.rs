@@ -31,41 +31,41 @@ impl Strided {
     }
 
     /// Largest byte offset touched, plus one; zero for an empty region.
+    /// Saturates instead of wrapping, so a descriptor whose extent
+    /// overflows is out of bounds for every segment.
     pub fn end(&self) -> usize {
         if self.count == 0 || self.seg_len == 0 {
             return 0;
         }
-        self.offset + (self.count - 1) * self.stride + self.seg_len
-    }
-
-    fn validate(&self, seg_bytes: usize) {
-        if self.count == 0 || self.seg_len == 0 {
-            return;
-        }
-        assert!(
-            self.stride >= self.seg_len || self.count == 1,
-            "strided segments overlap: stride {} < seg_len {}",
-            self.stride,
-            self.seg_len
-        );
-        assert!(
-            self.end() <= seg_bytes,
-            "strided access ends at {} but segment has {} bytes",
-            self.end(),
-            seg_bytes
-        );
+        ((self.count - 1).saturating_mul(self.stride))
+            .saturating_add(self.offset)
+            .saturating_add(self.seg_len)
     }
 }
 
 impl Armci {
+    /// Validate a strided access before it reaches the store: segments
+    /// must not overlap, and `[0, end)` goes through the same rank and
+    /// bounds check as every contiguous operation. Returns `end`.
+    fn check_strided(&self, g: Gmem, rank: usize, s: Strided) -> usize {
+        assert!(
+            s.stride >= s.seg_len || s.count <= 1,
+            "strided segments overlap: stride {} < seg_len {}",
+            s.stride,
+            s.seg_len
+        );
+        let end = s.end();
+        self.check_bounds(g, rank, 0, end);
+        end
+    }
+
     /// Strided get: gather the described region of `(rank)`'s segment into
     /// the contiguous `dst` (`dst.len() == total_bytes`).
     pub fn get_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, dst: &mut [u8]) {
-        s.validate(g.len());
+        let end = self.check_strided(g, rank, s);
         assert_eq!(dst.len(), s.total_bytes(), "dst length mismatch");
         ctx.yield_point();
-        let seg = self.segment(g);
-        let data = seg.data[rank].lock();
+        let data = self.segment(g).lock(rank, end);
         for i in 0..s.count {
             let src_off = s.offset + i * s.stride;
             dst[i * s.seg_len..(i + 1) * s.seg_len]
@@ -77,11 +77,10 @@ impl Armci {
 
     /// Strided put: scatter the contiguous `src` into the described region.
     pub fn put_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, src: &[u8]) {
-        s.validate(g.len());
+        let end = self.check_strided(g, rank, s);
         assert_eq!(src.len(), s.total_bytes(), "src length mismatch");
         ctx.yield_point();
-        let seg = self.segment(g);
-        let mut data = seg.data[rank].lock();
+        let mut data = self.segment(g).lock(rank, end);
         for i in 0..s.count {
             let dst_off = s.offset + i * s.stride;
             data[dst_off..dst_off + s.seg_len]
@@ -102,14 +101,13 @@ impl Armci {
         scale: f64,
         src: &[f64],
     ) {
-        s.validate(g.len());
+        let end = self.check_strided(g, rank, s);
         assert_eq!(s.seg_len % 8, 0, "seg_len must be a multiple of 8");
         assert_eq!(s.offset % 8, 0, "offset must be 8-byte aligned");
         assert_eq!(src.len() * 8, s.total_bytes(), "src length mismatch");
         ctx.yield_point();
         let per_seg = s.seg_len / 8;
-        let seg = self.segment(g);
-        let mut data = seg.data[rank].lock();
+        let mut data = self.segment(g).lock(rank, end);
         for i in 0..s.count {
             let base = s.offset + i * s.stride;
             for j in 0..per_seg {
@@ -231,6 +229,29 @@ mod tests {
                 count: 2,
             };
             armci.put_strided(ctx, g, 0, s, &[0u8; 16]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 out of range (nranks = 1)")]
+    fn strided_to_bad_rank_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 64);
+            let s = Strided { offset: 0, stride: 16, seg_len: 8, count: 2 };
+            armci.put_strided(ctx, g, 1, s, &[0u8; 16]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds for segment of 64 bytes")]
+    fn strided_extent_overflow_is_out_of_bounds() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 64);
+            // (count - 1) * stride wraps to 0 under plain arithmetic.
+            let s = Strided { offset: 0, stride: 1 << 63, seg_len: 8, count: 3 };
+            armci.get_strided(ctx, g, 0, s, &mut [0u8; 24]);
         });
     }
 }

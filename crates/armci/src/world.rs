@@ -22,6 +22,19 @@ pub struct Armci {
     pub(crate) mutex_sets: AppendTable<MutexStorage>,
 }
 
+impl std::fmt::Debug for Armci {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let segments: Vec<&Segment> = (0..self.segments.len())
+            .filter_map(|i| self.segments.get(i))
+            .collect();
+        f.debug_struct("Armci")
+            .field("nranks", &self.nranks)
+            .field("segments", &segments)
+            .field("mutex_sets", &self.mutex_sets.len())
+            .finish()
+    }
+}
+
 impl Armci {
     /// Collectively initialize the ARMCI layer. Every rank must call this
     /// once, at the same point of the program.

@@ -7,7 +7,7 @@
 //! {
 //! "schema":"scioto-bench-v1",
 //! "name":"table1",
-//! "generated_wall_ns":1754500000000000000,
+//! "generated_wall_ns":1754500000000000000,"vm_hwm_kb":14336,
 //! "params":{"chunk":"10","ranks":"2"},
 //! "metrics":{"cluster_local_insert_ns":495.000000}
 //! }
@@ -17,9 +17,12 @@
 //!
 //! * `params` keys and `metrics` keys are emitted in sorted order;
 //! * metric values use fixed six-decimal formatting;
-//! * `generated_wall_ns` — the only nondeterministic field — sits alone
-//!   on its own line, so same-seed determinism checks compare documents
-//!   with that single line dropped (see [`strip_wall_clock`]).
+//! * the host-dependent members — `generated_wall_ns` and, in documents
+//!   a bench binary writes on Linux, the process's peak resident set
+//!   `vm_hwm_kb` (which `verify.sh` budgets at the 1024/2048-rank pins) —
+//!   share one line of their own, so same-seed determinism checks
+//!   compare documents with that single line dropped (see
+//!   [`strip_wall_clock`]).
 //!
 //! `bench_diff` compares two documents with [`parse`] and flags metric
 //! drift beyond configurable tolerances.
@@ -68,12 +71,20 @@ impl BenchOut {
     /// Render the versioned JSON document. `wall_ns` is the wall-clock
     /// stamp (the single nondeterministic field).
     pub fn to_json(&self, wall_ns: u64) -> String {
+        self.render(wall_ns, None)
+    }
+
+    fn render(&self, wall_ns: u64, vm_hwm_kb: Option<u64>) -> String {
         let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
-            "{{\n\"schema\":\"{BENCH_SCHEMA}\",\n\"name\":\"{}\",\n\"generated_wall_ns\":{wall_ns},\n\"params\":{{",
+            "{{\n\"schema\":\"{BENCH_SCHEMA}\",\n\"name\":\"{}\",\n\"generated_wall_ns\":{wall_ns},",
             self.name
         );
+        if let Some(kb) = vm_hwm_kb {
+            let _ = write!(out, "\"vm_hwm_kb\":{kb},");
+        }
+        out.push_str("\n\"params\":{");
         for (i, (k, v)) in self.params.iter().enumerate() {
             let _ = write!(out, "{}\"{k}\":\"{v}\"", if i == 0 { "" } else { "," });
         }
@@ -96,15 +107,24 @@ impl BenchOut {
             .duration_since(std::time::UNIX_EPOCH) // scioto-lint: allow(wallclock)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
-        let body = self.to_json(wall_ns);
+        let body = self.render(wall_ns, vm_hwm_kb());
         validate(&body).expect("generated bench JSON must satisfy its own schema");
         std::fs::write(&path, &body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("bench json: {} metric(s) written to {path}", self.metrics.len());
     }
 }
 
+/// Peak resident set of this process so far, in kB (`VmHWM` of
+/// `/proc/self/status`; `None` where there is no such file). Read as the
+/// document is written, i.e. as the binary exits.
+fn vm_hwm_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 /// Drop the `generated_wall_ns` line — the document's only
-/// nondeterministic content — for byte-identical same-seed comparison.
+/// host-dependent content — for byte-identical same-seed comparison.
 pub fn strip_wall_clock(body: &str) -> String {
     body.lines()
         .filter(|l| !l.starts_with("\"generated_wall_ns\""))
@@ -220,6 +240,11 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(strip_wall_clock(&a), strip_wall_clock(&b));
         assert!(!strip_wall_clock(&a).contains("generated_wall_ns"));
+        // The peak-RSS stamp a bench binary adds rides on the same line.
+        let c = sample().render(5, Some(14_336));
+        assert!(c.contains("\n\"generated_wall_ns\":5,\"vm_hwm_kb\":14336,\n"));
+        assert_eq!(parse(&c).unwrap(), sample());
+        assert_eq!(strip_wall_clock(&a), strip_wall_clock(&c));
     }
 
     #[test]

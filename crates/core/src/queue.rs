@@ -631,6 +631,54 @@ mod tests {
         }
     }
 
+    /// Host bytes backing this rank's slot store. `armci` owns the store
+    /// and says how much of each segment is materialised only in its
+    /// `Debug` output; the slot segment is the one of the queue's length.
+    fn slot_store_bytes(ctx: &Ctx, armci: &Armci, q: &PatchQueue) -> usize {
+        let dump = format!("{armci:?}");
+        let key = format!("Segment {{ len: {}, materialised: [", q.slots.len());
+        let list = dump.split(&key).nth(1).expect("slot segment in Armci's Debug output");
+        let mine = list.split(", ").nth(ctx.rank()).expect("one entry per rank");
+        let digits = mine.trim_start_matches("Some(");
+        digits[..digits.find(')').expect("an unlocked store")]
+            .parse()
+            .expect("a byte count")
+    }
+
+    /// The owner path touches the slots between the lowest and highest
+    /// index the queue reached, so what the host commits follows the
+    /// queue's depth, not its capacity: N pushes materialise O(N) slots of
+    /// UTS's 2^17-slot ring, and push/pop pairs on top add nothing.
+    #[test]
+    fn slot_store_follows_queue_depth_not_capacity() {
+        const DEPTH: usize = 300;
+        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            // UTS: 24-byte nodes (40-byte slots), chunk 10, 2^17 slots.
+            let (armci, q) = setup(ctx, TcConfig::new(24, 10, 1 << 17));
+            let c = RankCounters::default();
+            let fresh = slot_store_bytes(ctx, &armci, &q);
+            for i in 0..DEPTH as u32 {
+                q.push_local(ctx, &armci, &rec(i, 1), &c);
+            }
+            let deep = slot_store_bytes(ctx, &armci, &q);
+            for i in 0..10 * DEPTH as u32 {
+                assert!(q.pop_local(ctx, &armci, &c).is_some());
+                q.push_local(ctx, &armci, &rec(i, 1), &c);
+            }
+            armci.barrier(ctx);
+            (fresh, deep, slot_store_bytes(ctx, &armci, &q), q.slot_sz())
+        });
+        for (fresh, deep, churned, slot) in out.results {
+            assert_eq!(slot, 40);
+            assert_eq!(fresh, 0, "create materialises no slot");
+            assert!(
+                (DEPTH * slot..2 * DEPTH * slot).contains(&deep),
+                "{DEPTH} tasks deep backed by {deep} bytes"
+            );
+            assert_eq!(churned, deep, "pairs at a fixed depth touch no new slot");
+        }
+    }
+
     /// Pins the access records of the split queue's owner path: the race
     /// and atomicity checkers pair thieves' one-sided operations against
     /// exactly these `LocalAccess` events, so an edit that drops, reorders

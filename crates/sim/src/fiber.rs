@@ -24,6 +24,7 @@
 //! is pure register shuffling, so determinism is trivially preserved.
 
 use std::cell::{Cell, RefCell};
+use std::mem::MaybeUninit;
 
 /// True when this target has a fiber context-switch implementation.
 /// [`crate::Engine::Auto`] falls back to the thread engine elsewhere.
@@ -129,9 +130,14 @@ struct Fiber {
     /// Saved stack pointer while suspended; points into `stack`.
     sp: Cell<usize>,
     /// The heap stack. Boxed so it never moves; `sp` and every frame on it
-    /// stay valid for the life of the fiber.
+    /// stay valid for the life of the fiber. Allocated uninitialised: a
+    /// stack is only ever read where the running code has already written
+    /// (the bootstrap frame below, then whatever frames the fiber pushes),
+    /// and Rust never looks at it through this field — it exists to own
+    /// and free the allocation — so the host pays for the pages a rank's
+    /// call depth reaches, not for `stack_size` bytes of zeros per rank.
     #[allow(dead_code)]
-    stack: Box<[u8]>,
+    stack: Box<[MaybeUninit<u8>]>,
     /// The rank program, consumed on first dispatch.
     task: RefCell<Option<Box<dyn FnOnce()>>>,
     started: Cell<bool>,
@@ -166,14 +172,18 @@ impl FiberSet {
         let stack_size = stack_size.max(32 * 1024);
         let fibers = (0..n)
             .map(|_| {
-                let mut stack = vec![0u8; stack_size].into_boxed_slice();
+                let mut stack = Box::<[u8]>::new_uninit_slice(stack_size);
                 let base = stack.as_mut_ptr() as usize;
                 // 16-align the top, then lay the bootstrap frame under it.
                 let top = (base + stack.len()) & !15;
                 let frame = top - BOOT_SLOTS * 8;
-                // SAFETY: `frame..top` lies inside the freshly boxed
-                // stack and is 8-aligned, so the BOOT_SLOTS usize writes
-                // stay in bounds of memory this Fiber uniquely owns.
+                // The stores below are the only initialisation the stack
+                // gets: they cover every byte the first switch pops, and
+                // everything under them is written by the fiber's own
+                // frames before it is read.
+                // SAFETY: `frame..top` lies inside the freshly boxed stack
+                // and is 8-aligned, so these raw stores (which need no
+                // initialised destination) stay in memory this Fiber owns.
                 unsafe {
                     let slots = frame as *mut usize;
                     for i in 0..BOOT_SLOTS {

@@ -1105,10 +1105,11 @@ impl Trace {
                 );
             }
         }
+        let mut args = String::new();
         for (rank, events) in self.events.iter().enumerate() {
             for e in events {
                 let _ = write!(out, "{{\"rank\":{rank},\"t\":{},\"ev\":\"{}\"", e.t_ns, e.event.name());
-                let mut args = String::new();
+                args.clear();
                 e.event.write_args(&mut args);
                 if !args.is_empty() {
                     out.push(',');

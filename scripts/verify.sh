@@ -231,15 +231,38 @@ echo "== large-scale: 1024/2048-rank event-engine points, near/far tiers =="
 # Only the fiber engine can stand up 1024+ ranks on this host; the sweep
 # points use the topology-aware near/far latency preset and are pinned as
 # their own baselines (deterministic, so rel-tol 0).
+#
+# Host-memory gate on the two big UTS points: every bench document
+# carries the process's peak resident set (VmHWM, read as the binary
+# exits) on its wall-clock line. Ranks get 1 MiB of stack and a 5 MiB
+# task queue each, committed only where touched: fig7@1024 measures
+# 24 MB and fig8@2048 52 MB (295 / 303 MB when queues and stacks were
+# zeroed up front). Budget 128 MB: per-rank memory that scales with what
+# is allocated rather than with what is used cannot get under it.
+hwm_budget_kb=131072
+hwm_gate() {
+    # hwm_gate <bench json>
+    kb=$(sed -n 's/^"generated_wall_ns":[0-9]*,"vm_hwm_kb":\([0-9]*\),$/\1/p' "$1")
+    if [ -z "$kb" ]; then
+        echo "note: $(basename "$1"): no VmHWM on this platform, memory gate skipped"
+    elif [ "$kb" -gt "$hwm_budget_kb" ]; then
+        echo "FAIL: $(basename "$1"): VmHWM ${kb} kB (budget: ${hwm_budget_kb} kB)" >&2
+        exit 1
+    else
+        echo "ok: $(basename "$1"): VmHWM ${kb} kB (budget: ${hwm_budget_kb} kB)"
+    fi
+}
 cargo run --release --offline -q -p scioto-bench --bin fig4_termination -- \
     --max-ranks 1024 --only-ranks 1024 --latency nearfar --engine events \
     --json-out "$work/exact/BENCH_fig4_1024_nearfar.json" > /dev/null
 cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
     --max-ranks 1024 --only-ranks 1024 --latency nearfar --engine events \
     --tree small --json-out "$work/exact/BENCH_fig7_1024_nearfar.json" > /dev/null
+hwm_gate "$work/exact/BENCH_fig7_1024_nearfar.json"
 cargo run --release --offline -q -p scioto-bench --bin fig8_uts_xt4 -- \
     --max-ranks 2048 --only-ranks 2048 --latency nearfar --engine events \
     --tree small --json-out "$work/exact/BENCH_fig8_2048_nearfar.json" > /dev/null
+hwm_gate "$work/exact/BENCH_fig8_2048_nearfar.json"
 # Steal-locality pin: the fig7@1024 near/far traced run's ring-distance
 # histogram, mean distance, and near-steal share from the analyzer's
 # provenance pass, recorded as first-class bench metrics. `--only-ranks 0`

@@ -610,3 +610,57 @@ fn event_engine_runs_1024_ranks() {
     let max = *out.report.rank_clock_ns.iter().max().unwrap();
     assert!(max > 0);
 }
+
+/// Peak resident set of this test process in kB (Linux; `None` elsewhere).
+fn vm_hwm_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn event_engine_stands_up_4096_ranks_at_default_sizes() {
+    // Scale smoke with nothing shrunk: the default 1 MiB fiber stack and
+    // UTS's 2^17-slot task queue are 6 MiB of address space per rank —
+    // 24 GB at 4096 ranks, more than this host has. Stacks are never
+    // initialised and segments are materialised on first touch, so what
+    // a run commits is what a no-op phase and a ring message reach.
+    if !Engine::events_supported() {
+        eprintln!("fiber engine unsupported on this target; skipping");
+        return;
+    }
+    const P: usize = 4096;
+    let machine = || {
+        MachineConfig::virtual_time(P)
+            .with_latency(LatencyModel::cluster_nearfar())
+            .with_barrier(scioto_sim::BarrierKind::Tree)
+            .with_engine(Engine::Events)
+    };
+    let create = |ctx: &scioto_sim::Ctx| {
+        let armci = Armci::init(ctx);
+        let uts = SciotoUtsConfig::new(presets::tiny());
+        TaskCollection::create(ctx, &armci, TcConfig::new(24, uts.chunk, uts.max_tasks))
+    };
+    // A throw-away machine first: zeroed allocations made in a fresh
+    // process are untouched kernel pages and cost nothing either way; it
+    // is zeroing a *recycled* allocation that commits it (eager zeroing
+    // peaks at 2 GB on a second machine and is OOM-killed on a third).
+    Machine::run(machine(), |ctx| drop(create(ctx)));
+    let out = Machine::run(machine(), |ctx| {
+        let tc = create(ctx);
+        let stats = tc.process(ctx);
+        let comm = Comm::world(ctx);
+        comm.send(ctx, (ctx.rank() + 1) % P, 7, &(ctx.rank() as u64).to_le_bytes());
+        let msg = comm.recv(ctx, Some((ctx.rank() + P - 1) % P), Some(7));
+        ctx.barrier();
+        let from = u64::from_le_bytes(msg.data[..8].try_into().unwrap());
+        (stats.tasks_executed, from)
+    });
+    for (r, got) in out.results.iter().enumerate() {
+        assert_eq!(*got, (0, ((r + P - 1) % P) as u64));
+    }
+    // The whole test binary's peak, these runs included.
+    if let Some(kb) = vm_hwm_kb() {
+        assert!(kb < 1 << 20, "peak RSS {} MB (budget: 1 GB)", kb >> 10);
+    }
+}
