@@ -119,11 +119,11 @@ impl Armci {
     /// Collectively allocate `bytes` bytes of remotely accessible,
     /// zero-initialized memory on every rank.
     ///
-    /// Barrier-free under the default coalesced startup protocol: rank 0
-    /// publishes the segment through the collective log and the handle is
-    /// valid the moment a rank receives it (the backing store is built
-    /// before publication). Batch several allocations under one
-    /// [`Ctx::collective_epoch`] to pay a single commit barrier.
+    /// Barrier-free: rank 0 publishes the segment through the collective
+    /// log and the handle is valid the moment a rank receives it (the
+    /// backing store is built before publication). Batch several
+    /// allocations under one [`Ctx::collective_epoch`] to pay a single
+    /// commit barrier.
     ///
     /// Host memory is committed on first touch: each rank's store holds
     /// the prefix up to the highest byte any operation has reached, and

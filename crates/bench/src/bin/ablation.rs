@@ -8,51 +8,37 @@
 //!   §5.3 rule, and its effect on termination cost.
 //!
 //! Run: `cargo run --release -p scioto-bench --bin ablation`
-//! Options: `--engine auto|threads|events`, `--latency flat|nearfar`,
-//! plus the policy flags `--victim`, `--barrier`, `--td-batch`,
-//! `--old-policy` shared with the other bench binaries.
+//! Options: the latency, policy and trace/check flags every figure bin
+//! takes (`scioto_bench::RunSpec`).
 
 use std::sync::Arc;
 
-use scioto::{StatsSummary, Task, TaskCollection, TcConfig, AFFINITY_HIGH};
+use scioto::{ProcessStats, StatsSummary, Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_armci::Armci;
-use scioto_bench::{
-    dump_analysis, dump_trace, engine_from_args, obs_requested, run_predict_check, run_race_check, run_replay_check, render_table,
-    startup_from_args, startup_param, trace_config, us, Args, BenchOut, LatencyPreset, PolicyFlags,
-};
-use scioto_sim::{Engine, LatencyModel, Machine, MachineConfig, SpeedModel, StartupMode};
-
-#[derive(Clone, Copy)]
-struct SimOpts {
-    engine: Engine,
-    latency: LatencyPreset,
-    startup: StartupMode,
-}
-
-fn cluster_machine(p: usize, policy: PolicyFlags, sim: SimOpts) -> MachineConfig {
-    MachineConfig::virtual_time(p)
-        .with_latency(sim.latency.apply(LatencyModel::cluster()))
-        .with_barrier(policy.barrier)
-        .with_engine(sim.engine)
-        .with_startup(sim.startup)
-}
+use scioto_bench::{render_table, us, Args, BenchOut, PolicyFlags, RunSpec};
+use scioto_sim::{Ctx, LatencyModel, Machine, MachineConfig, SpeedModel};
 use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
 use scioto_uts::{presets, TreeStats};
 
-fn uts_rate(p: usize, chunk: usize, policy: PolicyFlags, sim: SimOpts) -> (f64, u64) {
-    let params = presets::small();
-    let out = Machine::run(
-        cluster_machine(p, policy, sim).with_speed(SpeedModel::hetero_cluster(p)),
-        move |ctx| {
-            let cfg = SciotoUtsConfig {
-                chunk,
-                victim: Some(policy.victim),
-                td_batch: Some(policy.td_batch),
-                ..SciotoUtsConfig::new(params)
-            };
-            run_scioto_uts(ctx, &cfg)
-        },
-    );
+/// The cluster network with uniform CPUs (the votes-before runs).
+fn cluster_machine(p: usize, spec: &RunSpec) -> MachineConfig {
+    spec.machine(p, LatencyModel::cluster(), SpeedModel::uniform(p))
+}
+
+/// The heterogeneous cluster (the UTS runs).
+fn hetero_machine(p: usize, spec: &RunSpec) -> MachineConfig {
+    spec.machine(p, LatencyModel::cluster(), SpeedModel::hetero_cluster(p))
+}
+
+fn uts_rate(p: usize, chunk: usize, spec: &RunSpec) -> (f64, u64) {
+    let policy = spec.policy;
+    let out = Machine::run(hetero_machine(p, spec), move |ctx| {
+        let cfg = SciotoUtsConfig {
+            chunk,
+            ..policy.uts(presets::small())
+        };
+        run_scioto_uts(ctx, &cfg)
+    });
     let mut total = TreeStats::default();
     let mut steals = 0;
     for (t, s) in &out.results {
@@ -65,10 +51,10 @@ fn uts_rate(p: usize, chunk: usize, policy: PolicyFlags, sim: SimOpts) -> (f64, 
     )
 }
 
-fn chunk_sweep(bench: &mut BenchOut, policy: PolicyFlags, sim: SimOpts) {
+fn chunk_sweep(bench: &mut BenchOut, spec: &RunSpec) {
     let mut rows = Vec::new();
     for chunk in [1usize, 2, 5, 10, 20, 50] {
-        let (rate, steals) = uts_rate(16, chunk, policy, sim);
+        let (rate, steals) = uts_rate(16, chunk, spec);
         bench.metric(&format!("chunk{chunk:02}_mnodes"), rate);
         bench.metric(&format!("chunk{chunk:02}_steals"), steals as f64);
         rows.push(vec![
@@ -87,23 +73,18 @@ fn chunk_sweep(bench: &mut BenchOut, policy: PolicyFlags, sim: SimOpts) {
     );
 }
 
-fn release_sweep(bench: &mut BenchOut, policy: PolicyFlags, sim: SimOpts) {
-    let params = presets::small();
+fn release_sweep(bench: &mut BenchOut, spec: &RunSpec) {
+    let policy = spec.policy;
     let mut rows = Vec::new();
     for (threshold, fraction) in [(1usize, 0.25f64), (10, 0.5), (10, 0.9), (64, 0.5)] {
-        let out = Machine::run(
-            cluster_machine(16, policy, sim).with_speed(SpeedModel::hetero_cluster(16)),
-            move |ctx| {
-                let cfg = SciotoUtsConfig {
-                    release_threshold: Some(threshold),
-                    release_fraction: Some(fraction),
-                    victim: Some(policy.victim),
-                    td_batch: Some(policy.td_batch),
-                    ..SciotoUtsConfig::new(params)
-                };
-                run_scioto_uts(ctx, &cfg).0
-            },
-        );
+        let out = Machine::run(hetero_machine(16, spec), move |ctx| {
+            let cfg = SciotoUtsConfig {
+                release_threshold: Some(threshold),
+                release_fraction: Some(fraction),
+                ..policy.uts(presets::small())
+            };
+            run_scioto_uts(ctx, &cfg).0
+        });
         let mut total = TreeStats::default();
         out.results.iter().for_each(|t| total.merge(t));
         let rate = total.nodes as f64 / (out.report.makespan_ns as f64 / 1e9) / 1e6;
@@ -120,29 +101,30 @@ fn release_sweep(bench: &mut BenchOut, policy: PolicyFlags, sim: SimOpts) {
     );
 }
 
-fn votes_before(bench: &mut BenchOut, policy: PolicyFlags, sim: SimOpts) {
+/// The votes-before workload: rank 0 seeds `tasks` 5 µs tasks and the
+/// phase runs to termination. Returns each rank's stats and phase time.
+fn votes_phase(ctx: &Ctx, policy: PolicyFlags, opt: bool, tasks: usize) -> (ProcessStats, u64) {
+    let armci = Armci::init(ctx);
+    let cfg = policy.tc(TcConfig::new(8, 2, 4096).with_votes_before_opt(opt));
+    let tc = TaskCollection::create(ctx, &armci, cfg);
+    let h = tc.register(ctx, Arc::new(|t| t.ctx.compute(5_000)));
+    if ctx.rank() == 0 {
+        for _ in 0..tasks {
+            tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, vec![]));
+        }
+    }
+    let t0 = ctx.now();
+    let stats = tc.process(ctx);
+    (stats, ctx.now() - t0)
+}
+
+fn votes_before(bench: &mut BenchOut, spec: &RunSpec) {
+    let policy = spec.policy;
     let mut rows = Vec::new();
     for opt in [true, false] {
-        let out = Machine::run(
-            cluster_machine(16, policy, sim),
-            move |ctx| {
-                let armci = Armci::init(ctx);
-                let cfg = TcConfig::new(8, 2, 4096)
-                    .with_votes_before_opt(opt)
-                    .with_victim(policy.victim)
-                    .with_td_batch(policy.td_batch);
-                let tc = TaskCollection::create(ctx, &armci, cfg);
-                let h = tc.register(ctx, Arc::new(|t| t.ctx.compute(5_000)));
-                if ctx.rank() == 0 {
-                    for _ in 0..500 {
-                        tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, vec![]));
-                    }
-                }
-                let t0 = ctx.now();
-                let stats = tc.process(ctx);
-                (stats, ctx.now() - t0)
-            },
-        );
+        let out = Machine::run(cluster_machine(16, spec), move |ctx| {
+            votes_phase(ctx, policy, opt, 500)
+        });
         let summary = StatsSummary::from_ranks(
             &out.results.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
         );
@@ -175,53 +157,23 @@ fn votes_before(bench: &mut BenchOut, policy: PolicyFlags, sim: SimOpts) {
 }
 
 fn main() {
-    let args = Args::parse();
-    let policy = PolicyFlags::from_args(&args);
-    let sim = SimOpts {
-        engine: engine_from_args(&args),
-        latency: LatencyPreset::from_args(&args),
-        startup: startup_from_args(&args),
-    };
-    if obs_requested(&args) {
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let spec = RunSpec::from_args(&args);
+    let policy = spec.policy;
+    if spec.obs_requested() {
         // Dedicated traced votes-before run at 8 ranks; the ablation
         // tables below stay untraced.
         let out = Machine::run(
-            cluster_machine(8, policy, sim).with_trace(trace_config(&args)),
-            move |ctx| {
-                let armci = Armci::init(ctx);
-                let cfg = TcConfig::new(8, 2, 4096)
-                    .with_votes_before_opt(true)
-                    .with_victim(policy.victim)
-                    .with_td_batch(policy.td_batch);
-                let tc = TaskCollection::create(ctx, &armci, cfg);
-                let h = tc.register(ctx, Arc::new(|t| t.ctx.compute(5_000)));
-                if ctx.rank() == 0 {
-                    for _ in 0..100 {
-                        tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, vec![]));
-                    }
-                }
-                tc.process(ctx);
-            },
+            cluster_machine(8, &spec).with_trace(spec.trace_config()),
+            move |ctx| votes_phase(ctx, policy, true, 100),
         );
-        dump_trace(&args, &out.report);
-        dump_analysis(&args, &out.report);
-        run_race_check(&args, &out.report);
-        run_predict_check(&args, &out.report);
-        run_replay_check(&args, &out.report);
+        spec.observe(&out.report);
     }
     let mut bench = BenchOut::new("ablation");
     bench.param("ranks", 16);
-    for (k, v) in policy.params() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = sim.latency.param() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = startup_param(sim.startup) {
-        bench.param(k, v);
-    }
-    chunk_sweep(&mut bench, policy, sim);
-    release_sweep(&mut bench, policy, sim);
-    votes_before(&mut bench, policy, sim);
+    spec.record(&mut bench);
+    chunk_sweep(&mut bench, &spec);
+    release_sweep(&mut bench, &spec);
+    votes_before(&mut bench, &spec);
     bench.write_if_requested(&args);
 }

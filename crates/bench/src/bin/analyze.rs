@@ -16,7 +16,7 @@ use scioto_analyze::jsonl;
 use scioto_bench::Args;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
     let Some(path) = args.get_opt("file") else {
         eprintln!("usage: analyze --file <trace.jsonl> [--json-out <analysis.json>]");
         std::process::exit(1);

@@ -19,15 +19,9 @@
 //! benchmark/params mismatch (comparing runs with different parameters
 //! is a harness bug, not a regression).
 //!
-//! `--ignore-params victim,barrier,td_batch` drops the named params from
-//! both documents before the equality gate — for deliberate cross-policy
-//! comparisons (e.g. the old-vs-new hot-path ablation), where the runs
-//! differ *only* in those recorded knobs.
-//!
 //! `--ignore-metrics split_startup_ns_*` drops matching metrics from both
 //! documents before comparison (a trailing `*` matches any suffix) — for
-//! cross-mode diffs where one side legitimately records extra metrics
-//! (the coalesced startup split is absent under `--old-startup`).
+//! diffs where one side legitimately records extra metrics.
 
 use scioto_bench::{benchjson, Args};
 
@@ -45,7 +39,6 @@ fn load(path: &str) -> benchjson::BenchOut {
 struct Tolerance {
     rel: f64,
     abs: f64,
-    ignore: Vec<String>,
     ignore_metrics: Vec<String>,
 }
 
@@ -62,10 +55,6 @@ fn metric_matches(pat: &str, key: &str) -> bool {
 fn compare(base_path: &str, new_path: &str, tol: &Tolerance) -> usize {
     let mut base = load(base_path);
     let mut new = load(new_path);
-    for key in &tol.ignore {
-        base.params.remove(key);
-        new.params.remove(key);
-    }
     for pat in &tol.ignore_metrics {
         base.metrics.retain(|k, _| !metric_matches(pat, k));
         new.metrics.retain(|k, _| !metric_matches(pat, k));
@@ -128,20 +117,10 @@ fn compare(base_path: &str, new_path: &str, tol: &Tolerance) -> usize {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
     let tol = Tolerance {
         rel: args.get("rel-tol", 0.05),
         abs: args.get("abs-tol", 1e-9),
-        ignore: args
-            .get_opt("ignore-params")
-            .map(|spec| {
-                spec.split(',')
-                    .map(str::trim)
-                    .filter(|k| !k.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default(),
         ignore_metrics: args
             .get_opt("ignore-metrics")
             .map(|spec| {
@@ -199,8 +178,7 @@ fn main() {
     let (Some(base_path), Some(new_path)) = (args.get_opt("baseline"), args.get_opt("new")) else {
         eprintln!(
             "usage: bench_diff --baseline <base.json> --new <new.json> | --all <dir> \
-             [--baseline-dir <dir>] [--rel-tol 0.05] [--abs-tol 1e-9] [--ignore-params a,b,c] \
-             [--ignore-metrics a,b*]"
+             [--baseline-dir <dir>] [--rel-tol 0.05] [--abs-tol 1e-9] [--ignore-metrics a,b*]"
         );
         std::process::exit(2);
     };

@@ -29,22 +29,19 @@
 //! the standard observability flags `--trace-out`, `--trace-summary`,
 //! `--analysis-out`, `--race-check`, `--trace-ring`, and `--trace-batch N`
 //! (per-rank staged-publication batch; 0/1 selects the historical
-//! publish-every-event path). `--old-startup` selects the historical
-//! two-barriers-per-collective startup protocol.
+//! publish-every-event path), and the policy knobs `--victim`,
+//! `--barrier`, `--td-batch`.
 //!
 //! Exit codes: 0 on success, 1 when the overhead band or a blame/report
-//! invariant is violated (race-check failures exit through
-//! [`scioto_bench::run_race_check`] with its usual codes).
+//! invariant is violated (check failures exit through
+//! [`scioto_bench::RunSpec::observe`] with its usual codes).
 
-use scioto_bench::{
-    dump_analysis, dump_trace, run_predict_check, run_race_check, startup_from_args, trace_config,
-    Args, PolicyFlags,
-};
+use scioto_bench::{tree_arg, Args, PolicyFlags, RunSpec};
 use scioto_det::MonoClock;
 use scioto_scf::{run_scf_parallel, BasisSet, LoadBalance, Molecule, ParallelScfConfig};
-use scioto_sim::{Machine, MachineConfig, Report, StartupMode, TraceConfig};
-use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
-use scioto_uts::{presets, TreeParams};
+use scioto_sim::{Machine, MachineConfig, Report, TraceConfig};
+use scioto_uts::scioto_driver::run_scioto_uts;
+use scioto_uts::TreeParams;
 
 /// Which workload drives the concurrent machine.
 #[derive(Clone, Copy)]
@@ -55,21 +52,6 @@ enum App {
     Scf { atoms: usize },
 }
 
-fn machine(ranks: usize, seed: u64, policy: PolicyFlags, startup: StartupMode) -> MachineConfig {
-    MachineConfig::concurrent(ranks)
-        .with_seed(seed)
-        .with_barrier(policy.barrier)
-        .with_startup(startup)
-}
-
-fn uts_config(params: TreeParams, policy: PolicyFlags) -> SciotoUtsConfig {
-    SciotoUtsConfig {
-        victim: Some(policy.victim),
-        td_batch: Some(policy.td_batch),
-        ..SciotoUtsConfig::new(params)
-    }
-}
-
 /// One concurrent UTS run; returns the report and the measured wall time
 /// of the whole `Machine::run` (thread spawn through trace collection).
 fn run_once(
@@ -77,10 +59,11 @@ fn run_once(
     seed: u64,
     app: App,
     policy: PolicyFlags,
-    startup: StartupMode,
     trace: Option<TraceConfig>,
 ) -> (Report, u64) {
-    let mut cfg = machine(ranks, seed, policy, startup);
+    let mut cfg = MachineConfig::concurrent(ranks)
+        .with_seed(seed)
+        .with_barrier(policy.barrier);
     if let Some(t) = trace {
         cfg = cfg.with_trace(t);
     }
@@ -88,7 +71,7 @@ fn run_once(
     let out = match app {
         App::Uts(params) => {
             Machine::run(cfg, move |ctx| {
-                run_scioto_uts(ctx, &uts_config(params, policy)).0
+                run_scioto_uts(ctx, &policy.uts(params)).0
             })
             .report
         }
@@ -116,30 +99,23 @@ fn run_once(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let spec = RunSpec::from_args(&args);
+    let policy = spec.policy;
     let ranks: usize = args.get("ranks", 4);
     let seed: u64 = args.get("seed", 42);
     let reps: usize = args.get("reps", 5);
     let max_event_ns: f64 = args.get("max-event-ns", 150.0);
-    let tree: String = args.get("tree", "tiny".to_string());
-    let policy = PolicyFlags::from_args(&args);
-    let startup = startup_from_args(&args);
-    let params = match tree.as_str() {
-        "tiny" => presets::tiny(),
-        "small" => presets::small(),
-        "medium" => presets::medium(),
-        "large" => presets::large(),
-        other => panic!("unknown tree preset {other}"),
-    };
+    let (tree, params) = tree_arg(&args, "tree", "tiny");
     let app_name: String = args.get("app", "uts".to_string());
     let app = match app_name.as_str() {
         "uts" => App::Uts(params),
         "scf" => App::Scf {
             atoms: args.get("atoms", 6),
         },
-        other => panic!("unknown --app {other} (expected uts or scf)"),
+        other => args.fail(&format!("--app expects uts|scf, got {other}")),
     };
-    let trace_cfg = trace_config(&args);
+    let trace_cfg = spec.trace_config();
 
     // Overhead measurement: alternate untraced/traced so slow machine
     // drift (thermal, noisy neighbors) hits both arms equally.
@@ -149,9 +125,9 @@ fn main() {
     let mut traced_ns = Vec::with_capacity(reps);
     let mut traced_report = None;
     for rep in 0..reps {
-        let (_, ns) = run_once(ranks, seed, app, policy, startup, None);
+        let (_, ns) = run_once(ranks, seed, app, policy, None);
         untraced_ns.push(ns);
-        let (report, ns) = run_once(ranks, seed, app, policy, startup, Some(trace_cfg.clone()));
+        let (report, ns) = run_once(ranks, seed, app, policy, Some(trace_cfg.clone()));
         let trace = report.trace.as_ref().expect("traced run carries a trace");
         let events = trace.total_events() as u64 + trace.dropped.iter().sum::<u64>();
         traced_ns.push((ns, events));
@@ -220,13 +196,10 @@ fn main() {
         analysis.makespan_ns as f64 / 1e6
     );
 
-    dump_trace(&args, &report);
-    dump_analysis(&args, &report);
     if let Some(path) = args.get_opt("chrome-out") {
         std::fs::write(&path, trace.to_chrome_json())
             .unwrap_or_else(|e| panic!("writing chrome trace to {path}: {e}"));
         eprintln!("chrome trace written to {path}");
     }
-    run_race_check(&args, &report);
-    run_predict_check(&args, &report);
+    spec.observe(&report);
 }

@@ -6,36 +6,20 @@
 //! twice the time of a barrier, with log(p) scaling.
 //!
 //! Run: `cargo run --release -p scioto-bench --bin fig4_termination`
-//! Options: `--max-ranks N`, `--only-ranks N` (single sweep point),
-//! `--engine auto|threads|events`, `--latency flat|nearfar`, plus the
-//! policy flags `--victim`, `--barrier`, `--td-batch`, `--old-policy`
-//! shared with the other bench binaries.
+//! Options: `--max-ranks N`, `--only-ranks N` (single sweep point), plus
+//! the latency, policy and trace/check flags every figure bin takes
+//! (`scioto_bench::RunSpec`).
 
 use std::sync::Arc;
 
 use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_armci::Armci;
-use scioto_bench::{
-    dump_analysis, dump_trace, engine_from_args, obs_requested, only_ranks, render_table,
-    run_predict_check, run_race_check, run_replay_check, startup_from_args, startup_param,
-    trace_config, us, Args, BenchOut, LatencyPreset, PolicyFlags,
-};
+use scioto_bench::{render_table, us, Args, BenchOut, RunSpec};
 use scioto_mpi::Comm;
-use scioto_sim::{Engine, LatencyModel, Machine, MachineConfig, Report, StartupMode, TraceConfig};
+use scioto_sim::{LatencyModel, Machine, MachineConfig, Report, SpeedModel, TraceConfig};
 
-#[derive(Clone, Copy)]
-struct SimOpts {
-    engine: Engine,
-    latency: LatencyPreset,
-    startup: StartupMode,
-}
-
-fn machine(p: usize, policy: PolicyFlags, sim: SimOpts) -> MachineConfig {
-    MachineConfig::virtual_time(p)
-        .with_latency(sim.latency.apply(LatencyModel::cluster()))
-        .with_barrier(policy.barrier)
-        .with_engine(sim.engine)
-        .with_startup(sim.startup)
+fn machine(p: usize, spec: &RunSpec) -> MachineConfig {
+    spec.machine(p, LatencyModel::cluster(), SpeedModel::uniform(p))
 }
 
 /// Max over ranks of a per-rank duration measurement.
@@ -43,106 +27,74 @@ fn max_ns(results: Vec<u64>) -> u64 {
     results.into_iter().max().unwrap_or(0)
 }
 
-fn termination_time(
-    p: usize,
-    trace: TraceConfig,
-    policy: PolicyFlags,
-    sim: SimOpts,
-) -> (u64, Report) {
-    let out = Machine::run(machine(p, policy, sim).with_trace(trace), move |ctx| {
-            let armci = Armci::init(ctx);
-            let cfg = TcConfig::new(8, 10, 64)
-                .with_victim(policy.victim)
-                .with_td_batch(policy.td_batch);
-            let tc = TaskCollection::create(ctx, &armci, cfg);
-            let h = tc.register(ctx, Arc::new(|_| {}));
-            armci.barrier(ctx);
-            let t0 = ctx.now();
-            if ctx.rank() == 0 {
-                tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, vec![]));
-            }
-            tc.process(ctx);
-            ctx.now() - t0
-        },
-    );
+fn termination_time(p: usize, trace: TraceConfig, spec: &RunSpec) -> (u64, Report) {
+    let policy = spec.policy;
+    let out = Machine::run(machine(p, spec).with_trace(trace), move |ctx| {
+        let armci = Armci::init(ctx);
+        let tc = TaskCollection::create(ctx, &armci, policy.tc(TcConfig::new(8, 10, 64)));
+        let h = tc.register(ctx, Arc::new(|_| {}));
+        armci.barrier(ctx);
+        let t0 = ctx.now();
+        if ctx.rank() == 0 {
+            tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, vec![]));
+        }
+        tc.process(ctx);
+        ctx.now() - t0
+    });
     (max_ns(out.results), out.report)
 }
 
-fn armci_barrier_time(p: usize, policy: PolicyFlags, sim: SimOpts) -> u64 {
+fn armci_barrier_time(p: usize, spec: &RunSpec) -> u64 {
     const REPS: u64 = 20;
-    let out = Machine::run(machine(p, policy, sim), |ctx| {
-            let armci = Armci::init(ctx);
+    let out = Machine::run(machine(p, spec), |ctx| {
+        let armci = Armci::init(ctx);
+        armci.barrier(ctx);
+        let t0 = ctx.now();
+        for _ in 0..REPS {
             armci.barrier(ctx);
-            let t0 = ctx.now();
-            for _ in 0..REPS {
-                armci.barrier(ctx);
-            }
-            (ctx.now() - t0) / REPS
-        },
-    );
+        }
+        (ctx.now() - t0) / REPS
+    });
     max_ns(out.results)
 }
 
-fn mpi_barrier_time(p: usize, policy: PolicyFlags, sim: SimOpts) -> u64 {
+fn mpi_barrier_time(p: usize, spec: &RunSpec) -> u64 {
     const REPS: u64 = 20;
-    let out = Machine::run(machine(p, policy, sim), |ctx| {
-            let comm = Comm::world(ctx);
+    let out = Machine::run(machine(p, spec), |ctx| {
+        let comm = Comm::world(ctx);
+        comm.barrier(ctx);
+        let t0 = ctx.now();
+        for _ in 0..REPS {
             comm.barrier(ctx);
-            let t0 = ctx.now();
-            for _ in 0..REPS {
-                comm.barrier(ctx);
-            }
-            (ctx.now() - t0) / REPS
-        },
-    );
+        }
+        (ctx.now() - t0) / REPS
+    });
     max_ns(out.results)
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let spec = RunSpec::from_args(&args);
     let max_p: usize = args.get("max-ranks", 64);
-    let policy = PolicyFlags::from_args(&args);
-    let sim = SimOpts {
-        engine: engine_from_args(&args),
-        latency: LatencyPreset::from_args(&args),
-        startup: startup_from_args(&args),
-    };
-    let only = only_ranks(&args);
-    if obs_requested(&args) {
+    if spec.obs_requested() {
         // Dedicated traced detection run (`--trace-ranks N`, default 8);
         // the sweep stays untraced so the published table is unaffected.
-        let (_, report) =
-            termination_time(args.get("trace-ranks", 8), trace_config(&args), policy, sim);
-        dump_trace(&args, &report);
-        dump_analysis(&args, &report);
-        run_race_check(&args, &report);
-        run_predict_check(&args, &report);
-        run_replay_check(&args, &report);
+        let (_, report) = termination_time(args.get("trace-ranks", 8), spec.trace_config(), &spec);
+        spec.observe(&report);
     }
     let mut bench = BenchOut::new("fig4_termination");
     bench.param("max_ranks", max_p);
-    for (k, v) in policy.params() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = sim.latency.param() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = startup_param(sim.startup) {
-        bench.param(k, v);
-    }
-    if let Some(o) = only {
-        bench.param("only_ranks", o);
-    }
+    spec.record(&mut bench);
     let mut rows = Vec::new();
     let mut p = 1;
     while p <= max_p {
-        if only.is_some_and(|o| o != p) {
+        if !spec.runs(p) {
             p *= 2;
             continue;
         }
-        let (td, _) = termination_time(p, TraceConfig::disabled(), policy, sim);
-        let ab = armci_barrier_time(p, policy, sim);
-        let mb = mpi_barrier_time(p, policy, sim);
+        let (td, _) = termination_time(p, TraceConfig::disabled(), &spec);
+        let ab = armci_barrier_time(p, &spec);
+        let mb = mpi_barrier_time(p, &spec);
         let ratio = td as f64 / ab.max(1) as f64;
         bench.metric(&format!("td_ns_p{p:03}"), td as f64);
         bench.metric(&format!("armci_barrier_ns_p{p:03}"), ab as f64);

@@ -8,40 +8,24 @@
 //! processes) while the Scioto versions keep scaling.
 //!
 //! Run: `cargo run --release -p scioto-bench --bin fig5_fig6_apps`
-//! Options: `--max-ranks N` (default 64), `--atoms N` (default 10),
-//! `--tiles N` (default 12), `--engine auto|threads|events`,
-//! `--latency flat|nearfar`, `--only-ranks N`, plus the policy flags
-//! `--victim`, `--barrier`, `--td-batch`, `--old-policy` shared with
-//! the other bench binaries.
+//! Options: `--max-ranks N` (default 64), `--only-ranks N` (single sweep
+//! point), `--atoms N` (default 16), `--tiles N` (default 48), plus the
+//! latency, policy and trace/check flags every figure bin takes
+//! (`scioto_bench::RunSpec`).
 
-use scioto_bench::{
-    cluster_rank_sweep, dump_analysis, dump_trace, engine_from_args, obs_requested, only_ranks,
-    render_table, run_predict_check, run_race_check, run_replay_check, secs, startup_from_args,
-    startup_param, trace_config, Args, BenchOut, LatencyPreset, PolicyFlags,
-};
+use scioto_bench::{cluster_rank_sweep, render_table, secs, Args, BenchOut, RunSpec};
 use scioto_scf::{run_scf_parallel, BasisSet, LoadBalance, Molecule, ParallelScfConfig};
-use scioto_sim::{Engine, LatencyModel, Machine, MachineConfig, SpeedModel, StartupMode};
+use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel};
 use scioto_tce::{run_contraction, ContractionConfig, SparsityPattern, TceLoadBalance};
 
-#[derive(Clone, Copy)]
-struct SimOpts {
-    engine: Engine,
-    latency: LatencyPreset,
-    startup: StartupMode,
+fn machine(p: usize, spec: &RunSpec) -> MachineConfig {
+    spec.machine(p, LatencyModel::cluster(), SpeedModel::hetero_cluster(p))
 }
 
-fn machine(p: usize, policy: PolicyFlags, sim: SimOpts) -> MachineConfig {
-    MachineConfig::virtual_time(p)
-        .with_latency(sim.latency.apply(LatencyModel::cluster()))
-        .with_speed(SpeedModel::hetero_cluster(p))
-        .with_barrier(policy.barrier)
-        .with_engine(sim.engine)
-        .with_startup(sim.startup)
-}
-
-fn scf_run(p: usize, atoms: usize, lb: LoadBalance, policy: PolicyFlags, sim: SimOpts) -> u64 {
+fn scf_run(p: usize, atoms: usize, lb: LoadBalance, spec: &RunSpec) -> u64 {
+    let policy = spec.policy;
     let basis = BasisSet::even_tempered(Molecule::h_chain(atoms), 2, 0.4, 3.5);
-    let out = Machine::run(machine(p, policy, sim), move |ctx| {
+    let out = Machine::run(machine(p, spec), move |ctx| {
         let mut cfg = ParallelScfConfig {
             lb,
             block: 4,
@@ -59,8 +43,9 @@ fn scf_run(p: usize, atoms: usize, lb: LoadBalance, policy: PolicyFlags, sim: Si
     out.report.makespan_ns
 }
 
-fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, policy: PolicyFlags, sim: SimOpts) -> u64 {
-    let out = Machine::run(machine(p, policy, sim), move |ctx| {
+fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, spec: &RunSpec) -> u64 {
+    let policy = spec.policy;
+    let out = Machine::run(machine(p, spec), move |ctx| {
         let cfg = ContractionConfig {
             nbr: tiles,
             nbk: tiles,
@@ -82,24 +67,19 @@ fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, policy: PolicyFlags, sim:
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let spec = RunSpec::from_args(&args);
+    let policy = spec.policy;
     let max_p: usize = args.get("max-ranks", 64);
     let atoms: usize = args.get("atoms", 16);
     let tiles: usize = args.get("tiles", 48);
-    let policy = PolicyFlags::from_args(&args);
-    let sim = SimOpts {
-        engine: engine_from_args(&args),
-        latency: LatencyPreset::from_args(&args),
-        startup: startup_from_args(&args),
-    };
-    let only = only_ranks(&args);
 
-    if obs_requested(&args) {
+    if spec.obs_requested() {
         // Dedicated traced 4-rank SCF run (2 Roothaan iterations, small
         // basis); the figure sweep below stays untraced.
         let basis = BasisSet::even_tempered(Molecule::h_chain(6), 2, 0.4, 3.5);
-        let trace = trace_config(&args);
-        let out = Machine::run(machine(4, policy, sim).with_trace(trace), move |ctx| {
+        let traced = machine(4, &spec).with_trace(spec.trace_config());
+        let out = Machine::run(traced, move |ctx| {
             let mut cfg = ParallelScfConfig {
                 lb: LoadBalance::Scioto,
                 block: 4,
@@ -112,11 +92,7 @@ fn main() {
             cfg.scf.tol = 0.0;
             run_scf_parallel(ctx, &basis, &cfg).energy
         });
-        dump_trace(&args, &out.report);
-        dump_analysis(&args, &out.report);
-        run_race_check(&args, &out.report);
-        run_predict_check(&args, &out.report);
-        run_replay_check(&args, &out.report);
+        spec.observe(&out.report);
     }
 
     let mut ps = vec![1usize];
@@ -126,29 +102,18 @@ fn main() {
     bench.param("max_ranks", max_p);
     bench.param("atoms", atoms);
     bench.param("tiles", tiles);
-    for (k, v) in policy.params() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = sim.latency.param() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = startup_param(sim.startup) {
-        bench.param(k, v);
-    }
-    if let Some(o) = only {
-        bench.param("only_ranks", o);
-    }
+    spec.record(&mut bench);
     let mut results: Vec<(usize, [u64; 4])> = Vec::new();
     for &p in &ps {
-        if only.is_some_and(|o| o != p) {
+        if !spec.runs(p) {
             continue;
         }
         eprintln!("running P = {p} ...");
         let row = [
-            scf_run(p, atoms, LoadBalance::Scioto, policy, sim),
-            scf_run(p, atoms, LoadBalance::GlobalCounter, policy, sim),
-            tce_run(p, tiles, TceLoadBalance::Scioto, policy, sim),
-            tce_run(p, tiles, TceLoadBalance::GlobalCounter, policy, sim),
+            scf_run(p, atoms, LoadBalance::Scioto, &spec),
+            scf_run(p, atoms, LoadBalance::GlobalCounter, &spec),
+            tce_run(p, tiles, TceLoadBalance::Scioto, &spec),
+            tce_run(p, tiles, TceLoadBalance::GlobalCounter, &spec),
         ];
         for (name, ns) in ["scf", "scf_orig", "tce", "tce_orig"].iter().zip(row) {
             bench.metric(&format!("{name}_ns_p{p:03}"), ns as f64);

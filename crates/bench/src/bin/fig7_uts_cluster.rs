@@ -9,16 +9,14 @@
 //! absorbed transparently.
 //!
 //! Run: `cargo run --release -p scioto-bench --bin fig7_uts_cluster`
-//! Options: `--max-ranks N` (default 64; the event engine sweeps to 1024
-//! and beyond), `--only-ranks N` (single sweep point), `--tree
-//! small|medium|large`, `--engine auto|threads|events`, `--latency
-//! flat|nearfar` (near/far distance tiers), plus the hot-path policy
-//! flags `--victim uniform|locality`, `--barrier flat|tree`,
-//! `--td-batch on|off` and the `--old-policy` shorthand for the
-//! pre-locality baseline triple. `--old-startup` selects the historical
-//! two-barriers-per-collective startup protocol (ablation for the
-//! coalesced default); the coalesced runs additionally record
-//! `split_startup_ns_pNNN` aggregate startup metrics.
+//! Options: `--max-ranks N` (default 64; sweeps to 1024 and beyond),
+//! `--only-ranks N` (single sweep point), `--tree
+//! tiny|small|medium|large`, `--latency flat|nearfar` (near/far distance
+//! tiers), the hot-path policy knobs `--victim uniform|locality`,
+//! `--barrier flat|tree`, `--td-batch on|off`, and the trace/check
+//! requests every figure bin takes (`scioto_bench::RunSpec`). Each sweep
+//! point also records the split run's aggregate startup cost as
+//! `split_startup_ns_pNNN`.
 //!
 //! `--steal-dist` additionally runs the dedicated traced configuration
 //! and records the per-steal ring-distance histogram from the analyzer's
@@ -26,38 +24,14 @@
 //! buckets plus mean distance and near-steal share), so steal locality
 //! can be pinned and diffed like any throughput figure.
 
-use scioto_bench::{
-    cluster_rank_sweep, dump_analysis, dump_trace, engine_from_args, obs_requested, only_ranks,
-    render_table, run_predict_check, run_race_check, run_replay_check, startup_from_args,
-    startup_param, trace_config, Args, BenchOut, LatencyPreset, PolicyFlags,
-};
-use scioto_sim::{Engine, LatencyModel, Machine, MachineConfig, SpeedModel, StartupMode};
+use scioto_bench::{cluster_rank_sweep, render_table, tree_arg, Args, BenchOut, RunSpec};
+use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel};
 use scioto_uts::mpi_ws::{run_mpi_uts, MpiUtsConfig};
 use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
-use scioto_uts::{presets, TreeParams, TreeStats};
+use scioto_uts::{TreeParams, TreeStats};
 
-#[derive(Clone, Copy)]
-struct SimOpts {
-    engine: Engine,
-    latency: LatencyPreset,
-    startup: StartupMode,
-}
-
-fn machine(p: usize, policy: PolicyFlags, sim: SimOpts) -> MachineConfig {
-    MachineConfig::virtual_time(p)
-        .with_latency(sim.latency.apply(LatencyModel::cluster()))
-        .with_speed(SpeedModel::hetero_cluster(p))
-        .with_barrier(policy.barrier)
-        .with_engine(sim.engine)
-        .with_startup(sim.startup)
-}
-
-fn uts_config(params: TreeParams, policy: PolicyFlags) -> SciotoUtsConfig {
-    SciotoUtsConfig {
-        victim: Some(policy.victim),
-        td_batch: Some(policy.td_batch),
-        ..SciotoUtsConfig::new(params)
-    }
+fn machine(p: usize, spec: &RunSpec) -> MachineConfig {
+    spec.machine(p, LatencyModel::cluster(), SpeedModel::hetero_cluster(p))
 }
 
 /// (total nodes, makespan ns) → Mnodes/s.
@@ -70,13 +44,13 @@ fn scioto_rate(
     p: usize,
     params: TreeParams,
     queue: scioto::QueueKind,
-    policy: PolicyFlags,
-    sim: SimOpts,
+    spec: &RunSpec,
 ) -> (f64, u64) {
-    let out = Machine::run(machine(p, policy, sim), move |ctx| {
+    let policy = spec.policy;
+    let out = Machine::run(machine(p, spec), move |ctx| {
         let cfg = SciotoUtsConfig {
             queue,
-            ..uts_config(params, policy)
+            ..policy.uts(params)
         };
         run_scioto_uts(ctx, &cfg)
     });
@@ -89,8 +63,8 @@ fn scioto_rate(
     (rate(total.nodes, out.report.makespan_ns), startup_ns)
 }
 
-fn mpi_rate(p: usize, params: TreeParams, policy: PolicyFlags, sim: SimOpts) -> f64 {
-    let out = Machine::run(machine(p, policy, sim), move |ctx| {
+fn mpi_rate(p: usize, params: TreeParams, spec: &RunSpec) -> f64 {
+    let out = Machine::run(machine(p, spec), move |ctx| {
         run_mpi_uts(ctx, &MpiUtsConfig::new(params)).0
     });
     let mut total = TreeStats::default();
@@ -101,62 +75,27 @@ fn mpi_rate(p: usize, params: TreeParams, policy: PolicyFlags, sim: SimOpts) -> 
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let spec = RunSpec::from_args(&args);
+    let policy = spec.policy;
     let max_p: usize = args.get("max-ranks", 64);
-    let tree: String = args.get("tree", "medium".to_string());
-    let policy = PolicyFlags::from_args(&args);
-    let sim = SimOpts {
-        engine: engine_from_args(&args),
-        latency: LatencyPreset::from_args(&args),
-        startup: startup_from_args(&args),
-    };
-    let only = only_ranks(&args);
-    let params = match tree.as_str() {
-        "tiny" => presets::tiny(),
-        "small" => presets::small(),
-        "medium" => presets::medium(),
-        "large" => presets::large(),
-        other => panic!("unknown tree preset {other}"),
-    };
+    let (tree, params) = tree_arg(&args, "tree", "medium");
     let steal_dist = args.has("steal-dist");
     let mut bench = BenchOut::new("fig7_uts_cluster");
     bench.param("max_ranks", max_p);
     bench.param("tree", &tree);
-    for (k, v) in policy.params() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = sim.latency.param() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = startup_param(sim.startup) {
-        bench.param(k, v);
-    }
-    if let Some(o) = only {
-        bench.param("only_ranks", o);
-    }
-    if obs_requested(&args) || steal_dist {
+    spec.record(&mut bench);
+    if spec.obs_requested() || steal_dist {
         // Dedicated traced UTS run (`--trace-ranks N`, default 8, on the
         // tiny tree unless `--trace-tree` picks another preset); the
         // throughput sweep below stays untraced.
         let trace_ranks: usize = args.get("trace-ranks", 8);
-        let trace_tree: String = args.get("trace-tree", "tiny".to_string());
-        let trace_params = match trace_tree.as_str() {
-            "tiny" => presets::tiny(),
-            "small" => presets::small(),
-            "medium" => presets::medium(),
-            "large" => presets::large(),
-            other => panic!("unknown tree preset {other}"),
-        };
-        let trace = trace_config(&args);
+        let (trace_tree, trace_params) = tree_arg(&args, "trace-tree", "tiny");
         let out = Machine::run(
-            machine(trace_ranks, policy, sim).with_trace(trace),
-            move |ctx| run_scioto_uts(ctx, &uts_config(trace_params, policy)).0,
+            machine(trace_ranks, &spec).with_trace(spec.trace_config()),
+            move |ctx| run_scioto_uts(ctx, &policy.uts(trace_params)).0,
         );
-        dump_trace(&args, &out.report);
-        dump_analysis(&args, &out.report);
-        run_race_check(&args, &out.report);
-        run_predict_check(&args, &out.report);
-        run_replay_check(&args, &out.report);
+        spec.observe(&out.report);
         if steal_dist {
             // Steal-locality metrics from the analyzer's provenance pass.
             // The traced configuration is part of the metric identity, so
@@ -187,24 +126,19 @@ fn main() {
     }
     let mut rows = Vec::new();
     for p in cluster_rank_sweep(max_p) {
-        if only.is_some_and(|o| o != p) {
+        if !spec.runs(p) {
             continue;
         }
         eprintln!("running P = {p} ...");
-        let (split, startup_ns) = scioto_rate(p, params, scioto::QueueKind::Split, policy, sim);
-        let mpi = mpi_rate(p, params, policy, sim);
-        let (nosplit, _) = scioto_rate(p, params, scioto::QueueKind::Locked, policy, sim);
+        let (split, startup_ns) = scioto_rate(p, params, scioto::QueueKind::Split, &spec);
+        let mpi = mpi_rate(p, params, &spec);
+        let (nosplit, _) = scioto_rate(p, params, scioto::QueueKind::Locked, &spec);
         bench.metric(&format!("split_mnodes_p{p:03}"), split);
         bench.metric(&format!("mpi_ws_mnodes_p{p:03}"), mpi);
         bench.metric(&format!("nosplit_mnodes_p{p:03}"), nosplit);
-        // Aggregate rank-ns of startup for the split run. Printed in both
-        // startup modes (the ablation compares them), recorded as a bench
-        // metric only under the coalesced default: old-startup runs must
-        // diff cleanly against pre-coalescing baselines, which lack it.
+        // Aggregate rank-ns of startup for the split run.
         eprintln!("  split startup: {startup_ns} rank-ns aggregate");
-        if sim.startup == StartupMode::Coalesced {
-            bench.metric(&format!("split_startup_ns_p{p:03}"), startup_ns as f64);
-        }
+        bench.metric(&format!("split_startup_ns_p{p:03}"), startup_ns as f64);
         rows.push(vec![
             p.to_string(),
             format!("{split:.2}"),

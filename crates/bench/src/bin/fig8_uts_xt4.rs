@@ -9,55 +9,30 @@
 //!
 //! Run: `cargo run --release -p scioto-bench --bin fig8_uts_xt4`
 //! Options: `--max-ranks N` (default 512), `--only-ranks N` (single sweep
-//! point), `--tree small|medium|large`, `--engine auto|threads|events`,
-//! `--latency flat|nearfar`, plus the policy flags `--victim`,
-//! `--barrier`, `--td-batch`, `--old-policy` shared with the other bench
-//! binaries.
+//! point), `--tree tiny|small|medium|large`, plus the latency, policy and
+//! trace/check flags every figure bin takes (`scioto_bench::RunSpec`).
 
-use scioto_bench::{
-    dump_analysis, dump_trace, engine_from_args, obs_requested, only_ranks, render_table,
-    run_predict_check, run_race_check, run_replay_check, startup_from_args, startup_param,
-    trace_config, Args, BenchOut, LatencyPreset, PolicyFlags,
-};
-use scioto_sim::{Engine, LatencyModel, Machine, MachineConfig, SpeedModel, StartupMode};
+use scioto_bench::{render_table, tree_arg, Args, BenchOut, RunSpec};
+use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel};
 use scioto_uts::mpi_ws::{run_mpi_uts, MpiUtsConfig};
-use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
+use scioto_uts::scioto_driver::run_scioto_uts;
 use scioto_uts::{presets, TreeParams, TreeStats};
 
 /// XT4 Opteron 285: 0.5681 µs per node vs. the 0.3158 µs reference.
 const XT4_FACTOR: f64 = 0.5681 / 0.3158;
 
-#[derive(Clone, Copy)]
-struct SimOpts {
-    engine: Engine,
-    latency: LatencyPreset,
-    startup: StartupMode,
-}
-
-fn machine(p: usize, policy: PolicyFlags, sim: SimOpts) -> MachineConfig {
-    MachineConfig::virtual_time(p)
-        .with_latency(sim.latency.apply(LatencyModel::xt4()))
-        .with_speed(SpeedModel::from_factors(vec![XT4_FACTOR; p]))
-        .with_barrier(policy.barrier)
-        .with_engine(sim.engine)
-        .with_startup(sim.startup)
-}
-
-fn uts_config(params: TreeParams, policy: PolicyFlags) -> SciotoUtsConfig {
-    SciotoUtsConfig {
-        victim: Some(policy.victim),
-        td_batch: Some(policy.td_batch),
-        ..SciotoUtsConfig::new(params)
-    }
+fn machine(p: usize, spec: &RunSpec) -> MachineConfig {
+    spec.machine(p, LatencyModel::xt4(), SpeedModel::from_factors(vec![XT4_FACTOR; p]))
 }
 
 fn rate(nodes: u64, ns: u64) -> f64 {
     nodes as f64 / (ns as f64 / 1e9) / 1e6
 }
 
-fn scioto_rate(p: usize, params: TreeParams, policy: PolicyFlags, sim: SimOpts) -> f64 {
-    let out = Machine::run(machine(p, policy, sim), move |ctx| {
-        run_scioto_uts(ctx, &uts_config(params, policy)).0
+fn scioto_rate(p: usize, params: TreeParams, spec: &RunSpec) -> f64 {
+    let policy = spec.policy;
+    let out = Machine::run(machine(p, spec), move |ctx| {
+        run_scioto_uts(ctx, &policy.uts(params)).0
     });
     let mut total = TreeStats::default();
     for s in &out.results {
@@ -66,8 +41,8 @@ fn scioto_rate(p: usize, params: TreeParams, policy: PolicyFlags, sim: SimOpts) 
     rate(total.nodes, out.report.makespan_ns)
 }
 
-fn mpi_rate(p: usize, params: TreeParams, policy: PolicyFlags, sim: SimOpts) -> f64 {
-    let out = Machine::run(machine(p, policy, sim), move |ctx| {
+fn mpi_rate(p: usize, params: TreeParams, spec: &RunSpec) -> f64 {
+    let out = Machine::run(machine(p, spec), move |ctx| {
         run_mpi_uts(ctx, &MpiUtsConfig::new(params)).0
     });
     let mut total = TreeStats::default();
@@ -78,53 +53,25 @@ fn mpi_rate(p: usize, params: TreeParams, policy: PolicyFlags, sim: SimOpts) -> 
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let spec = RunSpec::from_args(&args);
+    let policy = spec.policy;
     let max_p: usize = args.get("max-ranks", 512);
-    let tree: String = args.get("tree", "medium".to_string());
-    let policy = PolicyFlags::from_args(&args);
-    let sim = SimOpts {
-        engine: engine_from_args(&args),
-        latency: LatencyPreset::from_args(&args),
-        startup: startup_from_args(&args),
-    };
-    let only = only_ranks(&args);
-    let params = match tree.as_str() {
-        "tiny" => presets::tiny(),
-        "small" => presets::small(),
-        "medium" => presets::medium(),
-        "large" => presets::large(),
-        other => panic!("unknown tree preset {other}"),
-    };
-    if obs_requested(&args) {
+    let (tree, params) = tree_arg(&args, "tree", "medium");
+    if spec.obs_requested() {
         // Dedicated traced XT4 UTS run on a tiny tree (`--trace-ranks N`,
         // default 8); the sweep below stays untraced.
         let trace_ranks: usize = args.get("trace-ranks", 8);
-        let trace = trace_config(&args);
         let out = Machine::run(
-            machine(trace_ranks, policy, sim).with_trace(trace),
-            move |ctx| run_scioto_uts(ctx, &uts_config(presets::tiny(), policy)).0,
+            machine(trace_ranks, &spec).with_trace(spec.trace_config()),
+            move |ctx| run_scioto_uts(ctx, &policy.uts(presets::tiny())).0,
         );
-        dump_trace(&args, &out.report);
-        dump_analysis(&args, &out.report);
-        run_race_check(&args, &out.report);
-        run_predict_check(&args, &out.report);
-        run_replay_check(&args, &out.report);
+        spec.observe(&out.report);
     }
     let mut bench = BenchOut::new("fig8_uts_xt4");
     bench.param("max_ranks", max_p);
     bench.param("tree", &tree);
-    for (k, v) in policy.params() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = sim.latency.param() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = startup_param(sim.startup) {
-        bench.param(k, v);
-    }
-    if let Some(o) = only {
-        bench.param("only_ranks", o);
-    }
+    spec.record(&mut bench);
     let mut rows = Vec::new();
     let mut sweep = vec![8usize, 16, 32, 64, 128, 256, 512];
     let mut next = 1024usize;
@@ -136,12 +83,12 @@ fn main() {
         if p > max_p {
             break;
         }
-        if only.is_some_and(|o| o != p) {
+        if !spec.runs(p) {
             continue;
         }
         eprintln!("running P = {p} ...");
-        let scioto = scioto_rate(p, params, policy, sim);
-        let mpi = mpi_rate(p, params, policy, sim);
+        let scioto = scioto_rate(p, params, &spec);
+        let mpi = mpi_rate(p, params, &spec);
         bench.metric(&format!("scioto_mnodes_p{p:03}"), scioto);
         bench.metric(&format!("mpi_mnodes_p{p:03}"), mpi);
         rows.push(vec![

@@ -22,22 +22,13 @@
 //! Exit codes: 0 ok, 1 `--check` mismatch, 2 unreplayable input.
 
 use scioto_analyze::whatif::{reprice, Knobs};
-use scioto_bench::Args;
-use scioto_sim::LatencyTiers;
-
-fn tiers_flag(args: &Args, key: &str) -> Option<LatencyTiers> {
-    match args.get_opt(key).as_deref() {
-        None | Some("flat") => None,
-        Some("nearfar") => Some(LatencyTiers::nearfar()),
-        Some(v) => panic!("--{key} expects flat|nearfar, got {v}"),
-    }
-}
+use scioto_bench::{Args, LatencyPreset};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
     let path = args
         .get_opt("file")
-        .unwrap_or_else(|| panic!("--file <trace.jsonl> is required"));
+        .unwrap_or_else(|| args.fail("--file <trace.jsonl> is required"));
     let body = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("reading {path}: {e}"));
     let trace = match scioto_analyze::jsonl::parse(&body) {
@@ -56,36 +47,23 @@ fn main() {
     };
 
     let base = Knobs {
-        tiers: tiers_flag(&args, "base-latency"),
+        tiers: LatencyPreset::from_flag(&args, "base-latency").tiers(),
         ..Knobs::baseline()
     };
     let mut cand = base;
-    if let Some(c) = args.get_opt("chunk") {
-        cand.chunk = c.parse().unwrap_or_else(|_| panic!("--chunk expects a count, got {c}"));
-    }
-    if let Some(v) = args.get_opt("victim-cont") {
-        cand.victim_cont = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--victim-cont expects a probability, got {v}"));
-    }
-    if let Some(v) = args.get_opt("victim-escape") {
-        cand.victim_escape = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--victim-escape expects a probability, got {v}"));
-    }
-    match args.get_opt("td-batch").as_deref() {
-        Some("on") => cand.td_batch = true,
-        Some("off") => cand.td_batch = false,
-        Some(v) => panic!("--td-batch expects on|off, got {v}"),
-        None => {}
-    }
-    if args.get_opt("latency").is_some() {
-        cand.tiers = tiers_flag(&args, "latency");
+    cand.chunk = args.get("chunk", cand.chunk);
+    cand.victim_cont = args.get("victim-cont", cand.victim_cont);
+    cand.victim_escape = args.get("victim-escape", cand.victim_escape);
+    cand.td_batch = args
+        .choice("td-batch", &[("on", true), ("off", false)])
+        .unwrap_or(cand.td_batch);
+    if args.has("latency") {
+        cand.tiers = LatencyPreset::from_args(&args).tiers();
     }
 
     let what_if = cand != base;
     if args.has("check") && what_if {
-        panic!("--check verifies identity replay; drop the what-if knobs");
+        args.fail("--check verifies identity replay; drop the what-if knobs");
     }
 
     let replayed = if what_if {

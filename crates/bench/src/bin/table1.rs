@@ -6,18 +6,13 @@
 //! paper's measured values are printed alongside for comparison.
 //!
 //! Run: `cargo run --release -p scioto-bench --bin table1`
-//! Options: `--engine auto|threads|events`, `--latency flat|nearfar`,
-//! `--old-startup` (historical two-barriers-per-collective startup), plus
-//! the policy flags `--victim`, `--barrier`, `--td-batch`,
-//! `--old-policy` shared with the other bench binaries.
+//! Options: the latency, policy and trace/check flags every figure bin
+//! takes (`scioto_bench::RunSpec`).
 
 use scioto::{Task, TaskCollection, TcConfig};
 use scioto_armci::Armci;
-use scioto_bench::{
-    dump_analysis, dump_trace, engine_from_args, obs_requested, run_predict_check, run_race_check, run_replay_check, render_table,
-    startup_from_args, startup_param, trace_config, us, Args, BenchOut, LatencyPreset, PolicyFlags,
-};
-use scioto_sim::{Engine, LatencyModel, Machine, MachineConfig, Report, StartupMode, TraceConfig};
+use scioto_bench::{render_table, us, Args, BenchOut, RunSpec};
+use scioto_sim::{LatencyModel, Machine, Report, SpeedModel, TraceConfig};
 
 const BODY: usize = 1024;
 const CHUNK: usize = 10;
@@ -30,26 +25,14 @@ struct OpTimes {
     remote_steal: u64,
 }
 
-fn measure(
-    latency: LatencyModel,
-    trace: TraceConfig,
-    policy: PolicyFlags,
-    engine: Engine,
-    startup: StartupMode,
-) -> (OpTimes, Report) {
+fn measure(base_latency: LatencyModel, trace: TraceConfig, spec: &RunSpec) -> (OpTimes, Report) {
+    let policy = spec.policy;
     let out = Machine::run(
-        MachineConfig::virtual_time(2)
-            .with_latency(latency)
-            .with_trace(trace)
-            .with_barrier(policy.barrier)
-            .with_engine(engine)
-            .with_startup(startup),
+        spec.machine(2, base_latency, SpeedModel::uniform(2)).with_trace(trace),
         move |ctx| {
             let armci = Armci::init(ctx);
             // Local-op collection with default split policy.
-            let base_cfg = TcConfig::new(BODY, CHUNK, 8192)
-                .with_victim(policy.victim)
-                .with_td_batch(policy.td_batch);
+            let base_cfg = policy.tc(TcConfig::new(BODY, CHUNK, 8192));
             let tc = TaskCollection::create(ctx, &armci, base_cfg);
             // Steal-target collection with an eager release policy so the
             // shared portion always has chunks available.
@@ -114,50 +97,23 @@ fn measure(
 }
 
 fn main() {
-    let args = Args::parse();
-    let policy = PolicyFlags::from_args(&args);
-    let engine = engine_from_args(&args);
-    let latency = LatencyPreset::from_args(&args);
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let spec = RunSpec::from_args(&args);
     // The cluster measurement doubles as the traced run when asked for.
-    let trace = if obs_requested(&args) {
-        trace_config(&args)
+    let trace = if spec.obs_requested() {
+        spec.trace_config()
     } else {
         TraceConfig::disabled()
     };
-    let startup = startup_from_args(&args);
-    let (cluster, cluster_report) = measure(
-        latency.apply(LatencyModel::cluster()),
-        trace,
-        policy,
-        engine,
-        startup,
-    );
-    let (xt4, _) = measure(
-        latency.apply(LatencyModel::xt4()),
-        TraceConfig::disabled(),
-        policy,
-        engine,
-        startup,
-    );
-    dump_trace(&args, &cluster_report);
-    dump_analysis(&args, &cluster_report);
-    run_race_check(&args, &cluster_report);
-    run_predict_check(&args, &cluster_report);
-    run_replay_check(&args, &cluster_report);
+    let (cluster, cluster_report) = measure(LatencyModel::cluster(), trace, &spec);
+    let (xt4, _) = measure(LatencyModel::xt4(), TraceConfig::disabled(), &spec);
+    spec.observe(&cluster_report);
 
     let mut bench = BenchOut::new("table1");
     bench.param("body_bytes", BODY);
     bench.param("chunk", CHUNK);
     bench.param("ranks", 2);
-    for (k, v) in policy.params() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = latency.param() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = startup_param(startup) {
-        bench.param(k, v);
-    }
+    spec.record(&mut bench);
     for (model, t) in [("cluster", &cluster), ("xt4", &xt4)] {
         bench.metric(&format!("{model}_local_insert_ns"), t.local_insert as f64);
         bench.metric(&format!("{model}_local_get_ns"), t.local_get as f64);

@@ -15,7 +15,7 @@
 //! `--max-episodes N` (with `--replayable`) additionally gates the
 //! lowered program's barrier-episode census: more than `N` episodes
 //! exits 1. This is the verify-script guard against collective-startup
-//! regressions — the coalesced protocol keeps fixed-shape workloads at a
+//! regressions — the collective log keeps fixed-shape workloads at a
 //! known episode count, and an accidental extra barrier shows up here
 //! long before it shows up in a throughput figure.
 //!
@@ -26,7 +26,7 @@ use scioto_bench::Args;
 use scioto_sim::validate_json;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
     let Some(path) = args.get_opt("file") else {
         eprintln!("usage: trace_check --file <trace.json> --ranks <n> | --file <trace.jsonl> --replayable");
         std::process::exit(1);
@@ -65,10 +65,7 @@ fn main() {
                     "trace_check: {path} is replayable ({} ranks, {} barrier episode(s))",
                     prog.nranks, prog.episodes
                 );
-                if let Some(max) = args.get_opt("max-episodes") {
-                    let max: usize = max
-                        .parse()
-                        .unwrap_or_else(|e| panic!("--max-episodes {max}: {e}"));
+                if let Some(max) = args.get_parsed::<usize>("max-episodes") {
                     if prog.episodes > max {
                         eprintln!(
                             "trace_check: {path} has {} barrier episode(s), over the \

@@ -15,18 +15,14 @@
 //! Options: `--ranks N` (default 64), `--tree tiny|small|medium|large`
 //! (default small), `--seed N` (default 876269 = 0xD5EED),
 //! `--max-candidates N`, `--top K` (default 3 live validations),
-//! `--engine auto|threads|events`, `--latency flat|nearfar`,
-//! `--out <config.json>`, `--report <path>`, `--json-out <BENCH json>`,
-//! `--require-improvement` (exit 1 unless the tuned config beats the
-//! default live).
+//! `--latency flat|nearfar`, `--out <config.json>`, `--report <path>`,
+//! `--json-out <BENCH json>`, `--require-improvement` (exit 1 unless the
+//! tuned config beats the default live).
 
 use scioto_analyze::tune::{candidates, config_json, render_report, replay_score, Score, TuneRow};
 use scioto_analyze::whatif::Knobs;
-use scioto_bench::{engine_from_args, startup_from_args, startup_param, Args, BenchOut, LatencyPreset};
-use scioto_sim::{
-    Engine, LatencyModel, Machine, MachineConfig, SpeedModel, StartupMode, Trace, TraceConfig,
-};
-use scioto_uts::presets;
+use scioto_bench::{tree_arg, Args, BenchOut, LatencyPreset};
+use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel, Trace, TraceConfig};
 use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
 use scioto_uts::TreeParams;
 
@@ -35,9 +31,7 @@ struct RunCfg {
     ranks: usize,
     params: TreeParams,
     seed: u64,
-    engine: Engine,
     latency: LatencyPreset,
-    startup: StartupMode,
 }
 
 /// One live traced seeded run under `knobs`; returns the trace.
@@ -56,8 +50,6 @@ fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
             .with_latency(rc.latency.apply(LatencyModel::cluster()))
             .with_speed(SpeedModel::hetero_cluster(rc.ranks))
             .with_seed(rc.seed)
-            .with_engine(rc.engine)
-            .with_startup(rc.startup)
             .with_trace(TraceConfig::enabled()),
         move |ctx| run_scioto_uts(ctx, &uts).0,
     )
@@ -67,32 +59,21 @@ fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (tree, params) = tree_arg(&args, "tree", "small");
     let rc = RunCfg {
         ranks: args.get("ranks", 64),
-        params: match args.get("tree", "small".to_string()).as_str() {
-            "tiny" => presets::tiny(),
-            "small" => presets::small(),
-            "medium" => presets::medium(),
-            "large" => presets::large(),
-            other => panic!("unknown tree preset {other}"),
-        },
+        params,
         seed: args.get("seed", 0xD5EED),
-        engine: engine_from_args(&args),
         latency: LatencyPreset::from_args(&args),
-        startup: startup_from_args(&args),
     };
-    let tree: String = args.get("tree", "small".to_string());
     let max_candidates: usize = args.get("max-candidates", usize::MAX);
     let top_k: usize = args.get("top", 3);
 
     // 1. Record the incumbent.
     eprintln!("tune: recording baseline ({} ranks, {tree} tree, seed {})", rc.ranks, rc.seed);
     let base_knobs = Knobs {
-        tiers: match rc.latency {
-            LatencyPreset::Flat => None,
-            LatencyPreset::NearFar => Some(scioto_sim::LatencyTiers::nearfar()),
-        },
+        tiers: rc.latency.tiers(),
         ..Knobs::baseline()
     };
     let recording = live_run(rc, &base_knobs);
@@ -196,10 +177,7 @@ fn main() {
         "tune fig7@{} tree={tree} seed={} latency={}",
         rc.ranks,
         rc.seed,
-        match rc.latency {
-            LatencyPreset::Flat => "flat",
-            LatencyPreset::NearFar => "nearfar",
-        }
+        rc.latency.name()
     );
     let cfg = config_json(&winner_knobs, &source);
     if let Some(out) = args.get_opt("out") {
@@ -218,12 +196,7 @@ fn main() {
     bench.param("tree", &tree);
     bench.param("seed", rc.seed);
     bench.param("winner", &winner);
-    if let Some((k, v)) = rc.latency.param() {
-        bench.param(k, v);
-    }
-    if let Some((k, v)) = startup_param(rc.startup) {
-        bench.param(k, v);
-    }
+    rc.latency.record(&mut bench);
     bench.metric("makespan_default_ns", base_score.makespan_ns as f64);
     bench.metric("makespan_tuned_ns", winner_score.makespan_ns as f64);
     bench.metric(

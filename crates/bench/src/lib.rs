@@ -1,66 +1,19 @@
-//! Shared plumbing for the table/figure regeneration binaries: argument
-//! parsing, aligned table printing, common sweep helpers, and the
-//! dependency-free [`tinybench`] harness backing the `benches/` targets.
+//! Shared plumbing for the table/figure regeneration binaries: the
+//! per-bin flag tables and strict parser ([`Args`]), the run spec every
+//! figure bin builds its machines from ([`RunSpec`]), aligned table
+//! printing, common sweep helpers, and the dependency-free [`tinybench`]
+//! harness backing the `benches/` targets.
 
 use std::fmt::Write as _;
 
+mod args;
 pub mod benchjson;
+mod runspec;
 pub mod tinybench;
 
+pub use args::{accepted_flags, Args};
 pub use benchjson::BenchOut;
-
-/// Minimal flag parser: `--key value` pairs and bare flags.
-pub struct Args {
-    raw: Vec<String>,
-}
-
-impl Args {
-    /// Parse the process arguments.
-    pub fn parse() -> Args {
-        Args {
-            raw: std::env::args().skip(1).collect(),
-        }
-    }
-
-    /// Value of `--key <v>` parsed as `T`, or the default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        let flag = format!("--{key}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Value of `--key <v>` as a string, or `None` when the flag is
-    /// absent or has no value.
-    pub fn get_opt(&self, key: &str) -> Option<String> {
-        let flag = format!("--{key}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .cloned()
-    }
-
-    /// Whether the bare flag `--key` is present.
-    pub fn has(&self, key: &str) -> bool {
-        let flag = format!("--{key}");
-        self.raw.iter().any(|a| a == &flag)
-    }
-
-    /// Build an `Args` from explicit values (tests).
-    pub fn from_vec(raw: Vec<String>) -> Args {
-        Args { raw }
-    }
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args::parse()
-    }
-}
+pub use runspec::{LatencyPreset, PolicyFlags, RunSpec};
 
 /// Render an aligned text table.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -100,7 +53,7 @@ pub fn secs(ns: u64) -> String {
 
 /// The rank counts used by the paper's cluster figures, extended past the
 /// paper's 64-rank ceiling by continuing the powers of two up to `max`
-/// (the event engine sweeps to 1024+ ranks on one core).
+/// (fibers sweep to 1024+ ranks on one core).
 pub fn cluster_rank_sweep(max: usize) -> Vec<usize> {
     let mut ps = Vec::new();
     let mut p = 2usize;
@@ -111,420 +64,20 @@ pub fn cluster_rank_sweep(max: usize) -> Vec<usize> {
     ps
 }
 
-/// `--only-ranks N`: restrict a sweep to the single rank count `N`
-/// (used to bless large-scale baseline points without re-running the
-/// whole ladder). Recorded as a bench param by the bins that honor it.
-pub fn only_ranks(args: &Args) -> Option<usize> {
-    args.get_opt("only-ranks").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--only-ranks expects a rank count, got {v}"))
-    })
-}
-
-/// Parse `--engine auto|threads|events` into a sim [`scioto_sim::Engine`].
-/// Both engines produce byte-identical results by construction (verify.sh
-/// enforces it at rel-tol 0), so the engine is deliberately *not* recorded
-/// as a bench param — baselines blessed under one engine gate the other.
-pub fn engine_from_args(args: &Args) -> scioto_sim::Engine {
-    match args.get_opt("engine").as_deref() {
-        None | Some("auto") => scioto_sim::Engine::Auto,
-        Some("threads") => scioto_sim::Engine::Threads,
-        Some("events") => scioto_sim::Engine::Events,
-        Some(v) => panic!("--engine expects auto|threads|events, got {v}"),
-    }
-}
-
-/// `--latency flat|nearfar`: whether to attach the near/far distance
-/// tiers to a figure's base latency model. `flat` (the default) is the
-/// historical distance-blind model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatencyPreset {
-    /// Distance-blind base model (default; matches all old baselines).
-    Flat,
-    /// Base model with [`scioto_sim::LatencyTiers::nearfar`] attached.
-    NearFar,
-}
-
-impl LatencyPreset {
-    pub fn from_args(args: &Args) -> Self {
-        match args.get_opt("latency").as_deref() {
-            None | Some("flat") => LatencyPreset::Flat,
-            Some("nearfar") => LatencyPreset::NearFar,
-            Some(v) => panic!("--latency expects flat|nearfar, got {v}"),
-        }
-    }
-
-    /// Apply the preset to a figure's base latency model.
-    pub fn apply(self, base: scioto_sim::LatencyModel) -> scioto_sim::LatencyModel {
-        match self {
-            LatencyPreset::Flat => base,
-            LatencyPreset::NearFar => base.with_tiers(scioto_sim::LatencyTiers::nearfar()),
-        }
-    }
-
-    /// The `latency` bench param, recorded only when non-default so the
-    /// params of pre-existing baselines (which lack the key) stay valid.
-    pub fn param(self) -> Option<(&'static str, String)> {
-        match self {
-            LatencyPreset::Flat => None,
-            LatencyPreset::NearFar => Some(("latency", "nearfar".into())),
-        }
-    }
-}
-
-/// `--old-startup`: run the historical two-barriers-per-collective
-/// startup protocol instead of the coalesced default (the PR-5 ablation
-/// pattern — old behaviour stays selectable and byte-identical to the
-/// pre-coalescing baselines).
-pub fn startup_from_args(args: &Args) -> scioto_sim::StartupMode {
-    if args.has("old-startup") {
-        scioto_sim::StartupMode::Old
-    } else {
-        scioto_sim::StartupMode::Coalesced
-    }
-}
-
-/// The `startup` bench param, recorded only under `--old-startup`:
-/// coalesced runs (the new default) gain no key, so their BENCH files
-/// diff cleanly against freshly blessed baselines, while old-startup runs
-/// compare against pre-coalescing baselines with
-/// `bench_diff --ignore-params startup`.
-pub fn startup_param(mode: scioto_sim::StartupMode) -> Option<(&'static str, String)> {
-    match mode {
-        scioto_sim::StartupMode::Coalesced => None,
-        scioto_sim::StartupMode::Old => Some(("startup", "old".into())),
-    }
-}
-
-/// The hot-path policy knobs shared by every bench binary:
-/// `--victim uniform|locality`, `--barrier flat|tree`,
-/// `--td-batch on|off`. Defaults are the new policies; the `old` triple
-/// (`uniform`/`flat`/`off`) reproduces the pre-locality baselines
-/// byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyFlags {
-    /// Steal victim-selection policy.
-    pub victim: scioto::VictimPolicy,
-    /// Machine barrier release model.
-    pub barrier: scioto_sim::BarrierKind,
-    /// Batched termination detection.
-    pub td_batch: bool,
-}
-
-impl PolicyFlags {
-    /// The new-policy defaults (locality victims, tree barrier, batched
-    /// TD).
-    pub fn new_policy() -> Self {
-        PolicyFlags {
-            victim: scioto::VictimPolicy::Locality,
-            barrier: scioto_sim::BarrierKind::Tree,
-            td_batch: true,
-        }
-    }
-
-    /// The pre-locality baseline (uniform victims, flat barrier, per-slot
-    /// TD) — the ablation reference.
-    pub fn old_policy() -> Self {
-        PolicyFlags {
-            victim: scioto::VictimPolicy::Uniform,
-            barrier: scioto_sim::BarrierKind::Flat,
-            td_batch: false,
-        }
-    }
-
-    /// Parse the policy flags, starting from the new-policy defaults.
-    /// `--old-policy` selects the full baseline triple in one flag;
-    /// individual flags override on top.
-    pub fn from_args(args: &Args) -> Self {
-        let mut p = if args.has("old-policy") {
-            PolicyFlags::old_policy()
-        } else {
-            PolicyFlags::new_policy()
-        };
-        match args.get_opt("victim").as_deref() {
-            Some("uniform") => p.victim = scioto::VictimPolicy::Uniform,
-            Some("locality") => p.victim = scioto::VictimPolicy::Locality,
-            Some(other) => panic!("--victim must be uniform|locality, got {other}"),
-            None => {}
-        }
-        match args.get_opt("barrier").as_deref() {
-            Some("flat") => p.barrier = scioto_sim::BarrierKind::Flat,
-            Some("tree") => p.barrier = scioto_sim::BarrierKind::Tree,
-            Some(other) => panic!("--barrier must be flat|tree, got {other}"),
-            None => {}
-        }
-        match args.get_opt("td-batch").as_deref() {
-            Some("on") => p.td_batch = true,
-            Some("off") => p.td_batch = false,
-            Some(other) => panic!("--td-batch must be on|off, got {other}"),
-            None => {}
-        }
-        p
-    }
-
-    /// The `(key, value)` params every bench records so `bench_diff` can
-    /// tell policy configurations apart.
-    pub fn params(&self) -> [(&'static str, String); 3] {
-        [
-            (
-                "victim",
-                match self.victim {
-                    scioto::VictimPolicy::Uniform => "uniform".to_string(),
-                    scioto::VictimPolicy::Locality => "locality".to_string(),
-                },
-            ),
-            (
-                "barrier",
-                match self.barrier {
-                    scioto_sim::BarrierKind::Flat => "flat".to_string(),
-                    scioto_sim::BarrierKind::Tree => "tree".to_string(),
-                },
-            ),
-            ("td_batch", if self.td_batch { "on" } else { "off" }.to_string()),
-        ]
-    }
-}
-
-/// Did the user ask for a trace dump (`--trace-out <path>`)?
-pub fn trace_requested(args: &Args) -> bool {
-    args.get_opt("trace-out").is_some()
-}
-
-/// Did the user ask for a happens-before race check on the traced run
-/// (`--race-check`)?
-pub fn race_check_requested(args: &Args) -> bool {
-    args.has("race-check")
-}
-
-/// Did the user ask for a replay self-check on the traced run
-/// (`--replay-check`)?
-pub fn replay_check_requested(args: &Args) -> bool {
-    args.has("replay-check")
-}
-
-/// Did the user ask for predictive race analysis on the traced run
-/// (`--predict`)?
-pub fn predict_requested(args: &Args) -> bool {
-    args.has("predict")
-}
-
-/// Did the user ask for a lock-order deadlock scan on the traced run
-/// (`--deadlock`)?
-pub fn deadlock_check_requested(args: &Args) -> bool {
-    args.has("deadlock")
-}
-
-/// Did the user ask for any observability output — a raw trace dump
-/// (`--trace-out`), an analysis report (`--analysis-out`), a race check
-/// (`--race-check`), a predictive analysis (`--predict`), a deadlock
-/// scan (`--deadlock`), or a replay self-check (`--replay-check`)? Any
-/// of them makes the bench binaries run their dedicated traced
-/// configuration.
-pub fn obs_requested(args: &Args) -> bool {
-    trace_requested(args)
-        || args.get_opt("analysis-out").is_some()
-        || race_check_requested(args)
-        || replay_check_requested(args)
-        || predict_requested(args)
-        || deadlock_check_requested(args)
-}
-
-/// The trace configuration for a bench binary's traced run: enabled,
-/// with the per-rank ring capacity from `--trace-ring N` when given
-/// (events beyond the capacity are dropped oldest-first and reported in
-/// the trace's `dropped` counters), and the staging batch from
-/// `--trace-batch N` (0 or 1 disables batched ring publication; the
-/// default batches [`scioto_sim::DEFAULT_TRACE_BATCH`] events).
-pub fn trace_config(args: &Args) -> scioto_sim::TraceConfig {
-    let mut cfg = scioto_sim::TraceConfig::enabled();
-    if let Some(cap) = args.get_opt("trace-ring").and_then(|v| v.parse::<usize>().ok()) {
-        cfg = cfg.with_capacity(cap);
-    }
-    if let Some(b) = args.get_opt("trace-batch").and_then(|v| v.parse::<usize>().ok()) {
-        cfg = cfg.with_batch(b);
-    }
-    cfg
-}
-
-/// Analyze `report`'s trace and write the `scioto-analysis-v1` JSON to
-/// the `--analysis-out` path (human text instead when the path ends in
-/// `.txt`); no-op when the flag is absent. Ring-overflow and truncation
-/// warnings are mirrored to stderr so a lossy trace never passes
-/// silently.
-pub fn dump_analysis(args: &Args, report: &scioto_sim::Report) {
-    let Some(path) = args.get_opt("analysis-out") else {
-        return;
+/// `--<key> tiny|small|medium|large`: a UTS tree preset by name (`default`
+/// when the flag is absent). Returns the name with the parameters, for
+/// bins that print or record it.
+pub fn tree_arg(args: &Args, key: &str, default: &str) -> (String, scioto_uts::TreeParams) {
+    use scioto_uts::presets;
+    let name = args.get_opt(key).unwrap_or_else(|| default.to_string());
+    let params = match name.as_str() {
+        "tiny" => presets::tiny(),
+        "small" => presets::small(),
+        "medium" => presets::medium(),
+        "large" => presets::large(),
+        other => args.fail(&format!("--{key} expects tiny|small|medium|large, got {other}")),
     };
-    let trace = report
-        .trace
-        .as_ref()
-        .expect("dump_analysis needs a report from a tracing-enabled run");
-    let analysis = scioto_analyze::analyze(trace);
-    for w in &analysis.warnings {
-        eprintln!("analysis WARNING: {w}");
-    }
-    let body = if path.ends_with(".txt") {
-        analysis.to_text()
-    } else {
-        analysis.to_json()
-    };
-    std::fs::write(&path, body).unwrap_or_else(|e| panic!("writing analysis to {path}: {e}"));
-    eprintln!(
-        "analysis: {} ranks, makespan {} ns, written to {path}",
-        analysis.ranks, analysis.makespan_ns
-    );
-}
-
-/// Write `report`'s trace to the `--trace-out` path: Chrome `trace_event`
-/// JSON by default, flat JSONL when the path ends in `.jsonl`. With
-/// `--trace-summary <path>` the human-readable digest is appended there
-/// too. Panics if the report carries no trace (the caller must have run
-/// the traced machine with `TraceConfig::enabled()`).
-pub fn dump_trace(args: &Args, report: &scioto_sim::Report) {
-    let Some(path) = args.get_opt("trace-out") else {
-        return;
-    };
-    let trace = report
-        .trace
-        .as_ref()
-        .expect("dump_trace needs a report from a tracing-enabled run");
-    let body = if path.ends_with(".jsonl") {
-        trace.to_jsonl()
-    } else {
-        trace.to_chrome_json()
-    };
-    std::fs::write(&path, body).unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
-    eprintln!(
-        "trace: {} events ({} ranks) written to {path}",
-        trace.total_events(),
-        trace.nranks()
-    );
-    if let Some(spath) = args.get_opt("trace-summary") {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&spath)
-            .unwrap_or_else(|e| panic!("opening {spath}: {e}"));
-        write!(f, "{}", trace.summary()).unwrap_or_else(|e| panic!("writing {spath}: {e}"));
-        eprintln!("trace summary appended to {spath}");
-    }
-}
-
-/// Replay `report`'s trace through the happens-before race checker and
-/// print the verdict; no-op without `--race-check`. Exits 1 when races
-/// are found and 2 when the trace cannot be replayed (e.g. ring
-/// overflow dropped events — rerun with a larger `--trace-ring`), so CI
-/// wiring can gate on a clean check. Panics if the report carries no
-/// trace (the caller must have run the traced machine).
-pub fn run_race_check(args: &Args, report: &scioto_sim::Report) {
-    if !race_check_requested(args) {
-        return;
-    }
-    let trace = report
-        .trace
-        .as_ref()
-        .expect("run_race_check needs a report from a tracing-enabled run");
-    match scioto_race::check_trace(trace) {
-        Ok(verdict) => {
-            eprint!("{verdict}");
-            if !verdict.is_clean() {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("race check error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Run the sync-preserving predictive race analysis (`--predict`)
-/// and/or the lock-order deadlock scan (`--deadlock`) on `report`'s
-/// trace and print the verdicts; no-op when neither flag is given.
-/// Exits 1 on findings (predicted races, atomicity violations, or
-/// lock-order cycles) and 2 when the trace cannot be analyzed (e.g.
-/// ring overflow dropped events — rerun with a larger `--trace-ring`).
-/// Panics if the report carries no trace (the caller must have run the
-/// traced machine).
-pub fn run_predict_check(args: &Args, report: &scioto_sim::Report) {
-    let do_predict = predict_requested(args);
-    let do_deadlock = deadlock_check_requested(args);
-    if !do_predict && !do_deadlock {
-        return;
-    }
-    let trace = report
-        .trace
-        .as_ref()
-        .expect("run_predict_check needs a report from a tracing-enabled run");
-    let mut findings = false;
-    if do_predict {
-        match scioto_race::predict(trace) {
-            Ok(verdict) => {
-                eprint!("{verdict}");
-                findings |= !verdict.is_clean();
-            }
-            Err(e) => {
-                eprintln!("predict error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if do_deadlock {
-        match scioto_race::check_deadlocks(trace) {
-            Ok(verdict) => {
-                eprint!("{verdict}");
-                findings |= !verdict.is_clean();
-            }
-            Err(e) => {
-                eprintln!("deadlock check error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if findings {
-        std::process::exit(1);
-    }
-}
-
-/// Lower `report`'s trace to a replay program, re-execute it on the
-/// virtual-time kernel, and verify the replay reproduces the live run's
-/// trace — and therefore its blame decomposition and critical path —
-/// byte-identically; no-op without `--replay-check`. Exits 1 on a replay
-/// mismatch and 2 when the trace cannot be lowered (e.g. ring overflow —
-/// rerun with a larger `--trace-ring`). Panics if the report carries no
-/// trace (the caller must have run the traced machine).
-pub fn run_replay_check(args: &Args, report: &scioto_sim::Report) {
-    if !replay_check_requested(args) {
-        return;
-    }
-    let trace = report
-        .trace
-        .as_ref()
-        .expect("run_replay_check needs a report from a tracing-enabled run");
-    let prog = match scioto_analyze::lower(trace) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("replay check error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let replayed = scioto_sim::run_replay(&prog);
-    if replayed.to_jsonl() != trace.to_jsonl() {
-        eprintln!("replay check FAILED: replayed trace differs from the live recording");
-        std::process::exit(1);
-    }
-    let live = scioto_analyze::analyze(trace).to_json();
-    let again = scioto_analyze::analyze(&replayed).to_json();
-    if live != again {
-        eprintln!("replay check FAILED: replayed analysis differs from the live analysis");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "replay check OK: {} events over {} ranks reproduced byte-identically",
-        trace.total_events(),
-        trace.nranks()
-    );
+    (name, params)
 }
 
 #[cfg(test)]
@@ -560,21 +113,6 @@ mod tests {
         assert_eq!(
             cluster_rank_sweep(1024),
             vec![2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-        );
-    }
-
-    #[test]
-    fn latency_preset_applies_tiers() {
-        let base = scioto_sim::LatencyModel::cluster();
-        assert_eq!(LatencyPreset::Flat.apply(base), base);
-        assert_eq!(
-            LatencyPreset::NearFar.apply(base),
-            scioto_sim::LatencyModel::cluster_nearfar()
-        );
-        assert_eq!(LatencyPreset::Flat.param(), None);
-        assert_eq!(
-            LatencyPreset::NearFar.param(),
-            Some(("latency", "nearfar".to_string()))
         );
     }
 }

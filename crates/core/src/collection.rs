@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use scioto_armci::Armci;
 use scioto_det::CachePadded;
-use scioto_sim::{Ctx, StartupMode, TraceEvent};
+use scioto_sim::{Ctx, TraceEvent};
 
 use crate::clo::{CloHandle, CloRegistry};
 use crate::config::{LbKind, TcConfig};
@@ -79,10 +79,8 @@ impl TaskCollection {
         }
         // One startup epoch covers the whole creation: the queue's and
         // detector's collective allocations, the collection object itself,
-        // and each rank's local fills. Under the coalesced startup
-        // protocol the epoch's single commit barrier replaces both the
-        // per-collective barrier pairs and the historical trailing
-        // `armci.barrier`, which is kept verbatim under `--old-startup`.
+        // and each rank's local fills. Its single commit barrier is the
+        // only one `create` runs.
         ctx.collective_epoch(|| {
             let n = ctx.nranks();
             let queue = PatchQueue::new(ctx, armci, &cfg);
@@ -99,9 +97,6 @@ impl TaskCollection {
             });
             tc.queue.reset_local(ctx, &tc.armci);
             tc.detector.reset_local(ctx, &tc.armci);
-            if ctx.startup() == StartupMode::Old {
-                tc.armci.barrier(ctx);
-            }
             tc
         })
     }

@@ -39,7 +39,7 @@ use std::fmt;
 
 use scioto_sim::{Trace, TraceEvent, WaveDir};
 
-type LockKey = (u32, u32, u32);
+use crate::sync::LockKey;
 
 /// Longest cycle reported. Real lock hierarchies run shallow; a longer
 /// cycle always contains the short inconsistencies this bounds.

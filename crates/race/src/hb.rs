@@ -55,6 +55,11 @@ use std::fmt;
 
 use scioto_sim::{RemoteOpKind, Trace, TraceEvent, WaveDir};
 
+use crate::sync::{
+    join, refuse_dropped, refuse_stuck, td_children, td_parent, word_range, LockKey,
+    ProducerTotals, WaveKey,
+};
+
 /// A memory access extracted from one trace event (one event may touch
 /// several words; the record identifies the event, not the word).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,63 +201,16 @@ impl fmt::Display for RaceReport {
     }
 }
 
-/// Parent of `rank` in the termination-detection spanning tree.
-fn td_parent(rank: u32) -> Option<u32> {
-    (rank > 0).then(|| (rank - 1) / 2)
-}
-
-fn td_children(rank: u32, n: u32) -> impl Iterator<Item = u32> {
-    [2 * rank + 1, 2 * rank + 2]
-        .into_iter()
-        .filter(move |c| *c < n)
-}
-
-type LockKey = (u32, u32, u32);
-type WaveKey = (u32, WaveDir, u32);
-
-fn join(into: &mut [u64], from: &[u64]) {
-    for (a, b) in into.iter_mut().zip(from) {
-        *a = (*a).max(*b);
-    }
-}
-
 /// Check a trace for happens-before races on simulated global memory.
 ///
 /// Fails (with a diagnostic) when the trace dropped events — a truncated
 /// stream cannot be replayed faithfully — or when the replay deadlocks
 /// because a synchronization producer is missing.
 pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
-    if let Some((rank, &d)) = trace.dropped.iter().enumerate().find(|(_, &d)| d > 0) {
-        return Err(format!(
-            "rank {rank} dropped {d} event(s); rerun with a larger trace ring \
-             (--trace-ring) for an exact replay"
-        ));
-    }
+    refuse_dropped(trace)?;
     let n = trace.nranks();
     let n32 = n as u32;
-
-    // Pre-count producers so consumers can (a) detect a missing producer
-    // as a hard error instead of deadlocking silently, and (b) clamp
-    // td-wave occurrence matching when episodes reset wave numbers.
-    let mut msg_send_total: HashMap<(u32, u64), u32> = HashMap::new();
-    let mut wave_total: HashMap<WaveKey, u64> = HashMap::new();
-    let mut barrier_expect: HashMap<u64, u32> = HashMap::new();
-    for (rank, events) in trace.events.iter().enumerate() {
-        for e in events {
-            match e.event {
-                TraceEvent::MsgSend { dst, seq, .. } => {
-                    *msg_send_total.entry((dst, seq)).or_default() += 1;
-                }
-                TraceEvent::TdWave { wave, dir, .. } => {
-                    *wave_total.entry((rank as u32, dir, wave)).or_default() += 1;
-                }
-                TraceEvent::BarrierWait { epoch, .. } => {
-                    *barrier_expect.entry(epoch).or_default() += 1;
-                }
-                _ => {}
-            }
-        }
-    }
+    let totals = ProducerTotals::count(trace);
 
     let mut cursors = vec![0usize; n];
     let mut clocks: Vec<Vec<u64>> = (0..n)
@@ -302,7 +260,7 @@ pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
                         match msg_send.get(&key) {
                             Some(vc) => incoming = Some(vc.clone()),
                             None => {
-                                if msg_send_total.get(&key).copied().unwrap_or(0) == 0 {
+                                if totals.msg_send.get(&key).copied().unwrap_or(0) == 0 {
                                     return Err(format!(
                                         "rank {r}: MsgRecv seq {seq} has no matching MsgSend \
                                          in the trace"
@@ -320,7 +278,7 @@ pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
                             if !arrived.contains(&r) {
                                 arrived.push(r);
                             }
-                            let expect = barrier_expect.get(epoch).copied().unwrap_or(0);
+                            let expect = totals.barrier_expect.get(epoch).copied().unwrap_or(0);
                             if (arrived.len() as u32) < expect {
                                 break 'stream;
                             }
@@ -346,7 +304,7 @@ pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
                         };
                         for p in producers {
                             let pkey = (p, *dir, *wave);
-                            let total = wave_total.get(&pkey).copied().unwrap_or(0);
+                            let total = totals.wave.get(&pkey).copied().unwrap_or(0);
                             if total == 0 {
                                 // The producer never saw this wave (skipped
                                 // episode); no edge to take.
@@ -457,14 +415,7 @@ pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
         }
     }
 
-    if let Some(r) = (0..n).find(|&r| cursors[r] < trace.events[r].len()) {
-        let ev = &trace.events[r][cursors[r]];
-        return Err(format!(
-            "replay deadlocked: rank {r} blocked at event {} ({:?} at t={}ns); \
-             a synchronization producer is missing from the trace",
-            cursors[r], ev.event, ev.t_ns
-        ));
-    }
+    refuse_stuck(trace, &cursors)?;
 
     Ok(RaceReport {
         races: dedupe_races(trace, raws),
@@ -534,12 +485,6 @@ fn dedupe_races(trace: &Trace, raws: Vec<RawRace>) -> Vec<Race> {
             race
         })
         .collect()
-}
-
-/// Words overlapped by a byte range (8-byte granularity).
-fn word_range(offset: u64, bytes: u32) -> std::ops::RangeInclusive<u64> {
-    let last = offset + u64::from(bytes.max(1)) - 1;
-    (offset / 8)..=(last / 8)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -26,6 +26,7 @@ pub mod lexer;
 pub mod lint;
 pub mod predict;
 pub mod report;
+mod sync;
 
 pub use deadlock::{check_deadlocks, Cycle, DeadlockReport, Resource};
 pub use hb::{check_trace, AccessInfo, Race, RaceReport};

@@ -5,7 +5,7 @@
 
 use scioto_armci::Armci;
 use scioto_race::check_trace;
-use scioto_sim::{Machine, MachineConfig, StartupMode, TraceConfig};
+use scioto_sim::{Machine, MachineConfig, TraceConfig};
 
 #[test]
 fn locked_shared_counter_is_clean() {
@@ -38,18 +38,16 @@ fn locked_shared_counter_is_clean() {
 #[test]
 fn lock_skipping_rank_is_flagged_with_attribution() {
     // Seeded synthetic race: rank 0 plays by the rules (read-modify-write
-    // under the mutex), rank 1 skips the lock entirely. Pinned to the old
-    // startup protocol: the attribution assertions below count the setup
-    // collectives' barrier episodes, which the coalesced protocol removes
-    // (rank 1's nearest pre-access sync would vanish with them).
+    // under the mutex), rank 1 skips the lock entirely. Setup collectives
+    // are barrier-free, so the program fences setup from the accesses
+    // with an explicit barrier — the lock-skipping rank's only sync.
     let out = Machine::run(
-        MachineConfig::virtual_time(2)
-            .with_startup(StartupMode::Old)
-            .with_trace(TraceConfig::enabled()),
+        MachineConfig::virtual_time(2).with_trace(TraceConfig::enabled()),
         |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 8);
             let m = armci.create_mutexes(ctx, 1);
+            armci.barrier(ctx);
             let mut buf = [0u8; 8];
             if ctx.rank() == 0 {
                 armci.lock(ctx, m, 0, 0);
@@ -78,19 +76,21 @@ fn lock_skipping_rank_is_flagged_with_attribution() {
         // Site-pair dedup: each op pair races on exactly the one counter
         // word, so every deduped report has word_count 1.
         assert_eq!((race.word, race.word_hi, race.word_count), (0, 0, 1));
-        assert_eq!(race.first.rank, 0);
-        assert_eq!(race.second.rank, 1);
+        // The replay releases the setup barrier on its last arriver, rank
+        // 1, and runs that stream on first: `first` is the lock-skipper.
+        assert_eq!(race.first.rank, 1);
+        assert_eq!(race.second.rank, 0);
         assert!(
             race.first.write || race.second.write,
             "at least one side writes: {race}"
         );
         // Rank 0 synchronized (its lock acquire) before its access; the
-        // lock-skipping rank's nearest sync is a collective barrier from
-        // setup, never a lock.
-        let (_, first_sync) = race.first.nearest_sync.as_ref().expect("rank 0 synced");
-        assert!(first_sync.starts_with("lock "), "{first_sync}");
-        let (_, second_sync) = race.second.nearest_sync.as_ref().expect("setup barrier");
-        assert!(second_sync.starts_with("barrier "), "{second_sync}");
+        // lock-skipping rank's nearest sync is the setup barrier, never a
+        // lock.
+        let (_, skipper_sync) = race.first.nearest_sync.as_ref().expect("setup barrier");
+        assert!(skipper_sync.starts_with("barrier "), "{skipper_sync}");
+        let (_, locker_sync) = race.second.nearest_sync.as_ref().expect("rank 0 synced");
+        assert!(locker_sync.starts_with("lock "), "{locker_sync}");
     }
     let ops: Vec<(&str, &str)> = report
         .races
@@ -99,13 +99,13 @@ fn lock_skipping_rank_is_flagged_with_attribution() {
         .collect();
     assert_eq!(ops, vec![("put", "get"), ("put", "put"), ("get", "put")]);
     // Both ranks race at the clock position of their last pre-access sync
-    // edge; the replay is deterministic, so the positions are exact: rank 0
-    // has ticked through the setup collectives plus its lock acquire (8),
-    // rank 1 only through the setup collectives (7).
+    // edge; the replay is deterministic, so the positions are exact: rank 1
+    // has ticked through the setup barrier (2), rank 0 through the barrier
+    // plus its lock acquire (3).
     let clocks: Vec<(u64, u64)> = report
         .races
         .iter()
         .map(|r| (r.first.clock, r.second.clock))
         .collect();
-    assert_eq!(clocks, vec![(8, 7); 3]);
+    assert_eq!(clocks, vec![(2, 3); 3]);
 }

@@ -17,34 +17,6 @@ pub enum ExecMode {
     Concurrent,
 }
 
-/// Which execution substrate drives [`ExecMode::VirtualTime`] scheduling.
-///
-/// Both engines implement the same conservative discrete-event semantics —
-/// same-seed runs produce byte-identical [`crate::Report`]s and traces —
-/// so the choice is purely about capacity: parked OS threads top out
-/// around 64 ranks on a small host, while the event engine's fibers reach
-/// 1024+ ranks. [`ExecMode::Concurrent`] always uses free-running threads
-/// regardless of this setting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Event-driven fibers where the platform supports them (x86_64 and
-    /// aarch64 unix), parked OS threads elsewhere. The default.
-    Auto,
-    /// One parked OS thread per rank — the historical engine, available
-    /// everywhere.
-    Threads,
-    /// Resumable fibers on one OS thread, dispatched from a min-clock
-    /// event queue. Panics at machine start on unsupported targets.
-    Events,
-}
-
-impl Engine {
-    /// True when [`Engine::Events`] is available on this target.
-    pub fn events_supported() -> bool {
-        crate::fiber::SUPPORTED
-    }
-}
-
 /// Near/far latency tiers over ring distance.
 ///
 /// Models the PGAS-over-fabric hierarchy of DART-MPI-style runtimes: a
@@ -317,22 +289,6 @@ impl SpeedModel {
     }
 }
 
-/// How [`crate::Ctx::collective`] synchronizes object distribution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StartupMode {
-    /// Barrier-free collectives: rank 0 publishes each object into an
-    /// append-only log and wakes any rank parked on that ordinal; an
-    /// enclosing [`crate::Ctx::collective_epoch`] commits N registered
-    /// objects with a single barrier. The default — a standard
-    /// create→process startup runs 2 barrier episodes instead of ~14.
-    Coalesced,
-    /// The historical protocol: every collective runs a publish barrier
-    /// plus a read-fence barrier around one reusable slot (2 episodes
-    /// per collective). Selected by `--old-startup` in the bench bins;
-    /// byte-identical to all pre-coalescing pinned baselines.
-    Old,
-}
-
 /// How the machine-wide barrier charges its participants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BarrierKind {
@@ -372,13 +328,6 @@ pub struct MachineConfig {
     /// Barrier release model ([`BarrierKind::Flat`] by default, so existing
     /// pinned virtual-time results are unchanged unless a config opts in).
     pub barrier: BarrierKind,
-    /// Execution substrate for [`ExecMode::VirtualTime`]
-    /// ([`Engine::Auto`] by default). Never changes results, only capacity.
-    pub engine: Engine,
-    /// Collective synchronization protocol ([`StartupMode::Coalesced`] by
-    /// default; [`StartupMode::Old`] reproduces the pre-coalescing
-    /// two-barriers-per-collective startup byte for byte).
-    pub startup: StartupMode,
 }
 
 impl MachineConfig {
@@ -394,8 +343,6 @@ impl MachineConfig {
             stack_size: 1 << 20,
             trace: TraceConfig::disabled(),
             barrier: BarrierKind::Flat,
-            engine: Engine::Auto,
-            startup: StartupMode::Coalesced,
         }
     }
 
@@ -439,21 +386,8 @@ impl MachineConfig {
         self
     }
 
-    /// Replace the virtual-time execution engine.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Replace the collective startup protocol.
-    pub fn with_startup(mut self, startup: StartupMode) -> Self {
-        self.startup = startup;
-        self
-    }
-
-    /// Replace the per-rank stack size (bytes). 1024-rank machines on the
-    /// event engine allocate one fiber stack per rank up front, so large
-    /// sweeps want this well below the 1 MiB default.
+    /// Replace the per-rank stack size (bytes): the size of each rank's
+    /// fiber stack, or of its OS thread's where ranks run as threads.
     pub fn with_stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
         self

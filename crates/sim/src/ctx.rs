@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use scioto_det::Rng;
 
-use crate::config::{ExecMode, LatencyModel, StartupMode};
+use crate::config::{ExecMode, LatencyModel};
 use crate::kernel::Kernel;
 use crate::machine::Shared;
 use crate::trace::TraceEvent;
@@ -24,8 +24,8 @@ pub struct Ctx {
     kernel: Arc<Kernel>,
     shared: Arc<Shared>,
     rng: RefCell<Rng>,
-    /// Ordinal of this rank's next collective call (divergence diagnostics
-    /// in both startup modes; the coalesced log index).
+    /// Ordinal of this rank's next collective call: its index into the
+    /// collective log, named by the divergence diagnostic.
     coll_ordinal: Cell<usize>,
     /// Nesting depth of [`Ctx::collective_epoch`]; the commit barrier runs
     /// when the outermost epoch closes.
@@ -145,77 +145,20 @@ impl Ctx {
         self.shared.barrier.wait(&self.kernel, self.rank, cost);
     }
 
-    /// The collective startup protocol this machine runs
-    /// ([`StartupMode::Coalesced`] unless configured otherwise).
-    pub fn startup(&self) -> StartupMode {
-        self.shared.startup
-    }
-
     /// Collectively create one shared object: rank 0 runs `make`, every rank
     /// receives an `Arc` to the same instance. All ranks must call
     /// `collective` in the same order with the same `T`.
     ///
-    /// Under [`StartupMode::Coalesced`] (the default) this is barrier-free:
-    /// rank 0 appends the object to a shared publication log and wakes any
-    /// rank parked on that ordinal. Callers that batch several collectives
-    /// plus rank-local initialization should wrap the group in
-    /// [`Ctx::collective_epoch`], whose single commit barrier replaces the
-    /// per-object barrier pairs of [`StartupMode::Old`].
+    /// Barrier-free: rank 0 appends the object to a shared publication log
+    /// and wakes any rank parked on that ordinal. Every rank's resulting
+    /// clock is `max(own arrival, rank 0's publish time)` — a rank that
+    /// arrives after publication pays nothing, one that arrives early
+    /// parks at `collective.wait` and resumes at the publish stamp — so
+    /// the outcome is schedule-independent and the virtual-time
+    /// determinism guarantee holds without any barrier. Callers that batch
+    /// several collectives plus rank-local initialization wrap the group
+    /// in [`Ctx::collective_epoch`] for its single commit barrier.
     pub fn collective<T: Send + Sync + 'static>(&self, make: impl FnOnce() -> T) -> Arc<T> {
-        match self.shared.startup {
-            StartupMode::Coalesced => self.collective_coalesced(make),
-            StartupMode::Old => self.collective_old(make),
-        }
-    }
-
-    /// The historical two-barrier slot protocol, byte-identical to every
-    /// pre-coalescing recording.
-    fn collective_old<T: Send + Sync + 'static>(&self, make: impl FnOnce() -> T) -> Arc<T> {
-        let ord = self.coll_ordinal.get();
-        self.coll_ordinal.set(ord + 1);
-        if self.rank == 0 {
-            let obj: Arc<dyn Any + Send + Sync> = Arc::new(make());
-            *self.shared.slot.lock() = Some((obj, std::any::type_name::<T>()));
-        }
-        self.barrier_with_cost(self.shared.latency.barrier_cost(self.nranks));
-        let (arc, stored) = self
-            .shared
-            .slot
-            .lock()
-            .as_ref()
-            .unwrap_or_else(|| {
-                panic!(
-                    "collective divergence: rank {} reached collective #{ord} expecting a \
-                     {}, but rank 0 published nothing (ranks disagree on the collective \
-                     call sequence)",
-                    self.rank,
-                    std::any::type_name::<T>()
-                )
-            })
-            .clone();
-        let typed = arc.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "collective divergence: rank {} reached collective #{ord} expecting a {}, \
-                 but rank 0 published a {stored} (ranks disagree on the collective call \
-                 sequence)",
-                self.rank,
-                std::any::type_name::<T>()
-            )
-        });
-        // Second barrier: rank 0 must not start the next collective (and
-        // overwrite the slot) before everyone has read this one.
-        self.barrier_with_cost(0);
-        typed
-    }
-
-    /// Barrier-free publication through the append-only collective log.
-    ///
-    /// Every rank's resulting clock is `max(own arrival, rank 0's publish
-    /// time)` — a rank that arrives after publication pays nothing, one
-    /// that arrives early parks at `collective.wait` and resumes at the
-    /// publish stamp — so the outcome is schedule-independent and the
-    /// virtual-time determinism guarantee holds without any barrier.
-    fn collective_coalesced<T: Send + Sync + 'static>(&self, make: impl FnOnce() -> T) -> Arc<T> {
         let ord = self.coll_ordinal.get();
         self.coll_ordinal.set(ord + 1);
         if self.rank == 0 {
@@ -274,21 +217,14 @@ impl Ctx {
         }
     }
 
-    /// Group a batch of [`Ctx::collective`] calls (plus any rank-local
-    /// initialization that the old protocol's trailing barrier used to
-    /// protect) into one startup epoch.
+    /// Group a batch of [`Ctx::collective`] calls, plus any rank-local
+    /// initialization the others must not race, into one startup epoch.
     ///
-    /// Under [`StartupMode::Coalesced`], closing the outermost epoch runs a
-    /// single commit barrier — all ranks have registered every object and
-    /// finished their local fills before anyone proceeds. Under
-    /// [`StartupMode::Old`] this is a transparent wrapper: each collective
-    /// inside carries its own two barriers and the caller keeps its
-    /// historical trailing barrier, so recordings stay byte-identical.
-    /// Epochs nest; only the outermost close commits.
+    /// Closing the outermost epoch runs a single commit barrier — all
+    /// ranks have registered every object and finished their local fills
+    /// before anyone proceeds. Epochs nest; only the outermost close
+    /// commits.
     pub fn collective_epoch<R>(&self, f: impl FnOnce() -> R) -> R {
-        if self.shared.startup == StartupMode::Old {
-            return f();
-        }
         self.epoch_depth.set(self.epoch_depth.get() + 1);
         let r = f();
         self.epoch_depth.set(self.epoch_depth.get() - 1);

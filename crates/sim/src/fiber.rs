@@ -1,18 +1,18 @@
-//! Stackful fibers: the execution substrate of the event-driven engine.
+//! Stackful fibers: the substrate virtual-time ranks run on.
 //!
-//! The event engine runs every simulated rank as a *fiber* — a resumable
+//! A virtual-time machine runs every simulated rank as a *fiber* — a resumable
 //! call stack on the heap — inside one OS thread. A context switch is six
 //! callee-saved register pushes, two stack-pointer moves and six pops
 //! (~20 ns), versus the microseconds a parked-thread handoff costs in
 //! futex traffic; that three-orders-of-magnitude gap is what makes
 //! 1024-rank machines practical on a single core.
 //!
-//! Protocol (enforced by `Machine::run_events` + `Kernel`):
+//! Protocol (enforced by `machine::run_fibers` + `Kernel`):
 //!
 //! * Exactly one context is live at a time: the machine's *main* context
 //!   or one fiber. Switches happen only at kernel scheduling points
 //!   (`yield_point`, `block`, `finish`, initial dispatch), mirroring the
-//!   thread engine's park/handoff points exactly.
+//!   thread substrate's park/handoff points exactly.
 //! * A fiber's task closure runs to completion and *returns* — unwinding
 //!   or returning through every frame it created, dropping everything it
 //!   owns — before the fiber is marked completed and the exit hook runs.
@@ -26,8 +26,8 @@
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;
 
-/// True when this target has a fiber context-switch implementation.
-/// [`crate::Engine::Auto`] falls back to the thread engine elsewhere.
+/// True when this target has a fiber context-switch implementation;
+/// `Machine::run` parks one OS thread per rank elsewhere.
 pub(crate) const SUPPORTED: bool =
     cfg!(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")));
 
@@ -106,7 +106,7 @@ extern "C" {
 
 #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
 unsafe fn scioto_fiber_switch(_save: *mut usize, _restore: usize) {
-    unreachable!("fiber engine selected on an unsupported target");
+    unreachable!("fibers entered on an unsupported target");
 }
 
 /// Number of `usize` slots in a bootstrap frame (saved registers + entry
@@ -156,7 +156,7 @@ pub(crate) struct FiberSet {
     main_sp: Cell<usize>,
     /// Index of the currently running fiber, `None` in the main context.
     current: Cell<Option<usize>>,
-    /// Called on the fiber after its task returns (the event engine hangs
+    /// Called on the fiber after its task returns (`run_fibers` hangs
     /// `kernel.finish(rank)` here). Stored as a raw-pointer-callable box so
     /// the suspended exit frame owns nothing (see module protocol).
     exit: RefCell<Option<Box<dyn Fn(usize)>>>,
@@ -166,7 +166,7 @@ impl FiberSet {
     /// Build `n` fibers, each with a `stack_size`-byte stack primed to run
     /// [`fiber_entry`] on first switch.
     pub(crate) fn new(n: usize, stack_size: usize) -> FiberSet {
-        assert!(SUPPORTED, "fiber engine unavailable on this target");
+        assert!(SUPPORTED, "fibers unavailable on this target");
         // Room for the bootstrap frame, a panic payload and libstd's
         // unwinding machinery even if the caller asks for something tiny.
         let stack_size = stack_size.max(32 * 1024);
@@ -275,7 +275,7 @@ impl FiberSet {
 
 thread_local! {
     /// The `FiberSet` of the machine currently running on this thread.
-    /// Installed by [`enter`]; read by the kernel's event-engine paths via
+    /// Installed by [`enter`]; read by the kernel's fiber paths via
     /// [`with_active`]. A raw pointer so `Kernel` itself stays `Sync`.
     static ACTIVE: Cell<*const FiberSet> = const { Cell::new(std::ptr::null()) };
 }
@@ -299,7 +299,7 @@ pub(crate) fn with_active<R>(f: impl FnOnce(&FiberSet) -> R) -> R {
     let p = ACTIVE.with(|a| a.get());
     assert!(
         !p.is_null(),
-        "event-engine scheduling point outside a fiber machine"
+        "fiber scheduling point outside a fiber machine"
     );
     // SAFETY: `p` was installed by `enter`, whose borrow of the FiberSet
     // is live for the whole dynamic extent of its closure — which is the
@@ -335,10 +335,10 @@ extern "C" fn fiber_entry() -> ! {
         });
     });
     if outcome.is_err() {
-        // The engine's tasks wrap rank programs in their own catch_unwind;
-        // a panic reaching this frame means the engine itself is broken,
+        // `run_fibers`' tasks wrap rank programs in their own catch_unwind;
+        // a panic reaching this frame means the machine itself is broken,
         // and there is nothing below us to unwind into but raw asm.
-        eprintln!("scioto-sim fiber: panic escaped the engine boundary; aborting");
+        eprintln!("scioto-sim fiber: panic escaped the machine boundary; aborting");
         std::process::abort();
     }
     // The exit hook declined to switch away (e.g. a test with no hook):
@@ -395,7 +395,7 @@ mod tests {
                 fs.set_exit(Box::new(move |idx| {
                     order.borrow_mut().push("exit");
                     assert_eq!(idx, 0);
-                    // Hand control back like the engine's finish does.
+                    // Hand control back like the kernel's finish does.
                     with_active(|fs| fs.switch_to_main());
                 }))
             };

@@ -2,11 +2,11 @@
 //! mode, token-based blocking in concurrent mode, poison propagation on
 //! rank panics, and deadlock detection.
 //!
-//! Virtual-time dispatch is a single min-clock priority queue shared by
-//! both engines (parked threads and event-driven fibers): a rank becomes
-//! an event `(clock, rank)` when it turns runnable and is popped in
-//! lexicographic order, which reproduces the historical "lowest rank among
-//! minimum clocks" scan exactly. Heap keys are never stale — a rank's
+//! Virtual-time dispatch is a single min-clock priority queue, whichever
+//! [`Substrate`] carries the ranks (fibers or parked threads): a rank
+//! becomes an event `(clock, rank)` when it turns runnable and is popped
+//! in lexicographic order, which reproduces the historical "lowest rank
+//! among minimum clocks" scan exactly. Heap keys are never stale — a rank's
 //! clock only moves while it is `Running` (self-charges) or on the
 //! `Blocked -> Runnable` transition, which pushes the fresh key.
 
@@ -36,16 +36,20 @@ pub(crate) enum Status {
     Done,
 }
 
-/// Which execution substrate carries the virtual-time baton between
-/// scheduling points. Resolved from [`crate::Engine`] by `Machine::run`;
-/// [`ExecMode::Concurrent`] machines always use `Threads`.
+/// What carries the virtual-time baton between scheduling points. Not a
+/// setting: `Machine::run` takes fibers wherever [`fiber::SUPPORTED`] and
+/// threads elsewhere, and [`ExecMode::Concurrent`] machines are
+/// free-running threads by definition. The scheduler above is the same
+/// either way, so same-seed runs are byte-identical on both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum EngineKind {
+pub(crate) enum Substrate {
     /// One parked OS thread per rank; handoff = condvar notify + park.
+    /// The only substrate off x86_64/aarch64 unix, and the reference the
+    /// fiber substrate is tested against.
     Threads,
     /// One fiber per rank on the machine's thread; handoff = a stack
     /// switch through the active [`fiber::FiberSet`].
-    Events,
+    Fibers,
 }
 
 struct Sched {
@@ -70,7 +74,7 @@ struct Sched {
 pub(crate) struct Kernel {
     n: usize,
     mode: ExecMode,
-    engine: EngineKind,
+    substrate: Substrate,
     sched: Mutex<Sched>,
     cvs: Vec<Condvar>,
     clocks: Vec<AtomicU64>,
@@ -97,7 +101,7 @@ impl Kernel {
     pub(crate) fn new(
         n: usize,
         mode: ExecMode,
-        engine: EngineKind,
+        substrate: Substrate,
         speed: &SpeedModel,
         trace: TraceSink,
     ) -> Self {
@@ -119,7 +123,7 @@ impl Kernel {
         Kernel {
             n,
             mode,
-            engine,
+            substrate,
             sched: Mutex::new(Sched {
                 status,
                 wake_token: vec![false; n],
@@ -270,15 +274,15 @@ impl Kernel {
         if self.mode == ExecMode::Concurrent {
             return;
         }
-        match self.engine {
-            EngineKind::Threads => {
+        match self.substrate {
+            Substrate::Threads => {
                 let mut s = self.sched.lock();
                 while s.status[rank] != Status::Running {
                     self.check_poison();
                     self.cvs[rank].wait(&mut s);
                 }
             }
-            EngineKind::Events => {
+            Substrate::Fibers => {
                 // A fiber is only ever switched into after the dispatcher
                 // marked it Running, so there is nothing to wait for.
                 self.check_poison();
@@ -311,12 +315,12 @@ impl Kernel {
             return;
         }
         s.status[next] = Status::Running;
-        match self.engine {
-            EngineKind::Threads => {
+        match self.substrate {
+            Substrate::Threads => {
                 self.cvs[next].notify_one();
                 self.wait_until_running(rank, &mut s);
             }
-            EngineKind::Events => {
+            Substrate::Fibers => {
                 drop(s);
                 self.switch_and_check(next);
             }
@@ -350,12 +354,12 @@ impl Kernel {
             ExecMode::VirtualTime => {
                 debug_assert_eq!(s.status[rank], Status::Running);
                 s.status[rank] = Status::Blocked;
-                match self.engine {
-                    EngineKind::Threads => {
+                match self.substrate {
+                    Substrate::Threads => {
                         self.dispatch_or_deadlock(&mut s, rank);
                         self.wait_until_running(rank, &mut s);
                     }
-                    EngineKind::Events => match self.pop_next(&mut s) {
+                    Substrate::Fibers => match self.pop_next(&mut s) {
                         Some(next) => {
                             s.status[next] = Status::Running;
                             drop(s);
@@ -414,7 +418,7 @@ impl Kernel {
     }
 
     /// Called when a rank's program returns. Hands the baton onward; on
-    /// the event engine this never returns once the machine completes or
+    /// fibers this never returns once the machine completes or
     /// another fiber is dispatched (the caller's stack is abandoned).
     pub(crate) fn finish(&self, rank: usize) {
         if self.mode == ExecMode::Concurrent {
@@ -434,7 +438,7 @@ impl Kernel {
             for cv in &self.cvs {
                 cv.notify_all();
             }
-            if self.mode == ExecMode::VirtualTime && self.engine == EngineKind::Events {
+            if self.mode == ExecMode::VirtualTime && self.substrate == Substrate::Fibers {
                 drop(s);
                 fiber::with_active(|fs| fs.switch_to_main());
             }
@@ -444,9 +448,9 @@ impl Kernel {
             return;
         }
         if s.done < self.n {
-            match self.engine {
-                EngineKind::Threads => self.dispatch_or_deadlock(&mut s, rank),
-                EngineKind::Events => match self.pop_next(&mut s) {
+            match self.substrate {
+                Substrate::Threads => self.dispatch_or_deadlock(&mut s, rank),
+                Substrate::Fibers => match self.pop_next(&mut s) {
                     Some(next) => {
                         s.status[next] = Status::Running;
                         drop(s);
@@ -455,7 +459,7 @@ impl Kernel {
                     None => self.declare_deadlock(&mut s, rank),
                 },
             }
-        } else if self.engine == EngineKind::Events {
+        } else if self.substrate == Substrate::Fibers {
             // Last rank done: hand control back to the machine's main
             // context, which collects results.
             drop(s);
@@ -488,9 +492,9 @@ impl Kernel {
         }
     }
 
-    /// Event-engine handoff: switch to `next`'s fiber and, once this rank
-    /// is switched back in, observe any poison before touching shared
-    /// state (the thread engine's `wait_until_running` does the same).
+    /// Fiber handoff: switch to `next`'s fiber and, once this rank is
+    /// switched back in, observe any poison before touching shared state
+    /// (the thread substrate's `wait_until_running` does the same).
     fn switch_and_check(&self, next: usize) {
         fiber::with_active(|fs| fs.switch_to_fiber(next));
         self.check_poison();
@@ -579,7 +583,7 @@ mod tests {
         Arc::new(Kernel::new(
             n,
             ExecMode::VirtualTime,
-            EngineKind::Threads,
+            Substrate::Threads,
             &SpeedModel::uniform(n),
             TraceSink::Disabled,
         ))
@@ -590,7 +594,7 @@ mod tests {
         let k = Kernel::new(
             2,
             ExecMode::VirtualTime,
-            EngineKind::Threads,
+            Substrate::Threads,
             &SpeedModel::from_factors(vec![1.0, 2.0]),
             TraceSink::Disabled,
         );
@@ -605,7 +609,7 @@ mod tests {
         let k = Kernel::new(
             1,
             ExecMode::VirtualTime,
-            EngineKind::Threads,
+            Substrate::Threads,
             &SpeedModel::from_factors(vec![3.0]),
             TraceSink::Disabled,
         );

@@ -4,12 +4,12 @@
 //! 64-node heterogeneous InfiniBand cluster and a Cray XT4. This crate is the
 //! substitute substrate: it executes SPMD rank programs under a
 //! **conservative discrete-event scheduler** that always resumes the
-//! runnable rank with the smallest virtual clock. Two interchangeable
-//! engines carry the ranks ([`Engine`]): resumable fibers on a virtual-time
-//! event loop (the default where supported — this is what makes 1024-rank
-//! machines practical on one core) and one parked OS thread per rank (the
-//! historical engine and the portable fallback). Same-seed runs produce
-//! byte-identical [`Report`]s and traces on either engine.
+//! runnable rank with the smallest virtual clock. Ranks are resumable
+//! fibers on one OS thread wherever the target has a context switch
+//! ([`fibers_supported`] — this is what makes 1024-rank machines practical
+//! on one core) and one parked OS thread per rank elsewhere. The substrate
+//! is not a setting: the scheduler is the same and same-seed runs produce
+//! byte-identical [`Report`]s and traces on both.
 //!
 //! Rules of the model:
 //!
@@ -53,16 +53,23 @@ mod vlock;
 
 pub use barrier::SimBarrier;
 pub use config::{
-    ring_distance, BarrierKind, Engine, ExecMode, LatencyModel, LatencyTiers, MachineConfig,
-    SpeedModel, StartupMode,
+    ring_distance, BarrierKind, ExecMode, LatencyModel, LatencyTiers, MachineConfig, SpeedModel,
 };
 pub use ctx::Ctx;
 pub use machine::{Machine, RunOutput};
 pub use mailbox::{MailboxRouter, Msg, MsgFilter};
-pub use replay::{event_dur, run_replay, run_replay_on, ReplayOp, ReplayProgram, ReplaySync};
+pub use replay::{event_dur, run_replay, ReplayOp, ReplayProgram, ReplaySync};
 pub use report::{EventCounters, Report};
 pub use trace::{
     validate_json, Gauge, RemoteOpKind, StampedEvent, Trace, TraceConfig, TraceEvent, TraceSink,
     VtHistogram, WaveDir, DEFAULT_TRACE_BATCH, HIST_BUCKETS,
 };
 pub use vlock::VLock;
+
+/// True where virtual-time ranks run as fibers (x86_64 and aarch64 unix);
+/// elsewhere each rank is a parked OS thread and machines of a thousand
+/// ranks and more may not fit the host. A read-only fact about the target,
+/// for tests that need that scale.
+pub fn fibers_supported() -> bool {
+    fiber::SUPPORTED
+}

@@ -7,35 +7,30 @@ use std::sync::Arc;
 use scioto_det::sync::Mutex;
 
 use crate::barrier::SimBarrier;
-use crate::config::{Engine, ExecMode, LatencyModel, MachineConfig, StartupMode};
+use crate::config::{ExecMode, LatencyModel, MachineConfig};
 use crate::ctx::Ctx;
 use crate::fiber;
-use crate::kernel::{EngineKind, Kernel};
+use crate::kernel::{Kernel, Substrate};
 use crate::report::Report;
 use crate::trace::TraceSink;
 
 /// State shared by all ranks of one machine (beyond the kernel).
 pub(crate) struct Shared {
     pub(crate) latency: LatencyModel,
-    /// The historical ([`StartupMode::Old`]) collective slot: one reusable
-    /// cell guarded by two barriers per collective. The stored type name
-    /// feeds the divergence diagnostics.
-    pub(crate) slot: Mutex<Option<(Arc<dyn Any + Send + Sync>, &'static str)>>,
     pub(crate) barrier: SimBarrier,
-    pub(crate) startup: StartupMode,
-    /// The coalesced-mode collective log (barrier-free publication).
+    /// The collective log (barrier-free publication).
     pub(crate) coll: Mutex<CollectiveLog>,
 }
 
-/// Append-only publication log for [`StartupMode::Coalesced`] collectives:
-/// rank 0 pushes each `(object, type name, publish clock)` entry at its
-/// ordinal; ranks that arrive before publication park under `waiters` and
-/// are woken by the publish. The stored clock is the causal stamp every
+/// Append-only publication log for [`Ctx::collective`]: rank 0 pushes
+/// each `(object, type name, publish clock)` entry at its ordinal; ranks
+/// that arrive before publication park under `waiters` and are woken by
+/// the publish. The stored clock is the causal stamp every
 /// reader's virtual clock is advanced to — a rank cannot observe the
 /// object before it existed, whatever order the scheduler dispatched the
-/// ranks in. Entries are never reused, so no read-fence barrier is
-/// needed — the one-way wake (or the mutex, in concurrent mode) is the
-/// sync edge.
+/// ranks in. The stored type name feeds the divergence diagnostic.
+/// Entries are never reused, so no read-fence barrier is needed — the
+/// one-way wake (or the mutex, in concurrent mode) is the sync edge.
 #[derive(Default)]
 pub(crate) struct CollectiveLog {
     pub(crate) entries: Vec<(Arc<dyn Any + Send + Sync>, &'static str, u64)>,
@@ -67,96 +62,83 @@ impl Machine {
         R: Send,
         F: Fn(&Ctx) -> R + Send + Sync,
     {
-        let n = cfg.ranks;
-        assert!(n >= 1, "a machine needs at least one rank");
-        let engine = resolve_engine(&cfg);
-        let kernel = Arc::new(Kernel::new(
-            n,
-            cfg.mode,
-            engine,
-            &cfg.speed,
-            TraceSink::new(&cfg.trace, n),
-        ));
-        let shared = Arc::new(Shared {
-            latency: cfg.latency,
-            slot: Mutex::new(None),
-            barrier: SimBarrier::new(cfg.barrier),
-            startup: cfg.startup,
-            coll: Mutex::new(CollectiveLog::default()),
-        });
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-        match engine {
-            EngineKind::Threads => {
-                run_threads(&cfg, &kernel, &shared, &f, &results, &panic_payload)
-            }
-            EngineKind::Events => run_events(&cfg, &kernel, &shared, &f, &results, &panic_payload),
-        }
-
-        if let Some(p) = panic_payload.lock().take() {
-            resume_unwind(p);
-        }
-
-        // Per-rank elapsed time: the final virtual clock in virtual-time
-        // mode, each thread's measured wall-clock span (stamped by the
-        // rank's own thread at program return) in concurrent mode.
-        let rank_clock_ns: Vec<u64> = (0..n).map(|r| kernel.rank_elapsed_ns(r)).collect();
-        let makespan_ns = match cfg.mode {
-            ExecMode::VirtualTime => rank_clock_ns.iter().copied().max().unwrap_or(0),
-            ExecMode::Concurrent => kernel.wall_ns(),
+        // Virtual-time ranks are fibers wherever the target has a context
+        // switch; real concurrency is free-running threads by definition.
+        let substrate = if cfg.mode == ExecMode::VirtualTime && fiber::SUPPORTED {
+            Substrate::Fibers
+        } else {
+            Substrate::Threads
         };
-        let trace = kernel.trace.finish().map(|mut t| {
-            // Stamp per-rank elapsed time into the trace so analysis (and
-            // re-analysis from an exported JSONL file) can decompose each
-            // rank's full clock, including any trailing idle time after its
-            // last event.
-            t.final_clock_ns = rank_clock_ns.clone();
-            t.wall_clock = cfg.mode == ExecMode::Concurrent;
-            t
-        });
-        let report = Report {
-            mode: cfg.mode,
-            makespan_ns,
-            rank_clock_ns,
-            events: kernel.events.snapshot(),
-            trace,
-        };
-        let results = results
-            .into_iter()
-            .map(|m| m.into_inner().expect("rank produced no result"))
-            .collect();
-        RunOutput { results, report }
+        run_on(substrate, cfg, f)
     }
 }
 
-/// Resolve the configured [`Engine`] to a concrete substrate for this
-/// machine. Concurrent machines are free-running threads by definition.
-fn resolve_engine(cfg: &MachineConfig) -> EngineKind {
-    if cfg.mode == ExecMode::Concurrent {
-        return EngineKind::Threads;
+/// [`Machine::run`] on an explicit substrate. Crate-private: the choice
+/// never changes a result, so it is not a setting — only the
+/// two-substrate identity test below names one.
+pub(crate) fn run_on<R, F>(substrate: Substrate, cfg: MachineConfig, f: F) -> RunOutput<R>
+where
+    R: Send,
+    F: Fn(&Ctx) -> R + Send + Sync,
+{
+    let n = cfg.ranks;
+    assert!(n >= 1, "a machine needs at least one rank");
+    let kernel = Arc::new(Kernel::new(
+        n,
+        cfg.mode,
+        substrate,
+        &cfg.speed,
+        TraceSink::new(&cfg.trace, n),
+    ));
+    let shared = Arc::new(Shared {
+        latency: cfg.latency,
+        barrier: SimBarrier::new(cfg.barrier),
+        coll: Mutex::new(CollectiveLog::default()),
+    });
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+
+    match substrate {
+        Substrate::Threads => run_threads(&cfg, &kernel, &shared, &f, &results, &panic_payload),
+        Substrate::Fibers => run_fibers(&cfg, &kernel, &shared, &f, &results, &panic_payload),
     }
-    match cfg.engine {
-        Engine::Threads => EngineKind::Threads,
-        Engine::Events => {
-            assert!(
-                Engine::events_supported(),
-                "Engine::Events requires a supported fiber target (x86_64/aarch64 unix); \
-                 use Engine::Auto or Engine::Threads"
-            );
-            EngineKind::Events
-        }
-        Engine::Auto => {
-            if Engine::events_supported() {
-                EngineKind::Events
-            } else {
-                EngineKind::Threads
-            }
-        }
+
+    if let Some(p) = panic_payload.lock().take() {
+        resume_unwind(p);
     }
+
+    // Per-rank elapsed time: the final virtual clock in virtual-time
+    // mode, each thread's measured wall-clock span (stamped by the
+    // rank's own thread at program return) in concurrent mode.
+    let rank_clock_ns: Vec<u64> = (0..n).map(|r| kernel.rank_elapsed_ns(r)).collect();
+    let makespan_ns = match cfg.mode {
+        ExecMode::VirtualTime => rank_clock_ns.iter().copied().max().unwrap_or(0),
+        ExecMode::Concurrent => kernel.wall_ns(),
+    };
+    let trace = kernel.trace.finish().map(|mut t| {
+        // Stamp per-rank elapsed time into the trace so analysis (and
+        // re-analysis from an exported JSONL file) can decompose each
+        // rank's full clock, including any trailing idle time after its
+        // last event.
+        t.final_clock_ns = rank_clock_ns.clone();
+        t.wall_clock = cfg.mode == ExecMode::Concurrent;
+        t
+    });
+    let report = Report {
+        mode: cfg.mode,
+        makespan_ns,
+        rank_clock_ns,
+        events: kernel.events.snapshot(),
+        trace,
+    };
+    let results = results
+        .into_iter()
+        .map(|m| m.into_inner().expect("rank produced no result"))
+        .collect();
+    RunOutput { results, report }
 }
 
-/// The thread engine: one parked OS thread per rank, handoff by condvar.
+/// The thread substrate: one parked OS thread per rank, handoff by condvar.
 fn run_threads<R, F>(
     cfg: &MachineConfig,
     kernel: &Arc<Kernel>,
@@ -198,11 +180,11 @@ fn run_threads<R, F>(
     });
 }
 
-/// The event engine: one fiber per rank on this thread, dispatched from
+/// The fiber substrate: one fiber per rank on this thread, dispatched from
 /// the kernel's min-clock heap. Scheduling-point semantics are identical
-/// to the thread engine (same transitions, same dispatch order), so
+/// to the thread substrate (same transitions, same dispatch order), so
 /// same-seed runs produce byte-identical reports and traces.
-fn run_events<R, F>(
+fn run_fibers<R, F>(
     cfg: &MachineConfig,
     kernel: &Arc<Kernel>,
     shared: &Arc<Shared>,
@@ -254,7 +236,7 @@ fn run_events<R, F>(
     }
     fiber::enter(&fs, || {
         // Rank 0 holds the baton at construction — the same initial
-        // dispatch the thread engine performs.
+        // dispatch the thread substrate performs.
         fs.switch_to_fiber(0);
         // Back in the main context: every rank finished, or the machine
         // was poisoned mid-run. Resume any suspended fibers so they
@@ -499,6 +481,103 @@ mod tests {
             .any(|e| e.event == TraceEvent::Unblock { target: 1 }));
         assert_eq!(trace.dropped, vec![0, 0]);
         assert_eq!(trace.final_clock_ns, out.report.rank_clock_ns);
+    }
+
+    /// One traced 4-rank program touching every kind of scheduling point:
+    /// collectives inside and outside an epoch, a contended lock, ring
+    /// messages, a barrier, and a block/unblock pair.
+    fn every_scheduling_point(ctx: &Ctx) -> (u64, u64) {
+        use crate::{MailboxRouter, MsgFilter, VLock};
+        let n = ctx.nranks();
+        let me = ctx.rank();
+        ctx.compute(700 * (me as u64 % 3 + 1));
+        let (lock, mail) = ctx.collective_epoch(|| {
+            let lock = ctx.collective(VLock::new);
+            ctx.compute(40 * me as u64);
+            (lock, ctx.collective(|| MailboxRouter::new(n)))
+        });
+        let mut acc = 0u64;
+        for round in 0..3u64 {
+            acc += lock.acquire(ctx, 120);
+            ctx.compute(90 + 10 * me as u64);
+            lock.release(ctx, 120);
+            mail.send(ctx, (me + 1) % n, round, vec![me as u8; 16], 50, 400);
+            let m = mail.recv(ctx, MsgFilter::src_tag((me + n - 1) % n, round));
+            acc = acc * 31 + m.data[0] as u64 + ctx.rng().gen_range(0..100u64);
+        }
+        ctx.barrier();
+        // Rank 1 parks for good; rank 0 wakes it after yielding, so the
+        // wake finds it parked instead of leaving a token.
+        if me == 1 {
+            ctx.block();
+        } else if me == 0 {
+            ctx.yield_point();
+            ctx.compute(500);
+            ctx.unblock(1, ctx.now() + 250);
+        }
+        let late = ctx.collective(|| 7u64);
+        (acc + *late, ctx.now())
+    }
+
+    #[test]
+    fn fibers_match_the_thread_substrate_byte_for_byte() {
+        // The substrate is an implementation detail: the same scheduler
+        // must produce the same Report and the same trace bytes whether
+        // ranks are parked OS threads (the reference, available on every
+        // target) or fibers. On a target without fibers `Machine::run`
+        // already is the thread substrate and there is nothing to compare.
+        use crate::trace::TraceConfig;
+        let run = |substrate| {
+            let cfg = MachineConfig::virtual_time(4)
+                .with_latency(LatencyModel::cluster())
+                .with_barrier(crate::BarrierKind::Tree)
+                .with_trace(TraceConfig::enabled());
+            run_on(substrate, cfg, every_scheduling_point)
+        };
+        let t = run(Substrate::Threads);
+        let trace = t.report.trace.as_ref().expect("tracing enabled");
+        assert!(t.report.events.blocks > 0 && t.report.events.messages == 12);
+        assert!(trace.events_for(1).iter().any(|e| e.event == crate::TraceEvent::Block));
+        if !fiber::SUPPORTED {
+            return;
+        }
+        let f = run(Substrate::Fibers);
+        assert_eq!(t.results, f.results);
+        assert_eq!(t.report.mode, f.report.mode);
+        assert_eq!(t.report.makespan_ns, f.report.makespan_ns);
+        assert_eq!(t.report.rank_clock_ns, f.report.rank_clock_ns);
+        assert_eq!(t.report.events, f.report.events, "kernel event counters must match");
+        assert_eq!(trace.to_jsonl(), f.report.trace.expect("tracing enabled").to_jsonl());
+    }
+
+    #[test]
+    fn both_substrates_surface_a_rank_panic_and_a_deadlock() {
+        let message = |substrate, deadlock: bool| {
+            let err = std::panic::catch_unwind(|| {
+                run_on(substrate, MachineConfig::virtual_time(3), |ctx| {
+                    if deadlock {
+                        // Nobody ever wakes anybody.
+                        ctx.block_at("test.park");
+                    } else if ctx.rank() == 2 {
+                        panic!("boom from rank 2");
+                    } else {
+                        ctx.barrier_with_cost(0);
+                    }
+                })
+            })
+            .expect_err("machine must propagate the panic");
+            payload_text(&err).unwrap_or_default().to_string()
+        };
+        let mut substrates = vec![Substrate::Threads];
+        if fiber::SUPPORTED {
+            substrates.push(Substrate::Fibers);
+        }
+        for s in substrates {
+            assert!(message(s, false).contains("boom from rank 2"), "{s:?}");
+            let text = message(s, true);
+            assert!(text.contains("sim deadlock: no runnable rank"), "{s:?}: {text}");
+            assert!(text.contains("waiting at test.park"), "{s:?}: {text}");
+        }
     }
 
     #[test]

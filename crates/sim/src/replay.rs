@@ -30,8 +30,7 @@
 //! equals its recorded stamp, so the replayed trace — events, final
 //! clocks, and the pass-through metric registries — is byte-identical to
 //! the input. Completion times are defined by `max` recurrences over
-//! per-op values, independent of dispatch interleaving, so both engines
-//! produce the same bytes.
+//! per-op values, independent of dispatch interleaving.
 //!
 //! Sync edges always point from a strictly earlier recorded stamp to a
 //! strictly later one, and intra-rank order is monotone; any dependency
@@ -42,7 +41,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use scioto_det::sync::Mutex;
 
-use crate::config::{Engine, MachineConfig};
+use crate::config::MachineConfig;
 use crate::ctx::Ctx;
 use crate::machine::Machine;
 use crate::trace::{Gauge, StampedEvent, Trace, TraceEvent, VtHistogram};
@@ -232,13 +231,6 @@ pub fn event_dur(ev: &TraceEvent) -> u64 {
 /// trace. Identity replay (a program lowered from a trace and not
 /// re-priced) reproduces the recorded trace byte for byte.
 pub fn run_replay(prog: &ReplayProgram) -> Trace {
-    run_replay_on(prog, Engine::Auto)
-}
-
-/// [`run_replay`] with an explicit engine. The result is byte-identical
-/// across engines: completion times are `max` recurrences over recorded
-/// values, independent of dispatch interleaving.
-pub fn run_replay_on(prog: &ReplayProgram, engine: Engine) -> Trace {
     let n = prog.nranks;
     assert!(n >= 1, "a replay program needs at least one rank");
     assert_eq!(prog.ops.len(), n);
@@ -249,7 +241,7 @@ pub fn run_replay_on(prog: &ReplayProgram, engine: Engine) -> Trace {
     });
 
     let out = Machine::run(
-        MachineConfig::virtual_time(n).with_engine(engine),
+        MachineConfig::virtual_time(n),
         |ctx: &Ctx| {
             let me = ctx.rank();
             let ops = &prog.ops[me];
@@ -438,18 +430,6 @@ mod tests {
         // Durations survive unchanged.
         assert_eq!(event_dur(&t.events[0][1].event), 50);
         assert_eq!(event_dur(&t.events[1][1].event), 40);
-    }
-
-    #[test]
-    fn engines_agree_byte_for_byte() {
-        if !Engine::events_supported() {
-            eprintln!("fiber engine unsupported on this target; skipping");
-            return;
-        }
-        let prog = two_rank_program();
-        let a = run_replay_on(&prog, Engine::Threads);
-        let b = run_replay_on(&prog, Engine::Events);
-        assert_eq!(a.to_jsonl(), b.to_jsonl());
     }
 
     #[test]

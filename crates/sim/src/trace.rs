@@ -1820,7 +1820,7 @@ mod tests {
             .contains("\"sciotoMeta\":{\"dropped\":[0,0],\"final_clock_ns\":[60,7],\"clock\":\"wall\"}"));
         assert!(t.summary().contains("clock: wall"));
         // Virtual-time traces must NOT carry the marker: their exports are
-        // pinned byte-identical across engines and schema versions.
+        // pinned byte-identical across schema versions.
         let vt = synthetic_trace();
         assert!(!vt.to_jsonl().contains("\"clock\""));
         assert!(!vt.to_chrome_json().contains("\"clock\""));

@@ -1,73 +1,60 @@
-//! The coalesced startup-collective protocol: value agreement with the
-//! historical two-barrier path, schedule-independent waiter clocks,
-//! epoch commit semantics, pinned divergence diagnostics, and the
-//! batched trace publication being a virtual-time no-op.
+//! The barrier-free collective protocol: one instance everywhere,
+//! schedule-independent waiter clocks, epoch commit semantics, the pinned
+//! divergence diagnostic, and the batched trace publication being a
+//! virtual-time no-op.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use scioto_sim::{Engine, Machine, MachineConfig, StartupMode, TraceConfig};
+use scioto_sim::{Machine, MachineConfig, TraceConfig};
 
-fn cfg(n: usize, startup: StartupMode, engine: Engine) -> MachineConfig {
-    MachineConfig::virtual_time(n)
-        .with_startup(startup)
-        .with_engine(engine)
-}
-
-/// Every rank receives the same rank-0 object under both protocols and
-/// both engines, and `make` runs exactly once per collective.
+/// Every rank receives the same rank-0 object and `make` runs exactly
+/// once per collective.
 #[test]
-fn coalesced_and_old_agree_on_values_across_engines() {
-    for engine in [Engine::Threads, Engine::Auto] {
-        for startup in [StartupMode::Coalesced, StartupMode::Old] {
-            let made = Arc::new(AtomicUsize::new(0));
-            let made2 = Arc::clone(&made);
-            let out = Machine::run(cfg(4, startup, engine), move |ctx| {
-                ctx.compute(1_000 * ctx.rank() as u64);
-                let made = Arc::clone(&made2);
-                let a = ctx.collective(move || {
-                    made.fetch_add(1, Ordering::Relaxed);
-                    vec![7u64, 8, 9]
-                });
-                let b = ctx.collective(|| String::from("shared"));
-                (Arc::as_ptr(&a) as usize, a[ctx.rank() % 3], b.len())
-            });
-            let (p0, ..) = out.results[0];
-            for &(p, v, l) in &out.results {
-                assert_eq!(p, p0, "{startup:?}/{engine:?}: same instance everywhere");
-                assert!(v >= 7 && l == 6);
-            }
-            assert_eq!(made.load(Ordering::Relaxed), 1, "{startup:?}/{engine:?}");
-        }
+fn every_rank_receives_the_one_instance() {
+    let made = Arc::new(AtomicUsize::new(0));
+    let made2 = Arc::clone(&made);
+    let out = Machine::run(MachineConfig::virtual_time(4), move |ctx| {
+        ctx.compute(1_000 * ctx.rank() as u64);
+        let made = Arc::clone(&made2);
+        let a = ctx.collective(move || {
+            made.fetch_add(1, Ordering::Relaxed);
+            vec![7u64, 8, 9]
+        });
+        let b = ctx.collective(|| String::from("shared"));
+        (Arc::as_ptr(&a) as usize, a[ctx.rank() % 3], b.len())
+    });
+    let (p0, ..) = out.results[0];
+    for &(p, v, l) in &out.results {
+        assert_eq!(p, p0, "same instance everywhere");
+        assert!(v >= 7 && l == 6);
     }
+    assert_eq!(made.load(Ordering::Relaxed), 1);
 }
 
 /// A waiter's post-collective clock is max(own arrival, rank 0's publish
 /// stamp): early ranks park until publication, late ranks pay nothing.
 #[test]
 fn coalesced_waiter_clock_is_max_of_arrival_and_publish() {
-    let out = Machine::run(
-        cfg(3, StartupMode::Coalesced, Engine::Auto),
-        |ctx| {
-            let arrival = [10_000u64, 0, 25_000][ctx.rank()];
-            ctx.compute(arrival);
-            let _ = ctx.collective(|| 42u8);
-            ctx.now()
-        },
-    );
+    let out = Machine::run(MachineConfig::virtual_time(3), |ctx| {
+        let arrival = [10_000u64, 0, 25_000][ctx.rank()];
+        ctx.compute(arrival);
+        let _ = ctx.collective(|| 42u8);
+        ctx.now()
+    });
     // rank 0 publishes at 10_000; rank 1 arrived at 0 and waited for it;
     // rank 2 arrived after publication and kept its own clock.
     assert_eq!(out.results, vec![10_000, 10_000, 25_000]);
 }
 
-/// Same seed, same program: the coalesced protocol is deterministic —
+/// Same seed, same program: the protocol is deterministic —
 /// byte-identical traces run to run.
 #[test]
 fn coalesced_runs_are_deterministic() {
     let run = || {
         Machine::run(
-            cfg(4, StartupMode::Coalesced, Engine::Auto).with_trace(TraceConfig::enabled()),
+            MachineConfig::virtual_time(4).with_trace(TraceConfig::enabled()),
             |ctx| {
                 ctx.compute(500 * (ctx.rank() as u64 + 1));
                 let v = ctx.collective(|| 11u32);
@@ -90,7 +77,7 @@ fn coalesced_runs_are_deterministic() {
 /// epochs do not add further barriers.
 #[test]
 fn epoch_commits_once_and_aligns_ranks() {
-    let out = Machine::run(cfg(2, StartupMode::Coalesced, Engine::Auto), |ctx| {
+    let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
         ctx.collective_epoch(|| {
             let _ = ctx.collective(|| 1u8);
             // Nested epoch: transparent, no extra commit.
@@ -106,29 +93,12 @@ fn epoch_commits_once_and_aligns_ranks() {
     assert_eq!(out.results, vec![t, t], "commit barrier aligns all ranks");
     assert!(t >= 9_000, "slowest rank's fill dominates: {t}");
     // One barrier's worth of release cost over the slowest fill, not two.
-    let one_barrier = Machine::run(cfg(2, StartupMode::Coalesced, Engine::Auto), |ctx| {
+    let one_barrier = Machine::run(MachineConfig::virtual_time(2), |ctx| {
         ctx.compute(if ctx.rank() == 1 { 9_000 } else { 100 });
         ctx.barrier();
         ctx.now()
     });
     assert_eq!(t, one_barrier.results[0]);
-}
-
-/// Under `StartupMode::Old`, `collective_epoch` is a transparent
-/// wrapper: clocks match the bare sequence of old-protocol collectives.
-#[test]
-fn epoch_is_transparent_under_old_startup() {
-    let wrapped = Machine::run(cfg(2, StartupMode::Old, Engine::Auto), |ctx| {
-        ctx.collective_epoch(|| {
-            let _ = ctx.collective(|| 3u8);
-        });
-        ctx.now()
-    });
-    let bare = Machine::run(cfg(2, StartupMode::Old, Engine::Auto), |ctx| {
-        let _ = ctx.collective(|| 3u8);
-        ctx.now()
-    });
-    assert_eq!(wrapped.results, bare.results);
 }
 
 fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
@@ -141,11 +111,11 @@ fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
 }
 
 /// Pinned diagnostic: a rank whose collective sequence diverges by type
-/// is named with its rank, ordinal, and both types (coalesced path).
+/// is named with its rank, ordinal, and both types.
 #[test]
 fn coalesced_type_divergence_names_rank_ordinal_and_types() {
     let msg = panic_message(AssertUnwindSafe(|| {
-        let _ = Machine::run(cfg(2, StartupMode::Coalesced, Engine::Auto), |ctx| {
+        let _ = Machine::run(MachineConfig::virtual_time(2), |ctx| {
             if ctx.rank() == 0 {
                 let _ = ctx.collective(|| 1u32);
             } else {
@@ -164,53 +134,6 @@ fn coalesced_type_divergence_names_rank_ordinal_and_types() {
     );
 }
 
-/// Same divergence, historical protocol: identical diagnostic shape.
-#[test]
-fn old_type_divergence_names_rank_ordinal_and_types() {
-    let msg = panic_message(AssertUnwindSafe(|| {
-        let _ = Machine::run(cfg(2, StartupMode::Old, Engine::Auto), |ctx| {
-            if ctx.rank() == 0 {
-                let _ = ctx.collective(|| 1u32);
-            } else {
-                let _ = ctx.collective(String::new);
-            }
-            ctx.barrier();
-        });
-    }));
-    assert!(
-        msg.contains(
-            "collective divergence: rank 1 reached collective #0 expecting a \
-             alloc::string::String, but rank 0 published a u32"
-        ),
-        "unexpected diagnostic: {msg}"
-    );
-}
-
-/// Old protocol, rank 0 never publishes (it ran a bare barrier instead):
-/// the waiting rank reports the empty slot, not a downcast failure.
-#[test]
-fn old_missing_publication_is_diagnosed() {
-    let msg = panic_message(AssertUnwindSafe(|| {
-        let _ = Machine::run(cfg(2, StartupMode::Old, Engine::Auto), |ctx| {
-            if ctx.rank() == 0 {
-                ctx.barrier();
-                ctx.barrier();
-            } else {
-                let _ = ctx.collective(|| 5u64);
-                ctx.barrier();
-            }
-        });
-    }));
-    assert!(
-        msg.contains(
-            "collective divergence: rank 1 reached collective #0 expecting a u64, \
-             but rank 0 published nothing (ranks disagree on the collective call \
-             sequence)"
-        ),
-        "unexpected diagnostic: {msg}"
-    );
-}
-
 /// Batched trace publication is a virtual-time no-op: same seed, same
 /// program, batch 1 (historical publish-every-event) vs. the default
 /// batch produce byte-identical JSONL exports.
@@ -218,8 +141,7 @@ fn old_missing_publication_is_diagnosed() {
 fn trace_batching_is_a_vt_noop() {
     let run = |batch: usize| {
         Machine::run(
-            cfg(4, StartupMode::Coalesced, Engine::Auto)
-                .with_trace(TraceConfig::enabled().with_batch(batch)),
+            MachineConfig::virtual_time(4).with_trace(TraceConfig::enabled().with_batch(batch)),
             |ctx| {
                 ctx.compute(300 * (ctx.rank() as u64 + 1));
                 let _ = ctx.collective(|| 9u8);

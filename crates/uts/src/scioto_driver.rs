@@ -239,23 +239,35 @@ mod tests {
     use super::*;
     use crate::presets;
     use crate::sequential::count_tree;
-    use scioto_sim::{LatencyModel, Machine, MachineConfig};
+    use scioto_sim::{BarrierKind, LatencyModel, Machine, MachineConfig};
 
     #[test]
     fn scioto_count_matches_sequential() {
         let expect = count_tree(&presets::tiny());
-        for ranks in [1, 2, 4] {
-            let out = Machine::run(
-                MachineConfig::virtual_time(ranks).with_latency(LatencyModel::cluster()),
-                |ctx| run_scioto_uts(ctx, &SciotoUtsConfig::new(presets::tiny())).0,
-            );
-            let mut total = TreeStats::default();
-            for s in &out.results {
-                total.merge(s);
+        // The defaults, and the paper's configuration: uniform victims,
+        // per-slot termination detection, flat barrier.
+        let defaults = SciotoUtsConfig::new(presets::tiny());
+        let paper = SciotoUtsConfig {
+            victim: Some(scioto::VictimPolicy::Uniform),
+            td_batch: Some(false),
+            ..defaults
+        };
+        for (cfg, barrier) in [(defaults, BarrierKind::Tree), (paper, BarrierKind::Flat)] {
+            for ranks in [1, 2, 4] {
+                let out = Machine::run(
+                    MachineConfig::virtual_time(ranks)
+                        .with_latency(LatencyModel::cluster())
+                        .with_barrier(barrier),
+                    move |ctx| run_scioto_uts(ctx, &cfg).0,
+                );
+                let mut total = TreeStats::default();
+                for s in &out.results {
+                    total.merge(s);
+                }
+                assert_eq!(total.nodes, expect.nodes, "ranks={ranks} {barrier:?}");
+                assert_eq!(total.leaves, expect.leaves, "ranks={ranks} {barrier:?}");
+                assert_eq!(total.max_depth, expect.max_depth, "ranks={ranks} {barrier:?}");
             }
-            assert_eq!(total.nodes, expect.nodes, "ranks={ranks}");
-            assert_eq!(total.leaves, expect.leaves, "ranks={ranks}");
-            assert_eq!(total.max_depth, expect.max_depth, "ranks={ranks}");
         }
     }
 

@@ -18,7 +18,50 @@ for arg in "$@"; do
     esac
 done
 
-echo "== cargo tree: auditing for external dependencies =="
+# Fresh bench results land in one directory and are compared against
+# their same-named committed baselines by ONE `bench_diff --all` at
+# rel-tol 0: virtual-time results are deterministic, so a baseline only
+# moves when the code does — and then `--bless` says so in the diff.
+work=$(mktemp -d /tmp/scioto-verify.XXXXXX)
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$work/bench"
+
+# stage <title>: print the stage header and time the stage; the per-stage
+# wall-time table is printed at the end (milliseconds where `date` has
+# %N, whole seconds elsewhere).
+now_ms() {
+    t=$(date +%s%N)
+    case "$t" in
+        *N) echo "$(date +%s)000" ;;
+        *) echo "${t%??????}" ;;
+    esac
+}
+stage_name=""
+stage_t0=0
+stage() {
+    t=$(now_ms)
+    if [ -n "$stage_name" ]; then
+        printf '%s %s\n' "$((t - stage_t0))" "$stage_name" >> "$work/stages.txt"
+    fi
+    stage_name=$1
+    stage_t0=$t
+    if [ -n "$1" ]; then
+        echo "== $1 =="
+    fi
+}
+# run_bin <bench bin> [flags...] / run_race <race bin> [flags...]
+run_bin() {
+    bin=$1
+    shift
+    cargo run --release --offline -q -p scioto-bench --bin "$bin" -- "$@"
+}
+run_race() {
+    bin=$1
+    shift
+    cargo run --release --offline -q -p scioto-race --bin "$bin" -- "$@"
+}
+
+stage "cargo tree: auditing for external dependencies"
 # Every node in the default-feature dependency graph must be a local
 # workspace crate. `cargo tree` prints local path deps with a trailing
 # "(/abs/path)"; anything without one came from a registry.
@@ -33,47 +76,26 @@ if [ -n "$external" ]; then
 fi
 echo "ok: dependency graph is workspace-only"
 
-echo "== cargo build --release --offline =="
+stage "cargo build --release --offline"
 cargo build --release --offline
 
-echo "== cargo test -q --offline --workspace (tier-1) =="
+stage "cargo test -q --offline --workspace (tier-1)"
 # The root manifest is a package AND the workspace root; without
 # --workspace only the root cross-crate suite runs.
 cargo test -q --offline --workspace
 
-echo "== perf harness: the out-of-workspace benchmark's own tests =="
+stage "perf harness: the out-of-workspace benchmark's own tests"
 # `perf/` is a package of its own (the acceptance driver's benchmark), so
 # the workspace build and tests above never compile it: a root-crate API
 # change that breaks it would otherwise surface only at the driver. Its
 # suite includes the `--quick` smoke of all five workloads.
-perf_t0=$(date +%s)
 cargo test -q --offline --manifest-path perf/Cargo.toml
-perf_t1=$(date +%s)
-echo "ok: perf harness tests finished in $((perf_t1 - perf_t0))s"
 
-echo "== scioto-lint: source invariant scan (hard gate) =="
-cargo run --release --offline -q -p scioto-race --bin scioto-lint
+stage "scioto-lint: source invariant scan (hard gate)"
+run_race scioto-lint
 
-# Fresh bench results are grouped by how they are gated: every BENCH file
-# in a directory is compared against its same-named committed baseline by
-# ONE `bench_diff --all` invocation per directory.
-#   loose/       rel-tol 0.5 — regression tripwires for the default-policy runs
-#   eng_threads/ rel-tol 0   — engine-equivalence re-derivations (threads)
-#   eng_events/  rel-tol 0   — engine-equivalence re-derivations (fibers)
-#   exact/       rel-tol 0   — deterministic pinned points (old policy,
-#                              1024/2048-rank sweeps, tuner output)
-work=$(mktemp -d /tmp/scioto-verify.XXXXXX)
-trap 'rm -rf "$work"' EXIT
-mkdir -p "$work/loose" "$work/eng_threads" "$work/eng_events" "$work/exact"
-diff_all() {
-    # diff_all <dir> <rel-tol>
-    cargo run --release --offline -q -p scioto-bench --bin bench_diff -- \
-        --all "$1" --rel-tol "$2"
-}
-
-echo "== scioto-lint: waiver ratchet (counts may only shrink) =="
-cargo run --release --offline -q -p scioto-race --bin scioto-lint -- --stats \
-    > "$work/lint_waivers.txt"
+stage "scioto-lint: waiver ratchet (counts may only shrink)"
+run_race scioto-lint --stats > "$work/lint_waivers.txt"
 if [ "$BLESS" = 1 ]; then
     cp "$work/lint_waivers.txt" results/lint_waivers.txt
     echo "blessed results/lint_waivers.txt"
@@ -94,143 +116,77 @@ else
     echo "ok: waiver ratchet holds"
 fi
 
-echo "== trace smoke: table1 --trace-out round-trips through trace_check =="
-cargo run --release --offline -q -p scioto-bench --bin table1 -- \
-    --trace-out "$work/table1_chrome.json" > /dev/null
-cargo run --release --offline -q -p scioto-bench --bin trace_check -- \
-    --file "$work/table1_chrome.json" --ranks 2
+stage "trace smoke: table1 --trace-out round-trips through trace_check"
+run_bin table1 --trace-out "$work/table1_chrome.json" > /dev/null
+run_bin trace_check --file "$work/table1_chrome.json" --ranks 2
 
-echo "== analyze: traced table1 -> blame/critical-path report =="
+stage "analyze: traced table1 -> blame/critical-path report"
 # One traced run emits the JSONL dump, the in-memory analysis, the race
 # verdict, the in-process replay self-check, and the machine-readable
 # benchmark result.
-cargo run --release --offline -q -p scioto-bench --bin table1 -- \
+run_bin table1 \
     --trace-out "$work/table1.jsonl" \
     --analysis-out "$work/table1_analysis.json" \
     --race-check --predict --deadlock --replay-check \
-    --json-out "$work/loose/BENCH_table1.json" > /dev/null
+    --json-out "$work/bench/BENCH_table1.json" > /dev/null
 # The offline analyzer re-parses the JSONL dump; its report must match
 # the in-memory analysis byte for byte.
-cargo run --release --offline -q -p scioto-bench --bin analyze -- \
+run_bin analyze \
     --file "$work/table1.jsonl" \
     --json-out "$work/table1_analysis_offline.json" > /dev/null
 cmp "$work/table1_analysis.json" "$work/table1_analysis_offline.json"
 echo "ok: offline analyzer matches in-memory analysis"
 
-echo "== replay: recorded traces re-execute byte-identically (hard gate) =="
+stage "replay: recorded traces re-execute byte-identically (hard gate)"
 # The replay engine reconstructs the run from the trace alone — no
 # workload closure — and must reproduce the live analysis (blame
 # decomposition + critical path) byte for byte: table1 and fig7@8.
-# --max-episodes is the barrier-episode census gate: the coalesced
-# startup path brings the traced table1 run to 4 barrier episodes
-# (create + process prologue + termination + teardown); budget 6 so a
-# collective regressing to extra barrier rounds fails loudly while
-# leaving headroom for a deliberate new collective.
-cargo run --release --offline -q -p scioto-bench --bin trace_check -- \
-    --file "$work/table1.jsonl" --replayable --max-episodes 6
-cargo run --release --offline -q -p scioto-bench --bin replay -- \
+# --max-episodes is the barrier-episode census gate: barrier-free
+# collectives keep the traced table1 run at 4 barrier episodes (create +
+# process prologue + termination + teardown); budget 6 so a collective
+# regressing to extra barrier rounds fails loudly while leaving headroom
+# for a deliberate new collective.
+run_bin trace_check --file "$work/table1.jsonl" --replayable --max-episodes 6
+run_bin replay \
     --file "$work/table1.jsonl" --check \
     --analysis-out "$work/table1_analysis_replay.json" > /dev/null
 cmp "$work/table1_analysis.json" "$work/table1_analysis_replay.json"
 echo "ok: table1 replay matches the live blame report byte-identically"
 
-echo "== bench runs: fig7 / fig4 / ablation / fig8 (new default policy) =="
+stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # Every bin runs with `--race-check` and `--replay-check`: the traced run
 # replays through the happens-before checker AND the replay engine
-# in-process, so all six bins are race- and replay-gated under the new
+# in-process, so all six bins are race- and replay-gated under the
 # default policy (locality victims + tree barrier + batched TD).
-cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
+run_bin fig7_uts_cluster \
     --max-ranks 8 --tree small --trace-out "$work/fig7.jsonl" \
     --analysis-out "$work/fig7_analysis.json" \
     --race-check --predict --deadlock --replay-check \
-    --json-out "$work/loose/BENCH_fig7.json" > /dev/null
-cargo run --release --offline -q -p scioto-bench --bin fig4_termination -- \
+    --json-out "$work/bench/BENCH_fig7.json" > /dev/null
+run_bin fig4_termination \
     --race-check --predict --deadlock --replay-check \
-    --json-out "$work/loose/BENCH_fig4.json" > /dev/null
-cargo run --release --offline -q -p scioto-bench --bin ablation -- \
+    --json-out "$work/bench/BENCH_fig4.json" > /dev/null
+run_bin ablation \
     --race-check --predict --deadlock --replay-check \
-    --json-out "$work/loose/BENCH_ablation.json" > /dev/null
-cargo run --release --offline -q -p scioto-bench --bin fig8_uts_xt4 -- \
+    --json-out "$work/bench/BENCH_ablation.json" > /dev/null
+run_bin fig8_uts_xt4 \
     --max-ranks 8 --tree small --race-check --predict --deadlock --replay-check \
-    --json-out "$work/loose/BENCH_fig8.json" > /dev/null
-cargo run --release --offline -q -p scioto-bench --bin fig5_fig6_apps -- \
+    --json-out "$work/bench/BENCH_fig8.json" > /dev/null
+run_bin fig5_fig6_apps \
     --max-ranks 1 --race-check --predict --deadlock --replay-check > /dev/null
 
-echo "== replay: fig7@8 recorded trace reproduces blame + critical path =="
-cargo run --release --offline -q -p scioto-bench --bin trace_check -- \
-    --file "$work/fig7.jsonl" --replayable
-cargo run --release --offline -q -p scioto-bench --bin replay -- \
+stage "replay: fig7@8 recorded trace reproduces blame + critical path"
+run_bin trace_check --file "$work/fig7.jsonl" --replayable
+run_bin replay \
     --file "$work/fig7.jsonl" --check \
     --analysis-out "$work/fig7_analysis_replay.json" > /dev/null
 cmp "$work/fig7_analysis.json" "$work/fig7_analysis_replay.json"
 echo "ok: fig7@8 replay matches the live blame report byte-identically"
 
-echo "== policy ablation: old knobs still reproduce the pinned baseline =="
-# The ablation baseline (uniform victims, flat barrier, per-slot TD) must
-# stay byte-identical: rel-tol 0 against its own pinned results file.
-cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
-    --max-ranks 8 --tree small --old-policy \
-    --json-out "$work/exact/BENCH_fig7_oldpolicy.json" > /dev/null
-# New policy vs old policy on the same workload: the knobs are expected to
-# move throughput (that is the point), but never catastrophically — the
-# params differ by construction, so they are excluded from the gate, as
-# is the startup split (the flat barrier makes the old policy's startup
-# ~2x costlier; the startup ablation below gates startup on its own).
-cargo run --release --offline -q -p scioto-bench --bin bench_diff -- \
-    --baseline "$work/exact/BENCH_fig7_oldpolicy.json" \
-    --new "$work/loose/BENCH_fig7.json" \
-    --ignore-params victim,barrier,td_batch \
-    --ignore-metrics 'split_startup_ns_*' --rel-tol 0.5
-
-echo "== startup ablation: --old-startup reproduces the historical schedule =="
-# Coalesced startup collectives are the default; the historical
-# two-barriers-per-collective protocol stays selectable via
-# --old-startup and is pinned as its own deterministic baseline at
-# rel-tol 0 (the diff_all over exact/ below), so the old path can never
-# silently drift. Cross-diff against the coalesced default run:
-# coalescing moves startup cost, never throughput (the startup param
-# and the coalesced-only startup split differ by construction).
-cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
-    --max-ranks 8 --tree small --old-startup \
-    --json-out "$work/exact/BENCH_fig7_oldstartup.json" > /dev/null
-cargo run --release --offline -q -p scioto-bench --bin bench_diff -- \
-    --baseline "$work/exact/BENCH_fig7_oldstartup.json" \
-    --new "$work/loose/BENCH_fig7.json" \
-    --ignore-params startup --ignore-metrics 'split_startup_ns_*' --rel-tol 0.5
-
-echo "== engine equivalence: pinned baselines at rel-tol 0 under BOTH engines =="
-# The virtual-time kernel has two execution substrates (parked threads,
-# event-driven fibers) behind one scheduler; the engine must never move a
-# result. Every committed baseline is re-derived under each engine
-# explicitly and diffed byte-for-byte (rel-tol 0). This is the hard gate
-# behind the "engines are byte-identical" claim in README/DESIGN.
-for eng in threads events; do
-    d="$work/eng_$eng"
-    cargo run --release --offline -q -p scioto-bench --bin table1 -- \
-        --engine "$eng" --json-out "$d/BENCH_table1.json" > /dev/null
-    cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
-        --max-ranks 8 --tree small --engine "$eng" \
-        --json-out "$d/BENCH_fig7.json" > /dev/null
-    cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
-        --max-ranks 8 --tree small --old-policy --engine "$eng" \
-        --json-out "$d/BENCH_fig7_oldpolicy.json" > /dev/null
-    cargo run --release --offline -q -p scioto-bench --bin fig4_termination -- \
-        --engine "$eng" --json-out "$d/BENCH_fig4.json" > /dev/null
-    cargo run --release --offline -q -p scioto-bench --bin ablation -- \
-        --engine "$eng" --json-out "$d/BENCH_ablation.json" > /dev/null
-    cargo run --release --offline -q -p scioto-bench --bin fig8_uts_xt4 -- \
-        --max-ranks 8 --tree small --engine "$eng" \
-        --json-out "$d/BENCH_fig8.json" > /dev/null
-    if [ "$BLESS" = 0 ]; then
-        diff_all "$d" 0
-    fi
-    echo "ok: all pinned baselines reproduce at rel-tol 0 on the $eng engine"
-done
-
-echo "== large-scale: 1024/2048-rank event-engine points, near/far tiers =="
-# Only the fiber engine can stand up 1024+ ranks on this host; the sweep
-# points use the topology-aware near/far latency preset and are pinned as
-# their own baselines (deterministic, so rel-tol 0).
+stage "large-scale: 1024/2048-rank points, near/far tiers"
+# Only fibers can stand up 1024+ ranks on this host; the sweep points use
+# the topology-aware near/far latency preset and are pinned as their own
+# baselines.
 #
 # Host-memory gate on the two big UTS points: every bench document
 # carries the process's peak resident set (VmHWM, read as the binary
@@ -252,56 +208,51 @@ hwm_gate() {
         echo "ok: $(basename "$1"): VmHWM ${kb} kB (budget: ${hwm_budget_kb} kB)"
     fi
 }
-cargo run --release --offline -q -p scioto-bench --bin fig4_termination -- \
-    --max-ranks 1024 --only-ranks 1024 --latency nearfar --engine events \
-    --json-out "$work/exact/BENCH_fig4_1024_nearfar.json" > /dev/null
-cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
-    --max-ranks 1024 --only-ranks 1024 --latency nearfar --engine events \
-    --tree small --json-out "$work/exact/BENCH_fig7_1024_nearfar.json" > /dev/null
-hwm_gate "$work/exact/BENCH_fig7_1024_nearfar.json"
-cargo run --release --offline -q -p scioto-bench --bin fig8_uts_xt4 -- \
-    --max-ranks 2048 --only-ranks 2048 --latency nearfar --engine events \
-    --tree small --json-out "$work/exact/BENCH_fig8_2048_nearfar.json" > /dev/null
-hwm_gate "$work/exact/BENCH_fig8_2048_nearfar.json"
+run_bin fig4_termination \
+    --max-ranks 1024 --only-ranks 1024 --latency nearfar \
+    --json-out "$work/bench/BENCH_fig4_1024_nearfar.json" > /dev/null
+run_bin fig7_uts_cluster \
+    --max-ranks 1024 --only-ranks 1024 --latency nearfar \
+    --tree small --json-out "$work/bench/BENCH_fig7_1024_nearfar.json" > /dev/null
+hwm_gate "$work/bench/BENCH_fig7_1024_nearfar.json"
+run_bin fig8_uts_xt4 \
+    --max-ranks 2048 --only-ranks 2048 --latency nearfar \
+    --tree small --json-out "$work/bench/BENCH_fig8_2048_nearfar.json" > /dev/null
+hwm_gate "$work/bench/BENCH_fig8_2048_nearfar.json"
 # Steal-locality pin: the fig7@1024 near/far traced run's ring-distance
 # histogram, mean distance, and near-steal share from the analyzer's
 # provenance pass, recorded as first-class bench metrics. `--only-ranks 0`
-# skips every throughput sweep point so only the traced run executes;
-# deterministic under the events engine, hence pinned at rel-tol 0.
-cargo run --release --offline -q -p scioto-bench --bin fig7_uts_cluster -- \
-    --max-ranks 1024 --only-ranks 0 --latency nearfar --engine events \
+# skips every throughput sweep point so only the traced run executes.
+run_bin fig7_uts_cluster \
+    --max-ranks 1024 --only-ranks 0 --latency nearfar \
     --tree small --trace-ranks 1024 --trace-tree small --steal-dist \
-    --json-out "$work/exact/BENCH_fig7_1024_nearfar_stealdist.json" > /dev/null
-echo "ok: 1024/2048-rank event-engine sweep points + steal-distance pin ran"
+    --json-out "$work/bench/BENCH_fig7_1024_nearfar_stealdist.json" > /dev/null
+echo "ok: 1024/2048-rank sweep points + steal-distance pin ran"
 
-echo "== autotune: 2-candidate smoke + fig7@64 closed loop (hard gate) =="
+stage "autotune: 2-candidate smoke + fig7@64 closed loop (hard gate)"
 # Smoke: record -> lower -> self-check -> replay-score 2 candidates at
 # 8 ranks; exercises the whole loop in well under a second.
-cargo run --release --offline -q -p scioto-bench --bin tune -- \
+run_bin tune \
     --ranks 8 --tree tiny --max-candidates 2 --top 1 \
     --out "$work/tune_smoke_config.json" > /dev/null
 # Full loop at the acceptance point: fig7@64 under near/far tiers. The
 # tuner must beat the PR-5 defaults on a fresh seeded run
-# (--require-improvement exits 1 otherwise) and its BENCH output is
-# pinned at rel-tol 0 like every other deterministic result.
-cargo run --release --offline -q -p scioto-bench --bin tune -- \
+# (--require-improvement exits 1 otherwise); its BENCH output is pinned
+# like every other result.
+run_bin tune \
     --ranks 64 --tree small --latency nearfar \
     --out "$work/tuned_config.json" --report "$work/tune_report.txt" \
-    --json-out "$work/exact/BENCH_fig7_tuned.json" \
+    --json-out "$work/bench/BENCH_fig7_tuned.json" \
     --require-improvement > /dev/null
 echo "ok: autotuner improved fig7@64 over the defaults"
-if [ "$BLESS" = 0 ]; then
-    diff_all "$work/exact" 0
-fi
 
-echo "== race check: HB + predictive + deadlock on table1 + fig7 traces (hard gate) =="
+stage "race check: HB + predictive + deadlock on table1 + fig7 traces (hard gate)"
 # The standalone checker re-parses the exported JSONL dumps and must come
 # back clean on all three analyses; the canonical scioto-race-v1 report is
 # emitted and sanity-checked. Timed: the predictive pass may add at most
 # 45s on top of the old 30s HB budget.
 race_t0=$(date +%s)
-cargo run --release --offline -q -p scioto-race --bin race_check -- \
-    --predict --deadlock --json-out "$work/race_report.jsonl" \
+run_race race_check --predict --deadlock --json-out "$work/race_report.jsonl" \
     "$work/table1.jsonl" "$work/fig7.jsonl"
 grep -q '"schema":"scioto-race-v1"' "$work/race_report.jsonl"
 if grep -q '"clean":false' "$work/race_report.jsonl"; then
@@ -316,7 +267,7 @@ if [ "$race_secs" -ge 45 ]; then
     exit 1
 fi
 
-echo "== concurrent backend: wall-clock observability lane (hard gate) =="
+stage "concurrent backend: wall-clock observability lane (hard gate)"
 # Real free-running threads, two workloads: the seeded UTS small tree
 # (steal-heavy, gmem-access dominated) and the fig5-style SCF task pool
 # (compute-heavy). Each run measures the tracing overhead and asserts
@@ -335,7 +286,7 @@ echo "== concurrent backend: wall-clock observability lane (hard gate) =="
 # host's scheduler, and since the owner path got fast one thread can run
 # most of it before a thief lands a steal (rings grow on demand).
 conc_t0=$(date +%s)
-cargo run --release --offline -q -p scioto-bench --bin concurrent_obs -- \
+run_bin concurrent_obs \
     --ranks 4 --reps 5 --max-event-ns 75 --seed 42 --tree small \
     --trace-ring 1048576 \
     --trace-out "$work/conc.jsonl" \
@@ -343,26 +294,22 @@ cargo run --release --offline -q -p scioto-bench --bin concurrent_obs -- \
     --analysis-out "$work/conc_analysis.json" \
     --trace-summary "$work/conc_summary.txt" \
     --race-check --predict --deadlock
-cargo run --release --offline -q -p scioto-bench --bin concurrent_obs -- \
+run_bin concurrent_obs \
     --ranks 4 --reps 3 --max-event-ns 150 --seed 42 --app scf \
     --race-check --predict --deadlock
 # Both exports validate; the JSONL classifies as wall-clock (valid,
 # analyzable, not replayable by design — exit 0, not an error cascade).
-cargo run --release --offline -q -p scioto-bench --bin trace_check -- \
-    --file "$work/conc_chrome.json" --ranks 4
-cargo run --release --offline -q -p scioto-bench --bin trace_check -- \
-    --file "$work/conc.jsonl" --replayable
+run_bin trace_check --file "$work/conc_chrome.json" --ranks 4
+run_bin trace_check --file "$work/conc.jsonl" --replayable
 grep -q 'clock: wall' "$work/conc_summary.txt"
 # The offline analyzer re-derives the identical wall-clock blame report
 # from the JSONL dump alone.
-cargo run --release --offline -q -p scioto-bench --bin analyze -- \
-    --file "$work/conc.jsonl" \
+run_bin analyze --file "$work/conc.jsonl" \
     --json-out "$work/conc_analysis_offline.json" > /dev/null
 cmp "$work/conc_analysis.json" "$work/conc_analysis_offline.json"
 # The standalone race checker accepts the wall-clock dump too — all
 # three analyses pair by generations/epochs, never timestamps.
-cargo run --release --offline -q -p scioto-race --bin race_check -- \
-    --predict --deadlock "$work/conc.jsonl"
+run_race race_check --predict --deadlock "$work/conc.jsonl"
 conc_t1=$(date +%s)
 conc_secs=$((conc_t1 - conc_t0))
 echo "ok: concurrent observability lane finished in ${conc_secs}s"
@@ -372,17 +319,19 @@ if [ "$conc_secs" -ge 60 ]; then
 fi
 
 if [ "$BLESS" = 1 ]; then
-    echo "== bless: refreshing results/baselines/ =="
+    stage "bless: refreshing results/baselines/"
     mkdir -p results/baselines
-    for f in "$work"/loose/BENCH_*.json "$work"/exact/BENCH_*.json; do
+    for f in "$work"/bench/BENCH_*.json; do
         cp "$f" "results/baselines/$(basename "$f")"
         echo "blessed results/baselines/$(basename "$f")"
     done
 else
-    echo "== bench_diff: default-policy runs vs committed baselines =="
-    # Generous tolerance: the diff exists to catch real regressions from
-    # code changes, and virtual-time results only move when the code does.
-    diff_all "$work/loose" 0.5
+    stage "bench_diff: every result vs its committed baseline, rel-tol 0"
+    run_bin bench_diff --all "$work/bench" --rel-tol 0
 fi
 
+stage ""
+echo "== stage wall times =="
+awk '{ ms = $1; $1 = ""; printf "%8.1f s %s\n", ms / 1000, $0; total += ms }
+     END { printf "%8.1f s  total\n", total / 1000 }' "$work/stages.txt"
 echo "verify.sh: all checks passed"

@@ -15,8 +15,8 @@ use scioto_scf::{
     ScfConfig,
 };
 use scioto_sim::{
-    validate_json, Engine, ExecMode, LatencyModel, Machine, MachineConfig, SpeedModel, Trace,
-    TraceConfig, TraceEvent,
+    validate_json, ExecMode, LatencyModel, Machine, MachineConfig, SpeedModel, Trace, TraceConfig,
+    TraceEvent,
 };
 use scioto_tce::contract::reference_checksum;
 use scioto_tce::{run_contraction, ContractionConfig, TceLoadBalance};
@@ -536,49 +536,43 @@ fn bench_json_is_deterministic_modulo_wall_clock() {
     assert_eq!(parsed.metrics.len(), 9);
 }
 
-/// One traced 8-rank UTS run under an explicit virtual-time engine.
-fn traced_uts_on_engine(engine: Engine) -> scioto_sim::Report {
-    let params = presets::tiny();
-    Machine::run(
-        MachineConfig::virtual_time(8)
+#[test]
+fn startup_runs_one_barrier_per_epoch() {
+    // There is one startup protocol: collectives publish through the
+    // barrier-free log, and an epoch's commit is the only barrier a
+    // `TaskCollection::create` runs — no barrier per collective inside it,
+    // none trailing it. Counted where a regression would show: in the
+    // barrier events each rank traces.
+    let out = Machine::run(
+        MachineConfig::virtual_time(4)
             .with_latency(LatencyModel::cluster())
-            .with_trace(TraceConfig::enabled())
-            .with_engine(engine),
-        move |ctx| run_scioto_uts(ctx, &SciotoUtsConfig::new(params)).0,
-    )
-    .report
-}
-
-#[test]
-fn thread_and_event_engines_are_byte_identical() {
-    // The engine is an execution substrate, not a model: a same-seed
-    // virtual-time run must produce the same Report and the same trace
-    // bytes whether ranks are parked OS threads or resumable fibers. This
-    // is the invariant that lets the pinned baselines stay valid at
-    // rel-tol 0 under either engine.
-    if !Engine::events_supported() {
-        eprintln!("fiber engine unsupported on this target; skipping");
-        return;
+            .with_trace(TraceConfig::enabled()),
+        |ctx| {
+            let armci = Armci::init(ctx);
+            armci.malloc(ctx, 64);
+            armci.create_mutexes(ctx, 2);
+            TaskCollection::create(ctx, &armci, TcConfig::new(8, 2, 64));
+        },
+    );
+    let trace = out.report.trace.expect("tracing enabled");
+    for r in 0..4 {
+        let episodes = trace
+            .events_for(r)
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::BarrierWait { .. }))
+            .count();
+        assert_eq!(episodes, 1, "rank {r}: init + malloc + mutexes + create");
     }
-    let t = traced_uts_on_engine(Engine::Threads);
-    let e = traced_uts_on_engine(Engine::Events);
-    assert_eq!(t.mode, e.mode);
-    assert_eq!(t.makespan_ns, e.makespan_ns);
-    assert_eq!(t.rank_clock_ns, e.rank_clock_ns);
-    assert_eq!(t.events, e.events, "kernel event counters must match");
-    let tj = t.trace.expect("tracing enabled").to_jsonl();
-    let ej = e.trace.expect("tracing enabled").to_jsonl();
-    assert_eq!(tj, ej, "JSONL trace export must be byte-identical");
 }
 
 #[test]
-fn event_engine_runs_1024_ranks() {
-    // Capacity test only the fiber engine can pass on this host: 1024
-    // parked OS threads exceed what the thread engine can stand up, but
-    // 1024 fibers on 256 KiB stacks are cheap. Light workload — skewed
-    // compute, a ring message through MPI, and tree barriers.
-    if !Engine::events_supported() {
-        eprintln!("fiber engine unsupported on this target; skipping");
+fn machine_runs_1024_ranks() {
+    // Capacity test only fibers can pass on this host: 1024 parked OS
+    // threads exceed what it can stand up, but 1024 fibers on 256 KiB
+    // stacks are cheap. Light workload — skewed compute, a ring message
+    // through MPI, and tree barriers.
+    if !scioto_sim::fibers_supported() {
+        eprintln!("no fibers on this target; skipping");
         return;
     }
     const P: usize = 1024;
@@ -586,7 +580,6 @@ fn event_engine_runs_1024_ranks() {
         MachineConfig::virtual_time(P)
             .with_latency(LatencyModel::cluster_nearfar())
             .with_barrier(scioto_sim::BarrierKind::Tree)
-            .with_engine(Engine::Events)
             .with_stack_size(256 * 1024),
         |ctx| {
             let comm = Comm::world(ctx);
@@ -619,14 +612,14 @@ fn vm_hwm_kb() -> Option<u64> {
 }
 
 #[test]
-fn event_engine_stands_up_4096_ranks_at_default_sizes() {
+fn machine_stands_up_4096_ranks_at_default_sizes() {
     // Scale smoke with nothing shrunk: the default 1 MiB fiber stack and
     // UTS's 2^17-slot task queue are 6 MiB of address space per rank —
     // 24 GB at 4096 ranks, more than this host has. Stacks are never
     // initialised and segments are materialised on first touch, so what
     // a run commits is what a no-op phase and a ring message reach.
-    if !Engine::events_supported() {
-        eprintln!("fiber engine unsupported on this target; skipping");
+    if !scioto_sim::fibers_supported() {
+        eprintln!("no fibers on this target; skipping");
         return;
     }
     const P: usize = 4096;
@@ -634,7 +627,6 @@ fn event_engine_stands_up_4096_ranks_at_default_sizes() {
         MachineConfig::virtual_time(P)
             .with_latency(LatencyModel::cluster_nearfar())
             .with_barrier(scioto_sim::BarrierKind::Tree)
-            .with_engine(Engine::Events)
     };
     let create = |ctx: &scioto_sim::Ctx| {
         let armci = Armci::init(ctx);
