@@ -1,15 +1,13 @@
 //! Shared plumbing for the table/figure regeneration binaries: the
 //! per-bin flag tables and strict parser ([`Args`]), the run spec every
 //! figure bin builds its machines from ([`RunSpec`]), aligned table
-//! printing, common sweep helpers, and the dependency-free [`tinybench`]
-//! harness backing the `benches/` targets.
+//! printing and common sweep helpers.
 
 use std::fmt::Write as _;
 
 mod args;
 pub mod benchjson;
 mod runspec;
-pub mod tinybench;
 
 pub use args::{accepted_flags, Args};
 pub use benchjson::BenchOut;

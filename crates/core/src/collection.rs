@@ -9,7 +9,7 @@ use scioto_det::CachePadded;
 use scioto_sim::{Ctx, TraceEvent};
 
 use crate::clo::{CloHandle, CloRegistry};
-use crate::config::{LbKind, TcConfig};
+use crate::config::{LbKind, QueueKind, TcConfig};
 use crate::queue::PatchQueue;
 use crate::registry::{Registry, TaskHandle};
 use crate::stats::{ProcessStats, RankCounters};
@@ -48,8 +48,8 @@ pub struct TaskCtx<'a> {
 }
 
 impl<'a> TaskCtx<'a> {
-    /// The opaque task body (a private copy; the queue slot is already
-    /// released).
+    /// The opaque task body (a private copy, valid for this execution; the
+    /// queue slot is already released).
     pub fn body(&self) -> &[u8] {
         self.body
     }
@@ -146,12 +146,13 @@ impl TaskCollection {
     pub fn add(&self, ctx: &Ctx, proc: usize, affinity: i32, task: &Task) {
         let me = ctx.rank();
         self.counters[me].tasks_spawned.fetch_add(1, Ordering::Relaxed);
-        let rec = self.record_for(ctx, affinity, task);
+        let header = self.header_for(ctx, affinity, task);
         if proc == me {
             self.queue
-                .push_local(ctx, &self.armci, &rec, &self.counters[me]);
+                .push_local(ctx, &self.armci, &header, task.body(), &self.counters[me]);
         } else {
-            self.queue.insert_tail(ctx, &self.armci, proc, &rec);
+            self.queue
+                .insert_tail(ctx, &self.armci, proc, &header, task.body());
             // A remote add transfers work: fold it into the termination
             // detector exactly like a steal (§5.3).
             let marked = self.detector.note_transfer(ctx, &self.armci, proc);
@@ -202,24 +203,39 @@ impl TaskCollection {
             self.cfg.victim_cont,
             self.cfg.victim_escape,
         );
+        // The one buffer every task this rank pops in the phase is copied
+        // into: a task may add (and so overwrite its own slot) while it
+        // runs, so it executes from a copy, but not from a fresh one each.
+        let mut body = Vec::with_capacity(self.cfg.max_body);
+        // Set by a pure nap tick — backoff pending, detector poll deferred
+        // — which contains no scheduling point: in virtual time no other
+        // rank has run since this rank last found its queue empty, so the
+        // next pop and reclaim pre-check could only read the same indices
+        // again. Split queue only: the locked queue's pop takes the queue
+        // lock, itself a scheduling point with a cost (what the no-split
+        // ablation measures). On real threads the skip delays noticing a
+        // remote add until after the next poll, < 1 us of spinning.
+        let mut queue_unchanged = false;
         loop {
-            // Drain local (private) work.
-            while let Some(rec) = self.queue.pop_local(ctx, &self.armci, &self.counters[me]) {
-                self.execute(ctx, rec);
-                since_td += 1;
-                if since_td >= 16 {
-                    since_td = 0;
-                    // Keep waves and TERM announcements flowing while busy.
-                    self.detector.progress(ctx, &self.armci, false);
-                    self.trace_queue_depth(ctx);
+            if !queue_unchanged {
+                // Drain local (private) work.
+                while let Some(header) = self.pop_into(ctx, &mut body) {
+                    self.execute(ctx, header, &body);
+                    since_td += 1;
+                    if since_td >= 16 {
+                        since_td = 0;
+                        // Keep waves and TERM announcements flowing while busy.
+                        self.detector.progress(ctx, &self.armci, false);
+                        self.trace_queue_depth(ctx);
+                    }
                 }
-            }
-            // Private portion empty: reclaim shared work if any.
-            if self
-                .queue
-                .reclaim(ctx, &self.armci, &self.counters[me])
-            {
-                continue;
+                // Private portion empty: reclaim shared work if any.
+                if self
+                    .queue
+                    .reclaim(ctx, &self.armci, &self.counters[me])
+                {
+                    continue;
+                }
             }
             // Passive: detect termination, then hunt for work. Under
             // batched TD the detector poll (whose snapshot read is the
@@ -245,8 +261,10 @@ impl TaskCollection {
                 if backoff > 0 {
                     backoff -= 1;
                     ctx.compute(200);
+                    queue_unchanged = defer_poll && self.cfg.queue == QueueKind::Split;
                     continue;
                 }
+                queue_unchanged = false;
                 let victim = {
                     let mut rng = ctx.rng();
                     victims.next(&mut rng, me, n)
@@ -298,18 +316,15 @@ impl TaskCollection {
                         // task before the rest become re-stealable retires
                         // at least one task per successful steal, which
                         // bounds total steals and makes the cycle impossible.
-                        let mut rest = stolen.into_iter();
-                        let first = rest.next().expect("steal was non-empty");
+                        let (first, rest) = stolen.split_first().expect("steal was non-empty");
                         for rec in rest {
-                            self.queue
-                                .push_local(ctx, &self.armci, &rec, &self.counters[me]);
+                            self.push_stolen(ctx, rec);
                         }
-                        self.execute(ctx, first);
+                        self.execute(ctx, first.header, &first.body);
                         since_td += 1;
                     } else {
                         for rec in &stolen {
-                            self.queue
-                                .push_local(ctx, &self.armci, rec, &self.counters[me]);
+                            self.push_stolen(ctx, rec);
                         }
                     }
                     failed_steals = 0;
@@ -351,21 +366,41 @@ impl TaskCollection {
         self.counters[me].snapshot()
     }
 
-    fn execute(&self, ctx: &Ctx, rec: TaskRecord) {
+    /// Pop this rank's next private task, copying its body into `body`.
+    fn pop_into(&self, ctx: &Ctx, body: &mut Vec<u8>) -> Option<TaskHeader> {
+        let counters = &self.counters[ctx.rank()];
+        self.queue.pop_local(ctx, &self.armci, counters, |header, bytes| {
+            body.clear();
+            body.extend_from_slice(bytes);
+            header
+        })
+    }
+
+    fn push_stolen(&self, ctx: &Ctx, rec: &TaskRecord) {
+        self.queue.push_local(
+            ctx,
+            &self.armci,
+            &rec.header,
+            &rec.body,
+            &self.counters[ctx.rank()],
+        );
+    }
+
+    fn execute(&self, ctx: &Ctx, header: TaskHeader, body: &[u8]) {
         let me = ctx.rank();
-        let f = self.registry.lookup(me, TaskHandle(rec.header.callback));
+        let f = self.registry.lookup(me, TaskHandle(header.callback));
         let tctx = TaskCtx {
             ctx,
             tc: self,
-            header: rec.header,
-            body: &rec.body,
+            header,
+            body,
         };
         let traced = ctx.trace_enabled();
         let start = if traced { ctx.now() } else { 0 };
         if traced {
             ctx.trace_at(start, || TraceEvent::TaskExecBegin {
-                callback: rec.header.callback,
-                creator: rec.header.creator,
+                callback: header.callback,
+                creator: header.creator,
             });
         }
         f(&tctx);
@@ -373,7 +408,7 @@ impl TaskCollection {
             // One completion read stamps the end event and the hist.
             let end = ctx.now();
             ctx.trace_at(end, || TraceEvent::TaskExecEnd {
-                callback: rec.header.callback,
+                callback: header.callback,
             });
             ctx.trace_hist(crate::trace::HIST_TASK_EXEC, end.saturating_sub(start));
         }
@@ -437,9 +472,9 @@ impl TaskCollection {
     /// Push one task onto the local queue (the paper's "local insert").
     #[doc(hidden)]
     pub fn bench_push_local(&self, ctx: &Ctx, task: &Task) {
-        let rec = self.record_for(ctx, 1, task);
+        let header = self.header_for(ctx, 1, task);
         self.queue
-            .push_local(ctx, &self.armci, &rec, &self.counters[ctx.rank()]);
+            .push_local(ctx, &self.armci, &header, task.body(), &self.counters[ctx.rank()]);
     }
 
     /// Pop one task from the local queue (the paper's "local get").
@@ -447,26 +482,21 @@ impl TaskCollection {
     #[doc(hidden)]
     pub fn bench_pop_local(&self, ctx: &Ctx) -> bool {
         let me = ctx.rank();
-        if self
-            .queue
-            .pop_local(ctx, &self.armci, &self.counters[me])
-            .is_some()
-        {
-            return true;
-        }
-        self.queue.reclaim(ctx, &self.armci, &self.counters[me])
-            && self
-                .queue
-                .pop_local(ctx, &self.armci, &self.counters[me])
+        let pop = || {
+            self.queue
+                .pop_local(ctx, &self.armci, &self.counters[me], |_, _| ())
                 .is_some()
+        };
+        pop() || (self.queue.reclaim(ctx, &self.armci, &self.counters[me]) && pop())
     }
 
     /// Insert one task at the tail of `target`'s queue (the paper's
     /// "remote insert").
     #[doc(hidden)]
     pub fn bench_insert_remote(&self, ctx: &Ctx, target: usize, task: &Task) {
-        let rec = self.record_for(ctx, 1, task);
-        self.queue.insert_tail(ctx, &self.armci, target, &rec);
+        let header = self.header_for(ctx, 1, task);
+        self.queue
+            .insert_tail(ctx, &self.armci, target, &header, task.body());
     }
 
     /// One steal operation against `victim` (the paper's "remote steal").
@@ -476,9 +506,9 @@ impl TaskCollection {
         self.queue.steal(ctx, &self.armci, victim).len()
     }
 
-    fn record_for(&self, ctx: &Ctx, affinity: i32, task: &Task) -> TaskRecord {
+    fn header_for(&self, ctx: &Ctx, affinity: i32, task: &Task) -> TaskHeader {
         // Reject oversized bodies here — the one place every add path
-        // (including the bench entry points) builds its record — so the
+        // (including the bench entry points) builds its header — so the
         // failure is a clear message, not a slice panic in slot encoding.
         assert!(
             task.body().len() <= self.cfg.max_body,
@@ -486,14 +516,11 @@ impl TaskCollection {
             task.body().len(),
             self.cfg.max_body
         );
-        TaskRecord {
-            header: TaskHeader {
-                callback: task.handle().0,
-                affinity,
-                creator: ctx.rank() as u32,
-                body_len: task.body().len() as u32,
-            },
-            body: task.body().to_vec(),
+        TaskHeader {
+            callback: task.handle().0,
+            affinity,
+            creator: ctx.rank() as u32,
+            body_len: task.body().len() as u32,
         }
     }
 }

@@ -31,7 +31,7 @@ use scioto_sim::{Ctx, TraceEvent};
 
 use crate::config::{QueueKind, TcConfig};
 use crate::stats::RankCounters;
-use crate::task::{TaskRecord, HEADER_BYTES};
+use crate::task::{decode_slot, encode_slot, TaskHeader, TaskRecord, HEADER_BYTES};
 
 const HEAD: usize = 0;
 const SPLIT: usize = 8;
@@ -105,17 +105,32 @@ impl PatchQueue {
         (index.rem_euclid(self.cap)) as usize * self.slot_sz
     }
 
-    fn write_slot_local(&self, ctx: &Ctx, armci: &Armci, index: i64, rec: &TaskRecord) {
+    fn write_slot_local(
+        &self,
+        ctx: &Ctx,
+        armci: &Armci,
+        index: i64,
+        header: &TaskHeader,
+        body: &[u8],
+    ) {
         let pos = self.slot_pos(index);
         armci.with_local_range_mut(ctx, self.slots, pos, self.slot_sz, false, |b| {
-            rec.encode_into(b);
+            encode_slot(b, header, body);
         });
     }
 
-    fn read_slot_local(&self, ctx: &Ctx, armci: &Armci, index: i64) -> TaskRecord {
+    /// Hand slot `index`'s header and body to `take` where they lie.
+    fn read_slot_local<R>(
+        &self,
+        ctx: &Ctx,
+        armci: &Armci,
+        index: i64,
+        take: impl FnOnce(TaskHeader, &[u8]) -> R,
+    ) -> R {
         let pos = self.slot_pos(index);
         armci.with_local_range(ctx, self.slots, pos, self.slot_sz, false, |b| {
-            TaskRecord::decode(b)
+            let (header, body) = decode_slot(b);
+            take(header, body)
         })
     }
 
@@ -178,23 +193,25 @@ impl PatchQueue {
 
     /// Owner push. High-affinity tasks go to the head (private end);
     /// low-affinity tasks (`affinity < 0`) are inserted at the tail, the
-    /// first position to be stolen.
+    /// first position to be stolen. `body` is copied once, from the
+    /// caller's buffer straight into the slot.
     pub(crate) fn push_local(
         &self,
         ctx: &Ctx,
         armci: &Armci,
-        rec: &TaskRecord,
+        header: &TaskHeader,
+        body: &[u8],
         counters: &RankCounters,
     ) {
-        if rec.header.affinity < 0 && self.kind == QueueKind::Split {
-            self.insert_tail(ctx, armci, ctx.rank(), rec);
+        if header.affinity < 0 && self.kind == QueueKind::Split {
+            self.insert_tail(ctx, armci, ctx.rank(), header, body);
             return;
         }
         match self.kind {
             QueueKind::Split => {
                 let (head, split, tail) = self.owner_op(ctx, armci, |head, _, tail| {
                     self.check_capacity(head, tail);
-                    self.write_slot_local(ctx, armci, head, rec);
+                    self.write_slot_local(ctx, armci, head, header, body);
                     Some(head + 1)
                 });
                 ctx.charge_cpu(ctx.latency().local_insert);
@@ -204,7 +221,7 @@ impl PatchQueue {
                 armci.lock(ctx, self.locks, 0, ctx.rank());
                 let (head, _, tail) = self.indices_local(ctx, armci);
                 self.check_capacity(head, tail);
-                self.write_slot_local(ctx, armci, head, rec);
+                self.write_slot_local(ctx, armci, head, header, body);
                 self.write_meta_local(ctx, armci, HEAD, head + 1);
                 self.write_meta_local(ctx, armci, SPLIT, head + 1);
                 ctx.charge_cpu(ctx.latency().local_insert);
@@ -215,13 +232,17 @@ impl PatchQueue {
 
     /// Owner pop from the head. For the split queue this touches only the
     /// private portion; returns `None` when the private portion is empty
-    /// (callers should then try [`PatchQueue::reclaim`]).
-    pub(crate) fn pop_local(
+    /// (callers should then try [`PatchQueue::reclaim`]). `take` sees the
+    /// popped task's header and body in the slot, before `head` is
+    /// published: it copies out what the caller needs — into a buffer the
+    /// caller reuses — and must not touch the queue.
+    pub(crate) fn pop_local<R>(
         &self,
         ctx: &Ctx,
         armci: &Armci,
         counters: &RankCounters,
-    ) -> Option<TaskRecord> {
+        take: impl FnOnce(TaskHeader, &[u8]) -> R,
+    ) -> Option<R> {
         match self.kind {
             QueueKind::Split => {
                 let mut popped = None;
@@ -229,16 +250,16 @@ impl PatchQueue {
                     if head <= split {
                         return None;
                     }
-                    popped = Some(self.read_slot_local(ctx, armci, head - 1));
+                    popped = Some(self.read_slot_local(ctx, armci, head - 1, take));
                     Some(head - 1)
                 });
-                let rec = popped?;
+                let taken = popped?;
                 ctx.charge_cpu(ctx.latency().local_get);
                 // Keep work available for thieves while draining a deep
                 // private portion (the owner "moves tasks between the shared
                 // and local portions as the computation progresses", §5).
                 self.maybe_release(ctx, armci, counters, head, split, tail);
-                Some(rec)
+                Some(taken)
             }
             QueueKind::Locked => {
                 armci.lock(ctx, self.locks, 0, ctx.rank());
@@ -248,12 +269,12 @@ impl PatchQueue {
                     return None;
                 }
                 let h = head - 1;
-                let rec = self.read_slot_local(ctx, armci, h);
+                let taken = self.read_slot_local(ctx, armci, h, take);
                 self.write_meta_local(ctx, armci, HEAD, h);
                 self.write_meta_local(ctx, armci, SPLIT, h);
                 ctx.charge_cpu(ctx.latency().local_get);
                 armci.unlock(ctx, self.locks, 0, ctx.rank());
-                Some(rec)
+                Some(taken)
             }
         }
     }
@@ -345,7 +366,14 @@ impl PatchQueue {
     /// Insert a task at the tail of `target`'s queue (used for remote adds
     /// and low-affinity local adds): lock, read indices, write the slot and
     /// the decremented tail one-sided, unlock.
-    pub(crate) fn insert_tail(&self, ctx: &Ctx, armci: &Armci, target: usize, rec: &TaskRecord) {
+    pub(crate) fn insert_tail(
+        &self,
+        ctx: &Ctx,
+        armci: &Armci,
+        target: usize,
+        header: &TaskHeader,
+        body: &[u8],
+    ) {
         armci.lock(ctx, self.locks, 0, target);
         // Atomic composite get: this one transfer also covers `head`, which
         // the owner updates lock-free (single-word protocol discipline).
@@ -355,7 +383,7 @@ impl PatchQueue {
         let t = tail - 1;
         let pos = self.slot_pos(t);
         let mut buf = vec![0u8; self.slot_sz];
-        rec.encode_into(&mut buf);
+        encode_slot(&mut buf, header, body);
         armci.put(ctx, self.slots, target, pos, &buf);
         // protocol: single-word tail store under the queue lock; the
         // owner's reclaim/release pre-checks read `tail` lock-free.
@@ -433,20 +461,29 @@ impl PatchQueue {
 mod tests {
     use super::*;
     use crate::config::TcConfig;
-    use crate::task::TaskHeader;
-    use scioto_sim::{Machine, MachineConfig};
+        use scioto_sim::{Machine, MachineConfig};
     use std::sync::Arc;
 
-    fn rec(id: u32, affinity: i32) -> TaskRecord {
-        TaskRecord {
-            header: TaskHeader {
-                callback: id,
-                affinity,
-                creator: 0,
-                body_len: 4,
-            },
-            body: id.to_le_bytes().to_vec(),
+    /// Task `id`: the id is both the callback field and the 4-byte body.
+    fn header(id: u32, affinity: i32) -> TaskHeader {
+        TaskHeader {
+            callback: id,
+            affinity,
+            creator: 0,
+            body_len: 4,
         }
+    }
+
+    fn push(q: &PatchQueue, ctx: &Ctx, armci: &Armci, id: u32, affinity: i32, c: &RankCounters) {
+        q.push_local(ctx, armci, &header(id, affinity), &id.to_le_bytes(), c);
+    }
+
+    /// Pop one task and return its id, checking the body came with it.
+    fn pop_id(q: &PatchQueue, ctx: &Ctx, armci: &Armci, c: &RankCounters) -> Option<u32> {
+        q.pop_local(ctx, armci, c, |h, body| {
+            assert_eq!(body, h.callback.to_le_bytes());
+            h.callback
+        })
     }
 
     fn setup(ctx: &Ctx, cfg: TcConfig) -> (Arc<Armci>, PatchQueue) {
@@ -461,12 +498,12 @@ mod tests {
             let (armci, q) = setup(ctx, TcConfig::new(16, 2, 32));
             let c = RankCounters::default();
             for i in 0..5 {
-                q.push_local(ctx, &armci, &rec(i, 1), &c);
+                push(&q, ctx, &armci, i, 1, &c);
             }
             let mut got = Vec::new();
             loop {
-                match q.pop_local(ctx, &armci, &c) {
-                    Some(r) => got.push(r.header.callback),
+                match pop_id(&q, ctx, &armci, &c) {
+                    Some(id) => got.push(id),
                     None => {
                         if !q.reclaim(ctx, &armci, &c) {
                             break;
@@ -490,7 +527,7 @@ mod tests {
             let c = RankCounters::default();
             if ctx.rank() == 0 {
                 for i in 0..8 {
-                    q.push_local(ctx, &armci, &rec(i, 1), &c);
+                    push(&q, ctx, &armci, i, 1, &c);
                 }
                 armci.barrier(ctx);
                 armci.barrier(ctx);
@@ -518,13 +555,13 @@ mod tests {
                 let mut seen = Vec::new();
                 if ctx.rank() == 0 {
                     for i in 0..60 {
-                        q.push_local(ctx, &armci, &rec(i, 1), &c);
+                        push(&q, ctx, &armci, i, 1, &c);
                         ctx.compute(100);
                     }
                     armci.barrier(ctx);
                     loop {
-                        match q.pop_local(ctx, &armci, &c) {
-                            Some(r) => seen.push(r.header.callback),
+                        match pop_id(&q, ctx, &armci, &c) {
+                            Some(id) => seen.push(id),
                             None => {
                                 if !q.reclaim(ctx, &armci, &c) {
                                     break;
@@ -579,19 +616,19 @@ mod tests {
                             while next < TASKS {
                                 let burst = ctx.rng().gen_range(1..8u32).min(TASKS - next);
                                 for _ in 0..burst {
-                                    q.push_local(ctx, &armci, &rec(next, 1), &c);
+                                    push(&q, ctx, &armci, next, 1, &c);
                                     next += 1;
                                 }
                                 let pops = ctx.rng().gen_range(0..burst + 1);
                                 for _ in 0..pops {
-                                    if let Some(r) = q.pop_local(ctx, &armci, &c) {
-                                        seen.push(r.header.callback);
+                                    if let Some(id) = pop_id(&q, ctx, &armci, &c) {
+                                        seen.push(id);
                                     }
                                 }
                             }
                             loop {
-                                match q.pop_local(ctx, &armci, &c) {
-                                    Some(r) => seen.push(r.header.callback),
+                                match pop_id(&q, ctx, &armci, &c) {
+                                    Some(id) => seen.push(id),
                                     None => {
                                         if !q.reclaim(ctx, &armci, &c) {
                                             break;
@@ -658,12 +695,12 @@ mod tests {
             let c = RankCounters::default();
             let fresh = slot_store_bytes(ctx, &armci, &q);
             for i in 0..DEPTH as u32 {
-                q.push_local(ctx, &armci, &rec(i, 1), &c);
+                push(&q, ctx, &armci, i, 1, &c);
             }
             let deep = slot_store_bytes(ctx, &armci, &q);
             for i in 0..10 * DEPTH as u32 {
-                assert!(q.pop_local(ctx, &armci, &c).is_some());
-                q.push_local(ctx, &armci, &rec(i, 1), &c);
+                assert!(pop_id(&q, ctx, &armci, &c).is_some());
+                push(&q, ctx, &armci, i, 1, &c);
             }
             armci.barrier(ctx);
             (fresh, deep, slot_store_bytes(ctx, &armci, &q), q.slot_sz())
@@ -690,12 +727,12 @@ mod tests {
         let out = Machine::run(cfg, |ctx| {
             let (armci, q) = setup(ctx, TcConfig::new(16, 2, 32));
             let c = RankCounters::default();
-            q.push_local(ctx, &armci, &rec(0, 1), &c);
+            push(&q, ctx, &armci, 0, 1, &c);
             // Second push: two private tasks and an empty shared portion,
             // so the release path runs as well.
-            q.push_local(ctx, &armci, &rec(1, 1), &c);
+            push(&q, ctx, &armci, 1, 1, &c);
             assert_eq!(c.snapshot().splits_released, 1);
-            assert_eq!(q.pop_local(ctx, &armci, &c).map(|r| r.header.callback), Some(1));
+            assert_eq!(pop_id(&q, ctx, &armci, &c), Some(1));
             q.slot_sz() as u32
         });
         let slot = out.results[0];
@@ -735,10 +772,10 @@ mod tests {
             let (armci, q) = setup(ctx, TcConfig::new(16, 1, 32));
             let c = RankCounters::default();
             if ctx.rank() == 0 {
-                q.push_local(ctx, &armci, &rec(100, 1), &c);
-                q.push_local(ctx, &armci, &rec(101, 1), &c);
+                push(&q, ctx, &armci, 100, 1, &c);
+                push(&q, ctx, &armci, 101, 1, &c);
                 // Low-affinity task: tail insert, first steal candidate.
-                q.push_local(ctx, &armci, &rec(7, -1), &c);
+                push(&q, ctx, &armci, 7, -1, &c);
                 armci.barrier(ctx);
                 armci.barrier(ctx);
                 0
@@ -758,14 +795,15 @@ mod tests {
             let (armci, q) = setup(ctx, TcConfig::new(16, 4, 32));
             let c = RankCounters::default();
             if ctx.rank() != 1 {
-                q.insert_tail(ctx, &armci, 1, &rec(ctx.rank() as u32, 0));
+                let id = ctx.rank() as u32;
+                q.insert_tail(ctx, &armci, 1, &header(id, 0), &id.to_le_bytes());
             }
             armci.barrier(ctx);
             if ctx.rank() == 1 {
                 let mut got = Vec::new();
                 while q.reclaim(ctx, &armci, &c) {
-                    while let Some(r) = q.pop_local(ctx, &armci, &c) {
-                        got.push(r.header.callback);
+                    while let Some(id) = pop_id(&q, ctx, &armci, &c) {
+                        got.push(id);
                     }
                 }
                 got.sort_unstable();
@@ -785,12 +823,12 @@ mod tests {
             let c = RankCounters::default();
             let mut popped = Vec::new();
             for round in 0..10u32 {
-                q.push_local(ctx, &armci, &rec(round * 2, 1), &c);
-                q.push_local(ctx, &armci, &rec(round * 2 + 1, 1), &c);
+                push(&q, ctx, &armci, round * 2, 1, &c);
+                push(&q, ctx, &armci, round * 2 + 1, 1, &c);
                 for _ in 0..2 {
                     loop {
-                        if let Some(r) = q.pop_local(ctx, &armci, &c) {
-                            popped.push(r.header.callback);
+                        if let Some(id) = pop_id(&q, ctx, &armci, &c) {
+                            popped.push(id);
                             break;
                         }
                         assert!(q.reclaim(ctx, &armci, &c));
@@ -813,7 +851,7 @@ mod tests {
             let (armci, q) = setup(ctx, TcConfig::new(8, 2, 4));
             let c = RankCounters::default();
             for i in 0..5 {
-                q.push_local(ctx, &armci, &rec(i, 1), &c);
+                push(&q, ctx, &armci, i, 1, &c);
             }
         });
     }
@@ -837,10 +875,10 @@ mod tests {
             let cfg = TcConfig::new(8, 2, 16).with_queue(QueueKind::Locked);
             let (armci, q) = setup(ctx, cfg);
             let c = RankCounters::default();
-            q.push_local(ctx, &armci, &rec(0, 1), &c);
-            q.push_local(ctx, &armci, &rec(1, 1), &c);
+            push(&q, ctx, &armci, 0, 1, &c);
+            push(&q, ctx, &armci, 1, 1, &c);
             let (h1, s1, _) = q.indices_local(ctx, &armci);
-            q.pop_local(ctx, &armci, &c);
+            pop_id(&q, ctx, &armci, &c);
             let (h2, s2, _) = q.indices_local(ctx, &armci);
             (h1 == s1, h2 == s2)
         });

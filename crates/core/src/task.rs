@@ -80,7 +80,22 @@ impl Task {
     }
 }
 
-/// Executable payload of one slot, reconstructed on pop/steal.
+/// Serialize a task into a fixed-size slot buffer: the header, then the
+/// body borrowed from wherever the caller holds it.
+pub(crate) fn encode_slot(slot: &mut [u8], header: &TaskHeader, body: &[u8]) {
+    debug_assert_eq!(header.body_len as usize, body.len());
+    header.encode(&mut slot[..HEADER_BYTES]);
+    slot[HEADER_BYTES..HEADER_BYTES + body.len()].copy_from_slice(body);
+}
+
+/// The header of a slot buffer and the body bytes it delimits.
+pub(crate) fn decode_slot(slot: &[u8]) -> (TaskHeader, &[u8]) {
+    let header = TaskHeader::decode(slot);
+    (header, &slot[HEADER_BYTES..HEADER_BYTES + header.body_len as usize])
+}
+
+/// An owned copy of one slot: what a steal hands back, one per task of the
+/// chunk it transferred. The owner's own add and pop never build one.
 #[derive(Debug, Clone)]
 pub(crate) struct TaskRecord {
     pub header: TaskHeader,
@@ -88,18 +103,10 @@ pub(crate) struct TaskRecord {
 }
 
 impl TaskRecord {
-    /// Serialize into a fixed-size slot buffer.
-    pub(crate) fn encode_into(&self, slot: &mut [u8]) {
-        self.header.encode(&mut slot[..HEADER_BYTES]);
-        slot[HEADER_BYTES..HEADER_BYTES + self.body.len()].copy_from_slice(&self.body);
-    }
-
     /// Deserialize from a slot buffer.
     pub(crate) fn decode(slot: &[u8]) -> TaskRecord {
-        let header = TaskHeader::decode(slot);
-        let body =
-            slot[HEADER_BYTES..HEADER_BYTES + header.body_len as usize].to_vec();
-        TaskRecord { header, body }
+        let (header, body) = decode_slot(slot);
+        TaskRecord { header, body: body.to_vec() }
     }
 }
 
@@ -126,21 +133,21 @@ mod tests {
     }
 
     #[test]
-    fn record_roundtrip_with_short_body() {
-        let rec = TaskRecord {
-            header: TaskHeader {
-                callback: 1,
-                affinity: 0,
-                creator: 2,
-                body_len: 3,
-            },
-            body: vec![9, 8, 7],
+    fn slot_roundtrip_with_short_body() {
+        let header = TaskHeader {
+            callback: 1,
+            affinity: 0,
+            creator: 2,
+            body_len: 3,
         };
-        let mut slot = vec![0u8; 32];
-        rec.encode_into(&mut slot);
+        let mut slot = vec![0xEEu8; 32];
+        encode_slot(&mut slot, &header, &[9, 8, 7]);
+        assert_eq!(decode_slot(&slot), (header, &[9u8, 8, 7][..]));
         let back = TaskRecord::decode(&slot);
         assert_eq!(back.body, vec![9, 8, 7]);
-        assert_eq!(back.header, rec.header);
+        assert_eq!(back.header, header);
+        // Bytes past the body are the slot's, not the task's.
+        assert!(slot[HEADER_BYTES + 3..].iter().all(|&b| b == 0xEE));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   per-line waiver is honored only inside the sanctioned file
 //!   allowlist ([`SANCTIONED_TIME_FILES`]): the runtime's one wall-clock
 //!   source (`crates/det/src/clock.rs`, wrapping `Instant` behind
-//!   `MonoClock`) and the bench timing harness. Anywhere else a waiver
-//!   comment does not suppress the finding.
+//!   `MonoClock`) and the bench JSON writer's generation stamp. Anywhere
+//!   else a waiver comment does not suppress the finding.
 //! * `trace-closure` — trace emission sites must pass a deferred
 //!   closure (`ctx.trace(|| TraceEvent::...)`), never a pre-built
 //!   event, so disabled tracing costs one branch and zero construction.
@@ -96,14 +96,12 @@ pub const ALL_RULES: &[&str] = &[
 ];
 
 /// The only files where a `wallclock` waiver on a std-time line is
-/// honored: the runtime's single wall-clock source and the bench timing
-/// harness (which times real benchmark iterations by definition).
+/// honored: the runtime's single wall-clock source and the bench JSON
+/// writer (which stamps a document with when it was generated).
 /// Matched as path suffixes so absolute and relative invocations agree.
 pub const SANCTIONED_TIME_FILES: &[&str] = &[
     "crates/det/src/clock.rs",
-    "crates/bench/benches/queue_ops.rs",
     "crates/bench/src/benchjson.rs",
-    "crates/bench/src/tinybench.rs",
 ];
 
 /// Is `path` on the std-time allowlist?

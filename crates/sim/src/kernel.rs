@@ -13,6 +13,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use scioto_det::clock::MonoClock;
 use scioto_det::sync::{CachePadded, Condvar, Mutex};
@@ -70,11 +71,31 @@ struct Sched {
     done: usize,
 }
 
+/// `ns * factor` rounded half away from zero — what `f64::round` returns
+/// for a non-negative product, in integer arithmetic instead of a libm
+/// call: below 2^52 the truncated product and its remainder are both exact
+/// in `f64`, and from 2^52 up the product is already whole.
+fn scale_ns(ns: u64, factor: f64) -> u64 {
+    let x = ns as f64 * factor;
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
+}
+
+/// Hardware threads this process may run on, asked of the OS once (1 if
+/// it will not say).
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// The shared scheduling kernel of one simulated machine.
 pub(crate) struct Kernel {
     n: usize,
     mode: ExecMode,
     substrate: Substrate,
+    /// Concurrent mode only: more rank threads than [`host_cores`], so a
+    /// rank at a scheduling point has a peer waiting for its core.
+    oversubscribed: bool,
     sched: Mutex<Sched>,
     cvs: Vec<Condvar>,
     clocks: Vec<AtomicU64>,
@@ -124,6 +145,7 @@ impl Kernel {
             n,
             mode,
             substrate,
+            oversubscribed: mode == ExecMode::Concurrent && n > host_cores(),
             sched: Mutex::new(Sched {
                 status,
                 wake_token: vec![false; n],
@@ -257,16 +279,26 @@ impl Kernel {
     /// factor. No scheduling point: CPU work is rank-private.
     pub(crate) fn charge_cpu(&self, rank: usize, ns: u64) {
         if self.mode == ExecMode::VirtualTime && ns > 0 {
-            let scaled = (ns as f64 * self.speed[rank]).round() as u64;
-            self.clocks[rank].fetch_add(scaled, Ordering::Relaxed);
+            self.charge(rank, scale_ns(ns, self.speed[rank]));
         }
     }
 
     /// Advance `rank`'s clock by `ns` of *network* time (unscaled).
     pub(crate) fn charge_net(&self, rank: usize, ns: u64) {
         if self.mode == ExecMode::VirtualTime && ns > 0 {
-            self.clocks[rank].fetch_add(ns, Ordering::Relaxed);
+            self.charge(rank, ns);
         }
+    }
+
+    /// A rank charges only itself and only while it holds the baton, and
+    /// the other writers of its clock (`unblock`, `advance_to`) run while
+    /// it does not, ordered against it by the scheduler's mutex or a fiber
+    /// switch on one thread. A virtual clock therefore never has two
+    /// writers at once, and a plain load + store is a complete update — no
+    /// locked read-modify-write on the path every simulated operation takes.
+    fn charge(&self, rank: usize, ns: u64) {
+        let clock = &self.clocks[rank];
+        clock.store(clock.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
     }
 
     /// Wait at rank start until the scheduler hands this rank the baton.
@@ -296,9 +328,16 @@ impl Kernel {
     /// rank; on return it holds the baton and may manipulate shared state.
     pub(crate) fn yield_point(&self, rank: usize) {
         if self.mode == ExecMode::Concurrent {
-            // On oversubscribed hosts, give other rank threads a chance to
-            // make progress between shared-state operations.
-            std::thread::yield_now();
+            // With more rank threads than cores, give the others a chance
+            // to make progress between shared-state operations. With a core
+            // per rank there is no peer to yield to: `sched_yield` would be
+            // a bare syscall on every one-sided operation — a busy rank
+            // polls its detector every 16 tasks — and would hand the core,
+            // for a whole timeslice, to any unrelated thread the host has
+            // runnable, so that one such thread halves a two-rank run.
+            if self.oversubscribed {
+                std::thread::yield_now();
+            }
             return;
         }
         self.events.yields.fetch_add(1, Ordering::Relaxed);
@@ -602,6 +641,83 @@ mod tests {
         k.charge_cpu(1, 100);
         assert_eq!(k.clock(0), 100);
         assert_eq!(k.clock(1), 200);
+    }
+
+    /// `scale_ns` is `f64::round` of the product for every charge the
+    /// shipped speed models can produce (uniform 1.0, the hetero cluster's
+    /// Xeon ratio) and for factors that land on exact halves, where
+    /// round-half-away and round-half-even differ.
+    #[test]
+    fn scale_ns_equals_f64_round() {
+        let mut factors = vec![0.5, 1.5, 0.4753 / 0.3158];
+        for model in [SpeedModel::uniform(2), SpeedModel::hetero_cluster(2)] {
+            factors.extend((0..model.len()).map(|r| model.factor(r)));
+        }
+        let mut halves = 0;
+        for ns in (1..=4096u64).chain([1_000_000, 1 << 40]) {
+            for &f in &factors {
+                let x = ns as f64 * f;
+                halves += u32::from(x.fract() == 0.5);
+                assert_eq!(scale_ns(ns, f), x.round() as u64, "ns={ns} factor={f}");
+            }
+        }
+        assert!(halves >= 4096, "exact-half products were exercised ({halves})");
+        assert_eq!(scale_ns(3, 0.5), 2, "half rounds away from zero, not to even");
+        assert_eq!(scale_ns(1, 0.5), 1);
+    }
+
+    #[test]
+    fn k_charges_sum_to_k_times_one_charge() {
+        let k = Kernel::new(
+            2,
+            ExecMode::VirtualTime,
+            Substrate::Threads,
+            &SpeedModel::hetero_cluster(2),
+            TraceSink::Disabled,
+        );
+        k.charge_cpu(1, 316);
+        let one = k.clock(1);
+        assert_eq!(one, (316.0 * (0.4753 / 0.3158f64)).round() as u64);
+        for _ in 1..1000 {
+            k.charge_cpu(1, 316);
+        }
+        assert_eq!(k.clock(1), 1000 * one);
+    }
+
+    /// Free-running threads have no virtual clock to charge — which is
+    /// also why `charge`'s plain store never meets a second writer there.
+    #[test]
+    fn concurrent_mode_does_not_charge() {
+        let conc = Kernel::new(
+            1,
+            ExecMode::Concurrent,
+            Substrate::Threads,
+            &SpeedModel::uniform(1),
+            TraceSink::Disabled,
+        );
+        conc.charge_cpu(0, 316);
+        conc.charge_net(0, 316);
+        assert_eq!(conc.clock(0), 0);
+    }
+
+    /// `yield_point` hands the core on only when a peer rank is waiting
+    /// for one; virtual time has its own dispatch and never asks.
+    #[test]
+    fn only_a_concurrent_machine_with_more_ranks_than_cores_is_oversubscribed() {
+        let kernel = |n: usize, mode| {
+            Kernel::new(
+                n,
+                mode,
+                Substrate::Threads,
+                &SpeedModel::uniform(n),
+                TraceSink::Disabled,
+            )
+        };
+        let cores = host_cores();
+        assert!(cores >= 1);
+        assert!(!kernel(cores, ExecMode::Concurrent).oversubscribed);
+        assert!(kernel(cores + 1, ExecMode::Concurrent).oversubscribed);
+        assert!(!kernel(cores + 1, ExecMode::VirtualTime).oversubscribed);
     }
 
     #[test]

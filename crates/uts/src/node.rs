@@ -42,9 +42,9 @@ const MAX_CHILDREN: u32 = 10_000;
 impl TreeParams {
     /// The root node of this tree.
     pub fn root(&self) -> Node {
-        let mut msg = Vec::with_capacity(16);
-        msg.extend_from_slice(b"UTS-root");
-        msg.extend_from_slice(&self.seed.to_be_bytes());
+        let mut msg = [0u8; 12];
+        msg[..8].copy_from_slice(b"UTS-root");
+        msg[8..].copy_from_slice(&self.seed.to_be_bytes());
         Node {
             state: sha1(&msg),
             depth: 0,

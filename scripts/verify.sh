@@ -275,13 +275,16 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # (traced_min - untraced_min) / events. The traced/untraced ratio is
 # printed but not gated — it rises whenever the untraced run gets
 # faster (PR 12 halved the untraced UTS run and took the ratio 1.4x ->
-# 2.1x with the per-event cost unchanged). Budgets: UTS measures 26-32
-# ns/event over ~820k events, budget 75; SCF records only ~35k events, so
-# +-2 ms of wall noise is +-60 ns/event and its budget is 150. Each run
+# 2.1x with the per-event cost unchanged; PR 15 took a third off it
+# again, 1.5-1.9x -> 1.8-2.6x). Budgets: UTS measures 20-37 ns/event
+# over ~808k events (~820k before the idle loop stopped re-recording its
+# index reads on nap ticks; free-running threads nap little), budget 75;
+# SCF records only ~35k events, so +-2 ms of wall noise is +-60 ns/event
+# and its budget is 150. Each run
 # also race/predict/deadlock-checks its own trace; the UTS run
 # additionally exports and cross-checks the whole observability surface —
 # wall-stamped JSONL + Chrome traces and blame decomposition exact per
-# thread span. The ring holds the whole run (~820k events) on
+# thread span. The ring holds the whole run (~808k events) on
 # ONE rank: how the tree spreads over free-running threads is up to the
 # host's scheduler, and since the owner path got fast one thread can run
 # most of it before a thief lands a steal (rings grow on demand).
