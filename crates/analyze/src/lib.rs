@@ -15,6 +15,11 @@
 //!   makespan's composition, a T∞-vs-T1 parallelism estimate, and the
 //!   top-k longest segments.
 //!
+//! Below them sits [`sync`]: the index of a trace's synchronization
+//! producers and the one legal-order walk over it, shared by [`replay`]'s
+//! lowering (the index) and the race checker's vector-clock passes (the
+//! walk).
+//!
 //! [`AnalysisReport::from_trace`] bundles all three plus data-quality
 //! warnings, rendering as human text or versioned machine JSON
 //! (`scioto-analysis-v1`).
@@ -25,6 +30,7 @@ pub mod jsonl;
 pub mod provenance;
 pub mod replay;
 pub mod report;
+pub mod sync;
 pub mod timeline;
 pub mod tune;
 pub mod whatif;

@@ -27,9 +27,11 @@
 //! episodes — produces a [`ReplayError`] naming the first offending rank
 //! and event, never a panic.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use scioto_sim::{event_dur, ReplayOp, ReplayProgram, ReplaySync, Trace, TraceEvent};
+
+use crate::sync::{first_dropped, Pos, SyncIndex};
 
 /// Why a trace cannot be lowered for replay. `Display` renders the first
 /// offending rank/event when one is known.
@@ -105,13 +107,11 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
                 .into(),
         ));
     }
-    for (r, &d) in trace.dropped.iter().enumerate() {
-        if d > 0 {
-            return Err(ReplayError::global(format!(
-                "rank {r}: ring overflow dropped {d} event(s); re-record with a larger \
-                 --trace-ring"
-            )));
-        }
+    if let Some((r, d)) = first_dropped(trace) {
+        return Err(ReplayError::global(format!(
+            "rank {r}: ring overflow dropped {d} event(s); re-record with a larger \
+             --trace-ring"
+        )));
     }
     if trace.final_clock_ns.len() != n {
         return Err(ReplayError::global(format!(
@@ -121,47 +121,32 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
         )));
     }
 
-    // Pass A: per-rank stamp monotonicity + producer index maps.
-    let mut rel_map: BTreeMap<(u32, u32, u32, u64), Producer> = BTreeMap::new();
-    let mut send_map: BTreeMap<(u32, u64), Producer> = BTreeMap::new();
+    // Pass A: per-rank stamp monotonicity, and the producer index the
+    // race checker's walk also reads (lock and message edges come from it).
+    let mut index = SyncIndex::default();
+    let producer = |p: Pos| -> Producer {
+        (p.rank, p.idx, trace.events[p.rank as usize][p.idx as usize].t_ns)
+    };
     // Per target rank: Unblock events aimed at it, in stamp order.
     let mut unblocks: Vec<Vec<Producer>> = vec![Vec::new(); n];
     // Per rank: (event index, epoch) of each BarrierWait, in episode order.
     let mut barriers: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
 
     for (r, events) in trace.events.iter().enumerate() {
+        let fail = |i: usize, detail: String| Err(ReplayError::at(trace, r, i, detail));
         let mut prev_t = 0u64;
         for (i, e) in events.iter().enumerate() {
             if e.t_ns < prev_t {
-                return Err(ReplayError::at(
-                    trace,
-                    r,
+                return fail(
                     i,
                     format!("stamp precedes the previous event at t={prev_t} (out-of-order)"),
-                ));
+                );
             }
             prev_t = e.t_ns;
+            let repeated = index.record(Pos { rank: r as u32, idx: i as u32 }, &e.event);
             match e.event {
-                TraceEvent::LockRel {
-                    target,
-                    set,
-                    idx,
-                    seq,
-                } => {
-                    rel_map.insert((target, set, idx, seq), (r as u32, i as u32, e.t_ns));
-                }
-                TraceEvent::MsgSend { dst, seq, .. } => {
-                    if send_map
-                        .insert((dst, seq), (r as u32, i as u32, e.t_ns))
-                        .is_some()
-                    {
-                        return Err(ReplayError::at(
-                            trace,
-                            r,
-                            i,
-                            format!("duplicate MsgSend seq {seq} to rank {dst}"),
-                        ));
-                    }
+                TraceEvent::MsgSend { dst, seq, .. } if repeated => {
+                    return fail(i, format!("duplicate MsgSend seq {seq} to rank {dst}"));
                 }
                 TraceEvent::Unblock { target } => {
                     if (target as usize) < n {
@@ -174,17 +159,14 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
                 _ => {}
             }
         }
-        let last_t = events.last().map_or(0, |e| e.t_ns);
-        if trace.final_clock_ns[r] < last_t {
-            return Err(ReplayError::at(
-                trace,
-                r,
+        if trace.final_clock_ns[r] < prev_t {
+            return fail(
                 events.len() - 1,
                 format!(
                     "final clock {} precedes the rank's last event",
                     trace.final_clock_ns[r]
                 ),
-            ));
+            );
         }
     }
 
@@ -227,6 +209,19 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
     // Pass B: build per-rank ops + collect the watch set.
     let mut ops: Vec<Vec<ReplayOp>> = Vec::with_capacity(n);
     let mut watch: HashSet<(u32, u32)> = HashSet::new();
+    // An edge from a producer stamped strictly before `t_ns` (a tie
+    // carries no ordering information); the producer becomes watched.
+    let mut edge = |(pr, pi, pt): Producer, t_ns: u64| {
+        if pt >= t_ns {
+            return ReplaySync::None;
+        }
+        watch.insert((pr, pi));
+        ReplaySync::Edge {
+            pred_rank: pr,
+            pred_idx: pi,
+            lag_ns: t_ns - pt,
+        }
+    };
     for (r, events) in trace.events.iter().enumerate() {
         let mut rank_ops = Vec::with_capacity(events.len());
         let mut prev_t = 0u64;
@@ -237,19 +232,20 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
         let mut pending_wake: Option<Producer> = None;
         for (i, e) in events.iter().enumerate() {
             let dur = event_dur(&e.event);
+            let fail = |detail: String| Err(ReplayError::at(trace, r, i, detail));
             let mut sync = ReplaySync::None;
             match e.event {
                 TraceEvent::BarrierWait { .. } => {
-                    let arrival = e.t_ns - dur;
+                    let Some(arrival) = e.t_ns.checked_sub(dur) else {
+                        return fail(format!(
+                            "barrier wait span starts before t=0 (dur {dur} exceeds the stamp; \
+                             corrupt duration span)"
+                        ));
+                    };
                     if arrival < prev_t {
-                        return Err(ReplayError::at(
-                            trace,
-                            r,
-                            i,
-                            format!(
-                                "barrier wait span starts at t={arrival}, before the previous \
-                                 event at t={prev_t} (missing or corrupt duration span)"
-                            ),
+                        return fail(format!(
+                            "barrier wait span starts at t={arrival}, before the previous \
+                             event at t={prev_t} (missing or corrupt duration span)"
                         ));
                     }
                     sync = ReplaySync::Barrier {
@@ -261,41 +257,21 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
                     pending_wake = None;
                 }
                 TraceEvent::MsgRecv { src, seq } => {
-                    match send_map.get(&(r as u32, seq)) {
-                        None => {
-                            return Err(ReplayError::at(
-                                trace,
-                                r,
-                                i,
-                                format!(
-                                    "MsgRecv seq {seq} from rank {src} has no matching MsgSend \
-                                     (missing sync-edge data?)"
-                                ),
-                            ));
-                        }
-                        Some(&(pr, pi, pt)) => {
-                            if pt > e.t_ns {
-                                return Err(ReplayError::at(
-                                    trace,
-                                    r,
-                                    i,
-                                    format!(
-                                        "MsgRecv seq {seq} at t={} precedes its MsgSend at \
-                                         t={pt} (causal inversion)",
-                                        e.t_ns
-                                    ),
-                                ));
-                            }
-                            if pt < e.t_ns {
-                                sync = ReplaySync::Edge {
-                                    pred_rank: pr,
-                                    pred_idx: pi,
-                                    lag_ns: e.t_ns - pt,
-                                };
-                                watch.insert((pr, pi));
-                            }
-                        }
+                    let Some(&send) = index.msg_send.get(&(r as u32, seq)) else {
+                        return fail(format!(
+                            "MsgRecv seq {seq} from rank {src} has no matching MsgSend \
+                             (missing sync-edge data?)"
+                        ));
+                    };
+                    let send = producer(send);
+                    if send.2 > e.t_ns {
+                        return fail(format!(
+                            "MsgRecv seq {seq} at t={} precedes its MsgSend at t={} (causal \
+                             inversion)",
+                            e.t_ns, send.2
+                        ));
                     }
+                    sync = edge(send, e.t_ns);
                     pending_wake = None;
                 }
                 TraceEvent::LockAcq {
@@ -304,43 +280,25 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
                     idx,
                     seq,
                 } if seq > 1 => {
-                    match rel_map.get(&(target, set, idx, seq - 1)) {
-                        None => {
-                            return Err(ReplayError::at(
-                                trace,
-                                r,
-                                i,
-                                format!(
-                                    "lock acquire #{seq} (target {target}, set {set}, idx \
-                                     {idx}) has no matching release #{} (missing sync-edge \
-                                     data?)",
-                                    seq - 1
-                                ),
-                            ));
-                        }
-                        Some(&(pr, pi, pt)) => {
-                            if pt > e.t_ns {
-                                return Err(ReplayError::at(
-                                    trace,
-                                    r,
-                                    i,
-                                    format!(
-                                        "lock acquire #{seq} at t={} precedes release #{} at \
-                                         t={pt} (causal inversion)",
-                                        e.t_ns,
-                                        seq - 1
-                                    ),
-                                ));
-                            }
-                            if pt < e.t_ns && pr as usize != r {
-                                sync = ReplaySync::Edge {
-                                    pred_rank: pr,
-                                    pred_idx: pi,
-                                    lag_ns: e.t_ns - pt,
-                                };
-                                watch.insert((pr, pi));
-                            }
-                        }
+                    let Some(&release) = index.lock_rel.get(&((target, set, idx), seq - 1)) else {
+                        return fail(format!(
+                            "lock acquire #{seq} (target {target}, set {set}, idx {idx}) has no \
+                             matching release #{} (missing sync-edge data?)",
+                            seq - 1
+                        ));
+                    };
+                    let release = producer(release);
+                    if release.2 > e.t_ns {
+                        return fail(format!(
+                            "lock acquire #{seq} at t={} precedes release #{} at t={} (causal \
+                             inversion)",
+                            e.t_ns,
+                            seq - 1,
+                            release.2
+                        ));
+                    }
+                    if release.0 as usize != r {
+                        sync = edge(release, e.t_ns);
                     }
                     pending_wake = None;
                 }
@@ -352,24 +310,12 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
                     while unblock_ptr < unblocks[r].len() && unblocks[r][unblock_ptr].2 < e.t_ns {
                         unblock_ptr += 1;
                     }
-                    pending_wake = if unblock_ptr < unblocks[r].len() {
-                        let p = unblocks[r][unblock_ptr];
-                        unblock_ptr += 1;
-                        Some(p)
-                    } else {
-                        None
-                    };
+                    pending_wake = unblocks[r].get(unblock_ptr).copied();
+                    unblock_ptr += usize::from(pending_wake.is_some());
                 }
                 _ => {
-                    if let Some((pr, pi, pt)) = pending_wake.take() {
-                        if pt < e.t_ns && pr as usize != r {
-                            sync = ReplaySync::Edge {
-                                pred_rank: pr,
-                                pred_idx: pi,
-                                lag_ns: e.t_ns - pt,
-                            };
-                            watch.insert((pr, pi));
-                        }
+                    if let Some(wake) = pending_wake.take().filter(|w| w.0 as usize != r) {
+                        sync = edge(wake, e.t_ns);
                     }
                 }
             }
@@ -580,6 +526,20 @@ mod tests {
         );
         let e = lower(&t).unwrap_err();
         assert!(e.to_string().contains("before the previous event"), "{e}");
+    }
+
+    #[test]
+    fn barrier_span_longer_than_its_stamp_is_rejected_not_wrapped() {
+        // The parser accepts any `dur`; one exceeding the stamp used to
+        // panic in debug and wrap into a bogus arrival delta in release.
+        let body = rich_trace().to_jsonl();
+        let line = "\"ev\":\"BarrierWait\",\"dur\":40,";
+        assert!(body.contains(line));
+        let parsed = crate::jsonl::parse(&body.replace(line, "\"ev\":\"BarrierWait\",\"dur\":201,"))
+            .expect("a long duration still parses");
+        let e = lower(&parsed).unwrap_err();
+        assert_eq!((e.rank, e.index), (Some(0), Some(4)));
+        assert!(e.to_string().contains("starts before t=0"), "{e}");
     }
 
     #[test]

@@ -517,8 +517,7 @@ mod tests {
             let mut a = [0xAAu8; 64];
             armci.get(ctx, g, other, 4096, &mut a);
             let mut b = [0xBBu8; 64];
-            let h = armci.nb_get(ctx, g, other, 70_000, &mut b);
-            armci.wait(ctx, h);
+            armci.get(ctx, g, other, 70_000, &mut b);
             let mut c = [0xCCu8; 32];
             let s = Strided { offset: 200_000, stride: 1024, seg_len: 8, count: 4 };
             armci.get_strided(ctx, g, other, s, &mut c);

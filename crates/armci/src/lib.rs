@@ -34,7 +34,6 @@
 
 mod gmem;
 mod locks;
-mod nonblocking;
 mod rmw;
 mod strided;
 mod typed;
@@ -42,7 +41,6 @@ mod world;
 
 pub use gmem::Gmem;
 pub use locks::MutexSet;
-pub use nonblocking::NbHandle;
 pub use strided::Strided;
 pub use typed::{bytes_to_f64s, bytes_to_i64s, f64s_to_bytes, i64s_to_bytes};
 pub use world::Armci;

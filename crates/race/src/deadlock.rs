@@ -37,9 +37,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use scioto_analyze::sync::{refuse_dropped, LockKey};
 use scioto_sim::{Trace, TraceEvent, WaveDir};
 
-use crate::sync::LockKey;
+use crate::fold::scan_held;
 
 /// Longest cycle reported. Real lock hierarchies run shallow; a longer
 /// cycle always contains the short inconsistencies this bounds.
@@ -170,12 +171,7 @@ impl fmt::Display for DeadlockReport {
 /// traces the HB replay rejects, except for dropped events (a truncated
 /// stream can hide the edge that completes a cycle).
 pub fn check_deadlocks(trace: &Trace) -> Result<DeadlockReport, String> {
-    if let Some((rank, &d)) = trace.dropped.iter().enumerate().find(|(_, &d)| d > 0) {
-        return Err(format!(
-            "rank {rank} dropped {d} event(s); rerun with a larger trace ring \
-             (--trace-ring) for a complete lock-order graph"
-        ));
-    }
+    refuse_dropped(trace, "a complete lock-order graph").map_err(|e| e.to_string())?;
 
     // Edge map: (from, to) → witnesses (capped, distinct-rank first).
     let mut edges: BTreeMap<(Resource, Resource), Vec<EdgeWitness>> = BTreeMap::new();
@@ -197,119 +193,54 @@ pub fn check_deadlocks(trace: &Trace) -> Result<DeadlockReport, String> {
                 occ_at[i] = *o;
             }
         }
-        // Backward pass: the next barrier / up-wave each event precedes.
-        let mut next_barrier: Vec<Option<(u64, u32, u64)>> = vec![None; events.len()];
-        let mut next_up: Vec<Option<(u32, u64, u32, u64)>> = vec![None; events.len()];
-        let mut nb = None;
-        let mut nu = None;
+        // Backward pass: the next barrier / up-wave arrival each event
+        // precedes, as (resource, its event, its stamp).
+        let mut next_barrier: Vec<Option<(Resource, u32, u64)>> = vec![None; events.len()];
+        let mut next_up = next_barrier.clone();
+        let (mut nb, mut nu) = (None, None);
         for (i, ev) in events.iter().enumerate().rev() {
             next_barrier[i] = nb;
             next_up[i] = nu;
-            match &ev.event {
-                TraceEvent::BarrierWait { epoch, .. } => nb = Some((*epoch, i as u32, ev.t_ns)),
-                TraceEvent::TdWave { wave, dir: WaveDir::Up, .. } => {
-                    nu = Some((*wave, occ_at[i], i as u32, ev.t_ns));
-                }
-                _ => {}
-            }
-        }
-        // Main pass: held-lock tracking and edge emission.
-        let mut held: Vec<(LockKey, u32, u64)> = Vec::new();
-        for (i, ev) in events.iter().enumerate() {
-            match &ev.event {
-                TraceEvent::LockAcq { target, set, idx, .. } => {
-                    let k = (*target, *set, *idx);
-                    let holdset: Vec<LockKey> = held.iter().map(|(h, _, _)| *h).collect();
-                    for (h, hev, ht) in &held {
-                        add_edge(
-                            Resource::Lock(*h),
-                            Resource::Lock(k),
-                            EdgeWitness {
-                                rank: rank as u32,
-                                held_ev: *hev,
-                                held_t_ns: *ht,
-                                req_ev: i as u32,
-                                req_t_ns: ev.t_ns,
-                                holdset: holdset.clone(),
-                            },
-                        );
-                    }
-                    // The rank's pending barrier/up-wave arrival is an
-                    // obligation: the episode is "held" until it arrives,
-                    // and this acquire blocks the arrival.
-                    if let Some((e, bev, bt)) = next_barrier[i] {
-                        add_edge(
-                            Resource::Barrier(e),
-                            Resource::Lock(k),
-                            EdgeWitness {
-                                rank: rank as u32,
-                                held_ev: bev,
-                                held_t_ns: bt,
-                                req_ev: i as u32,
-                                req_t_ns: ev.t_ns,
-                                holdset: holdset.clone(),
-                            },
-                        );
-                    }
-                    if let Some((w, o, uev, ut)) = next_up[i] {
-                        add_edge(
-                            Resource::TdUp(w, o),
-                            Resource::Lock(k),
-                            EdgeWitness {
-                                rank: rank as u32,
-                                held_ev: uev,
-                                held_t_ns: ut,
-                                req_ev: i as u32,
-                                req_t_ns: ev.t_ns,
-                                holdset,
-                            },
-                        );
-                    }
-                    held.push((k, i as u32, ev.t_ns));
-                }
-                TraceEvent::LockRel { target, set, idx, .. } => {
-                    let k = (*target, *set, *idx);
-                    if let Some(p) = held.iter().rposition(|(h, _, _)| *h == k) {
-                        held.remove(p);
-                    }
-                }
+            match ev.event {
                 TraceEvent::BarrierWait { epoch, .. } => {
-                    let holdset: Vec<LockKey> = held.iter().map(|(h, _, _)| *h).collect();
-                    for (h, hev, ht) in &held {
-                        add_edge(
-                            Resource::Lock(*h),
-                            Resource::Barrier(*epoch),
-                            EdgeWitness {
-                                rank: rank as u32,
-                                held_ev: *hev,
-                                held_t_ns: *ht,
-                                req_ev: i as u32,
-                                req_t_ns: ev.t_ns,
-                                holdset: holdset.clone(),
-                            },
-                        );
-                    }
+                    nb = Some((Resource::Barrier(epoch), i as u32, ev.t_ns));
                 }
                 TraceEvent::TdWave { wave, dir: WaveDir::Up, .. } => {
-                    let holdset: Vec<LockKey> = held.iter().map(|(h, _, _)| *h).collect();
-                    for (h, hev, ht) in &held {
-                        add_edge(
-                            Resource::Lock(*h),
-                            Resource::TdUp(*wave, occ_at[i]),
-                            EdgeWitness {
-                                rank: rank as u32,
-                                held_ev: *hev,
-                                held_t_ns: *ht,
-                                req_ev: i as u32,
-                                req_t_ns: ev.t_ns,
-                                holdset: holdset.clone(),
-                            },
-                        );
-                    }
+                    nu = Some((Resource::TdUp(wave, occ_at[i]), i as u32, ev.t_ns));
                 }
                 _ => {}
             }
         }
+        // Main pass: every lock held at a request (an acquire, a barrier
+        // or up-wave arrival) orders before the requested resource.
+        scan_held(events, |i, ev, held| {
+            let to = match ev.event {
+                TraceEvent::LockAcq { target, set, idx, .. } => Resource::Lock((target, set, idx)),
+                TraceEvent::BarrierWait { epoch, .. } => Resource::Barrier(epoch),
+                TraceEvent::TdWave { wave, dir: WaveDir::Up, .. } => Resource::TdUp(wave, occ_at[i]),
+                _ => return,
+            };
+            let holdset: Vec<LockKey> = held.iter().map(|h| h.key).collect();
+            let witness = |held_ev, held_t_ns| EdgeWitness {
+                rank: rank as u32,
+                held_ev,
+                held_t_ns,
+                req_ev: i as u32,
+                req_t_ns: ev.t_ns,
+                holdset: holdset.clone(),
+            };
+            for h in held {
+                add_edge(Resource::Lock(h.key), to, witness(h.ev, h.t_ns));
+            }
+            // The rank's pending barrier/up-wave arrival is an obligation:
+            // the episode is "held" until it arrives, and an acquire
+            // blocks the arrival.
+            if let Resource::Lock(_) = to {
+                for (pending, at, t_ns) in [next_barrier[i], next_up[i]].into_iter().flatten() {
+                    add_edge(pending, to, witness(at, t_ns));
+                }
+            }
+        });
     }
 
     // Restrict to nodes with both in- and out-edges; nothing else can
@@ -456,34 +387,7 @@ fn validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scioto_sim::StampedEvent;
-
-    fn trace_of(ranks: Vec<Vec<(u64, TraceEvent)>>) -> Trace {
-        let n = ranks.len();
-        Trace {
-            events: ranks
-                .into_iter()
-                .map(|evs| {
-                    evs.into_iter()
-                        .map(|(t_ns, event)| StampedEvent { t_ns, event })
-                        .collect()
-                })
-                .collect(),
-            dropped: vec![0; n],
-            final_clock_ns: Vec::new(),
-            wall_clock: false,
-            hists: (0..n).map(|_| Default::default()).collect(),
-            gauges: (0..n).map(|_| Default::default()).collect(),
-        }
-    }
-
-    fn acq(idx: u32, seq: u64) -> TraceEvent {
-        TraceEvent::LockAcq { target: 0, set: 0, idx, seq }
-    }
-
-    fn rel(idx: u32, seq: u64) -> TraceEvent {
-        TraceEvent::LockRel { target: 0, set: 0, idx, seq }
-    }
+    use crate::fixtures::{acq_on as acq, rel_on as rel, trace_of};
 
     #[test]
     fn two_rank_lock_order_cycle() {

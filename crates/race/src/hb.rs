@@ -3,35 +3,15 @@
 //!
 //! # How the replay works
 //!
-//! Virtual timestamps alone cannot order a trace — unrelated events on
-//! different ranks routinely carry the *same* virtual time, and a
-//! synchronization producer can even be stamped later than its consumer
-//! (events are stamped at operation completion). The engine therefore
-//! ignores timestamps entirely and replays the per-rank event streams
-//! with a worklist scheduler driven by *explicit* pairing data carried in
-//! the events themselves:
-//!
-//! * [`TraceEvent::LockAcq`] with ownership generation `s` blocks until
-//!   the [`TraceEvent::LockRel`] with generation `s - 1` of the same
-//!   `(target, set, idx)` mutex has been replayed (release → acquire
-//!   edge);
-//! * [`TraceEvent::MsgRecv`] blocks until the [`TraceEvent::MsgSend`]
-//!   with the same destination and per-destination sequence number has
-//!   been replayed (send → receive edge);
-//! * [`TraceEvent::BarrierWait`] carries the barrier epoch; an episode
-//!   releases only once every participating rank has arrived, and every
-//!   participant leaves with the join of all arrival clocks;
-//! * [`TraceEvent::TdWave`] events order the termination-detection tree:
-//!   a down-wave at a rank is ordered after the same wave at its parent,
-//!   an up-vote after the same wave's votes at its children, and a
-//!   termination announcement after the parent's announcement.
-//!
-//! Wave numbers restart when a task collection is reset between
-//! episodes, so wave edges are matched by per-key *occurrence* index,
-//! clamped to the number of occurrences the producer ever emits. A
-//! clamped (stale) match joins with an older clock of the same producer
-//! rank — an under-approximation of happens-before, which can only
-//! produce extra race reports, never hide one.
+//! Virtual timestamps cannot order a trace, so the engine ignores them:
+//! it is a fold over [`scioto_analyze::sync::walk`], which yields every
+//! event after the producers it synchronises-with — release → acquire by
+//! lock generation, send → receive by sequence number, every arrival of
+//! a barrier epoch, parent/children occurrences of a TD wave (see that
+//! module for the order, the clamped wave matching and the refusals).
+//! The fold keeps one vector clock per rank and, at each event, joins
+//! the clocks those producers published; a barrier's participants all
+//! leave with the join of their arrival clocks.
 //!
 //! Producer snapshots are taken *before* the producer's own clock tick,
 //! so an access performed after a release is correctly unordered with
@@ -39,8 +19,8 @@
 //!
 //! # What is a race
 //!
-//! Memory accesses are [`TraceEvent::RemoteOp`] (one-sided put/get/
-//! acc/rmw against `(target, seg, offset)`) and [`TraceEvent::LocalAccess`]
+//! Memory accesses are `RemoteOp` (one-sided put/get/
+//! acc/rmw against `(target, seg, offset)`) and `LocalAccess`
 //! (the owner touching its own segment). Two accesses race iff they
 //! touch the same 8-byte word of the same rank's segment, neither
 //! happens-before the other, at least one is a write, they come from
@@ -50,39 +30,12 @@
 //! index publishes of the split queue, termination-detection token
 //! slots).
 
-use std::collections::HashMap;
 use std::fmt;
 
-use scioto_sim::{RemoteOpKind, Trace, TraceEvent, WaveDir};
+use scioto_analyze::sync::walk;
+use scioto_sim::Trace;
 
-use crate::sync::{
-    join, refuse_dropped, refuse_stuck, td_children, td_parent, word_range, LockKey,
-    ProducerTotals, WaveKey,
-};
-
-/// A memory access extracted from one trace event (one event may touch
-/// several words; the record identifies the event, not the word).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct AccessRec {
-    /// Rank that performed the access.
-    rank: u32,
-    /// Index of the access event in that rank's event stream.
-    ev_idx: u32,
-    /// The rank's replay clock (own vector-clock component) at the access.
-    clock: u64,
-    write: bool,
-    atomic: bool,
-}
-
-/// Frontier of accesses to one 8-byte word: the most recent write and
-/// read per `(rank, atomic)` class. Keeping the per-class latest access
-/// is sound: a new access ordered after a rank's latest plain (resp.
-/// atomic) access is ordered after all earlier ones of that class.
-#[derive(Default)]
-struct WordState {
-    writes: Vec<AccessRec>,
-    reads: Vec<AccessRec>,
-}
+use crate::fold::{fmt_access_pair, Access, ClockSet, Frontier, SitePairs};
 
 /// One detected race: two conflicting accesses to the word range
 /// `word..=word_hi` (8-byte indices within segment `seg` owned by rank
@@ -144,23 +97,7 @@ impl fmt::Display for Race {
             self.word * 8,
             self.word_hi * 8 + 8
         )?;
-        for (tag, a) in [("first", &self.first), ("second", &self.second)] {
-            write!(
-                f,
-                "  {tag}: rank {} t={}ns clock={} {} ({}{});",
-                a.rank,
-                a.t_ns,
-                a.clock,
-                a.op,
-                if a.write { "write" } else { "read" },
-                if a.atomic { ", atomic" } else { "" },
-            )?;
-            match &a.nearest_sync {
-                Some((t, s)) => writeln!(f, " last sync: {s} at t={t}ns")?,
-                None => writeln!(f, " no prior sync on this rank")?,
-            }
-        }
-        Ok(())
+        fmt_access_pair(f, &self.first, &self.second)
     }
 }
 
@@ -207,463 +144,39 @@ impl fmt::Display for RaceReport {
 /// stream cannot be replayed faithfully — or when the replay deadlocks
 /// because a synchronization producer is missing.
 pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
-    refuse_dropped(trace)?;
-    let n = trace.nranks();
-    let n32 = n as u32;
-    let totals = ProducerTotals::count(trace);
-
-    let mut cursors = vec![0usize; n];
-    let mut clocks: Vec<Vec<u64>> = (0..n)
-        .map(|r| {
-            let mut c = vec![0u64; n];
-            c[r] = 1;
-            c
-        })
-        .collect();
-
-    // Producer snapshots (taken before the producer's clock tick).
-    let mut lock_rel: HashMap<(LockKey, u64), Vec<u64>> = HashMap::new();
-    let mut msg_send: HashMap<(u32, u64), Vec<u64>> = HashMap::new();
-    let mut waves: HashMap<(WaveKey, u64), Vec<u64>> = HashMap::new();
-    let mut wave_emitted: HashMap<WaveKey, u64> = HashMap::new();
-    let mut wave_consumed: HashMap<(u32, WaveKey), u64> = HashMap::new();
-    let mut barrier_arrived: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut barrier_join: HashMap<u64, Vec<u64>> = HashMap::new();
-
-    let mut words: HashMap<(u32, u32, u64), WordState> = HashMap::new();
-    let mut raws: Vec<RawRace> = Vec::new();
-    let mut events_replayed = 0u64;
-    let mut sync_edges = 0u64;
-
-    loop {
-        let mut progressed = false;
-        for r in 0..n {
-            'stream: while cursors[r] < trace.events[r].len() {
-                let ev = &trace.events[r][cursors[r]];
-                // Phase 1: readiness. Collect the incoming join without
-                // mutating any consume-tracking state, so a blocked retry
-                // starts from scratch.
-                let mut incoming: Option<Vec<u64>> = None;
-                let mut wave_consumes: Vec<(u32, WaveKey)> = Vec::new();
-                match &ev.event {
-                    TraceEvent::LockAcq { target, set, idx, seq } => {
-                        if *seq > 1 {
-                            let key = (*target, *set, *idx);
-                            match lock_rel.get(&(key, seq - 1)) {
-                                Some(vc) => incoming = Some(vc.clone()),
-                                None => break 'stream,
-                            }
-                        }
-                    }
-                    TraceEvent::MsgRecv { seq, .. } => {
-                        let key = (r as u32, *seq);
-                        match msg_send.get(&key) {
-                            Some(vc) => incoming = Some(vc.clone()),
-                            None => {
-                                if totals.msg_send.get(&key).copied().unwrap_or(0) == 0 {
-                                    return Err(format!(
-                                        "rank {r}: MsgRecv seq {seq} has no matching MsgSend \
-                                         in the trace"
-                                    ));
-                                }
-                                break 'stream;
-                            }
-                        }
-                    }
-                    TraceEvent::BarrierWait { epoch, .. } => {
-                        if let Some(j) = barrier_join.get(epoch) {
-                            incoming = Some(j.clone());
-                        } else {
-                            let arrived = barrier_arrived.entry(*epoch).or_default();
-                            if !arrived.contains(&r) {
-                                arrived.push(r);
-                            }
-                            let expect = totals.barrier_expect.get(epoch).copied().unwrap_or(0);
-                            if (arrived.len() as u32) < expect {
-                                break 'stream;
-                            }
-                            // Last arriver: release the episode with the
-                            // join of every participant's arrival clock.
-                            let mut j = vec![0u64; n];
-                            for &p in arrived.iter() {
-                                join(&mut j, &clocks[p]);
-                            }
-                            barrier_join.insert(*epoch, j.clone());
-                            incoming = Some(j);
-                        }
-                    }
-                    TraceEvent::TdWave { wave, dir, .. } => {
-                        let mut joined = vec![0u64; n];
-                        let mut have_any = false;
-                        let mut blocked = false;
-                        let producers: Vec<u32> = match dir {
-                            WaveDir::Down | WaveDir::Term => {
-                                td_parent(r as u32).into_iter().collect()
-                            }
-                            WaveDir::Up => td_children(r as u32, n32).collect(),
-                        };
-                        for p in producers {
-                            let pkey = (p, *dir, *wave);
-                            let total = totals.wave.get(&pkey).copied().unwrap_or(0);
-                            if total == 0 {
-                                // The producer never saw this wave (skipped
-                                // episode); no edge to take.
-                                continue;
-                            }
-                            let ckey = (r as u32, pkey);
-                            let k = wave_consumed.get(&ckey).copied().unwrap_or(0) + 1;
-                            // Clamp to what the producer ever emits: wave
-                            // numbers restart across episodes, so a skipped
-                            // wave on one side yields a stale (older, still
-                            // happens-before-sound) match.
-                            let want = k.min(total);
-                            match waves.get(&(pkey, want)) {
-                                Some(vc) => {
-                                    join(&mut joined, vc);
-                                    have_any = true;
-                                    wave_consumes.push(ckey);
-                                }
-                                None => {
-                                    blocked = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if blocked {
-                            break 'stream;
-                        }
-                        if have_any {
-                            incoming = Some(joined);
-                        }
-                    }
-                    _ => {}
+    let mut clocks = ClockSet::new(trace.nranks(), 1);
+    let mut frontier = Frontier::default();
+    let mut found = SitePairs::new();
+    let mut events = 0u64;
+    walk(trace, |step| {
+        events += 1;
+        clocks.enter(&step, None);
+        let rank = step.pos.rank;
+        if let Some(a) = Access::of(rank, &step.ev.event) {
+            let rec = a.rec(step.pos, clocks.own(rank));
+            let now = clocks.rel(rank, 0);
+            frontier.access(&a, rec, |word, prior| {
+                if prior.clock > now[prior.rank as usize] {
+                    found.add(trace, (a.owner, a.seg, word), *prior, rec, || ());
                 }
-
-                // Phase 2: commit. Apply the join, record accesses, and
-                // publish producer snapshots.
-                for ckey in wave_consumes {
-                    *wave_consumed.entry(ckey).or_default() += 1;
-                }
-                if let Some(vc) = incoming {
-                    join(&mut clocks[r], &vc);
-                    sync_edges += 1;
-                }
-                match &ev.event {
-                    TraceEvent::RemoteOp { kind, target, seg, offset, bytes, atomic } => {
-                        record_access(
-                            &mut words,
-                            &mut raws,
-                            &clocks[r],
-                            AccessRec {
-                                rank: r as u32,
-                                ev_idx: cursors[r] as u32,
-                                clock: clocks[r][r],
-                                write: kind.is_write(),
-                                atomic: *atomic || kind.is_atomic(),
-                            },
-                            *target,
-                            *seg,
-                            *offset,
-                            *bytes,
-                        );
-                    }
-                    TraceEvent::LocalAccess { seg, offset, bytes, write, atomic } => {
-                        record_access(
-                            &mut words,
-                            &mut raws,
-                            &clocks[r],
-                            AccessRec {
-                                rank: r as u32,
-                                ev_idx: cursors[r] as u32,
-                                clock: clocks[r][r],
-                                write: *write,
-                                atomic: *atomic,
-                            },
-                            r as u32,
-                            *seg,
-                            *offset,
-                            *bytes,
-                        );
-                    }
-                    TraceEvent::LockRel { target, set, idx, seq } => {
-                        lock_rel.insert(((*target, *set, *idx), *seq), clocks[r].clone());
-                        clocks[r][r] += 1;
-                    }
-                    TraceEvent::MsgSend { dst, seq, .. } => {
-                        msg_send.insert((*dst, *seq), clocks[r].clone());
-                        clocks[r][r] += 1;
-                    }
-                    TraceEvent::TdWave { wave, dir, .. } => {
-                        let key = (r as u32, *dir, *wave);
-                        let occ = wave_emitted.entry(key).or_default();
-                        *occ += 1;
-                        waves.insert((key, *occ), clocks[r].clone());
-                        clocks[r][r] += 1;
-                    }
-                    TraceEvent::BarrierWait { .. } | TraceEvent::LockAcq { .. } => {
-                        clocks[r][r] += 1;
-                    }
-                    _ => {}
-                }
-                cursors[r] += 1;
-                events_replayed += 1;
-                progressed = true;
-            }
+            });
         }
-        if !progressed {
-            break;
-        }
-    }
-
-    refuse_stuck(trace, &cursors)?;
-
-    Ok(RaceReport {
-        races: dedupe_races(trace, raws),
-        events: events_replayed,
-        sync_edges,
-        words: words.len(),
+        clocks.leave(&step);
     })
-}
-
-/// One raw (word, unordered-pair) hit recorded during replay, before
-/// site-pair deduplication.
-struct RawRace {
-    owner: u32,
-    seg: u32,
-    word: u64,
-    prior: AccessRec,
-    rec: AccessRec,
-}
-
-/// Collapse raw hits into site-pair-deduplicated [`Race`] reports: one
-/// report per (owner, seg, first-site class, second-site class), where a
-/// site class is the access's (rank, operation, write, atomic) tuple.
-/// The report keeps the earliest raced event pair and counts the exact
-/// set of distinct raced words.
-fn dedupe_races(trace: &Trace, raws: Vec<RawRace>) -> Vec<Race> {
-    type SiteClass = (u32, String, bool, bool);
-    let mut grouped: Vec<(Race, std::collections::BTreeSet<u64>)> = Vec::new();
-    let mut index: HashMap<(u32, u32, SiteClass, SiteClass), usize> = HashMap::new();
-    for raw in raws {
-        let first = access_info(trace, raw.prior);
-        let second = access_info(trace, raw.rec);
-        let key = (
-            raw.owner,
-            raw.seg,
-            (first.rank, first.op.clone(), first.write, first.atomic),
-            (second.rank, second.op.clone(), second.write, second.atomic),
-        );
-        match index.get(&key) {
-            Some(&i) => {
-                grouped[i].1.insert(raw.word);
-            }
-            None => {
-                index.insert(key, grouped.len());
-                let mut set = std::collections::BTreeSet::new();
-                set.insert(raw.word);
-                grouped.push((
-                    Race {
-                        owner: raw.owner,
-                        seg: raw.seg,
-                        word: raw.word,
-                        word_hi: raw.word,
-                        word_count: 1,
-                        first,
-                        second,
-                    },
-                    set,
-                ));
-            }
-        }
-    }
-    grouped
-        .into_iter()
-        .map(|(mut race, set)| {
-            race.word = *set.iter().next().expect("non-empty word set");
-            race.word_hi = *set.iter().next_back().expect("non-empty word set");
-            race.word_count = set.len() as u64;
-            race
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn record_access(
-    words: &mut HashMap<(u32, u32, u64), WordState>,
-    raws: &mut Vec<RawRace>,
-    clock: &[u64],
-    rec: AccessRec,
-    owner: u32,
-    seg: u32,
-    offset: u64,
-    bytes: u32,
-) {
-    let report = |prior: &AccessRec, w: u64| {
-        if prior.rank == rec.rank
-            || (prior.atomic && rec.atomic)
-            || prior.clock <= clock[prior.rank as usize]
-        {
-            return None;
-        }
-        Some(RawRace { owner, seg, word: w, prior: *prior, rec })
-    };
-    for w in word_range(offset, bytes) {
-        let st = words.entry((owner, seg, w)).or_default();
-        // A write conflicts with prior writes and reads; a read only with
-        // prior writes.
-        for prior in &st.writes {
-            if let Some(raw) = report(prior, w) {
-                raws.push(raw);
-            }
-        }
-        if rec.write {
-            for prior in &st.reads {
-                if let Some(raw) = report(prior, w) {
-                    raws.push(raw);
-                }
-            }
-        }
-        let list = if rec.write { &mut st.writes } else { &mut st.reads };
-        match list
-            .iter_mut()
-            .find(|a| a.rank == rec.rank && a.atomic == rec.atomic)
-        {
-            Some(slot) => *slot = rec,
-            None => list.push(rec),
-        }
-    }
-}
-
-/// Build the report-side attribution for one access on `rank` at event
-/// index `ev_idx` with replay clock `clock` (shared with the predictive
-/// engine, which reuses the same attribution format).
-pub(crate) fn attribute(
-    trace: &Trace,
-    rank: u32,
-    ev_idx: u32,
-    clock: u64,
-    write: bool,
-    atomic: bool,
-) -> AccessInfo {
-    access_info(trace, AccessRec { rank, ev_idx, clock, write, atomic })
-}
-
-/// Build the report-side attribution for one access record.
-fn access_info(trace: &Trace, rec: AccessRec) -> AccessInfo {
-    let stream = &trace.events[rec.rank as usize];
-    let ev = &stream[rec.ev_idx as usize];
-    let op = match &ev.event {
-        TraceEvent::RemoteOp { kind, .. } => match kind {
-            RemoteOpKind::Put => "put",
-            RemoteOpKind::Get => "get",
-            RemoteOpKind::Acc => "acc",
-            RemoteOpKind::Rmw => "rmw",
-        }
-        .to_string(),
-        TraceEvent::LocalAccess { write, .. } => {
-            format!("local {}", if *write { "write" } else { "read" })
-        }
-        other => format!("{other:?}"),
-    };
-    let nearest_sync = stream[..rec.ev_idx as usize]
-        .iter()
-        .rev()
-        .find_map(|e| match &e.event {
-            TraceEvent::LockAcq { target, set, idx, seq } => Some((
-                e.t_ns,
-                format!("lock acquire #{seq} (target {target}, set {set}, idx {idx})"),
-            )),
-            TraceEvent::LockRel { target, set, idx, seq } => Some((
-                e.t_ns,
-                format!("lock release #{seq} (target {target}, set {set}, idx {idx})"),
-            )),
-            TraceEvent::BarrierWait { epoch, .. } => {
-                Some((e.t_ns, format!("barrier epoch {epoch}")))
-            }
-            TraceEvent::MsgSend { dst, seq, .. } => {
-                Some((e.t_ns, format!("msg send #{seq} to rank {dst}")))
-            }
-            TraceEvent::MsgRecv { src, seq } => {
-                Some((e.t_ns, format!("msg recv #{seq} from rank {src}")))
-            }
-            TraceEvent::TdWave { wave, dir, .. } => {
-                Some((e.t_ns, format!("td {dir:?}-wave {wave}")))
-            }
-            _ => None,
-        });
-    AccessInfo {
-        rank: rec.rank,
-        t_ns: ev.t_ns,
-        clock: rec.clock,
-        op,
-        write: rec.write,
-        atomic: rec.atomic,
-        nearest_sync,
-    }
+    .map_err(|e| e.to_string())?;
+    Ok(RaceReport {
+        races: found.finish().map(|(race, ())| race).collect(),
+        events,
+        sync_edges: clocks.sync_edges,
+        words: frontier.words(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scioto_sim::StampedEvent;
-
-    /// Build a trace from per-rank `(t_ns, event)` lists.
-    fn trace_of(ranks: Vec<Vec<(u64, TraceEvent)>>) -> Trace {
-        let n = ranks.len();
-        Trace {
-            events: ranks
-                .into_iter()
-                .map(|evs| {
-                    evs.into_iter()
-                        .map(|(t_ns, event)| StampedEvent { t_ns, event })
-                        .collect()
-                })
-                .collect(),
-            dropped: vec![0; n],
-            final_clock_ns: Vec::new(),
-            wall_clock: false,
-            hists: (0..n).map(|_| Default::default()).collect(),
-            gauges: (0..n).map(|_| Default::default()).collect(),
-        }
-    }
-
-    fn put(target: u32, offset: u64, bytes: u32) -> TraceEvent {
-        TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Put,
-            target,
-            seg: 0,
-            offset,
-            bytes,
-            atomic: false,
-        }
-    }
-
-    fn get(target: u32, offset: u64, bytes: u32) -> TraceEvent {
-        TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Get,
-            target,
-            seg: 0,
-            offset,
-            bytes,
-            atomic: false,
-        }
-    }
-
-    fn local(offset: u64, bytes: u32, write: bool, atomic: bool) -> TraceEvent {
-        TraceEvent::LocalAccess { seg: 0, offset, bytes, write, atomic }
-    }
-
-    fn acq(seq: u64) -> TraceEvent {
-        TraceEvent::LockAcq { target: 0, set: 0, idx: 0, seq }
-    }
-
-    fn rel(seq: u64) -> TraceEvent {
-        TraceEvent::LockRel { target: 0, set: 0, idx: 0, seq }
-    }
-
-    fn barrier(epoch: u64) -> TraceEvent {
-        TraceEvent::BarrierWait { dur_ns: 0, epoch }
-    }
+    use crate::fixtures::*;
+    use scioto_sim::{RemoteOpKind, TraceEvent, WaveDir};
 
     #[test]
     fn unordered_conflicting_writes_race() {

@@ -1,16 +1,25 @@
 //! `scioto-race`: offline happens-before race checking and source-level
 //! invariant linting for the Scioto reproduction.
 //!
-//! Two independent tools live here:
+//! Four tools live here. The first two are folds over the one legal-order
+//! replay of a trace's synchronization, [`scioto_analyze::sync::walk`];
+//! the third needs only per-rank program order; the fourth reads source:
 //!
-//! * [`hb::check_trace`] replays a deterministic virtual-time [`Trace`]
-//!   (from [`scioto_sim`]) with vector clocks, pairing every explicit
-//!   synchronization edge the runtime emits (lock generations, message
-//!   sequence numbers, barrier epochs, termination-detection waves) and
-//!   reporting every pair of conflicting, happens-before-unordered
-//!   accesses to simulated global memory. It runs on in-memory traces
-//!   (`--race-check` on the bench bins) or on exported JSONL traces (the
-//!   `race_check` binary, via `scioto_analyze::jsonl::parse`).
+//! * [`hb::check_trace`] joins vector clocks along every explicit
+//!   synchronization edge a deterministic [`Trace`] carries (lock
+//!   generations, message sequence numbers, barrier epochs,
+//!   termination-detection waves) and reports every pair of conflicting,
+//!   happens-before-unordered accesses to simulated global memory —
+//!   in memory (`--race-check` on the bench bins) or from an exported
+//!   JSONL trace (the `race_check` binary).
+//! * [`predict::predict`] carries a second, weaker clock through the same
+//!   replay — lock edges between non-conflicting critical sections
+//!   dropped — and reports the races the observed schedule masked, plus
+//!   every protocol-atomic word whose access pattern matches no declared
+//!   ordering protocol ([`predict::check_protocols`]).
+//! * [`deadlock::check_deadlocks`] builds the cross-rank lock-order graph
+//!   from each rank's lock nesting and reports the cycles that survive
+//!   the gate-lock filter.
 //! * [`lint`] is a zero-dependency source scanner enforcing the repo's
 //!   hermeticity and determinism invariants (no ambient `std::sync`
 //!   primitives outside `crates/det`, no wall-clock or ambient
@@ -21,15 +30,18 @@
 //! [`Trace`]: scioto_sim::Trace
 
 pub mod deadlock;
+mod fold;
 pub mod hb;
 pub mod lexer;
 pub mod lint;
 pub mod predict;
 pub mod report;
-mod sync;
 
 pub use deadlock::{check_deadlocks, Cycle, DeadlockReport, Resource};
 pub use hb::{check_trace, AccessInfo, Race, RaceReport};
 pub use lint::{lint_tree, waiver_stats, Finding};
 pub use predict::{check_protocols, predict, AtomicityViolation, PredictReport, PredictedRace};
 pub use report::render as render_report;
+
+#[cfg(test)]
+mod fixtures;

@@ -51,18 +51,17 @@
 //! A word matching none of the four is an unexplained suppression:
 //! the atomic marker is hiding accesses the race checker should see.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
-use scioto_sim::{RemoteOpKind, Trace, TraceEvent, WaveDir};
+use scioto_analyze::sync::{walk, LockKey, Pos, SyncWith};
+use scioto_sim::{Trace, TraceEvent};
 
-use crate::hb::{attribute, AccessInfo};
-use crate::sync::{
-    join, refuse_dropped, refuse_stuck, td_children, td_parent, word_range, LockKey,
-    ProducerTotals, WaveKey,
+use crate::fold::{
+    fmt_access_pair, join, scan_held, Access, ClockSet, Frontier, SitePairs, WordKey, WordMap,
+    WordSet,
 };
-
-type WordKey = (u32, u32, u64);
+use crate::hb::AccessInfo;
 
 /// One predicted (schedule-masked) race: conflicting accesses that are
 /// unordered under the sync-preserving weak relation but were ordered in
@@ -115,22 +114,7 @@ impl fmt::Display for PredictedRace {
             self.lock.1,
             self.lock.2,
         )?;
-        for (tag, a) in [("first", &self.first), ("second", &self.second)] {
-            write!(
-                f,
-                "  {tag}: rank {} t={}ns clock={} {} ({}{});",
-                a.rank,
-                a.t_ns,
-                a.clock,
-                a.op,
-                if a.write { "write" } else { "read" },
-                if a.atomic { ", atomic" } else { "" },
-            )?;
-            match &a.nearest_sync {
-                Some((t, s)) => writeln!(f, " last sync: {s} at t={t}ns")?,
-                None => writeln!(f, " no prior sync on this rank")?,
-            }
-        }
+        fmt_access_pair(f, &self.first, &self.second)?;
         writeln!(f, "  witness: {}", self.witness)
     }
 }
@@ -210,42 +194,21 @@ impl fmt::Display for PredictReport {
 }
 
 /// Per-critical-section footprint: word → wrote?
-type Footprint = HashMap<WordKey, bool>;
+type Footprint = WordMap<bool>;
 
 /// Compute the footprint of every critical section `(lock, generation)`:
 /// the words accessed while the section is held, with a write flag.
-/// Purely per-rank program order — no cross-rank scheduling needed.
 fn footprints(trace: &Trace) -> HashMap<(LockKey, u64), Footprint> {
     let mut fp: HashMap<(LockKey, u64), Footprint> = HashMap::new();
     for (rank, events) in trace.events.iter().enumerate() {
-        let mut held: Vec<(LockKey, u64)> = Vec::new();
-        for ev in events {
-            match &ev.event {
-                TraceEvent::LockAcq { target, set, idx, seq } => {
-                    held.push(((*target, *set, *idx), *seq));
+        scan_held(events, |_, ev, held| {
+            let Some(a) = Access::of(rank as u32, &ev.event) else { return };
+            for word in a.words() {
+                for cs in held {
+                    *fp.entry((cs.key, cs.seq)).or_default().entry(word).or_insert(false) |= a.write;
                 }
-                TraceEvent::LockRel { target, set, idx, seq } => {
-                    held.retain(|(k, s)| *k != (*target, *set, *idx) || *s != *seq);
-                }
-                TraceEvent::RemoteOp { kind, target, seg, offset, bytes, .. } => {
-                    for w in word_range(*offset, *bytes) {
-                        for cs in &held {
-                            let e = fp.entry(*cs).or_default().entry((*target, *seg, w));
-                            *e.or_insert(false) |= kind.is_write();
-                        }
-                    }
-                }
-                TraceEvent::LocalAccess { seg, offset, bytes, write, .. } => {
-                    for w in word_range(*offset, *bytes) {
-                        for cs in &held {
-                            let e = fp.entry(*cs).or_default().entry((rank as u32, *seg, w));
-                            *e.or_insert(false) |= *write;
-                        }
-                    }
-                }
-                _ => {}
             }
-        }
+        });
     }
     fp
 }
@@ -260,33 +223,17 @@ fn conflicts(a: &Footprint, b: &Footprint) -> bool {
 }
 
 /// A release→acquire edge the weak relation dropped: critical sections
-/// `gen - 1` (on `producer`) and `gen` (on `consumer`) of `lock` do not
-/// conflict, so another schedule may run them in the opposite order.
+/// `gen - 1` (released at `release`) and `gen` (on `consumer`) of `lock`
+/// do not conflict, so another schedule may run them in the opposite
+/// order.
 struct SkippedEdge {
     lock: LockKey,
     gen: u64,
-    producer: u32,
+    release: Pos,
     consumer: u32,
     /// Consumer's own clock component just after the acquire — anything
     /// with `strong[consumer] >= cons_own` is downstream of the edge.
     cons_own: u64,
-}
-
-/// Frontier record of one access (most recent per `(rank, atomic)`
-/// class and word, as in the HB engine).
-#[derive(Clone, Copy)]
-struct Rec {
-    rank: u32,
-    ev_idx: u32,
-    clock: u64,
-    write: bool,
-    atomic: bool,
-}
-
-#[derive(Default)]
-struct WordFrontier {
-    writes: Vec<Rec>,
-    reads: Vec<Rec>,
 }
 
 /// Run the sync-preserving predictive analysis: weak-relation replay
@@ -294,42 +241,16 @@ struct WordFrontier {
 /// traces as [`crate::hb::check_trace`] (dropped events, missing
 /// producers).
 pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
-    refuse_dropped(trace)?;
     let n = trace.nranks();
-    let n32 = n as u32;
     let fp = footprints(trace);
-    let empty: Footprint = HashMap::new();
-    let empty = &empty;
+    let empty = Footprint::default();
+    let section = |key: LockKey, gen: u64| fp.get(&(key, gen)).unwrap_or(&empty);
 
-    let totals = ProducerTotals::count(trace);
-
-    let mut cursors = vec![0usize; n];
-    let init_clocks = || -> Vec<Vec<u64>> {
-        (0..n)
-            .map(|r| {
-                let mut c = vec![0u64; n];
-                c[r] = 1;
-                c
-            })
-            .collect()
-    };
-    // Strong = observed happens-before (identical to the HB engine);
-    // weak = sync-preserving. Own components tick in lockstep so a
-    // rank's position is directly comparable across the two.
-    let mut strong: Vec<Vec<u64>> = init_clocks();
-    let mut weak: Vec<Vec<u64>> = init_clocks();
-
-    // Producer snapshots, each kept in both relations.
-    let mut lock_rel: HashMap<(LockKey, u64), (Vec<u64>, Vec<u64>, u32)> = HashMap::new();
-    let mut msg_send: HashMap<(u32, u64), (Vec<u64>, Vec<u64>)> = HashMap::new();
-    let mut waves: HashMap<(WaveKey, u64), (Vec<u64>, Vec<u64>)> = HashMap::new();
-    let mut wave_emitted: HashMap<WaveKey, u64> = HashMap::new();
-    let mut wave_consumed: HashMap<(u32, WaveKey), u64> = HashMap::new();
-    let mut barrier_arrived: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut barrier_join: HashMap<u64, (Vec<u64>, Vec<u64>)> = HashMap::new();
-
-    // Weak conflict state per (lock, word): release snapshot of the last
-    // critical section that wrote the word, and the release snapshots of
+    // Relation 0 is the observed happens-before (exactly the HB engine's
+    // clock), relation 1 the sync-preserving weak order.
+    let mut clocks = ClockSet::new(n, 2);
+    // Weak conflict state per (lock, word): release clock of the last
+    // critical section that wrote the word, and the release clocks of
     // reading sections since (the FastTrack read-set scheme lifted to
     // critical-section granularity). Joining these at acquire time gives
     // the rel→acq edges from every *conflicting* earlier section without
@@ -338,423 +259,128 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
     let mut readers_since: HashMap<(LockKey, WordKey), Vec<Vec<u64>>> = HashMap::new();
 
     let mut skipped: Vec<SkippedEdge> = Vec::new();
-    let mut frontier: HashMap<WordKey, WordFrontier> = HashMap::new();
-    // Raw predictions with their distinct-word sets, keyed by event pair
-    // for exact word counting; site-pair dedup happens at the end.
-    let mut raw: Vec<(PredictedRace, BTreeSet<u64>)> = Vec::new();
-    let mut pair_idx: HashMap<((u32, u32), (u32, u32)), usize> = HashMap::new();
-
-    let mut events_replayed = 0u64;
+    let mut frontier = Frontier::default();
+    let mut found: SitePairs<(LockKey, u64, String)> = SitePairs::new();
+    let mut events = 0u64;
     let mut lock_edges = 0u64;
     let mut dropped_edges = 0u64;
 
-    loop {
-        let mut progressed = false;
-        for r in 0..n {
-            'stream: while cursors[r] < trace.events[r].len() {
-                let ev = &trace.events[r][cursors[r]];
-                // Phase 1: readiness on the strong relation (identical
-                // scheduling to the HB engine), collecting the incoming
-                // strong/weak joins without mutating consume state.
-                let mut incoming: Option<(Vec<u64>, Vec<u64>)> = None;
-                let mut wave_consumes: Vec<(u32, WaveKey)> = Vec::new();
-                match &ev.event {
-                    TraceEvent::LockAcq { target, set, idx, seq } => {
-                        if *seq > 1 {
-                            let key = (*target, *set, *idx);
-                            match lock_rel.get(&(key, seq - 1)) {
-                                Some((s_vc, _, _)) => {
-                                    // Weak side: join every conflicting
-                                    // earlier section via the per-word
-                                    // conflict state, using this
-                                    // section's own footprint.
-                                    let mine = fp.get(&(key, *seq)).unwrap_or(empty);
-                                    let mut w_vc = vec![0u64; n];
-                                    for (word, wrote) in mine {
-                                        if let Some(lw) = last_writer.get(&(key, *word)) {
-                                            join(&mut w_vc, lw);
-                                        }
-                                        if *wrote {
-                                            if let Some(rs) = readers_since.get(&(key, *word)) {
-                                                for rv in rs {
-                                                    join(&mut w_vc, rv);
-                                                }
-                                            }
-                                        }
-                                    }
-                                    incoming = Some((s_vc.clone(), w_vc));
-                                }
-                                None => break 'stream,
-                            }
-                        }
-                    }
-                    TraceEvent::MsgRecv { seq, .. } => {
-                        let key = (r as u32, *seq);
-                        match msg_send.get(&key) {
-                            Some((s_vc, w_vc)) => {
-                                incoming = Some((s_vc.clone(), w_vc.clone()))
-                            }
-                            None => {
-                                if totals.msg_send.get(&key).copied().unwrap_or(0) == 0 {
-                                    return Err(format!(
-                                        "rank {r}: MsgRecv seq {seq} has no matching MsgSend \
-                                         in the trace"
-                                    ));
-                                }
-                                break 'stream;
-                            }
-                        }
-                    }
-                    TraceEvent::BarrierWait { epoch, .. } => {
-                        if let Some((s_j, w_j)) = barrier_join.get(epoch) {
-                            incoming = Some((s_j.clone(), w_j.clone()));
-                        } else {
-                            let arrived = barrier_arrived.entry(*epoch).or_default();
-                            if !arrived.contains(&r) {
-                                arrived.push(r);
-                            }
-                            let expect = totals.barrier_expect.get(epoch).copied().unwrap_or(0);
-                            if (arrived.len() as u32) < expect {
-                                break 'stream;
-                            }
-                            let mut s_j = vec![0u64; n];
-                            let mut w_j = vec![0u64; n];
-                            for &p in arrived.iter() {
-                                join(&mut s_j, &strong[p]);
-                                join(&mut w_j, &weak[p]);
-                            }
-                            barrier_join.insert(*epoch, (s_j.clone(), w_j.clone()));
-                            incoming = Some((s_j, w_j));
-                        }
-                    }
-                    TraceEvent::TdWave { wave, dir, .. } => {
-                        let mut s_j = vec![0u64; n];
-                        let mut w_j = vec![0u64; n];
-                        let mut have_any = false;
-                        let mut blocked = false;
-                        let producers: Vec<u32> = match dir {
-                            WaveDir::Down | WaveDir::Term => {
-                                td_parent(r as u32).into_iter().collect()
-                            }
-                            WaveDir::Up => td_children(r as u32, n32).collect(),
-                        };
-                        for p in producers {
-                            let pkey = (p, *dir, *wave);
-                            let total = totals.wave.get(&pkey).copied().unwrap_or(0);
-                            if total == 0 {
-                                continue;
-                            }
-                            let ckey = (r as u32, pkey);
-                            let k = wave_consumed.get(&ckey).copied().unwrap_or(0) + 1;
-                            let want = k.min(total);
-                            match waves.get(&(pkey, want)) {
-                                Some((s_vc, w_vc)) => {
-                                    join(&mut s_j, s_vc);
-                                    join(&mut w_j, w_vc);
-                                    have_any = true;
-                                    wave_consumes.push(ckey);
-                                }
-                                None => {
-                                    blocked = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if blocked {
-                            break 'stream;
-                        }
-                        if have_any {
-                            incoming = Some((s_j, w_j));
-                        }
-                    }
-                    _ => {}
+    walk(trace, |step| {
+        events += 1;
+        let rank = step.pos.rank;
+        // The hook: a lock edge's weak side joins only the *conflicting*
+        // earlier sections, found through this section's own footprint.
+        let lock_edge = match (step.ev.event, step.sync) {
+            (TraceEvent::LockAcq { target, set, idx, seq }, SyncWith::After(release)) => {
+                Some(((target, set, idx), seq, release[0]))
+            }
+            _ => None,
+        };
+        let weak_lock = lock_edge.map(|(key, gen, _)| {
+            let mut vc = vec![0u64; n];
+            for (word, wrote) in section(key, gen) {
+                if let Some(writer) = last_writer.get(&(key, *word)) {
+                    join(&mut vc, writer);
                 }
+                if *wrote {
+                    for reader in readers_since.get(&(key, *word)).into_iter().flatten() {
+                        join(&mut vc, reader);
+                    }
+                }
+            }
+            vc
+        });
+        clocks.enter(&step, weak_lock.as_deref());
 
-                // Phase 2: commit.
-                for ckey in wave_consumes {
-                    *wave_consumed.entry(ckey).or_default() += 1;
+        if let Some(a) = Access::of(rank, &step.ev.event) {
+            let rec = a.rec(step.pos, clocks.own(rank));
+            let (strong, weak) = (clocks.rel(rank, 0), clocks.rel(rank, 1));
+            frontier.access(&a, rec, |word, prior| {
+                let ordered = |vc: &[u64]| prior.clock <= vc[prior.rank as usize];
+                if ordered(weak) || !ordered(strong) {
+                    // Ordered in every schedule we model, or already a plain
+                    // HB race the observed-schedule checker reports.
+                    return;
                 }
-                if let Some((s_vc, w_vc)) = incoming {
-                    join(&mut strong[r], &s_vc);
-                    join(&mut weak[r], &w_vc);
+                // Attribute the masking edge: a dropped release→acquire
+                // whose release is strong-downstream of `prior` and whose
+                // acquire is strong-upstream of the current access. At least
+                // one exists on any strong path between the two; if the
+                // ordering came through a chain the footprint state
+                // collapsed, skip rather than misattribute.
+                let Some(edge) = skipped.iter().find(|e| {
+                    strong[e.consumer as usize] >= e.cons_own
+                        && clocks.published(e.release)[prior.rank as usize] >= prior.clock
+                }) else {
+                    return;
+                };
+                found.add(trace, (a.owner, a.seg, word), *prior, rec, || {
+                    let (target, set, idx) = edge.lock;
+                    let witness = format!(
+                        "swap the non-conflicting critical sections on lock (target {target}, \
+                         set {set}, idx {idx}): run rank {}'s section #{} before rank {}'s \
+                         section #{}; the sections touch no common word, so the accesses \
+                         become unordered",
+                        edge.consumer,
+                        edge.gen,
+                        edge.release.rank,
+                        edge.gen - 1,
+                    );
+                    (edge.lock, edge.gen, witness)
+                });
+            });
+        }
+        if let TraceEvent::LockRel { target, set, idx, seq } = step.ev.event {
+            // Publish the weak conflict state for this section's
+            // footprint, from the pre-tick clock.
+            let key = (target, set, idx);
+            let weak = clocks.rel(rank, 1);
+            for (word, wrote) in section(key, seq) {
+                if *wrote {
+                    last_writer.insert((key, *word), weak.to_vec());
+                    readers_since.remove(&(key, *word));
+                } else {
+                    readers_since.entry((key, *word)).or_default().push(weak.to_vec());
                 }
-                match &ev.event {
-                    TraceEvent::RemoteOp { kind, target, seg, offset, bytes, atomic } => {
-                        record(
-                            &mut frontier,
-                            &mut raw,
-                            &mut pair_idx,
-                            trace,
-                            &strong[r],
-                            &weak[r],
-                            &skipped,
-                            &lock_rel,
-                            Rec {
-                                rank: r as u32,
-                                ev_idx: cursors[r] as u32,
-                                clock: strong[r][r],
-                                write: kind.is_write(),
-                                atomic: *atomic || kind.is_atomic(),
-                            },
-                            *target,
-                            *seg,
-                            *offset,
-                            *bytes,
-                        );
-                    }
-                    TraceEvent::LocalAccess { seg, offset, bytes, write, atomic } => {
-                        record(
-                            &mut frontier,
-                            &mut raw,
-                            &mut pair_idx,
-                            trace,
-                            &strong[r],
-                            &weak[r],
-                            &skipped,
-                            &lock_rel,
-                            Rec {
-                                rank: r as u32,
-                                ev_idx: cursors[r] as u32,
-                                clock: strong[r][r],
-                                write: *write,
-                                atomic: *atomic,
-                            },
-                            r as u32,
-                            *seg,
-                            *offset,
-                            *bytes,
-                        );
-                    }
-                    TraceEvent::LockRel { target, set, idx, seq } => {
-                        let key = (*target, *set, *idx);
-                        // Publish the weak conflict state for this
-                        // section's footprint before the clock tick.
-                        if let Some(mine) = fp.get(&(key, *seq)) {
-                            for (word, wrote) in mine {
-                                if *wrote {
-                                    last_writer.insert((key, *word), weak[r].clone());
-                                    readers_since.remove(&(key, *word));
-                                } else {
-                                    readers_since
-                                        .entry((key, *word))
-                                        .or_default()
-                                        .push(weak[r].clone());
-                                }
-                            }
-                        }
-                        lock_rel
-                            .insert((key, *seq), (strong[r].clone(), weak[r].clone(), r as u32));
-                        strong[r][r] += 1;
-                        weak[r][r] += 1;
-                    }
-                    TraceEvent::MsgSend { dst, seq, .. } => {
-                        msg_send.insert((*dst, *seq), (strong[r].clone(), weak[r].clone()));
-                        strong[r][r] += 1;
-                        weak[r][r] += 1;
-                    }
-                    TraceEvent::TdWave { wave, dir, .. } => {
-                        let key = (r as u32, *dir, *wave);
-                        let occ = wave_emitted.entry(key).or_default();
-                        *occ += 1;
-                        waves.insert((key, *occ), (strong[r].clone(), weak[r].clone()));
-                        strong[r][r] += 1;
-                        weak[r][r] += 1;
-                    }
-                    TraceEvent::BarrierWait { .. } => {
-                        strong[r][r] += 1;
-                        weak[r][r] += 1;
-                    }
-                    TraceEvent::LockAcq { target, set, idx, seq } => {
-                        strong[r][r] += 1;
-                        weak[r][r] += 1;
-                        if *seq > 1 {
-                            let key = (*target, *set, *idx);
-                            lock_edges += 1;
-                            let prev = fp.get(&(key, seq - 1)).unwrap_or(empty);
-                            let mine = fp.get(&(key, *seq)).unwrap_or(empty);
-                            if !conflicts(prev, mine) {
-                                dropped_edges += 1;
-                                let producer =
-                                    lock_rel.get(&(key, seq - 1)).map(|(_, _, p)| *p).unwrap_or(0);
-                                skipped.push(SkippedEdge {
-                                    lock: key,
-                                    gen: *seq,
-                                    producer,
-                                    consumer: r as u32,
-                                    cons_own: strong[r][r],
-                                });
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                cursors[r] += 1;
-                events_replayed += 1;
-                progressed = true;
             }
         }
-        if !progressed {
-            break;
-        }
-    }
-
-    refuse_stuck(trace, &cursors)?;
-
-    // Site-pair dedup: collapse reports sharing (owner, seg) and both
-    // access shapes (rank/op/write/atomic each side) into one, with an
-    // exact distinct-word count and collapsed offset range.
-    let mut grouped: Vec<(PredictedRace, BTreeSet<u64>)> = Vec::new();
-    let mut site_idx: HashMap<SiteKey, usize> = HashMap::new();
-    for (p, word_set) in raw {
-        let key = site_key(&p);
-        match site_idx.get(&key) {
-            Some(&i) => grouped[i].1.extend(word_set),
-            None => {
-                site_idx.insert(key, grouped.len());
-                grouped.push((p, word_set));
+        if let Some((key, gen, release)) = lock_edge {
+            lock_edges += 1;
+            if !conflicts(section(key, gen - 1), section(key, gen)) {
+                dropped_edges += 1;
+                let cons_own = clocks.own(rank) + 1;
+                skipped.push(SkippedEdge { lock: key, gen, release, consumer: rank, cons_own });
             }
         }
-    }
-    let predicted: Vec<PredictedRace> = grouped
-        .into_iter()
-        .map(|(mut p, words)| {
-            p.word = *words.iter().next().expect("non-empty word set");
-            p.word_hi = *words.iter().next_back().expect("non-empty word set");
-            p.word_count = words.len() as u64;
-            p
+        clocks.leave(&step);
+    })
+    .map_err(|e| e.to_string())?;
+
+    let predicted = found
+        .finish()
+        .map(|(race, (lock, gen, witness))| PredictedRace {
+            owner: race.owner,
+            seg: race.seg,
+            word: race.word,
+            word_hi: race.word_hi,
+            word_count: race.word_count,
+            first: race.first,
+            second: race.second,
+            lock,
+            gen,
+            witness,
         })
         .collect();
-
     let (atomicity, protocol_words) = check_protocols(trace);
 
     Ok(PredictReport {
         predicted,
         atomicity,
-        events: events_replayed,
+        events,
         lock_edges,
         dropped_edges,
         protocol_words,
     })
-}
-
-/// Access-site pair identity for dedup: where the word lives plus the
-/// shape of both accesses (rank, op string, write/atomic class).
-type SiteKey = (u32, u32, (u32, String, bool, bool), (u32, String, bool, bool));
-
-fn site_key(p: &PredictedRace) -> SiteKey {
-    (
-        p.owner,
-        p.seg,
-        (p.first.rank, p.first.op.clone(), p.first.write, p.first.atomic),
-        (p.second.rank, p.second.op.clone(), p.second.write, p.second.atomic),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn record(
-    frontier: &mut HashMap<WordKey, WordFrontier>,
-    raw: &mut Vec<(PredictedRace, BTreeSet<u64>)>,
-    pair_idx: &mut HashMap<((u32, u32), (u32, u32)), usize>,
-    trace: &Trace,
-    strong_cur: &[u64],
-    weak_cur: &[u64],
-    skipped: &[SkippedEdge],
-    lock_rel: &HashMap<(LockKey, u64), (Vec<u64>, Vec<u64>, u32)>,
-    rec: Rec,
-    owner: u32,
-    seg: u32,
-    offset: u64,
-    bytes: u32,
-) {
-    for w in word_range(offset, bytes) {
-        let st = frontier.entry((owner, seg, w)).or_default();
-        let mut consider = |prior: &Rec| {
-            if prior.rank == rec.rank || (prior.atomic && rec.atomic) {
-                return;
-            }
-            let weak_ordered = prior.clock <= weak_cur[prior.rank as usize];
-            let strong_ordered = prior.clock <= strong_cur[prior.rank as usize];
-            if weak_ordered || !strong_ordered {
-                // Ordered in every schedule we model, or already a plain
-                // HB race the observed-schedule checker reports.
-                return;
-            }
-            let pair = ((prior.rank, prior.ev_idx), (rec.rank, rec.ev_idx));
-            if let Some(&i) = pair_idx.get(&pair) {
-                raw[i].1.insert(w);
-                return;
-            }
-            // Attribute the masking edge: a dropped release→acquire
-            // whose release is strong-downstream of `prior` and whose
-            // acquire is strong-upstream of the current access. At least
-            // one exists on any strong path between the two.
-            let edge = skipped.iter().find(|e| {
-                strong_cur[e.consumer as usize] >= e.cons_own
-                    && lock_rel
-                        .get(&(e.lock, e.gen - 1))
-                        .is_some_and(|(s_vc, _, _)| s_vc[prior.rank as usize] >= prior.clock)
-            });
-            let Some(edge) = edge else {
-                // No single dropped edge explains the ordering (it came
-                // through a chain the footprint state collapsed); skip
-                // rather than misattribute.
-                return;
-            };
-            let witness = format!(
-                "swap the non-conflicting critical sections on lock (target {}, set {}, \
-                 idx {}): run rank {}'s section #{} before rank {}'s section #{}; the \
-                 sections touch no common word, so the accesses become unordered",
-                edge.lock.0,
-                edge.lock.1,
-                edge.lock.2,
-                edge.consumer,
-                edge.gen,
-                edge.producer,
-                edge.gen - 1,
-            );
-            pair_idx.insert(pair, raw.len());
-            let mut words = BTreeSet::new();
-            words.insert(w);
-            raw.push((
-                PredictedRace {
-                    owner,
-                    seg,
-                    word: w,
-                    word_hi: w,
-                    word_count: 0,
-                    first: attribute(
-                        trace,
-                        prior.rank,
-                        prior.ev_idx,
-                        prior.clock,
-                        prior.write,
-                        prior.atomic,
-                    ),
-                    second: attribute(trace, rec.rank, rec.ev_idx, rec.clock, rec.write, rec.atomic),
-                    lock: edge.lock,
-                    gen: edge.gen,
-                    witness,
-                },
-                words,
-            ));
-        };
-        for prior in &st.writes {
-            consider(prior);
-        }
-        if rec.write {
-            for prior in &st.reads {
-                consider(prior);
-            }
-        }
-        let list = if rec.write { &mut st.writes } else { &mut st.reads };
-        match list
-            .iter_mut()
-            .find(|a| a.rank == rec.rank && a.atomic == rec.atomic)
-        {
-            Some(slot) => *slot = rec,
-            None => list.push(rec),
-        }
-    }
 }
 
 /// One access to a protocol word, with the locks held when it ran.
@@ -775,83 +401,38 @@ struct ProtoAccess {
 /// the protocols constrain the access *pattern*, not its order.
 pub fn check_protocols(trace: &Trace) -> (Vec<AtomicityViolation>, usize) {
     // Pass 1: which words are protocol words (any atomic-marked access)?
-    let mut proto: BTreeSet<WordKey> = BTreeSet::new();
+    let mut proto = WordSet::default();
     for (rank, events) in trace.events.iter().enumerate() {
-        for ev in events {
-            match &ev.event {
-                TraceEvent::RemoteOp { kind, target, seg, offset, bytes, atomic } => {
-                    if *atomic || kind.is_atomic() {
-                        for w in word_range(*offset, *bytes) {
-                            proto.insert((*target, *seg, w));
-                        }
-                    }
-                }
-                TraceEvent::LocalAccess { seg, offset, bytes, atomic, .. } => {
-                    if *atomic {
-                        for w in word_range(*offset, *bytes) {
-                            proto.insert((rank as u32, *seg, w));
-                        }
-                    }
-                }
-                _ => {}
+        for a in events.iter().filter_map(|ev| Access::of(rank as u32, &ev.event)) {
+            if a.atomic {
+                proto.extend(a.words());
             }
         }
     }
     // Pass 2: collect every access (atomic or plain) to protocol words,
     // with the lock context it ran under.
-    let mut accesses: HashMap<WordKey, Vec<ProtoAccess>> = HashMap::new();
+    let mut accesses: WordMap<Vec<ProtoAccess>> = WordMap::default();
     for (rank, events) in trace.events.iter().enumerate() {
-        let mut held: Vec<LockKey> = Vec::new();
-        for (ev_idx, ev) in events.iter().enumerate() {
-            match &ev.event {
-                TraceEvent::LockAcq { target, set, idx, .. } => {
-                    held.push((*target, *set, *idx));
-                }
-                TraceEvent::LockRel { target, set, idx, .. } => {
-                    if let Some(p) = held.iter().rposition(|k| *k == (*target, *set, *idx)) {
-                        held.remove(p);
-                    }
-                }
-                TraceEvent::RemoteOp { kind, target, seg, offset, bytes, atomic } => {
-                    for w in word_range(*offset, *bytes) {
-                        let key = (*target, *seg, w);
-                        if proto.contains(&key) {
-                            accesses.entry(key).or_default().push(ProtoAccess {
-                                rank: rank as u32,
-                                write: kind.is_write(),
-                                rmw: matches!(kind, RemoteOpKind::Acc | RemoteOpKind::Rmw),
-                                marked: *atomic || kind.is_atomic(),
-                                held: held.clone(),
-                                ev_idx: ev_idx as u32,
-                            });
-                        }
-                    }
-                }
-                TraceEvent::LocalAccess { seg, offset, bytes, write, atomic } => {
-                    for w in word_range(*offset, *bytes) {
-                        let key = (rank as u32, *seg, w);
-                        if proto.contains(&key) {
-                            accesses.entry(key).or_default().push(ProtoAccess {
-                                rank: rank as u32,
-                                write: *write,
-                                rmw: false,
-                                marked: *atomic,
-                                held: held.clone(),
-                                ev_idx: ev_idx as u32,
-                            });
-                        }
-                    }
-                }
-                _ => {}
+        scan_held(events, |ev_idx, ev, held| {
+            let Some(a) = Access::of(rank as u32, &ev.event) else { return };
+            for key in a.words().filter(|key| proto.contains(key)) {
+                accesses.entry(key).or_default().push(ProtoAccess {
+                    rank: rank as u32,
+                    write: a.write,
+                    rmw: a.rmw,
+                    marked: a.atomic,
+                    held: held.iter().map(|h| h.key).collect(),
+                    ev_idx: ev_idx as u32,
+                });
             }
-        }
+        });
     }
     let mut violations = Vec::new();
-    for key in &proto {
-        let accs = match accesses.get(key) {
-            Some(a) => a,
-            None => continue,
-        };
+    // Every protocol word has at least its marking access; report in
+    // word order.
+    let mut words: Vec<(&WordKey, &Vec<ProtoAccess>)> = accesses.iter().collect();
+    words.sort_unstable_by_key(|(key, _)| **key);
+    for (key, accs) in words {
         let writes: Vec<&ProtoAccess> = accs.iter().filter(|a| a.write).collect();
         let mut writers: Vec<u32> = writes.iter().map(|a| a.rank).collect();
         writers.sort_unstable();
@@ -921,49 +502,8 @@ pub fn check_protocols(trace: &Trace) -> (Vec<AtomicityViolation>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scioto_sim::StampedEvent;
-
-    fn trace_of(ranks: Vec<Vec<(u64, TraceEvent)>>) -> Trace {
-        let n = ranks.len();
-        Trace {
-            events: ranks
-                .into_iter()
-                .map(|evs| {
-                    evs.into_iter()
-                        .map(|(t_ns, event)| StampedEvent { t_ns, event })
-                        .collect()
-                })
-                .collect(),
-            dropped: vec![0; n],
-            final_clock_ns: Vec::new(),
-            wall_clock: false,
-            hists: (0..n).map(|_| Default::default()).collect(),
-            gauges: (0..n).map(|_| Default::default()).collect(),
-        }
-    }
-
-    fn put(target: u32, offset: u64, bytes: u32) -> TraceEvent {
-        TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Put,
-            target,
-            seg: 0,
-            offset,
-            bytes,
-            atomic: false,
-        }
-    }
-
-    fn local(offset: u64, bytes: u32, write: bool, atomic: bool) -> TraceEvent {
-        TraceEvent::LocalAccess { seg: 0, offset, bytes, write, atomic }
-    }
-
-    fn acq(seq: u64) -> TraceEvent {
-        TraceEvent::LockAcq { target: 0, set: 0, idx: 0, seq }
-    }
-
-    fn rel(seq: u64) -> TraceEvent {
-        TraceEvent::LockRel { target: 0, set: 0, idx: 0, seq }
-    }
+    use crate::fixtures::*;
+    use scioto_sim::RemoteOpKind;
 
     /// The canonical masked race: rank 0 writes word 0 before its
     /// critical section (touching word 8), rank 1 writes word 0 after

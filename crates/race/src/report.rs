@@ -234,26 +234,8 @@ mod tests {
     use super::*;
     use crate::hb::check_trace;
     use crate::{check_deadlocks, predict};
-    use scioto_sim::{StampedEvent, Trace, TraceEvent};
-
-    fn trace_of(ranks: Vec<Vec<(u64, TraceEvent)>>) -> Trace {
-        let n = ranks.len();
-        Trace {
-            events: ranks
-                .into_iter()
-                .map(|evs| {
-                    evs.into_iter()
-                        .map(|(t_ns, event)| StampedEvent { t_ns, event })
-                        .collect()
-                })
-                .collect(),
-            dropped: vec![0; n],
-            final_clock_ns: Vec::new(),
-            wall_clock: false,
-            hists: (0..n).map(|_| Default::default()).collect(),
-            gauges: (0..n).map(|_| Default::default()).collect(),
-        }
-    }
+    use crate::fixtures::trace_of;
+    use scioto_sim::TraceEvent;
 
     #[test]
     fn clean_trace_renders_clean_report() {

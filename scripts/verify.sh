@@ -249,14 +249,24 @@ echo "ok: autotuner improved fig7@64 over the defaults"
 stage "race check: HB + predictive + deadlock on table1 + fig7 traces (hard gate)"
 # The standalone checker re-parses the exported JSONL dumps and must come
 # back clean on all three analyses; the canonical scioto-race-v1 report is
-# emitted and sanity-checked. Timed: the predictive pass may add at most
-# 45s on top of the old 30s HB budget.
+# emitted and, with its "trace" label (a temp path) stripped, pinned
+# byte for byte like every bench result: a walk that loses a sync edge
+# stays "clean" but moves sync_edges / lock_edges / the graph counts.
+# Timed: the predictive pass may add at most 45s on top of the old 30s
+# HB budget.
 race_t0=$(date +%s)
 run_race race_check --predict --deadlock --json-out "$work/race_report.jsonl" \
     "$work/table1.jsonl" "$work/fig7.jsonl"
 grep -q '"schema":"scioto-race-v1"' "$work/race_report.jsonl"
 if grep -q '"clean":false' "$work/race_report.jsonl"; then
     echo "FAIL: race_check JSON report flags an unclean trace" >&2
+    exit 1
+fi
+sed 's/"trace":"[^"]*",//' "$work/race_report.jsonl" > "$work/bench/RACE_table1_fig7.jsonl"
+if [ "$BLESS" = 0 ] \
+    && ! cmp -s results/baselines/RACE_table1_fig7.jsonl "$work/bench/RACE_table1_fig7.jsonl"; then
+    echo "FAIL: race report differs from results/baselines/RACE_table1_fig7.jsonl" >&2
+    diff results/baselines/RACE_table1_fig7.jsonl "$work/bench/RACE_table1_fig7.jsonl" >&2 || true
     exit 1
 fi
 race_t1=$(date +%s)
@@ -324,7 +334,7 @@ fi
 if [ "$BLESS" = 1 ]; then
     stage "bless: refreshing results/baselines/"
     mkdir -p results/baselines
-    for f in "$work"/bench/BENCH_*.json; do
+    for f in "$work"/bench/BENCH_*.json "$work"/bench/RACE_*.jsonl; do
         cp "$f" "results/baselines/$(basename "$f")"
         echo "blessed results/baselines/$(basename "$f")"
     done
