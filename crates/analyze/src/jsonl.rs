@@ -125,7 +125,7 @@ fn gauge_from(f: &Fields) -> Option<Gauge> {
 
 fn event_from(name: &str, f: &Fields) -> Option<TraceEvent> {
     let num = |k: &str| get_num(f, k);
-    let n32 = |k: &str| num(k).map(|v| v as u32);
+    let n32 = |k: &str| num(k).and_then(|v| u32::try_from(v).ok());
     Some(match name {
         "TaskExecBegin" => TraceEvent::TaskExecBegin {
             callback: n32("callback")?,
@@ -439,6 +439,16 @@ mod tests {
         body.push_str("{\"rank\":0,\"t\":1,\"ev\":\"NoSuchEvent\"}\n");
         let err = parse(&body).unwrap_err();
         assert!(err.contains("malformed NoSuchEvent"), "{err}");
+        // A 32-bit field of 1 << 32 is malformed, not rank/lock 0.
+        let lines = t.to_jsonl().lines().count();
+        for (ev, rest) in [
+            ("StealAttempt", "\"victim\":4294967296,\"got\":0,\"dur\":5"),
+            ("LockAcq", "\"target\":0,\"set\":0,\"idx\":4294967296,\"seq\":1"),
+        ] {
+            let body = format!("{}{{\"rank\":0,\"t\":1,\"ev\":\"{ev}\",{rest}}}\n", t.to_jsonl());
+            let err = parse(&body).unwrap_err();
+            assert_eq!(err, format!("line {}: malformed {ev} event", lines + 1));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Closed-loop knob autotuning over replayed schedules.
 //!
-//! The tuner's loop (driven by the `tune` bench bin) is: record one
+//! The tuner's loop (driven by `scioto tune`) is: record one
 //! seeded run → lower it to a replay program → re-price it under each
 //! candidate knob assignment ([`crate::whatif::reprice`]) → replay and
 //! score → live-validate the most promising candidates → emit a tuned

@@ -1,50 +1,65 @@
-//! Command-line flags: one table of accepted flags per bin, and a parser
-//! that refuses everything outside it.
+//! Command-line dispatch: the table of `scioto` subcommands — each with
+//! the flags it accepts and the function that runs it — and a parser that
+//! refuses everything outside it.
 //!
-//! A flag the bin does not accept, a value flag with no value and a value
+//! A missing or unknown subcommand exits 2 listing the table; a flag the
+//! subcommand does not accept, a value flag with no value and a value
 //! that does not parse all exit 2 naming the accepted flags — a stale
 //! script can not run a default configuration under another name.
+
+use crate::cmd;
+use crate::front::Outcome;
 
 /// An accepted flag: its name without the leading `--`, and whether a
 /// value follows it.
 type Flag = (&'static str, bool);
 
 /// The flags [`crate::RunSpec::from_args`] reads (policy, latency preset,
-/// trace and check requests) plus `--json-out`, shared by every bin that
-/// regenerates a table or figure. `--only-ranks` belongs to the run spec
-/// too but is declared by the bins that sweep rank counts.
+/// trace and check requests) plus `--json-out`, shared by every
+/// subcommand that regenerates a table or figure. `--only-ranks` belongs
+/// to the run spec too but is declared by the subcommands that sweep rank
+/// counts.
 ///
 /// Tables are written as the usage text a rejected command line prints: a
 /// flag followed by a word that is not a flag takes a value.
 const RUN_SPEC_FLAGS: &str = "--victim uniform|locality --barrier flat|tree \
     --td-batch on|off --latency flat|nearfar --trace-out <path> --trace-summary <path> \
-    --trace-ring <events> --trace-batch <events> --analysis-out <path> --race-check --predict \
-    --deadlock --replay-check --json-out <path>";
+    --trace-ring <events> --analysis-out <path> --race-check --predict --deadlock \
+    --replay-check --json-out <path>";
 
-/// Every bin's table: `(bin, takes RUN_SPEC_FLAGS, its own flags)`.
-const BINS: &[(&str, bool, &str)] = &[
-    ("table1", true, ""),
-    ("ablation", true, ""),
+/// What runs a subcommand.
+type Run = fn(&Args) -> Outcome;
+
+/// The dispatch table: `(subcommand, takes RUN_SPEC_FLAGS, its own flags,
+/// what runs it)`. The names are the `BenchOut` names the committed
+/// baselines carry.
+const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
+    ("table1", true, "", cmd::table1::run),
+    ("ablation", true, "", cmd::ablation::run),
     (
         "fig4_termination",
         true,
         "--max-ranks <n> --only-ranks <n> --trace-ranks <n>",
+        cmd::fig4_termination::run,
     ),
     (
         "fig5_fig6_apps",
         true,
         "--max-ranks <n> --only-ranks <n> --atoms <n> --tiles <n>",
+        cmd::fig5_fig6_apps::run,
     ),
     (
         "fig7_uts_cluster",
         true,
         "--max-ranks <n> --only-ranks <n> --tree tiny|small|medium|large --trace-ranks <n> \
          --trace-tree tiny|small|medium|large --steal-dist",
+        cmd::uts_figs::fig7,
     ),
     (
         "fig8_uts_xt4",
         true,
         "--max-ranks <n> --only-ranks <n> --tree tiny|small|medium|large --trace-ranks <n>",
+        cmd::uts_figs::fig8,
     ),
     (
         "concurrent_obs",
@@ -52,8 +67,8 @@ const BINS: &[(&str, bool, &str)] = &[
         "--ranks <n> --app uts|scf --atoms <n> --tree tiny|small|medium|large --seed <n> \
          --reps <n> --max-event-ns <ns> --chrome-out <path> --victim uniform|locality \
          --barrier flat|tree --td-batch on|off --trace-out <path> --trace-summary <path> \
-         --trace-ring <events> --trace-batch <events> --analysis-out <path> --race-check \
-         --predict --deadlock",
+         --trace-ring <events> --analysis-out <path> --race-check --predict --deadlock",
+        cmd::concurrent_obs::run,
     ),
     (
         "tune",
@@ -61,6 +76,7 @@ const BINS: &[(&str, bool, &str)] = &[
         "--ranks <n> --tree tiny|small|medium|large --seed <n> --max-candidates <n> --top <k> \
          --latency flat|nearfar --out <path> --report <path> --json-out <path> \
          --require-improvement",
+        cmd::tune::run,
     ),
     (
         "replay",
@@ -68,25 +84,39 @@ const BINS: &[(&str, bool, &str)] = &[
         "--file <path> --check --chunk <n> --victim-cont <p> --victim-escape <p> \
          --td-batch on|off --latency flat|nearfar --base-latency flat|nearfar \
          --analysis-out <path> --trace-out <path>",
+        cmd::replay::run,
     ),
-    ("analyze", false, "--file <path> --json-out <path>"),
+    ("analyze", false, "--file <path> --json-out <path>", cmd::analyze::run),
     (
         "trace_check",
         false,
         "--file <path> --ranks <n> --replayable --max-episodes <n>",
+        cmd::trace_check::run,
+    ),
+    (
+        "race_check",
+        false,
+        "--file <path> --predict --deadlock --json-out <path>",
+        cmd::race_check::run,
     ),
     (
         "bench_diff",
         false,
         "--baseline <path> --new <path> --all <dir> --baseline-dir <dir> --rel-tol <x> \
          --abs-tol <x> --ignore-metrics <a,b*>",
+        cmd::bench_diff::run,
     ),
 ];
 
-/// The words of `bin`'s usage text (shared flags, then its own), or
-/// `None` for a name that is no bench bin.
-fn usage_words(bin: &str) -> Option<Vec<&'static str>> {
-    let (_, run_spec, own) = BINS.iter().find(|(name, ..)| *name == bin)?;
+/// Every subcommand name, in table order.
+pub fn subcommands() -> impl Iterator<Item = &'static str> {
+    SUBCOMMANDS.iter().map(|(name, ..)| *name)
+}
+
+/// The words of `cmd`'s usage text (shared flags, then its own), or
+/// `None` for a name that is no subcommand.
+fn usage_words(cmd: &str) -> Option<Vec<&'static str>> {
+    let (_, run_spec, own, _) = SUBCOMMANDS.iter().find(|(name, ..)| *name == cmd)?;
     let shared = if *run_spec { RUN_SPEC_FLAGS } else { "" };
     Some(
         shared
@@ -96,10 +126,10 @@ fn usage_words(bin: &str) -> Option<Vec<&'static str>> {
     )
 }
 
-/// The flags `bin` accepts, or `None` for a name that is no bench bin.
-pub fn accepted_flags(bin: &str) -> Option<Vec<(&'static str, bool)>> {
+/// The flags `cmd` accepts, or `None` for a name that is no subcommand.
+pub fn accepted_flags(cmd: &str) -> Option<Vec<Flag>> {
     let mut flags = Vec::new();
-    let mut words = usage_words(bin)?.into_iter().peekable();
+    let mut words = usage_words(cmd)?.into_iter().peekable();
     while let Some(word) = words.next() {
         let name = word
             .strip_prefix("--")
@@ -109,39 +139,56 @@ pub fn accepted_flags(bin: &str) -> Option<Vec<(&'static str, bool)>> {
     Some(flags)
 }
 
-/// The parsed command line of one bin.
+/// What a command line with no or an unknown subcommand prints: the
+/// dispatch table.
+fn overview() -> String {
+    let mut out = String::from("usage: scioto <subcommand> [flags]\n");
+    for (name, run_spec, own, _) in SUBCOMMANDS {
+        let shared = if *run_spec { "[run-spec flags] " } else { "" };
+        out += format!("  {name:<17} {shared}{own}").trim_end();
+        out += "\n";
+    }
+    out + &format!(
+        "run-spec flags: {RUN_SPEC_FLAGS}\nexit status: 0 ok, 1 findings or a failed gate, \
+         2 usage error or unusable input\n"
+    )
+}
+
+/// Split the process arguments into the subcommand to run and its parsed
+/// flags — the only reader of `std::env::args()`. Exits 2 on a missing or
+/// unknown subcommand and on anything outside the subcommand's table.
+pub(crate) fn dispatch() -> (Run, Args) {
+    let mut raw = std::env::args().skip(1);
+    let entry = raw.next().and_then(|name| SUBCOMMANDS.iter().find(|(n, ..)| *n == name));
+    let parsed = match entry {
+        Some(&(name, .., run)) => Args::try_new(name, raw.collect()).map(|args| (run, args)),
+        None => Err(overview()),
+    };
+    parsed.unwrap_or_else(|usage| {
+        eprint!("{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// The parsed command line of one subcommand.
 pub struct Args {
-    bin: String,
-    accepted: Vec<Flag>,
-    /// `(flag, value)` in command-line order; the first occurrence wins.
+    cmd: &'static str,
+    /// `(flag, value)` in command-line order; the first occurrence wins
+    /// except under [`Args::get_all`].
     given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
-    /// Parse the process arguments against `bin`'s table (a bin passes
-    /// `env!("CARGO_BIN_NAME")`); exits 2 on anything outside it.
-    pub fn parse(bin: &str) -> Args {
-        Args::try_new(bin, std::env::args().skip(1).collect()).unwrap_or_else(|e| {
-            eprint!("{e}");
-            std::process::exit(2);
-        })
-    }
-
-    /// [`Args::parse`] over explicit arguments, with the usage error
-    /// returned instead of exiting.
-    pub(crate) fn try_new(bin: &str, raw: Vec<String>) -> Result<Args, String> {
+    /// Parse `raw` against `cmd`'s table; the usage error names what is
+    /// accepted.
+    pub(crate) fn try_new(cmd: &'static str, raw: Vec<String>) -> Result<Args, String> {
         let accepted =
-            accepted_flags(bin).unwrap_or_else(|| panic!("{bin} has no flag table in args.rs"));
-        let mut args = Args {
-            bin: bin.to_string(),
-            accepted,
-            given: Vec::new(),
-        };
+            accepted_flags(cmd).unwrap_or_else(|| panic!("{cmd} is not in the dispatch table"));
+        let mut args = Args { cmd, given: Vec::new() };
         let mut raw = raw.into_iter().peekable();
         while let Some(tok) = raw.next() {
-            let flag = tok
-                .strip_prefix("--")
-                .and_then(|name| args.accepted.iter().find(|(n, _)| *n == name));
+            let flag =
+                tok.strip_prefix("--").and_then(|name| accepted.iter().find(|(n, _)| *n == name));
             let Some(&(name, takes_value)) = flag else {
                 return Err(args.usage_error(&format!("unknown flag {tok}")));
             };
@@ -158,12 +205,8 @@ impl Args {
     }
 
     fn usage_error(&self, what: &str) -> String {
-        let usage = usage_words(&self.bin).expect("parsed against this bin's table");
-        format!(
-            "{}: {what}\naccepted flags: {}\n",
-            self.bin,
-            usage.join(" ")
-        )
+        let usage = usage_words(self.cmd).expect("parsed against this subcommand's table");
+        format!("{}: {what}\naccepted flags: {}\n", self.cmd, usage.join(" "))
     }
 
     /// Report a usage error (a value outside a flag's domain, say) with
@@ -173,13 +216,26 @@ impl Args {
         std::process::exit(2);
     }
 
+    /// The subcommand these flags were parsed for.
+    pub fn cmd(&self) -> &'static str {
+        self.cmd
+    }
+
     /// Value of `--key <v>`, or `None` when the flag was not given (or is
-    /// not one this bin accepts).
+    /// not one this subcommand accepts).
     pub fn get_opt(&self, key: &str) -> Option<String> {
-        self.given
-            .iter()
-            .find(|(name, _)| *name == key)
-            .and_then(|(_, v)| v.clone())
+        self.given.iter().find(|(name, _)| *name == key).and_then(|(_, v)| v.clone())
+    }
+
+    /// Value of `--key <v>`; a usage error (exit 2) when it was not given.
+    pub fn required(&self, key: &str) -> String {
+        self.get_opt(key).unwrap_or_else(|| self.fail(&format!("--{key} is required")))
+    }
+
+    /// The value of every `--key <v>` given, in command-line order.
+    pub fn get_all(&self, key: &str) -> Vec<&str> {
+        let of_key = self.given.iter().filter(|(name, _)| *name == key);
+        of_key.filter_map(|(_, v)| v.as_deref()).collect()
     }
 
     /// Whether the bare flag `--key` was given.
@@ -227,7 +283,7 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn args(bin: &str, raw: &[&str]) -> Result<Args, String> {
+    fn args(bin: &'static str, raw: &[&str]) -> Result<Args, String> {
         Args::try_new(bin, raw.iter().map(|s| s.to_string()).collect())
     }
 
@@ -286,7 +342,7 @@ mod tests {
             err.contains("unknown flag") && err.contains("--ignore-metrics <a,b*>"),
             "{err}"
         );
-        // A bin without sweeps does not take a sweep flag either.
+        // A subcommand without sweeps does not take a sweep flag either.
         assert!(args("table1", &["--only-ranks", "4"]).is_err());
         assert!(args("concurrent_obs", &["--latency", "nearfar"]).is_err());
         // Positional junk is not a flag.
@@ -309,15 +365,27 @@ mod tests {
     }
 
     #[test]
-    fn every_bin_has_a_table() {
-        for (bin, ..) in BINS {
-            let flags = accepted_flags(bin).unwrap();
+    fn every_subcommand_has_a_table_and_the_overview_lists_them_all() {
+        assert_eq!(subcommands().count(), 13);
+        let overview = overview();
+        for cmd in subcommands() {
+            let flags = accepted_flags(cmd).unwrap();
             let mut names: Vec<&str> = flags.iter().map(|(n, _)| *n).collect();
             names.sort_unstable();
             let before = names.len();
             names.dedup();
-            assert_eq!(names.len(), before, "{bin} lists a flag twice");
+            assert_eq!(names.len(), before, "{cmd} lists a flag twice");
+            assert!(overview.contains(&format!("\n  {cmd} ")), "{overview}");
         }
         assert!(accepted_flags("no_such_bin").is_none());
+    }
+
+    #[test]
+    fn a_repeated_flag_keeps_every_value_in_order() {
+        let a =
+            args("race_check", &["--file", "a.jsonl", "--predict", "--file", "b.jsonl"]).unwrap();
+        assert_eq!(a.get_all("file"), ["a.jsonl", "b.jsonl"]);
+        assert_eq!(a.get_opt("file").as_deref(), Some("a.jsonl"));
+        assert!(a.get_all("json-out").is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Machine-readable benchmark output: the `scioto-bench-v1` JSON schema,
 //! its writer, validator, and parser.
 //!
-//! Every bench binary accepts `--json-out <path>` and writes one document:
+//! Every figure subcommand accepts `--json-out <path>` and writes one document:
 //!
 //! ```json
 //! {
@@ -18,7 +18,7 @@
 //! * `params` keys and `metrics` keys are emitted in sorted order;
 //! * metric values use fixed six-decimal formatting;
 //! * the host-dependent members — `generated_wall_ns` and, in documents
-//!   a bench binary writes on Linux, the process's peak resident set
+//!   `scioto` writes on Linux, the process's peak resident set
 //!   `vm_hwm_kb` (which `verify.sh` budgets at the 1024/2048-rank pins) —
 //!   share one line of their own, so same-seed determinism checks
 //!   compare documents with that single line dropped (see
@@ -116,7 +116,7 @@ impl BenchOut {
 
 /// Peak resident set of this process so far, in kB (`VmHWM` of
 /// `/proc/self/status`; `None` where there is no such file). Read as the
-/// document is written, i.e. as the binary exits.
+/// document is written, i.e. as the process exits.
 fn vm_hwm_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -240,7 +240,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(strip_wall_clock(&a), strip_wall_clock(&b));
         assert!(!strip_wall_clock(&a).contains("generated_wall_ns"));
-        // The peak-RSS stamp a bench binary adds rides on the same line.
+        // The peak-RSS stamp `scioto` adds rides on the same line.
         let c = sample().render(5, Some(14_336));
         assert!(c.contains("\n\"generated_wall_ns\":5,\"vm_hwm_kb\":14336,\n"));
         assert_eq!(parse(&c).unwrap(), sample());

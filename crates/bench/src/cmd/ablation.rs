@@ -1,4 +1,4 @@
-//! Ablation studies of Scioto's design choices (§5, §5.1, §5.3):
+//! `scioto ablation` — ablation studies of Scioto's design choices (§5, §5.1, §5.3):
 //!
 //! * **steal chunk size** — tasks moved per steal operation vs. UTS
 //!   throughput (the `chunk_sz` parameter of `tc_create`);
@@ -7,48 +7,35 @@
 //! * **votes-before optimization** — dirty-mark messages elided by the
 //!   §5.3 rule, and its effect on termination cost.
 //!
-//! Run: `cargo run --release -p scioto-bench --bin ablation`
-//! Options: the latency, policy and trace/check flags every figure bin
-//! takes (`scioto_bench::RunSpec`).
+//! Takes the latency, policy and trace/check flags of [`RunSpec`].
 
 use std::sync::Arc;
 
 use scioto::{ProcessStats, StatsSummary, Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_armci::Armci;
-use scioto_bench::{render_table, us, Args, BenchOut, PolicyFlags, RunSpec};
 use scioto_sim::{Ctx, LatencyModel, Machine, MachineConfig, SpeedModel};
-use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
-use scioto_uts::{presets, TreeStats};
+use scioto_uts::presets;
+use scioto_uts::scioto_driver::run_scioto_uts;
 
-/// The cluster network with uniform CPUs (the votes-before runs).
-fn cluster_machine(p: usize, spec: &RunSpec) -> MachineConfig {
-    spec.machine(p, LatencyModel::cluster(), SpeedModel::uniform(p))
-}
+use crate::front::Outcome;
+use crate::{mnodes_per_s, render_table, us, Args, BenchOut, PolicyFlags, RunSpec};
 
-/// The heterogeneous cluster (the UTS runs).
-fn hetero_machine(p: usize, spec: &RunSpec) -> MachineConfig {
-    spec.machine(p, LatencyModel::cluster(), SpeedModel::hetero_cluster(p))
+/// The cluster network: with uniform CPUs for the votes-before runs,
+/// heterogeneous for the UTS ones.
+fn machine(p: usize, speed: fn(usize) -> SpeedModel, spec: &RunSpec) -> MachineConfig {
+    spec.machine(p, LatencyModel::cluster(), speed(p))
 }
 
 fn uts_rate(p: usize, chunk: usize, spec: &RunSpec) -> (f64, u64) {
     let policy = spec.policy;
-    let out = Machine::run(hetero_machine(p, spec), move |ctx| {
-        let cfg = SciotoUtsConfig {
-            chunk,
-            ..policy.uts(presets::small())
-        };
+    let out = Machine::run(machine(p, SpeedModel::hetero_cluster, spec), move |ctx| {
+        let mut cfg = policy.uts(presets::small());
+        cfg.tc.chunk = chunk;
         run_scioto_uts(ctx, &cfg)
     });
-    let mut total = TreeStats::default();
-    let mut steals = 0;
-    for (t, s) in &out.results {
-        total.merge(t);
-        steals += s.steals_succeeded;
-    }
-    (
-        total.nodes as f64 / (out.report.makespan_ns as f64 / 1e9) / 1e6,
-        steals,
-    )
+    let nodes = out.results.iter().map(|(t, _)| t.nodes).sum();
+    let steals = out.results.iter().map(|(_, s)| s.steals_succeeded).sum();
+    (mnodes_per_s(nodes, out.report.makespan_ns), steals)
 }
 
 fn chunk_sweep(bench: &mut BenchOut, spec: &RunSpec) {
@@ -77,17 +64,14 @@ fn release_sweep(bench: &mut BenchOut, spec: &RunSpec) {
     let policy = spec.policy;
     let mut rows = Vec::new();
     for (threshold, fraction) in [(1usize, 0.25f64), (10, 0.5), (10, 0.9), (64, 0.5)] {
-        let out = Machine::run(hetero_machine(16, spec), move |ctx| {
-            let cfg = SciotoUtsConfig {
-                release_threshold: Some(threshold),
-                release_fraction: Some(fraction),
-                ..policy.uts(presets::small())
-            };
+        let out = Machine::run(machine(16, SpeedModel::hetero_cluster, spec), move |ctx| {
+            let mut cfg = policy.uts(presets::small());
+            cfg.tc.release_threshold = threshold;
+            cfg.tc.release_fraction = fraction;
             run_scioto_uts(ctx, &cfg).0
         });
-        let mut total = TreeStats::default();
-        out.results.iter().for_each(|t| total.merge(t));
-        let rate = total.nodes as f64 / (out.report.makespan_ns as f64 / 1e9) / 1e6;
+        let nodes = out.results.iter().map(|t| t.nodes).sum();
+        let rate = mnodes_per_s(nodes, out.report.makespan_ns);
         bench.metric(&format!("release_t{threshold:02}_f{fraction}_mnodes"), rate);
         rows.push(vec![format!("{threshold}/{fraction}"), format!("{rate:.2}")]);
     }
@@ -122,7 +106,7 @@ fn votes_before(bench: &mut BenchOut, spec: &RunSpec) {
     let policy = spec.policy;
     let mut rows = Vec::new();
     for opt in [true, false] {
-        let out = Machine::run(cluster_machine(16, spec), move |ctx| {
+        let out = Machine::run(machine(16, SpeedModel::uniform, spec), move |ctx| {
             votes_phase(ctx, policy, opt, 500)
         });
         let summary = StatsSummary::from_ranks(
@@ -156,18 +140,17 @@ fn votes_before(bench: &mut BenchOut, spec: &RunSpec) {
     );
 }
 
-fn main() {
-    let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let spec = RunSpec::from_args(&args);
+pub fn run(args: &Args) -> Outcome {
+    let spec = RunSpec::from_args(args);
     let policy = spec.policy;
     if spec.obs_requested() {
         // Dedicated traced votes-before run at 8 ranks; the ablation
         // tables below stay untraced.
         let out = Machine::run(
-            cluster_machine(8, &spec).with_trace(spec.trace_config()),
+            machine(8, SpeedModel::uniform, &spec).with_trace(spec.trace_config()),
             move |ctx| votes_phase(ctx, policy, true, 100),
         );
-        spec.observe(&out.report);
+        spec.observe(&out.report)?;
     }
     let mut bench = BenchOut::new("ablation");
     bench.param("ranks", 16);
@@ -175,5 +158,6 @@ fn main() {
     chunk_sweep(&mut bench, &spec);
     release_sweep(&mut bench, &spec);
     votes_before(&mut bench, &spec);
-    bench.write_if_requested(&args);
+    bench.write_if_requested(args);
+    Ok(())
 }

@@ -1,10 +1,10 @@
-//! Compare `scioto-bench-v1` JSON documents and flag metric drift.
+//! `scioto bench_diff` — compare `scioto-bench-v1` JSON documents and
+//! flag metric drift.
 //!
-//! Pairwise: `cargo run -p scioto-bench --bin bench_diff -- \
-//!     --baseline results/baselines/BENCH_table1.json \
-//!     --new /tmp/BENCH_table1.json [--rel-tol 0.05] [--abs-tol 1e-9]`
+//! Pairwise: `--baseline results/baselines/BENCH_table1.json --new
+//! /tmp/BENCH_table1.json [--rel-tol 0.05] [--abs-tol 1e-9]`.
 //!
-//! Directory mode: `bench_diff --all <dir> [--baseline-dir results/baselines]`
+//! Directory mode: `--all <dir> [--baseline-dir results/baselines]`
 //! compares every `BENCH_*.json` under `<dir>` against the same-named
 //! file in the baseline directory, applying the same tolerances to each
 //! pair — one invocation covers a whole blessed set.
@@ -14,26 +14,19 @@
 //! slowdown when virtual-time results are supposed to be deterministic.
 //! Metrics present in only one document always count as drift.
 //!
-//! Exit codes: 0 all metrics within tolerance; 1 drift detected;
-//! 2 usage error, unreadable/invalid file, missing baseline, or
-//! benchmark/params mismatch (comparing runs with different parameters
-//! is a harness bug, not a regression).
+//! Drift is exit 1; an unreadable or invalid file, a missing baseline and
+//! a benchmark/params mismatch are exit 2 (comparing runs with different
+//! parameters is a harness bug, not a regression).
 //!
 //! `--ignore-metrics split_startup_ns_*` drops matching metrics from both
 //! documents before comparison (a trailing `*` matches any suffix) — for
 //! diffs where one side legitimately records extra metrics.
 
-use scioto_bench::{benchjson, Args};
+use crate::front::{self, Exit, Outcome};
+use crate::{benchjson, Args};
 
-fn load(path: &str) -> benchjson::BenchOut {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_diff: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    benchjson::parse(&body).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path}: {e}");
-        std::process::exit(2);
-    })
+fn load(path: &str) -> Result<benchjson::BenchOut, Exit> {
+    benchjson::parse(&front::read_file(path)?).map_err(|e| Exit::unusable(format!("{path}: {e}")))
 }
 
 struct Tolerance {
@@ -51,28 +44,26 @@ fn metric_matches(pat: &str, key: &str) -> bool {
 }
 
 /// Compare one baseline/new pair. Returns the number of drifted metrics;
-/// exits 2 on a name/params mismatch (harness bug, not a regression).
-fn compare(base_path: &str, new_path: &str, tol: &Tolerance) -> usize {
-    let mut base = load(base_path);
-    let mut new = load(new_path);
+/// a name/params mismatch is exit 2 (harness bug, not a regression).
+fn compare(base_path: &str, new_path: &str, tol: &Tolerance) -> Result<usize, Exit> {
+    let mut base = load(base_path)?;
+    let mut new = load(new_path)?;
     for pat in &tol.ignore_metrics {
         base.metrics.retain(|k, _| !metric_matches(pat, k));
         new.metrics.retain(|k, _| !metric_matches(pat, k));
     }
 
     if base.name != new.name {
-        eprintln!(
-            "bench_diff: benchmark mismatch: baseline is {:?}, new is {:?}",
+        return Err(Exit::unusable(format!(
+            "benchmark mismatch: baseline is {:?}, new is {:?}",
             base.name, new.name
-        );
-        std::process::exit(2);
+        )));
     }
     if base.params != new.params {
-        eprintln!(
-            "bench_diff: params mismatch for {}: baseline {:?} vs new {:?}",
+        return Err(Exit::unusable(format!(
+            "params mismatch for {}: baseline {:?} vs new {:?}",
             base.name, base.params, new.params
-        );
-        std::process::exit(2);
+        )));
     }
 
     let mut drifted = 0usize;
@@ -113,11 +104,10 @@ fn compare(base_path: &str, new_path: &str, tol: &Tolerance) -> usize {
             base.name, tol.rel, tol.abs
         );
     }
-    drifted
+    Ok(drifted)
 }
 
-fn main() {
-    let args = Args::parse(env!("CARGO_BIN_NAME"));
+pub fn run(args: &Args) -> Outcome {
     let tol = Tolerance {
         rel: args.get("rel-tol", 0.05),
         abs: args.get("abs-tol", 1e-9),
@@ -138,10 +128,7 @@ fn main() {
             .get_opt("baseline-dir")
             .unwrap_or_else(|| "results/baselines".to_string());
         let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap_or_else(|e| {
-                eprintln!("bench_diff: cannot read directory {dir}: {e}");
-                std::process::exit(2);
-            })
+            .map_err(|e| Exit::unusable(format!("cannot read directory {dir}: {e}")))?
             .filter_map(|entry| {
                 let name = entry.ok()?.file_name().into_string().ok()?;
                 (name.starts_with("BENCH_") && name.ends_with(".json")).then_some(name)
@@ -149,40 +136,33 @@ fn main() {
             .collect();
         names.sort();
         if names.is_empty() {
-            eprintln!("bench_diff: no BENCH_*.json files under {dir}");
-            std::process::exit(2);
+            return Err(Exit::unusable(format!("no BENCH_*.json files under {dir}")));
         }
         let mut drifted = 0usize;
         for name in &names {
             let base_path = format!("{base_dir}/{name}");
             if !std::path::Path::new(&base_path).exists() {
-                eprintln!(
-                    "bench_diff: {name}: no baseline at {base_path} \
-                     (bless it or remove the stray result)"
-                );
-                std::process::exit(2);
+                return Err(Exit::unusable(format!(
+                    "{name}: no baseline at {base_path} (bless it or remove the stray result)"
+                )));
             }
-            drifted += compare(&base_path, &format!("{dir}/{name}"), &tol);
+            drifted += compare(&base_path, &format!("{dir}/{name}"), &tol)?;
         }
         if drifted > 0 {
-            eprintln!(
-                "bench_diff: {drifted} metric(s) drifted across {} file(s)",
+            return Err(Exit::failed(format!(
+                "{drifted} metric(s) drifted across {} file(s)",
                 names.len()
-            );
-            std::process::exit(1);
+            )));
         }
         println!("bench_diff: {} file(s) clean against {base_dir}", names.len());
-        return;
+        return Ok(());
     }
 
     let (Some(base_path), Some(new_path)) = (args.get_opt("baseline"), args.get_opt("new")) else {
-        eprintln!(
-            "usage: bench_diff --baseline <base.json> --new <new.json> | --all <dir> \
-             [--baseline-dir <dir>] [--rel-tol 0.05] [--abs-tol 1e-9] [--ignore-metrics a,b*]"
-        );
-        std::process::exit(2);
+        args.fail("give --baseline <base.json> --new <new.json>, or --all <dir>");
     };
-    if compare(&base_path, &new_path, &tol) > 0 {
-        std::process::exit(1);
+    match compare(&base_path, &new_path, &tol)? {
+        0 => Ok(()),
+        n => Err(Exit::failed(format!("{n} metric(s) drifted"))),
     }
 }

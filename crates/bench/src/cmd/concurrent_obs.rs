@@ -1,6 +1,6 @@
-//! Wall-clock observability gate for the concurrent backend: run the
-//! seeded UTS workload under `ExecMode::Concurrent` (real free-running
-//! threads), measure the tracing overhead, and export/verify the full
+//! `scioto concurrent_obs` — wall-clock observability gate for the
+//! concurrent backend: run the seeded UTS workload under
+//! `ExecMode::Concurrent` (real free-running threads), measure the tracing overhead, and export/verify the full
 //! observability surface — timestamped JSONL/Chrome traces, blame
 //! decomposition, and the happens-before race check.
 //!
@@ -14,34 +14,29 @@
 //! printed too but not gated: it rises whenever the *untraced* run gets
 //! faster, which is no fault of the tracer.
 //!
-//! Run: `cargo run --release -p scioto-bench --bin concurrent_obs -- \
-//!           --ranks 4 --reps 5 --trace-out /tmp/conc.jsonl --race-check`
-//!
 //! Options: `--ranks N` (default 4), `--app uts|scf` (default uts: the
 //! seeded unbalanced tree; scf runs the fig5-style Hartree-Fock task
 //! pool, sized by `--atoms N`, default 6), `--tree
 //! tiny|small|medium|large` (default tiny), `--seed S` (workload seed,
-//! default 42), `--reps N`
-//! (default 5), `--max-event-ns X` (default 150; wall timing on shared
-//! CI machines is noisy, so the band is deliberately generous — the gate
-//! exists to catch order-of-magnitude perturbation, not 5% drift),
-//! `--chrome-out <path>` (Chrome JSON from the same traced run), plus
-//! the standard observability flags `--trace-out`, `--trace-summary`,
-//! `--analysis-out`, `--race-check`, `--trace-ring`, and `--trace-batch N`
-//! (per-rank staged-publication batch; 0/1 selects the historical
-//! publish-every-event path), and the policy knobs `--victim`,
-//! `--barrier`, `--td-batch`.
+//! default 42), `--reps N` (default 5), `--max-event-ns X` (default 150;
+//! wall timing on shared CI machines is noisy, so the band is
+//! deliberately generous — the gate exists to catch order-of-magnitude
+//! perturbation, not 5% drift), `--chrome-out <path>` (Chrome JSON from
+//! the same traced run), plus the policy and trace/check flags of
+//! [`RunSpec`].
 //!
-//! Exit codes: 0 on success, 1 when the overhead band or a blame/report
-//! invariant is violated (check failures exit through
-//! [`scioto_bench::RunSpec::observe`] with its usual codes).
+//! Exit 1 when the overhead band or a blame/report invariant is violated
+//! (check failures leave through [`RunSpec::observe`] with its usual
+//! codes).
 
-use scioto_bench::{tree_arg, Args, PolicyFlags, RunSpec};
 use scioto_det::MonoClock;
-use scioto_scf::{run_scf_parallel, BasisSet, LoadBalance, Molecule, ParallelScfConfig};
+use scioto_scf::{run_scf_parallel, BasisSet, LoadBalance, Molecule};
 use scioto_sim::{Machine, MachineConfig, Report, TraceConfig};
 use scioto_uts::scioto_driver::run_scioto_uts;
 use scioto_uts::TreeParams;
+
+use crate::front::{self, Exit, Outcome};
+use crate::{tree_arg, Args, PolicyFlags, RunSpec};
 
 /// Which workload drives the concurrent machine.
 #[derive(Clone, Copy)]
@@ -70,27 +65,12 @@ fn run_once(
     let clock = MonoClock::new();
     let out = match app {
         App::Uts(params) => {
-            Machine::run(cfg, move |ctx| {
-                run_scioto_uts(ctx, &policy.uts(params)).0
-            })
-            .report
+            Machine::run(cfg, move |ctx| run_scioto_uts(ctx, &policy.uts(params)).0).report
         }
         App::Scf { atoms } => {
             let basis = BasisSet::even_tempered(Molecule::h_chain(atoms), 2, 0.4, 3.5);
             Machine::run(cfg, move |ctx| {
-                let mut c = ParallelScfConfig {
-                    lb: LoadBalance::Scioto,
-                    block: 4,
-                    chunk: 4,
-                    victim: Some(policy.victim),
-                    td_batch: Some(policy.td_batch),
-                    ..Default::default()
-                };
-                // Fixed work, like the fig5 harness: iteration count is
-                // the benchmark knob, not convergence.
-                c.scf.max_iters = 4;
-                c.scf.tol = 0.0;
-                run_scf_parallel(ctx, &basis, &c).energy
+                run_scf_parallel(ctx, &basis, &policy.scf(LoadBalance::Scioto, 4)).energy
             })
             .report
         }
@@ -98,23 +78,17 @@ fn run_once(
     (out, clock.now_ns())
 }
 
-fn main() {
-    let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let spec = RunSpec::from_args(&args);
+pub fn run(args: &Args) -> Outcome {
+    let spec = RunSpec::from_args(args);
     let policy = spec.policy;
     let ranks: usize = args.get("ranks", 4);
     let seed: u64 = args.get("seed", 42);
     let reps: usize = args.get("reps", 5);
     let max_event_ns: f64 = args.get("max-event-ns", 150.0);
-    let (tree, params) = tree_arg(&args, "tree", "tiny");
-    let app_name: String = args.get("app", "uts".to_string());
-    let app = match app_name.as_str() {
-        "uts" => App::Uts(params),
-        "scf" => App::Scf {
-            atoms: args.get("atoms", 6),
-        },
-        other => args.fail(&format!("--app expects uts|scf, got {other}")),
-    };
+    let (tree, params) = tree_arg(args, "tree", "tiny");
+    let scf = App::Scf { atoms: args.get("atoms", 6) };
+    let apps = [("uts", App::Uts(params)), ("scf", scf)];
+    let app = args.choice("app", &apps).unwrap_or(App::Uts(params));
     let trace_cfg = spec.trace_config();
 
     // Overhead measurement: alternate untraced/traced so slow machine
@@ -155,11 +129,10 @@ fn main() {
         untraced_min as f64 / 1e6,
     );
     if event_ns > max_event_ns {
-        eprintln!(
-            "concurrent_obs FAILED: tracing added {event_ns:.1} ns per event, over the \
-             --max-event-ns budget {max_event_ns:.1}"
-        );
-        std::process::exit(1);
+        return Err(Exit::failed(format!(
+            "tracing added {event_ns:.1} ns per event, over the --max-event-ns budget \
+             {max_event_ns:.1}"
+        )));
     }
 
     // Verify the observability surface on the last traced run.
@@ -169,23 +142,17 @@ fn main() {
         .as_ref()
         .expect("traced concurrent run carries a trace");
     if !trace.wall_clock {
-        eprintln!("concurrent_obs FAILED: concurrent trace is not wall-clock marked");
-        std::process::exit(1);
+        return Err(Exit::failed("concurrent trace is not wall-clock marked"));
     }
-    for (r, &ns) in report.rank_clock_ns.iter().enumerate() {
-        if ns == 0 {
-            eprintln!(
-                "concurrent_obs FAILED: rank {r} reports a zero wall-clock span \
-                 (Report::rank_clock_ns not filled)"
-            );
-            std::process::exit(1);
-        }
+    if let Some(r) = report.rank_clock_ns.iter().position(|&ns| ns == 0) {
+        return Err(Exit::failed(format!(
+            "rank {r} reports a zero wall-clock span (Report::rank_clock_ns not filled)"
+        )));
     }
     let analysis = scioto_analyze::analyze(trace);
     for w in &analysis.warnings {
         if w.contains("blame invariant") {
-            eprintln!("concurrent_obs FAILED: {w}");
-            std::process::exit(1);
+            return Err(Exit::failed(w.clone()));
         }
         eprintln!("analysis WARNING: {w}");
     }
@@ -197,9 +164,7 @@ fn main() {
     );
 
     if let Some(path) = args.get_opt("chrome-out") {
-        std::fs::write(&path, trace.to_chrome_json())
-            .unwrap_or_else(|e| panic!("writing chrome trace to {path}: {e}"));
-        eprintln!("chrome trace written to {path}");
+        front::write_file(&path, &trace.to_chrome_json(), "chrome trace")?;
     }
-    spec.observe(&report);
+    spec.observe(&report)
 }

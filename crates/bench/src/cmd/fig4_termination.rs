@@ -1,22 +1,22 @@
-//! Figure 4 — termination detection vs. ARMCI and MPI barriers.
+//! `scioto fig4_termination` — Figure 4, termination detection vs. ARMCI and MPI barriers.
 //!
 //! Methodology per §5.2: detect termination after executing a single
 //! no-op task, and compare against barrier costs, for 1..64 processes.
 //! The paper's finding: the wave algorithm detects termination in roughly
 //! twice the time of a barrier, with log(p) scaling.
 //!
-//! Run: `cargo run --release -p scioto-bench --bin fig4_termination`
 //! Options: `--max-ranks N`, `--only-ranks N` (single sweep point), plus
-//! the latency, policy and trace/check flags every figure bin takes
-//! (`scioto_bench::RunSpec`).
+//! the latency, policy and trace/check flags of [`RunSpec`].
 
 use std::sync::Arc;
 
 use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_armci::Armci;
-use scioto_bench::{render_table, us, Args, BenchOut, RunSpec};
 use scioto_mpi::Comm;
-use scioto_sim::{LatencyModel, Machine, MachineConfig, Report, SpeedModel, TraceConfig};
+use scioto_sim::{Ctx, LatencyModel, Machine, MachineConfig, Report, SpeedModel, TraceConfig};
+
+use crate::front::Outcome;
+use crate::{render_table, us, Args, BenchOut, RunSpec};
 
 fn machine(p: usize, spec: &RunSpec) -> MachineConfig {
     spec.machine(p, LatencyModel::cluster(), SpeedModel::uniform(p))
@@ -44,43 +44,40 @@ fn termination_time(p: usize, trace: TraceConfig, spec: &RunSpec) -> (u64, Repor
     (max_ns(out.results), out.report)
 }
 
-fn armci_barrier_time(p: usize, spec: &RunSpec) -> u64 {
+/// Mean time of 20 back-to-back `barrier`s, after one to line the ranks
+/// up.
+fn mean_barrier_ns(ctx: &Ctx, barrier: impl Fn()) -> u64 {
     const REPS: u64 = 20;
+    barrier();
+    let t0 = ctx.now();
+    (0..REPS).for_each(|_| barrier());
+    (ctx.now() - t0) / REPS
+}
+
+fn armci_barrier_time(p: usize, spec: &RunSpec) -> u64 {
     let out = Machine::run(machine(p, spec), |ctx| {
         let armci = Armci::init(ctx);
-        armci.barrier(ctx);
-        let t0 = ctx.now();
-        for _ in 0..REPS {
-            armci.barrier(ctx);
-        }
-        (ctx.now() - t0) / REPS
+        mean_barrier_ns(ctx, || armci.barrier(ctx))
     });
     max_ns(out.results)
 }
 
 fn mpi_barrier_time(p: usize, spec: &RunSpec) -> u64 {
-    const REPS: u64 = 20;
     let out = Machine::run(machine(p, spec), |ctx| {
         let comm = Comm::world(ctx);
-        comm.barrier(ctx);
-        let t0 = ctx.now();
-        for _ in 0..REPS {
-            comm.barrier(ctx);
-        }
-        (ctx.now() - t0) / REPS
+        mean_barrier_ns(ctx, || comm.barrier(ctx))
     });
     max_ns(out.results)
 }
 
-fn main() {
-    let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let spec = RunSpec::from_args(&args);
+pub fn run(args: &Args) -> Outcome {
+    let spec = RunSpec::from_args(args);
     let max_p: usize = args.get("max-ranks", 64);
     if spec.obs_requested() {
         // Dedicated traced detection run (`--trace-ranks N`, default 8);
         // the sweep stays untraced so the published table is unaffected.
         let (_, report) = termination_time(args.get("trace-ranks", 8), spec.trace_config(), &spec);
-        spec.observe(&report);
+        spec.observe(&report)?;
     }
     let mut bench = BenchOut::new("fig4_termination");
     bench.param("max_ranks", max_p);
@@ -108,7 +105,7 @@ fn main() {
         ]);
         p *= 2;
     }
-    bench.write_if_requested(&args);
+    bench.write_if_requested(args);
     print!(
         "{}",
         render_table(
@@ -118,4 +115,5 @@ fn main() {
         )
     );
     println!("\npaper: TD detects termination in roughly 2x the barrier time, log(p) growth.");
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Figures 5 and 6 — SCF and TCE: Scioto vs. the original global-counter
+//! `scioto fig5_fig6_apps` — Figures 5 and 6, SCF and TCE: Scioto vs. the original global-counter
 //! implementations on the heterogeneous cluster.
 //!
 //! Figure 5 plots parallel speedup (relative to each implementation's own
@@ -7,16 +7,16 @@
 //! counter-based originals stop scaling (TCE severely, SCF beyond ~32
 //! processes) while the Scioto versions keep scaling.
 //!
-//! Run: `cargo run --release -p scioto-bench --bin fig5_fig6_apps`
 //! Options: `--max-ranks N` (default 64), `--only-ranks N` (single sweep
 //! point), `--atoms N` (default 16), `--tiles N` (default 48), plus the
-//! latency, policy and trace/check flags every figure bin takes
-//! (`scioto_bench::RunSpec`).
+//! latency, policy and trace/check flags of [`RunSpec`].
 
-use scioto_bench::{cluster_rank_sweep, render_table, secs, Args, BenchOut, RunSpec};
-use scioto_scf::{run_scf_parallel, BasisSet, LoadBalance, Molecule, ParallelScfConfig};
+use scioto_scf::{run_scf_parallel, BasisSet, LoadBalance, Molecule};
 use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel};
 use scioto_tce::{run_contraction, ContractionConfig, SparsityPattern, TceLoadBalance};
+
+use crate::front::Outcome;
+use crate::{cluster_rank_sweep, render_table, secs, Args, BenchOut, RunSpec};
 
 fn machine(p: usize, spec: &RunSpec) -> MachineConfig {
     spec.machine(p, LatencyModel::cluster(), SpeedModel::hetero_cluster(p))
@@ -26,19 +26,7 @@ fn scf_run(p: usize, atoms: usize, lb: LoadBalance, spec: &RunSpec) -> u64 {
     let policy = spec.policy;
     let basis = BasisSet::even_tempered(Molecule::h_chain(atoms), 2, 0.4, 3.5);
     let out = Machine::run(machine(p, spec), move |ctx| {
-        let mut cfg = ParallelScfConfig {
-            lb,
-            block: 4,
-            chunk: 4,
-            victim: Some(policy.victim),
-            td_batch: Some(policy.td_batch),
-            ..Default::default()
-        };
-        // Fixed-work benchmark: 8 Roothaan iterations (the figure compares
-        // load balancers, not convergence paths).
-        cfg.scf.max_iters = 8;
-        cfg.scf.tol = 0.0;
-        run_scf_parallel(ctx, &basis, &cfg).energy
+        run_scf_parallel(ctx, &basis, &policy.scf(lb, 8)).energy
     });
     out.report.makespan_ns
 }
@@ -66,9 +54,8 @@ fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, spec: &RunSpec) -> u64 {
     out.results.into_iter().max().unwrap_or(0)
 }
 
-fn main() {
-    let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let spec = RunSpec::from_args(&args);
+pub fn run(args: &Args) -> Outcome {
+    let spec = RunSpec::from_args(args);
     let policy = spec.policy;
     let max_p: usize = args.get("max-ranks", 64);
     let atoms: usize = args.get("atoms", 16);
@@ -80,19 +67,9 @@ fn main() {
         let basis = BasisSet::even_tempered(Molecule::h_chain(6), 2, 0.4, 3.5);
         let traced = machine(4, &spec).with_trace(spec.trace_config());
         let out = Machine::run(traced, move |ctx| {
-            let mut cfg = ParallelScfConfig {
-                lb: LoadBalance::Scioto,
-                block: 4,
-                chunk: 4,
-                victim: Some(policy.victim),
-                td_batch: Some(policy.td_batch),
-                ..Default::default()
-            };
-            cfg.scf.max_iters = 2;
-            cfg.scf.tol = 0.0;
-            run_scf_parallel(ctx, &basis, &cfg).energy
+            run_scf_parallel(ctx, &basis, &policy.scf(LoadBalance::Scioto, 2)).energy
         });
-        spec.observe(&out.report);
+        spec.observe(&out.report)?;
     }
 
     let mut ps = vec![1usize];
@@ -120,47 +97,30 @@ fn main() {
         }
         results.push((p, row));
     }
-    bench.write_if_requested(&args);
+    bench.write_if_requested(args);
 
+    // Both figures are the same rows under a different cell: the runtime,
+    // or the speedup over the implementation's own first (P = 1) row.
     let base = results[0].1;
-    let runtime_rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|(p, t)| {
-            vec![
-                p.to_string(),
-                secs(t[0]),
-                secs(t[1]),
-                secs(t[2]),
-                secs(t[3]),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Figure 6: raw runtime (virtual seconds, heterogeneous cluster)",
-            &["P", "SCF", "SCF-Original", "TCE", "TCE-Original"],
-            &runtime_rows,
-        )
-    );
-
-    let speedup_rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|(p, t)| {
-            let s = |i: usize| format!("{:.2}", base[i] as f64 / t[i] as f64);
-            vec![p.to_string(), s(0), s(1), s(2), s(3)]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "Figure 5: parallel speedup (vs. each implementation's P = 1 run)",
-            &["P", "SCF", "SCF-Original", "TCE", "TCE-Original"],
-            &speedup_rows,
-        )
+    let table = |title: &str, cell: &dyn Fn(usize, u64) -> String| {
+        let rows: Vec<Vec<String>> = results
+            .iter()
+            .map(|(p, t)| {
+                let cells = (0..4).map(|i| cell(i, t[i]));
+                std::iter::once(p.to_string()).chain(cells).collect()
+            })
+            .collect();
+        let headers = ["P", "SCF", "SCF-Original", "TCE", "TCE-Original"];
+        print!("{}", render_table(title, &headers, &rows));
+    };
+    table("Figure 6: raw runtime (virtual seconds, heterogeneous cluster)", &|_, ns| secs(ns));
+    table(
+        "Figure 5: parallel speedup (vs. each implementation's P = 1 run)",
+        &|i, ns| format!("{:.2}", base[i] as f64 / ns as f64),
     );
     println!(
         "\npaper: Scioto versions keep scaling; the global-counter originals flatten \
          (TCE early, SCF past ~32 processes)."
     );
+    Ok(())
 }

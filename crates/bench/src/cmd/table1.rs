@@ -1,31 +1,35 @@
-//! Table 1 — microbenchmark timings for core task-collection operations.
+//! `scioto table1` — Table 1, microbenchmark timings for core
+//! task-collection operations.
 //!
 //! Reproduces: local insert, remote insert, local get, remote steal, with
 //! a 1 KiB task body and chunk size 10, under the cluster and Cray XT4
 //! latency models. Times are *modelled* (virtual) microseconds; the
 //! paper's measured values are printed alongside for comparison.
-//!
-//! Run: `cargo run --release -p scioto-bench --bin table1`
-//! Options: the latency, policy and trace/check flags every figure bin
-//! takes (`scioto_bench::RunSpec`).
+//! Takes the latency, policy and trace/check flags of [`RunSpec`]; the
+//! cluster measurement doubles as the traced run.
 
 use scioto::{Task, TaskCollection, TcConfig};
 use scioto_armci::Armci;
-use scioto_bench::{render_table, us, Args, BenchOut, RunSpec};
 use scioto_sim::{LatencyModel, Machine, Report, SpeedModel, TraceConfig};
+
+use crate::front::Outcome;
+use crate::{render_table, us, Args, BenchOut, RunSpec};
 
 const BODY: usize = 1024;
 const CHUNK: usize = 10;
 
-/// Measured virtual-time costs of the four operations, in ns.
-struct OpTimes {
-    local_insert: u64,
-    local_get: u64,
-    remote_insert: u64,
-    remote_steal: u64,
-}
+/// The table's rows: `(label, metric key, the paper's cluster µs, the
+/// paper's XT4 µs)`.
+const OPS: [(&str, &str, &str, &str); 4] = [
+    ("Local Insert", "local_insert", "0.4952", "0.9330"),
+    ("Remote Insert", "remote_insert", "18.0819", "27.018"),
+    ("Local Get", "local_get", "0.3613", "0.6913"),
+    ("Remote Steal", "remote_steal", "29.0080", "32.384"),
+];
 
-fn measure(base_latency: LatencyModel, trace: TraceConfig, spec: &RunSpec) -> (OpTimes, Report) {
+/// The virtual-time cost in ns of the four operations, in [`OPS`] order:
+/// the local ones as rank 0 times them, the remote ones as rank 1 does.
+fn measure(base_latency: LatencyModel, trace: TraceConfig, spec: &RunSpec) -> ([u64; 4], Report) {
     let policy = spec.policy;
     let out = Machine::run(
         spec.machine(2, base_latency, SpeedModel::uniform(2)).with_trace(trace),
@@ -87,19 +91,12 @@ fn measure(base_latency: LatencyModel, trace: TraceConfig, spec: &RunSpec) -> (O
             times
         },
     );
-    let times = OpTimes {
-        local_insert: out.results[0][0],
-        local_get: out.results[0][1],
-        remote_insert: out.results[1][2],
-        remote_steal: out.results[1][3],
-    };
-    (times, out.report)
+    let (r0, r1) = (out.results[0], out.results[1]);
+    ([r0[0], r1[2], r0[1], r1[3]], out.report)
 }
 
-fn main() {
-    let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let spec = RunSpec::from_args(&args);
-    // The cluster measurement doubles as the traced run when asked for.
+pub fn run(args: &Args) -> Outcome {
+    let spec = RunSpec::from_args(args);
     let trace = if spec.obs_requested() {
         spec.trace_config()
     } else {
@@ -107,50 +104,26 @@ fn main() {
     };
     let (cluster, cluster_report) = measure(LatencyModel::cluster(), trace, &spec);
     let (xt4, _) = measure(LatencyModel::xt4(), TraceConfig::disabled(), &spec);
-    spec.observe(&cluster_report);
+    spec.observe(&cluster_report)?;
 
     let mut bench = BenchOut::new("table1");
     bench.param("body_bytes", BODY);
     bench.param("chunk", CHUNK);
     bench.param("ranks", 2);
     spec.record(&mut bench);
-    for (model, t) in [("cluster", &cluster), ("xt4", &xt4)] {
-        bench.metric(&format!("{model}_local_insert_ns"), t.local_insert as f64);
-        bench.metric(&format!("{model}_local_get_ns"), t.local_get as f64);
-        bench.metric(&format!("{model}_remote_insert_ns"), t.remote_insert as f64);
-        bench.metric(&format!("{model}_remote_steal_ns"), t.remote_steal as f64);
+    let mut rows = Vec::new();
+    for (i, (label, key, paper_cluster, paper_xt4)) in OPS.into_iter().enumerate() {
+        bench.metric(&format!("cluster_{key}_ns"), cluster[i] as f64);
+        bench.metric(&format!("xt4_{key}_ns"), xt4[i] as f64);
+        rows.push(vec![
+            label.into(),
+            us(cluster[i]),
+            paper_cluster.into(),
+            us(xt4[i]),
+            paper_xt4.into(),
+        ]);
     }
-    bench.write_if_requested(&args);
-    let rows = vec![
-        vec![
-            "Local Insert".into(),
-            us(cluster.local_insert),
-            "0.4952".into(),
-            us(xt4.local_insert),
-            "0.9330".into(),
-        ],
-        vec![
-            "Remote Insert".into(),
-            us(cluster.remote_insert),
-            "18.0819".into(),
-            us(xt4.remote_insert),
-            "27.018".into(),
-        ],
-        vec![
-            "Local Get".into(),
-            us(cluster.local_get),
-            "0.3613".into(),
-            us(xt4.local_get),
-            "0.6913".into(),
-        ],
-        vec![
-            "Remote Steal".into(),
-            us(cluster.remote_steal),
-            "29.0080".into(),
-            us(xt4.remote_steal),
-            "32.384".into(),
-        ],
-    ];
+    bench.write_if_requested(args);
     print!(
         "{}",
         render_table(
@@ -165,4 +138,5 @@ fn main() {
             &rows,
         )
     );
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Closed-loop knob autotuner: record one seeded fig7-style UTS run,
+//! `scioto tune` — closed-loop knob autotuner: record one seeded fig7-style UTS run,
 //! replay it under a deterministic candidate sweep, score candidates by
 //! makespan/imbalance/blame shares, live-validate the most promising
 //! ones, and emit a tuned `TcConfig` as JSON plus a human report.
@@ -10,8 +10,6 @@
 //! gate admitted (release-fraction changes restructure the schedule, so
 //! replay cannot price them).
 //!
-//! Run: `cargo run --release -p scioto-bench --bin tune`
-//!
 //! Options: `--ranks N` (default 64), `--tree tiny|small|medium|large`
 //! (default small), `--seed N` (default 876269 = 0xD5EED),
 //! `--max-candidates N`, `--top K` (default 3 live validations),
@@ -21,10 +19,12 @@
 
 use scioto_analyze::tune::{candidates, config_json, render_report, replay_score, Score, TuneRow};
 use scioto_analyze::whatif::Knobs;
-use scioto_bench::{tree_arg, Args, BenchOut, LatencyPreset};
 use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel, Trace, TraceConfig};
 use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
 use scioto_uts::TreeParams;
+
+use crate::front::{self, Exit, Outcome};
+use crate::{tree_arg, Args, BenchOut, LatencyPreset};
 
 #[derive(Clone, Copy)]
 struct RunCfg {
@@ -36,15 +36,12 @@ struct RunCfg {
 
 /// One live traced seeded run under `knobs`; returns the trace.
 fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
-    let params = rc.params;
-    let uts = SciotoUtsConfig {
-        chunk: knobs.chunk,
-        victim_cont: Some(knobs.victim_cont),
-        victim_escape: Some(knobs.victim_escape),
-        td_batch: Some(knobs.td_batch),
-        release_fraction: Some(knobs.release_fraction),
-        ..SciotoUtsConfig::new(params)
-    };
+    let mut uts = SciotoUtsConfig::new(rc.params);
+    uts.tc.chunk = knobs.chunk;
+    uts.tc.victim_cont = knobs.victim_cont;
+    uts.tc.victim_escape = knobs.victim_escape;
+    uts.tc.td_batch = knobs.td_batch;
+    uts.tc.release_fraction = knobs.release_fraction;
     Machine::run(
         MachineConfig::virtual_time(rc.ranks)
             .with_latency(rc.latency.apply(LatencyModel::cluster()))
@@ -58,14 +55,13 @@ fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
     .expect("tracing was enabled")
 }
 
-fn main() {
-    let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let (tree, params) = tree_arg(&args, "tree", "small");
+pub fn run(args: &Args) -> Outcome {
+    let (tree, params) = tree_arg(args, "tree", "small");
     let rc = RunCfg {
         ranks: args.get("ranks", 64),
         params,
         seed: args.get("seed", 0xD5EED),
-        latency: LatencyPreset::from_args(&args),
+        latency: LatencyPreset::from_args(args),
     };
     let max_candidates: usize = args.get("max-candidates", usize::MAX);
     let top_k: usize = args.get("top", 3);
@@ -81,20 +77,8 @@ fn main() {
     let base_score = Score::from_report(&base_report);
 
     // 2. Lower + self-check: the replay engine must reproduce the
-    //    recording byte-identically before its re-pricings can be trusted.
-    let prog = match scioto_analyze::lower(&recording) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("tune: recording is not replayable: {e}");
-            std::process::exit(2);
-        }
-    };
-    let identity = scioto_sim::run_replay(&prog);
-    if identity.to_jsonl() != recording.to_jsonl() {
-        eprintln!("tune: replay self-check FAILED — refusing to trust re-priced scores");
-        std::process::exit(2);
-    }
-    eprintln!("tune: replay self-check OK ({} events)", recording.total_events());
+    //    recording exactly before its re-pricings can be trusted.
+    let (prog, _) = front::replay_identity(&recording)?;
 
     // 3. Candidate sweep, pruned by the recorded critical path.
     let mut sweep = candidates(&base_knobs, &base_report.critical_path);
@@ -181,12 +165,11 @@ fn main() {
     );
     let cfg = config_json(&winner_knobs, &source);
     if let Some(out) = args.get_opt("out") {
-        std::fs::write(&out, &cfg).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        eprintln!("tune: tuned config written to {out}");
+        front::write_file(&out, &cfg, "tuned config")?;
     }
     let report = render_report(&rows, &winner, "baseline");
     if let Some(out) = args.get_opt("report") {
-        std::fs::write(&out, &report).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+        front::write_file(&out, &report, "tune report")?;
     }
     print!("{report}");
     print!("{cfg}");
@@ -203,13 +186,34 @@ fn main() {
         "headroom_ns",
         base_score.makespan_ns as f64 - winner_score.makespan_ns as f64,
     );
-    bench.write_if_requested(&args);
+    bench.write_if_requested(args);
 
     if args.has("require-improvement") && winner_score.makespan_ns >= base_score.makespan_ns {
-        eprintln!(
-            "tune: no improvement over defaults (tuned {} ns >= default {} ns)",
+        return Err(Exit::failed(format!(
+            "no improvement over defaults (tuned {} ns >= default {} ns)",
             winner_score.makespan_ns, base_score.makespan_ns
-        );
-        std::process::exit(1);
+        )));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `analyze` cannot see `core`, so `Knobs::baseline()` hard-codes the
+    /// defaults the recorded run used; here both sides are visible.
+    #[test]
+    fn whatif_baseline_is_the_tcconfig_a_default_uts_run_uses() {
+        let tc = SciotoUtsConfig::new(scioto_uts::presets::tiny()).tc;
+        let expect = Knobs {
+            victim_cont: tc.victim_cont,
+            victim_escape: tc.victim_escape,
+            chunk: tc.chunk,
+            td_batch: tc.td_batch,
+            release_fraction: tc.release_fraction,
+            tiers: None,
+        };
+        assert_eq!(Knobs::baseline(), expect);
     }
 }

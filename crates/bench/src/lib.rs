@@ -1,17 +1,36 @@
-//! Shared plumbing for the table/figure regeneration binaries: the
-//! per-bin flag tables and strict parser ([`Args`]), the run spec every
-//! figure bin builds its machines from ([`RunSpec`]), aligned table
-//! printing and common sweep helpers.
+//! The `scioto` executable: every table/figure regeneration and every
+//! trace tool is a subcommand of it. Here: the dispatch table and strict
+//! flag parser ([`Args`]), the front end all subcommands share
+//! ([`front`]: trace loading, the check driver, the replay self-check,
+//! artifact writers, the exit-status contract), the run spec every figure
+//! builds its machines from ([`RunSpec`]), aligned table printing and
+//! common sweep helpers.
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 mod args;
 pub mod benchjson;
+mod cmd;
+pub mod front;
 mod runspec;
 
-pub use args::{accepted_flags, Args};
+pub use args::{accepted_flags, subcommands, Args};
 pub use benchjson::BenchOut;
 pub use runspec::{LatencyPreset, PolicyFlags, RunSpec};
+
+/// Run the subcommand the process arguments name and turn its
+/// [`front::Outcome`] into the exit status.
+pub fn main() -> ExitCode {
+    let (run, args) = args::dispatch();
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(exit) => {
+            eprintln!("{}: {}", args.cmd(), exit.msg);
+            ExitCode::from(exit.code)
+        }
+    }
+}
 
 /// Render an aligned text table.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -49,6 +68,11 @@ pub fn secs(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e9)
 }
 
+/// Millions of tree nodes per second of virtual time.
+pub fn mnodes_per_s(nodes: u64, makespan_ns: u64) -> f64 {
+    nodes as f64 / (makespan_ns as f64 / 1e9) / 1e6
+}
+
 /// The rank counts used by the paper's cluster figures, extended past the
 /// paper's 64-rank ceiling by continuing the powers of two up to `max`
 /// (fibers sweep to 1024+ ranks on one core).
@@ -64,7 +88,7 @@ pub fn cluster_rank_sweep(max: usize) -> Vec<usize> {
 
 /// `--<key> tiny|small|medium|large`: a UTS tree preset by name (`default`
 /// when the flag is absent). Returns the name with the parameters, for
-/// bins that print or record it.
+/// subcommands that print or record it.
 pub fn tree_arg(args: &Args, key: &str, default: &str) -> (String, scioto_uts::TreeParams) {
     use scioto_uts::presets;
     let name = args.get_opt(key).unwrap_or_else(|| default.to_string());

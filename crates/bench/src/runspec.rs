@@ -1,14 +1,17 @@
-//! The run spec shared by every table/figure bin: hot-path policy,
+//! The run spec shared by every table/figure subcommand: hot-path policy,
 //! latency preset, single-point selection, and what to do with the traced
-//! run. A bin names its workload; everything the command line says about
-//! *how* to run it is parsed, applied, recorded and acted on here.
+//! run. A subcommand names its workload; everything the command line says
+//! about *how* to run it is parsed, applied, recorded and acted on here.
 
+use scioto::VictimPolicy::{self, Locality, Uniform};
+use scioto_scf::{LoadBalance, ParallelScfConfig};
 use scioto_sim::{
     BarrierKind, LatencyModel, LatencyTiers, MachineConfig, Report, SpeedModel, TraceConfig,
 };
 use scioto_uts::scioto_driver::SciotoUtsConfig;
 use scioto_uts::TreeParams;
 
+use crate::front::{self, Exit, Outcome};
 use crate::{Args, BenchOut};
 
 /// `--latency flat|nearfar`: whether to attach the near/far distance
@@ -21,6 +24,21 @@ pub enum LatencyPreset {
     NearFar,
 }
 
+/// The values of `--victim`, `--barrier`, `--td-batch` and `--latency` as
+/// the command line and the bench params spell them.
+const VICTIMS: [(&str, VictimPolicy); 2] = [("uniform", Uniform), ("locality", Locality)];
+const BARRIERS: [(&str, BarrierKind); 2] =
+    [("flat", BarrierKind::Flat), ("tree", BarrierKind::Tree)];
+pub(crate) const ON_OFF: [(&str, bool); 2] = [("on", true), ("off", false)];
+const LATENCIES: [(&str, LatencyPreset); 2] =
+    [("flat", LatencyPreset::Flat), ("nearfar", LatencyPreset::NearFar)];
+
+/// The spelling of `value` in `choices`.
+fn name_of<T: PartialEq>(choices: &[(&'static str, T)], value: T) -> &'static str {
+    let found = choices.iter().find(|(_, v)| *v == value);
+    found.expect("every value has a spelling").0
+}
+
 impl LatencyPreset {
     /// `--latency`, [`LatencyPreset::Flat`] when absent.
     pub fn from_args(args: &Args) -> Self {
@@ -29,11 +47,7 @@ impl LatencyPreset {
 
     /// The preset named by `--<key> flat|nearfar`, `Flat` when absent.
     pub fn from_flag(args: &Args, key: &str) -> Self {
-        let choices = [
-            ("flat", LatencyPreset::Flat),
-            ("nearfar", LatencyPreset::NearFar),
-        ];
-        args.choice(key, &choices).unwrap_or(LatencyPreset::Flat)
+        args.choice(key, &LATENCIES).unwrap_or(LatencyPreset::Flat)
     }
 
     /// The tiers this preset attaches, if any.
@@ -54,10 +68,7 @@ impl LatencyPreset {
 
     /// The flag value that selects this preset.
     pub fn name(self) -> &'static str {
-        match self {
-            LatencyPreset::Flat => "flat",
-            LatencyPreset::NearFar => "nearfar",
-        }
+        name_of(&LATENCIES, self)
     }
 
     /// Record the `latency` bench param — only when non-default, so runs
@@ -77,7 +88,7 @@ impl LatencyPreset {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyFlags {
     /// Steal victim-selection policy.
-    pub victim: scioto::VictimPolicy,
+    pub victim: VictimPolicy,
     /// Machine barrier release model.
     pub barrier: BarrierKind,
     /// Batched termination detection.
@@ -86,20 +97,10 @@ pub struct PolicyFlags {
 
 impl PolicyFlags {
     fn from_args(args: &Args) -> Self {
-        use scioto::VictimPolicy::{Locality, Uniform};
         PolicyFlags {
-            victim: args
-                .choice("victim", &[("uniform", Uniform), ("locality", Locality)])
-                .unwrap_or(Locality),
-            barrier: args
-                .choice(
-                    "barrier",
-                    &[("flat", BarrierKind::Flat), ("tree", BarrierKind::Tree)],
-                )
-                .unwrap_or(BarrierKind::Tree),
-            td_batch: args
-                .choice("td-batch", &[("on", true), ("off", false)])
-                .unwrap_or(true),
+            victim: args.choice("victim", &VICTIMS).unwrap_or(Locality),
+            barrier: args.choice("barrier", &BARRIERS).unwrap_or(BarrierKind::Tree),
+            td_batch: args.choice("td-batch", &ON_OFF).unwrap_or(true),
         }
     }
 
@@ -110,15 +111,31 @@ impl PolicyFlags {
 
     /// A Scioto UTS config over `params` with this policy's knobs.
     pub fn uts(&self, params: TreeParams) -> SciotoUtsConfig {
-        SciotoUtsConfig {
+        let mut cfg = SciotoUtsConfig::new(params);
+        cfg.tc = self.tc(cfg.tc);
+        cfg
+    }
+
+    /// A fixed-work parallel SCF config with this policy's knobs: `iters`
+    /// Roothaan iterations whatever the convergence (the figures compare
+    /// load balancers, not convergence paths).
+    pub fn scf(&self, lb: LoadBalance, iters: usize) -> ParallelScfConfig {
+        let mut cfg = ParallelScfConfig {
+            lb,
+            block: 4,
+            chunk: 4,
             victim: Some(self.victim),
             td_batch: Some(self.td_batch),
-            ..SciotoUtsConfig::new(params)
-        }
+            ..Default::default()
+        };
+        cfg.scf.max_iters = iters;
+        cfg.scf.tol = 0.0;
+        cfg
     }
 }
 
-/// Everything the command line says about how a bin runs its workload.
+/// Everything the command line says about how a subcommand runs its
+/// workload.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Hot-path policy knobs.
@@ -133,7 +150,6 @@ pub struct RunSpec {
     trace_summary: Option<String>,
     analysis_out: Option<String>,
     trace_ring: Option<usize>,
-    trace_batch: Option<usize>,
     race_check: bool,
     predict: bool,
     deadlock: bool,
@@ -150,7 +166,6 @@ impl RunSpec {
             trace_summary: args.get_opt("trace-summary"),
             analysis_out: args.get_opt("analysis-out"),
             trace_ring: args.get_parsed("trace-ring"),
-            trace_batch: args.get_parsed("trace-batch"),
             race_check: args.has("race-check"),
             predict: args.has("predict"),
             deadlock: args.has("deadlock"),
@@ -175,22 +190,9 @@ impl RunSpec {
     /// Record the spec's params so `bench_diff` can tell configurations
     /// apart.
     pub fn record(&self, bench: &mut BenchOut) {
-        use scioto::VictimPolicy::{Locality, Uniform};
-        bench.param(
-            "victim",
-            match self.policy.victim {
-                Uniform => "uniform",
-                Locality => "locality",
-            },
-        );
-        bench.param(
-            "barrier",
-            match self.policy.barrier {
-                BarrierKind::Flat => "flat",
-                BarrierKind::Tree => "tree",
-            },
-        );
-        bench.param("td_batch", if self.policy.td_batch { "on" } else { "off" });
+        bench.param("victim", name_of(&VICTIMS, self.policy.victim));
+        bench.param("barrier", name_of(&BARRIERS, self.policy.barrier));
+        bench.param("td_batch", name_of(&ON_OFF, self.policy.td_batch));
         self.latency.record(bench);
         if let Some(o) = self.only_ranks {
             bench.param("only_ranks", o);
@@ -204,7 +206,7 @@ impl RunSpec {
 
     /// Did the command line ask for anything of a traced run — a trace
     /// dump, an analysis report or one of the checks? Any of them makes a
-    /// bin run its dedicated traced configuration.
+    /// subcommand run its dedicated traced configuration.
     pub fn obs_requested(&self) -> bool {
         self.trace_out.is_some()
             || self.analysis_out.is_some()
@@ -216,169 +218,66 @@ impl RunSpec {
 
     /// The trace configuration of the traced run: enabled, with the
     /// per-rank ring capacity from `--trace-ring N` (events beyond it are
-    /// dropped oldest-first and counted in the trace's `dropped`) and the
-    /// staging batch from `--trace-batch N` (0 or 1 publishes every
-    /// event; the default is [`scioto_sim::DEFAULT_TRACE_BATCH`]).
+    /// dropped oldest-first and counted in the trace's `dropped`).
     pub fn trace_config(&self) -> TraceConfig {
-        let mut cfg = TraceConfig::enabled();
-        if let Some(cap) = self.trace_ring {
-            cfg = cfg.with_capacity(cap);
+        match self.trace_ring {
+            Some(cap) => TraceConfig::enabled().with_capacity(cap),
+            None => TraceConfig::enabled(),
         }
-        if let Some(b) = self.trace_batch {
-            cfg = cfg.with_batch(b);
-        }
-        cfg
     }
 
     /// Do what the command line asked of the traced run `report`: dump
-    /// the trace and the analysis, then run the requested checks. A check
-    /// with findings exits 1; a trace it cannot work on (ring overflow
-    /// dropped events — rerun with a larger `--trace-ring`) exits 2.
-    /// Panics if the report carries no trace.
-    pub fn observe(&self, report: &Report) {
+    /// the trace (Chrome `trace_event` JSON, or flat JSONL to a `.jsonl`
+    /// path; `--trace-summary <path>` appends the human-readable digest
+    /// there) and the analysis, then run the requested checks — any of
+    /// `--race-check`, `--predict`, `--deadlock` replays the
+    /// happens-before check, the latter two add their analysis to it.
+    /// Findings and a failed replay self-check are exit 1; a trace a check
+    /// cannot work on (ring overflow dropped events — rerun with a larger
+    /// `--trace-ring`) is exit 2. Panics if the report carries no trace.
+    pub fn observe(&self, report: &Report) -> Outcome {
         if !self.obs_requested() {
-            return;
+            return Ok(());
         }
         let trace = report
             .trace
             .as_ref()
             .expect("RunSpec::observe needs a report from a tracing-enabled run");
-        self.dump_trace(trace);
-        self.dump_analysis(trace);
-        if self.race_check
-            && !verdict("race check", scioto_race::check_trace(trace), |v| {
-                v.is_clean()
-            })
-        {
-            std::process::exit(1);
+        if let Some(path) = &self.trace_out {
+            front::write_trace(path, trace)?;
+            if let Some(spath) = &self.trace_summary {
+                use std::io::Write as _;
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(spath)
+                    .and_then(|mut f| f.write_all(trace.summary().as_bytes()))
+                    .map_err(|e| Exit::unusable(format!("cannot write {spath}: {e}")))?;
+                eprintln!("trace summary appended to {spath}");
+            }
         }
-        let mut clean = true;
-        if self.predict {
-            clean &= verdict("predict", scioto_race::predict(trace), |v| v.is_clean());
+        if let Some(path) = &self.analysis_out {
+            front::write_analysis(path, &scioto_analyze::analyze(trace))?;
         }
-        if self.deadlock {
-            clean &= verdict("deadlock check", scioto_race::check_deadlocks(trace), |v| {
-                v.is_clean()
-            });
-        }
-        if !clean {
-            std::process::exit(1);
+        if self.race_check || self.predict || self.deadlock {
+            let verdict = front::check(trace, self.predict, self.deadlock)?;
+            eprint!("{}", verdict.to_text(""));
+            if !verdict.is_clean() {
+                return Err(Exit::failed("the traced run has findings"));
+            }
         }
         if self.replay_check {
-            replay_check(trace);
+            front::replay_identity(trace)?;
         }
+        Ok(())
     }
-
-    /// Write the trace to the `--trace-out` path: Chrome `trace_event`
-    /// JSON by default, flat JSONL when the path ends in `.jsonl`; with
-    /// `--trace-summary <path>` the human-readable digest is appended
-    /// there too.
-    fn dump_trace(&self, trace: &scioto_sim::Trace) {
-        let Some(path) = &self.trace_out else {
-            return;
-        };
-        let body = if path.ends_with(".jsonl") {
-            trace.to_jsonl()
-        } else {
-            trace.to_chrome_json()
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
-        eprintln!(
-            "trace: {} events ({} ranks) written to {path}",
-            trace.total_events(),
-            trace.nranks()
-        );
-        if let Some(spath) = &self.trace_summary {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(spath)
-                .unwrap_or_else(|e| panic!("opening {spath}: {e}"));
-            write!(f, "{}", trace.summary()).unwrap_or_else(|e| panic!("writing {spath}: {e}"));
-            eprintln!("trace summary appended to {spath}");
-        }
-    }
-
-    /// Analyze the trace and write the `scioto-analysis-v1` JSON to the
-    /// `--analysis-out` path (human text when it ends in `.txt`).
-    /// Ring-overflow and truncation warnings are mirrored to stderr so a
-    /// lossy trace never passes silently.
-    fn dump_analysis(&self, trace: &scioto_sim::Trace) {
-        let Some(path) = &self.analysis_out else {
-            return;
-        };
-        let analysis = scioto_analyze::analyze(trace);
-        for w in &analysis.warnings {
-            eprintln!("analysis WARNING: {w}");
-        }
-        let body = if path.ends_with(".txt") {
-            analysis.to_text()
-        } else {
-            analysis.to_json()
-        };
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("writing analysis to {path}: {e}"));
-        eprintln!(
-            "analysis: {} ranks, makespan {} ns, written to {path}",
-            analysis.ranks, analysis.makespan_ns
-        );
-    }
-}
-
-/// Print one checker's verdict and return whether it is clean; exit 2
-/// when the checker could not work on the trace.
-fn verdict<V: std::fmt::Display>(
-    what: &str,
-    result: Result<V, String>,
-    is_clean: impl Fn(&V) -> bool,
-) -> bool {
-    match result {
-        Ok(v) => {
-            eprint!("{v}");
-            is_clean(&v)
-        }
-        Err(e) => {
-            eprintln!("{what} error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Lower the trace to a replay program, re-execute it on the virtual-time
-/// kernel, and verify the replay reproduces the live run's trace — and
-/// therefore its blame decomposition and critical path — byte for byte.
-/// Exits 1 on a mismatch and 2 when the trace cannot be lowered.
-fn replay_check(trace: &scioto_sim::Trace) {
-    let prog = match scioto_analyze::lower(trace) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("replay check error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let replayed = scioto_sim::run_replay(&prog);
-    if replayed.to_jsonl() != trace.to_jsonl() {
-        eprintln!("replay check FAILED: replayed trace differs from the live recording");
-        std::process::exit(1);
-    }
-    let live = scioto_analyze::analyze(trace).to_json();
-    let again = scioto_analyze::analyze(&replayed).to_json();
-    if live != again {
-        eprintln!("replay check FAILED: replayed analysis differs from the live analysis");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "replay check OK: {} events over {} ranks reproduced byte-identically",
-        trace.total_events(),
-        trace.nranks()
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn spec(bin: &str, raw: &[&str]) -> RunSpec {
+    fn spec(bin: &'static str, raw: &[&str]) -> RunSpec {
         let args = Args::try_new(bin, raw.iter().map(|s| s.to_string()).collect()).unwrap();
         RunSpec::from_args(&args)
     }

@@ -1,7 +1,7 @@
-//! Exit-code contract of the `race_check` binary (relied on by
+//! Exit-code contract of `scioto race_check` (relied on by
 //! `scripts/verify.sh`): 0 = every trace analyzed and clean, 1 =
 //! findings, 2 = unanalyzable input — and malformed JSONL must produce
-//! a diagnostic, never a panic.
+//! a diagnostic, never a panic. Traces are operands of repeated `--file`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -10,7 +10,8 @@ use scioto_armci::Armci;
 use scioto_sim::{Machine, MachineConfig, TraceConfig};
 
 fn race_check(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_race_check"))
+    Command::new(env!("CARGO_BIN_EXE_scioto"))
+        .arg("race_check")
         .args(args)
         .output()
         .expect("spawn race_check")
@@ -69,10 +70,10 @@ fn clean_trace_exits_zero_and_flags_compose() {
     std::fs::write(&p, clean_jsonl()).unwrap();
     let path = p.to_str().unwrap();
     for args in [
-        vec![path],
-        vec!["--predict", path],
-        vec!["--deadlock", path],
-        vec!["--predict", "--deadlock", path],
+        vec!["--file", path],
+        vec!["--predict", "--file", path],
+        vec!["--deadlock", "--file", path],
+        vec!["--predict", "--deadlock", "--file", path],
     ] {
         let out = race_check(&args);
         assert_eq!(out.status.code(), Some(0), "args {args:?}: {out:?}");
@@ -83,7 +84,7 @@ fn clean_trace_exits_zero_and_flags_compose() {
 fn findings_exit_one() {
     let p = tmp("cli_racy.jsonl");
     std::fs::write(&p, racy_jsonl()).unwrap();
-    let out = race_check(&["--predict", "--deadlock", p.to_str().unwrap()]);
+    let out = race_check(&["--predict", "--deadlock", "--file", p.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("race on rank 0"), "{stdout}");
@@ -99,7 +100,7 @@ fn malformed_jsonl_exits_two_without_panicking() {
     ] {
         let p = tmp(name);
         std::fs::write(&p, body).unwrap();
-        let out = race_check(&[p.to_str().unwrap()]);
+        let out = race_check(&["--file", p.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!stderr.contains("panicked"), "{name} panicked: {stderr}");
@@ -109,9 +110,9 @@ fn malformed_jsonl_exits_two_without_panicking() {
 
 #[test]
 fn missing_file_unknown_flag_and_no_args_exit_two() {
-    let out = race_check(&["/nonexistent/trace.jsonl"]);
+    let out = race_check(&["--file", "/nonexistent/trace.jsonl"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let out = race_check(&["--frobnicate", "x.jsonl"]);
+    let out = race_check(&["--frobnicate", "--file", "x.jsonl"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let out = race_check(&[]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
@@ -129,7 +130,9 @@ fn json_out_emits_schema_v1_per_trace() {
         "--deadlock",
         "--json-out",
         report.to_str().unwrap(),
+        "--file",
         clean.to_str().unwrap(),
+        "--file",
         racy.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(1), "racy input: {out:?}");
@@ -144,7 +147,7 @@ fn json_out_emits_schema_v1_per_trace() {
     assert!(lines[0].contains("\"clean\":true"), "{}", lines[0]);
     assert!(lines[1].contains("\"clean\":false"), "{}", lines[1]);
     // `--json-out -` streams the same objects to stdout.
-    let out = race_check(&["--json-out", "-", clean.to_str().unwrap()]);
+    let out = race_check(&["--json-out", "-", "--file", clean.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(

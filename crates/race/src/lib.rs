@@ -10,8 +10,8 @@
 //!   generations, message sequence numbers, barrier epochs,
 //!   termination-detection waves) and reports every pair of conflicting,
 //!   happens-before-unordered accesses to simulated global memory —
-//!   in memory (`--race-check` on the bench bins) or from an exported
-//!   JSONL trace (the `race_check` binary).
+//!   in memory (`--race-check` on `scioto`'s figure subcommands) or from
+//!   an exported JSONL trace (`scioto race_check`).
 //! * [`predict::predict`] carries a second, weaker clock through the same
 //!   replay — lock edges between non-conflicting critical sections
 //!   dropped — and reports the races the observed schedule masked, plus

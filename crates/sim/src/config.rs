@@ -37,7 +37,7 @@ pub struct LatencyTiers {
 }
 
 impl LatencyTiers {
-    /// The bench bins' `--latency nearfar` preset. `near_radius` 2 matches
+    /// The figure subcommands' `--latency nearfar` preset. `near_radius` 2 matches
     /// the analyzer's near-steal radius (`scioto-analyze` derives its
     /// constant from here); 0.35 tracks the intra-node vs inter-node RMA
     /// ratio DART-MPI reports, and 1.25 charges cross-switch ops the extra
@@ -149,7 +149,7 @@ impl LatencyModel {
     }
 
     /// The cluster preset with [`LatencyTiers::nearfar`] attached — the
-    /// bench bins' `--latency nearfar` model.
+    /// figure subcommands' `--latency nearfar` model.
     pub fn cluster_nearfar() -> Self {
         LatencyModel::cluster().with_tiers(LatencyTiers::nearfar())
     }

@@ -946,7 +946,7 @@ impl TraceSink {
 /// A frozen trace of one completed run: per-rank event timelines plus the
 /// metric registries. Attached to [`crate::Report::trace`] when the
 /// machine ran with tracing enabled.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trace {
     /// Per-rank events in emission order (oldest surviving first).
     pub events: Vec<Vec<StampedEvent>>,

@@ -22,7 +22,7 @@ done
 # their same-named committed baselines by ONE `bench_diff --all` at
 # rel-tol 0: virtual-time results are deterministic, so a baseline only
 # moves when the code does — and then `--bless` says so in the diff.
-work=$(mktemp -d /tmp/scioto-verify.XXXXXX)
+work=$(mktemp -d "${TMPDIR:-/tmp}/scioto-verify.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/bench"
 
@@ -49,17 +49,9 @@ stage() {
         echo "== $1 =="
     fi
 }
-# run_bin <bench bin> [flags...] / run_race <race bin> [flags...]
-run_bin() {
-    bin=$1
-    shift
-    cargo run --release --offline -q -p scioto-bench --bin "$bin" -- "$@"
-}
-run_race() {
-    bin=$1
-    shift
-    cargo run --release --offline -q -p scioto-race --bin "$bin" -- "$@"
-}
+# scioto <subcommand> [flags...]: the one tool executable, as the build
+# stage below links it.
+scioto() { target/release/scioto "$@"; }
 
 stage "cargo tree: auditing for external dependencies"
 # Every node in the default-feature dependency graph must be a local
@@ -76,8 +68,10 @@ if [ -n "$external" ]; then
 fi
 echo "ok: dependency graph is workspace-only"
 
-stage "cargo build --release --offline"
-cargo build --release --offline
+stage "cargo build --release --offline --workspace"
+# --workspace: the root manifest is a package too, and building it alone
+# links neither executable (`scioto`, `scioto-lint`).
+cargo build --release --offline --workspace
 
 stage "cargo test -q --offline --workspace (tier-1)"
 # The root manifest is a package AND the workspace root; without
@@ -92,10 +86,10 @@ stage "perf harness: the out-of-workspace benchmark's own tests"
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
 stage "scioto-lint: source invariant scan (hard gate)"
-run_race scioto-lint
+target/release/scioto-lint
 
 stage "scioto-lint: waiver ratchet (counts may only shrink)"
-run_race scioto-lint --stats > "$work/lint_waivers.txt"
+target/release/scioto-lint --stats > "$work/lint_waivers.txt"
 if [ "$BLESS" = 1 ]; then
     cp "$work/lint_waivers.txt" results/lint_waivers.txt
     echo "blessed results/lint_waivers.txt"
@@ -117,21 +111,21 @@ else
 fi
 
 stage "trace smoke: table1 --trace-out round-trips through trace_check"
-run_bin table1 --trace-out "$work/table1_chrome.json" > /dev/null
-run_bin trace_check --file "$work/table1_chrome.json" --ranks 2
+scioto table1 --trace-out "$work/table1_chrome.json" > /dev/null
+scioto trace_check --file "$work/table1_chrome.json" --ranks 2
 
 stage "analyze: traced table1 -> blame/critical-path report"
 # One traced run emits the JSONL dump, the in-memory analysis, the race
 # verdict, the in-process replay self-check, and the machine-readable
 # benchmark result.
-run_bin table1 \
+scioto table1 \
     --trace-out "$work/table1.jsonl" \
     --analysis-out "$work/table1_analysis.json" \
     --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_table1.json" > /dev/null
 # The offline analyzer re-parses the JSONL dump; its report must match
 # the in-memory analysis byte for byte.
-run_bin analyze \
+scioto analyze \
     --file "$work/table1.jsonl" \
     --json-out "$work/table1_analysis_offline.json" > /dev/null
 cmp "$work/table1_analysis.json" "$work/table1_analysis_offline.json"
@@ -146,38 +140,38 @@ stage "replay: recorded traces re-execute byte-identically (hard gate)"
 # process prologue + termination + teardown); budget 6 so a collective
 # regressing to extra barrier rounds fails loudly while leaving headroom
 # for a deliberate new collective.
-run_bin trace_check --file "$work/table1.jsonl" --replayable --max-episodes 6
-run_bin replay \
+scioto trace_check --file "$work/table1.jsonl" --replayable --max-episodes 6
+scioto replay \
     --file "$work/table1.jsonl" --check \
     --analysis-out "$work/table1_analysis_replay.json" > /dev/null
 cmp "$work/table1_analysis.json" "$work/table1_analysis_replay.json"
 echo "ok: table1 replay matches the live blame report byte-identically"
 
 stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
-# Every bin runs with `--race-check` and `--replay-check`: the traced run
-# replays through the happens-before checker AND the replay engine
-# in-process, so all six bins are race- and replay-gated under the
-# default policy (locality victims + tree barrier + batched TD).
-run_bin fig7_uts_cluster \
+# Every figure runs with `--race-check` and `--replay-check`: the traced
+# run replays through the happens-before checker AND the replay engine
+# in-process, so each is race- and replay-gated under the default policy
+# (locality victims + tree barrier + batched TD).
+scioto fig7_uts_cluster \
     --max-ranks 8 --tree small --trace-out "$work/fig7.jsonl" \
     --analysis-out "$work/fig7_analysis.json" \
     --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_fig7.json" > /dev/null
-run_bin fig4_termination \
+scioto fig4_termination \
     --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_fig4.json" > /dev/null
-run_bin ablation \
+scioto ablation \
     --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_ablation.json" > /dev/null
-run_bin fig8_uts_xt4 \
+scioto fig8_uts_xt4 \
     --max-ranks 8 --tree small --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_fig8.json" > /dev/null
-run_bin fig5_fig6_apps \
+scioto fig5_fig6_apps \
     --max-ranks 1 --race-check --predict --deadlock --replay-check > /dev/null
 
 stage "replay: fig7@8 recorded trace reproduces blame + critical path"
-run_bin trace_check --file "$work/fig7.jsonl" --replayable
-run_bin replay \
+scioto trace_check --file "$work/fig7.jsonl" --replayable
+scioto replay \
     --file "$work/fig7.jsonl" --check \
     --analysis-out "$work/fig7_analysis_replay.json" > /dev/null
 cmp "$work/fig7_analysis.json" "$work/fig7_analysis_replay.json"
@@ -189,7 +183,7 @@ stage "large-scale: 1024/2048-rank points, near/far tiers"
 # baselines.
 #
 # Host-memory gate on the two big UTS points: every bench document
-# carries the process's peak resident set (VmHWM, read as the binary
+# carries the process's peak resident set (VmHWM, read as the process
 # exits) on its wall-clock line. Ranks get 1 MiB of stack and a 5 MiB
 # task queue each, committed only where touched: fig7@1024 measures
 # 24 MB and fig8@2048 52 MB (295 / 303 MB when queues and stacks were
@@ -208,14 +202,14 @@ hwm_gate() {
         echo "ok: $(basename "$1"): VmHWM ${kb} kB (budget: ${hwm_budget_kb} kB)"
     fi
 }
-run_bin fig4_termination \
+scioto fig4_termination \
     --max-ranks 1024 --only-ranks 1024 --latency nearfar \
     --json-out "$work/bench/BENCH_fig4_1024_nearfar.json" > /dev/null
-run_bin fig7_uts_cluster \
+scioto fig7_uts_cluster \
     --max-ranks 1024 --only-ranks 1024 --latency nearfar \
     --tree small --json-out "$work/bench/BENCH_fig7_1024_nearfar.json" > /dev/null
 hwm_gate "$work/bench/BENCH_fig7_1024_nearfar.json"
-run_bin fig8_uts_xt4 \
+scioto fig8_uts_xt4 \
     --max-ranks 2048 --only-ranks 2048 --latency nearfar \
     --tree small --json-out "$work/bench/BENCH_fig8_2048_nearfar.json" > /dev/null
 hwm_gate "$work/bench/BENCH_fig8_2048_nearfar.json"
@@ -223,7 +217,7 @@ hwm_gate "$work/bench/BENCH_fig8_2048_nearfar.json"
 # histogram, mean distance, and near-steal share from the analyzer's
 # provenance pass, recorded as first-class bench metrics. `--only-ranks 0`
 # skips every throughput sweep point so only the traced run executes.
-run_bin fig7_uts_cluster \
+scioto fig7_uts_cluster \
     --max-ranks 1024 --only-ranks 0 --latency nearfar \
     --tree small --trace-ranks 1024 --trace-tree small --steal-dist \
     --json-out "$work/bench/BENCH_fig7_1024_nearfar_stealdist.json" > /dev/null
@@ -232,14 +226,14 @@ echo "ok: 1024/2048-rank sweep points + steal-distance pin ran"
 stage "autotune: 2-candidate smoke + fig7@64 closed loop (hard gate)"
 # Smoke: record -> lower -> self-check -> replay-score 2 candidates at
 # 8 ranks; exercises the whole loop in well under a second.
-run_bin tune \
+scioto tune \
     --ranks 8 --tree tiny --max-candidates 2 --top 1 \
     --out "$work/tune_smoke_config.json" > /dev/null
 # Full loop at the acceptance point: fig7@64 under near/far tiers. The
 # tuner must beat the PR-5 defaults on a fresh seeded run
 # (--require-improvement exits 1 otherwise); its BENCH output is pinned
 # like every other result.
-run_bin tune \
+scioto tune \
     --ranks 64 --tree small --latency nearfar \
     --out "$work/tuned_config.json" --report "$work/tune_report.txt" \
     --json-out "$work/bench/BENCH_fig7_tuned.json" \
@@ -255,8 +249,8 @@ stage "race check: HB + predictive + deadlock on table1 + fig7 traces (hard gate
 # Timed: the predictive pass may add at most 45s on top of the old 30s
 # HB budget.
 race_t0=$(date +%s)
-run_race race_check --predict --deadlock --json-out "$work/race_report.jsonl" \
-    "$work/table1.jsonl" "$work/fig7.jsonl"
+scioto race_check --predict --deadlock --json-out "$work/race_report.jsonl" \
+    --file "$work/table1.jsonl" --file "$work/fig7.jsonl"
 grep -q '"schema":"scioto-race-v1"' "$work/race_report.jsonl"
 if grep -q '"clean":false' "$work/race_report.jsonl"; then
     echo "FAIL: race_check JSON report flags an unclean trace" >&2
@@ -299,7 +293,7 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # host's scheduler, and since the owner path got fast one thread can run
 # most of it before a thief lands a steal (rings grow on demand).
 conc_t0=$(date +%s)
-run_bin concurrent_obs \
+scioto concurrent_obs \
     --ranks 4 --reps 5 --max-event-ns 75 --seed 42 --tree small \
     --trace-ring 1048576 \
     --trace-out "$work/conc.jsonl" \
@@ -307,22 +301,22 @@ run_bin concurrent_obs \
     --analysis-out "$work/conc_analysis.json" \
     --trace-summary "$work/conc_summary.txt" \
     --race-check --predict --deadlock
-run_bin concurrent_obs \
+scioto concurrent_obs \
     --ranks 4 --reps 3 --max-event-ns 150 --seed 42 --app scf \
     --race-check --predict --deadlock
 # Both exports validate; the JSONL classifies as wall-clock (valid,
 # analyzable, not replayable by design — exit 0, not an error cascade).
-run_bin trace_check --file "$work/conc_chrome.json" --ranks 4
-run_bin trace_check --file "$work/conc.jsonl" --replayable
+scioto trace_check --file "$work/conc_chrome.json" --ranks 4
+scioto trace_check --file "$work/conc.jsonl" --replayable
 grep -q 'clock: wall' "$work/conc_summary.txt"
 # The offline analyzer re-derives the identical wall-clock blame report
 # from the JSONL dump alone.
-run_bin analyze --file "$work/conc.jsonl" \
+scioto analyze --file "$work/conc.jsonl" \
     --json-out "$work/conc_analysis_offline.json" > /dev/null
 cmp "$work/conc_analysis.json" "$work/conc_analysis_offline.json"
 # The standalone race checker accepts the wall-clock dump too — all
 # three analyses pair by generations/epochs, never timestamps.
-run_race race_check --predict --deadlock "$work/conc.jsonl"
+scioto race_check --predict --deadlock --file "$work/conc.jsonl"
 conc_t1=$(date +%s)
 conc_secs=$((conc_t1 - conc_t0))
 echo "ok: concurrent observability lane finished in ${conc_secs}s"
@@ -340,7 +334,7 @@ if [ "$BLESS" = 1 ]; then
     done
 else
     stage "bench_diff: every result vs its committed baseline, rel-tol 0"
-    run_bin bench_diff --all "$work/bench" --rel-tol 0
+    scioto bench_diff --all "$work/bench" --rel-tol 0
 fi
 
 stage ""

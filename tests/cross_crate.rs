@@ -630,8 +630,7 @@ fn machine_stands_up_4096_ranks_at_default_sizes() {
     };
     let create = |ctx: &scioto_sim::Ctx| {
         let armci = Armci::init(ctx);
-        let uts = SciotoUtsConfig::new(presets::tiny());
-        TaskCollection::create(ctx, &armci, TcConfig::new(24, uts.chunk, uts.max_tasks))
+        TaskCollection::create(ctx, &armci, SciotoUtsConfig::new(presets::tiny()).tc)
     };
     // A throw-away machine first: zeroed allocations made in a fresh
     // process are untouched kernel pages and cost nothing either way; it
