@@ -355,7 +355,7 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use scioto_sim::{run_replay, StampedEvent, TraceConfig, TraceSink};
 
@@ -377,7 +377,7 @@ mod tests {
 
     /// A consistent two-rank trace exercising every sync kind: a message,
     /// a lock hand-off, a barrier, and a park/wake pair.
-    fn rich_trace() -> Trace {
+    pub(crate) fn rich_trace() -> Trace {
         let r0 = vec![
             ev(50, TraceEvent::LockAcq { target: 1, set: 0, idx: 0, seq: 1 }),
             ev(80, TraceEvent::LockRel { target: 1, set: 0, idx: 0, seq: 1 }),

@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::front::{write_file, Outcome};
 use crate::Args;
 
 /// Schema tag written into every bench JSON document.
@@ -97,11 +98,11 @@ impl BenchOut {
     }
 
     /// Write the document to the `--json-out` path when the flag is
-    /// present; no-op otherwise. Panics on I/O failure (bench harness
-    /// context — a silent miss would invalidate the run).
-    pub fn write_if_requested(&self, args: &Args) {
+    /// present; no-op otherwise. An unwritable path is exit 2 naming it,
+    /// like every other artifact flag.
+    pub fn write_if_requested(&self, args: &Args) -> Outcome {
         let Some(path) = args.get_opt("json-out") else {
-            return;
+            return Ok(());
         };
         let wall_ns = std::time::SystemTime::now() // scioto-lint: allow(wallclock)
             .duration_since(std::time::UNIX_EPOCH) // scioto-lint: allow(wallclock)
@@ -109,8 +110,7 @@ impl BenchOut {
             .unwrap_or(0);
         let body = self.render(wall_ns, vm_hwm_kb());
         validate(&body).expect("generated bench JSON must satisfy its own schema");
-        std::fs::write(&path, &body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("bench json: {} metric(s) written to {path}", self.metrics.len());
+        write_file(&path, &body, &format!("bench json: {} metric(s)", self.metrics.len()))
     }
 }
 

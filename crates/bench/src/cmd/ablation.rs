@@ -158,6 +158,6 @@ pub fn run(args: &Args) -> Outcome {
     chunk_sweep(&mut bench, &spec);
     release_sweep(&mut bench, &spec);
     votes_before(&mut bench, &spec);
-    bench.write_if_requested(args);
+    bench.write_if_requested(args)?;
     Ok(())
 }

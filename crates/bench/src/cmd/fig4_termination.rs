@@ -105,7 +105,7 @@ pub fn run(args: &Args) -> Outcome {
         ]);
         p *= 2;
     }
-    bench.write_if_requested(args);
+    bench.write_if_requested(args)?;
     print!(
         "{}",
         render_table(

@@ -97,7 +97,7 @@ pub fn run(args: &Args) -> Outcome {
         }
         results.push((p, row));
     }
-    bench.write_if_requested(args);
+    bench.write_if_requested(args)?;
 
     // Both figures are the same rows under a different cell: the runtime,
     // or the speedup over the implementation's own first (P = 1) row.

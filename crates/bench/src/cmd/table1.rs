@@ -123,7 +123,7 @@ pub fn run(args: &Args) -> Outcome {
             paper_xt4.into(),
         ]);
     }
-    bench.write_if_requested(args);
+    bench.write_if_requested(args)?;
     print!(
         "{}",
         render_table(

@@ -186,7 +186,7 @@ pub fn run(args: &Args) -> Outcome {
         "headroom_ns",
         base_score.makespan_ns as f64 - winner_score.makespan_ns as f64,
     );
-    bench.write_if_requested(args);
+    bench.write_if_requested(args)?;
 
     if args.has("require-improvement") && winner_score.makespan_ns >= base_score.makespan_ns {
         return Err(Exit::failed(format!(

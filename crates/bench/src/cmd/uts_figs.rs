@@ -180,7 +180,7 @@ fn sweep(args: &Args, fig: &Figure) -> Outcome {
         }
         rows.push(row);
     }
-    bench.write_if_requested(args);
+    bench.write_if_requested(args)?;
     let mut headers = vec!["P"];
     headers.extend(fig.columns.iter().map(|(header, ..)| *header));
     print!("{}", render_table(&format!("{} (Mnodes/s, {tree} tree)", fig.title), &headers, &rows));

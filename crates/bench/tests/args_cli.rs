@@ -169,3 +169,60 @@ fn a_32_bit_trace_field_past_its_range_is_a_parse_error_not_another_trace() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("line 2: malformed StealAttempt event"), "{stderr}");
 }
+
+#[test]
+fn a_header_that_cannot_be_trusted_exits_2_instead_of_aborting() {
+    // `ranks` used to size allocations on its own: the first header made
+    // every `--file` subcommand die in `vec![0; ranks]` (SIGABRT).
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    for (name, header, what) in [
+        ("huge_ranks", "\"version\":3,\"ranks\":1000000000000000", "meta lacks \"dropped\""),
+        ("no_dropped", "\"version\":3,\"ranks\":2,\"final_clock_ns\":[9,9]", "meta lacks \"dropped\""),
+        ("version_4", "\"version\":4,\"ranks\":1,\"dropped\":[0]", "trace version 4 is newer"),
+    ] {
+        let path = dir.join(format!("cli_header_{name}.jsonl"));
+        std::fs::write(&path, format!("{{\"meta\":\"scioto-trace\",{header}}}\n")).unwrap();
+        let path = path.to_str().unwrap();
+        for subcommand in ["analyze", "trace_check", "replay", "race_check"] {
+            // `trace_check` reads JSONL under `--replayable` only.
+            let probe = ["--file", path, "--replayable"];
+            let args = &probe[..if subcommand == "trace_check" { 3 } else { 2 }];
+            let (code, stderr) = run(subcommand, args);
+            assert_eq!(code, Some(2), "{subcommand} {name}: {stderr}");
+            let line = stderr.trim_end();
+            assert!(!line.contains('\n') && !line.contains("panicked"), "{subcommand}: {stderr}");
+            assert!(
+                line.starts_with(&format!("{subcommand}: {path}: line 1: ")) && line.contains(what),
+                "{subcommand} {name}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_unwritable_artifact_path_exits_2_naming_the_path() {
+    let tune = ["--ranks", "8", "--tree", "tiny", "--max-candidates", "2", "--top", "1"];
+    for (subcommand, before, flag) in [
+        ("table1", &[][..], "--json-out"),
+        ("table1", &[][..], "--trace-out"),
+        ("table1", &[][..], "--analysis-out"),
+        ("tune", &tune[..], "--out"),
+    ] {
+        let path = format!("/nonexistent/{}.json", flag.trim_start_matches("--"));
+        let mut args = before.to_vec();
+        args.extend([flag, &path]);
+        let (code, stderr) = run(subcommand, &args);
+        assert_eq!(code, Some(2), "{subcommand} {flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{subcommand} {flag}: {stderr}");
+        // `tune` reports its progress on stderr first; the verdict is last.
+        let line = stderr.trim_end().lines().last().unwrap_or("");
+        assert!(
+            line.starts_with(&format!("{subcommand}: cannot write {path}: ")),
+            "{subcommand} {flag}: {stderr}"
+        );
+        if subcommand == "table1" {
+            assert_eq!(stderr.trim_end(), line, "one line only");
+        }
+    }
+}

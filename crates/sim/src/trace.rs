@@ -155,6 +155,19 @@ impl RemoteOpKind {
     }
 }
 
+/// Append `"k0":v0,"k1":v1,...` to a [`Text`]: the keys become literal
+/// fragments at compile time, the values append through [`Member`].
+macro_rules! members {
+    ($out:expr, $k0:literal: $v0:expr $(, $k:literal: $v:expr)*) => {{
+        $out.lit(concat!("\"", $k0, "\":"));
+        $v0.append($out);
+        $(
+            $out.lit(concat!(",\"", $k, "\":"));
+            $v.append($out);
+        )*
+    }};
+}
+
 /// One typed trace event. Fixed-size (`Copy`) so ring storage is flat.
 ///
 /// Duration-carrying events (`dur_ns`) are stamped at operation
@@ -356,52 +369,44 @@ impl TraceEvent {
         }
     }
 
-    /// Append the event's payload as JSON object members (no braces, no
-    /// leading comma), e.g. `"victim":3,"got":2`. Empty for payload-free
-    /// events.
-    fn write_args(&self, out: &mut String) {
+    /// Append the event's payload as JSON object members between `open`
+    /// and `close`, e.g. `"victim":3,"got":2`. Nothing at all (no `open`,
+    /// no `close`) for payload-free events.
+    fn write_args(&self, out: &mut Text, open: &str, close: &str) {
+        if matches!(self, TraceEvent::Block) {
+            return;
+        }
+        out.lit(open);
         match *self {
             TraceEvent::TaskExecBegin { callback, creator } => {
-                let _ = write!(out, "\"callback\":{callback},\"creator\":{creator}");
+                members!(out, "callback": callback, "creator": creator)
             }
-            TraceEvent::TaskExecEnd { callback } => {
-                let _ = write!(out, "\"callback\":{callback}");
-            }
+            TraceEvent::TaskExecEnd { callback } => members!(out, "callback": callback),
             TraceEvent::StealAttempt { victim, got, dur_ns } => {
-                let _ = write!(out, "\"victim\":{victim},\"got\":{got},\"dur\":{dur_ns}");
+                members!(out, "victim": victim, "got": got, "dur": dur_ns)
             }
             TraceEvent::LockWait { target, dur_ns } => {
-                let _ = write!(out, "\"target\":{target},\"dur\":{dur_ns}");
+                members!(out, "target": target, "dur": dur_ns)
             }
             TraceEvent::BarrierWait { dur_ns, epoch } => {
-                let _ = write!(out, "\"dur\":{dur_ns},\"epoch\":{epoch}");
+                members!(out, "dur": dur_ns, "epoch": epoch)
             }
-            TraceEvent::TdProgress { dur_ns } => {
-                let _ = write!(out, "\"dur\":{dur_ns}");
-            }
+            TraceEvent::TdProgress { dur_ns } => members!(out, "dur": dur_ns),
             TraceEvent::SplitRelease { moved } | TraceEvent::SplitReclaim { moved } => {
-                let _ = write!(out, "\"moved\":{moved}");
+                members!(out, "moved": moved)
             }
             TraceEvent::TdWave { wave, dir, black } => {
-                let _ = write!(
-                    out,
-                    "\"wave\":{wave},\"dir\":\"{}\",\"black\":{black}",
-                    dir.name()
-                );
+                members!(out, "wave": wave, "dir": dir.name(), "black": black)
             }
             TraceEvent::QueueDepth { local, shared } => {
-                let _ = write!(out, "\"local\":{local},\"shared\":{shared}");
+                members!(out, "local": local, "shared": shared)
             }
             TraceEvent::Block => {}
-            TraceEvent::Unblock { target } => {
-                let _ = write!(out, "\"target\":{target}");
-            }
+            TraceEvent::Unblock { target } => members!(out, "target": target),
             TraceEvent::MsgSend { dst, bytes, seq } => {
-                let _ = write!(out, "\"dst\":{dst},\"bytes\":{bytes},\"seq\":{seq}");
+                members!(out, "dst": dst, "bytes": bytes, "seq": seq)
             }
-            TraceEvent::MsgRecv { src, seq } => {
-                let _ = write!(out, "\"src\":{src},\"seq\":{seq}");
-            }
+            TraceEvent::MsgRecv { src, seq } => members!(out, "src": src, "seq": seq),
             TraceEvent::RemoteOp {
                 kind,
                 target,
@@ -409,32 +414,116 @@ impl TraceEvent {
                 offset,
                 bytes,
                 atomic,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"kind\":\"{}\",\"target\":{target},\"seg\":{seg},\"off\":{offset},\
-                     \"bytes\":{bytes},\"atomic\":{atomic}",
-                    kind.name()
-                );
-            }
+            } => members!(
+                out, "kind": kind.name(), "target": target, "seg": seg, "off": offset,
+                "bytes": bytes, "atomic": atomic
+            ),
             TraceEvent::LocalAccess {
                 seg,
                 offset,
                 bytes,
                 write,
                 atomic,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"seg\":{seg},\"off\":{offset},\"bytes\":{bytes},\
-                     \"write\":{write},\"atomic\":{atomic}"
-                );
-            }
+            } => members!(
+                out, "seg": seg, "off": offset, "bytes": bytes, "write": write, "atomic": atomic
+            ),
             TraceEvent::LockAcq { target, set, idx, seq }
             | TraceEvent::LockRel { target, set, idx, seq } => {
-                let _ = write!(out, "\"target\":{target},\"set\":{set},\"idx\":{idx},\"seq\":{seq}");
+                members!(out, "target": target, "set": set, "idx": idx, "seq": seq)
             }
         }
+        out.lit(close);
+    }
+}
+
+/// Export text under construction: literal fragments and decimal integers
+/// appended straight to one buffer, no `core::fmt` per event. Bytes rather
+/// than a `String` so digits append without a UTF-8 check per number;
+/// [`Text::finish`] validates the whole buffer once.
+struct Text(Vec<u8>);
+
+impl Text {
+    fn lit(&mut self, s: &str) {
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    fn num(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.0.extend_from_slice(&buf[i..]);
+    }
+
+    /// Nanoseconds as the fixed-decimal microseconds Chrome's `ts` and
+    /// `dur` fields expect. Integer arithmetic only, so output is
+    /// deterministic (no float formatting).
+    fn ts_us(&mut self, t_ns: u64) {
+        self.num(t_ns / 1_000);
+        let frac = (t_ns % 1_000) as u32;
+        self.0.extend_from_slice(&[
+            b'.',
+            b'0' + (frac / 100) as u8,
+            b'0' + (frac / 10 % 10) as u8,
+            b'0' + (frac % 10) as u8,
+        ]);
+    }
+
+    fn finish(self) -> String {
+        String::from_utf8(self.0).expect("str fragments and ASCII digits")
+    }
+}
+
+/// A value [`members!`] can append as JSON.
+trait Member {
+    fn append(self, out: &mut Text);
+}
+
+impl Member for u64 {
+    fn append(self, out: &mut Text) {
+        out.num(self);
+    }
+}
+
+impl Member for u32 {
+    fn append(self, out: &mut Text) {
+        out.num(self.into());
+    }
+}
+
+impl Member for bool {
+    fn append(self, out: &mut Text) {
+        out.lit(if self { "true" } else { "false" });
+    }
+}
+
+/// Quoted, never escaped: event, direction and kind names come from fixed
+/// sets, metric names from literals at the emission sites or from a file
+/// whose reader refuses escapes.
+impl Member for &str {
+    fn append(self, out: &mut Text) {
+        out.lit("\"");
+        out.lit(self);
+        out.lit("\"");
+    }
+}
+
+impl Member for &[u64] {
+    fn append(self, out: &mut Text) {
+        out.lit("[");
+        for (i, &v) in self.iter().enumerate() {
+            if i > 0 {
+                out.lit(",");
+            }
+            out.num(v);
+        }
+        out.lit("]");
     }
 }
 
@@ -1016,40 +1105,41 @@ impl Trace {
     /// drop counts and final clocks. Open in `chrome://tracing` or
     /// Perfetto.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(64 + 96 * self.total_events());
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{{\"name\":\"scioto virtual machine\"}}}}"
+        let mut text = Text(Vec::with_capacity(256 + 144 * (self.nranks() + self.total_events())));
+        let out = &mut text;
+        out.lit(
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+             \"args\":{\"name\":\"scioto virtual machine\"}}",
         );
-        for rank in 0..self.nranks() {
-            let _ = write!(
-                out,
-                ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\
-                 \"args\":{{\"name\":\"rank {rank}\"}}}}"
-            );
+        for rank in 0..self.nranks() as u64 {
+            out.lit(",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":");
+            out.num(rank);
+            out.lit(",\"args\":{\"name\":\"rank ");
+            out.num(rank);
+            out.lit("\"}}");
         }
         for (rank, events) in self.events.iter().enumerate() {
             for e in events {
-                out.push_str(",\n");
-                chrome_event(&mut out, rank, e);
+                out.lit(",\n");
+                chrome_event(out, rank as u64, e);
             }
         }
-        out.push_str("\n],\"sciotoMeta\":{\"dropped\":[");
-        for (i, d) in self.dropped.iter().enumerate() {
-            let _ = write!(out, "{}{d}", if i == 0 { "" } else { "," });
-        }
-        out.push_str("],\"final_clock_ns\":[");
-        for (i, c) in self.final_clock_ns.iter().enumerate() {
-            let _ = write!(out, "{}{c}", if i == 0 { "" } else { "," });
-        }
-        out.push(']');
+        out.lit("\n],\"sciotoMeta\":{");
+        self.write_meta(out);
+        out.lit("}}\n");
+        text.finish()
+    }
+
+    /// What both exports' meta objects end with: per-rank drop counts and
+    /// final clocks, plus the wall-clock (concurrent-mode) marker by which
+    /// consumers classify the trace as non-replayable real time — omitted
+    /// for virtual-time traces so their exports stay byte-identical.
+    fn write_meta(&self, out: &mut Text) {
+        members!(out, "dropped": &self.dropped[..], "final_clock_ns": &self.final_clock_ns[..]);
         if self.wall_clock {
-            out.push_str(",\"clock\":\"wall\"");
+            out.lit(",\"clock\":\"wall\"");
         }
-        out.push_str("}}\n");
-        out
     }
 
     /// Flat JSONL dump: a meta header line (`{"meta":...}` with rank
@@ -1060,65 +1150,48 @@ impl Trace {
     /// lines make a JSONL file self-contained for re-analysis
     /// (`scioto-analyze` reads all of it back, distributions included).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(64 * self.total_events());
-        let _ = write!(out, "{{\"meta\":\"scioto-trace\",\"version\":3,\"ranks\":{}", self.nranks());
-        out.push_str(",\"dropped\":[");
-        for (i, d) in self.dropped.iter().enumerate() {
-            let _ = write!(out, "{}{d}", if i == 0 { "" } else { "," });
-        }
-        out.push_str("],\"final_clock_ns\":[");
-        for (i, c) in self.final_clock_ns.iter().enumerate() {
-            let _ = write!(out, "{}{c}", if i == 0 { "" } else { "," });
-        }
-        out.push(']');
-        if self.wall_clock {
-            // Wall-clock (concurrent-mode) marker: consumers classify the
-            // trace as non-replayable real time. Omitted for virtual-time
-            // traces so their exports stay byte-identical.
-            out.push_str(",\"clock\":\"wall\"");
-        }
-        out.push_str("}\n");
+        let metrics: usize = self.hists.iter().map(BTreeMap::len).sum::<usize>()
+            + self.gauges.iter().map(BTreeMap::len).sum::<usize>();
+        // An event line of a UTS or Table 1 recording averages 91 bytes.
+        let mut text = Text(Vec::with_capacity(
+            128 + 42 * self.nranks() + 256 * metrics + 96 * self.total_events(),
+        ));
+        let out = &mut text;
+        out.lit("{");
+        members!(out, "meta": "scioto-trace", "version": 3u64, "ranks": self.nranks() as u64);
+        out.lit(",");
+        self.write_meta(out);
+        out.lit("}\n");
         for (rank, per_rank) in self.hists.iter().enumerate() {
             for (name, h) in per_rank {
-                let _ = write!(
-                    out,
-                    "{{\"hist\":\"{name}\",\"rank\":{rank},\"count\":{},\"sum\":{},\
-                     \"min\":{},\"max\":{},\"buckets\":[",
-                    h.count(),
-                    h.sum(),
-                    h.min(),
-                    h.max()
+                out.lit("{");
+                members!(
+                    out, "hist": &name[..], "rank": rank as u64, "count": h.count(),
+                    "sum": h.sum(), "min": h.min(), "max": h.max(),
+                    "buckets": &h.sparse_buckets()[..]
                 );
-                for (i, v) in h.sparse_buckets().iter().enumerate() {
-                    let _ = write!(out, "{}{v}", if i == 0 { "" } else { "," });
-                }
-                out.push_str("]}\n");
+                out.lit("}\n");
             }
         }
         for (rank, per_rank) in self.gauges.iter().enumerate() {
             for (name, g) in per_rank {
-                let _ = write!(
-                    out,
-                    "{{\"gauge\":\"{name}\",\"rank\":{rank},\"samples\":{},\"sum\":{},\
-                     \"max\":{},\"last\":{}}}\n",
-                    g.samples, g.sum, g.max, g.last
+                out.lit("{");
+                members!(
+                    out, "gauge": &name[..], "rank": rank as u64, "samples": g.samples,
+                    "sum": g.sum, "max": g.max, "last": g.last
                 );
+                out.lit("}\n");
             }
         }
-        let mut args = String::new();
         for (rank, events) in self.events.iter().enumerate() {
             for e in events {
-                let _ = write!(out, "{{\"rank\":{rank},\"t\":{},\"ev\":\"{}\"", e.t_ns, e.event.name());
-                args.clear();
-                e.event.write_args(&mut args);
-                if !args.is_empty() {
-                    out.push(',');
-                    out.push_str(&args);
-                }
-                out.push_str("}\n");
+                out.lit("{");
+                members!(out, "rank": rank as u64, "t": e.t_ns, "ev": e.event.name());
+                e.event.write_args(out, ",", "");
+                out.lit("}\n");
             }
         }
-        out
+        text.finish()
     }
 
     /// Human-readable summary: per-rank event totals, global per-kind
@@ -1221,23 +1294,20 @@ impl Trace {
     }
 }
 
-/// Format virtual nanoseconds as the fixed-decimal microseconds Chrome's
-/// `ts` field expects. Integer arithmetic only, so output is
-/// deterministic (no float formatting).
-fn ts_us(t_ns: u64) -> String {
-    format!("{}.{:03}", t_ns / 1_000, t_ns % 1_000)
-}
-
-fn chrome_event(out: &mut String, rank: usize, e: &StampedEvent) {
-    let ts = ts_us(e.t_ns);
+fn chrome_event(out: &mut Text, rank: u64, e: &StampedEvent) {
+    out.lit("{\"name\":\"");
+    let mut dur = None;
     match e.event {
-        TraceEvent::TaskExecBegin { callback, creator } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"TaskExec\",\"cat\":\"task\",\"ph\":\"B\",\"ts\":{ts},\
-                 \"pid\":0,\"tid\":{rank},\
-                 \"args\":{{\"callback\":{callback},\"creator\":{creator}}}}}"
-            );
+        TraceEvent::TaskExecBegin { .. } => {
+            out.lit("TaskExec\",\"cat\":\"task\",\"ph\":\"B\",\"ts\":");
+        }
+        TraceEvent::TaskExecEnd { .. } => {
+            out.lit("TaskExec\",\"cat\":\"task\",\"ph\":\"E\",\"ts\":");
+        }
+        TraceEvent::QueueDepth { .. } => {
+            out.lit("queue depth r");
+            out.num(rank);
+            out.lit("\",\"ph\":\"C\",\"ts\":");
         }
         TraceEvent::StealAttempt { dur_ns, .. }
         | TraceEvent::LockWait { dur_ns, .. }
@@ -1245,51 +1315,27 @@ fn chrome_event(out: &mut String, rank: usize, e: &StampedEvent) {
         | TraceEvent::TdProgress { dur_ns } => {
             // Stamped at completion: render as a complete (X) event whose
             // ts is the span start.
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"rt\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":0,\"tid\":{rank}",
-                e.event.name(),
-                ts_us(e.t_ns.saturating_sub(dur_ns)),
-                ts_us(dur_ns)
-            );
-            let mut args = String::new();
-            e.event.write_args(&mut args);
-            if !args.is_empty() {
-                let _ = write!(out, ",\"args\":{{{args}}}");
-            }
-            out.push('}');
-        }
-        TraceEvent::TaskExecEnd { .. } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"TaskExec\",\"cat\":\"task\",\"ph\":\"E\",\"ts\":{ts},\
-                 \"pid\":0,\"tid\":{rank}}}"
-            );
-        }
-        TraceEvent::QueueDepth { local, shared } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"queue depth r{rank}\",\"ph\":\"C\",\"ts\":{ts},\
-                 \"pid\":0,\"tid\":{rank},\
-                 \"args\":{{\"local\":{local},\"shared\":{shared}}}}}"
-            );
+            dur = Some(dur_ns);
+            out.lit(e.event.name());
+            out.lit("\",\"cat\":\"rt\",\"ph\":\"X\",\"ts\":");
         }
         ev => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"rt\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
-                 \"pid\":0,\"tid\":{rank}",
-                ev.name()
-            );
-            let mut args = String::new();
-            ev.write_args(&mut args);
-            if !args.is_empty() {
-                let _ = write!(out, ",\"args\":{{{args}}}");
-            }
-            out.push('}');
+            out.lit(ev.name());
+            out.lit("\",\"cat\":\"rt\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
         }
     }
+    out.ts_us(e.t_ns.saturating_sub(dur.unwrap_or(0)));
+    if let Some(dur_ns) = dur {
+        out.lit(",\"dur\":");
+        out.ts_us(dur_ns);
+    }
+    out.lit(",\"pid\":0,\"tid\":");
+    out.num(rank);
+    // An end marker repeats nothing: its begin carries the task's args.
+    if !matches!(e.event, TraceEvent::TaskExecEnd { .. }) {
+        e.event.write_args(out, ",\"args\":{", "}");
+    }
+    out.lit("}");
 }
 
 /// Validate that `s` is one well-formed JSON document. Returns a byte

@@ -177,6 +177,19 @@ scioto replay \
 cmp "$work/fig7_analysis.json" "$work/fig7_analysis_replay.json"
 echo "ok: fig7@8 replay matches the live blame report byte-identically"
 
+stage "trace bytes: both exports vs results/baselines/TRACE_bytes.txt"
+# The exporters' output at real scale, pinned as `cksum` lines (checksum,
+# byte count, name): table1 through both writers, fig7@8 through JSONL.
+# A writer change that moves a byte fails here with both lines printed.
+(cd "$work" && cksum table1.jsonl table1_chrome.json fig7.jsonl) > "$work/bench/TRACE_bytes.txt"
+if [ "$BLESS" = 0 ] \
+    && ! cmp -s results/baselines/TRACE_bytes.txt "$work/bench/TRACE_bytes.txt"; then
+    echo "FAIL: trace exports differ from results/baselines/TRACE_bytes.txt" >&2
+    diff results/baselines/TRACE_bytes.txt "$work/bench/TRACE_bytes.txt" >&2 || true
+    exit 1
+fi
+echo "ok: table1.jsonl, table1_chrome.json and fig7.jsonl are byte-for-byte the pinned exports"
+
 stage "large-scale: 1024/2048-rank points, near/far tiers"
 # Only fibers can stand up 1024+ ranks on this host; the sweep points use
 # the topology-aware near/far latency preset and are pinned as their own
@@ -328,7 +341,7 @@ fi
 if [ "$BLESS" = 1 ]; then
     stage "bless: refreshing results/baselines/"
     mkdir -p results/baselines
-    for f in "$work"/bench/BENCH_*.json "$work"/bench/RACE_*.jsonl; do
+    for f in "$work"/bench/BENCH_*.json "$work"/bench/RACE_*.jsonl "$work"/bench/TRACE_bytes.txt; do
         cp "$f" "results/baselines/$(basename "$f")"
         echo "blessed results/baselines/$(basename "$f")"
     done
