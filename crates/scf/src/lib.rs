@@ -5,7 +5,13 @@
 //! basis functions, with
 //!
 //! * analytic one- and two-electron integrals (`(ss|ss)` ERIs via the Boys
-//!   function, [`integrals`]);
+//!   function, [`integrals`]). A Gaussian product is formed in one place,
+//!   [`integrals::Pair`]; a Fock build reads an [`integrals::PairTable`]
+//!   (all n² pairs + the Schwarz factors, built once per run and rank)
+//!   rather than re-deriving two products per ERI. Factors multiply in one
+//!   fixed left-to-right order, so a table ERI is the same bits as the
+//!   closed form from four primitives (a bitwise test holds this) and
+//!   screening, task lists and virtual time cannot drift with the kernel;
 //! * Cauchy–Schwarz screening, which makes per-task cost irregular — the
 //!   property that motivates dynamic load balancing;
 //! * a Jacobi symmetric eigensolver ([`linalg`]) for the Roothaan step;
@@ -33,5 +39,6 @@ pub use scf::{scf_sequential, ScfConfig, ScfResult};
 
 /// Virtual CPU cost charged per computed primitive ERI (ns). Chosen so a
 /// block task lands in the tens of microseconds — the granularity regime
-/// of the paper's SCF tasks.
+/// of the paper's SCF tasks. It models the paper's machine, not this
+/// host, where a table ERI costs ≈ 18 ns.
 pub const ERI_COST_NS: u64 = 150;

@@ -22,7 +22,7 @@ use scioto_ga::{Ga, GaHandle, Patch};
 use scioto_sim::Ctx;
 
 use crate::basis::BasisSet;
-use crate::integrals::{core_hamiltonian, eri, overlap_matrix, schwarz_factors};
+use crate::integrals::{core_hamiltonian, overlap_matrix, PairTable};
 use crate::linalg::inv_sqrt_spd;
 use crate::scf::{electronic_energy, roothaan_step, ScfConfig};
 use crate::ERI_COST_NS;
@@ -95,12 +95,12 @@ struct BlockTask {
 }
 
 impl BlockTask {
-    fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(16);
-        b.extend_from_slice(&self.bi.to_le_bytes());
-        b.extend_from_slice(&self.bj.to_le_bytes());
-        b.extend_from_slice(&self.bk.to_le_bytes());
-        b.extend_from_slice(&self.bl.to_le_bytes());
+    fn encode(&self) -> [u8; 16] {
+        let words = [self.bi, self.bj, self.bk, self.bl];
+        let mut b = [0; 16];
+        for (dst, w) in b.chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
         b
     }
 
@@ -116,8 +116,7 @@ impl BlockTask {
 
 /// Shared immutable state of one Fock build.
 struct FockContext {
-    basis: BasisSet,
-    n: usize,
+    table: PairTable,
     block: usize,
     nb: usize,
     /// Block-level Schwarz maxima (nb × nb).
@@ -129,7 +128,7 @@ struct FockContext {
 impl FockContext {
     fn block_range(&self, b: u32) -> (usize, usize) {
         let lo = (b as usize) * self.block;
-        (lo, ((b as usize + 1) * self.block).min(self.n))
+        (lo, ((b as usize + 1) * self.block).min(self.table.n()))
     }
 
     /// Execute one block task: read the density block, compute the
@@ -141,8 +140,6 @@ impl FockContext {
         let (llo, lhi) = self.block_range(t.bl);
         let dpatch = Patch::new(klo, khi, llo, lhi);
         let d = ga.get(ctx, self.d_handle, dpatch);
-        let (kw, lw) = (khi - klo, lhi - llo);
-        let _ = lw;
         let mut g = vec![0.0; (ihi - ilo) * (jhi - jlo)];
         let mut eris = 0u64;
         for i in ilo..ihi {
@@ -151,28 +148,14 @@ impl FockContext {
                 for k in klo..khi {
                     for l in llo..lhi {
                         let dkl = d[(k - klo) * (lhi - llo) + (l - llo)];
-                        v += 2.0
-                            * dkl
-                            * eri(
-                                &self.basis.funcs[i],
-                                &self.basis.funcs[j],
-                                &self.basis.funcs[k],
-                                &self.basis.funcs[l],
-                            );
-                        v -= dkl
-                            * eri(
-                                &self.basis.funcs[i],
-                                &self.basis.funcs[k],
-                                &self.basis.funcs[j],
-                                &self.basis.funcs[l],
-                            );
+                        v += 2.0 * dkl * self.table.eri(i, j, k, l);
+                        v -= dkl * self.table.eri(i, k, j, l);
                         eris += 2;
                     }
                 }
                 g[(i - ilo) * (jhi - jlo) + (j - jlo)] = v;
             }
         }
-        let _ = kw;
         ctx.compute(eris * ERI_COST_NS);
         ga.acc(ctx, self.g_handle, Patch::new(ilo, ihi, jlo, jhi), 1.0, &g);
     }
@@ -217,7 +200,8 @@ pub fn run_scf_parallel(ctx: &Ctx, basis: &BasisSet, cfg: &ParallelScfConfig) ->
     let x = inv_sqrt_spd(&s, n);
     let hcore = core_hamiltonian(basis);
     let e_nuc = basis.molecule.nuclear_repulsion();
-    let q = schwarz_factors(basis);
+    let table = PairTable::new(basis);
+    let q = table.schwarz();
     // Charge the replicated O(n^3) setup (eigensolve + matrix products).
     ctx.compute((n as u64).pow(3) * 4);
 
@@ -234,8 +218,7 @@ pub fn run_scf_parallel(ctx: &Ctx, basis: &BasisSet, cfg: &ParallelScfConfig) ->
     let g_handle = ga.create(ctx, "gmatrix", n, n);
 
     let fctx = Arc::new(FockContext {
-        basis: basis.clone(),
-        n,
+        table,
         block: cfg.block,
         nb,
         qblock,

@@ -6,7 +6,7 @@
 //! must converge to the same energy.
 
 use crate::basis::BasisSet;
-use crate::integrals::{core_hamiltonian, eri, overlap_matrix, schwarz_factors};
+use crate::integrals::{core_hamiltonian, overlap_matrix, PairTable};
 use crate::linalg::{jacobi_eigen, mat_mul, transpose};
 
 /// SCF iteration parameters.
@@ -68,9 +68,9 @@ pub fn density_from_orbitals(c: &[f64], n: usize, n_occ: usize) -> Vec<f64> {
 
 /// Build the two-electron part of the Fock matrix from the density:
 /// `G_ij = Σ_kl D_kl [2 (ij|kl) − (ik|jl)]`, with Schwarz screening.
-pub fn g_matrix(basis: &BasisSet, density: &[f64], screen_tol: f64) -> Vec<f64> {
-    let n = basis.len();
-    let q = schwarz_factors(basis);
+pub fn g_matrix(table: &PairTable, density: &[f64], screen_tol: f64) -> Vec<f64> {
+    let n = table.n();
+    let q = table.schwarz();
     let dmax = density.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1.0);
     let mut g = vec![0.0; n * n];
     for i in 0..n {
@@ -80,14 +80,11 @@ pub fn g_matrix(basis: &BasisSet, density: &[f64], screen_tol: f64) -> Vec<f64> 
                 for l in 0..n {
                     // Coulomb term 2 (ij|kl) D_kl.
                     if q[i * n + j] * q[k * n + l] * dmax > screen_tol {
-                        v += 2.0
-                            * density[k * n + l]
-                            * eri(&basis.funcs[i], &basis.funcs[j], &basis.funcs[k], &basis.funcs[l]);
+                        v += 2.0 * density[k * n + l] * table.eri(i, j, k, l);
                     }
                     // Exchange term −(ik|jl) D_kl.
                     if q[i * n + k] * q[j * n + l] * dmax > screen_tol {
-                        v -= density[k * n + l]
-                            * eri(&basis.funcs[i], &basis.funcs[k], &basis.funcs[j], &basis.funcs[l]);
+                        v -= density[k * n + l] * table.eri(i, k, j, l);
                     }
                 }
             }
@@ -138,6 +135,7 @@ pub fn scf_sequential(basis: &BasisSet, cfg: &ScfConfig) -> ScfResult {
     let x = crate::linalg::inv_sqrt_spd(&s, n);
     let hcore = core_hamiltonian(basis);
     let e_nuc = basis.molecule.nuclear_repulsion();
+    let table = PairTable::new(basis);
 
     // Initial guess: core Hamiltonian.
     let mut density = roothaan_step(&hcore, &x, n, n_occ);
@@ -147,7 +145,7 @@ pub fn scf_sequential(basis: &BasisSet, cfg: &ScfConfig) -> ScfResult {
 
     for it in 0..cfg.max_iters {
         iterations = it + 1;
-        let g = g_matrix(basis, &density, cfg.screen_tol);
+        let g = g_matrix(&table, &density, cfg.screen_tol);
         let fock: Vec<f64> = hcore.iter().zip(g.iter()).map(|(h, gg)| h + gg).collect();
         let e_elec = electronic_energy(&density, &hcore, &fock);
         let e_tot = e_elec + e_nuc;

@@ -151,7 +151,11 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # Every figure runs with `--race-check` and `--replay-check`: the traced
 # run replays through the happens-before checker AND the replay engine
 # in-process, so each is race- and replay-gated under the default policy
-# (locality victims + tree barrier + batched TD).
+# (locality victims + tree barrier + batched TD). Each also writes its
+# BENCH json for the final `bench_diff`: fig5-6 sweeps SCF and TCE, both
+# schemes, to 8 ranks (~2.5 s since the SCF kernel reads a pair table) —
+# the application figures' virtual-time pin, and the end-to-end check that
+# an integral-kernel change kept every screening decision.
 scioto fig7_uts_cluster \
     --max-ranks 8 --tree small --trace-out "$work/fig7.jsonl" \
     --analysis-out "$work/fig7_analysis.json" \
@@ -167,7 +171,8 @@ scioto fig8_uts_xt4 \
     --max-ranks 8 --tree small --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_fig8.json" > /dev/null
 scioto fig5_fig6_apps \
-    --max-ranks 1 --race-check --predict --deadlock --replay-check > /dev/null
+    --max-ranks 8 --race-check --predict --deadlock --replay-check \
+    --json-out "$work/bench/BENCH_fig5_fig6.json" > /dev/null
 
 stage "replay: fig7@8 recorded trace reproduces blame + critical path"
 scioto trace_check --file "$work/fig7.jsonl" --replayable
@@ -296,8 +301,9 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # again, 1.5-1.9x -> 1.8-2.6x). Budgets: UTS measures 20-37 ns/event
 # over ~808k events (~820k before the idle loop stopped re-recording its
 # index reads on nap ticks; free-running threads nap little), budget 75;
-# SCF records only ~35k events, so +-2 ms of wall noise is +-60 ns/event
-# and its budget is 150. Each run
+# SCF is a ~6 ms run recording only ~8k events (10 ms / 10-14k before the
+# pair-table ERI kernel), so +-0.5 ms of wall noise is +-60 ns/event:
+# five runs measured 13-63 ns/event (4-76 before), budget 150. Each run
 # also race/predict/deadlock-checks its own trace; the UTS run
 # additionally exports and cross-checks the whole observability surface —
 # wall-stamped JSONL + Chrome traces and blame decomposition exact per
