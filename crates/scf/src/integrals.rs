@@ -141,7 +141,7 @@ pub fn eri(a: &SGaussian, b: &SGaussian, c: &SGaussian, d: &SGaussian) -> f64 {
 /// Every ordered pair of a basis, formed once, plus the Cauchy–Schwarz
 /// factors: what a Fock build reads instead of re-deriving two Gaussian
 /// products per ERI (n² pairs against n⁴ quartets).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PairTable {
     n: usize,
     pairs: Vec<Pair>,
@@ -379,10 +379,7 @@ mod tests {
         // ERI scales as √α when all exponents scale together.
         let e1 = eri(&g(1.0, 0.0), &g(1.0, 0.0), &g(1.0, 0.0), &g(1.0, 0.0));
         let e4 = eri(&g(4.0, 0.0), &g(4.0, 0.0), &g(4.0, 0.0), &g(4.0, 0.0));
-        assert!(
-            (e4 / e1 - 2.0).abs() < 1e-9,
-            "ERI must scale as sqrt(alpha)"
-        );
+        assert!((e4 / e1 - 2.0).abs() < 1e-9, "ERI must scale as sqrt(alpha)");
         // And H2-like positivity/symmetry.
         assert!(e1 > 0.0);
     }

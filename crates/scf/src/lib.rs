@@ -40,5 +40,5 @@ pub use scf::{scf_sequential, ScfConfig, ScfResult};
 /// Virtual CPU cost charged per computed primitive ERI (ns). Chosen so a
 /// block task lands in the tens of microseconds — the granularity regime
 /// of the paper's SCF tasks. It models the paper's machine, not this
-/// host, where a table ERI costs ≈ 18 ns.
+/// host, where a table ERI costs ≈ 16 ns.
 pub const ERI_COST_NS: u64 = 150;

@@ -153,7 +153,7 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # in-process, so each is race- and replay-gated under the default policy
 # (locality victims + tree barrier + batched TD). Each also writes its
 # BENCH json for the final `bench_diff`: fig5-6 sweeps SCF and TCE, both
-# schemes, to 8 ranks (~2.5 s since the SCF kernel reads a pair table) —
+# schemes, to 8 ranks (~2 s since the SCF kernel reads a pair table) —
 # the application figures' virtual-time pin, and the end-to-end check that
 # an integral-kernel change kept every screening decision.
 scioto fig7_uts_cluster \
