@@ -1,4 +1,5 @@
-//! Remotely accessible memory segments and contiguous put/get/acc.
+//! Remotely accessible memory segments, the transfer engine every one-sided
+//! data operation runs through, and contiguous put/get/acc on top of it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -7,6 +8,7 @@ use scioto_det::sync::{CachePadded, Mutex, MutexGuard};
 
 use scioto_sim::{Ctx, RemoteOpKind, TraceEvent, VLock};
 
+use crate::strided::Strided;
 use crate::world::Armci;
 
 /// One collectively allocated region: `len` bytes on *every* rank.
@@ -115,6 +117,27 @@ impl Gmem {
     }
 }
 
+/// Record one one-sided access to `[offset, offset + bytes)` of `rank`'s
+/// portion of `g`: all the race checker ever sees of a remote operation.
+pub(crate) fn record_remote(
+    ctx: &Ctx,
+    kind: RemoteOpKind,
+    g: Gmem,
+    rank: usize,
+    offset: usize,
+    bytes: usize,
+    atomic: bool,
+) {
+    ctx.trace(|| TraceEvent::RemoteOp {
+        kind,
+        target: rank as u32,
+        seg: g.id as u32,
+        offset: offset as u64,
+        bytes: bytes as u32,
+        atomic,
+    });
+}
+
 impl Armci {
     /// Collectively allocate `bytes` bytes of remotely accessible,
     /// zero-initialized memory on every rank.
@@ -167,9 +190,68 @@ impl Armci {
         }
     }
 
+    /// The one engine under every one-sided data operation. In this order:
+    /// bounds check, scheduling point, one access record per segment of
+    /// `s`, `each(i, bytes)` on the `i`-th segment with the target's store
+    /// locked once around all of them (what makes an accumulate atomic
+    /// against other accumulates), then the network charge for the total
+    /// payload — a strided operation is one pipelined transfer, and a
+    /// contiguous one is the `count = 1` case. `kind` and `atomic` only
+    /// label the records; what the bytes become is up to `each`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn transfer(
+        &self,
+        ctx: &Ctx,
+        g: Gmem,
+        rank: usize,
+        s: Strided,
+        kind: RemoteOpKind,
+        atomic: bool,
+        mut each: impl FnMut(usize, &mut [u8]),
+    ) {
+        let extent = s.extent();
+        self.check_bounds(g, rank, s.offset, extent);
+        ctx.yield_point();
+        let at = |i: usize| s.offset + i * s.stride;
+        for i in 0..s.count {
+            record_remote(ctx, kind, g, rank, at(i), s.seg_len, atomic);
+        }
+        let mut data = self.segment(g).lock(rank, s.offset + extent);
+        for i in 0..s.count {
+            each(i, &mut data[at(i)..at(i) + s.seg_len]);
+        }
+        drop(data);
+        ctx.charge_net(self.xfer_cost(ctx, rank, s.total_bytes()));
+    }
+
+    /// The one accumulate under `acc_f64` / `acc_i64` / `acc_strided_f64`:
+    /// element `k` of the region (8 bytes, little-endian) becomes
+    /// `add(k, element)`. `elems` is the length of the caller's source.
+    pub(crate) fn accumulate(
+        &self,
+        ctx: &Ctx,
+        g: Gmem,
+        rank: usize,
+        s: Strided,
+        elems: usize,
+        mut add: impl FnMut(usize, [u8; 8]) -> [u8; 8],
+    ) {
+        assert_eq!(s.offset % 8, 0, "accumulate offset must be 8-byte aligned");
+        assert_eq!(s.seg_len % 8, 0, "accumulate seg_len must be a multiple of 8");
+        assert_eq!(elems * 8, s.total_bytes(), "src length mismatch");
+        let per_seg = s.seg_len / 8;
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Acc, true, |i, seg| {
+            for (j, word) in seg.chunks_exact_mut(8).enumerate() {
+                let cur = (&*word).try_into().expect("8 bytes");
+                word.copy_from_slice(&add(i * per_seg + j, cur));
+            }
+        });
+    }
+
     /// One-sided contiguous put: copy `src` into `(rank, offset)`.
     pub fn put(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[u8]) {
-        self.put_impl(ctx, g, rank, offset, src, false);
+        let s = Strided::contiguous(offset, src.len());
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, false, |_, seg| seg.copy_from_slice(src));
     }
 
     /// A put the split-queue protocol declares *atomic*: same cost and
@@ -177,51 +259,22 @@ impl Armci {
     /// as protocol-atomic so the race checker pairs them with the
     /// target's own lock-free index publishes instead of flagging them.
     pub fn put_atomic(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[u8]) {
-        self.put_impl(ctx, g, rank, offset, src, true);
-    }
-
-    fn put_impl(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[u8], atomic: bool) {
-        self.check_bounds(g, rank, offset, src.len());
-        ctx.yield_point();
-        ctx.trace(|| TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Put,
-            target: rank as u32,
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: src.len() as u32,
-            atomic,
-        });
-        let end = offset + src.len();
-        self.segment(g).lock(rank, end)[offset..end].copy_from_slice(src);
-        ctx.charge_net(self.xfer_cost(ctx, rank, src.len()));
+        let s = Strided::contiguous(offset, src.len());
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, true, |_, seg| seg.copy_from_slice(src));
     }
 
     /// One-sided contiguous get: copy `(rank, offset)` into `dst`.
     pub fn get(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, dst: &mut [u8]) {
-        self.get_impl(ctx, g, rank, offset, dst, false);
+        let s = Strided::contiguous(offset, dst.len());
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, false, |_, seg| dst.copy_from_slice(seg));
     }
 
     /// A get the split-queue protocol declares *atomic* (see
     /// [`Armci::put_atomic`]): reads words that a lock-free writer may be
     /// publishing concurrently, which the protocol tolerates by design.
     pub fn get_atomic(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, dst: &mut [u8]) {
-        self.get_impl(ctx, g, rank, offset, dst, true);
-    }
-
-    fn get_impl(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, dst: &mut [u8], atomic: bool) {
-        self.check_bounds(g, rank, offset, dst.len());
-        ctx.yield_point();
-        ctx.trace(|| TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Get,
-            target: rank as u32,
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: dst.len() as u32,
-            atomic,
-        });
-        let end = offset + dst.len();
-        dst.copy_from_slice(&self.segment(g).lock(rank, end)[offset..end]);
-        ctx.charge_net(self.xfer_cost(ctx, rank, dst.len()));
+        let s = Strided::contiguous(offset, dst.len());
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, true, |_, seg| dst.copy_from_slice(seg));
     }
 
     /// Atomic accumulate of f64 values: `dest[i] += scale * src[i]`.
@@ -235,26 +288,10 @@ impl Armci {
         scale: f64,
         src: &[f64],
     ) {
-        let len = src.len() * 8;
-        self.check_bounds(g, rank, offset, len);
-        assert_eq!(offset % 8, 0, "acc_f64 offset must be 8-byte aligned");
-        ctx.yield_point();
-        ctx.trace(|| TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Acc,
-            target: rank as u32,
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: len as u32,
-            atomic: true,
+        let s = Strided::contiguous(offset, src.len() * 8);
+        self.accumulate(ctx, g, rank, s, src.len(), |k, cur| {
+            (f64::from_le_bytes(cur) + scale * src[k]).to_le_bytes()
         });
-        let mut data = self.segment(g).lock(rank, offset + len);
-        for (i, v) in src.iter().enumerate() {
-            let o = offset + i * 8;
-            let cur = f64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"));
-            data[o..o + 8].copy_from_slice(&(cur + scale * v).to_le_bytes());
-        }
-        drop(data);
-        ctx.charge_net(self.xfer_cost(ctx, rank, len));
     }
 
     /// Atomic accumulate of i64 values: `dest[i] += scale * src[i]`.
@@ -267,26 +304,10 @@ impl Armci {
         scale: i64,
         src: &[i64],
     ) {
-        let len = src.len() * 8;
-        self.check_bounds(g, rank, offset, len);
-        assert_eq!(offset % 8, 0, "acc_i64 offset must be 8-byte aligned");
-        ctx.yield_point();
-        ctx.trace(|| TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Acc,
-            target: rank as u32,
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: len as u32,
-            atomic: true,
+        let s = Strided::contiguous(offset, src.len() * 8);
+        self.accumulate(ctx, g, rank, s, src.len(), |k, cur| {
+            i64::from_le_bytes(cur).wrapping_add(scale.wrapping_mul(src[k])).to_le_bytes()
         });
-        let mut data = self.segment(g).lock(rank, offset + len);
-        for (i, v) in src.iter().enumerate() {
-            let o = offset + i * 8;
-            let cur = i64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"));
-            data[o..o + 8].copy_from_slice(&cur.wrapping_add(scale.wrapping_mul(*v)).to_le_bytes());
-        }
-        drop(data);
-        ctx.charge_net(self.xfer_cost(ctx, rank, len));
     }
 
     /// Run `f` with mutable access to this rank's own portion of the
@@ -375,7 +396,125 @@ impl Armci {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scioto_sim::{LatencyModel, Machine, MachineConfig};
+    use scioto_sim::{LatencyModel, Machine, MachineConfig, TraceConfig};
+
+    /// Rank 0's `RemoteOp` records as `(kind, target, offset, bytes,
+    /// atomic)`, all of which must name segment `seg`.
+    fn remote_ops(
+        report: &scioto_sim::Report,
+        seg: usize,
+    ) -> Vec<(RemoteOpKind, u32, u64, u32, bool)> {
+        let trace = report.trace.as_ref().expect("tracing was enabled");
+        let ops = trace.events_for(0).iter().filter_map(|e| match e.event {
+            TraceEvent::RemoteOp { kind, target, seg: s, offset, bytes, atomic } => {
+                assert_eq!(s as usize, seg);
+                Some((kind, target, offset, bytes, atomic))
+            }
+            _ => None,
+        });
+        ops.collect()
+    }
+
+    #[test]
+    fn every_data_op_records_one_exact_access_per_segment() {
+        use RemoteOpKind::{Acc, Get, Put};
+        let cfg = MachineConfig::virtual_time(2).with_trace(TraceConfig::enabled());
+        let out = Machine::run(cfg, |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 256);
+            if ctx.rank() == 0 {
+                armci.put(ctx, g, 1, 8, &[1; 16]);
+                armci.get(ctx, g, 1, 8, &mut [0; 16]);
+                // protocol: none to name — only this rank touches the
+                // segment; the atomic mark on the two records is the test.
+                armci.put_atomic(ctx, g, 1, 24, &[2; 8]);
+                armci.get_atomic(ctx, g, 1, 24, &mut [0; 8]);
+                armci.acc_f64(ctx, g, 1, 32, 1.0, &[1.0, 2.0]);
+                armci.acc_i64(ctx, g, 1, 48, 1, &[3]);
+                let s = Strided { offset: 64, stride: 32, seg_len: 16, count: 3 };
+                armci.put_strided(ctx, g, 1, s, &[4; 48]);
+                armci.get_strided(ctx, g, 1, s, &mut [0; 48]);
+                armci.acc_strided_f64(ctx, g, 1, s, 1.0, &[0.5; 6]);
+                // A region of no bytes is no access, wherever it points.
+                let none = Strided { offset: 1 << 40, stride: 8, seg_len: 8, count: 0 };
+                armci.get_strided(ctx, g, 1, none, &mut []);
+            }
+            g.id
+        });
+        let strided = |kind, atomic| [64, 96, 128].map(|off| (kind, 1, off, 16, atomic));
+        let mut expect = vec![
+            (Put, 1, 8, 16, false),
+            (Get, 1, 8, 16, false),
+            (Put, 1, 24, 8, true),
+            (Get, 1, 24, 8, true),
+            (Acc, 1, 32, 16, true),
+            (Acc, 1, 48, 8, true),
+        ];
+        expect.extend(strided(Put, false));
+        expect.extend(strided(Get, false));
+        expect.extend(strided(Acc, true));
+        assert_eq!(remote_ops(&out.report, out.results[0]), expect);
+    }
+
+    #[test]
+    fn contiguous_put_is_the_one_segment_strided_put() {
+        let cfg = MachineConfig::virtual_time(2)
+            .with_latency(LatencyModel::cluster())
+            .with_trace(TraceConfig::enabled());
+        let out = Machine::run(cfg, |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 64);
+            let mut took = (0, 0);
+            if ctx.rank() == 0 {
+                let t0 = ctx.now();
+                armci.put(ctx, g, 1, 16, &[7; 24]);
+                let t1 = ctx.now();
+                let s = Strided { offset: 16, stride: 0, seg_len: 24, count: 1 };
+                armci.put_strided(ctx, g, 1, s, &[7; 24]);
+                took = (t1 - t0, ctx.now() - t1);
+            }
+            (g.id, took)
+        });
+        let (seg, (contiguous, strided)) = out.results[0];
+        let ops = remote_ops(&out.report, seg);
+        assert_eq!(ops, [(RemoteOpKind::Put, 1, 16, 24, false); 2]);
+        assert!(contiguous > 0 && contiguous == strided, "{contiguous} ns vs {strided} ns");
+    }
+
+    #[test]
+    #[should_panic(expected = "access [40, 40+40) out of bounds for segment of 64 bytes")]
+    fn oob_strided_access_names_its_own_offset_and_extent() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 64);
+            let s = Strided { offset: 40, stride: 16, seg_len: 8, count: 3 };
+            armci.get_strided(ctx, g, 0, s, &mut [0u8; 24]);
+        });
+    }
+
+    #[test]
+    fn zero_length_ops_at_the_segment_end_are_accepted() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 8);
+            armci.put(ctx, g, 0, 8, &[]);
+            armci.get(ctx, g, 0, 8, &mut []);
+            armci.acc_f64(ctx, g, 0, 8, 1.0, &[]);
+            // Segments of no bytes: accepted wherever they point.
+            let s = Strided { offset: 1000, stride: 8, seg_len: 0, count: 2 };
+            armci.put_strided(ctx, g, 0, s, &[]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "access [9, 9+0) out of bounds for segment of 8 bytes")]
+    fn zero_length_contiguous_op_past_the_segment_end_is_rejected() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 8);
+            armci.put(ctx, g, 0, 9, &[]);
+        });
+    }
 
     #[test]
     fn put_get_roundtrip_across_ranks() {

@@ -1,9 +1,9 @@
 //! Remote read-modify-write operations (ARMCI_Rmw): fetch-and-add, swap,
 //! compare-and-swap on 8-byte little-endian integers in global memory.
 
-use scioto_sim::{Ctx, RemoteOpKind, TraceEvent};
+use scioto_sim::{Ctx, RemoteOpKind};
 
-use crate::gmem::Gmem;
+use crate::gmem::{record_remote, Gmem};
 use crate::world::Armci;
 
 impl Armci {
@@ -33,14 +33,7 @@ impl Armci {
         // one at a time. Waiting in the service queue spans virtual time,
         // which is what bounds a hot counter's throughput.
         let service = ctx.latency().rmw_service;
-        ctx.trace(|| TraceEvent::RemoteOp {
-            kind: RemoteOpKind::Rmw,
-            target: rank as u32,
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: 8,
-            atomic: true,
-        });
+        record_remote(ctx, RemoteOpKind::Rmw, g, rank, offset, 8, true);
         let word = seg.hot_word(rank, offset);
         let _ = word.acquire(ctx, 0);
         ctx.charge_net(service);

@@ -6,7 +6,7 @@
 //! engine, one strided operation is charged as a single transfer of the
 //! total payload (the NIC pipelines the segments).
 
-use scioto_sim::Ctx;
+use scioto_sim::{Ctx, RemoteOpKind};
 
 use crate::gmem::Gmem;
 use crate::world::Armci;
@@ -25,69 +25,82 @@ pub struct Strided {
 }
 
 impl Strided {
+    /// The contiguous range `[offset, offset + len)` as a one-segment region.
+    pub(crate) fn contiguous(offset: usize, len: usize) -> Strided {
+        Strided { offset, stride: len, seg_len: len, count: 1 }
+    }
+
     /// Total bytes covered by the descriptor.
     pub fn total_bytes(&self) -> usize {
         self.seg_len * self.count
     }
 
-    /// Largest byte offset touched, plus one; zero for an empty region.
-    /// Saturates instead of wrapping, so a descriptor whose extent
-    /// overflows is out of bounds for every segment.
-    pub fn end(&self) -> usize {
-        if self.count == 0 || self.seg_len == 0 {
-            return 0;
+    /// Bytes from `offset` to one past the last byte of the last segment;
+    /// zero for a region of no segments. Saturates instead of wrapping, so
+    /// a descriptor whose extent overflows is out of bounds for every
+    /// segment.
+    pub(crate) fn extent(&self) -> usize {
+        match self.count {
+            0 => 0,
+            n => (n - 1).saturating_mul(self.stride).saturating_add(self.seg_len),
         }
-        ((self.count - 1).saturating_mul(self.stride))
-            .saturating_add(self.offset)
-            .saturating_add(self.seg_len)
+    }
+
+    /// The strided entry points' argument check: segments must not
+    /// overlap. A descriptor that names no bytes is accepted wherever it
+    /// points, as the region of no segments (a zero-length *contiguous*
+    /// operation still has its offset bounds-checked).
+    fn checked(self) -> Strided {
+        assert!(
+            self.stride >= self.seg_len || self.count <= 1,
+            "strided segments overlap: stride {} < seg_len {}",
+            self.stride,
+            self.seg_len
+        );
+        match self.total_bytes() {
+            0 => Strided { offset: 0, count: 0, ..self },
+            _ => self,
+        }
     }
 }
 
 impl Armci {
-    /// Validate a strided access before it reaches the store: segments
-    /// must not overlap, and `[0, end)` goes through the same rank and
-    /// bounds check as every contiguous operation. Returns `end`.
-    fn check_strided(&self, g: Gmem, rank: usize, s: Strided) -> usize {
-        assert!(
-            s.stride >= s.seg_len || s.count <= 1,
-            "strided segments overlap: stride {} < seg_len {}",
-            s.stride,
-            s.seg_len
-        );
-        let end = s.end();
-        self.check_bounds(g, rank, 0, end);
-        end
+    /// Strided access in place: run `each(i, bytes)` on the `i`-th segment
+    /// of the described region of `rank`'s memory — one lock scope, one
+    /// transfer charged, one access record per segment. This is what a
+    /// layer whose local data is not one contiguous byte buffer (a Global
+    /// Arrays patch) builds its get/put/acc on. `kind` declares what
+    /// `each` does with the bytes and is what the trace records: `Get`
+    /// reads them, `Put` overwrites them, `Acc` read-modify-writes them
+    /// (atomic against other accumulates).
+    pub fn access_strided(
+        &self,
+        ctx: &Ctx,
+        g: Gmem,
+        rank: usize,
+        s: Strided,
+        kind: RemoteOpKind,
+        each: impl FnMut(usize, &mut [u8]),
+    ) {
+        assert!(kind != RemoteOpKind::Rmw, "an RMW is not a data transfer");
+        self.transfer(ctx, g, rank, s.checked(), kind, kind.is_atomic(), each);
     }
 
     /// Strided get: gather the described region of `(rank)`'s segment into
     /// the contiguous `dst` (`dst.len() == total_bytes`).
     pub fn get_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, dst: &mut [u8]) {
-        let end = self.check_strided(g, rank, s);
         assert_eq!(dst.len(), s.total_bytes(), "dst length mismatch");
-        ctx.yield_point();
-        let data = self.segment(g).lock(rank, end);
-        for i in 0..s.count {
-            let src_off = s.offset + i * s.stride;
-            dst[i * s.seg_len..(i + 1) * s.seg_len]
-                .copy_from_slice(&data[src_off..src_off + s.seg_len]);
-        }
-        drop(data);
-        ctx.charge_net(self.xfer_cost(ctx, rank, s.total_bytes()));
+        self.access_strided(ctx, g, rank, s, RemoteOpKind::Get, |i, seg| {
+            dst[i * s.seg_len..][..s.seg_len].copy_from_slice(seg);
+        });
     }
 
     /// Strided put: scatter the contiguous `src` into the described region.
     pub fn put_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, src: &[u8]) {
-        let end = self.check_strided(g, rank, s);
         assert_eq!(src.len(), s.total_bytes(), "src length mismatch");
-        ctx.yield_point();
-        let mut data = self.segment(g).lock(rank, end);
-        for i in 0..s.count {
-            let dst_off = s.offset + i * s.stride;
-            data[dst_off..dst_off + s.seg_len]
-                .copy_from_slice(&src[i * s.seg_len..(i + 1) * s.seg_len]);
-        }
-        drop(data);
-        ctx.charge_net(self.xfer_cost(ctx, rank, s.total_bytes()));
+        self.access_strided(ctx, g, rank, s, RemoteOpKind::Put, |i, seg| {
+            seg.copy_from_slice(&src[i * s.seg_len..][..s.seg_len]);
+        });
     }
 
     /// Strided atomic f64 accumulate: `dest[i] += scale * src[i]` over the
@@ -101,24 +114,9 @@ impl Armci {
         scale: f64,
         src: &[f64],
     ) {
-        let end = self.check_strided(g, rank, s);
-        assert_eq!(s.seg_len % 8, 0, "seg_len must be a multiple of 8");
-        assert_eq!(s.offset % 8, 0, "offset must be 8-byte aligned");
-        assert_eq!(src.len() * 8, s.total_bytes(), "src length mismatch");
-        ctx.yield_point();
-        let per_seg = s.seg_len / 8;
-        let mut data = self.segment(g).lock(rank, end);
-        for i in 0..s.count {
-            let base = s.offset + i * s.stride;
-            for j in 0..per_seg {
-                let o = base + j * 8;
-                let cur = f64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"));
-                let v = src[i * per_seg + j];
-                data[o..o + 8].copy_from_slice(&(cur + scale * v).to_le_bytes());
-            }
-        }
-        drop(data);
-        ctx.charge_net(self.xfer_cost(ctx, rank, s.total_bytes()));
+        self.accumulate(ctx, g, rank, s.checked(), src.len(), |k, cur| {
+            (f64::from_le_bytes(cur) + scale * src[k]).to_le_bytes()
+        });
     }
 }
 

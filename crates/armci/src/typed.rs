@@ -54,11 +54,6 @@ impl Armci {
         bytes_to_f64s(&buf)
     }
 
-    /// Put a slice of `i64` at `(rank, byte offset)`.
-    pub fn put_i64s(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[i64]) {
-        self.put(ctx, g, rank, offset, &i64s_to_bytes(src));
-    }
-
     /// Get `count` `i64` values from `(rank, byte offset)`.
     pub fn get_i64s(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, count: usize) -> Vec<i64> {
         let mut buf = vec![0u8; count * 8];
@@ -66,9 +61,9 @@ impl Armci {
         bytes_to_i64s(&buf)
     }
 
-    /// [`Armci::put_i64s`] whose trace record marks the access atomic —
-    /// for protocol words ordered by the enclosing algorithm rather than a
-    /// lock (same cost as `put_i64s`).
+    /// Put a slice of `i64` at `(rank, byte offset)`, its trace record
+    /// marked atomic — for protocol words ordered by the enclosing
+    /// algorithm rather than a lock (same cost as a plain put).
     pub fn put_i64s_atomic(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[i64]) {
         // protocol: typed passthrough — the caller's site names the
         // ordering protocol for the words it writes.
@@ -112,7 +107,7 @@ mod tests {
             let g = armci.malloc(ctx, 256);
             if ctx.rank() == 0 {
                 armci.put_f64s(ctx, g, 1, 16, &[3.5, 4.5]);
-                armci.put_i64s(ctx, g, 1, 64, &[-7, 8]);
+                armci.put(ctx, g, 1, 64, &i64s_to_bytes(&[-7, 8]));
             }
             armci.barrier(ctx);
             (

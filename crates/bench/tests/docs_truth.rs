@@ -54,3 +54,121 @@ fn docs_name_only_executables_and_subcommands_that_exist() {
     }
     assert!(commands_seen >= 40, "the scan found only {commands_seen} commands");
 }
+
+/// Every `.rs` file under `dir`, as `(path relative to dir, text)`.
+fn sources(dir: &std::path::Path, rel: &str, out: &mut Vec<(String, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        let name = format!("{rel}{}", path.file_name().expect("file name").to_string_lossy());
+        if path.is_dir() {
+            sources(&path, &format!("{name}/"), out);
+        } else if name.ends_with(".rs") {
+            out.push((name, std::fs::read_to_string(&path).expect("source file")));
+        }
+    }
+}
+
+/// The sources of `crates/<krate>/src`.
+fn crate_sources(krate: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let dir = format!("{}/../{krate}/src", env!("CARGO_MANIFEST_DIR"));
+    sources(std::path::Path::new(&dir), "", &mut out);
+    out
+}
+
+/// Does `text` hold `<keyword> name` for one of `keywords`, as whole words?
+fn declares(text: &str, keywords: &[&str], name: &str) -> bool {
+    keywords.iter().any(|kw| {
+        let decl = format!("{kw} {name}");
+        text.match_indices(&decl).any(|(at, _)| {
+            !text[..at].ends_with(is_name_char) && !text[at + decl.len()..].starts_with(is_name_char)
+        })
+    })
+}
+
+const ITEMS: [&str; 8] = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+
+/// Does `owner::item` name something in these sources? `owner` is a module
+/// (a file) declaring `item`, or a type of this crate with `item` among its
+/// methods, associated constants, variants or fields.
+fn resolves(srcs: &[(String, String)], owner: &str, item: &str) -> bool {
+    let module = [format!("{owner}.rs"), format!("{owner}/mod.rs")];
+    if let Some((_, text)) = srcs.iter().find(|(name, _)| module.contains(name)) {
+        return declares(text, &ITEMS, item);
+    }
+    srcs.iter().any(|(_, text)| declares(text, &["struct", "enum", "trait", "type"], owner))
+        && srcs.iter().any(|(_, text)| {
+            declares(text, &["fn", "const"], item)
+                || text.lines().any(|line| {
+                    let line = line.trim_start().trim_start_matches("pub ");
+                    line.strip_prefix(item).is_some_and(|rest| {
+                        rest.is_empty() || rest.starts_with([',', ':', '(', ' '])
+                    })
+                })
+        })
+}
+
+/// DESIGN.md's workspace-inventory sections describe the tree by naming
+/// its items; a name the tree does not have is a stale claim. Every
+/// backticked `owner::item` path there must resolve in the crate its
+/// `### crates/<name>` section names — or the one its own `scioto_<name>::`
+/// prefix names, or, in a section about no one crate, in some crate.
+#[test]
+fn design_inventory_paths_resolve_in_the_tree() {
+    let text = read("DESIGN.md");
+    let start = text.find("## Workspace inventory").expect("inventory heading");
+    let inventory = &text[start..];
+    let inventory = &inventory[..inventory[2..].find("\n## ").expect("next section") + 2];
+    let all: Vec<String> = std::fs::read_dir(format!("{}/..", env!("CARGO_MANIFEST_DIR")))
+        .expect("crates/")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    let mut checked = 0;
+    for section in inventory.split("\n### ") {
+        let heading = section.lines().next().unwrap_or("");
+        let section_crate = heading.strip_prefix("crates/").map(leading_name);
+        // Code spans are the odd pieces between backticks; the fenced
+        // listing opens the inventory and holds no paths.
+        for span in section.split('`').skip(1).step_by(2).filter(|s| s.contains("::")) {
+            let path_len = span.find(|c| !is_name_char(c) && c != ':').unwrap_or(span.len());
+            let mut path: Vec<&str> = span[..path_len].trim_end_matches(':').split("::").collect();
+            // `Type::{A, B{x}}` names `Type::A` and `Type::B`.
+            let group = span[path_len..].strip_prefix('{').unwrap_or("");
+            let mut leaves: Vec<&str> = group.split(", ").map(leading_name).collect();
+            leaves.retain(|leaf| !leaf.is_empty());
+            if ["std", "Box", "f64"].contains(&path[0]) {
+                continue;
+            }
+            let named = path[0].strip_prefix("scioto").map(|k| match k {
+                "" => "core",
+                k => k.trim_start_matches('_'),
+            });
+            if named.is_some() {
+                path.remove(0);
+            }
+            let crates: Vec<&str> = match named.or(section_crate) {
+                Some(k) => vec![k],
+                None => all.iter().map(String::as_str).collect(),
+            };
+            if leaves.is_empty() {
+                leaves.push(path.pop().expect("a non-empty path"));
+            }
+            for leaf in leaves {
+                let found = crates.iter().any(|k| {
+                    let srcs = crate_sources(k);
+                    match path.last() {
+                        Some(owner) => resolves(&srcs, owner, leaf),
+                        None => srcs.iter().any(|(_, text)| declares(text, &ITEMS, leaf)),
+                    }
+                });
+                assert!(
+                    found,
+                    "DESIGN.md (### {heading}) names `{span}`: no `{leaf}` under `{}` in {crates:?}",
+                    path.join("::")
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 40, "the scan found only {checked} paths");
+}

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use scioto_det::AppendTable;
 
 use scioto_armci::{Armci, Gmem, Strided};
-use scioto_sim::Ctx;
+use scioto_sim::{Ctx, RemoteOpKind};
 
 use crate::dist::{BlockDist, Patch};
 
@@ -100,78 +100,59 @@ impl Ga {
         self.armci.barrier(ctx);
     }
 
-    /// Strided descriptor addressing `inter` within `owner_patch`'s
-    /// row-major local storage.
-    fn strided_for(owner_patch: Patch, inter: Patch) -> Strided {
-        let ocols = owner_patch.cols();
-        Strided {
-            offset: ((inter.rlo - owner_patch.rlo) * ocols + (inter.clo - owner_patch.clo)) * 8,
-            stride: ocols * 8,
-            seg_len: inter.cols() * 8,
-            count: inter.rows(),
+    /// The one loop under `get` / `put` / `acc`: one strided ARMCI access
+    /// per owner of `p`, each row of the owner's share addressed in place
+    /// in its row-major local storage. `word(k, bytes)` is handed element
+    /// `k` of the caller's row-major `p`-shaped buffer together with the
+    /// owner's 8 little-endian bytes for it; `kind` says what it does
+    /// with them.
+    fn patch_op(
+        &self,
+        ctx: &Ctx,
+        h: GaHandle,
+        p: Patch,
+        kind: RemoteOpKind,
+        mut word: impl FnMut(usize, &mut [u8; 8]),
+    ) {
+        let meta = self.meta(h);
+        self.check_patch(&meta.dist, p);
+        for (rank, inter) in meta.dist.owners(p, self.nranks()) {
+            let owned = meta.dist.owned(rank);
+            let s = Strided {
+                offset: ((inter.rlo - owned.rlo) * owned.cols() + (inter.clo - owned.clo)) * 8,
+                stride: owned.cols() * 8,
+                seg_len: inter.cols() * 8,
+                count: inter.rows(),
+            };
+            // Where row 0 of the intersection starts in the caller's buffer.
+            let base = (inter.rlo - p.rlo) * p.cols() + (inter.clo - p.clo);
+            self.armci.access_strided(ctx, meta.gmem, rank, s, kind, |row, bytes| {
+                for (col, w) in bytes.chunks_exact_mut(8).enumerate() {
+                    word(base + row * p.cols() + col, w.try_into().expect("8 bytes"));
+                }
+            });
         }
     }
 
     /// Get a rectangular patch as a row-major `Vec<f64>`.
     pub fn get(&self, ctx: &Ctx, h: GaHandle, p: Patch) -> Vec<f64> {
-        let meta = self.meta(h);
-        self.check_patch(&meta.dist, p);
         let mut out = vec![0.0f64; p.size()];
-        for (rank, inter) in meta.dist.owners(p, self.nranks()) {
-            let owner_patch = meta.dist.owned(rank);
-            let s = Self::strided_for(owner_patch, inter);
-            let mut buf = vec![0u8; s.total_bytes()];
-            self.armci.get_strided(ctx, meta.gmem, rank, s, &mut buf);
-            // Scatter rows of the intersection into the output patch.
-            for (ri, row) in buf.chunks_exact(inter.cols() * 8).enumerate() {
-                let gi = inter.rlo + ri;
-                let dst_base = (gi - p.rlo) * p.cols() + (inter.clo - p.clo);
-                for (ci, chunk) in row.chunks_exact(8).enumerate() {
-                    out[dst_base + ci] =
-                        f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                }
-            }
-        }
+        self.patch_op(ctx, h, p, RemoteOpKind::Get, |k, w| out[k] = f64::from_le_bytes(*w));
         out
     }
 
     /// Put a row-major patch (`data.len() == p.size()`).
     pub fn put(&self, ctx: &Ctx, h: GaHandle, p: Patch, data: &[f64]) {
         assert_eq!(data.len(), p.size(), "patch data length mismatch");
-        let meta = self.meta(h);
-        self.check_patch(&meta.dist, p);
-        for (rank, inter) in meta.dist.owners(p, self.nranks()) {
-            let owner_patch = meta.dist.owned(rank);
-            let s = Self::strided_for(owner_patch, inter);
-            let mut buf = Vec::with_capacity(s.total_bytes());
-            for ri in 0..inter.rows() {
-                let gi = inter.rlo + ri;
-                let src_base = (gi - p.rlo) * p.cols() + (inter.clo - p.clo);
-                for v in &data[src_base..src_base + inter.cols()] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            self.armci.put_strided(ctx, meta.gmem, rank, s, &buf);
-        }
+        self.patch_op(ctx, h, p, RemoteOpKind::Put, |k, w| *w = data[k].to_le_bytes());
     }
 
     /// Atomic accumulate: `A[p] += alpha * data` (GA's `NGA_Acc`).
     pub fn acc(&self, ctx: &Ctx, h: GaHandle, p: Patch, alpha: f64, data: &[f64]) {
         assert_eq!(data.len(), p.size(), "patch data length mismatch");
-        let meta = self.meta(h);
-        self.check_patch(&meta.dist, p);
-        for (rank, inter) in meta.dist.owners(p, self.nranks()) {
-            let owner_patch = meta.dist.owned(rank);
-            let s = Self::strided_for(owner_patch, inter);
-            let mut buf = Vec::with_capacity(inter.size());
-            for ri in 0..inter.rows() {
-                let gi = inter.rlo + ri;
-                let src_base = (gi - p.rlo) * p.cols() + (inter.clo - p.clo);
-                buf.extend_from_slice(&data[src_base..src_base + inter.cols()]);
-            }
-            self.armci
-                .acc_strided_f64(ctx, meta.gmem, rank, s, alpha, &buf);
-        }
+        self.patch_op(ctx, h, p, RemoteOpKind::Acc, |k, w| {
+            *w = (f64::from_le_bytes(*w) + alpha * data[k]).to_le_bytes();
+        });
     }
 
     /// Collectively fill the whole array with `v` (each rank fills its own

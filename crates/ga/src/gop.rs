@@ -18,20 +18,6 @@ impl Ga {
         self.armci.barrier(ctx);
         out
     }
-
-    /// Global maximum of a single value.
-    pub fn gop_max_f64(&self, ctx: &Ctx, val: f64) -> f64 {
-        // Encode max via repeated CAS on rank 0 would be awkward with f64;
-        // gather all values to rank 0 instead (one slot per rank).
-        let n = self.nranks();
-        let scratch = self.armci.malloc(ctx, n * 8);
-        self.armci
-            .put_f64s(ctx, scratch, 0, ctx.rank() * 8, &[val]);
-        self.armci.barrier(ctx);
-        let all = self.armci.get_f64s(ctx, scratch, 0, 0, n);
-        self.armci.barrier(ctx);
-        all.into_iter().fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -47,17 +33,6 @@ mod tests {
         });
         for v in out.results {
             assert_eq!(v, vec![10.0, 5.0]);
-        }
-    }
-
-    #[test]
-    fn gop_max_finds_global_maximum() {
-        let out = Machine::run(MachineConfig::virtual_time(7), |ctx| {
-            let ga = Ga::init(ctx);
-            ga.gop_max_f64(ctx, -(ctx.rank() as f64))
-        });
-        for v in out.results {
-            assert_eq!(v, 0.0);
         }
     }
 

@@ -1,11 +1,9 @@
-//! Whole-array collective operations (GA_Copy, GA_Scale, GA_Add, GA_Ddot,
-//! GA_Transpose, GA_Symmetrize): each rank transforms its own patch, with
-//! cross-patch data fetched one-sidedly where the shapes demand it.
+//! Whole-array collective operations (GA_Copy, GA_Scale, GA_Add): each
+//! rank transforms its own patch through one-sided get and put.
 
 use scioto_sim::Ctx;
 
 use crate::array::{Ga, GaHandle};
-use crate::dist::Patch;
 
 impl Ga {
     /// Collective copy `dst ← src` (same dimensions required).
@@ -59,58 +57,12 @@ impl Ga {
         }
         self.sync(ctx);
     }
-
-    /// Collective dot product `Σ_ij A_ij · B_ij`; every rank receives the
-    /// global value.
-    pub fn ddot(&self, ctx: &Ctx, a: GaHandle, b: GaHandle) -> f64 {
-        assert_eq!(self.dims(a), self.dims(b), "GA ddot shape mismatch");
-        let mine = self.distribution(a, ctx.rank());
-        let partial = if mine.is_empty() {
-            0.0
-        } else {
-            let va = self.get(ctx, a, mine);
-            let vb = self.get(ctx, b, mine);
-            ctx.compute(mine.size() as u64 * 2);
-            va.iter().zip(vb.iter()).map(|(x, y)| x * y).sum()
-        };
-        self.gop_sum_f64(ctx, &[partial])[0]
-    }
-
-    /// Collective transpose `dst ← srcᵀ` (`dst` must be `cols × rows`).
-    pub fn transpose_into(&self, ctx: &Ctx, src: GaHandle, dst: GaHandle) {
-        let (r, c) = self.dims(src);
-        assert_eq!(self.dims(dst), (c, r), "GA transpose shape mismatch");
-        let mine = self.distribution(dst, ctx.rank());
-        if !mine.is_empty() {
-            // The needed source patch is the transpose of my patch.
-            let want = Patch::new(mine.clo, mine.chi, mine.rlo, mine.rhi);
-            let s = self.get(ctx, src, want);
-            let (wr, wc) = (want.rows(), want.cols());
-            let mut t = vec![0.0; wr * wc];
-            for i in 0..wr {
-                for j in 0..wc {
-                    t[j * wr + i] = s[i * wc + j];
-                }
-            }
-            self.put(ctx, dst, mine, &t);
-            ctx.compute((wr * wc) as u64);
-        }
-        self.sync(ctx);
-    }
-
-    /// Collective symmetrization `a ← (a + aᵀ)/2` (square arrays).
-    pub fn symmetrize(&self, ctx: &Ctx, a: GaHandle) {
-        let (r, c) = self.dims(a);
-        assert_eq!(r, c, "GA symmetrize needs a square array");
-        let tmp = self.create(ctx, "symmetrize-tmp", r, c);
-        self.transpose_into(ctx, a, tmp);
-        self.add(ctx, 0.5, a, 0.5, tmp, a);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Patch;
     use scioto_sim::{Machine, MachineConfig};
 
     fn fill_index(ctx: &Ctx, ga: &Ga, h: GaHandle, rows: usize, cols: usize) {
@@ -153,67 +105,6 @@ mod tests {
         });
         for r in out.results {
             assert!(r.iter().all(|&v| v == 7.0));
-        }
-    }
-
-    #[test]
-    fn ddot_matches_dense() {
-        let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
-            let ga = Ga::init(ctx);
-            let a = ga.create(ctx, "a", 5, 7);
-            fill_index(ctx, &ga, a, 5, 7);
-            ga.ddot(ctx, a, a)
-        });
-        let expect: f64 = (0..35).map(|x| (x * x) as f64).sum();
-        for v in out.results {
-            assert_eq!(v, expect);
-        }
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
-            let ga = Ga::init(ctx);
-            let a = ga.create(ctx, "a", 4, 6);
-            let t = ga.create(ctx, "t", 6, 4);
-            let tt = ga.create(ctx, "tt", 4, 6);
-            fill_index(ctx, &ga, a, 4, 6);
-            ga.transpose_into(ctx, a, t);
-            ga.transpose_into(ctx, t, tt);
-            (
-                ga.get(ctx, a, Patch::new(0, 4, 0, 6)),
-                ga.get(ctx, t, Patch::new(0, 6, 0, 4)),
-                ga.get(ctx, tt, Patch::new(0, 4, 0, 6)),
-            )
-        });
-        for (a, t, tt) in out.results {
-            assert_eq!(a, tt, "double transpose must be identity");
-            for i in 0..4 {
-                for j in 0..6 {
-                    assert_eq!(a[i * 6 + j], t[j * 4 + i]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn symmetrize_produces_symmetric_matrix() {
-        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
-            let ga = Ga::init(ctx);
-            let a = ga.create(ctx, "a", 5, 5);
-            fill_index(ctx, &ga, a, 5, 5);
-            ga.symmetrize(ctx, a);
-            ga.get(ctx, a, Patch::new(0, 5, 0, 5))
-        });
-        for m in out.results {
-            for i in 0..5 {
-                for j in 0..5 {
-                    assert_eq!(m[i * 5 + j], m[j * 5 + i]);
-                    // (a_ij + a_ji)/2 of the index fill.
-                    let expect = ((i * 5 + j) + (j * 5 + i)) as f64 / 2.0;
-                    assert_eq!(m[i * 5 + j], expect);
-                }
-            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Tree-based collectives: barrier, broadcast, reduce, allreduce.
+//! Tree-based collectives: barrier, allreduce, gather, scatter.
 //!
 //! All collectives run over real point-to-point messages on a binary
 //! spanning tree rooted at rank 0 (parent `(r-1)/2`, children `2r+1`,
@@ -54,11 +54,6 @@ impl Comm {
     pub fn barrier(&self, ctx: &Ctx) {
         self.up_wave(ctx, &[]);
         self.down_wave(ctx, Vec::new());
-    }
-
-    /// Broadcast `data` from rank 0 to all ranks.
-    pub fn bcast(&self, ctx: &Ctx, data: Vec<u8>) -> Vec<u8> {
-        self.down_wave(ctx, data)
     }
 
     /// Element-wise allreduce over `f64` vectors (all ranks must pass the
@@ -234,22 +229,6 @@ mod tests {
             t64 > 2 * t2,
             "64-rank barrier ({t64} ns) should cost much more than 2-rank ({t2} ns)"
         );
-    }
-
-    #[test]
-    fn bcast_distributes_root_payload() {
-        let out = Machine::run(MachineConfig::virtual_time(7), |ctx| {
-            let comm = Comm::world(ctx);
-            let data = if ctx.rank() == 0 {
-                vec![1, 2, 3]
-            } else {
-                Vec::new()
-            };
-            comm.bcast(ctx, data)
-        });
-        for d in out.results {
-            assert_eq!(d, vec![1, 2, 3]);
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! units of work (§6.2, Figures 7 and 8), and measures its termination
 //! detector against `MPI_Barrier` (Figure 4). This crate provides the
 //! two-sided substrate for those baselines: tagged `send` / `recv` /
-//! `iprobe` plus tree-based collectives (barrier, broadcast, reduce,
-//! allreduce), built on the virtual-time mailboxes of `scioto-sim`.
+//! `iprobe` plus tree-based collectives (barrier, allreduce, gather,
+//! scatter), built on the virtual-time mailboxes of `scioto-sim`.
 //!
 //! Message visibility respects network latency: an `iprobe` cannot observe
 //! a message that is still in flight, exactly the property that makes

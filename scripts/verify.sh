@@ -155,7 +155,8 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # BENCH json for the final `bench_diff`: fig5-6 sweeps SCF and TCE, both
 # schemes, to 8 ranks (~2 s since the SCF kernel reads a pair table) —
 # the application figures' virtual-time pin, and the end-to-end check that
-# an integral-kernel change kept every screening decision.
+# an integral-kernel change kept every screening decision. Its traced run
+# is gated on what it *saw*: the dump must hold the tasks' GA accumulates.
 scioto fig7_uts_cluster \
     --max-ranks 8 --tree small --trace-out "$work/fig7.jsonl" \
     --analysis-out "$work/fig7_analysis.json" \
@@ -172,7 +173,10 @@ scioto fig8_uts_xt4 \
     --json-out "$work/bench/BENCH_fig8.json" > /dev/null
 scioto fig5_fig6_apps \
     --max-ranks 8 --race-check --predict --deadlock --replay-check \
+    --trace-out "$work/fig56.jsonl" \
     --json-out "$work/bench/BENCH_fig5_fig6.json" > /dev/null
+grep -q '"kind":"acc"' "$work/fig56.jsonl" \
+    || { echo "FAIL: the traced SCF run recorded no GA accumulate: its race gate is vacuous" >&2; exit 1; }
 
 stage "replay: fig7@8 recorded trace reproduces blame + critical path"
 scioto trace_check --file "$work/fig7.jsonl" --replayable

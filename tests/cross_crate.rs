@@ -153,6 +153,42 @@ fn mixed_model_program_mpi_ga_scioto_together() {
 }
 
 #[test]
+fn ga_patch_traffic_reaches_the_race_checker() {
+    // Rank 0 puts the whole array while rank 1 gets it. `Ga::put` / `get`
+    // move patches with strided ARMCI operations; when those left no
+    // access record, the unsynchronised version of this program checked
+    // clean.
+    let check = |synced: bool| {
+        let cfg = MachineConfig::virtual_time(2).with_trace(TraceConfig::enabled());
+        let report = Machine::run(cfg, move |ctx| {
+            let ga = Ga::init(ctx);
+            let a = ga.create(ctx, "a", 4, 4);
+            let all = Patch::new(0, 4, 0, 4);
+            if ctx.rank() == 0 {
+                ga.put(ctx, a, all, &[1.0; 16]);
+            }
+            if synced {
+                ga.sync(ctx);
+            }
+            if ctx.rank() == 1 {
+                ga.get(ctx, a, all);
+            }
+        })
+        .report;
+        let trace = report.trace.expect("tracing was enabled");
+        scioto_race::check_trace(&trace).expect("a complete trace")
+    };
+    let racy = check(false);
+    // All 16 elements, half on each owner, each raced put-against-get.
+    assert_eq!(racy.races.iter().map(|r| r.word_count).sum::<u64>(), 16, "{racy}");
+    for race in &racy.races {
+        let ops = [race.first.op.as_str(), race.second.op.as_str()];
+        assert!(ops.contains(&"put") && ops.contains(&"get"), "{race}");
+    }
+    assert!(check(true).is_clean());
+}
+
+#[test]
 fn concurrent_mode_soak_full_stack() {
     // Real threads + real locks through the whole stack.
     for trial in 0..3 {
