@@ -162,7 +162,7 @@ mod tests {
         let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 6 * 8);
-            armci.put_f64s(ctx, g, 0, 0, &[9.0; 6]);
+            armci.put(ctx, g, 0, 0, &f64s_to_bytes(&[9.0; 6]));
             let s = Strided {
                 offset: 0,
                 stride: 3 * 8,

@@ -1,4 +1,5 @@
-//! Typed convenience views: put/get of `f64` / `i64` slices.
+//! Typed convenience views: byte codecs, gets of `f64` / `i64` slices and
+//! the atomic-marked `i64` pair.
 
 use scioto_sim::Ctx;
 
@@ -42,11 +43,6 @@ pub fn bytes_to_i64s(bytes: &[u8]) -> Vec<i64> {
 }
 
 impl Armci {
-    /// Put a slice of `f64` at `(rank, byte offset)`.
-    pub fn put_f64s(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[f64]) {
-        self.put(ctx, g, rank, offset, &f64s_to_bytes(src));
-    }
-
     /// Get `count` `f64` values from `(rank, byte offset)`.
     pub fn get_f64s(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, count: usize) -> Vec<f64> {
         let mut buf = vec![0u8; count * 8];
@@ -106,7 +102,7 @@ mod tests {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 256);
             if ctx.rank() == 0 {
-                armci.put_f64s(ctx, g, 1, 16, &[3.5, 4.5]);
+                armci.put(ctx, g, 1, 16, &f64s_to_bytes(&[3.5, 4.5]));
                 armci.put(ctx, g, 1, 64, &i64s_to_bytes(&[-7, 8]));
             }
             armci.barrier(ctx);

@@ -1,9 +1,11 @@
 //! Docs are part of correctness: every command the user-facing docs name
 //! must exist. README.md, DESIGN.md and the verify skill may name no
 //! `--bin` other than the workspace's two executables, and no `scioto
-//! <word>` that is not a subcommand in the dispatch table.
+//! <word>` that is not a subcommand in the dispatch table; and a `--flag`
+//! README.md or DESIGN.md shows on a `scioto <subcommand> …` command line
+//! must be one that subcommand accepts.
 
-use scioto_bench::subcommands;
+use scioto_bench::{accepted_flags, subcommands};
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
 
@@ -53,6 +55,99 @@ fn docs_name_only_executables_and_subcommands_that_exist() {
         }
     }
     assert!(commands_seen >= 40, "the scan found only {commands_seen} commands");
+}
+
+/// The command lines `text` shows: the lines of its fenced blocks (a
+/// trailing `\` joins the next line on) and its inline code spans, which
+/// may wrap.
+fn code_lines(text: &str) -> Vec<String> {
+    let (mut fenced, mut prose) = (String::new(), String::new());
+    let mut in_fence = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+        } else if in_fence {
+            fenced.push_str(line);
+            fenced.push('\n');
+        } else {
+            prose.push_str(line);
+            prose.push(' ');
+        }
+    }
+    let fenced = fenced.replace("\\\n", " ");
+    let spans = prose.split('`').skip(1).step_by(2);
+    fenced.lines().chain(spans).map(str::to_string).collect()
+}
+
+/// The `(subcommand, flag)` pairs of every `scioto <subcommand> …` command
+/// on `line`. A command runs to the end of the line or to the shell
+/// operator that ends it — a `#` comment after it counts, it is about
+/// that command; flags ahead of `scioto` are cargo's.
+fn shown_flags(line: &str) -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+    for (at, marker) in line.match_indices("scioto ") {
+        let rest = line[at + marker.len()..].trim_start_matches("-- ");
+        let word = leading_name(rest);
+        let Some(cmd) = subcommands().find(|name| *name == word) else {
+            continue;
+        };
+        if line[..at].ends_with(is_name_char) {
+            continue;
+        }
+        for word in rest[word.len()..].split_whitespace() {
+            if ["|", "||", "&&"].contains(&word) {
+                break;
+            }
+            match word.strip_prefix("--").map(leading_name) {
+                Some(name) if !name.is_empty() => out.push((cmd, name.to_string())),
+                _ => {}
+            }
+            // `…;` ends the command, `…)` the substitution it ran in.
+            if word.ends_with([';', ')']) {
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// A flag the docs show on a subcommand's command line is one its row of
+/// the dispatch table (or the shared run-spec flags) declares — the strict
+/// parser would otherwise exit 2 on the documented command.
+#[test]
+fn docs_show_only_flags_the_subcommand_accepts() {
+    let mut flags_seen = 0;
+    for doc in ["README.md", "DESIGN.md"] {
+        for line in code_lines(&read(doc)) {
+            for (cmd, flag) in shown_flags(&line) {
+                let accepted = accepted_flags(cmd).expect("a subcommand");
+                assert!(
+                    accepted.iter().any(|(name, _)| *name == flag),
+                    "{doc} shows `scioto {cmd} --{flag}`, which {cmd} does not accept"
+                );
+                flags_seen += 1;
+            }
+        }
+    }
+    assert!(flags_seen >= 40, "the scan found only {flags_seen} flags");
+}
+
+#[test]
+fn shown_flags_reads_fences_continuations_and_wrapped_spans() {
+    let doc = "Run `scioto replay --file t.jsonl\n--check; libscioto analyze --nope` first.\n\
+               ```sh\n\
+               cargo run --release --bin scioto -- fig7_uts_cluster \\\n    --tree small --max-ranks=2 | head --lines 1\n\
+               diff <(target/release/scioto table1 --race-check) golden && scioto-lint --deny\n\
+               ```\n";
+    let found: Vec<_> = code_lines(doc).iter().flat_map(|l| shown_flags(l)).collect();
+    let want = [
+        ("fig7_uts_cluster", "tree"),
+        ("fig7_uts_cluster", "max-ranks"),
+        ("table1", "race-check"),
+        ("replay", "file"),
+        ("replay", "check"),
+    ];
+    assert_eq!(found, want.map(|(c, f)| (c, f.to_string())));
 }
 
 /// Every `.rs` file under `dir`, as `(path relative to dir, text)`.

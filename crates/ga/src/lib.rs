@@ -12,7 +12,7 @@
 //! * `read_inc` shared counters — the load-balancing mechanism of the
 //!   *original* SCF and TCE implementations that Scioto is compared
 //!   against (Figures 5 and 6);
-//! * `sync` and a global reduction (`gop`).
+//! * `sync`.
 //!
 //! ```
 //! use scioto_sim::{Machine, MachineConfig};
@@ -32,8 +32,6 @@
 mod array;
 mod counter;
 mod dist;
-mod gop;
-mod ops;
 
 pub use array::{Ga, GaHandle};
 pub use counter::GaCounter;

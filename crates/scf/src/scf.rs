@@ -123,13 +123,24 @@ pub fn mulliken_populations(basis: &BasisSet, density: &[f64]) -> Vec<f64> {
     (0..n).map(|i| 2.0 * ds[i * n + i]).collect()
 }
 
-/// Run the sequential SCF to convergence.
-pub fn scf_sequential(basis: &BasisSet, cfg: &ScfConfig) -> ScfResult {
-    let n = basis.len();
+/// Number of doubly occupied orbitals of `basis`'s molecule — the input
+/// check both SCF drivers open with.
+///
+/// # Panics
+/// Panics on an odd electron count, or when the basis has fewer functions
+/// than there are electron pairs to place.
+pub(crate) fn closed_shell_occupation(basis: &BasisSet) -> usize {
     let n_elec = basis.molecule.n_electrons();
     assert!(n_elec.is_multiple_of(2), "closed-shell SCF needs an even electron count");
     let n_occ = n_elec / 2;
-    assert!(n_occ <= n, "basis too small for the electron count");
+    assert!(n_occ <= basis.len(), "basis too small for the electron count");
+    n_occ
+}
+
+/// Run the sequential SCF to convergence.
+pub fn scf_sequential(basis: &BasisSet, cfg: &ScfConfig) -> ScfResult {
+    let n = basis.len();
+    let n_occ = closed_shell_occupation(basis);
 
     let s = overlap_matrix(basis);
     let x = crate::linalg::inv_sqrt_spd(&s, n);
@@ -268,5 +279,13 @@ mod tests {
             },
         );
         assert!((loose.energy - none.energy).abs() < 1e-8);
+    }
+
+    #[test]
+    #[should_panic(expected = "basis too small for the electron count")]
+    fn a_basis_too_small_for_the_electrons_is_rejected() {
+        let mut basis = BasisSet::even_tempered(Molecule::h_chain(4), 1, 0.4, 3.5);
+        basis.funcs.truncate(1);
+        scf_sequential(&basis, &ScfConfig::default());
     }
 }

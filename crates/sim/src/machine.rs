@@ -2,7 +2,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use scioto_det::sync::Mutex;
 
@@ -20,6 +20,20 @@ pub(crate) struct Shared {
     pub(crate) barrier: SimBarrier,
     /// The collective log (barrier-free publication).
     pub(crate) coll: Mutex<CollectiveLog>,
+    /// The host-only memo of [`Ctx::replicated`], indexed by call ordinal.
+    /// The mutex covers only growing the vector; a slot is filled (once)
+    /// and read outside it.
+    pub(crate) replicated: Mutex<Vec<Arc<OnceLock<ReplicatedEntry>>>>,
+}
+
+/// One memoised [`Ctx::replicated`] value: what the first rank to reach
+/// the ordinal made, plus what later arrivals are checked against.
+pub(crate) struct ReplicatedEntry {
+    pub(crate) obj: Arc<dyn Any + Send + Sync>,
+    pub(crate) type_name: &'static str,
+    pub(crate) fingerprint: u64,
+    /// The rank that ran `make`.
+    pub(crate) rank: usize,
 }
 
 /// Append-only publication log for [`Ctx::collective`]: rank 0 pushes
@@ -94,6 +108,7 @@ where
         latency: cfg.latency,
         barrier: SimBarrier::new(cfg.barrier),
         coll: Mutex::new(CollectiveLog::default()),
+        replicated: Mutex::new(Vec::new()),
     });
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);

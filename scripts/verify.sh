@@ -153,7 +153,8 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # in-process, so each is race- and replay-gated under the default policy
 # (locality victims + tree barrier + batched TD). Each also writes its
 # BENCH json for the final `bench_diff`: fig5-6 sweeps SCF and TCE, both
-# schemes, to 8 ranks (~2 s since the SCF kernel reads a pair table) —
+# schemes, to 8 ranks (~0.7 s since the ranks of a run share their dense
+# algebra and one ERI block store; ~2 s before) —
 # the application figures' virtual-time pin, and the end-to-end check that
 # an integral-kernel change kept every screening decision. Its traced run
 # is gated on what it *saw*: the dump must hold the tasks' GA accumulates.
@@ -305,9 +306,10 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # again, 1.5-1.9x -> 1.8-2.6x). Budgets: UTS measures 20-37 ns/event
 # over ~808k events (~820k before the idle loop stopped re-recording its
 # index reads on nap ticks; free-running threads nap little), budget 75;
-# SCF is a ~6 ms run recording only ~8k events (10 ms / 10-14k before the
-# pair-table ERI kernel), so +-0.5 ms of wall noise is +-60 ns/event:
-# five runs measured 13-63 ns/event (4-76 before), budget 150. Each run
+# SCF is a ~3 ms run recording ~12k events (4.2-4.5 ms before the four
+# threads shared one ERI block store), so +-0.5 ms of wall noise is
+# +-40 ns/event: five runs measured 29-45 ns/event (14-116 before),
+# budget 150. Each run
 # also race/predict/deadlock-checks its own trace; the UTS run
 # additionally exports and cross-checks the whole observability surface —
 # wall-stamped JSONL + Chrome traces and blame decomposition exact per
