@@ -1,13 +1,16 @@
 //! Remotely accessible memory segments, the transfer engine every one-sided
-//! data operation runs through, and contiguous put/get/acc on top of it.
+//! data operation runs through, contiguous put/get/acc on top of it, and
+//! the owner's lock-free word view of its own portion.
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use scioto_det::sync::{CachePadded, Mutex, MutexGuard};
+use scioto_det::sync::Mutex;
 
 use scioto_sim::{Ctx, RemoteOpKind, TraceEvent, VLock};
 
+use crate::store::{Access, Row, Store};
 use crate::strided::Strided;
 use crate::world::Armci;
 
@@ -15,16 +18,9 @@ use crate::world::Armci;
 pub(crate) struct Segment {
     /// Logical bytes per rank (the `Gmem::len` handed out by `malloc`).
     len: usize,
-    /// Per-rank backing store: a zero-extended prefix of the rank's `len`
-    /// logical bytes. Bytes at or beyond `Vec::len` have never been
-    /// touched and read as zero; [`Segment::lock`] is the only code that
-    /// reaches a store, and it materialises what its caller is about to
-    /// touch. The mutex serializes raw accesses (an accumulate must be
-    /// atomic with respect to other accumulates, as in ARMCI) and growth;
-    /// in virtual-time mode it is never contended. Padded so a rank
-    /// working on its own store never shares a cache line with the lock
-    /// word or buffer header of its neighbour's.
-    data: Vec<CachePadded<Mutex<Vec<u8>>>>,
+    /// Every rank's words (`store.rs`): allocated chunk by chunk on first
+    /// write, never moved, reached by any thread without a lock.
+    pub(crate) store: Store,
     /// Per-word RMW service queues: the target adapter processes atomic
     /// RMWs on one location serially (`LatencyModel::rmw_service` each),
     /// so a hot word — a shared counter — has bounded throughput.
@@ -35,42 +31,9 @@ impl Segment {
     fn new(nranks: usize, len: usize) -> Segment {
         Segment {
             len,
-            data: (0..nranks)
-                .map(|_| CachePadded(Mutex::new(Vec::new())))
-                .collect(),
+            store: Store::new(nranks, len),
             hot_words: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Lock `rank`'s store with `[0, end)` materialised. Growth doubles
-    /// the store (capped at the segment length) and zero-fills, under the
-    /// same mutex every access takes, so no accessor can observe a store
-    /// mid-growth and `malloc`'s "zero-initialized" contract holds for
-    /// bytes nobody has written. Callers bounds-check first; the assert
-    /// is what keeps a bad `end` from turning into an allocation (an `end`
-    /// inside the store is inside the segment, so only growth needs it).
-    pub(crate) fn lock(&self, rank: usize, end: usize) -> MutexGuard<'_, Vec<u8>> {
-        let mut store = self.data[rank].lock();
-        if store.len() < end {
-            assert!(
-                end <= self.len,
-                "materialising {end} bytes of a {}-byte segment",
-                self.len
-            );
-            let grown = end.max(store.len() * 2).min(self.len);
-            store.resize(grown, 0);
-        }
-        store
-    }
-
-    /// Bytes of each rank's store that are backed by host memory. `None`
-    /// for a store that is locked right now (`Debug` may be called from
-    /// inside a `with_local` scope, and must not deadlock on it).
-    fn materialised(&self) -> Vec<Option<usize>> {
-        self.data
-            .iter()
-            .map(|store| store.try_lock().map(|bytes| bytes.len()))
-            .collect()
     }
 
     pub(crate) fn hot_word(&self, rank: usize, offset: usize) -> Arc<VLock> {
@@ -83,12 +46,12 @@ impl Segment {
 }
 
 /// What a segment costs the host, not what it holds: the logical length
-/// and how much of each rank's store is materialised.
+/// and how many bytes of each rank's store are materialised.
 impl std::fmt::Debug for Segment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Segment")
             .field("len", &self.len)
-            .field("materialised", &self.materialised())
+            .field("materialised", &self.store.materialised())
             .finish()
     }
 }
@@ -138,6 +101,96 @@ pub(crate) fn record_remote(
     });
 }
 
+/// The calling rank's own portion of a segment as 64-bit words
+/// ([`Armci::local`]). Offsets are bytes and must be 8-byte aligned; every
+/// access is bounds-checked, takes no lock and names its own memory
+/// ordering. Accesses are not recorded: an owner access to a word other
+/// ranks also reach pairs itself with a [`Local::record`], which costs one
+/// branch when tracing is off.
+pub struct Local<'a> {
+    ctx: &'a Ctx,
+    row: Row<'a>,
+    seg: u32,
+    /// Whether the run records: what [`Local::record`] branches on.
+    traced: bool,
+}
+
+/// Word index of an 8-byte aligned byte offset.
+#[inline]
+fn word_at(offset: usize) -> usize {
+    assert!(offset.is_multiple_of(8), "word offset {offset} must be 8-byte aligned");
+    offset / 8
+}
+
+impl Local<'_> {
+    /// Record an owner-side access to `[offset, offset + len)` as a
+    /// `LocalAccess`, so the race checker can pair it against remote
+    /// operations — without touching memory. `atomic` marks single-word
+    /// protocol accesses (lock-free index reads and publishes) the caller's
+    /// discipline declares safe against concurrent atomic accessors.
+    #[inline]
+    pub fn record(&self, offset: usize, len: usize, write: bool, atomic: bool) {
+        if !self.traced {
+            return;
+        }
+        // Order-only instant: the race checker needs the access's position
+        // in the rank's timeline, never a duration from its stamp — so the
+        // hot per-word protocol path skips the wall-clock query.
+        self.ctx.trace_instant(|| TraceEvent::LocalAccess {
+            seg: self.seg,
+            offset: offset as u64,
+            bytes: len as u32,
+            write,
+            atomic,
+        });
+    }
+
+    /// Load the word at `offset`.
+    #[inline]
+    pub fn load(&self, offset: usize, order: Ordering) -> u64 {
+        self.row.word(word_at(offset), false).map_or(0, |w| w.load(order))
+    }
+
+    /// Store `v` at `offset`.
+    #[inline]
+    pub fn store(&self, offset: usize, v: u64, order: Ordering) {
+        self.row.word(word_at(offset), true).expect("allocated").store(v, order);
+    }
+
+    /// Replace the word at `offset` with `v`, returning what it held.
+    #[inline]
+    pub fn swap(&self, offset: usize, v: u64, order: Ordering) -> u64 {
+        // A zero into a chunk nobody has written changes nothing: the word
+        // already reads as zero, and any write that lands after this check
+        // is simply ordered after the swap.
+        match self.row.word(word_at(offset), v != 0) {
+            Some(word) => word.swap(v, order),
+            None => 0,
+        }
+    }
+
+    /// Hand `f(j, word)` the `words` words from `offset` on, in order
+    /// (Acquire loads).
+    #[inline]
+    pub fn read(&self, offset: usize, words: usize, mut f: impl FnMut(usize, u64)) {
+        self.row.update(word_at(offset), words, Access::Read, |j, w| f(j, *w));
+    }
+
+    /// Store `f(j)` into word `j` of the `words` from `offset` on
+    /// (Release stores).
+    #[inline]
+    pub fn write(&self, offset: usize, words: usize, mut f: impl FnMut(usize) -> u64) {
+        self.row.update(word_at(offset), words, Access::Write, |j, w| *w = f(j));
+    }
+
+    /// Set the `words` words from `offset` on to `v` (Release stores); a
+    /// zero fill allocates nothing. For owner-private setup that a barrier
+    /// separates from every other rank's access.
+    pub fn fill(&self, offset: usize, words: usize, v: u64) {
+        self.row.fill(word_at(offset), words, v);
+    }
+}
+
 impl Armci {
     /// Collectively allocate `bytes` bytes of remotely accessible,
     /// zero-initialized memory on every rank.
@@ -148,9 +201,9 @@ impl Armci {
     /// allocations under one [`Ctx::collective_epoch`] to pay a single
     /// commit barrier.
     ///
-    /// Host memory is committed on first touch: each rank's store holds
-    /// the prefix up to the highest byte any operation has reached, and
-    /// everything beyond it reads as the zeros it would hold anyway.
+    /// Host memory is committed on first write, one chunk at a time
+    /// (chunk `k` holds `16 << k` words); a chunk nobody has written reads
+    /// as the zeros it would hold anyway.
     pub fn malloc(&self, ctx: &Ctx, bytes: usize) -> Gmem {
         let handle = ctx.collective(|| {
             let id = self.segments.push(Segment::new(self.nranks, bytes));
@@ -165,9 +218,22 @@ impl Armci {
             .unwrap_or_else(|| panic!("invalid Gmem handle {}", g.id))
     }
 
+    /// The calling rank's own portion of `g`, word by word (see [`Local`]).
+    /// Charges nothing and emits nothing: the queue and the termination
+    /// detector build their lock-free owner paths on it.
+    #[inline]
+    pub fn local<'a>(&'a self, ctx: &'a Ctx, g: Gmem) -> Local<'a> {
+        Local {
+            ctx,
+            row: self.segment(g).store.row(ctx.rank()),
+            seg: g.id as u32,
+            traced: ctx.trace_enabled(),
+        }
+    }
+
     /// The one validation every one-sided entry point runs before it
-    /// reaches [`Segment::lock`]: rank in range, `offset + len` neither
-    /// overflowing nor past the segment.
+    /// touches a store: rank in range, `offset + len` neither overflowing
+    /// nor past the segment.
     pub(crate) fn check_bounds(&self, g: Gmem, rank: usize, offset: usize, len: usize) {
         assert!(
             rank < self.nranks,
@@ -192,12 +258,13 @@ impl Armci {
 
     /// The one engine under every one-sided data operation. In this order:
     /// bounds check, scheduling point, one access record per segment of
-    /// `s`, `each(i, bytes)` on the `i`-th segment with the target's store
-    /// locked once around all of them (what makes an accumulate atomic
-    /// against other accumulates), then the network charge for the total
-    /// payload — a strided operation is one pipelined transfer, and a
-    /// contiguous one is the `count = 1` case. `kind` and `atomic` only
-    /// label the records; what the bytes become is up to `each`.
+    /// `s`, `body` on the target rank's words — under its
+    /// read-modify-write lock for an accumulate, so it is atomic against
+    /// other accumulates and RMWs, and under no lock otherwise — then the
+    /// network charge for the total payload: a strided operation is one
+    /// pipelined transfer, and a contiguous one is the `count = 1` case.
+    /// `kind` and `atomic` label the records and pick the lock; what the
+    /// words of `s` become is up to `body`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn transfer(
         &self,
@@ -207,7 +274,7 @@ impl Armci {
         s: Strided,
         kind: RemoteOpKind,
         atomic: bool,
-        mut each: impl FnMut(usize, &mut [u8]),
+        body: impl FnOnce(Row<'_>),
     ) {
         let extent = s.extent();
         self.check_bounds(g, rank, s.offset, extent);
@@ -216,17 +283,44 @@ impl Armci {
         for i in 0..s.count {
             record_remote(ctx, kind, g, rank, at(i), s.seg_len, atomic);
         }
-        let mut data = self.segment(g).lock(rank, s.offset + extent);
-        for i in 0..s.count {
-            each(i, &mut data[at(i)..at(i) + s.seg_len]);
-        }
-        drop(data);
+        let store = &self.segment(g).store;
+        let rmw = (kind == RemoteOpKind::Acc).then(|| store.rmw_lock(rank));
+        body(store.row(rank));
+        drop(rmw);
         ctx.charge_net(self.xfer_cost(ctx, rank, s.total_bytes()));
     }
 
+    /// [`Armci::transfer`] over whole words: `each(i, j, word)` sees word
+    /// `j` of segment `i` — loaded for `Get` and `Acc`, zero for `Put` —
+    /// and for `Put` and `Acc` its edit is stored back.
+    pub(crate) fn transfer_words(
+        &self,
+        ctx: &Ctx,
+        g: Gmem,
+        rank: usize,
+        s: Strided,
+        kind: RemoteOpKind,
+        each: impl FnMut(usize, usize, &mut u64),
+    ) {
+        assert!(
+            (s.offset | s.stride | s.seg_len).is_multiple_of(8),
+            "a word access needs 8-byte aligned offset, stride and seg_len: {s:?}"
+        );
+        let access = match kind {
+            RemoteOpKind::Get => Access::Read,
+            RemoteOpKind::Put => Access::Write,
+            RemoteOpKind::Acc => Access::Modify,
+            RemoteOpKind::Rmw => panic!("an RMW is not a data transfer"),
+        };
+        let words = (s.offset / 8, s.stride / 8, s.seg_len / 8, s.count);
+        self.transfer(ctx, g, rank, s, kind, kind.is_atomic(), |row| {
+            row.update_strided(words, access, each);
+        });
+    }
+
     /// The one accumulate under `acc_f64` / `acc_i64` / `acc_strided_f64`:
-    /// element `k` of the region (8 bytes, little-endian) becomes
-    /// `add(k, element)`. `elems` is the length of the caller's source.
+    /// element `k` of the region becomes `add(k, element)`. `elems` is the
+    /// length of the caller's source.
     pub(crate) fn accumulate(
         &self,
         ctx: &Ctx,
@@ -234,47 +328,53 @@ impl Armci {
         rank: usize,
         s: Strided,
         elems: usize,
-        mut add: impl FnMut(usize, [u8; 8]) -> [u8; 8],
+        add: impl Fn(usize, u64) -> u64,
     ) {
-        assert_eq!(s.offset % 8, 0, "accumulate offset must be 8-byte aligned");
-        assert_eq!(s.seg_len % 8, 0, "accumulate seg_len must be a multiple of 8");
         assert_eq!(elems * 8, s.total_bytes(), "src length mismatch");
         let per_seg = s.seg_len / 8;
-        self.transfer(ctx, g, rank, s, RemoteOpKind::Acc, true, |i, seg| {
-            for (j, word) in seg.chunks_exact_mut(8).enumerate() {
-                let cur = (&*word).try_into().expect("8 bytes");
-                word.copy_from_slice(&add(i * per_seg + j, cur));
-            }
+        self.transfer_words(ctx, g, rank, s, RemoteOpKind::Acc, |i, j, w| {
+            *w = add(i * per_seg + j, *w);
         });
     }
 
     /// One-sided contiguous put: copy `src` into `(rank, offset)`.
     pub fn put(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[u8]) {
         let s = Strided::contiguous(offset, src.len());
-        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, false, |_, seg| seg.copy_from_slice(src));
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, false, |row| {
+            row.put_bytes(offset, src, Ordering::Release);
+        });
     }
 
     /// A put the split-queue protocol declares *atomic*: same cost and
     /// semantics as [`Armci::put`], but the trace marks the written words
     /// as protocol-atomic so the race checker pairs them with the
     /// target's own lock-free index publishes instead of flagging them.
+    /// The words are stored SeqCst, the ordering every protocol that has
+    /// not written down a weaker pairing gets.
     pub fn put_atomic(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[u8]) {
         let s = Strided::contiguous(offset, src.len());
-        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, true, |_, seg| seg.copy_from_slice(src));
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, true, |row| {
+            row.put_bytes(offset, src, Ordering::SeqCst);
+        });
     }
 
     /// One-sided contiguous get: copy `(rank, offset)` into `dst`.
     pub fn get(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, dst: &mut [u8]) {
         let s = Strided::contiguous(offset, dst.len());
-        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, false, |_, seg| dst.copy_from_slice(seg));
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, false, |row| {
+            row.get_bytes(offset, dst, Ordering::Acquire);
+        });
     }
 
     /// A get the split-queue protocol declares *atomic* (see
     /// [`Armci::put_atomic`]): reads words that a lock-free writer may be
     /// publishing concurrently, which the protocol tolerates by design.
+    /// Each word is one SeqCst load; the words are not one snapshot.
     pub fn get_atomic(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, dst: &mut [u8]) {
         let s = Strided::contiguous(offset, dst.len());
-        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, true, |_, seg| dst.copy_from_slice(seg));
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, true, |row| {
+            row.get_bytes(offset, dst, Ordering::SeqCst);
+        });
     }
 
     /// Atomic accumulate of f64 values: `dest[i] += scale * src[i]`.
@@ -290,7 +390,7 @@ impl Armci {
     ) {
         let s = Strided::contiguous(offset, src.len() * 8);
         self.accumulate(ctx, g, rank, s, src.len(), |k, cur| {
-            (f64::from_le_bytes(cur) + scale * src[k]).to_le_bytes()
+            (f64::from_bits(cur) + scale * src[k]).to_bits()
         });
     }
 
@@ -306,90 +406,8 @@ impl Armci {
     ) {
         let s = Strided::contiguous(offset, src.len() * 8);
         self.accumulate(ctx, g, rank, s, src.len(), |k, cur| {
-            i64::from_le_bytes(cur).wrapping_add(scale.wrapping_mul(src[k])).to_le_bytes()
+            (cur as i64).wrapping_add(scale.wrapping_mul(src[k])) as u64
         });
-    }
-
-    /// Run `f` with mutable access to this rank's own portion of the
-    /// segment, in one lock scope. Charges only local software overhead
-    /// and emits no access record: fine for owner-private initialization
-    /// (setup that happens before any concurrency); a shared-protocol
-    /// access must be recorded, either by going through
-    /// [`Armci::with_local_range_mut`] or by pairing each access made
-    /// inside `f` with [`Armci::record_local_access`].
-    pub fn with_local_mut<R>(&self, ctx: &Ctx, g: Gmem, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.segment(g).lock(ctx.rank(), g.len))
-    }
-
-    /// Run `f` with read access to this rank's own portion of the segment.
-    pub fn with_local<R>(&self, ctx: &Ctx, g: Gmem, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.segment(g).lock(ctx.rank(), g.len))
-    }
-
-    /// Bounds-check and record one owner-side access to
-    /// `[offset, offset + len)` of this rank's own portion as a
-    /// `LocalAccess`, so the race checker can pair owner accesses against
-    /// remote thieves — without touching the memory. `atomic` marks
-    /// single-word protocol accesses (lock-free index reads and publishes)
-    /// the queue discipline declares safe against concurrent atomic
-    /// accessors. [`Armci::with_local_range`] and
-    /// [`Armci::with_local_range_mut`] record and access in one call; an
-    /// owner that performs several protocol accesses inside one
-    /// [`Armci::with_local_mut`] scope records each of them through this.
-    pub fn record_local_access(
-        &self,
-        ctx: &Ctx,
-        g: Gmem,
-        offset: usize,
-        len: usize,
-        write: bool,
-        atomic: bool,
-    ) {
-        self.check_bounds(g, ctx.rank(), offset, len);
-        // Order-only instant: the race checker needs the access's position
-        // in the rank's timeline, never a duration from its stamp — so the
-        // hot per-word protocol path skips the wall-clock query.
-        ctx.trace_instant(|| TraceEvent::LocalAccess {
-            seg: g.id as u32,
-            offset: offset as u64,
-            bytes: len as u32,
-            write,
-            atomic,
-        });
-    }
-
-    /// Owner-side read of `[offset, offset + len)` of this rank's own
-    /// portion, recorded in the trace (see
-    /// [`Armci::record_local_access`]).
-    pub fn with_local_range<R>(
-        &self,
-        ctx: &Ctx,
-        g: Gmem,
-        offset: usize,
-        len: usize,
-        atomic: bool,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> R {
-        self.record_local_access(ctx, g, offset, len, false, atomic);
-        let end = offset + len;
-        f(&self.segment(g).lock(ctx.rank(), end)[offset..end])
-    }
-
-    /// Owner-side write access to `[offset, offset + len)` of this rank's
-    /// own portion, recorded in the trace (see
-    /// [`Armci::record_local_access`]).
-    pub fn with_local_range_mut<R>(
-        &self,
-        ctx: &Ctx,
-        g: Gmem,
-        offset: usize,
-        len: usize,
-        atomic: bool,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> R {
-        self.record_local_access(ctx, g, offset, len, true, atomic);
-        let end = offset + len;
-        f(&mut self.segment(g).lock(ctx.rank(), end)[offset..end])
     }
 }
 
@@ -627,8 +645,7 @@ mod tests {
 
     /// Bytes of `g` backed by host memory on each rank.
     fn materialised(armci: &Armci, g: Gmem) -> Vec<usize> {
-        let per_rank = armci.segment(g).materialised();
-        per_rank.into_iter().map(|m| m.expect("unlocked")).collect()
+        armci.segment(g).store.materialised()
     }
 
     #[test]
@@ -646,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn never_written_ranges_read_as_zeros() {
+    fn never_written_ranges_read_as_zeros_and_allocate_nothing() {
         use crate::Strided;
         let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
             let armci = Armci::init(ctx);
@@ -656,25 +673,29 @@ mod tests {
             let mut a = [0xAAu8; 64];
             armci.get(ctx, g, other, 4096, &mut a);
             let mut b = [0xBBu8; 64];
-            armci.get(ctx, g, other, 70_000, &mut b);
+            armci.get(ctx, g, other, 70_001, &mut b);
             let mut c = [0xCCu8; 32];
             let s = Strided { offset: 200_000, stride: 1024, seg_len: 8, count: 4 };
             armci.get_strided(ctx, g, other, s, &mut c);
             let word = armci.read_i64(ctx, g, other, (1 << 20) - 8);
-            a.iter().chain(&b).chain(&c).all(|&x| x == 0) && word == 0
+            armci.barrier(ctx);
+            let zeros = a.iter().chain(&b).chain(&c).all(|&x| x == 0) && word == 0;
+            zeros && materialised(&armci, g) == [0, 0]
         });
         assert_eq!(out.results, vec![true, true]);
     }
 
+    /// Chunk `k` holds `16 << k` words: a put high in a fresh segment
+    /// materialises the one chunk it lands in, and the words written
+    /// earlier, in another chunk, are where they were.
     #[test]
-    fn high_put_leaves_zeros_below_and_growth_keeps_values() {
+    fn a_high_put_materialises_its_own_chunk_only() {
         let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 1 << 20);
             armci.put(ctx, g, 0, 16, &[7u8; 16]);
             let small = materialised(&armci, g)[0];
-            // A put far above the materialised prefix: the gap reads zero
-            // and the low bytes written before the growth are intact.
+            // Word 62 500 lies in chunk 11: words [32 752, 65 520).
             armci.put(ctx, g, 0, 500_000, &[9u8; 8]);
             let mut gap = [1u8; 256];
             armci.get(ctx, g, 0, 250_000, &mut gap);
@@ -685,8 +706,8 @@ mod tests {
             (small, materialised(&armci, g)[0], gap == [0u8; 256], low, high)
         });
         let (small, grown, gap_zero, low, high) = out.results[0];
-        assert_eq!(small, 32, "first touch materialises exactly what it reached");
-        assert!((500_008..=1 << 20).contains(&grown), "grown to {grown}");
+        assert_eq!(small, 16 * 8, "first touch materialises chunk 0");
+        assert_eq!(grown, (16 + (16 << 11)) * 8, "and the high put chunk 11");
         assert!(gap_zero);
         assert_eq!(low[..16], [0u8; 16]);
         assert_eq!(low[16..32], [7u8; 16]);
@@ -695,13 +716,13 @@ mod tests {
     }
 
     #[test]
-    fn growth_is_geometric_and_capped_at_the_segment_length() {
+    fn chunks_double_and_the_last_stops_at_the_segment_end() {
         let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 1000);
             let mut sizes = Vec::new();
-            // One more byte each time: the store at least doubles, so 1000
-            // single-byte extensions grow it O(log n) times, never past 1000.
+            // One more byte each time: 125 words are chunks of 16, 32, 64
+            // and the 13 left, so 1000 single-byte puts allocate 4 times.
             for off in 0..1000 {
                 armci.put(ctx, g, 0, off, &[off as u8]);
                 let m = materialised(&armci, g)[0];
@@ -714,29 +735,37 @@ mod tests {
             (sizes, all)
         });
         let (sizes, all) = &out.results[0];
-        assert_eq!(sizes, &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]);
+        assert_eq!(sizes, &[128, 384, 896, 1000]);
         assert!(all.iter().enumerate().all(|(i, &b)| b == i as u8));
     }
 
     #[test]
-    fn whole_segment_with_local_sees_exactly_len_bytes() {
+    fn local_view_sees_remote_puts_and_touches_only_its_chunks() {
+        use std::sync::atomic::Ordering::{Acquire, Release};
         let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 5000);
             armci.put(ctx, g, ctx.rank(), 10, &[3u8; 4]);
-            let seen = armci.with_local(ctx, g, |b| (b.len(), b[10], b[4999]));
-            let seen_mut = armci.with_local_mut(ctx, g, |b| b.len());
-            // A ranged owner access on a fresh segment touches its range only.
+            let local = armci.local(ctx, g);
+            let seen = (local.load(8, Acquire), local.load(4992, Acquire));
+            // Owner writes on a fresh segment touch their chunk only.
             let h = armci.malloc(ctx, 5000);
-            armci.with_local_range_mut(ctx, h, 100, 8, false, |b| b.fill(1));
-            let ranged = armci.with_local_range(ctx, h, 96, 16, false, |b| b.to_vec());
-            (seen, seen_mut, materialised(&armci, h)[ctx.rank()], ranged)
+            let local = armci.local(ctx, h);
+            local.write(104, 2, |j| j as u64 + 1);
+            local.store(96, 5, Release);
+            let mut words = Vec::new();
+            local.read(96, 4, |_, w| words.push(w));
+            let swapped = (local.swap(96, 0, Acquire), local.swap(4000, 0, Acquire));
+            local.fill(0, 625, 0);
+            let cleared = local.load(104, Acquire);
+            (seen, words, swapped, cleared, materialised(&armci, h)[ctx.rank()])
         });
-        for (seen, seen_mut, ranged_mat, ranged) in out.results {
-            assert_eq!(seen, (5000, 3, 0));
-            assert_eq!(seen_mut, 5000);
-            assert!((112..5000).contains(&ranged_mat), "materialised {ranged_mat}");
-            assert_eq!(ranged, [[0u8; 4], [1u8; 4], [1u8; 4], [0u8; 4]].concat());
+        for (seen, words, swapped, cleared, mat) in out.results {
+            assert_eq!(seen, (u64::from_le_bytes([0, 0, 3, 3, 3, 3, 0, 0]), 0));
+            assert_eq!(words, [5, 1, 2, 0]);
+            assert_eq!(swapped, (5, 0));
+            assert_eq!(cleared, 0);
+            assert_eq!(mat, 128, "words 12..15 live in chunk 0");
         }
     }
 
@@ -752,8 +781,8 @@ mod tests {
             if me > 0 {
                 for i in 0..ROUNDS {
                     // Each writer walks upward, so every few operations one
-                    // of the three is the one that grows rank 0's store
-                    // while the other two are mid-flight on it.
+                    // of the three is the first into a chunk of rank 0's
+                    // store while the other two are mid-flight on it.
                     let base = i * STRIDE;
                     // Disjoint: 8 private bytes per writer per round.
                     armci.put(ctx, g, 0, base + me * 8, &[(i as u8) ^ (me as u8); 8]);
@@ -791,11 +820,22 @@ mod tests {
     }
 
     #[test]
-    fn with_local_mut_gives_owner_access() {
+    #[should_panic(expected = "word 1 out of bounds for a segment of 1 words")]
+    fn local_access_past_the_segment_panics() {
+        Machine::run(MachineConfig::virtual_time(1), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 8);
+            armci.local(ctx, g).store(8, 1, std::sync::atomic::Ordering::Release);
+        });
+    }
+
+    #[test]
+    fn local_store_is_what_remote_gets_read() {
         let out = Machine::run(MachineConfig::virtual_time(3), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 4);
-            armci.with_local_mut(ctx, g, |bytes| bytes[0] = ctx.rank() as u8);
+            let local = armci.local(ctx, g);
+            local.store(0, ctx.rank() as u64, std::sync::atomic::Ordering::Release);
             armci.barrier(ctx);
             // Everyone reads rank 2's first byte.
             let mut b = [0u8; 1];
@@ -803,5 +843,146 @@ mod tests {
             b[0]
         });
         assert_eq!(out.results, vec![2, 2, 2]);
+    }
+
+    // ---- real threads against one store ----
+    //
+    // Each property runs on a few seeds here and on 64 under the
+    // `#[ignore]`d `stress_*` variants (`scripts/verify.sh`, release).
+
+    /// Eight threads each own one byte lane of the same 64 words and put
+    /// their byte into every word, in a seeded order, over and over: a
+    /// ragged put is a CAS merge, so no thread's last byte is lost to a
+    /// neighbour's write of the same word.
+    fn byte_lanes_lose_nothing(seed: u64) {
+        const WORDS: usize = 64;
+        const ROUNDS: u8 = 24;
+        let out = Machine::run(MachineConfig::concurrent(8).with_seed(seed), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, WORDS * 8);
+            armci.barrier(ctx);
+            let me = ctx.rank();
+            let mut order: Vec<usize> = (0..WORDS).collect();
+            for round in 0..ROUNDS {
+                ctx.rng().shuffle(&mut order);
+                for &w in &order {
+                    armci.put(ctx, g, 0, w * 8 + me, &[round ^ (w as u8) ^ (me as u8).wrapping_mul(37)]);
+                }
+            }
+            armci.barrier(ctx);
+            let mut all = [0u8; WORDS * 8];
+            armci.get(ctx, g, 0, 0, &mut all);
+            all
+        });
+        let want: Vec<u8> = (0..WORDS * 8)
+            .map(|b| (ROUNDS - 1) ^ (b / 8) as u8 ^ ((b % 8) as u8).wrapping_mul(37))
+            .collect();
+        assert_eq!(out.results[0].to_vec(), want, "seed {seed}");
+    }
+
+    /// Four threads accumulate and fetch-and-add into one word: both take
+    /// the store's read-modify-write lock, so the sum is exact.
+    fn acc_and_fetch_add_sum_exactly(seed: u64) {
+        const OPS: i64 = 500;
+        let out = Machine::run(MachineConfig::concurrent(4).with_seed(seed), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 8);
+            armci.barrier(ctx);
+            let mut fetched = 0;
+            for i in 0..OPS {
+                if (i + ctx.rank() as i64) % 2 == 0 {
+                    armci.acc_i64(ctx, g, 0, 0, 1, &[3]);
+                } else {
+                    fetched += armci.fetch_add_i64(ctx, g, 0, 0, 3) % 3;
+                }
+            }
+            armci.barrier(ctx);
+            (armci.read_i64(ctx, g, 0, 0), fetched)
+        });
+        for (sum, fetched) in out.results {
+            assert_eq!((sum, fetched), (4 * OPS * 3, 0), "seed {seed}");
+        }
+    }
+
+    /// The termination detector's dirty flag under real thieves: each of
+    /// three thieves marks its own byte of rank 0's `DIRTY` word with an
+    /// atomic put and waits until the owner's swap has cleared it before
+    /// marking again; the owner counts, per byte, the marks its swaps took.
+    /// A clear that erased a mark without returning it would leave a count
+    /// short.
+    fn dirty_marks_racing_take_dirty_are_never_lost(seed: u64) {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        const MARKS: usize = 200;
+        let done = AtomicUsize::new(0);
+        let out = Machine::run(MachineConfig::concurrent(4).with_seed(seed), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 8);
+            armci.barrier(ctx);
+            let me = ctx.rank();
+            let mut taken = [0usize; 4];
+            if me == 0 {
+                let local = armci.local(ctx, g);
+                loop {
+                    let last = done.load(SeqCst) == 3;
+                    let marks = local.swap(0, 0, SeqCst).to_le_bytes();
+                    for (t, &b) in marks.iter().enumerate().take(4) {
+                        taken[t] += usize::from(b);
+                    }
+                    if last {
+                        break;
+                    }
+                }
+            } else {
+                for _ in 0..MARKS {
+                    // protocol: the thief's dirty mark, cleared by the owner's swap.
+                    armci.put_atomic(ctx, g, 0, me, &[1]);
+                    let mut b = [1u8];
+                    while b[0] != 0 {
+                        for _ in 0..ctx.rng().gen_range(0..4u32) {
+                            std::hint::spin_loop();
+                        }
+                        // protocol: the thief polls its own byte until cleared.
+                        armci.get_atomic(ctx, g, 0, me, &mut b);
+                    }
+                }
+                done.fetch_add(1, SeqCst);
+            }
+            armci.barrier(ctx);
+            taken
+        });
+        assert_eq!(out.results[0], [0, MARKS, MARKS, MARKS], "seed {seed}");
+    }
+
+    #[test]
+    fn byte_lanes_from_eight_threads_lose_nothing() {
+        (0..2).for_each(byte_lanes_lose_nothing);
+    }
+
+    #[test]
+    fn acc_and_fetch_add_on_one_word_sum_exactly_on_real_threads() {
+        (0..2).for_each(acc_and_fetch_add_sum_exactly);
+    }
+
+    #[test]
+    fn dirty_marks_wait_for_their_clear_and_none_is_lost() {
+        (0..2).for_each(dirty_marks_racing_take_dirty_are_never_lost);
+    }
+
+    #[test]
+    #[ignore = "64-seed real-thread stress; scripts/verify.sh runs it in release"]
+    fn stress_byte_lanes() {
+        (0..64).for_each(byte_lanes_lose_nothing);
+    }
+
+    #[test]
+    #[ignore = "64-seed real-thread stress; scripts/verify.sh runs it in release"]
+    fn stress_acc_and_fetch_add() {
+        (0..64).for_each(acc_and_fetch_add_sum_exactly);
+    }
+
+    #[test]
+    #[ignore = "64-seed real-thread stress; scripts/verify.sh runs it in release"]
+    fn stress_dirty_marks() {
+        (0..64).for_each(dirty_marks_racing_take_dirty_are_never_lost);
     }
 }

@@ -10,7 +10,13 @@
 //! * remote read-modify-write: fetch-and-add, swap, compare-and-swap;
 //! * collectively created mutex sets with per-rank locks
 //!   ([`Armci::create_mutexes`]);
-//! * `fence` / `all_fence` and an ARMCI-style barrier.
+//! * `fence` / `all_fence` and an ARMCI-style barrier;
+//! * the owner's lock-free word view of its own portion ([`Armci::local`]).
+//!
+//! Every rank's portion of a segment is a store of `AtomicU64` words that
+//! never move, so no one-sided operation takes a host lock except an
+//! accumulate or RMW (a per-rank read-modify-write lock) and the
+//! virtual-time locks that *are* the model (`VLock`).
 //!
 //! As in real ARMCI, one-sided operations complete without any action from
 //! the target process; unlike real ARMCI the cost of each operation comes
@@ -35,11 +41,12 @@
 mod gmem;
 mod locks;
 mod rmw;
+mod store;
 mod strided;
 mod typed;
 mod world;
 
-pub use gmem::Gmem;
+pub use gmem::{Gmem, Local};
 pub use locks::MutexSet;
 pub use strided::Strided;
 pub use typed::{bytes_to_f64s, bytes_to_i64s, f64s_to_bytes, i64s_to_bytes};

@@ -1,6 +1,8 @@
 //! Remote read-modify-write operations (ARMCI_Rmw): fetch-and-add, swap,
 //! compare-and-swap on 8-byte little-endian integers in global memory.
 
+use std::sync::atomic::Ordering;
+
 use scioto_sim::{Ctx, RemoteOpKind};
 
 use crate::gmem::{record_remote, Gmem};
@@ -34,15 +36,29 @@ impl Armci {
         // which is what bounds a hot counter's throughput.
         let service = ctx.latency().rmw_service;
         record_remote(ctx, RemoteOpKind::Rmw, g, rank, offset, 8, true);
-        let word = seg.hot_word(rank, offset);
-        let _ = word.acquire(ctx, 0);
+        let hot = seg.hot_word(rank, offset);
+        let _ = hot.acquire(ctx, 0);
         ctx.charge_net(service);
-        let mut data = seg.lock(rank, offset + 8);
-        let cur = i64::from_le_bytes(data[offset..offset + 8].try_into().expect("8 bytes"));
-        let (new, ret) = f(cur);
-        data[offset..offset + 8].copy_from_slice(&new.to_le_bytes());
-        drop(data);
-        let _ = word.release(ctx, 0);
+        let ret = {
+            // Atomic against accumulates into the same store, which load
+            // and store under this lock too.
+            let _rmw = seg.store.rmw_lock(rank);
+            let (w, row) = (offset / 8, seg.store.row(rank));
+            // Acquire / Release: the lock already puts every RMW and
+            // accumulate on this store in one order, and the one protocol
+            // built on RMWs — GA's `read_inc` counters handing out task
+            // indices — reads nothing else against the value it gets
+            // (DESIGN.md "Host access path"). An RMW that leaves the word
+            // as it is (a read) stores nothing, so it allocates nothing.
+            let cur = row.word(w, false).map_or(0, |a| a.load(Ordering::Acquire));
+            let (new, ret) = f(cur as i64);
+            if new as u64 != cur {
+                let word = row.word(w, true).expect("allocated");
+                word.store(new as u64, Ordering::Release);
+            }
+            ret
+        };
+        let _ = hot.release(ctx, 0);
         ctx.charge_net(self.rmw_cost(ctx, rank));
         ret
     }

@@ -6,6 +6,8 @@
 //! engine, one strided operation is charged as a single transfer of the
 //! total payload (the NIC pipelines the segments).
 
+use std::sync::atomic::Ordering;
+
 use scioto_sim::{Ctx, RemoteOpKind};
 
 use crate::gmem::Gmem;
@@ -26,7 +28,7 @@ pub struct Strided {
 
 impl Strided {
     /// The contiguous range `[offset, offset + len)` as a one-segment region.
-    pub(crate) fn contiguous(offset: usize, len: usize) -> Strided {
+    pub fn contiguous(offset: usize, len: usize) -> Strided {
         Strided { offset, stride: len, seg_len: len, count: 1 }
     }
 
@@ -65,14 +67,16 @@ impl Strided {
 }
 
 impl Armci {
-    /// Strided access in place: run `each(i, bytes)` on the `i`-th segment
-    /// of the described region of `rank`'s memory — one lock scope, one
-    /// transfer charged, one access record per segment. This is what a
-    /// layer whose local data is not one contiguous byte buffer (a Global
-    /// Arrays patch) builds its get/put/acc on. `kind` declares what
-    /// `each` does with the bytes and is what the trace records: `Get`
-    /// reads them, `Put` overwrites them, `Acc` read-modify-writes them
-    /// (atomic against other accumulates).
+    /// Strided access in place, word by word: `each(i, j, word)` sees word
+    /// `j` (8 little-endian bytes) of the `i`-th segment of the described
+    /// region of `rank`'s memory — one transfer charged, one access record
+    /// per segment. This is what a layer whose local data is not one
+    /// contiguous byte buffer (a Global Arrays patch) builds its
+    /// get/put/acc on; offset, stride and `seg_len` must be multiples of 8.
+    /// `kind` declares what `each` does and is what the trace records:
+    /// `Get` reads the words (edits are dropped), `Put` overwrites them
+    /// (starting from zero), `Acc` read-modify-writes them, atomic against
+    /// other accumulates.
     pub fn access_strided(
         &self,
         ctx: &Ctx,
@@ -80,26 +84,33 @@ impl Armci {
         rank: usize,
         s: Strided,
         kind: RemoteOpKind,
-        each: impl FnMut(usize, &mut [u8]),
+        each: impl FnMut(usize, usize, &mut u64),
     ) {
-        assert!(kind != RemoteOpKind::Rmw, "an RMW is not a data transfer");
-        self.transfer(ctx, g, rank, s.checked(), kind, kind.is_atomic(), each);
+        self.transfer_words(ctx, g, rank, s.checked(), kind, each);
     }
 
     /// Strided get: gather the described region of `(rank)`'s segment into
     /// the contiguous `dst` (`dst.len() == total_bytes`).
     pub fn get_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, dst: &mut [u8]) {
         assert_eq!(dst.len(), s.total_bytes(), "dst length mismatch");
-        self.access_strided(ctx, g, rank, s, RemoteOpKind::Get, |i, seg| {
-            dst[i * s.seg_len..][..s.seg_len].copy_from_slice(seg);
+        let s = s.checked();
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, false, |row| {
+            for i in 0..s.count {
+                let dst = &mut dst[i * s.seg_len..][..s.seg_len];
+                row.get_bytes(s.offset + i * s.stride, dst, Ordering::Acquire);
+            }
         });
     }
 
     /// Strided put: scatter the contiguous `src` into the described region.
     pub fn put_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, src: &[u8]) {
         assert_eq!(src.len(), s.total_bytes(), "src length mismatch");
-        self.access_strided(ctx, g, rank, s, RemoteOpKind::Put, |i, seg| {
-            seg.copy_from_slice(&src[i * s.seg_len..][..s.seg_len]);
+        let s = s.checked();
+        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, false, |row| {
+            for i in 0..s.count {
+                let src = &src[i * s.seg_len..][..s.seg_len];
+                row.put_bytes(s.offset + i * s.stride, src, Ordering::Release);
+            }
         });
     }
 
@@ -115,7 +126,7 @@ impl Armci {
         src: &[f64],
     ) {
         self.accumulate(ctx, g, rank, s.checked(), src.len(), |k, cur| {
-            (f64::from_le_bytes(cur) + scale * src[k]).to_le_bytes()
+            (f64::from_bits(cur) + scale * src[k]).to_bits()
         });
     }
 }

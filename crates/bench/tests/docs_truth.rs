@@ -1,11 +1,15 @@
 //! Docs are part of correctness: every command the user-facing docs name
 //! must exist. README.md, DESIGN.md and the verify skill may name no
 //! `--bin` other than the workspace's two executables, and no `scioto
-//! <word>` that is not a subcommand in the dispatch table; and a `--flag`
+//! <word>` that is not a subcommand in the dispatch table; a `--flag`
 //! README.md or DESIGN.md shows on a `scioto <subcommand> …` command line
-//! must be one that subcommand accepts.
+//! must be one that subcommand accepts; and the files DESIGN.md says hold
+//! `unsafe` code must be the ones that do.
+
+use std::collections::BTreeSet;
 
 use scioto_bench::{accepted_flags, subcommands};
+use scioto_race::lexer::{lex, TokKind};
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
 
@@ -266,4 +270,48 @@ fn design_inventory_paths_resolve_in_the_tree() {
         }
     }
     assert!(checked >= 40, "the scan found only {checked} paths");
+}
+
+/// Does `src` hold `unsafe` code — an `unsafe` block, impl or fn? Comments
+/// and string literals do not count (the lint's own fixtures spell all
+/// three out in both).
+fn holds_unsafe(src: &str) -> bool {
+    let code: Vec<_> = lex(src)
+        .into_iter()
+        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+        .collect();
+    code.windows(2).any(|w| {
+        w[0].kind == TokKind::Ident
+            && w[0].text(src) == "unsafe"
+            && ["{", "impl", "fn"].contains(&w[1].text(src))
+    })
+}
+
+/// DESIGN.md's "Deliberate deviations" bullet on `unsafe` names, as
+/// backticked paths under `crates/`, every file holding `unsafe` code —
+/// and no other: a PR that adds `unsafe` somewhere new, or removes the
+/// last of it from a file, must say so there.
+#[test]
+fn unsafe_lives_exactly_in_the_files_design_names() {
+    let text = read("DESIGN.md");
+    let section = &text[text.find("## Deliberate deviations").expect("the section")..];
+    let bullet = &section[section.find("* `unsafe` is confined").expect("the unsafe bullet")..];
+    let bullet = &bullet[..bullet[2..].find("\n* ").map_or(bullet.len(), |end| end + 2)];
+    let named: BTreeSet<&str> =
+        bullet.split('`').skip(1).step_by(2).filter(|span| span.ends_with(".rs")).collect();
+    let mut srcs = Vec::new();
+    sources(std::path::Path::new(&format!("{}/..", env!("CARGO_MANIFEST_DIR"))), "", &mut srcs);
+    let holding: BTreeSet<&str> =
+        srcs.iter().filter(|(_, text)| holds_unsafe(text)).map(|(name, _)| name.as_str()).collect();
+    assert!(srcs.len() > 100, "the scan found only {} files", srcs.len());
+    assert_eq!(holding, named, "files holding `unsafe` vs DESIGN.md's list");
+}
+
+#[test]
+fn holds_unsafe_ignores_comments_and_literals() {
+    assert!(holds_unsafe("fn f() { unsafe { g() } }"));
+    assert!(holds_unsafe("unsafe impl Send for X {}"));
+    assert!(holds_unsafe("pub unsafe fn f() {}"));
+    assert!(!holds_unsafe("// unsafe { x }\nlet s = \"unsafe impl\"; /* unsafe fn */"));
+    assert!(!holds_unsafe("let unsafe_ok = 1;"));
 }

@@ -369,9 +369,8 @@ impl TaskCollection {
     /// Pop this rank's next private task, copying its body into `body`.
     fn pop_into(&self, ctx: &Ctx, body: &mut Vec<u8>) -> Option<TaskHeader> {
         let counters = &self.counters[ctx.rank()];
-        self.queue.pop_local(ctx, &self.armci, counters, |header, bytes| {
-            body.clear();
-            body.extend_from_slice(bytes);
+        self.queue.pop_local(ctx, &self.armci, counters, |header, src| {
+            src.copy_into(body);
             header
         })
     }

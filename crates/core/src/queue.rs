@@ -26,25 +26,43 @@
 //! (decrementing it), making them the first candidates for stealing and the
 //! last for local execution — the priority order of §5.1.
 
-use scioto_armci::{Armci, Gmem, MutexSet};
-use scioto_sim::{Ctx, TraceEvent};
+use std::sync::atomic::Ordering::{Acquire, Release};
+
+use scioto_armci::{Armci, Gmem, Local, MutexSet, Strided};
+use scioto_sim::{Ctx, RemoteOpKind, TraceEvent};
 
 use crate::config::{QueueKind, TcConfig};
 use crate::stats::RankCounters;
-use crate::task::{decode_slot, encode_slot, TaskHeader, TaskRecord, HEADER_BYTES};
+use crate::task::{slot_word, TaskHeader, TaskRecord, HEADER_BYTES, HEADER_WORDS};
 
 const HEAD: usize = 0;
 const SPLIT: usize = 8;
 const TAIL: usize = 16;
 const META_BYTES: usize = 24;
 
-fn word(meta: &[u8], off: usize) -> i64 {
-    i64::from_le_bytes(meta[off..off + 8].try_into().expect("8 bytes"))
+/// The `i64` words of a remote index read, little-endian.
+fn decode<const N: usize>(bytes: &[u8]) -> [i64; N] {
+    std::array::from_fn(|i| i64::from_le_bytes(bytes[8 * i..][..8].try_into().expect("8 bytes")))
 }
 
-/// `(head, split, tail)` out of a queue's metadata block.
-fn decode_indices(meta: &[u8]) -> (i64, i64, i64) {
-    (word(meta, HEAD), word(meta, SPLIT), word(meta, TAIL))
+/// A popped task's body where it lies in the owner's slot: what
+/// [`PatchQueue::pop_local`]'s `take` may copy out.
+pub(crate) struct SlotBody<'a> {
+    slots: &'a Local<'a>,
+    offset: usize,
+    len: usize,
+}
+
+impl SlotBody<'_> {
+    /// Replace `out`'s contents with the body's bytes.
+    pub(crate) fn copy_into(self, out: &mut Vec<u8>) {
+        out.clear();
+        let mut left = self.len;
+        self.slots.read(self.offset, self.len.div_ceil(8), |_, w| {
+            out.extend_from_slice(&w.to_le_bytes()[..left.min(8)]);
+            left = left.saturating_sub(8);
+        });
+    }
 }
 
 pub(crate) struct PatchQueue {
@@ -84,6 +102,17 @@ impl PatchQueue {
 
     // ---- owner-private metadata access (no scheduling point) ----
     //
+    // No host lock either: the owner reaches its words through
+    // `Armci::local`. Orderings (DESIGN.md "Host access path"): the owner
+    // loads its indices Acquire and publishes `head` Release, pairing with
+    // the SeqCst (hence Acquire) index read of `insert_tail`, so a thief
+    // that sees a popped `head` also sees the pop's slot read finished
+    // before it reuses the slot; slot words are Release/Acquire, though a
+    // thief only ever reads a slot after the queue lock's hand-off has
+    // ordered it after the owner's write anyway. `split` is stored
+    // Release under the queue lock, which orders it for every locked
+    // reader; `steal_peek`'s lock-free read is a heuristic.
+    //
     // Access-record atomicity follows the split-queue protocol (§5):
     // * `HEAD` is written lock-free by the owner while thieves read it in
     //   `insert_tail`'s composite index get — both sides are marked atomic
@@ -96,15 +125,17 @@ impl PatchQueue {
     //   those reads and the thieves' puts are marked atomic.
 
     fn write_meta_local(&self, ctx: &Ctx, armci: &Armci, off: usize, v: i64) {
-        armci.with_local_range_mut(ctx, self.meta, off, 8, off == HEAD || off == SPLIT, |b| {
-            b.copy_from_slice(&v.to_le_bytes())
-        });
+        let meta = armci.local(ctx, self.meta);
+        meta.record(off, 8, true, off == HEAD || off == SPLIT);
+        meta.store(off, v as u64, Release);
     }
 
     fn slot_pos(&self, index: i64) -> usize {
         (index.rem_euclid(self.cap)) as usize * self.slot_sz
     }
 
+    /// Write a task into slot `index`: its header and body words, one
+    /// access of the whole slot.
     fn write_slot_local(
         &self,
         ctx: &Ctx,
@@ -114,9 +145,10 @@ impl PatchQueue {
         body: &[u8],
     ) {
         let pos = self.slot_pos(index);
-        armci.with_local_range_mut(ctx, self.slots, pos, self.slot_sz, false, |b| {
-            encode_slot(b, header, body);
-        });
+        let slots = armci.local(ctx, self.slots);
+        slots.record(pos, self.slot_sz, true, false);
+        let words = HEADER_WORDS + body.len().div_ceil(8);
+        slots.write(pos, words, |j| slot_word(header, body, j));
     }
 
     /// Hand slot `index`'s header and body to `take` where they lie.
@@ -125,62 +157,66 @@ impl PatchQueue {
         ctx: &Ctx,
         armci: &Armci,
         index: i64,
-        take: impl FnOnce(TaskHeader, &[u8]) -> R,
+        take: impl FnOnce(TaskHeader, SlotBody<'_>) -> R,
     ) -> R {
         let pos = self.slot_pos(index);
-        armci.with_local_range(ctx, self.slots, pos, self.slot_sz, false, |b| {
-            let (header, body) = decode_slot(b);
-            take(header, body)
-        })
+        let slots = armci.local(ctx, self.slots);
+        slots.record(pos, self.slot_sz, false, false);
+        let header = TaskHeader::from_words([slots.load(pos, Acquire), slots.load(pos + 8, Acquire)]);
+        let offset = pos + HEADER_BYTES;
+        take(header, SlotBody { slots: &slots, offset, len: header.body_len as usize })
     }
 
     /// Zero the owner's metadata (collective reset; caller barriers, so
     /// this pre-concurrency fill stays un-recorded).
     pub(crate) fn reset_local(&self, ctx: &Ctx, armci: &Armci) {
-        armci.with_local_mut(ctx, self.meta, |b| b.fill(0));
+        armci.local(ctx, self.meta).fill(0, META_BYTES / 8, 0);
     }
 
     /// Record the owner's read of its three index words — exactly the two
     /// accesses the protocol declares: `(head, split)` as one plain read
     /// and `tail`, which thieves publish lock-free, as an atomic one.
-    fn record_indices_read(&self, ctx: &Ctx, armci: &Armci) {
-        armci.record_local_access(ctx, self.meta, HEAD, 16, false, false);
-        armci.record_local_access(ctx, self.meta, TAIL, 8, false, true);
+    fn record_indices_read(&self, meta: &Local<'_>) {
+        meta.record(HEAD, 16, false, false);
+        meta.record(TAIL, 8, false, true);
+    }
+
+    /// Record and load `(head, split, tail)`: three Acquire loads.
+    fn load_indices(&self, meta: &Local<'_>) -> (i64, i64, i64) {
+        self.record_indices_read(meta);
+        let index = |off| meta.load(off, Acquire) as i64;
+        (index(HEAD), index(SPLIT), index(TAIL))
     }
 
     /// `(head, split, tail)` of the owner's queue.
     pub(crate) fn indices_local(&self, ctx: &Ctx, armci: &Armci) -> (i64, i64, i64) {
-        self.record_indices_read(ctx, armci);
-        armci.with_local(ctx, self.meta, decode_indices)
+        self.load_indices(&armci.local(ctx, self.meta))
     }
 
-    /// One split-queue owner operation in a single lock scope on the
-    /// owner's metadata block: read `(head, split, tail)`, let `op` move a
-    /// slot and say where `head` goes (`None`: nothing to do), publish
-    /// it. Returns the indices as they stand afterwards — `split` and
-    /// `tail` as read, which is all the release pre-check needs: only the
-    /// owner writes `split`, and a stale `tail` is what that check is
-    /// specified against. No queue lock is involved (§5: "the owner pushes
-    /// and pops at `head` without any lock"); the scope is the host mutex
-    /// that makes a rank's bytes safe to share between real threads.
+    /// One split-queue owner operation: read `(head, split, tail)`, let
+    /// `op` move a slot and say where `head` goes (`None`: nothing to do),
+    /// publish it. Returns the indices as they stand afterwards — `split`
+    /// and `tail` as read, which is all the release pre-check needs: only
+    /// the owner writes `split`, and a stale `tail` is what that check is
+    /// specified against. No lock of any kind is involved (§5: "the owner
+    /// pushes and pops at `head` without any lock"): three loads, the
+    /// slot's words, one Release store.
     fn owner_op(
         &self,
         ctx: &Ctx,
         armci: &Armci,
         op: impl FnOnce(i64, i64, i64) -> Option<i64>,
     ) -> (i64, i64, i64) {
-        armci.with_local_mut(ctx, self.meta, |meta| {
-            self.record_indices_read(ctx, armci);
-            let (head, split, tail) = decode_indices(meta);
-            let Some(new_head) = op(head, split, tail) else {
-                return (head, split, tail);
-            };
-            // protocol: single-word `head` publish (see the atomicity
-            // notes above); thieves read it in `insert_tail`'s composite get.
-            armci.record_local_access(ctx, self.meta, HEAD, 8, true, true);
-            meta[HEAD..HEAD + 8].copy_from_slice(&new_head.to_le_bytes());
-            (new_head, split, tail)
-        })
+        let meta = armci.local(ctx, self.meta);
+        let (head, split, tail) = self.load_indices(&meta);
+        let Some(new_head) = op(head, split, tail) else {
+            return (head, split, tail);
+        };
+        // protocol: single-word `head` publish (see the atomicity notes
+        // above); thieves read it in `insert_tail`'s composite get.
+        meta.record(HEAD, 8, true, true);
+        meta.store(HEAD, new_head as u64, Release);
+        (new_head, split, tail)
     }
 
     /// True when the owner's queue holds no tasks.
@@ -241,7 +277,7 @@ impl PatchQueue {
         ctx: &Ctx,
         armci: &Armci,
         counters: &RankCounters,
-        take: impl FnOnce(TaskHeader, &[u8]) -> R,
+        take: impl FnOnce(TaskHeader, SlotBody<'_>) -> R,
     ) -> Option<R> {
         match self.kind {
             QueueKind::Split => {
@@ -329,7 +365,9 @@ impl PatchQueue {
         split: i64,
         tail: i64,
     ) {
-        self.record_indices_read(ctx, armci);
+        if ctx.trace_enabled() {
+            self.record_indices_read(&armci.local(ctx, self.meta));
+        }
         let shared = split - tail;
         let private = head - split;
         if shared >= self.release_threshold || private < 2 {
@@ -365,7 +403,9 @@ impl PatchQueue {
 
     /// Insert a task at the tail of `target`'s queue (used for remote adds
     /// and low-affinity local adds): lock, read indices, write the slot and
-    /// the decremented tail one-sided, unlock.
+    /// the decremented tail one-sided, unlock. Nothing is staged on the
+    /// heap: the indices land in a stack buffer and the slot is encoded
+    /// word by word into the target's store.
     pub(crate) fn insert_tail(
         &self,
         ctx: &Ctx,
@@ -375,19 +415,20 @@ impl PatchQueue {
         body: &[u8],
     ) {
         armci.lock(ctx, self.locks, 0, target);
+        let mut idx = [0u8; 24];
         // Atomic composite get: this one transfer also covers `head`, which
         // the owner updates lock-free (single-word protocol discipline).
-        let idx = armci.get_i64s_atomic(ctx, self.meta, target, HEAD, 3);
-        let (head, _split, tail) = (idx[0], idx[1], idx[2]);
+        armci.get_atomic(ctx, self.meta, target, HEAD, &mut idx);
+        let [head, _split, tail] = decode(&idx);
         self.check_capacity(head, tail);
         let t = tail - 1;
-        let pos = self.slot_pos(t);
-        let mut buf = vec![0u8; self.slot_sz];
-        encode_slot(&mut buf, header, body);
-        armci.put(ctx, self.slots, target, pos, &buf);
+        let slot = Strided::contiguous(self.slot_pos(t), self.slot_sz);
+        armci.access_strided(ctx, self.slots, target, slot, RemoteOpKind::Put, |_, j, w| {
+            *w = slot_word(header, body, j);
+        });
         // protocol: single-word tail store under the queue lock; the
         // owner's reclaim/release pre-checks read `tail` lock-free.
-        armci.put_i64s_atomic(ctx, self.meta, target, TAIL, &[t]);
+        armci.put_atomic(ctx, self.meta, target, TAIL, &t.to_le_bytes());
         armci.unlock(ctx, self.locks, 0, target);
     }
 
@@ -406,11 +447,13 @@ impl PatchQueue {
         if self.kind != QueueKind::Split {
             return true;
         }
+        let mut idx = [0u8; 16];
         // protocol: heuristic lock-free read of the lock-guarded
         // `split`/`tail` words; a stale view only mis-predicts
         // availability, it never derives state that is written back.
-        let idx = armci.get_i64s_atomic(ctx, self.meta, victim, SPLIT, 2);
-        idx[0] - idx[1] > 0
+        armci.get_atomic(ctx, self.meta, victim, SPLIT, &mut idx);
+        let [split, tail] = decode(&idx);
+        split - tail > 0
     }
 
     /// Steal up to `chunk` tasks from the tail of `victim`'s shared
@@ -419,8 +462,9 @@ impl PatchQueue {
         debug_assert_ne!(victim, ctx.rank(), "cannot steal from self");
         armci.lock(ctx, self.locks, 0, victim);
         // One one-sided get covers both `split` and `tail`.
-        let idx = armci.get_i64s(ctx, self.meta, victim, SPLIT, 2);
-        let (split, tail) = (idx[0], idx[1]);
+        let mut idx = [0u8; 16];
+        armci.get(ctx, self.meta, victim, SPLIT, &mut idx);
+        let [split, tail] = decode(&idx);
         let avail = split - tail;
         if avail <= 0 {
             armci.unlock(ctx, self.locks, 0, victim);
@@ -449,7 +493,7 @@ impl PatchQueue {
         }
         // protocol: single-word tail store under the victim's queue lock;
         // the owner reads `tail` lock-free in its release pre-check.
-        armci.put_i64s_atomic(ctx, self.meta, victim, TAIL, &[tail + k]);
+        armci.put_atomic(ctx, self.meta, victim, TAIL, &(tail + k).to_le_bytes());
         armci.unlock(ctx, self.locks, 0, victim);
         buf.chunks_exact(self.slot_sz)
             .map(TaskRecord::decode)
@@ -481,7 +525,9 @@ mod tests {
     /// Pop one task and return its id, checking the body came with it.
     fn pop_id(q: &PatchQueue, ctx: &Ctx, armci: &Armci, c: &RankCounters) -> Option<u32> {
         q.pop_local(ctx, armci, c, |h, body| {
-            assert_eq!(body, h.callback.to_le_bytes());
+            let mut bytes = Vec::new();
+            body.copy_into(&mut bytes);
+            assert_eq!(bytes, h.callback.to_le_bytes());
             h.callback
         })
     }
@@ -593,10 +639,20 @@ mod tests {
     /// The seed varies the owner's push/pop bursts.
     #[test]
     fn owner_and_thieves_never_lose_or_duplicate_tasks_on_real_threads() {
+        owner_and_thieves(0..6);
+    }
+
+    #[test]
+    #[ignore = "64-seed real-thread stress; scripts/verify.sh runs it in release"]
+    fn stress_owner_and_thieves() {
+        owner_and_thieves(0..64);
+    }
+
+    fn owner_and_thieves(seeds: std::ops::Range<u64>) {
         use std::sync::atomic::{AtomicBool, Ordering};
         const TASKS: u32 = 2000;
         for kind in [QueueKind::Split, QueueKind::Locked] {
-            for seed in 0..6 {
+            for seed in seeds.clone() {
                 let drained = Arc::new(AtomicBool::new(false));
                 let out = Machine::run(MachineConfig::concurrent(8).with_seed(seed), {
                     let drained = Arc::clone(&drained);
@@ -675,11 +731,9 @@ mod tests {
         let dump = format!("{armci:?}");
         let key = format!("Segment {{ len: {}, materialised: [", q.slots.len());
         let list = dump.split(&key).nth(1).expect("slot segment in Armci's Debug output");
+        let list = &list[..list.find(']').expect("a closed list")];
         let mine = list.split(", ").nth(ctx.rank()).expect("one entry per rank");
-        let digits = mine.trim_start_matches("Some(");
-        digits[..digits.find(')').expect("an unlocked store")]
-            .parse()
-            .expect("a byte count")
+        mine.parse().expect("a byte count")
     }
 
     /// The owner path touches the slots between the lowest and highest
@@ -714,6 +768,27 @@ mod tests {
             );
             assert_eq!(churned, deep, "pairs at a fixed depth touch no new slot");
         }
+    }
+
+    /// A tail insert into a fresh queue writes slot `cap - 1`: it
+    /// materialises the one store chunk that slot lies in, not the ring
+    /// below it (PR 13's prefix store committed all 5 MiB of UTS's ring).
+    #[test]
+    fn tail_insert_into_a_fresh_queue_materialises_one_chunk() {
+        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            let (armci, q) = setup(ctx, TcConfig::new(24, 10, 1 << 17));
+            if ctx.rank() == 0 {
+                q.insert_tail(ctx, &armci, 1, &header(7, 0), &7u32.to_le_bytes());
+            }
+            armci.barrier(ctx);
+            (slot_store_bytes(ctx, &armci, &q), q.slots.len())
+        });
+        // 2^17 slots of 5 words: slot 2^17 - 1 is words [655 355, 655 360),
+        // in chunk 15, which starts at word 524 272 and is cut at the end.
+        let (target, ring) = out.results[1];
+        assert_eq!(target, (655_360 - 524_272) * 8);
+        assert!(4 * target < ring, "{target} of {ring} ring bytes");
+        assert_eq!(out.results[0].0, 0, "the inserting rank's own store is untouched");
     }
 
     /// Pins the access records of the split queue's owner path: the race

@@ -5,6 +5,8 @@ use crate::registry::TaskHandle;
 
 /// Byte size of the serialized task header.
 pub(crate) const HEADER_BYTES: usize = 16;
+/// The header in 8-byte words.
+pub(crate) const HEADER_WORDS: usize = HEADER_BYTES / 8;
 
 /// Serialized task header: the metadata the runtime needs to schedule and
 /// execute a task.
@@ -21,20 +23,28 @@ pub(crate) struct TaskHeader {
 }
 
 impl TaskHeader {
-    pub(crate) fn encode(&self, out: &mut [u8]) {
-        out[0..4].copy_from_slice(&self.callback.to_le_bytes());
-        out[4..8].copy_from_slice(&self.affinity.to_le_bytes());
-        out[8..12].copy_from_slice(&self.creator.to_le_bytes());
-        out[12..16].copy_from_slice(&self.body_len.to_le_bytes());
+    /// The header as the slot's first two little-endian words: `callback`
+    /// and `affinity` in the first, `creator` and `body_len` in the second
+    /// — the one definition of the header's layout.
+    pub(crate) fn words(&self) -> [u64; 2] {
+        let pair = |lo: u32, hi: u32| u64::from(lo) | u64::from(hi) << 32;
+        [pair(self.callback, self.affinity as u32), pair(self.creator, self.body_len)]
     }
 
-    pub(crate) fn decode(buf: &[u8]) -> TaskHeader {
+    /// The inverse of [`TaskHeader::words`].
+    pub(crate) fn from_words([w0, w1]: [u64; 2]) -> TaskHeader {
         TaskHeader {
-            callback: u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")),
-            affinity: i32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")),
-            creator: u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")),
-            body_len: u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")),
+            callback: w0 as u32,
+            affinity: (w0 >> 32) as u32 as i32,
+            creator: w1 as u32,
+            body_len: (w1 >> 32) as u32,
         }
+    }
+
+    /// The header at the start of a slot's bytes.
+    pub(crate) fn decode(buf: &[u8]) -> TaskHeader {
+        let word = |i: usize| u64::from_le_bytes(buf[8 * i..][..8].try_into().expect("8 bytes"));
+        TaskHeader::from_words([word(0), word(1)])
     }
 }
 
@@ -80,12 +90,22 @@ impl Task {
     }
 }
 
-/// Serialize a task into a fixed-size slot buffer: the header, then the
-/// body borrowed from wherever the caller holds it.
-pub(crate) fn encode_slot(slot: &mut [u8], header: &TaskHeader, body: &[u8]) {
+/// Word `j` of a task's slot: the header's two words, then the body —
+/// borrowed from wherever the caller holds it — eight little-endian bytes
+/// a word, zero-padded, and zeros past it. The slot's bytes are what
+/// [`decode_slot`] reads.
+pub(crate) fn slot_word(header: &TaskHeader, body: &[u8], j: usize) -> u64 {
     debug_assert_eq!(header.body_len as usize, body.len());
-    header.encode(&mut slot[..HEADER_BYTES]);
-    slot[HEADER_BYTES..HEADER_BYTES + body.len()].copy_from_slice(body);
+    match j.checked_sub(HEADER_WORDS) {
+        None => header.words()[j],
+        Some(b) => {
+            let mut word = [0u8; 8];
+            let bytes = &body[(8 * b).min(body.len())..];
+            let n = bytes.len().min(8);
+            word[..n].copy_from_slice(&bytes[..n]);
+            u64::from_le_bytes(word)
+        }
+    }
 }
 
 /// The header of a slot buffer and the body bytes it delimits.
@@ -127,9 +147,9 @@ mod tests {
             creator: 12,
             body_len: 100,
         };
-        let mut buf = [0u8; HEADER_BYTES];
-        h.encode(&mut buf);
-        assert_eq!(TaskHeader::decode(&buf), h);
+        assert_eq!(TaskHeader::from_words(h.words()), h);
+        let bytes: Vec<u8> = h.words().iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(TaskHeader::decode(&bytes), h);
     }
 
     #[test]
@@ -140,14 +160,17 @@ mod tests {
             creator: 2,
             body_len: 3,
         };
-        let mut slot = vec![0xEEu8; 32];
-        encode_slot(&mut slot, &header, &[9, 8, 7]);
+        // A 3-byte body is one zero-padded word after the header.
+        let mut slot: Vec<u8> = (0..3)
+            .flat_map(|j| slot_word(&header, &[9, 8, 7], j).to_le_bytes())
+            .collect();
+        assert_eq!(slot[HEADER_BYTES..], [9, 8, 7, 0, 0, 0, 0, 0]);
+        // Bytes past the body are the slot's, not the task's.
+        slot.extend([0xEE; 8]);
         assert_eq!(decode_slot(&slot), (header, &[9u8, 8, 7][..]));
         let back = TaskRecord::decode(&slot);
         assert_eq!(back.body, vec![9, 8, 7]);
         assert_eq!(back.header, header);
-        // Bytes past the body are the slot's, not the task's.
-        assert!(slot[HEADER_BYTES + 3..].iter().all(|&b| b == 0xEE));
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!
 //! All inter-process communication is one-sided: tokens, dirty marks and
 //! the TERM flag are `i64` slots in each process's ARMCI segment, written
-//! by relatives and polled locally.
+//! by relatives and polled locally — without a host lock: a poll is five
+//! SeqCst loads, taking the dirty mark a swap, announcing TERM a store.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
@@ -136,7 +137,7 @@ impl WaveDetector {
     }
 
     pub(crate) fn reset_local(&self, ctx: &Ctx, armci: &Armci) {
-        armci.with_local_mut(ctx, self.td, |b| b.fill(0));
+        armci.local(ctx, self.td).fill(0, TD_BYTES / 8, 0);
         self.local[ctx.rank()].reset();
     }
 
@@ -154,26 +155,28 @@ impl WaveDetector {
         armci.put_atomic(ctx, self.td, rank, off, &v.to_le_bytes());
     }
 
+    // Orderings: every detector word is loaded, swapped and stored SeqCst
+    // — the protocol's argument (DESIGN.md "Host access path") rests on
+    // each slot being single-writer and monotone and on the dirty mark
+    // being read and cleared in one atomic step, not on any cross-word
+    // pairing, so no weaker ordering has been written down for it.
+
     fn read_slot(&self, ctx: &Ctx, armci: &Armci, off: usize) -> i64 {
         // protocol: single-writer i64 slot polled lock-free by the owner.
-        armci.with_local_range(ctx, self.td, off, 8, true, |b| {
-            i64::from_le_bytes(b.try_into().expect("8 bytes"))
-        })
+        let td = armci.local(ctx, self.td);
+        td.record(off, 8, false, true);
+        td.load(off, Ordering::SeqCst) as i64
     }
 
-    /// Batched poll: all five detector slots decoded from one coalesced
-    /// atomic read (same multi-word discipline as the split queue's
-    /// composite meta reads).
+    /// Batched poll: all five detector slots in one recorded access, five
+    /// loads. Not a snapshot of one instant, and it need not be: each slot
+    /// is single-writer and monotone, so a slot read early is merely stale.
     fn snapshot(&self, ctx: &Ctx, armci: &Armci) -> [i64; 5] {
-        // protocol: single-writer i64 slots polled lock-free, read as one
-        // atomic multi-word snapshot.
-        armci.with_local_range(ctx, self.td, 0, TD_BYTES, true, |b| {
-            let mut s = [0i64; 5];
-            for (i, w) in b.chunks_exact(8).enumerate() {
-                s[i] = i64::from_le_bytes(w.try_into().expect("8 bytes"));
-            }
-            s
-        })
+        // protocol: single-writer i64 slots polled lock-free, recorded as
+        // one atomic multi-word access.
+        let td = armci.local(ctx, self.td);
+        td.record(0, TD_BYTES, false, true);
+        std::array::from_fn(|i| td.load(8 * i, Ordering::SeqCst) as i64)
     }
 
     /// Slot value from the poll's snapshot when batching, or a direct
@@ -188,11 +191,9 @@ impl WaveDetector {
     /// Atomically read and clear the local dirty flag (a thief may be
     /// writing it concurrently in real-thread mode).
     fn take_dirty(&self, ctx: &Ctx, armci: &Armci) -> bool {
-        armci.with_local_range_mut(ctx, self.td, DIRTY, 8, true, |b| {
-            let v = i64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
-            b.copy_from_slice(&0i64.to_le_bytes());
-            v != 0
-        })
+        let td = armci.local(ctx, self.td);
+        td.record(DIRTY, 8, true, true);
+        td.swap(DIRTY, 0, Ordering::SeqCst) != 0
     }
 
     /// One detector step for `ctx.rank()`. `passive` must be true iff the
@@ -307,9 +308,9 @@ impl WaveDetector {
                 if me == 0 {
                     if color == WHITE {
                         // Global termination: announce down the tree.
-                        armci.with_local_range_mut(ctx, self.td, TERM, 8, true, |b| {
-                            b.copy_from_slice(&1i64.to_le_bytes())
-                        });
+                        let td = armci.local(ctx, self.td);
+                        td.record(TERM, 8, true, true);
+                        td.store(TERM, 1, Ordering::SeqCst);
                         st.term_propagated.store(true, Ordering::Relaxed);
                         ctx.trace(|| TraceEvent::TdWave {
                             wave: w as u32,

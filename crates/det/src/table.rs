@@ -29,11 +29,21 @@ pub struct AppendTable<T> {
     len: Mutex<usize>,
 }
 
-/// `(chunk, offset within chunk)` of index `i`.
-fn locate(i: usize) -> Option<(usize, usize)> {
+/// `(chunk, offset within chunk)` of index `i` in the table's geometry:
+/// chunk `k` holds [`chunk_slots`]`(k)` indices, the first of them
+/// `chunk_slots(k) - 16`. `None` only for an index near `usize::MAX`.
+/// Shared with ARMCI's word store, which lays a segment out the same way.
+#[inline]
+pub fn locate(i: usize) -> Option<(usize, usize)> {
     let j = i.checked_add(BASE)?;
     let k = j.ilog2() - BASE_BITS;
     Some((k as usize, j - (BASE << k)))
+}
+
+/// Slots in chunk `k`: `16 << k`.
+#[inline]
+pub const fn chunk_slots(k: usize) -> usize {
+    BASE << k
 }
 
 impl<T> AppendTable<T> {
@@ -58,7 +68,7 @@ impl<T> AppendTable<T> {
             .chunks
             .get(k)
             .expect("AppendTable is full")
-            .get_or_init(|| (0..BASE << k).map(|_| OnceLock::new()).collect());
+            .get_or_init(|| (0..chunk_slots(k)).map(|_| OnceLock::new()).collect());
         if chunk[off].set(value).is_err() {
             unreachable!("AppendTable slot {i} written twice");
         }

@@ -102,9 +102,9 @@ impl Ga {
 
     /// The one loop under `get` / `put` / `acc`: one strided ARMCI access
     /// per owner of `p`, each row of the owner's share addressed in place
-    /// in its row-major local storage. `word(k, bytes)` is handed element
+    /// in its row-major local storage. `word(k, bits)` is handed element
     /// `k` of the caller's row-major `p`-shaped buffer together with the
-    /// owner's 8 little-endian bytes for it; `kind` says what it does
+    /// owner's word for it (an `f64`'s bits); `kind` says what it does
     /// with them.
     fn patch_op(
         &self,
@@ -112,7 +112,7 @@ impl Ga {
         h: GaHandle,
         p: Patch,
         kind: RemoteOpKind,
-        mut word: impl FnMut(usize, &mut [u8; 8]),
+        mut word: impl FnMut(usize, &mut u64),
     ) {
         let meta = self.meta(h);
         self.check_patch(&meta.dist, p);
@@ -126,10 +126,11 @@ impl Ga {
             };
             // Where row 0 of the intersection starts in the caller's buffer.
             let base = (inter.rlo - p.rlo) * p.cols() + (inter.clo - p.clo);
-            self.armci.access_strided(ctx, meta.gmem, rank, s, kind, |row, bytes| {
-                for (col, w) in bytes.chunks_exact_mut(8).enumerate() {
-                    word(base + row * p.cols() + col, w.try_into().expect("8 bytes"));
-                }
+            // Captured by value, so the per-word closure keeps them in
+            // registers across the store's atomic word moves.
+            let (cols, word) = (p.cols(), &mut word);
+            self.armci.access_strided(ctx, meta.gmem, rank, s, kind, move |row, col, w| {
+                word(base + row * cols + col, w);
             });
         }
     }
@@ -137,21 +138,21 @@ impl Ga {
     /// Get a rectangular patch as a row-major `Vec<f64>`.
     pub fn get(&self, ctx: &Ctx, h: GaHandle, p: Patch) -> Vec<f64> {
         let mut out = vec![0.0f64; p.size()];
-        self.patch_op(ctx, h, p, RemoteOpKind::Get, |k, w| out[k] = f64::from_le_bytes(*w));
+        self.patch_op(ctx, h, p, RemoteOpKind::Get, |k, w| out[k] = f64::from_bits(*w));
         out
     }
 
     /// Put a row-major patch (`data.len() == p.size()`).
     pub fn put(&self, ctx: &Ctx, h: GaHandle, p: Patch, data: &[f64]) {
         assert_eq!(data.len(), p.size(), "patch data length mismatch");
-        self.patch_op(ctx, h, p, RemoteOpKind::Put, |k, w| *w = data[k].to_le_bytes());
+        self.patch_op(ctx, h, p, RemoteOpKind::Put, move |k, w| *w = data[k].to_bits());
     }
 
     /// Atomic accumulate: `A[p] += alpha * data` (GA's `NGA_Acc`).
     pub fn acc(&self, ctx: &Ctx, h: GaHandle, p: Patch, alpha: f64, data: &[f64]) {
         assert_eq!(data.len(), p.size(), "patch data length mismatch");
-        self.patch_op(ctx, h, p, RemoteOpKind::Acc, |k, w| {
-            *w = (f64::from_le_bytes(*w) + alpha * data[k]).to_le_bytes();
+        self.patch_op(ctx, h, p, RemoteOpKind::Acc, move |k, w| {
+            *w = (f64::from_bits(*w) + alpha * data[k]).to_bits();
         });
     }
 
@@ -163,11 +164,7 @@ impl Ga {
         if mine.is_empty() {
             return;
         }
-        self.armci.with_local_mut(ctx, meta.gmem, |bytes| {
-            for chunk in bytes[..mine.size() * 8].chunks_exact_mut(8) {
-                chunk.copy_from_slice(&v.to_le_bytes());
-            }
-        });
+        self.armci.local(ctx, meta.gmem).fill(0, mine.size(), v.to_bits());
         ctx.compute((mine.size() as u64).max(1));
     }
 

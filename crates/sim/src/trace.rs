@@ -303,8 +303,9 @@ pub enum TraceEvent {
         atomic: bool,
     },
     /// An owner-side (local, non-ARMCI) access to global memory: the
-    /// split-queue owner touching its own queue through
-    /// `with_local_range`. Target is the emitting rank itself.
+    /// split-queue owner touching its own queue through its word view
+    /// (`Local::record` in `scioto-armci`). Target is the emitting rank
+    /// itself.
     LocalAccess {
         /// Global-memory segment id (`Gmem::id`).
         seg: u32,

@@ -78,6 +78,23 @@ stage "cargo test -q --offline --workspace (tier-1)"
 # --workspace only the root cross-crate suite runs.
 cargo test -q --offline --workspace
 
+stage "real-thread stress: queue owner/thieves + word store, 64 seeds (release)"
+# The `#[ignore]`d `stress_*` tests: the split queue's never-lose /
+# never-duplicate property with seven real thieves, and the three store
+# properties the lock-free owner path rests on (ragged byte puts merge,
+# accumulate vs fetch-and-add, dirty marks vs the owner's swap), each on
+# 64 seeds. Built first so the budget times the runs alone: 17-18 s
+# measured, budget 30 s.
+cargo test -q --offline --release -p scioto -p scioto-armci --no-run
+stress_t0=$(date +%s)
+cargo test -q --offline --release -p scioto -p scioto-armci stress_ -- --ignored
+stress_secs=$(($(date +%s) - stress_t0))
+echo "ok: real-thread stress finished in ${stress_secs}s"
+if [ "$stress_secs" -ge 30 ]; then
+    echo "FAIL: real-thread stress took ${stress_secs}s (budget: <30s)" >&2
+    exit 1
+fi
+
 stage "perf harness: the out-of-workspace benchmark's own tests"
 # `perf/` is a package of its own (the acceptance driver's benchmark), so
 # the workspace build and tests above never compile it: a root-crate API
