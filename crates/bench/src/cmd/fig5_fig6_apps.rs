@@ -22,13 +22,14 @@ fn machine(p: usize, spec: &RunSpec) -> MachineConfig {
     spec.machine(p, LatencyModel::cluster(), SpeedModel::hetero_cluster(p))
 }
 
-fn scf_run(p: usize, atoms: usize, lb: LoadBalance, spec: &RunSpec) -> u64 {
+/// Makespan and rank 0's converged energy of one SCF run.
+fn scf_run(p: usize, atoms: usize, lb: LoadBalance, spec: &RunSpec) -> (u64, f64) {
     let policy = spec.policy;
     let basis = BasisSet::even_tempered(Molecule::h_chain(atoms), 2, 0.4, 3.5);
     let out = Machine::run(machine(p, spec), move |ctx| {
         run_scf_parallel(ctx, &basis, &policy.scf(lb, 8)).energy
     });
-    out.report.makespan_ns
+    (out.report.makespan_ns, out.results[0])
 }
 
 fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, spec: &RunSpec) -> u64 {
@@ -86,15 +87,21 @@ pub fn run(args: &Args) -> Outcome {
             continue;
         }
         eprintln!("running P = {p} ...");
+        let (scf, scf_energy) = scf_run(p, atoms, LoadBalance::Scioto, &spec);
+        let (scf_orig, scf_orig_energy) = scf_run(p, atoms, LoadBalance::GlobalCounter, &spec);
         let row = [
-            scf_run(p, atoms, LoadBalance::Scioto, &spec),
-            scf_run(p, atoms, LoadBalance::GlobalCounter, &spec),
+            scf,
+            scf_orig,
             tce_run(p, tiles, TceLoadBalance::Scioto, &spec),
             tce_run(p, tiles, TceLoadBalance::GlobalCounter, &spec),
         ];
         for (name, ns) in ["scf", "scf_orig", "tce", "tce_orig"].iter().zip(row) {
             bench.metric(&format!("{name}_ns_p{p:03}"), ns as f64);
         }
+        // The answer, not only the clock: a kernel change that moves the
+        // energy fails `bench_diff` even when virtual time holds.
+        bench.metric(&format!("scf_energy_p{p:03}"), scf_energy);
+        bench.metric(&format!("scf_orig_energy_p{p:03}"), scf_orig_energy);
         results.push((p, row));
     }
     bench.write_if_requested(args)?;

@@ -116,7 +116,7 @@ impl Ga {
     ) {
         let meta = self.meta(h);
         self.check_patch(&meta.dist, p);
-        for (rank, inter) in meta.dist.owners(p, self.nranks()) {
+        for (rank, inter) in meta.dist.owners(p) {
             let owned = meta.dist.owned(rank);
             let s = Strided {
                 offset: ((inter.rlo - owned.rlo) * owned.cols() + (inter.clo - owned.clo)) * 8,

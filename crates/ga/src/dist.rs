@@ -116,17 +116,30 @@ impl BlockDist {
         self.br * self.bc
     }
 
-    /// Ranks whose owned patches intersect `p`, with the non-empty
-    /// intersections.
-    pub fn owners(&self, p: Patch, n: usize) -> Vec<(usize, Patch)> {
-        let mut out = Vec::new();
-        for rank in 0..n {
-            let inter = self.owned(rank).intersect(&p);
-            if !inter.is_empty() {
-                out.push((rank, inter));
-            }
-        }
-        out
+    /// Ranks whose owned patches intersect `p`, in ascending order, with
+    /// the non-empty intersections. Visits only the process-grid rows and
+    /// columns `p` spans; allocates nothing.
+    pub fn owners(&self, p: Patch) -> impl Iterator<Item = (usize, Patch)> {
+        // Grid row `g` holds rows `[g·br, (g+1)·br)`, so the rows of `p`,
+        // clipped to the array, fall in grid rows `rlo / br ..= (rhi - 1) /
+        // br`, each of which owns some of them (`pr · br ≥ rows`); likewise
+        // columns.
+        let d = *self;
+        let p = p.intersect(&Patch::new(0, d.rows, 0, d.cols));
+        let (grs, gcs) = if p.is_empty() {
+            (0..0, 0..0)
+        } else {
+            (
+                p.rlo / d.br..(p.rhi - 1) / d.br + 1,
+                p.clo / d.bc..(p.chi - 1) / d.bc + 1,
+            )
+        };
+        // One flat range over the spanned cells, row-major: ascending ranks.
+        let cols = gcs.len();
+        (0..grs.len() * cols).map(move |k| {
+            let rank = (grs.start + k / cols) * d.pc + gcs.start + k % cols;
+            (rank, d.owned(rank).intersect(&p))
+        })
     }
 }
 
@@ -177,9 +190,49 @@ mod tests {
     fn owners_cover_patch_exactly() {
         let d = BlockDist::new(16, 16, 4);
         let p = Patch::new(3, 12, 5, 14);
-        let owners = d.owners(p, 4);
-        let covered: usize = owners.iter().map(|(_, q)| q.size()).sum();
+        let covered: usize = d.owners(p).map(|(_, q)| q.size()).sum();
         assert_eq!(covered, p.size());
+    }
+
+    /// `owners` as it stood before the grid walk: every rank's share
+    /// intersected with `p`. The oracle of the test below.
+    fn owners_by_scan(d: &BlockDist, p: Patch, n: usize) -> Vec<(usize, Patch)> {
+        (0..n)
+            .map(|rank| (rank, d.owned(rank).intersect(&p)))
+            .filter(|(_, inter)| !inter.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn owners_match_the_rank_scan() {
+        let mut rng = scioto_det::Rng::seed_from_u64(27);
+        let mut below = |n: usize| rng.gen_below(n as u64) as usize;
+        let (mut empty_shares, mut empty_patches) = (0, 0);
+        for n in 1..=17 {
+            // Tiny arrays on many ranks leave some ranks an empty share.
+            for (rows, cols) in [(1, 1), (2, 3), (3, 2), (5, 5), (10, 13), (16, 16), (33, 7)] {
+                let d = BlockDist::new(rows, cols, n);
+                empty_shares += (0..n).filter(|&r| d.owned(r).is_empty()).count();
+                // Some patches reach past the array; the scan clips them.
+                for _ in 0..60 {
+                    let (r0, r1) = (below(2 * rows + 2), below(2 * rows + 2));
+                    let (c0, c1) = (below(2 * cols + 2), below(2 * cols + 2));
+                    let p = Patch::new(r0.min(r1), r0.max(r1), c0.min(c1), c0.max(c1));
+                    empty_patches += usize::from(p.is_empty());
+                    let got: Vec<_> = d.owners(p).collect();
+                    assert_eq!(got, owners_by_scan(&d, p, n), "{rows}x{cols} on {n}: {p:?}");
+                }
+                let whole = Patch::new(0, rows, 0, cols);
+                assert_eq!(
+                    d.owners(whole).collect::<Vec<_>>(),
+                    owners_by_scan(&d, whole, n)
+                );
+            }
+        }
+        assert!(
+            empty_shares > 100 && empty_patches > 100,
+            "{empty_shares} {empty_patches}"
+        );
     }
 
     #[test]

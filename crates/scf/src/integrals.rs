@@ -122,14 +122,17 @@ pub fn nuclear(ab: &Pair, z: f64, c: [f64; 3]) -> f64 {
 }
 
 /// Two-electron repulsion integral (ab|cd) in chemists' notation, from
-/// the two products.
+/// the two products. Every operation is grouped so that swapping the
+/// products swaps its operands, and `Pair::new(b, a)` differs from
+/// `Pair::new(a, b)` only in `na`/`nb`, read here only as their product:
+/// the result is the same bits in all eight orientations,
+/// `(ab|cd) = (ba|cd) = (cd|ab) = …` — what the block store relies on.
 #[inline]
 pub fn eri_pairs(ab: &Pair, cd: &Pair) -> f64 {
     let (p, q) = (ab.p, cd.p);
     let rho = p * q / (p + q);
-    ab.nab * cd.na * cd.nb * 2.0 * std::f64::consts::PI.powf(2.5) / (p * q * (p + q).sqrt())
-        * ab.e
-        * cd.e
+    (ab.nab * cd.nab) * 2.0 * std::f64::consts::PI.powf(2.5) / (p * q * (p + q).sqrt())
+        * (ab.e * cd.e)
         * boys_f0(rho * dist2(ab.center, cd.center))
 }
 
@@ -169,7 +172,8 @@ impl PairTable {
         self.n
     }
 
-    /// (ij|kl) by basis-function index.
+    /// (ij|kl) by basis-function index; the same bits for all eight
+    /// orientations of the quartet.
     #[inline]
     pub fn eri(&self, i: usize, j: usize, k: usize, l: usize) -> f64 {
         eri_pairs(&self.pairs[i * self.n + j], &self.pairs[k * self.n + l])
@@ -212,11 +216,12 @@ pub fn overlap_matrix(basis: &BasisSet) -> Vec<f64> {
 }
 
 /// The closed forms as they stood before `Pair`: every factor rebuilt from
-/// the primitives on every call. Kept only as the oracle the bitwise test
-/// compares against.
+/// the primitives on every call, the ERI's factors grouped as in
+/// [`eri_pairs`]. Kept only as the oracle the bitwise test compares
+/// against.
 #[cfg(test)]
 mod reference {
-    use super::{boys_f0, norm};
+    use super::{boys_f0, norm, Pair};
     use crate::basis::{dist2, SGaussian};
 
     pub fn overlap(a: &SGaussian, b: &SGaussian) -> f64 {
@@ -265,16 +270,25 @@ mod reference {
             (c.alpha * c.center[2] + d.alpha * d.center[2]) / q,
         ];
         let rho = p * q / (p + q);
-        norm(a.alpha)
-            * norm(b.alpha)
-            * norm(c.alpha)
-            * norm(d.alpha)
+        (norm(a.alpha) * norm(b.alpha) * (norm(c.alpha) * norm(d.alpha)))
             * 2.0
             * std::f64::consts::PI.powf(2.5)
             / (p * q * (p + q).sqrt())
-            * (-mu * dist2(a.center, b.center)).exp()
-            * (-nu * dist2(c.center, d.center)).exp()
+            * ((-mu * dist2(a.center, b.center)).exp() * (-nu * dist2(c.center, d.center)).exp())
             * boys_f0(rho * dist2(pab, qcd))
+    }
+
+    /// `eri_pairs` in the grouping it had before the symmetric one:
+    /// `n_ab·n_c·n_d·… ·e_ab·e_cd·F0`, left to right. Not symmetric under
+    /// `(ab)↔(cd)`; kept only to bound how far the regrouping moved
+    /// each integral.
+    pub fn eri_pairs_left_to_right(ab: &Pair, cd: &Pair) -> f64 {
+        let (p, q) = (ab.p, cd.p);
+        let rho = p * q / (p + q);
+        ab.nab * cd.na * cd.nb * 2.0 * std::f64::consts::PI.powf(2.5) / (p * q * (p + q).sqrt())
+            * ab.e
+            * cd.e
+            * boys_f0(rho * dist2(ab.center, cd.center))
     }
 }
 
@@ -384,21 +398,116 @@ mod tests {
         assert!(e1 > 0.0);
     }
 
+    /// The eight orientations of `(ab|cd)`, `(ab|cd)` itself first.
+    fn orientations<T: Copy>([a, b, c, d]: [T; 4]) -> [[T; 4]; 8] {
+        [
+            [a, b, c, d],
+            [b, a, c, d],
+            [a, b, d, c],
+            [b, a, d, c],
+            [c, d, a, b],
+            [d, c, a, b],
+            [c, d, b, a],
+            [d, c, b, a],
+        ]
+    }
+
+    /// Quartet number `q` of an `n`-function basis, row-major.
+    fn quartet(q: usize, n: usize) -> [usize; 4] {
+        [q / n.pow(3), q / n.pow(2) % n, q / n % n, q % n]
+    }
+
+    /// A centre from a pool with repeats, so products coincide (Boys
+    /// argument exactly 0) and far-apart pairs underflow `exp` to 0.
+    fn random_centre(rng: &mut Rng) -> [f64; 3] {
+        match rng.gen_below(4) {
+            0 => [0.0; 3],
+            1 => [40.0, -35.0, 50.0],
+            _ => [
+                rng.gen_f64() * 6.0 - 3.0,
+                rng.gen_f64() * 6.0 - 3.0,
+                rng.gen_f64() * 6.0 - 3.0,
+            ],
+        }
+    }
+
+    /// Four primitives with exponents 1e-2…1e3 at [`random_centre`]s; one
+    /// time in eight `(cd)` repeats `(ab)`.
+    fn random_quartet(rng: &mut Rng) -> [SGaussian; 4] {
+        let mut g: [SGaussian; 4] = std::array::from_fn(|_| SGaussian {
+            alpha: 10f64.powf(rng.gen_f64() * 5.0 - 2.0),
+            center: random_centre(rng),
+        });
+        if rng.gen_below(8) == 0 {
+            (g[2], g[3]) = (g[0], g[1]);
+        }
+        g
+    }
+
     #[test]
     fn eri_eightfold_symmetry() {
-        let (a, b, c, d) = (g(0.5, 0.0), g(1.3, 1.0), g(0.9, 2.0), g(2.1, 0.5));
-        let base = eri(&a, &b, &c, &d);
-        for perm in [
-            eri(&b, &a, &c, &d),
-            eri(&a, &b, &d, &c),
-            eri(&b, &a, &d, &c),
-            eri(&c, &d, &a, &b),
-            eri(&d, &c, &a, &b),
-            eri(&c, &d, &b, &a),
-            eri(&d, &c, &b, &a),
-        ] {
-            assert!((perm - base).abs() < 1e-12);
+        // Every quartet of a 10-function basis, through the table.
+        let basis = BasisSet::even_tempered(Molecule::h_chain(5), 2, 0.4, 3.5);
+        let table = PairTable::new(&basis);
+        let n = basis.len();
+        for q in 0..n.pow(4) {
+            let want = quartet(q, n);
+            let bits = |[i, j, k, l]: [usize; 4]| table.eri(i, j, k, l).to_bits();
+            for o in orientations(want) {
+                assert_eq!(bits(o), bits(want), "{o:?} vs {want:?}");
+            }
         }
+
+        // Seeded random quartets, through fresh pairs.
+        let mut rng = Rng::seed_from_u64(27);
+        let (mut coincident, mut underflow) = (0, 0);
+        for _ in 0..20_000 {
+            let g = random_quartet(&mut rng);
+            let (ab, cd) = (Pair::new(&g[0], &g[1]), Pair::new(&g[2], &g[3]));
+            coincident += usize::from(dist2(ab.center, cd.center) == 0.0);
+            underflow += usize::from(ab.e == 0.0 || cd.e == 0.0);
+            let want = eri(&g[0], &g[1], &g[2], &g[3]).to_bits();
+            for [a, b, c, d] in orientations([&g[0], &g[1], &g[2], &g[3]]) {
+                assert_eq!(eri(a, b, c, d).to_bits(), want, "{g:?}");
+            }
+        }
+        assert!(
+            coincident > 1_000 && underflow > 1_000,
+            "{coincident} coincident, {underflow} underflow cases"
+        );
+    }
+
+    /// Distance in representable doubles between two finite values.
+    fn ulps(a: f64, b: f64) -> u64 {
+        let key = |x: f64| {
+            let bits = x.to_bits() as i64;
+            if bits < 0 {
+                i64::MIN - bits
+            } else {
+                bits
+            }
+        };
+        key(a).abs_diff(key(b))
+    }
+
+    #[test]
+    fn the_symmetric_grouping_moves_no_integral_more_than_4_ulp() {
+        // The 32-function basis of `scioto fig5_fig6_apps`, every quartet.
+        let basis = BasisSet::even_tempered(Molecule::h_chain(16), 2, 0.4, 3.5);
+        let table = PairTable::new(&basis);
+        let n = table.n();
+        let (mut moved, mut worst) = (0, 0);
+        for q in 0..n.pow(4) {
+            let [i, j, k, l] = quartet(q, n);
+            let (ab, cd) = (&table.pairs[i * n + j], &table.pairs[k * n + l]);
+            let old = reference::eri_pairs_left_to_right(ab, cd);
+            let d = ulps(eri_pairs(ab, cd), old);
+            moved += usize::from(d > 0);
+            worst = worst.max(d);
+        }
+        assert!(worst <= 4, "{worst} ulp");
+        // The regrouping is not a no-op on this basis.
+        assert!(moved > n.pow(4) / 4, "{moved} of {} moved", n.pow(4));
     }
 
     #[test]
@@ -478,34 +587,17 @@ mod tests {
             }
         }
 
-        // Seeded random quartets: exponents 1e-2…1e3; centres from a pool
-        // with repeats, so products coincide (Boys argument exactly 0) and
-        // far-apart pairs underflow `exp` to 0.
+        // Seeded random quartets.
         let mut rng = Rng::seed_from_u64(21);
-        let centre = |rng: &mut Rng| match rng.gen_below(4) {
-            0 => [0.0; 3],
-            1 => [40.0, -35.0, 50.0],
-            _ => [
-                rng.gen_f64() * 6.0 - 3.0,
-                rng.gen_f64() * 6.0 - 3.0,
-                rng.gen_f64() * 6.0 - 3.0,
-            ],
-        };
         let (mut coincident, mut underflow) = (0, 0);
         for _ in 0..20_000 {
-            let mut g: [SGaussian; 4] = std::array::from_fn(|_| SGaussian {
-                alpha: 10f64.powf(rng.gen_f64() * 5.0 - 2.0),
-                center: centre(&mut rng),
-            });
-            if rng.gen_below(8) == 0 {
-                (g[2], g[3]) = (g[0], g[1]);
-            }
+            let g = random_quartet(&mut rng);
             let [a, b, c, d] = &g;
             let (ab, cd) = (Pair::new(a, b), Pair::new(c, d));
             coincident += usize::from(dist2(ab.center, cd.center) == 0.0);
             underflow += usize::from(ab.e == 0.0 || cd.e == 0.0);
             let z = [1.0, 3.0, 0.5, 26.0][rng.gen_below(4) as usize];
-            assert_same_bits([a, b, c, d], z, centre(&mut rng));
+            assert_same_bits([a, b, c, d], z, random_centre(&mut rng));
         }
         assert!(
             coincident > 1_000 && underflow > 1_000,

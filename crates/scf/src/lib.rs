@@ -8,9 +8,10 @@
 //!   function, [`integrals`]). A Gaussian product is formed in one place,
 //!   [`integrals::Pair`]; a Fock build reads an [`integrals::PairTable`]
 //!   (all n² pairs + the Schwarz factors) rather than re-deriving two
-//!   products per ERI. Factors multiply in one
-//!   fixed left-to-right order, so a table ERI is the same bits as the
-//!   closed form from four primitives (a bitwise test holds this) and
+//!   products per ERI. Factors multiply in one fixed order, grouped so
+//!   that every operation is symmetric under `(ab)↔(cd)`: a table ERI is
+//!   the same bits as the closed form from four primitives and as each of
+//!   its seven other orientations (bitwise tests hold both), and
 //!   screening, task lists and virtual time cannot drift with the kernel;
 //! * Cauchy–Schwarz screening, which makes per-task cost irregular — the
 //!   property that motivates dynamic load balancing;
@@ -22,7 +23,8 @@
 //!   re-reads, computed once per *machine*: the P virtual ranks share one
 //!   host, so [`parallel`] routes each through `Ctx::replicated` and one
 //!   lazily filled ERI block store (built once per run, `n⁴ · 8` bytes at
-//!   most) while every rank still charges the modelled cost;
+//!   most, integrals evaluated only for the symmetry-unique blocks) while
+//!   every rank still charges the modelled cost;
 //! * two parallel Fock-build drivers ([`parallel`]): the **original**
 //!   scheme — a replicated task list drawn from a `read_inc` global
 //!   counter — and the **Scioto** scheme — a task collection seeded at the

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_det::rng::mix64;
-use scioto_ga::{Ga, GaHandle, Patch};
+use scioto_ga::{BlockDist, Ga, GaHandle, Patch};
 use scioto_sim::Ctx;
 
 use crate::basis::BasisSet;
@@ -81,8 +81,9 @@ impl Default for ParallelScfConfig {
 impl ParallelScfConfig {
     /// Check the invariants `run_scf_parallel` relies on. Run at its top,
     /// so a struct-literal misconfiguration fails with a message instead
-    /// of a divide-by-zero in the block count or a steal that moves
-    /// nothing.
+    /// of a divide-by-zero in the block count, a steal that moves nothing,
+    /// or an energy that is silently wrong (a NaN `screen_tol` screens out
+    /// every task) or infinite (no iteration at all).
     pub fn validate(&self) -> Result<(), String> {
         if self.block == 0 {
             return Err("block size must be at least 1 basis function".to_string());
@@ -95,6 +96,15 @@ impl ParallelScfConfig {
                 "damping = {}: must be in [0, 1)",
                 self.scf.damping
             ));
+        }
+        if self.scf.max_iters == 0 {
+            return Err("max_iters must be at least 1 Roothaan iteration".to_string());
+        }
+        if self.scf.tol.is_nan() {
+            return Err("tol is NaN: no energy change would ever converge".to_string());
+        }
+        if self.scf.screen_tol.is_nan() {
+            return Err("screen_tol is NaN: every task would be screened out".to_string());
         }
         Ok(())
     }
@@ -196,11 +206,7 @@ impl Setup {
     /// store, contracted with `d` in `(i, j, k, l)` order.
     fn contract(&self, t: BlockTask, d: &[f64]) -> Vec<f64> {
         let eris = &self.eris;
-        let extent = |b| {
-            let (lo, hi) = eris.range(b);
-            hi - lo
-        };
-        let (ni, nj, nk, nl) = (extent(t.bi), extent(t.bj), extent(t.bk), extent(t.bl));
+        let [ni, nj, nk, nl] = [t.bi, t.bj, t.bk, t.bl].map(|b| eris.extent(b));
         let coulomb = eris.block(t.bi, t.bj, t.bk, t.bl);
         let exchange = eris.block(t.bi, t.bk, t.bj, t.bl);
         let mut g = vec![0.0; ni * nj];
@@ -268,6 +274,27 @@ impl Setup {
             }
         }
         out
+    }
+}
+
+/// One iteration's screened task list, made once per machine.
+struct TaskList {
+    /// Every task in enumeration order: what the global counter indexes.
+    all: Vec<BlockTask>,
+    /// The same tasks grouped by the owner of their destination G block,
+    /// each group in enumeration order — the order its owner adds them.
+    by_owner: Vec<Vec<BlockTask>>,
+}
+
+impl TaskList {
+    fn new(setup: &Setup, dist: BlockDist, dmax: f64, screen_tol: f64) -> TaskList {
+        let all = setup.enumerate(dmax, screen_tol);
+        let mut by_owner = vec![Vec::new(); dist.pr * dist.pc];
+        for &t in &all {
+            let ((ilo, _), (jlo, _)) = (setup.eris.range(t.bi), setup.eris.range(t.bj));
+            by_owner[dist.locate(ilo, jlo)].push(t);
+        }
+        TaskList { all, by_owner }
     }
 }
 
@@ -361,6 +388,7 @@ fn drive(ctx: &Ctx, basis: &BasisSet, cfg: &ParallelScfConfig, host: HostWork) -
 
     let d_handle = ga.create(ctx, "density", n, n);
     let g_handle = ga.create(ctx, "gmatrix", n, n);
+    let g_dist = ga.dist(g_handle);
 
     let fctx = Arc::new(FockContext {
         setup: Arc::clone(&setup),
@@ -411,8 +439,12 @@ fn drive(ctx: &Ctx, basis: &BasisSet, cfg: &ParallelScfConfig, host: HostWork) -
         ga.sync(ctx);
 
         let dmax = density.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1.0);
-        let tasks = setup.enumerate(dmax, cfg.scf.screen_tol);
-        tasks_per_iteration = tasks.len();
+        let screen_tol = cfg.scf.screen_tol;
+        let inputs = fingerprint([dmax.to_bits(), screen_tol.to_bits(), cfg.block as u64]);
+        let tasks = host.per_machine(ctx, inputs, || {
+            TaskList::new(&setup, g_dist, dmax, screen_tol)
+        });
+        tasks_per_iteration = tasks.all.len();
 
         match cfg.lb {
             LoadBalance::GlobalCounter => {
@@ -422,25 +454,21 @@ fn drive(ctx: &Ctx, basis: &BasisSet, cfg: &ParallelScfConfig, host: HostWork) -
                 ga.sync(ctx);
                 loop {
                     let idx = ga.read_inc(ctx, counter, 1);
-                    if idx as usize >= tasks.len() {
+                    let Some(&t) = tasks.all.get(idx as usize) else {
                         break;
-                    }
-                    fctx.run_task(ctx, &ga, tasks[idx as usize]);
+                    };
+                    fctx.run_task(ctx, &ga, t);
                     my_tasks += 1;
                 }
                 ga.sync(ctx);
             }
             LoadBalance::Scioto => {
-                // Seed each task at the owner of its destination G block.
+                // Each rank seeds the tasks whose destination G block it
+                // owns.
                 let mut task_buf = Task::with_body_size(h, 16);
-                for t in &tasks {
-                    let (ilo, _) = setup.eris.range(t.bi);
-                    let (jlo, _) = setup.eris.range(t.bj);
-                    let owner = ga.locate(g_handle, ilo, jlo);
-                    if owner == ctx.rank() {
-                        task_buf.body_mut().copy_from_slice(&t.encode());
-                        tc.add(ctx, owner, AFFINITY_HIGH, &task_buf);
-                    }
+                for t in &tasks.by_owner[ctx.rank()] {
+                    task_buf.body_mut().copy_from_slice(&t.encode());
+                    tc.add(ctx, ctx.rank(), AFFINITY_HIGH, &task_buf);
                 }
                 let stats = tc.process(ctx);
                 my_tasks += stats.tasks_executed;
@@ -617,6 +645,43 @@ mod tests {
             let scf = ScfConfig { damping, ..ok.scf };
             let bad = ParallelScfConfig { scf, ..ok };
             assert!(bad.validate().unwrap_err().contains("damping"), "{damping}");
+        }
+        let nan = f64::NAN;
+        for (scf, start) in [
+            (ScfConfig { screen_tol: nan, ..ok.scf }, "screen_tol is NaN"),
+            (ScfConfig { tol: nan, ..ok.scf }, "tol is NaN"),
+            (ScfConfig { max_iters: 0, ..ok.scf }, "max_iters"),
+        ] {
+            let err = ParallelScfConfig { scf, ..ok }.validate().unwrap_err();
+            assert!(err.starts_with(start), "{err}");
+        }
+        // A zero `tol` runs exactly `max_iters` iterations; it stays valid.
+        let fixed = ScfConfig { tol: 0.0, max_iters: 1, ..ok.scf };
+        assert!(ParallelScfConfig { scf: fixed, ..ok }.validate().is_ok());
+    }
+
+    #[test]
+    fn task_groups_are_the_locate_filter_in_enumeration_order() {
+        // 12 functions in blocks of 5 on grids of 1 × 1 … 2 × 3 ranks.
+        let basis = BasisSet::even_tempered(Molecule::h_chain(6), 2, 0.4, 3.5);
+        let setup = Setup::new(&basis, 5);
+        for ranks in 1..=6 {
+            let dist = BlockDist::new(basis.len(), basis.len(), ranks);
+            let tasks = TaskList::new(&setup, dist, 1.0, ScfConfig::default().screen_tol);
+            assert_eq!(tasks.all, setup.enumerate(1.0, ScfConfig::default().screen_tol));
+            assert_eq!(tasks.by_owner.len(), ranks);
+            for (rank, mine) in tasks.by_owner.iter().enumerate() {
+                let want: Vec<BlockTask> = tasks
+                    .all
+                    .iter()
+                    .filter(|t| {
+                        let ((ilo, _), (jlo, _)) = (setup.eris.range(t.bi), setup.eris.range(t.bj));
+                        dist.locate(ilo, jlo) == rank
+                    })
+                    .copied()
+                    .collect();
+                assert_eq!(*mine, want, "rank {rank} of {ranks}");
+            }
         }
     }
 

@@ -68,6 +68,10 @@ pub fn density_from_orbitals(c: &[f64], n: usize, n_occ: usize) -> Vec<f64> {
 
 /// Build the two-electron part of the Fock matrix from the density:
 /// `G_ij = Σ_kl D_kl [2 (ij|kl) − (ik|jl)]`, with Schwarz screening.
+///
+/// Every integral is evaluated here from the table, never read from the
+/// parallel driver's block store: this is the independent energy the
+/// parallel runs are checked against.
 pub fn g_matrix(table: &PairTable, density: &[f64], screen_tol: f64) -> Vec<f64> {
     let n = table.n();
     let q = table.schwarz();
