@@ -36,9 +36,9 @@ pub struct Candidate {
 /// Deterministic candidate sweep around `base`, pruned by the recorded
 /// critical path `cp`.
 ///
-/// Axes: victim continuation/escape probabilities, steal chunk, TD
-/// batching, and — only when the path is headed by steal/idle time —
-/// the split release fraction.
+/// Axes: victim continuation/escape probabilities, steal chunk, and —
+/// only when the path is headed by steal/idle time — the split release
+/// fraction.
 pub fn candidates(base: &Knobs, cp: &CritPath) -> Vec<Candidate> {
     let mut out = Vec::new();
     let mut push = |name: String, knobs: Knobs, structural: bool| {
@@ -68,11 +68,6 @@ pub fn candidates(base: &Knobs, cp: &CritPath) -> Vec<Candidate> {
             push(format!("chunk={chunk}"), Knobs { chunk, ..*base }, false);
         }
     }
-    push(
-        format!("td_batch={}", !base.td_batch),
-        Knobs { td_batch: !base.td_batch, ..*base },
-        false,
-    );
 
     // Owner-release knobs: only when the owner's queue heads the path.
     let queue_headed = cp
@@ -159,7 +154,6 @@ pub fn config_json(knobs: &Knobs, source: &str) -> String {
         "  \"victim_escape\": {},\n",
         dec4(knobs.victim_escape)
     ));
-    s.push_str(&format!("  \"td_batch\": {},\n", knobs.td_batch));
     s.push_str(&format!(
         "  \"release_fraction\": {}\n",
         dec4(knobs.release_fraction)
@@ -266,7 +260,6 @@ mod tests {
         // Non-structural axes are present either way.
         for sweep in [&gated, &open] {
             assert!(sweep.iter().any(|c| c.name == "chunk=5"));
-            assert!(sweep.iter().any(|c| c.name == "td_batch=false"));
             assert!(sweep.iter().any(|c| c.name == "cont=0.50"));
             assert!(sweep.iter().any(|c| c.name == "escape=0.2500"));
         }

@@ -22,10 +22,6 @@
 //!   under the candidate; duration scales by `0.5 + 0.5·got'/got` (the
 //!   attempt's fixed round trip is ~half the bill, the per-task transfer
 //!   the rest).
-//! * **td batch** — batching coalesces the detector's slot reads into one
-//!   snapshot; turning it off multiplies `TdProgress` polls by 1.6,
-//!   turning it on multiplies by 0.625 (the measured flat-vs-batched
-//!   ratio from the PR-3 ablation).
 //! * **release fraction/threshold** — deliberately *not* re-priced: they
 //!   change which steals exist at all (schedule structure), which replay
 //!   cannot predict. The tuner explores them only under critical-path
@@ -48,8 +44,6 @@ pub struct Knobs {
     pub victim_escape: f64,
     /// Steal chunk size.
     pub chunk: usize,
-    /// Batched termination detection.
-    pub td_batch: bool,
     /// Split release fraction (structural — carried for the tuner and the
     /// emitted config, never re-priced here).
     pub release_fraction: f64,
@@ -64,7 +58,6 @@ impl Knobs {
             victim_cont: 0.7,
             victim_escape: 0.125,
             chunk: 10,
-            td_batch: true,
             release_fraction: 0.5,
             tiers: None,
         }
@@ -109,12 +102,6 @@ pub fn reprice(prog: &ReplayProgram, base: &Knobs, cand: &Knobs) -> ReplayProgra
         Some(t) => cand.steal_mix(t) / base.steal_mix(t),
         None => 1.0,
     };
-    let td_ratio = match (base.td_batch, cand.td_batch) {
-        (true, false) => 1.6,
-        (false, true) => 0.625,
-        _ => 1.0,
-    };
-
     let mut out = prog.clone();
     for (me, ops) in out.ops.iter_mut().enumerate() {
         for op in ops.iter_mut() {
@@ -139,11 +126,6 @@ pub fn reprice(prog: &ReplayProgram, base: &Knobs, cand: &Knobs) -> ReplayProgra
                     let lat = tier_scale(&cand.tiers, me, *target as usize, n)
                         / tier_scale(&base.tiers, me, *target as usize, n);
                     let new = scale_dur(old, lat);
-                    *dur_ns = new;
-                    new
-                }
-                TraceEvent::TdProgress { dur_ns } => {
-                    let new = scale_dur(old, td_ratio);
                     *dur_ns = new;
                     new
                 }
@@ -220,19 +202,6 @@ mod tests {
             ref e => panic!("unexpected event {e:?}"),
         }
         assert_eq!(repriced.ops[0][0].delta_ns, 100 - 60 + 45);
-    }
-
-    #[test]
-    fn td_batch_toggle_scales_polls_both_ways() {
-        let prog = lower(&steal_trace()).unwrap();
-        let base = Knobs::baseline();
-        let off = Knobs { td_batch: false, ..base };
-        let repriced = reprice(&prog, &base, &off);
-        assert_eq!(event_dur_of(&repriced.ops[0][2].ev), 32); // 20 × 1.6
-        assert_eq!(event_dur_of(&repriced.ops[1][0].ev), 16); // 10 × 1.6
-        // And back: re-pricing an off-recording to on shrinks by 0.625.
-        let back = reprice(&prog, &off, &base);
-        assert_eq!(event_dur_of(&back.ops[0][2].ev), 13); // 20 × 0.625 rounded
     }
 
     #[test]

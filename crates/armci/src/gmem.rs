@@ -318,7 +318,7 @@ impl Armci {
         });
     }
 
-    /// The one accumulate under `acc_f64` / `acc_i64` / `acc_strided_f64`:
+    /// The one accumulate under `acc_f64` / `acc_i64`:
     /// element `k` of the region becomes `add(k, element)`. `elems` is the
     /// length of the caller's source.
     pub(crate) fn accumulate(
@@ -450,12 +450,12 @@ mod tests {
                 armci.acc_f64(ctx, g, 1, 32, 1.0, &[1.0, 2.0]);
                 armci.acc_i64(ctx, g, 1, 48, 1, &[3]);
                 let s = Strided { offset: 64, stride: 32, seg_len: 16, count: 3 };
-                armci.put_strided(ctx, g, 1, s, &[4; 48]);
-                armci.get_strided(ctx, g, 1, s, &mut [0; 48]);
-                armci.acc_strided_f64(ctx, g, 1, s, 1.0, &[0.5; 6]);
+                for kind in [Put, Get, Acc] {
+                    armci.access_strided(ctx, g, 1, s, kind, |_, _, w| *w += 1);
+                }
                 // A region of no bytes is no access, wherever it points.
                 let none = Strided { offset: 1 << 40, stride: 8, seg_len: 8, count: 0 };
-                armci.get_strided(ctx, g, 1, none, &mut []);
+                armci.access_strided(ctx, g, 1, none, Get, |_, _, _| {});
             }
             g.id
         });
@@ -488,7 +488,9 @@ mod tests {
                 armci.put(ctx, g, 1, 16, &[7; 24]);
                 let t1 = ctx.now();
                 let s = Strided { offset: 16, stride: 0, seg_len: 24, count: 1 };
-                armci.put_strided(ctx, g, 1, s, &[7; 24]);
+                armci.access_strided(ctx, g, 1, s, RemoteOpKind::Put, |_, _, w| {
+                    *w = u64::from_le_bytes([7; 8]);
+                });
                 took = (t1 - t0, ctx.now() - t1);
             }
             (g.id, took)
@@ -506,7 +508,7 @@ mod tests {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 64);
             let s = Strided { offset: 40, stride: 16, seg_len: 8, count: 3 };
-            armci.get_strided(ctx, g, 0, s, &mut [0u8; 24]);
+            armci.access_strided(ctx, g, 0, s, RemoteOpKind::Get, |_, _, _| {});
         });
     }
 
@@ -520,7 +522,7 @@ mod tests {
             armci.acc_f64(ctx, g, 0, 8, 1.0, &[]);
             // Segments of no bytes: accepted wherever they point.
             let s = Strided { offset: 1000, stride: 8, seg_len: 0, count: 2 };
-            armci.put_strided(ctx, g, 0, s, &[]);
+            armci.access_strided(ctx, g, 0, s, RemoteOpKind::Put, |_, _, _| {});
         });
     }
 
@@ -676,7 +678,9 @@ mod tests {
             armci.get(ctx, g, other, 70_001, &mut b);
             let mut c = [0xCCu8; 32];
             let s = Strided { offset: 200_000, stride: 1024, seg_len: 8, count: 4 };
-            armci.get_strided(ctx, g, other, s, &mut c);
+            armci.access_strided(ctx, g, other, s, RemoteOpKind::Get, |i, _, w| {
+                c[i * 8..][..8].copy_from_slice(&w.to_le_bytes());
+            });
             let word = armci.read_i64(ctx, g, other, (1 << 20) - 8);
             armci.barrier(ctx);
             let zeros = a.iter().chain(&b).chain(&c).all(|&x| x == 0) && word == 0;

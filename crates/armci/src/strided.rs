@@ -1,12 +1,11 @@
-//! Strided one-sided operations (ARMCI_PutS / ARMCI_GetS / ARMCI_AccS).
+//! Strided one-sided access (the engine of ARMCI_PutS / ARMCI_GetS /
+//! ARMCI_AccS, handing the caller each word in place).
 //!
 //! A strided descriptor names `count` segments of `seg_len` bytes, the
 //! first at `offset`, each subsequent one `stride` bytes later — the shape
 //! of a rectangular patch of a row-major matrix. Like ARMCI's strided
 //! engine, one strided operation is charged as a single transfer of the
 //! total payload (the NIC pipelines the segments).
-
-use std::sync::atomic::Ordering;
 
 use scioto_sim::{Ctx, RemoteOpKind};
 
@@ -88,54 +87,32 @@ impl Armci {
     ) {
         self.transfer_words(ctx, g, rank, s.checked(), kind, each);
     }
-
-    /// Strided get: gather the described region of `(rank)`'s segment into
-    /// the contiguous `dst` (`dst.len() == total_bytes`).
-    pub fn get_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, dst: &mut [u8]) {
-        assert_eq!(dst.len(), s.total_bytes(), "dst length mismatch");
-        let s = s.checked();
-        self.transfer(ctx, g, rank, s, RemoteOpKind::Get, false, |row| {
-            for i in 0..s.count {
-                let dst = &mut dst[i * s.seg_len..][..s.seg_len];
-                row.get_bytes(s.offset + i * s.stride, dst, Ordering::Acquire);
-            }
-        });
-    }
-
-    /// Strided put: scatter the contiguous `src` into the described region.
-    pub fn put_strided(&self, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, src: &[u8]) {
-        assert_eq!(src.len(), s.total_bytes(), "src length mismatch");
-        let s = s.checked();
-        self.transfer(ctx, g, rank, s, RemoteOpKind::Put, false, |row| {
-            for i in 0..s.count {
-                let src = &src[i * s.seg_len..][..s.seg_len];
-                row.put_bytes(s.offset + i * s.stride, src, Ordering::Release);
-            }
-        });
-    }
-
-    /// Strided atomic f64 accumulate: `dest[i] += scale * src[i]` over the
-    /// described region (`seg_len` must be a multiple of 8).
-    pub fn acc_strided_f64(
-        &self,
-        ctx: &Ctx,
-        g: Gmem,
-        rank: usize,
-        s: Strided,
-        scale: f64,
-        src: &[f64],
-    ) {
-        self.accumulate(ctx, g, rank, s.checked(), src.len(), |k, cur| {
-            (f64::from_bits(cur) + scale * src[k]).to_bits()
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typed::{bytes_to_f64s, f64s_to_bytes};
     use scioto_sim::{Machine, MachineConfig};
+
+    /// A 2x2 sub-block at (1,1) of a row-major 4x4 f64 matrix.
+    const BLOCK: Strided = Strided { offset: (4 + 1) * 8, stride: 4 * 8, seg_len: 2 * 8, count: 2 };
+
+    /// Put `vals` (two f64 per segment) into the region `s` of `rank`.
+    fn put_f64s(armci: &Armci, ctx: &Ctx, g: Gmem, rank: usize, s: Strided, vals: &[f64]) {
+        let per_seg = s.seg_len / 8;
+        armci.access_strided(ctx, g, rank, s, RemoteOpKind::Put, |i, j, w| {
+            *w = vals[i * per_seg + j].to_bits();
+        });
+    }
+
+    /// The f64 words of the region `s` of `rank`, in segment order.
+    fn get_f64s(armci: &Armci, ctx: &Ctx, g: Gmem, rank: usize, s: Strided) -> Vec<f64> {
+        let mut out = Vec::new();
+        armci.access_strided(ctx, g, rank, s, RemoteOpKind::Get, |_, _, w| {
+            out.push(f64::from_bits(*w));
+        });
+        out
+    }
 
     #[test]
     fn strided_put_get_roundtrip() {
@@ -144,24 +121,10 @@ mod tests {
             let g = armci.malloc(ctx, 16 * 8); // a 4x4 f64 matrix
             // Rank 0 writes a 2x2 sub-block at (1,1) of rank 1's matrix.
             if ctx.rank() == 0 {
-                let s = Strided {
-                    offset: (4 + 1) * 8,
-                    stride: 4 * 8,
-                    seg_len: 2 * 8,
-                    count: 2,
-                };
-                armci.put_strided(ctx, g, 1, s, &f64s_to_bytes(&[1.0, 2.0, 3.0, 4.0]));
+                put_f64s(&armci, ctx, g, 1, BLOCK, &[1.0, 2.0, 3.0, 4.0]);
             }
             armci.barrier(ctx);
-            let s = Strided {
-                offset: (4 + 1) * 8,
-                stride: 4 * 8,
-                seg_len: 2 * 8,
-                count: 2,
-            };
-            let mut buf = vec![0u8; 32];
-            armci.get_strided(ctx, g, 1, s, &mut buf);
-            bytes_to_f64s(&buf)
+            get_f64s(&armci, ctx, g, 1, BLOCK)
         });
         for v in out.results {
             assert_eq!(v, vec![1.0, 2.0, 3.0, 4.0]);
@@ -173,14 +136,9 @@ mod tests {
         let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 6 * 8);
-            armci.put(ctx, g, 0, 0, &f64s_to_bytes(&[9.0; 6]));
-            let s = Strided {
-                offset: 0,
-                stride: 3 * 8,
-                seg_len: 8,
-                count: 2,
-            };
-            armci.put_strided(ctx, g, 0, s, &f64s_to_bytes(&[1.0, 2.0]));
+            armci.put(ctx, g, 0, 0, &crate::typed::f64s_to_bytes(&[9.0; 6]));
+            let s = Strided { offset: 0, stride: 3 * 8, seg_len: 8, count: 2 };
+            put_f64s(&armci, ctx, g, 0, s, &[1.0, 2.0]);
             armci.get_f64s(ctx, g, 0, 0, 6)
         });
         assert_eq!(out.results[0], vec![1.0, 9.0, 9.0, 2.0, 9.0, 9.0]);
@@ -191,13 +149,11 @@ mod tests {
         let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 4 * 8);
-            let s = Strided {
-                offset: 0,
-                stride: 2 * 8,
-                seg_len: 8,
-                count: 2,
-            };
-            armci.acc_strided_f64(ctx, g, 0, s, 1.0, &[1.0, 10.0]);
+            let s = Strided { offset: 0, stride: 2 * 8, seg_len: 8, count: 2 };
+            let src = [1.0, 10.0];
+            armci.access_strided(ctx, g, 0, s, RemoteOpKind::Acc, |i, _, w| {
+                *w = (f64::from_bits(*w) + src[i]).to_bits();
+            });
             armci.barrier(ctx);
             armci.get_f64s(ctx, g, 0, 0, 4)
         });
@@ -211,16 +167,10 @@ mod tests {
         let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 8);
-            let s = Strided {
-                offset: 0,
-                stride: 8,
-                seg_len: 0,
-                count: 0,
-            };
-            let mut buf = Vec::new();
-            armci.get_strided(ctx, g, 0, s, &mut buf);
-            armci.put_strided(ctx, g, 0, s, &[]);
-            true
+            let s = Strided { offset: 0, stride: 8, seg_len: 0, count: 0 };
+            let got = get_f64s(&armci, ctx, g, 0, s);
+            put_f64s(&armci, ctx, g, 0, s, &[]);
+            got.is_empty()
         });
         assert!(out.results[0]);
     }
@@ -231,13 +181,8 @@ mod tests {
         Machine::run(MachineConfig::virtual_time(1), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 64);
-            let s = Strided {
-                offset: 0,
-                stride: 4,
-                seg_len: 8,
-                count: 2,
-            };
-            armci.put_strided(ctx, g, 0, s, &[0u8; 16]);
+            let s = Strided { offset: 0, stride: 4, seg_len: 8, count: 2 };
+            put_f64s(&armci, ctx, g, 0, s, &[0.0; 2]);
         });
     }
 
@@ -248,7 +193,7 @@ mod tests {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 64);
             let s = Strided { offset: 0, stride: 16, seg_len: 8, count: 2 };
-            armci.put_strided(ctx, g, 1, s, &[0u8; 16]);
+            put_f64s(&armci, ctx, g, 1, s, &[0.0; 2]);
         });
     }
 
@@ -260,7 +205,7 @@ mod tests {
             let g = armci.malloc(ctx, 64);
             // (count - 1) * stride wraps to 0 under plain arithmetic.
             let s = Strided { offset: 0, stride: 1 << 63, seg_len: 8, count: 3 };
-            armci.get_strided(ctx, g, 0, s, &mut [0u8; 24]);
+            get_f64s(&armci, ctx, g, 0, s);
         });
     }
 }

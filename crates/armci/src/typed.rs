@@ -1,5 +1,4 @@
-//! Typed convenience views: byte codecs, gets of `f64` / `i64` slices and
-//! the atomic-marked `i64` pair.
+//! Typed convenience views: byte codecs and gets of `f64` / `i64` slices.
 
 use scioto_sim::Ctx;
 
@@ -54,31 +53,6 @@ impl Armci {
     pub fn get_i64s(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, count: usize) -> Vec<i64> {
         let mut buf = vec![0u8; count * 8];
         self.get(ctx, g, rank, offset, &mut buf);
-        bytes_to_i64s(&buf)
-    }
-
-    /// Put a slice of `i64` at `(rank, byte offset)`, its trace record
-    /// marked atomic — for protocol words ordered by the enclosing
-    /// algorithm rather than a lock (same cost as a plain put).
-    pub fn put_i64s_atomic(&self, ctx: &Ctx, g: Gmem, rank: usize, offset: usize, src: &[i64]) {
-        // protocol: typed passthrough — the caller's site names the
-        // ordering protocol for the words it writes.
-        self.put_atomic(ctx, g, rank, offset, &i64s_to_bytes(src));
-    }
-
-    /// [`Armci::get_i64s`] whose trace record marks the access atomic.
-    pub fn get_i64s_atomic(
-        &self,
-        ctx: &Ctx,
-        g: Gmem,
-        rank: usize,
-        offset: usize,
-        count: usize,
-    ) -> Vec<i64> {
-        let mut buf = vec![0u8; count * 8];
-        // protocol: typed passthrough — the caller's site names the
-        // ordering protocol for the words it reads.
-        self.get_atomic(ctx, g, rank, offset, &mut buf);
         bytes_to_i64s(&buf)
     }
 }

@@ -23,7 +23,7 @@ type Flag = (&'static str, bool);
 /// Tables are written as the usage text a rejected command line prints: a
 /// flag followed by a word that is not a flag takes a value.
 const RUN_SPEC_FLAGS: &str = "--victim uniform|locality --barrier flat|tree \
-    --td-batch on|off --latency flat|nearfar --trace-out <path> --trace-summary <path> \
+    --latency flat|nearfar --trace-out <path> --trace-summary <path> \
     --trace-ring <events> --analysis-out <path> --race-check --predict --deadlock \
     --replay-check --json-out <path>";
 
@@ -66,7 +66,7 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
         false,
         "--ranks <n> --app uts|scf --atoms <n> --tree tiny|small|medium|large --seed <n> \
          --reps <n> --max-event-ns <ns> --chrome-out <path> --victim uniform|locality \
-         --barrier flat|tree --td-batch on|off --trace-out <path> --trace-summary <path> \
+         --barrier flat|tree --trace-out <path> --trace-summary <path> \
          --trace-ring <events> --analysis-out <path> --race-check --predict --deadlock",
         cmd::concurrent_obs::run,
     ),
@@ -82,7 +82,7 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
         "replay",
         false,
         "--file <path> --check --chunk <n> --victim-cont <p> --victim-escape <p> \
-         --td-batch on|off --latency flat|nearfar --base-latency flat|nearfar \
+         --latency flat|nearfar --base-latency flat|nearfar \
          --analysis-out <path> --trace-out <path>",
         cmd::replay::run,
     ),
@@ -263,6 +263,16 @@ impl Args {
     /// was not given; exits 2 when the value does not parse.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         self.get_parsed(key).unwrap_or(default)
+    }
+
+    /// Value of the count `--key <n>`, or the default when the flag was
+    /// not given; exits 2 when the value does not parse or is 0.
+    pub fn count(&self, key: &str, default: usize) -> usize {
+        let n = self.get(key, default);
+        if n == 0 {
+            self.fail(&format!("--{key} must be at least 1"));
+        }
+        n
     }
 
     /// Value of `--key <v>` looked up in `choices`; exits 2 naming the

@@ -81,12 +81,12 @@ fn run_once(
 pub fn run(args: &Args) -> Outcome {
     let spec = RunSpec::from_args(args);
     let policy = spec.policy;
-    let ranks: usize = args.get("ranks", 4);
+    let ranks = args.count("ranks", 4);
     let seed: u64 = args.get("seed", 42);
-    let reps: usize = args.get("reps", 5);
+    let reps = args.count("reps", 5);
     let max_event_ns: f64 = args.get("max-event-ns", 150.0);
     let (tree, params) = tree_arg(args, "tree", "tiny");
-    let scf = App::Scf { atoms: args.get("atoms", 6) };
+    let scf = App::Scf { atoms: args.count("atoms", 6) };
     let apps = [("uts", App::Uts(params)), ("scf", scf)];
     let app = args.choice("app", &apps).unwrap_or(App::Uts(params));
     let trace_cfg = spec.trace_config();
@@ -136,7 +136,7 @@ pub fn run(args: &Args) -> Outcome {
     }
 
     // Verify the observability surface on the last traced run.
-    let report = traced_report.expect("--reps must be >= 1");
+    let report = traced_report.expect("--reps is at least 1");
     let trace = report
         .trace
         .as_ref()

@@ -72,11 +72,12 @@ fn mpi_barrier_time(p: usize, spec: &RunSpec) -> u64 {
 
 pub fn run(args: &Args) -> Outcome {
     let spec = RunSpec::from_args(args);
-    let max_p: usize = args.get("max-ranks", 64);
+    let max_p = args.count("max-ranks", 64);
     if spec.obs_requested() {
         // Dedicated traced detection run (`--trace-ranks N`, default 8);
         // the sweep stays untraced so the published table is unaffected.
-        let (_, report) = termination_time(args.get("trace-ranks", 8), spec.trace_config(), &spec);
+        let trace_ranks = args.count("trace-ranks", 8);
+        let (_, report) = termination_time(trace_ranks, spec.trace_config(), &spec);
         spec.observe(&report)?;
     }
     let mut bench = BenchOut::new("fig4_termination");

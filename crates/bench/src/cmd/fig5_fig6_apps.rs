@@ -46,7 +46,6 @@ fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, spec: &RunSpec) -> u64 {
             chunk: 2,
             iterations: 1,
             victim: Some(policy.victim),
-            td_batch: Some(policy.td_batch),
         };
         run_contraction(ctx, &cfg).0.contract_ns
     });
@@ -58,9 +57,9 @@ fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, spec: &RunSpec) -> u64 {
 pub fn run(args: &Args) -> Outcome {
     let spec = RunSpec::from_args(args);
     let policy = spec.policy;
-    let max_p: usize = args.get("max-ranks", 64);
-    let atoms: usize = args.get("atoms", 16);
-    let tiles: usize = args.get("tiles", 48);
+    let max_p = args.count("max-ranks", 64);
+    let atoms = args.count("atoms", 16);
+    let tiles = args.count("tiles", 48);
 
     if spec.obs_requested() {
         // Dedicated traced 4-rank SCF run (2 Roothaan iterations, small

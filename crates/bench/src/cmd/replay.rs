@@ -7,16 +7,15 @@
 //!   (exit 1 on mismatch); incompatible with knob substitution.
 //! * What-if knobs (any subset; omitted knobs keep the baseline value):
 //!   `--chunk N`, `--victim-cont F`, `--victim-escape F`,
-//!   `--td-batch on|off`, `--latency flat|nearfar` (the scenario's
-//!   latency tiers; `--base-latency` names the recording's, default
-//!   flat).
+//!   `--latency flat|nearfar` (the scenario's latency tiers;
+//!   `--base-latency` names the recording's, default flat). A knob value
+//!   `TcConfig::validate` would refuse exits 2.
 //! * `--analysis-out <path>` / `--trace-out <path>` — write the replayed
 //!   run's analysis (`.txt` or JSON) and trace (`.jsonl` or Chrome JSON).
 
 use scioto_analyze::whatif::{reprice, Knobs};
 
 use crate::front::{self, Outcome};
-use crate::runspec::ON_OFF;
 use crate::{Args, LatencyPreset};
 
 pub fn run(args: &Args) -> Outcome {
@@ -29,7 +28,13 @@ pub fn run(args: &Args) -> Outcome {
     cand.chunk = args.get("chunk", cand.chunk);
     cand.victim_cont = args.get("victim-cont", cand.victim_cont);
     cand.victim_escape = args.get("victim-escape", cand.victim_escape);
-    cand.td_batch = args.choice("td-batch", &ON_OFF).unwrap_or(cand.td_batch);
+    let tc = scioto::TcConfig {
+        chunk: cand.chunk,
+        ..scioto::TcConfig::new(8, 1, 16)
+    };
+    if let Err(e) = tc.with_victim_probs(cand.victim_cont, cand.victim_escape).validate() {
+        args.fail(&e);
+    }
     if args.has("latency") {
         cand.tiers = LatencyPreset::from_args(args).tiers();
     }

@@ -40,7 +40,6 @@ fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
     uts.tc.chunk = knobs.chunk;
     uts.tc.victim_cont = knobs.victim_cont;
     uts.tc.victim_escape = knobs.victim_escape;
-    uts.tc.td_batch = knobs.td_batch;
     uts.tc.release_fraction = knobs.release_fraction;
     Machine::run(
         MachineConfig::virtual_time(rc.ranks)
@@ -58,7 +57,7 @@ fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
 pub fn run(args: &Args) -> Outcome {
     let (tree, params) = tree_arg(args, "tree", "small");
     let rc = RunCfg {
-        ranks: args.get("ranks", 64),
+        ranks: args.count("ranks", 64),
         params,
         seed: args.get("seed", 0xD5EED),
         latency: LatencyPreset::from_args(args),
@@ -210,7 +209,6 @@ mod tests {
             victim_cont: tc.victim_cont,
             victim_escape: tc.victim_escape,
             chunk: tc.chunk,
-            td_batch: tc.td_batch,
             release_fraction: tc.release_fraction,
             tiers: None,
         };

@@ -106,7 +106,7 @@ fn sweep(args: &Args, fig: &Figure) -> Outcome {
     let spec = RunSpec::from_args(args);
     let policy = spec.policy;
     let machine = |p: usize| spec.machine(p, (fig.latency)(), (fig.speed)(p));
-    let max_p: usize = args.get("max-ranks", fig.max_ranks);
+    let max_p = args.count("max-ranks", fig.max_ranks);
     let (tree, params) = tree_arg(args, "tree", "medium");
     let steal_dist = args.has("steal-dist");
     let mut bench = BenchOut::new(fig.name);
@@ -114,7 +114,7 @@ fn sweep(args: &Args, fig: &Figure) -> Outcome {
     bench.param("tree", &tree);
     spec.record(&mut bench);
     if spec.obs_requested() || steal_dist {
-        let trace_ranks: usize = args.get("trace-ranks", 8);
+        let trace_ranks = args.count("trace-ranks", 8);
         let (trace_tree, trace_params) = tree_arg(args, "trace-tree", "tiny");
         let out = Machine::run(machine(trace_ranks).with_trace(spec.trace_config()), move |ctx| {
             run_scioto_uts(ctx, &policy.uts(trace_params)).0

@@ -24,12 +24,11 @@ pub enum LatencyPreset {
     NearFar,
 }
 
-/// The values of `--victim`, `--barrier`, `--td-batch` and `--latency` as
+/// The values of `--victim`, `--barrier` and `--latency` as
 /// the command line and the bench params spell them.
 const VICTIMS: [(&str, VictimPolicy); 2] = [("uniform", Uniform), ("locality", Locality)];
 const BARRIERS: [(&str, BarrierKind); 2] =
     [("flat", BarrierKind::Flat), ("tree", BarrierKind::Tree)];
-pub(crate) const ON_OFF: [(&str, bool); 2] = [("on", true), ("off", false)];
 const LATENCIES: [(&str, LatencyPreset); 2] =
     [("flat", LatencyPreset::Flat), ("nearfar", LatencyPreset::NearFar)];
 
@@ -81,18 +80,15 @@ impl LatencyPreset {
     }
 }
 
-/// The hot-path policy knobs: `--victim uniform|locality`, `--barrier
-/// flat|tree`, `--td-batch on|off`. The defaults are locality victims, the
-/// tree barrier and batched termination detection; `uniform` is the
-/// paper's victim selection.
+/// The hot-path policy knobs: `--victim uniform|locality` and `--barrier
+/// flat|tree`. The defaults are locality victims and the tree barrier;
+/// `uniform` and `flat` are the paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyFlags {
     /// Steal victim-selection policy.
     pub victim: VictimPolicy,
     /// Machine barrier release model.
     pub barrier: BarrierKind,
-    /// Batched termination detection.
-    pub td_batch: bool,
 }
 
 impl PolicyFlags {
@@ -100,13 +96,12 @@ impl PolicyFlags {
         PolicyFlags {
             victim: args.choice("victim", &VICTIMS).unwrap_or(Locality),
             barrier: args.choice("barrier", &BARRIERS).unwrap_or(BarrierKind::Tree),
-            td_batch: args.choice("td-batch", &ON_OFF).unwrap_or(true),
         }
     }
 
-    /// A task-collection config with this policy's victim and TD knobs.
+    /// A task-collection config with this policy's victim knob.
     pub fn tc(&self, cfg: scioto::TcConfig) -> scioto::TcConfig {
-        cfg.with_victim(self.victim).with_td_batch(self.td_batch)
+        cfg.with_victim(self.victim)
     }
 
     /// A Scioto UTS config over `params` with this policy's knobs.
@@ -125,7 +120,6 @@ impl PolicyFlags {
             block: 4,
             chunk: 4,
             victim: Some(self.victim),
-            td_batch: Some(self.td_batch),
             ..Default::default()
         };
         cfg.scf.max_iters = iters;
@@ -192,7 +186,6 @@ impl RunSpec {
     pub fn record(&self, bench: &mut BenchOut) {
         bench.param("victim", name_of(&VICTIMS, self.policy.victim));
         bench.param("barrier", name_of(&BARRIERS, self.policy.barrier));
-        bench.param("td_batch", name_of(&ON_OFF, self.policy.td_batch));
         self.latency.record(bench);
         if let Some(o) = self.only_ranks {
             bench.param("only_ranks", o);
@@ -308,7 +301,6 @@ mod tests {
             params,
             vec![
                 ("barrier", "tree"),
-                ("td_batch", "on"),
                 ("victim", "locality")
             ]
         );
@@ -323,8 +315,6 @@ mod tests {
                 "uniform",
                 "--barrier",
                 "flat",
-                "--td-batch",
-                "off",
                 "--latency",
                 "nearfar",
                 "--only-ranks",
@@ -341,7 +331,6 @@ mod tests {
         s.record(&mut b);
         assert_eq!(b.params["victim"], "uniform");
         assert_eq!(b.params["barrier"], "flat");
-        assert_eq!(b.params["td_batch"], "off");
         assert_eq!(b.params["latency"], "nearfar");
         assert_eq!(b.params["only_ranks"], "1024");
     }

@@ -74,6 +74,55 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
     );
 }
 
+#[test]
+fn the_retired_td_poll_flag_exits_2_on_every_subcommand_that_took_it() {
+    // Spelled in two halves, like the other retired flags above.
+    let flag = concat!("--td", "-batch");
+    for subcommand in ["table1", "ablation", "fig7_uts_cluster", "concurrent_obs", "replay"] {
+        let (code, stderr) = run(subcommand, &[flag, "off"]);
+        assert_eq!(code, Some(2), "{subcommand}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{subcommand}: unknown flag {flag}\naccepted flags: ")),
+            "{subcommand}: {stderr}"
+        );
+    }
+}
+
+/// A count of zero and a what-if knob the runtime would refuse are usage
+/// errors: exit 2 with the accepted flags, before any run — never a panic
+/// and never a figure of nothing.
+#[test]
+fn out_of_range_numeric_flags_exit_2_naming_the_accepted_flags() {
+    let file = ["--file", "/nonexistent/t.jsonl"];
+    let cases: &[(&str, &[&str], &str)] = &[
+        ("tune", &["--ranks", "0"], "--ranks must be at least 1"),
+        ("concurrent_obs", &["--ranks", "0"], "--ranks must be at least 1"),
+        ("concurrent_obs", &["--reps", "0"], "--reps must be at least 1"),
+        ("concurrent_obs", &["--app", "scf", "--atoms", "0"], "--atoms must be at least 1"),
+        ("fig5_fig6_apps", &["--atoms", "0"], "--atoms must be at least 1"),
+        ("fig5_fig6_apps", &["--tiles", "0"], "--tiles must be at least 1"),
+        ("fig5_fig6_apps", &["--max-ranks", "0"], "--max-ranks must be at least 1"),
+        ("fig4_termination", &["--max-ranks", "0"], "--max-ranks must be at least 1"),
+        ("fig4_termination", &["--trace-ranks", "0", "--race-check"], "--trace-ranks must be"),
+        ("fig7_uts_cluster", &["--max-ranks", "0"], "--max-ranks must be at least 1"),
+        ("fig8_uts_xt4", &["--trace-ranks", "0", "--race-check"], "--trace-ranks must be"),
+        ("replay", &[file[0], file[1], "--chunk", "0"], "chunk size must be at least 1"),
+        ("replay", &[file[0], file[1], "--victim-cont", "1.5"], "victim_cont = 1.5: must be"),
+        ("replay", &[file[0], file[1], "--victim-cont", "nan"], "victim_cont = NaN: must be"),
+        ("replay", &[file[0], file[1], "--victim-escape", "-1"], "victim_escape = -1: must be"),
+    ];
+    for &(subcommand, args, what) in cases {
+        let (code, stderr) = run(subcommand, args);
+        assert_eq!(code, Some(2), "{subcommand} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{subcommand} {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{subcommand}: ")) && stderr.contains(what),
+            "{subcommand} {args:?}: {stderr}"
+        );
+        assert!(stderr.contains("\naccepted flags: --"), "{subcommand} {args:?}: {stderr}");
+    }
+}
+
 /// Every `scioto <subcommand> <flags...>` command of `scripts/verify.sh`,
 /// with continuation lines joined.
 fn verify_sh_invocations() -> Vec<(String, Vec<String>)> {

@@ -207,6 +207,60 @@ fn resolves(srcs: &[(String, String)], owner: &str, item: &str) -> bool {
         })
 }
 
+/// Assert that every backticked `owner::item` path in `text` resolves —
+/// in `krate`, or in the crate its own `scioto_<name>::` prefix names, or,
+/// with neither, in some crate. `place` says where `text` is in DESIGN.md.
+/// Returns how many paths were checked.
+fn assert_paths_resolve(place: &str, text: &str, krate: Option<&str>) -> usize {
+    let all: Vec<String> = std::fs::read_dir(format!("{}/..", env!("CARGO_MANIFEST_DIR")))
+        .expect("crates/")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    let mut checked = 0;
+    // Code spans are the odd pieces between backticks.
+    for span in text.split('`').skip(1).step_by(2).filter(|s| s.contains("::")) {
+        let path_len = span.find(|c| !is_name_char(c) && c != ':').unwrap_or(span.len());
+        let mut path: Vec<&str> = span[..path_len].trim_end_matches(':').split("::").collect();
+        // `Type::{A, B{x}}` names `Type::A` and `Type::B`.
+        let group = span[path_len..].strip_prefix('{').unwrap_or("");
+        let mut leaves: Vec<&str> = group.split(", ").map(leading_name).collect();
+        leaves.retain(|leaf| !leaf.is_empty());
+        if ["std", "Box", "f64"].contains(&path[0]) {
+            continue;
+        }
+        let named = path[0].strip_prefix("scioto").map(|k| match k {
+            "" => "core",
+            k => k.trim_start_matches('_'),
+        });
+        if named.is_some() {
+            path.remove(0);
+        }
+        let crates: Vec<&str> = match named.or(krate) {
+            Some(k) => vec![k],
+            None => all.iter().map(String::as_str).collect(),
+        };
+        if leaves.is_empty() {
+            leaves.push(path.pop().expect("a non-empty path"));
+        }
+        for leaf in leaves {
+            let found = crates.iter().any(|k| {
+                let srcs = crate_sources(k);
+                match path.last() {
+                    Some(owner) => resolves(&srcs, owner, leaf),
+                    None => srcs.iter().any(|(_, text)| declares(text, &ITEMS, leaf)),
+                }
+            });
+            assert!(
+                found,
+                "DESIGN.md ({place}) names `{span}`: no `{leaf}` under `{}` in {crates:?}",
+                path.join("::")
+            );
+            checked += 1;
+        }
+    }
+    checked
+}
+
 /// DESIGN.md's workspace-inventory sections describe the tree by naming
 /// its items; a name the tree does not have is a stale claim. Every
 /// backticked `owner::item` path there must resolve in the crate its
@@ -218,58 +272,33 @@ fn design_inventory_paths_resolve_in_the_tree() {
     let start = text.find("## Workspace inventory").expect("inventory heading");
     let inventory = &text[start..];
     let inventory = &inventory[..inventory[2..].find("\n## ").expect("next section") + 2];
-    let all: Vec<String> = std::fs::read_dir(format!("{}/..", env!("CARGO_MANIFEST_DIR")))
-        .expect("crates/")
-        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-        .collect();
     let mut checked = 0;
+    // The fenced listing opens the inventory and holds no paths.
     for section in inventory.split("\n### ") {
         let heading = section.lines().next().unwrap_or("");
-        let section_crate = heading.strip_prefix("crates/").map(leading_name);
-        // Code spans are the odd pieces between backticks; the fenced
-        // listing opens the inventory and holds no paths.
-        for span in section.split('`').skip(1).step_by(2).filter(|s| s.contains("::")) {
-            let path_len = span.find(|c| !is_name_char(c) && c != ':').unwrap_or(span.len());
-            let mut path: Vec<&str> = span[..path_len].trim_end_matches(':').split("::").collect();
-            // `Type::{A, B{x}}` names `Type::A` and `Type::B`.
-            let group = span[path_len..].strip_prefix('{').unwrap_or("");
-            let mut leaves: Vec<&str> = group.split(", ").map(leading_name).collect();
-            leaves.retain(|leaf| !leaf.is_empty());
-            if ["std", "Box", "f64"].contains(&path[0]) {
-                continue;
-            }
-            let named = path[0].strip_prefix("scioto").map(|k| match k {
-                "" => "core",
-                k => k.trim_start_matches('_'),
-            });
-            if named.is_some() {
-                path.remove(0);
-            }
-            let crates: Vec<&str> = match named.or(section_crate) {
-                Some(k) => vec![k],
-                None => all.iter().map(String::as_str).collect(),
-            };
-            if leaves.is_empty() {
-                leaves.push(path.pop().expect("a non-empty path"));
-            }
-            for leaf in leaves {
-                let found = crates.iter().any(|k| {
-                    let srcs = crate_sources(k);
-                    match path.last() {
-                        Some(owner) => resolves(&srcs, owner, leaf),
-                        None => srcs.iter().any(|(_, text)| declares(text, &ITEMS, leaf)),
-                    }
-                });
-                assert!(
-                    found,
-                    "DESIGN.md (### {heading}) names `{span}`: no `{leaf}` under `{}` in {crates:?}",
-                    path.join("::")
-                );
-                checked += 1;
-            }
-        }
+        let krate = heading.strip_prefix("crates/").map(leading_name);
+        checked += assert_paths_resolve(&format!("### {heading}"), section, krate);
     }
     assert!(checked >= 40, "the scan found only {checked} paths");
+}
+
+/// DESIGN.md's policy-knob table names each knob and its paper and
+/// default settings by path, so a deleted knob cannot stay listed: every
+/// row's paths must resolve in the crate its `crates/<name>/…` column
+/// names.
+#[test]
+fn design_knob_table_paths_resolve_in_the_tree() {
+    let text = read("DESIGN.md");
+    let table = &text[text.find("\n| knob |").expect("the policy-knob table") + 1..];
+    let mut checked = 0;
+    // Skip the header and its `|---|` rule; the table ends at the first
+    // line that is not a row.
+    for row in table.lines().skip(2).take_while(|line| line.starts_with('|')) {
+        let krate = row.split("`crates/").nth(1).map(leading_name);
+        assert!(krate.is_some(), "knob table row names no crate: {row}");
+        checked += assert_paths_resolve("policy-knob table", row, krate);
+    }
+    assert!(checked >= 6, "the knob table held only {checked} paths");
 }
 
 /// Does `src` hold `unsafe` code — an `unsafe` block, impl or fn? Comments

@@ -84,7 +84,7 @@ impl TaskCollection {
         ctx.collective_epoch(|| {
             let n = ctx.nranks();
             let queue = PatchQueue::new(ctx, armci, &cfg);
-            let detector = WaveDetector::new(ctx, armci, cfg.td_votes_before_opt, cfg.td_batch);
+            let detector = WaveDetector::new(ctx, armci, cfg.td_votes_before_opt);
             let armci2 = Arc::clone(armci);
             let tc = ctx.collective(move || TaskCollection {
                 armci: armci2,
@@ -237,11 +237,11 @@ impl TaskCollection {
                     continue;
                 }
             }
-            // Passive: detect termination, then hunt for work. Under
-            // batched TD the detector poll (whose snapshot read is the
-            // dominant idle-loop cost at scale) runs on every 4th
-            // idle-loop iteration while actively hunting, and only on
-            // every 16th while napping in backoff — a napping rank has
+            // Passive: detect termination, then hunt for work. The
+            // detector poll (whose snapshot read is the dominant idle-loop
+            // cost at scale) runs on every 4th idle-loop iteration while
+            // actively hunting, and only on every 16th while napping in
+            // backoff — a napping rank has
             // published nothing new, so its polls exist purely to observe
             // TERM/wave progress and can be sparse. Every iteration still
             // advances the clock (a steal attempt, a nap tick, or the
@@ -249,7 +249,7 @@ impl TaskCollection {
             // announcement is never missed for more than 15 iterations.
             idle_iter = idle_iter.wrapping_add(1);
             let poll_mask = if backoff > 0 { 15 } else { 3 };
-            let defer_poll = self.cfg.td_batch && idle_iter & poll_mask != 0;
+            let defer_poll = idle_iter & poll_mask != 0;
             if !defer_poll && self.detector.progress(ctx, &self.armci, true) == Poll::Terminated {
                 break;
             }

@@ -82,10 +82,6 @@ pub struct TcConfig {
     /// Uniform-escape probability of a Locality draw (ignored by
     /// Uniform). Keeps distant single-source workloads reachable.
     pub victim_escape: f64,
-    /// Batched termination detection: coalesce the detector's slot reads
-    /// into one snapshot per poll and defer polls during steal-backoff
-    /// naps (disable for the flat per-slot ablation baseline).
-    pub td_batch: bool,
 }
 
 impl TcConfig {
@@ -108,7 +104,6 @@ impl TcConfig {
             victim: VictimPolicy::Locality,
             victim_cont: crate::victim::CONT_P,
             victim_escape: crate::victim::ESCAPE_P,
-            td_batch: true,
         };
         if let Err(e) = cfg.validate() {
             panic!("invalid TcConfig: {e}");
@@ -189,12 +184,6 @@ impl TcConfig {
         self
     }
 
-    /// Toggle batched termination detection.
-    pub fn with_td_batch(mut self, on: bool) -> Self {
-        self.td_batch = on;
-        self
-    }
-
     /// Set the Locality victim-selection bias probabilities
     /// (continuation of the geometric walk, uniform escape).
     pub fn with_victim_probs(mut self, cont: f64, escape: f64) -> Self {
@@ -224,10 +213,8 @@ mod tests {
     fn policy_defaults_and_builders() {
         let c = TcConfig::new(8, 1, 16);
         assert_eq!(c.victim, VictimPolicy::Locality);
-        assert!(c.td_batch);
-        let old = c.with_victim(VictimPolicy::Uniform).with_td_batch(false);
+        let old = c.with_victim(VictimPolicy::Uniform);
         assert_eq!(old.victim, VictimPolicy::Uniform);
-        assert!(!old.td_batch);
 
         let c = TcConfig::new(8, 1, 16);
         assert_eq!(c.victim_cont, crate::victim::CONT_P);

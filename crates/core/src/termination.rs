@@ -106,13 +106,6 @@ pub struct WaveDetector {
     local: Vec<TdLocal>,
     /// Enable the §5.3 votes-before optimization (disable for ablation).
     pub(crate) votes_before_opt: bool,
-    /// Batched polling: coalesce the per-poll slot reads (TERM, DOWN and
-    /// both child tokens) into one snapshot read instead of up to four
-    /// separate slot reads. Slots are single-writer and monotone, so a
-    /// slightly stale snapshot only defers a vote to the next poll — it
-    /// can never fabricate one (the dirty flag is still read-and-cleared
-    /// at vote time, not from the snapshot).
-    pub(crate) batch: bool,
 }
 
 /// Outcome of one detector poll.
@@ -125,14 +118,13 @@ pub(crate) enum Poll {
 }
 
 impl WaveDetector {
-    pub(crate) fn new(ctx: &Ctx, armci: &Armci, votes_before_opt: bool, batch: bool) -> Self {
+    pub(crate) fn new(ctx: &Ctx, armci: &Armci, votes_before_opt: bool) -> Self {
         let td = armci.malloc(ctx, TD_BYTES);
         let n = ctx.nranks();
         WaveDetector {
             td,
             local: (0..n).map(|_| TdLocal::default()).collect(),
             votes_before_opt,
-            batch,
         }
     }
 
@@ -161,31 +153,17 @@ impl WaveDetector {
     // being read and cleared in one atomic step, not on any cross-word
     // pairing, so no weaker ordering has been written down for it.
 
-    fn read_slot(&self, ctx: &Ctx, armci: &Armci, off: usize) -> i64 {
-        // protocol: single-writer i64 slot polled lock-free by the owner.
-        let td = armci.local(ctx, self.td);
-        td.record(off, 8, false, true);
-        td.load(off, Ordering::SeqCst) as i64
-    }
-
-    /// Batched poll: all five detector slots in one recorded access, five
+    /// A poll's read: all five detector slots in one recorded access, five
     /// loads. Not a snapshot of one instant, and it need not be: each slot
-    /// is single-writer and monotone, so a slot read early is merely stale.
+    /// is single-writer and monotone, so a slot read early is merely stale
+    /// — it defers a vote to the next poll and can never fabricate one
+    /// (the dirty flag is read and cleared at vote time, not from here).
     fn snapshot(&self, ctx: &Ctx, armci: &Armci) -> [i64; 5] {
         // protocol: single-writer i64 slots polled lock-free, recorded as
         // one atomic multi-word access.
         let td = armci.local(ctx, self.td);
         td.record(0, TD_BYTES, false, true);
         std::array::from_fn(|i| td.load(8 * i, Ordering::SeqCst) as i64)
-    }
-
-    /// Slot value from the poll's snapshot when batching, or a direct
-    /// per-slot read otherwise.
-    fn slot_of(&self, ctx: &Ctx, armci: &Armci, snap: Option<&[i64; 5]>, off: usize) -> i64 {
-        match snap {
-            Some(s) => s[off / 8],
-            None => self.read_slot(ctx, armci, off),
-        }
     }
 
     /// Atomically read and clear the local dirty flag (a thief may be
@@ -225,18 +203,13 @@ impl WaveDetector {
         ctx.yield_point();
         ctx.charge_cpu(ctx.latency().local_get);
 
-        // Batched polling takes one snapshot of every slot up front;
-        // stale values are safe (slots are single-writer and monotone, so
-        // a missed update is simply picked up by the next poll).
-        let snap = if self.batch {
-            Some(self.snapshot(ctx, armci))
-        } else {
-            None
-        };
-        let snap = snap.as_ref();
+        // One snapshot of every slot up front; stale values are safe (a
+        // missed update is simply picked up by the next poll).
+        let snap = self.snapshot(ctx, armci);
+        let slot = |off: usize| snap[off / 8];
 
         // Termination announcement.
-        if self.slot_of(ctx, armci, snap, TERM) == 1 {
+        if slot(TERM) == 1 {
             if !st.term_propagated.swap(true, Ordering::Relaxed) {
                 ctx.trace(|| TraceEvent::TdWave {
                     wave: st.last_down.load(Ordering::Relaxed) as u32,
@@ -265,7 +238,7 @@ impl WaveDetector {
                 }
             }
         } else {
-            let w = self.slot_of(ctx, armci, snap, DOWN);
+            let w = slot(DOWN);
             if w > st.last_down.load(Ordering::Relaxed) {
                 st.last_down.store(w, Ordering::Relaxed);
                 st.waves.fetch_add(1, Ordering::Relaxed);
@@ -286,7 +259,7 @@ impl WaveDetector {
             let mut color = WHITE;
             let mut ready = true;
             for (i, _c) in children(me, n).enumerate() {
-                let tok = self.slot_of(ctx, armci, snap, if i == 0 { UP0 } else { UP1 });
+                let tok = slot(if i == 0 { UP0 } else { UP1 });
                 if tok / 4 == w {
                     if tok % 4 == BLACK {
                         color = BLACK;
@@ -409,7 +382,7 @@ mod tests {
         for n in [1, 2, 3, 5, 8, 16, 33] {
             let out = Machine::run(MachineConfig::virtual_time(n), move |ctx| {
                 let armci = Armci::init(ctx);
-                let det = WaveDetector::new(ctx, &armci, true, false);
+                let det = WaveDetector::new(ctx, &armci, true);
                 armci.barrier(ctx);
                 let mut polls = 0u64;
                 loop {
@@ -423,115 +396,6 @@ mod tests {
                 polls
             });
             assert_eq!(out.results.len(), n);
-        }
-    }
-
-    #[test]
-    fn batched_detector_terminates_everywhere() {
-        for n in [1, 2, 3, 5, 8, 16, 33] {
-            let out = Machine::run(MachineConfig::virtual_time(n), move |ctx| {
-                let armci = Armci::init(ctx);
-                let det = WaveDetector::new(ctx, &armci, true, true);
-                armci.barrier(ctx);
-                let mut polls = 0u64;
-                loop {
-                    if det.progress(ctx, &armci, true) == Poll::Terminated {
-                        break;
-                    }
-                    ctx.compute(100);
-                    polls += 1;
-                    assert!(polls < 1_000_000, "termination never detected (n={n})");
-                }
-                polls
-            });
-            assert_eq!(out.results.len(), n);
-        }
-    }
-
-    #[test]
-    fn batched_transfer_blackens_the_first_wave() {
-        // The dirty flag is cleared at vote time, not from the snapshot:
-        // a transfer noted before the vote must still blacken it.
-        let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
-            let armci = Armci::init(ctx);
-            let det = WaveDetector::new(ctx, &armci, true, true);
-            armci.barrier(ctx);
-            if ctx.rank() == 1 {
-                det.note_transfer(ctx, &armci, 2);
-            }
-            loop {
-                if det.progress(ctx, &armci, true) == Poll::Terminated {
-                    break;
-                }
-                ctx.compute(100);
-            }
-            det.waves(ctx.rank())
-        });
-        assert!(
-            out.results[0] >= 2,
-            "root must run at least two waves, ran {}",
-            out.results[0]
-        );
-    }
-
-    #[test]
-    fn no_premature_termination_under_seeded_steal_storm() {
-        // Tasks fan work out to random ranks for several generations; the
-        // detector (batched and unbatched) must only declare termination
-        // once every spawned task has executed. `process` additionally
-        // asserts the local queue is empty at termination, so a premature
-        // TERM would panic there or strand tasks and break the totals.
-        use crate::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
-        use scioto_sim::LatencyModel;
-        use std::sync::Arc;
-
-        const GENERATIONS: u8 = 6;
-        const ROOTS: u64 = 4;
-        for batch in [true, false] {
-            let out = Machine::run(
-                MachineConfig::virtual_time(8).with_latency(LatencyModel::cluster()),
-                move |ctx| {
-                    let armci = Armci::init(ctx);
-                    let cfg = TcConfig::new(16, 2, 1 << 12).with_td_batch(batch);
-                    let tc = TaskCollection::create(ctx, &armci, cfg);
-                    let handle_cell = Arc::new(std::sync::OnceLock::new());
-                    let hr = handle_cell.clone();
-                    let h = tc.register(
-                        ctx,
-                        Arc::new(move |t| {
-                            let gen = t.body()[0];
-                            if gen > 0 {
-                                let h = *hr.get().expect("handle registered");
-                                let n = t.ctx.nranks();
-                                for _ in 0..2 {
-                                    let target =
-                                        t.ctx.rng().gen_below(n as u64) as usize;
-                                    t.tc.add(
-                                        t.ctx,
-                                        target,
-                                        AFFINITY_HIGH,
-                                        &Task::new(h, vec![gen - 1]),
-                                    );
-                                }
-                            }
-                            t.ctx.compute(500);
-                        }),
-                    );
-                    handle_cell.set(h).expect("set once");
-                    if ctx.rank() == 0 {
-                        for _ in 0..ROOTS {
-                            tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, vec![GENERATIONS]));
-                        }
-                    }
-                    tc.process(ctx)
-                },
-            );
-            let spawned: u64 = out.results.iter().map(|s| s.tasks_spawned).sum();
-            let executed: u64 = out.results.iter().map(|s| s.tasks_executed).sum();
-            // Each root grows a full binary tree of depth GENERATIONS.
-            let expect = ROOTS * (2u64.pow(GENERATIONS as u32 + 1) - 1);
-            assert_eq!(executed, spawned, "batch={batch}");
-            assert_eq!(executed, expect, "batch={batch}");
         }
     }
 
@@ -539,9 +403,11 @@ mod tests {
     fn transfer_blackens_the_first_wave() {
         // Rank 1 "transfers work" before going passive; the first wave must
         // come back black and termination needs at least a second wave.
+        // The dirty flag is cleared at vote time, not from the poll's
+        // snapshot, so the mark noted before the vote still blackens it.
         let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
             let armci = Armci::init(ctx);
-            let det = WaveDetector::new(ctx, &armci, true, false);
+            let det = WaveDetector::new(ctx, &armci, true);
             armci.barrier(ctx);
             if ctx.rank() == 1 {
                 det.note_transfer(ctx, &armci, 2);
@@ -561,11 +427,85 @@ mod tests {
         );
     }
 
+    /// Tasks fan work out to random ranks for several generations; the
+    /// detector must only declare termination once every spawned task has
+    /// executed. `process` additionally asserts the local queue is empty
+    /// at termination, so a premature TERM would panic there or strand
+    /// tasks and break the totals.
+    fn steal_storm_runs_every_task(cfg: MachineConfig) {
+        use crate::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
+        use std::sync::Arc;
+
+        const GENERATIONS: u8 = 6;
+        const ROOTS: u64 = 4;
+        let seed = cfg.seed;
+        let out = Machine::run(cfg, move |ctx| {
+            let armci = Armci::init(ctx);
+            let tc = TaskCollection::create(ctx, &armci, TcConfig::new(16, 2, 1 << 12));
+            let handle_cell = Arc::new(std::sync::OnceLock::new());
+            let hr = handle_cell.clone();
+            let h = tc.register(
+                ctx,
+                Arc::new(move |t| {
+                    let gen = t.body()[0];
+                    if gen > 0 {
+                        let h = *hr.get().expect("handle registered");
+                        let n = t.ctx.nranks();
+                        for _ in 0..2 {
+                            let target = t.ctx.rng().gen_below(n as u64) as usize;
+                            t.tc.add(t.ctx, target, AFFINITY_HIGH, &Task::new(h, vec![gen - 1]));
+                        }
+                    }
+                    t.ctx.compute(500);
+                }),
+            );
+            handle_cell.set(h).expect("set once");
+            if ctx.rank() == 0 {
+                for _ in 0..ROOTS {
+                    tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, vec![GENERATIONS]));
+                }
+            }
+            tc.process(ctx)
+        });
+        let spawned: u64 = out.results.iter().map(|s| s.tasks_spawned).sum();
+        let executed: u64 = out.results.iter().map(|s| s.tasks_executed).sum();
+        // Each root grows a full binary tree of depth GENERATIONS.
+        let expect = ROOTS * (2u64.pow(GENERATIONS as u32 + 1) - 1);
+        assert_eq!((executed, spawned), (expect, expect), "seed {seed}");
+    }
+
+    #[test]
+    fn no_premature_termination_under_seeded_steal_storm() {
+        use scioto_sim::LatencyModel;
+        steal_storm_runs_every_task(
+            MachineConfig::virtual_time(8).with_latency(LatencyModel::cluster()),
+        );
+    }
+
+    // The storm on eight real threads: thieves, remote adds and polls
+    // genuinely interleave with the wave. A few seeds here, 64 under the
+    // `#[ignore]`d `stress_*` variant (`scripts/verify.sh`, release).
+
+    #[test]
+    fn no_premature_termination_under_a_steal_storm_on_real_threads() {
+        for seed in 0..3 {
+            steal_storm_runs_every_task(MachineConfig::concurrent(8).with_seed(seed));
+        }
+    }
+
+    #[test]
+    #[ignore = "64-seed real-thread stress; scripts/verify.sh runs it in release"]
+    fn stress_steal_storm_termination() {
+        for seed in 0..64 {
+            steal_storm_runs_every_task(MachineConfig::concurrent(8).with_seed(seed));
+        }
+    }
+
     #[test]
     fn votes_before_optimization_elides_descendant_marks() {
         let out = Machine::run(MachineConfig::virtual_time(8), |ctx| {
             let armci = Armci::init(ctx);
-            let det = WaveDetector::new(ctx, &armci, true, false);
+            let det = WaveDetector::new(ctx, &armci, true);
             armci.barrier(ctx);
             if ctx.rank() == 1 {
                 // Rank 3 is a descendant of rank 1: no mark needed even
@@ -586,7 +526,7 @@ mod tests {
     fn unvoted_thief_never_marks() {
         let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
             let armci = Armci::init(ctx);
-            let det = WaveDetector::new(ctx, &armci, true, false);
+            let det = WaveDetector::new(ctx, &armci, true);
             armci.barrier(ctx);
             if ctx.rank() == 2 {
                 det.note_transfer(ctx, &armci, 1)
@@ -601,7 +541,7 @@ mod tests {
     fn disabled_optimization_always_marks() {
         let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
             let armci = Armci::init(ctx);
-            let det = WaveDetector::new(ctx, &armci, false, false);
+            let det = WaveDetector::new(ctx, &armci, false);
             armci.barrier(ctx);
             if ctx.rank() == 1 {
                 det.note_transfer(ctx, &armci, 3)

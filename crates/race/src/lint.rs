@@ -32,9 +32,8 @@
 //!   banned; the in-tree mutex cannot poison and returns the guard
 //!   directly, so an `unwrap` signals a foreign lock sneaking in.
 //! * `atomic-protocol` — every protocol-atomic call site
-//!   (`put_atomic` / `get_atomic` / `put_i64s_atomic` /
-//!   `get_i64s_atomic`) must name the ordering protocol that makes the
-//!   unfenced access safe, in a comment on the same line or within
+//!   (`put_atomic` / `get_atomic`) must name the ordering protocol that
+//!   makes the unfenced access safe, in a comment on the same line or within
 //!   three lines above containing the word `protocol`. The atomic
 //!   markers exempt accesses from the race checker, so an unexplained
 //!   one is an unexplained suppression. (The *semantic* side of this
@@ -181,7 +180,7 @@ pub fn lint_source(path: &Path, src: &str, det_exempt: bool) -> Vec<Finding> {
     };
 
     let banned_sync = ["Mutex", "RwLock", "Condvar"];
-    let atomic_calls = ["put_atomic", "get_atomic", "put_i64s_atomic", "get_i64s_atomic"];
+    let atomic_calls = ["put_atomic", "get_atomic"];
 
     for i in 0..v.code.len() {
         let line = v.code[i].line;
@@ -595,10 +594,10 @@ mod tests {
         let same = "armci.get_atomic(ctx, g, r, o, &mut b); // protocol: single-writer slot\n";
         assert!(lint_str(same).is_empty());
         let above = "// protocol: owner-only tail word\nlet x = 1;\nlet y = 2;\n\
-                     armci.put_i64s_atomic(ctx, g, r, o, &[t]);\n";
+                     armci.put_atomic(ctx, g, r, o, &t);\n";
         assert!(lint_str(above).is_empty());
         let too_far = "// protocol: owner-only tail word\nlet x = 1;\nlet y = 2;\nlet z = 3;\n\
-                       armci.put_i64s_atomic(ctx, g, r, o, &[t]);\n";
+                       armci.put_atomic(ctx, g, r, o, &t);\n";
         let f = lint_str(too_far);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "atomic-protocol");
@@ -608,7 +607,7 @@ mod tests {
     #[test]
     fn atomic_rule_waiver_works() {
         let src = format!(
-            "// scioto-lint: {}(atomic-protocol)\narmci.get_i64s_atomic(ctx, g, r, o, 3);\n",
+            "// scioto-lint: {}(atomic-protocol)\narmci.get_atomic(ctx, g, r, o, &mut b);\n",
             "allow"
         );
         assert!(lint_str(&src).is_empty());

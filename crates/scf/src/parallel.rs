@@ -60,9 +60,6 @@ pub struct ParallelScfConfig {
     /// Steal victim-selection override; `None` keeps the
     /// [`TcConfig`] default.
     pub victim: Option<scioto::VictimPolicy>,
-    /// Batched termination-detection override; `None` keeps the
-    /// [`TcConfig`] default.
-    pub td_batch: Option<bool>,
 }
 
 impl Default for ParallelScfConfig {
@@ -73,7 +70,6 @@ impl Default for ParallelScfConfig {
             lb: LoadBalance::Scioto,
             chunk: 2,
             victim: None,
-            td_batch: None,
         }
     }
 }
@@ -402,9 +398,6 @@ fn drive(ctx: &Ctx, basis: &BasisSet, cfg: &ParallelScfConfig, host: HostWork) -
     let mut tc_cfg = TcConfig::new(16, cfg.chunk, 1 << 14);
     if let Some(v) = cfg.victim {
         tc_cfg = tc_cfg.with_victim(v);
-    }
-    if let Some(b) = cfg.td_batch {
-        tc_cfg = tc_cfg.with_td_batch(b);
     }
     let tc = TaskCollection::create(ctx, &armci, tc_cfg);
     let ga_for_cb = ga.clone();

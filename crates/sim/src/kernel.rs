@@ -372,9 +372,6 @@ impl Kernel {
     /// `site` is a static tag naming the waiting primitive (for the
     /// deadlock diagnostic).
     pub(crate) fn block(&self, rank: usize, site: &'static str) {
-        // Publication boundary for the batched trace ring: staged events
-        // land in the rank's ring before it parks.
-        self.trace.flush(rank);
         let mut s = self.sched.lock();
         if s.wake_token[rank] {
             // Wake-token fast path: the wake raced ahead of this block, so
@@ -466,9 +463,6 @@ impl Kernel {
             // blame decomposition against the span stays exact.
             self.final_ns[rank].store(self.start.now_ns(), Ordering::Relaxed);
         }
-        // Publication boundary: the rank's staged trace events (already
-        // stamped ≤ the span end) drain into its ring before it goes Done.
-        self.trace.flush(rank);
         let mut s = self.sched.lock();
         s.status[rank] = Status::Done;
         s.done += 1;

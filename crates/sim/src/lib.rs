@@ -62,7 +62,7 @@ pub use replay::{event_dur, run_replay, ReplayOp, ReplayProgram, ReplaySync};
 pub use report::{EventCounters, Report};
 pub use trace::{
     validate_json, Gauge, RemoteOpKind, StampedEvent, Trace, TraceConfig, TraceEvent, TraceSink,
-    VtHistogram, WaveDir, DEFAULT_TRACE_BATCH, HIST_BUCKETS,
+    VtHistogram, WaveDir, HIST_BUCKETS,
 };
 pub use vlock::VLock;
 

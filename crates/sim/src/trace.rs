@@ -42,19 +42,7 @@ pub struct TraceConfig {
     /// Capacity of each per-rank event ring. When a ring fills, the oldest
     /// events are overwritten and counted in [`Trace::dropped`].
     pub ring_capacity: usize,
-    /// Events staged per rank before publication into its ring. Staged
-    /// events publish when the batch fills, at kernel block/finish
-    /// boundaries, and at [`TraceSink::finish`]; `<= 1` publishes every
-    /// event immediately (the historical behaviour). Batching never
-    /// changes trace *content* — staged events drain in emission order
-    /// through the same ring, so overflow drops are counted identically —
-    /// it only amortizes the per-event publication cost on the
-    /// concurrent-mode hot path.
-    pub batch: usize,
 }
-
-/// Default per-rank staging batch for [`TraceConfig::enabled`].
-pub const DEFAULT_TRACE_BATCH: usize = 64;
 
 impl TraceConfig {
     /// Tracing off (the default).
@@ -62,31 +50,21 @@ impl TraceConfig {
         TraceConfig {
             enabled: false,
             ring_capacity: 0,
-            batch: 0,
         }
     }
 
     /// Tracing on with the default ring capacity (65536 events per rank,
-    /// ~1.5 MiB per rank) and batched publication
-    /// ([`DEFAULT_TRACE_BATCH`] events).
+    /// ~1.5 MiB per rank).
     pub fn enabled() -> Self {
         TraceConfig {
             enabled: true,
             ring_capacity: 1 << 16,
-            batch: DEFAULT_TRACE_BATCH,
         }
     }
 
     /// Replace the per-rank ring capacity.
     pub fn with_capacity(mut self, cap: usize) -> Self {
         self.ring_capacity = cap;
-        self
-    }
-
-    /// Replace the staging batch size (`<= 1` disables batching: every
-    /// event publishes into the ring immediately).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 }
@@ -571,19 +549,6 @@ impl RankRing {
         }
     }
 
-    /// Move a whole staged batch in. Content-identical to pushing each
-    /// event in order; the common case (ring not yet wrapped, room for
-    /// the lot) is one bulk append instead of a capacity check per event.
-    fn push_batch(&mut self, staged: &mut Vec<StampedEvent>) {
-        if self.next == 0 && self.buf.len() + staged.len() <= self.cap {
-            self.buf.append(staged);
-        } else {
-            for e in staged.drain(..) {
-                self.push(e);
-            }
-        }
-    }
-
     /// Take the events in emission order (oldest surviving event first),
     /// leaving the ring empty. An unwrapped ring — the common case — is
     /// one buffer move, not a copy; this runs inside the measured span of
@@ -853,29 +818,12 @@ impl<T: std::fmt::Debug> std::fmt::Debug for RankCell<T> {
 #[derive(Debug)]
 pub struct TraceBuffers {
     rings: Vec<RankCell<RankRing>>,
-    /// Per-rank staging buffers (empty when `batch <= 1`): events wait
-    /// here and publish into the ring in batches, so the common emission
-    /// path is a plain `Vec::push`.
-    staged: Vec<RankCell<Vec<StampedEvent>>>,
-    batch: usize,
     /// Metric registries are small (a handful of `&'static str` names per
     /// rank), so a linear Vec with a pointer-equality fast path beats a
     /// BTreeMap lookup per sample; [`TraceSink::finish`] converts to the
     /// sorted map form the exporters expect.
     hists: Vec<RankCell<Vec<(&'static str, VtHistogram)>>>,
     gauges: Vec<RankCell<Vec<(&'static str, Gauge)>>>,
-}
-
-impl TraceBuffers {
-    /// Drain `rank`'s staged events, in emission order, into its ring.
-    fn publish(&self, rank: usize) {
-        self.staged[rank].with_mut(|s| {
-            if s.is_empty() {
-                return;
-            }
-            self.rings[rank].with_mut(|r| r.push_batch(s));
-        });
-    }
 }
 
 /// Find-or-insert `name` in a linear metric registry. Metric names are
@@ -912,15 +860,10 @@ impl TraceSink {
         if !cfg.enabled {
             return TraceSink::Disabled;
         }
-        let stage_cap = if cfg.batch > 1 { cfg.batch } else { 0 };
         TraceSink::Enabled(TraceBuffers {
             rings: (0..ranks)
                 .map(|_| RankCell::new(RankRing::with_capacity(cfg.ring_capacity)))
                 .collect(),
-            staged: (0..ranks)
-                .map(|_| RankCell::new(Vec::with_capacity(stage_cap)))
-                .collect(),
-            batch: cfg.batch,
             hists: (0..ranks).map(|_| RankCell::new(Vec::new())).collect(),
             gauges: (0..ranks).map(|_| RankCell::new(Vec::new())).collect(),
         })
@@ -943,29 +886,7 @@ impl TraceSink {
                 t_ns,
                 event: make(),
             };
-            if b.batch <= 1 {
-                b.rings[rank].with_mut(|r| r.push(e));
-            } else {
-                let full = b.staged[rank].with_mut(|s| {
-                    s.push(e);
-                    s.len() >= b.batch
-                });
-                if full {
-                    b.publish(rank);
-                }
-            }
-        }
-    }
-
-    /// Publish `rank`'s staged events into its ring (no-op when disabled,
-    /// unbatched, or nothing is staged). Called by the kernel at park and
-    /// finish boundaries; own-thread only, like [`TraceSink::emit`].
-    #[inline]
-    pub fn flush(&self, rank: usize) {
-        if let TraceSink::Enabled(b) = self {
-            if b.batch > 1 {
-                b.publish(rank);
-            }
+            b.rings[rank].with_mut(|r| r.push(e));
         }
     }
 
@@ -997,11 +918,9 @@ impl TraceSink {
         };
         let mut events = Vec::with_capacity(b.rings.len());
         let mut dropped = Vec::with_capacity(b.rings.len());
-        for (rank, ring) in b.rings.iter().enumerate() {
-            // Any still-staged events (a rank whose last boundary wasn't a
-            // park) publish here, before the ring is drained. Mutating the
-            // cells is safe: finish() runs after every rank thread joined.
-            b.publish(rank);
+        for ring in &b.rings {
+            // Mutating the cells is safe: finish() runs after every rank
+            // thread joined.
             ring.with_mut(|r| {
                 events.push(r.take_chronological());
                 dropped.push(r.dropped);
@@ -1783,74 +1702,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_publication_is_content_identical_to_unbatched() {
-        // Same event stream staged through a pending batch vs. published
-        // one-by-one: identical events, order, and JSONL bytes.
-        let emit_all = |sink: &TraceSink| {
-            for t in 0..10u64 {
-                sink.emit(0, t, || TraceEvent::TdProgress { dur_ns: t });
-                sink.emit(1, t * 2, || TraceEvent::Block);
-            }
-        };
-        let unbatched = TraceSink::new(&TraceConfig::enabled().with_batch(1), 2);
-        emit_all(&unbatched);
-        let batched = TraceSink::new(&TraceConfig::enabled().with_batch(4), 2);
-        emit_all(&batched);
-        let (a, b) = (unbatched.finish().unwrap(), batched.finish().unwrap());
-        assert_eq!(a.to_jsonl(), b.to_jsonl());
-        assert_eq!(a.dropped, b.dropped);
-    }
-
-    #[test]
-    fn ring_overflow_during_pending_batch_counts_drops_identically() {
-        // Capacity 2, seven events, batch 4: the flushes push through the
-        // same ring as the unbatched path, so the oldest events fall out
-        // and the drop counter matches exactly.
-        let run = |batch: usize| {
-            let sink = TraceSink::new(
-                &TraceConfig::enabled().with_capacity(2).with_batch(batch),
-                1,
-            );
-            for t in 0..7u64 {
-                sink.emit(0, t, || TraceEvent::Block);
-            }
-            sink.finish().unwrap()
-        };
-        let (unbatched, batched) = (run(1), run(4));
-        assert_eq!(unbatched.dropped, vec![5]);
-        assert_eq!(batched.dropped, unbatched.dropped);
-        // Survivors are the newest events on every surface.
-        assert_eq!(unbatched.to_jsonl(), batched.to_jsonl());
-        assert!(batched
-            .summary()
-            .contains("WARNING: ring overflow dropped 5 event(s) on 1 rank(s)"));
-    }
-
-    #[test]
-    fn finish_flushes_a_partial_batch_in_order() {
-        // 3 events staged against batch 64: nothing reaches the ring until
-        // finish(), which must drain the stage in emission order.
-        let sink = TraceSink::new(&TraceConfig::enabled().with_batch(64), 1);
-        for t in [5u64, 9, 11] {
+    fn emission_lands_in_the_ring_in_order_and_overflow_keeps_the_newest() {
+        // Interleaved ranks keep their own emission order; a full ring
+        // overwrites its oldest events and counts each one dropped.
+        let sink = TraceSink::new(&TraceConfig::enabled().with_capacity(2), 2);
+        for t in 0..7u64 {
             sink.emit(0, t, || TraceEvent::TdProgress { dur_ns: t });
+            sink.emit(1, t * 2, || TraceEvent::Block);
         }
         let trace = sink.finish().unwrap();
-        let stamps: Vec<u64> = trace.events_for(0).iter().map(|e| e.t_ns).collect();
-        assert_eq!(stamps, vec![5, 9, 11]);
-        assert_eq!(trace.dropped, vec![0]);
-    }
-
-    #[test]
-    fn explicit_flush_publishes_the_stage() {
-        let sink = TraceSink::new(&TraceConfig::enabled().with_batch(64), 2);
-        sink.emit(0, 3, || TraceEvent::Block);
-        sink.flush(0);
-        sink.emit(0, 4, || TraceEvent::Block);
-        // Rank 1 never flushes explicitly; finish() covers it.
-        sink.emit(1, 7, || TraceEvent::Block);
-        let trace = sink.finish().unwrap();
-        assert_eq!(trace.events_for(0).len(), 2);
-        assert_eq!(trace.events_for(1).len(), 1);
+        let stamps = |r: usize| -> Vec<u64> {
+            trace.events_for(r).iter().map(|e| e.t_ns).collect()
+        };
+        assert_eq!(stamps(0), vec![5, 6]);
+        assert_eq!(stamps(1), vec![10, 12]);
+        assert_eq!(trace.dropped, vec![5, 5]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The barrier-free collective protocol: one instance everywhere,
-//! schedule-independent waiter clocks, epoch commit semantics, the pinned
-//! divergence diagnostic, and the batched trace publication being a
-//! virtual-time no-op.
+//! schedule-independent waiter clocks, epoch commit semantics and the
+//! pinned divergence diagnostic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -132,29 +131,4 @@ fn coalesced_type_divergence_names_rank_ordinal_and_types() {
         ),
         "unexpected diagnostic: {msg}"
     );
-}
-
-/// Batched trace publication is a virtual-time no-op: same seed, same
-/// program, batch 1 (historical publish-every-event) vs. the default
-/// batch produce byte-identical JSONL exports.
-#[test]
-fn trace_batching_is_a_vt_noop() {
-    let run = |batch: usize| {
-        Machine::run(
-            MachineConfig::virtual_time(4).with_trace(TraceConfig::enabled().with_batch(batch)),
-            |ctx| {
-                ctx.compute(300 * (ctx.rank() as u64 + 1));
-                let _ = ctx.collective(|| 9u8);
-                ctx.barrier();
-                ctx.compute(50);
-            },
-        )
-        .report
-        .trace
-        .unwrap()
-        .to_jsonl()
-    };
-    let historical = run(1);
-    let batched = run(scioto_sim::DEFAULT_TRACE_BATCH);
-    assert_eq!(historical, batched);
 }

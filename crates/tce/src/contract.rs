@@ -46,9 +46,6 @@ pub struct ContractionConfig {
     /// Steal victim-selection override; `None` keeps the
     /// [`TcConfig`] default.
     pub victim: Option<scioto::VictimPolicy>,
-    /// Batched termination-detection override; `None` keeps the
-    /// [`TcConfig`] default.
-    pub td_batch: Option<bool>,
 }
 
 impl ContractionConfig {
@@ -65,7 +62,6 @@ impl ContractionConfig {
             chunk: 2,
             iterations: 1,
             victim: None,
-            td_batch: None,
         }
     }
 }
@@ -196,9 +192,6 @@ pub fn run_contraction(ctx: &Ctx, cfg: &ContractionConfig) -> (ContractionReport
             let mut tc_cfg = TcConfig::new(8, cfg.chunk, 1 << 14);
             if let Some(v) = cfg.victim {
                 tc_cfg = tc_cfg.with_victim(v);
-            }
-            if let Some(b) = cfg.td_batch {
-                tc_cfg = tc_cfg.with_td_batch(b);
             }
             let tc = TaskCollection::create(ctx, &armci, tc_cfg);
             let (ga2, a2, b2, c2) = (ga.clone(), a.clone(), b.clone(), c.clone());

@@ -92,11 +92,10 @@ mod tests {
     #[test]
     fn scioto_count_matches_sequential() {
         let expect = count_tree(&presets::tiny());
-        // The defaults, and the paper's configuration: uniform victims,
-        // per-slot termination detection, flat barrier.
+        // The defaults, and the paper pair: uniform victims, flat barrier.
         let defaults = SciotoUtsConfig::new(presets::tiny());
         let mut paper = defaults;
-        paper.tc = paper.tc.with_victim(scioto::VictimPolicy::Uniform).with_td_batch(false);
+        paper.tc = paper.tc.with_victim(scioto::VictimPolicy::Uniform);
         for (cfg, barrier) in [(defaults, BarrierKind::Tree), (paper, BarrierKind::Flat)] {
             for ranks in [1, 2, 4] {
                 let out = Machine::run(

@@ -78,13 +78,14 @@ stage "cargo test -q --offline --workspace (tier-1)"
 # --workspace only the root cross-crate suite runs.
 cargo test -q --offline --workspace
 
-stage "real-thread stress: queue owner/thieves + word store, 64 seeds (release)"
+stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds (release)"
 # The `#[ignore]`d `stress_*` tests: the split queue's never-lose /
-# never-duplicate property with seven real thieves, and the three store
+# never-duplicate property with seven real thieves, the three store
 # properties the lock-free owner path rests on (ragged byte puts merge,
-# accumulate vs fetch-and-add, dirty marks vs the owner's swap), each on
-# 64 seeds. Built first so the budget times the runs alone: 17-18 s
-# measured, budget 30 s.
+# accumulate vs fetch-and-add, dirty marks vs the owner's swap), and no
+# premature termination under an eight-thread steal storm, each on 64
+# seeds. Built first so the budget times the runs alone: 17-21 s
+# measured (the storm 0.3 s of it), budget 30 s.
 cargo test -q --offline --release -p scioto -p scioto-armci --no-run
 stress_t0=$(date +%s)
 cargo test -q --offline --release -p scioto -p scioto-armci stress_ -- --ignored
@@ -168,7 +169,7 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # Every figure runs with `--race-check` and `--replay-check`: the traced
 # run replays through the happens-before checker AND the replay engine
 # in-process, so each is race- and replay-gated under the default policy
-# (locality victims + tree barrier + batched TD). Each also writes its
+# (locality victims + tree barrier). Each also writes its
 # BENCH json for the final `bench_diff`: fig5-6 sweeps SCF and TCE, both
 # schemes, to 8 ranks (~0.7 s since the ranks of a run share their dense
 # algebra and one ERI block store; ~2 s before) —
