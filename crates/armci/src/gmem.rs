@@ -805,9 +805,14 @@ mod tests {
                 armci.get(ctx, g, 0, base, &mut b);
                 let disjoint = b[..8] == [0u8; 8]
                     && (1..4).all(|w| b[w * 8..w * 8 + 8] == [(i as u8) ^ (w as u8); 8]);
-                let sums = armci.get_i64s(ctx, g, 0, base + 64, 2);
-                let f = armci.get_f64s(ctx, g, 0, base + 128, 1);
-                disjoint && sums == [6, 3] && f == [3.0]
+                let words = |off: usize, n: usize| {
+                    let mut b = vec![0u8; n * 8];
+                    armci.get(ctx, g, 0, off, &mut b);
+                    let decode = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+                    b.chunks_exact(8).map(decode).collect::<Vec<_>>()
+                };
+                let (sums, f) = (words(base + 64, 2), words(base + 128, 1));
+                disjoint && sums == [6, 3] && f == [3.0f64.to_bits()]
             })
         });
         assert_eq!(out.results, vec![true; 4]);

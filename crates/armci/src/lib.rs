@@ -43,11 +43,9 @@ mod locks;
 mod rmw;
 mod store;
 mod strided;
-mod typed;
 mod world;
 
 pub use gmem::{Gmem, Local};
 pub use locks::MutexSet;
 pub use strided::Strided;
-pub use typed::{bytes_to_f64s, bytes_to_i64s, f64s_to_bytes, i64s_to_bytes};
 pub use world::Armci;

@@ -136,10 +136,11 @@ mod tests {
         let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
             let armci = Armci::init(ctx);
             let g = armci.malloc(ctx, 6 * 8);
-            armci.put(ctx, g, 0, 0, &crate::typed::f64s_to_bytes(&[9.0; 6]));
+            let all = Strided::contiguous(0, 6 * 8);
+            put_f64s(&armci, ctx, g, 0, all, &[9.0; 6]);
             let s = Strided { offset: 0, stride: 3 * 8, seg_len: 8, count: 2 };
             put_f64s(&armci, ctx, g, 0, s, &[1.0, 2.0]);
-            armci.get_f64s(ctx, g, 0, 0, 6)
+            get_f64s(&armci, ctx, g, 0, all)
         });
         assert_eq!(out.results[0], vec![1.0, 9.0, 9.0, 2.0, 9.0, 9.0]);
     }
@@ -155,7 +156,7 @@ mod tests {
                 *w = (f64::from_bits(*w) + src[i]).to_bits();
             });
             armci.barrier(ctx);
-            armci.get_f64s(ctx, g, 0, 0, 4)
+            get_f64s(&armci, ctx, g, 0, Strided::contiguous(0, 4 * 8))
         });
         for v in out.results {
             assert_eq!(v, vec![4.0, 0.0, 40.0, 0.0]);

@@ -501,6 +501,59 @@ mod tests {
         }
     }
 
+    /// The dirty-mark rule alone (§5.3), three ranks in virtual time: rank
+    /// 2 votes white in wave 1, then steals from rank 1, which has not
+    /// voted yet and is not its descendant, so the mark is sent. Rank 1
+    /// then goes passive and votes. Only the mark can blacken wave 1 —
+    /// rank 2's own `transferred` flag counts from its next vote — so
+    /// without it the root would announce termination while rank 2 still
+    /// holds the stolen work. The order is forced through atomics.
+    #[test]
+    fn dirty_mark_blackens_the_wave_its_thief_already_voted_in() {
+        use std::sync::atomic::AtomicBool;
+        let mark_sent = AtomicBool::new(false);
+        let out = Machine::run(MachineConfig::virtual_time(3), |ctx| {
+            let armci = Armci::init(ctx);
+            let det = WaveDetector::new(ctx, &armci, true);
+            armci.barrier(ctx);
+            let poll = |passive| {
+                let p = det.progress(ctx, &armci, passive);
+                ctx.compute(100);
+                p
+            };
+            let mut terminated_while_active = false;
+            match ctx.rank() {
+                1 => {
+                    // Busy until the thief has taken its work.
+                    while !mark_sent.load(Ordering::SeqCst) {
+                        poll(false);
+                    }
+                }
+                2 => {
+                    while det.local[2].voted.load(Ordering::Relaxed) < 1 {
+                        poll(true);
+                    }
+                    assert!(det.note_transfer(ctx, &armci, 1), "the mark must be sent");
+                    mark_sent.store(true, Ordering::SeqCst);
+                    // Holding the stolen work.
+                    for _ in 0..1_000 {
+                        terminated_while_active |= poll(false) == Poll::Terminated;
+                    }
+                }
+                _ => {}
+            }
+            let mut polls = 0u64;
+            while poll(true) != Poll::Terminated {
+                polls += 1;
+                assert!(polls < 1_000_000, "termination never detected");
+            }
+            (terminated_while_active, det.waves(ctx.rank()))
+        });
+        assert!(!out.results[2].0, "rank 2 saw termination while holding stolen work");
+        let waves = out.results[0].1;
+        assert!(waves >= 3, "root must run at least three waves, ran {waves}");
+    }
+
     #[test]
     fn votes_before_optimization_elides_descendant_marks() {
         let out = Machine::run(MachineConfig::virtual_time(8), |ctx| {

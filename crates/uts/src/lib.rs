@@ -10,7 +10,9 @@
 //! This crate provides:
 //!
 //! * a from-scratch [`sha1`] implementation (validated against the FIPS
-//!   180-1 test vectors);
+//!   180-1 test vectors) whose compression function runs on the CPU's
+//!   SHA extensions where it has them (x86_64, detected at run time) and
+//!   as portable scalar code everywhere else, with the same bits;
 //! * geometric and binomial tree generators per the UTS specification
 //!   ([`TreeParams`]);
 //! * a **sequential** traversal ([`sequential::count_tree`]) used as the
