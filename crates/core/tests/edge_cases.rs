@@ -3,12 +3,13 @@
 //! accessors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use scioto::{
     LbKind, QueueKind, Task, TaskCollection, TcConfig, AFFINITY_HIGH, AFFINITY_LOW,
 };
 use scioto_armci::Armci;
+use scioto_det::MonoClock;
 use scioto_sim::{ExecMode, LatencyModel, Machine, MachineConfig};
 
 #[test]
@@ -242,6 +243,86 @@ fn concurrent_mode_locked_queue_soak() {
             n.load(Ordering::Relaxed)
         });
         assert_eq!(out.results.iter().sum::<u64>(), 400);
+    }
+}
+
+/// Waits up to `secs` wall seconds for `rx`, timed by the sanctioned
+/// `MonoClock` (`std::time` stays out of the tree); `None` on expiry.
+fn recv_within<T>(rx: &mpsc::Receiver<T>, secs: u64) -> Option<T> {
+    let clock = MonoClock::new();
+    while clock.now_ns() < secs * 1_000_000_000 {
+        match rx.try_recv() {
+            Ok(v) => return Some(v),
+            Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
+            Err(mpsc::TryRecvError::Disconnected) => panic!("machine thread died unreported"),
+        }
+    }
+    None
+}
+
+#[test]
+fn a_panicking_task_body_surfaces_in_both_modes() {
+    // Once one rank's body panics, the others only poll their dry queues
+    // and the termination detector — a concurrent rank never blocks
+    // there — so the poison has to reach them at a scheduling point or
+    // the machine spins forever. Each machine runs on its own thread
+    // under a watchdog, so a regression fails here instead of hanging.
+    const BUDGET_S: u64 = 30;
+    for mode in [ExecMode::VirtualTime, ExecMode::Concurrent] {
+        for lb in [LbKind::WorkStealing, LbKind::Disabled] {
+            let (tx, rx) = mpsc::channel();
+            let machine = std::thread::spawn(move || {
+                let cfg = MachineConfig {
+                    mode,
+                    ..MachineConfig::virtual_time(4)
+                };
+                let err = std::panic::catch_unwind(|| {
+                    Machine::run(cfg, |ctx| {
+                        let armci = Armci::init(ctx);
+                        let tc = TaskCollection::create(
+                            ctx,
+                            &armci,
+                            TcConfig::new(8, 2, 64).with_ldbal(lb),
+                        );
+                        let h = tc.register(
+                            ctx,
+                            Arc::new(|t| {
+                                if t.body()[0] == 37 {
+                                    panic!("boom from a task body");
+                                }
+                            }),
+                        );
+                        for i in 0..16 {
+                            let id = 16 * ctx.rank() as u8 + i;
+                            tc.add(ctx, ctx.rank(), AFFINITY_HIGH, &Task::new(h, vec![id]));
+                        }
+                        tc.process(ctx);
+                    })
+                })
+                .err()
+                .map(|e| {
+                    e.downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| e.downcast_ref::<String>().cloned())
+                        .unwrap_or_default()
+                });
+                let _ = tx.send(err);
+            });
+            // On expiry the spinning machine thread cannot be joined; the
+            // test fails and the process takes it down.
+            let text = recv_within(&rx, BUDGET_S)
+                .unwrap_or_else(|| {
+                    panic!("{mode:?} / {lb:?}: machine still running after {BUDGET_S} s (hang?)")
+                })
+                .unwrap_or_else(|| panic!("{mode:?} / {lb:?}: the body's panic was swallowed"));
+            machine
+                .join()
+                .expect("the machine thread reported, then panicked");
+            assert!(
+                text.contains("boom from a task body"),
+                "{mode:?} / {lb:?}: surfaced {text:?}, not the body's own panic"
+            );
+        }
     }
 }
 

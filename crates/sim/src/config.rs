@@ -154,11 +154,6 @@ impl LatencyModel {
         LatencyModel::cluster().with_tiers(LatencyTiers::nearfar())
     }
 
-    /// The XT4 preset with [`LatencyTiers::nearfar`] attached.
-    pub fn xt4_nearfar() -> Self {
-        LatencyModel::xt4().with_tiers(LatencyTiers::nearfar())
-    }
-
     /// Attach near/far distance tiers.
     pub fn with_tiers(mut self, tiers: LatencyTiers) -> Self {
         self.tiers = Some(tiers);

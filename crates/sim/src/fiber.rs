@@ -1,4 +1,4 @@
-//! Stackful fibers: the substrate virtual-time ranks run on.
+//! Stackful fibers: what carries a virtual-time rank.
 //!
 //! A virtual-time machine runs every simulated rank as a *fiber* — a resumable
 //! call stack on the heap — inside one OS thread. A context switch is six
@@ -7,12 +7,16 @@
 //! futex traffic; that three-orders-of-magnitude gap is what makes
 //! 1024-rank machines practical on a single core.
 //!
+//! The switch is hand-written for unix x86_64 and aarch64; any other
+//! target fails to compile here rather than at run time. A committed
+//! golden, recorded from the parked-thread carrier this replaced, pins
+//! that the switch reproduces its scheduling exactly (`machine.rs` tests).
+//!
 //! Protocol (enforced by `machine::run_fibers` + `Kernel`):
 //!
 //! * Exactly one context is live at a time: the machine's *main* context
 //!   or one fiber. Switches happen only at kernel scheduling points
-//!   (`yield_point`, `block`, `finish`, initial dispatch), mirroring the
-//!   thread substrate's park/handoff points exactly.
+//!   (`yield_point`, `block`, `finish`, initial dispatch).
 //! * A fiber's task closure runs to completion and *returns* — unwinding
 //!   or returning through every frame it created, dropping everything it
 //!   owns — before the fiber is marked completed and the exit hook runs.
@@ -26,10 +30,11 @@
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;
 
-/// True when this target has a fiber context-switch implementation;
-/// `Machine::run` parks one OS thread per rank elsewhere.
-pub(crate) const SUPPORTED: bool =
-    cfg!(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")));
+#[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
+compile_error!(
+    "scioto-sim runs virtual-time ranks as fibers, whose context switch exists \
+     for unix x86_64 and unix aarch64 only"
+);
 
 // x86_64 SysV: callee-saved integer registers are rbp, rbx, r12-r15 (xmm
 // registers are caller-saved, so a cooperative switch may skip them). The
@@ -96,17 +101,11 @@ core::arch::global_asm!(
     "ret",
 );
 
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 extern "C" {
     /// Save the current callee-saved frame, store the resulting stack
     /// pointer through `save`, switch to `restore` and pop its frame.
     /// Returns (on the *new* stack) when some later switch restores `save`.
     fn scioto_fiber_switch(save: *mut usize, restore: usize);
-}
-
-#[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-unsafe fn scioto_fiber_switch(_save: *mut usize, _restore: usize) {
-    unreachable!("fibers entered on an unsupported target");
 }
 
 /// Number of `usize` slots in a bootstrap frame (saved registers + entry
@@ -166,7 +165,6 @@ impl FiberSet {
     /// Build `n` fibers, each with a `stack_size`-byte stack primed to run
     /// [`fiber_entry`] on first switch.
     pub(crate) fn new(n: usize, stack_size: usize) -> FiberSet {
-        assert!(SUPPORTED, "fibers unavailable on this target");
         // Room for the bootstrap frame, a panic payload and libstd's
         // unwinding machinery even if the caller asks for something tiny.
         let stack_size = stack_size.max(32 * 1024);
@@ -349,7 +347,7 @@ extern "C" fn fiber_entry() -> ! {
     }
 }
 
-#[cfg(all(test, unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::rc::Rc;

@@ -2,8 +2,10 @@
 //! mode, token-based blocking in concurrent mode, poison propagation on
 //! rank panics, and deadlock detection.
 //!
-//! Virtual-time dispatch is a single min-clock priority queue, whichever
-//! [`Substrate`] carries the ranks (fibers or parked threads): a rank
+//! The mode decides what carries a rank: virtual-time ranks are fibers on
+//! the machine's thread and every hand-off is a fiber switch; concurrent
+//! ranks are free-running threads, and the condvars serve only them.
+//! Virtual-time dispatch is a single min-clock priority queue: a rank
 //! becomes an event `(clock, rank)` when it turns runnable and is popped
 //! in lexicographic order, which reproduces the historical "lowest rank
 //! among minimum clocks" scan exactly. Heap keys are never stale — a rank's
@@ -35,22 +37,6 @@ pub(crate) enum Status {
     Blocked,
     /// Rank program returned (or panicked).
     Done,
-}
-
-/// What carries the virtual-time baton between scheduling points. Not a
-/// setting: `Machine::run` takes fibers wherever [`fiber::SUPPORTED`] and
-/// threads elsewhere, and [`ExecMode::Concurrent`] machines are
-/// free-running threads by definition. The scheduler above is the same
-/// either way, so same-seed runs are byte-identical on both.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Substrate {
-    /// One parked OS thread per rank; handoff = condvar notify + park.
-    /// The only substrate off x86_64/aarch64 unix, and the reference the
-    /// fiber substrate is tested against.
-    Threads,
-    /// One fiber per rank on the machine's thread; handoff = a stack
-    /// switch through the active [`fiber::FiberSet`].
-    Fibers,
 }
 
 struct Sched {
@@ -92,11 +78,11 @@ fn host_cores() -> usize {
 pub(crate) struct Kernel {
     n: usize,
     mode: ExecMode,
-    substrate: Substrate,
     /// Concurrent mode only: more rank threads than [`host_cores`], so a
     /// rank at a scheduling point has a peer waiting for its core.
     oversubscribed: bool,
     sched: Mutex<Sched>,
+    /// Concurrent mode only: where a blocked rank thread parks.
     cvs: Vec<Condvar>,
     clocks: Vec<AtomicU64>,
     /// Wall-clock finish stamp of each rank (concurrent mode only):
@@ -119,13 +105,7 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    pub(crate) fn new(
-        n: usize,
-        mode: ExecMode,
-        substrate: Substrate,
-        speed: &SpeedModel,
-        trace: TraceSink,
-    ) -> Self {
+    pub(crate) fn new(n: usize, mode: ExecMode, speed: &SpeedModel, trace: TraceSink) -> Self {
         assert!(n >= 1, "a machine needs at least one rank");
         assert_eq!(speed.len(), n, "speed model must cover all ranks");
         let mut status = vec![Status::Runnable; n];
@@ -144,7 +124,6 @@ impl Kernel {
         Kernel {
             n,
             mode,
-            substrate,
             oversubscribed: mode == ExecMode::Concurrent && n > host_cores(),
             sched: Mutex::new(Sched {
                 status,
@@ -292,8 +271,8 @@ impl Kernel {
 
     /// A rank charges only itself and only while it holds the baton, and
     /// the other writers of its clock (`unblock`, `advance_to`) run while
-    /// it does not, ordered against it by the scheduler's mutex or a fiber
-    /// switch on one thread. A virtual clock therefore never has two
+    /// it does not, on the same thread, ordered against it by the fiber
+    /// switch that passed the baton. A virtual clock therefore never has two
     /// writers at once, and a plain load + store is a complete update — no
     /// locked read-modify-write on the path every simulated operation takes.
     fn charge(&self, rank: usize, ns: u64) {
@@ -301,33 +280,14 @@ impl Kernel {
         clock.store(clock.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
     }
 
-    /// Wait at rank start until the scheduler hands this rank the baton.
-    pub(crate) fn wait_for_start(&self, rank: usize) {
-        if self.mode == ExecMode::Concurrent {
-            return;
-        }
-        match self.substrate {
-            Substrate::Threads => {
-                let mut s = self.sched.lock();
-                while s.status[rank] != Status::Running {
-                    self.check_poison();
-                    self.cvs[rank].wait(&mut s);
-                }
-            }
-            Substrate::Fibers => {
-                // A fiber is only ever switched into after the dispatcher
-                // marked it Running, so there is nothing to wait for.
-                self.check_poison();
-                debug_assert_eq!(self.sched.lock().status[rank], Status::Running);
-            }
-        }
-    }
-
     /// A scheduling point before a shared-state operation. In virtual-time
     /// mode the caller is suspended until it is the minimum-clock runnable
     /// rank; on return it holds the baton and may manipulate shared state.
     pub(crate) fn yield_point(&self, rank: usize) {
         if self.mode == ExecMode::Concurrent {
+            // A rank that only polls (an idle `process` loop) never blocks,
+            // so this is where it learns that a peer panicked.
+            self.check_poison();
             // With more rank threads than cores, give the others a chance
             // to make progress between shared-state operations. With a core
             // per rank there is no peer to yield to: `sched_yield` would be
@@ -354,16 +314,8 @@ impl Kernel {
             return;
         }
         s.status[next] = Status::Running;
-        match self.substrate {
-            Substrate::Threads => {
-                self.cvs[next].notify_one();
-                self.wait_until_running(rank, &mut s);
-            }
-            Substrate::Fibers => {
-                drop(s);
-                self.switch_and_check(next);
-            }
-        }
+        drop(s);
+        self.switch_and_check(next);
     }
 
     /// Park until another rank calls [`Kernel::unblock`] for us (or a wake
@@ -390,19 +342,13 @@ impl Kernel {
             ExecMode::VirtualTime => {
                 debug_assert_eq!(s.status[rank], Status::Running);
                 s.status[rank] = Status::Blocked;
-                match self.substrate {
-                    Substrate::Threads => {
-                        self.dispatch_or_deadlock(&mut s, rank);
-                        self.wait_until_running(rank, &mut s);
+                match self.pop_next(&mut s) {
+                    Some(next) => {
+                        s.status[next] = Status::Running;
+                        drop(s);
+                        self.switch_and_check(next);
                     }
-                    Substrate::Fibers => match self.pop_next(&mut s) {
-                        Some(next) => {
-                            s.status[next] = Status::Running;
-                            drop(s);
-                            self.switch_and_check(next);
-                        }
-                        None => self.declare_deadlock(&mut s, rank),
-                    },
+                    None => self.declare_deadlock(&mut s, rank),
                 }
             }
             ExecMode::Concurrent => {
@@ -453,9 +399,10 @@ impl Kernel {
         }
     }
 
-    /// Called when a rank's program returns. Hands the baton onward; on
-    /// fibers this never returns once the machine completes or
-    /// another fiber is dispatched (the caller's stack is abandoned).
+    /// Called when a rank's program returns. In virtual time this hands
+    /// the baton onward and never returns (the caller's stack is
+    /// abandoned): to the next runnable fiber, or to the machine's main
+    /// context once every rank is done or the machine is poisoned.
     pub(crate) fn finish(&self, rank: usize) {
         if self.mode == ExecMode::Concurrent {
             // The rank's own thread stamps its span end before anything
@@ -466,38 +413,25 @@ impl Kernel {
         let mut s = self.sched.lock();
         s.status[rank] = Status::Done;
         s.done += 1;
-        if self.is_poisoned() {
-            // Unwinding ranks must not trip the deadlock detector.
-            for cv in &self.cvs {
-                cv.notify_all();
-            }
-            if self.mode == ExecMode::VirtualTime && self.substrate == Substrate::Fibers {
-                drop(s);
-                fiber::with_active(|fs| fs.switch_to_main());
-            }
+        if self.mode == ExecMode::Concurrent {
             return;
         }
-        if self.mode != ExecMode::VirtualTime {
-            return;
-        }
-        if s.done < self.n {
-            match self.substrate {
-                Substrate::Threads => self.dispatch_or_deadlock(&mut s, rank),
-                Substrate::Fibers => match self.pop_next(&mut s) {
-                    Some(next) => {
-                        s.status[next] = Status::Running;
-                        drop(s);
-                        fiber::with_active(|fs| fs.switch_to_fiber(next));
-                    }
-                    None => self.declare_deadlock(&mut s, rank),
-                },
+        // Unwinding ranks must not trip the deadlock detector.
+        if s.done < self.n && !self.is_poisoned() {
+            match self.pop_next(&mut s) {
+                Some(next) => {
+                    s.status[next] = Status::Running;
+                    drop(s);
+                    fiber::with_active(|fs| fs.switch_to_fiber(next));
+                    return;
+                }
+                None => self.declare_deadlock(&mut s, rank),
             }
-        } else if self.substrate == Substrate::Fibers {
-            // Last rank done: hand control back to the machine's main
-            // context, which collects results.
-            drop(s);
-            fiber::with_active(|fs| fs.switch_to_main());
         }
+        // Main collects the results, or resumes the suspended fibers so
+        // they observe the poison and unwind.
+        drop(s);
+        fiber::with_active(|fs| fs.switch_to_main());
     }
 
     /// Wall-clock nanoseconds since the machine was constructed.
@@ -505,8 +439,9 @@ impl Kernel {
         self.start.now_ns()
     }
 
-    /// Mark the machine poisoned (a rank panicked) and wake everyone so
-    /// they can observe the poison and unwind.
+    /// Mark the machine poisoned (a rank panicked) and wake every parked
+    /// rank thread so they can observe the poison and unwind. Suspended
+    /// fibers observe it when the machine's main context resumes them.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         let _s = self.sched.lock();
@@ -519,15 +454,14 @@ impl Kernel {
         self.poisoned.load(Ordering::SeqCst)
     }
 
-    fn check_poison(&self) {
+    pub(crate) fn check_poison(&self) {
         if self.is_poisoned() {
             panic!("sim machine poisoned: another rank panicked or deadlocked");
         }
     }
 
     /// Fiber handoff: switch to `next`'s fiber and, once this rank is
-    /// switched back in, observe any poison before touching shared state
-    /// (the thread substrate's `wait_until_running` does the same).
+    /// switched back in, observe any poison before touching shared state.
     fn switch_and_check(&self, next: usize) {
         fiber::with_active(|fs| fs.switch_to_fiber(next));
         self.check_poison();
@@ -556,23 +490,11 @@ impl Kernel {
         }
     }
 
-    fn dispatch_or_deadlock(&self, s: &mut Sched, from: usize) {
-        if let Some(next) = self.pop_next(s) {
-            s.status[next] = Status::Running;
-            self.cvs[next].notify_one();
-        } else if s.done < self.n {
-            self.declare_deadlock(s, from);
-        }
-    }
-
     /// No runnable rank and not everyone is done: poison the machine and
     /// panic with per-rank state.
     fn declare_deadlock(&self, s: &mut Sched, from: usize) -> ! {
         let diag = self.deadlock_diagnostics(s);
         self.poisoned.store(true, Ordering::SeqCst);
-        for cv in &self.cvs {
-            cv.notify_all();
-        }
         panic!(
             "sim deadlock: no runnable rank (detected by rank {from}); \
              per-rank state:\n{diag}"
@@ -598,28 +520,20 @@ impl Kernel {
         }
         out
     }
-
-    fn wait_until_running(&self, rank: usize, s: &mut scioto_det::sync::MutexGuard<'_, Sched>) {
-        while s.status[rank] != Status::Running {
-            self.check_poison();
-            self.cvs[rank].wait(s);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::{Machine, MachineConfig};
 
-    fn vt_kernel(n: usize) -> Arc<Kernel> {
-        Arc::new(Kernel::new(
+    fn vt_kernel(n: usize) -> Kernel {
+        Kernel::new(
             n,
             ExecMode::VirtualTime,
-            Substrate::Threads,
             &SpeedModel::uniform(n),
             TraceSink::Disabled,
-        ))
+        )
     }
 
     #[test]
@@ -627,7 +541,6 @@ mod tests {
         let k = Kernel::new(
             2,
             ExecMode::VirtualTime,
-            Substrate::Threads,
             &SpeedModel::from_factors(vec![1.0, 2.0]),
             TraceSink::Disabled,
         );
@@ -665,7 +578,6 @@ mod tests {
         let k = Kernel::new(
             2,
             ExecMode::VirtualTime,
-            Substrate::Threads,
             &SpeedModel::hetero_cluster(2),
             TraceSink::Disabled,
         );
@@ -685,7 +597,6 @@ mod tests {
         let conc = Kernel::new(
             1,
             ExecMode::Concurrent,
-            Substrate::Threads,
             &SpeedModel::uniform(1),
             TraceSink::Disabled,
         );
@@ -702,7 +613,6 @@ mod tests {
             Kernel::new(
                 n,
                 mode,
-                Substrate::Threads,
                 &SpeedModel::uniform(n),
                 TraceSink::Disabled,
             )
@@ -719,7 +629,6 @@ mod tests {
         let k = Kernel::new(
             1,
             ExecMode::VirtualTime,
-            Substrate::Threads,
             &SpeedModel::from_factors(vec![3.0]),
             TraceSink::Disabled,
         );
@@ -751,17 +660,20 @@ mod tests {
 
     #[test]
     fn unblock_of_done_rank_is_dropped_and_uncounted() {
-        let k = vt_kernel(2);
-        k.wait_for_start(0);
-        k.finish(0); // hands the baton to rank 1
-        k.unblock(0, 100); // no recipient: dropped, not a delivered wake
-        assert_eq!(k.events.snapshot().unblocks, 0);
-        let s = k.sched.lock();
-        assert!(!s.wake_token[0]);
-        assert_eq!(s.status[0], Status::Done);
-        // Rank 1 was dispatched by finish and is unaffected.
-        assert_eq!(s.status[1], Status::Running);
-        drop(s);
+        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            if ctx.rank() == 0 {
+                return; // finish(0) hands the baton to rank 1
+            }
+            let k = ctx.kernel();
+            k.unblock(0, 100); // no recipient: dropped, not a delivered wake
+            assert_eq!(k.events.snapshot().unblocks, 0);
+            let s = k.sched.lock();
+            assert!(!s.wake_token[0]);
+            assert_eq!(s.status[0], Status::Done);
+            // Rank 1 was dispatched by finish and is unaffected.
+            assert_eq!(s.status[1], Status::Running);
+        });
+        assert_eq!(out.report.events.unblocks, 0);
     }
 
     #[test]
@@ -777,29 +689,16 @@ mod tests {
         // Exercise baton passing: rank 0 runs work in slices, yielding each
         // time; rank 1 does the same with bigger slices. After both finish,
         // both clocks hold their total work.
-        let k = vt_kernel(2);
-        let k0 = k.clone();
-        let k1 = k.clone();
-        let t1 = std::thread::spawn(move || {
-            k0.wait_for_start(0);
-            for _ in 0..10 {
-                k0.charge_cpu(0, 10);
-                k0.yield_point(0);
+        let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
+            let (slices, ns) = if ctx.rank() == 0 { (10, 10) } else { (5, 30) };
+            for _ in 0..slices {
+                ctx.charge_cpu(ns);
+                ctx.yield_point();
             }
-            k0.finish(0);
+            ctx.kernel().clock(ctx.rank())
         });
-        let t2 = std::thread::spawn(move || {
-            k1.wait_for_start(1);
-            for _ in 0..5 {
-                k1.charge_cpu(1, 30);
-                k1.yield_point(1);
-            }
-            k1.finish(1);
-        });
-        t1.join().unwrap();
-        t2.join().unwrap();
-        assert_eq!(k.clock(0), 100);
-        assert_eq!(k.clock(1), 150);
+        assert_eq!(out.results, vec![100, 150]);
+        assert_eq!(out.report.rank_clock_ns, vec![100, 150]);
     }
 
     #[test]

@@ -5,11 +5,9 @@
 //! substitute substrate: it executes SPMD rank programs under a
 //! **conservative discrete-event scheduler** that always resumes the
 //! runnable rank with the smallest virtual clock. Ranks are resumable
-//! fibers on one OS thread wherever the target has a context switch
-//! ([`fibers_supported`] — this is what makes 1024-rank machines practical
-//! on one core) and one parked OS thread per rank elsewhere. The substrate
-//! is not a setting: the scheduler is the same and same-seed runs produce
-//! byte-identical [`Report`]s and traces on both.
+//! fibers on one OS thread — this is what makes 1024-rank machines
+//! practical on one core. The fiber switch is written for unix x86_64 and
+//! aarch64; the crate does not compile for other targets.
 //!
 //! Rules of the model:
 //!
@@ -65,11 +63,3 @@ pub use trace::{
     VtHistogram, WaveDir, HIST_BUCKETS,
 };
 pub use vlock::VLock;
-
-/// True where virtual-time ranks run as fibers (x86_64 and aarch64 unix);
-/// elsewhere each rank is a parked OS thread and machines of a thousand
-/// ranks and more may not fit the host. A read-only fact about the target,
-/// for tests that need that scale.
-pub fn fibers_supported() -> bool {
-    fiber::SUPPORTED
-}

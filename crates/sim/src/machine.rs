@@ -10,7 +10,7 @@ use crate::barrier::SimBarrier;
 use crate::config::{ExecMode, LatencyModel, MachineConfig};
 use crate::ctx::Ctx;
 use crate::fiber;
-use crate::kernel::{Kernel, Substrate};
+use crate::kernel::Kernel;
 use crate::report::Report;
 use crate::trace::TraceSink;
 
@@ -76,84 +76,72 @@ impl Machine {
         R: Send,
         F: Fn(&Ctx) -> R + Send + Sync,
     {
-        // Virtual-time ranks are fibers wherever the target has a context
-        // switch; real concurrency is free-running threads by definition.
-        let substrate = if cfg.mode == ExecMode::VirtualTime && fiber::SUPPORTED {
-            Substrate::Fibers
-        } else {
-            Substrate::Threads
+        let n = cfg.ranks;
+        assert!(n >= 1, "a machine needs at least one rank");
+        let kernel = Arc::new(Kernel::new(
+            n,
+            cfg.mode,
+            &cfg.speed,
+            TraceSink::new(&cfg.trace, n),
+        ));
+        let shared = Arc::new(Shared {
+            latency: cfg.latency,
+            barrier: SimBarrier::new(cfg.barrier),
+            coll: Mutex::new(CollectiveLog::default()),
+            replicated: Mutex::new(Vec::new()),
+        });
+        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+
+        // The mode decides what carries a rank: one fiber per rank on this
+        // thread in virtual time, one free-running thread per rank in
+        // concurrent mode.
+        match cfg.mode {
+            ExecMode::VirtualTime => {
+                run_fibers(&cfg, &kernel, &shared, &f, &results, &panic_payload)
+            }
+            ExecMode::Concurrent => {
+                run_threads(&cfg, &kernel, &shared, &f, &results, &panic_payload)
+            }
+        }
+
+        if let Some(p) = panic_payload.lock().take() {
+            resume_unwind(p);
+        }
+
+        // Per-rank elapsed time: the final virtual clock in virtual-time
+        // mode, each thread's measured wall-clock span (stamped by the
+        // rank's own thread at program return) in concurrent mode.
+        let rank_clock_ns: Vec<u64> = (0..n).map(|r| kernel.rank_elapsed_ns(r)).collect();
+        let makespan_ns = match cfg.mode {
+            ExecMode::VirtualTime => rank_clock_ns.iter().copied().max().unwrap_or(0),
+            ExecMode::Concurrent => kernel.wall_ns(),
         };
-        run_on(substrate, cfg, f)
+        let trace = kernel.trace.finish().map(|mut t| {
+            // Stamp per-rank elapsed time into the trace so analysis (and
+            // re-analysis from an exported JSONL file) can decompose each
+            // rank's full clock, including any trailing idle time after its
+            // last event.
+            t.final_clock_ns = rank_clock_ns.clone();
+            t.wall_clock = cfg.mode == ExecMode::Concurrent;
+            t
+        });
+        let report = Report {
+            mode: cfg.mode,
+            makespan_ns,
+            rank_clock_ns,
+            events: kernel.events.snapshot(),
+            trace,
+        };
+        let results = results
+            .into_iter()
+            .map(|m| m.into_inner().expect("rank produced no result"))
+            .collect();
+        RunOutput { results, report }
     }
 }
 
-/// [`Machine::run`] on an explicit substrate. Crate-private: the choice
-/// never changes a result, so it is not a setting — only the
-/// two-substrate identity test below names one.
-pub(crate) fn run_on<R, F>(substrate: Substrate, cfg: MachineConfig, f: F) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(&Ctx) -> R + Send + Sync,
-{
-    let n = cfg.ranks;
-    assert!(n >= 1, "a machine needs at least one rank");
-    let kernel = Arc::new(Kernel::new(
-        n,
-        cfg.mode,
-        substrate,
-        &cfg.speed,
-        TraceSink::new(&cfg.trace, n),
-    ));
-    let shared = Arc::new(Shared {
-        latency: cfg.latency,
-        barrier: SimBarrier::new(cfg.barrier),
-        coll: Mutex::new(CollectiveLog::default()),
-        replicated: Mutex::new(Vec::new()),
-    });
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-    match substrate {
-        Substrate::Threads => run_threads(&cfg, &kernel, &shared, &f, &results, &panic_payload),
-        Substrate::Fibers => run_fibers(&cfg, &kernel, &shared, &f, &results, &panic_payload),
-    }
-
-    if let Some(p) = panic_payload.lock().take() {
-        resume_unwind(p);
-    }
-
-    // Per-rank elapsed time: the final virtual clock in virtual-time
-    // mode, each thread's measured wall-clock span (stamped by the
-    // rank's own thread at program return) in concurrent mode.
-    let rank_clock_ns: Vec<u64> = (0..n).map(|r| kernel.rank_elapsed_ns(r)).collect();
-    let makespan_ns = match cfg.mode {
-        ExecMode::VirtualTime => rank_clock_ns.iter().copied().max().unwrap_or(0),
-        ExecMode::Concurrent => kernel.wall_ns(),
-    };
-    let trace = kernel.trace.finish().map(|mut t| {
-        // Stamp per-rank elapsed time into the trace so analysis (and
-        // re-analysis from an exported JSONL file) can decompose each
-        // rank's full clock, including any trailing idle time after its
-        // last event.
-        t.final_clock_ns = rank_clock_ns.clone();
-        t.wall_clock = cfg.mode == ExecMode::Concurrent;
-        t
-    });
-    let report = Report {
-        mode: cfg.mode,
-        makespan_ns,
-        rank_clock_ns,
-        events: kernel.events.snapshot(),
-        trace,
-    };
-    let results = results
-        .into_iter()
-        .map(|m| m.into_inner().expect("rank produced no result"))
-        .collect();
-    RunOutput { results, report }
-}
-
-/// The thread substrate: one parked OS thread per rank, handoff by condvar.
+/// The concurrent runner: one free-running OS thread per rank.
 fn run_threads<R, F>(
     cfg: &MachineConfig,
     kernel: &Arc<Kernel>,
@@ -175,10 +163,7 @@ fn run_threads<R, F>(
                 .stack_size(cfg.stack_size)
                 .spawn_scoped(scope, move || {
                     let ctx = Ctx::new(rank, Arc::clone(&kernel), shared, seed);
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        kernel.wait_for_start(rank);
-                        f(&ctx)
-                    })) {
+                    match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
                         Ok(v) => {
                             *results[rank].lock() = Some(v);
                             kernel.finish(rank);
@@ -195,10 +180,8 @@ fn run_threads<R, F>(
     });
 }
 
-/// The fiber substrate: one fiber per rank on this thread, dispatched from
-/// the kernel's min-clock heap. Scheduling-point semantics are identical
-/// to the thread substrate (same transitions, same dispatch order), so
-/// same-seed runs produce byte-identical reports and traces.
+/// The virtual-time runner: one fiber per rank on this thread, dispatched
+/// from the kernel's min-clock heap.
 fn run_fibers<R, F>(
     cfg: &MachineConfig,
     kernel: &Arc<Kernel>,
@@ -219,7 +202,9 @@ fn run_fibers<R, F>(
         let task = Box::new(move || {
             let ctx = Ctx::new(rank, Arc::clone(&kernel), shared, seed);
             match catch_unwind(AssertUnwindSafe(|| {
-                kernel.wait_for_start(rank);
+                // A fiber is only switched into once the dispatcher marked
+                // it Running; all it can find is a machine already poisoned.
+                kernel.check_poison();
                 f(&ctx)
             })) {
                 Ok(v) => *results[rank].lock() = Some(v),
@@ -250,8 +235,7 @@ fn run_fibers<R, F>(
         unsafe { fs.set_exit(exit) };
     }
     fiber::enter(&fs, || {
-        // Rank 0 holds the baton at construction — the same initial
-        // dispatch the thread substrate performs.
+        // Rank 0 holds the baton at construction.
         fs.switch_to_fiber(0);
         // Back in the main context: every rank finished, or the machine
         // was poisoned mid-run. Resume any suspended fibers so they
@@ -500,18 +484,25 @@ mod tests {
 
     /// One traced 4-rank program touching every kind of scheduling point:
     /// collectives inside and outside an epoch, a contended lock, ring
-    /// messages, a barrier, and a block/unblock pair.
+    /// messages, a barrier, and a block/unblock pair. Its results depend
+    /// on the `(clock, rank)` tie-break and on a collective reader's clock
+    /// advance, so a scheduler that gets either wrong cannot match.
     fn every_scheduling_point(ctx: &Ctx) -> (u64, u64) {
         use crate::{MailboxRouter, MsgFilter, VLock};
         let n = ctx.nranks();
         let me = ctx.rank();
+        // Every rank contends at clock 0: only the tie-break orders the
+        // ownership generations.
+        let first = ctx.collective(VLock::new);
+        let mut acc = first.acquire(ctx, 0);
+        first.release(ctx, 0);
         ctx.compute(700 * (me as u64 % 3 + 1));
         let (lock, mail) = ctx.collective_epoch(|| {
             let lock = ctx.collective(VLock::new);
-            ctx.compute(40 * me as u64);
+            // Rank 0 publishes the router after rank 3 could have read it.
+            ctx.compute(40 * (n - me) as u64);
             (lock, ctx.collective(|| MailboxRouter::new(n)))
         });
-        let mut acc = 0u64;
         for round in 0..3u64 {
             acc += lock.acquire(ctx, 120);
             ctx.compute(90 + 10 * me as u64);
@@ -535,41 +526,37 @@ mod tests {
     }
 
     #[test]
-    fn fibers_match_the_thread_substrate_byte_for_byte() {
-        // The substrate is an implementation detail: the same scheduler
-        // must produce the same Report and the same trace bytes whether
-        // ranks are parked OS threads (the reference, available on every
-        // target) or fibers. On a target without fibers `Machine::run`
-        // already is the thread substrate and there is nothing to compare.
+    fn fibers_reproduce_the_thread_substrate_golden() {
+        // The goldens are what the retired reference carrier — one parked
+        // OS thread per rank, hand-off by condvar — produced for this
+        // program. The fiber switch must reproduce its results, report
+        // and trace bytes exactly.
         use crate::trace::TraceConfig;
-        let run = |substrate| {
-            let cfg = MachineConfig::virtual_time(4)
-                .with_latency(LatencyModel::cluster())
-                .with_barrier(crate::BarrierKind::Tree)
-                .with_trace(TraceConfig::enabled());
-            run_on(substrate, cfg, every_scheduling_point)
-        };
-        let t = run(Substrate::Threads);
-        let trace = t.report.trace.as_ref().expect("tracing enabled");
-        assert!(t.report.events.blocks > 0 && t.report.events.messages == 12);
+        let cfg = MachineConfig::virtual_time(4)
+            .with_latency(LatencyModel::cluster())
+            .with_barrier(crate::BarrierKind::Tree)
+            .with_trace(TraceConfig::enabled());
+        let out = Machine::run(cfg, every_scheduling_point);
+        let report = &out.report;
+        let trace = report.trace.as_ref().expect("tracing enabled");
+        assert!(report.events.blocks > 0 && report.events.messages == 12);
         assert!(trace.events_for(1).iter().any(|e| e.event == crate::TraceEvent::Block));
-        if !fiber::SUPPORTED {
-            return;
-        }
-        let f = run(Substrate::Fibers);
-        assert_eq!(t.results, f.results);
-        assert_eq!(t.report.mode, f.report.mode);
-        assert_eq!(t.report.makespan_ns, f.report.makespan_ns);
-        assert_eq!(t.report.rank_clock_ns, f.report.rank_clock_ns);
-        assert_eq!(t.report.events, f.report.events, "kernel event counters must match");
-        assert_eq!(trace.to_jsonl(), f.report.trace.expect("tracing enabled").to_jsonl());
+        let summary = format!(
+            "results {:?}\nmode {:?}\nmakespan_ns {}\nrank_clock_ns {:?}\nevents {:?}\n",
+            out.results, report.mode, report.makespan_ns, report.rank_clock_ns, report.events
+        );
+        assert_eq!(summary, include_str!("../tests/goldens/every_scheduling_point.txt"));
+        assert_eq!(
+            trace.to_jsonl(),
+            include_str!("../tests/goldens/every_scheduling_point.jsonl")
+        );
     }
 
     #[test]
-    fn both_substrates_surface_a_rank_panic_and_a_deadlock() {
-        let message = |substrate, deadlock: bool| {
+    fn a_rank_panic_and_a_deadlock_surface_with_their_own_message() {
+        let message = |deadlock: bool| {
             let err = std::panic::catch_unwind(|| {
-                run_on(substrate, MachineConfig::virtual_time(3), |ctx| {
+                Machine::run(MachineConfig::virtual_time(3), |ctx| {
                     if deadlock {
                         // Nobody ever wakes anybody.
                         ctx.block_at("test.park");
@@ -583,16 +570,10 @@ mod tests {
             .expect_err("machine must propagate the panic");
             payload_text(&err).unwrap_or_default().to_string()
         };
-        let mut substrates = vec![Substrate::Threads];
-        if fiber::SUPPORTED {
-            substrates.push(Substrate::Fibers);
-        }
-        for s in substrates {
-            assert!(message(s, false).contains("boom from rank 2"), "{s:?}");
-            let text = message(s, true);
-            assert!(text.contains("sim deadlock: no runnable rank"), "{s:?}: {text}");
-            assert!(text.contains("waiting at test.park"), "{s:?}: {text}");
-        }
+        assert!(message(false).contains("boom from rank 2"));
+        let text = message(true);
+        assert!(text.contains("sim deadlock: no runnable rank"), "{text}");
+        assert!(text.contains("waiting at test.park"), "{text}");
     }
 
     #[test]

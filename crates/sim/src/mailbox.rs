@@ -191,11 +191,6 @@ impl MailboxRouter {
             ctx.block_at("mailbox.recv");
         }
     }
-
-    /// Number of queued (visible or in-flight) messages for `rank`.
-    pub fn pending(&self, rank: usize) -> usize {
-        self.boxes[rank].lock().queue.len()
-    }
 }
 
 #[cfg(test)]

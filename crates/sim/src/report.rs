@@ -65,11 +65,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Makespan in seconds.
-    pub fn makespan_secs(&self) -> f64 {
-        self.makespan_ns as f64 / 1e9
-    }
-
     /// Average final rank clock in nanoseconds (virtual clocks, or
     /// per-thread wall spans in concurrent mode).
     pub fn mean_rank_clock_ns(&self) -> f64 {
@@ -117,7 +112,6 @@ mod tests {
             events: EventCounters::default().snapshot(),
             trace: None,
         };
-        assert!((r.makespan_secs() - 2.0).abs() < 1e-12);
         assert!((r.mean_rank_clock_ns() - 2_000.0).abs() < 1e-12);
         // max 3000 over mean 2000.
         assert!((r.imbalance() - 1.5).abs() < 1e-12);

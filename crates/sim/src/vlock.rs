@@ -162,12 +162,6 @@ impl VLock {
         }
         seq
     }
-
-    /// Whether some rank currently holds the lock (racy in concurrent mode;
-    /// intended for assertions and tests).
-    pub fn is_held(&self) -> bool {
-        self.state.lock().holder.is_some()
-    }
 }
 
 #[cfg(test)]

@@ -53,6 +53,24 @@ stage() {
 # stage below links it.
 scioto() { target/release/scioto "$@"; }
 
+# bounded <seconds> <what> <command...>: run the command under `timeout`
+# so a hang fails the run instead of stalling it. The expiry message goes
+# to fd 3 (this script's stderr), whatever the caller redirected; any
+# other exit status is returned to the caller.
+exec 3>&2
+bounded() {
+    limit=$1
+    what=$2
+    shift 2
+    rc=0
+    timeout -k 10 "$limit" "$@" || rc=$?
+    if [ "$rc" -eq 124 ]; then
+        echo "FAIL: $what still running after $limit s (hang?)" >&3
+        exit 1
+    fi
+    return "$rc"
+}
+
 stage "cargo tree: auditing for external dependencies"
 # Every node in the default-feature dependency graph must be a local
 # workspace crate. `cargo tree` prints local path deps with a trailing
@@ -75,8 +93,13 @@ cargo build --release --offline --workspace
 
 stage "cargo test -q --offline --workspace (tier-1)"
 # The root manifest is a package AND the workspace root; without
-# --workspace only the root cross-crate suite runs.
-cargo test -q --offline --workspace
+# --workspace only the root cross-crate suite runs. The test executables
+# are built first so the budget times the run alone: 16 s measured on a
+# 2-core x86_64 host, budget 50 s.
+cargo test -q --offline --workspace --no-run
+t0=$(now_ms)
+bounded 50 "tier-1 cargo test" cargo test -q --offline --workspace
+echo "ok: tier-1 tests ran in $(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s (budget: 50s)"
 
 stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds (release)"
 # The `#[ignore]`d `stress_*` tests: the split queue's never-lose /
@@ -89,7 +112,8 @@ stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds
 # times the runs alone: 19-20 s measured, of which the queue test (its
 # locked kind most of it) is 18 s, the storm 0.2 s and the three store
 # tests 0.4-0.6 s each. Budget 30 s for the total; a failure names the
-# slowest test.
+# slowest test. Each invocation also runs under a 50 s hang budget, about
+# 3x the slowest test (17 s measured on a 2-core x86_64 host).
 cargo test --offline --release -p scioto -p scioto-armci --tests --no-run 2> "$work/stress_build.txt" \
     || { cat "$work/stress_build.txt" >&2; exit 1; }
 stress_ms=0
@@ -98,7 +122,8 @@ stress_slowest_ms=-1
 for exe in $(sed -n 's/^ *Executable .*(\(.*\))$/\1/p' "$work/stress_build.txt"); do
     for t in $("$exe" --ignored --list 2>/dev/null | sed -n 's/^\(.*stress_[A-Za-z0-9_]*\): test$/\1/p'); do
         t0=$(now_ms)
-        "$exe" --ignored --exact -q "$t" > "$work/stress_test.txt" 2>&1 \
+        bounded 50 "real-thread stress test $t" \
+            "$exe" --ignored --exact -q "$t" > "$work/stress_test.txt" 2>&1 \
             || { cat "$work/stress_test.txt" >&2; echo "FAIL: real-thread stress test $t" >&2; exit 1; }
         ms=$(($(now_ms) - t0))
         awk -v ms="$ms" -v t="$t" 'BEGIN { printf "%8.1f s  %s\n", ms / 1000, t }'
@@ -244,8 +269,9 @@ fi
 echo "ok: table1.jsonl, table1_chrome.json and fig7.jsonl are byte-for-byte the pinned exports"
 
 stage "large-scale: 1024/2048-rank points, near/far tiers"
-# Only fibers can stand up 1024+ ranks on this host; the sweep points use
-# the topology-aware near/far latency preset and are pinned as their own
+# Virtual-time ranks are fibers on one OS thread, which is what lets
+# 1024+ ranks stand up on one host; the sweep points use the
+# topology-aware near/far latency preset and are pinned as their own
 # baselines.
 #
 # Host-memory gate on the two big UTS points: every bench document

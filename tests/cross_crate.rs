@@ -603,14 +603,10 @@ fn startup_runs_one_barrier_per_epoch() {
 
 #[test]
 fn machine_runs_1024_ranks() {
-    // Capacity test only fibers can pass on this host: 1024 parked OS
-    // threads exceed what it can stand up, but 1024 fibers on 256 KiB
-    // stacks are cheap. Light workload — skewed compute, a ring message
-    // through MPI, and tree barriers.
-    if !scioto_sim::fibers_supported() {
-        eprintln!("no fibers on this target; skipping");
-        return;
-    }
+    // Capacity test only fibers can pass: 1024 parked OS threads exceed
+    // what a small host can stand up, but 1024 fibers on 256 KiB stacks
+    // are cheap. Light workload — skewed compute, a ring message through
+    // MPI, and tree barriers.
     const P: usize = 1024;
     let out = Machine::run(
         MachineConfig::virtual_time(P)
@@ -654,10 +650,6 @@ fn machine_stands_up_4096_ranks_at_default_sizes() {
     // 24 GB at 4096 ranks, more than this host has. Stacks are never
     // initialised and segments are materialised on first touch, so what
     // a run commits is what a no-op phase and a ring message reach.
-    if !scioto_sim::fibers_supported() {
-        eprintln!("no fibers on this target; skipping");
-        return;
-    }
     const P: usize = 4096;
     let machine = || {
         MachineConfig::virtual_time(P)
