@@ -32,15 +32,11 @@ pub mod replay;
 pub mod report;
 pub mod sync;
 pub mod timeline;
-pub mod tune;
-pub mod whatif;
 
 pub use blame::{decompose, Blame};
 pub use critpath::{CritPath, PathSegment};
 pub use provenance::{Provenance, StealEdge};
 pub use replay::{lower, ReplayError};
-pub use tune::{candidates, Candidate, Score, TuneRow};
-pub use whatif::{reprice, Knobs};
 pub use report::{AnalysisReport, ANALYSIS_SCHEMA};
 pub use timeline::{spans_for_rank, Category, Span, CATEGORIES};
 

@@ -17,9 +17,9 @@
 //! Edges are added only when the producer's recorded stamp strictly
 //! precedes the consumer's. Ties carry no ordering information, and for
 //! identity replay edges are redundant anyway — the per-rank completion
-//! deltas alone reproduce every recorded stamp; edges exist so what-if
-//! re-pricing (see [`crate::whatif`]) keeps recorded causality when
-//! durations change.
+//! deltas alone reproduce every recorded stamp; edges exist so a program
+//! whose ops are reordered or re-timed (a race or deadlock witness, say)
+//! still waits on what each op waited on in the recording.
 //!
 //! Validation is graceful by construction: a trace that cannot be
 //! replayed — ring overflow, missing final clocks (older schema),

@@ -73,7 +73,7 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
     (
         "tune",
         false,
-        "--ranks <n> --tree tiny|small|medium|large --seed <n> --max-candidates <n> --top <k> \
+        "--ranks <n> --tree tiny|small|medium|large --seed <n> --max-candidates <n> \
          --latency flat|nearfar --out <path> --report <path> --json-out <path> \
          --require-improvement",
         cmd::tune::run,
@@ -81,9 +81,7 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
     (
         "replay",
         false,
-        "--file <path> --check --chunk <n> --victim-cont <p> --victim-escape <p> \
-         --latency flat|nearfar --base-latency flat|nearfar \
-         --analysis-out <path> --trace-out <path>",
+        "--file <path> --check --analysis-out <path> --trace-out <path>",
         cmd::replay::run,
     ),
     ("analyze", false, "--file <path> --json-out <path>", cmd::analyze::run),

@@ -1,25 +1,21 @@
-//! `scioto tune` — closed-loop knob autotuner: record one seeded fig7-style UTS run,
-//! replay it under a deterministic candidate sweep, score candidates by
-//! makespan/imbalance/blame shares, live-validate the most promising
-//! ones, and emit a tuned `TcConfig` as JSON plus a human report.
+//! `scioto tune` — knob autotuner: run a seeded fig7-style UTS workload
+//! under the default `TcConfig` and under every candidate of a fixed
+//! sweep, score each run by makespan/imbalance/blame shares, and emit the
+//! fastest configuration as JSON plus a human report.
 //!
-//! The loop never re-runs the workload to *rank* candidates — ranking is
-//! replay re-pricing (`scioto-analyze`'s what-if layer), which costs
-//! milliseconds per candidate. Live seeded runs are reserved for the
-//! top-K finishers plus every structural candidate the critical-path
-//! gate admitted (release-fraction changes restructure the schedule, so
-//! replay cannot price them).
+//! Every candidate is scored by running it. The machine is deterministic
+//! per seed, so one live run is the exact answer for a candidate, and at
+//! fig7@64 on the small tree it costs about 0.1 s.
 //!
 //! Options: `--ranks N` (default 64), `--tree tiny|small|medium|large`
 //! (default small), `--seed N` (default 876269 = 0xD5EED),
-//! `--max-candidates N`, `--top K` (default 3 live validations),
-//! `--latency flat|nearfar`, `--out <config.json>`, `--report <path>`,
-//! `--json-out <BENCH json>`, `--require-improvement` (exit 1 unless the
-//! tuned config beats the default live).
+//! `--max-candidates N`, `--latency flat|nearfar`, `--out <config.json>`,
+//! `--report <path>`, `--json-out <BENCH json>`, `--require-improvement`
+//! (exit 1 unless the tuned config beats the default).
 
-use scioto_analyze::tune::{candidates, config_json, render_report, replay_score, Score, TuneRow};
-use scioto_analyze::whatif::Knobs;
-use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel, Trace, TraceConfig};
+use scioto::TcConfig;
+use scioto_analyze::{AnalysisReport, Category};
+use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel, TraceConfig};
 use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
 use scioto_uts::TreeParams;
 
@@ -34,14 +30,86 @@ struct RunCfg {
     latency: LatencyPreset,
 }
 
-/// One live traced seeded run under `knobs`; returns the trace.
-fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
-    let mut uts = SciotoUtsConfig::new(rc.params);
-    uts.tc.chunk = knobs.chunk;
-    uts.tc.victim_cont = knobs.victim_cont;
-    uts.tc.victim_escape = knobs.victim_escape;
-    uts.tc.release_fraction = knobs.release_fraction;
-    Machine::run(
+/// The sweep around `base`, one axis at a time: victim continuation and
+/// escape probabilities, steal chunk, split release fraction.
+fn candidates(base: TcConfig) -> Vec<(String, TcConfig)> {
+    let mut out = Vec::new();
+    for cont in [0.5, 0.85] {
+        out.push((
+            format!("cont={cont:.2}"),
+            TcConfig {
+                victim_cont: cont,
+                ..base
+            },
+        ));
+    }
+    for escape in [0.0625, 0.25] {
+        out.push((
+            format!("escape={escape:.4}"),
+            TcConfig {
+                victim_escape: escape,
+                ..base
+            },
+        ));
+    }
+    for chunk in [5, 20] {
+        out.push((format!("chunk={chunk}"), TcConfig { chunk, ..base }));
+    }
+    for frac in [0.25, 0.75, 1.0] {
+        let tc = TcConfig {
+            release_fraction: frac,
+            ..base
+        };
+        out.push((format!("release_fraction={frac:.2}"), tc));
+    }
+    out
+}
+
+/// Scheduling quality of one run, from its analysis report.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Score {
+    /// Virtual makespan.
+    makespan_ns: u64,
+    /// `max(elapsed) / mean(elapsed) - 1`; 0 is perfectly balanced.
+    imbalance: f64,
+    /// Steal share of total blamed time.
+    steal_share: f64,
+    /// Idle share of total blamed time.
+    idle_share: f64,
+    /// TD-polling share of total blamed time.
+    td_share: f64,
+}
+
+impl Score {
+    fn from_report(report: &AnalysisReport) -> Score {
+        let total = report.total_blame();
+        let denom = total.total().max(1) as f64;
+        let n = report.ranks.max(1) as f64;
+        let max = report.elapsed_ns.iter().copied().max().unwrap_or(0) as f64;
+        let mean = report.elapsed_ns.iter().sum::<u64>() as f64 / n;
+        Score {
+            makespan_ns: report.makespan_ns,
+            imbalance: if mean > 0.0 { max / mean - 1.0 } else { 0.0 },
+            steal_share: total.get(Category::Steal) as f64 / denom,
+            idle_share: total.get(Category::Idle) as f64 / denom,
+            td_share: total.get(Category::Td) as f64 / denom,
+        }
+    }
+
+    /// Tie-break between equal makespans: makespan nudged by imbalance,
+    /// so the better-balanced run is cheaper.
+    fn cost(&self) -> f64 {
+        self.makespan_ns as f64 * (1.0 + 0.05 * self.imbalance)
+    }
+}
+
+/// One live traced seeded run of the workload under `tc`, scored.
+fn live_score(rc: RunCfg, tc: TcConfig) -> Score {
+    let uts = SciotoUtsConfig {
+        tc,
+        ..SciotoUtsConfig::new(rc.params)
+    };
+    let trace = Machine::run(
         MachineConfig::virtual_time(rc.ranks)
             .with_latency(rc.latency.apply(LatencyModel::cluster()))
             .with_speed(SpeedModel::hetero_cluster(rc.ranks))
@@ -51,7 +119,111 @@ fn live_run(rc: RunCfg, knobs: &Knobs) -> Trace {
     )
     .report
     .trace
-    .expect("tracing was enabled")
+    .expect("tracing was enabled");
+    Score::from_report(&scioto_analyze::analyze(&trace))
+}
+
+/// A configuration and the score its live run measured.
+struct Row {
+    name: String,
+    tc: TcConfig,
+    score: Score,
+}
+
+/// Run the default configuration (row 0, `baseline`) and the first
+/// `max_candidates` of the sweep, each live.
+fn sweep(rc: RunCfg, max_candidates: usize) -> Vec<Row> {
+    let base = SciotoUtsConfig::new(rc.params).tc;
+    let mut grid = candidates(base);
+    if grid.len() > max_candidates {
+        eprintln!(
+            "tune: truncating sweep {} -> {max_candidates} candidates (--max-candidates)",
+            grid.len()
+        );
+        grid.truncate(max_candidates);
+    }
+    let all = std::iter::once(("baseline".to_string(), base)).chain(grid);
+    all.map(|(name, tc)| {
+        let score = live_score(rc, tc);
+        eprintln!("tune: {name:<24} makespan {} ns", score.makespan_ns);
+        Row { name, tc, score }
+    })
+    .collect()
+}
+
+/// The row with the smallest makespan — the quantity `headroom_ns` and
+/// `--require-improvement` measure — with `Score::cost` breaking ties and
+/// the earlier row winning a full tie, so the baseline stands unless a
+/// candidate beats it.
+fn winner(rows: &[Row]) -> &Row {
+    let key = |r: &Row| (r.score.makespan_ns, r.score.cost());
+    let cheaper = |best: &Row, r: &Row| key(r) < key(best);
+    rows.iter()
+        .reduce(|best, r| if cheaper(best, r) { r } else { best })
+        .expect("a baseline row")
+}
+
+/// Fixed-point decimal with 4 fractional digits — deterministic across
+/// platforms (no shortest-roundtrip float formatting in output files).
+fn dec4(v: f64) -> String {
+    format!("{v:.4}")
+}
+
+/// Render `tc`'s tuned knobs as the `scioto-tcconfig-v1` JSON document.
+fn config_json(tc: &TcConfig, source: &str) -> String {
+    format!(
+        "{{\n  \"schema\": \"scioto-tcconfig-v1\",\n  \"source\": \"{source}\",\n  \
+         \"chunk\": {},\n  \"victim_cont\": {},\n  \"victim_escape\": {},\n  \
+         \"release_fraction\": {}\n}}\n",
+        tc.chunk,
+        dec4(tc.victim_cont),
+        dec4(tc.victim_escape),
+        dec4(tc.release_fraction)
+    )
+}
+
+/// Render the human tuning report: one row per live run, the winner, and
+/// the blame movement from the baseline (row 0) to the winner.
+fn render_report(rows: &[Row], winner: &Row) -> String {
+    let mut s = String::from("scioto autotune report\n");
+    s += &format!("{:-<60}\n", "");
+    s += &format!(
+        "{:<24} {:>12} {:>8} {:>7} {:>7}\n",
+        "candidate", "live ns", "imbal", "steal%", "idle%"
+    );
+    for row in rows {
+        let sc = row.score;
+        let mark = if row.name == winner.name { " *" } else { "" };
+        s += &format!(
+            "{:<24} {:>12} {:>8} {:>6.1}% {:>6.1}%{mark}\n",
+            row.name,
+            sc.makespan_ns,
+            dec4(sc.imbalance),
+            100.0 * sc.steal_share,
+            100.0 * sc.idle_share,
+        );
+    }
+    let (bl, wl) = (rows[0].score, winner.score);
+    let gain = bl.makespan_ns as i64 - wl.makespan_ns as i64;
+    s += &format!(
+        "\nwinner: {} — live makespan {} vs baseline {} ({}{} ns, {:.2}%)\n",
+        winner.name,
+        wl.makespan_ns,
+        bl.makespan_ns,
+        if gain >= 0 { "-" } else { "+" },
+        gain.abs(),
+        100.0 * gain as f64 / bl.makespan_ns.max(1) as f64,
+    );
+    s += &format!(
+        "blame shift: steal {:.1}% -> {:.1}%, idle {:.1}% -> {:.1}%, td {:.1}% -> {:.1}%\n",
+        100.0 * bl.steal_share,
+        100.0 * wl.steal_share,
+        100.0 * bl.idle_share,
+        100.0 * wl.idle_share,
+        100.0 * bl.td_share,
+        100.0 * wl.td_share,
+    );
+    s
 }
 
 pub fn run(args: &Args) -> Outcome {
@@ -62,135 +234,43 @@ pub fn run(args: &Args) -> Outcome {
         seed: args.get("seed", 0xD5EED),
         latency: LatencyPreset::from_args(args),
     };
-    let max_candidates: usize = args.get("max-candidates", usize::MAX);
-    let top_k: usize = args.get("top", 3);
+    eprintln!("tune: {} ranks, {tree} tree, seed {}", rc.ranks, rc.seed);
+    let rows = sweep(rc, args.get("max-candidates", usize::MAX));
+    let (base, best) = (rows[0].score, winner(&rows));
 
-    // 1. Record the incumbent.
-    eprintln!("tune: recording baseline ({} ranks, {tree} tree, seed {})", rc.ranks, rc.seed);
-    let base_knobs = Knobs {
-        tiers: rc.latency.tiers(),
-        ..Knobs::baseline()
-    };
-    let recording = live_run(rc, &base_knobs);
-    let base_report = scioto_analyze::analyze(&recording);
-    let base_score = Score::from_report(&base_report);
-
-    // 2. Lower + self-check: the replay engine must reproduce the
-    //    recording exactly before its re-pricings can be trusted.
-    let (prog, _) = front::replay_identity(&recording)?;
-
-    // 3. Candidate sweep, pruned by the recorded critical path.
-    let mut sweep = candidates(&base_knobs, &base_report.critical_path);
-    if sweep.len() > max_candidates {
-        eprintln!(
-            "tune: truncating sweep {} -> {max_candidates} candidates (--max-candidates)",
-            sweep.len()
-        );
-        sweep.truncate(max_candidates);
-    }
-
-    // 4. Replay-score every candidate (structural ones keep the baseline
-    //    score: the gate, not the replay, argued for them).
-    let scored: Vec<(usize, Score)> = sweep
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let s = if c.structural {
-                base_score
-            } else {
-                replay_score(&prog, &base_knobs, &c.knobs)
-            };
-            eprintln!(
-                "tune: replay {:<24} makespan {} ns{}",
-                c.name,
-                s.makespan_ns,
-                if c.structural { " (structural; live-only)" } else { "" }
-            );
-            (i, s)
-        })
-        .collect();
-
-    // 5. Pick live-validation set: top-K replay scores that beat the
-    //    baseline, plus every structural candidate.
-    let mut ranked: Vec<&(usize, Score)> = scored
-        .iter()
-        .filter(|(i, s)| !sweep[*i].structural && s.cost() < base_score.cost())
-        .collect();
-    ranked.sort_by(|a, b| a.1.cost().partial_cmp(&b.1.cost()).unwrap());
-    let mut validate: Vec<usize> = ranked.iter().take(top_k).map(|(i, _)| *i).collect();
-    validate.extend(
-        sweep
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.structural)
-            .map(|(i, _)| i),
-    );
-
-    let mut rows = vec![TuneRow {
-        name: "baseline".into(),
-        replay: base_score,
-        live: Some(base_score),
-    }];
-    let mut best: (String, Knobs, Score) = ("baseline".into(), base_knobs, base_score);
-    for &i in &validate {
-        let c = &sweep[i];
-        eprintln!("tune: live-validating {}", c.name);
-        let live = Score::from_report(&scioto_analyze::analyze(&live_run(rc, &c.knobs)));
-        eprintln!("tune: live {:<24} makespan {} ns", c.name, live.makespan_ns);
-        rows.push(TuneRow {
-            name: c.name.clone(),
-            replay: scored[i].1,
-            live: Some(live),
-        });
-        if live.cost() < best.2.cost() {
-            best = (c.name.clone(), c.knobs, live);
-        }
-    }
-    // Candidates that were replay-scored but not validated still show in
-    // the report.
-    for (i, s) in &scored {
-        if !validate.contains(i) {
-            rows.push(TuneRow { name: sweep[*i].name.clone(), replay: *s, live: None });
-        }
-    }
-
-    // 6. Emit artifacts.
-    let (winner, winner_knobs, winner_score) = best;
     let source = format!(
         "tune fig7@{} tree={tree} seed={} latency={}",
         rc.ranks,
         rc.seed,
         rc.latency.name()
     );
-    let cfg = config_json(&winner_knobs, &source);
+    let cfg = config_json(&best.tc, &source);
     if let Some(out) = args.get_opt("out") {
         front::write_file(&out, &cfg, "tuned config")?;
     }
-    let report = render_report(&rows, &winner, "baseline");
+    let report = render_report(&rows, best);
     if let Some(out) = args.get_opt("report") {
         front::write_file(&out, &report, "tune report")?;
     }
     print!("{report}");
     print!("{cfg}");
 
+    let tuned = best.score.makespan_ns;
     let mut bench = BenchOut::new("fig7_tuned");
     bench.param("ranks", rc.ranks);
     bench.param("tree", &tree);
     bench.param("seed", rc.seed);
-    bench.param("winner", &winner);
+    bench.param("winner", &best.name);
     rc.latency.record(&mut bench);
-    bench.metric("makespan_default_ns", base_score.makespan_ns as f64);
-    bench.metric("makespan_tuned_ns", winner_score.makespan_ns as f64);
-    bench.metric(
-        "headroom_ns",
-        base_score.makespan_ns as f64 - winner_score.makespan_ns as f64,
-    );
+    bench.metric("makespan_default_ns", base.makespan_ns as f64);
+    bench.metric("makespan_tuned_ns", tuned as f64);
+    bench.metric("headroom_ns", base.makespan_ns as f64 - tuned as f64);
     bench.write_if_requested(args)?;
 
-    if args.has("require-improvement") && winner_score.makespan_ns >= base_score.makespan_ns {
+    if args.has("require-improvement") && tuned >= base.makespan_ns {
         return Err(Exit::failed(format!(
-            "no improvement over defaults (tuned {} ns >= default {} ns)",
-            winner_score.makespan_ns, base_score.makespan_ns
+            "no improvement over defaults (tuned {tuned} ns >= default {} ns)",
+            base.makespan_ns
         )));
     }
     Ok(())
@@ -200,18 +280,166 @@ pub fn run(args: &Args) -> Outcome {
 mod tests {
     use super::*;
 
-    /// `analyze` cannot see `core`, so `Knobs::baseline()` hard-codes the
-    /// defaults the recorded run used; here both sides are visible.
+    fn score(makespan_ns: u64, imbalance: f64) -> Score {
+        Score {
+            makespan_ns,
+            imbalance,
+            steal_share: 0.0,
+            idle_share: 0.0,
+            td_share: 0.0,
+        }
+    }
+
+    fn row(name: &str, score: Score) -> Row {
+        Row {
+            name: name.to_string(),
+            tc: SciotoUtsConfig::new(scioto_uts::presets::tiny()).tc,
+            score,
+        }
+    }
+
+    /// The full sweep at 8 ranks on the tiny tree: every configuration is
+    /// a valid `TcConfig`, every report row carries its live makespan, and
+    /// the pick has the smallest makespan, then the smallest cost.
     #[test]
-    fn whatif_baseline_is_the_tcconfig_a_default_uts_run_uses() {
-        let tc = SciotoUtsConfig::new(scioto_uts::presets::tiny()).tc;
-        let expect = Knobs {
-            victim_cont: tc.victim_cont,
-            victim_escape: tc.victim_escape,
-            chunk: tc.chunk,
-            release_fraction: tc.release_fraction,
-            tiers: None,
+    fn the_pick_is_the_cheapest_live_candidate() {
+        let rc = RunCfg {
+            ranks: 8,
+            params: scioto_uts::presets::tiny(),
+            seed: 0xD5EED,
+            latency: LatencyPreset::Flat,
         };
-        assert_eq!(Knobs::baseline(), expect);
+        let rows = sweep(rc, usize::MAX);
+        assert_eq!(rows.len(), 1 + 9, "baseline + four axes");
+        for row in &rows {
+            assert_eq!(row.tc.validate(), Ok(()), "{}", row.name);
+            assert!(row.score.makespan_ns > 0, "{}", row.name);
+        }
+        let best = winner(&rows);
+        let fastest = rows.iter().map(|r| r.score.makespan_ns).min().unwrap();
+        assert_eq!(
+            best.score.makespan_ns, fastest,
+            "{} is not the fastest",
+            best.name
+        );
+        let min_cost = rows
+            .iter()
+            .filter(|r| r.score.makespan_ns == fastest)
+            .map(|r| r.score.cost())
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(
+            best.score.cost(),
+            min_cost,
+            "{} is not the cheapest",
+            best.name
+        );
+
+        // The rendered table has one live makespan per row, the winner's
+        // marked.
+        let report = render_report(&rows, best);
+        let table: Vec<&str> = report
+            .lines()
+            .skip(3)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert_eq!(table.len(), rows.len(), "{report}");
+        for (line, row) in table.iter().zip(&rows) {
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(cols[0], row.name, "{report}");
+            assert_eq!(
+                cols[1].parse::<u64>(),
+                Ok(row.score.makespan_ns),
+                "{report}"
+            );
+            assert_eq!(line.ends_with(" *"), row.name == best.name, "{report}");
+        }
+        assert!(
+            report.contains(&format!("\nwinner: {} — ", best.name)),
+            "{report}"
+        );
+        assert!(report.contains("\nblame shift: steal "), "{report}");
+    }
+
+    #[test]
+    fn report_renders_winner_gain_and_blame_shift() {
+        let rows = vec![
+            row(
+                "baseline",
+                Score {
+                    steal_share: 0.2,
+                    ..score(1000, 0.0)
+                },
+            ),
+            row(
+                "chunk=5",
+                Score {
+                    steal_share: 0.1,
+                    ..score(880, 0.0)
+                },
+            ),
+        ];
+        let report = render_report(&rows, &rows[1]);
+        assert!(
+            report.contains(
+                "\nwinner: chunk=5 — live makespan 880 vs baseline 1000 (-120 ns, 12.00%)\n"
+            ),
+            "{report}"
+        );
+        assert!(
+            report.contains("\nblame shift: steal 20.0% -> 10.0%, "),
+            "{report}"
+        );
+        let stands = render_report(&rows, &rows[0]);
+        assert!(stands.contains("\nwinner: baseline — "), "{stands}");
+        assert!(stands.contains("(-0 ns, 0.00%)"), "{stands}");
+        let worse = vec![
+            row("baseline", score(880, 0.0)),
+            row("chunk=5", score(1000, 0.0)),
+        ];
+        let report = render_report(&worse, &worse[1]);
+        assert!(report.contains("(+120 ns, -13.64%)"), "{report}");
+    }
+
+    /// Makespan ranks first: a lower cost bought with a higher makespan
+    /// does not win, so the pick never fails `--require-improvement` while
+    /// a faster candidate exists. Cost breaks a makespan tie, and the
+    /// baseline keeps a full tie.
+    #[test]
+    fn winner_ranks_by_makespan_then_cost() {
+        let rows = vec![
+            row("baseline", score(1000, 0.5)),
+            row("balanced", score(1001, 0.0)),
+            row("skewed", score(990, 0.4)),
+            row("even", score(990, 0.3)),
+        ];
+        assert!(rows[1..]
+            .iter()
+            .all(|r| rows[1].score.cost() <= r.score.cost()));
+        assert_eq!(winner(&rows).name, "even");
+        let tie = vec![
+            row("baseline", score(1000, 0.0)),
+            row("same", score(1000, 0.0)),
+        ];
+        assert_eq!(winner(&tie).name, "baseline");
+    }
+
+    #[test]
+    fn config_json_is_deterministic_and_versioned() {
+        let tc = SciotoUtsConfig::new(scioto_uts::presets::tiny()).tc;
+        let a = config_json(&tc, "fig7@64 seed=0xD5EED");
+        assert_eq!(
+            a,
+            "{\n  \"schema\": \"scioto-tcconfig-v1\",\n  \"source\": \"fig7@64 seed=0xD5EED\",\n  \
+             \"chunk\": 10,\n  \"victim_cont\": 0.7000,\n  \"victim_escape\": 0.1250,\n  \
+             \"release_fraction\": 0.5000\n}\n"
+        );
+        scioto_sim::validate_json(&a).expect("config json parses");
+    }
+
+    #[test]
+    fn score_cost_prefers_smaller_makespan_then_balance() {
+        let fast = score(100, 0.5);
+        assert!(fast.cost() < score(120, 0.0).cost());
+        assert!(score(100, 0.0).cost() < fast.cost());
     }
 }

@@ -155,11 +155,10 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, Exit> {
 /// The replay engine's self-check: lower `trace`, re-execute it on the
 /// virtual-time kernel with no workload, and require the replay to equal
 /// the recording — every stamp, duration, histogram and gauge, and so its
-/// blame decomposition and critical path. Returns the program and the
-/// replayed trace; exit 1 when they differ.
-pub fn replay_identity(trace: &Trace) -> Result<(ReplayProgram, Trace), Exit> {
-    let prog = lower(trace)?;
-    let replayed = scioto_sim::run_replay(&prog);
+/// blame decomposition and critical path. Returns the replayed trace;
+/// exit 1 when it differs.
+pub fn replay_identity(trace: &Trace) -> Result<Trace, Exit> {
+    let replayed = scioto_sim::run_replay(&lower(trace)?);
     if replayed != *trace {
         return Err(Exit::failed("replay check FAILED: replay differs from the recording"));
     }
@@ -168,5 +167,5 @@ pub fn replay_identity(trace: &Trace) -> Result<(ReplayProgram, Trace), Exit> {
         trace.total_events(),
         trace.nranks()
     );
-    Ok((prog, replayed))
+    Ok(replayed)
 }

@@ -41,27 +41,14 @@ fn name_of<T: PartialEq>(choices: &[(&'static str, T)], value: T) -> &'static st
 impl LatencyPreset {
     /// `--latency`, [`LatencyPreset::Flat`] when absent.
     pub fn from_args(args: &Args) -> Self {
-        LatencyPreset::from_flag(args, "latency")
-    }
-
-    /// The preset named by `--<key> flat|nearfar`, `Flat` when absent.
-    pub fn from_flag(args: &Args, key: &str) -> Self {
-        args.choice(key, &LATENCIES).unwrap_or(LatencyPreset::Flat)
-    }
-
-    /// The tiers this preset attaches, if any.
-    pub fn tiers(self) -> Option<LatencyTiers> {
-        match self {
-            LatencyPreset::Flat => None,
-            LatencyPreset::NearFar => Some(LatencyTiers::nearfar()),
-        }
+        args.choice("latency", &LATENCIES).unwrap_or(LatencyPreset::Flat)
     }
 
     /// Apply the preset to a figure's base latency model.
     pub fn apply(self, base: LatencyModel) -> LatencyModel {
-        match self.tiers() {
-            None => base,
-            Some(t) => base.with_tiers(t),
+        match self {
+            LatencyPreset::Flat => base,
+            LatencyPreset::NearFar => base.with_tiers(LatencyTiers::nearfar()),
         }
     }
 

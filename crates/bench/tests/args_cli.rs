@@ -72,6 +72,24 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
         stderr.contains("unknown flag") && stderr.contains("--ignore-metrics <a,b*>"),
         "{stderr}"
     );
+    // The what-if knobs of `replay` and the live-validation budget of
+    // `tune` went with the re-pricing model: every candidate now runs.
+    let retired: [(&str, &[&str], &str); 2] = [
+        ("replay", &["--chunk", "5"], "--file <path> --check --analysis-out <path> --trace-out <path>"),
+        (
+            "tune",
+            &["--top", "1"],
+            "--ranks <n> --tree tiny|small|medium|large --seed <n> --max-candidates <n> \
+             --latency flat|nearfar --out <path> --report <path> --json-out <path> \
+             --require-improvement",
+        ),
+    ];
+    for (subcommand, args, accepted) in retired {
+        let (code, stderr) = run(subcommand, args);
+        assert_eq!(code, Some(2), "{subcommand} {args:?}: {stderr}");
+        let flag = args[0];
+        assert_eq!(stderr, format!("{subcommand}: unknown flag {flag}\naccepted flags: {accepted}\n"));
+    }
 }
 
 #[test]
@@ -88,12 +106,10 @@ fn the_retired_td_poll_flag_exits_2_on_every_subcommand_that_took_it() {
     }
 }
 
-/// A count of zero and a what-if knob the runtime would refuse are usage
-/// errors: exit 2 with the accepted flags, before any run — never a panic
-/// and never a figure of nothing.
+/// A count of zero is a usage error: exit 2 with the accepted flags,
+/// before any run — never a panic and never a figure of nothing.
 #[test]
 fn out_of_range_numeric_flags_exit_2_naming_the_accepted_flags() {
-    let file = ["--file", "/nonexistent/t.jsonl"];
     let cases: &[(&str, &[&str], &str)] = &[
         ("tune", &["--ranks", "0"], "--ranks must be at least 1"),
         ("concurrent_obs", &["--ranks", "0"], "--ranks must be at least 1"),
@@ -106,10 +122,6 @@ fn out_of_range_numeric_flags_exit_2_naming_the_accepted_flags() {
         ("fig4_termination", &["--trace-ranks", "0", "--race-check"], "--trace-ranks must be"),
         ("fig7_uts_cluster", &["--max-ranks", "0"], "--max-ranks must be at least 1"),
         ("fig8_uts_xt4", &["--trace-ranks", "0", "--race-check"], "--trace-ranks must be"),
-        ("replay", &[file[0], file[1], "--chunk", "0"], "chunk size must be at least 1"),
-        ("replay", &[file[0], file[1], "--victim-cont", "1.5"], "victim_cont = 1.5: must be"),
-        ("replay", &[file[0], file[1], "--victim-cont", "nan"], "victim_cont = NaN: must be"),
-        ("replay", &[file[0], file[1], "--victim-escape", "-1"], "victim_escape = -1: must be"),
     ];
     for &(subcommand, args, what) in cases {
         let (code, stderr) = run(subcommand, args);
@@ -251,7 +263,7 @@ fn a_header_that_cannot_be_trusted_exits_2_instead_of_aborting() {
 
 #[test]
 fn an_unwritable_artifact_path_exits_2_naming_the_path() {
-    let tune = ["--ranks", "8", "--tree", "tiny", "--max-candidates", "2", "--top", "1"];
+    let tune = ["--ranks", "8", "--tree", "tiny", "--max-candidates", "2"];
     for (subcommand, before, flag) in [
         ("table1", &[][..], "--json-out"),
         ("table1", &[][..], "--trace-out"),

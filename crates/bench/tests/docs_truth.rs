@@ -2,9 +2,9 @@
 //! must exist. README.md, DESIGN.md and the verify skill may name no
 //! `--bin` other than the workspace's two executables, and no `scioto
 //! <word>` that is not a subcommand in the dispatch table; a `--flag`
-//! README.md or DESIGN.md shows on a `scioto <subcommand> …` command line
-//! must be one that subcommand accepts; and the files DESIGN.md says hold
-//! `unsafe` code must be the ones that do.
+//! README.md, DESIGN.md or EXPERIMENTS.md shows on a `scioto <subcommand>
+//! …` command line must be one that subcommand accepts; and the files
+//! DESIGN.md says hold `unsafe` code must be the ones that do.
 
 use std::collections::BTreeSet;
 
@@ -121,18 +121,20 @@ fn shown_flags(line: &str) -> Vec<(&'static str, String)> {
 #[test]
 fn docs_show_only_flags_the_subcommand_accepts() {
     let mut flags_seen = 0;
-    for doc in ["README.md", "DESIGN.md"] {
+    let mut rejected = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
         for line in code_lines(&read(doc)) {
             for (cmd, flag) in shown_flags(&line) {
                 let accepted = accepted_flags(cmd).expect("a subcommand");
-                assert!(
-                    accepted.iter().any(|(name, _)| *name == flag),
-                    "{doc} shows `scioto {cmd} --{flag}`, which {cmd} does not accept"
-                );
+                if !accepted.iter().any(|(name, _)| *name == flag) {
+                    rejected.push(format!("{doc} shows `scioto {cmd} --{flag}`"));
+                }
                 flags_seen += 1;
             }
         }
     }
+    let rejected = rejected.join("\n");
+    assert!(rejected.is_empty(), "flags their subcommand does not accept:\n{rejected}");
     assert!(flags_seen >= 40, "the scan found only {flags_seen} flags");
 }
 

@@ -121,15 +121,6 @@ impl ProcessStats {
         self.splits_reclaimed += other.splits_reclaimed;
         self.startup_ns += other.startup_ns;
     }
-
-    /// Fraction of steal attempts that returned at least one task.
-    /// Returns 1.0 when no steal was ever attempted (nothing was wasted).
-    pub fn steal_efficiency(&self) -> f64 {
-        if self.steals_attempted == 0 {
-            return 1.0;
-        }
-        self.steals_succeeded as f64 / self.steals_attempted as f64
-    }
 }
 
 /// Aggregated statistics across all ranks of a processing phase.
@@ -201,16 +192,5 @@ mod tests {
         assert_eq!(sum.totals.td_waves, 11, "td_waves is summed like the rest");
         assert_eq!(sum.td_waves_max, 9, "phase wave count is the max");
         assert_eq!(sum.ranks, 2);
-    }
-
-    #[test]
-    fn steal_efficiency_ratio_and_degenerate_case() {
-        let s = ProcessStats {
-            steals_attempted: 8,
-            steals_succeeded: 6,
-            ..Default::default()
-        };
-        assert!((s.steal_efficiency() - 0.75).abs() < 1e-12);
-        assert_eq!(ProcessStats::default().steal_efficiency(), 1.0);
     }
 }

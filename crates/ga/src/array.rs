@@ -73,12 +73,6 @@ impl Ga {
         self.meta(h).name.clone()
     }
 
-    /// Global dimensions `(rows, cols)`.
-    pub fn dims(&self, h: GaHandle) -> (usize, usize) {
-        let d = self.meta(h).dist;
-        (d.rows, d.cols)
-    }
-
     /// Rank owning element `(i, j)` (GA's `NGA_Locate`).
     pub fn locate(&self, h: GaHandle, i: usize, j: usize) -> usize {
         self.meta(h).dist.locate(i, j)

@@ -81,8 +81,8 @@ pub struct ReplayOp {
     pub delta_ns: u64,
     /// Intrinsic duration embedded in `ev` (0 for instant events).
     pub dur_ns: u64,
-    /// Recorded completion stamp (used by barrier re-release and what-if
-    /// diffing; identity replay reproduces it exactly).
+    /// Recorded completion stamp (barrier re-release shifts it by the
+    /// episode's delay; identity replay reproduces it exactly).
     pub rec_t_ns: u64,
     /// Cross-rank dependency, if the trace records one.
     pub sync: ReplaySync,
@@ -228,8 +228,8 @@ pub fn event_dur(ev: &TraceEvent) -> u64 {
 }
 
 /// Execute `prog` on the virtual-time kernel and rebuild the replayed
-/// trace. Identity replay (a program lowered from a trace and not
-/// re-priced) reproduces the recorded trace byte for byte.
+/// trace. Identity replay (a program lowered from a trace, unmodified)
+/// reproduces the recorded trace byte for byte.
 pub fn run_replay(prog: &ReplayProgram) -> Trace {
     let n = prog.nranks;
     assert!(n >= 1, "a replay program needs at least one rank");

@@ -147,11 +147,6 @@ impl BlockSparse {
             Patch::new(0, self.nbr * self.bs, 0, self.nbc * self.bs),
         )
     }
-
-    /// Number of present tiles.
-    pub fn tiles_present(&self) -> usize {
-        self.mask.iter().filter(|&&m| m).count()
-    }
 }
 
 /// Dense row-major reference matmul: `C += A · B` with dimensions
