@@ -21,6 +21,13 @@
 //! overhead, or idle (parallelism shortage), plus the top-k longest
 //! segments. `total_work_ns` is the T1 analogue (all ranks' exec
 //! self-time); `parallelism` is their ratio.
+//!
+//! Each rank's spans are indexed once (`SpanIndex`: sorted span ends
+//! and the innermost span per elementary interval), so a backward step
+//! is two binary searches and the walk costs
+//! O((spans + path) · log spans).
+
+use std::collections::BinaryHeap;
 
 use scioto_sim::{Trace, TraceEvent};
 
@@ -107,8 +114,89 @@ struct WalkSpan {
     jump: Jump,
 }
 
+/// How the walk finds, on one rank, the innermost span covering the
+/// instant just before `t` and, when none does, the latest span end
+/// before `t`.
+trait Lookup {
+    fn build(spans: &[WalkSpan]) -> Self;
+    /// Index into `spans` of the covering span with the latest start
+    /// (`start < t <= end`; a tie goes to the last pushed).
+    fn covering(&self, spans: &[WalkSpan], t: u64) -> Option<usize>;
+    /// The latest span end strictly before `t`, or 0.
+    fn prev_end(&self, spans: &[WalkSpan], t: u64) -> u64;
+}
+
+/// One rank's spans indexed once, so that each step of the walk is a
+/// binary search instead of a scan of the rank's spans.
+struct SpanIndex {
+    /// Every span end, ascending.
+    ends: Vec<u64>,
+    /// Every distinct span start and end, ascending. Across an
+    /// elementary interval `bounds[i] < t <= bounds[i + 1]` the set of
+    /// spans covering the instant before `t` does not change.
+    bounds: Vec<u64>,
+    /// Per elementary interval, the innermost covering span, or
+    /// [`SpanIndex::NONE`].
+    innermost: Vec<u32>,
+}
+
+impl SpanIndex {
+    const NONE: u32 = u32::MAX;
+}
+
+impl Lookup for SpanIndex {
+    /// One sweep over the elementary intervals with a max-heap of the
+    /// spans opened so far, keyed on (start, push index) — the later-
+    /// pushed span wins a tie, as in `max_by_key`. A span that ended is
+    /// dropped when it reaches the top. O(spans · log spans).
+    fn build(spans: &[WalkSpan]) -> Self {
+        // Spans are pushed at their end event, so every key below is
+        // nearly sorted already: the run-adaptive stable sort is linear
+        // on most of it.
+        let mut ends: Vec<u64> = spans.iter().map(|w| w.span.end).collect();
+        ends.sort();
+        let mut bounds: Vec<u64> = spans.iter().flat_map(|w| [w.span.start, w.span.end]).collect();
+        bounds.sort();
+        bounds.dedup();
+        let mut by_start: Vec<(u64, u32)> =
+            spans.iter().enumerate().map(|(i, w)| (w.span.start, i as u32)).collect();
+        by_start.sort();
+        let mut by_start = by_start.into_iter().peekable();
+        let mut open: BinaryHeap<(u64, u32)> = BinaryHeap::new();
+        let innermost = bounds
+            .windows(2)
+            .map(|b| {
+                while let Some(opened) = by_start.next_if(|&(start, _)| start <= b[0]) {
+                    open.push(opened);
+                }
+                while open.peek().is_some_and(|&(_, i)| spans[i as usize].span.end < b[1]) {
+                    open.pop();
+                }
+                open.peek().map_or(Self::NONE, |&(_, i)| i)
+            })
+            .collect();
+        SpanIndex { ends, bounds, innermost }
+    }
+
+    fn covering(&self, _: &[WalkSpan], t: u64) -> Option<usize> {
+        // `bounds[i - 1] < t <= bounds[i]` names elementary interval i - 1.
+        let i = self.bounds.partition_point(|&b| b < t);
+        let span = *self.innermost.get(i.checked_sub(1)?)?;
+        (span != Self::NONE).then_some(span as usize)
+    }
+
+    fn prev_end(&self, _: &[WalkSpan], t: u64) -> u64 {
+        let i = self.ends.partition_point(|&e| e < t);
+        i.checked_sub(1).map_or(0, |i| self.ends[i])
+    }
+}
+
 /// Extract the critical path of `trace`.
 pub fn analyze(trace: &Trace) -> CritPath {
+    walk::<SpanIndex>(trace)
+}
+
+fn walk<L: Lookup>(trace: &Trace) -> CritPath {
     let n = trace.nranks();
     let mut spans: Vec<Vec<WalkSpan>> = Vec::with_capacity(n);
     let mut barriers: Vec<Vec<(u64, u64)>> = Vec::with_capacity(n);
@@ -135,6 +223,7 @@ pub fn analyze(trace: &Trace) -> CritPath {
         ..CritPath::default()
     };
 
+    let index: Vec<L> = spans.iter().map(|s| L::build(s)).collect();
     let mut rank = start_rank;
     let mut t = makespan;
     let budget = 10 * trace.total_events() + 1_000;
@@ -149,23 +238,11 @@ pub fn analyze(trace: &Trace) -> CritPath {
             raw.push(PathSegment { rank: rank as u32, cat: Category::Idle, start: 0, end: t });
             break;
         }
-        // Innermost span covering the instant just before `t`: maximal
-        // start among spans with start < t <= end (nesting ⇒ inner spans
-        // start later).
-        let covering = spans[rank]
-            .iter()
-            .filter(|w| w.span.start < t && w.span.end >= t)
-            .max_by_key(|w| w.span.start)
-            .copied();
+        let covering = index[rank].covering(&spans[rank], t).map(|i| spans[rank][i]);
         match covering {
             None => {
                 // Idle back to the latest span end strictly before `t`.
-                let prev_end = spans[rank]
-                    .iter()
-                    .map(|w| w.span.end.min(t))
-                    .filter(|&e| e < t)
-                    .max()
-                    .unwrap_or(0);
+                let prev_end = index[rank].prev_end(&spans[rank], t);
                 raw.push(PathSegment { rank: rank as u32, cat: Category::Idle, start: prev_end, end: t });
                 t = prev_end;
             }
@@ -466,5 +543,247 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].cat, Category::Exec);
         assert_eq!(top[0].len(), 80);
+    }
+
+    /// The walk's original lookup, kept as the index's oracle: a scan of
+    /// the rank's spans at every step.
+    struct LinearScan;
+
+    impl Lookup for LinearScan {
+        fn build(_: &[WalkSpan]) -> Self {
+            LinearScan
+        }
+
+        fn covering(&self, spans: &[WalkSpan], t: u64) -> Option<usize> {
+            spans
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.span.start < t && w.span.end >= t)
+                .max_by_key(|(_, w)| w.span.start)
+                .map(|(i, _)| i)
+        }
+
+        fn prev_end(&self, spans: &[WalkSpan], t: u64) -> u64 {
+            spans.iter().map(|w| w.span.end.min(t)).filter(|&e| e < t).max().unwrap_or(0)
+        }
+    }
+
+    /// The indexed walk against the linear-scan oracle, field by field.
+    fn assert_matches_oracle(t: &Trace, what: &str) -> CritPath {
+        let (got, want) = (analyze(t), walk::<LinearScan>(t));
+        assert_eq!(
+            (got.length_ns, got.total_work_ns, got.max_task_ns, got.blame, got.truncated),
+            (want.length_ns, want.total_work_ns, want.max_task_ns, want.blame, want.truncated),
+            "{what}"
+        );
+        if let Some(i) = (0..got.segments.len().max(want.segments.len()))
+            .find(|&i| got.segments.get(i) != want.segments.get(i))
+        {
+            panic!(
+                "{what}: segment {i} differs: index {:?}, oracle {:?}",
+                got.segments.get(i),
+                want.segments.get(i)
+            );
+        }
+        got
+    }
+
+    fn seg(rank: u32, cat: Category, start: u64, end: u64) -> PathSegment {
+        PathSegment { rank, cat, start, end }
+    }
+
+    #[test]
+    fn index_matches_oracle_on_edge_cases() {
+        let begin = |t| ev(t, TraceEvent::TaskExecBegin { callback: 0, creator: 0 });
+        let end = |t| ev(t, TraceEvent::TaskExecEnd { callback: 0 });
+        let td = |t, dur_ns| ev(t, TraceEvent::TdProgress { dur_ns });
+        let steal = |t, dur_ns, victim, got| ev(t, TraceEvent::StealAttempt { victim, got, dur_ns });
+        let lock = |t, dur_ns| ev(t, TraceEvent::LockWait { target: 0, dur_ns });
+        let cases: Vec<(&str, Trace, Vec<PathSegment>)> = vec![
+            (
+                "nested spans: the innermost one covering t is charged",
+                trace_of(vec![vec![begin(0), td(100, 20), end(100)]], vec![100]),
+                vec![seg(0, Category::Exec, 0, 80), seg(0, Category::Td, 80, 100)],
+            ),
+            (
+                "equal starts: the later-pushed span wins",
+                trace_of(vec![vec![steal(20, 10, 0, 0), lock(20, 10)]], vec![20]),
+                vec![seg(0, Category::Idle, 0, 10), seg(0, Category::Lock, 10, 20)],
+            ),
+            (
+                "zero-length spans cover nothing",
+                trace_of(vec![vec![begin(0), td(50, 0), end(100), td(100, 0)]], vec![100]),
+                vec![seg(0, Category::Exec, 0, 100)],
+            ),
+            (
+                "an exec still open at stream end closes at the last stamp",
+                trace_of(vec![vec![begin(10), td(50, 5)]], vec![60]),
+                vec![
+                    seg(0, Category::Idle, 0, 10),
+                    seg(0, Category::Exec, 10, 45),
+                    seg(0, Category::Td, 45, 50),
+                    seg(0, Category::Idle, 50, 60),
+                ],
+            ),
+            (
+                "idle gaps fall back to the latest end before t",
+                trace_of(vec![vec![td(10, 10), td(30, 5), td(30, 0), td(40, 0)]], vec![50]),
+                vec![
+                    seg(0, Category::Td, 0, 10),
+                    seg(0, Category::Idle, 10, 25),
+                    seg(0, Category::Td, 25, 30),
+                    seg(0, Category::Idle, 30, 50),
+                ],
+            ),
+            (
+                "a span ending exactly at t covers the instant before it",
+                trace_of(vec![vec![begin(0), end(70), td(80, 10)]], vec![80]),
+                vec![seg(0, Category::Exec, 0, 70), seg(0, Category::Td, 70, 80)],
+            ),
+            (
+                "a successful steal jumps to the victim at the steal's start",
+                trace_of(
+                    vec![vec![begin(0), end(30), td(45, 5)], vec![steal(50, 10, 0, 1), begin(50), end(90)]],
+                    vec![45, 90],
+                ),
+                vec![
+                    seg(0, Category::Exec, 0, 30),
+                    seg(0, Category::Idle, 30, 40),
+                    seg(1, Category::Steal, 40, 50),
+                    seg(1, Category::Exec, 50, 90),
+                ],
+            ),
+            (
+                "a barrier wait jumps to the last arriver",
+                trace_of(
+                    vec![
+                        vec![begin(0), end(100), ev(100, TraceEvent::BarrierWait { dur_ns: 0, epoch: 0 })],
+                        vec![ev(100, TraceEvent::BarrierWait { dur_ns: 80, epoch: 0 }), td(110, 10)],
+                    ],
+                    vec![100, 110],
+                ),
+                vec![seg(0, Category::Exec, 0, 100), seg(1, Category::Td, 100, 110)],
+            ),
+        ];
+        for (what, trace, want) in cases {
+            let cp = assert_matches_oracle(&trace, what);
+            assert_eq!(cp.segments, want, "{what}");
+            assert_eq!(cp.blame.total(), cp.length_ns, "{what}");
+        }
+    }
+
+    /// A seeded random trace: spans on each rank that nest, overlap,
+    /// share starts and ends, have zero length or stay open, with
+    /// steal, lock and barrier jumps between ranks.
+    fn random_trace(seed: u64, ranks: usize, per_rank: usize) -> Trace {
+        let mut r = crate::jsonl::tests::Mix(seed);
+        let per_rank: Vec<Vec<StampedEvent>> = (0..ranks)
+            .map(|_| {
+                let mut t = 0u64;
+                (0..per_rank)
+                    .map(|_| {
+                        t += [0, 0, 1, 3, 10][r.below(5)];
+                        let dur_ns = (r.below(25) as u64).min(t);
+                        let rank = r.below(ranks) as u32;
+                        let event = match r.below(7) {
+                            0 | 1 => TraceEvent::TaskExecBegin { callback: 0, creator: 0 },
+                            2 => TraceEvent::TaskExecEnd { callback: 0 },
+                            3 => TraceEvent::StealAttempt { victim: rank, got: r.below(2) as u32, dur_ns },
+                            4 => TraceEvent::LockWait { target: rank, dur_ns },
+                            5 => TraceEvent::BarrierWait { dur_ns, epoch: 0 },
+                            _ => TraceEvent::TdProgress { dur_ns },
+                        };
+                        ev(t, event)
+                    })
+                    .collect()
+            })
+            .collect();
+        let clocks = match r.below(3) {
+            // Each rank's last stamp: spans end exactly at the walk's start.
+            0 => Vec::new(),
+            _ => per_rank
+                .iter()
+                .map(|evs| evs.last().map_or(0, |e| e.t_ns) + r.below(3) as u64)
+                .collect(),
+        };
+        trace_of(per_rank, clocks)
+    }
+
+    #[test]
+    fn index_matches_oracle_on_seeded_random_traces() {
+        for seed in 0..300 {
+            let ranks = 1 + seed as usize % 4;
+            let t = random_trace(seed, ranks, 1 + (seed as usize * 7) % 120);
+            assert_matches_oracle(&t, &format!("seed {seed}"));
+        }
+    }
+
+    fn uts_recording(cfg: scioto_sim::MachineConfig, tree: scioto_uts::TreeParams) -> Trace {
+        use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
+        let cfg = cfg.with_trace(TraceConfig::enabled().with_capacity(1 << 22));
+        let run = scioto_sim::Machine::run(cfg, move |ctx| run_scioto_uts(ctx, &SciotoUtsConfig::new(tree)).0);
+        run.report.trace.expect("tracing was enabled")
+    }
+
+    #[test]
+    fn index_matches_oracle_on_recorded_uts_runs() {
+        use scioto_sim::MachineConfig;
+        use scioto_uts::presets::{small, tiny};
+        let runs = [
+            ("tiny, 1 virtual-time rank", MachineConfig::virtual_time(1), tiny()),
+            ("tiny, 4 virtual-time ranks", MachineConfig::virtual_time(4), tiny()),
+            ("tiny, 16 virtual-time ranks", MachineConfig::virtual_time(16), tiny()),
+            ("small, 16 virtual-time ranks", MachineConfig::virtual_time(16), small()),
+            ("tiny, 2 concurrent ranks", MachineConfig::concurrent(2), tiny()),
+        ];
+        for (seed, (what, cfg, tree)) in runs.into_iter().enumerate() {
+            let t = uts_recording(cfg.with_seed(0xC0FFEE + seed as u64), tree);
+            assert_eq!(t.dropped.iter().sum::<u64>(), 0, "{what}");
+            let cp = assert_matches_oracle(&t, what);
+            assert_eq!(cp.length_ns, (0..t.nranks()).map(|r| t.elapsed_ns(r)).max().unwrap(), "{what}");
+            assert!(!cp.truncated, "{what}");
+        }
+    }
+
+    /// The shape of a 2-rank real-thread UTS recording, at its size:
+    /// 200 k task spans per rank, each followed by a failed steal and a
+    /// termination poll. A walk that rescans the rank's spans at every
+    /// step takes minutes here; the indexed walk is near-linear.
+    #[test]
+    fn walk_is_near_linear_on_a_conc_p2_shaped_recording() {
+        const TASKS: u64 = 200_000;
+        // Per 100 ns period: exec 60, steal 15, td 15, idle 10.
+        let rank = |victim: u32, offset: u64| -> Vec<StampedEvent> {
+            (0..TASKS)
+                .flat_map(|k| {
+                    let t0 = k * 100 + offset;
+                    [
+                        ev(t0, TraceEvent::TaskExecBegin { callback: 0, creator: 0 }),
+                        ev(t0 + 60, TraceEvent::TaskExecEnd { callback: 0 }),
+                        ev(t0 + 75, TraceEvent::StealAttempt { victim, got: 0, dur_ns: 15 }),
+                        ev(t0 + 90, TraceEvent::TdProgress { dur_ns: 15 }),
+                    ]
+                })
+                .collect()
+        };
+        let makespan = TASKS * 100;
+        let trace = Trace {
+            events: vec![rank(1, 0), rank(0, 5)],
+            dropped: vec![0, 0],
+            final_clock_ns: vec![makespan, makespan - 1],
+            wall_clock: true,
+            hists: vec![Default::default(); 2],
+            gauges: vec![Default::default(); 2],
+        };
+        let cp = analyze(&trace);
+        assert!(!cp.truncated);
+        assert_eq!(cp.length_ns, makespan);
+        assert_eq!(cp.blame.total(), makespan);
+        // Rank 0 defines the makespan and no step leaves it: exec,
+        // steal, td and idle once per period.
+        assert_eq!(cp.segments.len() as u64, 4 * TASKS);
+        assert_eq!(cp.blame.get(Category::Exec), 60 * TASKS);
+        assert_eq!(cp.blame.get(Category::Idle), 10 * TASKS);
+        assert_eq!(cp.total_work_ns, 2 * 60 * TASKS);
     }
 }

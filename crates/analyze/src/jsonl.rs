@@ -478,7 +478,7 @@ fn event_from(name: &str, f: &Line) -> Option<TraceEvent> {
 mod reference;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::reference::{reference_parse, reference_to_chrome_json, reference_to_jsonl};
     use super::*;
     use scioto_sim::{Machine, MachineConfig, TraceConfig, TraceSink};
@@ -653,17 +653,17 @@ mod tests {
     }
 
     /// SplitMix64: the differential tests' only source of randomness.
-    struct Mix(u64);
+    pub(crate) struct Mix(pub(crate) u64);
 
     impl Mix {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
 

@@ -73,9 +73,8 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
     (
         "tune",
         false,
-        "--ranks <n> --tree tiny|small|medium|large --seed <n> --max-candidates <n> \
-         --latency flat|nearfar --out <path> --report <path> --json-out <path> \
-         --require-improvement",
+        "--ranks <n> --tree tiny|small|medium|large --seed <n> --latency flat|nearfar \
+         --out <path> --report <path> --json-out <path> --require-improvement",
         cmd::tune::run,
     ),
     (

@@ -9,7 +9,7 @@
 //!
 //! Options: `--ranks N` (default 64), `--tree tiny|small|medium|large`
 //! (default small), `--seed N` (default 876269 = 0xD5EED),
-//! `--max-candidates N`, `--latency flat|nearfar`, `--out <config.json>`,
+//! `--latency flat|nearfar`, `--out <config.json>`,
 //! `--report <path>`, `--json-out <BENCH json>`, `--require-improvement`
 //! (exit 1 unless the tuned config beats the default).
 
@@ -130,19 +130,11 @@ struct Row {
     score: Score,
 }
 
-/// Run the default configuration (row 0, `baseline`) and the first
-/// `max_candidates` of the sweep, each live.
-fn sweep(rc: RunCfg, max_candidates: usize) -> Vec<Row> {
+/// Run the default configuration (row 0, `baseline`) and every
+/// candidate of the sweep, each live.
+fn sweep(rc: RunCfg) -> Vec<Row> {
     let base = SciotoUtsConfig::new(rc.params).tc;
-    let mut grid = candidates(base);
-    if grid.len() > max_candidates {
-        eprintln!(
-            "tune: truncating sweep {} -> {max_candidates} candidates (--max-candidates)",
-            grid.len()
-        );
-        grid.truncate(max_candidates);
-    }
-    let all = std::iter::once(("baseline".to_string(), base)).chain(grid);
+    let all = std::iter::once(("baseline".to_string(), base)).chain(candidates(base));
     all.map(|(name, tc)| {
         let score = live_score(rc, tc);
         eprintln!("tune: {name:<24} makespan {} ns", score.makespan_ns);
@@ -235,7 +227,7 @@ pub fn run(args: &Args) -> Outcome {
         latency: LatencyPreset::from_args(args),
     };
     eprintln!("tune: {} ranks, {tree} tree, seed {}", rc.ranks, rc.seed);
-    let rows = sweep(rc, args.get("max-candidates", usize::MAX));
+    let rows = sweep(rc);
     let (base, best) = (rows[0].score, winner(&rows));
 
     let source = format!(
@@ -309,7 +301,7 @@ mod tests {
             seed: 0xD5EED,
             latency: LatencyPreset::Flat,
         };
-        let rows = sweep(rc, usize::MAX);
+        let rows = sweep(rc);
         assert_eq!(rows.len(), 1 + 9, "baseline + four axes");
         for row in &rows {
             assert_eq!(row.tc.validate(), Ok(()), "{}", row.name);

@@ -73,16 +73,14 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
         "{stderr}"
     );
     // The what-if knobs of `replay` and the live-validation budget of
-    // `tune` went with the re-pricing model: every candidate now runs.
-    let retired: [(&str, &[&str], &str); 2] = [
+    // `tune` went with the re-pricing model: every candidate now runs,
+    // and the sweep is never cut short.
+    let tune = "--ranks <n> --tree tiny|small|medium|large --seed <n> --latency flat|nearfar \
+                --out <path> --report <path> --json-out <path> --require-improvement";
+    let retired: [(&str, &[&str], &str); 3] = [
         ("replay", &["--chunk", "5"], "--file <path> --check --analysis-out <path> --trace-out <path>"),
-        (
-            "tune",
-            &["--top", "1"],
-            "--ranks <n> --tree tiny|small|medium|large --seed <n> --max-candidates <n> \
-             --latency flat|nearfar --out <path> --report <path> --json-out <path> \
-             --require-improvement",
-        ),
+        ("tune", &["--top", "1"], tune),
+        ("tune", &[concat!("--max", "-candidates"), "2"], tune),
     ];
     for (subcommand, args, accepted) in retired {
         let (code, stderr) = run(subcommand, args);
@@ -263,7 +261,7 @@ fn a_header_that_cannot_be_trusted_exits_2_instead_of_aborting() {
 
 #[test]
 fn an_unwritable_artifact_path_exits_2_naming_the_path() {
-    let tune = ["--ranks", "8", "--tree", "tiny", "--max-candidates", "2"];
+    let tune = ["--ranks", "8", "--tree", "tiny"];
     for (subcommand, before, flag) in [
         ("table1", &[][..], "--json-out"),
         ("table1", &[][..], "--trace-out"),

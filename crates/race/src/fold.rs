@@ -17,12 +17,14 @@ use crate::hb::{AccessInfo, Race};
 /// One 8-byte word of simulated global memory: `(owner rank, seg, word)`.
 pub(crate) type WordKey = (u32, u32, u64);
 
-/// A map keyed by word. One lookup per word per access is the replay's
-/// hot path, and the keys are small integers from our own traces, so the
-/// default SipHash's flood resistance buys nothing and costs a third of
-/// a pass: these maps mix with the Fx multiply instead (and, unseeded,
-/// iterate in the same order every run).
-pub(crate) type WordMap<V> = HashMap<WordKey, V, BuildHasherDefault<WordHasher>>;
+/// A map keyed by small integers from our own traces: words, lock
+/// generations, stream positions, barrier epochs. One lookup per word
+/// per access is the replay's hot path, so the default SipHash's flood
+/// resistance buys nothing and costs a third of a pass: these maps mix
+/// with the Fx multiply instead (and, unseeded, iterate in the same
+/// order every run).
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+pub(crate) type WordMap<V> = FastMap<WordKey, V>;
 pub(crate) type WordSet = HashSet<WordKey, BuildHasherDefault<WordHasher>>;
 
 #[derive(Default)]
@@ -60,9 +62,9 @@ pub(crate) struct ClockSet {
     cur: Vec<Vec<u64>>,
     /// Producer clocks, taken *before* the producer's own tick: an access
     /// after a release stays unordered with the next acquirer.
-    snap: HashMap<Pos, Vec<u64>>,
+    snap: FastMap<Pos, Vec<u64>>,
     /// The join each barrier episode's participants leave with.
-    barrier: HashMap<u64, Vec<u64>>,
+    barrier: FastMap<u64, Vec<u64>>,
     /// Events that joined at least one incoming clock.
     pub(crate) sync_edges: u64,
 }
@@ -76,7 +78,7 @@ impl ClockSet {
                 c
             })
             .collect();
-        ClockSet { n, cur, snap: HashMap::new(), barrier: HashMap::new(), sync_edges: 0 }
+        ClockSet { n, cur, snap: FastMap::default(), barrier: FastMap::default(), sync_edges: 0 }
     }
 
     /// `rank`'s current clock in `relation`.
@@ -186,6 +188,12 @@ impl Access {
     /// The 8-byte words touched.
     pub(crate) fn words(&self) -> impl Iterator<Item = WordKey> + '_ {
         word_range(self.offset, self.bytes).map(|w| (self.owner, self.seg, w))
+    }
+
+    /// The first and last word touched.
+    pub(crate) fn word_span(&self) -> (u64, u64) {
+        let words = word_range(self.offset, self.bytes);
+        (*words.start(), *words.end())
     }
 }
 

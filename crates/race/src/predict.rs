@@ -51,15 +51,14 @@
 //! A word matching none of the four is an unexplained suppression:
 //! the atomic marker is hiding accesses the race checker should see.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use scioto_analyze::sync::{walk, LockKey, Pos, SyncWith};
 use scioto_sim::{Trace, TraceEvent};
 
 use crate::fold::{
-    fmt_access_pair, join, scan_held, Access, ClockSet, Frontier, SitePairs, WordKey, WordMap,
-    WordSet,
+    fmt_access_pair, join, scan_held, Access, ClockSet, FastMap, Frontier, Held, SitePairs,
+    WordKey, WordMap, WordSet,
 };
 use crate::hb::AccessInfo;
 
@@ -197,15 +196,18 @@ impl fmt::Display for PredictReport {
 type Footprint = WordMap<bool>;
 
 /// Compute the footprint of every critical section `(lock, generation)`:
-/// the words accessed while the section is held, with a write flag.
-fn footprints(trace: &Trace) -> HashMap<(LockKey, u64), Footprint> {
-    let mut fp: HashMap<(LockKey, u64), Footprint> = HashMap::new();
+/// the words accessed while the section is held, with a write flag. The
+/// same scan feeds every access to `protocols`.
+fn footprints(trace: &Trace, protocols: &mut Protocols) -> FastMap<(LockKey, u64), Footprint> {
+    let mut fp: FastMap<(LockKey, u64), Footprint> = FastMap::default();
     for (rank, events) in trace.events.iter().enumerate() {
-        scan_held(events, |_, ev, held| {
+        scan_held(events, |ev_idx, ev, held| {
             let Some(a) = Access::of(rank as u32, &ev.event) else { return };
-            for word in a.words() {
-                for cs in held {
-                    *fp.entry((cs.key, cs.seq)).or_default().entry(word).or_insert(false) |= a.write;
+            protocols.add(rank as u32, &a, held, ev_idx as u32);
+            for cs in held {
+                let section = fp.entry((cs.key, cs.seq)).or_default();
+                for word in a.words() {
+                    *section.entry(word).or_insert(false) |= a.write;
                 }
             }
         });
@@ -242,7 +244,8 @@ struct SkippedEdge {
 /// producers).
 pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
     let n = trace.nranks();
-    let fp = footprints(trace);
+    let mut protocols = Protocols::new(trace);
+    let fp = footprints(trace, &mut protocols);
     let empty = Footprint::default();
     let section = |key: LockKey, gen: u64| fp.get(&(key, gen)).unwrap_or(&empty);
 
@@ -255,8 +258,8 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
     // critical-section granularity). Joining these at acquire time gives
     // the rel→acq edges from every *conflicting* earlier section without
     // an O(generations²) pairwise scan.
-    let mut last_writer: HashMap<(LockKey, WordKey), Vec<u64>> = HashMap::new();
-    let mut readers_since: HashMap<(LockKey, WordKey), Vec<Vec<u64>>> = HashMap::new();
+    let mut last_writer: FastMap<(LockKey, WordKey), Vec<u64>> = FastMap::default();
+    let mut readers_since: FastMap<(LockKey, WordKey), Vec<Vec<u64>>> = FastMap::default();
 
     let mut skipped: Vec<SkippedEdge> = Vec::new();
     let mut frontier = Frontier::default();
@@ -371,7 +374,7 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
             witness,
         })
         .collect();
-    let (atomicity, protocol_words) = check_protocols(trace);
+    let (atomicity, protocol_words) = protocols.judge();
 
     Ok(PredictReport {
         predicted,
@@ -383,120 +386,169 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
     })
 }
 
-/// One access to a protocol word, with the locks held when it ran.
-struct ProtoAccess {
-    rank: u32,
-    write: bool,
-    /// Inherently atomic fetch-and-op (`acc`/`rmw`).
-    rmw: bool,
-    /// Carried the runtime's atomic marker.
-    marked: bool,
-    held: Vec<LockKey>,
-    ev_idx: u32,
+/// One protocol word's accesses, folded in stream order (rank by rank,
+/// each rank in program order) into what the four protocol shapes and
+/// the violation text read. Its size does not grow with the access
+/// count: a few lock keys and the distinct lock sets of plain reads.
+#[derive(Default)]
+struct WordFold {
+    /// Distinct ranks that wrote the word, ascending.
+    writers: Vec<u32>,
+    /// First write that is not an inherently atomic fetch-and-op, as
+    /// `(rank, event index)`; none means every write is one (CAS-chain).
+    first_plain_write: Option<(u32, u32)>,
+    /// Locks held across every write so far (`None` before the first).
+    common: Option<Vec<LockKey>>,
+    /// Distinct held-lock sets of the unmarked plain reads.
+    read_locks: Vec<Vec<LockKey>>,
+    /// First access without the atomic mark, as `(rank, write, event
+    /// index)`; none means the word is fully marked.
+    first_unmarked: Option<(u32, bool, u32)>,
 }
 
-/// Verify every atomic-marked protocol word against the declared
-/// ordering protocols. Returns the violations and the number of
-/// protocol words examined. Linear per-rank scan — no clocks needed,
-/// the protocols constrain the access *pattern*, not its order.
-pub fn check_protocols(trace: &Trace) -> (Vec<AtomicityViolation>, usize) {
-    // Pass 1: which words are protocol words (any atomic-marked access)?
-    let mut proto = WordSet::default();
-    for (rank, events) in trace.events.iter().enumerate() {
-        for a in events.iter().filter_map(|ev| Access::of(rank as u32, &ev.event)) {
-            if a.atomic {
-                proto.extend(a.words());
+impl WordFold {
+    fn add(&mut self, rank: u32, a: &Access, held: &[Held], ev_idx: u32) {
+        if a.write {
+            if let Err(at) = self.writers.binary_search(&rank) {
+                self.writers.insert(at, rank);
             }
+            if !a.rmw {
+                self.first_plain_write.get_or_insert((rank, ev_idx));
+            }
+            match &mut self.common {
+                None => self.common = Some(held.iter().map(|h| h.key).collect()),
+                Some(common) => common.retain(|k| held.iter().any(|h| h.key == *k)),
+            }
+        } else if !a.atomic
+            && !self.read_locks.iter().any(|set| set.iter().copied().eq(held.iter().map(|h| h.key)))
+        {
+            self.read_locks.push(held.iter().map(|h| h.key).collect());
+        }
+        if !a.atomic {
+            self.first_unmarked.get_or_insert((rank, a.write, ev_idx));
         }
     }
-    // Pass 2: collect every access (atomic or plain) to protocol words,
-    // with the lock context it ran under.
-    let mut accesses: WordMap<Vec<ProtoAccess>> = WordMap::default();
-    for (rank, events) in trace.events.iter().enumerate() {
-        scan_held(events, |ev_idx, ev, held| {
-            let Some(a) = Access::of(rank as u32, &ev.event) else { return };
-            for key in a.words().filter(|key| proto.contains(key)) {
-                accesses.entry(key).or_default().push(ProtoAccess {
-                    rank: rank as u32,
-                    write: a.write,
-                    rmw: a.rmw,
-                    marked: a.atomic,
-                    held: held.iter().map(|h| h.key).collect(),
-                    ev_idx: ev_idx as u32,
-                });
-            }
-        });
-    }
-    let mut violations = Vec::new();
-    // Every protocol word has at least its marking access; report in
-    // word order.
-    let mut words: Vec<(&WordKey, &Vec<ProtoAccess>)> = accesses.iter().collect();
-    words.sort_unstable_by_key(|(key, _)| **key);
-    for (key, accs) in words {
-        let writes: Vec<&ProtoAccess> = accs.iter().filter(|a| a.write).collect();
-        let mut writers: Vec<u32> = writes.iter().map(|a| a.rank).collect();
-        writers.sort_unstable();
-        writers.dedup();
+
+    /// The word's violation, if it matches none of the four shapes.
+    fn judge(&self, (owner, seg, word): WordKey) -> Option<AtomicityViolation> {
         // single-writer: all writes from one rank.
-        if writers.len() <= 1 {
-            continue;
+        if self.writers.len() <= 1 {
+            return None;
         }
         // CAS-chain: every write is an inherently atomic fetch-and-op.
-        if writes.iter().all(|a| a.rmw) {
-            continue;
-        }
-        // owner-locked: a common lock across all writes, with every
-        // plain (unmarked) read also holding one of the common locks.
-        let mut common: Vec<LockKey> = writes.first().map(|a| a.held.clone()).unwrap_or_default();
-        for a in &writes {
-            common.retain(|k| a.held.contains(k));
-        }
-        if !common.is_empty() {
-            let plain_reads_locked = accs
-                .iter()
-                .filter(|a| !a.write && !a.marked)
-                .all(|a| common.iter().any(|k| a.held.contains(k)));
-            if plain_reads_locked {
-                continue;
-            }
+        let plain = self.first_plain_write?;
+        // owner-locked: a common lock across all writes, with every plain
+        // (unmarked) read also holding one of the common locks.
+        let common = self.common.as_deref().unwrap_or_default();
+        if !common.is_empty()
+            && self.read_locks.iter().all(|set| common.iter().any(|k| set.contains(k)))
+        {
+            return None;
         }
         // marked-flag: every access to the word — read or write, every
         // rank — carries the atomic mark, i.e. all participants declared
         // the single-word discipline (e.g. the TD dirty flag: idempotent
         // blind stores by thieves, read-and-cleared by the owner).
-        if accs.iter().all(|a| a.marked) {
-            continue;
-        }
-        let sample = writes
-            .iter()
-            .find(|a| !a.rmw)
-            .or(writes.first())
-            .expect("at least two writers");
-        let unmarked = accs.iter().find(|a| !a.marked).expect("not fully marked");
-        violations.push(AtomicityViolation {
-            owner: key.0,
-            seg: key.1,
-            word: key.2,
-            writers: writers.clone(),
+        let (unmarked_rank, unmarked_write, unmarked_idx) = self.first_unmarked?;
+        Some(AtomicityViolation {
+            owner,
+            seg,
+            word,
+            writers: self.writers.clone(),
             detail: format!(
                 "writers from ranks {:?} (not single-writer); plain write by rank {} at \
                  event #{} (not CAS-chain); {} (not owner-locked); unmarked {} by rank {} \
                  at event #{} (not marked-flag)",
-                writers,
-                sample.rank,
-                sample.ev_idx,
+                self.writers,
+                plain.0,
+                plain.1,
                 if common.is_empty() {
-                    "no lock held across all writes".to_string()
+                    "no lock held across all writes"
                 } else {
-                    "an unlocked plain read bypasses the common lock".to_string()
+                    "an unlocked plain read bypasses the common lock"
                 },
-                if unmarked.write { "write" } else { "read" },
-                unmarked.rank,
-                unmarked.ev_idx,
+                if unmarked_write { "write" } else { "read" },
+                unmarked_rank,
+                unmarked_idx,
             ),
+        })
+    }
+}
+
+/// The atomicity check's state: every protocol word, grouped by
+/// segment and sorted, with its [`WordFold`].
+struct Protocols {
+    segs: FastMap<(u32, u32), Vec<(u64, WordFold)>>,
+}
+
+impl Protocols {
+    /// Pass 1: which words are protocol words (any atomic-marked
+    /// access)? A segment holds few: an access finds those it touches
+    /// with one binary search however many words it spans.
+    fn new(trace: &Trace) -> Self {
+        let mut words = WordSet::default();
+        for (rank, events) in trace.events.iter().enumerate() {
+            for a in events.iter().filter_map(|ev| Access::of(rank as u32, &ev.event)) {
+                if a.atomic {
+                    words.extend(a.words());
+                }
+            }
+        }
+        let mut words: Vec<WordKey> = words.into_iter().collect();
+        words.sort_unstable();
+        let mut segs: FastMap<(u32, u32), Vec<(u64, WordFold)>> = FastMap::default();
+        for (owner, seg, word) in words {
+            segs.entry((owner, seg)).or_default().push((word, WordFold::default()));
+        }
+        Protocols { segs }
+    }
+
+    /// Pass 2, one access at a time in stream order: fold access `a`,
+    /// event `ev_idx` of `rank` run with `held`, into the protocol words
+    /// it touches.
+    fn add(&mut self, rank: u32, a: &Access, held: &[Held], ev_idx: u32) {
+        // A marked read meets every protocol shape: it changes no fold.
+        if a.atomic && !a.write {
+            return;
+        }
+        let Some(words) = self.segs.get_mut(&(a.owner, a.seg)) else { return };
+        let (lo, hi) = a.word_span();
+        let from = words.partition_point(|(w, _)| *w < lo);
+        for (_, fold) in words[from..].iter_mut().take_while(|(w, _)| *w <= hi) {
+            fold.add(rank, a, held, ev_idx);
+        }
+    }
+
+    /// The violations, in word order, and the number of protocol words.
+    fn judge(self) -> (Vec<AtomicityViolation>, usize) {
+        let mut segs: Vec<_> = self.segs.into_iter().collect();
+        segs.sort_unstable_by_key(|(seg, _)| *seg);
+        let words = segs.iter().map(|(_, words)| words.len()).sum();
+        let violations = segs
+            .iter()
+            .flat_map(|((owner, seg), words)| {
+                words.iter().filter_map(move |(word, fold)| fold.judge((*owner, *seg, *word)))
+            })
+            .collect();
+        (violations, words)
+    }
+}
+
+/// Verify every atomic-marked protocol word against the declared
+/// ordering protocols. Returns the violations, in word order, and the
+/// number of protocol words examined. Two linear passes over each
+/// rank's stream, no clocks: the protocols constrain the access
+/// *pattern*, not its order.
+pub fn check_protocols(trace: &Trace) -> (Vec<AtomicityViolation>, usize) {
+    let mut protocols = Protocols::new(trace);
+    for (rank, events) in trace.events.iter().enumerate() {
+        scan_held(events, |ev_idx, ev, held| {
+            if let Some(a) = Access::of(rank as u32, &ev.event) {
+                protocols.add(rank as u32, &a, held, ev_idx as u32);
+            }
         });
     }
-    (violations, proto.len())
+    protocols.judge()
 }
 
 #[cfg(test)]
@@ -810,5 +862,238 @@ mod tests {
         let (v, _) = check_protocols(&t);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].detail.contains("unlocked plain read"), "{}", v[0].detail);
+    }
+
+    /// One access to a protocol word, with the locks held when it ran.
+    struct ProtoAccess {
+        rank: u32,
+        write: bool,
+        rmw: bool,
+        marked: bool,
+        held: Vec<LockKey>,
+        ev_idx: u32,
+    }
+
+    /// The collect-all check the per-word fold replaced, kept as its
+    /// oracle: every access to every protocol word is stored, then judged.
+    fn check_protocols_oracle(trace: &Trace) -> (Vec<AtomicityViolation>, usize) {
+        let mut proto = WordSet::default();
+        for (rank, events) in trace.events.iter().enumerate() {
+            for a in events.iter().filter_map(|ev| Access::of(rank as u32, &ev.event)) {
+                if a.atomic {
+                    proto.extend(a.words());
+                }
+            }
+        }
+        let mut accesses: WordMap<Vec<ProtoAccess>> = WordMap::default();
+        for (rank, events) in trace.events.iter().enumerate() {
+            scan_held(events, |ev_idx, ev, held| {
+                let Some(a) = Access::of(rank as u32, &ev.event) else { return };
+                for key in a.words().filter(|key| proto.contains(key)) {
+                    accesses.entry(key).or_default().push(ProtoAccess {
+                        rank: rank as u32,
+                        write: a.write,
+                        rmw: a.rmw,
+                        marked: a.atomic,
+                        held: held.iter().map(|h| h.key).collect(),
+                        ev_idx: ev_idx as u32,
+                    });
+                }
+            });
+        }
+        let mut violations = Vec::new();
+        let mut words: Vec<(&WordKey, &Vec<ProtoAccess>)> = accesses.iter().collect();
+        words.sort_unstable_by_key(|(key, _)| **key);
+        for (key, accs) in words {
+            let writes: Vec<&ProtoAccess> = accs.iter().filter(|a| a.write).collect();
+            let mut writers: Vec<u32> = writes.iter().map(|a| a.rank).collect();
+            writers.sort_unstable();
+            writers.dedup();
+            if writers.len() <= 1 || writes.iter().all(|a| a.rmw) {
+                continue;
+            }
+            let mut common: Vec<LockKey> = writes.first().map(|a| a.held.clone()).unwrap_or_default();
+            for a in &writes {
+                common.retain(|k| a.held.contains(k));
+            }
+            if !common.is_empty()
+                && accs
+                    .iter()
+                    .filter(|a| !a.write && !a.marked)
+                    .all(|a| common.iter().any(|k| a.held.contains(k)))
+            {
+                continue;
+            }
+            if accs.iter().all(|a| a.marked) {
+                continue;
+            }
+            let sample = writes.iter().find(|a| !a.rmw).or(writes.first()).expect("two writers");
+            let unmarked = accs.iter().find(|a| !a.marked).expect("not fully marked");
+            violations.push(AtomicityViolation {
+                owner: key.0,
+                seg: key.1,
+                word: key.2,
+                writers: writers.clone(),
+                detail: format!(
+                    "writers from ranks {:?} (not single-writer); plain write by rank {} at \
+                     event #{} (not CAS-chain); {} (not owner-locked); unmarked {} by rank {} \
+                     at event #{} (not marked-flag)",
+                    writers,
+                    sample.rank,
+                    sample.ev_idx,
+                    if common.is_empty() {
+                        "no lock held across all writes"
+                    } else {
+                        "an unlocked plain read bypasses the common lock"
+                    },
+                    if unmarked.write { "write" } else { "read" },
+                    unmarked.rank,
+                    unmarked.ev_idx,
+                ),
+            });
+        }
+        (violations, proto.len())
+    }
+
+    fn assert_matches_oracle(t: &Trace, what: &str) -> Vec<AtomicityViolation> {
+        let got = check_protocols(t);
+        assert_eq!(got, check_protocols_oracle(t), "{what}");
+        got.0
+    }
+
+    fn get_atomic(target: u32, offset: u64) -> TraceEvent {
+        TraceEvent::RemoteOp { kind: RemoteOpKind::Get, target, seg: 0, offset, bytes: 8, atomic: true }
+    }
+
+    #[test]
+    fn each_protocol_rule_can_tip_a_word_into_a_violation() {
+        let locked = |ev: TraceEvent, seq: u64| {
+            vec![(seq * 10, acq(seq)), (seq * 10 + 1, ev), (seq * 10 + 2, rel(seq))]
+        };
+        // (rule, violating trace, the same trace with that one rule met)
+        let cases = [
+            (
+                "single-writer",
+                trace_of(vec![
+                    vec![(1, local(0, 8, true, false))],
+                    vec![(2, put(0, 0, 8)), (3, get_atomic(0, 0))],
+                ]),
+                trace_of(vec![vec![(1, local(0, 8, true, false))], vec![(3, get_atomic(0, 0))]]),
+            ),
+            (
+                "CAS-chain",
+                trace_of(vec![vec![(1, rmw(0, 0))], vec![(2, rmw(0, 0))], vec![(3, put(0, 0, 8))]]),
+                trace_of(vec![vec![(1, rmw(0, 0))], vec![(2, rmw(0, 0))], vec![(3, rmw(0, 0))]]),
+            ),
+            (
+                "owner-locked",
+                trace_of(vec![
+                    locked(atomic_local(0, true), 1),
+                    locked(atomic_put(0, 0), 2),
+                    vec![(40, get(0, 0, 8))],
+                ]),
+                trace_of(vec![
+                    locked(atomic_local(0, true), 1),
+                    locked(atomic_put(0, 0), 2),
+                    locked(get(0, 0, 8), 3),
+                ]),
+            ),
+            (
+                "marked-flag",
+                trace_of(vec![
+                    vec![(1, atomic_local(0, true)), (3, local(0, 8, false, false))],
+                    vec![(2, atomic_put(0, 0))],
+                ]),
+                trace_of(vec![
+                    vec![(1, atomic_local(0, true)), (3, atomic_local(0, false))],
+                    vec![(2, atomic_put(0, 0))],
+                ]),
+            ),
+        ];
+        for (rule, bad, good) in cases {
+            let v = assert_matches_oracle(&bad, rule);
+            assert_eq!(v.len(), 1, "{rule}: {v:?}");
+            assert!(assert_matches_oracle(&good, rule).is_empty(), "{rule}");
+        }
+    }
+
+    /// A seeded random trace: a few ranks reading and writing a few
+    /// words, plain, marked or read-modify-write, under nested locks.
+    fn random_trace(seed: u64) -> Trace {
+        let mut state = seed;
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let ranks = 1 + below(4) as u32;
+        trace_of(
+            (0..ranks)
+                .map(|_| {
+                    (0..below(40))
+                        .map(|t| {
+                            let (target, offset) = (below(ranks as u64) as u32, 8 * below(3));
+                            let atomic = below(2) == 0;
+                            let event = match below(8) {
+                                0 => acq_on(below(3) as u32, t),
+                                1 => rel_on(below(3) as u32, t),
+                                2 => TraceEvent::LocalAccess {
+                                    seg: 0,
+                                    offset,
+                                    bytes: [8, 16][below(2) as usize],
+                                    write: below(2) == 0,
+                                    atomic,
+                                },
+                                _ => TraceEvent::RemoteOp {
+                                    kind: [RemoteOpKind::Put, RemoteOpKind::Get, RemoteOpKind::Rmw]
+                                        [below(3) as usize],
+                                    target,
+                                    seg: 0,
+                                    offset,
+                                    bytes: 8,
+                                    atomic,
+                                },
+                            };
+                            (t, event)
+                        })
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn protocol_fold_matches_oracle_on_seeded_random_traces() {
+        let mut violations = 0;
+        for seed in 0..2_000 {
+            violations += assert_matches_oracle(&random_trace(seed), &format!("seed {seed}")).len();
+        }
+        // The corpus exercises the violation text, not only clean words.
+        assert!(violations > 100, "{violations}");
+    }
+
+    #[test]
+    fn protocol_fold_matches_oracle_on_recorded_uts_runs() {
+        use scioto_sim::{Machine, MachineConfig, TraceConfig};
+        use scioto_uts::presets::{small, tiny};
+        use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
+        let runs = [
+            ("tiny, 1 virtual-time rank", MachineConfig::virtual_time(1), tiny()),
+            ("tiny, 4 virtual-time ranks", MachineConfig::virtual_time(4), tiny()),
+            ("tiny, 16 virtual-time ranks", MachineConfig::virtual_time(16), tiny()),
+            ("small, 16 virtual-time ranks", MachineConfig::virtual_time(16), small()),
+            ("tiny, 2 concurrent ranks", MachineConfig::concurrent(2), tiny()),
+        ];
+        for (seed, (what, cfg, tree)) in runs.into_iter().enumerate() {
+            let cfg = cfg
+                .with_seed(0xC0FFEE + seed as u64)
+                .with_trace(TraceConfig::enabled().with_capacity(1 << 22));
+            let run = Machine::run(cfg, move |ctx| run_scioto_uts(ctx, &SciotoUtsConfig::new(tree)).0);
+            let t = run.report.trace.expect("tracing was enabled");
+            assert_eq!(t.dropped.iter().sum::<u64>(), 0, "{what}");
+            assert_matches_oracle(&t, what);
+            assert!(check_protocols(&t).1 > 0, "{what}: no protocol words");
+        }
     }
 }

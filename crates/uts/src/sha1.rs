@@ -96,7 +96,7 @@ fn compress_soft(h: &mut [u32; 5], block: &[u8; 64]) {
 
     macro_rules! round {
         ($t:expr, $f:expr, $k:expr) => {{
-            let wt = if $t < 16 { w[$t] } else { schedule(&mut w, $t) };
+            let wt = if $t < 16 { w[$t & 15] } else { schedule(&mut w, $t) };
             let tmp = a
                 .rotate_left(5)
                 .wrapping_add($f)

@@ -91,6 +91,17 @@ stage "cargo build --release --offline"
 # both executables (`scioto`, `scioto-lint`).
 cargo build --release --offline
 
+stage "cargo clippy --workspace --offline (errors fail, warnings counted)"
+# Clippy's deny-level lints (likely bugs: out-of-bounds indexing, wrong
+# comparisons) fail the run; its warn-level style lints are counted and
+# left for clean-up, not gated.
+t0=$(now_ms)
+cargo clippy --workspace --offline 2> "$work/clippy.txt" \
+    || { cat "$work/clippy.txt" >&2; echo "FAIL: cargo clippy reported errors" >&2; exit 1; }
+clippy_warnings=$(grep '^warning: ' "$work/clippy.txt" | grep -vc ' generated [0-9]* warning' || true)
+echo "ok: clippy reported no errors ($clippy_warnings warnings) in" \
+    "$(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s"
+
 stage "cargo test -q --offline (tier-1)"
 # The whole workspace, by the same default-members. The test executables
 # are built first so the budget times the run alone: 16 s measured on a
@@ -314,13 +325,16 @@ scioto fig7_uts_cluster \
     --json-out "$work/bench/BENCH_fig7_1024_nearfar_stealdist.json" > /dev/null
 echo "ok: 1024/2048-rank sweep points + steal-distance pin ran"
 
-stage "autotune: 2-candidate smoke + fig7@64 live sweep (hard gate)"
-# Smoke: the defaults and 2 candidates at 8 ranks, each scored by its own
-# live seeded run; exercises the whole loop in ~25 ms.
+stage "autotune: full 8-rank smoke + fig7@64 live sweep (hard gate)"
+# Smoke: the defaults and all nine candidates at 8 ranks on the tiny
+# tree, each scored by its own live seeded run.
 t0=$(now_ms)
 scioto tune \
-    --ranks 8 --tree tiny --max-candidates 2 \
+    --ranks 8 --tree tiny \
     --out "$work/tune_smoke_config.json" > /dev/null
+echo "ok: full 8-rank tiny sweep in" \
+    "$(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.3f", ms / 1000 }')s"
+t0=$(now_ms)
 # Full sweep at the acceptance point: fig7@64 under near/far tiers, the
 # defaults and all nine candidates run live. The tuner must beat the
 # defaults (--require-improvement exits 1 otherwise); its BENCH output is
