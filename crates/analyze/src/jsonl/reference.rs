@@ -503,10 +503,10 @@ pub fn reference_to_jsonl(t: &Trace) -> String {
     }
     for (rank, per_rank) in t.gauges.iter().enumerate() {
         for (name, g) in per_rank {
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "{{\"gauge\":\"{name}\",\"rank\":{rank},\"samples\":{},\"sum\":{},\
-                 \"max\":{},\"last\":{}}}\n",
+                 \"max\":{},\"last\":{}}}",
                 g.samples, g.sum, g.max, g.last
             );
         }

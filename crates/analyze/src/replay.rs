@@ -148,10 +148,8 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
                 TraceEvent::MsgSend { dst, seq, .. } if repeated => {
                     return fail(i, format!("duplicate MsgSend seq {seq} to rank {dst}"));
                 }
-                TraceEvent::Unblock { target } => {
-                    if (target as usize) < n {
-                        unblocks[target as usize].push((r as u32, i as u32, e.t_ns));
-                    }
+                TraceEvent::Unblock { target } if (target as usize) < n => {
+                    unblocks[target as usize].push((r as u32, i as u32, e.t_ns));
                 }
                 TraceEvent::BarrierWait { epoch, .. } => {
                     barriers[r].push((i, epoch));

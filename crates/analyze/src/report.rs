@@ -156,11 +156,11 @@ impl AnalysisReport {
         }
         out.push_str("\n],\"distance_hist\":[");
         push_u64s(&mut out, &self.provenance.distance_hist);
-        let _ = write!(
+        let _ = writeln!(
             out,
             "],\"chain_depth_max\":{},\"chain_depth_mean\":{:.6},\"migrated_execs\":{},\
              \"total_execs\":{},\"migration_ratio\":{:.6},\
-             \"mean_ring_distance\":{:.6},\"near_steal_share\":{:.6}}},\n",
+             \"mean_ring_distance\":{:.6},\"near_steal_share\":{:.6}}},",
             self.provenance.chain_depth_max,
             self.provenance.chain_depth_mean,
             self.provenance.migrated_execs,
@@ -237,8 +237,8 @@ impl AnalysisReport {
         );
         let _ = writeln!(
             out,
-            "{:>5} {:>12} {:>12} {:>10} {:>10} {:>10} {:>12} {:>12}  {}",
-            "rank", "exec", "steal", "lock", "td", "barrier", "idle", "elapsed", "idle%"
+            "{:>5} {:>12} {:>12} {:>10} {:>10} {:>10} {:>12} {:>12}  idle%",
+            "rank", "exec", "steal", "lock", "td", "barrier", "idle", "elapsed"
         );
         for r in 0..self.ranks {
             let b = &self.blame[r];

@@ -317,8 +317,11 @@ mod tests {
         }
     }
 
-    /// The walk's yields as `(rank, idx, producers)`.
-    fn yields(trace: &Trace) -> Result<Vec<(u32, u32, Vec<(u32, u32)>)>, SyncError> {
+    /// One walk yield: `(rank, idx, producers)`.
+    type Yield = (u32, u32, Vec<(u32, u32)>);
+
+    /// The walk's yields.
+    fn yields(trace: &Trace) -> Result<Vec<Yield>, SyncError> {
         let mut out = Vec::new();
         walk(trace, |s| {
             let after = match s.sync {

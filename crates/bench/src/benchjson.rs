@@ -154,8 +154,10 @@ pub fn validate(body: &str) -> Result<(), String> {
 /// Accepts exactly the canonical layout [`BenchOut::to_json`] emits.
 pub fn parse(body: &str) -> Result<BenchOut, String> {
     validate(body)?;
-    let mut out = BenchOut::default();
-    out.name = extract_string(body, "\"name\":\"").ok_or("cannot read name")?;
+    let mut out = BenchOut {
+        name: extract_string(body, "\"name\":\"").ok_or("cannot read name")?,
+        ..Default::default()
+    };
     let params = extract_object(body, "\"params\":{").ok_or("cannot read params")?;
     for (k, v) in split_members(&params) {
         let v = v

@@ -101,7 +101,7 @@ pub fn run(args: &Args) -> Outcome {
     for rep in 0..reps {
         let (_, ns) = run_once(ranks, seed, app, policy, None);
         untraced_ns.push(ns);
-        let (report, ns) = run_once(ranks, seed, app, policy, Some(trace_cfg.clone()));
+        let (report, ns) = run_once(ranks, seed, app, policy, Some(trace_cfg));
         let trace = report.trace.as_ref().expect("traced run carries a trace");
         let events = trace.total_events() as u64 + trace.dropped.iter().sum::<u64>();
         traced_ns.push((ns, events));

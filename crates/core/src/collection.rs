@@ -1,12 +1,11 @@
 //! The task collection: `tc_create` / `tc_add` / `tc_process` / `tc_reset`.
 
-use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use scioto_armci::Armci;
 use scioto_det::CachePadded;
-use scioto_sim::{Ctx, TraceEvent};
+use scioto_sim::{Ctx, ExecMode, TraceEvent};
 
 use crate::clo::{CloHandle, CloRegistry};
 use crate::config::{LbKind, QueueKind, TcConfig};
@@ -124,16 +123,16 @@ impl TaskCollection {
         self.clos.register(ctx.rank(), obj)
     }
 
-    /// Look up the executing rank's instance of a common local object.
+    /// Look up the executing rank's instance of a common local object,
+    /// borrowed for as long as the collection is.
     ///
     /// # Panics
     /// Panics if the handle was not registered on this rank or the type
     /// does not match the registration.
-    pub fn clo<T: Send + Sync + 'static>(&self, ctx: &Ctx, h: CloHandle) -> Arc<T> {
-        // The one clone is the `Arc<T>` this signature hands out — of the
-        // rank's own instance, so no other rank touches its count.
-        let any: Arc<dyn Any + Send + Sync> = Arc::clone(self.clos.lookup(ctx.rank(), h));
-        any.downcast::<T>()
+    pub fn clo<T: Send + Sync + 'static>(&self, ctx: &Ctx, h: CloHandle) -> &T {
+        self.clos
+            .lookup(ctx.rank(), h)
+            .downcast_ref::<T>()
             .expect("common local object type mismatch")
     }
 
@@ -191,6 +190,10 @@ impl TaskCollection {
             ctx.trace_gauge(crate::trace::GAUGE_STARTUP, t_up);
         }
         let stealing = self.cfg.ldbal == LbKind::WorkStealing && n > 1;
+        // The idle loop's two fixed charges, scaled for this rank once.
+        let idle_tick = ctx.cpu_cost(100);
+        let nap_tick = ctx.cpu_cost(200);
+        let virtual_time = ctx.mode() == ExecMode::VirtualTime;
         let mut since_td = 0u32;
         // Exponential backoff on consecutive failed steals: when the
         // machine is running dry, detector polls (cheap, local) dominate
@@ -217,6 +220,20 @@ impl TaskCollection {
         // remote add until after the next poll, < 1 us of spinning.
         let mut queue_unchanged = false;
         loop {
+            if queue_unchanged && backoff > 0 && virtual_time {
+                // Fast-forward through the pure nap ticks ahead: every
+                // iteration before the next detector poll (the next
+                // `idle_iter` with its low four bits clear) or the end of
+                // the backoff only charges the clock, which a sum of the
+                // same charges does in one step. The iteration that polls
+                // or steals runs below as usual. Under `Concurrent` a nap
+                // is real waiting and keeps its per-tick spin.
+                let ticks = backoff.min(15 - (idle_iter & 15));
+                idle_iter = idle_iter.wrapping_add(ticks);
+                backoff -= ticks;
+                ctx.charge(idle_tick.times(ticks.into()));
+                ctx.charge(nap_tick.times(ticks.into()));
+            }
             if !queue_unchanged {
                 // Drain local (private) work.
                 while let Some(header) = self.pop_into(ctx, &mut body) {
@@ -256,11 +273,11 @@ impl TaskCollection {
             // Every idle iteration costs at least a poll's worth of CPU,
             // even under a zero-cost latency model — otherwise idle ranks
             // would starve working ranks of virtual time.
-            ctx.compute(100);
+            ctx.charge(idle_tick);
             if stealing {
                 if backoff > 0 {
                     backoff -= 1;
-                    ctx.compute(200);
+                    ctx.charge(nap_tick);
                     queue_unchanged = defer_poll && self.cfg.queue == QueueKind::Split;
                     continue;
                 }
@@ -347,7 +364,7 @@ impl TaskCollection {
                 }
             } else {
                 // No load balancing: just poll the detector.
-                ctx.compute(200);
+                ctx.charge(nap_tick);
             }
         }
         // Safety invariant: termination may only be declared when this

@@ -43,7 +43,7 @@
 //!     let counter = Arc::new(AtomicU64::new(0));
 //!     let clo = tc.register_clo(ctx, counter.clone());
 //!     let hello = tc.register(ctx, Arc::new(move |t| {
-//!         let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+//!         let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
 //!         c.fetch_add(1, Ordering::Relaxed);
 //!     }));
 //!     // Seed 10 tasks on rank 0; stealing spreads them.

@@ -68,6 +68,10 @@ impl SlotBody<'_> {
 pub(crate) struct PatchQueue {
     kind: QueueKind,
     cap: i64,
+    /// `cap - 1` when `cap` is a power of two: the slot of an index is then
+    /// its low bits, which in two's complement is `rem_euclid` for negative
+    /// indices too.
+    cap_mask: Option<i64>,
     slot_sz: usize,
     chunk: usize,
     release_threshold: i64,
@@ -86,6 +90,10 @@ impl PatchQueue {
         PatchQueue {
             kind: cfg.queue,
             cap: cfg.max_tasks as i64,
+            cap_mask: cfg
+                .max_tasks
+                .is_power_of_two()
+                .then_some(cfg.max_tasks as i64 - 1),
             slot_sz,
             chunk: cfg.chunk,
             release_threshold: cfg.release_threshold as i64,
@@ -103,15 +111,17 @@ impl PatchQueue {
     // ---- owner-private metadata access (no scheduling point) ----
     //
     // No host lock either: the owner reaches its words through
-    // `Armci::local`. Orderings (DESIGN.md "Host access path"): the owner
-    // loads its indices Acquire and publishes `head` Release, pairing with
-    // the SeqCst (hence Acquire) index read of `insert_tail`, so a thief
-    // that sees a popped `head` also sees the pop's slot read finished
-    // before it reuses the slot; slot words are Release/Acquire, though a
-    // thief only ever reads a slot after the queue lock's hand-off has
-    // ordered it after the owner's write anyway. `split` is stored
-    // Release under the queue lock, which orders it for every locked
-    // reader; `steal_peek`'s lock-free read is a heuristic.
+    // `Armci::local`, resolved once per owner operation and handed to the
+    // helpers below as `meta` / `slots`. Orderings (DESIGN.md "Host access
+    // path"): the owner loads its indices Acquire and publishes `head`
+    // Release, pairing with the SeqCst (hence Acquire) index read of
+    // `insert_tail`, so a thief that sees a popped `head` also sees the
+    // pop's slot read finished before it reuses the slot; slot words are
+    // Release/Acquire, though a thief only ever reads a slot after the
+    // queue lock's hand-off has ordered it after the owner's write
+    // anyway. `split` is stored Release under the queue lock, which
+    // orders it for every locked reader; `steal_peek`'s lock-free read is
+    // a heuristic.
     //
     // Access-record atomicity follows the split-queue protocol (§5):
     // * `HEAD` is written lock-free by the owner while thieves read it in
@@ -124,47 +134,44 @@ impl PatchQueue {
     //   the owner's reclaim/release pre-checks and by `steal_peek`, so
     //   those reads and the thieves' puts are marked atomic.
 
-    fn write_meta_local(&self, ctx: &Ctx, armci: &Armci, off: usize, v: i64) {
-        let meta = armci.local(ctx, self.meta);
+    fn write_meta(&self, meta: &Local<'_>, off: usize, v: i64) {
         meta.record(off, 8, true, off == HEAD || off == SPLIT);
         meta.store(off, v as u64, Release);
     }
 
+    /// The ring slot of virtual index `index`.
+    fn slot_of(&self, index: i64) -> i64 {
+        match self.cap_mask {
+            Some(mask) => index & mask,
+            None => index.rem_euclid(self.cap),
+        }
+    }
+
     fn slot_pos(&self, index: i64) -> usize {
-        (index.rem_euclid(self.cap)) as usize * self.slot_sz
+        self.slot_of(index) as usize * self.slot_sz
     }
 
     /// Write a task into slot `index`: its header and body words, one
     /// access of the whole slot.
-    fn write_slot_local(
-        &self,
-        ctx: &Ctx,
-        armci: &Armci,
-        index: i64,
-        header: &TaskHeader,
-        body: &[u8],
-    ) {
+    fn write_slot(&self, slots: &Local<'_>, index: i64, header: &TaskHeader, body: &[u8]) {
         let pos = self.slot_pos(index);
-        let slots = armci.local(ctx, self.slots);
         slots.record(pos, self.slot_sz, true, false);
         let words = HEADER_WORDS + body.len().div_ceil(8);
         slots.write(pos, words, |j| slot_word(header, body, j));
     }
 
     /// Hand slot `index`'s header and body to `take` where they lie.
-    fn read_slot_local<R>(
+    fn read_slot<R>(
         &self,
-        ctx: &Ctx,
-        armci: &Armci,
+        slots: &Local<'_>,
         index: i64,
         take: impl FnOnce(TaskHeader, SlotBody<'_>) -> R,
     ) -> R {
         let pos = self.slot_pos(index);
-        let slots = armci.local(ctx, self.slots);
         slots.record(pos, self.slot_sz, false, false);
         let header = TaskHeader::from_words([slots.load(pos, Acquire), slots.load(pos + 8, Acquire)]);
         let offset = pos + HEADER_BYTES;
-        take(header, SlotBody { slots: &slots, offset, len: header.body_len as usize })
+        take(header, SlotBody { slots, offset, len: header.body_len as usize })
     }
 
     /// Zero the owner's metadata (collective reset; caller barriers, so
@@ -203,12 +210,10 @@ impl PatchQueue {
     /// slot's words, one Release store.
     fn owner_op(
         &self,
-        ctx: &Ctx,
-        armci: &Armci,
+        meta: &Local<'_>,
         op: impl FnOnce(i64, i64, i64) -> Option<i64>,
     ) -> (i64, i64, i64) {
-        let meta = armci.local(ctx, self.meta);
-        let (head, split, tail) = self.load_indices(&meta);
+        let (head, split, tail) = self.load_indices(meta);
         let Some(new_head) = op(head, split, tail) else {
             return (head, split, tail);
         };
@@ -243,24 +248,26 @@ impl PatchQueue {
             self.insert_tail(ctx, armci, ctx.rank(), header, body);
             return;
         }
+        let meta = armci.local(ctx, self.meta);
+        let slots = armci.local(ctx, self.slots);
         match self.kind {
             QueueKind::Split => {
-                let (head, split, tail) = self.owner_op(ctx, armci, |head, _, tail| {
+                let indices = self.owner_op(&meta, |head, _, tail| {
                     self.check_capacity(head, tail);
-                    self.write_slot_local(ctx, armci, head, header, body);
+                    self.write_slot(&slots, head, header, body);
                     Some(head + 1)
                 });
-                ctx.charge_cpu(ctx.latency().local_insert);
-                self.maybe_release(ctx, armci, counters, head, split, tail);
+                ctx.charge(ctx.local_insert_cost());
+                self.maybe_release(ctx, armci, &meta, counters, indices);
             }
             QueueKind::Locked => {
                 armci.lock(ctx, self.locks, 0, ctx.rank());
-                let (head, _, tail) = self.indices_local(ctx, armci);
+                let (head, _, tail) = self.load_indices(&meta);
                 self.check_capacity(head, tail);
-                self.write_slot_local(ctx, armci, head, header, body);
-                self.write_meta_local(ctx, armci, HEAD, head + 1);
-                self.write_meta_local(ctx, armci, SPLIT, head + 1);
-                ctx.charge_cpu(ctx.latency().local_insert);
+                self.write_slot(&slots, head, header, body);
+                self.write_meta(&meta, HEAD, head + 1);
+                self.write_meta(&meta, SPLIT, head + 1);
+                ctx.charge(ctx.local_insert_cost());
                 armci.unlock(ctx, self.locks, 0, ctx.rank());
             }
         }
@@ -279,36 +286,38 @@ impl PatchQueue {
         counters: &RankCounters,
         take: impl FnOnce(TaskHeader, SlotBody<'_>) -> R,
     ) -> Option<R> {
+        let meta = armci.local(ctx, self.meta);
         match self.kind {
             QueueKind::Split => {
                 let mut popped = None;
-                let (head, split, tail) = self.owner_op(ctx, armci, |head, split, _| {
+                let indices = self.owner_op(&meta, |head, split, _| {
                     if head <= split {
                         return None;
                     }
-                    popped = Some(self.read_slot_local(ctx, armci, head - 1, take));
+                    let slots = armci.local(ctx, self.slots);
+                    popped = Some(self.read_slot(&slots, head - 1, take));
                     Some(head - 1)
                 });
                 let taken = popped?;
-                ctx.charge_cpu(ctx.latency().local_get);
+                ctx.charge(ctx.local_get_cost());
                 // Keep work available for thieves while draining a deep
                 // private portion (the owner "moves tasks between the shared
                 // and local portions as the computation progresses", §5).
-                self.maybe_release(ctx, armci, counters, head, split, tail);
+                self.maybe_release(ctx, armci, &meta, counters, indices);
                 Some(taken)
             }
             QueueKind::Locked => {
                 armci.lock(ctx, self.locks, 0, ctx.rank());
-                let (head, _, tail) = self.indices_local(ctx, armci);
+                let (head, _, tail) = self.load_indices(&meta);
                 if head <= tail {
                     armci.unlock(ctx, self.locks, 0, ctx.rank());
                     return None;
                 }
                 let h = head - 1;
-                let taken = self.read_slot_local(ctx, armci, h, take);
-                self.write_meta_local(ctx, armci, HEAD, h);
-                self.write_meta_local(ctx, armci, SPLIT, h);
-                ctx.charge_cpu(ctx.latency().local_get);
+                let taken = self.read_slot(&armci.local(ctx, self.slots), h, take);
+                self.write_meta(&meta, HEAD, h);
+                self.write_meta(&meta, SPLIT, h);
+                ctx.charge(ctx.local_get_cost());
                 armci.unlock(ctx, self.locks, 0, ctx.rank());
                 Some(taken)
             }
@@ -325,12 +334,13 @@ impl PatchQueue {
         // Cheap unsynchronized pre-check: `tail` may be stale (thieves only
         // advance it), so a nonzero result here may still vanish under the
         // lock — but zero means definitely nothing to reclaim.
-        let (_, split, tail) = self.indices_local(ctx, armci);
+        let meta = armci.local(ctx, self.meta);
+        let (_, split, tail) = self.load_indices(&meta);
         if split - tail <= 0 {
             return false;
         }
         armci.lock(ctx, self.locks, 0, ctx.rank());
-        let (_, split, tail) = self.indices_local(ctx, armci);
+        let (_, split, tail) = self.load_indices(&meta);
         let avail = split - tail;
         if avail <= 0 {
             armci.unlock(ctx, self.locks, 0, ctx.rank());
@@ -339,8 +349,8 @@ impl PatchQueue {
         // Reclaim half (at least one); no task is copied, only the split
         // pointer moves.
         let take = (avail + 1) / 2;
-        self.write_meta_local(ctx, armci, SPLIT, split - take);
-        ctx.charge_cpu(ctx.latency().local_get);
+        self.write_meta(&meta, SPLIT, split - take);
+        ctx.charge(ctx.local_get_cost());
         armci.unlock(ctx, self.locks, 0, ctx.rank());
         counters
             .splits_reclaimed
@@ -360,25 +370,22 @@ impl PatchQueue {
         &self,
         ctx: &Ctx,
         armci: &Armci,
+        meta: &Local<'_>,
         counters: &RankCounters,
-        head: i64,
-        split: i64,
-        tail: i64,
+        (head, split, tail): (i64, i64, i64),
     ) {
-        if ctx.trace_enabled() {
-            self.record_indices_read(&armci.local(ctx, self.meta));
-        }
+        self.record_indices_read(meta);
         let shared = split - tail;
         let private = head - split;
         if shared >= self.release_threshold || private < 2 {
             return;
         }
         armci.lock(ctx, self.locks, 0, ctx.rank());
-        let (head, split, _) = self.indices_local(ctx, armci);
+        let (head, split, _) = self.load_indices(meta);
         let private = head - split;
         if private >= 2 {
             let give = ((private as f64 * self.release_fraction) as i64).clamp(1, private - 1);
-            self.write_meta_local(ctx, armci, SPLIT, split + give);
+            self.write_meta(meta, SPLIT, split + give);
             counters
                 .splits_released
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -386,7 +393,7 @@ impl PatchQueue {
                 moved: give as u32,
             });
         }
-        ctx.charge_cpu(ctx.latency().local_get);
+        ctx.charge(ctx.local_get_cost());
         armci.unlock(ctx, self.locks, 0, ctx.rank());
     }
 
@@ -473,7 +480,7 @@ impl PatchQueue {
         let k = (self.chunk as i64).min(avail);
         let mut buf = vec![0u8; (k as usize) * self.slot_sz];
         // The ring window [tail, tail+k) is at most two contiguous runs.
-        let start = tail.rem_euclid(self.cap);
+        let start = self.slot_of(tail);
         let run1 = k.min(self.cap - start);
         armci.get(
             ctx,
@@ -929,6 +936,97 @@ mod tests {
                 push(&q, ctx, &armci, i, 1, &c);
             }
         });
+    }
+
+    /// The owner keeps its queue at `max_tasks` while three thieves steal
+    /// from it, for a power-of-two capacity (the masked slot) and another
+    /// (`rem_euclid`): the ring wraps dozens of times under the thieves,
+    /// and every task comes out exactly once.
+    #[test]
+    fn full_queue_under_steal_pressure_loses_and_duplicates_nothing() {
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        for cap in [8usize, 12] {
+            let done = Arc::new(AtomicBool::new(false));
+            let out = Machine::run(MachineConfig::virtual_time(4), move |ctx| {
+                let (armci, q) = setup(ctx, TcConfig::new(16, 3, cap));
+                let c = RankCounters::default();
+                let total = 40 * cap as u32;
+                let mut seen = Vec::new();
+                let mut full = 0;
+                if ctx.rank() == 0 {
+                    let mut next = 0;
+                    while next < total {
+                        let (head, _, tail) = q.indices_local(ctx, &armci);
+                        if head - tail < cap as i64 {
+                            push(&q, ctx, &armci, next, 1, &c);
+                            next += 1;
+                        } else {
+                            // At capacity: let the thieves at it, then make
+                            // room by running one task.
+                            full += 1;
+                            ctx.compute(300);
+                            ctx.yield_point();
+                            match pop_id(&q, ctx, &armci, &c) {
+                                Some(id) => seen.push(id),
+                                None => {
+                                    q.reclaim(ctx, &armci, &c);
+                                }
+                            }
+                        }
+                    }
+                    loop {
+                        match pop_id(&q, ctx, &armci, &c) {
+                            Some(id) => seen.push(id),
+                            None if q.reclaim(ctx, &armci, &c) => {}
+                            None => break,
+                        }
+                    }
+                    done.store(true, Relaxed);
+                } else {
+                    loop {
+                        let stolen = q.steal(ctx, &armci, 0);
+                        if stolen.is_empty() && done.load(Relaxed) {
+                            break;
+                        }
+                        seen.extend(stolen.iter().map(|r| r.header.callback));
+                        ctx.compute(200);
+                    }
+                }
+                (seen, full)
+            });
+            let full: u32 = out.results.iter().map(|r| r.1).sum();
+            assert!(full > 0, "cap={cap}: the queue never reached max_tasks");
+            let stolen: usize = out.results[1..].iter().map(|r| r.0.len()).sum();
+            assert!(stolen > 4 * cap, "cap={cap}: thieves took only {stolen} tasks");
+            let mut all: Vec<u32> = out.results.into_iter().flat_map(|r| r.0).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..40 * cap as u32).collect::<Vec<_>>(), "cap={cap}");
+        }
+    }
+
+    /// One push past `max_tasks` fails with the capacity in the message,
+    /// whichever way the slot is computed.
+    #[test]
+    fn overflow_names_the_capacity_for_either_slot_path() {
+        for cap in [8usize, 12] {
+            let err = std::panic::catch_unwind(|| {
+                Machine::run(MachineConfig::virtual_time(1), move |ctx| {
+                    let (armci, q) = setup(ctx, TcConfig::new(8, 2, cap));
+                    let c = RankCounters::default();
+                    for i in 0..=cap as u32 {
+                        push(&q, ctx, &armci, i, 1, &c);
+                    }
+                })
+            })
+            .expect_err("the push past max_tasks must panic");
+            let text = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            let want = format!("task collection overflow: queue holds {cap} tasks (max_tasks = {cap})");
+            assert!(text.contains(&want), "cap={cap}: {text}");
+        }
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl WaveDetector {
         // shared-state access and therefore a scheduling point (this also
         // keeps idle ranks from monopolizing the virtual-time baton).
         ctx.yield_point();
-        ctx.charge_cpu(ctx.latency().local_get);
+        ctx.charge(ctx.local_get_cost());
 
         // One snapshot of every slot up front; stale values are safe (a
         // missed update is simply picked up by the next poll).

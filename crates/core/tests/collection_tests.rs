@@ -34,7 +34,7 @@ fn run_seeded(
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
                 t.ctx.compute(1_000);
             }),
@@ -105,7 +105,7 @@ fn disabled_load_balancing_keeps_tasks_local() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         );
@@ -133,7 +133,7 @@ fn subtasks_spawned_during_execution_are_processed() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
                 let depth = scioto::wire::get_u64(t.body(), 0);
                 if depth > 0 {
@@ -169,7 +169,7 @@ fn remote_adds_reach_their_target_and_terminate() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         );
@@ -193,7 +193,7 @@ fn collection_is_reusable_after_reset() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         );
@@ -230,7 +230,7 @@ fn task_bodies_travel_intact_through_steals() {
             let h = tc.register(
                 ctx,
                 Arc::new(move |t| {
-                    let s: Arc<Mutex<Vec<u64>>> = t.tc.clo(t.ctx, clo);
+                    let s: &Mutex<Vec<u64>> = t.tc.clo(t.ctx, clo);
                     s.lock().push(scioto::wire::get_u64(t.body(), 0));
                     t.ctx.compute(5_000);
                 }),
@@ -267,7 +267,7 @@ fn affinity_low_tasks_are_stolen_before_affinity_high() {
             let h = tc.register(
                 ctx,
                 Arc::new(move |t| {
-                    let s: Arc<Mutex<Vec<(u64, i32)>>> = t.tc.clo(t.ctx, clo);
+                    let s: &Mutex<Vec<(u64, i32)>> = t.tc.clo(t.ctx, clo);
                     s.lock().push((scioto::wire::get_u64(t.body(), 0), t.affinity()));
                     t.ctx.compute(2_000);
                 }),
@@ -557,7 +557,7 @@ fn bodies_of_every_size_round_trip_through_add_pop_and_steal() {
             let child = tc.register(
                 ctx,
                 Arc::new(move |t| {
-                    let s: Arc<Mutex<Vec<Vec<u8>>>> = t.tc.clo(t.ctx, clo);
+                    let s: &Mutex<Vec<Vec<u8>>> = t.tc.clo(t.ctx, clo);
                     s.lock().push(t.body().to_vec());
                 }),
             );
@@ -568,7 +568,7 @@ fn bodies_of_every_size_round_trip_through_add_pop_and_steal() {
                     let flipped: Vec<u8> = mine.iter().map(|b| !b).collect();
                     t.tc.add(t.ctx, t.ctx.rank(), AFFINITY_HIGH, &Task::new(child, flipped));
                     assert_eq!(t.body(), mine, "a task's body changed under it");
-                    let s: Arc<Mutex<Vec<Vec<u8>>>> = t.tc.clo(t.ctx, clo);
+                    let s: &Mutex<Vec<Vec<u8>>> = t.tc.clo(t.ctx, clo);
                     s.lock().push(mine);
                     t.ctx.compute(3_000);
                 }),

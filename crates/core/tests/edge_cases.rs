@@ -40,7 +40,7 @@ fn single_rank_with_stealing_config_works() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         );
@@ -65,7 +65,7 @@ fn body_at_exact_max_size_is_accepted() {
             Arc::new(move |t| {
                 assert_eq!(t.body().len(), 32);
                 assert!(t.body().iter().all(|&b| b == 0xAB));
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         );
@@ -102,7 +102,7 @@ fn queue_filled_to_capacity_processes_fully() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         );
@@ -128,7 +128,7 @@ fn mixed_affinity_low_remote_seeding() {
             let h = tc.register(
                 ctx,
                 Arc::new(move |t| {
-                    let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                    let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                     c.fetch_add(1, Ordering::Relaxed);
                     t.ctx.compute(2_000);
                 }),
@@ -158,7 +158,7 @@ fn disabled_ldbal_locked_queue_combination() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         );
@@ -198,7 +198,7 @@ fn creator_and_affinity_visible_to_tasks() {
         let h = tc.register(
             ctx,
             Arc::new(move |t| {
-                let s: Arc<scioto_det::sync::Mutex<Vec<(usize, i32)>>> = t.tc.clo(t.ctx, clo);
+                let s: &scioto_det::sync::Mutex<Vec<(usize, i32)>> = t.tc.clo(t.ctx, clo);
                 s.lock().push((t.creator(), t.affinity()));
             }),
         );
@@ -232,7 +232,7 @@ fn concurrent_mode_locked_queue_soak() {
             let h = tc.register(
                 ctx,
                 Arc::new(move |t| {
-                    let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                    let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                     c.fetch_add(1, Ordering::Relaxed);
                 }),
             );

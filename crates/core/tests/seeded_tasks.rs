@@ -46,7 +46,7 @@ fn tasks_execute_exactly_once() {
             let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
             let clo = tc.register_clo(ctx, seen.clone());
             let h = tc.register(ctx, Arc::new(move |t| {
-                let s: Arc<Mutex<Vec<u64>>> = t.tc.clo(t.ctx, clo);
+                let s: &Mutex<Vec<u64>> = t.tc.clo(t.ctx, clo);
                 s.lock().push(scioto::wire::get_u64(t.body(), 0));
                 t.ctx.compute(700);
             }));
@@ -93,7 +93,7 @@ fn recursive_spawns_all_execute() {
             let handle_cell = Arc::new(std::sync::OnceLock::new());
             let hc = handle_cell.clone();
             let h = tc.register(ctx, Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
                 let d = scioto::wire::get_u64(t.body(), 0);
                 t.ctx.compute(300);
@@ -147,7 +147,7 @@ fn reset_cycles_preserve_counts() {
             let executed = Arc::new(AtomicU64::new(0));
             let clo = tc.register_clo(ctx, executed.clone());
             let h = tc.register(ctx, Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, clo);
+                let c: &AtomicU64 = t.tc.clo(t.ctx, clo);
                 c.fetch_add(1, Ordering::Relaxed);
             }));
             let mut per_phase = Vec::new();

@@ -379,7 +379,8 @@ mod tests {
         // epochs, never by timestamp, so a wall-clock (concurrent-mode)
         // trace with large non-reproducible stamps yields the same verdict
         // as its virtual-time twin.
-        let clean = |mk: fn(Vec<Vec<(u64, TraceEvent)>>) -> Trace| {
+        type Stamped = Vec<Vec<(u64, TraceEvent)>>;
+        let clean = |mk: fn(Stamped) -> Trace| {
             mk(vec![
                 vec![
                     (1_234_567, acq(1)),

@@ -11,6 +11,20 @@ use crate::kernel::Kernel;
 use crate::machine::{ReplicatedEntry, Shared};
 use crate::trace::TraceEvent;
 
+/// A CPU charge already scaled by one rank's speed factor, made by that
+/// rank's [`Ctx::cpu_cost`] and added by its [`Ctx::charge`]. A hot path
+/// that charges the same amount over and over pays the float rounding of
+/// the scaling once per rank instead of once per charge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpuCost(u64);
+
+impl CpuCost {
+    /// `k` back-to-back charges of this cost, as one charge.
+    pub fn times(self, k: u64) -> CpuCost {
+        CpuCost(self.0 * k)
+    }
+}
+
 /// The per-rank execution context.
 ///
 /// A `Ctx` is created by [`crate::Machine::run`] for each simulated process
@@ -35,11 +49,18 @@ pub struct Ctx {
     /// Set while this rank runs a [`Ctx::replicated`] `make`; every
     /// scheduling point asserts it is clear.
     in_replicated: Cell<bool>,
+    /// The latency model's per-operation queue charges, scaled for this
+    /// rank once.
+    local_insert: CpuCost,
+    local_get: CpuCost,
 }
 
 impl Ctx {
     pub(crate) fn new(rank: usize, kernel: Arc<Kernel>, shared: Arc<Shared>, seed: u64) -> Self {
         let nranks = kernel.nranks();
+        let scaled = |ns| CpuCost(kernel.scale_cpu(rank, ns));
+        let local_insert = scaled(shared.latency.local_insert);
+        let local_get = scaled(shared.latency.local_get);
         Ctx {
             rank,
             nranks,
@@ -54,6 +75,8 @@ impl Ctx {
             epoch_depth: Cell::new(0),
             repl_ordinal: Cell::new(0),
             in_replicated: Cell::new(false),
+            local_insert,
+            local_get,
         }
     }
 
@@ -105,6 +128,32 @@ impl Ctx {
     /// Charge `ns` nanoseconds of CPU work (alias of [`Ctx::compute`]).
     pub fn charge_cpu(&self, ns: u64) {
         self.kernel.charge_cpu(self.rank, ns);
+    }
+
+    /// `ns` nanoseconds of CPU work scaled by this rank's speed factor,
+    /// to be charged later, possibly many times, with [`Ctx::charge`].
+    /// Charging it is exactly [`Ctx::compute`]`(ns)`.
+    pub fn cpu_cost(&self, ns: u64) -> CpuCost {
+        CpuCost(self.kernel.scale_cpu(self.rank, ns))
+    }
+
+    /// Charge a CPU cost this rank scaled with [`Ctx::cpu_cost`].
+    /// Rank-private: no scheduling point.
+    #[inline]
+    pub fn charge(&self, cost: CpuCost) {
+        self.kernel.charge_scaled(self.rank, cost.0);
+    }
+
+    /// [`LatencyModel::local_insert`], scaled for this rank.
+    #[inline]
+    pub fn local_insert_cost(&self) -> CpuCost {
+        self.local_insert
+    }
+
+    /// [`LatencyModel::local_get`], scaled for this rank.
+    #[inline]
+    pub fn local_get_cost(&self) -> CpuCost {
+        self.local_get
     }
 
     /// Charge `ns` nanoseconds of network time (not scaled by CPU speed).
@@ -395,6 +444,34 @@ mod tests {
     use crate::trace::TraceConfig;
     use crate::{Machine, VLock};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A cost scaled once charges what `compute` charges each time, on
+    /// every speed factor the shipped models use, and `k` back-to-back
+    /// charges of it are one charge of `times(k)`.
+    #[test]
+    fn a_cpu_cost_charges_what_compute_charges() {
+        let cfg = MachineConfig::virtual_time(2).with_speed(SpeedModel::hetero_cluster(2));
+        let out = Machine::run(cfg, |ctx| {
+            let mut clocks = Vec::new();
+            for ns in [100, 200, 316, 1_000_003] {
+                let t0 = ctx.now();
+                ctx.compute(ns);
+                ctx.compute(ns);
+                ctx.compute(ns);
+                let t1 = ctx.now();
+                ctx.charge(ctx.cpu_cost(ns).times(3));
+                clocks.push((t1 - t0, ctx.now() - t1));
+            }
+            let queue_ops = (ctx.local_insert_cost(), ctx.local_get_cost());
+            let scaled = (ctx.cpu_cost(ctx.latency().local_insert), ctx.cpu_cost(ctx.latency().local_get));
+            assert_eq!(queue_ops, scaled);
+            clocks
+        });
+        for clocks in &out.results {
+            assert!(clocks.iter().all(|(a, b)| a == b), "{clocks:?}");
+        }
+        assert_ne!(out.results[0], out.results[1], "the two ranks run at different speeds");
+    }
 
     /// A pure stand-in for "the same dense algebra on every rank".
     fn table(seed: u64) -> Vec<u64> {

@@ -158,8 +158,12 @@ pub(crate) struct FiberSet {
     /// Called on the fiber after its task returns (`run_fibers` hangs
     /// `kernel.finish(rank)` here). Stored as a raw-pointer-callable box so
     /// the suspended exit frame owns nothing (see module protocol).
-    exit: RefCell<Option<Box<dyn Fn(usize)>>>,
+    exit: RefCell<Option<ExitHook>>,
 }
+
+/// What [`FiberSet::set_exit`] installs: called with the finished fiber's
+/// index.
+type ExitHook = Box<dyn Fn(usize)>;
 
 impl FiberSet {
     /// Build `n` fibers, each with a `stack_size`-byte stack primed to run

@@ -10,7 +10,8 @@
 //! in lexicographic order, which reproduces the historical "lowest rank
 //! among minimum clocks" scan exactly. Heap keys are never stale — a rank's
 //! clock only moves while it is `Running` (self-charges) or on the
-//! `Blocked -> Runnable` transition, which pushes the fresh key.
+//! `Blocked -> Runnable` transition, which pushes the fresh key. A yield
+//! costs at most one heap operation ([`Kernel::yield_point`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -254,11 +255,24 @@ impl Kernel {
         }
     }
 
+    /// `ns` of *CPU* time on `rank`, scaled by its speed factor.
+    pub(crate) fn scale_cpu(&self, rank: usize, ns: u64) -> u64 {
+        scale_ns(ns, self.speed[rank])
+    }
+
     /// Advance `rank`'s clock by `ns` of *CPU* time, scaled by its speed
     /// factor. No scheduling point: CPU work is rank-private.
     pub(crate) fn charge_cpu(&self, rank: usize, ns: u64) {
         if self.mode == ExecMode::VirtualTime && ns > 0 {
-            self.charge(rank, scale_ns(ns, self.speed[rank]));
+            self.charge(rank, self.scale_cpu(rank, ns));
+        }
+    }
+
+    /// Advance `rank`'s clock by `ns` of CPU time it already scaled
+    /// ([`Kernel::scale_cpu`]).
+    pub(crate) fn charge_scaled(&self, rank: usize, ns: u64) {
+        if self.mode == ExecMode::VirtualTime {
+            self.charge(rank, ns);
         }
     }
 
@@ -301,18 +315,20 @@ impl Kernel {
             return;
         }
         self.events.yields.fetch_add(1, Ordering::Relaxed);
+        let key = (self.clocks[rank].load(Ordering::Relaxed), rank);
         let mut s = self.sched.lock();
         debug_assert_eq!(s.status[rank], Status::Running);
+        // One heap operation: the yielding rank's event replaces the
+        // minimum in place when that minimum is earlier, and when the
+        // yielding rank is itself the minimum `(clock, rank)` it keeps the
+        // baton without touching the heap. Either way the dispatch is the
+        // one a push followed by a pop would make.
+        let next = match s.heap.peek_mut() {
+            Some(mut top) if top.0 < key => std::mem::replace(&mut *top, Reverse(key)).0 .1,
+            _ => return,
+        };
+        debug_assert_eq!(s.status[next], Status::Runnable);
         s.status[rank] = Status::Runnable;
-        let clock = self.clocks[rank].load(Ordering::Relaxed);
-        s.heap.push(Reverse((clock, rank)));
-        let next = self
-            .pop_next(&mut s)
-            .expect("dispatch heap lost the yielding rank");
-        if next == rank {
-            s.status[rank] = Status::Running;
-            return;
-        }
         s.status[next] = Status::Running;
         drop(s);
         self.switch_and_check(next);
@@ -699,6 +715,53 @@ mod tests {
         });
         assert_eq!(out.results, vec![100, 150]);
         assert_eq!(out.report.rank_clock_ns, vec![100, 150]);
+    }
+
+    /// Ranks yielding at equal clocks are dispatched lowest rank first,
+    /// and a yield by the rank that is still the minimum `(clock, rank)`
+    /// keeps the baton — no switch — while counting as a yield like any
+    /// other.
+    #[test]
+    fn equal_clocks_dispatch_lowest_rank_first_and_the_minimum_keeps_the_baton() {
+        use std::sync::Arc;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ranks_log = Arc::clone(&log);
+        let out = Machine::run(MachineConfig::virtual_time(4), move |ctx| {
+            let me = ctx.rank();
+            for _ in 0..3 {
+                ranks_log.lock().push(me);
+                ctx.charge_cpu(100);
+                ctx.yield_point();
+            }
+            // Every clock is now 300 and rank 0 holds the baton: as the
+            // minimum it keeps running through its own yields.
+            if me == 0 {
+                for _ in 0..5 {
+                    ranks_log.lock().push(me);
+                    ctx.yield_point();
+                }
+            }
+            ranks_log.lock().push(me);
+        });
+        let round = [0, 1, 2, 3];
+        let mut want: Vec<usize> = round.repeat(3);
+        want.extend([0; 6]);
+        want.extend([1, 2, 3]);
+        assert_eq!(*log.lock(), want);
+        assert_eq!(out.report.events.yields, 4 * 3 + 5);
+        assert_eq!(out.report.rank_clock_ns, vec![300; 4]);
+    }
+
+    #[test]
+    fn a_yield_by_the_minimum_leaves_the_heap_alone() {
+        let k = vt_kernel(3);
+        k.yield_point(0);
+        k.yield_point(0);
+        let s = k.sched.lock();
+        assert_eq!(s.status, vec![Status::Running, Status::Runnable, Status::Runnable]);
+        let heap: Vec<_> = s.heap.clone().into_sorted_vec();
+        assert_eq!(heap, vec![Reverse((0, 2)), Reverse((0, 1))]);
+        assert_eq!(k.events.snapshot().yields, 2);
     }
 
     #[test]

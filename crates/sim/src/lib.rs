@@ -53,7 +53,7 @@ pub use barrier::SimBarrier;
 pub use config::{
     ring_distance, BarrierKind, ExecMode, LatencyModel, LatencyTiers, MachineConfig, SpeedModel,
 };
-pub use ctx::Ctx;
+pub use ctx::{CpuCost, Ctx};
 pub use machine::{Machine, RunOutput};
 pub use mailbox::{MailboxRouter, Msg, MsgFilter};
 pub use replay::{event_dur, run_replay, ReplayOp, ReplayProgram, ReplaySync};

@@ -154,7 +154,7 @@ fn run_threads<R, F>(
     F: Fn(&Ctx) -> R + Send + Sync,
 {
     std::thread::scope(|scope| {
-        for rank in 0..cfg.ranks {
+        for (rank, slot) in results.iter().enumerate() {
             let kernel = Arc::clone(kernel);
             let shared = Arc::clone(shared);
             let seed = cfg.seed;
@@ -165,7 +165,7 @@ fn run_threads<R, F>(
                     let ctx = Ctx::new(rank, Arc::clone(&kernel), shared, seed);
                     match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
                         Ok(v) => {
-                            *results[rank].lock() = Some(v);
+                            *slot.lock() = Some(v);
                             kernel.finish(rank);
                         }
                         Err(payload) => {
@@ -195,7 +195,7 @@ fn run_fibers<R, F>(
 {
     let n = cfg.ranks;
     let mut fs = fiber::FiberSet::new(n, cfg.stack_size);
-    for rank in 0..n {
+    for (rank, slot) in results.iter().enumerate() {
         let kernel = Arc::clone(kernel);
         let shared = Arc::clone(shared);
         let seed = cfg.seed;
@@ -207,7 +207,7 @@ fn run_fibers<R, F>(
                 kernel.check_poison();
                 f(&ctx)
             })) {
-                Ok(v) => *results[rank].lock() = Some(v),
+                Ok(v) => *slot.lock() = Some(v),
                 Err(payload) => {
                     store_payload(panic_payload, payload);
                     kernel.poison();

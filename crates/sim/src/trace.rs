@@ -714,7 +714,7 @@ impl VtHistogram {
     /// the summary fields. Used by the JSONL re-parser; rejects bucket
     /// indices out of range or a ragged pair array.
     pub fn from_parts(sparse: &[u64], count: u64, sum: u64, min: u64, max: u64) -> Option<Self> {
-        if sparse.len() % 2 != 0 {
+        if !sparse.len().is_multiple_of(2) {
             return None;
         }
         let mut h = VtHistogram {

@@ -203,7 +203,7 @@ pub fn run_contraction(ctx: &Ctx, cfg: &ContractionConfig) -> (ContractionReport
                     let r = u32::from_le_bytes(t.body()[0..4].try_into().expect("4")) as usize;
                     let col = u32::from_le_bytes(t.body()[4..8].try_into().expect("4")) as usize;
                     let m = run_tile_task(t.ctx, &ga2, &a2, &b2, &c2, r, col);
-                    let counter: Arc<std::sync::atomic::AtomicU64> = t.tc.clo(t.ctx, mult_clo);
+                    let counter: &std::sync::atomic::AtomicU64 = t.tc.clo(t.ctx, mult_clo);
                     counter.fetch_add(m, std::sync::atomic::Ordering::Relaxed);
                 }),
             );

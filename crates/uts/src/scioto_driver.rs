@@ -2,9 +2,8 @@
 //! accumulated in a common local object (exactly the structure described
 //! in §6.2 of the paper).
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-use scioto_det::sync::Mutex;
 
 use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_armci::Armci;
@@ -36,6 +35,34 @@ impl SciotoUtsConfig {
     }
 }
 
+/// One rank's partial statistics, the common local object its tasks
+/// update. Only tasks executing on the owning rank touch it, one at a time,
+/// so a Relaxed load and store per field is a complete update: no lock.
+#[derive(Default)]
+struct RankStats {
+    nodes: AtomicU64,
+    leaves: AtomicU64,
+    max_depth: AtomicU64,
+}
+
+impl RankStats {
+    fn load(&self) -> TreeStats {
+        TreeStats {
+            nodes: self.nodes.load(Relaxed),
+            leaves: self.leaves.load(Relaxed),
+            max_depth: self.max_depth.load(Relaxed),
+        }
+    }
+
+    fn visit(&self, depth: u32, n_children: u32) {
+        let mut s = self.load();
+        s.visit(depth, n_children);
+        self.nodes.store(s.nodes, Relaxed);
+        self.leaves.store(s.leaves, Relaxed);
+        self.max_depth.store(s.max_depth, Relaxed);
+    }
+}
+
 /// Run UTS on an already-running machine. Collective. Returns this rank's
 /// partial tree statistics and its task-collection statistics.
 pub fn run_scioto_uts(ctx: &Ctx, cfg: &SciotoUtsConfig) -> (TreeStats, scioto::ProcessStats) {
@@ -44,22 +71,22 @@ pub fn run_scioto_uts(ctx: &Ctx, cfg: &SciotoUtsConfig) -> (TreeStats, scioto::P
 
     // Common local object: this rank's partial statistics (§2.3 — "common
     // local objects are used to accumulate the tree statistics").
-    let stats = Arc::new(Mutex::new(TreeStats::default()));
+    let stats = Arc::new(RankStats::default());
     let stats_clo = tc.register_clo(ctx, stats.clone());
 
     // The callback spawns children through its own handle.
     let self_handle = Arc::new(std::sync::OnceLock::new());
     let handle_ref = self_handle.clone();
     let params = cfg.params;
-    let node_cost = cfg.node_cost_ns;
+    // This rank's instance of the callback charges this rank's scaling.
+    let node_cost = ctx.cpu_cost(cfg.node_cost_ns);
     let h = tc.register(
         ctx,
         Arc::new(move |t| {
             let node = Node::decode(t.body());
             let kids = params.num_children(&node);
-            let stats: Arc<Mutex<TreeStats>> = t.tc.clo(t.ctx, stats_clo);
-            stats.lock().visit(node.depth, kids);
-            t.ctx.compute(node_cost);
+            t.tc.clo::<RankStats>(t.ctx, stats_clo).visit(node.depth, kids);
+            t.ctx.charge(node_cost);
             if kids > 0 {
                 let h = *handle_ref.get().expect("handle registered before use");
                 let me = t.ctx.rank();
@@ -78,8 +105,7 @@ pub fn run_scioto_uts(ctx: &Ctx, cfg: &SciotoUtsConfig) -> (TreeStats, scioto::P
         tc.add(ctx, 0, AFFINITY_HIGH, &Task::new(h, root.encode().to_vec()));
     }
     let pstats = tc.process(ctx);
-    let local = *stats.lock();
-    (local, pstats)
+    (stats.load(), pstats)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ fn main() {
         let hello = tc.register(
             ctx,
             Arc::new(move |t| {
-                let my_counter: Arc<AtomicU64> = t.tc.clo(t.ctx, done_clo);
+                let my_counter: &AtomicU64 = t.tc.clo(t.ctx, done_clo);
                 let payload = scioto::wire::get_u64(t.body(), 0);
                 my_counter.fetch_add(payload, Ordering::Relaxed);
                 t.ctx.compute(10_000); // 10 µs of "work"

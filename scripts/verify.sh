@@ -91,15 +91,13 @@ stage "cargo build --release --offline"
 # both executables (`scioto`, `scioto-lint`).
 cargo build --release --offline
 
-stage "cargo clippy --workspace --offline (errors fail, warnings counted)"
-# Clippy's deny-level lints (likely bugs: out-of-bounds indexing, wrong
-# comparisons) fail the run; its warn-level style lints are counted and
-# left for clean-up, not gated.
+stage "cargo clippy --workspace --offline -- -D warnings"
+# Every clippy lint fails the run, its warn-level style lints included:
+# the workspace is clippy-clean and stays so.
 t0=$(now_ms)
-cargo clippy --workspace --offline 2> "$work/clippy.txt" \
-    || { cat "$work/clippy.txt" >&2; echo "FAIL: cargo clippy reported errors" >&2; exit 1; }
-clippy_warnings=$(grep '^warning: ' "$work/clippy.txt" | grep -vc ' generated [0-9]* warning' || true)
-echo "ok: clippy reported no errors ($clippy_warnings warnings) in" \
+cargo clippy --workspace --offline -- -D warnings 2> "$work/clippy.txt" \
+    || { cat "$work/clippy.txt" >&2; echo "FAIL: cargo clippy reported warnings or errors" >&2; exit 1; }
+echo "ok: clippy reported nothing in" \
     "$(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s"
 
 stage "cargo test -q --offline (tier-1)"

@@ -238,7 +238,7 @@ fn multiple_collections_in_one_program() {
         let h2 = tc2.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, scioto::CloHandle(0));
+                let c: &AtomicU64 = t.tc.clo(t.ctx, scioto::CloHandle(0));
                 c.fetch_add(100, Ordering::Relaxed);
             }),
         );
@@ -247,7 +247,7 @@ fn multiple_collections_in_one_program() {
         let h1 = tc1.register(
             ctx,
             Arc::new(move |t| {
-                let c: Arc<AtomicU64> = t.tc.clo(t.ctx, scioto::CloHandle(0));
+                let c: &AtomicU64 = t.tc.clo(t.ctx, scioto::CloHandle(0));
                 c.fetch_add(1, Ordering::Relaxed);
                 // While tc1 is processing, tasks may be added to tc2.
                 tc2_ref.add(t.ctx, t.ctx.rank(), AFFINITY_HIGH, &Task::new(h2, vec![]));
