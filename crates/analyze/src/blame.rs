@@ -1,15 +1,16 @@
 //! Blame decomposition: attribute every virtual nanosecond of a rank's
 //! elapsed time to exactly one [`Category`].
 //!
-//! The sweep walks the rank's spans (sorted by start, outermost first on
-//! ties) with an explicit nesting stack and charges each instant to the
-//! *innermost* covering span — so a lock wait nested in a steal attempt
-//! counts as lock time, not steal time, and the parent's category only
-//! gets the remainder. Time covered by no span is idle. By construction
-//! the six category totals sum **exactly** to the rank's elapsed time
-//! (the invariant pinned by `tests/cross_crate.rs`).
+//! The rank's [`SpanIndex`] already names the innermost span of every
+//! elementary interval (the rule is in [`crate::timeline`]), so blame is
+//! one pass over those intervals: each is clipped to `[0, elapsed]` and
+//! charged to its innermost span's category. A lock wait nested in a
+//! steal attempt counts as lock time, and the steal only gets the
+//! remainder. Idle is whatever is left of `elapsed`, so the six category
+//! totals sum **exactly** to the rank's elapsed time (the invariant
+//! pinned by `tests/cross_crate.rs`).
 
-use crate::timeline::{Category, Span, CATEGORIES};
+use crate::timeline::{Category, Lookup, Span, SpanIndex, CATEGORIES};
 
 /// Per-category virtual-ns totals for one rank (or aggregated).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,7 +30,7 @@ impl Blame {
         self.ns.iter().sum()
     }
 
-    /// Directly charge `ns` to `cat` (used by the critical-path walk).
+    /// Directly charge `ns` to `cat`.
     pub(crate) fn charge(&mut self, cat: Category, ns: u64) {
         self.ns[cat.index()] += ns;
     }
@@ -43,78 +44,33 @@ impl Blame {
 }
 
 /// Decompose `elapsed` virtual ns of one rank into category totals given
-/// its spans. Spans are clipped to `[0, elapsed]`; overlapping
-/// non-nested spans (which well-formed traces do not produce) are
-/// resolved by clamping the later span to the earlier one's end, keeping
-/// the sum exact.
+/// its spans. Time past `elapsed` is not counted. Spans that overlap
+/// without nesting (which recorded traces do not produce) still follow
+/// the innermost-span rule, so the sum stays exact.
 pub fn decompose(spans: &[Span], elapsed: u64) -> Blame {
-    let mut sp: Vec<Span> = spans
-        .iter()
-        .map(|s| Span {
-            cat: s.cat,
-            start: s.start.min(elapsed),
-            end: s.end.min(elapsed),
-        })
-        .filter(|s| !s.is_empty())
-        .collect();
-    sp.sort_by(|a, b| a.start.cmp(&b.start).then(b.end.cmp(&a.end)));
-
-    let mut blame = Blame::default();
-    let mut stack: Vec<Span> = Vec::new();
-    let mut t = 0u64;
-    let mut i = 0usize;
-    loop {
-        let next_start = sp.get(i).map(|s| s.start);
-        let top = stack.last().copied();
-        match (next_start, top) {
-            (Some(start), top) if top.is_none_or(|p| start < p.end) => {
-                attribute(&mut blame, top, t, start, t);
-                t = t.max(start);
-                let mut s = sp[i];
-                if let Some(p) = top {
-                    // Defensive clamp for improper overlap.
-                    s.end = s.end.min(p.end);
-                }
-                if s.start < s.end {
-                    stack.push(s);
-                }
-                i += 1;
-            }
-            (_, Some(p)) => {
-                attribute(&mut blame, Some(p), t, p.end, t);
-                t = t.max(p.end);
-                stack.pop();
-            }
-            // `(Some(_), None)` always takes the first arm (its guard is
-            // vacuously true with no parent), so only `(None, None)` lands
-            // here.
-            _ => break,
-        }
-    }
-    if elapsed > t {
-        blame.ns[Category::Idle.index()] += elapsed - t;
-    }
-    blame
+    sum_intervals(spans, &SpanIndex::build(spans), elapsed)
 }
 
-/// Charge `[from, to)` to `covering` (idle when `None`), ignoring empty
-/// or inverted intervals. `t` is the sweep's current time; only the part
-/// at or after it counts.
-fn attribute(blame: &mut Blame, covering: Option<Span>, from: u64, to: u64, t: u64) {
-    let from = from.max(t);
-    if to <= from {
-        return;
+/// Sum `index`'s elementary intervals, clipped to `[0, elapsed]`, by the
+/// category of their innermost span; idle is the remainder.
+pub(crate) fn sum_intervals(spans: &[Span], index: &SpanIndex, elapsed: u64) -> Blame {
+    let mut blame = Blame::default();
+    for (lo, hi, innermost) in index.intervals() {
+        if let Some(i) = innermost {
+            blame.charge(spans[i].cat, hi.min(elapsed) - lo.min(elapsed));
+        }
     }
-    let cat = covering.map_or(Category::Idle, |s| s.cat);
-    blame.ns[cat.index()] += to - from;
+    blame.charge(Category::Idle, elapsed - blame.total());
+    blame
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::LinearScan;
 
     fn span(cat: Category, start: u64, end: u64) -> Span {
-        Span { cat, start, end }
+        Span { cat, event: 0, start, end }
     }
 
     #[test]
@@ -168,9 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn improper_overlap_keeps_sum_exact() {
-        // [0,10] and [5,15] do not nest; the sweep clamps but never double
-        // counts or loses the invariant.
+    fn overlap_without_nesting_charges_the_later_start_and_keeps_sum_exact() {
+        // [0,10] and [5,15] do not nest; the later start covers (5,15].
         let spans = [
             span(Category::Exec, 0, 10),
             span(Category::Steal, 5, 15),
@@ -178,8 +133,23 @@ mod tests {
         let b = decompose(&spans, 20);
         assert_eq!(b.total(), 20);
         assert_eq!(b.get(Category::Exec), 5);
-        assert_eq!(b.get(Category::Steal), 5);
-        assert_eq!(b.get(Category::Idle), 10);
+        assert_eq!(b.get(Category::Steal), 10);
+        assert_eq!(b.get(Category::Idle), 5);
+    }
+
+    #[test]
+    fn equal_starts_charge_the_shorter_span() {
+        // A lock wait that starts with its steal attempt is inside it,
+        // whichever of the two was emitted first.
+        for spans in [
+            [span(Category::Lock, 10, 20), span(Category::Steal, 10, 50)],
+            [span(Category::Steal, 10, 50), span(Category::Lock, 10, 20)],
+        ] {
+            let b = decompose(&spans, 50);
+            assert_eq!(b.get(Category::Lock), 10);
+            assert_eq!(b.get(Category::Steal), 30);
+            assert_eq!(b.get(Category::Idle), 10);
+        }
     }
 
     #[test]
@@ -202,5 +172,55 @@ mod tests {
         assert_eq!(a.get(Category::Steal), 4);
         assert_eq!(a.get(Category::Idle), 6);
         assert_eq!(a.total(), 20);
+    }
+
+    /// Blame by the oracle: every elementary interval, clipped to
+    /// `elapsed`, charged to the span [`LinearScan`] finds covering it.
+    fn oracle_blame(spans: &[Span], elapsed: u64) -> Blame {
+        let mut bounds: Vec<u64> = spans.iter().flat_map(|s| [s.start, s.end]).collect();
+        bounds.sort();
+        bounds.dedup();
+        let mut blame = Blame::default();
+        for b in bounds.windows(2) {
+            if let Some(i) = LinearScan.covering(spans, b[1]) {
+                blame.charge(spans[i].cat, b[1].min(elapsed) - b[0].min(elapsed));
+            }
+        }
+        blame.charge(Category::Idle, elapsed - blame.total());
+        blame
+    }
+
+    #[test]
+    fn decompose_matches_the_oracle_on_seeded_span_soups() {
+        for seed in 0..500 {
+            let mut r = crate::jsonl::tests::Mix(seed);
+            // Spans that nest, overlap, share starts and ends and have
+            // zero length; `elapsed` sometimes cuts them.
+            let spans: Vec<Span> = (0..1 + r.below(40))
+                .map(|_| {
+                    let start = r.below(60) as u64;
+                    let cat = CATEGORIES[r.below(CATEGORIES.len() - 1)];
+                    span(cat, start, start + [0, 1, 5, 20, 50][r.below(5)])
+                })
+                .collect();
+            let elapsed = r.below(120) as u64;
+            assert_eq!(decompose(&spans, elapsed), oracle_blame(&spans, elapsed), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn decompose_matches_the_oracle_on_recorded_uts_runs() {
+        use crate::timeline::tests::uts_recording;
+        use scioto::VictimPolicy;
+        use scioto_sim::{LatencyModel, MachineConfig};
+        for victim in [VictimPolicy::Uniform, VictimPolicy::Locality] {
+            let cfg = MachineConfig::virtual_time(16).with_latency(LatencyModel::cluster());
+            let t = uts_recording(cfg, scioto_uts::presets::tiny(), victim);
+            for r in 0..t.nranks() {
+                let spans = crate::spans_for_rank(t.events_for(r));
+                let elapsed = t.elapsed_ns(r);
+                assert_eq!(decompose(&spans, elapsed), oracle_blame(&spans, elapsed), "{victim:?}, rank {r}");
+            }
+        }
     }
 }

@@ -19,20 +19,19 @@
 //! output is the path's *composition*: how much of the end-to-end time
 //! is task execution (inherently serial work), steal/lock/barrier/TD
 //! overhead, or idle (parallelism shortage), plus the top-k longest
-//! segments. `total_work_ns` is the T1 analogue (all ranks' exec
-//! self-time); `parallelism` is their ratio.
+//! segments. `total_work_ns` is the T1 analogue (the time all ranks
+//! spent inside tasks); `parallelism` is their ratio.
 //!
-//! Each rank's spans are indexed once (`SpanIndex`: sorted span ends
-//! and the innermost span per elementary interval), so a backward step
-//! is two binary searches and the walk costs
-//! O((spans + path) · log spans).
-
-use std::collections::BinaryHeap;
+//! The walk reads each rank's [`Timeline`]: the spans and the index
+//! that blame reads too, built once per rank per report. The innermost
+//! span at an instant follows the one rule in [`crate::timeline`], and a
+//! span's edge comes from the event that closed it. A backward step is
+//! two binary searches, so the walk costs O((spans + path) · log spans).
 
 use scioto_sim::{Trace, TraceEvent};
 
 use crate::blame::Blame;
-use crate::timeline::{Category, Span};
+use crate::timeline::{Category, Lookup, Timeline};
 
 /// One maximal same-rank, same-category stretch of the critical path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +63,8 @@ impl PathSegment {
 pub struct CritPath {
     /// Walk length — equals the makespan by construction.
     pub length_ns: u64,
-    /// Sum of exec self-time across all ranks (the T1 analogue).
+    /// Time covered by exec spans, summed over all ranks (the T1
+    /// analogue).
     pub total_work_ns: u64,
     /// Longest single task execution span anywhere in the trace.
     pub max_task_ns: u64,
@@ -96,119 +96,24 @@ impl CritPath {
     }
 }
 
-/// What the walk does when it reaches a span's start.
-#[derive(Clone, Copy, Debug)]
-enum Jump {
-    Stay,
-    StealFrom(u32),
-    Lock(u32),
-    /// Barrier episode index counted from the *end* of the rank's
-    /// BarrierWait list (drops truncate rings from the front, and every
-    /// rank completes the same trailing episodes).
-    Barrier(usize),
-}
-
-#[derive(Clone, Copy, Debug)]
-struct WalkSpan {
-    span: Span,
-    jump: Jump,
-}
-
-/// How the walk finds, on one rank, the innermost span covering the
-/// instant just before `t` and, when none does, the latest span end
-/// before `t`.
-trait Lookup {
-    fn build(spans: &[WalkSpan]) -> Self;
-    /// Index into `spans` of the covering span with the latest start
-    /// (`start < t <= end`; a tie goes to the last pushed).
-    fn covering(&self, spans: &[WalkSpan], t: u64) -> Option<usize>;
-    /// The latest span end strictly before `t`, or 0.
-    fn prev_end(&self, spans: &[WalkSpan], t: u64) -> u64;
-}
-
-/// One rank's spans indexed once, so that each step of the walk is a
-/// binary search instead of a scan of the rank's spans.
-struct SpanIndex {
-    /// Every span end, ascending.
-    ends: Vec<u64>,
-    /// Every distinct span start and end, ascending. Across an
-    /// elementary interval `bounds[i] < t <= bounds[i + 1]` the set of
-    /// spans covering the instant before `t` does not change.
-    bounds: Vec<u64>,
-    /// Per elementary interval, the innermost covering span, or
-    /// [`SpanIndex::NONE`].
-    innermost: Vec<u32>,
-}
-
-impl SpanIndex {
-    const NONE: u32 = u32::MAX;
-}
-
-impl Lookup for SpanIndex {
-    /// One sweep over the elementary intervals with a max-heap of the
-    /// spans opened so far, keyed on (start, push index) — the later-
-    /// pushed span wins a tie, as in `max_by_key`. A span that ended is
-    /// dropped when it reaches the top. O(spans · log spans).
-    fn build(spans: &[WalkSpan]) -> Self {
-        // Spans are pushed at their end event, so every key below is
-        // nearly sorted already: the run-adaptive stable sort is linear
-        // on most of it.
-        let mut ends: Vec<u64> = spans.iter().map(|w| w.span.end).collect();
-        ends.sort();
-        let mut bounds: Vec<u64> = spans.iter().flat_map(|w| [w.span.start, w.span.end]).collect();
-        bounds.sort();
-        bounds.dedup();
-        let mut by_start: Vec<(u64, u32)> =
-            spans.iter().enumerate().map(|(i, w)| (w.span.start, i as u32)).collect();
-        by_start.sort();
-        let mut by_start = by_start.into_iter().peekable();
-        let mut open: BinaryHeap<(u64, u32)> = BinaryHeap::new();
-        let innermost = bounds
-            .windows(2)
-            .map(|b| {
-                while let Some(opened) = by_start.next_if(|&(start, _)| start <= b[0]) {
-                    open.push(opened);
-                }
-                while open.peek().is_some_and(|&(_, i)| spans[i as usize].span.end < b[1]) {
-                    open.pop();
-                }
-                open.peek().map_or(Self::NONE, |&(_, i)| i)
-            })
-            .collect();
-        SpanIndex { ends, bounds, innermost }
-    }
-
-    fn covering(&self, _: &[WalkSpan], t: u64) -> Option<usize> {
-        // `bounds[i - 1] < t <= bounds[i]` names elementary interval i - 1.
-        let i = self.bounds.partition_point(|&b| b < t);
-        let span = *self.innermost.get(i.checked_sub(1)?)?;
-        (span != Self::NONE).then_some(span as usize)
-    }
-
-    fn prev_end(&self, _: &[WalkSpan], t: u64) -> u64 {
-        let i = self.ends.partition_point(|&e| e < t);
-        i.checked_sub(1).map_or(0, |i| self.ends[i])
-    }
-}
-
-/// Extract the critical path of `trace`.
-pub fn analyze(trace: &Trace) -> CritPath {
-    walk::<SpanIndex>(trace)
-}
-
-fn walk<L: Lookup>(trace: &Trace) -> CritPath {
+/// Walk `trace` backward from its makespan over its ranks' timelines.
+pub(crate) fn walk<L: Lookup>(trace: &Trace, timelines: &[Timeline<L>]) -> CritPath {
     let n = trace.nranks();
-    let mut spans: Vec<Vec<WalkSpan>> = Vec::with_capacity(n);
-    let mut barriers: Vec<Vec<(u64, u64)>> = Vec::with_capacity(n);
-    let mut total_work_ns = 0u64;
-    let mut max_task_ns = 0u64;
-    for events in &trace.events {
-        let (s, b, work, max_task) = rank_walk_spans(events);
-        total_work_ns += work;
-        max_task_ns = max_task_ns.max(max_task);
-        spans.push(s);
-        barriers.push(b);
-    }
+    // Each rank's barrier episodes in emission order: (span index, arrival).
+    let barriers: Vec<Vec<(usize, u64)>> = timelines
+        .iter()
+        .map(|tl| {
+            let spans = tl.spans.iter().enumerate();
+            spans.filter(|(_, s)| s.cat == Category::Barrier).map(|(i, s)| (i, s.start)).collect()
+        })
+        .collect();
+    let max_task_ns = timelines
+        .iter()
+        .flat_map(|tl| &tl.spans)
+        .filter(|s| s.cat == Category::Exec)
+        .map(|s| s.len())
+        .max()
+        .unwrap_or(0);
 
     let elapsed: Vec<u64> = (0..n).map(|r| trace.elapsed_ns(r)).collect();
     let start_rank = (0..n)
@@ -218,12 +123,11 @@ fn walk<L: Lookup>(trace: &Trace) -> CritPath {
 
     let mut out = CritPath {
         length_ns: makespan,
-        total_work_ns,
+        total_work_ns: timelines.iter().map(|tl| tl.exec_ns).sum(),
         max_task_ns,
         ..CritPath::default()
     };
 
-    let index: Vec<L> = spans.iter().map(|s| L::build(s)).collect();
     let mut rank = start_rank;
     let mut t = makespan;
     let budget = 10 * trace.total_events() + 1_000;
@@ -238,32 +142,39 @@ fn walk<L: Lookup>(trace: &Trace) -> CritPath {
             raw.push(PathSegment { rank: rank as u32, cat: Category::Idle, start: 0, end: t });
             break;
         }
-        let covering = index[rank].covering(&spans[rank], t).map(|i| spans[rank][i]);
-        match covering {
+        let tl = &timelines[rank];
+        match tl.covering(t) {
             None => {
                 // Idle back to the latest span end strictly before `t`.
-                let prev_end = index[rank].prev_end(&spans[rank], t);
+                let prev_end = tl.prev_end(t);
                 raw.push(PathSegment { rank: rank as u32, cat: Category::Idle, start: prev_end, end: t });
                 t = prev_end;
             }
-            Some(w) => {
-                let (next_rank, next_t) = match w.jump {
-                    Jump::Stay => (rank, w.span.start),
-                    Jump::StealFrom(victim) => (victim as usize % n, w.span.start),
-                    Jump::Lock(target) => (target as usize % n, w.span.start),
-                    Jump::Barrier(from_end) => {
-                        blocker_of_episode(&barriers, from_end, rank, w.span.start)
+            Some(i) => {
+                let w = tl.spans[i];
+                // The edge comes from the event that closed the span.
+                let (next_rank, next_t) = match trace.events_for(rank)[w.event as usize].event {
+                    TraceEvent::StealAttempt { victim, got, .. } if got > 0 => (victim as usize % n, w.start),
+                    TraceEvent::LockWait { target, .. } => (target as usize % n, w.start),
+                    TraceEvent::BarrierWait { .. } => {
+                        // Episodes count from the end of each rank's list:
+                        // drops truncate rings from the front, and every
+                        // rank completes the same trailing episodes.
+                        let episodes = &barriers[rank];
+                        let pos = episodes.partition_point(|&(j, _)| j < i);
+                        blocker_of_episode(&barriers, episodes.len() - 1 - pos, rank, w.start)
                     }
+                    _ => (rank, w.start),
                 };
-                let seg_start = next_t.clamp(w.span.start, t);
-                raw.push(PathSegment { rank: rank as u32, cat: w.span.cat, start: seg_start, end: t });
+                let seg_start = next_t.clamp(w.start, t);
+                raw.push(PathSegment { rank: rank as u32, cat: w.cat, start: seg_start, end: t });
                 if seg_start < t || next_rank != rank {
                     t = seg_start;
                 } else {
                     // Same-rank jump with no time progress: fall back to the
                     // span's own start (strictly < t because the span covers
                     // the instant before t).
-                    t = w.span.start;
+                    t = w.start;
                 }
                 rank = next_rank;
             }
@@ -279,91 +190,11 @@ fn walk<L: Lookup>(trace: &Trace) -> CritPath {
     out
 }
 
-/// Per-rank walk spans (with jump targets), barrier episodes, exec
-/// self-time and the longest task span.
-fn rank_walk_spans(events: &[scioto_sim::StampedEvent]) -> (Vec<WalkSpan>, Vec<(u64, u64)>, u64, u64) {
-    let last_t = events.last().map_or(0, |e| e.t_ns);
-    let mut spans = Vec::new();
-    let mut barriers = Vec::new();
-    let mut open_execs: Vec<u64> = Vec::new();
-    let mut exec_spans: Vec<Span> = Vec::new();
-    let mut max_task = 0u64;
-    let mut n_barriers = 0usize;
-    for e in events {
-        match e.event {
-            TraceEvent::TaskExecBegin { .. } => open_execs.push(e.t_ns),
-            TraceEvent::TaskExecEnd { .. } => {
-                if let Some(start) = open_execs.pop() {
-                    let span = Span { cat: Category::Exec, start, end: e.t_ns.max(start) };
-                    max_task = max_task.max(span.len());
-                    exec_spans.push(span);
-                    spans.push(WalkSpan { span, jump: Jump::Stay });
-                }
-            }
-            TraceEvent::StealAttempt { victim, got, dur_ns } => {
-                let span = Span {
-                    cat: Category::Steal,
-                    start: e.t_ns.saturating_sub(dur_ns),
-                    end: e.t_ns,
-                };
-                let jump = if got > 0 { Jump::StealFrom(victim) } else { Jump::Stay };
-                spans.push(WalkSpan { span, jump });
-            }
-            TraceEvent::LockWait { target, dur_ns } => {
-                let span = Span {
-                    cat: Category::Lock,
-                    start: e.t_ns.saturating_sub(dur_ns),
-                    end: e.t_ns,
-                };
-                spans.push(WalkSpan { span, jump: Jump::Lock(target) });
-            }
-            TraceEvent::BarrierWait { dur_ns, .. } => {
-                let span = Span {
-                    cat: Category::Barrier,
-                    start: e.t_ns.saturating_sub(dur_ns),
-                    end: e.t_ns,
-                };
-                barriers.push((span.start, span.end));
-                spans.push(WalkSpan { span, jump: Jump::Barrier(n_barriers) });
-                n_barriers += 1;
-            }
-            TraceEvent::TdProgress { dur_ns } => {
-                let span = Span {
-                    cat: Category::Td,
-                    start: e.t_ns.saturating_sub(dur_ns),
-                    end: e.t_ns,
-                };
-                spans.push(WalkSpan { span, jump: Jump::Stay });
-            }
-            _ => {}
-        }
-    }
-    for start in open_execs {
-        let span = Span { cat: Category::Exec, start, end: last_t.max(start) };
-        max_task = max_task.max(span.len());
-        exec_spans.push(span);
-        spans.push(WalkSpan { span, jump: Jump::Stay });
-    }
-    // Exec self-time: total exec coverage minus nothing nests *between*
-    // exec spans in practice (tasks do not run tasks), but be safe and use
-    // the blame sweep over exec spans only.
-    let work = crate::blame::decompose(&exec_spans, u64::MAX)
-        .get(Category::Exec);
-    // Barrier jump indices count from the end of the rank's episode list.
-    let total = n_barriers;
-    for w in &mut spans {
-        if let Jump::Barrier(i) = w.jump {
-            w.jump = Jump::Barrier(total - 1 - i);
-        }
-    }
-    (spans, barriers, work, max_task)
-}
-
 /// The rank the machine waited on in barrier episode `from_end` (counted
 /// from the back of each rank's episode list) and its arrival time.
 /// Falls back to staying put when the episode is unresolvable.
 fn blocker_of_episode(
-    barriers: &[Vec<(u64, u64)>],
+    barriers: &[Vec<(usize, u64)>],
     from_end: usize,
     cur_rank: usize,
     fallback_t: u64,
@@ -371,7 +202,7 @@ fn blocker_of_episode(
     let mut best: Option<(u64, usize)> = None;
     for (r, eps) in barriers.iter().enumerate() {
         if eps.len() > from_end {
-            let (arrival, _) = eps[eps.len() - 1 - from_end];
+            let (_, arrival) = eps[eps.len() - 1 - from_end];
             if best.is_none_or(|(ba, br)| arrival > ba || (arrival == ba && r < br)) {
                 best = Some((arrival, r));
             }
@@ -400,7 +231,18 @@ fn merge_segments(raw: Vec<PathSegment>) -> Vec<PathSegment> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::{LinearScan, SpanIndex};
     use scioto_sim::{StampedEvent, TraceConfig, TraceSink};
+
+    /// The walk over timelines looked up by `L`.
+    fn walk_with<L: Lookup>(t: &Trace) -> CritPath {
+        let timelines: Vec<Timeline<L>> = (0..t.nranks()).map(|r| Timeline::new(t.events_for(r))).collect();
+        walk(t, &timelines)
+    }
+
+    fn analyze(t: &Trace) -> CritPath {
+        walk_with::<SpanIndex>(t)
+    }
 
     fn trace_of(per_rank: Vec<Vec<StampedEvent>>, clocks: Vec<u64>) -> Trace {
         let sink = TraceSink::new(&TraceConfig::enabled(), per_rank.len());
@@ -545,32 +387,9 @@ mod tests {
         assert_eq!(top[0].len(), 80);
     }
 
-    /// The walk's original lookup, kept as the index's oracle: a scan of
-    /// the rank's spans at every step.
-    struct LinearScan;
-
-    impl Lookup for LinearScan {
-        fn build(_: &[WalkSpan]) -> Self {
-            LinearScan
-        }
-
-        fn covering(&self, spans: &[WalkSpan], t: u64) -> Option<usize> {
-            spans
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.span.start < t && w.span.end >= t)
-                .max_by_key(|(_, w)| w.span.start)
-                .map(|(i, _)| i)
-        }
-
-        fn prev_end(&self, spans: &[WalkSpan], t: u64) -> u64 {
-            spans.iter().map(|w| w.span.end.min(t)).filter(|&e| e < t).max().unwrap_or(0)
-        }
-    }
-
     /// The indexed walk against the linear-scan oracle, field by field.
     fn assert_matches_oracle(t: &Trace, what: &str) -> CritPath {
-        let (got, want) = (analyze(t), walk::<LinearScan>(t));
+        let (got, want) = (walk_with::<SpanIndex>(t), walk_with::<LinearScan>(t));
         assert_eq!(
             (got.length_ns, got.total_work_ns, got.max_task_ns, got.blame, got.truncated),
             (want.length_ns, want.total_work_ns, want.max_task_ns, want.blame, want.truncated),
@@ -606,9 +425,14 @@ mod tests {
                 vec![seg(0, Category::Exec, 0, 80), seg(0, Category::Td, 80, 100)],
             ),
             (
-                "equal starts: the later-pushed span wins",
+                "equal starts and ends: the span emitted last wins",
                 trace_of(vec![vec![steal(20, 10, 0, 0), lock(20, 10)]], vec![20]),
                 vec![seg(0, Category::Idle, 0, 10), seg(0, Category::Lock, 10, 20)],
+            ),
+            (
+                "equal starts: the walk lands in the lock wait inside the steal",
+                trace_of(vec![vec![lock(15, 5), steal(20, 10, 1, 1)], vec![lock(30, 17)]], vec![20, 30]),
+                vec![seg(0, Category::Idle, 0, 10), seg(0, Category::Lock, 10, 13), seg(1, Category::Lock, 13, 30)],
             ),
             (
                 "zero-length spans cover nothing",
@@ -718,26 +542,23 @@ mod tests {
         }
     }
 
-    fn uts_recording(cfg: scioto_sim::MachineConfig, tree: scioto_uts::TreeParams) -> Trace {
-        use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
-        let cfg = cfg.with_trace(TraceConfig::enabled().with_capacity(1 << 22));
-        let run = scioto_sim::Machine::run(cfg, move |ctx| run_scioto_uts(ctx, &SciotoUtsConfig::new(tree)).0);
-        run.report.trace.expect("tracing was enabled")
-    }
-
     #[test]
     fn index_matches_oracle_on_recorded_uts_runs() {
-        use scioto_sim::MachineConfig;
+        use crate::timeline::tests::uts_recording;
+        use scioto::VictimPolicy::{Locality, Uniform};
+        use scioto_sim::{LatencyModel, MachineConfig};
         use scioto_uts::presets::{small, tiny};
+        let cluster = |ranks| MachineConfig::virtual_time(ranks).with_latency(LatencyModel::cluster());
         let runs = [
-            ("tiny, 1 virtual-time rank", MachineConfig::virtual_time(1), tiny()),
-            ("tiny, 4 virtual-time ranks", MachineConfig::virtual_time(4), tiny()),
-            ("tiny, 16 virtual-time ranks", MachineConfig::virtual_time(16), tiny()),
-            ("small, 16 virtual-time ranks", MachineConfig::virtual_time(16), small()),
-            ("tiny, 2 concurrent ranks", MachineConfig::concurrent(2), tiny()),
+            ("tiny, 1 virtual-time rank", MachineConfig::virtual_time(1), tiny(), Locality),
+            ("tiny, 4 virtual-time ranks", MachineConfig::virtual_time(4), tiny(), Locality),
+            ("tiny, 16 virtual-time ranks", MachineConfig::virtual_time(16), tiny(), Locality),
+            ("small, 16 virtual-time ranks", MachineConfig::virtual_time(16), small(), Locality),
+            ("tiny, 16 cluster ranks, uniform victims", cluster(16), tiny(), Uniform),
+            ("tiny, 2 concurrent ranks", MachineConfig::concurrent(2), tiny(), Locality),
         ];
-        for (seed, (what, cfg, tree)) in runs.into_iter().enumerate() {
-            let t = uts_recording(cfg.with_seed(0xC0FFEE + seed as u64), tree);
+        for (seed, (what, cfg, tree, victim)) in runs.into_iter().enumerate() {
+            let t = uts_recording(cfg.with_seed(0xC0FFEE + seed as u64), tree, victim);
             assert_eq!(t.dropped.iter().sum::<u64>(), 0, "{what}");
             let cp = assert_matches_oracle(&t, what);
             assert_eq!(cp.length_ns, (0..t.nranks()).map(|r| t.elapsed_ns(r)).max().unwrap(), "{what}");

@@ -15,6 +15,10 @@
 //!   makespan's composition, a T∞-vs-T1 parallelism estimate, and the
 //!   top-k longest segments.
 //!
+//! Blame and the critical path read one span model ([`timeline`]): each
+//! rank's spans are extracted and indexed once per report, and both
+//! charge an instant to the innermost covering span by the same rule.
+//!
 //! Below them sits [`sync`]: the index of a trace's synchronization
 //! producers and the one legal-order walk over it, shared by [`replay`]'s
 //! lowering (the index) and the race checker's vector-clock passes (the

@@ -7,10 +7,10 @@ use std::fmt::Write as _;
 
 use scioto_sim::Trace;
 
-use crate::blame::{self, Blame};
+use crate::blame::Blame;
 use crate::critpath::{self, CritPath};
 use crate::provenance::{self, Provenance};
-use crate::timeline::{self, Category, CATEGORIES};
+use crate::timeline::{Category, Timeline, CATEGORIES};
 
 /// Schema tag written into every analysis JSON document.
 pub const ANALYSIS_SCHEMA: &str = "scioto-analysis-v1";
@@ -60,10 +60,11 @@ impl AnalysisReport {
     pub fn from_trace(trace: &Trace) -> AnalysisReport {
         let ranks = trace.nranks();
         let elapsed_ns: Vec<u64> = (0..ranks).map(|r| trace.elapsed_ns(r)).collect();
-        let blame: Vec<Blame> = (0..ranks)
-            .map(|r| blame::decompose(&timeline::spans_for_rank(trace.events_for(r)), elapsed_ns[r]))
-            .collect();
-        let critical_path = critpath::analyze(trace);
+        // Each rank's spans are extracted and indexed once, for blame and
+        // the walk alike.
+        let timelines: Vec<Timeline> = (0..ranks).map(|r| Timeline::new(trace.events_for(r))).collect();
+        let blame: Vec<Blame> = timelines.iter().zip(&elapsed_ns).map(|(tl, &e)| tl.blame(e)).collect();
+        let critical_path = critpath::walk(trace, &timelines);
         let mut warnings = Vec::new();
         let total_dropped: u64 = trace.dropped.iter().sum();
         if total_dropped > 0 {

@@ -2,7 +2,9 @@
 //! unknown subcommand exits 2 listing the dispatch table, a stale or
 //! mistyped flag exits 2 naming what is accepted, every flag `verify.sh`
 //! passes is one the subcommand it passes it to accepts, and a trace file
-//! a subcommand cannot work on exits 2 naming it — never a panic.
+//! a subcommand cannot work on exits 2 naming it — never a panic. The
+//! source scan, `scioto lint`, exits 0 on the workspace, 1 on a tree with
+//! a finding and 2 where there is no tree to scan.
 
 use std::process::Command;
 
@@ -19,7 +21,7 @@ fn run(subcommand: &str, args: &[&str]) -> (Option<i32>, String) {
 }
 
 #[test]
-fn missing_and_unknown_subcommands_exit_2_listing_all_thirteen() {
+fn missing_and_unknown_subcommands_exit_2_listing_every_subcommand() {
     let scioto = env!("CARGO_BIN_EXE_scioto");
     let none = Command::new(scioto).output().expect("scioto runs");
     let unknown = Command::new(scioto).args(["fig9", "--max-ranks", "2"]).output().unwrap();
@@ -28,7 +30,7 @@ fn missing_and_unknown_subcommands_exit_2_listing_all_thirteen() {
         assert!(out.stdout.is_empty(), "{out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("usage: scioto <subcommand> [flags]\n"), "{stderr}");
-        assert_eq!(subcommands().count(), 13);
+        assert_eq!(subcommands().count(), 14);
         for name in subcommands() {
             assert!(stderr.contains(&format!("\n  {name} ")), "{name} missing: {stderr}");
         }
@@ -284,4 +286,33 @@ fn an_unwritable_artifact_path_exits_2_naming_the_path() {
             assert_eq!(stderr.trim_end(), line, "one line only");
         }
     }
+}
+
+#[test]
+fn lint_scans_crates_and_src_under_the_working_directory() {
+    let lint = |dir: &std::path::Path, args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_scioto")).arg("lint").args(args).current_dir(dir).output().unwrap()
+    };
+    let workspace = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let clean = lint(workspace, &[]);
+    assert_eq!(clean.status.code(), Some(0), "{clean:?}");
+    assert_eq!(String::from_utf8_lossy(&clean.stdout), "lint: clean (2 root(s))\n");
+    // `--stats` is the waiver census `verify.sh` ratchets against.
+    let stats = lint(workspace, &["--stats"]);
+    assert_eq!(stats.status.code(), Some(0), "{stats:?}");
+    let ratchet = std::fs::read_to_string(workspace.join("results/lint_waivers.txt")).unwrap();
+    assert_eq!(String::from_utf8_lossy(&stats.stdout), ratchet);
+    // The roots are fixed: a path is not a flag.
+    assert_eq!(lint(workspace, &["crates"]).status.code(), Some(2));
+
+    let tree = std::env::temp_dir().join(format!("scioto-lint-cli-{}", std::process::id()));
+    std::fs::create_dir_all(tree.join("src")).unwrap();
+    let nothing = lint(&tree.join("src"), &[]);
+    assert_eq!(nothing.status.code(), Some(2), "{nothing:?}");
+    std::fs::write(tree.join("src/lib.rs"), concat!("use std::", "sync::Mutex;\n")).unwrap();
+    let found = lint(&tree, &[]);
+    let _ = std::fs::remove_dir_all(&tree);
+    assert_eq!(found.status.code(), Some(1), "{found:?}");
+    assert!(String::from_utf8_lossy(&found.stdout).contains("lib.rs:1: [std-sync] "), "{found:?}");
+    assert_eq!(String::from_utf8_lossy(&found.stderr), "lint: 1 finding(s)\n");
 }

@@ -1,6 +1,6 @@
 //! Docs are part of correctness: every command the user-facing docs name
 //! must exist. README.md, DESIGN.md and the verify skill may name no
-//! `--bin` other than the workspace's two executables, and no `scioto
+//! `--bin` other than the workspace's one executable, and no `scioto
 //! <word>` that is not a subcommand in the dispatch table; a `--flag`
 //! README.md, DESIGN.md or EXPERIMENTS.md shows on a `scioto <subcommand>
 //! …` command line must be one that subcommand accepts; and the files
@@ -34,10 +34,7 @@ fn docs_name_only_executables_and_subcommands_that_exist() {
         let text = read(doc);
         for (at, marker) in text.match_indices("--bin ") {
             let bin = leading_name(&text[at + marker.len()..]);
-            assert!(
-                bin == "scioto" || bin == "scioto-lint",
-                "{doc} names `--bin {bin}`; the workspace builds scioto and scioto-lint"
-            );
+            assert_eq!(bin, "scioto", "{doc} names `--bin {bin}`; the workspace builds scioto only");
         }
         // `scioto <word>` — as `target/release/scioto table1`, `--bin scioto
         // -- table1` or "`scioto analyze` does …" — is a subcommand; the

@@ -4,7 +4,7 @@
 //! proper: everything that needs real elapsed time (the concurrent
 //! kernel's trace stamps, per-thread span measurement, makespan) goes
 //! through [`MonoClock`] instead of touching `std::time::Instant`
-//! directly. `scioto-lint`'s `wallclock` rule enforces this textually —
+//! directly. `scioto lint`'s `wallclock` rule enforces this textually —
 //! the waiver below is the only one inside `crates/det`, and the lint's
 //! allowlist rejects new `std::time` uses anywhere else in the runtime,
 //! so the rule stays meaningful as the codebase grows.

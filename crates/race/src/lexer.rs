@@ -1,4 +1,4 @@
-//! A hand-rolled token-level Rust lexer for `scioto-lint`.
+//! A hand-rolled token-level Rust lexer for the source lint (`scioto lint`).
 //!
 //! The v1 lint scanned raw text line by line, which forced every rule to
 //! re-solve the same three problems — string literals that *mention*

@@ -24,8 +24,8 @@
 //!   hermeticity and determinism invariants (no ambient `std::sync`
 //!   primitives outside `crates/det`, no wall-clock or ambient
 //!   randomness, trace emission only through the deferred-closure
-//!   pattern, no `unwrap()` on lock results). The `scioto-lint` binary
-//!   wires it into `scripts/verify.sh` as a hard gate.
+//!   pattern, no `unwrap()` on lock results). `scioto lint` runs it, and
+//!   `scripts/verify.sh` runs that as a hard gate.
 //!
 //! [`Trace`]: scioto_sim::Trace
 

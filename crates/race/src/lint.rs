@@ -1,4 +1,4 @@
-//! `scioto-lint`: a zero-dependency source scanner for the repo's
+//! The source lint `scioto lint` runs: a zero-dependency scanner for the repo's
 //! hermeticity and determinism invariants, v2 — token-based.
 //!
 //! v1 scanned raw text line by line; v2 lexes every file with the
@@ -47,7 +47,7 @@
 //!   are the audited `unsafe {` sites).
 //!
 //! Waiver totals are ratcheted: [`waiver_stats`] counts live waiver
-//! comments per rule, the `scioto-lint --stats` output is pinned in
+//! comments per rule, the `scioto lint --stats` output is pinned in
 //! `results/lint_waivers.txt`, and `verify.sh` fails if any rule's
 //! count grows without a `--bless`.
 

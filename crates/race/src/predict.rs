@@ -32,7 +32,7 @@
 //! # Protocol atomicity
 //!
 //! The runtime's `put_atomic`/`get_atomic` markers exempt single-word
-//! protocol accesses from race checking; `scioto-lint` forces every
+//! protocol accesses from race checking; `scioto lint` forces every
 //! call site to *name* its ordering protocol in a comment. This module
 //! adds the semantic half ([`check_protocols`]): every word that ever
 //! sees an atomic-marked access must match one of the declared

@@ -88,7 +88,7 @@ echo "ok: dependency graph is workspace-only"
 
 stage "cargo build --release --offline"
 # The root manifest's default-members cover every crate, so this links
-# both executables (`scioto`, `scioto-lint`).
+# the one executable, `scioto`.
 cargo build --release --offline
 
 stage "cargo clippy --workspace --offline -- -D warnings"
@@ -161,11 +161,11 @@ stage "perf harness: the out-of-workspace benchmark's own tests"
 # suite includes the `--quick` smoke of all five workloads.
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
-stage "scioto-lint: source invariant scan (hard gate)"
-target/release/scioto-lint
+stage "scioto lint: source invariant scan (hard gate)"
+scioto lint
 
-stage "scioto-lint: waiver ratchet (counts may only shrink)"
-target/release/scioto-lint --stats > "$work/lint_waivers.txt"
+stage "scioto lint: waiver ratchet (counts may only shrink)"
+scioto lint --stats > "$work/lint_waivers.txt"
 if [ "$BLESS" = 1 ]; then
     cp "$work/lint_waivers.txt" results/lint_waivers.txt
     echo "blessed results/lint_waivers.txt"
@@ -275,6 +275,25 @@ if [ "$BLESS" = 0 ] \
     exit 1
 fi
 echo "ok: table1.jsonl, table1_chrome.json and fig7.jsonl are byte-for-byte the pinned exports"
+
+stage "analysis bytes: blame + critical path vs results/baselines/ANALYSIS_bytes.txt"
+# The analyzer's output pinned the same way: the table1 and fig7@8
+# analyses above (default policy pair) and fig7@8's traced run under the
+# paper's pair (uniform victims, flat barrier; `--only-ranks 0` skips the
+# throughput sweep). A change to how blame or the critical path is
+# composed fails here with both lines printed.
+scioto fig7_uts_cluster \
+    --max-ranks 8 --only-ranks 0 --tree small --victim uniform --barrier flat \
+    --analysis-out "$work/fig7_paper_analysis.json" > /dev/null
+(cd "$work" && cksum table1_analysis.json fig7_analysis.json fig7_paper_analysis.json) \
+    > "$work/bench/ANALYSIS_bytes.txt"
+if [ "$BLESS" = 0 ] \
+    && ! cmp -s results/baselines/ANALYSIS_bytes.txt "$work/bench/ANALYSIS_bytes.txt"; then
+    echo "FAIL: analyses differ from results/baselines/ANALYSIS_bytes.txt" >&2
+    diff results/baselines/ANALYSIS_bytes.txt "$work/bench/ANALYSIS_bytes.txt" >&2 || true
+    exit 1
+fi
+echo "ok: table1, fig7@8 and fig7@8 (paper pair) analyses are byte-for-byte the pinned ones"
 
 stage "large-scale: 1024/2048-rank points, near/far tiers"
 # Virtual-time ranks are fibers on one OS thread, which is what lets
@@ -435,7 +454,8 @@ fi
 if [ "$BLESS" = 1 ]; then
     stage "bless: refreshing results/baselines/"
     mkdir -p results/baselines
-    for f in "$work"/bench/BENCH_*.json "$work"/bench/RACE_*.jsonl "$work"/bench/TRACE_bytes.txt; do
+    for f in "$work"/bench/BENCH_*.json "$work"/bench/RACE_*.jsonl \
+        "$work"/bench/TRACE_bytes.txt "$work"/bench/ANALYSIS_bytes.txt; do
         cp "$f" "results/baselines/$(basename "$f")"
         echo "blessed results/baselines/$(basename "$f")"
     done

@@ -6,7 +6,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
+use scioto::{Task, TaskCollection, TcConfig, VictimPolicy, AFFINITY_HIGH};
+use scioto_analyze::Span;
 use scioto_armci::Armci;
 use scioto_ga::{Ga, Patch};
 use scioto_mpi::{Comm, ReduceOp};
@@ -480,6 +481,67 @@ fn analyzer_blame_invariant_holds_for_lock_and_barrier_heavy_run() {
     let total = analysis.total_blame();
     assert!(total.get(scioto_analyze::Category::Barrier) > 0, "no barrier time attributed");
     assert!(total.get(scioto_analyze::Category::Td) > 0, "no TD time attributed");
+}
+
+/// The first pair of spans on one rank that overlap without nesting:
+/// `(rank, outer, inner)`.
+fn improper_overlap(trace: &Trace) -> Option<(usize, Span, Span)> {
+    for rank in 0..trace.nranks() {
+        let mut spans = scioto_analyze::spans_for_rank(trace.events_for(rank));
+        spans.retain(|s| !s.is_empty());
+        // Outermost first: by start, then longest first.
+        spans.sort_by_key(|s| (s.start, std::cmp::Reverse(s.end)));
+        let mut open: Vec<Span> = Vec::new();
+        for s in spans {
+            while open.last().is_some_and(|o| o.end <= s.start) {
+                open.pop();
+            }
+            if let Some(&o) = open.last().filter(|o| s.end > o.end) {
+                return Some((rank, o, s));
+            }
+            open.push(s);
+        }
+    }
+    None
+}
+
+#[test]
+fn recorded_spans_nest() {
+    // Blame and the critical path charge the innermost covering span;
+    // that is the call stack's frame only if no two spans of a rank
+    // overlap without one containing the other.
+    let ring = TraceConfig::enabled().with_capacity(1 << 22);
+    let uts = |cfg: MachineConfig, victim: VictimPolicy| {
+        let mut uts = SciotoUtsConfig::new(presets::small());
+        uts.tc = uts.tc.with_victim(victim);
+        let run = Machine::run(cfg.with_trace(ring), move |ctx| run_scioto_uts(ctx, &uts).0);
+        run.report.trace.expect("tracing was enabled")
+    };
+    let cluster = MachineConfig::virtual_time(16).with_latency(LatencyModel::cluster());
+    let concurrent = MachineConfig { mode: ExecMode::Concurrent, ..MachineConfig::virtual_time(2) };
+    let basis = BasisSet::even_tempered(Molecule::h_chain(4), 2, 0.4, 3.5);
+    let scf = Machine::run(cluster.clone().with_trace(ring), move |ctx| {
+        run_scf_parallel(ctx, &basis, &ParallelScfConfig::default()).energy
+    });
+    let runs = [
+        ("UTS, 16 virtual-time ranks, uniform victims", uts(cluster.clone(), VictimPolicy::Uniform)),
+        ("UTS, 16 virtual-time ranks, locality victims", uts(cluster, VictimPolicy::Locality)),
+        ("UTS, 2 concurrent ranks", uts(concurrent, VictimPolicy::Locality)),
+        ("SCF, 16 virtual-time ranks", scf.report.trace.expect("tracing was enabled")),
+    ];
+    for (what, trace) in runs {
+        assert_eq!(trace.dropped.iter().sum::<u64>(), 0, "{what}: the ring dropped events");
+        assert!(trace.total_events() > 0, "{what}");
+        assert_eq!(improper_overlap(&trace), None, "{what}: spans overlap without nesting");
+    }
+}
+
+#[test]
+fn the_mirrored_startup_gauge_name_matches_the_runtime() {
+    // `scioto-analyze` depends on the simulator only, so it spells the
+    // runtime's gauge name itself; a rename on one side would silently
+    // zero every startup figure.
+    assert_eq!(scioto_analyze::report::STARTUP_GAUGE, scioto::trace::GAUGE_STARTUP);
 }
 
 #[test]
