@@ -236,6 +236,7 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # is gated on what it *saw*: the dump must hold the tasks' GA accumulates.
 scioto fig7_uts_cluster \
     --max-ranks 8 --tree small --trace-out "$work/fig7.jsonl" \
+    --trace-summary "$work/trace_summary.txt" \
     --analysis-out "$work/fig7_analysis.json" \
     --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_fig7.json" > /dev/null
@@ -254,6 +255,18 @@ scioto fig5_fig6_apps \
     --json-out "$work/bench/BENCH_fig5_fig6.json" > /dev/null
 grep -q '"kind":"acc"' "$work/fig56.jsonl" \
     || { echo "FAIL: the traced SCF run recorded no GA accumulate: its race gate is vacuous" >&2; exit 1; }
+
+# The fig7@8 trace's human digest (event counts, duration digests,
+# gauges) is pinned as results/trace_summary.txt; --bless rewrites it.
+if [ "$BLESS" = 1 ]; then
+    cp "$work/trace_summary.txt" results/trace_summary.txt
+    echo "blessed results/trace_summary.txt"
+elif ! cmp -s results/trace_summary.txt "$work/trace_summary.txt"; then
+    echo "FAIL: fig7@8 --trace-summary differs from results/trace_summary.txt" >&2
+    diff results/trace_summary.txt "$work/trace_summary.txt" >&2 || true
+    exit 1
+fi
+echo "ok: fig7@8 trace summary matches results/trace_summary.txt"
 
 stage "replay: fig7@8 recorded trace reproduces blame + critical path"
 scioto trace_check --file "$work/fig7.jsonl" --replayable
