@@ -593,7 +593,6 @@ mod tests {
             dropped: vec![0, 0],
             final_clock_ns: vec![makespan, makespan - 1],
             wall_clock: true,
-            hists: vec![Default::default(); 2],
             gauges: vec![Default::default(); 2],
         };
         let cp = analyze(&trace);

@@ -4,9 +4,10 @@
 //! The reader is a purpose-built flat-JSON scanner (the build is
 //! hermetic — no serde): each line is one object whose values are
 //! unsigned integers, strings, booleans or arrays of unsigned integers,
-//! which covers everything the exporter emits. Events, metric registries
-//! (histograms and gauges), drop counts and final clocks all round-trip
-//! exactly: re-exporting a parsed trace is byte-identical.
+//! which covers everything the exporter emits. Events, gauges, drop
+//! counts and final clocks all round-trip exactly: re-exporting a parsed
+//! trace is byte-identical. The `{"hist":…}` lines earlier builds wrote
+//! are skipped: the summary derives those digests from the events.
 //!
 //! One pass over the bytes: a line's `"key":value` pairs are scanned
 //! once, each key the exporter knows lands in its fixed [`Line`] slot
@@ -16,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, VtHistogram, WaveDir};
+use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, WaveDir};
 
 /// Newest `"version"` this reader understands (what `to_jsonl` writes).
 const VERSION: u64 = 3;
@@ -56,13 +57,12 @@ macro_rules! slots {
     };
 }
 
-// The three array-valued keys come first: their slot doubles as the index
+// The two array-valued keys come first: their slot doubles as the index
 // of the reused buffer the array is parsed into.
 slots! {
-    DROPPED "dropped" FINAL_CLOCK_NS "final_clock_ns" BUCKETS "buckets"
-    META "meta" VERSION_KEY "version" RANKS "ranks" CLOCK "clock"
-    HIST "hist" COUNT "count" SUM "sum" MIN "min" MAX "max"
-    GAUGE "gauge" SAMPLES "samples" LAST "last"
+    DROPPED "dropped" FINAL_CLOCK_NS "final_clock_ns"
+    META "meta" VERSION_KEY "version" RANKS "ranks" CLOCK "clock" HIST "hist"
+    GAUGE "gauge" SAMPLES "samples" SUM "sum" MAX "max" LAST "last"
     RANK "rank" T "t" EV "ev"
     CALLBACK "callback" CREATOR "creator" VICTIM "victim" GOT "got" DUR "dur"
     TARGET "target" EPOCH "epoch" MOVED "moved" WAVE "wave" DIR "dir" BLACK "black"
@@ -72,7 +72,7 @@ slots! {
 
 /// Buffers arrays are parsed into: one per array-valued key, plus one for
 /// arrays nobody reads (unknown or repeated keys).
-const ARRAYS: usize = BUCKETS + 2;
+const ARRAYS: usize = FINAL_CLOCK_NS + 2;
 
 /// A syntax error: what was wrong, and at which byte of the line. Cheap to
 /// make and drop — [`Lines::next`] retries a line it could not take whole.
@@ -190,7 +190,7 @@ impl<'a> Line<'a> {
                 Some(b't') if b[i..].starts_with(b"true") => (kind, v, i) = (BOOL, 1, i + 4),
                 Some(b'f') if b[i..].starts_with(b"false") => (kind, v, i) = (BOOL, 0, i + 5),
                 Some(b'[') => {
-                    let keep = if bit != 0 && slot <= BUCKETS { slot } else { ARRAYS - 1 };
+                    let keep = if bit != 0 && slot <= FINAL_CLOCK_NS { slot } else { ARRAYS - 1 };
                     let buf = &mut self.arrays[keep];
                     buf.clear();
                     i += 1;
@@ -349,7 +349,6 @@ pub fn parse(body: &str) -> Result<Trace, String> {
     let final_clock_ns = line.arr(FINAL_CLOCK_NS).unwrap_or_default().to_vec();
 
     let mut events: Vec<Vec<StampedEvent>> = vec![Vec::new(); ranks];
-    let mut hists: Vec<BTreeMap<String, VtHistogram>> = vec![BTreeMap::new(); ranks];
     let mut gauges: Vec<BTreeMap<String, Gauge>> = vec![BTreeMap::new(); ranks];
     while let Some(scanned) = lines.next(&mut line) {
         let lineno = lines.lineno;
@@ -359,10 +358,8 @@ pub fn parse(body: &str) -> Result<Trace, String> {
             return Err(format!("line {lineno}: rank {rank} out of range ({ranks} ranks)"));
         }
         let rank = rank as usize;
-        if let Some(name) = line.str(HIST) {
-            let h = hist_from(&line)
-                .ok_or_else(|| format!("line {lineno}: malformed histogram {name}"))?;
-            hists[rank].insert(name.to_string(), h);
+        // A histogram line of an earlier build: its samples are the events'.
+        if line.str(HIST).is_some() {
             continue;
         }
         if let Some(name) = line.str(GAUGE) {
@@ -383,13 +380,8 @@ pub fn parse(body: &str) -> Result<Trace, String> {
         dropped,
         final_clock_ns,
         wall_clock,
-        hists,
         gauges,
     })
-}
-
-fn hist_from(f: &Line) -> Option<VtHistogram> {
-    VtHistogram::from_parts(f.arr(BUCKETS)?, f.num(COUNT)?, f.num(SUM)?, f.num(MIN)?, f.num(MAX)?)
 }
 
 fn gauge_from(f: &Line) -> Option<Gauge> {
@@ -512,9 +504,6 @@ pub(crate) mod tests {
         sink.emit(1, 48, || TraceEvent::LockRel { target: 0, set: 0, idx: 3, seq: 9 });
         sink.emit(0, 95, || TraceEvent::MsgSend { dst: 1, bytes: 32, seq: 5 });
         sink.emit(1, 99, || TraceEvent::MsgRecv { src: 0, seq: 5 });
-        sink.hist(0, "task_exec_ns", 30);
-        sink.hist(0, "task_exec_ns", 4_000);
-        sink.hist(1, "steal_rtt_ns", 30_000);
         sink.gauge(1, "queue_local", 7);
         let mut t = sink.finish().unwrap();
         t.final_clock_ns = vec![95, 99];
@@ -536,24 +525,33 @@ pub(crate) mod tests {
     fn jsonl_round_trips_metric_registries() {
         let t = sample_trace();
         let parsed = parse(&t.to_jsonl()).expect("export must re-parse");
-        assert_eq!(parsed.hists, t.hists);
         assert_eq!(parsed.gauges, t.gauges);
-        let h = &parsed.hists[0]["task_exec_ns"];
-        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (2, 4_030, 30, 4_000));
         let g = parsed.gauges[1]["queue_local"];
         assert_eq!((g.samples, g.sum, g.max, g.last), (1, 7, 7, 7));
     }
 
+    /// Histogram lines as earlier builds wrote them after the header.
+    const LEGACY_HISTS: &str = "\
+        {\"hist\":\"steal_rtt_ns\",\"rank\":0,\"count\":1,\"sum\":30,\"min\":30,\"max\":30,\"buckets\":[5,1]}\n\
+        {\"hist\":\"task_exec_ns\",\"rank\":0,\"count\":1,\"sum\":30,\"min\":30,\"max\":30,\"buckets\":[5,1]}\n\
+        {\"hist\":\"td_wave_gap_ns\",\"rank\":1,\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]}\n";
+
     #[test]
-    fn malformed_histogram_line_is_an_error() {
+    fn hist_lines_of_earlier_builds_are_skipped() {
         let t = sample_trace();
-        let mut body = t.to_jsonl();
-        // A ragged (odd-length) bucket pair array must be rejected.
-        body.push_str(
-            "{\"hist\":\"bad\",\"rank\":0,\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":[1]}\n",
-        );
-        let err = parse(&body).unwrap_err();
-        assert!(err.contains("malformed histogram bad"), "{err}");
+        let text = t.to_jsonl();
+        assert!(!text.contains("\"hist\""), "the writer emits no histogram lines");
+        let (header, rest) = text.split_once('\n').unwrap();
+        // Skipped whole, however malformed: a ragged bucket array was once an
+        // error, and is now a line nobody reads.
+        let ragged = "{\"hist\":\"bad\",\"rank\":0,\"count\":1,\"buckets\":[1]}\n";
+        let old = format!("{header}\n{LEGACY_HISTS}{ragged}{rest}");
+        let parsed = parse(&old).expect("a file of an earlier build parses");
+        assert_eq!(parsed.events, t.events);
+        assert_eq!(parsed.gauges, t.gauges);
+        assert_eq!((parsed.dropped, parsed.final_clock_ns), (t.dropped, t.final_clock_ns));
+        assert_eq!(parse(&old).unwrap().to_jsonl(), text);
+        assert_same_outcome(&old);
     }
 
     #[test]
@@ -747,7 +745,7 @@ pub(crate) mod tests {
     }
 
     /// `per_variant` random events of every variant spread over three
-    /// ranks, with random drop counts, clocks, histograms and gauges.
+    /// ranks, with random drop counts, clocks and gauges.
     fn random_trace(seed: u64, per_variant: usize, wall_clock: bool) -> Trace {
         let r = &mut Mix(seed);
         let ranks = 3;
@@ -756,17 +754,11 @@ pub(crate) mod tests {
             let event = random_event(i % VARIANTS, r);
             events[r.below(ranks)].push(StampedEvent { t_ns: r.n64(), event });
         }
-        let mut hists = vec![BTreeMap::new(); ranks];
         let mut gauges = vec![BTreeMap::new(); ranks];
-        for rank in 0..ranks {
-            for name in ["steal_rtt_ns", "h", "task exec (ns)"].iter().take(r.below(4)) {
-                let mut h = VtHistogram::default();
-                (0..r.below(9)).for_each(|_| h.record(r.n64() >> 1));
-                hists[rank].insert(name.to_string(), h);
-            }
+        for per_rank in &mut gauges {
             if r.flag() {
                 let g = Gauge { samples: r.n64(), sum: r.n64(), max: r.n64(), last: r.n64() };
-                gauges[rank].insert("queue_local".to_string(), g);
+                per_rank.insert("queue_local".to_string(), g);
             }
         }
         Trace {
@@ -774,13 +766,12 @@ pub(crate) mod tests {
             dropped: (0..ranks).map(|_| r.n64()).collect(),
             final_clock_ns: (0..r.pick(&[0, ranks])).map(|_| r.n64()).collect(),
             wall_clock,
-            hists,
             gauges,
         }
     }
 
     /// A traced 8-rank UTS run: what `--trace-out` really writes.
-    fn uts_trace() -> Trace {
+    pub(crate) fn uts_trace() -> Trace {
         use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
         let cfg = MachineConfig::virtual_time(8).with_seed(7).with_trace(TraceConfig::enabled());
         let tree = scioto_uts::presets::tiny();
@@ -914,8 +905,10 @@ pub(crate) mod tests {
     #[test]
     fn mutated_lines_are_accepted_or_refused_exactly_as_before() {
         let r = &mut Mix(0x5C10);
+        let sample = sample_trace().to_jsonl();
+        let (header, rest) = sample.split_once('\n').unwrap();
         let corpus: Vec<Vec<String>> = [
-            sample_trace().to_jsonl(),
+            format!("{header}\n{LEGACY_HISTS}{rest}"),
             crate::replay::tests::rich_trace().to_jsonl(),
             random_trace(3, 1, true).to_jsonl(),
             random_trace(4, 1, false).to_jsonl(),

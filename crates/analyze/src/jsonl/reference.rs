@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, VtHistogram, WaveDir};
+use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, WaveDir};
 
 /// One parsed flat-JSON value; strings borrow from the line.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,8 +62,6 @@ pub fn reference_parse(body: &str) -> Result<Trace, String> {
     let ranks = dropped.len();
 
     let mut events: Vec<Vec<StampedEvent>> = vec![Vec::new(); ranks];
-    let mut hists: Vec<BTreeMap<String, VtHistogram>> =
-        (0..ranks).map(|_| BTreeMap::new()).collect();
     let mut gauges: Vec<BTreeMap<String, Gauge>> = (0..ranks).map(|_| BTreeMap::new()).collect();
     for (i, line) in lines {
         let lineno = i + 1;
@@ -73,10 +71,7 @@ pub fn reference_parse(body: &str) -> Result<Trace, String> {
         if rank >= ranks {
             return Err(format!("line {lineno}: rank {rank} out of range ({ranks} ranks)"));
         }
-        if let Some(name) = get_str(&fields, "hist") {
-            let h = hist_from(&fields)
-                .ok_or_else(|| format!("line {lineno}: malformed histogram {name}"))?;
-            hists[rank].insert(name.to_string(), h);
+        if get_str(&fields, "hist").is_some() {
             continue;
         }
         if let Some(name) = get_str(&fields, "gauge") {
@@ -99,19 +94,8 @@ pub fn reference_parse(body: &str) -> Result<Trace, String> {
         dropped,
         final_clock_ns,
         wall_clock,
-        hists,
         gauges,
     })
-}
-
-fn hist_from(f: &Fields) -> Option<VtHistogram> {
-    VtHistogram::from_parts(
-        &get_arr(f, "buckets")?,
-        get_num(f, "count")?,
-        get_num(f, "sum")?,
-        get_num(f, "min")?,
-        get_num(f, "max")?,
-    )
 }
 
 fn gauge_from(f: &Fields) -> Option<Gauge> {
@@ -484,23 +468,6 @@ pub fn reference_to_jsonl(t: &Trace) -> String {
         out.push_str(",\"clock\":\"wall\"");
     }
     out.push_str("}\n");
-    for (rank, per_rank) in t.hists.iter().enumerate() {
-        for (name, h) in per_rank {
-            let _ = write!(
-                out,
-                "{{\"hist\":\"{name}\",\"rank\":{rank},\"count\":{},\"sum\":{},\
-                 \"min\":{},\"max\":{},\"buckets\":[",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max()
-            );
-            for (i, v) in h.sparse_buckets().iter().enumerate() {
-                let _ = write!(out, "{}{v}", if i == 0 { "" } else { "," });
-            }
-            out.push_str("]}\n");
-        }
-    }
     for (rank, per_rank) in t.gauges.iter().enumerate() {
         for (name, g) in per_rank {
             let _ = writeln!(

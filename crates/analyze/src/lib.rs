@@ -41,7 +41,7 @@ pub use blame::{decompose, Blame};
 pub use critpath::{CritPath, PathSegment};
 pub use provenance::{Provenance, StealEdge};
 pub use replay::{lower, ReplayError};
-pub use report::{AnalysisReport, ANALYSIS_SCHEMA};
+pub use report::AnalysisReport;
 pub use timeline::{spans_for_rank, Category, Span, CATEGORIES};
 
 use scioto_sim::Trace;

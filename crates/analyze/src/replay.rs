@@ -92,7 +92,7 @@ type Producer = (u32, u32, u64);
 /// Lower `trace` into a replay program, validating replayability.
 ///
 /// Identity guarantee: `run_replay(&lower(t)?)` reproduces `t` byte for
-/// byte (events, final clocks, metric registries) — the property the
+/// byte (events, final clocks, gauge registries) — the property the
 /// verify gate and the `--replay-check` bench flag enforce.
 pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
     let n = trace.nranks();
@@ -347,7 +347,6 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
         final_gap_ns,
         rec_final_clock_ns: trace.final_clock_ns.clone(),
         episodes,
-        hists: trace.hists.clone(),
         gauges: trace.gauges.clone(),
     })
 }
@@ -355,6 +354,7 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::jsonl::tests::Mix;
     use scioto_sim::{run_replay, StampedEvent, TraceConfig, TraceSink};
 
     fn trace_of(per_rank: Vec<Vec<StampedEvent>>, final_clocks: Vec<u64>) -> Trace {
@@ -568,5 +568,149 @@ pub(crate) mod tests {
         assert_eq!(parsed.dropped, vec![2, 0]);
         let e = lower(&parsed).unwrap_err();
         assert!(e.to_string().contains("ring overflow"), "{e}");
+    }
+
+    /// Recorded traces for the lowering fuzz: the hand-built rich trace, a
+    /// Scioto UTS run (lock generations, barriers, park/wake pairs) and an
+    /// MPI work-stealing UTS run (message sequence numbers).
+    fn recorded_corpus() -> Vec<Trace> {
+        use scioto_sim::{Machine, MachineConfig};
+        use scioto_uts::mpi_ws::{run_mpi_uts, MpiUtsConfig};
+        let cfg = MachineConfig::virtual_time(4)
+            .with_seed(5)
+            .with_trace(TraceConfig::enabled());
+        let tree = scioto_uts::presets::tiny();
+        let mpi = Machine::run(cfg, move |ctx| run_mpi_uts(ctx, &MpiUtsConfig::new(tree)).0);
+        let mpi = mpi.report.trace.expect("tracing was enabled");
+        vec![rich_trace(), crate::jsonl::tests::uts_trace(), mpi]
+    }
+
+    /// Every `(rank, index)` whose event `keep` accepts.
+    fn positions(t: &Trace, keep: impl Fn(&TraceEvent) -> bool) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (rank, events) in t.events.iter().enumerate() {
+            let kept = (0..events.len()).filter(|&i| keep(&events[i].event));
+            out.extend(kept.map(|i| (rank, i)));
+        }
+        out
+    }
+
+    const CORRUPTIONS: usize = 12;
+
+    /// Apply corruption `kind` to `t` at a seeded position; `false` when
+    /// `t` holds nothing it applies to. Each leaves `t` unreplayable: a
+    /// sync edge loses its producer or its consumer, a barrier episode
+    /// loses a rank, or a rank's stamps stop being monotone.
+    fn corrupt(t: &mut Trace, kind: usize, r: &mut Mix) -> bool {
+        // The lock generations acquired and the messages received.
+        let (mut acquired, mut received) = (HashSet::new(), HashSet::new());
+        for (rank, events) in t.events.iter().enumerate() {
+            for e in events {
+                match e.event {
+                    TraceEvent::LockAcq { target, set, idx, seq } => {
+                        acquired.insert((target, set, idx, seq));
+                    }
+                    TraceEvent::MsgRecv { seq, .. } => {
+                        received.insert((rank as u32, seq));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let handed_on = |e: &TraceEvent| match *e {
+            TraceEvent::LockRel { target, set, idx, seq } => {
+                acquired.contains(&(target, set, idx, seq + 1))
+            }
+            _ => false,
+        };
+        let delivered = |e: &TraceEvent| match *e {
+            TraceEvent::MsgSend { dst, seq, .. } => received.contains(&(dst, seq)),
+            _ => false,
+        };
+        let barrier = |e: &TraceEvent| matches!(e, TraceEvent::BarrierWait { .. });
+        let candidates = match kind {
+            0 | 9 => positions(t, handed_on),
+            1 | 2 | 11 => positions(t, delivered),
+            3 | 4 => positions(t, barrier),
+            5 | 6 => positions(t, |_| true)
+                .into_iter()
+                .filter(|&(rank, i)| i > 0 && t.events[rank][i - 1].t_ns < t.events[rank][i].t_ns)
+                .collect(),
+            7 => (0..t.nranks())
+                .filter(|&rank| t.events[rank].last().is_some_and(|e| e.t_ns > 0))
+                .map(|rank| (rank, 0))
+                .collect(),
+            8 => positions(t, |e| matches!(*e, TraceEvent::LockAcq { seq: 2.., .. })),
+            _ => positions(t, |e| matches!(e, TraceEvent::MsgRecv { .. })),
+        };
+        if candidates.is_empty() {
+            return false;
+        }
+        let (rank, i) = candidates[r.below(candidates.len())];
+        // A generation or sequence number no recording reaches.
+        let far = (1 << 40) + r.next() % (1 << 20);
+        let events = &mut t.events[rank];
+        match kind {
+            // Drop a lock release, a delivered message's send, a barrier.
+            0 | 1 | 3 => drop(events.remove(i)),
+            // Duplicate a send or a barrier wait.
+            2 | 4 => events.insert(i, events[i]),
+            // Swap an event with its earlier predecessor.
+            5 => events.swap(i - 1, i),
+            // Retime an event to before its predecessor.
+            6 => events[i].t_ns = r.next() % events[i - 1].t_ns.max(1),
+            // Retime the rank's final clock to before its last event.
+            7 => {
+                let last = events.last().expect("a last event").t_ns;
+                t.final_clock_ns[rank] = r.next() % last;
+            }
+            _ => match &mut events[i].event {
+                TraceEvent::LockAcq { seq, .. }
+                | TraceEvent::LockRel { seq, .. }
+                | TraceEvent::MsgRecv { seq, .. }
+                | TraceEvent::MsgSend { seq, .. } => *seq = far,
+                other => unreachable!("no sequence number in {other:?}"),
+            },
+        }
+        true
+    }
+
+    #[test]
+    fn lowering_refuses_corrupted_recordings_without_panicking() {
+        let corpus = recorded_corpus();
+        let r = &mut Mix(0x10E5);
+        let mut refused = [0usize; CORRUPTIONS];
+        for case in 0..1_200 {
+            let which = case % corpus.len();
+            let mut t = corpus[which].clone();
+            let kind = r.below(CORRUPTIONS);
+            if corrupt(&mut t, kind, r) {
+                let lowered = lower(&t).is_ok();
+                assert!(!lowered, "corruption {kind} of recording {which} lowered");
+                refused[kind] += 1;
+            }
+        }
+        assert!(refused.iter().all(|&n| n >= 20), "refused per kind: {refused:?}");
+        // Edits that may leave a recording replayable: any outcome but a
+        // panic.
+        for case in 0..600 {
+            let mut t = corpus[case % corpus.len()].clone();
+            let rank = r.below(t.nranks());
+            let events = &mut t.events[rank];
+            if events.is_empty() {
+                continue;
+            }
+            let i = r.below(events.len());
+            match r.below(4) {
+                0 => drop(events.remove(i)),
+                1 => events.insert(i, events[i]),
+                2 => events[i].t_ns = r.next() >> r.below(64),
+                _ => {
+                    let j = r.below(events.len());
+                    events.swap(i, j);
+                }
+            }
+            let _ = lower(&t);
+        }
     }
 }

@@ -13,7 +13,7 @@ use crate::provenance::{self, Provenance};
 use crate::timeline::{Category, Timeline, CATEGORIES};
 
 /// Schema tag written into every analysis JSON document.
-pub const ANALYSIS_SCHEMA: &str = "scioto-analysis-v1";
+const ANALYSIS_SCHEMA: &str = "scioto-analysis-v1";
 
 /// Name of the runtime's sticky startup gauge (`scioto::trace::GAUGE_STARTUP`
 /// — this crate only depends on scioto-sim, so the name is mirrored here).

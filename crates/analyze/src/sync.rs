@@ -56,12 +56,12 @@ pub struct Pos {
 }
 
 /// Parent of `rank` in the termination-detection spanning tree.
-pub fn td_parent(rank: u32) -> Option<u32> {
+fn td_parent(rank: u32) -> Option<u32> {
     (rank > 0).then(|| (rank - 1) / 2)
 }
 
 /// Children of `rank` in the termination-detection tree of `n` ranks.
-pub fn td_children(rank: u32, n: u32) -> impl Iterator<Item = u32> {
+fn td_children(rank: u32, n: u32) -> impl Iterator<Item = u32> {
     [2 * rank + 1, 2 * rank + 2].into_iter().filter(move |c| *c < n)
 }
 
@@ -312,8 +312,7 @@ mod tests {
             dropped: vec![0; n],
             final_clock_ns: Vec::new(),
             wall_clock: false,
-            hists: (0..n).map(|_| Default::default()).collect(),
-            gauges: (0..n).map(|_| Default::default()).collect(),
+                gauges: (0..n).map(|_| Default::default()).collect(),
         }
     }
 

@@ -185,10 +185,11 @@ impl RunSpec {
     }
 
     /// Did the command line ask for anything of a traced run — a trace
-    /// dump, an analysis report or one of the checks? Any of them makes a
-    /// subcommand run its dedicated traced configuration.
+    /// dump, its summary, an analysis report or one of the checks? Any of
+    /// them makes a subcommand run its dedicated traced configuration.
     pub fn obs_requested(&self) -> bool {
         self.trace_out.is_some()
+            || self.trace_summary.is_some()
             || self.analysis_out.is_some()
             || self.race_check
             || self.predict
@@ -225,16 +226,16 @@ impl RunSpec {
             .expect("RunSpec::observe needs a report from a tracing-enabled run");
         if let Some(path) = &self.trace_out {
             front::write_trace(path, trace)?;
-            if let Some(spath) = &self.trace_summary {
-                use std::io::Write as _;
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(spath)
-                    .and_then(|mut f| f.write_all(trace.summary().as_bytes()))
-                    .map_err(|e| Exit::unusable(format!("cannot write {spath}: {e}")))?;
-                eprintln!("trace summary appended to {spath}");
-            }
+        }
+        if let Some(spath) = &self.trace_summary {
+            use std::io::Write as _;
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(spath)
+                .and_then(|mut f| f.write_all(trace.summary().as_bytes()))
+                .map_err(|e| Exit::unusable(format!("cannot write {spath}: {e}")))?;
+            eprintln!("trace summary appended to {spath}");
         }
         if let Some(path) = &self.analysis_out {
             front::write_analysis(path, &scioto_analyze::analyze(trace))?;

@@ -1,8 +1,9 @@
 //! The `scioto` command line at the process boundary: a missing or
 //! unknown subcommand exits 2 listing the dispatch table, a stale or
 //! mistyped flag exits 2 naming what is accepted, every flag `verify.sh`
-//! passes is one the subcommand it passes it to accepts, and a trace file
-//! a subcommand cannot work on exits 2 naming it — never a panic. The
+//! passes is one the subcommand it passes it to accepts, `--trace-summary`
+//! writes its digest on its own, and a trace file a subcommand cannot
+//! work on exits 2 naming it — never a panic. The
 //! source scan, `scioto lint`, exits 0 on the workspace, 1 on a tree with
 //! a finding and 2 where there is no tree to scan.
 
@@ -268,6 +269,7 @@ fn an_unwritable_artifact_path_exits_2_naming_the_path() {
         ("table1", &[][..], "--json-out"),
         ("table1", &[][..], "--trace-out"),
         ("table1", &[][..], "--analysis-out"),
+        ("table1", &[][..], "--trace-summary"),
         ("tune", &tune[..], "--out"),
     ] {
         let path = format!("/nonexistent/{}.json", flag.trim_start_matches("--"));
@@ -286,6 +288,20 @@ fn an_unwritable_artifact_path_exits_2_naming_the_path() {
             assert_eq!(stderr.trim_end(), line, "one line only");
         }
     }
+}
+
+#[test]
+fn trace_summary_alone_runs_the_traced_configuration_and_writes_the_digest() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("cli_summary_alone.txt");
+    let _ = std::fs::remove_file(&path);
+    let path = path.to_str().unwrap();
+    let (code, stderr) = run("fig4_termination", &["--max-ranks", "2", "--trace-summary", path]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let summary = std::fs::read_to_string(path).expect("--trace-summary wrote its file");
+    assert!(summary.starts_with("== trace summary: 8 ranks, "), "{summary}");
+    assert!(summary.contains("\n  steal_rtt_ns     count="), "{summary}");
 }
 
 #[test]

@@ -303,15 +303,12 @@ impl TaskCollection {
                     self.queue.steal(ctx, &self.armci, victim)
                 };
                 if traced {
-                    // One completion read stamps the event and the hist.
                     let t1 = ctx.now();
-                    let rtt = t1.saturating_sub(steal_start);
                     ctx.trace_at(t1, || TraceEvent::StealAttempt {
                         victim: victim as u32,
                         got: stolen.len() as u32,
-                        dur_ns: rtt,
+                        dur_ns: t1.saturating_sub(steal_start),
                     });
-                    ctx.trace_hist(crate::trace::HIST_STEAL_RTT, rtt);
                 }
                 victims.note_result(victim, !stolen.is_empty());
                 if !stolen.is_empty() {
@@ -421,12 +418,9 @@ impl TaskCollection {
         }
         f(&tctx);
         if traced {
-            // One completion read stamps the end event and the hist.
-            let end = ctx.now();
-            ctx.trace_at(end, || TraceEvent::TaskExecEnd {
+            ctx.trace(|| TraceEvent::TaskExecEnd {
                 callback: header.callback,
             });
-            ctx.trace_hist(crate::trace::HIST_TASK_EXEC, end.saturating_sub(start));
         }
         self.counters[me]
             .tasks_executed

@@ -83,9 +83,6 @@ pub(crate) struct TdLocal {
     pub term_propagated: AtomicBool,
     /// Down-waves this rank participated in (statistics).
     pub waves: AtomicU64,
-    /// Virtual time this rank last saw a down-wave (tracing: wave-gap
-    /// histogram).
-    pub last_wave_ns: AtomicU64,
 }
 
 impl TdLocal {
@@ -95,7 +92,6 @@ impl TdLocal {
         self.transferred.store(false, Ordering::Relaxed);
         self.term_propagated.store(false, Ordering::Relaxed);
         self.waves.store(0, Ordering::Relaxed);
-        self.last_wave_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -223,29 +219,25 @@ impl WaveDetector {
             return Poll::Terminated;
         }
 
-        // Down-wave handling.
-        if me == 0 {
-            if passive && st.last_down.load(Ordering::Relaxed) == st.voted.load(Ordering::Relaxed)
-            {
-                // Previous wave completed (black) or none started: begin the
-                // next wave.
-                let w = st.last_down.load(Ordering::Relaxed) + 1;
-                st.last_down.store(w, Ordering::Relaxed);
-                st.waves.fetch_add(1, Ordering::Relaxed);
-                self.trace_down_wave(ctx, st, w);
-                for c in children(me, n) {
-                    self.put_slot(ctx, armci, c, DOWN, w);
-                }
-            }
+        // Down-wave handling: the root begins the next wave once the
+        // previous one completed (black) or none started; the others
+        // forward a wave newer than the last they saw.
+        let last = st.last_down.load(Ordering::Relaxed);
+        let next = if me == 0 {
+            (passive && last == st.voted.load(Ordering::Relaxed)).then_some(last + 1)
         } else {
-            let w = slot(DOWN);
-            if w > st.last_down.load(Ordering::Relaxed) {
-                st.last_down.store(w, Ordering::Relaxed);
-                st.waves.fetch_add(1, Ordering::Relaxed);
-                self.trace_down_wave(ctx, st, w);
-                for c in children(me, n) {
-                    self.put_slot(ctx, armci, c, DOWN, w);
-                }
+            Some(slot(DOWN)).filter(|&w| w > last)
+        };
+        if let Some(w) = next {
+            st.last_down.store(w, Ordering::Relaxed);
+            st.waves.fetch_add(1, Ordering::Relaxed);
+            ctx.trace(|| TraceEvent::TdWave {
+                wave: w as u32,
+                dir: WaveDir::Down,
+                black: false,
+            });
+            for c in children(me, n) {
+                self.put_slot(ctx, armci, c, DOWN, w);
             }
         }
 
@@ -306,23 +298,6 @@ impl WaveDetector {
         Poll::Continue
     }
 
-    /// Trace a down-wave arrival and feed the quiescence-gap histogram
-    /// (virtual time between successive waves seen by this rank).
-    fn trace_down_wave(&self, ctx: &Ctx, st: &TdLocal, w: i64) {
-        if !ctx.trace_enabled() {
-            return;
-        }
-        let now = ctx.now();
-        let last = st.last_wave_ns.swap(now, Ordering::Relaxed);
-        if st.waves.load(Ordering::Relaxed) > 1 {
-            ctx.trace_hist(crate::trace::HIST_TD_WAVE_GAP, now.saturating_sub(last));
-        }
-        ctx.trace(|| TraceEvent::TdWave {
-            wave: w as u32,
-            dir: WaveDir::Down,
-            black: false,
-        });
-    }
 
     /// Record a work transfer from `victim`/to `target` and apply the dirty
     /// marking rule of §5.3. Called by a successful thief (victim = the

@@ -1,4 +1,4 @@
-//! Runtime-level observability: the metric names the Scioto runtime
+//! Runtime-level observability: the gauge names the Scioto runtime
 //! records into the simulator's tracing layer, plus re-exports of the
 //! trace types so applications depending only on `scioto` can configure
 //! and consume traces.
@@ -7,24 +7,13 @@
 //! `MachineConfig::virtual_time(n).with_trace(TraceConfig::enabled())`;
 //! the completed run's [`Trace`] hangs off `RunOutput::report.trace`.
 //! Events are stamped with the emitting rank's virtual clock, so traces
-//! of a given seed are bit-identical across runs.
+//! of a given seed are bit-identical across runs. The summary's duration
+//! digests (task execution, steal round trip, termination-wave gap) are
+//! derived from the events, so the runtime records each sample once.
 
 pub use scioto_sim::{
-    validate_json, Gauge, RemoteOpKind, StampedEvent, Trace, TraceConfig, TraceEvent, VtHistogram,
-    WaveDir,
+    validate_json, Gauge, RemoteOpKind, StampedEvent, Trace, TraceConfig, TraceEvent, WaveDir,
 };
-
-/// Histogram of task callback execution time (virtual ns), recorded by
-/// `TaskCollection::process` around every task it runs.
-pub const HIST_TASK_EXEC: &str = "task_exec_ns";
-
-/// Histogram of steal round-trip time (virtual ns): victim lock, index
-/// read, task transfer, unlock — including failed attempts.
-pub const HIST_STEAL_RTT: &str = "steal_rtt_ns";
-
-/// Histogram of the virtual-time gap between successive termination-
-/// detection waves seen by a rank (the quiescence-probe cadence).
-pub const HIST_TD_WAVE_GAP: &str = "td_wave_gap_ns";
 
 /// Gauge of the per-rank startup cost: the rank's clock (ns) when it
 /// first completed a `TaskCollection::process` prologue. Sampled once per
@@ -94,11 +83,24 @@ mod tests {
                 "rank {r} has no TdWave events"
             );
         }
-        // The runtime histograms were populated.
-        let exec = trace.merged_hist(super::HIST_TASK_EXEC).expect("task hist");
-        assert_eq!(exec.count(), 64);
-        assert!(exec.min() >= 500, "task latency includes the 500 ns compute");
-        assert!(trace.merged_hist(super::HIST_STEAL_RTT).is_some());
+        // Each execution's duration is its end minus its begin: 64 of them,
+        // each covering the task's 500 ns compute.
+        let mut exec = Vec::new();
+        for events in &trace.events {
+            let mut begun = None;
+            for e in events {
+                match e.event {
+                    TraceEvent::TaskExecBegin { .. } => begun = Some(e.t_ns),
+                    TraceEvent::TaskExecEnd { .. } => {
+                        exec.push(e.t_ns - begun.take().expect("an end follows its begin"));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(exec.len(), 64);
+        assert!(exec.iter().all(|&d| d >= 500), "task covers its 500 ns compute: {exec:?}");
+        assert!(trace.summary().contains("task_exec_ns     count=64 "));
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! names the participating ranks, each edge's witness events, and the
 //! lock sets held.
 //!
-//! Enumeration is bounded (cycle length ≤ [`MAX_CYCLE_LEN`], at most
-//! [`MAX_CYCLES`] cycles, [`MAX_DFS_STEPS`] DFS steps); hitting a bound
+//! Enumeration is bounded (cycle length ≤ `MAX_CYCLE_LEN`, at most
+//! `MAX_CYCLES` cycles, `MAX_DFS_STEPS` DFS steps); hitting a bound
 //! sets `truncated` on the report — never silently.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,11 +44,11 @@ use crate::fold::scan_held;
 
 /// Longest cycle reported. Real lock hierarchies run shallow; a longer
 /// cycle always contains the short inconsistencies this bounds.
-pub const MAX_CYCLE_LEN: usize = 6;
+const MAX_CYCLE_LEN: usize = 6;
 /// Most cycles reported before truncating.
-pub const MAX_CYCLES: usize = 64;
+const MAX_CYCLES: usize = 64;
 /// DFS step budget across the whole enumeration.
-pub const MAX_DFS_STEPS: usize = 1_000_000;
+const MAX_DFS_STEPS: usize = 1_000_000;
 /// Witnesses kept per distinct edge (first-come, favoring distinct
 /// ranks so the validity search has material to work with).
 const MAX_WITNESSES: usize = 8;

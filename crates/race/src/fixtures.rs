@@ -19,7 +19,6 @@ pub(crate) fn trace_of(ranks: Vec<Vec<(u64, TraceEvent)>>) -> Trace {
         dropped: vec![0; n],
         final_clock_ns: Vec::new(),
         wall_clock: false,
-        hists: (0..n).map(|_| Default::default()).collect(),
         gauges: (0..n).map(|_| Default::default()).collect(),
     }
 }

@@ -16,7 +16,7 @@
 //!   replay — lock edges between non-conflicting critical sections
 //!   dropped — and reports the races the observed schedule masked, plus
 //!   every protocol-atomic word whose access pattern matches no declared
-//!   ordering protocol ([`predict::check_protocols`]).
+//!   ordering protocol.
 //! * [`deadlock::check_deadlocks`] builds the cross-rank lock-order graph
 //!   from each rank's lock nesting and reports the cycles that survive
 //!   the gate-lock filter.
@@ -40,7 +40,7 @@ pub mod report;
 pub use deadlock::{check_deadlocks, Cycle, DeadlockReport, Resource};
 pub use hb::{check_trace, AccessInfo, Race, RaceReport};
 pub use lint::{lint_tree, waiver_stats, Finding};
-pub use predict::{check_protocols, predict, AtomicityViolation, PredictReport, PredictedRace};
+pub use predict::{predict, AtomicityViolation, PredictReport, PredictedRace};
 pub use report::render as render_report;
 
 #[cfg(test)]

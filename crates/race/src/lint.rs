@@ -21,7 +21,7 @@
 //!   banned everywhere; virtual time comes from the simulator clock and
 //!   randomness from the in-tree deterministic RNG. For std time the
 //!   per-line waiver is honored only inside the sanctioned file
-//!   allowlist ([`SANCTIONED_TIME_FILES`]): the runtime's one wall-clock
+//!   allowlist (`SANCTIONED_TIME_FILES`): the runtime's one wall-clock
 //!   source (`crates/det/src/clock.rs`, wrapping `Instant` behind
 //!   `MonoClock`) and the bench JSON writer's generation stamp. Anywhere
 //!   else a waiver comment does not suppress the finding.
@@ -85,7 +85,7 @@ impl fmt::Display for Finding {
 
 /// Every rule the scanner knows, sorted; the `--stats` output enumerates
 /// exactly this list so the ratchet file's shape is stable.
-pub const ALL_RULES: &[&str] = &[
+const ALL_RULES: &[&str] = &[
     "atomic-protocol",
     "lock-unwrap",
     "std-sync",
@@ -98,7 +98,7 @@ pub const ALL_RULES: &[&str] = &[
 /// honored: the runtime's single wall-clock source and the bench JSON
 /// writer (which stamps a document with when it was generated).
 /// Matched as path suffixes so absolute and relative invocations agree.
-pub const SANCTIONED_TIME_FILES: &[&str] = &[
+const SANCTIONED_TIME_FILES: &[&str] = &[
     "crates/det/src/clock.rs",
     "crates/bench/src/benchjson.rs",
 ];
@@ -172,7 +172,7 @@ impl<'a> FileView<'a> {
 
 /// Lint one file's contents. `det_exempt` relaxes the `std-sync` rule
 /// (crates/det is the one place allowed to wrap the ambient primitives).
-pub fn lint_source(path: &Path, src: &str, det_exempt: bool) -> Vec<Finding> {
+fn lint_source(path: &Path, src: &str, det_exempt: bool) -> Vec<Finding> {
     let v = FileView::new(src);
     let mut out = Vec::new();
     let mut push = |line: usize, rule: &'static str, message: String| {
@@ -348,7 +348,7 @@ pub fn lint_source(path: &Path, src: &str, det_exempt: bool) -> Vec<Finding> {
 /// Count live waiver comments per rule in one file's contents. Only
 /// comment tokens count — a waiver marker inside a string literal (e.g.
 /// a lint-test fixture) is not a waiver.
-pub fn waiver_stats_source(src: &str) -> BTreeMap<String, usize> {
+fn waiver_stats_source(src: &str) -> BTreeMap<String, usize> {
     let mut stats = BTreeMap::new();
     let marker = "scioto-lint: allow(";
     for t in lex(src) {

@@ -34,7 +34,7 @@
 //! The runtime's `put_atomic`/`get_atomic` markers exempt single-word
 //! protocol accesses from race checking; `scioto lint` forces every
 //! call site to *name* its ordering protocol in a comment. This module
-//! adds the semantic half ([`check_protocols`]): every word that ever
+//! adds the semantic half, folded into [`predict`]'s walk: every word that ever
 //! sees an atomic-marked access must match one of the declared
 //! protocol shapes across the whole trace —
 //!
@@ -534,28 +534,27 @@ impl Protocols {
     }
 }
 
-/// Verify every atomic-marked protocol word against the declared
-/// ordering protocols. Returns the violations, in word order, and the
-/// number of protocol words examined. Two linear passes over each
-/// rank's stream, no clocks: the protocols constrain the access
-/// *pattern*, not its order.
-pub fn check_protocols(trace: &Trace) -> (Vec<AtomicityViolation>, usize) {
-    let mut protocols = Protocols::new(trace);
-    for (rank, events) in trace.events.iter().enumerate() {
-        scan_held(events, |ev_idx, ev, held| {
-            if let Some(a) = Access::of(rank as u32, &ev.event) {
-                protocols.add(rank as u32, &a, held, ev_idx as u32);
-            }
-        });
-    }
-    protocols.judge()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::*;
     use scioto_sim::RemoteOpKind;
+
+    /// The atomicity check alone, as [`predict`] folds it into its walk:
+    /// the violations, in word order, and the number of protocol words.
+    /// Two linear passes over each rank's stream, no clocks: the
+    /// protocols constrain the access *pattern*, not its order.
+    fn check_protocols(trace: &Trace) -> (Vec<AtomicityViolation>, usize) {
+        let mut protocols = Protocols::new(trace);
+        for (rank, events) in trace.events.iter().enumerate() {
+            scan_held(events, |ev_idx, ev, held| {
+                if let Some(a) = Access::of(rank as u32, &ev.event) {
+                    protocols.add(rank as u32, &a, held, ev_idx as u32);
+                }
+            });
+        }
+        protocols.judge()
+    }
 
     /// The canonical masked race: rank 0 writes word 0 before its
     /// critical section (touching word 8), rank 1 writes word 0 after

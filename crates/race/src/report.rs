@@ -29,7 +29,7 @@ use crate::hb::{AccessInfo, RaceReport};
 use crate::predict::PredictReport;
 
 /// Schema identifier stamped on every report.
-pub const SCHEMA: &str = "scioto-race-v1";
+const SCHEMA: &str = "scioto-race-v1";
 
 /// Render one trace's combined analysis as a `scioto-race-v1` JSON
 /// object (single line, no trailing newline).

@@ -176,7 +176,6 @@ fn clamped_td_wave() {
         dropped: vec![0; n],
         final_clock_ns: Vec::new(),
         wall_clock: false,
-        hists: (0..n).map(|_| Default::default()).collect(),
         gauges: (0..n).map(|_| Default::default()).collect(),
     };
     check_golden("clamped_td_wave", &trace);

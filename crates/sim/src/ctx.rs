@@ -410,12 +410,6 @@ impl Ctx {
         self.kernel.emit_instant(self.rank, make);
     }
 
-    /// Record a virtual-time histogram sample under `name`.
-    #[inline]
-    pub fn trace_hist(&self, name: &'static str, v: u64) {
-        self.kernel.trace_hist(self.rank, name, v);
-    }
-
     /// Record a gauge sample under `name`.
     #[inline]
     pub fn trace_gauge(&self, name: &'static str, v: u64) {

@@ -203,12 +203,6 @@ impl Kernel {
         }
     }
 
-    /// Record a histogram sample for `rank` under `name`.
-    #[inline]
-    pub(crate) fn trace_hist(&self, rank: usize, name: &'static str, v: u64) {
-        self.trace.hist(rank, name, v);
-    }
-
     /// Record a gauge sample for `rank` under `name`.
     #[inline]
     pub(crate) fn trace_gauge(&self, rank: usize, name: &'static str, v: u64) {

@@ -60,6 +60,6 @@ pub use replay::{event_dur, run_replay, ReplayOp, ReplayProgram, ReplaySync};
 pub use report::{EventCounters, Report};
 pub use trace::{
     validate_json, Gauge, RemoteOpKind, StampedEvent, Trace, TraceConfig, TraceEvent, TraceSink,
-    VtHistogram, WaveDir, HIST_BUCKETS,
+    WaveDir,
 };
 pub use vlock::VLock;

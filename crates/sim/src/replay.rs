@@ -28,7 +28,7 @@
 //!
 //! When nothing is substituted (identity replay) every derived completion
 //! equals its recorded stamp, so the replayed trace — events, final
-//! clocks, and the pass-through metric registries — is byte-identical to
+//! clocks, and the pass-through gauge registries — is byte-identical to
 //! the input. Completion times are defined by `max` recurrences over
 //! per-op values, independent of dispatch interleaving.
 //!
@@ -44,7 +44,7 @@ use scioto_det::sync::Mutex;
 use crate::config::MachineConfig;
 use crate::ctx::Ctx;
 use crate::machine::Machine;
-use crate::trace::{Gauge, StampedEvent, Trace, TraceEvent, VtHistogram};
+use crate::trace::{Gauge, StampedEvent, Trace, TraceEvent};
 
 /// Cross-rank synchronization recorded for one op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +92,7 @@ pub struct ReplayOp {
 }
 
 /// A fully lowered replay input: per-rank op streams plus the trailing
-/// idle gaps and pass-through metric registries needed to rebuild a
+/// idle gaps and pass-through gauge registries needed to rebuild a
 /// byte-identical [`Trace`].
 #[derive(Clone, Debug, Default)]
 pub struct ReplayProgram {
@@ -106,8 +106,6 @@ pub struct ReplayProgram {
     pub rec_final_clock_ns: Vec<u64>,
     /// Number of barrier episodes (identical on every rank).
     pub episodes: usize,
-    /// Histogram registries carried through from the recorded trace.
-    pub hists: Vec<BTreeMap<String, VtHistogram>>,
     /// Gauge registries carried through from the recorded trace.
     pub gauges: Vec<BTreeMap<String, Gauge>>,
 }
@@ -314,7 +312,6 @@ pub fn run_replay(prog: &ReplayProgram) -> Trace {
         dropped: vec![0; n],
         final_clock_ns,
         wall_clock: false,
-        hists: prog.hists.clone(),
         gauges: prog.gauges.clone(),
     }
 }
@@ -411,7 +408,6 @@ mod tests {
             final_gap_ns: vec![10, 0],
             rec_final_clock_ns: vec![210, 200],
             episodes: 1,
-            hists: vec![BTreeMap::new(); 2],
             gauges: vec![BTreeMap::new(); 2],
         }
     }
@@ -475,7 +471,6 @@ mod tests {
             final_gap_ns: vec![3],
             rec_final_clock_ns: vec![18],
             episodes: 0,
-            hists: vec![BTreeMap::new()],
             gauges: vec![BTreeMap::new()],
         };
         let t = run_replay(&prog);
@@ -492,7 +487,6 @@ mod tests {
             final_gap_ns: vec![0, 0],
             rec_final_clock_ns: vec![40, 25],
             episodes: 0,
-            hists: vec![BTreeMap::new(); 2],
             gauges: vec![BTreeMap::new(); 2],
         };
         let t = run_replay(&prog);

@@ -1,7 +1,8 @@
 //! Tracing and metrics: per-rank ring buffers of typed events stamped
-//! with the emitting rank's clock, log2-bucketed duration histograms,
-//! gauges, and exporters (Chrome `trace_event` JSON, flat JSONL, human
-//! summary).
+//! with the emitting rank's clock, gauges, and exporters (Chrome
+//! `trace_event` JSON, flat JSONL, human summary). Each sample is
+//! recorded once: the summary's duration digests are derived from the
+//! events that carry them.
 //!
 //! Determinism contract: every event is stamped with the emitting rank's
 //! virtual clock ([`crate::Ctx::now`] in virtual-time mode), each per-rank
@@ -28,10 +29,6 @@
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Number of log2 buckets in a [`VtHistogram`]: bucket 0 holds the value
-/// 0, bucket `i >= 1` holds values in `[2^(i-1), 2^i - 1]`.
-pub const HIST_BUCKETS: usize = 65;
 
 /// Tracing configuration carried by [`crate::MachineConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -566,172 +563,6 @@ impl RankRing {
     }
 }
 
-/// Log2-bucketed histogram of virtual-time durations (nanoseconds).
-///
-/// Bucketing is exact and integer-only, so merged histograms and their
-/// summaries are deterministic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VtHistogram {
-    buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for VtHistogram {
-    fn default() -> Self {
-        VtHistogram {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl VtHistogram {
-    fn bucket_of(v: u64) -> usize {
-        (u64::BITS - v.leading_zeros()) as usize
-    }
-
-    /// Upper bound of bucket `i` (inclusive).
-    fn bucket_upper(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &VtHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample (0 if empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample value (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile, exact to
-    /// within one power of two.
-    ///
-    /// Edge cases are defined (not panics): an empty histogram returns 0
-    /// for every `q`; `q` is clamped to `[0, 1]` (so `q < 0`, `q > 1` and
-    /// NaN behave like 0.0 / 1.0 / 0.0 respectively); `q == 0.0` returns
-    /// the bound of the first non-empty bucket (the minimum's bucket);
-    /// `q == 1.0` returns the exact maximum sample.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // NaN fails both comparisons below and clamps to 0.0.
-        let q = if q >= 1.0 {
-            return self.max;
-        } else if q > 0.0 {
-            q
-        } else {
-            0.0
-        };
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Self::bucket_upper(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Per-bucket counts (index = log2 bucket, see [`HIST_BUCKETS`]).
-    pub fn buckets(&self) -> &[u64; HIST_BUCKETS] {
-        &self.buckets
-    }
-
-    /// Non-empty buckets as `(index, count)` pairs flattened into one
-    /// array — the compact form the JSONL exporter writes.
-    pub fn sparse_buckets(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c > 0 {
-                out.push(i as u64);
-                out.push(c);
-            }
-        }
-        out
-    }
-
-    /// Rebuild a histogram from its serialized parts: the sparse
-    /// `(index, count)` pair array of [`VtHistogram::sparse_buckets`] plus
-    /// the summary fields. Used by the JSONL re-parser; rejects bucket
-    /// indices out of range or a ragged pair array.
-    pub fn from_parts(sparse: &[u64], count: u64, sum: u64, min: u64, max: u64) -> Option<Self> {
-        if !sparse.len().is_multiple_of(2) {
-            return None;
-        }
-        let mut h = VtHistogram {
-            buckets: [0; HIST_BUCKETS],
-            count,
-            sum,
-            min: if count == 0 { u64::MAX } else { min },
-            max,
-        };
-        for pair in sparse.chunks_exact(2) {
-            let i = usize::try_from(pair[0]).ok().filter(|&i| i < HIST_BUCKETS)?;
-            h.buckets[i] = pair[1];
-        }
-        Some(h)
-    }
-}
-
 /// A sampled gauge: tracks last, max and mean of the sampled values.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Gauge {
@@ -768,7 +599,7 @@ impl Gauge {
 ///
 /// Safety contract (enforced by the kernel's emission paths, not the
 /// type): during a run, slot `rank` is mutated only by that rank's own
-/// thread — every `Kernel::emit`/`hist`/`gauge` call passes the caller's
+/// thread — every `Kernel::emit`/`gauge` call passes the caller's
 /// own rank. Reads happen only in [`TraceSink::finish`], after
 /// `Machine::run` has joined every rank thread (the join is the
 /// happens-before edge that publishes the writes). In concurrent mode
@@ -810,7 +641,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for RankCell<T> {
     }
 }
 
-/// Live per-rank trace storage. Each rank's ring/registries are touched
+/// Live per-rank trace storage. Each rank's ring and gauges are touched
 /// only by that rank's thread during a run ([`RankCell`]'s single-writer
 /// contract), so emission takes no lock — a deliberate property for
 /// concurrent mode, where a shared lock would perturb the timing the
@@ -818,26 +649,25 @@ impl<T: std::fmt::Debug> std::fmt::Debug for RankCell<T> {
 #[derive(Debug)]
 pub struct TraceBuffers {
     rings: Vec<RankCell<RankRing>>,
-    /// Metric registries are small (a handful of `&'static str` names per
+    /// Gauge registries are small (a handful of `&'static str` names per
     /// rank), so a linear Vec with a pointer-equality fast path beats a
     /// BTreeMap lookup per sample; [`TraceSink::finish`] converts to the
     /// sorted map form the exporters expect.
-    hists: Vec<RankCell<Vec<(&'static str, VtHistogram)>>>,
     gauges: Vec<RankCell<Vec<(&'static str, Gauge)>>>,
 }
 
-/// Find-or-insert `name` in a linear metric registry. Metric names are
+/// Find-or-insert `name` in a linear gauge registry. Gauge names are
 /// `&'static str` constants, so repeat samples from the same call site
 /// hit the pointer comparison; the content fallback covers equal names
 /// spelled as different constants.
-fn reg_entry<'a, T: Default>(reg: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
+fn reg_entry<'a>(reg: &'a mut Vec<(&'static str, Gauge)>, name: &'static str) -> &'a mut Gauge {
     let pos = reg.iter().position(|&(k, _)| {
         (k.as_ptr() == name.as_ptr() && k.len() == name.len()) || k == name
     });
     match pos {
         Some(i) => &mut reg[i].1,
         None => {
-            reg.push((name, T::default()));
+            reg.push((name, Gauge::default()));
             &mut reg.last_mut().expect("just pushed").1
         }
     }
@@ -864,7 +694,6 @@ impl TraceSink {
             rings: (0..ranks)
                 .map(|_| RankCell::new(RankRing::with_capacity(cfg.ring_capacity)))
                 .collect(),
-            hists: (0..ranks).map(|_| RankCell::new(Vec::new())).collect(),
             gauges: (0..ranks).map(|_| RankCell::new(Vec::new())).collect(),
         })
     }
@@ -887,15 +716,6 @@ impl TraceSink {
                 event: make(),
             };
             b.rings[rank].with_mut(|r| r.push(e));
-        }
-    }
-
-    /// Record a histogram sample for `rank` under `name` (own-thread only,
-    /// like [`TraceSink::emit`]).
-    #[inline]
-    pub fn hist(&self, rank: usize, name: &'static str, v: u64) {
-        if let TraceSink::Enabled(b) = self {
-            b.hists[rank].with_mut(|h| reg_entry(h, name).record(v));
         }
     }
 
@@ -933,16 +753,6 @@ impl TraceSink {
             wall_clock: false,
             // The linear live registries convert to sorted maps here, so
             // exports keep their name-ordered, byte-stable form.
-            hists: b
-                .hists
-                .iter()
-                .map(|h| {
-                    h.read()
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.clone()))
-                        .collect()
-                })
-                .collect(),
             gauges: b
                 .gauges
                 .iter()
@@ -953,7 +763,7 @@ impl TraceSink {
 }
 
 /// A frozen trace of one completed run: per-rank event timelines plus the
-/// metric registries. Attached to [`crate::Report::trace`] when the
+/// gauge registries. Attached to [`crate::Report::trace`] when the
 /// machine ran with tracing enabled.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Trace {
@@ -975,8 +785,6 @@ pub struct Trace {
     /// `sciotoMeta` trailer; absent for virtual-time traces so their
     /// exports stay byte-identical to earlier schema versions.
     pub wall_clock: bool,
-    /// Per-rank virtual-time histograms, keyed by metric name.
-    pub hists: Vec<BTreeMap<String, VtHistogram>>,
     /// Per-rank gauges, keyed by metric name.
     pub gauges: Vec<BTreeMap<String, Gauge>>,
 }
@@ -1006,15 +814,37 @@ impl Trace {
             .unwrap_or_else(|| self.events[rank].iter().map(|e| e.t_ns).max().unwrap_or(0))
     }
 
-    /// Histogram `name` merged across all ranks (None if never recorded).
-    pub fn merged_hist(&self, name: &str) -> Option<VtHistogram> {
-        let mut out: Option<VtHistogram> = None;
-        for per_rank in &self.hists {
-            if let Some(h) = per_rank.get(name) {
-                out.get_or_insert_with(VtHistogram::default).merge(h);
+    /// The duration samples the runtime's events carry, in name order,
+    /// merged across ranks:
+    /// - `steal_rtt_ns`: each [`TraceEvent::StealAttempt`]'s `dur_ns`;
+    /// - `task_exec_ns`: each [`TraceEvent::TaskExecEnd`] minus its
+    ///   [`TraceEvent::TaskExecBegin`] (paired by a per-rank stack);
+    /// - `td_wave_gap_ns`: for each down [`TraceEvent::TdWave`] past a
+    ///   phase's first wave, the time since the rank's previous one.
+    fn durations(&self) -> [(&'static str, Vec<u64>); 3] {
+        let (mut steal, mut exec, mut gap) = (Vec::new(), Vec::new(), Vec::new());
+        for events in &self.events {
+            let mut begun: Vec<u64> = Vec::new();
+            let mut last_down = None;
+            for e in events {
+                match e.event {
+                    TraceEvent::StealAttempt { dur_ns, .. } => steal.push(dur_ns),
+                    TraceEvent::TaskExecBegin { .. } => begun.push(e.t_ns),
+                    TraceEvent::TaskExecEnd { .. } => {
+                        exec.extend(begun.pop().map(|t0| e.t_ns.saturating_sub(t0)));
+                    }
+                    TraceEvent::TdWave { wave, dir: WaveDir::Down, .. } => {
+                        // Wave numbers restart with each process phase.
+                        if wave > 1 {
+                            gap.extend(last_down.map(|t0| e.t_ns.saturating_sub(t0)));
+                        }
+                        last_down = Some(e.t_ns);
+                    }
+                    _ => {}
+                }
             }
         }
-        out
+        [("steal_rtt_ns", steal), ("task_exec_ns", exec), ("td_wave_gap_ns", gap)]
     }
 
     /// Chrome `trace_event` JSON: one track (tid) per rank, `B`/`E` pairs
@@ -1063,18 +893,17 @@ impl Trace {
     }
 
     /// Flat JSONL dump: a meta header line (`{"meta":...}` with rank
-    /// count, per-rank drop counts and final clocks), one line per
-    /// histogram and gauge registry entry (rank-major, name order), then
-    /// one JSON object per event, rank-major then chronological,
-    /// timestamps in exact virtual nanoseconds. The header and metric
-    /// lines make a JSONL file self-contained for re-analysis
-    /// (`scioto-analyze` reads all of it back, distributions included).
+    /// count, per-rank drop counts and final clocks), one line per gauge
+    /// registry entry (rank-major, name order), then one JSON object per
+    /// event, rank-major then chronological, timestamps in exact virtual
+    /// nanoseconds. The header and gauge lines make a JSONL file
+    /// self-contained for re-analysis (`scioto-analyze` reads all of it
+    /// back; the summary's duration digests come from the events).
     pub fn to_jsonl(&self) -> String {
-        let metrics: usize = self.hists.iter().map(BTreeMap::len).sum::<usize>()
-            + self.gauges.iter().map(BTreeMap::len).sum::<usize>();
+        let gauges: usize = self.gauges.iter().map(BTreeMap::len).sum();
         // An event line of a UTS or Table 1 recording averages 91 bytes.
         let mut text = Text(Vec::with_capacity(
-            128 + 42 * self.nranks() + 256 * metrics + 96 * self.total_events(),
+            128 + 42 * self.nranks() + 96 * gauges + 96 * self.total_events(),
         ));
         let out = &mut text;
         out.lit("{");
@@ -1082,17 +911,6 @@ impl Trace {
         out.lit(",");
         self.write_meta(out);
         out.lit("}\n");
-        for (rank, per_rank) in self.hists.iter().enumerate() {
-            for (name, h) in per_rank {
-                out.lit("{");
-                members!(
-                    out, "hist": &name[..], "rank": rank as u64, "count": h.count(),
-                    "sum": h.sum(), "min": h.min(), "max": h.max(),
-                    "buckets": &h.sparse_buckets()[..]
-                );
-                out.lit("}\n");
-            }
-        }
         for (rank, per_rank) in self.gauges.iter().enumerate() {
             for (name, g) in per_rank {
                 out.lit("{");
@@ -1115,7 +933,8 @@ impl Trace {
     }
 
     /// Human-readable summary: per-rank event totals, global per-kind
-    /// counts, histogram and gauge digests.
+    /// counts, digests of the durations the events carry (steal round
+    /// trips, task executions, termination-wave gaps) and of the gauges.
     pub fn summary(&self) -> String {
         let n = self.nranks();
         let mut out = String::new();
@@ -1156,28 +975,19 @@ impl Trace {
         for (k, c) in &kinds {
             let _ = writeln!(out, "  {k:<16} {c}");
         }
-        let mut hist_names: Vec<&str> = Vec::new();
-        for per_rank in &self.hists {
-            for k in per_rank.keys() {
-                if !hist_names.contains(&k.as_str()) {
-                    hist_names.push(k);
-                }
-            }
-        }
-        hist_names.sort_unstable();
-        if !hist_names.is_empty() {
+        let mut durations = self.durations();
+        if durations.iter().any(|(_, samples)| !samples.is_empty()) {
             let _ = writeln!(out, "histograms (virtual ns, merged across ranks):");
-            for name in hist_names {
-                if let Some(h) = self.merged_hist(name) {
-                    let _ = writeln!(
-                        out,
-                        "  {name:<16} count={} mean={:.0} p50<={} max={}",
-                        h.count(),
-                        h.mean(),
-                        h.quantile_upper_bound(0.5),
-                        h.max()
-                    );
-                }
+            for (name, samples) in durations.iter_mut().filter(|(_, s)| !s.is_empty()) {
+                let count = samples.len();
+                let sum = samples.iter().fold(0u64, |s, &v| s.saturating_add(v));
+                let max = samples.iter().copied().max().unwrap_or(0);
+                let _ = writeln!(
+                    out,
+                    "  {name:<16} count={count} mean={:.0} p50<={} max={max}",
+                    sum as f64 / count as f64,
+                    p50_upper(samples).min(max)
+                );
             }
         }
         let mut gauge_names: Vec<&str> = Vec::new();
@@ -1192,26 +1002,31 @@ impl Trace {
         if !gauge_names.is_empty() {
             let _ = writeln!(out, "gauges (mean/max over all ranks' samples):");
             for name in gauge_names {
-                let mut samples = 0u64;
-                let mut sum = 0u64;
-                let mut max = 0u64;
-                for per_rank in &self.gauges {
-                    if let Some(g) = per_rank.get(name) {
-                        samples += g.samples;
-                        sum = sum.saturating_add(g.sum);
-                        max = max.max(g.max);
-                    }
+                let mut all = Gauge::default();
+                for g in self.gauges.iter().filter_map(|per_rank| per_rank.get(name)) {
+                    all.samples += g.samples;
+                    all.sum = all.sum.saturating_add(g.sum);
+                    all.max = all.max.max(g.max);
                 }
-                let mean = if samples == 0 {
-                    0.0
-                } else {
-                    sum as f64 / samples as f64
-                };
-                let _ = writeln!(out, "  {name:<16} samples={samples} mean={mean:.2} max={max}");
+                let _ = writeln!(
+                    out,
+                    "  {name:<16} samples={} mean={:.2} max={}",
+                    all.samples,
+                    all.mean(),
+                    all.max
+                );
             }
         }
         out
     }
+}
+
+/// Upper bound of the power-of-two bucket `[2^(k-1), 2^k - 1]` holding
+/// the median (the ⌈n/2⌉-th smallest sample) of a non-empty set: exact to
+/// within one power of two, as the summary prints it.
+fn p50_upper(samples: &mut [u64]) -> u64 {
+    let (_, &mut median, _) = samples.select_nth_unstable(samples.len().div_ceil(2) - 1);
+    u64::MAX.checked_shr(median.leading_zeros()).unwrap_or(0)
 }
 
 fn chrome_event(out: &mut Text, rank: u64, e: &StampedEvent) {
@@ -1468,7 +1283,6 @@ mod tests {
             local: 3,
             shared: 1,
         });
-        sink.hist(0, "task_exec_ns", 40);
         sink.gauge(1, "queue_local", 3);
         let mut t = sink.finish().expect("enabled sink yields a trace");
         t.final_clock_ns = vec![60, 7];
@@ -1480,7 +1294,6 @@ mod tests {
         let sink = TraceSink::new(&TraceConfig::disabled(), 2);
         assert!(!sink.is_enabled());
         sink.emit(0, 0, || panic!("closure must not run when disabled"));
-        sink.hist(0, "h", 1);
         sink.gauge(0, "g", 1);
         assert!(sink.finish().is_none());
     }
@@ -1509,41 +1322,6 @@ mod tests {
         });
         assert_eq!(r.dropped, 1);
         assert!(r.take_chronological().is_empty());
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = VtHistogram::default();
-        for v in [0, 1, 2, 3, 4, 1_000, u64::MAX] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.buckets()[0], 1); // 0
-        assert_eq!(h.buckets()[1], 1); // 1
-        assert_eq!(h.buckets()[2], 2); // 2,3
-        assert_eq!(h.buckets()[3], 1); // 4
-        assert_eq!(h.buckets()[10], 1); // 1000 in [512,1023]
-        assert_eq!(h.buckets()[64], 1); // u64::MAX
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_quantile_and_merge() {
-        let mut a = VtHistogram::default();
-        let mut b = VtHistogram::default();
-        for _ in 0..9 {
-            a.record(10); // bucket [8,15]
-        }
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 10);
-        assert_eq!(a.quantile_upper_bound(0.5), 15);
-        assert_eq!(a.quantile_upper_bound(1.0), 1_000_000);
-        let empty = VtHistogram::default();
-        assert_eq!(empty.quantile_upper_bound(0.5), 0);
-        assert_eq!(empty.mean(), 0.0);
-        assert_eq!(empty.min(), 0);
     }
 
     #[test]
@@ -1581,11 +1359,7 @@ mod tests {
     fn jsonl_export_lines_each_parse() {
         let t = synthetic_trace();
         let jsonl = t.to_jsonl();
-        assert_eq!(
-            jsonl.lines().count(),
-            8,
-            "meta header + 1 hist + 1 gauge + 5 events"
-        );
+        assert_eq!(jsonl.lines().count(), 7, "meta header + 1 gauge + 5 events");
         for line in jsonl.lines() {
             validate_json(line).expect("every JSONL line must parse");
         }
@@ -1596,40 +1370,11 @@ mod tests {
         assert!(jsonl.contains("\"ev\":\"TdWave\""));
         assert!(jsonl.contains("\"dir\":\"down\""));
         assert!(jsonl.contains("\"victim\":1,\"got\":2,\"dur\":8"));
-        // Metric registries ride along as their own lines.
-        assert!(jsonl.contains(
-            "{\"hist\":\"task_exec_ns\",\"rank\":0,\"count\":1,\"sum\":40,\
-             \"min\":40,\"max\":40,\"buckets\":[6,1]}"
-        ));
+        // Gauge registries ride along as their own lines.
         assert!(jsonl.contains(
             "{\"gauge\":\"queue_local\",\"rank\":1,\"samples\":1,\"sum\":3,\
              \"max\":3,\"last\":3}"
         ));
-    }
-
-    #[test]
-    fn histogram_from_parts_round_trips() {
-        let mut h = VtHistogram::default();
-        for v in [0, 7, 7, 1_000, u64::MAX] {
-            h.record(v);
-        }
-        let back = VtHistogram::from_parts(
-            &h.sparse_buckets(),
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max(),
-        )
-        .expect("round trip");
-        assert_eq!(back.buckets(), h.buckets());
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.sum(), h.sum());
-        assert_eq!(back.min(), h.min());
-        assert_eq!(back.max(), h.max());
-        assert_eq!(back.quantile_upper_bound(0.5), h.quantile_upper_bound(0.5));
-        // Ragged pair arrays and out-of-range indices are rejected.
-        assert!(VtHistogram::from_parts(&[1], 1, 1, 1, 1).is_none());
-        assert!(VtHistogram::from_parts(&[65, 1], 1, 1, 1, 1).is_none());
     }
 
     #[test]
@@ -1754,7 +1499,6 @@ mod tests {
                             local: r as u32,
                             shared: t as u32,
                         });
-                        sink.hist(r, "h", t);
                         sink.gauge(r, "g", t);
                     }
                 });
@@ -1767,7 +1511,6 @@ mod tests {
             assert!(t.events[r]
                 .iter()
                 .all(|e| matches!(e.event, TraceEvent::QueueDepth { local, .. } if local == r as u32)));
-            assert_eq!(t.hists[r]["h"].count(), 100);
             assert_eq!(t.gauges[r]["g"].samples, 100);
         }
         assert_eq!(t.dropped, vec![0; 4]);
@@ -1775,28 +1518,56 @@ mod tests {
 
     #[test]
     fn quantile_edge_cases_are_defined() {
-        let empty = VtHistogram::default();
-        for q in [f64::NAN, -1.0, 0.0, 0.5, 1.0, 2.0] {
-            assert_eq!(empty.quantile_upper_bound(q), 0);
-        }
-        let mut h = VtHistogram::default();
-        h.record(10); // bucket [8,15]
-        h.record(100); // bucket [64,127]
-        h.record(1000); // bucket [512,1023]
-        // q=0 lands in the minimum's bucket; q=1 is the exact max.
-        assert_eq!(h.quantile_upper_bound(0.0), 15);
-        assert_eq!(h.quantile_upper_bound(1.0), 1000);
-        // Out-of-range and NaN clamp instead of panicking or overflowing.
-        assert_eq!(h.quantile_upper_bound(-0.5), 15);
-        assert_eq!(h.quantile_upper_bound(7.0), 1000);
-        assert_eq!(h.quantile_upper_bound(f64::NAN), 15);
-        assert_eq!(h.quantile_upper_bound(0.5), 127);
-        // Single-sample histogram: every q maps to that sample's bucket.
-        let mut one = VtHistogram::default();
-        one.record(0);
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(one.quantile_upper_bound(q), 0);
-        }
+        // The median is the ceil(n/2)-th smallest sample, rounded up to the
+        // end of its power-of-two bucket [2^(k-1), 2^k - 1].
+        assert_eq!(p50_upper(&mut [0]), 0);
+        assert_eq!(p50_upper(&mut [1]), 1);
+        assert_eq!(p50_upper(&mut [1000, 100, 10]), 127);
+        assert_eq!(p50_upper(&mut [10, 1_000_000]), 15);
+        assert_eq!(p50_upper(&mut [64, 63, 64, 63]), 63);
+        assert_eq!(p50_upper(&mut [u64::MAX]), u64::MAX);
+        assert_eq!(p50_upper(&mut [1 << 63]), u64::MAX);
+    }
+
+    #[test]
+    fn durations_are_derived_from_the_events() {
+        let sink = TraceSink::new(&TraceConfig::enabled(), 2);
+        let down = |wave| move || TraceEvent::TdWave { wave, dir: WaveDir::Down, black: false };
+        // Rank 0: a task that runs a nested one, then a steal attempt.
+        sink.emit(0, 10, || TraceEvent::TaskExecBegin { callback: 0, creator: 0 });
+        sink.emit(0, 20, || TraceEvent::TaskExecBegin { callback: 1, creator: 1 });
+        sink.emit(0, 25, || TraceEvent::TaskExecEnd { callback: 1 });
+        sink.emit(0, 40, || TraceEvent::TaskExecEnd { callback: 0 });
+        sink.emit(0, 60, || TraceEvent::StealAttempt { victim: 1, got: 0, dur_ns: 9 });
+        // Rank 1: two phases of down waves; the numbering restarts at 1, so
+        // the gap across the phase boundary is no sample. Up waves and
+        // other events between them do not count.
+        sink.emit(1, 100, down(1));
+        sink.emit(1, 150, || TraceEvent::TdWave { wave: 1, dir: WaveDir::Up, black: true });
+        sink.emit(1, 300, down(2));
+        sink.emit(1, 700, down(3));
+        sink.emit(1, 5_000, down(1));
+        sink.emit(1, 5_064, down(2));
+        let t = sink.finish().unwrap();
+        assert_eq!(
+            t.durations(),
+            [
+                ("steal_rtt_ns", vec![9]),
+                ("task_exec_ns", vec![5, 30]),
+                ("td_wave_gap_ns", vec![200, 400, 64]),
+            ]
+        );
+        let s = t.summary();
+        assert!(s.contains(
+            "histograms (virtual ns, merged across ranks):\n\
+             \x20 steal_rtt_ns     count=1 mean=9 p50<=9 max=9\n\
+             \x20 task_exec_ns     count=2 mean=18 p50<=7 max=30\n\
+             \x20 td_wave_gap_ns   count=3 mean=221 p50<=255 max=400\n"
+        ), "{s}");
+        // A digest with no samples prints no line; none at all, no header.
+        let quiet = TraceSink::new(&TraceConfig::enabled(), 1);
+        quiet.emit(0, 1, down(1));
+        assert!(!quiet.finish().unwrap().summary().contains("histograms"));
     }
 
     #[test]

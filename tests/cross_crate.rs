@@ -564,6 +564,48 @@ fn analysis_report_is_deterministic_and_survives_jsonl_roundtrip() {
     );
 }
 
+/// A traced two-phase SCF run: two Roothaan iterations on 3 ranks, each
+/// a process phase whose termination waves are numbered from 1 again.
+fn traced_two_phase_scf() -> Trace {
+    let basis = BasisSet::even_tempered(Molecule::h_chain(4), 2, 0.4, 3.5);
+    let mut cfg = ParallelScfConfig { chunk: 4, ..Default::default() };
+    cfg.scf.max_iters = 2;
+    cfg.scf.tol = 0.0;
+    let machine = MachineConfig::virtual_time(3)
+        .with_latency(LatencyModel::cluster())
+        .with_trace(TraceConfig::enabled());
+    let out = Machine::run(machine, move |ctx| run_scf_parallel(ctx, &basis, &cfg).energy);
+    out.report.trace.expect("tracing was enabled")
+}
+
+#[test]
+fn trace_summary_digests_are_pinned() {
+    // `Trace::summary` of a traced UTS run and of a two-phase SCF run, as
+    // the text printed when the runtime still recorded its duration
+    // samples in a histogram registry: the digests it now derives from the
+    // events (task execution, steal round trip, termination-wave gap) must
+    // print the same counts, means, medians and maxima. Refresh with
+    // `SCIOTO_BLESS_GOLDENS=1 cargo test --test cross_crate trace_summary`.
+    let scf = traced_two_phase_scf();
+    let first_waves = scf.events_for(0).iter().filter(|e| {
+        matches!(e.event, TraceEvent::TdWave { wave: 1, dir: scioto_sim::WaveDir::Down, .. })
+    });
+    assert_eq!(first_waves.count(), 2, "the SCF run has two process phases");
+    for (name, trace) in [("summary_uts", traced_uts(0xD16E57)), ("summary_scf", scf)] {
+        let text = trace.summary();
+        assert!(text.contains("td_wave_gap_ns"), "{name}: no wave-gap digest\n{text}");
+        let path = format!("{}/tests/goldens/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var_os("SCIOTO_BLESS_GOLDENS").is_some() {
+            std::fs::write(&path, &text).expect("golden is writable");
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_default();
+        assert_eq!(text, want, "{name}: summary differs from {path}");
+        // A replay re-derives the digests from the events it reproduces.
+        let replayed = scioto_sim::run_replay(&scioto_analyze::lower(&trace).expect("lowers"));
+        assert_eq!(replayed.summary(), text, "{name}: the replay summarizes differently");
+    }
+}
+
 #[test]
 fn replay_of_recorded_uts_trace_is_byte_identical() {
     // The ISSUE-7 acceptance gate: lower a recorded fig7@8-shaped trace
