@@ -15,9 +15,10 @@ use scioto_scf::{
     run_scf_parallel, scf_sequential, BasisSet, LoadBalance, Molecule, ParallelScfConfig,
     ScfConfig,
 };
+use scioto_det::SplitMix64;
 use scioto_sim::{
-    validate_json, ExecMode, LatencyModel, Machine, MachineConfig, SpeedModel, Trace, TraceConfig,
-    TraceEvent,
+    validate_json, BarrierKind, ExecMode, LatencyModel, Machine, MachineConfig, ReplayProgram,
+    ReplaySync, SpeedModel, Trace, TraceConfig, TraceEvent,
 };
 use scioto_tce::contract::reference_checksum;
 use scioto_tce::{run_contraction, ContractionConfig, TceLoadBalance};
@@ -645,6 +646,80 @@ fn record_replay_replay_is_a_fixed_point() {
         scioto_analyze::analyze(&gen2).to_json(),
         "analysis reports must be byte-identical across replay generations"
     );
+}
+
+/// FNV-1a over `bytes`: a digest that is stable across toolchains.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A seeded retiming of a lowered recording. Only `delta_ns` and the
+/// barrier arrival deltas change; every other field stays as lowered.
+fn retime(prog: &mut ReplayProgram, variant: &str, seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    for op in prog.ops.iter_mut().flatten() {
+        let roll = rng.next_u64();
+        let picked = roll % 4 == 0;
+        let amount = (roll >> 8) % 2_000;
+        match (variant, &mut op.sync) {
+            ("stretch", _) if picked => op.delta_ns += amount,
+            ("halve", _) if picked => op.delta_ns /= 2,
+            ("late_arrival", ReplaySync::Barrier { arr_delta_ns, .. }) => *arr_delta_ns += amount,
+            ("mixed", _) if picked && roll & 4 == 0 => op.delta_ns /= 2,
+            ("mixed", _) if picked => op.delta_ns += amount,
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn retimed_replays_are_pinned() {
+    // Identity replay alone cannot tell a replay engine from one that
+    // copies the recorded stamps. Each retiming below moves thousands of
+    // stamps: producers run late (edge waits stretch), consumers run
+    // early (they wait on producers), and barrier arrivals move (the
+    // episode shift and its floor at 0). The replayed JSONL of every
+    // variant is pinned. Refresh with
+    // `SCIOTO_BLESS_GOLDENS=1 cargo test --test cross_crate retimed`.
+    let uniform_flat = Machine::run(
+        MachineConfig::virtual_time(16)
+            .with_latency(LatencyModel::cluster())
+            .with_seed(0xF1A7)
+            .with_barrier(BarrierKind::Flat)
+            .with_trace(TraceConfig::enabled()),
+        |ctx| {
+            let mut cfg = SciotoUtsConfig::new(presets::tiny());
+            cfg.tc = cfg.tc.with_victim(VictimPolicy::Uniform);
+            run_scioto_uts(ctx, &cfg).0
+        },
+    )
+    .report
+    .trace
+    .expect("tracing was enabled");
+    let recordings = [
+        ("uts_p8", traced_uts(0xD5EED)),
+        ("uts_p16_uniform_flat", uniform_flat),
+        ("scf_two_phase", traced_two_phase_scf()),
+    ];
+    let mut lines = String::new();
+    for (name, trace) in &recordings {
+        let recorded = trace.to_jsonl();
+        for (seed, variant) in ["stretch", "halve", "late_arrival", "mixed"].iter().enumerate() {
+            let mut prog = scioto_analyze::lower(trace).expect("recording lowers");
+            retime(&mut prog, variant, 0x5EED + seed as u64);
+            let replayed = scioto_sim::run_replay(&prog).to_jsonl();
+            assert_ne!(replayed, recorded, "{name}/{variant}: the retiming moved no stamp");
+            lines.push_str(&format!("{name} {variant} {:016x}\n", fnv1a64(replayed.as_bytes())));
+        }
+    }
+    let path = format!("{}/tests/goldens/replay_retimed.txt", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("SCIOTO_BLESS_GOLDENS").is_some() {
+        std::fs::write(&path, &lines).expect("golden is writable");
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    assert_eq!(lines, want, "retimed replay digests differ from {path}");
 }
 
 #[test]
