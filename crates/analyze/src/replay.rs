@@ -1,6 +1,6 @@
 //! Trace → replay-input lowering: convert a recorded JSONL/in-memory
-//! [`Trace`] into a [`scioto_sim::ReplayProgram`] the sim's replay engine
-//! can execute without the original workload closure.
+//! [`Trace`] into a [`scioto_sim::ReplayProgram`] whose timing recurrences
+//! the sim's replay engine evaluates without the original workload closure.
 //!
 //! The lowering derives one [`ReplayOp`] per recorded event and extracts
 //! the cross-rank sync structure the tracing layer already records:
@@ -27,9 +27,7 @@
 //! episodes — produces a [`ReplayError`] naming the first offending rank
 //! and event, never a panic.
 
-use std::collections::HashSet;
-
-use scioto_sim::{event_dur, ReplayOp, ReplayProgram, ReplaySync, Trace, TraceEvent};
+use scioto_sim::{ReplayOp, ReplayProgram, ReplaySync, Trace, TraceEvent};
 
 use crate::sync::{first_dropped, Pos, SyncIndex};
 
@@ -204,16 +202,14 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
         list.sort_by_key(|&(r, i, t)| (t, r, i));
     }
 
-    // Pass B: build per-rank ops + collect the watch set.
+    // Pass B: build per-rank ops.
     let mut ops: Vec<Vec<ReplayOp>> = Vec::with_capacity(n);
-    let mut watch: HashSet<(u32, u32)> = HashSet::new();
     // An edge from a producer stamped strictly before `t_ns` (a tie
-    // carries no ordering information); the producer becomes watched.
-    let mut edge = |(pr, pi, pt): Producer, t_ns: u64| {
+    // carries no ordering information).
+    let edge = |(pr, pi, pt): Producer, t_ns: u64| {
         if pt >= t_ns {
             return ReplaySync::None;
         }
-        watch.insert((pr, pi));
         ReplaySync::Edge {
             pred_rank: pr,
             pred_idx: pi,
@@ -229,7 +225,7 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
         // most recent Block, to be attached to the next event.
         let mut pending_wake: Option<Producer> = None;
         for (i, e) in events.iter().enumerate() {
-            let dur = event_dur(&e.event);
+            let dur = e.event.dur_ns().unwrap_or(0);
             let fail = |detail: String| Err(ReplayError::at(trace, r, i, detail));
             let mut sync = ReplaySync::None;
             match e.event {
@@ -320,20 +316,14 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
             rank_ops.push(ReplayOp {
                 ev: e.event,
                 delta_ns: e.t_ns - prev_t,
-                dur_ns: dur,
                 rec_t_ns: e.t_ns,
                 sync,
-                watched: false,
             });
             prev_t = e.t_ns;
         }
         ops.push(rank_ops);
     }
 
-    // Pass C: mark watched producers and compute trailing gaps.
-    for &(r, i) in &watch {
-        ops[r as usize][i as usize].watched = true;
-    }
     let final_gap_ns: Vec<u64> = (0..n)
         .map(|r| {
             let last = trace.events[r].last().map_or(0, |e| e.t_ns);
@@ -353,6 +343,8 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::jsonl::tests::Mix;
     use scioto_sim::{run_replay, StampedEvent, TraceConfig, TraceSink};
@@ -424,12 +416,10 @@ pub(crate) mod tests {
             prog.ops[1][2].sync,
             ReplaySync::Edge { pred_rank: 0, pred_idx: 1, lag_ns: 90 }
         );
-        // Producers are watched; the wake edge landed on the event after
-        // the Block — here the MsgRecv already carries a message edge, so
-        // the Block's wake matched the same event index but message
-        // pairing wins (Block matching only applies to plain successors).
-        assert!(prog.ops[0][2].watched);
-        assert!(prog.ops[0][1].watched);
+        // The wake edge landed on the event after the Block — here the
+        // MsgRecv already carries a message edge, so the Block's wake
+        // matched the same event index but message pairing wins (Block
+        // matching only applies to plain successors).
         assert_eq!(prog.episodes, 1);
     }
 

@@ -41,7 +41,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use scioto_sim::{StampedEvent, Trace, TraceEvent, WaveDir};
+use scioto_sim::{tree_children, tree_parent, StampedEvent, Trace, TraceEvent, WaveDir};
 
 /// A mutex: `(target rank, mutex set, index)`.
 pub type LockKey = (u32, u32, u32);
@@ -53,16 +53,6 @@ pub type WaveKey = (u32, WaveDir, u32);
 pub struct Pos {
     pub rank: u32,
     pub idx: u32,
-}
-
-/// Parent of `rank` in the termination-detection spanning tree.
-fn td_parent(rank: u32) -> Option<u32> {
-    (rank > 0).then(|| (rank - 1) / 2)
-}
-
-/// Children of `rank` in the termination-detection tree of `n` ranks.
-fn td_children(rank: u32, n: u32) -> impl Iterator<Item = u32> {
-    [2 * rank + 1, 2 * rank + 2].into_iter().filter(move |c| *c < n)
 }
 
 /// Words overlapped by a byte range (8-byte granularity).
@@ -231,16 +221,17 @@ pub fn walk(trace: &Trace, mut fold: impl FnMut(Step<'_>)) -> Result<(), SyncErr
                         Some(_) => break 'stream,
                     },
                     TraceEvent::TdWave { wave, dir, .. } => {
+                        // Waves travel the runtime's binary spanning tree.
                         let producers = match dir {
-                            WaveDir::Down | WaveDir::Term => [td_parent(r as u32), None],
+                            WaveDir::Down | WaveDir::Term => [tree_parent(r), None],
                             WaveDir::Up => {
-                                let mut c = td_children(r as u32, n as u32);
+                                let mut c = tree_children(r, n);
                                 [c.next(), c.next()]
                             }
                         };
                         let mut matched = [None; 2];
                         for (slot, p) in matched.iter_mut().zip(producers.into_iter().flatten()) {
-                            let key = (r as u32, (p, dir, wave));
+                            let key = (r as u32, (p as u32, dir, wave));
                             // A producer that never saw this wave (skipped
                             // episode) gives no edge.
                             let Some(emitted) = index.waves.get(&key.1) else {

@@ -1,5 +1,5 @@
-//! `scioto replay` — re-execute a recorded JSONL trace on the
-//! virtual-time kernel, no original workload needed.
+//! `scioto replay` — re-time a recorded JSONL trace by evaluating its
+//! timing recurrences, no original workload needed.
 //!
 //! * `--file <path>` — recorded JSONL trace (required).
 //! * `--check` — verify the replay reproduces the recording exactly

@@ -147,16 +147,15 @@ pub fn check(trace: &Trace, predict: bool, deadlock: bool) -> Result<Verdict, Ex
 }
 
 /// Lower a trace to a replay program, or exit 2 naming the first rank and
-/// event that cannot be re-executed.
+/// event that cannot be replayed.
 pub fn lower(trace: &Trace) -> Result<ReplayProgram, Exit> {
     scioto_analyze::lower(trace).map_err(|e| Exit::unusable(format!("not replayable: {e}")))
 }
 
-/// The replay engine's self-check: lower `trace`, re-execute it on the
-/// virtual-time kernel with no workload, and require the replay to equal
-/// the recording — every stamp, duration, histogram and gauge, and so its
-/// blame decomposition and critical path. Returns the replayed trace;
-/// exit 1 when it differs.
+/// The replay engine's self-check: lower `trace`, replay it with no
+/// workload, and require the replay to equal the recording — every stamp,
+/// duration and gauge, and so its blame decomposition and critical path.
+/// Returns the replayed trace; exit 1 when it differs.
 pub fn replay_identity(trace: &Trace) -> Result<Trace, Exit> {
     let replayed = scioto_sim::run_replay(&lower(trace)?);
     if replayed != *trace {

@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use scioto_armci::{Armci, Gmem};
-use scioto_sim::{Ctx, TraceEvent, WaveDir};
+use scioto_sim::{tree_children, tree_parent, Ctx, TraceEvent, WaveDir};
 
 /// Byte offsets of the per-rank detector slots in ARMCI space.
 const DOWN: usize = 0; // wave id pushed by the parent (root: self-managed)
@@ -44,18 +44,6 @@ pub(crate) const TD_BYTES: usize = 40;
 
 const WHITE: i64 = 1;
 const BLACK: i64 = 2;
-
-/// Parent of `rank` in the binary spanning tree.
-pub fn parent(rank: usize) -> Option<usize> {
-    (rank > 0).then(|| (rank - 1) / 2)
-}
-
-/// Children of `rank` among `n` ranks.
-pub fn children(rank: usize, n: usize) -> impl Iterator<Item = usize> {
-    [2 * rank + 1, 2 * rank + 2]
-        .into_iter()
-        .filter(move |c| *c < n)
-}
 
 /// True when `desc` is a (proper or improper) descendant of `anc` — i.e.
 /// `desc` casts its vote no later than `anc` (the votes-before relation of
@@ -212,7 +200,7 @@ impl WaveDetector {
                     dir: WaveDir::Term,
                     black: false,
                 });
-                for c in children(me, n) {
+                for c in tree_children(me, n) {
                     self.put_slot(ctx, armci, c, TERM, 1);
                 }
             }
@@ -236,7 +224,7 @@ impl WaveDetector {
                 dir: WaveDir::Down,
                 black: false,
             });
-            for c in children(me, n) {
+            for c in tree_children(me, n) {
                 self.put_slot(ctx, armci, c, DOWN, w);
             }
         }
@@ -250,7 +238,7 @@ impl WaveDetector {
         if w > st.voted.load(Ordering::Relaxed) {
             let mut color = WHITE;
             let mut ready = true;
-            for (i, _c) in children(me, n).enumerate() {
+            for (i, _c) in tree_children(me, n).enumerate() {
                 let tok = slot(if i == 0 { UP0 } else { UP1 });
                 if tok / 4 == w {
                     if tok % 4 == BLACK {
@@ -282,14 +270,14 @@ impl WaveDetector {
                             dir: WaveDir::Term,
                             black: false,
                         });
-                        for c in children(me, n) {
+                        for c in tree_children(me, n) {
                             self.put_slot(ctx, armci, c, TERM, 1);
                         }
                         return Poll::Terminated;
                     }
                     // Black wave: the next progress call starts a re-vote.
                 } else {
-                    let p = parent(me).expect("non-root has a parent");
+                    let p = tree_parent(me).expect("non-root has a parent");
                     let slot = if me == 2 * p + 1 { UP0 } else { UP1 };
                     self.put_slot(ctx, armci, p, slot, w * 4 + color);
                 }
@@ -330,17 +318,6 @@ impl WaveDetector {
 mod tests {
     use super::*;
     use scioto_sim::{Machine, MachineConfig};
-
-    #[test]
-    fn tree_relations() {
-        assert_eq!(parent(0), None);
-        assert_eq!(parent(1), Some(0));
-        assert_eq!(parent(2), Some(0));
-        assert_eq!(parent(5), Some(2));
-        assert_eq!(children(0, 6).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(children(2, 6).collect::<Vec<_>>(), vec![5]);
-        assert_eq!(children(3, 6).count(), 0);
-    }
 
     #[test]
     fn descendant_relation() {

@@ -5,7 +5,7 @@
 //! `2r+2`), so their virtual-time cost grows with `log2(n)` message
 //! latencies — the behaviour Figure 4 of the paper compares against.
 
-use scioto_sim::Ctx;
+use scioto_sim::{tree_children, tree_parent, Ctx};
 
 use crate::comm::Comm;
 
@@ -38,16 +38,6 @@ impl ReduceOp {
     }
 }
 
-fn parent(rank: usize) -> Option<usize> {
-    (rank > 0).then(|| (rank - 1) / 2)
-}
-
-fn children(rank: usize, n: usize) -> impl Iterator<Item = usize> {
-    [2 * rank + 1, 2 * rank + 2]
-        .into_iter()
-        .filter(move |c| *c < n)
-}
-
 impl Comm {
     /// Barrier: an up-wave (reduce) followed by a down-wave (broadcast) of
     /// empty messages over the binary tree.
@@ -61,7 +51,7 @@ impl Comm {
     pub fn allreduce_f64(&self, ctx: &Ctx, vals: &[f64], op: ReduceOp) -> Vec<f64> {
         let mut acc = vals.to_vec();
         let rank = ctx.rank();
-        for c in children(rank, self.nranks) {
+        for c in tree_children(rank, self.nranks) {
             let m = self.recv(ctx, Some(c), Some(Comm::INTERNAL_TAG));
             let theirs = decode_f64(&m.data);
             assert_eq!(theirs.len(), acc.len(), "allreduce length mismatch");
@@ -69,7 +59,7 @@ impl Comm {
                 *a = op.f64(*a, b);
             }
         }
-        if let Some(p) = parent(rank) {
+        if let Some(p) = tree_parent(rank) {
             self.send_raw(ctx, p, Comm::INTERNAL_TAG, &encode_f64(&acc));
         }
         decode_f64(&self.down_wave(ctx, encode_f64(&acc)))
@@ -79,7 +69,7 @@ impl Comm {
     pub fn allreduce_u64(&self, ctx: &Ctx, vals: &[u64], op: ReduceOp) -> Vec<u64> {
         let mut acc = vals.to_vec();
         let rank = ctx.rank();
-        for c in children(rank, self.nranks) {
+        for c in tree_children(rank, self.nranks) {
             let m = self.recv(ctx, Some(c), Some(Comm::INTERNAL_TAG));
             let theirs = decode_u64(&m.data);
             assert_eq!(theirs.len(), acc.len(), "allreduce length mismatch");
@@ -87,7 +77,7 @@ impl Comm {
                 *a = op.u64(*a, b);
             }
         }
-        if let Some(p) = parent(rank) {
+        if let Some(p) = tree_parent(rank) {
             self.send_raw(ctx, p, Comm::INTERNAL_TAG, &encode_u64(&acc));
         }
         decode_u64(&self.down_wave(ctx, encode_u64(&acc)))
@@ -97,10 +87,10 @@ impl Comm {
     /// to the parent.
     fn up_wave(&self, ctx: &Ctx, payload: &[u8]) {
         let rank = ctx.rank();
-        for c in children(rank, self.nranks) {
+        for c in tree_children(rank, self.nranks) {
             self.recv(ctx, Some(c), Some(Comm::INTERNAL_TAG));
         }
-        if let Some(p) = parent(rank) {
+        if let Some(p) = tree_parent(rank) {
             self.send_raw(ctx, p, Comm::INTERNAL_TAG, payload);
         }
     }
@@ -109,11 +99,11 @@ impl Comm {
     /// own), forward to children, return it.
     fn down_wave(&self, ctx: &Ctx, root_payload: Vec<u8>) -> Vec<u8> {
         let rank = ctx.rank();
-        let payload = match parent(rank) {
+        let payload = match tree_parent(rank) {
             None => root_payload,
             Some(p) => self.recv(ctx, Some(p), Some(Comm::INTERNAL_TAG)).data,
         };
-        for c in children(rank, self.nranks) {
+        for c in tree_children(rank, self.nranks) {
             self.send_raw(ctx, c, Comm::INTERNAL_TAG, &payload);
         }
         payload

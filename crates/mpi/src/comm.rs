@@ -70,14 +70,14 @@ impl Comm {
     /// Non-blocking receive of a message that has already arrived.
     /// Charges a probe's worth of library overhead.
     pub fn try_recv(&self, ctx: &Ctx, src: Option<usize>, tag: Option<u64>) -> Option<Msg> {
-        ctx.charge_cpu(Comm::PROBE_NS);
+        ctx.compute(Comm::PROBE_NS);
         self.router.try_recv(ctx, MsgFilter { src, tag })
     }
 
     /// Non-blocking probe: has a matching message already arrived? Charges
     /// the library's message-queue traversal cost.
     pub fn iprobe(&self, ctx: &Ctx, src: Option<usize>, tag: Option<u64>) -> bool {
-        ctx.charge_cpu(Comm::PROBE_NS);
+        ctx.compute(Comm::PROBE_NS);
         self.router.iprobe(ctx, MsgFilter { src, tag })
     }
 }

@@ -66,6 +66,17 @@ pub fn ring_distance(a: usize, b: usize, n: usize) -> usize {
     d.min(n - d)
 }
 
+/// Parent of `rank` in the binary spanning tree rooted at rank 0, which
+/// the collectives and termination detection both walk.
+pub fn tree_parent(rank: usize) -> Option<usize> {
+    (rank > 0).then(|| (rank - 1) / 2)
+}
+
+/// Children of `rank` in the binary spanning tree of `n` ranks.
+pub fn tree_children(rank: usize, n: usize) -> impl Iterator<Item = usize> {
+    [2 * rank + 1, 2 * rank + 2].into_iter().filter(move |c| *c < n)
+}
+
 /// Communication and queue-operation costs, in nanoseconds.
 ///
 /// The presets are calibrated so that the Table 1 microbenchmarks of the
@@ -439,6 +450,17 @@ mod tests {
     #[should_panic(expected = "speed factors must be positive")]
     fn rejects_nonpositive_speed() {
         SpeedModel::from_factors(vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn binary_tree_relations() {
+        assert_eq!(tree_parent(0), None);
+        assert_eq!(tree_parent(1), Some(0));
+        assert_eq!(tree_parent(2), Some(0));
+        assert_eq!(tree_parent(5), Some(2));
+        assert_eq!(tree_children(0, 6).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(tree_children(2, 6).collect::<Vec<_>>(), vec![5]);
+        assert_eq!(tree_children(3, 6).count(), 0);
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl Ctx {
         self.kernel.charge_cpu(self.rank, ns);
     }
 
-    /// Charge `ns` nanoseconds of CPU work (alias of [`Ctx::compute`]).
-    pub fn charge_cpu(&self, ns: u64) {
-        self.kernel.charge_cpu(self.rank, ns);
-    }
-
     /// `ns` nanoseconds of CPU work scaled by this rank's speed factor,
     /// to be charged later, possibly many times, with [`Ctx::charge`].
     /// Charging it is exactly [`Ctx::compute`]`(ns)`.

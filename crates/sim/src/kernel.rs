@@ -702,7 +702,7 @@ mod tests {
         let out = Machine::run(MachineConfig::virtual_time(2), |ctx| {
             let (slices, ns) = if ctx.rank() == 0 { (10, 10) } else { (5, 30) };
             for _ in 0..slices {
-                ctx.charge_cpu(ns);
+                ctx.compute(ns);
                 ctx.yield_point();
             }
             ctx.kernel().clock(ctx.rank())
@@ -724,7 +724,7 @@ mod tests {
             let me = ctx.rank();
             for _ in 0..3 {
                 ranks_log.lock().push(me);
-                ctx.charge_cpu(100);
+                ctx.compute(100);
                 ctx.yield_point();
             }
             // Every clock is now 300 and rank 0 holds the baton: as the

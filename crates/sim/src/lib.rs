@@ -12,7 +12,7 @@
 //! Rules of the model:
 //!
 //! * Purely **rank-private** work advances the local virtual clock via
-//!   [`Ctx::compute`] / [`Ctx::charge_cpu`] without a scheduling point.
+//!   [`Ctx::compute`] without a scheduling point.
 //! * Any operation that touches **shared state** (locks, mailboxes,
 //!   barriers, remotely accessible memory) passes through a *yield point*
 //!   ([`Ctx::yield_point`]), so shared operations execute in global
@@ -51,12 +51,13 @@ mod vlock;
 
 pub use barrier::SimBarrier;
 pub use config::{
-    ring_distance, BarrierKind, ExecMode, LatencyModel, LatencyTiers, MachineConfig, SpeedModel,
+    ring_distance, tree_children, tree_parent, BarrierKind, ExecMode, LatencyModel, LatencyTiers,
+    MachineConfig, SpeedModel,
 };
 pub use ctx::{CpuCost, Ctx};
 pub use machine::{Machine, RunOutput};
 pub use mailbox::{MailboxRouter, Msg, MsgFilter};
-pub use replay::{event_dur, run_replay, ReplayOp, ReplayProgram, ReplaySync};
+pub use replay::{run_replay, ReplayOp, ReplayProgram, ReplaySync};
 pub use report::{EventCounters, Report};
 pub use trace::{
     validate_json, Gauge, RemoteOpKind, StampedEvent, Trace, TraceConfig, TraceEvent, TraceSink,

@@ -103,7 +103,7 @@ impl MailboxRouter {
         net_cost: u64,
     ) {
         ctx.yield_point();
-        ctx.charge_cpu(send_overhead);
+        ctx.compute(send_overhead);
         let arrival = ctx.now() + net_cost;
         ctx.kernel()
             .events

@@ -1,14 +1,12 @@
-//! Trace-driven replay: re-execute a recorded schedule on the virtual-time
-//! kernel without the original workload closure.
+//! Trace-driven replay: re-time a recorded schedule without the original
+//! workload closure.
 //!
 //! A [`ReplayProgram`] is a lowered form of a recorded trace: one
 //! [`ReplayOp`] per recorded event, carrying the event template, its
-//! intrinsic duration, its completion delta from the previous event on the
-//! same rank, and (where the trace records one) a cross-rank sync
-//! dependency. [`run_replay`] executes the program as an SPMD rank program
-//! under [`crate::Machine::run`] with tracing *disabled* — the replayed
-//! trace is assembled by hand from each rank's computed event stream, so
-//! the kernel's own block/unblock bookkeeping never pollutes the output.
+//! completion delta from the previous event on the same rank, and (where
+//! the trace records one) a cross-rank sync dependency. [`run_replay`]
+//! evaluates the program's timing recurrences directly and rebuilds the
+//! replayed trace from each rank's computed event stream.
 //!
 //! ## Timing model
 //!
@@ -23,27 +21,29 @@
 //!   `lag = t_i − t_pred` is the recorded slack on the edge. The extra
 //!   wait, if any, stretches the event's recorded duration.
 //! * **Barrier** — all ranks rendezvous per recorded episode. The episode
-//!   shifts by `Δ = max_r(arrival_new_r − arrival_rec_r)` and every rank
-//!   releases at its recorded release time plus `Δ`.
+//!   shifts by `Δ = max(0, max_r(arrival_new_r − arrival_rec_r))` and every
+//!   rank releases at its recorded release time plus `Δ`.
 //!
 //! When nothing is substituted (identity replay) every derived completion
 //! equals its recorded stamp, so the replayed trace — events, final
 //! clocks, and the pass-through gauge registries — is byte-identical to
-//! the input. Completion times are defined by `max` recurrences over
-//! per-op values, independent of dispatch interleaving.
+//! the input.
 //!
+//! ## Evaluation
+//!
+//! Completion times are `max` recurrences over per-op values, so any
+//! order that places each op after its inputs computes the same stamps.
+//! [`run_replay`] visits the ranks round-robin and runs each one until its
+//! next op waits on a producer op not yet placed, or on a barrier episode
+//! some rank has not reached; rounds repeat until every op is placed.
 //! Sync edges always point from a strictly earlier recorded stamp to a
-//! strictly later one, and intra-rank order is monotone; any dependency
-//! cycle would need a strictly positive time increase around the loop,
-//! so a well-formed program cannot deadlock.
+//! strictly later one, and intra-rank order is monotone, so a program
+//! lowered from a recording always completes. A program that cannot (a
+//! dependency cycle, an edge to an op that does not exist) panics naming
+//! the first stuck rank, op and sync.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use scioto_det::sync::Mutex;
-
-use crate::config::MachineConfig;
-use crate::ctx::Ctx;
-use crate::machine::Machine;
 use crate::trace::{Gauge, StampedEvent, Trace, TraceEvent};
 
 /// Cross-rank synchronization recorded for one op.
@@ -75,20 +75,16 @@ pub enum ReplaySync {
 /// One recorded event, lowered for replay.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplayOp {
-    /// Event template; duration-carrying fields are rewritten on emit.
+    /// Event template; its duration ([`TraceEvent::dur_ns`]) is rewritten
+    /// on emit when the replay stretches or shifts the op.
     pub ev: TraceEvent,
     /// Recorded completion delta from the previous op on this rank.
     pub delta_ns: u64,
-    /// Intrinsic duration embedded in `ev` (0 for instant events).
-    pub dur_ns: u64,
     /// Recorded completion stamp (barrier re-release shifts it by the
     /// episode's delay; identity replay reproduces it exactly).
     pub rec_t_ns: u64,
     /// Cross-rank dependency, if the trace records one.
     pub sync: ReplaySync,
-    /// True when some other rank's op waits on this one: its replayed
-    /// completion is published to the shared completion map.
-    pub watched: bool,
 }
 
 /// A fully lowered replay input: per-rank op streams plus the trailing
@@ -110,203 +106,92 @@ pub struct ReplayProgram {
     pub gauges: Vec<BTreeMap<String, Gauge>>,
 }
 
-/// Shared replay state: completion times of watched ops and the barrier
-/// rendezvous ledger. Guarded by one mutex — ranks only touch it at sync
-/// points, which are rare relative to plain ops.
-struct ReplayState {
-    completed: HashMap<(u32, u32), u64>,
-    edge_waiters: HashMap<(u32, u32), Vec<usize>>,
-    barriers: Vec<EpisodeState>,
-}
-
-#[derive(Default)]
-struct EpisodeState {
-    arrived: usize,
-    shift: i64,
-    done: bool,
-    waiters: Vec<usize>,
-}
-
-/// Block until `(pred_rank, pred_idx)` publishes its replayed completion.
-fn wait_for_edge(ctx: &Ctx, state: &Mutex<ReplayState>, key: (u32, u32), me: usize) -> u64 {
-    loop {
-        ctx.yield_point();
-        {
-            let mut g = state.lock();
-            if let Some(&t) = g.completed.get(&key) {
-                return t;
-            }
-            g.edge_waiters.entry(key).or_default().push(me);
-        }
-        ctx.block_at("replay: waiting on a recorded sync edge");
-    }
-}
-
-/// Publish a watched op's replayed completion and wake its waiters.
-fn publish(ctx: &Ctx, state: &Mutex<ReplayState>, me: usize, idx: usize, t: u64) {
-    let waiters = {
-        let mut g = state.lock();
-        g.completed.insert((me as u32, idx as u32), t);
-        g.edge_waiters
-            .remove(&(me as u32, idx as u32))
-            .unwrap_or_default()
-    };
-    for w in waiters {
-        ctx.unblock(w, 0);
-    }
-}
-
-/// Rendezvous on barrier `episode`, contributing this rank's arrival
-/// shift; returns the episode's final shift once every rank has arrived.
-fn barrier_sync(
-    ctx: &Ctx,
-    state: &Mutex<ReplayState>,
-    episode: usize,
-    my_shift: i64,
-    me: usize,
-    nranks: usize,
-) -> i64 {
-    ctx.yield_point();
-    let mut g = state.lock();
-    {
-        let ep = &mut g.barriers[episode];
-        ep.arrived += 1;
-        if my_shift > ep.shift {
-            ep.shift = my_shift;
-        }
-        if ep.arrived == nranks {
-            ep.done = true;
-            let shift = ep.shift;
-            let waiters = std::mem::take(&mut ep.waiters);
-            drop(g);
-            for w in waiters {
-                ctx.unblock(w, 0);
-            }
-            return shift;
-        }
-    }
-    loop {
-        if g.barriers[episode].done {
-            return g.barriers[episode].shift;
-        }
-        g.barriers[episode].waiters.push(me);
-        drop(g);
-        ctx.block_at("replay: waiting at a recorded barrier");
-        g = state.lock();
-    }
-}
-
-/// Rewrite the duration field of a duration-carrying event template.
-fn with_dur(ev: TraceEvent, dur: u64) -> TraceEvent {
-    match ev {
-        TraceEvent::StealAttempt { victim, got, .. } => TraceEvent::StealAttempt {
-            victim,
-            got,
-            dur_ns: dur,
-        },
-        TraceEvent::LockWait { target, .. } => TraceEvent::LockWait {
-            target,
-            dur_ns: dur,
-        },
-        TraceEvent::BarrierWait { epoch, .. } => TraceEvent::BarrierWait { dur_ns: dur, epoch },
-        TraceEvent::TdProgress { .. } => TraceEvent::TdProgress { dur_ns: dur },
-        other => other,
-    }
-}
-
-/// Intrinsic duration carried by an event (0 for instant events).
-pub fn event_dur(ev: &TraceEvent) -> u64 {
-    match *ev {
-        TraceEvent::StealAttempt { dur_ns, .. }
-        | TraceEvent::LockWait { dur_ns, .. }
-        | TraceEvent::BarrierWait { dur_ns, .. }
-        | TraceEvent::TdProgress { dur_ns } => dur_ns,
-        _ => 0,
-    }
-}
-
-/// Execute `prog` on the virtual-time kernel and rebuild the replayed
-/// trace. Identity replay (a program lowered from a trace, unmodified)
+/// Evaluate `prog`'s timing recurrences and rebuild the replayed trace.
+/// Identity replay (a program lowered from a trace, unmodified)
 /// reproduces the recorded trace byte for byte.
+///
+/// # Panics
+///
+/// If some op can never be placed: the message names its rank, op index
+/// and [`ReplaySync`].
 pub fn run_replay(prog: &ReplayProgram) -> Trace {
     let n = prog.nranks;
     assert!(n >= 1, "a replay program needs at least one rank");
     assert_eq!(prog.ops.len(), n);
-    let state = Mutex::new(ReplayState {
-        completed: HashMap::new(),
-        edge_waiters: HashMap::new(),
-        barriers: (0..prog.episodes).map(|_| EpisodeState::default()).collect(),
-    });
+    let mut events: Vec<Vec<StampedEvent>> =
+        prog.ops.iter().map(|ops| Vec::with_capacity(ops.len())).collect();
+    // Per episode: ranks arrived so far, and the shift (floored at 0).
+    let mut episodes = vec![(0usize, 0u64); prog.episodes];
+    // Whether each rank has counted its arrival at the barrier it waits on.
+    let mut arrived = vec![false; n];
 
-    let out = Machine::run(
-        MachineConfig::virtual_time(n),
-        |ctx: &Ctx| {
-            let me = ctx.rank();
-            let ops = &prog.ops[me];
-            let mut events: Vec<StampedEvent> = Vec::with_capacity(ops.len());
-            let mut cursor: u64 = 0;
-            for (idx, op) in ops.iter().enumerate() {
-                // `dur` is the replayed duration: the op's intrinsic cost
-                // stretched by any wait the replay introduced. A barrier's
-                // recorded duration already spans arrival→release, so its
-                // replayed duration is simply the new span.
-                let (completion, dur) = match op.sync {
-                    ReplaySync::None => (cursor + op.delta_ns, op.dur_ns),
-                    ReplaySync::Edge {
-                        pred_rank,
-                        pred_idx,
-                        lag_ns,
-                    } => {
+    loop {
+        let mut progressed = false;
+        for r in 0..n {
+            while let Some(op) = prog.ops[r].get(events[r].len()) {
+                let cursor = events[r].last().map_or(0, |e| e.t_ns);
+                let mut event = op.ev;
+                let t_ns = match op.sync {
+                    ReplaySync::None => cursor + op.delta_ns,
+                    ReplaySync::Edge { pred_rank, pred_idx, lag_ns } => {
+                        let pred = events.get(pred_rank as usize);
+                        let Some(pred) = pred.and_then(|p| p.get(pred_idx as usize)) else {
+                            break;
+                        };
                         let base = cursor + op.delta_ns;
-                        let t_pred = wait_for_edge(ctx, &state, (pred_rank, pred_idx), me);
-                        let completion = base.max(t_pred + lag_ns);
-                        (completion, op.dur_ns + (completion - base))
+                        let t_ns = base.max(pred.t_ns + lag_ns);
+                        // The wait the replay introduced stretches the span.
+                        if let Some(dur) = event.dur_mut() {
+                            *dur += t_ns - base;
+                        }
+                        t_ns
                     }
-                    ReplaySync::Barrier {
-                        episode,
-                        arr_delta_ns,
-                        rec_arrival_ns,
-                    } => {
+                    ReplaySync::Barrier { episode, arr_delta_ns, rec_arrival_ns } => {
+                        let Some((count, shift)) = episodes.get_mut(episode as usize) else {
+                            break;
+                        };
                         let arrival = cursor + arr_delta_ns;
-                        let shift = barrier_sync(
-                            ctx,
-                            &state,
-                            episode as usize,
-                            arrival as i64 - rec_arrival_ns as i64,
-                            me,
-                            n,
-                        );
-                        // Δ ≥ this rank's own shift, so the shifted release
-                        // never precedes the replayed arrival.
-                        let completion = (op.rec_t_ns as i64 + shift) as u64;
-                        (completion, completion - arrival)
+                        if !arrived[r] {
+                            arrived[r] = true;
+                            *count += 1;
+                            *shift = (*shift).max(arrival.saturating_sub(rec_arrival_ns));
+                        }
+                        if *count < n {
+                            break;
+                        }
+                        arrived[r] = false;
+                        // The shift is at least this rank's own, so the
+                        // release never precedes the replayed arrival; the
+                        // span is the new arrival→release.
+                        let t_ns = op.rec_t_ns + *shift;
+                        if let Some(dur) = event.dur_mut() {
+                            *dur = t_ns - arrival;
+                        }
+                        t_ns
                     }
                 };
-                let event = with_dur(op.ev, dur);
-                events.push(StampedEvent {
-                    t_ns: completion,
-                    event,
-                });
-                if op.watched {
-                    publish(ctx, &state, me, idx, completion);
-                }
-                cursor = completion;
+                events[r].push(StampedEvent { t_ns, event });
+                progressed = true;
             }
-            let final_clock = if ops.is_empty() {
-                prog.rec_final_clock_ns[me]
-            } else {
-                cursor + prog.final_gap_ns[me]
-            };
-            (events, final_clock)
-        },
-    );
-
-    let mut events = Vec::with_capacity(n);
-    let mut final_clock_ns = Vec::with_capacity(n);
-    for (evs, clock) in out.results {
-        events.push(evs);
-        final_clock_ns.push(clock);
+        }
+        if !progressed {
+            break;
+        }
     }
+
+    if let Some(r) = (0..n).find(|&r| events[r].len() < prog.ops[r].len()) {
+        let idx = events[r].len();
+        panic!(
+            "replay is stuck: rank {r}, op {idx} waits on {:?}, which can never complete",
+            prog.ops[r][idx].sync
+        );
+    }
+    let final_clock_ns = (0..n)
+        .map(|r| match events[r].last() {
+            None => prog.rec_final_clock_ns[r],
+            Some(last) => last.t_ns + prog.final_gap_ns[r],
+        })
+        .collect();
     Trace {
         events,
         dropped: vec![0; n],
@@ -320,14 +205,16 @@ pub fn run_replay(prog: &ReplayProgram) -> Trace {
 mod tests {
     use super::*;
 
+    fn event_dur(ev: &TraceEvent) -> u64 {
+        ev.dur_ns().unwrap_or(0)
+    }
+
     fn plain(ev: TraceEvent, delta: u64, rec_t: u64) -> ReplayOp {
         ReplayOp {
             ev,
             delta_ns: delta,
-            dur_ns: event_dur(&ev),
             rec_t_ns: rec_t,
             sync: ReplaySync::None,
-            watched: false,
         }
     }
 
@@ -341,7 +228,7 @@ mod tests {
     /// Two ranks, a message edge, a barrier, and trailing idle gaps:
     /// identity replay must reproduce the recorded stamps exactly.
     fn two_rank_program() -> ReplayProgram {
-        // Rank 0: send at 100 (watched), barrier arrive 150 release 200.
+        // Rank 0: send at 100, barrier arrive 150 release 200.
         // Rank 1: recv at 130 (edge from r0 op0, lag 30), barrier arrive
         //         160 release 200.
         let r0 = vec![
@@ -352,10 +239,8 @@ mod tests {
                     seq: 1,
                 },
                 delta_ns: 100,
-                dur_ns: 0,
                 rec_t_ns: 100,
                 sync: ReplaySync::None,
-                watched: true,
             },
             ReplayOp {
                 ev: TraceEvent::BarrierWait {
@@ -363,28 +248,24 @@ mod tests {
                     epoch: 1,
                 },
                 delta_ns: 100,
-                dur_ns: 50,
                 rec_t_ns: 200,
                 sync: ReplaySync::Barrier {
                     episode: 0,
                     arr_delta_ns: 50,
                     rec_arrival_ns: 150,
                 },
-                watched: false,
             },
         ];
         let r1 = vec![
             ReplayOp {
                 ev: TraceEvent::MsgRecv { src: 0, seq: 1 },
                 delta_ns: 130,
-                dur_ns: 0,
                 rec_t_ns: 130,
                 sync: ReplaySync::Edge {
                     pred_rank: 0,
                     pred_idx: 0,
                     lag_ns: 30,
                 },
-                watched: false,
             },
             ReplayOp {
                 ev: TraceEvent::BarrierWait {
@@ -392,14 +273,12 @@ mod tests {
                     epoch: 1,
                 },
                 delta_ns: 70,
-                dur_ns: 40,
                 rec_t_ns: 200,
                 sync: ReplaySync::Barrier {
                     episode: 0,
                     arr_delta_ns: 30,
                     rec_arrival_ns: 160,
                 },
-                watched: false,
             },
         ];
         ReplayProgram {
@@ -492,5 +371,40 @@ mod tests {
         let t = run_replay(&prog);
         assert_eq!(t.final_clock_ns, vec![40, 25]);
         assert!(t.events[1].is_empty());
+    }
+
+    fn waiting_on(pred_rank: u32, pred_idx: u32) -> ReplayOp {
+        ReplayOp {
+            sync: ReplaySync::Edge { pred_rank, pred_idx, lag_ns: 5 },
+            ..plain(TraceEvent::MsgRecv { src: pred_rank, seq: 1 }, 10, 10)
+        }
+    }
+
+    fn two_ranks(r0: Vec<ReplayOp>, r1: Vec<ReplayOp>) -> ReplayProgram {
+        ReplayProgram {
+            nranks: 2,
+            ops: vec![r0, r1],
+            final_gap_ns: vec![0, 0],
+            rec_final_clock_ns: vec![10, 10],
+            episodes: 0,
+            gauges: vec![BTreeMap::new(); 2],
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 0, op 0 waits on Edge { pred_rank: 1, pred_idx: 0, lag_ns: 5 }"
+    )]
+    fn mutually_waiting_ranks_report_the_stuck_op() {
+        run_replay(&two_ranks(vec![waiting_on(1, 0)], vec![waiting_on(0, 0)]));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 1, op 1 waits on Edge { pred_rank: 0, pred_idx: 7, lag_ns: 5 }"
+    )]
+    fn edge_to_a_missing_op_reports_the_stuck_op() {
+        let r1 = vec![plain(qd(1), 10, 10), waiting_on(0, 7)];
+        run_replay(&two_ranks(vec![plain(qd(1), 10, 10)], r1));
     }
 }

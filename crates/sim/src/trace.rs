@@ -345,6 +345,24 @@ impl TraceEvent {
         }
     }
 
+    /// The span of a duration-carrying event, which is stamped at its
+    /// completion; `None` for an instant event.
+    pub fn dur_ns(&self) -> Option<u64> {
+        let mut ev = *self;
+        ev.dur_mut().copied()
+    }
+
+    /// The duration field of a duration-carrying event.
+    pub(crate) fn dur_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            TraceEvent::StealAttempt { dur_ns, .. }
+            | TraceEvent::LockWait { dur_ns, .. }
+            | TraceEvent::BarrierWait { dur_ns, .. }
+            | TraceEvent::TdProgress { dur_ns } => Some(dur_ns),
+            _ => None,
+        }
+    }
+
     /// Append the event's payload as JSON object members between `open`
     /// and `close`, e.g. `"victim":3,"got":2`. Nothing at all (no `open`,
     /// no `close`) for payload-free events.
@@ -1031,7 +1049,7 @@ fn p50_upper(samples: &mut [u64]) -> u64 {
 
 fn chrome_event(out: &mut Text, rank: u64, e: &StampedEvent) {
     out.lit("{\"name\":\"");
-    let mut dur = None;
+    let dur = e.event.dur_ns();
     match e.event {
         TraceEvent::TaskExecBegin { .. } => {
             out.lit("TaskExec\",\"cat\":\"task\",\"ph\":\"B\",\"ts\":");
@@ -1044,14 +1062,10 @@ fn chrome_event(out: &mut Text, rank: u64, e: &StampedEvent) {
             out.num(rank);
             out.lit("\",\"ph\":\"C\",\"ts\":");
         }
-        TraceEvent::StealAttempt { dur_ns, .. }
-        | TraceEvent::LockWait { dur_ns, .. }
-        | TraceEvent::BarrierWait { dur_ns, .. }
-        | TraceEvent::TdProgress { dur_ns } => {
+        ev if dur.is_some() => {
             // Stamped at completion: render as a complete (X) event whose
             // ts is the span start.
-            dur = Some(dur_ns);
-            out.lit(e.event.name());
+            out.lit(ev.name());
             out.lit("\",\"cat\":\"rt\",\"ph\":\"X\",\"ts\":");
         }
         ev => {

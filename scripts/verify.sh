@@ -91,11 +91,12 @@ stage "cargo build --release --offline"
 # the one executable, `scioto`.
 cargo build --release --offline
 
-stage "cargo clippy --workspace --offline -- -D warnings"
-# Every clippy lint fails the run, its warn-level style lints included:
+stage "cargo clippy --workspace --all-targets --offline -- -D warnings"
+# Every clippy lint fails the run, its warn-level style lints included,
+# in unit tests, integration tests and benches as well as the libraries:
 # the workspace is clippy-clean and stays so.
 t0=$(now_ms)
-cargo clippy --workspace --offline -- -D warnings 2> "$work/clippy.txt" \
+cargo clippy --workspace --all-targets --offline -- -D warnings 2> "$work/clippy.txt" \
     || { cat "$work/clippy.txt" >&2; echo "FAIL: cargo clippy reported warnings or errors" >&2; exit 1; }
 echo "ok: clippy reported nothing in" \
     "$(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s"
@@ -207,7 +208,7 @@ scioto analyze \
 cmp "$work/table1_analysis.json" "$work/table1_analysis_offline.json"
 echo "ok: offline analyzer matches in-memory analysis"
 
-stage "replay: recorded traces re-execute byte-identically (hard gate)"
+stage "replay: recorded traces replay byte-identically (hard gate)"
 # The replay engine reconstructs the run from the trace alone — no
 # workload closure — and must reproduce the live analysis (blame
 # decomposition + critical path) byte for byte: table1 and fig7@8.

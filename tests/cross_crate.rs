@@ -610,9 +610,9 @@ fn trace_summary_digests_are_pinned() {
 #[test]
 fn replay_of_recorded_uts_trace_is_byte_identical() {
     // The ISSUE-7 acceptance gate: lower a recorded fig7@8-shaped trace
-    // into a replay program and re-execute it on the virtual-time kernel
-    // with no workload closure. The replay must reproduce the trace — and
-    // therefore the blame decomposition and critical path — byte for byte.
+    // into a replay program and replay it with no workload closure. The
+    // replay must reproduce the trace — and therefore the blame
+    // decomposition and critical path — byte for byte.
     let live = traced_uts(0xD5EED);
     let prog = scioto_analyze::lower(&live).expect("recorded trace lowers for replay");
     let replayed = scioto_sim::run_replay(&prog);
@@ -661,7 +661,7 @@ fn retime(prog: &mut ReplayProgram, variant: &str, seed: u64) {
     let mut rng = SplitMix64::new(seed);
     for op in prog.ops.iter_mut().flatten() {
         let roll = rng.next_u64();
-        let picked = roll % 4 == 0;
+        let picked = roll.is_multiple_of(4);
         let amount = (roll >> 8) % 2_000;
         match (variant, &mut op.sync) {
             ("stretch", _) if picked => op.delta_ns += amount,
