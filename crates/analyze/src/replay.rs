@@ -225,11 +225,10 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
         // most recent Block, to be attached to the next event.
         let mut pending_wake: Option<Producer> = None;
         for (i, e) in events.iter().enumerate() {
-            let dur = e.event.dur_ns().unwrap_or(0);
             let fail = |detail: String| Err(ReplayError::at(trace, r, i, detail));
             let mut sync = ReplaySync::None;
             match e.event {
-                TraceEvent::BarrierWait { .. } => {
+                TraceEvent::BarrierWait { dur_ns: dur, .. } => {
                     let Some(arrival) = e.t_ns.checked_sub(dur) else {
                         return fail(format!(
                             "barrier wait span starts before t=0 (dur {dur} exceeds the stamp; \
