@@ -562,11 +562,13 @@ mod tests {
 
     /// `scale_ns` is `f64::round` of the product for every charge the
     /// shipped speed models can produce (uniform 1.0, the hetero cluster's
-    /// Xeon ratio) and for factors that land on exact halves, where
-    /// round-half-away and round-half-even differ.
+    /// Xeon ratio), for the near/far latency tier factors, and for factors
+    /// that land on exact halves, where round-half-away and round-half-even
+    /// differ.
     #[test]
     fn scale_ns_equals_f64_round() {
-        let mut factors = vec![0.5, 1.5, 0.4753 / 0.3158];
+        let tiers = crate::LatencyTiers::nearfar();
+        let mut factors = vec![0.5, 1.5, 0.4753 / 0.3158, tiers.near_scale, tiers.far_scale];
         for model in [SpeedModel::uniform(2), SpeedModel::hetero_cluster(2)] {
             factors.extend((0..model.len()).map(|r| model.factor(r)));
         }

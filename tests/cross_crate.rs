@@ -723,6 +723,80 @@ fn retimed_replays_are_pinned() {
 }
 
 #[test]
+fn op_costs_are_pinned() {
+    // What every ARMCI operation charges its issuer, under each latency
+    // preset: rank 0 of an 8-rank machine targets itself, a near rank (1)
+    // and a far rank (4), and each line is how far its clock advanced.
+    // The two-sided `msg_to` prices of the same pairs ride along. Refresh
+    // with `SCIOTO_BLESS_GOLDENS=1 cargo test --test cross_crate op_costs`.
+    let presets = [
+        ("zero", LatencyModel::zero()),
+        ("cluster", LatencyModel::cluster()),
+        ("xt4", LatencyModel::xt4()),
+        ("cluster_nearfar", LatencyModel::cluster_nearfar()),
+    ];
+    let mut lines = String::new();
+    for (name, model) in presets {
+        let out = Machine::run(MachineConfig::virtual_time(8).with_latency(model), |ctx| {
+            let armci = Armci::init(ctx);
+            let g = armci.malloc(ctx, 1024);
+            let m = armci.create_mutexes(ctx, 1);
+            armci.barrier(ctx);
+            let mut costs = Vec::new();
+            if ctx.rank() == 0 {
+                let mut step = |op: &str, target: &str, f: &dyn Fn()| {
+                    let t0 = ctx.now();
+                    f();
+                    costs.push(format!("{op} {target} {}", ctx.now() - t0));
+                };
+                let (small, big) = ([0u8; 8], [0u8; 1024]);
+                for t in [0, 1, 4] {
+                    let at = format!("t{t}");
+                    step("put_8", &at, &|| armci.put(ctx, g, t, 0, &small));
+                    step("put_1k", &at, &|| armci.put(ctx, g, t, 0, &big));
+                    step("get_8", &at, &|| armci.get(ctx, g, t, 0, &mut [0u8; 8]));
+                    step("get_1k", &at, &|| armci.get(ctx, g, t, 0, &mut [0u8; 1024]));
+                    step("acc_f64_8", &at, &|| {
+                        armci.acc_f64(ctx, g, t, 0, 1.0, &[1.0])
+                    });
+                    step("acc_f64_1k", &at, &|| {
+                        armci.acc_f64(ctx, g, t, 0, 1.0, &[1.0; 128])
+                    });
+                    step("fetch_add_i64", &at, &|| {
+                        armci.fetch_add_i64(ctx, g, t, 0, 1);
+                    });
+                    step("lock", &at, &|| armci.lock(ctx, m, 0, t));
+                    step("unlock", &at, &|| armci.unlock(ctx, m, 0, t));
+                    step("try_lock", &at, &|| assert!(armci.try_lock(ctx, m, 0, t)));
+                    armci.unlock(ctx, m, 0, t);
+                    step("fence", &at, &|| armci.fence(ctx, t));
+                }
+                step("all_fence", "-", &|| armci.all_fence(ctx));
+                step("barrier", "-", &|| armci.barrier(ctx));
+            } else {
+                armci.barrier(ctx);
+            }
+            costs
+        });
+        for line in &out.results[0] {
+            lines.push_str(&format!("{name} {line}\n"));
+        }
+        for t in [0, 1, 4] {
+            for bytes in [8, 1024] {
+                let ns = model.msg_to(0, t, 8, bytes);
+                lines.push_str(&format!("{name} msg_to_{bytes} t{t} {ns}\n"));
+            }
+        }
+    }
+    let path = format!("{}/tests/goldens/op_costs.txt", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("SCIOTO_BLESS_GOLDENS").is_some() {
+        std::fs::write(&path, &lines).expect("golden is writable");
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_default();
+    assert_eq!(lines, want, "op costs differ from {path}");
+}
+
+#[test]
 fn bench_json_is_deterministic_modulo_wall_clock() {
     // Build the BENCH document from same-seed UTS runs twice: only the
     // generated_wall_ns line may differ.
