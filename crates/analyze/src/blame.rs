@@ -1,7 +1,7 @@
 //! Blame decomposition: attribute every virtual nanosecond of a rank's
 //! elapsed time to exactly one [`Category`].
 //!
-//! The rank's [`SpanIndex`] already names the innermost span of every
+//! The rank's `SpanIndex` already names the innermost span of every
 //! elementary interval (the rule is in [`crate::timeline`]), so blame is
 //! one pass over those intervals: each is clipped to `[0, elapsed]` and
 //! charged to its innermost span's category. A lock wait nested in a

@@ -22,7 +22,7 @@
 //! segments. `total_work_ns` is the T1 analogue (the time all ranks
 //! spent inside tasks); `parallelism` is their ratio.
 //!
-//! The walk reads each rank's [`Timeline`]: the spans and the index
+//! The walk reads each rank's `Timeline`: the spans and the index
 //! that blame reads too, built once per rank per report. The innermost
 //! span at an instant follows the one rule in [`crate::timeline`], and a
 //! span's edge comes from the event that closed it. A backward step is

@@ -10,7 +10,7 @@
 //! are skipped: the summary derives those digests from the events.
 //!
 //! One pass over the bytes: a line's `"key":value` pairs are scanned
-//! once, each key the exporter knows lands in its fixed [`Line`] slot
+//! once, each key the exporter knows lands in its fixed `Line` slot
 //! (any order; unknown keys are skipped; the first occurrence of a
 //! repeated key wins), and the event is built from constant slot
 //! indices — no per-line allocation and no string-keyed lookup.

@@ -18,7 +18,7 @@
 //! charged to the *innermost* span covering it, by one rule: the
 //! covering span with the latest start wins; on equal starts the shorter
 //! span wins (a lock wait that starts with its steal attempt is inside
-//! it); after that, the span emitted last wins. [`SpanIndex`] applies the
+//! it); after that, the span emitted last wins. `SpanIndex` applies the
 //! rule once per rank, to every elementary interval between consecutive
 //! distinct span boundaries: [`crate::blame`] sums those intervals by
 //! category, and [`crate::critpath`] looks its steps up in them. Time

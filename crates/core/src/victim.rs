@@ -146,7 +146,7 @@ impl VictimSelector {
 
     /// Feed back the outcome of a steal from `victim`: a success arms the
     /// retry cache; a failure clears it (when cached) and masks the
-    /// victim in the negative cache for [`EMPTY_TTL`] draws.
+    /// victim in the negative cache for `EMPTY_TTL` draws.
     pub fn note_result(&mut self, victim: usize, got: bool) {
         if got {
             self.last_success = Some(victim);

@@ -38,7 +38,7 @@
 //!   markers exempt accesses from the race checker, so an unexplained
 //!   one is an unexplained suppression. (The *semantic* side of this
 //!   rule — whether the trace actually obeys the declared protocol —
-//!   is checked by [`crate::predict`].)
+//!   is checked by [`mod@crate::predict`].)
 //! * `unsafe-audit` — new in v2, impossible to express textually:
 //!   every `unsafe` block (`unsafe {`) and `unsafe impl` must carry a
 //!   comment containing `SAFETY:` naming the invariant, on the same

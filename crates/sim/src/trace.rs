@@ -724,7 +724,7 @@ impl TraceSink {
 
     /// Record an event for `rank` at time `t_ns`. `make` is only invoked
     /// when tracing is enabled. Must be called from `rank`'s own thread
-    /// ([`RankCell`]'s single-writer contract) — every kernel emission
+    /// (`RankCell`'s single-writer contract) — every kernel emission
     /// path passes the caller's own rank.
     #[inline]
     pub fn emit(&self, rank: usize, t_ns: u64, make: impl FnOnce() -> TraceEvent) {

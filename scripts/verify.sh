@@ -101,6 +101,15 @@ cargo clippy --workspace --all-targets --offline -- -D warnings 2> "$work/clippy
 echo "ok: clippy reported nothing in" \
     "$(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s"
 
+stage "cargo doc --workspace --no-deps --lib --offline (RUSTDOCFLAGS=-D warnings)"
+# Every rustdoc warning fails the run: a broken, private or ambiguous
+# intra-doc link names an item the reader cannot reach. `--lib` keeps
+# the `scioto` executable's docs from colliding with the `scioto`
+# library's in target/doc.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline 2> "$work/doc.txt" \
+    || { cat "$work/doc.txt" >&2; echo "FAIL: cargo doc reported warnings or errors" >&2; exit 1; }
+echo "ok: rustdoc reported nothing"
+
 stage "cargo test -q --offline (tier-1)"
 # The whole workspace, by the same default-members. The test executables
 # are built first so the budget times the run alone: 16 s measured on a
