@@ -9,9 +9,8 @@ use crate::trace::TraceEvent;
 struct BState {
     generation: u64,
     arrived: usize,
-    max_arrival: u64,
-    /// Per-rank arrival clocks for the current episode (consulted by the
-    /// dissemination schedule; sized lazily on first wait).
+    /// Per-rank arrival clocks for the current episode, from which
+    /// `release_times` derives every release (sized lazily on first wait).
     arrivals: Vec<u64>,
     waiters: Vec<usize>,
 }
@@ -86,7 +85,6 @@ impl SimBarrier {
             state: Mutex::new(BState {
                 generation: 0,
                 arrived: 0,
-                max_arrival: 0,
                 arrivals: Vec::new(),
                 waiters: Vec::new(),
             }),
@@ -107,15 +105,13 @@ impl SimBarrier {
         if st.arrivals.len() != n {
             st.arrivals.resize(n, 0);
         }
-        st.arrivals[rank] = kernel.now(rank);
-        st.max_arrival = st.max_arrival.max(kernel.now(rank));
+        st.arrivals[rank] = arrival;
         st.arrived += 1;
         if st.arrived == n {
             let releases = release_times(self.kind, &st.arrivals, cost);
             let my_release = releases[rank];
             st.generation = st.generation.wrapping_add(1);
             st.arrived = 0;
-            st.max_arrival = 0;
             st.arrivals.fill(0);
             let waiters = std::mem::take(&mut st.waiters);
             drop(st);
