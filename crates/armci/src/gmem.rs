@@ -247,15 +247,6 @@ impl Armci {
         );
     }
 
-    /// Cost of a one-sided data transfer of `len` bytes to/from `target`.
-    pub(crate) fn xfer_cost(&self, ctx: &Ctx, target: usize, len: usize) -> u64 {
-        if target == ctx.rank() {
-            ctx.latency().local_get + (ctx.latency().per_byte * len as f64 * 0.125) as u64
-        } else {
-            ctx.latency().xfer_to(ctx.rank(), target, self.nranks, len)
-        }
-    }
-
     /// The one engine under every one-sided data operation. In this order:
     /// bounds check, scheduling point, one access record per segment of
     /// `s`, `body` on the target rank's words — under its
@@ -287,7 +278,10 @@ impl Armci {
         let rmw = (kind == RemoteOpKind::Acc).then(|| store.rmw_lock(rank));
         body(store.row(rank));
         drop(rmw);
-        ctx.charge_net(self.xfer_cost(ctx, rank, s.total_bytes()));
+        ctx.charge_net(
+            ctx.latency()
+                .xfer_to(ctx.rank(), rank, self.nranks, s.total_bytes()),
+        );
     }
 
     /// [`Armci::transfer`] over whole words: `each(i, j, word)` sees word

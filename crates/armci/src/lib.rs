@@ -20,7 +20,22 @@
 //!
 //! As in real ARMCI, one-sided operations complete without any action from
 //! the target process; unlike real ARMCI the cost of each operation comes
-//! from the machine's [`scioto_sim::LatencyModel`].
+//! from the machine's [`scioto_sim::LatencyModel`], which prices a target
+//! that is the issuer itself at `local_get` and scales a remote price by
+//! the pair's latency tier. The issuer's clock advances by:
+//!
+//! * `put` / `get` / `acc` (contiguous or strided): one
+//!   [`xfer_to`](scioto_sim::LatencyModel::xfer_to) of the total payload;
+//! * a read-modify-write: its wait in the target word's service queue,
+//!   `rmw_service`, then one
+//!   [`remote_op_to`](scioto_sim::LatencyModel::remote_op_to);
+//! * `lock`, `try_lock`, `unlock`: one
+//!   [`lock_to`](scioto_sim::LatencyModel::lock_to) each, plus any wait
+//!   for the holder;
+//! * `fence`: one `remote_op_to`; `all_fence`: `remote_op`;
+//! * `barrier`: `remote_op` plus the barrier's
+//!   [`barrier_cost`](scioto_sim::LatencyModel::barrier_cost), released
+//!   after the last arrival.
 //!
 //! ```
 //! use scioto_sim::{Machine, MachineConfig};

@@ -3,7 +3,9 @@
 //! A set of `count` mutexes exists on *every* rank; `lock(idx, rank)`
 //! acquires mutex `idx` on `rank`. Hold times span virtual time, so remote
 //! critical sections genuinely delay concurrent accessors — the contention
-//! effect the Scioto split queues are designed to minimize.
+//! effect the Scioto split queues are designed to minimize. Each acquire,
+//! try or release costs one `LatencyModel::lock_to` (`local_get` on the
+//! caller's own mutex).
 
 use scioto_sim::{Ctx, TraceEvent, VLock};
 
@@ -54,21 +56,13 @@ impl Armci {
         &storage.locks[rank][idx]
     }
 
-    fn lock_cost(&self, ctx: &Ctx, rank: usize) -> u64 {
-        if rank == ctx.rank() {
-            ctx.latency().local_get
-        } else {
-            ctx.latency().lock_to(ctx.rank(), rank, self.nranks)
-        }
-    }
-
     /// Acquire mutex `idx` on `rank`, blocking in virtual time while held.
     pub fn lock(&self, ctx: &Ctx, set: MutexSet, idx: usize, rank: usize) {
         let traced = ctx.trace_enabled();
         let t0 = if traced { ctx.now() } else { 0 };
         let seq = self
             .mutex(set, idx, rank)
-            .acquire(ctx, self.lock_cost(ctx, rank));
+            .acquire(ctx, ctx.latency().lock_to(ctx.rank(), rank, self.nranks));
         if traced {
             // One completion-time clock read stamps both events. LockAcq
             // is emitted at completion so acquisition events appear in
@@ -97,7 +91,7 @@ impl Armci {
     pub fn try_lock(&self, ctx: &Ctx, set: MutexSet, idx: usize, rank: usize) -> bool {
         match self
             .mutex(set, idx, rank)
-            .try_acquire(ctx, self.lock_cost(ctx, rank))
+            .try_acquire(ctx, ctx.latency().lock_to(ctx.rank(), rank, self.nranks))
         {
             Some(seq) => {
                 ctx.trace(|| TraceEvent::LockAcq {
@@ -116,7 +110,7 @@ impl Armci {
     pub fn unlock(&self, ctx: &Ctx, set: MutexSet, idx: usize, rank: usize) {
         let seq = self
             .mutex(set, idx, rank)
-            .release(ctx, self.lock_cost(ctx, rank));
+            .release(ctx, ctx.latency().lock_to(ctx.rank(), rank, self.nranks));
         ctx.trace(|| TraceEvent::LockRel {
             target: rank as u32,
             set: set.id as u32,

@@ -1,5 +1,8 @@
 //! Remote read-modify-write operations (ARMCI_Rmw): fetch-and-add, swap,
 //! compare-and-swap on 8-byte little-endian integers in global memory.
+//! Each costs its wait in the target word's service queue, `rmw_service`,
+//! then one `LatencyModel::remote_op_to` (`local_get` on the caller's own
+//! memory).
 
 use std::sync::atomic::Ordering;
 
@@ -9,14 +12,6 @@ use crate::gmem::{record_remote, Gmem};
 use crate::world::Armci;
 
 impl Armci {
-    fn rmw_cost(&self, ctx: &Ctx, rank: usize) -> u64 {
-        if rank == ctx.rank() {
-            ctx.latency().local_get
-        } else {
-            ctx.latency().remote_op_to(ctx.rank(), rank, self.nranks)
-        }
-    }
-
     fn rmw<R>(
         &self,
         ctx: &Ctx,
@@ -59,7 +54,7 @@ impl Armci {
             ret
         };
         let _ = hot.release(ctx, 0);
-        ctx.charge_net(self.rmw_cost(ctx, rank));
+        ctx.charge_net(ctx.latency().remote_op_to(ctx.rank(), rank, self.nranks));
         ret
     }
 

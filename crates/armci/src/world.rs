@@ -59,15 +59,11 @@ impl Armci {
 
     /// Wait for completion of outstanding one-sided operations issued to
     /// `target`. Operations complete synchronously in this model, so a
-    /// fence only charges the confirmation round-trip.
+    /// fence only charges the confirmation round-trip
+    /// ([`LatencyModel::remote_op_to`](scioto_sim::LatencyModel::remote_op_to)).
     pub fn fence(&self, ctx: &Ctx, target: usize) {
         ctx.yield_point();
-        let cost = if target == ctx.rank() {
-            ctx.latency().local_get
-        } else {
-            ctx.latency().remote_op_to(ctx.rank(), target, self.nranks)
-        };
-        ctx.charge_net(cost);
+        ctx.charge_net(ctx.latency().remote_op_to(ctx.rank(), target, self.nranks));
     }
 
     /// Fence all targets.

@@ -13,7 +13,7 @@
 
 use scioto_scf::{run_scf_parallel, BasisSet, LoadBalance, Molecule};
 use scioto_sim::{LatencyModel, Machine, MachineConfig, SpeedModel};
-use scioto_tce::{run_contraction, ContractionConfig, SparsityPattern, TceLoadBalance};
+use scioto_tce::{run_contraction, ContractionConfig, SparsityPattern};
 
 use crate::front::Outcome;
 use crate::{cluster_rank_sweep, render_table, secs, Args, BenchOut, RunSpec};
@@ -32,7 +32,7 @@ fn scf_run(p: usize, atoms: usize, lb: LoadBalance, spec: &RunSpec) -> (u64, f64
     (out.report.makespan_ns, out.results[0])
 }
 
-fn tce_run(p: usize, tiles: usize, lb: TceLoadBalance, spec: &RunSpec) -> u64 {
+fn tce_run(p: usize, tiles: usize, lb: LoadBalance, spec: &RunSpec) -> u64 {
     let policy = spec.policy;
     let out = Machine::run(machine(p, spec), move |ctx| {
         let cfg = ContractionConfig {
@@ -91,8 +91,8 @@ pub fn run(args: &Args) -> Outcome {
         let row = [
             scf,
             scf_orig,
-            tce_run(p, tiles, TceLoadBalance::Scioto, &spec),
-            tce_run(p, tiles, TceLoadBalance::GlobalCounter, &spec),
+            tce_run(p, tiles, LoadBalance::Scioto, &spec),
+            tce_run(p, tiles, LoadBalance::GlobalCounter, &spec),
         ];
         for (name, ns) in ["scf", "scf_orig", "tce", "tce_orig"].iter().zip(row) {
             bench.metric(&format!("{name}_ns_p{p:03}"), ns as f64);

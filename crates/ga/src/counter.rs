@@ -13,6 +13,18 @@ use scioto_sim::Ctx;
 
 use crate::array::Ga;
 
+/// Which load-balancing scheme drives an application's task loop (SCF's
+/// Fock build, TCE's contraction).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoadBalance {
+    /// Replicated task list + a shared [`Ga::read_inc`] counter (the
+    /// original implementation the paper compares against).
+    GlobalCounter,
+    /// Scioto task collection, tasks seeded at their data's owner, with
+    /// locality-aware work stealing.
+    Scioto,
+}
+
 /// Handle to a shared counter hosted on one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaCounter {

@@ -34,5 +34,5 @@ mod counter;
 mod dist;
 
 pub use array::{Ga, GaHandle};
-pub use counter::GaCounter;
+pub use counter::{GaCounter, LoadBalance};
 pub use dist::{BlockDist, Patch};

@@ -43,8 +43,9 @@ pub mod scf;
 mod store;
 
 pub use basis::{BasisSet, Molecule};
-pub use parallel::{run_scf_parallel, LoadBalance, ParallelScfConfig, ScfRunReport};
+pub use parallel::{run_scf_parallel, ParallelScfConfig, ScfRunReport};
 pub use scf::{scf_sequential, ScfConfig, ScfResult};
+pub use scioto_ga::LoadBalance;
 
 /// Virtual CPU cost charged per computed primitive ERI (ns). Chosen so a
 /// block task lands in the tens of microseconds — the granularity regime

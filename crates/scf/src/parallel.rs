@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_det::rng::mix64;
-use scioto_ga::{BlockDist, Ga, GaHandle, Patch};
+use scioto_ga::{BlockDist, Ga, GaHandle, LoadBalance, Patch};
 use scioto_sim::Ctx;
 
 use crate::basis::BasisSet;
@@ -35,16 +35,6 @@ use crate::linalg::inv_sqrt_spd;
 use crate::scf::{closed_shell_occupation, electronic_energy, roothaan_step, ScfConfig};
 use crate::store::EriStore;
 use crate::ERI_COST_NS;
-
-/// Which load-balancing scheme drives the Fock build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadBalance {
-    /// Replicated task list + shared `read_inc` counter (the original
-    /// implementation the paper compares against).
-    GlobalCounter,
-    /// Scioto task collection with locality-aware work stealing.
-    Scioto,
-}
 
 /// Configuration of a parallel SCF run.
 #[derive(Debug, Clone, Copy)]

@@ -22,10 +22,9 @@ pub enum ExecMode {
 /// Models the PGAS-over-fabric hierarchy of DART-MPI-style runtimes: a
 /// one-sided op to a rank on the same node (ring distance within
 /// `near_radius`) moves over shared memory or the local NIC loopback,
-/// while a cross-switch op pays the full fabric traversal. Attached to a
-/// [`LatencyModel`] via [`LatencyModel::with_tiers`]; untiered models
-/// (all pre-existing presets) are distance-blind and byte-identical to
-/// their historical behaviour.
+/// while a cross-switch op pays the full fabric traversal. Every
+/// [`LatencyModel`] carries one; the distance-blind presets carry
+/// [`LatencyTiers::unit`], whose scales are both 1.0.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyTiers {
     /// Ranks within this ring distance are "near" (same node/switch).
@@ -37,6 +36,15 @@ pub struct LatencyTiers {
 }
 
 impl LatencyTiers {
+    /// No distance effect: every remote op costs its base price.
+    pub const fn unit() -> Self {
+        LatencyTiers {
+            near_radius: 0,
+            near_scale: 1.0,
+            far_scale: 1.0,
+        }
+    }
+
     /// The figure subcommands' `--latency nearfar` preset. `near_radius` 2 matches
     /// the analyzer's near-steal radius (`scioto-analyze` derives its
     /// constant from here); 0.35 tracks the intra-node vs inter-node RMA
@@ -106,9 +114,9 @@ pub struct LatencyModel {
     /// Per-hop cost of a tree barrier (a barrier costs
     /// `2 * ceil(log2 n) * barrier_hop`).
     pub barrier_hop: u64,
-    /// Optional near/far distance tiers. `None` (every pre-existing
-    /// preset) keeps all remote costs distance-blind.
-    pub tiers: Option<LatencyTiers>,
+    /// Near/far distance tiers. The distance-blind presets carry
+    /// [`LatencyTiers::unit`].
+    pub tiers: LatencyTiers,
 }
 
 impl LatencyModel {
@@ -124,7 +132,7 @@ impl LatencyModel {
             rmw_service: 0,
             msg: 0,
             barrier_hop: 0,
-            tiers: None,
+            tiers: LatencyTiers::unit(),
         }
     }
 
@@ -139,7 +147,7 @@ impl LatencyModel {
             rmw_service: 3_000,
             msg: 4_000,
             barrier_hop: 4_500,
-            tiers: None,
+            tiers: LatencyTiers::unit(),
         }
     }
 
@@ -155,7 +163,7 @@ impl LatencyModel {
             rmw_service: 2_000,
             msg: 5_000,
             barrier_hop: 5_000,
-            tiers: None,
+            tiers: LatencyTiers::unit(),
         }
     }
 
@@ -167,54 +175,46 @@ impl LatencyModel {
 
     /// Attach near/far distance tiers.
     pub fn with_tiers(mut self, tiers: LatencyTiers) -> Self {
-        self.tiers = Some(tiers);
+        self.tiers = tiers;
         self
     }
 
-    /// Cost of moving `bytes` with one one-sided operation.
-    pub fn xfer(&self, bytes: usize) -> u64 {
-        self.remote_op + (self.per_byte * bytes as f64) as u64
-    }
-
-    /// Tier multiplier for `from -> to` on an `n`-rank machine, or `None`
-    /// when this model is distance-blind.
-    fn tier_scale(&self, from: usize, to: usize, n: usize) -> Option<f64> {
-        self.tiers.map(|t| t.scale(from, to, n))
-    }
-
-    /// Distance-aware [`LatencyModel::xfer`]: cost of moving `bytes` from
-    /// rank `from` to rank `to` on an `n`-rank machine. Untiered models
-    /// delegate to `xfer` exactly, so existing results are unchanged.
+    /// Cost of moving `bytes` with one one-sided operation from rank
+    /// `from` to rank `to` on an `n`-rank machine. A local transfer is a
+    /// queue-speed copy: `local_get` plus an eighth of the per-byte cost.
     pub fn xfer_to(&self, from: usize, to: usize, n: usize, bytes: usize) -> u64 {
-        match self.tier_scale(from, to, n) {
-            None => self.xfer(bytes),
-            Some(s) => scale_ns(self.remote_op, s) + ((self.per_byte * s) * bytes as f64) as u64,
+        if from == to {
+            return self.local_get + (self.per_byte * bytes as f64 * 0.125) as u64;
         }
+        let s = self.tiers.scale(from, to, n);
+        scale_ns(self.remote_op, s) + ((self.per_byte * s) * bytes as f64) as u64
     }
 
-    /// Distance-aware base latency of a one-sided op from `from` to `to`.
+    /// Base latency of a one-sided op (an RMW or a fence) from `from` to
+    /// `to`.
     pub fn remote_op_to(&self, from: usize, to: usize, n: usize) -> u64 {
-        match self.tier_scale(from, to, n) {
-            None => self.remote_op,
-            Some(s) => scale_ns(self.remote_op, s),
-        }
+        self.op_to(self.remote_op, from, to, n)
     }
 
-    /// Distance-aware cost of one remote lock acquire/release half.
+    /// Cost of one lock acquire/release half from `from` on `to`'s lock.
     pub fn lock_to(&self, from: usize, to: usize, n: usize) -> u64 {
-        match self.tier_scale(from, to, n) {
-            None => self.lock,
-            Some(s) => scale_ns(self.lock, s),
-        }
+        self.op_to(self.lock, from, to, n)
     }
 
-    /// Distance-aware two-sided message cost for `bytes` from `from` to
-    /// `to`. The untiered arm is the exact historical send formula.
-    pub fn msg_to(&self, from: usize, to: usize, n: usize, bytes: usize) -> u64 {
-        match self.tier_scale(from, to, n) {
-            None => self.msg + (self.per_byte * bytes as f64) as u64,
-            Some(s) => scale_ns(self.msg, s) + ((self.per_byte * s) * bytes as f64) as u64,
+    /// `base` scaled by the tier of `from -> to`, or `local_get` when the
+    /// target is the issuer.
+    fn op_to(&self, base: u64, from: usize, to: usize, n: usize) -> u64 {
+        if from == to {
+            return self.local_get;
         }
+        scale_ns(base, self.tiers.scale(from, to, n))
+    }
+
+    /// Two-sided message cost for `bytes` from `from` to `to`. A self-send
+    /// is priced as a near message.
+    pub fn msg_to(&self, from: usize, to: usize, n: usize, bytes: usize) -> u64 {
+        let s = self.tiers.scale(from, to, n);
+        scale_ns(self.msg, s) + ((self.per_byte * s) * bytes as f64) as u64
     }
 
     /// Modelled cost of an `n`-rank tree barrier (up-wave plus down-wave).
@@ -223,9 +223,15 @@ impl LatencyModel {
     }
 }
 
-/// Scale a nanosecond cost by a tier multiplier, rounding to nearest.
-fn scale_ns(ns: u64, s: f64) -> u64 {
-    (ns as f64 * s).round() as u64
+/// `ns * factor` rounded half away from zero — what `f64::round` returns
+/// for a non-negative product, in integer arithmetic instead of a libm
+/// call: below 2^52 the truncated product and its remainder are both exact
+/// in `f64`, and from 2^52 up the product is already whole. Prices both
+/// latency tiers and CPU speed factors.
+pub(crate) fn scale_ns(ns: u64, factor: f64) -> u64 {
+    let x = ns as f64 * factor;
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 impl Default for LatencyModel {
@@ -423,8 +429,8 @@ mod tests {
             per_byte: 2.0,
             ..LatencyModel::zero()
         };
-        assert_eq!(m.xfer(0), 100);
-        assert_eq!(m.xfer(10), 120);
+        assert_eq!(m.xfer_to(0, 1, 2, 0), 100);
+        assert_eq!(m.xfer_to(0, 1, 2, 10), 120);
     }
 
     #[test]
@@ -474,17 +480,32 @@ mod tests {
 
     #[test]
     fn untiered_distance_methods_match_flat_costs() {
-        // The distance-aware methods must be drop-in for every historical
-        // call site when no tiers are attached: same integer truncation,
-        // same formulas, at any distance.
+        // Under the unit tiers of the distance-blind presets, a remote
+        // price is the flat formula: same integer truncation at any
+        // distance.
         let m = LatencyModel::cluster();
         for (from, to) in [(0, 1), (0, 31), (5, 60)] {
-            assert_eq!(m.xfer_to(from, to, 64, 1024), m.xfer(1024));
+            assert_eq!(
+                m.xfer_to(from, to, 64, 1024),
+                m.remote_op + (m.per_byte * 1024.0) as u64
+            );
             assert_eq!(m.remote_op_to(from, to, 64), m.remote_op);
             assert_eq!(m.lock_to(from, to, 64), m.lock);
             assert_eq!(
                 m.msg_to(from, to, 64, 100),
                 m.msg + (m.per_byte * 100.0) as u64
+            );
+        }
+    }
+
+    #[test]
+    fn a_local_target_costs_local_get_under_any_tiers() {
+        for m in [LatencyModel::cluster(), LatencyModel::cluster_nearfar()] {
+            assert_eq!(m.remote_op_to(3, 3, 8), m.local_get);
+            assert_eq!(m.lock_to(3, 3, 8), m.local_get);
+            assert_eq!(
+                m.xfer_to(3, 3, 8, 1024),
+                m.local_get + (m.per_byte * 1024.0 * 0.125) as u64
             );
         }
     }

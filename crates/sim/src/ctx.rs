@@ -122,7 +122,7 @@ impl Ctx {
     /// Charge `ns` nanoseconds of local CPU work, scaled by this rank's
     /// speed factor. Rank-private: no scheduling point.
     pub fn compute(&self, ns: u64) {
-        self.kernel.charge_cpu(self.rank, ns);
+        self.charge(self.cpu_cost(ns));
     }
 
     /// `ns` nanoseconds of CPU work scaled by this rank's speed factor,
@@ -136,7 +136,7 @@ impl Ctx {
     /// Rank-private: no scheduling point.
     #[inline]
     pub fn charge(&self, cost: CpuCost) {
-        self.kernel.charge_scaled(self.rank, cost.0);
+        self.kernel.charge(self.rank, cost.0);
     }
 
     /// [`LatencyModel::local_insert`], scaled for this rank.
@@ -153,7 +153,7 @@ impl Ctx {
 
     /// Charge `ns` nanoseconds of network time (not scaled by CPU speed).
     pub fn charge_net(&self, ns: u64) {
-        self.kernel.charge_net(self.rank, ns);
+        self.kernel.charge(self.rank, ns);
     }
 
     /// Advance this rank's clock to at least `t` nanoseconds.

@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use scioto_det::clock::MonoClock;
 use scioto_det::sync::{CachePadded, Condvar, Mutex};
 
-use crate::config::{ExecMode, SpeedModel};
+use crate::config::{scale_ns, ExecMode, SpeedModel};
 use crate::fiber;
 use crate::report::EventCounters;
 use crate::trace::{TraceEvent, TraceSink};
@@ -56,16 +56,6 @@ struct Sched {
     /// rank is waiting on, for the deadlock diagnostic.
     last_block_site: Vec<Option<&'static str>>,
     done: usize,
-}
-
-/// `ns * factor` rounded half away from zero — what `f64::round` returns
-/// for a non-negative product, in integer arithmetic instead of a libm
-/// call: below 2^52 the truncated product and its remainder are both exact
-/// in `f64`, and from 2^52 up the product is already whole.
-fn scale_ns(ns: u64, factor: f64) -> u64 {
-    let x = ns as f64 * factor;
-    let whole = x as u64;
-    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 /// Hardware threads this process may run on, asked of the OS once (1 if
@@ -254,38 +244,21 @@ impl Kernel {
         scale_ns(ns, self.speed[rank])
     }
 
-    /// Advance `rank`'s clock by `ns` of *CPU* time, scaled by its speed
-    /// factor. No scheduling point: CPU work is rank-private.
-    pub(crate) fn charge_cpu(&self, rank: usize, ns: u64) {
-        if self.mode == ExecMode::VirtualTime && ns > 0 {
-            self.charge(rank, self.scale_cpu(rank, ns));
-        }
-    }
-
-    /// Advance `rank`'s clock by `ns` of CPU time it already scaled
-    /// ([`Kernel::scale_cpu`]).
-    pub(crate) fn charge_scaled(&self, rank: usize, ns: u64) {
-        if self.mode == ExecMode::VirtualTime {
-            self.charge(rank, ns);
-        }
-    }
-
-    /// Advance `rank`'s clock by `ns` of *network* time (unscaled).
-    pub(crate) fn charge_net(&self, rank: usize, ns: u64) {
-        if self.mode == ExecMode::VirtualTime && ns > 0 {
-            self.charge(rank, ns);
-        }
-    }
-
+    /// Advance `rank`'s clock by `ns`: network time as it is, CPU time
+    /// once [`Kernel::scale_cpu`] has scaled it. No scheduling point, and
+    /// nothing in concurrent mode, where ranks have no virtual clock.
+    ///
     /// A rank charges only itself and only while it holds the baton, and
     /// the other writers of its clock (`unblock`, `advance_to`) run while
     /// it does not, on the same thread, ordered against it by the fiber
     /// switch that passed the baton. A virtual clock therefore never has two
     /// writers at once, and a plain load + store is a complete update — no
     /// locked read-modify-write on the path every simulated operation takes.
-    fn charge(&self, rank: usize, ns: u64) {
-        let clock = &self.clocks[rank];
-        clock.store(clock.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
+    pub(crate) fn charge(&self, rank: usize, ns: u64) {
+        if self.mode == ExecMode::VirtualTime {
+            let clock = &self.clocks[rank];
+            clock.store(clock.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
+        }
     }
 
     /// A scheduling point before a shared-state operation. In virtual-time
@@ -554,8 +527,8 @@ mod tests {
             &SpeedModel::from_factors(vec![1.0, 2.0]),
             TraceSink::Disabled,
         );
-        k.charge_cpu(0, 100);
-        k.charge_cpu(1, 100);
+        k.charge(0, k.scale_cpu(0, 100));
+        k.charge(1, k.scale_cpu(1, 100));
         assert_eq!(k.clock(0), 100);
         assert_eq!(k.clock(1), 200);
     }
@@ -593,11 +566,11 @@ mod tests {
             &SpeedModel::hetero_cluster(2),
             TraceSink::Disabled,
         );
-        k.charge_cpu(1, 316);
+        k.charge(1, k.scale_cpu(1, 316));
         let one = k.clock(1);
         assert_eq!(one, (316.0 * (0.4753 / 0.3158f64)).round() as u64);
         for _ in 1..1000 {
-            k.charge_cpu(1, 316);
+            k.charge(1, k.scale_cpu(1, 316));
         }
         assert_eq!(k.clock(1), 1000 * one);
     }
@@ -612,8 +585,7 @@ mod tests {
             &SpeedModel::uniform(1),
             TraceSink::Disabled,
         );
-        conc.charge_cpu(0, 316);
-        conc.charge_net(0, 316);
+        conc.charge(0, 316);
         assert_eq!(conc.clock(0), 0);
     }
 
@@ -644,7 +616,7 @@ mod tests {
             &SpeedModel::from_factors(vec![3.0]),
             TraceSink::Disabled,
         );
-        k.charge_net(0, 100);
+        k.charge(0, 100);
         assert_eq!(k.clock(0), 100);
     }
 

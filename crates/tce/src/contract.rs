@@ -4,22 +4,11 @@
 use std::sync::Arc;
 
 use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
-use scioto_ga::Ga;
+use scioto_ga::{Ga, LoadBalance};
 use scioto_sim::Ctx;
 
 use crate::tensor::{dense_matmul_acc, BlockSparse, SparsityPattern};
 use crate::FLOP_COST_NS;
-
-/// Which load-balancing scheme drives the contraction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TceLoadBalance {
-    /// Replicated task list + shared `read_inc` counter (the original TCE
-    /// scheme the paper compares against).
-    GlobalCounter,
-    /// Scioto task collection, tasks seeded at the owner of each output
-    /// tile.
-    Scioto,
-}
 
 /// Problem and scheme configuration.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +26,7 @@ pub struct ContractionConfig {
     /// Sparsity of B.
     pub pattern_b: SparsityPattern,
     /// Load-balancing scheme.
-    pub lb: TceLoadBalance,
+    pub lb: LoadBalance,
     /// Steal chunk size (Scioto scheme).
     pub chunk: usize,
     /// Number of times the contraction is repeated (a CC solver reruns
@@ -50,7 +39,7 @@ pub struct ContractionConfig {
 
 impl ContractionConfig {
     /// A small default problem.
-    pub fn new(lb: TceLoadBalance) -> Self {
+    pub fn new(lb: LoadBalance) -> Self {
         ContractionConfig {
             nbr: 8,
             nbk: 8,
@@ -166,7 +155,7 @@ pub fn run_contraction(ctx: &Ctx, cfg: &ContractionConfig) -> (ContractionReport
     let contract_ns;
 
     match cfg.lb {
-        TceLoadBalance::GlobalCounter => {
+        LoadBalance::GlobalCounter => {
             let counter = ga.create_counter(ctx, 0);
             ga.sync(ctx);
             let t0 = ctx.now();
@@ -187,7 +176,7 @@ pub fn run_contraction(ctx: &Ctx, cfg: &ContractionConfig) -> (ContractionReport
             }
             contract_ns = ctx.now() - t0;
         }
-        TceLoadBalance::Scioto => {
+        LoadBalance::Scioto => {
             let armci = ga.armci().clone();
             let mut tc_cfg = TcConfig::new(8, cfg.chunk, 1 << 14);
             if let Some(v) = cfg.victim {
@@ -273,7 +262,7 @@ mod tests {
 
     #[test]
     fn both_schemes_match_the_dense_reference() {
-        for lb in [TceLoadBalance::Scioto, TceLoadBalance::GlobalCounter] {
+        for lb in [LoadBalance::Scioto, LoadBalance::GlobalCounter] {
             let out = Machine::run(
                 MachineConfig::virtual_time(4).with_latency(LatencyModel::cluster()),
                 move |ctx| {
@@ -305,7 +294,7 @@ mod tests {
     #[test]
     fn sparsity_makes_task_costs_irregular() {
         let out = Machine::run(MachineConfig::virtual_time(1), |ctx| {
-            let cfg = ContractionConfig::new(TceLoadBalance::Scioto);
+            let cfg = ContractionConfig::new(LoadBalance::Scioto);
             let ga = Ga::init(ctx);
             let a = BlockSparse::create(ctx, &ga, "a", cfg.nbr, cfg.nbk, cfg.bs, &cfg.pattern_a);
             let b = BlockSparse::create(ctx, &ga, "b", cfg.nbk, cfg.nbc, cfg.bs, &cfg.pattern_b);
@@ -333,7 +322,7 @@ mod tests {
         let out = Machine::run(
             MachineConfig::virtual_time(4).with_latency(LatencyModel::cluster()),
             |ctx| {
-                let cfg = ContractionConfig::new(TceLoadBalance::Scioto);
+                let cfg = ContractionConfig::new(LoadBalance::Scioto);
                 run_contraction(ctx, &cfg).0.tasks_executed
             },
         );

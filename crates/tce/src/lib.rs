@@ -27,7 +27,8 @@
 pub mod contract;
 pub mod tensor;
 
-pub use contract::{run_contraction, ContractionConfig, ContractionReport, TceLoadBalance};
+pub use contract::{run_contraction, ContractionConfig, ContractionReport};
+pub use scioto_ga::LoadBalance;
 pub use tensor::{BlockSparse, SparsityPattern};
 
 /// Virtual CPU cost charged per fused multiply-add in the tile kernel

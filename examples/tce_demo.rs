@@ -7,10 +7,10 @@
 
 use scioto_sim::{LatencyModel, Machine, MachineConfig};
 use scioto_tce::contract::reference_checksum;
-use scioto_tce::{run_contraction, ContractionConfig, TceLoadBalance};
+use scioto_tce::{run_contraction, ContractionConfig, LoadBalance};
 
 fn main() {
-    for lb in [TceLoadBalance::Scioto, TceLoadBalance::GlobalCounter] {
+    for lb in [LoadBalance::Scioto, LoadBalance::GlobalCounter] {
         let out = Machine::run(
             MachineConfig::virtual_time(8).with_latency(LatencyModel::cluster()),
             move |ctx| {

@@ -21,7 +21,7 @@ use scioto_sim::{
     ReplaySync, SpeedModel, Trace, TraceConfig, TraceEvent,
 };
 use scioto_tce::contract::reference_checksum;
-use scioto_tce::{run_contraction, ContractionConfig, TceLoadBalance};
+use scioto_tce::{run_contraction, ContractionConfig};
 use scioto_uts::mpi_ws::{run_mpi_uts, MpiUtsConfig};
 use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
 use scioto_uts::{presets, sequential, TreeStats};
@@ -85,7 +85,7 @@ fn scf_energy_is_scheme_and_scale_invariant() {
 fn tce_checksum_is_scheme_and_scale_invariant() {
     let mut sums = Vec::new();
     for ranks in [1, 4] {
-        for lb in [TceLoadBalance::Scioto, TceLoadBalance::GlobalCounter] {
+        for lb in [LoadBalance::Scioto, LoadBalance::GlobalCounter] {
             let out = Machine::run(
                 MachineConfig::virtual_time(ranks).with_latency(LatencyModel::cluster()),
                 move |ctx| {
