@@ -25,10 +25,13 @@
 //! walk).
 //!
 //! [`AnalysisReport::from_trace`] bundles all three plus data-quality
-//! warnings, rendering as human text or versioned machine JSON
-//! (`scioto-analysis-v1`).
+//! warnings and the trace's [`census`] (events per rank and per kind,
+//! duration digests, gauges), rendering as human text — the one human
+//! report of a trace, opening with the census — or versioned machine
+//! JSON (`scioto-analysis-v1`).
 
 pub mod blame;
+pub mod census;
 pub mod critpath;
 pub mod jsonl;
 pub mod provenance;

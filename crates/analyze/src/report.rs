@@ -1,13 +1,15 @@
-//! The assembled analysis report: per-rank blame, provenance, critical
-//! path, warnings — renderable as human text or versioned JSON
-//! (`scioto-analysis-v1`, hand-rolled, validated by
-//! `scioto_sim::validate_json` in tests and tools).
+//! The assembled analysis report: the trace's census, per-rank blame,
+//! provenance, critical path, warnings — renderable as human text (which
+//! opens with the census) or versioned JSON (`scioto-analysis-v1`, which
+//! leaves it out; hand-rolled, validated by `scioto_sim::validate_json`
+//! in tests and tools).
 
 use std::fmt::Write as _;
 
 use scioto_sim::Trace;
 
 use crate::blame::Blame;
+use crate::census::Census;
 use crate::critpath::{self, CritPath};
 use crate::provenance::{self, Provenance};
 use crate::timeline::{Category, Timeline, CATEGORIES};
@@ -50,6 +52,8 @@ pub struct AnalysisReport {
     pub critical_path: CritPath,
     /// Per-rank ring-overflow drop counts, copied from the trace.
     pub dropped: Vec<u64>,
+    /// Event counts and duration digests of the trace.
+    pub census: Census,
     /// Human-readable data-quality warnings (ring overflow, truncated
     /// walks). Empty for clean traces.
     pub warnings: Vec<String>,
@@ -65,6 +69,7 @@ impl AnalysisReport {
         let timelines: Vec<Timeline> = (0..ranks).map(|r| Timeline::new(trace.events_for(r))).collect();
         let blame: Vec<Blame> = timelines.iter().zip(&elapsed_ns).map(|(tl, &e)| tl.blame(e)).collect();
         let critical_path = critpath::walk(trace, &timelines);
+        let census = Census::new(trace, &timelines);
         let mut warnings = Vec::new();
         let total_dropped: u64 = trace.dropped.iter().sum();
         if total_dropped > 0 {
@@ -99,6 +104,7 @@ impl AnalysisReport {
             provenance: provenance::analyze(trace),
             critical_path,
             dropped: trace.dropped.clone(),
+            census,
             warnings,
         }
     }
@@ -209,13 +215,14 @@ impl AnalysisReport {
         out
     }
 
-    /// Human-readable rendering: blame table, steal profile, critical
-    /// path composition.
+    /// Human-readable rendering: the census, then the blame table, steal
+    /// profile and critical path composition.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
+        self.census.write_text(&mut out, &self.dropped, self.wall_clock);
         let _ = writeln!(
             out,
-            "== trace analysis: {} ranks, makespan {} ns{} ==",
+            "\n== trace analysis: {} ranks, makespan {} ns{} ==",
             self.ranks,
             self.makespan_ns,
             if self.wall_clock { " (wall clock)" } else { "" }

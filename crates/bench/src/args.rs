@@ -23,9 +23,8 @@ type Flag = (&'static str, bool);
 /// Tables are written as the usage text a rejected command line prints: a
 /// flag followed by a word that is not a flag takes a value.
 const RUN_SPEC_FLAGS: &str = "--victim uniform|locality --barrier flat|tree \
-    --latency flat|nearfar --trace-out <path> --trace-summary <path> \
-    --trace-ring <events> --analysis-out <path> --race-check --predict --deadlock \
-    --replay-check --json-out <path>";
+    --latency flat|nearfar --trace-out <path> --trace-ring <events> --analysis-out <path> \
+    --race-check --predict --deadlock --replay-check --json-out <path>";
 
 /// What runs a subcommand.
 type Run = fn(&Args) -> Outcome;
@@ -66,8 +65,8 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
         false,
         "--ranks <n> --app uts|scf --atoms <n> --tree tiny|small|medium|large --seed <n> \
          --reps <n> --max-event-ns <ns> --chrome-out <path> --victim uniform|locality \
-         --barrier flat|tree --trace-out <path> --trace-summary <path> \
-         --trace-ring <events> --analysis-out <path> --race-check --predict --deadlock",
+         --barrier flat|tree --trace-out <path> --trace-ring <events> \
+         --analysis-out <path> --race-check --predict --deadlock",
         cmd::concurrent_obs::run,
     ),
     (

@@ -1,4 +1,5 @@
-//! `scioto analyze` — analyze a JSONL trace dump offline: blame
+//! `scioto analyze` — analyze a JSONL trace dump offline: the trace's
+//! census (events per rank and kind, duration digests, gauges), blame
 //! decomposition, steal provenance and critical path, without re-running
 //! the simulation.
 //!

@@ -45,7 +45,7 @@ fn tce_run(p: usize, tiles: usize, lb: LoadBalance, spec: &RunSpec) -> u64 {
             lb,
             chunk: 2,
             iterations: 1,
-            victim: Some(policy.victim),
+            victim: policy.victim,
         };
         run_contraction(ctx, &cfg).0.contract_ns
     });

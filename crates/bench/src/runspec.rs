@@ -106,7 +106,7 @@ impl PolicyFlags {
             lb,
             block: 4,
             chunk: 4,
-            victim: Some(self.victim),
+            victim: self.victim,
             ..Default::default()
         };
         cfg.scf.max_iters = iters;
@@ -128,7 +128,6 @@ pub struct RunSpec {
     /// them).
     pub only_ranks: Option<usize>,
     trace_out: Option<String>,
-    trace_summary: Option<String>,
     analysis_out: Option<String>,
     trace_ring: Option<usize>,
     race_check: bool,
@@ -144,7 +143,6 @@ impl RunSpec {
             latency: LatencyPreset::from_args(args),
             only_ranks: args.get_parsed("only-ranks"),
             trace_out: args.get_opt("trace-out"),
-            trace_summary: args.get_opt("trace-summary"),
             analysis_out: args.get_opt("analysis-out"),
             trace_ring: args.get_parsed("trace-ring"),
             race_check: args.has("race-check"),
@@ -185,11 +183,10 @@ impl RunSpec {
     }
 
     /// Did the command line ask for anything of a traced run — a trace
-    /// dump, its summary, an analysis report or one of the checks? Any of
-    /// them makes a subcommand run its dedicated traced configuration.
+    /// dump, an analysis report or one of the checks? Any of them makes a
+    /// subcommand run its dedicated traced configuration.
     pub fn obs_requested(&self) -> bool {
         self.trace_out.is_some()
-            || self.trace_summary.is_some()
             || self.analysis_out.is_some()
             || self.race_check
             || self.predict
@@ -209,13 +206,13 @@ impl RunSpec {
 
     /// Do what the command line asked of the traced run `report`: dump
     /// the trace (Chrome `trace_event` JSON, or flat JSONL to a `.jsonl`
-    /// path; `--trace-summary <path>` appends the human-readable digest
-    /// there) and the analysis, then run the requested checks — any of
-    /// `--race-check`, `--predict`, `--deadlock` replays the
-    /// happens-before check, the latter two add their analysis to it.
-    /// Findings and a failed replay self-check are exit 1; a trace a check
-    /// cannot work on (ring overflow dropped events — rerun with a larger
-    /// `--trace-ring`) is exit 2. Panics if the report carries no trace.
+    /// path) and the analysis (its text, census first, to a `.txt` path),
+    /// then run the requested checks — any of `--race-check`, `--predict`,
+    /// `--deadlock` replays the happens-before check, the latter two add
+    /// their analysis to it. Findings and a failed replay self-check are
+    /// exit 1; a trace a check cannot work on (ring overflow dropped
+    /// events — rerun with a larger `--trace-ring`) is exit 2. Panics if
+    /// the report carries no trace.
     pub fn observe(&self, report: &Report) -> Outcome {
         if !self.obs_requested() {
             return Ok(());
@@ -226,16 +223,6 @@ impl RunSpec {
             .expect("RunSpec::observe needs a report from a tracing-enabled run");
         if let Some(path) = &self.trace_out {
             front::write_trace(path, trace)?;
-        }
-        if let Some(spath) = &self.trace_summary {
-            use std::io::Write as _;
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(spath)
-                .and_then(|mut f| f.write_all(trace.summary().as_bytes()))
-                .map_err(|e| Exit::unusable(format!("cannot write {spath}: {e}")))?;
-            eprintln!("trace summary appended to {spath}");
         }
         if let Some(path) = &self.analysis_out {
             front::write_analysis(path, &scioto_analyze::analyze(trace))?;

@@ -1,8 +1,8 @@
 //! The `scioto` command line at the process boundary: a missing or
 //! unknown subcommand exits 2 listing the dispatch table, a stale or
 //! mistyped flag exits 2 naming what is accepted, every flag `verify.sh`
-//! passes is one the subcommand it passes it to accepts, `--trace-summary`
-//! writes its digest on its own, and a trace file a subcommand cannot
+//! passes is one the subcommand it passes it to accepts, `--analysis-out`
+//! writes the report, census first, on its own, and a trace file a subcommand cannot
 //! work on exits 2 naming it — never a panic. The
 //! source scan, `scioto lint`, exits 0 on the workspace, 1 on a tree with
 //! a finding and 2 where there is no tree to scan.
@@ -44,9 +44,11 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
     let fig7 = "fig7_uts_cluster";
     // Retired spellings in two halves: the repo-wide grep that proves the
     // forks are gone must stay empty.
-    let cases: [(&str, Vec<&str>, &str); 5] = [
+    let cases: [(&str, Vec<&str>, &str); 6] = [
         (table1, vec![concat!("--old", "-policy")], "unknown flag"),
         (table1, vec![concat!("--old", "-startup")], "unknown flag"),
+        // The trace census is the analysis text's head now.
+        (table1, vec![concat!("--trace", "-summary"), "s.txt"], "unknown flag --trace-"),
         (fig7, vec!["--engine", "threads"], "unknown flag --engine"),
         (
             fig7,
@@ -269,7 +271,6 @@ fn an_unwritable_artifact_path_exits_2_naming_the_path() {
         ("table1", &[][..], "--json-out"),
         ("table1", &[][..], "--trace-out"),
         ("table1", &[][..], "--analysis-out"),
-        ("table1", &[][..], "--trace-summary"),
         ("tune", &tune[..], "--out"),
     ] {
         let path = format!("/nonexistent/{}.json", flag.trim_start_matches("--"));
@@ -292,16 +293,19 @@ fn an_unwritable_artifact_path_exits_2_naming_the_path() {
 
 #[test]
 fn trace_summary_alone_runs_the_traced_configuration_and_writes_the_digest() {
+    // The analysis text opens with the trace's census: the summary that
+    // used to have a flag of its own.
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let path = dir.join("cli_summary_alone.txt");
     let _ = std::fs::remove_file(&path);
     let path = path.to_str().unwrap();
-    let (code, stderr) = run("fig4_termination", &["--max-ranks", "2", "--trace-summary", path]);
+    let (code, stderr) = run("fig4_termination", &["--max-ranks", "2", "--analysis-out", path]);
     assert_eq!(code, Some(0), "{stderr}");
-    let summary = std::fs::read_to_string(path).expect("--trace-summary wrote its file");
+    let summary = std::fs::read_to_string(path).expect("--analysis-out wrote its file");
     assert!(summary.starts_with("== trace summary: 8 ranks, "), "{summary}");
     assert!(summary.contains("\n  steal_rtt_ns     count="), "{summary}");
+    assert!(summary.contains("\n== trace analysis: 8 ranks, "), "{summary}");
 }
 
 #[test]

@@ -68,22 +68,20 @@ fn concurrent_ring_overflow_warns_in_every_surface() {
         assert!(trace.events[r].len() <= 16, "ring capacity must bound retained events");
     }
 
-    // Surface 1: the trace's own summary.
-    let summary = trace.summary();
-    assert!(summary.contains("WARNING: ring overflow"), "{summary}");
-    assert!(summary.contains("clock: wall"), "{summary}");
-
-    // Surface 2: the analysis report (struct, text, and JSON).
+    // Surface 1: the analysis report (struct, text — census first — and
+    // JSON).
     let analysis = scioto_analyze::analyze(trace);
     assert!(
         analysis.warnings.iter().any(|w| w.contains("ring overflow")),
         "{:?}",
         analysis.warnings
     );
-    assert!(analysis.to_text().contains("WARNING: ring overflow"));
+    let text = analysis.to_text();
+    assert!(text.contains("WARNING: ring overflow"), "{text}");
+    assert!(text.contains("clock: wall"), "{text}");
     assert!(analysis.to_json().contains("ring overflow"));
 
-    // Surface 3: the race checker refuses truncated sync streams with a
+    // Surface 2: the race checker refuses truncated sync streams with a
     // diagnostic instead of a bogus verdict.
     let err = scioto_race::check_trace(trace).unwrap_err();
     assert!(err.contains("dropped"), "{err}");

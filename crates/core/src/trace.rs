@@ -100,7 +100,6 @@ mod tests {
         }
         assert_eq!(exec.len(), 64);
         assert!(exec.iter().all(|&d| d >= 500), "task covers its 500 ns compute: {exec:?}");
-        assert!(trace.summary().contains("task_exec_ns     count=64 "));
     }
 
     #[test]

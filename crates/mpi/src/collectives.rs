@@ -1,4 +1,4 @@
-//! Tree-based collectives: barrier, allreduce, gather, scatter.
+//! Tree-based collectives: barrier and `f64` allreduce.
 //!
 //! All collectives run over real point-to-point messages on a binary
 //! spanning tree rooted at rank 0 (parent `(r-1)/2`, children `2r+1`,
@@ -24,14 +24,6 @@ impl ReduceOp {
     fn f64(self, a: f64, b: f64) -> f64 {
         match self {
             ReduceOp::Sum => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-        }
-    }
-
-    fn u64(self, a: u64, b: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => a.wrapping_add(b),
             ReduceOp::Max => a.max(b),
             ReduceOp::Min => a.min(b),
         }
@@ -65,24 +57,6 @@ impl Comm {
         decode_f64(&self.down_wave(ctx, encode_f64(&acc)))
     }
 
-    /// Element-wise allreduce over `u64` vectors.
-    pub fn allreduce_u64(&self, ctx: &Ctx, vals: &[u64], op: ReduceOp) -> Vec<u64> {
-        let mut acc = vals.to_vec();
-        let rank = ctx.rank();
-        for c in tree_children(rank, self.nranks) {
-            let m = self.recv(ctx, Some(c), Some(Comm::INTERNAL_TAG));
-            let theirs = decode_u64(&m.data);
-            assert_eq!(theirs.len(), acc.len(), "allreduce length mismatch");
-            for (a, b) in acc.iter_mut().zip(theirs) {
-                *a = op.u64(*a, b);
-            }
-        }
-        if let Some(p) = tree_parent(rank) {
-            self.send_raw(ctx, p, Comm::INTERNAL_TAG, &encode_u64(&acc));
-        }
-        decode_u64(&self.down_wave(ctx, encode_u64(&acc)))
-    }
-
     /// Up-wave: receive one message from each child, then send `payload`
     /// to the parent.
     fn up_wave(&self, ctx: &Ctx, payload: &[u8]) {
@@ -110,46 +84,6 @@ impl Comm {
     }
 }
 
-impl Comm {
-    /// Gather every rank's byte payload at rank 0 (returned in rank order
-    /// there; other ranks receive an empty vec). Implemented as direct
-    /// sends — the paper-era MPI gather for modest payloads.
-    pub fn gather(&self, ctx: &Ctx, payload: &[u8]) -> Vec<Vec<u8>> {
-        let rank = ctx.rank();
-        if rank == 0 {
-            let mut out = vec![Vec::new(); self.nranks];
-            out[0] = payload.to_vec();
-            for _ in 1..self.nranks {
-                let m = self.recv(ctx, None, Some(Comm::INTERNAL_TAG | 1));
-                out[m.src] = m.data;
-            }
-            out
-        } else {
-            self.send_raw(ctx, 0, Comm::INTERNAL_TAG | 1, payload);
-            Vec::new()
-        }
-    }
-
-    /// Scatter per-rank payloads from rank 0: rank `r` receives
-    /// `payloads[r]`. Non-root ranks pass an empty slice.
-    pub fn scatter(&self, ctx: &Ctx, payloads: &[Vec<u8>]) -> Vec<u8> {
-        let rank = ctx.rank();
-        if rank == 0 {
-            assert_eq!(
-                payloads.len(),
-                self.nranks,
-                "scatter needs one payload per rank"
-            );
-            for (r, p) in payloads.iter().enumerate().skip(1) {
-                self.send_raw(ctx, r, Comm::INTERNAL_TAG | 2, p);
-            }
-            payloads[0].clone()
-        } else {
-            self.recv(ctx, Some(0), Some(Comm::INTERNAL_TAG | 2)).data
-        }
-    }
-}
-
 fn encode_f64(v: &[f64]) -> Vec<u8> {
     v.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
@@ -157,16 +91,6 @@ fn encode_f64(v: &[f64]) -> Vec<u8> {
 fn decode_f64(b: &[u8]) -> Vec<f64> {
     b.chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
-}
-
-fn encode_u64(v: &[u64]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-fn decode_u64(b: &[u8]) -> Vec<u64> {
-    b.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect()
 }
 
@@ -233,60 +157,6 @@ mod tests {
         for (sum, max) in out.results {
             assert_eq!(sum, vec![10.0, 5.0]);
             assert_eq!(max, vec![4.0]);
-        }
-    }
-
-    #[test]
-    fn allreduce_u64_min() {
-        let out = Machine::run(MachineConfig::virtual_time(6), |ctx| {
-            let comm = Comm::world(ctx);
-            comm.allreduce_u64(ctx, &[ctx.rank() as u64 + 10], ReduceOp::Min)
-        });
-        for v in out.results {
-            assert_eq!(v, vec![10]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = Machine::run(MachineConfig::virtual_time(5), |ctx| {
-            let comm = Comm::world(ctx);
-            let payload = vec![ctx.rank() as u8; ctx.rank() + 1];
-            comm.gather(ctx, &payload)
-        });
-        let root = &out.results[0];
-        assert_eq!(root.len(), 5);
-        for (r, p) in root.iter().enumerate() {
-            assert_eq!(p, &vec![r as u8; r + 1]);
-        }
-        assert!(out.results[1..].iter().all(|v| v.is_empty()));
-    }
-
-    #[test]
-    fn scatter_delivers_per_rank_payloads() {
-        let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
-            let comm = Comm::world(ctx);
-            let payloads = if ctx.rank() == 0 {
-                (0..4u8).map(|r| vec![r * 10]).collect()
-            } else {
-                Vec::new()
-            };
-            comm.scatter(ctx, &payloads)
-        });
-        for (r, p) in out.results.iter().enumerate() {
-            assert_eq!(p, &vec![r as u8 * 10]);
-        }
-    }
-
-    #[test]
-    fn gather_then_scatter_roundtrip() {
-        let out = Machine::run(MachineConfig::virtual_time(3), |ctx| {
-            let comm = Comm::world(ctx);
-            let gathered = comm.gather(ctx, &[ctx.rank() as u8 + 1]);
-            comm.scatter(ctx, &gathered)
-        });
-        for (r, p) in out.results.iter().enumerate() {
-            assert_eq!(p, &vec![r as u8 + 1]);
         }
     }
 

@@ -5,8 +5,8 @@
 //! units of work (§6.2, Figures 7 and 8), and measures its termination
 //! detector against `MPI_Barrier` (Figure 4). This crate provides the
 //! two-sided substrate for those baselines: tagged `send` / `recv` /
-//! `iprobe` plus tree-based collectives (barrier, allreduce, gather,
-//! scatter), built on the virtual-time mailboxes of `scioto-sim`.
+//! `iprobe` plus tree-based collectives (barrier and an `f64` allreduce),
+//! built on the virtual-time mailboxes of `scioto-sim`.
 //!
 //! Message visibility respects network latency: an `iprobe` cannot observe
 //! a message that is still in flight, exactly the property that makes
@@ -19,10 +19,10 @@
 //!
 //! let out = Machine::run(MachineConfig::virtual_time(4), |ctx| {
 //!     let comm = Comm::world(ctx);
-//!     let total = comm.allreduce_u64(ctx, &[ctx.rank() as u64], scioto_mpi::ReduceOp::Sum);
+//!     let total = comm.allreduce_f64(ctx, &[ctx.rank() as f64], scioto_mpi::ReduceOp::Sum);
 //!     total[0]
 //! });
-//! assert_eq!(out.results, vec![6, 6, 6, 6]);
+//! assert_eq!(out.results, vec![6.0; 4]);
 //! ```
 
 mod collectives;

@@ -24,7 +24,7 @@
 use std::iter::once;
 use std::sync::Arc;
 
-use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
+use scioto::{Task, TaskCollection, TcConfig, VictimPolicy, AFFINITY_HIGH};
 use scioto_det::rng::mix64;
 use scioto_ga::{BlockDist, Ga, GaHandle, LoadBalance, Patch};
 use scioto_sim::Ctx;
@@ -47,9 +47,9 @@ pub struct ParallelScfConfig {
     pub lb: LoadBalance,
     /// Steal chunk size (Scioto scheme).
     pub chunk: usize,
-    /// Steal victim-selection override; `None` keeps the
-    /// [`TcConfig`] default.
-    pub victim: Option<scioto::VictimPolicy>,
+    /// Steal victim-selection policy (default: locality-aware, as in
+    /// [`TcConfig`]).
+    pub victim: VictimPolicy,
 }
 
 impl Default for ParallelScfConfig {
@@ -59,7 +59,7 @@ impl Default for ParallelScfConfig {
             block: 4,
             lb: LoadBalance::Scioto,
             chunk: 2,
-            victim: None,
+            victim: VictimPolicy::Locality,
         }
     }
 }
@@ -385,10 +385,7 @@ fn drive(ctx: &Ctx, basis: &BasisSet, cfg: &ParallelScfConfig, host: HostWork) -
 
     // Scioto machinery (created even for the counter scheme: cheap).
     let armci = ga.armci().clone();
-    let mut tc_cfg = TcConfig::new(16, cfg.chunk, 1 << 14);
-    if let Some(v) = cfg.victim {
-        tc_cfg = tc_cfg.with_victim(v);
-    }
+    let tc_cfg = TcConfig::new(16, cfg.chunk, 1 << 14).with_victim(cfg.victim);
     let tc = TaskCollection::create(ctx, &armci, tc_cfg);
     let ga_for_cb = ga.clone();
     let fctx_cb = fctx.clone();

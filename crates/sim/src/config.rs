@@ -333,8 +333,6 @@ pub struct MachineConfig {
     pub speed: SpeedModel,
     /// Seed for the per-rank deterministic RNGs ([`crate::Ctx::rng`]).
     pub seed: u64,
-    /// Stack size for rank threads. 512-rank simulations need modest stacks.
-    pub stack_size: usize,
     /// Event tracing and metrics collection (off by default).
     pub trace: TraceConfig,
     /// Barrier release model ([`BarrierKind::Flat`] by default, so existing
@@ -352,7 +350,6 @@ impl MachineConfig {
             latency: LatencyModel::zero(),
             speed: SpeedModel::uniform(ranks),
             seed: 0x005C_1070,
-            stack_size: 1 << 20,
             trace: TraceConfig::disabled(),
             barrier: BarrierKind::Flat,
         }
@@ -395,13 +392,6 @@ impl MachineConfig {
     /// Replace the barrier release model.
     pub fn with_barrier(mut self, barrier: BarrierKind) -> Self {
         self.barrier = barrier;
-        self
-    }
-
-    /// Replace the per-rank stack size (bytes): the size of each rank's
-    /// fiber stack, or of its OS thread's where ranks run as threads.
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
         self
     }
 }

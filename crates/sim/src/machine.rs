@@ -14,6 +14,11 @@ use crate::kernel::Kernel;
 use crate::report::Report;
 use crate::trace::TraceSink;
 
+/// Bytes of each rank's stack: its fiber's, or its OS thread's where ranks
+/// run as threads. A fiber stack is address space, not memory — the host
+/// commits only the pages a rank's call depth reaches.
+const STACK_SIZE: usize = 1 << 20;
+
 /// State shared by all ranks of one machine (beyond the kernel).
 pub(crate) struct Shared {
     pub(crate) latency: LatencyModel,
@@ -160,7 +165,7 @@ fn run_threads<R, F>(
             let seed = cfg.seed;
             std::thread::Builder::new()
                 .name(format!("rank{rank}"))
-                .stack_size(cfg.stack_size)
+                .stack_size(STACK_SIZE)
                 .spawn_scoped(scope, move || {
                     let ctx = Ctx::new(rank, Arc::clone(&kernel), shared, seed);
                     match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
@@ -194,7 +199,7 @@ fn run_fibers<R, F>(
     F: Fn(&Ctx) -> R + Send + Sync,
 {
     let n = cfg.ranks;
-    let mut fs = fiber::FiberSet::new(n, cfg.stack_size);
+    let mut fs = fiber::FiberSet::new(n, STACK_SIZE);
     for (rank, slot) in results.iter().enumerate() {
         let kernel = Arc::clone(kernel);
         let shared = Arc::clone(shared);

@@ -1,8 +1,8 @@
 //! Tracing and metrics: per-rank ring buffers of typed events stamped
-//! with the emitting rank's clock, gauges, and exporters (Chrome
-//! `trace_event` JSON, flat JSONL, human summary). Each sample is
-//! recorded once: the summary's duration digests are derived from the
-//! events that carry them.
+//! with the emitting rank's clock, gauges, and the two exporters (Chrome
+//! `trace_event` JSON and flat JSONL). Each sample is recorded once, in
+//! the event that carries it; every human report of a trace — its event
+//! census and duration digests included — is `scioto-analyze`'s.
 //!
 //! Determinism contract: every event is stamped with the emitting rank's
 //! virtual clock ([`crate::Ctx::now`] in virtual-time mode), each per-rank
@@ -28,7 +28,6 @@
 
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Tracing configuration carried by [`crate::MachineConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -321,28 +320,41 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Every event name, in name order; [`TraceEvent::kind`] indexes it.
+    pub const NAMES: [&'static str; 18] = [
+        "BarrierWait", "Block", "LocalAccess", "LockAcq", "LockRel", "LockWait", "MsgRecv",
+        "MsgSend", "QueueDepth", "RemoteOp", "SplitReclaim", "SplitRelease", "StealAttempt",
+        "TaskExecBegin", "TaskExecEnd", "TdProgress", "TdWave", "Unblock",
+    ];
+
+    /// The event's index in [`TraceEvent::NAMES`]: a per-kind table is a
+    /// fixed-size array, in name order.
+    pub fn kind(&self) -> usize {
+        match self {
+            TraceEvent::BarrierWait { .. } => 0,
+            TraceEvent::Block => 1,
+            TraceEvent::LocalAccess { .. } => 2,
+            TraceEvent::LockAcq { .. } => 3,
+            TraceEvent::LockRel { .. } => 4,
+            TraceEvent::LockWait { .. } => 5,
+            TraceEvent::MsgRecv { .. } => 6,
+            TraceEvent::MsgSend { .. } => 7,
+            TraceEvent::QueueDepth { .. } => 8,
+            TraceEvent::RemoteOp { .. } => 9,
+            TraceEvent::SplitReclaim { .. } => 10,
+            TraceEvent::SplitRelease { .. } => 11,
+            TraceEvent::StealAttempt { .. } => 12,
+            TraceEvent::TaskExecBegin { .. } => 13,
+            TraceEvent::TaskExecEnd { .. } => 14,
+            TraceEvent::TdProgress { .. } => 15,
+            TraceEvent::TdWave { .. } => 16,
+            TraceEvent::Unblock { .. } => 17,
+        }
+    }
+
     /// Stable event name used by all exporters.
     pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::TaskExecBegin { .. } => "TaskExecBegin",
-            TraceEvent::TaskExecEnd { .. } => "TaskExecEnd",
-            TraceEvent::StealAttempt { .. } => "StealAttempt",
-            TraceEvent::LockWait { .. } => "LockWait",
-            TraceEvent::BarrierWait { .. } => "BarrierWait",
-            TraceEvent::TdProgress { .. } => "TdProgress",
-            TraceEvent::SplitRelease { .. } => "SplitRelease",
-            TraceEvent::SplitReclaim { .. } => "SplitReclaim",
-            TraceEvent::TdWave { .. } => "TdWave",
-            TraceEvent::QueueDepth { .. } => "QueueDepth",
-            TraceEvent::Block => "Block",
-            TraceEvent::Unblock { .. } => "Unblock",
-            TraceEvent::MsgSend { .. } => "MsgSend",
-            TraceEvent::MsgRecv { .. } => "MsgRecv",
-            TraceEvent::RemoteOp { .. } => "RemoteOp",
-            TraceEvent::LocalAccess { .. } => "LocalAccess",
-            TraceEvent::LockAcq { .. } => "LockAcq",
-            TraceEvent::LockRel { .. } => "LockRel",
-        }
+        Self::NAMES[self.kind()]
     }
 
     /// The span of a duration-carrying event, which is stamped at its
@@ -832,39 +844,6 @@ impl Trace {
             .unwrap_or_else(|| self.events[rank].iter().map(|e| e.t_ns).max().unwrap_or(0))
     }
 
-    /// The duration samples the runtime's events carry, in name order,
-    /// merged across ranks:
-    /// - `steal_rtt_ns`: each [`TraceEvent::StealAttempt`]'s `dur_ns`;
-    /// - `task_exec_ns`: each [`TraceEvent::TaskExecEnd`] minus its
-    ///   [`TraceEvent::TaskExecBegin`] (paired by a per-rank stack);
-    /// - `td_wave_gap_ns`: for each down [`TraceEvent::TdWave`] past a
-    ///   phase's first wave, the time since the rank's previous one.
-    fn durations(&self) -> [(&'static str, Vec<u64>); 3] {
-        let (mut steal, mut exec, mut gap) = (Vec::new(), Vec::new(), Vec::new());
-        for events in &self.events {
-            let mut begun: Vec<u64> = Vec::new();
-            let mut last_down = None;
-            for e in events {
-                match e.event {
-                    TraceEvent::StealAttempt { dur_ns, .. } => steal.push(dur_ns),
-                    TraceEvent::TaskExecBegin { .. } => begun.push(e.t_ns),
-                    TraceEvent::TaskExecEnd { .. } => {
-                        exec.extend(begun.pop().map(|t0| e.t_ns.saturating_sub(t0)));
-                    }
-                    TraceEvent::TdWave { wave, dir: WaveDir::Down, .. } => {
-                        // Wave numbers restart with each process phase.
-                        if wave > 1 {
-                            gap.extend(last_down.map(|t0| e.t_ns.saturating_sub(t0)));
-                        }
-                        last_down = Some(e.t_ns);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        [("steal_rtt_ns", steal), ("task_exec_ns", exec), ("td_wave_gap_ns", gap)]
-    }
-
     /// Chrome `trace_event` JSON: one track (tid) per rank, `B`/`E` pairs
     /// for task execution, complete (`X`) events for duration-carrying
     /// records (steal attempts, lock waits, barrier waits, TD polls),
@@ -916,7 +895,7 @@ impl Trace {
     /// event, rank-major then chronological, timestamps in exact virtual
     /// nanoseconds. The header and gauge lines make a JSONL file
     /// self-contained for re-analysis (`scioto-analyze` reads all of it
-    /// back; the summary's duration digests come from the events).
+    /// back).
     pub fn to_jsonl(&self) -> String {
         let gauges: usize = self.gauges.iter().map(BTreeMap::len).sum();
         // An event line of a UTS or Table 1 recording averages 91 bytes.
@@ -949,102 +928,6 @@ impl Trace {
         }
         text.finish()
     }
-
-    /// Human-readable summary: per-rank event totals, global per-kind
-    /// counts, digests of the durations the events carry (steal round
-    /// trips, task executions, termination-wave gaps) and of the gauges.
-    pub fn summary(&self) -> String {
-        let n = self.nranks();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== trace summary: {n} ranks, {} events, {} dropped ==",
-            self.total_events(),
-            self.dropped.iter().sum::<u64>()
-        );
-        if self.wall_clock {
-            let _ = writeln!(
-                out,
-                "clock: wall (concurrent mode — timestamps are real ns, \
-                 not reproducible across runs)"
-            );
-        }
-        let _ = writeln!(out, "{:>6}  {:>10}  {:>10}", "rank", "events", "dropped");
-        for r in 0..n {
-            let _ = writeln!(out, "{r:>6}  {:>10}  {:>10}", self.events[r].len(), self.dropped[r]);
-        }
-        let total_dropped: u64 = self.dropped.iter().sum();
-        if total_dropped > 0 {
-            let ranks_hit = self.dropped.iter().filter(|&&d| d > 0).count();
-            let _ = writeln!(
-                out,
-                "WARNING: ring overflow dropped {total_dropped} event(s) on \
-                 {ranks_hit} rank(s); timelines are truncated — rerun with a \
-                 larger ring capacity (TraceConfig::with_capacity / --trace-ring)"
-            );
-        }
-        let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for events in &self.events {
-            for e in events {
-                *kinds.entry(e.event.name()).or_default() += 1;
-            }
-        }
-        let _ = writeln!(out, "events by kind:");
-        for (k, c) in &kinds {
-            let _ = writeln!(out, "  {k:<16} {c}");
-        }
-        let mut durations = self.durations();
-        if durations.iter().any(|(_, samples)| !samples.is_empty()) {
-            let _ = writeln!(out, "histograms (virtual ns, merged across ranks):");
-            for (name, samples) in durations.iter_mut().filter(|(_, s)| !s.is_empty()) {
-                let count = samples.len();
-                let sum = samples.iter().fold(0u64, |s, &v| s.saturating_add(v));
-                let max = samples.iter().copied().max().unwrap_or(0);
-                let _ = writeln!(
-                    out,
-                    "  {name:<16} count={count} mean={:.0} p50<={} max={max}",
-                    sum as f64 / count as f64,
-                    p50_upper(samples).min(max)
-                );
-            }
-        }
-        let mut gauge_names: Vec<&str> = Vec::new();
-        for per_rank in &self.gauges {
-            for k in per_rank.keys() {
-                if !gauge_names.contains(&k.as_str()) {
-                    gauge_names.push(k);
-                }
-            }
-        }
-        gauge_names.sort_unstable();
-        if !gauge_names.is_empty() {
-            let _ = writeln!(out, "gauges (mean/max over all ranks' samples):");
-            for name in gauge_names {
-                let mut all = Gauge::default();
-                for g in self.gauges.iter().filter_map(|per_rank| per_rank.get(name)) {
-                    all.samples += g.samples;
-                    all.sum = all.sum.saturating_add(g.sum);
-                    all.max = all.max.max(g.max);
-                }
-                let _ = writeln!(
-                    out,
-                    "  {name:<16} samples={} mean={:.2} max={}",
-                    all.samples,
-                    all.mean(),
-                    all.max
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Upper bound of the power-of-two bucket `[2^(k-1), 2^k - 1]` holding
-/// the median (the ⌈n/2⌉-th smallest sample) of a non-empty set: exact to
-/// within one power of two, as the summary prints it.
-fn p50_upper(samples: &mut [u64]) -> u64 {
-    let (_, &mut median, _) = samples.select_nth_unstable(samples.len().div_ceil(2) - 1);
-    u64::MAX.checked_shr(median.leading_zeros()).unwrap_or(0)
 }
 
 fn chrome_event(out: &mut Text, rank: u64, e: &StampedEvent) {
@@ -1447,20 +1330,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_warns_on_ring_overflow() {
-        let sink = TraceSink::new(&TraceConfig::enabled().with_capacity(2), 1);
-        for t in 0..5u64 {
-            sink.emit(0, t, || TraceEvent::Block);
-        }
-        let trace = sink.finish().unwrap();
-        assert_eq!(trace.dropped, vec![3]);
-        let s = trace.summary();
-        assert!(s.contains("WARNING: ring overflow dropped 3 event(s) on 1 rank(s)"));
-        // A clean trace must not warn.
-        assert!(!synthetic_trace().summary().contains("WARNING"));
-    }
-
-    #[test]
     fn emission_lands_in_the_ring_in_order_and_overflow_keeps_the_newest() {
         // Interleaved ranks keep their own emission order; a full ring
         // overwrites its oldest events and counts each one dropped.
@@ -1490,7 +1359,6 @@ mod tests {
         validate_json(&chrome).expect("wall-clock chrome export must parse");
         assert!(chrome
             .contains("\"sciotoMeta\":{\"dropped\":[0,0],\"final_clock_ns\":[60,7],\"clock\":\"wall\"}"));
-        assert!(t.summary().contains("clock: wall"));
         // Virtual-time traces must NOT carry the marker: their exports are
         // pinned byte-identical across schema versions.
         let vt = synthetic_trace();
@@ -1531,66 +1399,11 @@ mod tests {
     }
 
     #[test]
-    fn quantile_edge_cases_are_defined() {
-        // The median is the ceil(n/2)-th smallest sample, rounded up to the
-        // end of its power-of-two bucket [2^(k-1), 2^k - 1].
-        assert_eq!(p50_upper(&mut [0]), 0);
-        assert_eq!(p50_upper(&mut [1]), 1);
-        assert_eq!(p50_upper(&mut [1000, 100, 10]), 127);
-        assert_eq!(p50_upper(&mut [10, 1_000_000]), 15);
-        assert_eq!(p50_upper(&mut [64, 63, 64, 63]), 63);
-        assert_eq!(p50_upper(&mut [u64::MAX]), u64::MAX);
-        assert_eq!(p50_upper(&mut [1 << 63]), u64::MAX);
-    }
-
-    #[test]
-    fn durations_are_derived_from_the_events() {
-        let sink = TraceSink::new(&TraceConfig::enabled(), 2);
-        let down = |wave| move || TraceEvent::TdWave { wave, dir: WaveDir::Down, black: false };
-        // Rank 0: a task that runs a nested one, then a steal attempt.
-        sink.emit(0, 10, || TraceEvent::TaskExecBegin { callback: 0, creator: 0 });
-        sink.emit(0, 20, || TraceEvent::TaskExecBegin { callback: 1, creator: 1 });
-        sink.emit(0, 25, || TraceEvent::TaskExecEnd { callback: 1 });
-        sink.emit(0, 40, || TraceEvent::TaskExecEnd { callback: 0 });
-        sink.emit(0, 60, || TraceEvent::StealAttempt { victim: 1, got: 0, dur_ns: 9 });
-        // Rank 1: two phases of down waves; the numbering restarts at 1, so
-        // the gap across the phase boundary is no sample. Up waves and
-        // other events between them do not count.
-        sink.emit(1, 100, down(1));
-        sink.emit(1, 150, || TraceEvent::TdWave { wave: 1, dir: WaveDir::Up, black: true });
-        sink.emit(1, 300, down(2));
-        sink.emit(1, 700, down(3));
-        sink.emit(1, 5_000, down(1));
-        sink.emit(1, 5_064, down(2));
-        let t = sink.finish().unwrap();
-        assert_eq!(
-            t.durations(),
-            [
-                ("steal_rtt_ns", vec![9]),
-                ("task_exec_ns", vec![5, 30]),
-                ("td_wave_gap_ns", vec![200, 400, 64]),
-            ]
-        );
-        let s = t.summary();
-        assert!(s.contains(
-            "histograms (virtual ns, merged across ranks):\n\
-             \x20 steal_rtt_ns     count=1 mean=9 p50<=9 max=9\n\
-             \x20 task_exec_ns     count=2 mean=18 p50<=7 max=30\n\
-             \x20 td_wave_gap_ns   count=3 mean=221 p50<=255 max=400\n"
-        ), "{s}");
-        // A digest with no samples prints no line; none at all, no header.
-        let quiet = TraceSink::new(&TraceConfig::enabled(), 1);
-        quiet.emit(0, 1, down(1));
-        assert!(!quiet.finish().unwrap().summary().contains("histograms"));
-    }
-
-    #[test]
-    fn summary_names_metrics_and_kinds() {
-        let s = synthetic_trace().summary();
-        assert!(s.contains("trace summary: 2 ranks"));
-        assert!(s.contains("StealAttempt"));
-        assert!(s.contains("task_exec_ns"));
-        assert!(s.contains("queue_local"));
+    fn names_are_distinct_and_in_name_order() {
+        // The analyzer's per-kind census prints in index order.
+        assert!(TraceEvent::NAMES.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(TraceEvent::Block.name(), "Block");
+        assert_eq!(TraceEvent::Unblock { target: 0 }.kind(), TraceEvent::NAMES.len() - 1);
     }
 
     #[test]

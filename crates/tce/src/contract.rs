@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
+use scioto::{Task, TaskCollection, TcConfig, VictimPolicy, AFFINITY_HIGH};
 use scioto_ga::{Ga, LoadBalance};
 use scioto_sim::Ctx;
 
@@ -32,9 +32,9 @@ pub struct ContractionConfig {
     /// Number of times the contraction is repeated (a CC solver reruns
     /// the same contraction every residual iteration).
     pub iterations: usize,
-    /// Steal victim-selection override; `None` keeps the
-    /// [`TcConfig`] default.
-    pub victim: Option<scioto::VictimPolicy>,
+    /// Steal victim-selection policy (default: locality-aware, as in
+    /// [`TcConfig`]).
+    pub victim: VictimPolicy,
 }
 
 impl ContractionConfig {
@@ -50,7 +50,7 @@ impl ContractionConfig {
             lb,
             chunk: 2,
             iterations: 1,
-            victim: None,
+            victim: VictimPolicy::Locality,
         }
     }
 }
@@ -178,10 +178,7 @@ pub fn run_contraction(ctx: &Ctx, cfg: &ContractionConfig) -> (ContractionReport
         }
         LoadBalance::Scioto => {
             let armci = ga.armci().clone();
-            let mut tc_cfg = TcConfig::new(8, cfg.chunk, 1 << 14);
-            if let Some(v) = cfg.victim {
-                tc_cfg = tc_cfg.with_victim(v);
-            }
+            let tc_cfg = TcConfig::new(8, cfg.chunk, 1 << 14).with_victim(cfg.victim);
             let tc = TaskCollection::create(ctx, &armci, tc_cfg);
             let (ga2, a2, b2, c2) = (ga.clone(), a.clone(), b.clone(), c.clone());
             let mult_counter = Arc::new(std::sync::atomic::AtomicU64::new(0));

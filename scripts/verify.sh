@@ -246,7 +246,6 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # is gated on what it *saw*: the dump must hold the tasks' GA accumulates.
 scioto fig7_uts_cluster \
     --max-ranks 8 --tree small --trace-out "$work/fig7.jsonl" \
-    --trace-summary "$work/trace_summary.txt" \
     --analysis-out "$work/fig7_analysis.json" \
     --race-check --predict --deadlock --replay-check \
     --json-out "$work/bench/BENCH_fig7.json" > /dev/null
@@ -266,17 +265,20 @@ scioto fig5_fig6_apps \
 grep -q '"kind":"acc"' "$work/fig56.jsonl" \
     || { echo "FAIL: the traced SCF run recorded no GA accumulate: its race gate is vacuous" >&2; exit 1; }
 
-# The fig7@8 trace's human digest (event counts, duration digests,
-# gauges) is pinned as results/trace_summary.txt; --bless rewrites it.
+# The census that opens the fig7@8 trace's analysis text (event counts,
+# duration digests, gauges; it ends at the text's first blank line) is
+# pinned as results/trace_summary.txt; --bless rewrites it.
+scioto analyze --file "$work/fig7.jsonl" > "$work/fig7_analysis.txt"
+sed -n '/^$/q;p' "$work/fig7_analysis.txt" > "$work/trace_summary.txt"
 if [ "$BLESS" = 1 ]; then
     cp "$work/trace_summary.txt" results/trace_summary.txt
     echo "blessed results/trace_summary.txt"
 elif ! cmp -s results/trace_summary.txt "$work/trace_summary.txt"; then
-    echo "FAIL: fig7@8 --trace-summary differs from results/trace_summary.txt" >&2
+    echo "FAIL: the fig7@8 analysis census differs from results/trace_summary.txt" >&2
     diff results/trace_summary.txt "$work/trace_summary.txt" >&2 || true
     exit 1
 fi
-echo "ok: fig7@8 trace summary matches results/trace_summary.txt"
+echo "ok: fig7@8 analysis census matches results/trace_summary.txt"
 
 stage "replay: fig7@8 recorded trace reproduces blame + critical path"
 scioto trace_check --file "$work/fig7.jsonl" --replayable
@@ -448,7 +450,6 @@ scioto concurrent_obs \
     --trace-out "$work/conc.jsonl" \
     --chrome-out "$work/conc_chrome.json" \
     --analysis-out "$work/conc_analysis.json" \
-    --trace-summary "$work/conc_summary.txt" \
     --race-check --predict --deadlock
 scioto concurrent_obs \
     --ranks 4 --reps 3 --max-event-ns 150 --seed 42 --app scf \
@@ -457,12 +458,12 @@ scioto concurrent_obs \
 # analyzable, not replayable by design — exit 0, not an error cascade).
 scioto trace_check --file "$work/conc_chrome.json" --ranks 4
 scioto trace_check --file "$work/conc.jsonl" --replayable
-grep -q 'clock: wall' "$work/conc_summary.txt"
 # The offline analyzer re-derives the identical wall-clock blame report
-# from the JSONL dump alone.
+# from the JSONL dump alone, and its text's census marks the clock.
 scioto analyze --file "$work/conc.jsonl" \
-    --json-out "$work/conc_analysis_offline.json" > /dev/null
+    --json-out "$work/conc_analysis_offline.json" > "$work/conc_analysis_offline.txt"
 cmp "$work/conc_analysis.json" "$work/conc_analysis_offline.json"
+grep -q 'clock: wall' "$work/conc_analysis_offline.txt"
 # The standalone race checker accepts the wall-clock dump too — all
 # three analyses pair by generations/epochs, never timestamps.
 scioto race_check --predict --deadlock --file "$work/conc.jsonl"

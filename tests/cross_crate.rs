@@ -581,29 +581,35 @@ fn traced_two_phase_scf() -> Trace {
 
 #[test]
 fn trace_summary_digests_are_pinned() {
-    // `Trace::summary` of a traced UTS run and of a two-phase SCF run, as
-    // the text printed when the runtime still recorded its duration
-    // samples in a histogram registry: the digests it now derives from the
-    // events (task execution, steal round trip, termination-wave gap) must
-    // print the same counts, means, medians and maxima. Refresh with
+    // The census that opens the analysis text of a traced UTS run and of
+    // a two-phase SCF run, as `Trace::summary` printed it when the runtime
+    // still recorded its duration samples in a histogram registry: the
+    // digests derived from the events (task execution, steal round trip,
+    // termination-wave gap) must print the same counts, means, medians
+    // and maxima. Refresh with
     // `SCIOTO_BLESS_GOLDENS=1 cargo test --test cross_crate trace_summary`.
+    let census = |trace: &Trace| {
+        let text = scioto_analyze::analyze(trace).to_text();
+        let (census, _) = text.split_once("\n== trace analysis").expect("the census heads the text");
+        census.to_owned()
+    };
     let scf = traced_two_phase_scf();
     let first_waves = scf.events_for(0).iter().filter(|e| {
         matches!(e.event, TraceEvent::TdWave { wave: 1, dir: scioto_sim::WaveDir::Down, .. })
     });
     assert_eq!(first_waves.count(), 2, "the SCF run has two process phases");
     for (name, trace) in [("summary_uts", traced_uts(0xD16E57)), ("summary_scf", scf)] {
-        let text = trace.summary();
+        let text = census(&trace);
         assert!(text.contains("td_wave_gap_ns"), "{name}: no wave-gap digest\n{text}");
         let path = format!("{}/tests/goldens/{name}.txt", env!("CARGO_MANIFEST_DIR"));
         if std::env::var_os("SCIOTO_BLESS_GOLDENS").is_some() {
             std::fs::write(&path, &text).expect("golden is writable");
         }
         let want = std::fs::read_to_string(&path).unwrap_or_default();
-        assert_eq!(text, want, "{name}: summary differs from {path}");
+        assert_eq!(text, want, "{name}: census differs from {path}");
         // A replay re-derives the digests from the events it reproduces.
         let replayed = scioto_sim::run_replay(&scioto_analyze::lower(&trace).expect("lowers"));
-        assert_eq!(replayed.summary(), text, "{name}: the replay summarizes differently");
+        assert_eq!(census(&replayed), text, "{name}: the replay counts differently");
     }
 }
 
@@ -857,15 +863,14 @@ fn startup_runs_one_barrier_per_epoch() {
 #[test]
 fn machine_runs_1024_ranks() {
     // Capacity test only fibers can pass: 1024 parked OS threads exceed
-    // what a small host can stand up, but 1024 fibers on 256 KiB stacks
-    // are cheap. Light workload — skewed compute, a ring message through
+    // what a small host can stand up, but 1024 fibers are cheap (their
+    // stacks are address space; a rank touches a few KB of it). Light workload — skewed compute, a ring message through
     // MPI, and tree barriers.
     const P: usize = 1024;
     let out = Machine::run(
         MachineConfig::virtual_time(P)
             .with_latency(LatencyModel::cluster_nearfar())
-            .with_barrier(scioto_sim::BarrierKind::Tree)
-            .with_stack_size(256 * 1024),
+            .with_barrier(scioto_sim::BarrierKind::Tree),
         |ctx| {
             let comm = Comm::world(ctx);
             ctx.compute((ctx.rank() as u64 % 7 + 1) * 10);
