@@ -102,7 +102,6 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
          --abs-tol <x> --ignore-metrics <a,b*>",
         cmd::bench_diff::run,
     ),
-    ("lint", false, "--stats", cmd::lint::run),
 ];
 
 /// Every subcommand name, in table order.
@@ -373,7 +372,7 @@ mod tests {
 
     #[test]
     fn every_subcommand_has_a_table_and_the_overview_lists_them_all() {
-        assert_eq!(subcommands().count(), 14);
+        assert_eq!(subcommands().count(), 13);
         let overview = overview();
         for cmd in subcommands() {
             let flags = accepted_flags(cmd).unwrap();

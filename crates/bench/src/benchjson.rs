@@ -100,12 +100,13 @@ impl BenchOut {
     /// Write the document to the `--json-out` path when the flag is
     /// present; no-op otherwise. An unwritable path is exit 2 naming it,
     /// like every other artifact flag.
+    #[allow(clippy::disallowed_types)] // the generation stamp is wall time
     pub fn write_if_requested(&self, args: &Args) -> Outcome {
         let Some(path) = args.get_opt("json-out") else {
             return Ok(());
         };
-        let wall_ns = std::time::SystemTime::now() // scioto-lint: allow(wallclock)
-            .duration_since(std::time::UNIX_EPOCH) // scioto-lint: allow(wallclock)
+        let wall_ns = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
         let body = self.render(wall_ns, vm_hwm_kb());

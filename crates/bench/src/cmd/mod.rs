@@ -8,7 +8,6 @@ pub mod bench_diff;
 pub mod concurrent_obs;
 pub mod fig4_termination;
 pub mod fig5_fig6_apps;
-pub mod lint;
 pub mod race_check;
 pub mod replay;
 pub mod table1;

@@ -3,9 +3,7 @@
 //! mistyped flag exits 2 naming what is accepted, every flag `verify.sh`
 //! passes is one the subcommand it passes it to accepts, `--analysis-out`
 //! writes the report, census first, on its own, and a trace file a subcommand cannot
-//! work on exits 2 naming it — never a panic. The
-//! source scan, `scioto lint`, exits 0 on the workspace, 1 on a tree with
-//! a finding and 2 where there is no tree to scan.
+//! work on exits 2 naming it — never a panic.
 
 use std::process::Command;
 
@@ -31,7 +29,7 @@ fn missing_and_unknown_subcommands_exit_2_listing_every_subcommand() {
         assert!(out.stdout.is_empty(), "{out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("usage: scioto <subcommand> [flags]\n"), "{stderr}");
-        assert_eq!(subcommands().count(), 14);
+        assert_eq!(subcommands().count(), 13);
         for name in subcommands() {
             assert!(stderr.contains(&format!("\n  {name} ")), "{name} missing: {stderr}");
         }
@@ -93,6 +91,11 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
         let flag = args[0];
         assert_eq!(stderr, format!("{subcommand}: unknown flag {flag}\naccepted flags: {accepted}\n"));
     }
+    // The source scan went to rustc and clippy: its subcommand is as
+    // unknown as any other word.
+    let (code, stderr) = run("lint", &["--stats"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: scioto <subcommand> [flags]\n"), "{stderr}");
 }
 
 #[test]
@@ -306,33 +309,4 @@ fn trace_summary_alone_runs_the_traced_configuration_and_writes_the_digest() {
     assert!(summary.starts_with("== trace summary: 8 ranks, "), "{summary}");
     assert!(summary.contains("\n  steal_rtt_ns     count="), "{summary}");
     assert!(summary.contains("\n== trace analysis: 8 ranks, "), "{summary}");
-}
-
-#[test]
-fn lint_scans_crates_and_src_under_the_working_directory() {
-    let lint = |dir: &std::path::Path, args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_scioto")).arg("lint").args(args).current_dir(dir).output().unwrap()
-    };
-    let workspace = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let clean = lint(workspace, &[]);
-    assert_eq!(clean.status.code(), Some(0), "{clean:?}");
-    assert_eq!(String::from_utf8_lossy(&clean.stdout), "lint: clean (2 root(s))\n");
-    // `--stats` is the waiver census `verify.sh` ratchets against.
-    let stats = lint(workspace, &["--stats"]);
-    assert_eq!(stats.status.code(), Some(0), "{stats:?}");
-    let ratchet = std::fs::read_to_string(workspace.join("results/lint_waivers.txt")).unwrap();
-    assert_eq!(String::from_utf8_lossy(&stats.stdout), ratchet);
-    // The roots are fixed: a path is not a flag.
-    assert_eq!(lint(workspace, &["crates"]).status.code(), Some(2));
-
-    let tree = std::env::temp_dir().join(format!("scioto-lint-cli-{}", std::process::id()));
-    std::fs::create_dir_all(tree.join("src")).unwrap();
-    let nothing = lint(&tree.join("src"), &[]);
-    assert_eq!(nothing.status.code(), Some(2), "{nothing:?}");
-    std::fs::write(tree.join("src/lib.rs"), concat!("use std::", "sync::Mutex;\n")).unwrap();
-    let found = lint(&tree, &[]);
-    let _ = std::fs::remove_dir_all(&tree);
-    assert_eq!(found.status.code(), Some(1), "{found:?}");
-    assert!(String::from_utf8_lossy(&found.stdout).contains("lib.rs:1: [std-sync] "), "{found:?}");
-    assert_eq!(String::from_utf8_lossy(&found.stderr), "lint: 1 finding(s)\n");
 }

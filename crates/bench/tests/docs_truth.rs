@@ -4,12 +4,14 @@
 //! <word>` that is not a subcommand in the dispatch table; a `--flag`
 //! README.md, DESIGN.md or EXPERIMENTS.md shows on a `scioto <subcommand>
 //! …` command line must be one that subcommand accepts; and the files
-//! DESIGN.md says hold `unsafe` code must be the ones that do.
+//! DESIGN.md says may hold `unsafe` code must be the ones that do. It
+//! also keeps the source rules rustc and clippy cannot: every
+//! protocol-atomic access names its protocol, and the exemptions from the
+//! workspace lints (`Cargo.toml`, `clippy.toml`) sit where they are pinned.
 
 use std::collections::BTreeSet;
 
 use scioto_bench::{accepted_flags, subcommands};
-use scioto_race::lexer::{lex, TokKind};
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
 
@@ -300,25 +302,91 @@ fn design_knob_table_paths_resolve_in_the_tree() {
     assert!(checked >= 6, "the knob table held only {checked} paths");
 }
 
-/// Does `src` hold `unsafe` code — an `unsafe` block, impl or fn? Comments
-/// and string literals do not count (the lint's own fixtures spell all
-/// three out in both).
-fn holds_unsafe(src: &str) -> bool {
-    let code: Vec<_> = lex(src)
-        .into_iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+/// The Rust sources of the repository — every `.rs` file under `crates/`,
+/// `src/`, `tests/` and `examples/` — named from its root.
+fn tree_sources() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        let path = format!("{}/../../{dir}", env!("CARGO_MANIFEST_DIR"));
+        sources(std::path::Path::new(&path), &format!("{dir}/"), &mut out);
+    }
+    assert!(out.len() > 100, "the scan found only {} files", out.len());
+    out
+}
+
+/// The attribute lines of `src` that name `lint`, with what each covers:
+/// `"module"` for an inner attribute, else the item on the next line (its
+/// name, if it is a `fn`).
+fn lint_exemptions<'a>(src: &'a str, lint: &str) -> Vec<&'a str> {
+    let lines: Vec<&str> = src.lines().map(str::trim_start).collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if !line.starts_with('#') || !line.contains(lint) {
+            continue;
+        }
+        if line.starts_with("#![") {
+            out.push("module");
+            continue;
+        }
+        let item = lines.get(i + 1).copied().unwrap_or("");
+        out.push(match item.find("fn ") {
+            Some(at) => leading_name(&item[at + 3..]),
+            None => item,
+        });
+    }
+    out
+}
+
+/// A protocol-atomic access (`.put_atomic(` / `.get_atomic(`) exempts a
+/// word from the race checker, so each call site names the ordering
+/// protocol that makes it safe: a `//` comment containing `protocol` on
+/// its line or within the three lines above.
+#[test]
+fn every_protocol_atomic_access_names_its_protocol() {
+    // In halves, so that this line is no call site.
+    let calls = [concat!(".put", "_atomic("), concat!(".get", "_atomic(")];
+    let mut sites = 0;
+    for (name, text) in tree_sources() {
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if !calls.iter().any(|call| line.contains(call)) {
+                continue;
+            }
+            let named = lines[i.saturating_sub(3)..=i]
+                .iter()
+                .any(|l| l.find("//").is_some_and(|at| l[at..].contains("protocol")));
+            assert!(named, "{name}:{}: a protocol-atomic access names no protocol", i + 1);
+            sites += 1;
+        }
+    }
+    assert!(sites >= 10, "the scan found only {sites} protocol-atomic accesses");
+}
+
+/// `clippy.toml` bans the ambient `std::sync` locks and the `std::time`
+/// types. The exemptions are the lock wrappers and the wall clock of
+/// `scioto-det`, and the bench JSON writer's generation stamp — no other.
+#[test]
+fn the_banned_types_are_allowed_only_where_pinned() {
+    let lint = "disallowed_types";
+    let srcs = tree_sources();
+    let found: BTreeSet<(&str, &str)> = srcs
+        .iter()
+        .flat_map(|(name, text)| lint_exemptions(text, lint).into_iter().map(move |what| (name.as_str(), what)))
         .collect();
-    code.windows(2).any(|w| {
-        w[0].kind == TokKind::Ident
-            && w[0].text(src) == "unsafe"
-            && ["{", "impl", "fn"].contains(&w[1].text(src))
-    })
+    let want = [
+        ("crates/bench/src/benchjson.rs", "write_if_requested"),
+        ("crates/det/src/clock.rs", "module"),
+        ("crates/det/src/sync.rs", "module"),
+    ];
+    assert_eq!(found, BTreeSet::from(want));
 }
 
 /// DESIGN.md's "Deliberate deviations" bullet on `unsafe` names, as
-/// backticked paths under `crates/`, every file holding `unsafe` code —
-/// and no other: a PR that adds `unsafe` somewhere new, or removes the
-/// last of it from a file, must say so there.
+/// backticked paths, every file that allows `unsafe_code` (denied
+/// workspace-wide) — and no other: a PR that adds `unsafe` somewhere new,
+/// or removes the last of it from a file, must say so there. Only the
+/// fiber switch allows it module-wide (`global_asm!` is a module item);
+/// everywhere else the allow sits on the item.
 #[test]
 fn unsafe_lives_exactly_in_the_files_design_names() {
     let text = read("DESIGN.md");
@@ -327,19 +395,18 @@ fn unsafe_lives_exactly_in_the_files_design_names() {
     let bullet = &bullet[..bullet[2..].find("\n* ").map_or(bullet.len(), |end| end + 2)];
     let named: BTreeSet<&str> =
         bullet.split('`').skip(1).step_by(2).filter(|span| span.ends_with(".rs")).collect();
-    let mut srcs = Vec::new();
-    sources(std::path::Path::new(&format!("{}/..", env!("CARGO_MANIFEST_DIR"))), "", &mut srcs);
-    let holding: BTreeSet<&str> =
-        srcs.iter().filter(|(_, text)| holds_unsafe(text)).map(|(name, _)| name.as_str()).collect();
-    assert!(srcs.len() > 100, "the scan found only {} files", srcs.len());
-    assert_eq!(holding, named, "files holding `unsafe` vs DESIGN.md's list");
-}
-
-#[test]
-fn holds_unsafe_ignores_comments_and_literals() {
-    assert!(holds_unsafe("fn f() { unsafe { g() } }"));
-    assert!(holds_unsafe("unsafe impl Send for X {}"));
-    assert!(holds_unsafe("pub unsafe fn f() {}"));
-    assert!(!holds_unsafe("// unsafe { x }\nlet s = \"unsafe impl\"; /* unsafe fn */"));
-    assert!(!holds_unsafe("let unsafe_ok = 1;"));
+    let srcs = tree_sources();
+    let lint = "unsafe_code";
+    let allowing: BTreeSet<&str> = srcs
+        .iter()
+        .filter(|(_, text)| !lint_exemptions(text, lint).is_empty())
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(allowing, named, "files allowing `unsafe` vs DESIGN.md's list");
+    let module_wide: Vec<&str> = srcs
+        .iter()
+        .filter(|(_, text)| lint_exemptions(text, lint).contains(&"module"))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(module_wide, ["crates/sim/src/fiber.rs"]);
 }

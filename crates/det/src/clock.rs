@@ -4,16 +4,16 @@
 //! proper: everything that needs real elapsed time (the concurrent
 //! kernel's trace stamps, per-thread span measurement, makespan) goes
 //! through [`MonoClock`] instead of touching `std::time::Instant`
-//! directly. `scioto lint`'s `wallclock` rule enforces this textually —
-//! the waiver below is the only one inside `crates/det`, and the lint's
-//! allowlist rejects new `std::time` uses anywhere else in the runtime,
-//! so the rule stays meaningful as the codebase grows.
+//! directly. `clippy.toml` bans the `std::time` types; this module is the
+//! runtime's one exemption (the bench JSON writer's generation stamp is
+//! the only other), and `crates/bench/tests/docs_truth.rs` pins both.
 //!
 //! The clock is monotonic (never goes backwards) and reads as `u64`
 //! nanoseconds since construction, matching the virtual-time kernel's
 //! clock representation so traces from both modes share one schema.
+#![allow(clippy::disallowed_types)]
 
-use std::time::Instant; // scioto-lint: allow(wallclock)
+use std::time::Instant;
 
 /// A monotonic nanosecond clock anchored at construction time.
 ///
@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn advances_past_a_real_sleep() {
         let c = MonoClock::new();
-        std::thread::sleep(std::time::Duration::from_millis(2)); // scioto-lint: allow(wallclock)
+        std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(c.now_ns() >= 1_000_000, "clock failed to advance");
     }
 

@@ -22,7 +22,7 @@
 //! A third module, [`clock`], exists for the one place determinism ends:
 //! the concurrent (real-thread) execution mode needs real timestamps,
 //! and [`clock::MonoClock`] is the single sanctioned wall-clock source —
-//! see the `wallclock` lint in `scioto-race`.
+//! `clippy.toml` bans the `std::time` types outside it.
 //!
 //! Two layout primitives keep the host access path free of contention:
 //! [`table::AppendTable`], the append-only handle table whose reads take

@@ -7,6 +7,9 @@
 //! teardown into a second panic, so these wrappers strip `PoisonError`
 //! and expose the guard-returning API (`lock()`,
 //! `Condvar::wait(&mut guard)`) the codebase was written against.
+//!
+//! The one module allowed the `std::sync` locks `clippy.toml` bans.
+#![allow(clippy::disallowed_types)]
 
 use std::sync::PoisonError;
 
@@ -39,7 +42,19 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Block until the lock is acquired.
+    /// Block until the lock is acquired. The guard comes back directly —
+    /// there is no poison `Result` to unwrap:
+    ///
+    /// ```compile_fail,E0599
+    /// let m = scioto_det::sync::Mutex::new(0i32);
+    /// *m.lock().unwrap() += 1;
+    /// ```
+    ///
+    /// ```
+    /// let m = scioto_det::sync::Mutex::new(0i32);
+    /// *m.lock() += 1;
+    /// assert_eq!(*m.lock(), 1);
+    /// ```
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),

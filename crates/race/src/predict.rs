@@ -27,16 +27,17 @@
 //! with a syntactic witness, while an empty prediction on top of a
 //! clean HB check certifies every schedule that differs only by
 //! commuting non-conflicting critical sections. The full soundness
-//! argument lives in DESIGN.md ("Predictive analysis & lint v2").
+//! argument lives in DESIGN.md ("Predictive analysis").
 //!
 //! # Protocol atomicity
 //!
 //! The runtime's `put_atomic`/`get_atomic` markers exempt single-word
-//! protocol accesses from race checking; `scioto lint` forces every
-//! call site to *name* its ordering protocol in a comment. This module
-//! adds the semantic half, folded into [`predict`]'s walk: every word that ever
-//! sees an atomic-marked access must match one of the declared
-//! protocol shapes across the whole trace —
+//! protocol accesses from race checking; a docs-truth test of
+//! `scioto-bench` forces every call site to *name* its ordering protocol
+//! in a comment. This module adds the semantic half, folded into
+//! [`predict`]'s walk: every word that ever sees an atomic-marked access
+//! must match one of the declared protocol shapes across the whole
+//! trace —
 //!
 //! * **single-writer** — all writes to the word come from one rank;
 //! * **CAS-chain** — every write is an inherently-atomic `acc`/`rmw`;

@@ -380,6 +380,19 @@ impl Ctx {
     /// Record a trace event, stamped with this rank's virtual clock.
     /// `make` only runs when tracing is enabled, so emission sites cost
     /// one branch on untraced runs.
+    ///
+    /// Every emission API takes the closure, so an event built up front
+    /// does not compile:
+    ///
+    /// ```compile_fail,E0277
+    /// use scioto_sim::{Machine, MachineConfig, TraceEvent};
+    /// Machine::run(MachineConfig::virtual_time(1), |ctx| ctx.trace(TraceEvent::Block));
+    /// ```
+    ///
+    /// ```
+    /// use scioto_sim::{Machine, MachineConfig, TraceEvent};
+    /// Machine::run(MachineConfig::virtual_time(1), |ctx| ctx.trace(|| TraceEvent::Block));
+    /// ```
     #[inline]
     pub fn trace(&self, make: impl FnOnce() -> TraceEvent) {
         self.kernel.emit(self.rank, make);

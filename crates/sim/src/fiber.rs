@@ -26,6 +26,10 @@
 //!
 //! No std::sync, no wall clock, no allocation after construction: switching
 //! is pure register shuffling, so determinism is trivially preserved.
+//!
+//! The one module allowed `unsafe` throughout (`global_asm!` is a
+//! module-level item); every block and impl carries a `SAFETY:` comment.
+#![allow(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;

@@ -187,6 +187,7 @@ fn run_threads<R, F>(
 
 /// The virtual-time runner: one fiber per rank on this thread, dispatched
 /// from the kernel's min-clock heap.
+#[allow(unsafe_code)] // hands each fiber its task and exit slot
 fn run_fibers<R, F>(
     cfg: &MachineConfig,
     kernel: &Arc<Kernel>,

@@ -640,8 +640,10 @@ struct RankCell<T>(UnsafeCell<T>);
 // SAFETY: see the single-writer contract above — distinct threads never
 // touch the same cell concurrently, and the final reads are ordered
 // after all writes by thread join.
+#[allow(unsafe_code)]
 unsafe impl<T: Send> Sync for RankCell<T> {}
 
+#[allow(unsafe_code)]
 impl<T> RankCell<T> {
     fn new(v: T) -> Self {
         RankCell(UnsafeCell::new(v))

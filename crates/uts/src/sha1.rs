@@ -72,6 +72,7 @@ fn sha_ni_detected() -> bool {
 /// Fold one 64-byte block into the chaining value `h`: the hardware
 /// kernel where the CPU has one, the scalar kernel everywhere else. Both
 /// produce the same bits.
+#[allow(unsafe_code)] // calls the `#[target_feature]` kernel
 fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
     #[cfg(target_arch = "x86_64")]
     if sha_ni_detected() {

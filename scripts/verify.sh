@@ -171,30 +171,55 @@ stage "perf harness: the out-of-workspace benchmark's own tests"
 # suite includes the `--quick` smoke of all five workloads.
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
-stage "scioto lint: source invariant scan (hard gate)"
-scioto lint
+stage "clippy rules: a seeded package must trip every ban (hard gate)"
+# The source rules clippy enforces live in `clippy.toml` (banned types, by
+# path) and the root manifest's `[workspace.lints.clippy]`. A mistyped
+# path disables its ban without a word, so a throwaway package holding one
+# violation per rule is linted against the repo's `clippy.toml` at the
+# workspace's clippy levels, and each violation must be reported.
+seeded="$work/seeded"
+mkdir -p "$seeded/src"
+{
+    printf '[package]\nname = "seeded-violations"\nversion = "0.0.0"\nedition = "2021"\n\n'
+    printf '[workspace]\n\n[lints.clippy]\n'
+    awk '/^\[/ { on = ($0 == "[workspace.lints.clippy]"); next } on && NF' Cargo.toml
+} > "$seeded/Cargo.toml"
+cat > "$seeded/src/lib.rs" <<'RUST'
+use std::sync::RwLock as Lock;
 
-stage "scioto lint: waiver ratchet (counts may only shrink)"
-scioto lint --stats > "$work/lint_waivers.txt"
-if [ "$BLESS" = 1 ]; then
-    cp "$work/lint_waivers.txt" results/lint_waivers.txt
-    echo "blessed results/lint_waivers.txt"
-else
-    while read -r rule count; do
-        old=$(awk -v r="$rule" '$1 == r { print $2 }' results/lint_waivers.txt)
-        [ -z "$old" ] && old=0
-        if [ "$count" -gt "$old" ]; then
-            echo "FAIL: lint waivers for '$rule' grew $old -> $count" >&2
-            echo "  (remove the new waiver, or bless with verify.sh --bless)" >&2
-            exit 1
-        fi
-    done < "$work/lint_waivers.txt"
-    if ! cmp -s "$work/lint_waivers.txt" results/lint_waivers.txt; then
-        echo "note: waiver counts shrank — refresh the ratchet with verify.sh --bless"
-        diff results/lint_waivers.txt "$work/lint_waivers.txt" || true
-    fi
-    echo "ok: waiver ratchet holds"
+pub fn banned() {
+    let _ = None::<std::sync::Mutex<u8>>;
+    let _ = None::<Lock<u8>>;
+    let _ = None::<std::sync::Condvar>;
+    let _ = None::<std::time::Instant>;
+    let _ = None::<std::time::SystemTime>;
+    let _ = None::<std::time::Duration>;
+}
+
+pub struct Shared(std::cell::UnsafeCell<u8>);
+
+unsafe impl Sync for Shared {}
+
+pub fn read(p: *const u8) -> u8 {
+    unsafe { *p }
+}
+RUST
+CLIPPY_CONF_DIR="$PWD" cargo clippy --offline --quiet --manifest-path "$seeded/Cargo.toml" \
+    --target-dir "$work/seeded-target" > "$work/seeded.txt" 2>&1 || true
+missing=""
+for want in "std::sync::Mutex" "std::sync::RwLock" "std::sync::Condvar" \
+    "std::time::Instant" "std::time::SystemTime" "std::time::Duration"; do
+    grep -qF "use of a disallowed type \`$want\`" "$work/seeded.txt" || missing="$missing $want"
+done
+for what in block impl; do
+    grep -qF "unsafe $what missing a safety comment" "$work/seeded.txt" || missing="$missing unsafe-$what"
+done
+if [ -n "$missing" ]; then
+    cat "$work/seeded.txt" >&2
+    echo "FAIL: clippy did not report the seeded violation(s):$missing" >&2
+    exit 1
 fi
+echo "ok: clippy reported all 8 seeded violations"
 
 stage "trace smoke: table1 --trace-out round-trips through trace_check"
 scioto table1 --trace-out "$work/table1_chrome.json" > /dev/null
