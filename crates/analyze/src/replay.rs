@@ -90,8 +90,8 @@ type Producer = (u32, u32, u64);
 /// Lower `trace` into a replay program, validating replayability.
 ///
 /// Identity guarantee: `run_replay(&lower(t)?)` reproduces `t` byte for
-/// byte (events, final clocks, gauge registries) — the property the
-/// verify gate and the `--replay-check` bench flag enforce.
+/// byte (events, final clocks, gauge registries) — the property
+/// `scioto check` and the figures' `--check` enforce.
 pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
     let n = trace.nranks();
     if n == 0 {

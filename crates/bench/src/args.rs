@@ -24,7 +24,7 @@ type Flag = (&'static str, bool);
 /// flag followed by a word that is not a flag takes a value.
 const RUN_SPEC_FLAGS: &str = "--victim uniform|locality --barrier flat|tree \
     --latency flat|nearfar --trace-out <path> --trace-ring <events> --analysis-out <path> \
-    --race-check --predict --deadlock --replay-check --json-out <path>";
+    --check --json-out <path>";
 
 /// What runs a subcommand.
 type Run = fn(&Args) -> Outcome;
@@ -66,7 +66,7 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
         "--ranks <n> --app uts|scf --atoms <n> --tree tiny|small|medium|large --seed <n> \
          --reps <n> --max-event-ns <ns> --chrome-out <path> --victim uniform|locality \
          --barrier flat|tree --trace-out <path> --trace-ring <events> \
-         --analysis-out <path> --race-check --predict --deadlock",
+         --analysis-out <path> --check",
         cmd::concurrent_obs::run,
     ),
     (
@@ -76,25 +76,9 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
          --out <path> --report <path> --json-out <path> --require-improvement",
         cmd::tune::run,
     ),
-    (
-        "replay",
-        false,
-        "--file <path> --check --analysis-out <path> --trace-out <path>",
-        cmd::replay::run,
-    ),
     ("analyze", false, "--file <path> --json-out <path>", cmd::analyze::run),
-    (
-        "trace_check",
-        false,
-        "--file <path> --ranks <n> --replayable --max-episodes <n>",
-        cmd::trace_check::run,
-    ),
-    (
-        "race_check",
-        false,
-        "--file <path> --predict --deadlock --json-out <path>",
-        cmd::race_check::run,
-    ),
+    ("check", false, "--file <path> --json-out <path> --max-episodes <n>", cmd::check::run),
+    ("trace_check", false, "--file <path> --ranks <n>", cmd::trace_check::run),
     (
         "bench_diff",
         false,
@@ -298,7 +282,7 @@ mod tests {
         let a = args(
             "fig7_uts_cluster",
             &[
-                "--race-check",
+                "--check",
                 "--max-ranks",
                 "8",
                 "--tree",
@@ -309,8 +293,8 @@ mod tests {
         .unwrap();
         assert_eq!(a.get("max-ranks", 64usize), 8);
         assert_eq!(a.get_opt("tree").as_deref(), Some("small"));
-        assert!(a.has("race-check") && a.has("steal-dist"));
-        assert!(!a.has("predict"));
+        assert!(a.has("check") && a.has("steal-dist"));
+        assert!(!a.has("trace-out"));
         assert_eq!(
             a.get("trace-ranks", 8usize),
             8,
@@ -338,7 +322,7 @@ mod tests {
                     err.contains("accepted flags: --victim uniform|locality --barrier flat|tree"),
                     "{err}"
                 );
-                assert!(err.contains(" --race-check "), "{err}");
+                assert!(err.contains(" --check "), "{err}");
             }
         }
         let err = args("bench_diff", &[concat!("--ignore", "-params"), "victim"])
@@ -359,7 +343,7 @@ mod tests {
     fn missing_and_unparsable_values_are_rejected() {
         let err = args("fig7_uts_cluster", &["--max-ranks"]).err().unwrap();
         assert!(err.contains("--max-ranks expects a value"), "{err}");
-        let err = args("fig7_uts_cluster", &["--trace-out", "--race-check"])
+        let err = args("fig7_uts_cluster", &["--trace-out", "--check"])
             .err()
             .unwrap();
         assert!(err.contains("--trace-out expects a value"), "{err}");
@@ -372,7 +356,7 @@ mod tests {
 
     #[test]
     fn every_subcommand_has_a_table_and_the_overview_lists_them_all() {
-        assert_eq!(subcommands().count(), 13);
+        assert_eq!(subcommands().count(), 12);
         let overview = overview();
         for cmd in subcommands() {
             let flags = accepted_flags(cmd).unwrap();
@@ -389,7 +373,8 @@ mod tests {
     #[test]
     fn a_repeated_flag_keeps_every_value_in_order() {
         let a =
-            args("race_check", &["--file", "a.jsonl", "--predict", "--file", "b.jsonl"]).unwrap();
+            args("check", &["--file", "a.jsonl", "--max-episodes", "6", "--file", "b.jsonl"])
+                .unwrap();
         assert_eq!(a.get_all("file"), ["a.jsonl", "b.jsonl"]);
         assert_eq!(a.get_opt("file").as_deref(), Some("a.jsonl"));
         assert!(a.get_all("json-out").is_empty());

@@ -1,6 +1,6 @@
-//! The tool front end every subcommand shares: how a trace gets in, what
-//! a check's verdict means, how the replay engine vouches for itself, how
-//! artifacts get out, and what the process exits with.
+//! The tool front end every subcommand shares: how a trace gets in, the
+//! one verdict on it (three analyses and the replay engine's self-check),
+//! how artifacts get out, and what the process exits with.
 //!
 //! Exit status of `scioto <subcommand>`, whichever subcommand it is:
 //!
@@ -18,7 +18,7 @@
 
 use scioto_analyze::AnalysisReport;
 use scioto_race::{DeadlockReport, PredictReport, RaceReport};
-use scioto_sim::{ReplayProgram, Trace};
+use scioto_sim::Trace;
 
 /// Why a subcommand stops short of exit 0.
 #[derive(Debug)]
@@ -88,83 +88,97 @@ pub fn write_analysis(path: &str, analysis: &AnalysisReport) -> Outcome {
     write_file(path, &body, &what)
 }
 
-/// The reports of one [`check`].
+/// What the replay self-check of one [`check`] found.
+enum Replay {
+    /// A wall-clock (concurrent-mode) trace: valid and analyzable, but not
+    /// replayable by design — wall stamps are not reproducible, so there is
+    /// no byte-exact schedule to re-execute.
+    WallClock,
+    /// A virtual-time trace, lowered to a program of `episodes` barrier
+    /// episodes and replayed with no workload; `identical` when the replay
+    /// equals the recording.
+    Virtual { episodes: usize, identical: bool },
+}
+
+/// The verdict of one [`check`]: its three analyses and its replay.
 pub struct Verdict {
     ranks: usize,
     hb: RaceReport,
-    predicted: Option<PredictReport>,
-    deadlocks: Option<DeadlockReport>,
+    predicted: PredictReport,
+    deadlocks: DeadlockReport,
+    replay: Replay,
 }
 
 impl Verdict {
-    /// No race, predicted race, atomicity violation or deadlock cycle.
+    /// No race, predicted race, atomicity violation or deadlock cycle, and
+    /// no replay that differs from its recording.
     pub fn is_clean(&self) -> bool {
         self.hb.is_clean()
-            && self.predicted.as_ref().is_none_or(|p| p.is_clean())
-            && self.deadlocks.as_ref().is_none_or(|d| d.is_clean())
+            && self.predicted.is_clean()
+            && self.deadlocks.is_clean()
+            && !matches!(self.replay, Replay::Virtual { identical: false, .. })
+    }
+
+    /// The barrier episodes of the replayed program; 0 for a wall-clock
+    /// trace, which is not replayed.
+    pub fn episodes(&self) -> usize {
+        match self.replay {
+            Replay::WallClock => 0,
+            Replay::Virtual { episodes, .. } => episodes,
+        }
     }
 
     /// The reports as text, each introduced by `label`.
     pub fn to_text(&self, label: &str) -> String {
-        let mut out = format!("{label}{}", self.hb);
-        if let Some(p) = &self.predicted {
-            out += &format!("{label}{p}");
-        }
-        if let Some(d) = &self.deadlocks {
-            out += &format!("{label}{d}");
-        }
-        out
+        let replay = match self.replay {
+            Replay::WallClock => "replay check: wall-clock (concurrent-mode) trace: valid, not \
+                                  replayable by design"
+                .to_string(),
+            Replay::Virtual { episodes, identical: true } => format!(
+                "replay check OK: {} ranks reproduced identically ({episodes} barrier \
+                 episode(s))",
+                self.ranks
+            ),
+            Replay::Virtual { identical: false, .. } => {
+                "replay check FAILED: replay differs from the recording".to_string()
+            }
+        };
+        let (hb, p, d) = (&self.hb, &self.predicted, &self.deadlocks);
+        format!("{label}{hb}{label}{p}{label}{d}{label}{replay}\n")
     }
 
     /// The reports as one `scioto-race-v1` JSON line.
     pub fn to_json(&self, trace_label: &str) -> String {
-        let (p, d) = (self.predicted.as_ref(), self.deadlocks.as_ref());
-        scioto_race::render_report(trace_label, self.ranks, &self.hb, p, d) + "\n"
+        let (hb, p, d) = (&self.hb, &self.predicted, &self.deadlocks);
+        scioto_race::render_report(trace_label, self.ranks, hb, p, d) + "\n"
     }
 }
 
-/// Replay the happens-before check over `trace` and, when asked, the
-/// sync-preserving predictive analysis and the cross-rank lock-order
-/// cycle scan. A trace a checker cannot work on (dropped events, a stuck
-/// replay) is exit 2; findings are the caller's to report
+/// The one verdict on a trace: the happens-before race check, the
+/// sync-preserving predictive analysis, the cross-rank lock-order cycle
+/// scan, then the replay engine's self-check — a virtual-time trace is
+/// lowered, replayed with no workload and must equal the recording in
+/// every stamp, duration and gauge; a wall-clock trace passes as not
+/// replayable by design. A trace that cannot be checked (dropped events,
+/// a stuck sync walk, a program that does not lower) is exit 2; findings
+/// and a replay that differs are the caller's to report
 /// ([`Verdict::is_clean`]).
-pub fn check(trace: &Trace, predict: bool, deadlock: bool) -> Result<Verdict, Exit> {
+pub fn check(trace: &Trace) -> Result<Verdict, Exit> {
     let refused = |what: &str, e: String| Exit::unusable(format!("{what}: {e}"));
     Ok(Verdict {
         ranks: trace.nranks(),
         hb: scioto_race::check_trace(trace).map_err(|e| refused("race check", e))?,
-        predicted: match predict {
-            true => Some(scioto_race::predict(trace).map_err(|e| refused("predict", e))?),
-            false => None,
-        },
-        deadlocks: match deadlock {
-            true => Some(
-                scioto_race::check_deadlocks(trace).map_err(|e| refused("deadlock check", e))?,
-            ),
-            false => None,
+        predicted: scioto_race::predict(trace).map_err(|e| refused("predict", e))?,
+        deadlocks: scioto_race::check_deadlocks(trace)
+            .map_err(|e| refused("deadlock check", e))?,
+        replay: match trace.wall_clock {
+            true => Replay::WallClock,
+            false => {
+                let program = scioto_analyze::lower(trace)
+                    .map_err(|e| refused("not replayable", e.to_string()))?;
+                let identical = scioto_sim::run_replay(&program) == *trace;
+                Replay::Virtual { episodes: program.episodes, identical }
+            }
         },
     })
-}
-
-/// Lower a trace to a replay program, or exit 2 naming the first rank and
-/// event that cannot be replayed.
-pub fn lower(trace: &Trace) -> Result<ReplayProgram, Exit> {
-    scioto_analyze::lower(trace).map_err(|e| Exit::unusable(format!("not replayable: {e}")))
-}
-
-/// The replay engine's self-check: lower `trace`, replay it with no
-/// workload, and require the replay to equal the recording — every stamp,
-/// duration and gauge, and so its blame decomposition and critical path.
-/// Returns the replayed trace; exit 1 when it differs.
-pub fn replay_identity(trace: &Trace) -> Result<Trace, Exit> {
-    let replayed = scioto_sim::run_replay(&lower(trace)?);
-    if replayed != *trace {
-        return Err(Exit::failed("replay check FAILED: replay differs from the recording"));
-    }
-    eprintln!(
-        "replay check OK: {} events over {} ranks reproduced identically",
-        trace.total_events(),
-        trace.nranks()
-    );
-    Ok(replayed)
 }

@@ -1,10 +1,10 @@
 //! The `scioto` executable: every table/figure regeneration and every
 //! trace tool is a subcommand of it. Here: the dispatch table and strict
 //! flag parser ([`Args`]), the front end all subcommands share
-//! ([`front`]: trace loading, the check driver, the replay self-check,
-//! artifact writers, the exit-status contract), the run spec every figure
-//! builds its machines from ([`RunSpec`]), aligned table printing and
-//! common sweep helpers.
+//! ([`front`]: trace loading, the one check verdict, artifact writers,
+//! the exit-status contract), the run spec every figure builds its
+//! machines from ([`RunSpec`]), aligned table printing and common sweep
+//! helpers.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;

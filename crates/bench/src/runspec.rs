@@ -130,10 +130,7 @@ pub struct RunSpec {
     trace_out: Option<String>,
     analysis_out: Option<String>,
     trace_ring: Option<usize>,
-    race_check: bool,
-    predict: bool,
-    deadlock: bool,
-    replay_check: bool,
+    check: bool,
 }
 
 impl RunSpec {
@@ -145,10 +142,7 @@ impl RunSpec {
             trace_out: args.get_opt("trace-out"),
             analysis_out: args.get_opt("analysis-out"),
             trace_ring: args.get_parsed("trace-ring"),
-            race_check: args.has("race-check"),
-            predict: args.has("predict"),
-            deadlock: args.has("deadlock"),
-            replay_check: args.has("replay-check"),
+            check: args.has("check"),
         }
     }
 
@@ -183,15 +177,10 @@ impl RunSpec {
     }
 
     /// Did the command line ask for anything of a traced run — a trace
-    /// dump, an analysis report or one of the checks? Any of them makes a
+    /// dump, an analysis report or the check? Any of them makes a
     /// subcommand run its dedicated traced configuration.
     pub fn obs_requested(&self) -> bool {
-        self.trace_out.is_some()
-            || self.analysis_out.is_some()
-            || self.race_check
-            || self.predict
-            || self.deadlock
-            || self.replay_check
+        self.trace_out.is_some() || self.analysis_out.is_some() || self.check
     }
 
     /// The trace configuration of the traced run: enabled, with the
@@ -207,12 +196,11 @@ impl RunSpec {
     /// Do what the command line asked of the traced run `report`: dump
     /// the trace (Chrome `trace_event` JSON, or flat JSONL to a `.jsonl`
     /// path) and the analysis (its text, census first, to a `.txt` path),
-    /// then run the requested checks — any of `--race-check`, `--predict`,
-    /// `--deadlock` replays the happens-before check, the latter two add
-    /// their analysis to it. Findings and a failed replay self-check are
-    /// exit 1; a trace a check cannot work on (ring overflow dropped
-    /// events — rerun with a larger `--trace-ring`) is exit 2. Panics if
-    /// the report carries no trace.
+    /// then, under `--check`, give the trace its verdict ([`front::check`])
+    /// on stderr. Findings and a failed replay self-check are exit 1; a
+    /// trace the check cannot work on (ring overflow dropped events —
+    /// rerun with a larger `--trace-ring`) is exit 2. Panics if the report
+    /// carries no trace.
     pub fn observe(&self, report: &Report) -> Outcome {
         if !self.obs_requested() {
             return Ok(());
@@ -227,15 +215,12 @@ impl RunSpec {
         if let Some(path) = &self.analysis_out {
             front::write_analysis(path, &scioto_analyze::analyze(trace))?;
         }
-        if self.race_check || self.predict || self.deadlock {
-            let verdict = front::check(trace, self.predict, self.deadlock)?;
+        if self.check {
+            let verdict = front::check(trace)?;
             eprint!("{}", verdict.to_text(""));
             if !verdict.is_clean() {
-                return Err(Exit::failed("the traced run has findings"));
+                return Err(Exit::failed("the traced run failed its check"));
             }
-        }
-        if self.replay_check {
-            front::replay_identity(trace)?;
         }
         Ok(())
     }
@@ -294,7 +279,7 @@ mod tests {
                 "nearfar",
                 "--only-ranks",
                 "1024",
-                "--race-check",
+                "--check",
             ],
         );
         assert!(s.obs_requested());

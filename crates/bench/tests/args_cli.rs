@@ -29,7 +29,7 @@ fn missing_and_unknown_subcommands_exit_2_listing_every_subcommand() {
         assert!(out.stdout.is_empty(), "{out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("usage: scioto <subcommand> [flags]\n"), "{stderr}");
-        assert_eq!(subcommands().count(), 13);
+        assert_eq!(subcommands().count(), 12);
         for name in subcommands() {
             assert!(stderr.contains(&format!("\n  {name} ")), "{name} missing: {stderr}");
         }
@@ -42,12 +42,17 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
     let fig7 = "fig7_uts_cluster";
     // Retired spellings in two halves: the repo-wide grep that proves the
     // forks are gone must stay empty.
-    let cases: [(&str, Vec<&str>, &str); 6] = [
+    let cases: [(&str, Vec<&str>, &str); 10] = [
         (table1, vec![concat!("--old", "-policy")], "unknown flag"),
         (table1, vec![concat!("--old", "-startup")], "unknown flag"),
         // The trace census is the analysis text's head now.
         (table1, vec![concat!("--trace", "-summary"), "s.txt"], "unknown flag --trace-"),
         (fig7, vec!["--engine", "threads"], "unknown flag --engine"),
+        // The four check switches are one `--check` now.
+        (fig7, vec!["--race-check"], "unknown flag --race-check"),
+        (fig7, vec!["--predict"], "unknown flag --predict"),
+        (fig7, vec!["--deadlock"], "unknown flag --deadlock"),
+        (table1, vec!["--replay-check"], "unknown flag --replay-check"),
         (
             fig7,
             vec!["--max-ranks", "abc"],
@@ -75,13 +80,13 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
         stderr.contains("unknown flag") && stderr.contains("--ignore-metrics <a,b*>"),
         "{stderr}"
     );
-    // The what-if knobs of `replay` and the live-validation budget of
-    // `tune` went with the re-pricing model: every candidate now runs,
-    // and the sweep is never cut short.
+    // The live-validation budget of `tune` went with the re-pricing
+    // model: every candidate now runs, and the sweep is never cut short.
+    // `trace_check` smoke-checks Chrome JSON only: `scioto check` replays.
     let tune = "--ranks <n> --tree tiny|small|medium|large --seed <n> --latency flat|nearfar \
                 --out <path> --report <path> --json-out <path> --require-improvement";
     let retired: [(&str, &[&str], &str); 3] = [
-        ("replay", &["--chunk", "5"], "--file <path> --check --analysis-out <path> --trace-out <path>"),
+        ("trace_check", &["--replayable"], "--file <path> --ranks <n>"),
         ("tune", &["--top", "1"], tune),
         ("tune", &[concat!("--max", "-candidates"), "2"], tune),
     ];
@@ -91,18 +96,29 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
         let flag = args[0];
         assert_eq!(stderr, format!("{subcommand}: unknown flag {flag}\naccepted flags: {accepted}\n"));
     }
-    // The source scan went to rustc and clippy: its subcommand is as
-    // unknown as any other word.
-    let (code, stderr) = run("lint", &["--stats"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.starts_with("usage: scioto <subcommand> [flags]\n"), "{stderr}");
+    // The source scan went to rustc and clippy, and the race checker and
+    // the replay self-check went into `check`: their subcommands are as
+    // unknown as any other word, and the table lists `check`.
+    for (subcommand, args) in [
+        ("lint", &["--stats"][..]),
+        ("race_check", &["--predict", "--deadlock", "--file", "t.jsonl"][..]),
+        ("replay", &["--file", "t.jsonl", "--check"][..]),
+    ] {
+        let (code, stderr) = run(subcommand, args);
+        assert_eq!(code, Some(2), "{subcommand}: {stderr}");
+        assert!(stderr.starts_with("usage: scioto <subcommand> [flags]\n"), "{stderr}");
+        assert!(
+            stderr.contains("\n  check             --file <path> --json-out <path>"),
+            "{subcommand}: {stderr}"
+        );
+    }
 }
 
 #[test]
 fn the_retired_td_poll_flag_exits_2_on_every_subcommand_that_took_it() {
     // Spelled in two halves, like the other retired flags above.
     let flag = concat!("--td", "-batch");
-    for subcommand in ["table1", "ablation", "fig7_uts_cluster", "concurrent_obs", "replay"] {
+    for subcommand in ["table1", "ablation", "fig7_uts_cluster", "concurrent_obs"] {
         let (code, stderr) = run(subcommand, &[flag, "off"]);
         assert_eq!(code, Some(2), "{subcommand}: {stderr}");
         assert!(
@@ -125,9 +141,9 @@ fn out_of_range_numeric_flags_exit_2_naming_the_accepted_flags() {
         ("fig5_fig6_apps", &["--tiles", "0"], "--tiles must be at least 1"),
         ("fig5_fig6_apps", &["--max-ranks", "0"], "--max-ranks must be at least 1"),
         ("fig4_termination", &["--max-ranks", "0"], "--max-ranks must be at least 1"),
-        ("fig4_termination", &["--trace-ranks", "0", "--race-check"], "--trace-ranks must be"),
+        ("fig4_termination", &["--trace-ranks", "0", "--check"], "--trace-ranks must be"),
         ("fig7_uts_cluster", &["--max-ranks", "0"], "--max-ranks must be at least 1"),
-        ("fig8_uts_xt4", &["--trace-ranks", "0", "--race-check"], "--trace-ranks must be"),
+        ("fig8_uts_xt4", &["--trace-ranks", "0", "--check"], "--trace-ranks must be"),
     ];
     for &(subcommand, args, what) in cases {
         let (code, stderr) = run(subcommand, args);
@@ -170,7 +186,7 @@ fn verify_sh_invocations() -> Vec<(String, Vec<String>)> {
 #[test]
 fn every_flag_verify_sh_passes_is_accepted() {
     let invocations = verify_sh_invocations();
-    assert!(invocations.len() >= 27, "found only {} scioto commands", invocations.len());
+    assert_eq!(invocations.len(), 24, "scioto commands in verify.sh");
     let mut flags_checked = 0;
     for (bin, flags) in &invocations {
         let accepted = accepted_flags(bin)
@@ -183,7 +199,7 @@ fn every_flag_verify_sh_passes_is_accepted() {
             flags_checked += 1;
         }
     }
-    assert!(flags_checked >= 100, "checked only {flags_checked} flags");
+    assert_eq!(flags_checked, 94, "flags verify.sh passes");
 }
 
 #[test]
@@ -196,14 +212,19 @@ fn a_missing_or_truncated_trace_file_exits_2_naming_the_path() {
                 \"final_clock_ns\":[9,9]}\n{\"rank\":0,\"t\":5,\"ev\":\"LockAcq\",\"target\":1,\"se";
     std::fs::write(&truncated, body).unwrap();
     let truncated = truncated.to_str().unwrap();
-    for path in ["/nonexistent/trace.jsonl", truncated] {
-        for (subcommand, flags) in [
+    let missing = "/nonexistent/trace.jsonl";
+    for path in [missing, truncated] {
+        let mut cases = vec![
             ("analyze", vec![]),
-            ("trace_check", vec!["--replayable"]),
-            ("replay", vec![]),
-            ("replay", vec!["--check"]),
-            ("race_check", vec!["--predict", "--deadlock"]),
-        ] {
+            ("check", vec![]),
+            ("check", vec!["--max-episodes", "6", "--json-out", "-"]),
+        ];
+        // The Chrome-JSON smoke check reads a file too; a truncated one is
+        // its finding (exit 1, below), not unusable input.
+        if path == missing {
+            cases.push(("trace_check", vec!["--ranks", "2"]));
+        }
+        for (subcommand, flags) in cases {
             let mut args = vec!["--file", path];
             args.extend(flags);
             let (code, stderr) = run(subcommand, &args);
@@ -217,10 +238,9 @@ fn a_missing_or_truncated_trace_file_exits_2_naming_the_path() {
             );
         }
     }
-    // The Chrome-JSON smoke check reads a file too.
-    let (code, stderr) = run("trace_check", &["--file", "/nonexistent/t.json", "--ranks", "2"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("/nonexistent/t.json"), "{stderr}");
+    let (code, stderr) = run("trace_check", &["--file", truncated, "--ranks", "2"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with(&format!("trace_check: {truncated} is not valid JSON")), "{stderr}");
 }
 
 #[test]
@@ -251,11 +271,8 @@ fn a_header_that_cannot_be_trusted_exits_2_instead_of_aborting() {
         let path = dir.join(format!("cli_header_{name}.jsonl"));
         std::fs::write(&path, format!("{{\"meta\":\"scioto-trace\",{header}}}\n")).unwrap();
         let path = path.to_str().unwrap();
-        for subcommand in ["analyze", "trace_check", "replay", "race_check"] {
-            // `trace_check` reads JSONL under `--replayable` only.
-            let probe = ["--file", path, "--replayable"];
-            let args = &probe[..if subcommand == "trace_check" { 3 } else { 2 }];
-            let (code, stderr) = run(subcommand, args);
+        for subcommand in ["analyze", "check"] {
+            let (code, stderr) = run(subcommand, &["--file", path]);
             assert_eq!(code, Some(2), "{subcommand} {name}: {stderr}");
             let line = stderr.trim_end();
             assert!(!line.contains('\n') && !line.contains("panicked"), "{subcommand}: {stderr}");

@@ -139,18 +139,18 @@ fn docs_show_only_flags_the_subcommand_accepts() {
 
 #[test]
 fn shown_flags_reads_fences_continuations_and_wrapped_spans() {
-    let doc = "Run `scioto replay --file t.jsonl\n--check; libscioto analyze --nope` first.\n\
+    let doc = "Run `scioto check --file t.jsonl\n--max-episodes 6; libscioto analyze --nope` first.\n\
                ```sh\n\
                cargo run --release --bin scioto -- fig7_uts_cluster \\\n    --tree small --max-ranks=2 | head --lines 1\n\
-               diff <(target/release/scioto table1 --race-check) golden && scioto-lint --deny\n\
+               diff <(target/release/scioto table1 --check) golden && scioto-lint --deny\n\
                ```\n";
     let found: Vec<_> = code_lines(doc).iter().flat_map(|l| shown_flags(l)).collect();
     let want = [
         ("fig7_uts_cluster", "tree"),
         ("fig7_uts_cluster", "max-ranks"),
-        ("table1", "race-check"),
-        ("replay", "file"),
-        ("replay", "check"),
+        ("table1", "check"),
+        ("check", "file"),
+        ("check", "max-episodes"),
     ];
     assert_eq!(found, want.map(|(c, f)| (c, f.to_string())));
 }

@@ -9,9 +9,7 @@
 //!   synchronization edge a deterministic [`Trace`] carries (lock
 //!   generations, message sequence numbers, barrier epochs,
 //!   termination-detection waves) and reports every pair of conflicting,
-//!   happens-before-unordered accesses to simulated global memory —
-//!   in memory (`--race-check` on `scioto`'s figure subcommands) or from
-//!   an exported JSONL trace (`scioto race_check`).
+//!   happens-before-unordered accesses to simulated global memory.
 //! * [`predict::predict`] carries a second, weaker clock through the same
 //!   replay — lock edges between non-conflicting critical sections
 //!   dropped — and reports the races the observed schedule masked, plus
@@ -20,6 +18,10 @@
 //! * [`deadlock::check_deadlocks`] builds the cross-rank lock-order graph
 //!   from each rank's lock nesting and reports the cycles that survive
 //!   the gate-lock filter.
+//!
+//! `scioto` runs all three on every trace it checks — a figure's traced
+//! run under `--check`, or a JSONL dump under `scioto check` — and
+//! [`render_report`] writes their `scioto-race-v1` line.
 //!
 //! [`Trace`]: scioto_sim::Trace
 

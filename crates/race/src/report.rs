@@ -11,16 +11,14 @@
 //!   "ranks": <n>,
 //!   "clean": <bool>,                      // no findings anywhere below
 //!   "hb": { "events", "sync_edges", "words", "races": [Race...] },
-//!   "predict": null | { "events", "lock_edges", "dropped_edges",
-//!                       "protocol_words", "predicted": [PredictedRace...],
-//!                       "atomicity": [AtomicityViolation...] },
-//!   "deadlock": null | { "nodes", "edges", "truncated",
-//!                        "cycles": [Cycle...] }
+//!   "predict": { "events", "lock_edges", "dropped_edges",
+//!                "protocol_words", "predicted": [PredictedRace...],
+//!                "atomicity": [AtomicityViolation...] },
+//!   "deadlock": { "nodes", "edges", "truncated", "cycles": [Cycle...] }
 //! }
 //! ```
 //!
-//! `predict`/`deadlock` are `null` when that analysis was not requested,
-//! distinguishing "not run" from "ran clean" (empty arrays).
+//! Every report carries all three analyses; a clean one has empty arrays.
 
 use std::fmt::Write as _;
 
@@ -37,12 +35,10 @@ pub fn render(
     trace_label: &str,
     ranks: usize,
     hb: &RaceReport,
-    predict: Option<&PredictReport>,
-    deadlock: Option<&DeadlockReport>,
+    p: &PredictReport,
+    d: &DeadlockReport,
 ) -> String {
-    let clean = hb.is_clean()
-        && predict.is_none_or(|p| p.is_clean())
-        && deadlock.is_none_or(|d| d.is_clean());
+    let clean = hb.is_clean() && p.is_clean() && d.is_clean();
     let mut o = String::with_capacity(512);
     o.push('{');
     let _ = write!(o, "\"schema\":\"{SCHEMA}\",");
@@ -74,90 +70,80 @@ pub fn render(
     o.push_str("]},");
 
     // Predictive section.
-    match predict {
-        None => o.push_str("\"predict\":null,"),
-        Some(p) => {
-            let _ = write!(
-                o,
-                "\"predict\":{{\"events\":{},\"lock_edges\":{},\"dropped_edges\":{},\
-                 \"protocol_words\":{},\"predicted\":[",
-                p.events, p.lock_edges, p.dropped_edges, p.protocol_words
-            );
-            for (i, r) in p.predicted.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                let (lt, ls, li) = r.lock;
-                let _ = write!(
-                    o,
-                    "{{\"owner\":{},\"seg\":{},\"word\":{},\"word_hi\":{},\"word_count\":{},\
-                     \"lock\":{{\"target\":{lt},\"set\":{ls},\"idx\":{li}}},\"gen\":{},\
-                     \"witness\":\"{}\",",
-                    r.owner,
-                    r.seg,
-                    r.word,
-                    r.word_hi,
-                    r.word_count,
-                    r.gen,
-                    escape(&r.witness)
-                );
-                o.push_str("\"first\":");
-                access(&mut o, &r.first);
-                o.push_str(",\"second\":");
-                access(&mut o, &r.second);
-                o.push('}');
-            }
-            o.push_str("],\"atomicity\":[");
-            for (i, v) in p.atomicity.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                let _ = write!(
-                    o,
-                    "{{\"owner\":{},\"seg\":{},\"word\":{},\"writers\":{:?},\"detail\":\"{}\"}}",
-                    v.owner,
-                    v.seg,
-                    v.word,
-                    v.writers,
-                    escape(&v.detail)
-                );
-            }
-            o.push_str("]},");
+    let _ = write!(
+        o,
+        "\"predict\":{{\"events\":{},\"lock_edges\":{},\"dropped_edges\":{},\
+         \"protocol_words\":{},\"predicted\":[",
+        p.events, p.lock_edges, p.dropped_edges, p.protocol_words
+    );
+    for (i, r) in p.predicted.iter().enumerate() {
+        if i > 0 {
+            o.push(',');
         }
+        let (lt, ls, li) = r.lock;
+        let _ = write!(
+            o,
+            "{{\"owner\":{},\"seg\":{},\"word\":{},\"word_hi\":{},\"word_count\":{},\
+             \"lock\":{{\"target\":{lt},\"set\":{ls},\"idx\":{li}}},\"gen\":{},\
+             \"witness\":\"{}\",",
+            r.owner,
+            r.seg,
+            r.word,
+            r.word_hi,
+            r.word_count,
+            r.gen,
+            escape(&r.witness)
+        );
+        o.push_str("\"first\":");
+        access(&mut o, &r.first);
+        o.push_str(",\"second\":");
+        access(&mut o, &r.second);
+        o.push('}');
     }
+    o.push_str("],\"atomicity\":[");
+    for (i, v) in p.atomicity.iter().enumerate() {
+        if i > 0 {
+            o.push(',');
+        }
+        let _ = write!(
+            o,
+            "{{\"owner\":{},\"seg\":{},\"word\":{},\"writers\":{:?},\"detail\":\"{}\"}}",
+            v.owner,
+            v.seg,
+            v.word,
+            v.writers,
+            escape(&v.detail)
+        );
+    }
+    o.push_str("]},");
 
     // Deadlock section.
-    match deadlock {
-        None => o.push_str("\"deadlock\":null"),
-        Some(d) => {
-            let _ = write!(
-                o,
-                "\"deadlock\":{{\"nodes\":{},\"edges\":{},\"truncated\":{},\"cycles\":[",
-                d.nodes, d.edges, d.truncated
-            );
-            for (i, c) in d.cycles.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                let _ = write!(o, "{{\"ranks\":{:?},\"nodes\":[", c.ranks);
-                for (j, n) in c.nodes.iter().enumerate() {
-                    if j > 0 {
-                        o.push(',');
-                    }
-                    resource(&mut o, n);
-                }
-                o.push_str("],\"edges\":[");
-                for (j, w) in c.witnesses.iter().enumerate() {
-                    if j > 0 {
-                        o.push(',');
-                    }
-                    witness(&mut o, w);
-                }
-                o.push_str("]}");
-            }
-            o.push_str("]}");
+    let _ = write!(
+        o,
+        "\"deadlock\":{{\"nodes\":{},\"edges\":{},\"truncated\":{},\"cycles\":[",
+        d.nodes, d.edges, d.truncated
+    );
+    for (i, c) in d.cycles.iter().enumerate() {
+        if i > 0 {
+            o.push(',');
         }
+        let _ = write!(o, "{{\"ranks\":{:?},\"nodes\":[", c.ranks);
+        for (j, n) in c.nodes.iter().enumerate() {
+            if j > 0 {
+                o.push(',');
+            }
+            resource(&mut o, n);
+        }
+        o.push_str("],\"edges\":[");
+        for (j, w) in c.witnesses.iter().enumerate() {
+            if j > 0 {
+                o.push(',');
+            }
+            witness(&mut o, w);
+        }
+        o.push_str("]}");
     }
+    o.push_str("]}");
     o.push('}');
     o
 }
@@ -246,7 +232,7 @@ mod tests {
         let hb = check_trace(&t).unwrap();
         let p = predict(&t).unwrap();
         let d = check_deadlocks(&t).unwrap();
-        let json = render("unit", 1, &hb, Some(&p), Some(&d));
+        let json = render("unit", 1, &hb, &p, &d);
         assert!(json.starts_with("{\"schema\":\"scioto-race-v1\","));
         assert!(json.contains("\"clean\":true"), "{json}");
         assert!(json.contains("\"races\":[]"), "{json}");
@@ -255,16 +241,6 @@ mod tests {
         // Balanced braces/brackets — cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn skipped_analyses_render_null_not_empty() {
-        let t = trace_of(vec![vec![]]);
-        let hb = check_trace(&t).unwrap();
-        let json = render("unit", 1, &hb, None, None);
-        assert!(json.contains("\"predict\":null"), "{json}");
-        assert!(json.contains("\"deadlock\":null"), "{json}");
-        assert!(json.contains("\"clean\":true"), "{json}");
     }
 
     #[test]
@@ -295,7 +271,8 @@ mod tests {
         ]);
         let hb = check_trace(&t).unwrap();
         assert_eq!(hb.races.len(), 1);
-        let json = render("unit", 2, &hb, None, None);
+        let (p, d) = (predict(&t).unwrap(), check_deadlocks(&t).unwrap());
+        let json = render("unit", 2, &hb, &p, &d);
         assert!(json.contains("\"clean\":false"), "{json}");
         assert!(json.contains("\"word_count\":1"), "{json}");
         assert!(json.contains("\"op\":\"local write\""), "{json}");
@@ -306,7 +283,8 @@ mod tests {
     fn labels_are_escaped() {
         let t = trace_of(vec![vec![]]);
         let hb = check_trace(&t).unwrap();
-        let json = render("we\"ird\npath", 1, &hb, None, None);
+        let (p, d) = (predict(&t).unwrap(), check_deadlocks(&t).unwrap());
+        let json = render("we\"ird\npath", 1, &hb, &p, &d);
         assert!(json.contains("we\\\"ird\\npath"), "{json}");
     }
 }

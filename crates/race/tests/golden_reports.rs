@@ -19,7 +19,7 @@ fn check_golden(name: &str, trace: &Trace) {
     let hb = check_trace(trace).expect("hb replay succeeds");
     let p = predict(trace).expect("predict succeeds");
     let d = check_deadlocks(trace).expect("deadlock scan succeeds");
-    let line = render_report("golden", trace.nranks(), &hb, Some(&p), Some(&d)) + "\n";
+    let line = render_report("golden", trace.nranks(), &hb, &p, &d) + "\n";
     assert!(line.contains("\"clean\":false"), "{name}: a golden fixture has findings");
     let path = format!("{}/tests/goldens/{name}.jsonl", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("SCIOTO_BLESS_GOLDENS").is_some() {

@@ -205,8 +205,7 @@ fn protocol_atomicity_violation_fixture() {
 /// through *all three* analyses clean — the predictive pass finds
 /// nothing the HB pass missed, the protocol words all classify, and the
 /// lock-order graph is acyclic. This is the in-tree twin of the
-/// verify.sh gate that runs the figure subcommands with
-/// `--predict --deadlock`.
+/// verify.sh gate that runs the figure subcommands with `--check`.
 #[test]
 fn uts_work_stealing_predicts_nothing_new() {
     let cfg = scioto_uts::scioto_driver::SciotoUtsConfig::new(scioto_uts::presets::tiny());

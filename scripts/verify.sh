@@ -226,13 +226,13 @@ scioto table1 --trace-out "$work/table1_chrome.json" > /dev/null
 scioto trace_check --file "$work/table1_chrome.json" --ranks 2
 
 stage "analyze: traced table1 -> blame/critical-path report"
-# One traced run emits the JSONL dump, the in-memory analysis, the race
-# verdict, the in-process replay self-check, and the machine-readable
-# benchmark result.
+# One traced run emits the JSONL dump, the in-memory analysis, the check
+# verdict (race, predictive and deadlock analyses plus the in-process
+# replay self-check), and the machine-readable benchmark result.
 scioto table1 \
     --trace-out "$work/table1.jsonl" \
     --analysis-out "$work/table1_analysis.json" \
-    --race-check --predict --deadlock --replay-check \
+    --check \
     --json-out "$work/bench/BENCH_table1.json" > /dev/null
 # The offline analyzer re-parses the JSONL dump; its report must match
 # the in-memory analysis byte for byte.
@@ -242,25 +242,9 @@ scioto analyze \
 cmp "$work/table1_analysis.json" "$work/table1_analysis_offline.json"
 echo "ok: offline analyzer matches in-memory analysis"
 
-stage "replay: recorded traces replay byte-identically (hard gate)"
-# The replay engine reconstructs the run from the trace alone — no
-# workload closure — and must reproduce the live analysis (blame
-# decomposition + critical path) byte for byte: table1 and fig7@8.
-# --max-episodes is the barrier-episode census gate: barrier-free
-# collectives keep the traced table1 run at 4 barrier episodes (create +
-# process prologue + termination + teardown); budget 6 so a collective
-# regressing to extra barrier rounds fails loudly while leaving headroom
-# for a deliberate new collective.
-scioto trace_check --file "$work/table1.jsonl" --replayable --max-episodes 6
-scioto replay \
-    --file "$work/table1.jsonl" --check \
-    --analysis-out "$work/table1_analysis_replay.json" > /dev/null
-cmp "$work/table1_analysis.json" "$work/table1_analysis_replay.json"
-echo "ok: table1 replay matches the live blame report byte-identically"
-
 stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
-# Every figure runs with `--race-check` and `--replay-check`: the traced
-# run replays through the happens-before checker AND the replay engine
+# Every figure runs with `--check`: the traced run goes through the
+# happens-before, predictive and deadlock analyses AND the replay engine
 # in-process, so each is race- and replay-gated under the default policy
 # (locality victims + tree barrier). Each also writes its
 # BENCH json for the final `bench_diff`: fig5-6 sweeps SCF and TCE, both
@@ -271,29 +255,30 @@ stage "bench runs: fig7 / fig4 / ablation / fig8 / fig5-6"
 # is gated on what it *saw*: the dump must hold the tasks' GA accumulates.
 scioto fig7_uts_cluster \
     --max-ranks 8 --tree small --trace-out "$work/fig7.jsonl" \
-    --analysis-out "$work/fig7_analysis.json" \
-    --race-check --predict --deadlock --replay-check \
+    --analysis-out "$work/fig7_analysis.json" --check \
     --json-out "$work/bench/BENCH_fig7.json" > /dev/null
-scioto fig4_termination \
-    --race-check --predict --deadlock --replay-check \
+scioto fig4_termination --check \
     --json-out "$work/bench/BENCH_fig4.json" > /dev/null
-scioto ablation \
-    --race-check --predict --deadlock --replay-check \
+scioto ablation --check \
     --json-out "$work/bench/BENCH_ablation.json" > /dev/null
 scioto fig8_uts_xt4 \
-    --max-ranks 8 --tree small --race-check --predict --deadlock --replay-check \
+    --max-ranks 8 --tree small --check \
     --json-out "$work/bench/BENCH_fig8.json" > /dev/null
 scioto fig5_fig6_apps \
-    --max-ranks 8 --race-check --predict --deadlock --replay-check \
+    --max-ranks 8 --check \
     --trace-out "$work/fig56.jsonl" \
     --json-out "$work/bench/BENCH_fig5_fig6.json" > /dev/null
 grep -q '"kind":"acc"' "$work/fig56.jsonl" \
     || { echo "FAIL: the traced SCF run recorded no GA accumulate: its race gate is vacuous" >&2; exit 1; }
 
-# The census that opens the fig7@8 trace's analysis text (event counts,
-# duration digests, gauges; it ends at the text's first blank line) is
-# pinned as results/trace_summary.txt; --bless rewrites it.
-scioto analyze --file "$work/fig7.jsonl" > "$work/fig7_analysis.txt"
+# The offline analyzer re-parses the fig7@8 dump; its report must match
+# the in-memory analysis byte for byte. The census that opens its text
+# (event counts, duration digests, gauges; it ends at the text's first
+# blank line) is pinned as results/trace_summary.txt; --bless rewrites it.
+scioto analyze --file "$work/fig7.jsonl" \
+    --json-out "$work/fig7_analysis_offline.json" > "$work/fig7_analysis.txt"
+cmp "$work/fig7_analysis.json" "$work/fig7_analysis_offline.json"
+echo "ok: fig7@8 offline analyzer matches in-memory analysis"
 sed -n '/^$/q;p' "$work/fig7_analysis.txt" > "$work/trace_summary.txt"
 if [ "$BLESS" = 1 ]; then
     cp "$work/trace_summary.txt" results/trace_summary.txt
@@ -304,14 +289,6 @@ elif ! cmp -s results/trace_summary.txt "$work/trace_summary.txt"; then
     exit 1
 fi
 echo "ok: fig7@8 analysis census matches results/trace_summary.txt"
-
-stage "replay: fig7@8 recorded trace reproduces blame + critical path"
-scioto trace_check --file "$work/fig7.jsonl" --replayable
-scioto replay \
-    --file "$work/fig7.jsonl" --check \
-    --analysis-out "$work/fig7_analysis_replay.json" > /dev/null
-cmp "$work/fig7_analysis.json" "$work/fig7_analysis_replay.json"
-echo "ok: fig7@8 replay matches the live blame report byte-identically"
 
 stage "trace bytes: both exports vs results/baselines/TRACE_bytes.txt"
 # The exporters' output at real scale, pinned as `cksum` lines (checksum,
@@ -414,20 +391,26 @@ scioto tune \
 echo "ok: autotuner improved fig7@64 over the defaults in" \
     "$(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.2f", ms / 1000 }')s"
 
-stage "race check: HB + predictive + deadlock on table1 + fig7 traces (hard gate)"
+stage "check: HB + predictive + deadlock + replay on table1 + fig7 traces (hard gate)"
 # The standalone checker re-parses the exported JSONL dumps and must come
-# back clean on all three analyses; the canonical scioto-race-v1 report is
-# emitted and, with its "trace" label (a temp path) stripped, pinned
-# byte for byte like every bench result: a walk that loses a sync edge
-# stays "clean" but moves sync_edges / lock_edges / the graph counts.
-# Timed: the predictive pass may add at most 45s on top of the old 30s
-# HB budget.
+# back clean on all three analyses, and the replay engine must
+# reconstruct each run from the trace alone — no workload closure — byte
+# for byte (so its blame decomposition and critical path too).
+# --max-episodes is the barrier-episode census gate: barrier-free
+# collectives keep the traced table1 run at 4 barrier episodes (create +
+# process prologue + termination + teardown) and fig7@8 at 2; budget 6
+# so a collective regressing to extra barrier rounds fails loudly while
+# leaving headroom for a deliberate new collective. The canonical
+# scioto-race-v1 report is emitted and, with its "trace" label (a temp
+# path) stripped, pinned byte for byte like every bench result: a walk
+# that loses a sync edge stays "clean" but moves sync_edges / lock_edges
+# / the graph counts. Timed: budget 45s.
 race_t0=$(date +%s)
-scioto race_check --predict --deadlock --json-out "$work/race_report.jsonl" \
+scioto check --max-episodes 6 --json-out "$work/race_report.jsonl" \
     --file "$work/table1.jsonl" --file "$work/fig7.jsonl"
 grep -q '"schema":"scioto-race-v1"' "$work/race_report.jsonl"
 if grep -q '"clean":false' "$work/race_report.jsonl"; then
-    echo "FAIL: race_check JSON report flags an unclean trace" >&2
+    echo "FAIL: check JSON report flags an unclean trace" >&2
     exit 1
 fi
 sed 's/"trace":"[^"]*",//' "$work/race_report.jsonl" > "$work/bench/RACE_table1_fig7.jsonl"
@@ -439,9 +422,9 @@ if [ "$BLESS" = 0 ] \
 fi
 race_t1=$(date +%s)
 race_secs=$((race_t1 - race_t0))
-echo "ok: race + predict + deadlock check finished in ${race_secs}s"
+echo "ok: race + predict + deadlock + replay check finished in ${race_secs}s"
 if [ "$race_secs" -ge 45 ]; then
-    echo "FAIL: race check took ${race_secs}s (budget: <45s)" >&2
+    echo "FAIL: check took ${race_secs}s (budget: <45s)" >&2
     exit 1
 fi
 
@@ -461,7 +444,7 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # threads shared one ERI block store), so +-0.5 ms of wall noise is
 # +-40 ns/event: five runs measured 29-45 ns/event (14-116 before),
 # budget 150. Each run
-# also race/predict/deadlock-checks its own trace; the UTS run
+# also checks its own trace (`--check`); the UTS run
 # additionally exports and cross-checks the whole observability surface —
 # wall-stamped JSONL + Chrome traces and blame decomposition exact per
 # thread span. The ring holds the whole run (~808k events) on
@@ -475,23 +458,22 @@ scioto concurrent_obs \
     --trace-out "$work/conc.jsonl" \
     --chrome-out "$work/conc_chrome.json" \
     --analysis-out "$work/conc_analysis.json" \
-    --race-check --predict --deadlock
+    --check
 scioto concurrent_obs \
     --ranks 4 --reps 3 --max-event-ns 150 --seed 42 --app scf \
-    --race-check --predict --deadlock
-# Both exports validate; the JSONL classifies as wall-clock (valid,
-# analyzable, not replayable by design — exit 0, not an error cascade).
+    --check
+# The Chrome export validates.
 scioto trace_check --file "$work/conc_chrome.json" --ranks 4
-scioto trace_check --file "$work/conc.jsonl" --replayable
 # The offline analyzer re-derives the identical wall-clock blame report
 # from the JSONL dump alone, and its text's census marks the clock.
 scioto analyze --file "$work/conc.jsonl" \
     --json-out "$work/conc_analysis_offline.json" > "$work/conc_analysis_offline.txt"
 cmp "$work/conc_analysis.json" "$work/conc_analysis_offline.json"
 grep -q 'clock: wall' "$work/conc_analysis_offline.txt"
-# The standalone race checker accepts the wall-clock dump too — all
-# three analyses pair by generations/epochs, never timestamps.
-scioto race_check --predict --deadlock --file "$work/conc.jsonl"
+# The standalone checker accepts the wall-clock dump too — all three
+# analyses pair by generations/epochs, never timestamps — and classifies
+# it as valid but not replayable by design (exit 0, not an error cascade).
+scioto check --file "$work/conc.jsonl"
 conc_t1=$(date +%s)
 conc_secs=$((conc_t1 - conc_t0))
 echo "ok: concurrent observability lane finished in ${conc_secs}s"
