@@ -101,12 +101,36 @@ pub(crate) fn record_remote(
     });
 }
 
+/// A segment resolved once ([`Armci::resolve`]): its handle and the
+/// segment itself. [`Armci::local`] looks the segment up in the table on
+/// every call; [`SegmentRef::local`] already holds it, which is what an
+/// owner path reaching the same segment on every operation — the task
+/// queue's push and pop — keeps instead of the bare [`Gmem`].
+#[derive(Clone)]
+pub struct SegmentRef {
+    g: Gmem,
+    seg: Arc<Segment>,
+}
+
+impl SegmentRef {
+    /// The handle, for the one-sided operations that take one.
+    pub fn gmem(&self) -> Gmem {
+        self.g
+    }
+
+    /// The calling rank's own portion, word by word (see [`Local`]).
+    #[inline]
+    pub fn local<'a>(&'a self, ctx: &'a Ctx) -> Local<'a> {
+        Local::new(ctx, self.g, &self.seg)
+    }
+}
+
 /// The calling rank's own portion of a segment as 64-bit words
-/// ([`Armci::local`]). Offsets are bytes and must be 8-byte aligned; every
-/// access is bounds-checked, takes no lock and names its own memory
-/// ordering. Accesses are not recorded: an owner access to a word other
-/// ranks also reach pairs itself with a [`Local::record`], which costs one
-/// branch when tracing is off.
+/// ([`Armci::local`], [`SegmentRef::local`]). Offsets are bytes and must be
+/// 8-byte aligned; every access is bounds-checked, takes no lock and names
+/// its own memory ordering. Accesses are not recorded: an owner access to a
+/// word other ranks also reach pairs itself with a [`Local::record`], which
+/// costs one branch when tracing is off.
 pub struct Local<'a> {
     ctx: &'a Ctx,
     row: Row<'a>,
@@ -122,7 +146,17 @@ fn word_at(offset: usize) -> usize {
     offset / 8
 }
 
-impl Local<'_> {
+impl<'a> Local<'a> {
+    #[inline]
+    fn new(ctx: &'a Ctx, g: Gmem, seg: &'a Segment) -> Local<'a> {
+        Local {
+            ctx,
+            row: seg.store.row(ctx.rank()),
+            seg: g.id as u32,
+            traced: ctx.trace_enabled(),
+        }
+    }
+
     /// Record an owner-side access to `[offset, offset + len)` as a
     /// `LocalAccess`, so the race checker can pair it against remote
     /// operations — without touching memory. `atomic` marks single-word
@@ -176,6 +210,15 @@ impl Local<'_> {
         self.row.update(word_at(offset), words, Access::Read, |j, w| f(j, *w));
     }
 
+    /// The `N` words from `offset` on, as [`Local::read`] loads them: one
+    /// chunk lookup and one Acquire fence for all of them.
+    #[inline]
+    pub fn load_words<const N: usize>(&self, offset: usize) -> [u64; N] {
+        let mut out = [0; N];
+        self.read(offset, N, |j, w| out[j] = w);
+        out
+    }
+
     /// Store `f(j)` into word `j` of the `words` from `offset` on
     /// (Release stores).
     #[inline]
@@ -206,16 +249,26 @@ impl Armci {
     /// as the zeros it would hold anyway.
     pub fn malloc(&self, ctx: &Ctx, bytes: usize) -> Gmem {
         let handle = ctx.collective(|| {
-            let id = self.segments.push(Segment::new(self.nranks, bytes));
+            let id = self.segments.push(Arc::new(Segment::new(self.nranks, bytes)));
             Gmem { id, len: bytes }
         });
         *handle
     }
 
-    pub(crate) fn segment(&self, g: Gmem) -> &Segment {
+    fn segment_arc(&self, g: Gmem) -> &Arc<Segment> {
         self.segments
             .get(g.id)
             .unwrap_or_else(|| panic!("invalid Gmem handle {}", g.id))
+    }
+
+    pub(crate) fn segment(&self, g: Gmem) -> &Segment {
+        self.segment_arc(g)
+    }
+
+    /// `g` resolved once, for an owner path that reaches it on every
+    /// operation (see [`SegmentRef`]).
+    pub fn resolve(&self, g: Gmem) -> SegmentRef {
+        SegmentRef { g, seg: Arc::clone(self.segment_arc(g)) }
     }
 
     /// The calling rank's own portion of `g`, word by word (see [`Local`]).
@@ -223,12 +276,7 @@ impl Armci {
     /// detector build their lock-free owner paths on it.
     #[inline]
     pub fn local<'a>(&'a self, ctx: &'a Ctx, g: Gmem) -> Local<'a> {
-        Local {
-            ctx,
-            row: self.segment(g).store.row(ctx.rank()),
-            seg: g.id as u32,
-            traced: ctx.trace_enabled(),
-        }
+        Local::new(ctx, g, self.segment(g))
     }
 
     /// The one validation every one-sided entry point runs before it

@@ -11,7 +11,8 @@
 //! * collectively created mutex sets with per-rank locks
 //!   ([`Armci::create_mutexes`]);
 //! * `fence` / `all_fence` and an ARMCI-style barrier;
-//! * the owner's lock-free word view of its own portion ([`Armci::local`]).
+//! * the owner's lock-free word view of its own portion ([`Armci::local`],
+//!   or [`SegmentRef::local`] on a segment resolved once).
 //!
 //! Every rank's portion of a segment is a store of `AtomicU64` words that
 //! never move, so no one-sided operation takes a host lock except an
@@ -60,7 +61,7 @@ mod store;
 mod strided;
 mod world;
 
-pub use gmem::{Gmem, Local};
+pub use gmem::{Gmem, Local, SegmentRef};
 pub use locks::MutexSet;
 pub use strided::Strided;
 pub use world::Armci;

@@ -18,14 +18,14 @@ use crate::locks::MutexStorage;
 /// [`crate::MutexSet`] handle on the operation path is a lock-free borrow.
 pub struct Armci {
     pub(crate) nranks: usize,
-    pub(crate) segments: AppendTable<Segment>,
+    pub(crate) segments: AppendTable<Arc<Segment>>,
     pub(crate) mutex_sets: AppendTable<MutexStorage>,
 }
 
 impl std::fmt::Debug for Armci {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let segments: Vec<&Segment> = (0..self.segments.len())
-            .filter_map(|i| self.segments.get(i))
+            .filter_map(|i| self.segments.get(i).map(|s| &**s))
             .collect();
         f.debug_struct("Armci")
             .field("nranks", &self.nranks)

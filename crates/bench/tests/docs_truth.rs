@@ -2,8 +2,8 @@
 //! must exist. README.md, DESIGN.md and the verify skill may name no
 //! `--bin` other than the workspace's one executable, and no `scioto
 //! <word>` that is not a subcommand in the dispatch table; a `--flag`
-//! README.md, DESIGN.md or EXPERIMENTS.md shows on a `scioto <subcommand>
-//! …` command line must be one that subcommand accepts; and the files
+//! README.md, DESIGN.md, EXPERIMENTS.md or PERF_LOG.md shows on a `scioto
+//! <subcommand> …` command line must be one that subcommand accepts; and the files
 //! DESIGN.md says may hold `unsafe` code must be the ones that do. It
 //! also keeps the source rules rustc and clippy cannot: every
 //! protocol-atomic access names its protocol, and the exemptions from the
@@ -121,7 +121,7 @@ fn shown_flags(line: &str) -> Vec<(&'static str, String)> {
 fn docs_show_only_flags_the_subcommand_accepts() {
     let mut flags_seen = 0;
     let mut rejected = Vec::new();
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "PERF_LOG.md"] {
         for line in code_lines(&read(doc)) {
             for (cmd, flag) in shown_flags(&line) {
                 let accepted = accepted_flags(cmd).expect("a subcommand");

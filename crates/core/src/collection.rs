@@ -1,6 +1,5 @@
 //! The task collection: `tc_create` / `tc_add` / `tc_process` / `tc_reset`.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use scioto_armci::Armci;
@@ -94,7 +93,7 @@ impl TaskCollection {
                 clos: CloRegistry::new(n),
                 counters: (0..n).map(|_| CachePadded::default()).collect(),
             });
-            tc.queue.reset_local(ctx, &tc.armci);
+            tc.queue.reset_local(ctx);
             tc.detector.reset_local(ctx, &tc.armci);
             tc
         })
@@ -144,7 +143,7 @@ impl TaskCollection {
     /// adds insert at the stealable tail of the target queue.
     pub fn add(&self, ctx: &Ctx, proc: usize, affinity: i32, task: &Task) {
         let me = ctx.rank();
-        self.counters[me].tasks_spawned.fetch_add(1, Ordering::Relaxed);
+        self.counters[me].tasks_spawned.add(1);
         let header = self.header_for(ctx, affinity, task);
         if proc == me {
             self.queue
@@ -161,13 +160,9 @@ impl TaskCollection {
 
     fn count_mark(&self, me: usize, marked: bool) {
         if marked {
-            self.counters[me]
-                .dirty_marks_sent
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters[me].dirty_marks_sent.add(1);
         } else {
-            self.counters[me]
-                .dirty_marks_elided
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters[me].dirty_marks_elided.add(1);
         }
     }
 
@@ -209,7 +204,8 @@ impl TaskCollection {
         // The one buffer every task this rank pops in the phase is copied
         // into: a task may add (and so overwrite its own slot) while it
         // runs, so it executes from a copy, but not from a fresh one each.
-        let mut body = Vec::with_capacity(self.cfg.max_body);
+        // Whole words are copied, so it holds `max_body` rounded up to one.
+        let mut body = Vec::with_capacity(self.cfg.max_body.div_ceil(8) * 8);
         // Set by a pure nap tick — backoff pending, detector poll deferred
         // — which contains no scheduling point: in virtual time no other
         // rank has run since this rank last found its queue empty, so the
@@ -286,9 +282,7 @@ impl TaskCollection {
                     let mut rng = ctx.rng();
                     victims.next(&mut rng, me, n)
                 };
-                self.counters[me]
-                    .steals_attempted
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters[me].steals_attempted.add(1);
                 let traced = ctx.trace_enabled();
                 let steal_start = if traced { ctx.now() } else { 0 };
                 // Locality policy probes availability lock-free before
@@ -312,12 +306,8 @@ impl TaskCollection {
                 }
                 victims.note_result(victim, !stolen.is_empty());
                 if !stolen.is_empty() {
-                    self.counters[me]
-                        .steals_succeeded
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.counters[me]
-                        .tasks_stolen
-                        .fetch_add(stolen.len() as u64, Ordering::Relaxed);
+                    self.counters[me].steals_succeeded.add(1);
+                    self.counters[me].tasks_stolen.add(stolen.len() as u64);
                     let marked = self.detector.note_transfer(ctx, &self.armci, victim);
                     self.count_mark(me, marked);
                     if self.cfg.victim == VictimPolicy::Locality {
@@ -367,12 +357,10 @@ impl TaskCollection {
         // Safety invariant: termination may only be declared when this
         // rank's queue is completely empty.
         assert!(
-            self.queue.is_empty_local(ctx, &self.armci),
+            self.queue.is_empty_local(ctx),
             "termination detected with tasks remaining on rank {me}"
         );
-        self.counters[me]
-            .td_waves
-            .store(self.detector.waves(me), Ordering::Relaxed);
+        self.counters[me].td_waves.set(self.detector.waves(me));
         // No exit barrier: the TERM announcement propagating down the
         // spanning tree is already a collective exit signal, and no rank
         // can initiate further operations on this collection's queues
@@ -422,9 +410,7 @@ impl TaskCollection {
                 callback: header.callback,
             });
         }
-        self.counters[me]
-            .tasks_executed
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters[me].tasks_executed.add(1);
     }
 
     /// Sample queue occupancy into the trace (event + gauges). Reads only
@@ -434,7 +420,7 @@ impl TaskCollection {
         if !ctx.trace_enabled() {
             return;
         }
-        let (head, split, tail) = self.queue.indices_local(ctx, &self.armci);
+        let (head, split, tail) = self.queue.indices_local(ctx);
         let local = (head - split).max(0) as u64;
         let shared = (split - tail).max(0) as u64;
         ctx.trace(|| TraceEvent::QueueDepth {
@@ -450,7 +436,7 @@ impl TaskCollection {
     /// and CLOs are kept.
     pub fn reset(&self, ctx: &Ctx) {
         self.armci.barrier(ctx);
-        self.queue.reset_local(ctx, &self.armci);
+        self.queue.reset_local(ctx);
         self.detector.reset_local(ctx, &self.armci);
         self.counters[ctx.rank()].reset();
         self.armci.barrier(ctx);
@@ -464,7 +450,7 @@ impl TaskCollection {
     /// `(head, split, tail)` indices of this rank's queue — exposed for
     /// tests and diagnostics.
     pub fn queue_indices(&self, ctx: &Ctx) -> (i64, i64, i64) {
-        self.queue.indices_local(ctx, &self.armci)
+        self.queue.indices_local(ctx)
     }
 
     /// Size in bytes of one serialized task slot.

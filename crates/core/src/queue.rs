@@ -26,9 +26,9 @@
 //! (decrementing it), making them the first candidates for stealing and the
 //! last for local execution — the priority order of §5.1.
 
-use std::sync::atomic::Ordering::{Acquire, Release};
+use std::sync::atomic::Ordering::Release;
 
-use scioto_armci::{Armci, Gmem, Local, MutexSet, Strided};
+use scioto_armci::{Armci, Local, MutexSet, SegmentRef, Strided};
 use scioto_sim::{Ctx, RemoteOpKind, TraceEvent};
 
 use crate::config::{QueueKind, TcConfig};
@@ -54,14 +54,14 @@ pub(crate) struct SlotBody<'a> {
 }
 
 impl SlotBody<'_> {
-    /// Replace `out`'s contents with the body's bytes.
+    /// Replace `out`'s contents with the body's bytes: whole words, eight
+    /// bytes each, and the ragged end cut off after the last.
     pub(crate) fn copy_into(self, out: &mut Vec<u8>) {
+        let words = self.len.div_ceil(8);
         out.clear();
-        let mut left = self.len;
-        self.slots.read(self.offset, self.len.div_ceil(8), |_, w| {
-            out.extend_from_slice(&w.to_le_bytes()[..left.min(8)]);
-            left = left.saturating_sub(8);
-        });
+        out.reserve(8 * words);
+        self.slots.read(self.offset, words, |_, w| out.extend_from_slice(&w.to_le_bytes()));
+        out.truncate(self.len);
     }
 }
 
@@ -76,16 +76,19 @@ pub(crate) struct PatchQueue {
     chunk: usize,
     release_threshold: i64,
     release_fraction: f64,
-    meta: Gmem,
-    slots: Gmem,
+    // The queue's two segments — `(head, split, tail)` and the ring of
+    // slots — resolved once: the owner's operations build their `Local`
+    // views from these without a segment-table lookup.
+    meta: SegmentRef,
+    slots: SegmentRef,
     locks: MutexSet,
 }
 
 impl PatchQueue {
     pub(crate) fn new(ctx: &Ctx, armci: &Armci, cfg: &TcConfig) -> Self {
         let slot_sz = (HEADER_BYTES + cfg.max_body).div_ceil(8) * 8;
-        let meta = armci.malloc(ctx, META_BYTES);
-        let slots = armci.malloc(ctx, cfg.max_tasks * slot_sz);
+        let meta = armci.resolve(armci.malloc(ctx, META_BYTES));
+        let slots = armci.resolve(armci.malloc(ctx, cfg.max_tasks * slot_sz));
         let locks = armci.create_mutexes(ctx, 1);
         PatchQueue {
             kind: cfg.queue,
@@ -110,18 +113,20 @@ impl PatchQueue {
 
     // ---- owner-private metadata access (no scheduling point) ----
     //
-    // No host lock either: the owner reaches its words through
-    // `Armci::local`, resolved once per owner operation and handed to the
-    // helpers below as `meta` / `slots`. Orderings (DESIGN.md "Host access
-    // path"): the owner loads its indices Acquire and publishes `head`
-    // Release, pairing with the SeqCst (hence Acquire) index read of
-    // `insert_tail`, so a thief that sees a popped `head` also sees the
-    // pop's slot read finished before it reuses the slot; slot words are
-    // Release/Acquire, though a thief only ever reads a slot after the
-    // queue lock's hand-off has ordered it after the owner's write
-    // anyway. `split` is stored Release under the queue lock, which
-    // orders it for every locked reader; `steal_peek`'s lock-free read is
-    // a heuristic.
+    // No host lock either, and no handle lookup: the queue holds its two
+    // segments resolved (`SegmentRef`), and each owner operation builds
+    // one `Local` view of each it touches, handed to the helpers below as
+    // `meta` / `slots`. Orderings (DESIGN.md "Host access path"): the
+    // owner reads its three indices as Relaxed loads closed by one
+    // Acquire fence — Acquire loads, as far as any pairing can tell — and
+    // publishes `head` Release, pairing with the SeqCst (hence Acquire)
+    // index read of `insert_tail`, so a thief that sees a popped `head`
+    // also sees the pop's slot read finished before it reuses the slot;
+    // slot words are Release/Acquire, though a thief only ever reads a
+    // slot after the queue lock's hand-off has ordered it after the
+    // owner's write anyway. `split` is stored Release under the queue
+    // lock, which orders it for every locked reader; `steal_peek`'s
+    // lock-free read is a heuristic.
     //
     // Access-record atomicity follows the split-queue protocol (§5):
     // * `HEAD` is written lock-free by the owner while thieves read it in
@@ -169,15 +174,15 @@ impl PatchQueue {
     ) -> R {
         let pos = self.slot_pos(index);
         slots.record(pos, self.slot_sz, false, false);
-        let header = TaskHeader::from_words([slots.load(pos, Acquire), slots.load(pos + 8, Acquire)]);
+        let header = TaskHeader::from_words(slots.load_words(pos));
         let offset = pos + HEADER_BYTES;
         take(header, SlotBody { slots, offset, len: header.body_len as usize })
     }
 
     /// Zero the owner's metadata (collective reset; caller barriers, so
     /// this pre-concurrency fill stays un-recorded).
-    pub(crate) fn reset_local(&self, ctx: &Ctx, armci: &Armci) {
-        armci.local(ctx, self.meta).fill(0, META_BYTES / 8, 0);
+    pub(crate) fn reset_local(&self, ctx: &Ctx) {
+        self.meta.local(ctx).fill(0, META_BYTES / 8, 0);
     }
 
     /// Record the owner's read of its three index words — exactly the two
@@ -188,16 +193,18 @@ impl PatchQueue {
         meta.record(TAIL, 8, false, true);
     }
 
-    /// Record and load `(head, split, tail)`: three Acquire loads.
+    /// Record and load `(head, split, tail)`: one 3-word read, one chunk
+    /// lookup and one Acquire fence.
+    #[inline]
     fn load_indices(&self, meta: &Local<'_>) -> (i64, i64, i64) {
         self.record_indices_read(meta);
-        let index = |off| meta.load(off, Acquire) as i64;
-        (index(HEAD), index(SPLIT), index(TAIL))
+        let [head, split, tail] = meta.load_words::<3>(HEAD).map(|w| w as i64);
+        (head, split, tail)
     }
 
     /// `(head, split, tail)` of the owner's queue.
-    pub(crate) fn indices_local(&self, ctx: &Ctx, armci: &Armci) -> (i64, i64, i64) {
-        self.load_indices(&armci.local(ctx, self.meta))
+    pub(crate) fn indices_local(&self, ctx: &Ctx) -> (i64, i64, i64) {
+        self.load_indices(&self.meta.local(ctx))
     }
 
     /// One split-queue owner operation: read `(head, split, tail)`, let
@@ -206,7 +213,7 @@ impl PatchQueue {
     /// and `tail` as read, which is all the release pre-check needs: only
     /// the owner writes `split`, and a stale `tail` is what that check is
     /// specified against. No lock of any kind is involved (§5: "the owner
-    /// pushes and pops at `head` without any lock"): three loads, the
+    /// pushes and pops at `head` without any lock"): one 3-word read, the
     /// slot's words, one Release store.
     fn owner_op(
         &self,
@@ -225,8 +232,8 @@ impl PatchQueue {
     }
 
     /// True when the owner's queue holds no tasks.
-    pub(crate) fn is_empty_local(&self, ctx: &Ctx, armci: &Armci) -> bool {
-        let (head, _, tail) = self.indices_local(ctx, armci);
+    pub(crate) fn is_empty_local(&self, ctx: &Ctx) -> bool {
+        let (head, _, tail) = self.indices_local(ctx);
         head == tail
     }
 
@@ -248,8 +255,8 @@ impl PatchQueue {
             self.insert_tail(ctx, armci, ctx.rank(), header, body);
             return;
         }
-        let meta = armci.local(ctx, self.meta);
-        let slots = armci.local(ctx, self.slots);
+        let meta = self.meta.local(ctx);
+        let slots = self.slots.local(ctx);
         match self.kind {
             QueueKind::Split => {
                 let indices = self.owner_op(&meta, |head, _, tail| {
@@ -286,7 +293,8 @@ impl PatchQueue {
         counters: &RankCounters,
         take: impl FnOnce(TaskHeader, SlotBody<'_>) -> R,
     ) -> Option<R> {
-        let meta = armci.local(ctx, self.meta);
+        let meta = self.meta.local(ctx);
+        let slots = self.slots.local(ctx);
         match self.kind {
             QueueKind::Split => {
                 let mut popped = None;
@@ -294,7 +302,6 @@ impl PatchQueue {
                     if head <= split {
                         return None;
                     }
-                    let slots = armci.local(ctx, self.slots);
                     popped = Some(self.read_slot(&slots, head - 1, take));
                     Some(head - 1)
                 });
@@ -314,7 +321,7 @@ impl PatchQueue {
                     return None;
                 }
                 let h = head - 1;
-                let taken = self.read_slot(&armci.local(ctx, self.slots), h, take);
+                let taken = self.read_slot(&slots, h, take);
                 self.write_meta(&meta, HEAD, h);
                 self.write_meta(&meta, SPLIT, h);
                 ctx.charge(ctx.local_get_cost());
@@ -334,7 +341,7 @@ impl PatchQueue {
         // Cheap unsynchronized pre-check: `tail` may be stale (thieves only
         // advance it), so a nonzero result here may still vanish under the
         // lock — but zero means definitely nothing to reclaim.
-        let meta = armci.local(ctx, self.meta);
+        let meta = self.meta.local(ctx);
         let (_, split, tail) = self.load_indices(&meta);
         if split - tail <= 0 {
             return false;
@@ -352,9 +359,7 @@ impl PatchQueue {
         self.write_meta(&meta, SPLIT, split - take);
         ctx.charge(ctx.local_get_cost());
         armci.unlock(ctx, self.locks, 0, ctx.rank());
-        counters
-            .splits_reclaimed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        counters.splits_reclaimed.add(1);
         ctx.trace(|| TraceEvent::SplitReclaim {
             moved: take as u32,
         });
@@ -365,7 +370,10 @@ impl PatchQueue {
     /// when thieves have drained it below the threshold. `(head, split,
     /// tail)` are the indices the operation's own scope just read and
     /// published; the lock-free pre-check is still an access of the
-    /// protocol's and is recorded as one.
+    /// protocol's and is recorded as one. The pre-check is inlined into
+    /// the push or pop; the release itself, a scheduling point under the
+    /// queue lock, is a call.
+    #[inline]
     fn maybe_release(
         &self,
         ctx: &Ctx,
@@ -377,18 +385,21 @@ impl PatchQueue {
         self.record_indices_read(meta);
         let shared = split - tail;
         let private = head - split;
-        if shared >= self.release_threshold || private < 2 {
-            return;
+        if shared < self.release_threshold && private >= 2 {
+            self.release(ctx, armci, meta, counters);
         }
+    }
+
+    /// Move the split pointer toward the head under the queue lock.
+    #[inline(never)]
+    fn release(&self, ctx: &Ctx, armci: &Armci, meta: &Local<'_>, counters: &RankCounters) {
         armci.lock(ctx, self.locks, 0, ctx.rank());
         let (head, split, _) = self.load_indices(meta);
         let private = head - split;
         if private >= 2 {
             let give = ((private as f64 * self.release_fraction) as i64).clamp(1, private - 1);
             self.write_meta(meta, SPLIT, split + give);
-            counters
-                .splits_released
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            counters.splits_released.add(1);
             ctx.trace(|| TraceEvent::SplitRelease {
                 moved: give as u32,
             });
@@ -425,17 +436,17 @@ impl PatchQueue {
         let mut idx = [0u8; 24];
         // Atomic composite get: this one transfer also covers `head`, which
         // the owner updates lock-free (single-word protocol discipline).
-        armci.get_atomic(ctx, self.meta, target, HEAD, &mut idx);
+        armci.get_atomic(ctx, self.meta.gmem(), target, HEAD, &mut idx);
         let [head, _split, tail] = decode(&idx);
         self.check_capacity(head, tail);
         let t = tail - 1;
         let slot = Strided::contiguous(self.slot_pos(t), self.slot_sz);
-        armci.access_strided(ctx, self.slots, target, slot, RemoteOpKind::Put, |_, j, w| {
+        armci.access_strided(ctx, self.slots.gmem(), target, slot, RemoteOpKind::Put, |_, j, w| {
             *w = slot_word(header, body, j);
         });
         // protocol: single-word tail store under the queue lock; the
         // owner's reclaim/release pre-checks read `tail` lock-free.
-        armci.put_atomic(ctx, self.meta, target, TAIL, &t.to_le_bytes());
+        armci.put_atomic(ctx, self.meta.gmem(), target, TAIL, &t.to_le_bytes());
         armci.unlock(ctx, self.locks, 0, target);
     }
 
@@ -458,7 +469,7 @@ impl PatchQueue {
         // protocol: heuristic lock-free read of the lock-guarded
         // `split`/`tail` words; a stale view only mis-predicts
         // availability, it never derives state that is written back.
-        armci.get_atomic(ctx, self.meta, victim, SPLIT, &mut idx);
+        armci.get_atomic(ctx, self.meta.gmem(), victim, SPLIT, &mut idx);
         let [split, tail] = decode(&idx);
         split - tail > 0
     }
@@ -470,7 +481,7 @@ impl PatchQueue {
         armci.lock(ctx, self.locks, 0, victim);
         // One one-sided get covers both `split` and `tail`.
         let mut idx = [0u8; 16];
-        armci.get(ctx, self.meta, victim, SPLIT, &mut idx);
+        armci.get(ctx, self.meta.gmem(), victim, SPLIT, &mut idx);
         let [split, tail] = decode(&idx);
         let avail = split - tail;
         if avail <= 0 {
@@ -484,7 +495,7 @@ impl PatchQueue {
         let run1 = k.min(self.cap - start);
         armci.get(
             ctx,
-            self.slots,
+            self.slots.gmem(),
             victim,
             start as usize * self.slot_sz,
             &mut buf[..run1 as usize * self.slot_sz],
@@ -492,7 +503,7 @@ impl PatchQueue {
         if run1 < k {
             armci.get(
                 ctx,
-                self.slots,
+                self.slots.gmem(),
                 victim,
                 0,
                 &mut buf[run1 as usize * self.slot_sz..],
@@ -500,7 +511,7 @@ impl PatchQueue {
         }
         // protocol: single-word tail store under the victim's queue lock;
         // the owner reads `tail` lock-free in its release pre-check.
-        armci.put_atomic(ctx, self.meta, victim, TAIL, &(tail + k).to_le_bytes());
+        armci.put_atomic(ctx, self.meta.gmem(), victim, TAIL, &(tail + k).to_le_bytes());
         armci.unlock(ctx, self.locks, 0, victim);
         buf.chunks_exact(self.slot_sz)
             .map(TaskRecord::decode)
@@ -699,7 +710,7 @@ mod tests {
                                     }
                                 }
                             }
-                            assert!(q.is_empty_local(ctx, &armci));
+                            assert!(q.is_empty_local(ctx));
                             // Release: pairs with the thieves' Acquire load.
                             drained.store(true, Ordering::Release);
                         } else {
@@ -736,7 +747,7 @@ mod tests {
     /// `Debug` output; the slot segment is the one of the queue's length.
     fn slot_store_bytes(ctx: &Ctx, armci: &Armci, q: &PatchQueue) -> usize {
         let dump = format!("{armci:?}");
-        let key = format!("Segment {{ len: {}, materialised: [", q.slots.len());
+        let key = format!("Segment {{ len: {}, materialised: [", q.slots.gmem().len());
         let list = dump.split(&key).nth(1).expect("slot segment in Armci's Debug output");
         let list = &list[..list.find(']').expect("a closed list")];
         let mine = list.split(", ").nth(ctx.rank()).expect("one entry per rank");
@@ -788,7 +799,7 @@ mod tests {
                 q.insert_tail(ctx, &armci, 1, &header(7, 0), &7u32.to_le_bytes());
             }
             armci.barrier(ctx);
-            (slot_store_bytes(ctx, &armci, &q), q.slots.len())
+            (slot_store_bytes(ctx, &armci, &q), q.slots.gmem().len())
         });
         // 2^17 slots of 5 words: slot 2^17 - 1 is words [655 355, 655 360),
         // in chunk 15, which starts at word 524 272 and is cut at the end.
@@ -956,7 +967,7 @@ mod tests {
                 if ctx.rank() == 0 {
                     let mut next = 0;
                     while next < total {
-                        let (head, _, tail) = q.indices_local(ctx, &armci);
+                        let (head, _, tail) = q.indices_local(ctx);
                         if head - tail < cap as i64 {
                             push(&q, ctx, &armci, next, 1, &c);
                             next += 1;
@@ -1050,9 +1061,9 @@ mod tests {
             let c = RankCounters::default();
             push(&q, ctx, &armci, 0, 1, &c);
             push(&q, ctx, &armci, 1, 1, &c);
-            let (h1, s1, _) = q.indices_local(ctx, &armci);
+            let (h1, s1, _) = q.indices_local(ctx);
             pop_id(&q, ctx, &armci, &c);
-            let (h2, s2, _) = q.indices_local(ctx, &armci);
+            let (h2, s2, _) = q.indices_local(ctx);
             (h1 == s1, h2 == s2)
         });
         assert_eq!(out.results[0], (true, true));

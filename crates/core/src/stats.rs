@@ -1,72 +1,99 @@
 //! Per-process statistics for a `tc_process` phase.
+//!
+//! **Single writer.** `counters[r]` is written only by rank `r`'s own
+//! thread — its adds, its executions, its steals, its owner queue
+//! operations, its `reset` — so an update is a Relaxed load and a Relaxed
+//! store ([`Counter::add`]), not a locked read-modify-write; any thread
+//! may read a snapshot (a racing reader sees some recent value of each
+//! field, never a torn one).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// One per-rank statistic, written only by its rank (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicU64);
+
+impl Counter {
+    #[inline]
+    pub(crate) fn add(&self, n: u64) {
+        self.set(self.get() + n);
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+
+    #[inline]
+    pub(crate) fn set(&self, v: u64) {
+        self.0.store(v, Relaxed);
+    }
+}
 
 /// Mutable per-rank counters, updated during processing.
 #[derive(Debug, Default)]
 pub(crate) struct RankCounters {
-    pub tasks_executed: AtomicU64,
-    pub tasks_spawned: AtomicU64,
-    pub steals_attempted: AtomicU64,
-    pub steals_succeeded: AtomicU64,
-    pub tasks_stolen: AtomicU64,
-    pub td_waves: AtomicU64,
-    pub dirty_marks_sent: AtomicU64,
-    pub dirty_marks_elided: AtomicU64,
-    pub splits_released: AtomicU64,
-    pub splits_reclaimed: AtomicU64,
+    pub tasks_executed: Counter,
+    pub tasks_spawned: Counter,
+    pub steals_attempted: Counter,
+    pub steals_succeeded: Counter,
+    pub tasks_stolen: Counter,
+    pub td_waves: Counter,
+    pub dirty_marks_sent: Counter,
+    pub dirty_marks_elided: Counter,
+    pub splits_released: Counter,
+    pub splits_reclaimed: Counter,
     /// Clock value (ns) when this rank completed its first `tc_process`
     /// prologue — everything before it is startup: world init, collective
     /// creations, the commit/entry barriers. Recorded once per collection
     /// (see [`RankCounters::record_startup`]) and deliberately NOT cleared
     /// by [`RankCounters::reset`]: startup happens once per run, not once
     /// per phase.
-    pub startup_ns: AtomicU64,
+    pub startup_ns: Counter,
 }
 
 impl RankCounters {
-    /// Record the startup-complete clock value, first call wins. The
-    /// caller is this rank's own thread, so load-then-store is race-free.
+    /// Record the startup-complete clock value, first call wins.
     pub(crate) fn record_startup(&self, now_ns: u64) -> bool {
-        if self.startup_ns.load(Ordering::Relaxed) != 0 {
+        if self.startup_ns.get() != 0 {
             return false;
         }
         // A 0 ns startup is indistinguishable from "unrecorded"; clamp to
         // 1 ns so record-once still holds (only reachable under a
         // zero-latency model).
-        self.startup_ns.store(now_ns.max(1), Ordering::Relaxed);
+        self.startup_ns.set(now_ns.max(1));
         true
     }
 
     pub(crate) fn snapshot(&self) -> ProcessStats {
         ProcessStats {
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
-            tasks_spawned: self.tasks_spawned.load(Ordering::Relaxed),
-            steals_attempted: self.steals_attempted.load(Ordering::Relaxed),
-            steals_succeeded: self.steals_succeeded.load(Ordering::Relaxed),
-            tasks_stolen: self.tasks_stolen.load(Ordering::Relaxed),
-            td_waves: self.td_waves.load(Ordering::Relaxed),
-            dirty_marks_sent: self.dirty_marks_sent.load(Ordering::Relaxed),
-            dirty_marks_elided: self.dirty_marks_elided.load(Ordering::Relaxed),
-            splits_released: self.splits_released.load(Ordering::Relaxed),
-            splits_reclaimed: self.splits_reclaimed.load(Ordering::Relaxed),
-            startup_ns: self.startup_ns.load(Ordering::Relaxed),
+            tasks_executed: self.tasks_executed.get(),
+            tasks_spawned: self.tasks_spawned.get(),
+            steals_attempted: self.steals_attempted.get(),
+            steals_succeeded: self.steals_succeeded.get(),
+            tasks_stolen: self.tasks_stolen.get(),
+            td_waves: self.td_waves.get(),
+            dirty_marks_sent: self.dirty_marks_sent.get(),
+            dirty_marks_elided: self.dirty_marks_elided.get(),
+            splits_released: self.splits_released.get(),
+            splits_reclaimed: self.splits_reclaimed.get(),
+            startup_ns: self.startup_ns.get(),
         }
     }
 
     /// Clear the per-phase counters. `startup_ns` is sticky (see its
     /// field docs) and survives resets.
     pub(crate) fn reset(&self) {
-        self.tasks_executed.store(0, Ordering::Relaxed);
-        self.tasks_spawned.store(0, Ordering::Relaxed);
-        self.steals_attempted.store(0, Ordering::Relaxed);
-        self.steals_succeeded.store(0, Ordering::Relaxed);
-        self.tasks_stolen.store(0, Ordering::Relaxed);
-        self.td_waves.store(0, Ordering::Relaxed);
-        self.dirty_marks_sent.store(0, Ordering::Relaxed);
-        self.dirty_marks_elided.store(0, Ordering::Relaxed);
-        self.splits_released.store(0, Ordering::Relaxed);
-        self.splits_reclaimed.store(0, Ordering::Relaxed);
+        self.tasks_executed.set(0);
+        self.tasks_spawned.set(0);
+        self.steals_attempted.set(0);
+        self.steals_succeeded.set(0);
+        self.tasks_stolen.set(0);
+        self.td_waves.set(0);
+        self.dirty_marks_sent.set(0);
+        self.dirty_marks_elided.set(0);
+        self.splits_released.set(0);
+        self.splits_reclaimed.set(0);
     }
 }
 
@@ -159,8 +186,8 @@ mod tests {
     #[test]
     fn snapshot_and_reset() {
         let c = RankCounters::default();
-        c.tasks_executed.fetch_add(3, Ordering::Relaxed);
-        c.steals_attempted.fetch_add(2, Ordering::Relaxed);
+        c.tasks_executed.add(3);
+        c.steals_attempted.add(2);
         let s = c.snapshot();
         assert_eq!(s.tasks_executed, 3);
         assert_eq!(s.steals_attempted, 2);

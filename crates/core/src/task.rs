@@ -93,18 +93,18 @@ impl Task {
 /// Word `j` of a task's slot: the header's two words, then the body —
 /// borrowed from wherever the caller holds it — eight little-endian bytes
 /// a word, zero-padded, and zeros past it. The slot's bytes are what
-/// [`decode_slot`] reads.
+/// [`decode_slot`] reads. A whole body word is one 8-byte load; only a
+/// ragged last word is assembled, byte by byte.
+#[inline]
 pub(crate) fn slot_word(header: &TaskHeader, body: &[u8], j: usize) -> u64 {
     debug_assert_eq!(header.body_len as usize, body.len());
-    match j.checked_sub(HEADER_WORDS) {
-        None => header.words()[j],
-        Some(b) => {
-            let mut word = [0u8; 8];
-            let bytes = &body[(8 * b).min(body.len())..];
-            let n = bytes.len().min(8);
-            word[..n].copy_from_slice(&bytes[..n]);
-            u64::from_le_bytes(word)
-        }
+    let Some(b) = j.checked_sub(HEADER_WORDS) else {
+        return header.words()[j];
+    };
+    let bytes = body.get(8 * b..).unwrap_or_default();
+    match bytes.first_chunk::<8>() {
+        Some(word) => u64::from_le_bytes(*word),
+        None => bytes.iter().rev().fold(0, |w, &x| w << 8 | u64::from(x)),
     }
 }
 

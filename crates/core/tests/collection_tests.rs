@@ -533,73 +533,111 @@ fn concurrent_rank_deep_in_backoff_still_runs_remote_adds() {
     assert_eq!(*ran.lock(), want);
 }
 
+/// Every body length from 0 to `max_body`: each residue mod 8, so each
+/// ragged last word the word-wise slot copies can meet.
+const BODY_MAX: usize = 48;
+
+/// The body lengths in the order they are added: long and short
+/// alternating, so a short body lands in a slot and a buffer a long one
+/// just left.
+fn body_lengths() -> impl Iterator<Item = usize> {
+    (0..=BODY_MAX / 2).flat_map(|k| [BODY_MAX - k, k]).take(BODY_MAX + 1)
+}
+
 /// `add` copies a borrowed body straight into the slot and a pop copies it
-/// into the phase's one buffer: bodies of 0, 1 and `max_body` bytes from
-/// one reused `Task`, interleaved so a short body lands in a slot and a
-/// buffer a long one just left, come back byte for byte — popped locally
-/// (1 rank) and through stolen chunks (4 ranks). Each task also adds a
-/// child before re-reading its own body: the child takes the slot the
-/// task was popped from, which must not reach the running task's copy.
-#[test]
-fn bodies_of_every_size_round_trip_through_add_pop_and_steal() {
-    const MAX: usize = 48;
-    const ROUNDS: u64 = 60;
+/// into the phase's one buffer: bodies of every length from one reused
+/// `Task` come back byte for byte. Each task also adds a child before
+/// re-reading its own body: the child takes the slot the task was popped
+/// from, which must not reach the running task's copy. Returns the tasks
+/// stolen, summed over the ranks.
+fn bodies_round_trip(mc: MachineConfig, kind: QueueKind) -> u64 {
+    const ROUNDS: u64 = 10;
     fn body_for(id: u64, len: usize) -> Vec<u8> {
         (0..len).map(|k| (id as usize * 31 + k * 7 + len) as u8).collect()
     }
-    for ranks in [1usize, 4] {
-        let mc = MachineConfig::virtual_time(ranks).with_latency(LatencyModel::cluster());
-        let out = Machine::run(mc, |ctx| {
-            let armci = Armci::init(ctx);
-            let tc = TaskCollection::create(ctx, &armci, TcConfig::new(MAX, 3, 1024));
-            let seen = Arc::new(Mutex::new(Vec::<Vec<u8>>::new()));
-            let clo = tc.register_clo(ctx, seen.clone());
-            let child = tc.register(
-                ctx,
-                Arc::new(move |t| {
-                    let s: &Mutex<Vec<Vec<u8>>> = t.tc.clo(t.ctx, clo);
-                    s.lock().push(t.body().to_vec());
-                }),
-            );
-            let parent = tc.register(
-                ctx,
-                Arc::new(move |t| {
-                    let mine = t.body().to_vec();
-                    let flipped: Vec<u8> = mine.iter().map(|b| !b).collect();
-                    t.tc.add(t.ctx, t.ctx.rank(), AFFINITY_HIGH, &Task::new(child, flipped));
-                    assert_eq!(t.body(), mine, "a task's body changed under it");
-                    let s: &Mutex<Vec<Vec<u8>>> = t.tc.clo(t.ctx, clo);
-                    s.lock().push(mine);
-                    t.ctx.compute(3_000);
-                }),
-            );
-            if ctx.rank() == 0 {
-                let mut task = Task::new(parent, Vec::new());
-                for id in 0..ROUNDS {
-                    for len in [MAX, 0, 1] {
-                        task.body_mut().clear();
-                        task.body_mut().extend_from_slice(&body_for(id, len));
-                        tc.add(ctx, 0, AFFINITY_HIGH, &task);
-                    }
+    let label = format!("{:?} x{} seed {} {kind:?}", mc.mode, mc.ranks, mc.seed);
+    let out = Machine::run(mc, move |ctx| {
+        let armci = Armci::init(ctx);
+        let cfg = TcConfig::new(BODY_MAX, 3, 1024).with_queue(kind);
+        let tc = TaskCollection::create(ctx, &armci, cfg);
+        let seen = Arc::new(Mutex::new(Vec::<Vec<u8>>::new()));
+        let clo = tc.register_clo(ctx, seen.clone());
+        let child = tc.register(
+            ctx,
+            Arc::new(move |t| {
+                let s: &Mutex<Vec<Vec<u8>>> = t.tc.clo(t.ctx, clo);
+                s.lock().push(t.body().to_vec());
+            }),
+        );
+        let parent = tc.register(
+            ctx,
+            Arc::new(move |t| {
+                let mine = t.body().to_vec();
+                let flipped: Vec<u8> = mine.iter().map(|b| !b).collect();
+                t.tc.add(t.ctx, t.ctx.rank(), AFFINITY_HIGH, &Task::new(child, flipped));
+                assert_eq!(t.body(), mine, "a task's body changed under it");
+                let s: &Mutex<Vec<Vec<u8>>> = t.tc.clo(t.ctx, clo);
+                s.lock().push(mine);
+                t.ctx.compute(3_000);
+            }),
+        );
+        if ctx.rank() == 0 {
+            let mut task = Task::new(parent, Vec::new());
+            for id in 0..ROUNDS {
+                for len in body_lengths() {
+                    task.body_mut().clear();
+                    task.body_mut().extend_from_slice(&body_for(id, len));
+                    tc.add(ctx, 0, AFFINITY_HIGH, &task);
                 }
             }
-            let stats = tc.process(ctx);
-            let bodies = seen.lock().clone();
-            (bodies, stats.tasks_stolen)
-        });
-        let stolen: u64 = out.results.iter().map(|r| r.1).sum();
-        assert_eq!(stolen > 0, ranks > 1, "ranks={ranks}: {stolen} tasks stolen");
-        let mut got: Vec<Vec<u8>> = out.results.into_iter().flat_map(|r| r.0).collect();
-        let mut want = Vec::new();
-        for id in 0..ROUNDS {
-            for len in [MAX, 0, 1] {
-                let b = body_for(id, len);
-                want.push(b.iter().map(|x| !x).collect());
-                want.push(b);
-            }
         }
-        got.sort();
-        want.sort();
-        assert_eq!(got, want, "ranks={ranks}");
+        let stats = tc.process(ctx);
+        let bodies = seen.lock().clone();
+        (bodies, stats.tasks_stolen)
+    });
+    let stolen = out.results.iter().map(|r| r.1).sum();
+    let mut got: Vec<Vec<u8>> = out.results.into_iter().flat_map(|r| r.0).collect();
+    let mut want = Vec::new();
+    for id in 0..ROUNDS {
+        for len in body_lengths() {
+            let b = body_for(id, len);
+            want.push(b.iter().map(|x| !x).collect());
+            want.push(b);
+        }
+    }
+    got.sort();
+    want.sort();
+    assert_eq!(got, want, "{label}");
+    stolen
+}
+
+/// Popped locally (1 rank) and through stolen chunks (4 ranks), on both
+/// queue kinds, in virtual time; and on two real threads.
+#[test]
+fn bodies_of_every_size_round_trip_through_add_pop_and_steal() {
+    let lengths: Vec<usize> = body_lengths().collect();
+    assert_eq!(lengths.len(), BODY_MAX + 1);
+    assert!((0..=BODY_MAX).all(|len| lengths.contains(&len)));
+    for kind in [QueueKind::Split, QueueKind::Locked] {
+        for ranks in [1usize, 4] {
+            let mc = MachineConfig::virtual_time(ranks).with_latency(LatencyModel::cluster());
+            let stolen = bodies_round_trip(mc, kind);
+            assert_eq!(stolen > 0, ranks > 1, "{kind:?} ranks={ranks}: {stolen} tasks stolen");
+        }
+        for seed in 0..2 {
+            bodies_round_trip(MachineConfig::concurrent(2).with_seed(seed), kind);
+        }
+    }
+}
+
+/// The real-thread half over 64 seeds: the word-wise slot copies and the
+/// owner's 3-word index read against live thieves.
+#[test]
+#[ignore = "64-seed real-thread stress; scripts/verify.sh runs it in release"]
+fn stress_bodies_of_every_size_on_real_threads() {
+    for kind in [QueueKind::Split, QueueKind::Locked] {
+        for seed in 0..64 {
+            bodies_round_trip(MachineConfig::concurrent(2).with_seed(seed), kind);
+        }
     }
 }

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use scioto::{Task, TaskCollection, TcConfig, AFFINITY_HIGH};
 use scioto_armci::Armci;
+use scioto_det::sync::Mutex;
 use scioto_sim::Ctx;
 
 use crate::node::{Node, TreeParams, TreeStats, NODE_BYTES};
@@ -80,6 +81,11 @@ pub fn run_scioto_uts(ctx: &Ctx, cfg: &SciotoUtsConfig) -> (TreeStats, scioto::P
     let params = cfg.params;
     // This rank's instance of the callback charges this rank's scaling.
     let node_cost = ctx.cpu_cost(cfg.node_cost_ns);
+    // The one task every child this rank spawns is built in (§3.1's task
+    // reuse: `add` copies it in, so the buffer is free again on return).
+    // Only this rank's tasks run this instance, one at a time, so the
+    // lock is never contended.
+    let child: Mutex<Option<Task>> = Mutex::new(None);
     let h = tc.register(
         ctx,
         Arc::new(move |t| {
@@ -88,12 +94,15 @@ pub fn run_scioto_uts(ctx: &Ctx, cfg: &SciotoUtsConfig) -> (TreeStats, scioto::P
             t.tc.clo::<RankStats>(t.ctx, stats_clo).visit(node.depth, kids);
             t.ctx.charge(node_cost);
             if kids > 0 {
-                let h = *handle_ref.get().expect("handle registered before use");
+                let mut child = child.lock();
+                let task = child.get_or_insert_with(|| {
+                    let h = *handle_ref.get().expect("handle registered before use");
+                    Task::with_body_size(h, NODE_BYTES)
+                });
                 let me = t.ctx.rank();
-                let mut task = Task::with_body_size(h, NODE_BYTES);
                 for i in 0..kids {
                     task.body_mut().copy_from_slice(&node.child(i).encode());
-                    t.tc.add(t.ctx, me, AFFINITY_HIGH, &task);
+                    t.tc.add(t.ctx, me, AFFINITY_HIGH, task);
                 }
             }
         }),
