@@ -14,9 +14,17 @@
 //! (any order; unknown keys are skipped; the first occurrence of a
 //! repeated key wins), and the event is built from constant slot
 //! indices — no per-line allocation and no string-keyed lookup.
+//!
+//! After the header the text is cut at newlines into parts of about equal
+//! length, one per core and at least a MiB each
+//! ([`scioto_det::par::parts_for`]), and each part is read on a thread of
+//! its own. The parts' events and gauges are appended in text order and
+//! the first error in text order is the answer, its line number counted
+//! from the top of the file: the outcome does not depend on the cut.
 
 use std::collections::BTreeMap;
 
+use scioto_det::par::{in_parts, parts_for};
 use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, WaveDir};
 
 /// Newest `"version"` this reader understands (what `to_jsonl` writes).
@@ -80,8 +88,8 @@ struct Syntax(&'static str, usize);
 
 impl Syntax {
     #[cold]
-    fn at_line(self, lineno: usize) -> String {
-        format!("line {lineno}: {} at byte {}", self.0, self.1)
+    fn describe(self) -> String {
+        format!("{} at byte {}", self.0, self.1)
     }
 }
 
@@ -311,13 +319,18 @@ impl<'a> Lines<'a> {
 
 /// Parse `body` (the full JSONL text) into a [`Trace`].
 pub fn parse(body: &str) -> Result<Trace, String> {
+    parse_in(body, parts_for(body.len()))
+}
+
+/// [`parse`] with the lines after the header cut into `parts` pieces.
+pub(crate) fn parse_in(body: &str, parts: usize) -> Result<Trace, String> {
     let mut line = Line::new();
     let mut lines = Lines { rest: body, lineno: 0 };
     // Header errors say "line 1" wherever the first non-blank line is.
     lines
         .next(&mut line)
         .ok_or_else(|| "empty trace file".to_string())?
-        .map_err(|e| e.at_line(1))?;
+        .map_err(|e| format!("line 1: {}", e.describe()))?;
     if line.str(META) != Some("scioto-trace") {
         return Err("line 1: missing scioto-trace meta header".into());
     }
@@ -350,29 +363,21 @@ pub fn parse(body: &str) -> Result<Trace, String> {
 
     let mut events: Vec<Vec<StampedEvent>> = vec![Vec::new(); ranks];
     let mut gauges: Vec<BTreeMap<String, Gauge>> = vec![BTreeMap::new(); ranks];
-    while let Some(scanned) = lines.next(&mut line) {
-        let lineno = lines.lineno;
-        scanned.map_err(|e| e.at_line(lineno))?;
-        let rank = line.num(RANK).ok_or_else(|| format!("line {lineno}: missing \"rank\""))?;
-        if rank >= ranks as u64 {
-            return Err(format!("line {lineno}: rank {rank} out of range ({ranks} ranks)"));
+    let mut lineno = lines.lineno;
+    for part in in_parts(cut(lines.rest, parts), |text| read_part(text, ranks)) {
+        let part = part.map_err(|(at, what)| format!("line {}: {what}", lineno + at))?;
+        lineno += part.lines;
+        for (all, mut more) in events.iter_mut().zip(part.events) {
+            if all.is_empty() {
+                *all = more;
+            } else {
+                all.append(&mut more);
+            }
         }
-        let rank = rank as usize;
-        // A histogram line of an earlier build: its samples are the events'.
-        if line.str(HIST).is_some() {
-            continue;
+        // A gauge named again later in the text replaces the earlier one.
+        for (all, mut more) in gauges.iter_mut().zip(part.gauges) {
+            all.append(&mut more);
         }
-        if let Some(name) = line.str(GAUGE) {
-            let g = gauge_from(&line)
-                .ok_or_else(|| format!("line {lineno}: malformed gauge {name}"))?;
-            gauges[rank].insert(name.to_string(), g);
-            continue;
-        }
-        let t_ns = line.num(T).ok_or_else(|| format!("line {lineno}: missing \"t\""))?;
-        let name = line.str(EV).ok_or_else(|| format!("line {lineno}: missing \"ev\""))?;
-        let event = event_from(name, &line)
-            .ok_or_else(|| format!("line {lineno}: malformed {name} event"))?;
-        events[rank].push(StampedEvent { t_ns, event });
     }
 
     Ok(Trace {
@@ -381,6 +386,69 @@ pub fn parse(body: &str) -> Result<Trace, String> {
         final_clock_ns,
         wall_clock,
         gauges,
+    })
+}
+
+/// `text` cut into `parts` (at least one) pieces of about equal length,
+/// each but the last ending just after a newline (a piece may be empty).
+fn cut(text: &str, parts: usize) -> impl Iterator<Item = &str> {
+    let mut rest = text;
+    (1..=parts.max(1)).rev().map(move |left| {
+        // The last piece (`left == 1`) searches nothing and takes the rest.
+        let want = rest.len() / left;
+        let end = rest.as_bytes()[want..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |newline| want + newline + 1);
+        let piece;
+        (piece, rest) = rest.split_at(end);
+        piece
+    })
+}
+
+/// One piece of the text after the header, read: its events and gauges
+/// rank by rank, and how many lines it spans.
+struct Part {
+    events: Vec<Vec<StampedEvent>>,
+    gauges: Vec<BTreeMap<String, Gauge>>,
+    lines: usize,
+}
+
+/// Read the lines of `text`, a piece of the text after the header that
+/// starts at a line boundary. An error is the line it is on, counted from
+/// the piece's first (1), and what is wrong.
+fn read_part(text: &str, ranks: usize) -> Result<Part, (usize, String)> {
+    let mut line = Line::new();
+    let mut lines = Lines { rest: text, lineno: 0 };
+    let mut events: Vec<Vec<StampedEvent>> = vec![Vec::new(); ranks];
+    let mut gauges: Vec<BTreeMap<String, Gauge>> = vec![BTreeMap::new(); ranks];
+    while let Some(scanned) = lines.next(&mut line) {
+        let lineno = lines.lineno;
+        scanned.map_err(|e| (lineno, e.describe()))?;
+        let rank = line.num(RANK).ok_or_else(|| (lineno, "missing \"rank\"".to_string()))?;
+        if rank >= ranks as u64 {
+            return Err((lineno, format!("rank {rank} out of range ({ranks} ranks)")));
+        }
+        let rank = rank as usize;
+        // A histogram line of an earlier build: its samples are the events'.
+        if line.str(HIST).is_some() {
+            continue;
+        }
+        if let Some(name) = line.str(GAUGE) {
+            let g = gauge_from(&line).ok_or_else(|| (lineno, format!("malformed gauge {name}")))?;
+            gauges[rank].insert(name.to_string(), g);
+            continue;
+        }
+        let t_ns = line.num(T).ok_or_else(|| (lineno, "missing \"t\"".to_string()))?;
+        let name = line.str(EV).ok_or_else(|| (lineno, "missing \"ev\"".to_string()))?;
+        let event =
+            event_from(name, &line).ok_or_else(|| (lineno, format!("malformed {name} event")))?;
+        events[rank].push(StampedEvent { t_ns, event });
+    }
+    Ok(Part {
+        events,
+        gauges,
+        lines: lines.lineno,
     })
 }
 
@@ -551,7 +619,7 @@ pub(crate) mod tests {
         assert_eq!(parsed.gauges, t.gauges);
         assert_eq!((parsed.dropped, parsed.final_clock_ns), (t.dropped, t.final_clock_ns));
         assert_eq!(parse(&old).unwrap().to_jsonl(), text);
-        assert_same_outcome(&old);
+        assert_same_outcome(&old, &[2, 3]);
     }
 
     #[test]
@@ -646,7 +714,7 @@ pub(crate) mod tests {
         let err = parse("\n\n{\"rank\":0}\n").unwrap_err();
         assert_eq!(err, "line 1: missing scioto-trace meta header");
         for body in [body.as_str(), "\n\n{\"rank\":0}\n", "\n\n{\"rank\":0,}\n"] {
-            assert_same_outcome(body);
+            assert_same_outcome(body, &[2, 3]);
         }
     }
 
@@ -807,9 +875,17 @@ pub(crate) mod tests {
 
     /// `parse` and `reference_parse` agree on `body`: the same trace, or an
     /// error at the same line — the same text too, unless it is the
-    /// scanner's description of a syntax error, which is not pinned.
-    fn assert_same_outcome(body: &str) {
-        match (parse(body), reference_parse(body)) {
+    /// scanner's description of a syntax error, which is not pinned. A read
+    /// in each of `splits` parts has exactly the outcome of a read in one.
+    /// Returns whether the body was accepted.
+    fn assert_same_outcome(body: &str, splits: &[usize]) -> bool {
+        let whole = parse_in(body, 1);
+        for &parts in splits {
+            let split = parse_in(body, parts);
+            assert!(split == whole, "{parts} parts: {:?} vs {:?} for {body:?}", split.err(), whole.err());
+        }
+        let accepted = whole.is_ok();
+        match (whole, reference_parse(body)) {
             (Ok(new), Ok(old)) => assert!(new == old, "traces differ for {body:?}"),
             (Err(new), Err(old)) => {
                 let line = |e: &str| e.split_once(": ").map(|(l, _)| l.to_string());
@@ -822,6 +898,45 @@ pub(crate) mod tests {
                 }
             }
             (new, old) => panic!("accept/reject split: {new:?} vs {old:?} for {body:?}"),
+        }
+        accepted
+    }
+
+    #[test]
+    fn a_read_in_parts_equals_the_read_in_one() {
+        let t = random_trace(5, 40, false);
+        let text = t.to_jsonl();
+        let mut lines: Vec<&str> = text.lines().collect();
+        // Gauge and legacy hist lines among the events, so that every part
+        // count puts some of them past a cut; a gauge named again later in
+        // the text replaces the earlier one.
+        let regauge = "{\"gauge\":\"queue_local\",\"rank\":1,\"samples\":9,\"sum\":9,\"max\":9,\"last\":9}";
+        for (i, extra) in LEGACY_HISTS.lines().chain([regauge, "", "  \r"]).enumerate() {
+            lines.insert(100 + 97 * i, extra.trim_start());
+        }
+        let body = lines.join("\n") + "\n";
+        let whole = parse_in(&body, 1).expect("the body parses");
+        assert_eq!(whole.events, t.events);
+        assert_eq!(whole.gauges[1]["queue_local"].samples, 9);
+        for parts in 2..=8 {
+            assert!(parse_in(&body, parts).as_ref() == Ok(&whole), "{parts} parts");
+        }
+        // An error in any part names its line from the top of the file, and
+        // of two errors the first in the text wins.
+        for bad in [1, 2, 150, 400, lines.len() - 1] {
+            let mut broken = lines.clone();
+            broken[bad] = "{\"rank\":0,\"t\":1,\"ev\":\"Nope\"}";
+            broken[lines.len() - 1] = "{\"rank\":0}";
+            let body = broken.join("\n");
+            for parts in 1..=8 {
+                let err = parse_in(&body, parts).unwrap_err();
+                let want = if bad == lines.len() - 1 {
+                    format!("line {}: missing \"t\"", bad + 1)
+                } else {
+                    format!("line {}: malformed Nope event", bad + 1)
+                };
+                assert_eq!(err, want, "{parts} parts");
+            }
         }
     }
 
@@ -917,16 +1032,17 @@ pub(crate) mod tests {
         .map(|text| text.lines().map(str::to_string).collect())
         .collect();
         let (mut accepted, mut refused) = (0, 0);
-        for _ in 0..12_000 {
+        for i in 0..12_000 {
             let mut lines = corpus[r.below(corpus.len())].clone();
             let victim = if r.below(4) == 0 { 0 } else { r.below(lines.len()) };
             lines[victim] = mutate(&lines[victim], r);
             let ending = r.pick(&["\n", "\n", "\n", "\r\n"]);
             let body: String = lines.iter().flat_map(|l| [l.as_str(), ending]).collect();
-            assert_same_outcome(&body);
-            match parse(&body) {
-                Ok(_) => accepted += 1,
-                Err(_) => refused += 1,
+            // Two parts and three in turn: a split read spawns threads,
+            // which costs far more than reading a body this small.
+            match assert_same_outcome(&body, &[2 + i % 2]) {
+                true => accepted += 1,
+                false => refused += 1,
             }
         }
         // The mutations exercise both sides of the grammar.

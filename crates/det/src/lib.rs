@@ -28,8 +28,13 @@
 //! [`table::AppendTable`], the append-only handle table whose reads take
 //! no lock, and [`sync::CachePadded`], which gives each rank's slot of a
 //! shared array its own cache line.
+//!
+//! [`par`] is the one place the host's core count is asked for: the
+//! concurrent machine's oversubscription check reads it, and the trace
+//! codec cuts its work into parts with it.
 
 pub mod clock;
+pub mod par;
 pub mod rng;
 pub mod sync;
 pub mod table;

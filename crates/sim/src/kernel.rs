@@ -16,9 +16,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use scioto_det::clock::MonoClock;
+use scioto_det::par::host_cores;
 use scioto_det::sync::{CachePadded, Condvar, Mutex};
 
 use crate::config::{scale_ns, ExecMode, SpeedModel};
@@ -56,13 +56,6 @@ struct Sched {
     /// rank is waiting on, for the deadlock diagnostic.
     last_block_site: Vec<Option<&'static str>>,
     done: usize,
-}
-
-/// Hardware threads this process may run on, asked of the OS once (1 if
-/// it will not say).
-fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// The shared scheduling kernel of one simulated machine.
@@ -254,6 +247,7 @@ impl Kernel {
     /// switch that passed the baton. A virtual clock therefore never has two
     /// writers at once, and a plain load + store is a complete update — no
     /// locked read-modify-write on the path every simulated operation takes.
+    #[inline]
     pub(crate) fn charge(&self, rank: usize, ns: u64) {
         if self.mode == ExecMode::VirtualTime {
             let clock = &self.clocks[rank];

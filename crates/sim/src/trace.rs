@@ -28,6 +28,9 @@
 
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
+
+use scioto_det::par::{in_parts, parts_for};
 
 /// Tracing configuration carried by [`crate::MachineConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -378,7 +381,7 @@ impl TraceEvent {
     /// Append the event's payload as JSON object members between `open`
     /// and `close`, e.g. `"victim":3,"got":2`. Nothing at all (no `open`,
     /// no `close`) for payload-free events.
-    fn write_args(&self, out: &mut Text, open: &str, close: &str) {
+    fn write_args<S: Sink>(&self, out: &mut Text<S>, open: &str, close: &str) {
         if matches!(self, TraceEvent::Block) {
             return;
         }
@@ -442,15 +445,46 @@ impl TraceEvent {
     }
 }
 
+/// Where export text goes, a fragment at a time.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+/// A growing buffer (the Chrome export).
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A length pass: the byte count only.
+impl Sink for usize {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+/// A slice sized by a length pass, filled front to back; what is left is
+/// the part not yet written.
+impl Sink for &mut [u8] {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        let head = self.split_off_mut(..bytes.len()).expect("the length pass sized the slice");
+        head.copy_from_slice(bytes);
+    }
+}
+
 /// Export text under construction: literal fragments and decimal integers
-/// appended straight to one buffer, no `core::fmt` per event. Bytes rather
+/// appended straight to a [`Sink`], no `core::fmt` per event. Bytes rather
 /// than a `String` so digits append without a UTF-8 check per number;
 /// [`Text::finish`] validates the whole buffer once.
-struct Text(Vec<u8>);
+struct Text<S>(S);
 
-impl Text {
+impl<S: Sink> Text<S> {
     fn lit(&mut self, s: &str) {
-        self.0.extend_from_slice(s.as_bytes());
+        self.0.put(s.as_bytes());
     }
 
     fn num(&mut self, mut v: u64) {
@@ -464,7 +498,7 @@ impl Text {
                 break;
             }
         }
-        self.0.extend_from_slice(&buf[i..]);
+        self.0.put(&buf[i..]);
     }
 
     /// Nanoseconds as the fixed-decimal microseconds Chrome's `ts` and
@@ -473,14 +507,16 @@ impl Text {
     fn ts_us(&mut self, t_ns: u64) {
         self.num(t_ns / 1_000);
         let frac = (t_ns % 1_000) as u32;
-        self.0.extend_from_slice(&[
+        self.0.put(&[
             b'.',
             b'0' + (frac / 100) as u8,
             b'0' + (frac / 10 % 10) as u8,
             b'0' + (frac % 10) as u8,
         ]);
     }
+}
 
+impl Text<Vec<u8>> {
     fn finish(self) -> String {
         String::from_utf8(self.0).expect("str fragments and ASCII digits")
     }
@@ -488,23 +524,23 @@ impl Text {
 
 /// A value [`members!`] can append as JSON.
 trait Member {
-    fn append(self, out: &mut Text);
+    fn append<S: Sink>(self, out: &mut Text<S>);
 }
 
 impl Member for u64 {
-    fn append(self, out: &mut Text) {
+    fn append<S: Sink>(self, out: &mut Text<S>) {
         out.num(self);
     }
 }
 
 impl Member for u32 {
-    fn append(self, out: &mut Text) {
+    fn append<S: Sink>(self, out: &mut Text<S>) {
         out.num(self.into());
     }
 }
 
 impl Member for bool {
-    fn append(self, out: &mut Text) {
+    fn append<S: Sink>(self, out: &mut Text<S>) {
         out.lit(if self { "true" } else { "false" });
     }
 }
@@ -513,7 +549,7 @@ impl Member for bool {
 /// sets, metric names from literals at the emission sites or from a file
 /// whose reader refuses escapes.
 impl Member for &str {
-    fn append(self, out: &mut Text) {
+    fn append<S: Sink>(self, out: &mut Text<S>) {
         out.lit("\"");
         out.lit(self);
         out.lit("\"");
@@ -521,7 +557,7 @@ impl Member for &str {
 }
 
 impl Member for &[u64] {
-    fn append(self, out: &mut Text) {
+    fn append<S: Sink>(self, out: &mut Text<S>) {
         out.lit("[");
         for (i, &v) in self.iter().enumerate() {
             if i > 0 {
@@ -884,7 +920,7 @@ impl Trace {
     /// final clocks, plus the wall-clock (concurrent-mode) marker by which
     /// consumers classify the trace as non-replayable real time — omitted
     /// for virtual-time traces so their exports stay byte-identical.
-    fn write_meta(&self, out: &mut Text) {
+    fn write_meta<S: Sink>(&self, out: &mut Text<S>) {
         members!(out, "dropped": &self.dropped[..], "final_clock_ns": &self.final_clock_ns[..]);
         if self.wall_clock {
             out.lit(",\"clock\":\"wall\"");
@@ -897,42 +933,69 @@ impl Trace {
     /// event, rank-major then chronological, timestamps in exact virtual
     /// nanoseconds. The header and gauge lines make a JSONL file
     /// self-contained for re-analysis (`scioto-analyze` reads all of it
-    /// back).
+    /// back). Written in parts on up to one thread per core
+    /// ([`scioto_det::par::parts_for`]); the text does not depend on the
+    /// part count.
     pub fn to_jsonl(&self) -> String {
-        let gauges: usize = self.gauges.iter().map(BTreeMap::len).sum();
         // An event line of a UTS or Table 1 recording averages 91 bytes.
-        let mut text = Text(Vec::with_capacity(
-            128 + 42 * self.nranks() + 96 * gauges + 96 * self.total_events(),
-        ));
-        let out = &mut text;
-        out.lit("{");
-        members!(out, "meta": "scioto-trace", "version": 3u64, "ranks": self.nranks() as u64);
-        out.lit(",");
-        self.write_meta(out);
-        out.lit("}\n");
-        for (rank, per_rank) in self.gauges.iter().enumerate() {
-            for (name, g) in per_rank {
-                out.lit("{");
-                members!(
-                    out, "gauge": &name[..], "rank": rank as u64, "samples": g.samples,
-                    "sum": g.sum, "max": g.max, "last": g.last
-                );
-                out.lit("}\n");
+        self.to_jsonl_in(parts_for(96 * self.total_events()))
+    }
+
+    /// [`Trace::to_jsonl`] in `parts` (at least one) ranges of equal event
+    /// count: each range is sized by a length pass through the same writer,
+    /// then written into its own slice of one buffer, on a thread of its own.
+    pub(crate) fn to_jsonl_in(&self, parts: usize) -> String {
+        let (n, parts) = (self.total_events(), parts.max(1));
+        let ranges = (0..parts).map(|p| n * p / parts..n * (p + 1) / parts);
+        let lens = in_parts(ranges.clone().enumerate(), |(p, events)| {
+            let mut len = Text(0);
+            self.write_jsonl_part(&mut len, p == 0, events);
+            len.0
+        });
+        let mut text = vec![0u8; lens.iter().sum()];
+        let mut rest = &mut text[..];
+        let slices = lens.iter().map(|&len| rest.split_off_mut(..len).expect("the parts' sum"));
+        in_parts(slices.zip(ranges).enumerate(), |(p, (slice, events))| {
+            let mut out = Text(slice);
+            self.write_jsonl_part(&mut out, p == 0, events);
+            assert!(out.0.is_empty(), "the length pass sized part {p} exactly");
+        });
+        Text(text).finish()
+    }
+
+    /// The lines of the rank-major events at `events`, after the header and
+    /// gauge lines if `head`.
+    fn write_jsonl_part<S: Sink>(&self, out: &mut Text<S>, head: bool, events: Range<usize>) {
+        if head {
+            out.lit("{");
+            members!(out, "meta": "scioto-trace", "version": 3u64, "ranks": self.nranks() as u64);
+            out.lit(",");
+            self.write_meta(out);
+            out.lit("}\n");
+            for (rank, per_rank) in self.gauges.iter().enumerate() {
+                for (name, g) in per_rank {
+                    out.lit("{");
+                    members!(
+                        out, "gauge": &name[..], "rank": rank as u64, "samples": g.samples,
+                        "sum": g.sum, "max": g.max, "last": g.last
+                    );
+                    out.lit("}\n");
+                }
             }
         }
-        for (rank, events) in self.events.iter().enumerate() {
-            for e in events {
-                out.lit("{");
-                members!(out, "rank": rank as u64, "t": e.t_ns, "ev": e.event.name());
-                e.event.write_args(out, ",", "");
-                out.lit("}\n");
-            }
+        let ordered = self.events.iter().enumerate().flat_map(|(rank, per_rank)| {
+            per_rank.iter().map(move |e| (rank as u64, e))
+        });
+        for (rank, e) in ordered.skip(events.start).take(events.len()) {
+            out.lit("{");
+            members!(out, "rank": rank, "t": e.t_ns, "ev": e.event.name());
+            e.event.write_args(out, ",", "");
+            out.lit("}\n");
         }
-        text.finish()
     }
 }
 
-fn chrome_event(out: &mut Text, rank: u64, e: &StampedEvent) {
+fn chrome_event(out: &mut Text<Vec<u8>>, rank: u64, e: &StampedEvent) {
     out.lit("{\"name\":\"");
     let dur = e.event.dur_ns();
     match e.event {
@@ -1274,6 +1337,39 @@ mod tests {
             "{\"gauge\":\"queue_local\",\"rank\":1,\"samples\":1,\"sum\":3,\
              \"max\":3,\"last\":3}"
         ));
+    }
+
+    #[test]
+    fn jsonl_text_does_not_depend_on_the_part_count() {
+        // One rank; ranks whose events straddle every cut, with an empty
+        // rank between them; no events at all; more parts than events.
+        let one_rank = TraceSink::new(&TraceConfig::enabled(), 1);
+        for t in 0..9 {
+            one_rank.emit(0, t * 7, || TraceEvent::SplitRelease { moved: t as u32 });
+        }
+        one_rank.gauge(0, "queue_local", 4);
+        let ragged = TraceSink::new(&TraceConfig::enabled(), 4);
+        for (rank, n) in [(0, 23), (2, 41), (3, 1)] {
+            for t in 0..n {
+                ragged.emit(rank, t, || TraceEvent::MsgSend { dst: 1, bytes: 8, seq: t });
+            }
+        }
+        let quiet = TraceSink::new(&TraceConfig::enabled(), 3);
+        quiet.gauge(2, "queue_shared", 1);
+        let traces = [Some(synthetic_trace()), one_rank.finish(), ragged.finish(), quiet.finish()]
+            .map(|t| t.expect("enabled sink yields a trace"));
+        for t in &traces {
+            let whole = t.to_jsonl_in(1);
+            assert_eq!(
+                whole.lines().count(),
+                1 + t.total_events() + t.gauges.iter().map(BTreeMap::len).sum::<usize>()
+            );
+            assert!(whole.starts_with("{\"meta\":\"scioto-trace\""));
+            for parts in 2..=8 {
+                assert_eq!(t.to_jsonl_in(parts), whole, "{parts} parts, {} ranks", t.nranks());
+            }
+            assert_eq!(t.to_jsonl(), whole);
+        }
     }
 
     #[test]
