@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use scioto_sim::{Gauge, Trace, TraceEvent, WaveDir};
+use scioto_sim::{Gauge, Trace, TraceEvent, WaveDir, MERGED_GAUGE};
 
 use crate::timeline::{Category, Timeline};
 
@@ -127,8 +127,17 @@ impl Census {
             );
         }
         out.push_str("events by kind:\n");
-        for (name, c) in TraceEvent::NAMES.iter().zip(self.kinds).filter(|&(_, c)| c > 0) {
-            let _ = writeln!(out, "  {name:<16} {c}");
+        for (&name, c) in TraceEvent::NAMES.iter().zip(self.kinds) {
+            match self.gauges.get(MERGED_GAUGE) {
+                _ if c == 0 => {}
+                // Window summaries: the records they stand for as well.
+                Some(merged) if name == "LocalAccess" => {
+                    let _ = writeln!(out, "  {name:<16} {c} ({} records)", c + merged.sum);
+                }
+                _ => {
+                    let _ = writeln!(out, "  {name:<16} {c}");
+                }
+            }
         }
         let digests = [
             ("steal_rtt_ns", &self.steal_rtt_ns),

@@ -28,7 +28,9 @@ use scioto_det::par::{in_parts, parts_for};
 use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, WaveDir};
 
 /// Newest `"version"` this reader understands (what `to_jsonl` writes).
-const VERSION: u64 = 3;
+/// Version 4 differs from 3 in meaning only: its `LocalAccess` lines are
+/// window summaries, which every consumer reads like single accesses.
+const VERSION: u64 = 4;
 
 /// The first eight bytes of `key`, little-endian, zero-padded.
 const fn pack(key: &[u8]) -> u64 {
@@ -698,9 +700,9 @@ pub(crate) mod tests {
     #[test]
     fn a_newer_format_version_is_refused_not_ignored() {
         let versioned = |v: &str| HEADER.replace("\"version\":3", v);
-        let err = parse(&versioned("\"version\":4")).unwrap_err();
-        assert_eq!(err, "line 1: trace version 4 is newer than this reader's 3");
-        for ok in ["\"version\":3", "\"version\":2", "\"v\":0"] {
+        let err = parse(&versioned("\"version\":5")).unwrap_err();
+        assert_eq!(err, "line 1: trace version 5 is newer than this reader's 4");
+        for ok in ["\"version\":4", "\"version\":3", "\"version\":2", "\"v\":0"] {
             assert!(parse(&versioned(ok)).is_ok(), "{ok}");
         }
     }

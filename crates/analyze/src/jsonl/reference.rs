@@ -33,8 +33,8 @@ pub fn reference_parse(body: &str) -> Result<Trace, String> {
     if get_str(meta, "meta") != Some("scioto-trace") {
         return Err("line 1: missing scioto-trace meta header".into());
     }
-    if let Some(v) = get_num(meta, "version").filter(|&v| v > 3) {
-        return Err(format!("line 1: trace version {v} is newer than this reader's 3"));
+    if let Some(v) = get_num(meta, "version").filter(|&v| v > 4) {
+        return Err(format!("line 1: trace version {v} is newer than this reader's 4"));
     }
     let ranks = get_num(meta, "ranks").ok_or("line 1: meta lacks \"ranks\"")?;
     if ranks == 0 {
@@ -451,7 +451,7 @@ pub fn reference_to_chrome_json(t: &Trace) -> String {
 /// The parent's `Trace::to_jsonl`.
 pub fn reference_to_jsonl(t: &Trace) -> String {
     let mut out = String::with_capacity(64 * t.total_events());
-    let _ = write!(out, "{{\"meta\":\"scioto-trace\",\"version\":3,\"ranks\":{}", t.nranks());
+    let _ = write!(out, "{{\"meta\":\"scioto-trace\",\"version\":4,\"ranks\":{}", t.nranks());
     out.push_str(",\"dropped\":[");
     for (i, d) in t.dropped.iter().enumerate() {
         let _ = write!(out, "{}{d}", if i == 0 { "" } else { "," });

@@ -186,7 +186,7 @@ fn verify_sh_invocations() -> Vec<(String, Vec<String>)> {
 #[test]
 fn every_flag_verify_sh_passes_is_accepted() {
     let invocations = verify_sh_invocations();
-    assert_eq!(invocations.len(), 24, "scioto commands in verify.sh");
+    assert_eq!(invocations.len(), 26, "scioto commands in verify.sh");
     let mut flags_checked = 0;
     for (bin, flags) in &invocations {
         let accepted = accepted_flags(bin)
@@ -199,7 +199,7 @@ fn every_flag_verify_sh_passes_is_accepted() {
             flags_checked += 1;
         }
     }
-    assert_eq!(flags_checked, 94, "flags verify.sh passes");
+    assert_eq!(flags_checked, 102, "flags verify.sh passes");
 }
 
 #[test]
@@ -266,7 +266,7 @@ fn a_header_that_cannot_be_trusted_exits_2_instead_of_aborting() {
     for (name, header, what) in [
         ("huge_ranks", "\"version\":3,\"ranks\":1000000000000000", "meta lacks \"dropped\""),
         ("no_dropped", "\"version\":3,\"ranks\":2,\"final_clock_ns\":[9,9]", "meta lacks \"dropped\""),
-        ("version_4", "\"version\":4,\"ranks\":1,\"dropped\":[0]", "trace version 4 is newer"),
+        ("version_5", "\"version\":5,\"ranks\":1,\"dropped\":[0]", "trace version 5 is newer"),
     ] {
         let path = dir.join(format!("cli_header_{name}.jsonl"));
         std::fs::write(&path, format!("{{\"meta\":\"scioto-trace\",{header}}}\n")).unwrap();

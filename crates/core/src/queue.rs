@@ -811,11 +811,14 @@ mod tests {
 
     /// Pins the access records of the split queue's owner path: the race
     /// and atomicity checkers pair thieves' one-sided operations against
-    /// exactly these `LocalAccess` events, so an edit that drops, reorders
-    /// or re-flags one must fail here, not silently blind a checker.
+    /// exactly these `LocalAccess` summaries, so an edit that drops, moves
+    /// or re-flags an access must fail here, not silently blind a checker.
+    /// The recorder keeps one summary per `(seg, write, atomic)` word range
+    /// and window between flushing events; the merge gauge counts the
+    /// records each window's summaries absorbed.
     #[test]
     fn split_owner_path_emits_the_pinned_access_records() {
-        use scioto_sim::TraceConfig;
+        use scioto_sim::{Gauge, TraceConfig, MERGED_GAUGE};
         let cfg = MachineConfig::virtual_time(1).with_trace(TraceConfig::enabled());
         let out = Machine::run(cfg, |ctx| {
             let (armci, q) = setup(ctx, TcConfig::new(16, 2, 32));
@@ -826,16 +829,16 @@ mod tests {
             push(&q, ctx, &armci, 1, 1, &c);
             assert_eq!(c.snapshot().splits_released, 1);
             assert_eq!(pop_id(&q, ctx, &armci, &c), Some(1));
-            q.slot_sz() as u32
+            q.slot_sz() as u64
         });
         let slot = out.results[0];
         let trace = out.report.trace.expect("traced run");
-        let got: Vec<(u32, u64, u32, bool, bool)> = trace
+        let got: Vec<(u32, u64, u64, bool, bool)> = trace
             .events_for(0)
             .iter()
             .filter_map(|e| match e.event {
                 TraceEvent::LocalAccess { seg, offset, bytes, write, atomic } => {
-                    Some((seg, offset, bytes, write, atomic))
+                    Some((seg, offset, bytes.into(), write, atomic))
                 }
                 _ => None,
             })
@@ -847,16 +850,18 @@ mod tests {
         let publish_head = (0, HEAD as u64, 8, true, true);
         let publish_split = (0, SPLIT as u64, 8, true, true);
         let want = vec![
-            // push 0: indices, slot 0, head; release pre-check.
-            head_split, tail, (1, 0, slot, true, false), publish_head, head_split, tail,
-            // push 1: the same on slot 1, then the release under the queue
-            // lock: indices again, split.
-            head_split, tail, (1, slot as u64, slot, true, false), publish_head, head_split, tail,
+            // Both pushes up to the release's lock: twice the indices, a
+            // slot, head and the release pre-check (12 records), slots 0
+            // and 1 as one range.
+            head_split, tail, publish_head, (1, 0, 2 * slot, true, false),
+            // The release under the queue lock: indices, split (3 records).
             head_split, tail, publish_split,
-            // pop of slot 1: indices, slot, head; release pre-check.
-            head_split, tail, (1, slot as u64, slot, false, false), publish_head, head_split, tail,
+            // Pop of slot 1: indices, slot, head, release pre-check (6).
+            head_split, tail, publish_head, (1, slot, slot, false, false),
         ];
         assert_eq!(got, want);
+        let merged = Gauge { samples: 3, sum: 8 + 2, max: 8, last: 2 };
+        assert_eq!(trace.gauges[0].get(MERGED_GAUGE), Some(&merged));
     }
 
     #[test]

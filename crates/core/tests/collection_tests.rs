@@ -11,7 +11,9 @@ use scioto::{
     LbKind, QueueKind, Task, TaskCollection, TcConfig, AFFINITY_HIGH, AFFINITY_LOW,
 };
 use scioto_armci::Armci;
-use scioto_sim::{ExecMode, LatencyModel, Machine, MachineConfig, TraceConfig, TraceEvent};
+use scioto_sim::{
+    ExecMode, LatencyModel, Machine, MachineConfig, Trace, TraceConfig, TraceEvent, MERGED_GAUGE,
+};
 
 /// Run a machine in which rank 0 seeds `n_tasks` no-op tasks and everyone
 /// processes; returns per-rank executed counts.
@@ -378,10 +380,10 @@ fn chunked_steals_respect_chunk_size() {
     }
 }
 
-/// Per-rank event streams of a traced virtual-time run in which rank 0
-/// holds all the work — 30 coarse tasks handed out one per steal — so the
-/// other three spend most of the phase failing steals and napping.
-fn traced_starved_run(queue: QueueKind) -> Vec<Vec<TraceEvent>> {
+/// A traced virtual-time run in which rank 0 holds all the work — 30
+/// coarse tasks handed out one per steal — so the other three spend most
+/// of the phase failing steals and napping.
+fn traced_starved_run(queue: QueueKind) -> Trace {
     let mc = MachineConfig::virtual_time(4)
         .with_latency(LatencyModel::cluster())
         .with_trace(TraceConfig::enabled().with_capacity(1 << 20));
@@ -399,46 +401,33 @@ fn traced_starved_run(queue: QueueKind) -> Vec<Vec<TraceEvent>> {
     assert_eq!(out.results.iter().sum::<u64>(), 30);
     let trace = out.report.trace.expect("traced run");
     assert!(trace.dropped.iter().all(|&d| d == 0), "ring too small");
-    (0..4)
-        .map(|r| trace.events_for(r).iter().map(|e| e.event).collect())
-        .collect()
-}
-
-/// The owner's read of its queue indices: `(head, split)` as one plain
-/// 16-byte read at offset 0 — a shape no other access in the runtime has.
-fn is_index_read(e: &TraceEvent) -> bool {
-    matches!(
-        e,
-        TraceEvent::LocalAccess { offset: 0, bytes: 16, write: false, atomic: false, .. }
-    )
+    trace
 }
 
 /// A napping split-queue owner looks at its queue again only after a
 /// scheduling point: an empty-handed pop + reclaim pre-check is two index
-/// reads (each followed by its atomic `tail` read), and no rank ever
-/// records a third without some other event — a poll, a steal, a task —
-/// in between. Before the idle loop carried `queue_unchanged`, a nap of n
-/// ticks recorded 2n of them back to back.
+/// reads, each with its atomic `tail` read, and no thief repeats them
+/// without some flushing event — a poll, a steal — in between. The
+/// recorder merges a window's repeated reads into one summary, so the
+/// re-reads show in the merge gauge: the records each window absorbed.
+/// One look at an empty queue is 4 records in 2 summaries (2 absorbed),
+/// two looks in one window absorb 6. (Rank 0's windows also hold the pops
+/// of the tasks it runs back to back, so only the thieves are judged.)
+/// Before the idle loop carried
+/// `queue_unchanged`, a nap of n ticks looked n times in one window
+/// (4n − 2 absorbed; 62 on this run).
 #[test]
 fn napping_split_owner_rechecks_only_after_a_scheduling_point() {
-    let ranks = traced_starved_run(QueueKind::Split);
-    let mut failed_steals = 0;
-    for (rank, events) in ranks.iter().enumerate() {
-        let mut run = 0;
-        for (i, e) in events.iter().enumerate() {
-            match e {
-                _ if is_index_read(e) => run += 1,
-                // The `tail` read that completes an index read.
-                TraceEvent::LocalAccess { offset: 16, bytes: 8, write: false, atomic: true, .. } => {}
-                _ => run = 0,
-            }
-            assert!(run <= 2, "rank {rank}: {run} index reads in a row at event {i}");
-            if let TraceEvent::StealAttempt { got: 0, .. } = e {
-                failed_steals += 1;
-            }
-        }
-    }
+    let trace = traced_starved_run(QueueKind::Split);
+    let failed_steals = trace.events.iter().flatten()
+        .filter(|e| matches!(e.event, TraceEvent::StealAttempt { got: 0, .. }))
+        .count();
     assert!(failed_steals >= 20, "the run backed off ({failed_steals} failed steals)");
+    for thief in 1..4 {
+        let merged = trace.gauges[thief][MERGED_GAUGE];
+        assert!(merged.samples > 20, "rank {thief}: {} windows", merged.samples);
+        assert!(merged.max < 6, "rank {thief}: a window absorbed {} records", merged.max);
+    }
 }
 
 /// The locked queue's pop takes the queue lock — a scheduling point with a
@@ -447,14 +436,14 @@ fn napping_split_owner_rechecks_only_after_a_scheduling_point() {
 /// attempt lie at least 8 nap ticks and the attempt's own iteration.
 #[test]
 fn napping_locked_owner_takes_its_queue_lock_every_tick() {
-    let ranks = traced_starved_run(QueueKind::Locked);
+    let trace = traced_starved_run(QueueKind::Locked);
     let mut naps = 0;
-    for (rank, events) in ranks.iter().enumerate() {
+    for (rank, events) in trace.events.iter().enumerate() {
         // Own-lock acquisitions since the last failed steal, if no task
         // has run since.
         let mut since_failure: Option<u32> = None;
         for e in events {
-            match *e {
+            match e.event {
                 TraceEvent::LockAcq { target, .. } if target as usize == rank => {
                     if let Some(n) = since_failure.as_mut() {
                         *n += 1;

@@ -216,13 +216,27 @@ struct WordState {
     reads: Vec<AccessRec>,
 }
 
+/// Words per frontier page.
+const PAGE_WORDS: u64 = 64;
+
+/// The frontier of 64 consecutive words of one `(owner, seg)`.
+struct Page {
+    /// Bit `i` is set once word `i` of the page saw an access.
+    touched: u64,
+    words: [WordState; PAGE_WORDS as usize],
+}
+
 /// Per word, the most recent write and read of each `(rank, atomic)`
 /// class. Keeping the per-class latest access is sound: a new access
 /// ordered after a rank's latest plain (resp. atomic) access is ordered
-/// after all earlier ones of that class.
+/// after all earlier ones of that class. Words live in 64-word pages
+/// keyed `(owner, seg, word / 64)`: an access pays one map lookup per page
+/// it touches, and memory grows with the pages touched, however sparse.
 #[derive(Default)]
 pub(crate) struct Frontier {
-    words: WordMap<WordState>,
+    pages: FastMap<WordKey, Box<Page>>,
+    /// Distinct words touched.
+    words: usize,
 }
 
 impl Frontier {
@@ -231,25 +245,40 @@ impl Frontier {
     /// not both atomic — goes to `hit` with the word, to be judged against
     /// the caller's clocks.
     pub(crate) fn access(&mut self, a: &Access, rec: AccessRec, mut hit: impl FnMut(u64, &AccessRec)) {
-        for key in a.words() {
-            let st = self.words.entry(key).or_default();
-            let reads = if rec.write { &st.reads[..] } else { &[] };
-            for prior in st.writes.iter().chain(reads) {
-                if prior.rank != rec.rank && !(prior.atomic && rec.atomic) {
-                    hit(key.2, prior);
+        let (mut word, hi) = a.word_span();
+        loop {
+            let page_no = word / PAGE_WORDS;
+            let last = hi.min(page_no * PAGE_WORDS + (PAGE_WORDS - 1));
+            let page = self.pages.entry((a.owner, a.seg, page_no)).or_insert_with(|| {
+                Box::new(Page { touched: 0, words: std::array::from_fn(|_| WordState::default()) })
+            });
+            for w in word..=last {
+                let bit = 1u64 << (w % PAGE_WORDS);
+                self.words += usize::from(page.touched & bit == 0);
+                page.touched |= bit;
+                let st = &mut page.words[(w % PAGE_WORDS) as usize];
+                let reads = if rec.write { &st.reads[..] } else { &[] };
+                for prior in st.writes.iter().chain(reads) {
+                    if prior.rank != rec.rank && !(prior.atomic && rec.atomic) {
+                        hit(w, prior);
+                    }
+                }
+                let list = if rec.write { &mut st.writes } else { &mut st.reads };
+                match list.iter_mut().find(|p| p.rank == rec.rank && p.atomic == rec.atomic) {
+                    Some(slot) => *slot = rec,
+                    None => list.push(rec),
                 }
             }
-            let list = if rec.write { &mut st.writes } else { &mut st.reads };
-            match list.iter_mut().find(|p| p.rank == rec.rank && p.atomic == rec.atomic) {
-                Some(slot) => *slot = rec,
-                None => list.push(rec),
+            if last == hi {
+                return;
             }
+            word = last + 1;
         }
     }
 
     /// Distinct words that saw at least one access.
     pub(crate) fn words(&self) -> usize {
-        self.words.len()
+        self.words
     }
 }
 

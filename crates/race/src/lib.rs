@@ -38,3 +38,5 @@ pub use report::render as render_report;
 
 #[cfg(test)]
 mod fixtures;
+#[cfg(test)]
+mod verdicts;

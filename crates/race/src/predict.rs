@@ -1017,52 +1017,6 @@ mod tests {
         }
     }
 
-    /// A seeded random trace: a few ranks reading and writing a few
-    /// words, plain, marked or read-modify-write, under nested locks.
-    fn random_trace(seed: u64) -> Trace {
-        let mut state = seed;
-        let mut below = |n: u64| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        };
-        let ranks = 1 + below(4) as u32;
-        trace_of(
-            (0..ranks)
-                .map(|_| {
-                    (0..below(40))
-                        .map(|t| {
-                            let (target, offset) = (below(ranks as u64) as u32, 8 * below(3));
-                            let atomic = below(2) == 0;
-                            let event = match below(8) {
-                                0 => acq_on(below(3) as u32, t),
-                                1 => rel_on(below(3) as u32, t),
-                                2 => TraceEvent::LocalAccess {
-                                    seg: 0,
-                                    offset,
-                                    bytes: [8, 16][below(2) as usize],
-                                    write: below(2) == 0,
-                                    atomic,
-                                },
-                                _ => TraceEvent::RemoteOp {
-                                    kind: [RemoteOpKind::Put, RemoteOpKind::Get, RemoteOpKind::Rmw]
-                                        [below(3) as usize],
-                                    target,
-                                    seg: 0,
-                                    offset,
-                                    bytes: 8,
-                                    atomic,
-                                },
-                            };
-                            (t, event)
-                        })
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-
     #[test]
     fn protocol_fold_matches_oracle_on_seeded_random_traces() {
         let mut violations = 0;

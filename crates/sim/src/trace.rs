@@ -2,7 +2,10 @@
 //! with the emitting rank's clock, gauges, and the two exporters (Chrome
 //! `trace_event` JSON and flat JSONL). Each sample is recorded once, in
 //! the event that carries it; every human report of a trace — its event
-//! census and duration digests included — is `scioto-analyze`'s.
+//! census and duration digests included — is `scioto-analyze`'s. Events
+//! are kept as emitted, except owner-side `LocalAccess` records: each
+//! rank's ring merges those between two flushing events into one
+//! whole-word summary per range ([`coalesce`]; format v4).
 //!
 //! Determinism contract: every event is stamped with the emitting rank's
 //! virtual clock ([`crate::Ctx::now`] in virtual-time mode), each per-rank
@@ -282,13 +285,19 @@ pub enum TraceEvent {
     /// An owner-side (local, non-ARMCI) access to global memory: the
     /// split-queue owner touching its own queue through its word view
     /// (`Local::record` in `scioto-armci`). Target is the emitting rank
-    /// itself.
+    /// itself. The recorder keeps none of these as offered: each one it
+    /// keeps is a *window summary* — whole words `[offset, offset +
+    /// bytes)` of one `(seg, write, atomic)` class that the rank touched
+    /// since its previous flushing event (any kind but this one,
+    /// `TaskExecBegin`, `TaskExecEnd` and `QueueDepth`); see
+    /// [`coalesce`].
     LocalAccess {
         /// Global-memory segment id (`Gmem::id`).
         seg: u32,
-        /// Byte offset of the access within this rank's segment slice.
+        /// Byte offset of the access within this rank's segment slice
+        /// (a multiple of 8 in a summary).
         offset: u64,
-        /// Bytes touched.
+        /// Bytes touched (a multiple of 8 in a summary).
         bytes: u32,
         /// Write (true) or read (false).
         write: bool,
@@ -580,7 +589,70 @@ pub struct StampedEvent {
     pub event: TraceEvent,
 }
 
-/// Fixed-capacity ring: overwrites the oldest event when full.
+/// The gauge each rank's recorder samples once per flushed window: how
+/// many `LocalAccess` records the window's summaries absorbed (records
+/// offered minus summaries emitted). Its sum plus the retained events is
+/// what the rank offered the recorder.
+pub const MERGED_GAUGE: &str = "trace_merged";
+
+/// Whole words `lo..=hi` of one class, `seg << 2 | write << 1 | atomic`.
+#[derive(Clone, Copy, Debug)]
+struct WordSpan {
+    class: u64,
+    lo: u64,
+    hi: u64,
+}
+
+/// A rank's `LocalAccess` records since its last flushing event, merged
+/// into whole-word spans per `(seg, write, atomic)` class: spans of one
+/// class that overlap or touch become one.
+#[derive(Debug, Default)]
+struct Window {
+    /// Sorted by `(class, lo)`; no two of one class overlap or touch.
+    spans: Vec<WordSpan>,
+    /// Records merged since the last flush.
+    records: u64,
+    /// Stamp of the latest merged record.
+    last_t: u64,
+}
+
+impl Window {
+    #[inline]
+    fn add(&mut self, t_ns: u64, seg: u32, offset: u64, bytes: u32, write: bool, atomic: bool) {
+        self.records += 1;
+        self.last_t = t_ns;
+        let class = u64::from(seg) << 2 | u64::from(write) << 1 | u64::from(atomic);
+        let (lo, hi) = (offset / 8, offset.saturating_add(u64::from(bytes.max(1)) - 1) / 8);
+        // Most records re-touch words the window holds already: the owner
+        // reads its indices at every push, pop and release pre-check.
+        if !self.spans.iter().any(|s| s.class == class && s.lo <= lo && hi <= s.hi) {
+            self.merge(WordSpan { class, lo, hi });
+        }
+    }
+
+    /// Insert `span`, merged with every span of its class it overlaps or
+    /// touches.
+    fn merge(&mut self, mut span: WordSpan) {
+        // The first span not wholly before `span`: a lower class, or one
+        // ending short of `span.lo - 1`.
+        let first = self.spans.partition_point(|s| (s.class, s.hi.saturating_add(1)) < (span.class, span.lo));
+        let mut end = first;
+        while let Some(s) = self.spans.get(end).filter(|s| s.class == span.class && s.lo <= span.hi.saturating_add(1)) {
+            (span.lo, span.hi) = (span.lo.min(s.lo), span.hi.max(s.hi));
+            end += 1;
+        }
+        if end == first {
+            self.spans.insert(first, span);
+        } else {
+            self.spans[first] = span;
+            self.spans.drain(first + 1..end);
+        }
+    }
+}
+
+/// Fixed-capacity ring: overwrites the oldest event when full. Recording
+/// goes through [`RankRing::record`], which coalesces `LocalAccess`
+/// records into one summary per window between flushing events.
 #[derive(Debug, Default)]
 struct RankRing {
     cap: usize,
@@ -588,19 +660,67 @@ struct RankRing {
     /// Index of the oldest event once the ring has wrapped.
     next: usize,
     dropped: u64,
+    /// Stamp of the last event pushed.
+    last_t: u64,
+    /// `LocalAccess` records not yet summarised.
+    window: Window,
+    /// [`MERGED_GAUGE`]: one sample per flushed window.
+    merged: Gauge,
 }
 
 impl RankRing {
     fn with_capacity(cap: usize) -> Self {
-        RankRing {
-            cap,
-            buf: Vec::new(),
-            next: 0,
-            dropped: 0,
+        RankRing { cap, ..RankRing::default() }
+    }
+
+    /// Record `e`: a `LocalAccess` joins the pending window; a task
+    /// boundary or a queue-depth sample leaves it open; every other kind —
+    /// a kind added later included — flushes it first.
+    fn record(&mut self, e: StampedEvent) {
+        match e.event {
+            TraceEvent::LocalAccess { seg, offset, bytes, write, atomic } => {
+                self.window.add(e.t_ns, seg, offset, bytes, write, atomic);
+            }
+            TraceEvent::TaskExecBegin { .. }
+            | TraceEvent::TaskExecEnd { .. }
+            | TraceEvent::QueueDepth { .. } => self.push(e),
+            _ => {
+                self.flush();
+                self.push(e);
+            }
         }
     }
 
+    /// Emit the pending window as one whole-word `LocalAccess` per span,
+    /// in `(seg, write, atomic, first word)` order, stamped with the later
+    /// of its last record and the rank's previous event: never later than
+    /// the flushing event's span start, which may precede its stamp.
+    fn flush(&mut self) {
+        if self.window.spans.is_empty() {
+            return;
+        }
+        let mut window = std::mem::take(&mut self.window);
+        let t_ns = window.last_t.max(self.last_t);
+        self.merged.record(window.records - window.spans.len() as u64);
+        for s in window.spans.drain(..) {
+            let bytes = (s.hi - s.lo + 1) * 8;
+            self.push(StampedEvent {
+                t_ns,
+                event: TraceEvent::LocalAccess {
+                    seg: (s.class >> 2) as u32,
+                    offset: s.lo * 8,
+                    bytes: bytes.try_into().expect("a window's range spans under 4 GiB"),
+                    write: s.class & 2 != 0,
+                    atomic: s.class & 1 != 0,
+                },
+            });
+        }
+        window.records = 0;
+        self.window = window;
+    }
+
     fn push(&mut self, e: StampedEvent) {
+        self.last_t = e.t_ns;
         if self.cap == 0 {
             self.dropped += 1;
         } else if self.buf.len() < self.cap {
@@ -612,11 +732,12 @@ impl RankRing {
         }
     }
 
-    /// Take the events in emission order (oldest surviving event first),
-    /// leaving the ring empty. An unwrapped ring — the common case — is
-    /// one buffer move, not a copy; this runs inside the measured span of
-    /// the wall-clock overhead gate.
+    /// Flush the pending window, then take the events in emission order
+    /// (oldest surviving event first), leaving the ring empty. An
+    /// unwrapped ring — the common case — is one buffer move, not a copy;
+    /// this runs inside the measured span of the wall-clock overhead gate.
     fn take_chronological(&mut self) -> Vec<StampedEvent> {
+        self.flush();
         if self.next == 0 {
             return std::mem::take(&mut self.buf);
         }
@@ -627,6 +748,20 @@ impl RankRing {
         self.next = 0;
         v
     }
+}
+
+/// Coalesce one rank's event stream exactly as the recorder does: the
+/// stream with each window's `LocalAccess` records replaced by its
+/// summaries, and the records those summaries absorbed (the sum of
+/// [`MERGED_GAUGE`]). Recording a stream that is already coalesced
+/// changes nothing.
+pub fn coalesce(events: &[StampedEvent]) -> (Vec<StampedEvent>, u64) {
+    let mut ring = RankRing::with_capacity(usize::MAX);
+    for &e in events {
+        ring.record(e);
+    }
+    let out = ring.take_chronological();
+    (out, ring.merged.sum)
 }
 
 /// A sampled gauge: tracks last, max and mean of the sampled values.
@@ -783,7 +918,7 @@ impl TraceSink {
                 t_ns,
                 event: make(),
             };
-            b.rings[rank].with_mut(|r| r.push(e));
+            b.rings[rank].with_mut(|r| r.record(e));
         }
     }
 
@@ -806,26 +941,33 @@ impl TraceSink {
         };
         let mut events = Vec::with_capacity(b.rings.len());
         let mut dropped = Vec::with_capacity(b.rings.len());
+        let mut merged = Vec::with_capacity(b.rings.len());
         for ring in &b.rings {
             // Mutating the cells is safe: finish() runs after every rank
             // thread joined.
             ring.with_mut(|r| {
                 events.push(r.take_chronological());
                 dropped.push(r.dropped);
+                merged.push(r.merged);
             });
         }
+        // The linear live registries convert to sorted maps here, so
+        // exports keep their name-ordered, byte-stable form; a rank that
+        // merged no window carries no merge gauge.
+        let gauges = b.gauges.iter().zip(merged).map(|(g, merged)| {
+            let mut reg: BTreeMap<String, Gauge> =
+                g.read().iter().map(|&(k, v)| (k.to_string(), v)).collect();
+            if merged.samples > 0 {
+                reg.insert(MERGED_GAUGE.to_string(), merged);
+            }
+            reg
+        });
         Some(Trace {
             events,
             dropped,
             final_clock_ns: Vec::new(),
             wall_clock: false,
-            // The linear live registries convert to sorted maps here, so
-            // exports keep their name-ordered, byte-stable form.
-            gauges: b
-                .gauges
-                .iter()
-                .map(|g| g.read().iter().map(|&(k, v)| (k.to_string(), v)).collect())
-                .collect(),
+            gauges: gauges.collect(),
         })
     }
 }
@@ -968,7 +1110,7 @@ impl Trace {
     fn write_jsonl_part<S: Sink>(&self, out: &mut Text<S>, head: bool, events: Range<usize>) {
         if head {
             out.lit("{");
-            members!(out, "meta": "scioto-trace", "version": 3u64, "ranks": self.nranks() as u64);
+            members!(out, "meta": "scioto-trace", "version": 4u64, "ranks": self.nranks() as u64);
             out.lit(",");
             self.write_meta(out);
             out.lit("}\n");
@@ -1273,6 +1415,108 @@ mod tests {
         let chron: Vec<u64> = r.take_chronological().iter().map(|e| e.t_ns).collect();
         assert_eq!(chron, vec![2, 3, 4]);
         assert!(r.take_chronological().is_empty(), "take drains the ring");
+    }
+
+    fn local(t_ns: u64, seg: u32, offset: u64, bytes: u32, write: bool, atomic: bool) -> StampedEvent {
+        StampedEvent { t_ns, event: TraceEvent::LocalAccess { seg, offset, bytes, write, atomic } }
+    }
+
+    fn at(t_ns: u64, event: TraceEvent) -> StampedEvent {
+        StampedEvent { t_ns, event }
+    }
+
+    #[test]
+    fn a_window_of_local_accesses_becomes_one_summary_per_class_and_range() {
+        let (begin, end) = (TraceEvent::TaskExecBegin { callback: 0, creator: 0 }, TraceEvent::TaskExecEnd { callback: 0 });
+        let depth = TraceEvent::QueueDepth { local: 1, shared: 0 };
+        let acq = TraceEvent::LockAcq { target: 0, set: 0, idx: 0, seq: 1 };
+        let raw = [
+            local(1, 0, 0, 8, false, false),
+            at(2, begin),
+            // Touches word 0: one range, words 0..=1.
+            local(3, 0, 8, 8, false, false),
+            // The same word marked atomic, and a part-word write: two more
+            // classes, whole words.
+            local(4, 0, 8, 8, false, true),
+            local(5, 0, 4, 2, true, false),
+            at(6, depth),
+            local(7, 1, 32, 8, false, false),
+            at(9, end),
+            // Flushes: the window's summaries precede it, stamped at the
+            // later of the last record (7) and the previous event (9).
+            at(10, acq),
+            local(11, 0, 24, 8, false, false),
+            local(12, 0, 0, 8, false, false),
+        ];
+        let (out, merged) = coalesce(&raw);
+        let want = [
+            at(2, begin),
+            at(6, depth),
+            at(9, end),
+            local(9, 0, 0, 16, false, false),
+            local(9, 0, 8, 8, false, true),
+            local(9, 0, 0, 8, true, false),
+            local(9, 1, 32, 8, false, false),
+            at(10, acq),
+            // The end of the stream flushes; words 0 and 3 do not touch.
+            local(12, 0, 0, 8, false, false),
+            local(12, 0, 24, 8, false, false),
+        ];
+        assert_eq!(out, want);
+        assert_eq!(merged, 1, "five records in four summaries, then two in two");
+        assert_eq!(coalesce(&out), (out.clone(), 0), "a coalesced stream is a fixed point");
+    }
+
+    #[test]
+    fn summaries_never_take_the_flushing_events_stamp() {
+        // A barrier wait is stamped at its release: its summary keeps the
+        // stamp of the last record, before the wait's arrival at 17.
+        let wait = TraceEvent::BarrierWait { dur_ns: 3, epoch: 0 };
+        let (out, _) = coalesce(&[local(5, 0, 0, 8, true, false), at(20, wait)]);
+        assert_eq!(out, [local(5, 0, 0, 8, true, false), at(20, wait)]);
+        // Every kind but the three that keep a window open flushes it.
+        let every_other_kind = [
+            TraceEvent::BarrierWait { dur_ns: 0, epoch: 0 },
+            TraceEvent::Block,
+            TraceEvent::LockAcq { target: 0, set: 0, idx: 0, seq: 1 },
+            TraceEvent::LockRel { target: 0, set: 0, idx: 0, seq: 1 },
+            TraceEvent::LockWait { target: 0, dur_ns: 0 },
+            TraceEvent::MsgRecv { src: 0, seq: 1 },
+            TraceEvent::MsgSend { dst: 0, bytes: 8, seq: 1 },
+            TraceEvent::QueueDepth { local: 0, shared: 0 },
+            TraceEvent::RemoteOp { kind: RemoteOpKind::Get, target: 0, seg: 0, offset: 0, bytes: 8, atomic: false },
+            TraceEvent::SplitReclaim { moved: 1 },
+            TraceEvent::SplitRelease { moved: 1 },
+            TraceEvent::StealAttempt { victim: 0, got: 0, dur_ns: 0 },
+            TraceEvent::TaskExecBegin { callback: 0, creator: 0 },
+            TraceEvent::TaskExecEnd { callback: 0 },
+            TraceEvent::TdProgress { dur_ns: 0 },
+            TraceEvent::TdWave { wave: 1, dir: WaveDir::Down, black: false },
+            TraceEvent::Unblock { target: 0 },
+        ];
+        let kinds: Vec<usize> = every_other_kind.iter().map(TraceEvent::kind).collect();
+        assert_eq!(kinds, (0..TraceEvent::NAMES.len()).filter(|&k| k != 2).collect::<Vec<_>>());
+        for event in every_other_kind {
+            let (out, _) = coalesce(&[local(1, 0, 0, 8, false, false), at(2, event)]);
+            let flushed = out[0].event.kind() != event.kind();
+            let open = matches!(event.name(), "QueueDepth" | "TaskExecBegin" | "TaskExecEnd");
+            assert_eq!(flushed, !open, "{}", event.name());
+        }
+    }
+
+    #[test]
+    fn the_merge_gauge_rides_only_with_merged_windows() {
+        let sink = TraceSink::new(&TraceConfig::enabled(), 2);
+        for t in 0..3 {
+            sink.emit(0, t, || TraceEvent::LocalAccess { seg: 0, offset: 0, bytes: 16, write: false, atomic: false });
+        }
+        sink.emit(0, 4, || TraceEvent::Block);
+        sink.emit(1, 4, || TraceEvent::Block);
+        let t = sink.finish().unwrap();
+        assert_eq!(t.total_events(), 3);
+        assert_eq!(t.gauges[0][MERGED_GAUGE], Gauge { samples: 1, sum: 2, max: 2, last: 2 });
+        assert!(t.gauges[1].is_empty());
+        assert!(t.to_jsonl().starts_with("{\"meta\":\"scioto-trace\",\"version\":4,"));
     }
 
     #[test]
