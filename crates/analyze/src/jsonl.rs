@@ -600,6 +600,17 @@ pub(crate) mod tests {
         assert_eq!((g.samples, g.sum, g.max, g.last), (1, 7, 7, 7));
     }
 
+    #[test]
+    fn a_non_ascii_gauge_name_round_trips() {
+        let mut t = sample_trace();
+        let name = "tâche_über_队列";
+        let g = t.gauges[1]["queue_local"];
+        t.gauges[0].insert(name.to_string(), g);
+        let parsed = parse(&t.to_jsonl()).expect("export must re-parse");
+        assert_eq!(parsed.gauges, t.gauges);
+        assert_eq!(parsed.gauges[0][name].sum, 7);
+    }
+
     /// Histogram lines as earlier builds wrote them after the header.
     const LEGACY_HISTS: &str = "\
         {\"hist\":\"steal_rtt_ns\",\"rank\":0,\"count\":1,\"sum\":30,\"min\":30,\"max\":30,\"buckets\":[5,1]}\n\

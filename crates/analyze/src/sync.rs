@@ -40,6 +40,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use scioto_sim::{tree_children, tree_parent, StampedEvent, Trace, TraceEvent, WaveDir};
 
@@ -47,6 +48,33 @@ use scioto_sim::{tree_children, tree_parent, StampedEvent, Trace, TraceEvent, Wa
 pub type LockKey = (u32, u32, u32);
 /// A termination-detection wave event: `(emitting rank, direction, wave)`.
 pub type WaveKey = (u32, WaveDir, u32);
+
+/// A map keyed by small integers from our own traces: words, lock
+/// generations, stream positions, barrier epochs. The replays look one up
+/// per sync event and the race folds one per word per access, so the
+/// default SipHash's flood resistance buys nothing and costs a third of a
+/// race pass: these maps mix with the Fx multiply instead (and, unseeded,
+/// iterate in the same order every run).
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// The Fx multiply-rotate hash of [`FastMap`].
+#[derive(Default)]
+pub struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Where an event sits: its rank and its index in that rank's stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -117,13 +145,13 @@ impl std::error::Error for SyncError {}
 #[derive(Debug, Default)]
 pub struct SyncIndex {
     /// The `LockRel` of each `(mutex, ownership generation)`.
-    pub lock_rel: HashMap<(LockKey, u64), Pos>,
+    pub lock_rel: FastMap<(LockKey, u64), Pos>,
     /// The `MsgSend` of each `(destination, per-destination seq)`.
-    pub msg_send: HashMap<(u32, u64), Pos>,
+    pub msg_send: FastMap<(u32, u64), Pos>,
     /// Every emission of each wave key, in stream order.
-    pub waves: HashMap<WaveKey, Vec<Pos>>,
+    pub waves: FastMap<WaveKey, Vec<Pos>>,
     /// The `BarrierWait`s of each epoch, rank-major.
-    pub barriers: HashMap<u64, Vec<Pos>>,
+    pub barriers: FastMap<u64, Vec<Pos>>,
 }
 
 impl SyncIndex {
@@ -193,10 +221,10 @@ pub fn walk(trace: &Trace, mut fold: impl FnMut(Step<'_>)) -> Result<(), SyncErr
     let n = trace.nranks();
     let mut cursors = vec![0usize; n];
     // Wave occurrences each consumer rank has matched, per producer key.
-    let mut wave_consumed: HashMap<(u32, WaveKey), usize> = HashMap::new();
+    let mut wave_consumed: FastMap<(u32, WaveKey), usize> = FastMap::default();
     // Barrier arrivals: which ranks are parked at one, how many per epoch.
     let mut parked = vec![false; n];
-    let mut arrived: HashMap<u64, usize> = HashMap::new();
+    let mut arrived: FastMap<u64, usize> = FastMap::default();
     let mut after: Vec<Pos> = Vec::new();
 
     loop {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use scioto_det::sync::Mutex;
 
-use scioto_sim::{Ctx, RemoteOpKind, TraceEvent, VLock};
+use scioto_sim::{Ctx, LocalRecord, RemoteOpKind, TraceEvent, VLock};
 
 use crate::store::{Access, Row, Store};
 use crate::strided::Strided;
@@ -129,8 +129,9 @@ impl SegmentRef {
 /// ([`Armci::local`], [`SegmentRef::local`]). Offsets are bytes and must be
 /// 8-byte aligned; every access is bounds-checked, takes no lock and names
 /// its own memory ordering. Accesses are not recorded: an owner access to a
-/// word other ranks also reach pairs itself with a [`Local::record`], which
-/// costs one branch when tracing is off.
+/// word other ranks also reach pairs itself with a [`Local::record`], or a
+/// fixed set of them with one [`Local::record_set`], each of which costs
+/// one branch when tracing is off.
 pub struct Local<'a> {
     ctx: &'a Ctx,
     row: Row<'a>,
@@ -177,6 +178,22 @@ impl<'a> Local<'a> {
             write,
             atomic,
         });
+    }
+
+    /// Record the owner-side accesses of the fixed set `set`, and `one`
+    /// access of another view if given, in one step, as if each went
+    /// through [`Local::record`] at this point: for an owner path that
+    /// makes the same accesses on every operation, and one that moves. The
+    /// recorder knows a set by its address, so `set` is a `static`.
+    #[inline]
+    pub fn record_set(
+        &self,
+        set: &'static [LocalRecord],
+        one: Option<(&Local<'_>, LocalRecord)>,
+    ) {
+        if self.traced {
+            self.ctx.trace_local_set(self.seg, set, one.map(|(view, r)| (view.seg, r)));
+        }
     }
 
     /// Load the word at `offset`.

@@ -29,7 +29,7 @@
 use std::sync::atomic::Ordering::Release;
 
 use scioto_armci::{Armci, Local, MutexSet, SegmentRef, Strided};
-use scioto_sim::{Ctx, RemoteOpKind, TraceEvent};
+use scioto_sim::{Ctx, LocalRecord, RemoteOpKind, TraceEvent};
 
 use crate::config::{QueueKind, TcConfig};
 use crate::stats::RankCounters;
@@ -39,6 +39,31 @@ const HEAD: usize = 0;
 const SPLIT: usize = 8;
 const TAIL: usize = 16;
 const META_BYTES: usize = 24;
+
+/// The owner's `(head, split)` read: one plain 2-word access.
+const HEAD_SPLIT_READ: LocalRecord =
+    LocalRecord { offset: HEAD as u64, bytes: 16, write: false, atomic: false };
+/// The owner's `tail` read, atomic: thieves publish `tail` lock-free.
+const TAIL_READ: LocalRecord =
+    LocalRecord { offset: TAIL as u64, bytes: 8, write: false, atomic: true };
+/// The owner's single-word `head` publish.
+const HEAD_PUBLISH: LocalRecord =
+    LocalRecord { offset: HEAD as u64, bytes: 8, write: true, atomic: true };
+/// The owner's single-word `split` store.
+const SPLIT_PUBLISH: LocalRecord =
+    LocalRecord { offset: SPLIT as u64, bytes: 8, write: true, atomic: true };
+
+/// The owner's read of its three index words: exactly the two accesses
+/// the protocol declares.
+static INDEX_READ: [LocalRecord; 2] = [HEAD_SPLIT_READ, TAIL_READ];
+/// The metadata accesses of a split-queue push or pop that moves `head`:
+/// the index read, the `head` publish and the release pre-check's re-read.
+static SPLIT_OWNER_OP: [LocalRecord; 5] =
+    [HEAD_SPLIT_READ, TAIL_READ, HEAD_PUBLISH, HEAD_SPLIT_READ, TAIL_READ];
+/// The metadata accesses of a locked-queue push or pop that moves `head`:
+/// the index read and both publishes.
+static LOCKED_OWNER_OP: [LocalRecord; 4] =
+    [HEAD_SPLIT_READ, TAIL_READ, HEAD_PUBLISH, SPLIT_PUBLISH];
 
 /// The `i64` words of a remote index read, little-endian.
 fn decode<const N: usize>(bytes: &[u8]) -> [i64; N] {
@@ -128,6 +153,10 @@ impl PatchQueue {
     // lock, which orders it for every locked reader; `steal_peek`'s
     // lock-free read is a heuristic.
     //
+    // An owner operation records its accesses in one step
+    // (`Local::record_set`): the fixed set of metadata accesses it makes,
+    // with the slot it moved, offered at the point of its last access.
+    //
     // Access-record atomicity follows the split-queue protocol (§5):
     // * `HEAD` is written lock-free by the owner while thieves read it in
     //   `insert_tail`'s composite index get — both sides are marked atomic
@@ -139,9 +168,10 @@ impl PatchQueue {
     //   the owner's reclaim/release pre-checks and by `steal_peek`, so
     //   those reads and the thieves' puts are marked atomic.
 
-    fn write_meta(&self, meta: &Local<'_>, off: usize, v: i64) {
-        meta.record(off, 8, true, off == HEAD || off == SPLIT);
-        meta.store(off, v as u64, Release);
+    /// Store `split` (under the queue lock), recorded.
+    fn publish_split(&self, meta: &Local<'_>, v: i64) {
+        meta.record(SPLIT, 8, true, true);
+        meta.store(SPLIT, v as u64, Release);
     }
 
     /// The ring slot of virtual index `index`.
@@ -156,16 +186,23 @@ impl PatchQueue {
         self.slot_of(index) as usize * self.slot_sz
     }
 
-    /// Write a task into slot `index`: its header and body words, one
-    /// access of the whole slot.
+    /// The access record of slot `index`: the whole slot.
+    fn slot_record(&self, index: i64, write: bool) -> LocalRecord {
+        let (offset, bytes) = (self.slot_pos(index) as u64, self.slot_sz as u32);
+        LocalRecord { offset, bytes, write, atomic: false }
+    }
+
+    /// Write a task into slot `index`: its header and body words. Not
+    /// recorded: the caller offers [`PatchQueue::slot_record`] with its
+    /// operation's set.
     fn write_slot(&self, slots: &Local<'_>, index: i64, header: &TaskHeader, body: &[u8]) {
         let pos = self.slot_pos(index);
-        slots.record(pos, self.slot_sz, true, false);
         let words = HEADER_WORDS + body.len().div_ceil(8);
         slots.write(pos, words, |j| slot_word(header, body, j));
     }
 
-    /// Hand slot `index`'s header and body to `take` where they lie.
+    /// Hand slot `index`'s header and body to `take` where they lie (not
+    /// recorded, like [`PatchQueue::write_slot`]).
     fn read_slot<R>(
         &self,
         slots: &Local<'_>,
@@ -173,7 +210,6 @@ impl PatchQueue {
         take: impl FnOnce(TaskHeader, SlotBody<'_>) -> R,
     ) -> R {
         let pos = self.slot_pos(index);
-        slots.record(pos, self.slot_sz, false, false);
         let header = TaskHeader::from_words(slots.load_words(pos));
         let offset = pos + HEADER_BYTES;
         take(header, SlotBody { slots, offset, len: header.body_len as usize })
@@ -185,50 +221,51 @@ impl PatchQueue {
         self.meta.local(ctx).fill(0, META_BYTES / 8, 0);
     }
 
-    /// Record the owner's read of its three index words — exactly the two
-    /// accesses the protocol declares: `(head, split)` as one plain read
-    /// and `tail`, which thieves publish lock-free, as an atomic one.
-    fn record_indices_read(&self, meta: &Local<'_>) {
-        meta.record(HEAD, 16, false, false);
-        meta.record(TAIL, 8, false, true);
-    }
-
-    /// Record and load `(head, split, tail)`: one 3-word read, one chunk
-    /// lookup and one Acquire fence.
+    /// Load `(head, split, tail)`: one 3-word read, one chunk lookup and
+    /// one Acquire fence. Not recorded: the caller offers the set of
+    /// accesses its operation made.
     #[inline]
     fn load_indices(&self, meta: &Local<'_>) -> (i64, i64, i64) {
-        self.record_indices_read(meta);
         let [head, split, tail] = meta.load_words::<3>(HEAD).map(|w| w as i64);
         (head, split, tail)
     }
 
+    /// Record and load `(head, split, tail)` (see [`INDEX_READ`]).
+    #[inline]
+    fn read_indices(&self, meta: &Local<'_>) -> (i64, i64, i64) {
+        meta.record_set(&INDEX_READ, None);
+        self.load_indices(meta)
+    }
+
     /// `(head, split, tail)` of the owner's queue.
     pub(crate) fn indices_local(&self, ctx: &Ctx) -> (i64, i64, i64) {
-        self.load_indices(&self.meta.local(ctx))
+        self.read_indices(&self.meta.local(ctx))
     }
 
     /// One split-queue owner operation: read `(head, split, tail)`, let
-    /// `op` move a slot and say where `head` goes (`None`: nothing to do),
-    /// publish it. Returns the indices as they stand afterwards — `split`
-    /// and `tail` as read, which is all the release pre-check needs: only
-    /// the owner writes `split`, and a stale `tail` is what that check is
-    /// specified against. No lock of any kind is involved (§5: "the owner
-    /// pushes and pops at `head` without any lock"): one 3-word read, the
-    /// slot's words, one Release store.
+    /// `op` move a slot and say where `head` goes (`None`: nothing to do,
+    /// and the index read is recorded), publish it. Returns the indices as
+    /// they stand afterwards — `split` and `tail` as read, which is all the
+    /// release pre-check needs: only the owner writes `split`, and a stale
+    /// `tail` is what that check is specified against. The metadata
+    /// accesses of an operation that moved `head` are recorded by that
+    /// pre-check ([`SPLIT_OWNER_OP`], with the slot). No lock of any kind
+    /// is involved (§5: "the owner pushes and pops at `head` without any
+    /// lock"): one 3-word read, the slot's words, one Release store.
     fn owner_op(
         &self,
         meta: &Local<'_>,
         op: impl FnOnce(i64, i64, i64) -> Option<i64>,
-    ) -> (i64, i64, i64) {
+    ) -> Option<(i64, i64, i64)> {
         let (head, split, tail) = self.load_indices(meta);
         let Some(new_head) = op(head, split, tail) else {
-            return (head, split, tail);
+            meta.record_set(&INDEX_READ, None);
+            return None;
         };
         // protocol: single-word `head` publish (see the atomicity notes
         // above); thieves read it in `insert_tail`'s composite get.
-        meta.record(HEAD, 8, true, true);
         meta.store(HEAD, new_head as u64, Release);
-        (new_head, split, tail)
+        Some((new_head, split, tail))
     }
 
     /// True when the owner's queue holds no tasks.
@@ -265,15 +302,16 @@ impl PatchQueue {
                     Some(head + 1)
                 });
                 ctx.charge(ctx.local_insert_cost());
-                self.maybe_release(ctx, armci, &meta, counters, indices);
+                let indices = indices.expect("a push moves head");
+                let slot = self.slot_record(indices.0 - 1, true);
+                self.maybe_release(ctx, armci, (&meta, &slots, slot), counters, indices);
             }
             QueueKind::Locked => {
                 armci.lock(ctx, self.locks, 0, ctx.rank());
                 let (head, _, tail) = self.load_indices(&meta);
                 self.check_capacity(head, tail);
                 self.write_slot(&slots, head, header, body);
-                self.write_meta(&meta, HEAD, head + 1);
-                self.write_meta(&meta, SPLIT, head + 1);
+                self.publish_locked((&meta, &slots, self.slot_record(head, true)), head + 1);
                 ctx.charge(ctx.local_insert_cost());
                 armci.unlock(ctx, self.locks, 0, ctx.rank());
             }
@@ -304,26 +342,27 @@ impl PatchQueue {
                     }
                     popped = Some(self.read_slot(&slots, head - 1, take));
                     Some(head - 1)
-                });
-                let taken = popped?;
+                })?;
+                let taken = popped.expect("a pop that moves head took its task");
                 ctx.charge(ctx.local_get_cost());
                 // Keep work available for thieves while draining a deep
                 // private portion (the owner "moves tasks between the shared
                 // and local portions as the computation progresses", §5).
-                self.maybe_release(ctx, armci, &meta, counters, indices);
+                let slot = self.slot_record(indices.0, false);
+                self.maybe_release(ctx, armci, (&meta, &slots, slot), counters, indices);
                 Some(taken)
             }
             QueueKind::Locked => {
                 armci.lock(ctx, self.locks, 0, ctx.rank());
                 let (head, _, tail) = self.load_indices(&meta);
                 if head <= tail {
+                    meta.record_set(&INDEX_READ, None);
                     armci.unlock(ctx, self.locks, 0, ctx.rank());
                     return None;
                 }
                 let h = head - 1;
                 let taken = self.read_slot(&slots, h, take);
-                self.write_meta(&meta, HEAD, h);
-                self.write_meta(&meta, SPLIT, h);
+                self.publish_locked((&meta, &slots, self.slot_record(h, false)), h);
                 ctx.charge(ctx.local_get_cost());
                 armci.unlock(ctx, self.locks, 0, ctx.rank());
                 Some(taken)
@@ -342,12 +381,12 @@ impl PatchQueue {
         // advance it), so a nonzero result here may still vanish under the
         // lock — but zero means definitely nothing to reclaim.
         let meta = self.meta.local(ctx);
-        let (_, split, tail) = self.load_indices(&meta);
+        let (_, split, tail) = self.read_indices(&meta);
         if split - tail <= 0 {
             return false;
         }
         armci.lock(ctx, self.locks, 0, ctx.rank());
-        let (_, split, tail) = self.load_indices(&meta);
+        let (_, split, tail) = self.read_indices(&meta);
         let avail = split - tail;
         if avail <= 0 {
             armci.unlock(ctx, self.locks, 0, ctx.rank());
@@ -356,7 +395,7 @@ impl PatchQueue {
         // Reclaim half (at least one); no task is copied, only the split
         // pointer moves.
         let take = (avail + 1) / 2;
-        self.write_meta(&meta, SPLIT, split - take);
+        self.publish_split(&meta, split - take);
         ctx.charge(ctx.local_get_cost());
         armci.unlock(ctx, self.locks, 0, ctx.rank());
         counters.splits_reclaimed.add(1);
@@ -370,19 +409,21 @@ impl PatchQueue {
     /// when thieves have drained it below the threshold. `(head, split,
     /// tail)` are the indices the operation's own scope just read and
     /// published; the lock-free pre-check is still an access of the
-    /// protocol's and is recorded as one. The pre-check is inlined into
-    /// the push or pop; the release itself, a scheduling point under the
-    /// queue lock, is a call.
+    /// protocol's and is recorded as one, with the operation's own
+    /// metadata accesses ([`SPLIT_OWNER_OP`]) and `slot`, the slot it
+    /// moved, before the release can take the lock. The pre-check is
+    /// inlined into the push or pop; the release itself, a scheduling point
+    /// under the queue lock, is a call.
     #[inline]
     fn maybe_release(
         &self,
         ctx: &Ctx,
         armci: &Armci,
-        meta: &Local<'_>,
+        (meta, slots, slot): (&Local<'_>, &Local<'_>, LocalRecord),
         counters: &RankCounters,
         (head, split, tail): (i64, i64, i64),
     ) {
-        self.record_indices_read(meta);
+        meta.record_set(&SPLIT_OWNER_OP, Some((slots, slot)));
         let shared = split - tail;
         let private = head - split;
         if shared < self.release_threshold && private >= 2 {
@@ -394,11 +435,11 @@ impl PatchQueue {
     #[inline(never)]
     fn release(&self, ctx: &Ctx, armci: &Armci, meta: &Local<'_>, counters: &RankCounters) {
         armci.lock(ctx, self.locks, 0, ctx.rank());
-        let (head, split, _) = self.load_indices(meta);
+        let (head, split, _) = self.read_indices(meta);
         let private = head - split;
         if private >= 2 {
             let give = ((private as f64 * self.release_fraction) as i64).clamp(1, private - 1);
-            self.write_meta(meta, SPLIT, split + give);
+            self.publish_split(meta, split + give);
             counters.splits_released.add(1);
             ctx.trace(|| TraceEvent::SplitRelease {
                 moved: give as u32,
@@ -406,6 +447,15 @@ impl PatchQueue {
         }
         ctx.charge(ctx.local_get_cost());
         armci.unlock(ctx, self.locks, 0, ctx.rank());
+    }
+
+    /// The locked queue's `head` and `split` stores after a push or pop
+    /// (`split == head`), recorded with the index read before them and
+    /// `slot`, the slot the operation moved.
+    fn publish_locked(&self, (meta, slots, slot): (&Local<'_>, &Local<'_>, LocalRecord), head: i64) {
+        meta.record_set(&LOCKED_OWNER_OP, Some((slots, slot)));
+        meta.store(HEAD, head as u64, Release);
+        meta.store(SPLIT, head as u64, Release);
     }
 
     fn check_capacity(&self, head: i64, tail: i64) {

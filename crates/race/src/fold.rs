@@ -7,9 +7,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
-use scioto_analyze::sync::{word_range, LockKey, Pos, Step, SyncWith};
+pub(crate) use scioto_analyze::sync::FastMap;
+use scioto_analyze::sync::{word_range, FxHasher, LockKey, Pos, Step, SyncWith};
 use scioto_sim::{RemoteOpKind, StampedEvent, Trace, TraceEvent};
 
 use crate::hb::{AccessInfo, Race};
@@ -17,33 +18,7 @@ use crate::hb::{AccessInfo, Race};
 /// One 8-byte word of simulated global memory: `(owner rank, seg, word)`.
 pub(crate) type WordKey = (u32, u32, u64);
 
-/// A map keyed by small integers from our own traces: words, lock
-/// generations, stream positions, barrier epochs. One lookup per word
-/// per access is the replay's hot path, so the default SipHash's flood
-/// resistance buys nothing and costs a third of a pass: these maps mix
-/// with the Fx multiply instead (and, unseeded, iterate in the same
-/// order every run).
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-pub(crate) type WordMap<V> = FastMap<WordKey, V>;
-pub(crate) type WordSet = HashSet<WordKey, BuildHasherDefault<WordHasher>>;
-
-#[derive(Default)]
-pub(crate) struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(x.into());
-    }
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+pub(crate) type WordSet = HashSet<WordKey, BuildHasherDefault<FxHasher>>;
 
 /// Component-wise maximum of two vector clocks, into `into`.
 pub(crate) fn join(into: &mut [u64], from: &[u64]) {
@@ -59,12 +34,18 @@ pub(crate) fn join(into: &mut [u64], from: &[u64]) {
 /// across relations.
 pub(crate) struct ClockSet {
     n: usize,
+    /// A clock's length, `relations × n`.
+    width: usize,
     cur: Vec<Vec<u64>>,
     /// Producer clocks, taken *before* the producer's own tick: an access
-    /// after a release stays unordered with the next acquirer.
-    snap: FastMap<Pos, Vec<u64>>,
-    /// The join each barrier episode's participants leave with.
-    barrier: FastMap<u64, Vec<u64>>,
+    /// after a release stays unordered with the next acquirer. Each is
+    /// the slot of [`ClockSet::arena`] that holds it.
+    snap: FastMap<Pos, usize>,
+    /// The join each barrier episode's participants leave with, by slot.
+    barrier: FastMap<u64, usize>,
+    /// Every published clock, `relations × n` wide, back to back: one
+    /// buffer that doubles, not one allocation per producer.
+    arena: Vec<u64>,
     /// Events that joined at least one incoming clock.
     pub(crate) sync_edges: u64,
 }
@@ -78,7 +59,15 @@ impl ClockSet {
                 c
             })
             .collect();
-        ClockSet { n, cur, snap: FastMap::default(), barrier: FastMap::default(), sync_edges: 0 }
+        ClockSet {
+            n,
+            width: relations * n,
+            cur,
+            snap: FastMap::default(),
+            barrier: FastMap::default(),
+            arena: Vec::new(),
+            sync_edges: 0,
+        }
     }
 
     /// `rank`'s current clock in `relation`.
@@ -93,20 +82,22 @@ impl ClockSet {
 
     /// The strong clock `producer` published.
     pub(crate) fn published(&self, producer: Pos) -> &[u64] {
-        &self.snap[&producer][..self.n]
+        let at = self.snap[&producer];
+        &self.arena[at..at + self.n]
     }
 
     /// Join what `step` synchronises-with into its rank's clocks. The one
     /// hook: on a lock edge `weak_lock`, when given, replaces the release's
     /// published clock in every relation but the strong one.
     pub(crate) fn enter(&mut self, step: &Step<'_>, weak_lock: Option<&[u64]>) {
-        let n = self.n;
+        let (n, width) = (self.n, self.width);
         let cur = &mut self.cur[step.pos.rank as usize];
         match step.sync {
             SyncWith::None => return,
             SyncWith::After(producers) => {
                 for p in producers {
-                    let published = &self.snap[p];
+                    let at = self.snap[p];
+                    let published = &self.arena[at..at + width];
                     match weak_lock {
                         None => join(cur, published),
                         Some(weak) => {
@@ -120,13 +111,15 @@ impl ClockSet {
                 if first {
                     // Every participant is parked at its arrival: these
                     // are the pre-tick clocks they arrived with.
-                    let mut all = vec![0u64; cur.len()];
+                    let at = self.arena.len();
+                    self.arena.resize(at + width, 0);
                     for p in participants {
-                        join(&mut all, &self.cur[p.rank as usize]);
+                        join(&mut self.arena[at..], &self.cur[p.rank as usize]);
                     }
-                    self.barrier.insert(epoch, all);
+                    self.barrier.insert(epoch, at);
                 }
-                join(&mut self.cur[step.pos.rank as usize], &self.barrier[&epoch]);
+                let at = self.barrier[&epoch];
+                join(&mut self.cur[step.pos.rank as usize], &self.arena[at..at + width]);
             }
         }
         self.sync_edges += 1;
@@ -138,7 +131,8 @@ impl ClockSet {
         let r = step.pos.rank as usize;
         match step.ev.event {
             TraceEvent::LockRel { .. } | TraceEvent::MsgSend { .. } | TraceEvent::TdWave { .. } => {
-                self.snap.insert(step.pos, self.cur[r].clone());
+                self.snap.insert(step.pos, self.arena.len());
+                self.arena.extend_from_slice(&self.cur[r]);
             }
             TraceEvent::BarrierWait { .. } | TraceEvent::LockAcq { .. } => {}
             _ => return,
@@ -182,6 +176,9 @@ impl Access {
     /// The record of this access performed by the event at `at`, where
     /// the rank's own clock component reads `clock`.
     pub(crate) fn rec(&self, at: Pos, clock: u64) -> AccessRec {
+        // A rank's clock ticks at most once per event, and event indices
+        // are `u32` too.
+        let clock = u32::try_from(clock).expect("a rank's clock counts its events");
         AccessRec { rank: at.rank, ev_idx: at.idx, clock, write: self.write, atomic: self.atomic }
     }
 
@@ -204,16 +201,58 @@ pub(crate) struct AccessRec {
     pub(crate) rank: u32,
     /// Index of the access event in that rank's stream.
     pub(crate) ev_idx: u32,
-    /// The rank's own clock component at the access.
-    pub(crate) clock: u64,
+    /// The rank's own clock component at the access (16 bytes a record,
+    /// so a word's usual classes fit one cache line).
+    pub(crate) clock: u32,
     pub(crate) write: bool,
     pub(crate) atomic: bool,
 }
 
-#[derive(Default)]
-struct WordState {
-    writes: Vec<AccessRec>,
-    reads: Vec<AccessRec>,
+/// Classes a word holds inline; a word touched by more spills to the heap.
+const INLINE_CLASSES: usize = 3;
+
+/// The latest access of each `(rank, write, atomic)` class of one word, in
+/// the order the classes first touched it: inline while there are at most
+/// [`INLINE_CLASSES`], in a `Vec` beyond. A word's writes (and its reads)
+/// keep their relative order, so the frontier meets its priors in the
+/// order of one list per kind.
+enum WordState {
+    Inline { len: u8, recs: [AccessRec; INLINE_CLASSES] },
+    Spilled(Vec<AccessRec>),
+}
+
+impl WordState {
+    const EMPTY: WordState = {
+        let none = AccessRec { rank: 0, ev_idx: 0, clock: 0, write: false, atomic: false };
+        WordState::Inline { len: 0, recs: [none; INLINE_CLASSES] }
+    };
+
+    fn classes(&self) -> &[AccessRec] {
+        match self {
+            WordState::Inline { len, recs } => &recs[..*len as usize],
+            WordState::Spilled(recs) => recs,
+        }
+    }
+
+    /// `rec` becomes its class's latest access: the class at index `at`
+    /// of [`WordState::classes`], or a new one.
+    fn put(&mut self, at: Option<usize>, rec: AccessRec) {
+        match (self, at) {
+            (WordState::Inline { recs, .. }, Some(at)) => recs[at] = rec,
+            (WordState::Spilled(recs), Some(at)) => recs[at] = rec,
+            (WordState::Inline { len, recs }, None) if (*len as usize) < INLINE_CLASSES => {
+                recs[*len as usize] = rec;
+                *len += 1;
+            }
+            (state @ WordState::Inline { .. }, None) => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_CLASSES);
+                spilled.extend_from_slice(state.classes());
+                spilled.push(rec);
+                *state = WordState::Spilled(spilled);
+            }
+            (WordState::Spilled(recs), None) => recs.push(rec),
+        }
+    }
 }
 
 /// Words per frontier page.
@@ -232,9 +271,13 @@ struct Page {
 /// after all earlier ones of that class. Words live in 64-word pages
 /// keyed `(owner, seg, word / 64)`: an access pays one map lookup per page
 /// it touches, and memory grows with the pages touched, however sparse.
+/// The pages sit in one `Vec`, so neither a page nor a word allocates
+/// on its own — only a word of more than [`INLINE_CLASSES`] classes.
 #[derive(Default)]
 pub(crate) struct Frontier {
-    pages: FastMap<WordKey, Box<Page>>,
+    /// Page key → index into `pages`.
+    index: FastMap<WordKey, u32>,
+    pages: Vec<Page>,
     /// Distinct words touched.
     words: usize,
 }
@@ -249,25 +292,40 @@ impl Frontier {
         loop {
             let page_no = word / PAGE_WORDS;
             let last = hi.min(page_no * PAGE_WORDS + (PAGE_WORDS - 1));
-            let page = self.pages.entry((a.owner, a.seg, page_no)).or_insert_with(|| {
-                Box::new(Page { touched: 0, words: std::array::from_fn(|_| WordState::default()) })
+            let pages = &mut self.pages;
+            let at = *self.index.entry((a.owner, a.seg, page_no)).or_insert_with(|| {
+                let words = [const { WordState::EMPTY }; PAGE_WORDS as usize];
+                pages.push(Page { touched: 0, words });
+                (pages.len() - 1) as u32
             });
+            let page = &mut pages[at as usize];
             for w in word..=last {
                 let bit = 1u64 << (w % PAGE_WORDS);
                 self.words += usize::from(page.touched & bit == 0);
                 page.touched |= bit;
                 let st = &mut page.words[(w % PAGE_WORDS) as usize];
-                let reads = if rec.write { &st.reads[..] } else { &[] };
-                for prior in st.writes.iter().chain(reads) {
-                    if prior.rank != rec.rank && !(prior.atomic && rec.atomic) {
+                let races = |p: &AccessRec| {
+                    (p.write || rec.write) && p.rank != rec.rank && !(p.atomic && rec.atomic)
+                };
+                // One pass finds `rec`'s class and whether any prior races.
+                let classes = st.classes();
+                let (mut at, mut any) = (None, false);
+                for (i, p) in classes.iter().enumerate() {
+                    any |= races(p);
+                    if p.rank == rec.rank && p.write == rec.write && p.atomic == rec.atomic {
+                        at = Some(i);
+                    }
+                }
+                if any {
+                    // Writes first, then reads: each kind in the order its
+                    // classes first touched the word.
+                    let writes = classes.iter().filter(|p| p.write);
+                    let reads = classes.iter().filter(|p| !p.write);
+                    for prior in writes.chain(reads).filter(|p| races(p)) {
                         hit(w, prior);
                     }
                 }
-                let list = if rec.write { &mut st.writes } else { &mut st.reads };
-                match list.iter_mut().find(|p| p.rank == rec.rank && p.atomic == rec.atomic) {
-                    Some(slot) => *slot = rec,
-                    None => list.push(rec),
-                }
+                st.put(at, rec);
             }
             if last == hi {
                 return;
@@ -369,7 +427,7 @@ fn access_info(trace: &Trace, rec: AccessRec) -> AccessInfo {
     AccessInfo {
         rank: rec.rank,
         t_ns: ev.t_ns,
-        clock: rec.clock,
+        clock: rec.clock.into(),
         op,
         write: rec.write,
         atomic: rec.atomic,

@@ -156,7 +156,7 @@ pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
             let rec = a.rec(step.pos, clocks.own(rank));
             let now = clocks.rel(rank, 0);
             frontier.access(&a, rec, |word, prior| {
-                if prior.clock > now[prior.rank as usize] {
+                if u64::from(prior.clock) > now[prior.rank as usize] {
                     found.add(trace, (a.owner, a.seg, word), *prior, rec, || ());
                 }
             });
@@ -426,5 +426,34 @@ mod tests {
         ]);
         let r = check_trace(&t).unwrap();
         assert!(r.is_clean(), "{r}");
+    }
+
+    /// A word touched by more `(rank, write, atomic)` classes than a word
+    /// holds inline: ranks 0–7 each read words 0–1 of rank 8's segment
+    /// (rank 0 twice, so its class is replaced once the word has spilled),
+    /// then rank 8 writes them. Every read races with the write: eight
+    /// site pairs of two words each, in the order the readers first came,
+    /// rank 0's named by its later read.
+    #[test]
+    fn a_word_past_its_inline_classes_keeps_every_prior() {
+        let mut ranks: Vec<Vec<(u64, TraceEvent)>> =
+            (0..8).map(|r| vec![(10 + r, get(8, 0, 16))]).collect();
+        ranks[0].push((30, get(8, 0, 16)));
+        ranks.push(vec![(40, local(0, 16, true, false))]);
+        let r = check_trace(&trace_of(ranks)).unwrap();
+        assert_eq!(r.words, 2);
+        let pairs: Vec<_> = r
+            .races
+            .iter()
+            .map(|race| {
+                assert_eq!((race.owner, race.seg, race.word, race.word_hi), (8, 0, 0, 1), "{race}");
+                let second = (race.second.rank, &race.second.op[..], race.second.t_ns);
+                assert_eq!(second, (8, "local write", 40));
+                (race.first.rank, race.first.op.clone(), race.first.t_ns, race.word_count)
+            })
+            .collect();
+        let read_at = |k: u32| if k == 0 { 30 } else { 10 + u64::from(k) };
+        let want: Vec<_> = (0..8).map(|k| (k, "get".to_string(), read_at(k), 2)).collect();
+        assert_eq!(pairs, want, "{r}");
     }
 }

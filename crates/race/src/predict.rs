@@ -59,7 +59,7 @@ use scioto_sim::{Trace, TraceEvent};
 
 use crate::fold::{
     fmt_access_pair, join, scan_held, Access, ClockSet, FastMap, Frontier, Held, SitePairs,
-    WordKey, WordMap, WordSet,
+    WordKey, WordSet,
 };
 use crate::hb::AccessInfo;
 
@@ -193,36 +193,91 @@ impl fmt::Display for PredictReport {
     }
 }
 
-/// Per-critical-section footprint: word → wrote?
-type Footprint = WordMap<bool>;
+/// A critical section's footprint: the words accessed while it is held,
+/// each once, in word order, with a write flag.
+type Footprint = [(WordKey, bool)];
 
-/// Compute the footprint of every critical section `(lock, generation)`:
-/// the words accessed while the section is held, with a write flag. The
-/// same scan feeds every access to `protocols`.
-fn footprints(trace: &Trace, protocols: &mut Protocols) -> FastMap<(LockKey, u64), Footprint> {
-    let mut fp: FastMap<(LockKey, u64), Footprint> = FastMap::default();
-    for (rank, events) in trace.events.iter().enumerate() {
-        scan_held(events, |ev_idx, ev, held| {
-            let Some(a) = Access::of(rank as u32, &ev.event) else { return };
-            protocols.add(rank as u32, &a, held, ev_idx as u32);
-            for cs in held {
-                let section = fp.entry((cs.key, cs.seq)).or_default();
-                for word in a.words() {
-                    *section.entry(word).or_insert(false) |= a.write;
+/// Every critical section's footprint, in one buffer: section `s` is
+/// `words[starts[s]..starts[s + 1]]`.
+struct Footprints {
+    /// `(lock, generation)` → section number.
+    sections: FastMap<(LockKey, u64), usize>,
+    starts: Vec<usize>,
+    words: Vec<(WordKey, bool)>,
+}
+
+impl Footprints {
+    /// Compute the footprint of every critical section `(lock,
+    /// generation)`. The same scan feeds every access to `protocols`.
+    fn new(trace: &Trace, protocols: &mut Protocols) -> Self {
+        let mut sections: FastMap<(LockKey, u64), usize> = FastMap::default();
+        let mut touched: Vec<(usize, WordKey, bool)> = Vec::new();
+        for (rank, events) in trace.events.iter().enumerate() {
+            scan_held(events, |ev_idx, ev, held| {
+                let Some(a) = Access::of(rank as u32, &ev.event) else { return };
+                protocols.add(rank as u32, &a, held, ev_idx as u32);
+                for cs in held {
+                    let next = sections.len();
+                    let s = *sections.entry((cs.key, cs.seq)).or_insert(next);
+                    touched.extend(a.words().map(|word| (s, word, a.write)));
+                }
+            });
+        }
+        // Group the words by section (a counting sort: sections are
+        // numbered densely), then sort each section's few words and merge
+        // repeats.
+        let mut starts = vec![0usize; sections.len() + 1];
+        for &(s, ..) in &touched {
+            starts[s + 1] += 1;
+        }
+        for s in 0..sections.len() {
+            starts[s + 1] += starts[s];
+        }
+        let mut grouped = vec![((0, 0, 0), false); touched.len()];
+        let mut next = starts.clone();
+        for (s, word, write) in touched {
+            grouped[next[s]] = (word, write);
+            next[s] += 1;
+        }
+        let mut words: Vec<(WordKey, bool)> = Vec::with_capacity(grouped.len());
+        for s in 0..sections.len() {
+            let section = &mut grouped[starts[s]..starts[s + 1]];
+            section.sort_unstable_by_key(|&(word, _)| word);
+            starts[s] = words.len();
+            for &(word, write) in section.iter() {
+                match words[starts[s]..].last_mut() {
+                    Some((last, wrote)) if *last == word => *wrote |= write,
+                    _ => words.push((word, write)),
                 }
             }
-        });
+        }
+        starts[sections.len()] = words.len();
+        Footprints { sections, starts, words }
     }
-    fp
+
+    /// The footprint of section `gen` of `key` (empty if it touched
+    /// nothing, or never ran).
+    fn section(&self, key: LockKey, gen: u64) -> &Footprint {
+        match self.sections.get(&(key, gen)) {
+            Some(&s) => &self.words[self.starts[s]..self.starts[s + 1]],
+            None => &[],
+        }
+    }
 }
 
 /// Do two critical-section footprints conflict (common word, at least
-/// one side writing it)?
+/// one side writing it)? Both are in word order: one merge pass.
 fn conflicts(a: &Footprint, b: &Footprint) -> bool {
-    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small
-        .iter()
-        .any(|(w, wr_s)| big.get(w).is_some_and(|wr_b| *wr_s || *wr_b))
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while let (Some(&&(wa, wr_a)), Some(&&(wb, wr_b))) = (a.peek(), b.peek()) {
+        match wa.cmp(&wb) {
+            std::cmp::Ordering::Less => _ = a.next(),
+            std::cmp::Ordering::Greater => _ = b.next(),
+            std::cmp::Ordering::Equal if wr_a || wr_b => return true,
+            std::cmp::Ordering::Equal => _ = (a.next(), b.next()),
+        }
+    }
+    false
 }
 
 /// A release→acquire edge the weak relation dropped: critical sections
@@ -246,21 +301,24 @@ struct SkippedEdge {
 pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
     let n = trace.nranks();
     let mut protocols = Protocols::new(trace);
-    let fp = footprints(trace, &mut protocols);
-    let empty = Footprint::default();
-    let section = |key: LockKey, gen: u64| fp.get(&(key, gen)).unwrap_or(&empty);
+    let fp = Footprints::new(trace, &mut protocols);
+    let section = |key: LockKey, gen: u64| fp.section(key, gen);
 
     // Relation 0 is the observed happens-before (exactly the HB engine's
     // clock), relation 1 the sync-preserving weak order.
     let mut clocks = ClockSet::new(n, 2);
     // Weak conflict state per (lock, word): release clock of the last
-    // critical section that wrote the word, and the release clocks of
-    // reading sections since (the FastTrack read-set scheme lifted to
-    // critical-section granularity). Joining these at acquire time gives
+    // critical section that wrote the word, and the join of the release
+    // clocks of reading sections since (the FastTrack read-set scheme
+    // lifted to critical-section granularity; a join stands for the set,
+    // as the set is only ever joined). Joining these at acquire time gives
     // the rel→acq edges from every *conflicting* earlier section without
-    // an O(generations²) pairwise scan.
-    let mut last_writer: FastMap<(LockKey, WordKey), Vec<u64>> = FastMap::default();
-    let mut readers_since: FastMap<(LockKey, WordKey), Vec<Vec<u64>>> = FastMap::default();
+    // an O(generations²) pairwise scan. Both clocks of a key sit in one
+    // `2n`-wide slot of `conflict_clocks`, writer first; a zero clock is
+    // an absent one.
+    let mut conflict_slots: FastMap<(LockKey, WordKey), usize> = FastMap::default();
+    let mut conflict_clocks: Vec<u64> = Vec::new();
+    let mut weak_lock = vec![0u64; n];
 
     let mut skipped: Vec<SkippedEdge> = Vec::new();
     let mut frontier = Frontier::default();
@@ -280,27 +338,25 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
             }
             _ => None,
         };
-        let weak_lock = lock_edge.map(|(key, gen, _)| {
-            let mut vc = vec![0u64; n];
-            for (word, wrote) in section(key, gen) {
-                if let Some(writer) = last_writer.get(&(key, *word)) {
-                    join(&mut vc, writer);
-                }
-                if *wrote {
-                    for reader in readers_since.get(&(key, *word)).into_iter().flatten() {
-                        join(&mut vc, reader);
+        if let Some((key, gen, _)) = lock_edge {
+            weak_lock.fill(0);
+            for &(word, wrote) in section(key, gen) {
+                if let Some(&at) = conflict_slots.get(&(key, word)) {
+                    let (writer, readers) = conflict_clocks[at..at + 2 * n].split_at(n);
+                    join(&mut weak_lock, writer);
+                    if wrote {
+                        join(&mut weak_lock, readers);
                     }
                 }
             }
-            vc
-        });
-        clocks.enter(&step, weak_lock.as_deref());
+        }
+        clocks.enter(&step, lock_edge.map(|_| &weak_lock[..]));
 
         if let Some(a) = Access::of(rank, &step.ev.event) {
             let rec = a.rec(step.pos, clocks.own(rank));
             let (strong, weak) = (clocks.rel(rank, 0), clocks.rel(rank, 1));
             frontier.access(&a, rec, |word, prior| {
-                let ordered = |vc: &[u64]| prior.clock <= vc[prior.rank as usize];
+                let ordered = |vc: &[u64]| u64::from(prior.clock) <= vc[prior.rank as usize];
                 if ordered(weak) || !ordered(strong) {
                     // Ordered in every schedule we model, or already a plain
                     // HB race the observed-schedule checker reports.
@@ -314,7 +370,7 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
                 // collapsed, skip rather than misattribute.
                 let Some(edge) = skipped.iter().find(|e| {
                     strong[e.consumer as usize] >= e.cons_own
-                        && clocks.published(e.release)[prior.rank as usize] >= prior.clock
+                        && clocks.published(e.release)[prior.rank as usize] >= u64::from(prior.clock)
                 }) else {
                     return;
                 };
@@ -339,12 +395,17 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
             // footprint, from the pre-tick clock.
             let key = (target, set, idx);
             let weak = clocks.rel(rank, 1);
-            for (word, wrote) in section(key, seq) {
-                if *wrote {
-                    last_writer.insert((key, *word), weak.to_vec());
-                    readers_since.remove(&(key, *word));
+            for &(word, wrote) in section(key, seq) {
+                let at = *conflict_slots.entry((key, word)).or_insert_with(|| {
+                    conflict_clocks.resize(conflict_clocks.len() + 2 * n, 0);
+                    conflict_clocks.len() - 2 * n
+                });
+                let (writer, readers) = conflict_clocks[at..at + 2 * n].split_at_mut(n);
+                if wrote {
+                    writer.copy_from_slice(weak);
+                    readers.fill(0);
                 } else {
-                    readers_since.entry((key, *word)).or_default().push(weak.to_vec());
+                    join(readers, weak);
                 }
             }
         }
@@ -885,7 +946,7 @@ mod tests {
                 }
             }
         }
-        let mut accesses: WordMap<Vec<ProtoAccess>> = WordMap::default();
+        let mut accesses: FastMap<WordKey, Vec<ProtoAccess>> = FastMap::default();
         for (rank, events) in trace.events.iter().enumerate() {
             scan_held(events, |ev_idx, ev, held| {
                 let Some(a) = Access::of(rank as u32, &ev.event) else { return };

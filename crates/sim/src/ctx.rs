@@ -9,7 +9,7 @@ use scioto_det::Rng;
 use crate::config::{ExecMode, LatencyModel};
 use crate::kernel::Kernel;
 use crate::machine::{ReplicatedEntry, Shared};
-use crate::trace::TraceEvent;
+use crate::trace::{LocalRecord, TraceEvent};
 
 /// A CPU charge already scaled by one rank's speed factor, made by that
 /// rank's [`Ctx::cpu_cost`] and added by its [`Ctx::charge`]. A hot path
@@ -416,6 +416,21 @@ impl Ctx {
     #[inline]
     pub fn trace_instant(&self, make: impl FnOnce() -> TraceEvent) {
         self.kernel.emit_instant(self.rank, make);
+    }
+
+    /// Record the owner-side accesses of the fixed set `set` to segment
+    /// `seg`, and `one` (segment, access) if given, as order-only instants
+    /// ([`Ctx::trace_instant`]), one `LocalAccess` each, in one step: the
+    /// recorder merges a set it has seen since this rank's last flushing
+    /// event by its address alone.
+    #[inline]
+    pub fn trace_local_set(
+        &self,
+        seg: u32,
+        set: &'static [LocalRecord],
+        one: Option<(u32, LocalRecord)>,
+    ) {
+        self.kernel.emit_set_instant(self.rank, seg, set, one);
     }
 
     /// Record a gauge sample under `name`.

@@ -24,7 +24,7 @@ use scioto_det::sync::{CachePadded, Condvar, Mutex};
 use crate::config::{scale_ns, ExecMode, SpeedModel};
 use crate::fiber;
 use crate::report::EventCounters;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{LocalRecord, TraceEvent, TraceSink};
 
 /// Scheduling state of one rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,19 +170,40 @@ impl Kernel {
     #[inline]
     pub(crate) fn emit_instant(&self, rank: usize, make: impl FnOnce() -> TraceEvent) {
         if self.trace.is_enabled() {
-            let t = match self.mode {
-                ExecMode::VirtualTime => self.clocks[rank].load(Ordering::Relaxed),
-                ExecMode::Concurrent => {
-                    let c = self.stamp_cache[rank].load(Ordering::Relaxed);
-                    if c == 0 {
-                        // No read yet on this rank: pay one real query.
-                        self.now(rank)
-                    } else {
-                        c
-                    }
+            self.trace.emit(rank, self.instant_stamp(rank), make);
+        }
+    }
+
+    /// Record the fixed set of owner-side accesses `set` on segment `seg`,
+    /// and `one` if given, for `rank`, each an order-only instant stamped
+    /// as [`Kernel::emit_instant`] stamps one.
+    #[inline]
+    pub(crate) fn emit_set_instant(
+        &self,
+        rank: usize,
+        seg: u32,
+        set: &'static [LocalRecord],
+        one: Option<(u32, LocalRecord)>,
+    ) {
+        if self.trace.is_enabled() {
+            self.trace.emit_set(rank, self.instant_stamp(rank), seg, set, one);
+        }
+    }
+
+    /// An order-only instant's stamp for `rank`.
+    #[inline]
+    fn instant_stamp(&self, rank: usize) -> u64 {
+        match self.mode {
+            ExecMode::VirtualTime => self.clocks[rank].load(Ordering::Relaxed),
+            ExecMode::Concurrent => {
+                let c = self.stamp_cache[rank].load(Ordering::Relaxed);
+                if c == 0 {
+                    // No read yet on this rank: pay one real query.
+                    self.now(rank)
+                } else {
+                    c
                 }
-            };
-            self.trace.emit(rank, t, make);
+            }
         }
     }
 

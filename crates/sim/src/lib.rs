@@ -60,7 +60,7 @@ pub use mailbox::{MailboxRouter, Msg, MsgFilter};
 pub use replay::{run_replay, ReplayOp, ReplayProgram, ReplaySync};
 pub use report::{EventCounters, Report};
 pub use trace::{
-    coalesce, validate_json, Gauge, RemoteOpKind, StampedEvent, Trace, TraceConfig, TraceEvent,
-    TraceSink, WaveDir, MERGED_GAUGE,
+    coalesce, validate_json, Gauge, LocalRecord, RemoteOpKind, StampedEvent, Trace, TraceConfig,
+    TraceEvent, TraceSink, WaveDir, MERGED_GAUGE,
 };
 pub use vlock::VLock;

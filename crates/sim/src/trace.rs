@@ -284,12 +284,12 @@ pub enum TraceEvent {
     },
     /// An owner-side (local, non-ARMCI) access to global memory: the
     /// split-queue owner touching its own queue through its word view
-    /// (`Local::record` in `scioto-armci`). Target is the emitting rank
-    /// itself. The recorder keeps none of these as offered: each one it
-    /// keeps is a *window summary* — whole words `[offset, offset +
-    /// bytes)` of one `(seg, write, atomic)` class that the rank touched
-    /// since its previous flushing event (any kind but this one,
-    /// `TaskExecBegin`, `TaskExecEnd` and `QueueDepth`); see
+    /// (`Local::record` / `Local::record_set` in `scioto-armci`). Target
+    /// is the emitting rank itself. The recorder keeps none of these as
+    /// offered: each one it keeps is a *window summary* — whole words
+    /// `[offset, offset + bytes)` of one `(seg, write, atomic)` class that
+    /// the rank touched since its previous flushing event (any kind but
+    /// this one, `TaskExecBegin`, `TaskExecEnd` and `QueueDepth`); see
     /// [`coalesce`].
     LocalAccess {
         /// Global-memory segment id (`Gmem::id`).
@@ -488,7 +488,8 @@ impl Sink for &mut [u8] {
 /// Export text under construction: literal fragments and decimal integers
 /// appended straight to a [`Sink`], no `core::fmt` per event. Bytes rather
 /// than a `String` so digits append without a UTF-8 check per number;
-/// [`Text::finish`] validates the whole buffer once.
+/// [`Text::finish`] validates the whole buffer once (the JSONL writer
+/// validates each part on the thread that wrote it).
 struct Text<S>(S);
 
 impl<S: Sink> Text<S> {
@@ -595,6 +596,21 @@ pub struct StampedEvent {
 /// what the rank offered the recorder.
 pub const MERGED_GAUGE: &str = "trace_merged";
 
+/// One access of a fixed set an owner path offers the recorder in one
+/// step ([`TraceSink::emit_set`]): a `LocalAccess` record but its
+/// segment, which the offer names once for the whole set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LocalRecord {
+    /// Byte offset of the access within the rank's segment slice.
+    pub offset: u64,
+    /// Bytes touched.
+    pub bytes: u32,
+    /// Write (true) or read (false).
+    pub write: bool,
+    /// Single-word access the protocol declares atomic.
+    pub atomic: bool,
+}
+
 /// Whole words `lo..=hi` of one class, `seg << 2 | write << 1 | atomic`.
 #[derive(Clone, Copy, Debug)]
 struct WordSpan {
@@ -614,6 +630,9 @@ struct Window {
     records: u64,
     /// Stamp of the latest merged record.
     last_t: u64,
+    /// The fixed sets merged since the last flush, as `(seg, address,
+    /// length)`: a repeat offer's spans are in `spans` already.
+    sets: Vec<(u32, usize, usize)>,
 }
 
 impl Window {
@@ -627,6 +646,34 @@ impl Window {
         // reads its indices at every push, pop and release pre-check.
         if !self.spans.iter().any(|s| s.class == class && s.lo <= lo && hi <= s.hi) {
             self.merge(WordSpan { class, lo, hi });
+        }
+    }
+
+    /// Add every record of `set` on segment `seg`, then `one` if given,
+    /// all at `t_ns`. A set merged before in this window adds its record
+    /// count and moves the stamp, nothing else: its spans cover it
+    /// already, and the window only grows until a flush clears the memo
+    /// with the spans.
+    #[inline]
+    fn add_set(
+        &mut self,
+        t_ns: u64,
+        seg: u32,
+        set: &'static [LocalRecord],
+        one: Option<(u32, LocalRecord)>,
+    ) {
+        let key = (seg, set.as_ptr() as usize, set.len());
+        if self.sets.contains(&key) {
+            self.records += set.len() as u64;
+            self.last_t = t_ns;
+        } else if !set.is_empty() {
+            self.sets.push(key);
+            for r in set {
+                self.add(t_ns, seg, r.offset, r.bytes, r.write, r.atomic);
+            }
+        }
+        if let Some((seg, r)) = one {
+            self.add(t_ns, seg, r.offset, r.bytes, r.write, r.atomic);
         }
     }
 
@@ -716,6 +763,7 @@ impl RankRing {
             });
         }
         window.records = 0;
+        window.sets.clear();
         self.window = window;
     }
 
@@ -922,6 +970,26 @@ impl TraceSink {
         }
     }
 
+    /// Record the owner-side accesses of the fixed set `set` on segment
+    /// `seg`, and the access `one` on its own segment if given, for `rank`
+    /// at `t_ns`, as if each were a `LocalAccess` emitted at that stamp
+    /// (own-thread only, like [`TraceSink::emit`]). The recorder knows a
+    /// set by its address: a set it merged since the last flushing event
+    /// costs a count and a stamp.
+    #[inline]
+    pub fn emit_set(
+        &self,
+        rank: usize,
+        t_ns: u64,
+        seg: u32,
+        set: &'static [LocalRecord],
+        one: Option<(u32, LocalRecord)>,
+    ) {
+        if let TraceSink::Enabled(b) = self {
+            b.rings[rank].with_mut(|r| r.window.add_set(t_ns, seg, set, one));
+        }
+    }
+
     /// Record a gauge sample for `rank` under `name` (own-thread only,
     /// like [`TraceSink::emit`]).
     #[inline]
@@ -1085,7 +1153,9 @@ impl Trace {
 
     /// [`Trace::to_jsonl`] in `parts` (at least one) ranges of equal event
     /// count: each range is sized by a length pass through the same writer,
-    /// then written into its own slice of one buffer, on a thread of its own.
+    /// then written into its own slice of one buffer and checked to be
+    /// UTF-8, on a thread of its own.
+    #[allow(unsafe_code)]
     pub(crate) fn to_jsonl_in(&self, parts: usize) -> String {
         let (n, parts) = (self.total_events(), parts.max(1));
         let ranges = (0..parts).map(|p| n * p / parts..n * (p + 1) / parts);
@@ -1098,11 +1168,14 @@ impl Trace {
         let mut rest = &mut text[..];
         let slices = lens.iter().map(|&len| rest.split_off_mut(..len).expect("the parts' sum"));
         in_parts(slices.zip(ranges).enumerate(), |(p, (slice, events))| {
-            let mut out = Text(slice);
+            let mut out = Text(&mut slice[..]);
             self.write_jsonl_part(&mut out, p == 0, events);
             assert!(out.0.is_empty(), "the length pass sized part {p} exactly");
+            std::str::from_utf8(slice).expect("str fragments and ASCII digits");
         });
-        Text(text).finish()
+        // SAFETY: every part of `text` was just checked to be UTF-8, and
+        // UTF-8 strings back to back are UTF-8.
+        unsafe { String::from_utf8_unchecked(text) }
     }
 
     /// The lines of the rank-major events at `events`, after the header and
@@ -1519,6 +1592,118 @@ mod tests {
         assert!(t.to_jsonl().starts_with("{\"meta\":\"scioto-trace\",\"version\":4,"));
     }
 
+    /// Owner-op sets as the split queue offers them: a five-record meta
+    /// set, the index read on its own, and a prefix of the first (same
+    /// address, another length).
+    static OWNER_OP: [LocalRecord; 5] = [
+        LocalRecord { offset: 0, bytes: 16, write: false, atomic: false },
+        LocalRecord { offset: 16, bytes: 8, write: false, atomic: true },
+        LocalRecord { offset: 0, bytes: 8, write: true, atomic: true },
+        LocalRecord { offset: 0, bytes: 16, write: false, atomic: false },
+        LocalRecord { offset: 16, bytes: 8, write: false, atomic: true },
+    ];
+    static INDEX_READ: [LocalRecord; 2] = [
+        LocalRecord { offset: 0, bytes: 16, write: false, atomic: false },
+        LocalRecord { offset: 16, bytes: 8, write: false, atomic: true },
+    ];
+
+    /// One step of an owner's stream: a fixed set on a segment, with a
+    /// slot access or without, or one event.
+    #[derive(Clone, Copy)]
+    enum Offer {
+        Set(u32, &'static [LocalRecord], Option<(u32, LocalRecord)>),
+        One(TraceEvent),
+    }
+
+    /// A seeded stream of owner ops on one rank: fixed sets on two
+    /// segments, with a slot access on a third or without, slot records on
+    /// their own, task boundaries and depth samples (which keep a window
+    /// open) and flushing events, at non-decreasing stamps.
+    /// It opens with the three shapes the recorder must get right: a
+    /// flushing event between two ops, two different sets in one window,
+    /// and a set offered again after a flush.
+    fn owner_stream(seed: u64) -> Vec<(u64, Offer)> {
+        let mut x = seed;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let sets: [&'static [LocalRecord]; 3] = [&OWNER_OP, &INDEX_READ, &OWNER_OP[..2]];
+        let block = Offer::One(TraceEvent::Block);
+        let slot = |i: u64, write| LocalRecord { offset: 64 * i, bytes: 64, write, atomic: false };
+        let lone_slot = |i: u64, write| Offer::One(local(0, 2, 64 * i, 64, write, false).event);
+        let mut out = vec![
+            (1, Offer::Set(0, &OWNER_OP, Some((2, slot(0, true))))),
+            (1, lone_slot(1, true)),
+            (2, block),
+            (3, Offer::Set(0, &OWNER_OP, None)),
+            (4, Offer::Set(0, &INDEX_READ, None)),
+            (5, Offer::Set(0, &OWNER_OP, Some((2, slot(1, false))))),
+            (6, Offer::One(TraceEvent::TaskExecBegin { callback: 0, creator: 0 })),
+            (7, Offer::Set(0, &OWNER_OP, None)),
+            (8, block),
+            (9, Offer::Set(0, &OWNER_OP, Some((2, slot(1, true))))),
+        ];
+        let mut t = 9;
+        for _ in 0..400 {
+            t += next(3);
+            let offer = match next(10) {
+                0..=4 => {
+                    let one = (next(2) == 0).then(|| (2, slot(next(4), next(2) == 0)));
+                    Offer::Set(next(2) as u32, sets[next(3) as usize], one)
+                }
+                5 => lone_slot(next(4), next(2) == 0),
+                6 => Offer::One(TraceEvent::TaskExecEnd { callback: 0 }),
+                7 => Offer::One(TraceEvent::QueueDepth { local: 1, shared: 0 }),
+                8 => block,
+                _ => Offer::One(TraceEvent::LockAcq { target: 0, set: 0, idx: 0, seq: t }),
+            };
+            out.push((t, offer));
+        }
+        out
+    }
+
+    /// `offer` as the events it stands for, one record at a time.
+    fn one_by_one(t_ns: u64, offer: Offer) -> Vec<StampedEvent> {
+        match offer {
+            Offer::Set(seg, set, one) => set
+                .iter()
+                .map(|&r| (seg, r))
+                .chain(one)
+                .map(|(seg, r)| local(t_ns, seg, r.offset, r.bytes, r.write, r.atomic))
+                .collect(),
+            Offer::One(event) => vec![at(t_ns, event)],
+        }
+    }
+
+    #[test]
+    fn fixed_set_offers_record_what_their_records_one_by_one_do() {
+        for seed in 0..16 {
+            let stream = owner_stream(seed);
+            let raw: Vec<StampedEvent> = stream.iter().flat_map(|&(t, offer)| one_by_one(t, offer)).collect();
+            for cap in [1 << 12, 7, 0] {
+                let [sets, records] = [true, false].map(|as_sets| {
+                    let sink = TraceSink::new(&TraceConfig::enabled().with_capacity(cap), 1);
+                    for &(t_ns, offer) in &stream {
+                        match offer {
+                            Offer::Set(seg, set, one) if as_sets => sink.emit_set(0, t_ns, seg, set, one),
+                            _ => one_by_one(t_ns, offer).into_iter().for_each(|e| sink.emit(0, e.t_ns, || e.event)),
+                        }
+                    }
+                    sink.finish().expect("enabled")
+                });
+                assert_eq!(sets, records, "seed {seed}, capacity {cap}");
+                let merged = sets.gauges[0].get(MERGED_GAUGE).copied().unwrap_or_default();
+                if cap == 1 << 12 {
+                    let (coalesced, absorbed) = coalesce(&raw);
+                    assert_eq!(sets.events[0], coalesced, "seed {seed}");
+                    assert_eq!(merged.sum, absorbed, "seed {seed}");
+                    assert!(absorbed > raw.len() as u64 / 3, "seed {seed}: the stream repeats its sets");
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_capacity_ring_drops_everything() {
         let mut r = RankRing::with_capacity(0);
@@ -1613,6 +1798,25 @@ mod tests {
                 assert_eq!(t.to_jsonl_in(parts), whole, "{parts} parts, {} ranks", t.nranks());
             }
             assert_eq!(t.to_jsonl(), whole);
+        }
+    }
+
+    #[test]
+    fn a_non_ascii_gauge_name_reads_back_at_every_part_count() {
+        let sink = TraceSink::new(&TraceConfig::enabled(), 2);
+        for t in 0..40u64 {
+            sink.emit((t % 2) as usize, t, || TraceEvent::MsgSend { dst: 0, bytes: 8, seq: t });
+        }
+        let name = "tâche_über_队列";
+        sink.gauge(1, name, 7);
+        let t = sink.finish().unwrap();
+        let whole = t.to_jsonl_in(1);
+        for parts in 1..=8 {
+            let text = t.to_jsonl_in(parts);
+            assert_eq!(text, whole, "{parts} parts");
+            let gauge = text.lines().find(|l| l.starts_with("{\"gauge\"")).expect("a gauge line");
+            validate_json(gauge).expect("the gauge line parses");
+            assert_eq!(gauge.split('"').nth(3), Some(name), "{parts} parts");
         }
     }
 

@@ -464,7 +464,9 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # over ~808k events (~820k before the idle loop stopped re-recording its
 # index reads on nap ticks; free-running threads nap little), budget 75;
 # with coalescing it keeps ~146k of ~808k offered events and measures
-# 15-16 ns per offered event on a quiet 2-vCPU host, budget 50;
+# 15-16 ns per offered event on a quiet 2-vCPU host, budget 50; with each
+# owner queue op offered in one recorder step, 10-13 ns (the parent
+# 14-21 in the same spell), budget 42 (the same 3.2x headroom);
 # SCF is a ~3 ms run recording ~12k events (4.2-4.5 ms before the four
 # threads shared one ERI block store), so +-0.5 ms of wall noise is
 # +-40 ns/event: five runs measured 29-45 ns/event (14-116 before),
@@ -478,7 +480,7 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # most of it before a thief lands a steal (rings grow on demand).
 conc_t0=$(date +%s)
 scioto concurrent_obs \
-    --ranks 4 --reps 5 --max-event-ns 50 --seed 42 --tree small \
+    --ranks 4 --reps 5 --max-event-ns 42 --seed 42 --tree small \
     --trace-ring 1048576 \
     --trace-out "$work/conc.jsonl" \
     --chrome-out "$work/conc_chrome.json" \
