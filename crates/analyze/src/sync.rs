@@ -49,9 +49,9 @@ pub type LockKey = (u32, u32, u32);
 /// A termination-detection wave event: `(emitting rank, direction, wave)`.
 pub type WaveKey = (u32, WaveDir, u32);
 
-/// A map keyed by small integers from our own traces: words, lock
-/// generations, stream positions, barrier epochs. The replays look one up
-/// per sync event and the race folds one per word per access, so the
+/// A map keyed by small integers from our own traces: words, segments,
+/// lock generations, stream positions, barrier epochs. The replays look
+/// one up per sync event and the race folds one per access, so the
 /// default SipHash's flood resistance buys nothing and costs a third of a
 /// race pass: these maps mix with the Fx multiply instead (and, unseeded,
 /// iterate in the same order every run).
@@ -140,6 +140,14 @@ impl fmt::Display for SyncError {
 
 impl std::error::Error for SyncError {}
 
+/// A key that many events share: the occurrences of one TD wave, the
+/// participants of one barrier epoch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum GroupKey {
+    Wave(WaveKey),
+    Barrier(u64),
+}
+
 /// Where every sync producer of a trace sits. Keys are unique in a
 /// well-formed trace; on a duplicate the later event (rank-major) wins.
 #[derive(Debug, Default)]
@@ -148,10 +156,11 @@ pub struct SyncIndex {
     pub lock_rel: FastMap<(LockKey, u64), Pos>,
     /// The `MsgSend` of each `(destination, per-destination seq)`.
     pub msg_send: FastMap<(u32, u64), Pos>,
-    /// Every emission of each wave key, in stream order.
-    pub waves: FastMap<WaveKey, Vec<Pos>>,
-    /// The `BarrierWait`s of each epoch, rank-major.
-    pub barriers: FastMap<u64, Vec<Pos>>,
+    /// Every TD wave emission and barrier arrival, flat: `keys[i]` is the
+    /// key of the event at `pos[i]`. In record order (rank-major) until
+    /// [`SyncIndex::build`] groups them by key, each group in that order.
+    keys: Vec<GroupKey>,
+    pos: Vec<Pos>,
 }
 
 impl SyncIndex {
@@ -162,6 +171,9 @@ impl SyncIndex {
                 ix.record(Pos { rank: rank as u32, idx: idx as u32 }, &e.event);
             }
         }
+        let mut grouped: Vec<(GroupKey, Pos)> = ix.keys.drain(..).zip(ix.pos.drain(..)).collect();
+        grouped.sort_by_key(|&(key, _)| key);
+        (ix.keys, ix.pos) = grouped.into_iter().unzip();
         ix
     }
 
@@ -178,14 +190,24 @@ impl SyncIndex {
                 return self.msg_send.insert((dst, seq), pos).is_some();
             }
             TraceEvent::TdWave { wave, dir, .. } => {
-                self.waves.entry((pos.rank, dir, wave)).or_default().push(pos);
+                self.keys.push(GroupKey::Wave((pos.rank, dir, wave)));
+                self.pos.push(pos);
             }
             TraceEvent::BarrierWait { epoch, .. } => {
-                self.barriers.entry(epoch).or_default().push(pos);
+                self.keys.push(GroupKey::Barrier(epoch));
+                self.pos.push(pos);
             }
             _ => {}
         }
         false
+    }
+
+    /// The events of `key`, in stream order, rank-major (of an index
+    /// [`SyncIndex::build`] made).
+    fn group(&self, key: GroupKey) -> &[Pos] {
+        let from = self.keys.partition_point(|&k| k < key);
+        let len = self.keys[from..].partition_point(|&k| k == key);
+        &self.pos[from..from + len]
     }
 }
 
@@ -262,9 +284,10 @@ pub fn walk(trace: &Trace, mut fold: impl FnMut(Step<'_>)) -> Result<(), SyncErr
                             let key = (r as u32, (p as u32, dir, wave));
                             // A producer that never saw this wave (skipped
                             // episode) gives no edge.
-                            let Some(emitted) = index.waves.get(&key.1) else {
+                            let emitted = index.group(GroupKey::Wave(key.1));
+                            if emitted.is_empty() {
                                 continue;
-                            };
+                            }
                             let k = wave_consumed.get(&key).copied().unwrap_or(0);
                             let pos = emitted[k.min(emitted.len() - 1)];
                             if !yielded(pos) {
@@ -278,7 +301,7 @@ pub fn walk(trace: &Trace, mut fold: impl FnMut(Step<'_>)) -> Result<(), SyncErr
                         }
                     }
                     TraceEvent::BarrierWait { epoch, .. } => {
-                        let participants = &index.barriers[&epoch][..];
+                        let participants = index.group(GroupKey::Barrier(epoch));
                         // An episode is released once its count is full.
                         let count = arrived.entry(epoch).or_default();
                         let first = *count < participants.len();

@@ -192,8 +192,16 @@ impl<'a> Local<'a> {
         one: Option<(&Local<'_>, LocalRecord)>,
     ) {
         if self.traced {
-            self.ctx.trace_local_set(self.seg, set, one.map(|(view, r)| (view.seg, r)));
+            self.offer_set(set, one);
         }
+    }
+
+    /// [`Local::record_set`] once tracing is known to be on. Out of line,
+    /// so an untraced owner op pays the `traced` test alone, not a call
+    /// that saves registers before making it.
+    #[inline(never)]
+    fn offer_set(&self, set: &'static [LocalRecord], one: Option<(&Local<'_>, LocalRecord)>) {
+        self.ctx.trace_local_set(self.seg, set, one.map(|(view, r)| (view.seg, r)));
     }
 
     /// Load the word at `offset`.

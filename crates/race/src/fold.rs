@@ -1,13 +1,14 @@
 //! What the folds over [`scioto_analyze::sync::walk`] share: the vector
 //! clocks (one relation for [`crate::hb`], two in lockstep for
-//! [`crate::predict`]), the per-word access frontier, the site-pair
+//! [`crate::predict`]), the access frontier of word runs, the site-pair
 //! dedup of findings, their attribution and text form — and, for the
 //! clock-free passes, the held-lock scan over one rank's stream.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::hash::BuildHasherDefault;
+use std::ops::RangeInclusive;
 
 pub(crate) use scioto_analyze::sync::FastMap;
 use scioto_analyze::sync::{word_range, FxHasher, LockKey, Pos, Step, SyncWith};
@@ -202,146 +203,234 @@ pub(crate) struct AccessRec {
     /// Index of the access event in that rank's stream.
     pub(crate) ev_idx: u32,
     /// The rank's own clock component at the access (16 bytes a record,
-    /// so a word's usual classes fit one cache line).
+    /// so a run's usual classes fit one cache line).
     pub(crate) clock: u32,
     pub(crate) write: bool,
     pub(crate) atomic: bool,
 }
 
-/// Classes a word holds inline; a word touched by more spills to the heap.
+/// Classes a run holds inline; a run touched by more spills to the heap.
 const INLINE_CLASSES: usize = 3;
 
-/// The latest access of each `(rank, write, atomic)` class of one word, in
-/// the order the classes first touched it: inline while there are at most
-/// [`INLINE_CLASSES`], in a `Vec` beyond. A word's writes (and its reads)
-/// keep their relative order, so the frontier meets its priors in the
-/// order of one list per kind.
-enum WordState {
-    Inline { len: u8, recs: [AccessRec; INLINE_CLASSES] },
-    Spilled(Vec<AccessRec>),
+/// A class's kind, `2 × write + atomic`; a set of kinds is a 4-bit mask.
+fn kind(write: bool, atomic: bool) -> usize {
+    2 * usize::from(write) + usize::from(atomic)
 }
 
-impl WordState {
-    const EMPTY: WordState = {
+const READS: u8 = 0b0011;
+const WRITES: u8 = 0b1100;
+const PLAIN: u8 = 0b0101;
+
+/// For 64 consecutive classes of a list, one mask per kind: bit `i` of
+/// mask `k` is set when the block's class `i` is of kind `k`.
+type KindMasks = [u64; 4];
+
+/// The latest access of each `(rank, write, atomic)` class of one run of
+/// words, in the order the classes first touched it: inline while there
+/// are at most [`INLINE_CLASSES`], beyond that in a `Vec` with a mask per
+/// kind, so a visit reads only the classes of the kinds it can race with
+/// or belongs to. A word that every thief reads and publishes holds
+/// dozens of classes, and an atomic access races none of the atomic ones.
+#[derive(Clone)]
+enum ClassList {
+    Inline { len: u8, recs: [AccessRec; INLINE_CLASSES] },
+    Spilled { recs: Vec<AccessRec>, kinds: Vec<KindMasks> },
+}
+
+impl ClassList {
+    const EMPTY: ClassList = {
         let none = AccessRec { rank: 0, ev_idx: 0, clock: 0, write: false, atomic: false };
-        WordState::Inline { len: 0, recs: [none; INLINE_CLASSES] }
+        ClassList::Inline { len: 0, recs: [none; INLINE_CLASSES] }
     };
 
     fn classes(&self) -> &[AccessRec] {
         match self {
-            WordState::Inline { len, recs } => &recs[..*len as usize],
-            WordState::Spilled(recs) => recs,
+            ClassList::Inline { len, recs } => &recs[..*len as usize],
+            ClassList::Spilled { recs, .. } => recs,
         }
     }
 
+    /// Hand `f` each class of a kind in `kinds`, in first-touch order,
+    /// until it answers `true`; the index of that class. An inline list
+    /// is scanned whole; a spilled one reads only the classes its masks
+    /// select.
+    fn find_of(&self, kinds: u8, mut f: impl FnMut(&AccessRec) -> bool) -> Option<usize> {
+        if kinds == 0 {
+            return None;
+        }
+        let of_kind = |r: &AccessRec| kinds >> kind(r.write, r.atomic) & 1 == 1;
+        let (recs, masks) = match self {
+            ClassList::Inline { .. } => {
+                return self.classes().iter().position(|r| of_kind(r) && f(r));
+            }
+            ClassList::Spilled { recs, kinds } => (recs, kinds),
+        };
+        let select = |k: usize| 0u64.wrapping_sub(u64::from(kinds >> k & 1));
+        for (block, m) in masks.iter().enumerate() {
+            let mut bits = m[0] & select(0) | m[1] & select(1) | m[2] & select(2) | m[3] & select(3);
+            while bits != 0 {
+                let i = 64 * block + bits.trailing_zeros() as usize;
+                if f(&recs[i]) {
+                    return Some(i);
+                }
+                bits &= bits - 1;
+            }
+        }
+        None
+    }
+
+    /// Every prior that could race with `rec` — another rank, a write on
+    /// either side, not both atomic — goes to `hit`: writes first, then
+    /// reads, each kind in the order its classes first touched the run.
+    /// Then `rec` becomes its class's latest access.
+    fn visit(&mut self, rec: AccessRec, mut hit: impl FnMut(&AccessRec)) {
+        let racing = if rec.atomic { PLAIN } else { READS | WRITES };
+        let reads = if rec.write { READS } else { 0 };
+        for kinds in [racing & WRITES, racing & reads] {
+            self.find_of(kinds, |p| {
+                if p.rank != rec.rank {
+                    hit(p);
+                }
+                false
+            });
+        }
+        let at = self.find_of(1 << kind(rec.write, rec.atomic), |p| p.rank == rec.rank);
+        self.put(at, rec);
+    }
+
     /// `rec` becomes its class's latest access: the class at index `at`
-    /// of [`WordState::classes`], or a new one.
+    /// of [`ClassList::classes`], or a new one.
     fn put(&mut self, at: Option<usize>, rec: AccessRec) {
-        match (self, at) {
-            (WordState::Inline { recs, .. }, Some(at)) => recs[at] = rec,
-            (WordState::Spilled(recs), Some(at)) => recs[at] = rec,
-            (WordState::Inline { len, recs }, None) if (*len as usize) < INLINE_CLASSES => {
-                recs[*len as usize] = rec;
+        if let Some(at) = at {
+            match self {
+                ClassList::Inline { recs, .. } => recs[at] = rec,
+                ClassList::Spilled { recs, .. } => recs[at] = rec,
+            }
+            return;
+        }
+        let k = kind(rec.write, rec.atomic);
+        if let ClassList::Inline { len, recs } = self {
+            let n = usize::from(*len);
+            if n < INLINE_CLASSES {
+                recs[n] = rec;
                 *len += 1;
+                return;
             }
-            (state @ WordState::Inline { .. }, None) => {
-                let mut spilled = Vec::with_capacity(2 * INLINE_CLASSES);
-                spilled.extend_from_slice(state.classes());
-                spilled.push(rec);
-                *state = WordState::Spilled(spilled);
+            let mut masks = [0; 4];
+            for (i, r) in recs.iter().enumerate() {
+                masks[kind(r.write, r.atomic)] |= 1 << i;
             }
-            (WordState::Spilled(recs), None) => recs.push(rec),
+            let mut spilled = Vec::with_capacity(2 * INLINE_CLASSES);
+            spilled.extend_from_slice(recs);
+            *self = ClassList::Spilled { recs: spilled, kinds: vec![masks] };
+        }
+        if let ClassList::Spilled { recs, kinds } = self {
+            let n = recs.len();
+            if n % 64 == 0 {
+                kinds.push([0; 4]);
+            }
+            kinds[n / 64][k] |= 1 << (n % 64);
+            recs.push(rec);
         }
     }
 }
 
-/// Words per frontier page.
-const PAGE_WORDS: u64 = 64;
-
-/// The frontier of 64 consecutive words of one `(owner, seg)`.
-struct Page {
-    /// Bit `i` is set once word `i` of the page saw an access.
-    touched: u64,
-    words: [WordState; PAGE_WORDS as usize],
+/// Words `lo..=hi` of one `(owner, seg)`, all holding one class list.
+#[derive(Clone)]
+struct Run {
+    lo: u64,
+    hi: u64,
+    list: ClassList,
 }
 
 /// Per word, the most recent write and read of each `(rank, atomic)`
 /// class. Keeping the per-class latest access is sound: a new access
 /// ordered after a rank's latest plain (resp. atomic) access is ordered
-/// after all earlier ones of that class. Words live in 64-word pages
-/// keyed `(owner, seg, word / 64)`: an access pays one map lookup per page
-/// it touches, and memory grows with the pages touched, however sparse.
-/// The pages sit in one `Vec`, so neither a page nor a word allocates
-/// on its own — only a word of more than [`INLINE_CLASSES`] classes.
+/// after all earlier ones of that class. Words that hold one class list
+/// share it as a run (adaptive granularity, as in RaceTrack): each
+/// `(owner, seg)` keeps sorted, disjoint runs of the words it saw, and no
+/// two touching runs hold equal lists. An access splits runs only at its
+/// own two ends, visits each run it covers once, and merges a run with a
+/// neighbour whose list has become equal. Each segment's runs sit in one
+/// `Vec`, so neither a run nor a word allocates on its own — only a run
+/// of more than [`INLINE_CLASSES`] classes.
 #[derive(Default)]
 pub(crate) struct Frontier {
-    /// Page key → index into `pages`.
-    index: FastMap<WordKey, u32>,
-    pages: Vec<Page>,
+    /// The runs of each `(owner, seg)`.
+    segs: FastMap<(u32, u32), Vec<Run>>,
     /// Distinct words touched.
     words: usize,
 }
 
-impl Frontier {
+/// What a race fold needs of its frontier: the run frontier here, or the
+/// per-word oracle the tests hold it to.
+pub(crate) trait AccessFrontier: Default {
     /// Record access `a` performed at `rec`. Every frontier access it
     /// could race with — same word, another rank, a write on either side,
-    /// not both atomic — goes to `hit` with the word, to be judged against
-    /// the caller's clocks.
-    pub(crate) fn access(&mut self, a: &Access, rec: AccessRec, mut hit: impl FnMut(u64, &AccessRec)) {
-        let (mut word, hi) = a.word_span();
+    /// not both atomic — goes to `hit` with the word range `lo..=hi` it
+    /// holds for, to be judged once against the caller's clocks. Ranges
+    /// ascend; within one, writes come first, then reads.
+    fn access(&mut self, a: &Access, rec: AccessRec, hit: impl FnMut(u64, u64, &AccessRec));
+
+    /// Distinct words that saw at least one access.
+    fn words(&self) -> usize;
+}
+
+impl AccessFrontier for Frontier {
+    fn access(&mut self, a: &Access, rec: AccessRec, mut hit: impl FnMut(u64, u64, &AccessRec)) {
+        let (lo, hi) = a.word_span();
+        let runs = self.segs.entry((a.owner, a.seg)).or_default();
+        // The first run that ends at or after `lo`.
+        let mut i = runs.partition_point(|r| r.hi < lo);
+        let mut word = lo;
         loop {
-            let page_no = word / PAGE_WORDS;
-            let last = hi.min(page_no * PAGE_WORDS + (PAGE_WORDS - 1));
-            let pages = &mut self.pages;
-            let at = *self.index.entry((a.owner, a.seg, page_no)).or_insert_with(|| {
-                let words = [const { WordState::EMPTY }; PAGE_WORDS as usize];
-                pages.push(Page { touched: 0, words });
-                (pages.len() - 1) as u32
-            });
-            let page = &mut pages[at as usize];
-            for w in word..=last {
-                let bit = 1u64 << (w % PAGE_WORDS);
-                self.words += usize::from(page.touched & bit == 0);
-                page.touched |= bit;
-                let st = &mut page.words[(w % PAGE_WORDS) as usize];
-                let races = |p: &AccessRec| {
-                    (p.write || rec.write) && p.rank != rec.rank && !(p.atomic && rec.atomic)
-                };
-                // One pass finds `rec`'s class and whether any prior races.
-                let classes = st.classes();
-                let (mut at, mut any) = (None, false);
-                for (i, p) in classes.iter().enumerate() {
-                    any |= races(p);
-                    if p.rank == rec.rank && p.write == rec.write && p.atomic == rec.atomic {
-                        at = Some(i);
-                    }
+            // Make run `i` start at `word`: split the run that straddles
+            // `lo`, or fill the gap before the next run with a new one.
+            match runs.get(i) {
+                Some(r) if r.lo < word => {
+                    let right = Run { lo: word, ..r.clone() };
+                    runs[i].hi = word - 1;
+                    i += 1;
+                    runs.insert(i, right);
                 }
-                if any {
-                    // Writes first, then reads: each kind in the order its
-                    // classes first touched the word.
-                    let writes = classes.iter().filter(|p| p.write);
-                    let reads = classes.iter().filter(|p| !p.write);
-                    for prior in writes.chain(reads).filter(|p| races(p)) {
-                        hit(w, prior);
-                    }
+                Some(r) if r.lo == word => {}
+                next => {
+                    let end = next.map_or(hi, |r| hi.min(r.lo - 1));
+                    self.words += (end - word + 1) as usize;
+                    runs.insert(i, Run { lo: word, hi: end, list: ClassList::EMPTY });
                 }
-                st.put(at, rec);
             }
-            if last == hi {
+            // ... and end by `hi`: split the run that straddles it.
+            if runs[i].hi > hi {
+                let right = Run { lo: hi + 1, ..runs[i].clone() };
+                runs[i].hi = hi;
+                runs.insert(i + 1, right);
+            }
+            let run = &mut runs[i];
+            let (run_lo, run_hi) = (run.lo, run.hi);
+            run.list.visit(rec, |prior| hit(run_lo, run_hi, prior));
+            // Every run the access visits now holds `rec` and no other run
+            // does, so only the run visited before this one can equal it.
+            if word > lo && runs[i - 1].list.classes() == runs[i].list.classes() {
+                runs[i - 1].hi = run_hi;
+                runs.remove(i);
+            } else {
+                i += 1;
+            }
+            if run_hi == hi {
                 return;
             }
-            word = last + 1;
+            word = run_hi + 1;
         }
     }
 
-    /// Distinct words that saw at least one access.
-    pub(crate) fn words(&self) -> usize {
+    fn words(&self) -> usize {
         self.words
     }
 }
 
 /// An access site: `(rank, operation, write, atomic)`.
-type Site = (u32, String, bool, bool);
+type Site = (u32, &'static str, bool, bool);
 
 /// Findings deduplicated by *access-site pair*: all hits between the
 /// same pair of sites on the same `(owner, seg)` collapse into one
@@ -350,35 +439,37 @@ type Site = (u32, String, bool, bool);
 /// order, i.e. walk order.
 pub(crate) struct SitePairs<X> {
     found: Vec<(Race, X, BTreeSet<u64>)>,
-    index: HashMap<(u32, u32, Site, Site), usize>,
+    index: FastMap<(u32, u32, Site, Site), usize>,
 }
 
 impl<X> SitePairs<X> {
     pub(crate) fn new() -> Self {
-        SitePairs { found: Vec::new(), index: HashMap::new() }
+        SitePairs { found: Vec::new(), index: FastMap::default() }
     }
 
+    /// `prior` and `rec` race on `words` of `(owner, seg)`.
     pub(crate) fn add(
         &mut self,
         trace: &Trace,
-        (owner, seg, word): WordKey,
+        (owner, seg): (u32, u32),
+        words: RangeInclusive<u64>,
         prior: AccessRec,
         rec: AccessRec,
         extra: impl FnOnce() -> X,
     ) {
-        let first = access_info(trace, prior);
-        let second = access_info(trace, rec);
-        let site = |a: &AccessInfo| (a.rank, a.op.clone(), a.write, a.atomic);
-        match self.index.entry((owner, seg, site(&first), site(&second))) {
-            Entry::Occupied(at) => {
-                self.found[*at.get()].2.insert(word);
-            }
+        let site = |r: AccessRec| (r.rank, op_name(trace, r), r.write, r.atomic);
+        let at = match self.index.entry((owner, seg, site(prior), site(rec))) {
+            Entry::Occupied(at) => *at.get(),
             Entry::Vacant(slot) => {
                 slot.insert(self.found.len());
-                let race = Race { owner, seg, word, word_hi: word, word_count: 1, first, second };
-                self.found.push((race, extra(), BTreeSet::from([word])));
+                let (first, second) = (access_info(trace, prior), access_info(trace, rec));
+                // `finish` fills in the words from the set.
+                let race = Race { owner, seg, word: 0, word_hi: 0, word_count: 0, first, second };
+                self.found.push((race, extra(), BTreeSet::new()));
+                self.found.len() - 1
             }
-        }
+        };
+        self.found[at].2.extend(words);
     }
 
     pub(crate) fn finish(self) -> impl Iterator<Item = (Race, X)> {
@@ -391,23 +482,24 @@ impl<X> SitePairs<X> {
     }
 }
 
+/// The operation of an access record's event, as reports name it.
+fn op_name(trace: &Trace, rec: AccessRec) -> &'static str {
+    match trace.events[rec.rank as usize][rec.ev_idx as usize].event {
+        TraceEvent::RemoteOp { kind: RemoteOpKind::Put, .. } => "put",
+        TraceEvent::RemoteOp { kind: RemoteOpKind::Get, .. } => "get",
+        TraceEvent::RemoteOp { kind: RemoteOpKind::Acc, .. } => "acc",
+        TraceEvent::RemoteOp { kind: RemoteOpKind::Rmw, .. } => "rmw",
+        TraceEvent::LocalAccess { write: true, .. } => "local write",
+        TraceEvent::LocalAccess { write: false, .. } => "local read",
+        _ => unreachable!("access records are made from memory access events only"),
+    }
+}
+
 /// Build the report-side attribution for one access record.
 fn access_info(trace: &Trace, rec: AccessRec) -> AccessInfo {
     let stream = &trace.events[rec.rank as usize];
     let ev = &stream[rec.ev_idx as usize];
-    let op = match &ev.event {
-        TraceEvent::RemoteOp { kind, .. } => match kind {
-            RemoteOpKind::Put => "put",
-            RemoteOpKind::Get => "get",
-            RemoteOpKind::Acc => "acc",
-            RemoteOpKind::Rmw => "rmw",
-        }
-        .to_string(),
-        TraceEvent::LocalAccess { write, .. } => {
-            format!("local {}", if *write { "write" } else { "read" })
-        }
-        other => format!("{other:?}"),
-    };
+    let op = op_name(trace, rec).to_string();
     let nearest_sync = stream[..rec.ev_idx as usize].iter().rev().find_map(|e| {
         let desc = match &e.event {
             TraceEvent::LockAcq { target, set, idx, seq } => {
@@ -488,5 +580,148 @@ pub(crate) fn scan_held(events: &[StampedEvent], mut visit: impl FnMut(usize, &S
             }
             _ => {}
         }
+    }
+}
+
+/// The per-word frontier the run frontier replaced, kept as its oracle:
+/// every word its own class list, in first-touch order, its priors met
+/// writes first, then reads.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct WordFrontier {
+    words: FastMap<WordKey, Vec<AccessRec>>,
+}
+
+#[cfg(test)]
+impl AccessFrontier for WordFrontier {
+    fn access(&mut self, a: &Access, rec: AccessRec, mut hit: impl FnMut(u64, u64, &AccessRec)) {
+        let races =
+            |p: &AccessRec| (p.write || rec.write) && p.rank != rec.rank && !(p.atomic && rec.atomic);
+        for key in a.words() {
+            let classes = self.words.entry(key).or_default();
+            let writes = classes.iter().filter(|p| p.write);
+            let reads = classes.iter().filter(|p| !p.write);
+            for prior in writes.chain(reads).filter(|p| races(p)) {
+                hit(key.2, key.2, prior);
+            }
+            let class = |p: &AccessRec| (p.rank, p.write, p.atomic) == (rec.rank, rec.write, rec.atomic);
+            match classes.iter_mut().find(|p| class(p)) {
+                Some(p) => *p = rec,
+                None => classes.push(rec),
+            }
+        }
+    }
+
+    fn words(&self) -> usize {
+        self.words.len()
+    }
+}
+
+/// The run frontier and the per-word oracle fed in lockstep: every access
+/// must give both the same hits, word by word in the oracle's order (a
+/// run's hit standing for each of its words), and the same word count,
+/// and leave its segment's runs sorted, disjoint and, where two touch,
+/// with different lists. It hands no hit on, so a checker driving it
+/// reports no race.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Lockstep {
+    runs: Frontier,
+    words: WordFrontier,
+}
+
+#[cfg(test)]
+impl AccessFrontier for Lockstep {
+    fn access(&mut self, a: &Access, rec: AccessRec, _: impl FnMut(u64, u64, &AccessRec)) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        self.runs.access(a, rec, |lo, hi, p| got.extend((lo..=hi).map(|w| (w, *p))));
+        self.words.access(a, rec, |w, _, p| want.push((w, *p)));
+        got.sort_by_key(|&(w, _)| w);
+        assert_eq!(got, want, "{rec:?}");
+        assert_eq!(self.runs.words(), self.words.words(), "{rec:?}");
+        for pair in self.runs.segs[&(a.owner, a.seg)].windows(2) {
+            let (left, right) = (&pair[0], &pair[1]);
+            assert!(left.hi < right.lo, "{rec:?}: runs out of order");
+            let equal = left.list.classes() == right.list.classes();
+            assert!(left.hi + 1 < right.lo || !equal, "{rec:?}: touching runs hold one list");
+        }
+    }
+
+    fn words(&self) -> usize {
+        self.runs.words()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `rank`'s access to words `lo..=hi` of owner 0's segment 0, as event
+    /// `ev` (its clock too).
+    fn access(rank: u32, ev: u32, words: (u64, u64), write: bool, atomic: bool) -> (Access, AccessRec) {
+        let (lo, hi) = words;
+        let bytes = u32::try_from(8 * (hi - lo + 1)).unwrap();
+        let a = Access { owner: 0, seg: 0, offset: 8 * lo, bytes, write, atomic, rmw: false };
+        (a, AccessRec { rank, ev_idx: ev, clock: ev, write, atomic })
+    }
+
+    /// Feed `accesses` to the run frontier and the per-word oracle in
+    /// lockstep; the runs left.
+    fn replay(accesses: &[(Access, AccessRec)]) -> Vec<(u64, u64)> {
+        let mut both = Lockstep::default();
+        for (a, rec) in accesses {
+            both.access(a, *rec, |_, _, _| {});
+        }
+        both.runs.segs[&(0, 0)].iter().map(|r| (r.lo, r.hi)).collect()
+    }
+
+    #[test]
+    fn an_access_inside_one_run_splits_it_at_its_two_ends() {
+        let runs = replay(&[access(0, 1, (0, 7), true, false), access(1, 1, (2, 4), false, false)]);
+        assert_eq!(runs, [(0, 1), (2, 4), (5, 7)]);
+    }
+
+    #[test]
+    fn an_access_straddling_two_runs_splits_each_once() {
+        let runs = replay(&[
+            access(0, 1, (0, 7), true, false),
+            access(1, 1, (2, 4), false, false),
+            access(2, 1, (4, 6), true, false),
+        ]);
+        assert_eq!(runs, [(0, 1), (2, 3), (4, 4), (5, 6), (7, 7)]);
+    }
+
+    #[test]
+    fn an_access_spanning_a_gap_fills_it_with_new_runs() {
+        let runs = replay(&[access(0, 1, (10, 11), false, false), access(1, 1, (8, 12), true, false)]);
+        assert_eq!(runs, [(8, 9), (10, 11), (12, 12)]);
+    }
+
+    #[test]
+    fn runs_whose_lists_become_equal_merge_again() {
+        let mut again = vec![access(0, 1, (0, 3), true, false), access(0, 2, (2, 3), true, false)];
+        assert_eq!(replay(&again), [(0, 1), (2, 3)]);
+        again.push(access(0, 3, (0, 5), true, false));
+        assert_eq!(replay(&again), [(0, 5)]);
+        // A neighbour the access did not visit keeps its own run.
+        again.push(access(1, 1, (6, 6), false, true));
+        again.push(access(2, 1, (5, 6), false, true));
+        assert_eq!(replay(&again), [(0, 4), (5, 5), (6, 6)]);
+    }
+
+    #[test]
+    fn a_run_past_64_classes_meets_every_prior_in_order() {
+        // 40 ranks read and write words 0..=1, plain and marked: 160
+        // classes, three blocks of kind masks. Then rank 0's accesses of
+        // every kind reach from word 1 into a word no one touched.
+        let kinds = [(false, false), (true, true), (false, true), (true, false)];
+        let mut accesses = Vec::new();
+        for rank in (1..=40).chain([0]) {
+            let words = if rank == 0 { (1, 2) } else { (0, 1) };
+            for (ev, (write, atomic)) in (1..).zip(kinds) {
+                accesses.push(access(rank, ev, words, write, atomic));
+            }
+        }
+        assert_eq!(replay(&accesses), [(0, 0), (1, 1), (2, 2)]);
     }
 }

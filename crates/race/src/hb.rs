@@ -35,7 +35,7 @@ use std::fmt;
 use scioto_analyze::sync::walk;
 use scioto_sim::Trace;
 
-use crate::fold::{fmt_access_pair, Access, ClockSet, Frontier, SitePairs};
+use crate::fold::{fmt_access_pair, Access, AccessFrontier, ClockSet, Frontier, SitePairs};
 
 /// One detected race: two conflicting accesses to the word range
 /// `word..=word_hi` (8-byte indices within segment `seg` owned by rank
@@ -144,8 +144,13 @@ impl fmt::Display for RaceReport {
 /// stream cannot be replayed faithfully — or when the replay deadlocks
 /// because a synchronization producer is missing.
 pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
+    check_with::<Frontier>(trace)
+}
+
+/// [`check_trace`], keeping the access frontier in an `F`.
+pub(crate) fn check_with<F: AccessFrontier>(trace: &Trace) -> Result<RaceReport, String> {
     let mut clocks = ClockSet::new(trace.nranks(), 1);
-    let mut frontier = Frontier::default();
+    let mut frontier = F::default();
     let mut found = SitePairs::new();
     let mut events = 0u64;
     walk(trace, |step| {
@@ -155,9 +160,9 @@ pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
         if let Some(a) = Access::of(rank, &step.ev.event) {
             let rec = a.rec(step.pos, clocks.own(rank));
             let now = clocks.rel(rank, 0);
-            frontier.access(&a, rec, |word, prior| {
+            frontier.access(&a, rec, |lo, hi, prior| {
                 if u64::from(prior.clock) > now[prior.rank as usize] {
-                    found.add(trace, (a.owner, a.seg, word), *prior, rec, || ());
+                    found.add(trace, (a.owner, a.seg), lo..=hi, *prior, rec, || ());
                 }
             });
         }

@@ -58,8 +58,8 @@ use scioto_analyze::sync::{walk, LockKey, Pos, SyncWith};
 use scioto_sim::{Trace, TraceEvent};
 
 use crate::fold::{
-    fmt_access_pair, join, scan_held, Access, ClockSet, FastMap, Frontier, Held, SitePairs,
-    WordKey, WordSet,
+    fmt_access_pair, join, scan_held, Access, AccessFrontier, ClockSet, FastMap, Frontier, Held,
+    SitePairs, WordKey, WordSet,
 };
 use crate::hb::AccessInfo;
 
@@ -299,6 +299,11 @@ struct SkippedEdge {
 /// traces as [`crate::hb::check_trace`] (dropped events, missing
 /// producers).
 pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
+    predict_with::<Frontier>(trace)
+}
+
+/// [`predict`], keeping the access frontier in an `F`.
+pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictReport, String> {
     let n = trace.nranks();
     let mut protocols = Protocols::new(trace);
     let fp = Footprints::new(trace, &mut protocols);
@@ -321,7 +326,7 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
     let mut weak_lock = vec![0u64; n];
 
     let mut skipped: Vec<SkippedEdge> = Vec::new();
-    let mut frontier = Frontier::default();
+    let mut frontier = F::default();
     let mut found: SitePairs<(LockKey, u64, String)> = SitePairs::new();
     let mut events = 0u64;
     let mut lock_edges = 0u64;
@@ -355,7 +360,7 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
         if let Some(a) = Access::of(rank, &step.ev.event) {
             let rec = a.rec(step.pos, clocks.own(rank));
             let (strong, weak) = (clocks.rel(rank, 0), clocks.rel(rank, 1));
-            frontier.access(&a, rec, |word, prior| {
+            frontier.access(&a, rec, |lo, hi, prior| {
                 let ordered = |vc: &[u64]| u64::from(prior.clock) <= vc[prior.rank as usize];
                 if ordered(weak) || !ordered(strong) {
                     // Ordered in every schedule we model, or already a plain
@@ -374,7 +379,7 @@ pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
                 }) else {
                     return;
                 };
-                found.add(trace, (a.owner, a.seg, word), *prior, rec, || {
+                found.add(trace, (a.owner, a.seg), lo..=hi, *prior, rec, || {
                     let (target, set, idx) = edge.lock;
                     let witness = format!(
                         "swap the non-conflicting critical sections on lock (target {target}, \

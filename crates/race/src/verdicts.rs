@@ -14,12 +14,18 @@
 //! the sync-edge, word, lock-edge and protocol-word counts, the violated
 //! protocol words with their writers and failed shapes, the deadlock
 //! cycles, and whether the trace lowers for replay.
+//!
+//! The same corpora hold the race checkers' run frontier to the per-word
+//! frontier it replaced ([`crate::fold::WordFrontier`]): there nothing may
+//! differ, down to each finding's first pair and word count.
 
 use scioto_analyze::lower;
 use scioto_sim::{coalesce, RemoteOpKind, StampedEvent, Trace, TraceEvent};
 
 use crate::fixtures::random_trace;
-use crate::hb::AccessInfo;
+use crate::fold::{Frontier, Lockstep, WordFrontier};
+use crate::hb::{check_with, AccessInfo};
+use crate::predict::predict_with;
 use crate::{check_deadlocks, check_trace, predict};
 
 /// `trace` with every rank's stream coalesced as the recorder does it.
@@ -324,8 +330,9 @@ fn exploded(trace: &Trace, seed: u64) -> Trace {
     out
 }
 
-#[test]
-fn coalescing_keeps_every_verdict_on_recorded_uts_runs() {
+/// The three recorded UTS runs of the `tiny` tree, the `k`-th set of
+/// machine seeds: 4 and 16 virtual-time ranks and 2 concurrent ones.
+fn recorded_uts_runs(k: u64) -> Vec<(&'static str, Trace)> {
     use scioto_sim::{Machine, MachineConfig, TraceConfig};
     use scioto_uts::presets::tiny;
     use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
@@ -334,10 +341,18 @@ fn coalescing_keeps_every_verdict_on_recorded_uts_runs() {
         ("16 virtual-time ranks", MachineConfig::virtual_time(16)),
         ("2 concurrent ranks", MachineConfig::concurrent(2)),
     ];
-    for (seed, (what, cfg)) in runs.into_iter().enumerate() {
-        let cfg = cfg.with_seed(0xC0A1 + seed as u64).with_trace(TraceConfig::enabled().with_capacity(1 << 22));
+    let runs = runs.into_iter().enumerate().map(|(i, (what, cfg))| {
+        let seed = 0xC0A1 + 3 * k + i as u64;
+        let cfg = cfg.with_seed(seed).with_trace(TraceConfig::enabled().with_capacity(1 << 22));
         let run = Machine::run(cfg, |ctx| run_scioto_uts(ctx, &SciotoUtsConfig::new(tiny())).0);
-        let recorded = run.report.trace.expect("tracing was enabled");
+        (what, run.report.trace.expect("tracing was enabled"))
+    });
+    runs.collect()
+}
+
+#[test]
+fn coalescing_keeps_every_verdict_on_recorded_uts_runs() {
+    for (seed, (what, recorded)) in recorded_uts_runs(0).into_iter().enumerate() {
         let raw = exploded(&recorded, seed as u64);
         assert!(raw.total_events() > recorded.total_events(), "{what}");
         // The recording is what its raw stream coalesces to, and judges alike.
@@ -346,4 +361,68 @@ fn coalescing_keeps_every_verdict_on_recorded_uts_runs() {
         assert!(v.contains("deadlock: ") && !v.contains("error"), "{what}: {v}");
         assert!(recorded.wall_clock || v.contains("lowers: true"), "{what}: {v}");
     }
+}
+
+/// The run frontier and the per-word one it replaced give `trace` the same
+/// reports, field for field: every finding with its first pair and word
+/// range and count, and the word, sync-edge and lock-edge counts.
+fn assert_reports_agree(trace: &Trace, what: &str) {
+    let runs = format!("{:?}", check_with::<Frontier>(trace));
+    assert_eq!(runs, format!("{:?}", check_with::<WordFrontier>(trace)), "{what}");
+    let runs = format!("{:?}", predict_with::<Frontier>(trace));
+    assert_eq!(runs, format!("{:?}", predict_with::<WordFrontier>(trace)), "{what}");
+}
+
+/// The two frontiers, driven in lockstep by the happens-before walk of
+/// `trace`, meet every access with the same priors: the hits both
+/// checkers' reports are made of, before any judgement.
+fn assert_hits_agree(trace: &Trace, what: &str) {
+    let walked = std::panic::catch_unwind(|| check_with::<Lockstep>(trace).map(|r| r.words));
+    assert!(walked.is_ok(), "{what}: the frontiers' hits differ");
+}
+
+/// `agree` on every corpus above, `scale` times over: seeded random
+/// traces, seeded programs, and recorded UTS runs both raw and coalesced;
+/// the seeds are dealt round-robin to one thread per core (at most four).
+fn frontiers_agree_on_every_corpus(scale: u64, agree: fn(&Trace, &str)) {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    std::thread::scope(|s| {
+        for first in 0..threads {
+            s.spawn(move || {
+                let seeds = |n: u64| (first as u64..n).step_by(threads);
+                for seed in seeds(2_000 * scale) {
+                    agree(&random_trace(seed), &format!("random trace {seed}"));
+                }
+                for seed in seeds(1_500 * scale) {
+                    agree(&random_program(seed), &format!("program {seed}"));
+                }
+                for k in seeds(scale) {
+                    for (i, (what, recorded)) in recorded_uts_runs(k).into_iter().enumerate() {
+                        let what = format!("{what} (seed set {k})");
+                        agree(&exploded(&recorded, 3 * k + i as u64), &format!("{what}, raw"));
+                        agree(&recorded, &what);
+                    }
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn the_run_frontier_reports_what_the_word_frontier_did() {
+    frontiers_agree_on_every_corpus(1, |trace, what| {
+        assert_hits_agree(trace, what);
+        assert_reports_agree(trace, what);
+    });
+}
+
+/// [`the_run_frontier_reports_what_the_word_frontier_did`] with twenty
+/// times the seeds; `scripts/verify.sh` runs it in its stress stage. It
+/// compares the hits, from which both reports follow (the test above
+/// holds them to that): twenty times the reports themselves, attribution
+/// and all, would take most of the stage's budget.
+#[test]
+#[ignore = "20x the oracle corpora; scripts/verify.sh runs it in release"]
+fn stress_the_run_frontier_reports_what_the_word_frontier_did() {
+    frontiers_agree_on_every_corpus(20, assert_hits_agree);
 }

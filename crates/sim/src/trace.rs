@@ -78,7 +78,7 @@ impl Default for TraceConfig {
 }
 
 /// Direction of a termination-detection wave event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WaveDir {
     /// Wave token propagating down the spanning tree.
     Down,

@@ -119,20 +119,24 @@ t0=$(now_ms)
 bounded 50 "tier-1 cargo test" cargo test -q --offline
 echo "ok: tier-1 tests ran in $(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s (budget: 50s)"
 
-stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds (release)"
+stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds; run frontier oracle (release)"
 # The `#[ignore]`d `stress_*` tests: the split queue's never-lose /
 # never-duplicate property with seven real thieves, the three store
 # properties the lock-free owner path rests on (ragged byte puts merge,
 # accumulate vs fetch-and-add, dirty marks vs the owner's swap), and no
 # premature termination under an eight-thread steal storm, each on 64
-# seeds. Built first, then each test runs as its own invocation of its
-# test executable so the per-test seconds are printed and the budget
-# times the runs alone: 19-20 s measured, of which the queue test (its
-# locked kind most of it) is 18 s, the storm 0.2 s and the three store
-# tests 0.4-0.6 s each. Budget 30 s for the total; a failure names the
-# slowest test. Each invocation also runs under a 50 s hang budget, about
-# 3x the slowest test (17 s measured on a 2-core x86_64 host).
-cargo test --offline --release -p scioto -p scioto-armci --tests --no-run 2> "$work/stress_build.txt" \
+# seeds; and the race checkers' run frontier against the per-word one,
+# hit for hit, on twenty times the tier-1 corpora (one thread per core).
+# Built first, then each test runs as its own invocation of its test
+# executable so the per-test seconds are printed and the budget times the
+# runs alone: 19-20 s measured before the oracle, of which the queue test
+# (its locked kind most of it) is 18 s, the storm 0.2 s and the three
+# store tests 0.4-0.6 s each; the oracle adds 1.5-1.7 s on 2 cores (24 s
+# in all with the queue test at 20 s). Budget 30 s for the
+# total; a failure names the slowest test. Each invocation also runs
+# under a 50 s hang budget, about 3x the slowest test (17 s measured on a
+# 2-core x86_64 host).
+cargo test --offline --release -p scioto -p scioto-armci -p scioto-race --tests --no-run 2> "$work/stress_build.txt" \
     || { cat "$work/stress_build.txt" >&2; exit 1; }
 stress_ms=0
 stress_slowest=""
@@ -153,7 +157,7 @@ for exe in $(sed -n 's/^ *Executable .*(\(.*\))$/\1/p' "$work/stress_build.txt")
     done
 done
 if [ -z "$stress_slowest" ]; then
-    echo "FAIL: no stress_ test found in the scioto / scioto-armci test executables" >&2
+    echo "FAIL: no stress_ test found in the scioto / scioto-armci / scioto-race test executables" >&2
     exit 1
 fi
 stress_total=$(awk -v ms="$stress_ms" 'BEGIN { printf "%.1f", ms / 1000 }')
