@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 
 use scioto_det::par::{in_parts, parts_for};
+use scioto_det::runs::word_range;
 use scioto_sim::{Gauge, RemoteOpKind, StampedEvent, Trace, TraceEvent, WaveDir};
 
 /// Newest `"version"` this reader understands (what `to_jsonl` writes).
@@ -135,6 +136,14 @@ impl<'a> Line<'a> {
     #[inline]
     fn n32(&self, slot: usize) -> Option<u32> {
         u32::try_from(self.num(slot)?).ok()
+    }
+
+    /// An access's offset: one whose last byte lies past `u64::MAX` is
+    /// malformed, not wrapped.
+    #[inline]
+    fn offset(&self) -> Option<u64> {
+        let offset = self.num(OFF)?;
+        word_range(offset, self.n32(BYTES)?).map(|_| offset)
     }
 
     #[inline]
@@ -509,13 +518,13 @@ fn event_from(name: &str, f: &Line) -> Option<TraceEvent> {
             },
             target: f.n32(TARGET)?,
             seg: f.n32(SEG)?,
-            offset: f.num(OFF)?,
+            offset: f.offset()?,
             bytes: f.n32(BYTES)?,
             atomic: f.bool(ATOMIC)?,
         },
         "LocalAccess" => TraceEvent::LocalAccess {
             seg: f.n32(SEG)?,
-            offset: f.num(OFF)?,
+            offset: f.offset()?,
             bytes: f.n32(BYTES)?,
             write: f.bool(WRITE)?,
             atomic: f.bool(ATOMIC)?,
@@ -648,11 +657,17 @@ pub(crate) mod tests {
         body.push_str("{\"rank\":0,\"t\":1,\"ev\":\"NoSuchEvent\"}\n");
         let err = parse(&body).unwrap_err();
         assert!(err.contains("malformed NoSuchEvent"), "{err}");
-        // A 32-bit field of 1 << 32 is malformed, not rank/lock 0.
+        // A 32-bit field of 1 << 32 is malformed, not rank/lock 0, and an
+        // access whose last byte lies past u64::MAX is, not a wrapped range.
         let lines = t.to_jsonl().lines().count();
         for (ev, rest) in [
             ("StealAttempt", "\"victim\":4294967296,\"got\":0,\"dur\":5"),
             ("LockAcq", "\"target\":0,\"set\":0,\"idx\":4294967296,\"seq\":1"),
+            (
+                "RemoteOp",
+                "\"kind\":\"put\",\"target\":0,\"seg\":0,\"off\":18446744073709551608,\"bytes\":9,\"atomic\":false",
+            ),
+            ("LocalAccess", "\"seg\":0,\"off\":18446744073709551615,\"bytes\":2,\"write\":true,\"atomic\":false"),
         ] {
             let body = format!("{}{{\"rank\":0,\"t\":1,\"ev\":\"{ev}\",{rest}}}\n", t.to_jsonl());
             let err = parse(&body).unwrap_err();
@@ -778,6 +793,14 @@ pub(crate) mod tests {
         fn flag(&mut self) -> bool {
             self.next() & 1 == 1
         }
+
+        /// An access's offset and byte count, moved down where its last
+        /// byte would lie past `u64::MAX`: a trace that holds one is
+        /// malformed.
+        fn access(&mut self) -> (u64, u32) {
+            let (offset, bytes) = (self.n64(), self.n32());
+            (offset.min(u64::MAX - (u64::from(bytes.max(1)) - 1)), bytes)
+        }
     }
 
     const VARIANTS: usize = 18;
@@ -802,24 +825,17 @@ pub(crate) mod tests {
             11 => TraceEvent::Unblock { target: r.n32() },
             12 => TraceEvent::MsgSend { dst: r.n32(), bytes: r.n32(), seq: r.n64() },
             13 => TraceEvent::MsgRecv { src: r.n32(), seq: r.n64() },
-            14 => TraceEvent::RemoteOp {
-                kind: {
-                    use RemoteOpKind::{Acc, Get, Put, Rmw};
-                    r.pick(&[Put, Get, Acc, Rmw])
-                },
-                target: r.n32(),
-                seg: r.n32(),
-                offset: r.n64(),
-                bytes: r.n32(),
-                atomic: r.flag(),
-            },
-            15 => TraceEvent::LocalAccess {
-                seg: r.n32(),
-                offset: r.n64(),
-                bytes: r.n32(),
-                write: r.flag(),
-                atomic: r.flag(),
-            },
+            14 => {
+                use RemoteOpKind::{Acc, Get, Put, Rmw};
+                let (kind, target, seg) = (r.pick(&[Put, Get, Acc, Rmw]), r.n32(), r.n32());
+                let (offset, bytes) = r.access();
+                TraceEvent::RemoteOp { kind, target, seg, offset, bytes, atomic: r.flag() }
+            }
+            15 => {
+                let seg = r.n32();
+                let (offset, bytes) = r.access();
+                TraceEvent::LocalAccess { seg, offset, bytes, write: r.flag(), atomic: r.flag() }
+            }
             16 => TraceEvent::LockAcq { target: r.n32(), set: r.n32(), idx: r.n32(), seq: r.n64() },
             _ => TraceEvent::LockRel { target: r.n32(), set: r.n32(), idx: r.n32(), seq: r.n64() },
         }

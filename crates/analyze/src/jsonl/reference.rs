@@ -110,6 +110,11 @@ fn gauge_from(f: &Fields) -> Option<Gauge> {
 fn event_from(name: &str, f: &Fields) -> Option<TraceEvent> {
     let num = |k: &str| get_num(f, k);
     let n32 = |k: &str| num(k).and_then(|v| u32::try_from(v).ok());
+    // An access whose last byte lies past `u64::MAX` is malformed.
+    let offset = || {
+        let off = num("off")?;
+        off.checked_add(u64::from(n32("bytes")?.max(1)) - 1).map(|_| off)
+    };
     Some(match name {
         "TaskExecBegin" => TraceEvent::TaskExecBegin {
             callback: n32("callback")?,
@@ -155,13 +160,13 @@ fn event_from(name: &str, f: &Fields) -> Option<TraceEvent> {
             },
             target: n32("target")?,
             seg: n32("seg")?,
-            offset: num("off")?,
+            offset: offset()?,
             bytes: n32("bytes")?,
             atomic: get_bool(f, "atomic")?,
         },
         "LocalAccess" => TraceEvent::LocalAccess {
             seg: n32("seg")?,
-            offset: num("off")?,
+            offset: offset()?,
             bytes: n32("bytes")?,
             write: get_bool(f, "write")?,
             atomic: get_bool(f, "atomic")?,

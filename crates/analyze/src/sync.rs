@@ -83,12 +83,6 @@ pub struct Pos {
     pub idx: u32,
 }
 
-/// Words overlapped by a byte range (8-byte granularity).
-pub fn word_range(offset: u64, bytes: u32) -> std::ops::RangeInclusive<u64> {
-    let last = offset + u64::from(bytes.max(1)) - 1;
-    (offset / 8)..=(last / 8)
-}
-
 /// The first rank whose trace ring overflowed, with its drop count.
 pub fn first_dropped(trace: &Trace) -> Option<(usize, u64)> {
     let mut ranks = trace.dropped.iter().enumerate();

@@ -145,6 +145,25 @@ fn malformed_jsonl_exits_two_without_panicking() {
 }
 
 #[test]
+fn an_access_past_the_last_byte_exits_two_naming_its_line() {
+    // Rank 0 writes two words from the last byte on, rank 1 puts the last
+    // word unsynchronised. Read as a wrapped word range, the pair once
+    // checked clean with 2^64 / 8 words tracked.
+    let body = concat!(
+        "{\"meta\":\"scioto-trace\",\"version\":4,\"ranks\":2,\"dropped\":[0,0],\"final_clock_ns\":[5,5]}\n",
+        "{\"rank\":0,\"t\":1,\"ev\":\"LocalAccess\",\"seg\":0,\"off\":18446744073709551615,\"bytes\":16,",
+        "\"write\":true,\"atomic\":false}\n",
+        "{\"rank\":1,\"t\":2,\"ev\":\"RemoteOp\",\"kind\":\"put\",\"target\":0,\"seg\":0,",
+        "\"off\":18446744073709551608,\"bytes\":8,\"atomic\":false}\n",
+    );
+    let path = write("cli_overflow.jsonl", body);
+    let out = check(&["--file", &path]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.trim_end(), format!("check: {path}: line 2: malformed LocalAccess event"));
+}
+
+#[test]
 fn missing_file_unknown_flag_and_no_args_exit_two() {
     let out = check(&["--file", "/nonexistent/trace.jsonl"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

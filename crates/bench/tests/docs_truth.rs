@@ -176,6 +176,43 @@ fn crate_sources(krate: &str) -> Vec<(String, String)> {
     out
 }
 
+/// The non-test lines of a source file: those before its first
+/// `#[cfg(test)]`.
+fn non_test_lines(text: &str) -> usize {
+    text.lines().take_while(|line| !line.trim_start().starts_with("#[cfg(test)]")).count()
+}
+
+/// The tooling — `analyze`, `race`, the recorder (`sim/src/trace.rs`) and
+/// the word-run module (`det/src/runs.rs`) — outweighs the runtime it
+/// checks (`core` + `armci`) by at most the ceiling DESIGN.md commits to,
+/// in non-test lines, the test-only `race/src/verdicts.rs`,
+/// `race/src/fixtures.rs` and `analyze/src/jsonl/reference.rs` left out.
+/// Code moved into the run module still counts as tooling.
+#[test]
+fn the_tooling_stays_under_its_committed_ceiling() {
+    let count = |krate: &str, counted: &dyn Fn(&str) -> bool| -> usize {
+        let srcs = crate_sources(krate);
+        srcs.iter().filter(|(name, _)| counted(name)).map(|(_, text)| non_test_lines(text)).sum()
+    };
+    let analyze = count("analyze", &|name| name != "jsonl/reference.rs");
+    let race = count("race", &|name| !["verdicts.rs", "fixtures.rs"].contains(&name));
+    let recorder = count("sim", &|name| name == "trace.rs");
+    let runs = count("det", &|name| name == "runs.rs");
+    let (core, armci) = (count("core", &|_| true), count("armci", &|_| true));
+    let (tooling, runtime) = (analyze + race + recorder + runs, core + armci);
+    let ratio = tooling as f64 / runtime as f64;
+    let text = read("DESIGN.md");
+    let marker = "tooling-to-runtime ceiling: ";
+    let at = text.find(marker).expect("DESIGN.md commits to a ceiling") + marker.len();
+    let ceiling: f64 = text[at..].split('×').next().and_then(|c| c.parse().ok()).expect("a ratio");
+    let counted = format!(
+        "tooling {tooling} lines (analyze {analyze}, race {race}, recorder {recorder}, runs {runs}), \
+         runtime {runtime} (core {core}, armci {armci}): {ratio:.3}×, ceiling {ceiling}×"
+    );
+    println!("{counted}");
+    assert!(ratio <= ceiling, "{counted}");
+}
+
 /// Does `text` hold `<keyword> name` for one of `keywords`, as whole words?
 fn declares(text: &str, keywords: &[&str], name: &str) -> bool {
     keywords.iter().any(|kw| {

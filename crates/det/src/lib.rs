@@ -32,10 +32,15 @@
 //! [`par`] is the one place the host's core count is asked for: the
 //! concurrent machine's oversubscription check reads it, and the trace
 //! codec cuts its work into parts with it.
+//!
+//! [`runs`] holds the race checkers' one sorted word-run type and the one
+//! rule from a byte access to its words, which the trace recorder and
+//! reader share.
 
 pub mod clock;
 pub mod par;
 pub mod rng;
+pub mod runs;
 pub mod sync;
 pub mod table;
 

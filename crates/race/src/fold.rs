@@ -5,21 +5,18 @@
 //! clock-free passes, the held-lock scan over one rank's stream.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashSet};
 use std::fmt;
-use std::hash::BuildHasherDefault;
 use std::ops::RangeInclusive;
 
 pub(crate) use scioto_analyze::sync::FastMap;
-use scioto_analyze::sync::{word_range, FxHasher, LockKey, Pos, Step, SyncWith};
+use scioto_analyze::sync::{LockKey, Pos, Step, SyncWith};
+use scioto_det::runs::{word_range, RunMap, RunSet};
 use scioto_sim::{RemoteOpKind, StampedEvent, Trace, TraceEvent};
 
 use crate::hb::{AccessInfo, Race};
 
 /// One 8-byte word of simulated global memory: `(owner rank, seg, word)`.
 pub(crate) type WordKey = (u32, u32, u64);
-
-pub(crate) type WordSet = HashSet<WordKey, BuildHasherDefault<FxHasher>>;
 
 /// Component-wise maximum of two vector clocks, into `into`.
 pub(crate) fn join(into: &mut [u64], from: &[u64]) {
@@ -28,7 +25,7 @@ pub(crate) fn join(into: &mut [u64], from: &[u64]) {
     }
 }
 
-/// The replay's vector clocks: `relations` happens-before relations over
+/// The race folds' vector clocks: `relations` happens-before relations over
 /// the same `n` ranks, stored side by side (`relations × n` wide) so one
 /// [`join`] advances them all. Relation 0 is the observed (strong) order;
 /// own components tick in lockstep, so a rank's position is comparable
@@ -184,14 +181,8 @@ impl Access {
     }
 
     /// The 8-byte words touched.
-    pub(crate) fn words(&self) -> impl Iterator<Item = WordKey> + '_ {
-        word_range(self.offset, self.bytes).map(|w| (self.owner, self.seg, w))
-    }
-
-    /// The first and last word touched.
-    pub(crate) fn word_span(&self) -> (u64, u64) {
-        let words = word_range(self.offset, self.bytes);
-        (*words.start(), *words.end())
+    pub(crate) fn range(&self) -> RangeInclusive<u64> {
+        word_range(self.offset, self.bytes).expect("no access reaches past the last byte")
     }
 }
 
@@ -231,7 +222,11 @@ type KindMasks = [u64; 4];
 /// kind, so a visit reads only the classes of the kinds it can race with
 /// or belongs to. A word that every thief reads and publishes holds
 /// dozens of classes, and an atomic access races none of the atomic ones.
-#[derive(Clone)]
+/// Two lists are equal when they hold the same classes in the same order:
+/// slots past an inline list's length stay empty, a spilled list's masks
+/// follow from its classes, and a list spills only past
+/// [`INLINE_CLASSES`].
+#[derive(Clone, PartialEq, Eq)]
 enum ClassList {
     Inline { len: u8, recs: [AccessRec; INLINE_CLASSES] },
     Spilled { recs: Vec<AccessRec>, kinds: Vec<KindMasks> },
@@ -335,31 +330,18 @@ impl ClassList {
     }
 }
 
-/// Words `lo..=hi` of one `(owner, seg)`, all holding one class list.
-#[derive(Clone)]
-struct Run {
-    lo: u64,
-    hi: u64,
-    list: ClassList,
-}
-
 /// Per word, the most recent write and read of each `(rank, atomic)`
 /// class. Keeping the per-class latest access is sound: a new access
 /// ordered after a rank's latest plain (resp. atomic) access is ordered
 /// after all earlier ones of that class. Words that hold one class list
 /// share it as a run (adaptive granularity, as in RaceTrack): each
-/// `(owner, seg)` keeps sorted, disjoint runs of the words it saw, and no
-/// two touching runs hold equal lists. An access splits runs only at its
-/// own two ends, visits each run it covers once, and merges a run with a
-/// neighbour whose list has become equal. Each segment's runs sit in one
-/// `Vec`, so neither a run nor a word allocates on its own — only a run
-/// of more than [`INLINE_CLASSES`] classes.
+/// `(owner, seg)` is a [`RunMap`] of class lists, so an access visits each
+/// run it covers once, and neither a run nor a word allocates on its own —
+/// only a run of more than [`INLINE_CLASSES`] classes.
 #[derive(Default)]
 pub(crate) struct Frontier {
     /// The runs of each `(owner, seg)`.
-    segs: FastMap<(u32, u32), Vec<Run>>,
-    /// Distinct words touched.
-    words: usize,
+    segs: FastMap<(u32, u32), RunMap<ClassList>>,
 }
 
 /// What a race fold needs of its frontier: the run frontier here, or the
@@ -378,54 +360,14 @@ pub(crate) trait AccessFrontier: Default {
 
 impl AccessFrontier for Frontier {
     fn access(&mut self, a: &Access, rec: AccessRec, mut hit: impl FnMut(u64, u64, &AccessRec)) {
-        let (lo, hi) = a.word_span();
         let runs = self.segs.entry((a.owner, a.seg)).or_default();
-        // The first run that ends at or after `lo`.
-        let mut i = runs.partition_point(|r| r.hi < lo);
-        let mut word = lo;
-        loop {
-            // Make run `i` start at `word`: split the run that straddles
-            // `lo`, or fill the gap before the next run with a new one.
-            match runs.get(i) {
-                Some(r) if r.lo < word => {
-                    let right = Run { lo: word, ..r.clone() };
-                    runs[i].hi = word - 1;
-                    i += 1;
-                    runs.insert(i, right);
-                }
-                Some(r) if r.lo == word => {}
-                next => {
-                    let end = next.map_or(hi, |r| hi.min(r.lo - 1));
-                    self.words += (end - word + 1) as usize;
-                    runs.insert(i, Run { lo: word, hi: end, list: ClassList::EMPTY });
-                }
-            }
-            // ... and end by `hi`: split the run that straddles it.
-            if runs[i].hi > hi {
-                let right = Run { lo: hi + 1, ..runs[i].clone() };
-                runs[i].hi = hi;
-                runs.insert(i + 1, right);
-            }
-            let run = &mut runs[i];
-            let (run_lo, run_hi) = (run.lo, run.hi);
-            run.list.visit(rec, |prior| hit(run_lo, run_hi, prior));
-            // Every run the access visits now holds `rec` and no other run
-            // does, so only the run visited before this one can equal it.
-            if word > lo && runs[i - 1].list.classes() == runs[i].list.classes() {
-                runs[i - 1].hi = run_hi;
-                runs.remove(i);
-            } else {
-                i += 1;
-            }
-            if run_hi == hi {
-                return;
-            }
-            word = run_hi + 1;
-        }
+        runs.update(a.range(), ClassList::EMPTY, |lo, hi, list| {
+            list.visit(rec, |prior| hit(lo, hi, prior));
+        });
     }
 
     fn words(&self) -> usize {
-        self.words
+        self.segs.values().map(|runs| runs.words() as usize).sum()
     }
 }
 
@@ -438,7 +380,7 @@ type Site = (u32, &'static str, bool, bool);
 /// for it) and counts the distinct words exactly. Order is first-hit
 /// order, i.e. walk order.
 pub(crate) struct SitePairs<X> {
-    found: Vec<(Race, X, BTreeSet<u64>)>,
+    found: Vec<(Race, X, RunSet)>,
     index: FastMap<(u32, u32, Site, Site), usize>,
 }
 
@@ -465,18 +407,19 @@ impl<X> SitePairs<X> {
                 let (first, second) = (access_info(trace, prior), access_info(trace, rec));
                 // `finish` fills in the words from the set.
                 let race = Race { owner, seg, word: 0, word_hi: 0, word_count: 0, first, second };
-                self.found.push((race, extra(), BTreeSet::new()));
+                self.found.push((race, extra(), RunSet::default()));
                 self.found.len() - 1
             }
         };
-        self.found[at].2.extend(words);
+        self.found[at].2.insert(words);
     }
 
     pub(crate) fn finish(self) -> impl Iterator<Item = (Race, X)> {
         self.found.into_iter().map(|(mut race, extra, words)| {
-            race.word = *words.first().expect("non-empty word set");
-            race.word_hi = *words.last().expect("non-empty word set");
-            race.word_count = words.len() as u64;
+            let runs = words.runs();
+            race.word = runs.first().expect("non-empty word set").lo;
+            race.word_hi = runs.last().expect("non-empty word set").hi;
+            race.word_count = words.words();
             (race, extra)
         })
     }
@@ -583,6 +526,18 @@ pub(crate) fn scan_held(events: &[StampedEvent], mut visit: impl FnMut(usize, &S
     }
 }
 
+#[cfg(test)]
+pub(crate) type WordSet =
+    std::collections::HashSet<WordKey, std::hash::BuildHasherDefault<scioto_analyze::sync::FxHasher>>;
+
+#[cfg(test)]
+impl Access {
+    /// The 8-byte words touched, one at a time.
+    pub(crate) fn words(&self) -> impl Iterator<Item = WordKey> + '_ {
+        self.range().map(|w| (self.owner, self.seg, w))
+    }
+}
+
 /// The per-word frontier the run frontier replaced, kept as its oracle:
 /// every word its own class list, in first-touch order, its priors met
 /// writes first, then reads.
@@ -639,10 +594,10 @@ impl AccessFrontier for Lockstep {
         got.sort_by_key(|&(w, _)| w);
         assert_eq!(got, want, "{rec:?}");
         assert_eq!(self.runs.words(), self.words.words(), "{rec:?}");
-        for pair in self.runs.segs[&(a.owner, a.seg)].windows(2) {
+        for pair in self.runs.segs[&(a.owner, a.seg)].runs().windows(2) {
             let (left, right) = (&pair[0], &pair[1]);
             assert!(left.hi < right.lo, "{rec:?}: runs out of order");
-            let equal = left.list.classes() == right.list.classes();
+            let equal = left.val.classes() == right.val.classes();
             assert!(left.hi + 1 < right.lo || !equal, "{rec:?}: touching runs hold one list");
         }
     }
@@ -672,7 +627,7 @@ mod tests {
         for (a, rec) in accesses {
             both.access(a, *rec, |_, _, _| {});
         }
-        both.runs.segs[&(0, 0)].iter().map(|r| (r.lo, r.hi)).collect()
+        both.runs.segs[&(0, 0)].runs().iter().map(|r| (r.lo, r.hi)).collect()
     }
 
     #[test]

@@ -55,11 +55,12 @@
 use std::fmt;
 
 use scioto_analyze::sync::{walk, LockKey, Pos, SyncWith};
+use scioto_det::runs::{Run, RunMap, RunSet};
 use scioto_sim::{Trace, TraceEvent};
 
 use crate::fold::{
     fmt_access_pair, join, scan_held, Access, AccessFrontier, ClockSet, FastMap, Frontier, Held,
-    SitePairs, WordKey, WordSet,
+    SitePairs, WordKey,
 };
 use crate::hb::AccessInfo;
 
@@ -194,16 +195,17 @@ impl fmt::Display for PredictReport {
 }
 
 /// A critical section's footprint: the words accessed while it is held,
-/// each once, in word order, with a write flag.
-type Footprint = [(WordKey, bool)];
+/// as the runs of each `(owner, seg)` with a write flag, in `(owner, seg,
+/// word)` order.
+type Footprint = [((u32, u32), Run<bool>)];
 
 /// Every critical section's footprint, in one buffer: section `s` is
-/// `words[starts[s]..starts[s + 1]]`.
+/// `runs[starts[s]..starts[s + 1]]`.
 struct Footprints {
     /// `(lock, generation)` → section number.
     sections: FastMap<(LockKey, u64), usize>,
     starts: Vec<usize>,
-    words: Vec<(WordKey, bool)>,
+    runs: Vec<((u32, u32), Run<bool>)>,
 }
 
 impl Footprints {
@@ -211,7 +213,8 @@ impl Footprints {
     /// generation)`. The same scan feeds every access to `protocols`.
     fn new(trace: &Trace, protocols: &mut Protocols) -> Self {
         let mut sections: FastMap<(LockKey, u64), usize> = FastMap::default();
-        let mut touched: Vec<(usize, WordKey, bool)> = Vec::new();
+        // Each access made in a section: `(section, (owner, seg), words, write)`.
+        let mut touched = Vec::new();
         for (rank, events) in trace.events.iter().enumerate() {
             scan_held(events, |ev_idx, ev, held| {
                 let Some(a) = Access::of(rank as u32, &ev.event) else { return };
@@ -219,62 +222,55 @@ impl Footprints {
                 for cs in held {
                     let next = sections.len();
                     let s = *sections.entry((cs.key, cs.seq)).or_insert(next);
-                    touched.extend(a.words().map(|word| (s, word, a.write)));
+                    touched.push((s, (a.owner, a.seg), a.range().into_inner(), a.write));
                 }
             });
         }
-        // Group the words by section (a counting sort: sections are
-        // numbered densely), then sort each section's few words and merge
-        // repeats.
-        let mut starts = vec![0usize; sections.len() + 1];
-        for &(s, ..) in &touched {
-            starts[s + 1] += 1;
-        }
-        for s in 0..sections.len() {
-            starts[s + 1] += starts[s];
-        }
-        let mut grouped = vec![((0, 0, 0), false); touched.len()];
-        let mut next = starts.clone();
-        for (s, word, write) in touched {
-            grouped[next[s]] = (word, write);
-            next[s] += 1;
-        }
-        let mut words: Vec<(WordKey, bool)> = Vec::with_capacity(grouped.len());
-        for s in 0..sections.len() {
-            let section = &mut grouped[starts[s]..starts[s + 1]];
-            section.sort_unstable_by_key(|&(word, _)| word);
-            starts[s] = words.len();
-            for &(word, write) in section.iter() {
-                match words[starts[s]..].last_mut() {
-                    Some((last, wrote)) if *last == word => *wrote |= write,
-                    _ => words.push((word, write)),
-                }
+        // Group the accesses by section and segment, and fold each group
+        // into runs. Sections are numbered densely and each made an access.
+        touched.sort_unstable_by_key(|&(s, seg, words, _)| (s, seg, words));
+        let (mut starts, mut runs) = (Vec::with_capacity(sections.len() + 1), Vec::new());
+        let mut seg_runs: RunMap<bool> = RunMap::default();
+        for same_seg in touched.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if starts.len() == same_seg[0].0 {
+                starts.push(runs.len());
             }
+            seg_runs.clear();
+            for &(.., (lo, hi), write) in same_seg {
+                seg_runs.update(lo..=hi, false, |_, _, wrote| *wrote |= write);
+            }
+            runs.extend(seg_runs.runs().iter().map(|&run| (same_seg[0].1, run)));
         }
-        starts[sections.len()] = words.len();
-        Footprints { sections, starts, words }
+        starts.push(runs.len());
+        Footprints { sections, starts, runs }
     }
 
     /// The footprint of section `gen` of `key` (empty if it touched
     /// nothing, or never ran).
     fn section(&self, key: LockKey, gen: u64) -> &Footprint {
         match self.sections.get(&(key, gen)) {
-            Some(&s) => &self.words[self.starts[s]..self.starts[s + 1]],
+            Some(&s) => &self.runs[self.starts[s]..self.starts[s + 1]],
             None => &[],
         }
     }
 }
 
-/// Do two critical-section footprints conflict (common word, at least
-/// one side writing it)? Both are in word order: one merge pass.
+/// Do two critical-section footprints conflict (a common word, at least
+/// one side writing it)? Both are in `(owner, seg, word)` order: one merge
+/// pass over their runs.
 fn conflicts(a: &Footprint, b: &Footprint) -> bool {
     let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    while let (Some(&&(wa, wr_a)), Some(&&(wb, wr_b))) = (a.peek(), b.peek()) {
-        match wa.cmp(&wb) {
-            std::cmp::Ordering::Less => _ = a.next(),
-            std::cmp::Ordering::Greater => _ = b.next(),
-            std::cmp::Ordering::Equal if wr_a || wr_b => return true,
-            std::cmp::Ordering::Equal => _ = (a.next(), b.next()),
+    while let (Some(&&(sa, ra)), Some(&&(sb, rb))) = (a.peek(), b.peek()) {
+        if (sa, ra.hi) < (sb, rb.lo) {
+            _ = a.next();
+        } else if (sb, rb.hi) < (sa, ra.lo) {
+            _ = b.next();
+        } else if ra.val || rb.val {
+            return true;
+        } else if ra.hi < rb.hi {
+            _ = a.next();
+        } else {
+            _ = b.next();
         }
     }
     false
@@ -312,17 +308,19 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
     // Relation 0 is the observed happens-before (exactly the HB engine's
     // clock), relation 1 the sync-preserving weak order.
     let mut clocks = ClockSet::new(n, 2);
-    // Weak conflict state per (lock, word): release clock of the last
-    // critical section that wrote the word, and the join of the release
-    // clocks of reading sections since (the FastTrack read-set scheme
-    // lifted to critical-section granularity; a join stands for the set,
-    // as the set is only ever joined). Joining these at acquire time gives
-    // the rel→acq edges from every *conflicting* earlier section without
-    // an O(generations²) pairwise scan. Both clocks of a key sit in one
-    // `2n`-wide slot of `conflict_clocks`, writer first; a zero clock is
-    // an absent one.
-    let mut conflict_slots: FastMap<(LockKey, WordKey), usize> = FastMap::default();
-    let mut conflict_clocks: Vec<u64> = Vec::new();
+    // Weak conflict state per lock, `(owner, seg)` and run of words: the
+    // release of the last critical section that wrote the run, and the
+    // releases of the sections that read it since (the FastTrack read-set
+    // scheme lifted to critical-section granularity). Joining their clocks
+    // at acquire time gives the rel→acq edges from every *conflicting*
+    // earlier section without an O(generations²) pairwise scan. A release
+    // is its weak clock's slot in `released`, counted from 1; the readers
+    // are a list through `readers`, whose tails runs share, its nodes
+    // `(release, next)` counted from 1 too; 0 is none.
+    type WriterReaders = RunMap<(u32, u32)>;
+    let mut conflict: FastMap<(LockKey, (u32, u32)), WriterReaders> = FastMap::default();
+    let mut released: Vec<u64> = Vec::new();
+    let mut readers: Vec<(u32, u32)> = Vec::new();
     let mut weak_lock = vec![0u64; n];
 
     let mut skipped: Vec<SkippedEdge> = Vec::new();
@@ -345,12 +343,17 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
         };
         if let Some((key, gen, _)) = lock_edge {
             weak_lock.fill(0);
-            for &(word, wrote) in section(key, gen) {
-                if let Some(&at) = conflict_slots.get(&(key, word)) {
-                    let (writer, readers) = conflict_clocks[at..at + 2 * n].split_at(n);
-                    join(&mut weak_lock, writer);
-                    if wrote {
-                        join(&mut weak_lock, readers);
+            let release = |at: u32| &released[(at as usize - 1) * n..at as usize * n];
+            for &(seg, run) in section(key, gen) {
+                let Some(runs) = conflict.get(&(key, seg)) else { continue };
+                for &Run { val: (writer, mut reader), .. } in runs.overlapping(run.lo..=run.hi) {
+                    if writer > 0 {
+                        join(&mut weak_lock, release(writer));
+                    }
+                    while run.val && reader > 0 {
+                        let (at, next) = readers[reader as usize - 1];
+                        join(&mut weak_lock, release(at));
+                        reader = next;
                     }
                 }
             }
@@ -399,18 +402,20 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
             // Publish the weak conflict state for this section's
             // footprint, from the pre-tick clock.
             let key = (target, set, idx);
-            let weak = clocks.rel(rank, 1);
-            for &(word, wrote) in section(key, seq) {
-                let at = *conflict_slots.entry((key, word)).or_insert_with(|| {
-                    conflict_clocks.resize(conflict_clocks.len() + 2 * n, 0);
-                    conflict_clocks.len() - 2 * n
-                });
-                let (writer, readers) = conflict_clocks[at..at + 2 * n].split_at_mut(n);
-                if wrote {
-                    writer.copy_from_slice(weak);
-                    readers.fill(0);
-                } else {
-                    join(readers, weak);
+            let footprint = section(key, seq);
+            if !footprint.is_empty() {
+                released.extend_from_slice(clocks.rel(rank, 1));
+                let at = u32::try_from(released.len() / n).expect("releases are counted in `u32`");
+                for &(seg, run) in footprint {
+                    let runs = conflict.entry((key, seg)).or_default();
+                    runs.update(run.lo..=run.hi, (0, 0), |_, _, (writer, reader)| {
+                        if run.val {
+                            (*writer, *reader) = (at, 0);
+                        } else {
+                            readers.push((at, *reader));
+                            *reader = u32::try_from(readers.len()).expect("readers are counted in `u32`");
+                        }
+                    });
                 }
             }
         }
@@ -553,21 +558,19 @@ impl Protocols {
     /// access)? A segment holds few: an access finds those it touches
     /// with one binary search however many words it spans.
     fn new(trace: &Trace) -> Self {
-        let mut words = WordSet::default();
+        let mut words: FastMap<(u32, u32), RunSet> = FastMap::default();
         for (rank, events) in trace.events.iter().enumerate() {
             for a in events.iter().filter_map(|ev| Access::of(rank as u32, &ev.event)) {
                 if a.atomic {
-                    words.extend(a.words());
+                    words.entry((a.owner, a.seg)).or_default().insert(a.range());
                 }
             }
         }
-        let mut words: Vec<WordKey> = words.into_iter().collect();
-        words.sort_unstable();
-        let mut segs: FastMap<(u32, u32), Vec<(u64, WordFold)>> = FastMap::default();
-        for (owner, seg, word) in words {
-            segs.entry((owner, seg)).or_default().push((word, WordFold::default()));
-        }
-        Protocols { segs }
+        let segs = words.into_iter().map(|(seg, words)| {
+            let folds = words.runs().iter().flat_map(|r| r.lo..=r.hi).map(|w| (w, WordFold::default()));
+            (seg, folds.collect())
+        });
+        Protocols { segs: segs.collect() }
     }
 
     /// Pass 2, one access at a time in stream order: fold access `a`,
@@ -579,7 +582,7 @@ impl Protocols {
             return;
         }
         let Some(words) = self.segs.get_mut(&(a.owner, a.seg)) else { return };
-        let (lo, hi) = a.word_span();
+        let (lo, hi) = a.range().into_inner();
         let from = words.partition_point(|(w, _)| *w < lo);
         for (_, fold) in words[from..].iter_mut().take_while(|(w, _)| *w <= hi) {
             fold.add(rank, a, held, ev_idx);
@@ -605,6 +608,7 @@ impl Protocols {
 mod tests {
     use super::*;
     use crate::fixtures::*;
+    use crate::fold::WordSet;
     use scioto_sim::RemoteOpKind;
 
     /// The atomicity check alone, as [`predict`] folds it into its walk:

@@ -34,6 +34,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use scioto_det::par::{in_parts, parts_for};
+use scioto_det::runs::word_range;
 
 /// Tracing configuration carried by [`crate::MachineConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -621,7 +622,10 @@ struct WordSpan {
 
 /// A rank's `LocalAccess` records since its last flushing event, merged
 /// into whole-word spans per `(seg, write, atomic)` class: spans of one
-/// class that overlap or touch become one.
+/// class that overlap or touch become one. One list of spans, not a
+/// [`RunSet`](scioto_det::runs::RunSet) per class: the usual record
+/// re-touches a span, which one scan of the few finds, and the run sets
+/// cost a traced owner op more (DESIGN.md, "Coalesced local accesses").
 #[derive(Debug, Default)]
 struct Window {
     /// Sorted by `(class, lo)`; no two of one class overlap or touch.
@@ -641,7 +645,9 @@ impl Window {
         self.records += 1;
         self.last_t = t_ns;
         let class = u64::from(seg) << 2 | u64::from(write) << 1 | u64::from(atomic);
-        let (lo, hi) = (offset / 8, offset.saturating_add(u64::from(bytes.max(1)) - 1) / 8);
+        // A record past the last byte is clipped to the last word, so that
+        // its summary reads back.
+        let (lo, hi) = word_range(offset, bytes).map_or((offset / 8, u64::MAX / 8), |w| w.into_inner());
         // Most records re-touch words the window holds already: the owner
         // reads its indices at every push, pop and release pre-check.
         if !self.spans.iter().any(|s| s.class == class && s.lo <= lo && hi <= s.hi) {

@@ -119,14 +119,16 @@ t0=$(now_ms)
 bounded 50 "tier-1 cargo test" cargo test -q --offline
 echo "ok: tier-1 tests ran in $(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s (budget: 50s)"
 
-stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds; run frontier oracle (release)"
+stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds; run frontier and run map oracles (release)"
 # The `#[ignore]`d `stress_*` tests: the split queue's never-lose /
 # never-duplicate property with seven real thieves, the three store
 # properties the lock-free owner path rests on (ragged byte puts merge,
 # accumulate vs fetch-and-add, dirty marks vs the owner's swap), and no
 # premature termination under an eight-thread steal storm, each on 64
-# seeds; and the race checkers' run frontier against the per-word one,
-# hit for hit, on twenty times the tier-1 corpora (one thread per core).
+# seeds; the race checkers' run frontier against the per-word one,
+# hit for hit, on twenty times the tier-1 corpora (one thread per core);
+# and the word-run map (`scioto_det::runs`) against a per-word map on
+# fifteen times its tier-1 seeds (0.5 s).
 # Built first, then each test runs as its own invocation of its test
 # executable so the per-test seconds are printed and the budget times the
 # runs alone: 19-20 s measured before the oracle, of which the queue test
@@ -136,7 +138,7 @@ stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds
 # total; a failure names the slowest test. Each invocation also runs
 # under a 50 s hang budget, about 3x the slowest test (17 s measured on a
 # 2-core x86_64 host).
-cargo test --offline --release -p scioto -p scioto-armci -p scioto-race --tests --no-run 2> "$work/stress_build.txt" \
+cargo test --offline --release -p scioto -p scioto-armci -p scioto-race -p scioto-det --tests --no-run 2> "$work/stress_build.txt" \
     || { cat "$work/stress_build.txt" >&2; exit 1; }
 stress_ms=0
 stress_slowest=""
@@ -157,7 +159,7 @@ for exe in $(sed -n 's/^ *Executable .*(\(.*\))$/\1/p' "$work/stress_build.txt")
     done
 done
 if [ -z "$stress_slowest" ]; then
-    echo "FAIL: no stress_ test found in the scioto / scioto-armci / scioto-race test executables" >&2
+    echo "FAIL: no stress_ test found in the scioto / scioto-armci / scioto-race / scioto-det test executables" >&2
     exit 1
 fi
 stress_total=$(awk -v ms="$stress_ms" 'BEGIN { printf "%.1f", ms / 1000 }')
