@@ -64,9 +64,8 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
         "concurrent_obs",
         false,
         "--ranks <n> --app uts|scf --atoms <n> --tree tiny|small|medium|large --seed <n> \
-         --reps <n> --max-event-ns <ns> --chrome-out <path> --victim uniform|locality \
-         --barrier flat|tree --trace-out <path> --trace-ring <events> \
-         --analysis-out <path> --check",
+         --reps <n> --max-event-ns <ns> --victim uniform|locality --barrier flat|tree \
+         --trace-out <path> --trace-ring <events> --analysis-out <path> --check",
         cmd::concurrent_obs::run,
     ),
     (
@@ -78,7 +77,6 @@ const SUBCOMMANDS: &[(&str, bool, &str, Run)] = &[
     ),
     ("analyze", false, "--file <path> --json-out <path>", cmd::analyze::run),
     ("check", false, "--file <path> --json-out <path> --max-episodes <n>", cmd::check::run),
-    ("trace_check", false, "--file <path> --ranks <n>", cmd::trace_check::run),
     (
         "bench_diff",
         false,
@@ -356,7 +354,7 @@ mod tests {
 
     #[test]
     fn every_subcommand_has_a_table_and_the_overview_lists_them_all() {
-        assert_eq!(subcommands().count(), 12);
+        assert_eq!(subcommands().count(), 11);
         let overview = overview();
         for cmd in subcommands() {
             let flags = accepted_flags(cmd).unwrap();

@@ -8,9 +8,10 @@
 //! canonical `scioto-race-v1` JSON object per trace (one per line, in
 //! command-line order); with `-` for the path the objects go to stdout and
 //! the text to stderr, so stdout parses line by line. `--max-episodes N`
-//! gates each replayed program's barrier-episode census: more than `N`
-//! fails the check — the guard against a collective on the startup or
-//! steady-state path regressing to extra barrier rounds. The first trace
+//! gates each trace's barrier-episode census, the most `BarrierWait`
+//! records any one rank emitted, wall-clock traces included: more than
+//! `N` fails the check — the guard against a collective on the startup
+//! or steady-state path regressing to extra barrier rounds. The first trace
 //! that cannot be checked stops the run with exit 2.
 
 use crate::front::{self, Exit, Outcome};

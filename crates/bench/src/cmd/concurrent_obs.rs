@@ -23,9 +23,8 @@
 //! default 42), `--reps N` (default 5), `--max-event-ns X` (default 150;
 //! wall timing on shared CI machines is noisy, so the band is
 //! deliberately generous — the gate exists to catch order-of-magnitude
-//! perturbation, not 5% drift), `--chrome-out <path>` (Chrome JSON from
-//! the same traced run), plus the policy and trace/check flags of
-//! [`RunSpec`].
+//! perturbation, not 5% drift), plus the policy and trace/check flags of
+//! [`RunSpec`] (`--trace-out <path>.json` writes the Chrome export).
 //!
 //! Exit 1 when the overhead band or a blame/report invariant is violated
 //! (check failures leave through [`RunSpec::observe`] with its usual
@@ -37,7 +36,7 @@ use scioto_sim::{Machine, MachineConfig, Report, TraceConfig, MERGED_GAUGE};
 use scioto_uts::scioto_driver::run_scioto_uts;
 use scioto_uts::TreeParams;
 
-use crate::front::{self, Exit, Outcome};
+use crate::front::{Exit, Outcome};
 use crate::{tree_arg, Args, PolicyFlags, RunSpec};
 
 /// Which workload drives the concurrent machine.
@@ -168,8 +167,5 @@ pub fn run(args: &Args) -> Outcome {
         analysis.makespan_ns as f64 / 1e6
     );
 
-    if let Some(path) = args.get_opt("chrome-out") {
-        front::write_file(&path, &trace.to_chrome_json(), "chrome trace")?;
-    }
     spec.observe(&report)
 }

@@ -10,6 +10,5 @@ pub mod concurrent_obs;
 pub mod fig4_termination;
 pub mod fig5_fig6_apps;
 pub mod table1;
-pub mod trace_check;
 pub mod tune;
 pub mod uts_figs;

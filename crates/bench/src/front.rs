@@ -18,7 +18,7 @@
 
 use scioto_analyze::AnalysisReport;
 use scioto_race::{DeadlockReport, PredictReport, RaceReport};
-use scioto_sim::Trace;
+use scioto_sim::{Trace, TraceEvent};
 
 /// Why a subcommand stops short of exit 0.
 #[derive(Debug)]
@@ -68,8 +68,17 @@ pub fn load_trace(path: &str) -> Result<Trace, Exit> {
 }
 
 /// Write a trace: flat JSONL when the path ends in `.jsonl`, Chrome
-/// `trace_event` JSON otherwise.
+/// `trace_event` JSON otherwise. Ring-overflow drops are mirrored to
+/// stderr: they mean truncated timelines.
 pub fn write_trace(path: &str, trace: &Trace) -> Outcome {
+    let dropped: u64 = trace.dropped.iter().sum();
+    if dropped > 0 {
+        eprintln!(
+            "trace WARNING: ring overflow dropped {dropped} event(s) on {} rank(s); rerun with \
+             a larger --trace-ring",
+            trace.dropped.iter().filter(|&&d| d > 0).count()
+        );
+    }
     let body = if path.ends_with(".jsonl") { trace.to_jsonl() } else { trace.to_chrome_json() };
     let what = format!("trace: {} events ({} ranks)", trace.total_events(), trace.nranks());
     write_file(path, &body, &what)
@@ -94,15 +103,25 @@ enum Replay {
     /// replayable by design — wall stamps are not reproducible, so there is
     /// no byte-exact schedule to re-execute.
     WallClock,
-    /// A virtual-time trace, lowered to a program of `episodes` barrier
-    /// episodes and replayed with no workload; `identical` when the replay
-    /// equals the recording.
-    Virtual { episodes: usize, identical: bool },
+    /// A virtual-time trace, lowered and replayed with no workload;
+    /// `identical` when the replay equals the recording.
+    Virtual { identical: bool },
 }
 
-/// The verdict of one [`check`]: its three analyses and its replay.
+/// The barrier episodes of a trace: the most `BarrierWait` records any
+/// one rank emitted (every rank emits one per episode it joins).
+pub fn barrier_episodes(trace: &Trace) -> usize {
+    let waits = trace.events.iter().map(|events| {
+        events.iter().filter(|e| matches!(e.event, TraceEvent::BarrierWait { .. })).count()
+    });
+    waits.max().unwrap_or(0)
+}
+
+/// The verdict of one [`check`]: its three analyses, its barrier-episode
+/// census and its replay.
 pub struct Verdict {
     ranks: usize,
+    episodes: usize,
     hb: RaceReport,
     predicted: PredictReport,
     deadlocks: DeadlockReport,
@@ -116,16 +135,12 @@ impl Verdict {
         self.hb.is_clean()
             && self.predicted.is_clean()
             && self.deadlocks.is_clean()
-            && !matches!(self.replay, Replay::Virtual { identical: false, .. })
+            && !matches!(self.replay, Replay::Virtual { identical: false })
     }
 
-    /// The barrier episodes of the replayed program; 0 for a wall-clock
-    /// trace, which is not replayed.
+    /// The trace's barrier episodes ([`barrier_episodes`]).
     pub fn episodes(&self) -> usize {
-        match self.replay {
-            Replay::WallClock => 0,
-            Replay::Virtual { episodes, .. } => episodes,
-        }
+        self.episodes
     }
 
     /// The reports as text, each introduced by `label`.
@@ -134,12 +149,11 @@ impl Verdict {
             Replay::WallClock => "replay check: wall-clock (concurrent-mode) trace: valid, not \
                                   replayable by design"
                 .to_string(),
-            Replay::Virtual { episodes, identical: true } => format!(
-                "replay check OK: {} ranks reproduced identically ({episodes} barrier \
-                 episode(s))",
-                self.ranks
+            Replay::Virtual { identical: true } => format!(
+                "replay check OK: {} ranks reproduced identically ({} barrier episode(s))",
+                self.ranks, self.episodes
             ),
-            Replay::Virtual { identical: false, .. } => {
+            Replay::Virtual { identical: false } => {
                 "replay check FAILED: replay differs from the recording".to_string()
             }
         };
@@ -167,6 +181,7 @@ pub fn check(trace: &Trace) -> Result<Verdict, Exit> {
     let refused = |what: &str, e: String| Exit::unusable(format!("{what}: {e}"));
     Ok(Verdict {
         ranks: trace.nranks(),
+        episodes: barrier_episodes(trace),
         hb: scioto_race::check_trace(trace).map_err(|e| refused("race check", e))?,
         predicted: scioto_race::predict(trace).map_err(|e| refused("predict", e))?,
         deadlocks: scioto_race::check_deadlocks(trace)
@@ -176,8 +191,7 @@ pub fn check(trace: &Trace) -> Result<Verdict, Exit> {
             false => {
                 let program = scioto_analyze::lower(trace)
                     .map_err(|e| refused("not replayable", e.to_string()))?;
-                let identical = scioto_sim::run_replay(&program) == *trace;
-                Replay::Virtual { episodes: program.episodes, identical }
+                Replay::Virtual { identical: scioto_sim::run_replay(&program) == *trace }
             }
         },
     })

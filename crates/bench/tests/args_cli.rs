@@ -29,7 +29,7 @@ fn missing_and_unknown_subcommands_exit_2_listing_every_subcommand() {
         assert!(out.stdout.is_empty(), "{out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("usage: scioto <subcommand> [flags]\n"), "{stderr}");
-        assert_eq!(subcommands().count(), 12);
+        assert_eq!(subcommands().count(), 11);
         for name in subcommands() {
             assert!(stderr.contains(&format!("\n  {name} ")), "{name} missing: {stderr}");
         }
@@ -82,13 +82,17 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
     );
     // The live-validation budget of `tune` went with the re-pricing
     // model: every candidate now runs, and the sweep is never cut short.
-    // `trace_check` smoke-checks Chrome JSON only: `scioto check` replays.
+    // `concurrent_obs` writes its Chrome export through `--trace-out
+    // <path>.json`, as every traced subcommand does.
     let tune = "--ranks <n> --tree tiny|small|medium|large --seed <n> --latency flat|nearfar \
                 --out <path> --report <path> --json-out <path> --require-improvement";
+    let conc = "--ranks <n> --app uts|scf --atoms <n> --tree tiny|small|medium|large --seed <n> \
+                --reps <n> --max-event-ns <ns> --victim uniform|locality --barrier flat|tree \
+                --trace-out <path> --trace-ring <events> --analysis-out <path> --check";
     let retired: [(&str, &[&str], &str); 3] = [
-        ("trace_check", &["--replayable"], "--file <path> --ranks <n>"),
         ("tune", &["--top", "1"], tune),
         ("tune", &[concat!("--max", "-candidates"), "2"], tune),
+        ("concurrent_obs", &["--chrome-out", "c.json"], conc),
     ];
     for (subcommand, args, accepted) in retired {
         let (code, stderr) = run(subcommand, args);
@@ -96,13 +100,15 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
         let flag = args[0];
         assert_eq!(stderr, format!("{subcommand}: unknown flag {flag}\naccepted flags: {accepted}\n"));
     }
-    // The source scan went to rustc and clippy, and the race checker and
-    // the replay self-check went into `check`: their subcommands are as
-    // unknown as any other word, and the table lists `check`.
+    // The source scan went to rustc and clippy, the race checker and the
+    // replay self-check went into `check`, and the Chrome dump's check
+    // into verify.sh's byte pin: their subcommands are as unknown as any
+    // other word, and the table lists `check`.
     for (subcommand, args) in [
         ("lint", &["--stats"][..]),
         ("race_check", &["--predict", "--deadlock", "--file", "t.jsonl"][..]),
         ("replay", &["--file", "t.jsonl", "--check"][..]),
+        ("trace_check", &["--file", "t.json", "--ranks", "2"][..]),
     ] {
         let (code, stderr) = run(subcommand, args);
         assert_eq!(code, Some(2), "{subcommand}: {stderr}");
@@ -186,7 +192,7 @@ fn verify_sh_invocations() -> Vec<(String, Vec<String>)> {
 #[test]
 fn every_flag_verify_sh_passes_is_accepted() {
     let invocations = verify_sh_invocations();
-    assert_eq!(invocations.len(), 26, "scioto commands in verify.sh");
+    assert_eq!(invocations.len(), 24, "scioto commands in verify.sh");
     let mut flags_checked = 0;
     for (bin, flags) in &invocations {
         let accepted = accepted_flags(bin)
@@ -199,7 +205,7 @@ fn every_flag_verify_sh_passes_is_accepted() {
             flags_checked += 1;
         }
     }
-    assert_eq!(flags_checked, 102, "flags verify.sh passes");
+    assert_eq!(flags_checked, 97, "flags verify.sh passes");
 }
 
 #[test]
@@ -214,16 +220,11 @@ fn a_missing_or_truncated_trace_file_exits_2_naming_the_path() {
     let truncated = truncated.to_str().unwrap();
     let missing = "/nonexistent/trace.jsonl";
     for path in [missing, truncated] {
-        let mut cases = vec![
+        let cases = [
             ("analyze", vec![]),
             ("check", vec![]),
             ("check", vec!["--max-episodes", "6", "--json-out", "-"]),
         ];
-        // The Chrome-JSON smoke check reads a file too; a truncated one is
-        // its finding (exit 1, below), not unusable input.
-        if path == missing {
-            cases.push(("trace_check", vec!["--ranks", "2"]));
-        }
         for (subcommand, flags) in cases {
             let mut args = vec!["--file", path];
             args.extend(flags);
@@ -238,9 +239,6 @@ fn a_missing_or_truncated_trace_file_exits_2_naming_the_path() {
             );
         }
     }
-    let (code, stderr) = run("trace_check", &["--file", truncated, "--ranks", "2"]);
-    assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.starts_with(&format!("trace_check: {truncated} is not valid JSON")), "{stderr}");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Exit-code contract of `scioto check` (relied on by `scripts/verify.sh`):
 //! 0 = every trace checked and clean, its replay identical or, for a
 //! wall-clock recording, not replayable by design; 1 = findings or an
-//! episode count over `--max-episodes`; 2 = unusable input — and malformed
+//! episode count (the most barrier waits any rank recorded) over
+//! `--max-episodes`; 2 = unusable input — and malformed
 //! JSONL must produce a one-line diagnostic, never a panic. Traces are
 //! operands of repeated `--file`.
 
@@ -9,7 +10,8 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use scioto_armci::Armci;
-use scioto_sim::{validate_json, Ctx, Machine, MachineConfig, TraceConfig};
+use scioto_bench::front;
+use scioto_sim::{validate_json, Ctx, Machine, MachineConfig, Trace, TraceConfig};
 
 fn check(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_scioto"))
@@ -91,8 +93,15 @@ fn a_wall_clock_recording_is_clean_and_not_replayable_by_design() {
     let cfg = MachineConfig::concurrent(2).with_seed(7).with_trace(TraceConfig::enabled());
     let trace = Machine::run(cfg, locked_increment).report.trace.expect("tracing enabled");
     assert!(trace.wall_clock);
+    // The episode census counts the recording itself, replayable or not.
+    let episodes = front::barrier_episodes(&trace);
+    assert!(episodes > 0, "the increment ends in a barrier");
     let path = write("cli_wall.jsonl", &trace.to_jsonl());
-    let out = check(&["--max-episodes", "0", "--file", &path]);
+    let over = check(&["--max-episodes", &(episodes - 1).to_string(), "--file", &path]);
+    assert_eq!(over.status.code(), Some(1), "{over:?}");
+    let stdout = String::from_utf8_lossy(&over.stdout);
+    assert!(stdout.contains(&format!("{path}: {episodes} barrier episode(s), over")), "{stdout}");
+    let out = check(&["--max-episodes", &episodes.to_string(), "--file", &path]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains(" 0 race(s)\n"), "{stdout}");
@@ -115,6 +124,33 @@ fn an_episode_count_over_the_budget_exits_one_naming_the_budget() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("replay check OK: "), "the replay itself is identical: {stdout}");
     assert!(stdout.contains(", over the --max-episodes budget 0\n"), "{stdout}");
+}
+
+/// Run `scioto <subcommand> <args> --trace-out <dump>` and load the dump.
+fn recorded(subcommand: &str, args: &[&str], dump: &str) -> Trace {
+    let path = tmp(dump);
+    let out = Command::new(env!("CARGO_BIN_EXE_scioto"))
+        .arg(subcommand)
+        .args(args)
+        .args(["--trace-out", path.to_str().unwrap()])
+        .output()
+        .expect("spawn scioto");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    front::load_trace(path.to_str().unwrap()).expect("the dump loads")
+}
+
+#[test]
+fn the_episode_census_counts_what_the_replay_program_lowers() {
+    // verify.sh's check stage traces: table1 and fig7@8's traced UTS run.
+    let fig7 = ["--max-ranks", "8", "--only-ranks", "0", "--tree", "small"];
+    for (name, trace, want) in [
+        ("table1", recorded("table1", &[], "census_table1.jsonl"), 4),
+        ("fig7@8", recorded("fig7_uts_cluster", &fig7, "census_fig7.jsonl"), 2),
+    ] {
+        let lowered = scioto_analyze::lower(&trace).expect("a virtual-time trace lowers");
+        assert_eq!(front::barrier_episodes(&trace), lowered.episodes, "{name}");
+        assert_eq!(lowered.episodes, want, "{name}");
+    }
 }
 
 #[test]

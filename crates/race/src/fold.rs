@@ -11,7 +11,7 @@ use std::ops::RangeInclusive;
 pub(crate) use scioto_analyze::sync::FastMap;
 use scioto_analyze::sync::{LockKey, Pos, Step, SyncWith};
 use scioto_det::runs::{word_range, RunMap, RunSet};
-use scioto_sim::{RemoteOpKind, StampedEvent, Trace, TraceEvent};
+use scioto_sim::{StampedEvent, Trace, TraceEvent};
 
 use crate::hb::{AccessInfo, Race};
 
@@ -428,10 +428,7 @@ impl<X> SitePairs<X> {
 /// The operation of an access record's event, as reports name it.
 fn op_name(trace: &Trace, rec: AccessRec) -> &'static str {
     match trace.events[rec.rank as usize][rec.ev_idx as usize].event {
-        TraceEvent::RemoteOp { kind: RemoteOpKind::Put, .. } => "put",
-        TraceEvent::RemoteOp { kind: RemoteOpKind::Get, .. } => "get",
-        TraceEvent::RemoteOp { kind: RemoteOpKind::Acc, .. } => "acc",
-        TraceEvent::RemoteOp { kind: RemoteOpKind::Rmw, .. } => "rmw",
+        TraceEvent::RemoteOp { kind, .. } => kind.name(),
         TraceEvent::LocalAccess { write: true, .. } => "local write",
         TraceEvent::LocalAccess { write: false, .. } => "local read",
         _ => unreachable!("access records are made from memory access events only"),

@@ -62,7 +62,7 @@ use crate::fold::{
     fmt_access_pair, join, scan_held, Access, AccessFrontier, ClockSet, FastMap, Frontier, Held,
     SitePairs, WordKey,
 };
-use crate::hb::AccessInfo;
+use crate::hb::Race;
 
 /// One predicted (schedule-masked) race: conflicting accesses that are
 /// unordered under the sync-preserving weak relation but were ordered in
@@ -70,21 +70,9 @@ use crate::hb::AccessInfo;
 /// non-conflicting critical sections.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PredictedRace {
-    /// Rank whose segment slice holds the word(s).
-    pub owner: u32,
-    /// Segment id.
-    pub seg: u32,
-    /// Lowest conflicting 8-byte word index.
-    pub word: u64,
-    /// Highest conflicting 8-byte word index.
-    pub word_hi: u64,
-    /// Exact number of distinct conflicting words collapsed into this
-    /// report.
-    pub word_count: u64,
-    /// The earlier-replayed access of the unordered pair.
-    pub first: AccessInfo,
-    /// The later-replayed access of the unordered pair.
-    pub second: AccessInfo,
+    /// The conflicting words and the unordered access pair, attributed
+    /// as the happens-before checker attributes a race.
+    pub race: Race,
     /// The masking lock `(target, set, idx)` whose accidental ordering
     /// hid the race in the observed schedule.
     pub lock: LockKey,
@@ -97,25 +85,26 @@ pub struct PredictedRace {
 
 impl fmt::Display for PredictedRace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = &self.race;
         writeln!(
             f,
             "predicted race on rank {} seg {} word{} {} (bytes {}..{}), masked by lock \
              (target {}, set {}, idx {}):",
-            self.owner,
-            self.seg,
-            if self.word_count > 1 { "s" } else { "" },
-            if self.word_count > 1 {
-                format!("{}..={} ({} words)", self.word, self.word_hi, self.word_count)
+            r.owner,
+            r.seg,
+            if r.word_count > 1 { "s" } else { "" },
+            if r.word_count > 1 {
+                format!("{}..={} ({} words)", r.word, r.word_hi, r.word_count)
             } else {
-                format!("{}", self.word)
+                format!("{}", r.word)
             },
-            self.word * 8,
-            self.word_hi * 8 + 8,
+            r.word * 8,
+            r.word_hi * 8 + 8,
             self.lock.0,
             self.lock.1,
             self.lock.2,
         )?;
-        fmt_access_pair(f, &self.first, &self.second)?;
+        fmt_access_pair(f, &r.first, &r.second)?;
         writeln!(f, "  witness: {}", self.witness)
     }
 }
@@ -433,18 +422,7 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
 
     let predicted = found
         .finish()
-        .map(|(race, (lock, gen, witness))| PredictedRace {
-            owner: race.owner,
-            seg: race.seg,
-            word: race.word,
-            word_hi: race.word_hi,
-            word_count: race.word_count,
-            first: race.first,
-            second: race.second,
-            lock,
-            gen,
-            witness,
-        })
+        .map(|(race, (lock, gen, witness))| PredictedRace { race, lock, gen, witness })
         .collect();
     let (atomicity, protocol_words) = protocols.judge();
 
@@ -657,9 +635,10 @@ mod tests {
         let r = predict(&t).unwrap();
         assert_eq!(r.predicted.len(), 1, "{r}");
         let p = &r.predicted[0];
-        assert_eq!((p.owner, p.seg, p.word, p.word_count), (0, 0, 0, 1));
-        assert_eq!(p.first.rank, 0);
-        assert_eq!(p.second.rank, 1);
+        let race = &p.race;
+        assert_eq!((race.owner, race.seg, race.word, race.word_count), (0, 0, 0, 1));
+        assert_eq!(race.first.rank, 0);
+        assert_eq!(race.second.rank, 1);
         assert_eq!(p.lock, (0, 0, 0));
         assert_eq!(p.gen, 2);
         assert!(p.witness.contains("swap"), "{}", p.witness);

@@ -22,8 +22,10 @@
 
 use std::fmt::Write as _;
 
+use scioto_analyze::report::escape;
+
 use crate::deadlock::{DeadlockReport, EdgeWitness, Resource};
-use crate::hb::{AccessInfo, RaceReport};
+use crate::hb::{AccessInfo, Race, RaceReport};
 use crate::predict::PredictReport;
 
 /// Schema identifier stamped on every report.
@@ -52,21 +54,7 @@ pub fn render(
         "\"hb\":{{\"events\":{},\"sync_edges\":{},\"words\":{},\"races\":[",
         hb.events, hb.sync_edges, hb.words
     );
-    for (i, r) in hb.races.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let _ = write!(
-            o,
-            "{{\"owner\":{},\"seg\":{},\"word\":{},\"word_hi\":{},\"word_count\":{},",
-            r.owner, r.seg, r.word, r.word_hi, r.word_count
-        );
-        o.push_str("\"first\":");
-        access(&mut o, &r.first);
-        o.push_str(",\"second\":");
-        access(&mut o, &r.second);
-        o.push('}');
-    }
+    list(&mut o, &hb.races, |o, r| race(o, r, ""));
     o.push_str("]},");
 
     // Predictive section.
@@ -76,35 +64,17 @@ pub fn render(
          \"protocol_words\":{},\"predicted\":[",
         p.events, p.lock_edges, p.dropped_edges, p.protocol_words
     );
-    for (i, r) in p.predicted.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
+    list(&mut o, &p.predicted, |o, r| {
         let (lt, ls, li) = r.lock;
-        let _ = write!(
-            o,
-            "{{\"owner\":{},\"seg\":{},\"word\":{},\"word_hi\":{},\"word_count\":{},\
-             \"lock\":{{\"target\":{lt},\"set\":{ls},\"idx\":{li}}},\"gen\":{},\
-             \"witness\":\"{}\",",
-            r.owner,
-            r.seg,
-            r.word,
-            r.word_hi,
-            r.word_count,
+        let masked = format!(
+            "\"lock\":{{\"target\":{lt},\"set\":{ls},\"idx\":{li}}},\"gen\":{},\"witness\":\"{}\",",
             r.gen,
             escape(&r.witness)
         );
-        o.push_str("\"first\":");
-        access(&mut o, &r.first);
-        o.push_str(",\"second\":");
-        access(&mut o, &r.second);
-        o.push('}');
-    }
+        race(o, &r.race, &masked);
+    });
     o.push_str("],\"atomicity\":[");
-    for (i, v) in p.atomicity.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
+    list(&mut o, &p.atomicity, |o, v| {
         let _ = write!(
             o,
             "{{\"owner\":{},\"seg\":{},\"word\":{},\"writers\":{:?},\"detail\":\"{}\"}}",
@@ -114,7 +84,7 @@ pub fn render(
             v.writers,
             escape(&v.detail)
         );
-    }
+    });
     o.push_str("]},");
 
     // Deadlock section.
@@ -123,29 +93,41 @@ pub fn render(
         "\"deadlock\":{{\"nodes\":{},\"edges\":{},\"truncated\":{},\"cycles\":[",
         d.nodes, d.edges, d.truncated
     );
-    for (i, c) in d.cycles.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
+    list(&mut o, &d.cycles, |o, c| {
         let _ = write!(o, "{{\"ranks\":{:?},\"nodes\":[", c.ranks);
-        for (j, n) in c.nodes.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            resource(&mut o, n);
-        }
+        list(o, &c.nodes, resource);
         o.push_str("],\"edges\":[");
-        for (j, w) in c.witnesses.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            witness(&mut o, w);
-        }
+        list(o, &c.witnesses, witness);
         o.push_str("]}");
-    }
+    });
     o.push_str("]}");
     o.push('}');
     o
+}
+
+/// `items` one after another, comma-separated, each written by `item`.
+fn list<T>(o: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            o.push(',');
+        }
+        item(o, x);
+    }
+}
+
+/// One race object: its words, then the `extra` members (each followed by
+/// a comma), then the access pair.
+fn race(o: &mut String, r: &Race, extra: &str) {
+    let _ = write!(
+        o,
+        "{{\"owner\":{},\"seg\":{},\"word\":{},\"word_hi\":{},\"word_count\":{},{extra}",
+        r.owner, r.seg, r.word, r.word_hi, r.word_count
+    );
+    o.push_str("\"first\":");
+    access(o, &r.first);
+    o.push_str(",\"second\":");
+    access(o, &r.second);
+    o.push('}');
 }
 
 fn access(o: &mut String, a: &AccessInfo) {
@@ -188,31 +170,10 @@ fn witness(o: &mut String, w: &EdgeWitness) {
          \"holdset\":[",
         w.rank, w.held_ev, w.held_t_ns, w.req_ev, w.req_t_ns
     );
-    for (i, (t, s, idx)) in w.holdset.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
+    list(o, &w.holdset, |o, (t, s, idx)| {
         let _ = write!(o, "{{\"target\":{t},\"set\":{s},\"idx\":{idx}}}");
-    }
+    });
     o.push_str("]}");
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

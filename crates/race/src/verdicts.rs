@@ -88,7 +88,8 @@ fn verdicts(trace: &Trace) -> String {
             let mut races: Vec<String> = p
                 .predicted
                 .iter()
-                .map(|r| {
+                .map(|p| {
+                    let r = &p.race;
                     let (owner, seg, words) = (r.owner, r.seg, (r.word, r.word_hi, r.word_count));
                     let sites = (site(&r.first), site(&r.second));
                     format!("predicted {owner}/{seg} words {words:?} {sites:?}")

@@ -53,11 +53,12 @@ fn masked_race_fixture_pins_exact_predicted_report() {
     assert!(p.atomicity.is_empty(), "{p}");
     assert_eq!(p.predicted.len(), 1, "{p}");
     let r = &p.predicted[0];
-    assert_eq!(r.owner, 0, "the raced word lives on rank 0");
-    assert_eq!((r.word_hi, r.word_count), (r.word, 1));
-    assert_eq!((r.first.rank, r.second.rank), (0, 1));
-    assert_eq!((r.first.op.as_str(), r.second.op.as_str()), ("put", "put"));
-    assert!(r.first.write && r.second.write);
+    let race = &r.race;
+    assert_eq!(race.owner, 0, "the raced word lives on rank 0");
+    assert_eq!((race.word_hi, race.word_count), (race.word, 1));
+    assert_eq!((race.first.rank, race.second.rank), (0, 1));
+    assert_eq!((race.first.op.as_str(), race.second.op.as_str()), ("put", "put"));
+    assert!(race.first.write && race.second.write);
     // The masking lock is the fixture's only mutex (idx 0) and the
     // dropped edge is the one into rank 1's acquire (generation 2).
     assert_eq!(r.lock.2, 0, "mutex idx 0 masks the race");

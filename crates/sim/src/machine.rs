@@ -440,6 +440,20 @@ mod tests {
                 "rank {r} events all stamped zero"
             );
         }
+        // The Chrome export parses, names every rank's track and puts at
+        // least one event on it, and carries the wall marker.
+        let chrome = trace.to_chrome_json();
+        crate::validate_json(&chrome).expect("the wall-clock Chrome export parses");
+        assert!(chrome.contains("\"clock\":\"wall\""), "no wall marker");
+        for r in 0..2 {
+            let on_track = |line: &&str| {
+                line.contains(&format!("\"tid\":{r},")) || line.contains(&format!("\"tid\":{r}}}"))
+            };
+            let (meta, events): (Vec<&str>, _) =
+                chrome.lines().filter(on_track).partition(|line| line.contains("\"ph\":\"M\""));
+            assert!(meta.iter().any(|line| line.contains("\"thread_name\"")), "rank {r} unnamed");
+            assert!(!events.is_empty(), "rank {r}'s track is empty");
+        }
     }
 
     #[test]

@@ -1258,8 +1258,9 @@ fn chrome_event(out: &mut Text<Vec<u8>>, rank: u64, e: &StampedEvent) {
 
 /// Validate that `s` is one well-formed JSON document. Returns a byte
 /// offset and description of the first error. Hand-rolled (the build is
-/// hermetic — no serde); used by tests and the `trace_check` tool to
-/// prove exported traces parse.
+/// hermetic — no serde); the exporters' tests prove with it that every
+/// trace and report export parses, and `bench_diff` refuses a bench
+/// document it rejects.
 pub fn validate_json(s: &str) -> Result<(), String> {
     let mut p = JsonParser {
         b: s.as_bytes(),

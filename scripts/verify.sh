@@ -4,8 +4,9 @@
 # dependency graph contains nothing but workspace crates.
 #
 # Usage: verify.sh [--bless]
-#   --bless  regenerate results/baselines/ from this tree's runs instead
-#            of diffing against them (commit the refreshed files).
+#   --bless  regenerate every pinned output (results/baselines/ and
+#            results/trace_summary.txt) from this tree's runs instead of
+#            comparing against it (commit the refreshed files).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,6 +53,36 @@ stage() {
 # scioto <subcommand> [flags...]: the one tool executable, as the build
 # stage below links it.
 scioto() { target/release/scioto "$@"; }
+
+# budget <seconds> <stage>: hold the wall time since $t0 (set with
+# `t0=$(now_ms)` where the budgeted work starts) to its budget; prints one
+# line, `ok|FAIL: <stage> <reading> s (budget <seconds> s)`, and fails
+# the run over budget.
+budget() {
+    spent=$(($(now_ms) - t0))
+    line="$2 $(awk -v ms="$spent" 'BEGIN { printf "%.1f", ms / 1000 }') s (budget $1 s)"
+    if [ "$spent" -ge $(($1 * 1000)) ]; then
+        echo "FAIL: $line" >&2
+        exit 1
+    fi
+    echo "ok: $line"
+}
+
+# pin <fresh> <committed>: a reproduced output must equal its committed
+# copy byte for byte; a mismatch prints the diff and fails naming the
+# committed file. Under --bless the fresh file replaces the committed one.
+pin() {
+    if [ "$BLESS" = 1 ]; then
+        cp "$1" "$2"
+        echo "blessed $2"
+    elif cmp -s "$2" "$1"; then
+        echo "ok: $2 matches"
+    else
+        echo "FAIL: $2 differs from this tree's output:" >&2
+        diff "$2" "$1" >&2 || true
+        exit 1
+    fi
+}
 
 # bounded <seconds> <what> <command...>: run the command under `timeout`
 # so a hang fails the run instead of stalling it. The expiry message goes
@@ -117,7 +148,7 @@ stage "cargo test -q --offline (tier-1)"
 cargo test -q --offline --no-run
 t0=$(now_ms)
 bounded 50 "tier-1 cargo test" cargo test -q --offline
-echo "ok: tier-1 tests ran in $(awk -v ms="$(($(now_ms) - t0))" 'BEGIN { printf "%.1f", ms / 1000 }')s (budget: 50s)"
+budget 50 "tier-1 cargo test"
 
 stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds; run frontier and run map oracles (release)"
 # The `#[ignore]`d `stress_*` tests: the split queue's never-lose /
@@ -129,46 +160,40 @@ stage "real-thread stress: queue owner/thieves + word store + TD storm, 64 seeds
 # hit for hit, on twenty times the tier-1 corpora (one thread per core);
 # and the word-run map (`scioto_det::runs`) against a per-word map on
 # fifteen times its tier-1 seeds (0.5 s).
-# Built first, then each test runs as its own invocation of its test
-# executable so the per-test seconds are printed and the budget times the
-# runs alone: 19-20 s measured before the oracle, of which the queue test
-# (its locked kind most of it) is 18 s, the storm 0.2 s and the three
+# Built and listed first, then each test runs as its own invocation of its
+# test executable so the per-test seconds are printed and the budget times
+# the runs alone: 19-20 s measured before the oracle, of which the queue
+# test (its locked kind most of it) is 18 s, the storm 0.2 s and the three
 # store tests 0.4-0.6 s each; the oracle adds 1.5-1.7 s on 2 cores (24 s
 # in all with the queue test at 20 s). Budget 30 s for the
-# total; a failure names the slowest test. Each invocation also runs
+# runs; the slowest test is named either way. Each invocation also runs
 # under a 50 s hang budget, about 3x the slowest test (17 s measured on a
 # 2-core x86_64 host).
 cargo test --offline --release -p scioto -p scioto-armci -p scioto-race -p scioto-det --tests --no-run 2> "$work/stress_build.txt" \
     || { cat "$work/stress_build.txt" >&2; exit 1; }
-stress_ms=0
-stress_slowest=""
-stress_slowest_ms=-1
 for exe in $(sed -n 's/^ *Executable .*(\(.*\))$/\1/p' "$work/stress_build.txt"); do
-    for t in $("$exe" --ignored --list 2>/dev/null | sed -n 's/^\(.*stress_[A-Za-z0-9_]*\): test$/\1/p'); do
-        t0=$(now_ms)
-        bounded 50 "real-thread stress test $t" \
-            "$exe" --ignored --exact -q "$t" > "$work/stress_test.txt" 2>&1 \
-            || { cat "$work/stress_test.txt" >&2; echo "FAIL: real-thread stress test $t" >&2; exit 1; }
-        ms=$(($(now_ms) - t0))
-        awk -v ms="$ms" -v t="$t" 'BEGIN { printf "%8.1f s  %s\n", ms / 1000, t }'
-        stress_ms=$((stress_ms + ms))
-        if [ "$ms" -gt "$stress_slowest_ms" ]; then
-            stress_slowest=$t
-            stress_slowest_ms=$ms
-        fi
-    done
-done
-if [ -z "$stress_slowest" ]; then
+    "$exe" --ignored --list 2>/dev/null | sed -n "s|^\\(.*stress_[A-Za-z0-9_]*\\): test\$|$exe \\1|p"
+done > "$work/stress_tests.txt"
+if [ ! -s "$work/stress_tests.txt" ]; then
     echo "FAIL: no stress_ test found in the scioto / scioto-armci / scioto-race / scioto-det test executables" >&2
     exit 1
 fi
-stress_total=$(awk -v ms="$stress_ms" 'BEGIN { printf "%.1f", ms / 1000 }')
-echo "ok: real-thread stress finished in ${stress_total}s"
-if [ "$stress_ms" -ge 30000 ]; then
-    echo "FAIL: real-thread stress took ${stress_total}s (budget: <30s);" \
-        "slowest: $stress_slowest ($(awk -v ms="$stress_slowest_ms" 'BEGIN { printf "%.1f", ms / 1000 }')s)" >&2
-    exit 1
-fi
+slowest_ms=-1
+t0=$(now_ms)
+while read -r exe t; do
+    t_start=$(now_ms)
+    bounded 50 "real-thread stress test $t" \
+        "$exe" --ignored --exact -q "$t" > "$work/stress_test.txt" 2>&1 < /dev/null \
+        || { cat "$work/stress_test.txt" >&2; echo "FAIL: real-thread stress test $t" >&2; exit 1; }
+    ms=$(($(now_ms) - t_start))
+    awk -v ms="$ms" -v t="$t" 'BEGIN { printf "%8.1f s  %s\n", ms / 1000, t }'
+    if [ "$ms" -gt "$slowest_ms" ]; then
+        slowest=$t
+        slowest_ms=$ms
+    fi
+done < "$work/stress_tests.txt"
+echo "slowest: $slowest $(awk -v ms="$slowest_ms" 'BEGIN { printf "%.1f", ms / 1000 }') s"
+budget 30 "real-thread stress"
 
 stage "perf harness: the out-of-workspace benchmark's own tests"
 # `perf/` is a package of its own (the acceptance driver's benchmark), so
@@ -227,10 +252,6 @@ if [ -n "$missing" ]; then
 fi
 echo "ok: clippy reported all 8 seeded violations"
 
-stage "trace smoke: table1 --trace-out round-trips through trace_check"
-scioto table1 --trace-out "$work/table1_chrome.json" > /dev/null
-scioto trace_check --file "$work/table1_chrome.json" --ranks 2
-
 stage "analyze: traced table1 -> blame/critical-path report"
 # One traced run emits the JSONL dump, the in-memory analysis, the check
 # verdict (race, predictive and deadlock analyses plus the in-process
@@ -280,32 +301,27 @@ grep -q '"kind":"acc"' "$work/fig56.jsonl" \
 # The offline analyzer re-parses the fig7@8 dump; its report must match
 # the in-memory analysis byte for byte. The census that opens its text
 # (event counts, duration digests, gauges; it ends at the text's first
-# blank line) is pinned as results/trace_summary.txt; --bless rewrites it.
+# blank line) is pinned as results/trace_summary.txt.
 scioto analyze --file "$work/fig7.jsonl" \
     --json-out "$work/fig7_analysis_offline.json" > "$work/fig7_analysis.txt"
 cmp "$work/fig7_analysis.json" "$work/fig7_analysis_offline.json"
 echo "ok: fig7@8 offline analyzer matches in-memory analysis"
 sed -n '/^$/q;p' "$work/fig7_analysis.txt" > "$work/trace_summary.txt"
-if [ "$BLESS" = 1 ]; then
-    cp "$work/trace_summary.txt" results/trace_summary.txt
-    echo "blessed results/trace_summary.txt"
-elif ! cmp -s results/trace_summary.txt "$work/trace_summary.txt"; then
-    echo "FAIL: the fig7@8 analysis census differs from results/trace_summary.txt" >&2
-    diff results/trace_summary.txt "$work/trace_summary.txt" >&2 || true
-    exit 1
-fi
-echo "ok: fig7@8 analysis census matches results/trace_summary.txt"
+pin "$work/trace_summary.txt" results/trace_summary.txt
 
 stage "trace bytes: both exports vs results/baselines/TRACE_bytes.txt"
 # The exporters' output at real scale, pinned as `cksum` lines (checksum,
 # byte count, name): table1 through both writers, fig7@8 and fig7's traced
 # run at 32 ranks through JSONL. A writer change that moves a byte fails
-# here with both lines printed. The JSONL codec works in parts of at least
+# here with both lines printed; the Chrome line is the Chrome export's
+# whole gate (its JSON, tracks and wall marker are unit-tested in
+# scioto-sim). The JSONL codec works in parts of at least
 # 1 MiB (`scioto_det::par`; the writer sizes a part at 96 bytes an event):
 # table1.jsonl and fig7_p32.jsonl each take two on a host with two or more
 # cores, so the pins gate the split writer and, through the offline
 # analysis that must equal the live one, the split reader. A dump that
 # shrinks below two parts fails here rather than leaving them ungated.
+scioto table1 --trace-out "$work/table1_chrome.json" > /dev/null
 scioto fig7_uts_cluster \
     --max-ranks 8 --only-ranks 0 --tree small --trace-ranks 32 \
     --trace-out "$work/fig7_p32.jsonl" --analysis-out "$work/fig7_p32_analysis.json" > /dev/null
@@ -320,14 +336,8 @@ for dump in table1.jsonl fig7_p32.jsonl; do
     fi
 done
 (cd "$work" && cksum table1.jsonl table1_chrome.json fig7.jsonl fig7_p32.jsonl) \
-    > "$work/bench/TRACE_bytes.txt"
-if [ "$BLESS" = 0 ] \
-    && ! cmp -s results/baselines/TRACE_bytes.txt "$work/bench/TRACE_bytes.txt"; then
-    echo "FAIL: trace exports differ from results/baselines/TRACE_bytes.txt" >&2
-    diff results/baselines/TRACE_bytes.txt "$work/bench/TRACE_bytes.txt" >&2 || true
-    exit 1
-fi
-echo "ok: table1.jsonl, table1_chrome.json, fig7.jsonl and fig7_p32.jsonl are byte-for-byte the pinned exports"
+    > "$work/TRACE_bytes.txt"
+pin "$work/TRACE_bytes.txt" results/baselines/TRACE_bytes.txt
 
 stage "analysis bytes: blame + critical path vs results/baselines/ANALYSIS_bytes.txt"
 # The analyzer's output pinned the same way: the table1 and fig7@8
@@ -339,14 +349,8 @@ scioto fig7_uts_cluster \
     --max-ranks 8 --only-ranks 0 --tree small --victim uniform --barrier flat \
     --analysis-out "$work/fig7_paper_analysis.json" > /dev/null
 (cd "$work" && cksum table1_analysis.json fig7_analysis.json fig7_paper_analysis.json) \
-    > "$work/bench/ANALYSIS_bytes.txt"
-if [ "$BLESS" = 0 ] \
-    && ! cmp -s results/baselines/ANALYSIS_bytes.txt "$work/bench/ANALYSIS_bytes.txt"; then
-    echo "FAIL: analyses differ from results/baselines/ANALYSIS_bytes.txt" >&2
-    diff results/baselines/ANALYSIS_bytes.txt "$work/bench/ANALYSIS_bytes.txt" >&2 || true
-    exit 1
-fi
-echo "ok: table1, fig7@8 and fig7@8 (paper pair) analyses are byte-for-byte the pinned ones"
+    > "$work/ANALYSIS_bytes.txt"
+pin "$work/ANALYSIS_bytes.txt" results/baselines/ANALYSIS_bytes.txt
 
 stage "large-scale: 1024/2048-rank points, near/far tiers"
 # Virtual-time ranks are fibers on one OS thread, which is what lets
@@ -430,8 +434,8 @@ stage "check: HB + predictive + deadlock + replay on table1 + fig7 traces (hard 
 # scioto-race-v1 report is emitted and, with its "trace" label (a temp
 # path) stripped, pinned byte for byte like every bench result: a walk
 # that loses a sync edge stays "clean" but moves sync_edges / lock_edges
-# / the graph counts. Timed: budget 45s.
-race_t0=$(date +%s)
+# / the graph counts. Timed: budget 45 s.
+t0=$(now_ms)
 scioto check --max-episodes 6 --json-out "$work/race_report.jsonl" \
     --file "$work/table1.jsonl" --file "$work/fig7.jsonl"
 grep -q '"schema":"scioto-race-v1"' "$work/race_report.jsonl"
@@ -439,20 +443,9 @@ if grep -q '"clean":false' "$work/race_report.jsonl"; then
     echo "FAIL: check JSON report flags an unclean trace" >&2
     exit 1
 fi
-sed 's/"trace":"[^"]*",//' "$work/race_report.jsonl" > "$work/bench/RACE_table1_fig7.jsonl"
-if [ "$BLESS" = 0 ] \
-    && ! cmp -s results/baselines/RACE_table1_fig7.jsonl "$work/bench/RACE_table1_fig7.jsonl"; then
-    echo "FAIL: race report differs from results/baselines/RACE_table1_fig7.jsonl" >&2
-    diff results/baselines/RACE_table1_fig7.jsonl "$work/bench/RACE_table1_fig7.jsonl" >&2 || true
-    exit 1
-fi
-race_t1=$(date +%s)
-race_secs=$((race_t1 - race_t0))
-echo "ok: race + predict + deadlock + replay check finished in ${race_secs}s"
-if [ "$race_secs" -ge 45 ]; then
-    echo "FAIL: check took ${race_secs}s (budget: <45s)" >&2
-    exit 1
-fi
+sed 's/"trace":"[^"]*",//' "$work/race_report.jsonl" > "$work/RACE_table1_fig7.jsonl"
+pin "$work/RACE_table1_fig7.jsonl" results/baselines/RACE_table1_fig7.jsonl
+budget 45 "check"
 
 stage "concurrent backend: wall-clock observability lane (hard gate)"
 # Real free-running threads, two workloads: the seeded UTS small tree
@@ -479,24 +472,22 @@ stage "concurrent backend: wall-clock observability lane (hard gate)"
 # budget 150. Each run
 # also checks its own trace (`--check`); the UTS run
 # additionally exports and cross-checks the whole observability surface —
-# wall-stamped JSONL + Chrome traces and blame decomposition exact per
-# thread span. The ring holds the whole run (~146k events) on
+# the wall-stamped JSONL trace and blame decomposition exact per thread
+# span. The ring holds the whole run (~146k events) on
 # ONE rank: how the tree spreads over free-running threads is up to the
 # host's scheduler, and since the owner path got fast one thread can run
-# most of it before a thief lands a steal (rings grow on demand).
-conc_t0=$(date +%s)
+# most of it before a thief lands a steal (rings grow on demand). Budget
+# 60 s for the lane.
+t0=$(now_ms)
 scioto concurrent_obs \
     --ranks 4 --reps 5 --max-event-ns 42 --seed 42 --tree small \
     --trace-ring 1048576 \
     --trace-out "$work/conc.jsonl" \
-    --chrome-out "$work/conc_chrome.json" \
     --analysis-out "$work/conc_analysis.json" \
     --check
 scioto concurrent_obs \
     --ranks 4 --reps 3 --max-event-ns 150 --seed 42 --app scf \
     --check
-# The Chrome export validates.
-scioto trace_check --file "$work/conc_chrome.json" --ranks 4
 # The offline analyzer re-derives the identical wall-clock blame report
 # from the JSONL dump alone, and its text's census marks the clock.
 scioto analyze --file "$work/conc.jsonl" \
@@ -507,21 +498,12 @@ grep -q 'clock: wall' "$work/conc_analysis_offline.txt"
 # analyses pair by generations/epochs, never timestamps — and classifies
 # it as valid but not replayable by design (exit 0, not an error cascade).
 scioto check --file "$work/conc.jsonl"
-conc_t1=$(date +%s)
-conc_secs=$((conc_t1 - conc_t0))
-echo "ok: concurrent observability lane finished in ${conc_secs}s"
-if [ "$conc_secs" -ge 60 ]; then
-    echo "FAIL: concurrent lane took ${conc_secs}s (budget: <60s)" >&2
-    exit 1
-fi
+budget 60 "concurrent lane"
 
 if [ "$BLESS" = 1 ]; then
     stage "bless: refreshing results/baselines/"
-    mkdir -p results/baselines
-    for f in "$work"/bench/BENCH_*.json "$work"/bench/RACE_*.jsonl \
-        "$work"/bench/TRACE_bytes.txt "$work"/bench/ANALYSIS_bytes.txt; do
-        cp "$f" "results/baselines/$(basename "$f")"
-        echo "blessed results/baselines/$(basename "$f")"
+    for f in "$work"/bench/BENCH_*.json; do
+        pin "$f" "results/baselines/$(basename "$f")"
     done
 else
     stage "bench_diff: every result vs its committed baseline, rel-tol 0"
