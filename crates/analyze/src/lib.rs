@@ -20,9 +20,9 @@
 //! charge an instant to the innermost covering span by the same rule.
 //!
 //! Below them sits [`sync`]: the index of a trace's synchronization
-//! producers and the one legal-order walk over it, shared by [`replay`]'s
-//! lowering (the index) and the race checker's vector-clock passes (the
-//! walk).
+//! producers, whose building is the one shape check a trace gets, and the
+//! one legal-order walk over it, shared by [`replay`]'s lowering (the
+//! index) and the race checker's vector-clock fold (the walk).
 //!
 //! [`AnalysisReport::from_trace`] bundles all three plus data-quality
 //! warnings and the trace's [`census`] (events per rank and per kind,

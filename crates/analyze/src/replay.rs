@@ -29,7 +29,7 @@
 
 use scioto_sim::{ReplayOp, ReplayProgram, ReplaySync, Trace, TraceEvent};
 
-use crate::sync::{first_dropped, Pos, SyncIndex};
+use crate::sync::{first_dropped, Pos, SyncError, SyncIndex};
 
 /// Why a trace cannot be lowered for replay. `Display` renders the first
 /// offending rank/event when one is known.
@@ -119,91 +119,35 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
         )));
     }
 
-    // Pass A: per-rank stamp monotonicity, and the producer index the
-    // race checker's walk also reads (lock and message edges come from it).
-    let mut index = SyncIndex::default();
+    // The shape the walk also demands (monotone stamps, final clocks at
+    // or after the last event, unique producer keys, one barrier episode
+    // list), and the producer index lock and message edges come from.
+    let index = SyncIndex::build(trace).map_err(|e| match e {
+        SyncError::Malformed { rank, idx: Some(i), detail } => ReplayError::at(trace, rank, i, detail),
+        e => ReplayError::global(e.to_string()),
+    })?;
     let producer = |p: Pos| -> Producer {
         (p.rank, p.idx, trace.events[p.rank as usize][p.idx as usize].t_ns)
     };
-    // Per target rank: Unblock events aimed at it, in stamp order.
+    // Per target rank: Unblock events aimed at it, sorted by (stamp, rank,
+    // index): blocks consume wakes in stamp order.
     let mut unblocks: Vec<Vec<Producer>> = vec![Vec::new(); n];
-    // Per rank: (event index, epoch) of each BarrierWait, in episode order.
-    let mut barriers: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-
     for (r, events) in trace.events.iter().enumerate() {
-        let fail = |i: usize, detail: String| Err(ReplayError::at(trace, r, i, detail));
-        let mut prev_t = 0u64;
         for (i, e) in events.iter().enumerate() {
-            if e.t_ns < prev_t {
-                return fail(
-                    i,
-                    format!("stamp precedes the previous event at t={prev_t} (out-of-order)"),
-                );
-            }
-            prev_t = e.t_ns;
-            let repeated = index.record(Pos { rank: r as u32, idx: i as u32 }, &e.event);
-            match e.event {
-                TraceEvent::MsgSend { dst, seq, .. } if repeated => {
-                    return fail(i, format!("duplicate MsgSend seq {seq} to rank {dst}"));
+            if let TraceEvent::Unblock { target } = e.event {
+                if let Some(list) = unblocks.get_mut(target as usize) {
+                    list.push((r as u32, i as u32, e.t_ns));
                 }
-                TraceEvent::Unblock { target } if (target as usize) < n => {
-                    unblocks[target as usize].push((r as u32, i as u32, e.t_ns));
-                }
-                TraceEvent::BarrierWait { epoch, .. } => {
-                    barriers[r].push((i, epoch));
-                }
-                _ => {}
-            }
-        }
-        if trace.final_clock_ns[r] < prev_t {
-            return fail(
-                events.len() - 1,
-                format!(
-                    "final clock {} precedes the rank's last event",
-                    trace.final_clock_ns[r]
-                ),
-            );
-        }
-    }
-
-    // Barrier episodes must line up across ranks: same count, same epoch
-    // per episode.
-    let episodes = barriers[0].len();
-    for (r, b) in barriers.iter().enumerate() {
-        if b.len() != episodes {
-            return Err(ReplayError::global(format!(
-                "barrier episode count differs across ranks: rank 0 recorded {episodes}, \
-                 rank {r} recorded {} (truncated trace?)",
-                b.len()
-            )));
-        }
-    }
-    for k in 0..episodes {
-        let epoch0 = barriers[0][k].1;
-        for (r, b) in barriers.iter().enumerate() {
-            if b[k].1 != epoch0 {
-                return Err(ReplayError::at(
-                    trace,
-                    r,
-                    b[k].0,
-                    format!(
-                        "barrier episode {k} has epoch {} on rank {r} but epoch {epoch0} on \
-                         rank 0 (interleaved barrier streams?)",
-                        b[k].1
-                    ),
-                ));
             }
         }
     }
-
-    // `unblocks` was filled rank-major; blocks consume wakes in stamp
-    // order, so sort each target's list by (stamp, rank, index).
     for list in &mut unblocks {
         list.sort_by_key(|&(r, i, t)| (t, r, i));
     }
 
-    // Pass B: build per-rank ops.
+    // Build the per-rank ops.
     let mut ops: Vec<Vec<ReplayOp>> = Vec::with_capacity(n);
+    let mut episodes = 0;
     // An edge from a producer stamped strictly before `t_ns` (a tie
     // carries no ordering information).
     let edge = |(pr, pi, pt): Producer, t_ns: u64| {
@@ -321,6 +265,7 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
             prev_t = e.t_ns;
         }
         ops.push(rank_ops);
+        episodes = episode as usize;
     }
 
     let final_gap_ns: Vec<u64> = (0..n)
@@ -342,10 +287,7 @@ pub fn lower(trace: &Trace) -> Result<ReplayProgram, ReplayError> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use std::collections::HashSet;
-
     use super::*;
-    use crate::jsonl::tests::Mix;
     use scioto_sim::{run_replay, StampedEvent, TraceConfig, TraceSink};
 
     fn trace_of(per_rank: Vec<Vec<StampedEvent>>, final_clocks: Vec<u64>) -> Trace {
@@ -557,149 +499,5 @@ pub(crate) mod tests {
         assert_eq!(parsed.dropped, vec![2, 0]);
         let e = lower(&parsed).unwrap_err();
         assert!(e.to_string().contains("ring overflow"), "{e}");
-    }
-
-    /// Recorded traces for the lowering fuzz: the hand-built rich trace, a
-    /// Scioto UTS run (lock generations, barriers, park/wake pairs) and an
-    /// MPI work-stealing UTS run (message sequence numbers).
-    fn recorded_corpus() -> Vec<Trace> {
-        use scioto_sim::{Machine, MachineConfig};
-        use scioto_uts::mpi_ws::{run_mpi_uts, MpiUtsConfig};
-        let cfg = MachineConfig::virtual_time(4)
-            .with_seed(5)
-            .with_trace(TraceConfig::enabled());
-        let tree = scioto_uts::presets::tiny();
-        let mpi = Machine::run(cfg, move |ctx| run_mpi_uts(ctx, &MpiUtsConfig::new(tree)).0);
-        let mpi = mpi.report.trace.expect("tracing was enabled");
-        vec![rich_trace(), crate::jsonl::tests::uts_trace(), mpi]
-    }
-
-    /// Every `(rank, index)` whose event `keep` accepts.
-    fn positions(t: &Trace, keep: impl Fn(&TraceEvent) -> bool) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (rank, events) in t.events.iter().enumerate() {
-            let kept = (0..events.len()).filter(|&i| keep(&events[i].event));
-            out.extend(kept.map(|i| (rank, i)));
-        }
-        out
-    }
-
-    const CORRUPTIONS: usize = 12;
-
-    /// Apply corruption `kind` to `t` at a seeded position; `false` when
-    /// `t` holds nothing it applies to. Each leaves `t` unreplayable: a
-    /// sync edge loses its producer or its consumer, a barrier episode
-    /// loses a rank, or a rank's stamps stop being monotone.
-    fn corrupt(t: &mut Trace, kind: usize, r: &mut Mix) -> bool {
-        // The lock generations acquired and the messages received.
-        let (mut acquired, mut received) = (HashSet::new(), HashSet::new());
-        for (rank, events) in t.events.iter().enumerate() {
-            for e in events {
-                match e.event {
-                    TraceEvent::LockAcq { target, set, idx, seq } => {
-                        acquired.insert((target, set, idx, seq));
-                    }
-                    TraceEvent::MsgRecv { seq, .. } => {
-                        received.insert((rank as u32, seq));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let handed_on = |e: &TraceEvent| match *e {
-            TraceEvent::LockRel { target, set, idx, seq } => {
-                acquired.contains(&(target, set, idx, seq + 1))
-            }
-            _ => false,
-        };
-        let delivered = |e: &TraceEvent| match *e {
-            TraceEvent::MsgSend { dst, seq, .. } => received.contains(&(dst, seq)),
-            _ => false,
-        };
-        let barrier = |e: &TraceEvent| matches!(e, TraceEvent::BarrierWait { .. });
-        let candidates = match kind {
-            0 | 9 => positions(t, handed_on),
-            1 | 2 | 11 => positions(t, delivered),
-            3 | 4 => positions(t, barrier),
-            5 | 6 => positions(t, |_| true)
-                .into_iter()
-                .filter(|&(rank, i)| i > 0 && t.events[rank][i - 1].t_ns < t.events[rank][i].t_ns)
-                .collect(),
-            7 => (0..t.nranks())
-                .filter(|&rank| t.events[rank].last().is_some_and(|e| e.t_ns > 0))
-                .map(|rank| (rank, 0))
-                .collect(),
-            8 => positions(t, |e| matches!(*e, TraceEvent::LockAcq { seq: 2.., .. })),
-            _ => positions(t, |e| matches!(e, TraceEvent::MsgRecv { .. })),
-        };
-        if candidates.is_empty() {
-            return false;
-        }
-        let (rank, i) = candidates[r.below(candidates.len())];
-        // A generation or sequence number no recording reaches.
-        let far = (1 << 40) + r.next() % (1 << 20);
-        let events = &mut t.events[rank];
-        match kind {
-            // Drop a lock release, a delivered message's send, a barrier.
-            0 | 1 | 3 => drop(events.remove(i)),
-            // Duplicate a send or a barrier wait.
-            2 | 4 => events.insert(i, events[i]),
-            // Swap an event with its earlier predecessor.
-            5 => events.swap(i - 1, i),
-            // Retime an event to before its predecessor.
-            6 => events[i].t_ns = r.next() % events[i - 1].t_ns.max(1),
-            // Retime the rank's final clock to before its last event.
-            7 => {
-                let last = events.last().expect("a last event").t_ns;
-                t.final_clock_ns[rank] = r.next() % last;
-            }
-            _ => match &mut events[i].event {
-                TraceEvent::LockAcq { seq, .. }
-                | TraceEvent::LockRel { seq, .. }
-                | TraceEvent::MsgRecv { seq, .. }
-                | TraceEvent::MsgSend { seq, .. } => *seq = far,
-                other => unreachable!("no sequence number in {other:?}"),
-            },
-        }
-        true
-    }
-
-    #[test]
-    fn lowering_refuses_corrupted_recordings_without_panicking() {
-        let corpus = recorded_corpus();
-        let r = &mut Mix(0x10E5);
-        let mut refused = [0usize; CORRUPTIONS];
-        for case in 0..1_200 {
-            let which = case % corpus.len();
-            let mut t = corpus[which].clone();
-            let kind = r.below(CORRUPTIONS);
-            if corrupt(&mut t, kind, r) {
-                let lowered = lower(&t).is_ok();
-                assert!(!lowered, "corruption {kind} of recording {which} lowered");
-                refused[kind] += 1;
-            }
-        }
-        assert!(refused.iter().all(|&n| n >= 20), "refused per kind: {refused:?}");
-        // Edits that may leave a recording replayable: any outcome but a
-        // panic.
-        for case in 0..600 {
-            let mut t = corpus[case % corpus.len()].clone();
-            let rank = r.below(t.nranks());
-            let events = &mut t.events[rank];
-            if events.is_empty() {
-                continue;
-            }
-            let i = r.below(events.len());
-            match r.below(4) {
-                0 => drop(events.remove(i)),
-                1 => events.insert(i, events[i]),
-                2 => events[i].t_ns = r.next() >> r.below(64),
-                _ => {
-                    let j = r.below(events.len());
-                    events.swap(i, j);
-                }
-            }
-            let _ = lower(&t);
-        }
     }
 }

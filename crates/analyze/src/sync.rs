@@ -9,7 +9,8 @@
 //!   each `LockRel` ownership generation, each `MsgSend` per-destination
 //!   sequence number, each occurrence of a TD-wave key, each participant
 //!   of a barrier epoch. [`crate::replay::lower`] reads its lock and
-//!   message producers straight from it.
+//!   message producers straight from it. Building it is the one shape
+//!   check a trace gets (below).
 //! * [`walk`] — the one legal-order replay over the index. The race
 //!   checker's happens-before and predictive passes are folds over it
 //!   and hold no scheduling logic of their own.
@@ -34,9 +35,16 @@
 //! epoch has been *visited* at its arrival; the visitor completing the
 //! episode leaves first, the rest as the rounds reach them.
 //!
-//! **Refusals**, one [`SyncError`]: a trace that dropped events, a
-//! `MsgRecv` whose send is nowhere in the trace, and a walk that stops
-//! with a stream unfinished (any other missing producer).
+//! **Refusals**, one [`SyncError`]: a trace that dropped events; a
+//! malformed one, which [`SyncIndex::build`] refuses in its rank-major
+//! pass — a stamp before its predecessor's on the same rank, a final clock
+//! before the rank's last event, a lock-release generation or message key
+//! recorded twice, barrier episodes whose count or epochs differ across
+//! ranks (every rank joins every episode); a `MsgRecv` whose send is
+//! nowhere in the trace; and a walk that stops with a stream unfinished
+//! (any other missing producer). Stamps order nothing in the walk, but no
+//! recording — virtual-time or wall-clock — breaks these, so a trace that
+//! does was edited or truncated.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -108,6 +116,9 @@ pub enum SyncError {
     /// The walk stopped with `rank` blocked at event `idx`: a lock
     /// release, wave or barrier arrival it waits for never comes.
     Stuck { rank: usize, idx: usize, event: StampedEvent },
+    /// `rank`'s stream, at event `idx` when one event is to blame, breaks
+    /// a rule every recording keeps ([`SyncIndex::build`]).
+    Malformed { rank: usize, idx: Option<usize>, detail: String },
 }
 
 impl fmt::Display for SyncError {
@@ -128,6 +139,12 @@ impl fmt::Display for SyncError {
                  a synchronization producer is missing from the trace",
                 event.event, event.t_ns
             ),
+            SyncError::Malformed { rank, idx: Some(idx), detail } => {
+                write!(f, "malformed trace: rank {rank}, event {idx}: {detail}")
+            }
+            SyncError::Malformed { rank, idx: None, detail } => {
+                write!(f, "malformed trace: rank {rank}: {detail}")
+            }
         }
     }
 }
@@ -142,8 +159,7 @@ enum GroupKey {
     Barrier(u64),
 }
 
-/// Where every sync producer of a trace sits. Keys are unique in a
-/// well-formed trace; on a duplicate the later event (rank-major) wins.
+/// Where every sync producer of a trace sits; keys are unique.
 #[derive(Debug, Default)]
 pub struct SyncIndex {
     /// The `LockRel` of each `(mutex, ownership generation)`.
@@ -158,24 +174,64 @@ pub struct SyncIndex {
 }
 
 impl SyncIndex {
-    pub fn build(trace: &Trace) -> Self {
+    /// Index `trace` in one rank-major pass, refusing it as
+    /// [`SyncError::Malformed`] (see the module docs).
+    pub fn build(trace: &Trace) -> Result<Self, SyncError> {
         let mut ix = SyncIndex::default();
+        // Rank 0's barrier epochs, in episode order.
+        let mut epochs: Vec<u64> = Vec::new();
         for (rank, events) in trace.events.iter().enumerate() {
+            let refuse = |idx, detail| Err(SyncError::Malformed { rank, idx, detail });
+            let (mut prev_t, mut episode) = (0, 0);
             for (idx, e) in events.iter().enumerate() {
-                ix.record(Pos { rank: rank as u32, idx: idx as u32 }, &e.event);
+                if e.t_ns < prev_t {
+                    let detail =
+                        format!("stamp {} precedes the previous event at t={prev_t} (out-of-order)", e.t_ns);
+                    return refuse(Some(idx), detail);
+                }
+                prev_t = e.t_ns;
+                if ix.record(Pos { rank: rank as u32, idx: idx as u32 }, &e.event) {
+                    let detail = format!("{:?} repeats an earlier {}'s key", e.event, e.event.name());
+                    return refuse(Some(idx), detail);
+                }
+                if let TraceEvent::BarrierWait { epoch, .. } = e.event {
+                    match epochs.get(episode) {
+                        _ if rank == 0 => epochs.push(epoch),
+                        Some(&first) if first != epoch => {
+                            let detail = format!(
+                                "barrier episode {episode} has epoch {epoch} here but epoch {first} on \
+                                 rank 0 (interleaved barrier streams?)"
+                            );
+                            return refuse(Some(idx), detail);
+                        }
+                        _ => {}
+                    }
+                    episode += 1;
+                }
+            }
+            if episode != epochs.len() {
+                let detail = format!(
+                    "barrier episode count differs across ranks: {episode} here, {} on rank 0 \
+                     (truncated trace?)",
+                    epochs.len()
+                );
+                return refuse(None, detail);
+            }
+            if let Some(&end) = trace.final_clock_ns.get(rank).filter(|&&end| end < prev_t) {
+                let detail = format!("final clock {end} precedes the rank's last event at t={prev_t}");
+                return refuse(Some(events.len() - 1), detail);
             }
         }
         let mut grouped: Vec<(GroupKey, Pos)> = ix.keys.drain(..).zip(ix.pos.drain(..)).collect();
         grouped.sort_by_key(|&(key, _)| key);
         (ix.keys, ix.pos) = grouped.into_iter().unzip();
-        ix
+        Ok(ix)
     }
 
     /// Index the event at `pos`; true when it repeats an earlier lock
-    /// release's or send's key. Callers feed every event, rank-major and
-    /// in stream order ([`crate::replay::lower`] does so from a pass it
-    /// makes anyway).
-    pub fn record(&mut self, pos: Pos, event: &TraceEvent) -> bool {
+    /// release's or send's key. [`SyncIndex::build`] feeds every event,
+    /// rank-major and in stream order.
+    fn record(&mut self, pos: Pos, event: &TraceEvent) -> bool {
         match *event {
             TraceEvent::LockRel { target, set, idx, seq } => {
                 return self.lock_rel.insert(((target, set, idx), seq), pos).is_some();
@@ -233,7 +289,7 @@ pub struct Step<'a> {
 /// every event to `fold` exactly once.
 pub fn walk(trace: &Trace, mut fold: impl FnMut(Step<'_>)) -> Result<(), SyncError> {
     refuse_dropped(trace, "an exact replay")?;
-    let index = SyncIndex::build(trace);
+    let index = SyncIndex::build(trace)?;
     let n = trace.nranks();
     let mut cursors = vec![0usize; n];
     // Wave occurrences each consumer rank has matched, per producer key.
@@ -432,6 +488,44 @@ mod tests {
         let e = walk(&t, |_| {}).unwrap_err();
         assert!(matches!(e, SyncError::Stuck { rank: 0, idx: 1, .. }), "{e:?}");
         assert!(e.to_string().starts_with("replay deadlocked: rank 0 blocked at event 1"), "{e}");
+    }
+
+    #[test]
+    fn malformed_shapes_are_refused_naming_their_rank_and_event() {
+        let refusal = |t: &Trace| walk(t, |_| {}).unwrap_err().to_string();
+        let barrier = |epoch| TraceEvent::BarrierWait { dur_ns: 0, epoch };
+
+        let mut t = trace_of(vec![vec![TICK], vec![TICK, TICK]]);
+        t.events[1][0].t_ns = 9;
+        assert_eq!(
+            refusal(&t),
+            "malformed trace: rank 1, event 1: stamp 0 precedes the previous event at t=9 (out-of-order)"
+        );
+        t.events[1][1].t_ns = 9;
+        t.final_clock_ns = vec![0, 8];
+        assert_eq!(
+            refusal(&t),
+            "malformed trace: rank 1, event 1: final clock 8 precedes the rank's last event at t=9"
+        );
+
+        let t = trace_of(vec![vec![acq(1), rel(1)], vec![acq(2), rel(1)]]);
+        assert!(refusal(&t).starts_with("malformed trace: rank 1, event 1: LockRel"), "{}", refusal(&t));
+        let send = TraceEvent::MsgSend { dst: 1, bytes: 8, seq: 1 };
+        let t = trace_of(vec![vec![send, TICK, send], vec![]]);
+        assert!(refusal(&t).starts_with("malformed trace: rank 0, event 2: MsgSend"), "{}", refusal(&t));
+
+        let t = trace_of(vec![vec![barrier(1), barrier(2)], vec![barrier(1)]]);
+        assert_eq!(
+            refusal(&t),
+            "malformed trace: rank 1: barrier episode count differs across ranks: 1 here, 2 on rank 0 \
+             (truncated trace?)"
+        );
+        let t = trace_of(vec![vec![barrier(1), barrier(2)], vec![barrier(2), barrier(1)]]);
+        assert_eq!(
+            refusal(&t),
+            "malformed trace: rank 1, event 0: barrier episode 0 has epoch 2 here but epoch 1 on rank 0 \
+             (interleaved barrier streams?)"
+        );
     }
 
     #[test]

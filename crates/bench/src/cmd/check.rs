@@ -1,8 +1,8 @@
 //! `scioto check` — the verdict on recorded JSONL traces, one or more per
 //! invocation (`--file <path>`, repeated): the same [`front::check`] that
 //! `--check` gives a figure's traced run — the happens-before race check,
-//! the predictive race and protocol-atomicity check, the lock-order
-//! deadlock scan and the replay self-check.
+//! the predictive race and protocol-atomicity check and the lock-order
+//! deadlock scan from one sync walk, and the barrier-episode census.
 //!
 //! The text report goes to stdout. `--json-out <path>` writes one
 //! canonical `scioto-race-v1` JSON object per trace (one per line, in

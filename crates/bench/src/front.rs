@@ -1,16 +1,16 @@
 //! The tool front end every subcommand shares: how a trace gets in, the
-//! one verdict on it (three analyses and the replay engine's self-check),
-//! how artifacts get out, and what the process exits with.
+//! one verdict on it (three analyses from one sync walk, and the
+//! barrier-episode census), how artifacts get out, and what the process
+//! exits with.
 //!
 //! Exit status of `scioto <subcommand>`, whichever subcommand it is:
 //!
 //! * **0** — ran, and every requested check is clean;
 //! * **1** — ran and found something: races, predicted races, atomicity
-//!   violations or deadlock cycles, metric drift, a replay that differs
-//!   from its recording, a gate over its budget;
+//!   violations or deadlock cycles, metric drift, a gate over its budget;
 //! * **2** — could not do what was asked: a usage error (`args.rs`), a
-//!   params mismatch, or a file that is missing, malformed, lossy (ring
-//!   overflow dropped events) or not lowerable to a replay program.
+//!   params mismatch, or a file that is missing, malformed (unparsable,
+//!   or refused by the sync walk) or lossy (ring overflow dropped events).
 //!
 //! A subcommand returns an [`Outcome`]; `scioto_bench::main` is the one
 //! place that turns it into a diagnostic line and a status — never a
@@ -97,17 +97,6 @@ pub fn write_analysis(path: &str, analysis: &AnalysisReport) -> Outcome {
     write_file(path, &body, &what)
 }
 
-/// What the replay self-check of one [`check`] found.
-enum Replay {
-    /// A wall-clock (concurrent-mode) trace: valid and analyzable, but not
-    /// replayable by design — wall stamps are not reproducible, so there is
-    /// no byte-exact schedule to re-execute.
-    WallClock,
-    /// A virtual-time trace, lowered and replayed with no workload;
-    /// `identical` when the replay equals the recording.
-    Virtual { identical: bool },
-}
-
 /// The barrier episodes of a trace: the most `BarrierWait` records any
 /// one rank emitted (every rank emits one per episode it joins).
 pub fn barrier_episodes(trace: &Trace) -> usize {
@@ -117,25 +106,20 @@ pub fn barrier_episodes(trace: &Trace) -> usize {
     waits.max().unwrap_or(0)
 }
 
-/// The verdict of one [`check`]: its three analyses, its barrier-episode
-/// census and its replay.
+/// The verdict of one [`check`]: its three analyses and its
+/// barrier-episode census.
 pub struct Verdict {
     ranks: usize,
     episodes: usize,
     hb: RaceReport,
     predicted: PredictReport,
     deadlocks: DeadlockReport,
-    replay: Replay,
 }
 
 impl Verdict {
-    /// No race, predicted race, atomicity violation or deadlock cycle, and
-    /// no replay that differs from its recording.
+    /// No race, predicted race, atomicity violation or deadlock cycle.
     pub fn is_clean(&self) -> bool {
-        self.hb.is_clean()
-            && self.predicted.is_clean()
-            && self.deadlocks.is_clean()
-            && !matches!(self.replay, Replay::Virtual { identical: false })
+        self.hb.is_clean() && self.predicted.is_clean() && self.deadlocks.is_clean()
     }
 
     /// The trace's barrier episodes ([`barrier_episodes`]).
@@ -143,22 +127,11 @@ impl Verdict {
         self.episodes
     }
 
-    /// The reports as text, each introduced by `label`.
+    /// The reports and the census as text, each introduced by `label`.
     pub fn to_text(&self, label: &str) -> String {
-        let replay = match self.replay {
-            Replay::WallClock => "replay check: wall-clock (concurrent-mode) trace: valid, not \
-                                  replayable by design"
-                .to_string(),
-            Replay::Virtual { identical: true } => format!(
-                "replay check OK: {} ranks reproduced identically ({} barrier episode(s))",
-                self.ranks, self.episodes
-            ),
-            Replay::Virtual { identical: false } => {
-                "replay check FAILED: replay differs from the recording".to_string()
-            }
-        };
         let (hb, p, d) = (&self.hb, &self.predicted, &self.deadlocks);
-        format!("{label}{hb}{label}{p}{label}{d}{label}{replay}\n")
+        let census = format!("census: {} rank(s), {} barrier episode(s)", self.ranks, self.episodes);
+        format!("{label}{hb}{label}{p}{label}{d}{label}{census}\n")
     }
 
     /// The reports as one `scioto-race-v1` JSON line.
@@ -169,30 +142,13 @@ impl Verdict {
 }
 
 /// The one verdict on a trace: the happens-before race check, the
-/// sync-preserving predictive analysis, the cross-rank lock-order cycle
-/// scan, then the replay engine's self-check — a virtual-time trace is
-/// lowered, replayed with no workload and must equal the recording in
-/// every stamp, duration and gauge; a wall-clock trace passes as not
-/// replayable by design. A trace that cannot be checked (dropped events,
-/// a stuck sync walk, a program that does not lower) is exit 2; findings
-/// and a replay that differs are the caller's to report
-/// ([`Verdict::is_clean`]).
+/// sync-preserving predictive analysis and the cross-rank lock-order cycle
+/// scan, from one walk of its synchronization ([`scioto_race::check_all`]),
+/// and its barrier-episode census. A trace that cannot be checked (dropped
+/// events, a malformed trace, a stuck sync walk) is exit 2; findings are
+/// the caller's to report ([`Verdict::is_clean`]).
 pub fn check(trace: &Trace) -> Result<Verdict, Exit> {
-    let refused = |what: &str, e: String| Exit::unusable(format!("{what}: {e}"));
-    Ok(Verdict {
-        ranks: trace.nranks(),
-        episodes: barrier_episodes(trace),
-        hb: scioto_race::check_trace(trace).map_err(|e| refused("race check", e))?,
-        predicted: scioto_race::predict(trace).map_err(|e| refused("predict", e))?,
-        deadlocks: scioto_race::check_deadlocks(trace)
-            .map_err(|e| refused("deadlock check", e))?,
-        replay: match trace.wall_clock {
-            true => Replay::WallClock,
-            false => {
-                let program = scioto_analyze::lower(trace)
-                    .map_err(|e| refused("not replayable", e.to_string()))?;
-                Replay::Virtual { identical: scioto_sim::run_replay(&program) == *trace }
-            }
-        },
-    })
+    let (hb, predicted, deadlocks) = scioto_race::check_all(trace).map_err(Exit::unusable)?;
+    let (ranks, episodes) = (trace.nranks(), barrier_episodes(trace));
+    Ok(Verdict { ranks, episodes, hb, predicted, deadlocks })
 }

@@ -197,9 +197,9 @@ impl RunSpec {
     /// the trace (Chrome `trace_event` JSON, or flat JSONL to a `.jsonl`
     /// path) and the analysis (its text, census first, to a `.txt` path),
     /// then, under `--check`, give the trace its verdict ([`front::check`])
-    /// on stderr. Findings and a failed replay self-check are exit 1; a
-    /// trace the check cannot work on (ring overflow dropped events —
-    /// rerun with a larger `--trace-ring`) is exit 2. Panics if the report
+    /// on stderr. Findings are exit 1; a trace the check cannot work on
+    /// (ring overflow dropped events — rerun with a larger `--trace-ring`)
+    /// is exit 2. Panics if the report
     /// carries no trace.
     pub fn observe(&self, report: &Report) -> Outcome {
         if !self.obs_requested() {

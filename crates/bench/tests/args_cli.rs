@@ -100,10 +100,10 @@ fn stale_and_mistyped_flags_exit_2_naming_the_accepted_flags() {
         let flag = args[0];
         assert_eq!(stderr, format!("{subcommand}: unknown flag {flag}\naccepted flags: {accepted}\n"));
     }
-    // The source scan went to rustc and clippy, the race checker and the
-    // replay self-check went into `check`, and the Chrome dump's check
-    // into verify.sh's byte pin: their subcommands are as unknown as any
-    // other word, and the table lists `check`.
+    // The source scan went to rustc and clippy, the race checker into
+    // `check`, the replay self-check into replay's own tests, and the
+    // Chrome dump's check into verify.sh's byte pin: their subcommands are
+    // as unknown as any other word, and the table lists `check`.
     for (subcommand, args) in [
         ("lint", &["--stats"][..]),
         ("race_check", &["--predict", "--deadlock", "--file", "t.jsonl"][..]),

@@ -1,10 +1,9 @@
 //! Exit-code contract of `scioto check` (relied on by `scripts/verify.sh`):
-//! 0 = every trace checked and clean, its replay identical or, for a
-//! wall-clock recording, not replayable by design; 1 = findings or an
-//! episode count (the most barrier waits any rank recorded) over
-//! `--max-episodes`; 2 = unusable input — and malformed
-//! JSONL must produce a one-line diagnostic, never a panic. Traces are
-//! operands of repeated `--file`.
+//! 0 = every trace checked and clean, virtual-time or wall-clock; 1 =
+//! findings or an episode count (the most barrier waits any rank
+//! recorded) over `--max-episodes`; 2 = unusable input — malformed JSONL,
+//! or a trace the sync walk refuses — with a one-line diagnostic, never a
+//! panic. Traces are operands of repeated `--file`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,15 +76,16 @@ fn racy_jsonl() -> String {
 }
 
 #[test]
-fn clean_trace_exits_zero_with_the_replay_line() {
+fn clean_trace_exits_zero_with_the_census_line() {
     let path = write("cli_clean.jsonl", &clean_jsonl());
     let out = check(&["--file", &path]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for part in ["race check: ", "predict: ", "deadlock scan: ", "replay check OK: "] {
+    for part in ["race check: ", "predict: ", "deadlock scan: ", "census: "] {
         assert!(stdout.contains(&format!("{path}: {part}")), "{part}: {stdout}");
     }
-    assert!(stdout.contains("reproduced identically"), "{stdout}");
+    let census = format!("{path}: census: 2 rank(s), 1 barrier episode(s)\n");
+    assert!(stdout.ends_with(&census), "{stdout}");
 }
 
 #[test]
@@ -93,6 +93,9 @@ fn a_wall_clock_recording_is_clean_and_not_replayable_by_design() {
     let cfg = MachineConfig::concurrent(2).with_seed(7).with_trace(TraceConfig::enabled());
     let trace = Machine::run(cfg, locked_increment).report.trace.expect("tracing enabled");
     assert!(trace.wall_clock);
+    // Its stamps are not reproducible, so the lowering refuses it; the
+    // verdict never needed it.
+    assert!(scioto_analyze::lower(&trace).is_err());
     // The episode census counts the recording itself, replayable or not.
     let episodes = front::barrier_episodes(&trace);
     assert!(episodes > 0, "the increment ends in a barrier");
@@ -107,13 +110,8 @@ fn a_wall_clock_recording_is_clean_and_not_replayable_by_design() {
     assert!(stdout.contains(" 0 race(s)\n"), "{stdout}");
     assert!(stdout.contains("0 predicted race(s), 0 atomicity violation(s)\n"), "{stdout}");
     assert!(stdout.contains(" 0 cycle(s)\n"), "{stdout}");
-    assert!(
-        stdout.contains(&format!(
-            "{path}: replay check: wall-clock (concurrent-mode) trace: valid, not replayable \
-             by design\n"
-        )),
-        "{stdout}"
-    );
+    let census = format!("{path}: census: 2 rank(s), {episodes} barrier episode(s)\n");
+    assert!(stdout.ends_with(&census), "{stdout}");
 }
 
 #[test]
@@ -122,7 +120,8 @@ fn an_episode_count_over_the_budget_exits_one_naming_the_budget() {
     let out = check(&["--max-episodes", "0", "--file", &path]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("replay check OK: "), "the replay itself is identical: {stdout}");
+    let census = "census: 2 rank(s), 1 barrier episode(s)\n";
+    assert!(stdout.contains(census), "the census itself: {stdout}");
     assert!(stdout.contains(", over the --max-episodes budget 0\n"), "{stdout}");
 }
 
@@ -199,6 +198,36 @@ fn an_access_past_the_last_byte_exits_two_naming_its_line() {
     assert_eq!(stderr.trim_end(), format!("check: {path}: line 2: malformed LocalAccess event"));
 }
 
+/// One saved recording per kind of the race crate's corruption fuzz (the
+/// small two-rank one, edited), with the walk's refusal of it.
+const CORRUPTED: [(&str, &str); 12] = [
+    ("00_dropped_lock_release", "replay deadlocked: rank 0 blocked at event 3"),
+    ("01_dropped_send", "rank 1: MsgRecv seq 1 has no matching MsgSend in the trace"),
+    ("02_repeated_send", "malformed trace: rank 0, event 3: MsgSend { dst: 1, bytes: 8, seq: 1 } repeats"),
+    ("03_dropped_barrier", "malformed trace: rank 1: barrier episode count differs across ranks"),
+    ("04_repeated_barrier", "malformed trace: rank 1: barrier episode count differs across ranks"),
+    ("05_swapped_events", "malformed trace: rank 0, event 3: stamp 100 precedes the previous event"),
+    ("06_retimed_event", "malformed trace: rank 0, event 1: stamp 36 precedes the previous event"),
+    ("07_early_final_clock", "malformed trace: rank 1, event 4: final clock 146 precedes"),
+    ("08_far_acquire", "replay deadlocked: rank 0 blocked at event 4"),
+    ("09_far_release", "replay deadlocked: rank 0 blocked at event 4"),
+    ("10_far_receive", "rank 1: MsgRecv seq 1099512073798 has no matching MsgSend"),
+    ("11_far_send", "rank 1: MsgRecv seq 1 has no matching MsgSend in the trace"),
+];
+
+#[test]
+fn every_kind_of_corrupted_recording_exits_two_with_the_walks_message() {
+    for (name, refusal) in CORRUPTED {
+        let path = format!("{}/tests/corrupt/{name}.jsonl", env!("CARGO_MANIFEST_DIR"));
+        let out = check(&["--file", &path]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = stderr.trim_end();
+        assert!(!line.contains('\n') && !line.contains("panicked"), "{name}: {stderr}");
+        assert!(line.starts_with(&format!("check: {path}: {refusal}")), "{name}: {stderr}");
+    }
+}
+
 #[test]
 fn missing_file_unknown_flag_and_no_args_exit_two() {
     let out = check(&["--file", "/nonexistent/trace.jsonl"]);
@@ -242,5 +271,5 @@ fn json_out_dash_prints_only_json_on_stdout() {
     }
     // The text report moved to stderr.
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains(&format!("{b}: replay check OK: ")), "{stderr}");
+    assert!(stderr.contains(&format!("{b}: census: ")), "{stderr}");
 }

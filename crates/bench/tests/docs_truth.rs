@@ -1,7 +1,7 @@
 //! Docs are part of correctness: every command the user-facing docs name
-//! must exist. README.md, DESIGN.md and the verify skill may name no
-//! `--bin` other than the workspace's one executable, and no `scioto
-//! <word>` that is not a subcommand in the dispatch table; a `--flag`
+//! must exist. README.md, DESIGN.md, EXPERIMENTS.md and the verify skill
+//! may name no `--bin` other than the workspace's one executable, and no
+//! `scioto <word>` that is not a subcommand in the dispatch table; a `--flag`
 //! README.md, DESIGN.md, EXPERIMENTS.md or PERF_LOG.md shows on a `scioto
 //! <subcommand> …` command line must be one that subcommand accepts; and the files
 //! DESIGN.md says may hold `unsafe` code must be the ones that do. It
@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use scioto_bench::{accepted_flags, subcommands};
 
-const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+const DOCS: [&str; 4] = ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"];
 
 fn read(doc: &str) -> String {
     let path = format!("{}/../../{doc}", env!("CARGO_MANIFEST_DIR"));

@@ -1,9 +1,11 @@
 //! The happens-before engine: an offline vector-clock replay of a
-//! deterministic virtual-time [`Trace`].
+//! [`Trace`]. This module holds its reports and [`check_trace`]; the fold
+//! itself is relation 0 of the predictive one ([`mod@crate::predict`]), so
+//! [`crate::check_all`] gets both from one walk.
 //!
 //! # How the replay works
 //!
-//! Virtual timestamps cannot order a trace, so the engine ignores them:
+//! Timestamps cannot order a trace, so the engine ignores them:
 //! it is a fold over [`scioto_analyze::sync::walk`], which yields every
 //! event after the producers it synchronises-with — release → acquire by
 //! lock generation, send → receive by sequence number, every arrival of
@@ -32,10 +34,10 @@
 
 use std::fmt;
 
-use scioto_analyze::sync::walk;
 use scioto_sim::Trace;
 
-use crate::fold::{fmt_access_pair, Access, AccessFrontier, ClockSet, Frontier, SitePairs};
+use crate::fold::{fmt_access_pair, Frontier};
+use crate::predict::predict_with;
 
 /// One detected race: two conflicting accesses to the word range
 /// `word..=word_hi` (8-byte indices within segment `seg` owned by rank
@@ -138,43 +140,14 @@ impl fmt::Display for RaceReport {
     }
 }
 
-/// Check a trace for happens-before races on simulated global memory.
+/// Check a trace for happens-before races on simulated global memory:
+/// the fold of [`crate::predict::check_all`] with no weak relation.
 ///
 /// Fails (with a diagnostic) when the trace dropped events — a truncated
-/// stream cannot be replayed faithfully — or when the replay deadlocks
-/// because a synchronization producer is missing.
+/// stream cannot be replayed faithfully — when it is malformed, or when
+/// the replay deadlocks because a synchronization producer is missing.
 pub fn check_trace(trace: &Trace) -> Result<RaceReport, String> {
-    check_with::<Frontier>(trace)
-}
-
-/// [`check_trace`], keeping the access frontier in an `F`.
-pub(crate) fn check_with<F: AccessFrontier>(trace: &Trace) -> Result<RaceReport, String> {
-    let mut clocks = ClockSet::new(trace.nranks(), 1);
-    let mut frontier = F::default();
-    let mut found = SitePairs::new();
-    let mut events = 0u64;
-    walk(trace, |step| {
-        events += 1;
-        clocks.enter(&step, None);
-        let rank = step.pos.rank;
-        if let Some(a) = Access::of(rank, &step.ev.event) {
-            let rec = a.rec(step.pos, clocks.own(rank));
-            let now = clocks.rel(rank, 0);
-            frontier.access(&a, rec, |lo, hi, prior| {
-                if u64::from(prior.clock) > now[prior.rank as usize] {
-                    found.add(trace, (a.owner, a.seg), lo..=hi, *prior, rec, || ());
-                }
-            });
-        }
-        clocks.leave(&step);
-    })
-    .map_err(|e| e.to_string())?;
-    Ok(RaceReport {
-        races: found.finish().map(|(race, ())| race).collect(),
-        events,
-        sync_edges: clocks.sync_edges,
-        words: frontier.words(),
-    })
+    predict_with::<Frontier>(trace, false).map(|(hb, _)| hb)
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! `scioto-race`: offline happens-before race checking for the Scioto
 //! reproduction.
 //!
-//! Three tools live here. The first two are folds over the one legal-order
-//! replay of a trace's synchronization, [`scioto_analyze::sync::walk`];
-//! the third needs only per-rank program order:
+//! Three tools live here. The first two are one fold over the one
+//! legal-order replay of a trace's synchronization,
+//! [`scioto_analyze::sync::walk`]; the third needs only per-rank program
+//! order:
 //!
 //! * [`hb::check_trace`] joins vector clocks along every explicit
 //!   synchronization edge a deterministic [`Trace`] carries (lock
@@ -19,9 +20,10 @@
 //!   from each rank's lock nesting and reports the cycles that survive
 //!   the gate-lock filter.
 //!
-//! `scioto` runs all three on every trace it checks — a figure's traced
-//! run under `--check`, or a JSONL dump under `scioto check` — and
-//! [`render_report`] writes their `scioto-race-v1` line.
+//! [`predict::check_all`] is all three from one walk: what `scioto` runs
+//! on every trace it checks — a figure's traced run under `--check`, or a
+//! JSONL dump under `scioto check` — and [`render_report`] writes their
+//! `scioto-race-v1` line.
 //!
 //! [`Trace`]: scioto_sim::Trace
 
@@ -33,7 +35,7 @@ pub mod report;
 
 pub use deadlock::{check_deadlocks, Cycle, DeadlockReport, Resource};
 pub use hb::{check_trace, AccessInfo, Race, RaceReport};
-pub use predict::{predict, AtomicityViolation, PredictReport, PredictedRace};
+pub use predict::{check_all, predict, AtomicityViolation, PredictReport, PredictedRace};
 pub use report::render as render_report;
 
 #[cfg(test)]

@@ -62,7 +62,8 @@ use crate::fold::{
     fmt_access_pair, join, scan_held, Access, AccessFrontier, ClockSet, FastMap, Frontier, Held,
     SitePairs, WordKey,
 };
-use crate::hb::Race;
+use crate::hb::{Race, RaceReport};
+use crate::{check_deadlocks, DeadlockReport};
 
 /// One predicted (schedule-masked) race: conflicting accesses that are
 /// unordered under the sync-preserving weak relation but were ordered in
@@ -190,6 +191,7 @@ type Footprint = [((u32, u32), Run<bool>)];
 
 /// Every critical section's footprint, in one buffer: section `s` is
 /// `runs[starts[s]..starts[s + 1]]`.
+#[derive(Default)]
 struct Footprints {
     /// `(lock, generation)` → section number.
     sections: FastMap<(LockKey, u64), usize>,
@@ -282,21 +284,36 @@ struct SkippedEdge {
 /// Run the sync-preserving predictive analysis: weak-relation replay
 /// plus protocol-atomicity sanity. Fails on the same unanalyzable
 /// traces as [`crate::hb::check_trace`] (dropped events, missing
-/// producers).
+/// producers, a malformed trace).
 pub fn predict(trace: &Trace) -> Result<PredictReport, String> {
-    predict_with::<Frontier>(trace)
+    predict_with::<Frontier>(trace, true).map(|(_, predicted)| predicted)
 }
 
-/// [`predict`], keeping the access frontier in an `F`.
-pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictReport, String> {
+/// The whole verdict on `trace` from one walk: the happens-before races,
+/// the predicted races and atomicity violations, and the lock-order
+/// cycles — what [`crate::hb::check_trace`], [`predict`] and
+/// [`crate::check_deadlocks`] report one by one.
+pub fn check_all(trace: &Trace) -> Result<(RaceReport, PredictReport, DeadlockReport), String> {
+    let (hb, predicted) = predict_with::<Frontier>(trace, true)?;
+    Ok((hb, predicted, check_deadlocks(trace)?))
+}
+
+/// The one fold over [`walk`], keeping the access frontier in an `F`: an
+/// access unordered in the strong (observed) relation is a happens-before
+/// race; with `weak`, one ordered there only through a dropped lock edge
+/// is a predicted race (without, the [`PredictReport`] is empty).
+pub(crate) fn predict_with<F: AccessFrontier>(
+    trace: &Trace,
+    weak: bool,
+) -> Result<(RaceReport, PredictReport), String> {
     let n = trace.nranks();
-    let mut protocols = Protocols::new(trace);
-    let fp = Footprints::new(trace, &mut protocols);
+    let mut protocols = if weak { Protocols::new(trace) } else { Protocols::default() };
+    let fp = if weak { Footprints::new(trace, &mut protocols) } else { Footprints::default() };
     let section = |key: LockKey, gen: u64| fp.section(key, gen);
 
-    // Relation 0 is the observed happens-before (exactly the HB engine's
-    // clock), relation 1 the sync-preserving weak order.
-    let mut clocks = ClockSet::new(n, 2);
+    // Relation 0 is the observed happens-before, relation 1 (with `weak`)
+    // the sync-preserving weak order.
+    let mut clocks = ClockSet::new(n, 1 + usize::from(weak));
     // Weak conflict state per lock, `(owner, seg)` and run of words: the
     // release of the last critical section that wrote the run, and the
     // releases of the sections that read it since (the FastTrack read-set
@@ -314,6 +331,7 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
 
     let mut skipped: Vec<SkippedEdge> = Vec::new();
     let mut frontier = F::default();
+    let mut races = SitePairs::new();
     let mut found: SitePairs<(LockKey, u64, String)> = SitePairs::new();
     let mut events = 0u64;
     let mut lock_edges = 0u64;
@@ -325,7 +343,7 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
         // The hook: a lock edge's weak side joins only the *conflicting*
         // earlier sections, found through this section's own footprint.
         let lock_edge = match (step.ev.event, step.sync) {
-            (TraceEvent::LockAcq { target, set, idx, seq }, SyncWith::After(release)) => {
+            (TraceEvent::LockAcq { target, set, idx, seq }, SyncWith::After(release)) if weak => {
                 Some(((target, set, idx), seq, release[0]))
             }
             _ => None,
@@ -351,12 +369,15 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
 
         if let Some(a) = Access::of(rank, &step.ev.event) {
             let rec = a.rec(step.pos, clocks.own(rank));
-            let (strong, weak) = (clocks.rel(rank, 0), clocks.rel(rank, 1));
+            let strong = clocks.rel(rank, 0);
             frontier.access(&a, rec, |lo, hi, prior| {
                 let ordered = |vc: &[u64]| u64::from(prior.clock) <= vc[prior.rank as usize];
-                if ordered(weak) || !ordered(strong) {
-                    // Ordered in every schedule we model, or already a plain
-                    // HB race the observed-schedule checker reports.
+                if !ordered(strong) {
+                    races.add(trace, (a.owner, a.seg), lo..=hi, *prior, rec, || ());
+                    return;
+                }
+                if !weak || ordered(clocks.rel(rank, 1)) {
+                    // Ordered in every schedule we model.
                     return;
                 }
                 // Attribute the masking edge: a dropped release→acquire
@@ -420,20 +441,15 @@ pub(crate) fn predict_with<F: AccessFrontier>(trace: &Trace) -> Result<PredictRe
     })
     .map_err(|e| e.to_string())?;
 
+    let races = races.finish().map(|(race, ())| race).collect();
+    let hb = RaceReport { races, events, sync_edges: clocks.sync_edges, words: frontier.words() };
     let predicted = found
         .finish()
         .map(|(race, (lock, gen, witness))| PredictedRace { race, lock, gen, witness })
         .collect();
     let (atomicity, protocol_words) = protocols.judge();
-
-    Ok(PredictReport {
-        predicted,
-        atomicity,
-        events,
-        lock_edges,
-        dropped_edges,
-        protocol_words,
-    })
+    let predicted = PredictReport { predicted, atomicity, events, lock_edges, dropped_edges, protocol_words };
+    Ok((hb, predicted))
 }
 
 /// One protocol word's accesses, folded in stream order (rank by rank,
@@ -527,6 +543,7 @@ impl WordFold {
 
 /// The atomicity check's state: every protocol word, grouped by
 /// segment and sorted, with its [`WordFold`].
+#[derive(Default)]
 struct Protocols {
     segs: FastMap<(u32, u32), Vec<(u64, WordFold)>>,
 }

@@ -24,9 +24,9 @@ use scioto_sim::{coalesce, RemoteOpKind, StampedEvent, Trace, TraceEvent};
 
 use crate::fixtures::random_trace;
 use crate::fold::{Frontier, Lockstep, WordFrontier};
-use crate::hb::{check_with, AccessInfo};
+use crate::hb::AccessInfo;
 use crate::predict::predict_with;
-use crate::{check_deadlocks, check_trace, predict};
+use crate::{check_all, check_deadlocks, check_trace, predict};
 
 /// `trace` with every rank's stream coalesced as the recorder does it.
 fn coalesced(trace: &Trace) -> Trace {
@@ -146,11 +146,15 @@ fn assert_same_verdicts(raw: &Trace, what: &str) -> String {
 struct Mix(u64);
 
 impl Mix {
-    fn below(&mut self, n: u64) -> u64 {
+    fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % n
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
     }
 
     fn flag(&mut self) -> bool {
@@ -368,24 +372,23 @@ fn coalescing_keeps_every_verdict_on_recorded_uts_runs() {
 /// reports, field for field: every finding with its first pair and word
 /// range and count, and the word, sync-edge and lock-edge counts.
 fn assert_reports_agree(trace: &Trace, what: &str) {
-    let runs = format!("{:?}", check_with::<Frontier>(trace));
-    assert_eq!(runs, format!("{:?}", check_with::<WordFrontier>(trace)), "{what}");
-    let runs = format!("{:?}", predict_with::<Frontier>(trace));
-    assert_eq!(runs, format!("{:?}", predict_with::<WordFrontier>(trace)), "{what}");
+    let runs = format!("{:?}", predict_with::<Frontier>(trace, true));
+    assert_eq!(runs, format!("{:?}", predict_with::<WordFrontier>(trace, true)), "{what}");
 }
 
 /// The two frontiers, driven in lockstep by the happens-before walk of
 /// `trace`, meet every access with the same priors: the hits both
 /// checkers' reports are made of, before any judgement.
 fn assert_hits_agree(trace: &Trace, what: &str) {
-    let walked = std::panic::catch_unwind(|| check_with::<Lockstep>(trace).map(|r| r.words));
+    let walked =
+        std::panic::catch_unwind(|| predict_with::<Lockstep>(trace, false).map(|(r, _)| r.words));
     assert!(walked.is_ok(), "{what}: the frontiers' hits differ");
 }
 
 /// `agree` on every corpus above, `scale` times over: seeded random
 /// traces, seeded programs, and recorded UTS runs both raw and coalesced;
 /// the seeds are dealt round-robin to one thread per core (at most four).
-fn frontiers_agree_on_every_corpus(scale: u64, agree: fn(&Trace, &str)) {
+fn on_every_corpus(scale: u64, agree: fn(&Trace, &str)) {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     std::thread::scope(|s| {
         for first in 0..threads {
@@ -411,7 +414,7 @@ fn frontiers_agree_on_every_corpus(scale: u64, agree: fn(&Trace, &str)) {
 
 #[test]
 fn the_run_frontier_reports_what_the_word_frontier_did() {
-    frontiers_agree_on_every_corpus(1, |trace, what| {
+    on_every_corpus(1, |trace, what| {
         assert_hits_agree(trace, what);
         assert_reports_agree(trace, what);
     });
@@ -425,5 +428,203 @@ fn the_run_frontier_reports_what_the_word_frontier_did() {
 #[test]
 #[ignore = "20x the oracle corpora; scripts/verify.sh runs it in release"]
 fn stress_the_run_frontier_reports_what_the_word_frontier_did() {
-    frontiers_agree_on_every_corpus(20, assert_hits_agree);
+    on_every_corpus(20, assert_hits_agree);
+}
+
+/// The verdict's one walk reports what the three calls `perf/` times one
+/// by one do, to the last field: the happens-before fold is relation 0 of
+/// the predictive one, and folding the weak relation beside it changes
+/// nothing of it.
+#[test]
+fn the_one_walk_reports_what_the_three_calls_do() {
+    on_every_corpus(1, |trace, what| {
+        let three = || -> Result<_, String> {
+            Ok((check_trace(trace)?, predict(trace)?, check_deadlocks(trace)?))
+        };
+        assert_eq!(format!("{:?}", check_all(trace)), format!("{:?}", three()), "{what}");
+    });
+}
+
+/// A consistent two-rank recording with every sync kind: a message, a
+/// lock hand-off, a barrier, and a park/wake pair.
+fn rich_trace() -> Trace {
+    use scioto_sim::{TraceConfig, TraceSink};
+    let lock = |seq, acquire| match acquire {
+        true => TraceEvent::LockAcq { target: 1, set: 0, idx: 0, seq },
+        false => TraceEvent::LockRel { target: 1, set: 0, idx: 0, seq },
+    };
+    let ranks = [
+        vec![
+            (50, lock(1, true)),
+            (80, lock(1, false)),
+            (100, TraceEvent::MsgSend { dst: 1, bytes: 8, seq: 1 }),
+            (150, TraceEvent::Unblock { target: 1 }),
+            (200, TraceEvent::BarrierWait { dur_ns: 40, epoch: 1 }),
+        ],
+        vec![
+            (90, TraceEvent::Block),
+            (130, TraceEvent::MsgRecv { src: 0, seq: 1 }),
+            (170, lock(2, true)),
+            (175, lock(2, false)),
+            (200, TraceEvent::BarrierWait { dur_ns: 10, epoch: 1 }),
+        ],
+    ];
+    let sink = TraceSink::new(&TraceConfig::enabled(), ranks.len());
+    for (rank, events) in ranks.iter().enumerate() {
+        for &(t_ns, e) in events {
+            sink.emit(rank, t_ns, || e);
+        }
+    }
+    let mut t = sink.finish().expect("tracing was enabled");
+    t.final_clock_ns = vec![210, 205];
+    t
+}
+
+/// The recordings the corruption fuzz edits: [`rich_trace`], a Scioto UTS
+/// run (lock generations, barriers, TD waves, park/wake pairs) and an MPI
+/// work-stealing UTS run (message sequence numbers).
+fn corruption_corpus() -> Vec<Trace> {
+    use scioto_sim::{Machine, MachineConfig, TraceConfig};
+    use scioto_uts::mpi_ws::{run_mpi_uts, MpiUtsConfig};
+    use scioto_uts::scioto_driver::{run_scioto_uts, SciotoUtsConfig};
+    let tree = scioto_uts::presets::tiny();
+    let cfg = |n, seed| MachineConfig::virtual_time(n).with_seed(seed).with_trace(TraceConfig::enabled());
+    let uts = Machine::run(cfg(8, 7), move |ctx| run_scioto_uts(ctx, &SciotoUtsConfig::new(tree)).0);
+    let mpi = Machine::run(cfg(4, 5), move |ctx| run_mpi_uts(ctx, &MpiUtsConfig::new(tree)).0);
+    let recorded = [uts, mpi].map(|run| run.report.trace.expect("tracing was enabled"));
+    [vec![rich_trace()], recorded.to_vec()].concat()
+}
+
+/// Every `(rank, index)` whose event `keep` accepts.
+fn positions(t: &Trace, keep: impl Fn(&TraceEvent) -> bool) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (rank, events) in t.events.iter().enumerate() {
+        let kept = (0..events.len()).filter(|&i| keep(&events[i].event));
+        out.extend(kept.map(|i| (rank, i)));
+    }
+    out
+}
+
+const CORRUPTIONS: usize = 12;
+
+/// Apply corruption `kind` to `t` at a seeded position; `false` when `t`
+/// holds nothing it applies to. Each leaves `t` malformed or unwalkable:
+/// a sync edge loses its producer or its consumer, a producer key
+/// repeats, a barrier episode loses or gains a rank, a rank's stamps stop
+/// being monotone, or its final clock falls before its last event.
+fn corrupt(t: &mut Trace, kind: usize, r: &mut Mix) -> bool {
+    use std::collections::HashSet;
+    // The lock generations acquired and the messages received.
+    let (mut acquired, mut received) = (HashSet::new(), HashSet::new());
+    for (rank, events) in t.events.iter().enumerate() {
+        for e in events {
+            match e.event {
+                TraceEvent::LockAcq { target, set, idx, seq } => {
+                    acquired.insert((target, set, idx, seq));
+                }
+                TraceEvent::MsgRecv { seq, .. } => {
+                    received.insert((rank as u32, seq));
+                }
+                _ => {}
+            }
+        }
+    }
+    let handed_on = |e: &TraceEvent| match *e {
+        TraceEvent::LockRel { target, set, idx, seq } => {
+            acquired.contains(&(target, set, idx, seq + 1))
+        }
+        _ => false,
+    };
+    let delivered = |e: &TraceEvent| match *e {
+        TraceEvent::MsgSend { dst, seq, .. } => received.contains(&(dst, seq)),
+        _ => false,
+    };
+    let barrier = |e: &TraceEvent| matches!(e, TraceEvent::BarrierWait { .. });
+    let candidates = match kind {
+        0 | 9 => positions(t, handed_on),
+        1 | 2 | 11 => positions(t, delivered),
+        3 | 4 => positions(t, barrier),
+        5 | 6 => positions(t, |_| true)
+            .into_iter()
+            .filter(|&(rank, i)| i > 0 && t.events[rank][i - 1].t_ns < t.events[rank][i].t_ns)
+            .collect(),
+        7 => (0..t.nranks())
+            .filter(|&rank| t.events[rank].last().is_some_and(|e| e.t_ns > 0))
+            .map(|rank| (rank, 0))
+            .collect(),
+        8 => positions(t, |e| matches!(*e, TraceEvent::LockAcq { seq: 2.., .. })),
+        _ => positions(t, |e| matches!(e, TraceEvent::MsgRecv { .. })),
+    };
+    if candidates.is_empty() {
+        return false;
+    }
+    let (rank, i) = candidates[r.below(candidates.len() as u64) as usize];
+    // A generation or sequence number no recording reaches.
+    let far = (1 << 40) + r.next() % (1 << 20);
+    let events = &mut t.events[rank];
+    match kind {
+        // Drop a lock release, a delivered message's send, a barrier.
+        0 | 1 | 3 => drop(events.remove(i)),
+        // Duplicate a send or a barrier wait.
+        2 | 4 => events.insert(i, events[i]),
+        // Swap an event with its earlier predecessor.
+        5 => events.swap(i - 1, i),
+        // Retime an event to before its predecessor.
+        6 => events[i].t_ns = r.next() % events[i - 1].t_ns.max(1),
+        // Retime the rank's final clock to before its last event.
+        7 => {
+            let last = events.last().expect("a last event").t_ns;
+            t.final_clock_ns[rank] = r.next() % last;
+        }
+        _ => match &mut events[i].event {
+            TraceEvent::LockAcq { seq, .. }
+            | TraceEvent::LockRel { seq, .. }
+            | TraceEvent::MsgRecv { seq, .. }
+            | TraceEvent::MsgSend { seq, .. } => *seq = far,
+            other => unreachable!("no sequence number in {other:?}"),
+        },
+    }
+    true
+}
+
+/// 1 200 seeded corruptions of the recordings, every one refused by the
+/// sync walk and by the verdict, as by the replay lowering; 600 free edits
+/// that may leave a recording well-formed, any outcome but a panic.
+#[test]
+fn corrupted_recordings_are_refused_without_panicking() {
+    let corpus = corruption_corpus();
+    let r = &mut Mix(0x10E5);
+    let mut refused = [0usize; CORRUPTIONS];
+    for case in 0..1_200 {
+        let which = case % corpus.len();
+        let mut t = corpus[which].clone();
+        let kind = r.below(CORRUPTIONS as u64) as usize;
+        if corrupt(&mut t, kind, r) {
+            assert!(lower(&t).is_err(), "corruption {kind} of recording {which} lowered");
+            let walked = scioto_analyze::sync::walk(&t, |_| {});
+            assert!(walked.is_err(), "corruption {kind} of recording {which} walked");
+            assert!(check_all(&t).is_err(), "corruption {kind} of recording {which} was judged");
+            refused[kind] += 1;
+        }
+    }
+    assert!(refused.iter().all(|&n| n >= 20), "refused per kind: {refused:?}");
+    for case in 0..600 {
+        let mut t = corpus[case % corpus.len()].clone();
+        let rank = r.below(t.nranks() as u64) as usize;
+        let events = &mut t.events[rank];
+        if events.is_empty() {
+            continue;
+        }
+        let i = r.below(events.len() as u64) as usize;
+        match r.below(4) {
+            0 => drop(events.remove(i)),
+            1 => events.insert(i, events[i]),
+            2 => events[i].t_ns = r.next() >> r.below(64),
+            _ => {
+                let j = r.below(events.len() as u64) as usize;
+                events.swap(i, j);
+            }
+        }
+        let _ = (lower(&t), scioto_analyze::sync::walk(&t, |_| {}), check_all(&t));
+    }
 }
